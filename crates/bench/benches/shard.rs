@@ -31,7 +31,7 @@ fn bench_shard(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new(name, cfg.players), &cfg, |b, cfg| {
             let wl = Workload::new(*cfg);
             let mgr = ShardManager::new(8, policy);
-            b.iter(|| mgr.assign(&wl.world).node_of.len())
+            b.iter(|| mgr.assign(&wl.world).len())
         });
     }
     group.finish();

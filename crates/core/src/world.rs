@@ -901,12 +901,13 @@ impl World {
         self.bounds
     }
 
-    /// Append every entity within the closed disk to `out`.
+    /// Append every entity within the closed disk to `out`, in id order
+    /// (deterministic for scripts).
     pub fn within(&self, center: Vec2, radius: f32, out: &mut Vec<EntityId>) {
-        let mut bits = Vec::new();
-        self.spatial.query_range(center, radius, &mut bits);
-        out.extend(bits.into_iter().map(EntityId::from_bits));
-        out.sort_unstable(); // deterministic order for scripts
+        let start = out.len();
+        self.spatial
+            .for_each_in_range(center, radius, |bits| out.push(EntityId::from_bits(bits)));
+        out[start..].sort_unstable();
     }
 
     /// The `k` nearest positioned entities to `center`, closest first.

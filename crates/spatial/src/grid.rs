@@ -84,6 +84,24 @@ impl UniformGrid {
         }
     }
 
+    /// Run `f` on every item within the closed disk — the visitor form
+    /// of [`SpatialIndex::query_range`], for callers that collect into
+    /// their own id type without an intermediate `Vec<ItemId>`.
+    pub fn for_each_in_range(&self, center: Vec2, radius: f32, mut f: impl FnMut(ItemId)) {
+        if radius < 0.0 {
+            return;
+        }
+        let bounds = Aabb::around_circle(center, radius);
+        let r2 = radius * radius;
+        self.for_cells_in_aabb(&bounds, |items| {
+            for &id in items {
+                if self.positions[&id].dist2(center) <= r2 {
+                    f(id);
+                }
+            }
+        });
+    }
+
     /// Visit each cell overlapping the box and run `f` on its item list.
     fn for_cells_in_aabb(&self, bounds: &Aabb, mut f: impl FnMut(&[ItemId])) {
         let lo = self.key_for(bounds.min);
@@ -127,18 +145,7 @@ impl SpatialIndex for UniformGrid {
     }
 
     fn query_range(&self, center: Vec2, radius: f32, out: &mut Vec<ItemId>) {
-        if radius < 0.0 {
-            return;
-        }
-        let bounds = Aabb::around_circle(center, radius);
-        let r2 = radius * radius;
-        self.for_cells_in_aabb(&bounds, |items| {
-            for &id in items {
-                if self.positions[&id].dist2(center) <= r2 {
-                    out.push(id);
-                }
-            }
-        });
+        self.for_each_in_range(center, radius, |id| out.push(id));
     }
 
     fn query_aabb(&self, bounds: &Aabb, out: &mut Vec<ItemId>) {

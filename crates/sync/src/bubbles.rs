@@ -15,7 +15,7 @@
 use std::collections::HashMap;
 use std::time::Instant;
 
-use gamedb_core::{EffectBuffer, EntityId, World};
+use gamedb_core::{Column, EffectBuffer, EntityId, World};
 use gamedb_spatial::Vec2;
 
 use crate::action::Action;
@@ -127,6 +127,21 @@ impl Partition {
     }
 }
 
+/// The optional `vel` (vec2) column, resolved once per partitioning
+/// pass; `None` when the world defines no velocities.
+fn vel_column(world: &World) -> Option<&Column> {
+    world.component_id("vel").and_then(|id| world.column_by_id(id))
+}
+
+/// Reachability radius of live entity `e`: its `vel` magnitude (0 when
+/// it has none) pushed through [`BubbleConfig::reach`].
+fn reach_of(cfg: &BubbleConfig, vel: Option<&Column>, e: EntityId) -> f32 {
+    let speed = vel
+        .and_then(|col| col.get_v2(e.index() as usize))
+        .map_or(0.0, |[vx, vy]| Vec2::new(vx, vy).len());
+    cfg.reach(speed)
+}
+
 /// Compute the bubble partition of all positioned entities.
 ///
 /// Velocity is read from the optional `vel` (vec2) component; entities
@@ -142,13 +157,8 @@ pub fn partition(world: &World, cfg: &BubbleConfig) -> Partition {
     let index_of: HashMap<EntityId, usize> =
         ids.iter().enumerate().map(|(i, &e)| (e, i)).collect();
 
-    let speed_of = |e: EntityId| -> f32 {
-        match world.get(e, "vel") {
-            Some(gamedb_content::Value::Vec2(vx, vy)) => Vec2::new(vx, vy).len(),
-            _ => 0.0,
-        }
-    };
-    let reaches: Vec<f32> = ids.iter().map(|&e| cfg.reach(speed_of(e))).collect();
+    let vel = vel_column(world);
+    let reaches: Vec<f32> = ids.iter().map(|&e| reach_of(cfg, vel, e)).collect();
     let max_reach = reaches.iter().copied().fold(0.0f32, f32::max);
 
     let mut uf = UnionFind::new(ids.len());
@@ -188,6 +198,248 @@ pub fn partition(world: &World, cfg: &BubbleConfig) -> Partition {
         bubble_of.insert(e, b);
     }
     Partition { bubble_of, bubbles }
+}
+
+/// What a [`BubbleTracker`] saw of one positioned entity at its last
+/// update — everything an edge test reads.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Seen {
+    id: EntityId,
+    pos: Vec2,
+    reach: f32,
+}
+
+/// The bubble partition as a **maintained** structure: the same
+/// partition [`partition`] computes from scratch, kept across ticks and
+/// updated in time proportional to what moved.
+///
+/// An edge joins two positioned entities whose reach disks (inflated by
+/// the interaction range) overlap — a function of the two endpoints'
+/// `(pos, reach)` alone. So the tracker keeps last tick's `(pos, reach)`
+/// per entity slot and the edge set, finds the slots whose reading
+/// changed (moved, sped up, spawned, despawned, slot reused, position
+/// removed) in one linear pass, drops exactly their edges, and probes
+/// the spatial index only for them. Bubbles are the connected
+/// components of the edge set; every slot without an edge is a
+/// singleton and is never materialised.
+#[derive(Debug, Clone)]
+pub struct BubbleTracker {
+    cfg: BubbleConfig,
+    /// Per entity slot: the positioned entity read at the last update.
+    seen: Vec<Option<Seen>>,
+    /// Per entity slot: the slots it shares an edge with (symmetric).
+    adj: Vec<Vec<u32>>,
+    edges: usize,
+    positioned: usize,
+    /// Live entities without a position at the last update, slot order.
+    unpositioned: Vec<EntityId>,
+    /// Multi-member bubbles in first-member order, CSR: bubble `b` is
+    /// `members[starts[b]..starts[b + 1]]`, members in slot order.
+    starts: Vec<usize>,
+    members: Vec<EntityId>,
+}
+
+impl BubbleTracker {
+    /// An empty tracker; the first [`BubbleTracker::update`] probes
+    /// every positioned entity.
+    pub fn new(cfg: BubbleConfig) -> Self {
+        BubbleTracker {
+            cfg,
+            seen: Vec::new(),
+            adj: Vec::new(),
+            edges: 0,
+            positioned: 0,
+            unpositioned: Vec::new(),
+            starts: vec![0],
+            members: Vec::new(),
+        }
+    }
+
+    /// The motion model the edges were computed under.
+    pub fn cfg(&self) -> &BubbleConfig {
+        &self.cfg
+    }
+
+    /// Bring the partition up to date with `world`; returns how many
+    /// entities were re-probed. Any world may follow any other: the
+    /// diff is against what was last read, not against a change log.
+    pub fn update(&mut self, world: &World) -> usize {
+        let cfg = self.cfg;
+        let vel = vel_column(world);
+        // slots whose previous reading (and so every edge they had) is
+        // void, and slots with a new reading to probe; both in slot order
+        let mut stale: Vec<usize> = Vec::new();
+        let mut movers: Vec<usize> = Vec::new();
+        let mut max_reach = 0.0f32;
+        self.positioned = 0;
+        self.unpositioned.clear();
+        let mut next = 0;
+        for e in world.entities() {
+            let slot = e.index() as usize;
+            if slot >= self.seen.len() {
+                self.seen.resize(slot + 1, None);
+                self.adj.resize_with(slot + 1, Vec::new);
+            }
+            for dead in next..slot {
+                if self.seen[dead].take().is_some() {
+                    stale.push(dead);
+                }
+            }
+            next = slot + 1;
+            let now = world.pos(e).map(|pos| Seen { id: e, pos, reach: reach_of(&cfg, vel, e) });
+            match now {
+                Some(s) => {
+                    self.positioned += 1;
+                    max_reach = max_reach.max(s.reach);
+                }
+                None => self.unpositioned.push(e),
+            }
+            if now != self.seen[slot] {
+                if self.seen[slot].is_some() {
+                    stale.push(slot);
+                }
+                if now.is_some() {
+                    movers.push(slot);
+                }
+                self.seen[slot] = now;
+            }
+        }
+        for dead in next..self.seen.len() {
+            if self.seen[dead].take().is_some() {
+                stale.push(dead);
+            }
+        }
+        if stale.is_empty() && movers.is_empty() {
+            return 0;
+        }
+
+        for &s in &stale {
+            let mut gone = std::mem::take(&mut self.adj[s]);
+            for t in gone.drain(..) {
+                let back = &mut self.adj[t as usize];
+                let at = back
+                    .iter()
+                    .position(|&x| x as usize == s)
+                    .expect("edges are stored at both endpoints");
+                back.swap_remove(at);
+                self.edges -= 1;
+            }
+            self.adj[s] = gone; // keep the capacity for the re-probe
+        }
+
+        let mut near = Vec::new();
+        for (k, &s) in movers.iter().enumerate() {
+            let me = self.seen[s].expect("movers are positioned");
+            // any entity whose disk could overlap ours is within this radius
+            let search = me.reach + max_reach + cfg.interaction_range;
+            near.clear();
+            world.within(me.pos, search, &mut near);
+            for &other in &near {
+                let t = other.index() as usize;
+                let Some(them) = self.seen[t].filter(|them| them.id == other && t != s) else {
+                    continue;
+                };
+                // an earlier mover already found this pair from its side
+                if t < s && movers[..k].binary_search(&t).is_ok() {
+                    continue;
+                }
+                let limit = me.reach + them.reach + cfg.interaction_range;
+                if me.pos.dist2(them.pos) <= limit * limit {
+                    self.adj[s].push(t as u32);
+                    self.adj[t].push(s as u32);
+                    self.edges += 1;
+                }
+            }
+        }
+        self.rebuild_bubbles();
+        movers.len()
+    }
+
+    /// Connected components of the edge set, over edge-incident slots
+    /// only, numbered by first member like [`partition`]'s bubbles.
+    fn rebuild_bubbles(&mut self) {
+        let incident: Vec<usize> = (0..self.adj.len())
+            .filter(|&s| !self.adj[s].is_empty())
+            .collect();
+        let local = |slot: usize| {
+            incident.binary_search(&slot).expect("edge endpoints are incident")
+        };
+        let mut uf = UnionFind::new(incident.len());
+        for (i, &s) in incident.iter().enumerate() {
+            for &t in &self.adj[s] {
+                if (t as usize) > s {
+                    uf.union(i, local(t as usize));
+                }
+            }
+        }
+        // bubble index per incident slot, in order of first appearance
+        let mut bubble_of_root = vec![usize::MAX; incident.len()];
+        let mut sizes: Vec<usize> = Vec::new();
+        let bubble_of: Vec<usize> = (0..incident.len())
+            .map(|i| {
+                let root = uf.find(i);
+                if bubble_of_root[root] == usize::MAX {
+                    bubble_of_root[root] = sizes.len();
+                    sizes.push(0);
+                }
+                sizes[bubble_of_root[root]] += 1;
+                bubble_of_root[root]
+            })
+            .collect();
+        self.starts.clear();
+        self.starts.push(0);
+        for size in &sizes {
+            self.starts.push(self.starts[self.starts.len() - 1] + size);
+        }
+        let mut fill: Vec<usize> = self.starts[..sizes.len()].to_vec();
+        self.members.clear();
+        self.members.resize(incident.len(), EntityId::from_bits(0));
+        for (i, &s) in incident.iter().enumerate() {
+            let b = bubble_of[i];
+            self.members[fill[b]] = self.seen[s].expect("edge endpoints are positioned").id;
+            fill[b] += 1;
+        }
+    }
+
+    /// Bubbles of two or more entities, in first-member order.
+    pub fn joined(&self) -> impl Iterator<Item = &[EntityId]> {
+        self.starts.windows(2).map(|w| &self.members[w[0]..w[1]])
+    }
+
+    /// One-entity bubbles — every positioned entity without an edge —
+    /// in slot order.
+    pub fn singletons(&self) -> impl Iterator<Item = &[EntityId]> {
+        self.seen
+            .iter()
+            .zip(&self.adj)
+            .filter(|(_, adj)| adj.is_empty())
+            .filter_map(|(seen, _)| seen.as_ref().map(|s| std::slice::from_ref(&s.id)))
+    }
+
+    /// Live entities that had no position at the last update.
+    pub fn unpositioned(&self) -> &[EntityId] {
+        &self.unpositioned
+    }
+
+    /// Positioned entities at the last update.
+    pub fn positioned(&self) -> usize {
+        self.positioned
+    }
+
+    /// Number of bubbles (joined + singletons).
+    pub fn len(&self) -> usize {
+        (self.starts.len() - 1) + (self.positioned - self.members.len())
+    }
+
+    /// True when no positioned entity has been read.
+    pub fn is_empty(&self) -> bool {
+        self.positioned == 0
+    }
+
+    /// Number of edges (overlapping reach-disk pairs).
+    pub fn edges(&self) -> usize {
+        self.edges
+    }
 }
 
 /// Executor that partitions the world into causality bubbles and runs

@@ -12,7 +12,7 @@
 //! databases" is exactly that a 2PC round trip costs ~milliseconds while
 //! a local action costs ~microseconds.
 
-use gamedb_core::{EffectBuffer, EntityId, World};
+use gamedb_core::{EffectBuffer, World};
 
 use crate::action::Action;
 use crate::shard::{NodeId, ShardAssignment};
@@ -100,14 +100,15 @@ impl ClusterExecutor {
             fp.extend(a.write_set());
             let mut owner: Option<NodeId> = None;
             for e in fp {
-                match (owner, assignment.node_of.get(&e)) {
-                    // unplaced entity (no position): treat as distributed
+                match (owner, assignment.node_of(e)) {
+                    // unplaced entity (dead, or not in this placement):
+                    // treat as distributed
                     (_, None) => {
                         distributed.push(i);
                         continue 'outer;
                     }
-                    (None, Some(&n)) => owner = Some(n),
-                    (Some(prev), Some(&n)) if prev != n => {
+                    (None, Some(n)) => owner = Some(n),
+                    (Some(prev), Some(n)) if prev != n => {
                         distributed.push(i);
                         continue 'outer;
                     }
@@ -178,11 +179,6 @@ impl ClusterExecutor {
     }
 }
 
-/// Convenience: who owns an entity under an assignment (for tests).
-pub fn owner_of(assignment: &ShardAssignment, e: EntityId) -> Option<NodeId> {
-    assignment.node_of.get(&e).copied()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -190,6 +186,7 @@ mod tests {
     use crate::executor::{Executor, SerialExecutor};
     use crate::shard::{AssignPolicy, ShardManager};
     use crate::bubbles::BubbleConfig;
+    use gamedb_core::EntityId;
     use gamedb_spatial::Vec2;
 
     /// Four squads far apart: dynamic placement gives one node per squad.
@@ -319,6 +316,6 @@ mod tests {
         assert_eq!(stats.distributed, 0);
         assert_eq!(stats.simulated_us, 0.0);
         assert_eq!(stats.speedup(), 1.0);
-        assert!(owner_of(&a, ids[0]).is_some());
+        assert!(a.node_of(ids[0]).is_some());
     }
 }

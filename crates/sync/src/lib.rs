@@ -52,8 +52,10 @@ pub mod workload;
 
 pub use action::{arena_world, Action};
 pub use aggro::{AggroTable, AggroTargeting, CandidateView, NearestTargeting, Role, Targeting};
-pub use bubbles::{partition, BubbleConfig, BubbleExecutor, Partition, UnionFind};
-pub use cluster::{owner_of, ClusterCost, ClusterExecutor, ClusterStats};
+pub use bubbles::{
+    partition, BubbleConfig, BubbleExecutor, BubbleTracker, Partition, UnionFind,
+};
+pub use cluster::{ClusterCost, ClusterExecutor, ClusterStats};
 pub use executor::{ExecStats, Executor, LockingExecutor, OptimisticExecutor, SerialExecutor};
 pub use invariant::{
     collapse_moves, inject_speed_hacks, wealth, AuditReport, Auditor, Baseline, RacyExecutor,

@@ -69,6 +69,16 @@ pub(crate) struct ShardMetrics {
     /// `shard.cross_node_permille`: fraction of actions spanning nodes
     /// at the last round, in permille.
     pub cross_node_permille: Gauge,
+    /// `shard.partition_reprobed`: entities whose bubble edges were
+    /// re-probed through the spatial index (moved, sped up, spawned) —
+    /// the work the maintained partition did instead of re-deriving
+    /// the world.
+    pub partition_reprobed: Counter,
+    /// `shard.bubbles`: causality bubbles at the last round.
+    pub bubbles: Gauge,
+    /// `shard.edges`: overlapping reach-disk pairs (the bubble edge
+    /// set) at the last round.
+    pub edges: Gauge,
 }
 
 impl ShardMetrics {
@@ -78,6 +88,9 @@ impl ShardMetrics {
             handoffs: registry.counter("shard.handoffs"),
             imbalance_pct: registry.gauge("shard.imbalance"),
             cross_node_permille: registry.gauge("shard.cross_node_permille"),
+            partition_reprobed: registry.counter("shard.partition_reprobed"),
+            bubbles: registry.gauge("shard.bubbles"),
+            edges: registry.gauge("shard.edges"),
         }
     }
 }
@@ -104,6 +117,9 @@ pub(crate) struct RouterMetrics {
     /// `shard.handoff_resyncs`: node links evicted from the change
     /// stream (stalled past retention) and re-shipped whole.
     pub resyncs: Counter,
+    /// `shard.handoff_diff_scanned`: owner-table slots compared against
+    /// the previous placement to find gained/lost entities.
+    pub diff_scanned: Counter,
     /// `standby.lag`: worst unapplied-segment tail across warm
     /// standbys at the last router tick.
     pub standby_lag: Gauge,
@@ -120,6 +136,7 @@ impl RouterMetrics {
             entities: registry.counter("shard.handoff_entities"),
             baseline_bytes: registry.counter("shard.handoff_baseline_bytes"),
             resyncs: registry.counter("shard.handoff_resyncs"),
+            diff_scanned: registry.counter("shard.handoff_diff_scanned"),
             standby_lag: registry.gauge("standby.lag"),
             standby_replays: registry.counter("standby.replays"),
         }

@@ -10,9 +10,9 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
-use gamedb_content::Value;
+use gamedb_content::{Value, ValueType};
 use gamedb_core::{
-    ChangeOp, ComponentId, DurabilityWatermark, EntityId, Query, TapId, ViewId, World,
+    ChangeOp, Column, ComponentId, DurabilityWatermark, EntityId, Query, TapId, ViewId, World,
 };
 use gamedb_metrics::MetricsRegistry;
 use gamedb_spatial::Vec2;
@@ -22,12 +22,17 @@ use crate::metrics::ReplMetrics;
 /// Wire size of a value under the replication framing (1 type-tag byte
 /// is accounted separately).
 fn value_wire_bytes(v: &Value) -> usize {
-    match v {
-        Value::Float(_) => 4,
-        Value::Int(_) => 8,
-        Value::Bool(_) => 1,
-        Value::Str(s) => 4 + s.len(),
-        Value::Vec2(..) => 8,
+    payload_wire_bytes(v.value_type(), v.as_str().map_or(0, str::len))
+}
+
+/// [`value_wire_bytes`] from a value's type (and length, for strings).
+fn payload_wire_bytes(ty: ValueType, str_len: usize) -> usize {
+    match ty {
+        ValueType::Float => 4,
+        ValueType::Int => 8,
+        ValueType::Bool => 1,
+        ValueType::Str => 4 + str_len,
+        ValueType::Vec2 => 8,
     }
 }
 
@@ -48,6 +53,15 @@ fn varint_len(v: u32) -> usize {
 /// account against.
 pub(crate) fn row_wire_bytes(component: &str, v: &Value) -> usize {
     8 + 4 + component.len() + 1 + value_wire_bytes(v)
+}
+
+/// [`row_wire_bytes`] of the value `col` stores at `slot`, sized in
+/// place — no [`Value`] is built. `None` when the slot holds nothing.
+pub(crate) fn stored_row_wire_bytes(component: &str, col: &Column, slot: usize) -> Option<usize> {
+    col.has(slot).then(|| {
+        let str_len = col.get_str(slot).map_or(0, str::len);
+        8 + 4 + component.len() + 1 + payload_wire_bytes(col.ty(), str_len)
+    })
 }
 
 /// One shipped delta segment: the per-tick unit
@@ -146,6 +160,8 @@ impl Replica {
     /// of the named entities — nothing else on the replica is touched.
     /// Application order (defines, puts, unsets, drops) means a put and
     /// a drop for the same entity in one segment resolve to the drop.
+    /// A drop forgets the columns the name table knows — every row that
+    /// arrived by segment — in O(drops × names), not O(rows held).
     pub fn apply_segment(&mut self, seg: &DeltaSegment) {
         for (id, name) in &seg.defines {
             self.names.insert(*id, name.clone());
@@ -166,9 +182,14 @@ impl Replica {
                 .clone();
             self.rows.remove(&(*entity, name));
         }
-        if !seg.drops.is_empty() {
-            let dropped: HashSet<EntityId> = seg.drops.iter().copied().collect();
-            self.rows.retain(|(id, _), _| !dropped.contains(id));
+        let mut key = (EntityId::from_bits(0), String::new());
+        for &entity in &seg.drops {
+            key.0 = entity;
+            for name in self.names.values() {
+                key.1.clear();
+                key.1.push_str(name);
+                self.rows.remove(&key);
+            }
         }
     }
 }

@@ -32,14 +32,14 @@
 //! lag budget, so failover replays only the buffered tail instead of
 //! re-shipping the node's whole state.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 
 use gamedb_content::Value;
-use gamedb_core::{ChangeOp, ComponentId, EntityId, TapId, World};
+use gamedb_core::{ChangeOp, Column, ComponentId, EntityId, TapId, World};
 use gamedb_metrics::MetricsRegistry;
 
 use crate::metrics::RouterMetrics;
-use crate::replication::{row_wire_bytes, DeltaSegment, Replica};
+use crate::replication::{row_wire_bytes, stored_row_wire_bytes, DeltaSegment, Replica};
 use crate::shard::{NodeId, ShardAssignment};
 
 /// A node's warm standby: a replica fed the node's own segment stream,
@@ -200,8 +200,8 @@ impl ShardRouter {
     }
 
     /// Ship one tick: diff `assignment` against the previous placement
-    /// into per-node handoff sets, drain each node's tap for the delta
-    /// on retained entities, and apply the resulting segment to the
+    /// into per-node handoff sets, drain the links' taps for the delta
+    /// on retained entities, and apply the resulting segment to each
     /// node's state (and its standby's queue). Call after the world has
     /// been mutated for the tick, with the placement computed for it.
     pub fn tick(&mut self, world: &mut World, assignment: &ShardAssignment) -> HandoffReport {
@@ -209,94 +209,139 @@ impl ShardRouter {
             assignment.nodes, self.nodes,
             "placement topology must match the router's links"
         );
-        let mut owned_now: Vec<BTreeSet<EntityId>> = vec![BTreeSet::new(); self.nodes];
-        for (&e, &n) in &assignment.node_of {
-            owned_now[n].insert(e);
-        }
-        let mut owned_before: Vec<BTreeSet<EntityId>> = vec![BTreeSet::new(); self.nodes];
-        if let Some(prev) = &self.prev {
-            for (&e, &n) in &prev.node_of {
-                if n < self.nodes {
-                    owned_before[n].insert(e);
-                }
-            }
-        }
+        let nodes = self.nodes;
+        let primed = self.prev.is_some();
+        let prev = self.prev.take().unwrap_or_default();
         let mut report = HandoffReport {
-            gained: vec![Vec::new(); self.nodes],
-            dropped: vec![Vec::new(); self.nodes],
-            segment_bytes: vec![0; self.nodes],
-            snapshot_seq: vec![0; self.nodes],
+            gained: vec![Vec::new(); nodes],
+            dropped: vec![Vec::new(); nodes],
+            segment_bytes: vec![0; nodes],
+            snapshot_seq: vec![0; nodes],
         };
-        for n in 0..self.nodes {
-            // A link that stalled past the world's tap-retention window
-            // was evicted: the stream is no longer a complete delta
-            // source, so clear the node and re-ship its state whole.
-            if world.tap_evicted(self.taps[n]) {
-                world.detach_tap(self.taps[n]);
-                self.taps[n] = world.attach_tap();
-                let stale: Vec<EntityId> = {
-                    let mut s: BTreeSet<EntityId> =
-                        self.states[n].rows.keys().map(|(e, _)| *e).collect();
-                    s.extend(owned_before[n].iter().copied());
-                    s.into_iter().collect()
-                };
-                owned_before[n].clear();
-                if !stale.is_empty() {
-                    let clear = DeltaSegment { drops: stale, ..Default::default() };
-                    report.segment_bytes[n] += clear.wire_bytes();
-                    self.note_baseline(clear.drops.len() * 8);
-                    self.ship(n, clear);
-                }
-                if let Some(m) = &self.metrics {
-                    m.resyncs.inc();
-                }
-            }
-            // Drain the link's tap: per retained entity, exactly the
-            // columns whose values moved since the last shipment.
-            let mut touched: BTreeMap<EntityId, BTreeSet<ComponentId>> = BTreeMap::new();
-            let mut drained = 0u64;
-            for change in world.tap_pending(self.taps[n]) {
-                if let ChangeOp::Set { id, component, .. }
-                | ChangeOp::Removed { id, component, .. } = &change.op
-                {
-                    touched.entry(*id).or_default().insert(*component);
-                }
-                drained += 1;
-            }
-            // Stamp the segment with the sequence it snapshots and ack
-            // only up to it: records landing later stay pending.
-            let snapshot = world.tap_cursor(self.taps[n]).unwrap_or(0) + drained;
-            world.ack_tap_to(self.taps[n], snapshot);
-            report.snapshot_seq[n] = snapshot;
 
+        // A link that stalled past the world's tap-retention window
+        // was evicted: the stream is no longer a complete delta source,
+        // so clear the node and re-ship its state whole (below, as if
+        // it had owned nothing).
+        let resynced: Vec<bool> = self.taps.iter().map(|&tap| world.tap_evicted(tap)).collect();
+        for n in (0..nodes).filter(|&n| resynced[n]) {
+            world.detach_tap(self.taps[n]);
+            self.taps[n] = world.attach_tap();
+            let mut stale: Vec<EntityId> = self.states[n]
+                .rows
+                .keys()
+                .map(|(e, _)| *e)
+                .chain(prev.iter().filter(|&(_, owner)| owner == n).map(|(e, _)| e))
+                .collect();
+            stale.sort_unstable();
+            stale.dedup();
+            if !stale.is_empty() {
+                let clear = DeltaSegment { drops: stale, ..Default::default() };
+                report.segment_bytes[n] += clear.wire_bytes();
+                self.note_baseline(clear.drops.len() * 8);
+                self.ship(n, clear);
+            }
+            if let Some(m) = &self.metrics {
+                m.resyncs.inc();
+            }
+        }
+
+        // One pass over both owner tables: slot order is id order, so
+        // the per-node lists come out sorted.
+        let slots = assignment.slots().max(prev.slots());
+        for slot in 0..slots {
+            // a resynced node was cleared wholesale above: it owns nothing
+            let was = prev.at(slot).filter(|&(_, n)| !resynced[n]);
+            let now = assignment.at(slot);
+            if was == now {
+                continue; // retained (or vacant both ticks)
+            }
+            // handed off, despawned, spawned, or the slot now holds a
+            // new generation
+            if let Some((e, n)) = was {
+                report.dropped[n].push(e);
+            }
+            if let Some((e, n)) = now {
+                report.gained[n].push(e);
+            }
+        }
+
+        // Route each pending change record to the node that retained
+        // its entity. Every link's pending window is a suffix of the
+        // longest one, so one scan serves all links; per retained
+        // entity this yields exactly the columns whose values moved
+        // since the link's last shipment.
+        let head = world.change_seq();
+        let cursors: Vec<u64> = self
+            .taps
+            .iter()
+            .map(|&tap| world.tap_cursor(tap).unwrap_or(head))
+            .collect();
+        let mut touched: Vec<Vec<(EntityId, ComponentId)>> = vec![Vec::new(); nodes];
+        if let Some(longest) = (0..nodes).min_by_key(|&n| cursors[n]) {
+            for change in world.tap_pending(self.taps[longest]) {
+                let (ChangeOp::Set { id, component, .. } | ChangeOp::Removed { id, component, .. }) =
+                    &change.op
+                else {
+                    continue;
+                };
+                // gained ships whole; lost drops
+                let Some(n) = assignment.node_of(*id).filter(|&n| !resynced[n]) else {
+                    continue;
+                };
+                if prev.node_of(*id) == Some(n) && change.seq >= cursors[n] {
+                    touched[n].push((*id, *component));
+                }
+            }
+        }
+        // Stamp each segment with the sequence it snapshots and ack
+        // only up to it: records landing later stay pending.
+        for n in 0..nodes {
+            world.ack_tap_to(self.taps[n], head);
+            report.snapshot_seq[n] = head;
+        }
+
+        let world: &World = world;
+        // (id, name, column) in name order — the order row images ship in
+        let mut columns: Vec<(ComponentId, &str, &Column)> = world
+            .schema_by_id()
+            .filter_map(|(cid, name, _)| Some((cid, name, world.column_by_id(cid)?)))
+            .collect();
+        columns.sort_unstable_by_key(|&(_, name, _)| name);
+        for (n, cells) in touched.iter_mut().enumerate() {
             let mut seg = DeltaSegment::default();
             let mut baseline = 0usize;
             // gained entities: the receiving node holds nothing yet —
             // ship the full row image (by value, this is the whole
             // entity serialized under row framing)
-            for &e in owned_now[n].difference(&owned_before[n]) {
-                for (name, value) in world.components_of(e) {
-                    let cid = world.component_id(name).expect("named column exists");
+            for &e in report.gained[n].iter().filter(|&&e| world.is_live(e)) {
+                for &(cid, name, col) in &columns {
+                    let Some(value) = col.get(e.index() as usize) else {
+                        continue;
+                    };
                     if self.named[n].insert(cid) {
                         seg.defines.push((cid, name.to_string()));
                     }
                     baseline += row_wire_bytes(name, &value);
                     seg.puts.push((e, cid, value));
                 }
-                report.gained[n].push(e);
             }
             // retained entities: only the columns the records named —
             // where by-value movement would re-serialize the whole row
-            for (&e, comps) in &touched {
-                if !owned_now[n].contains(&e) || !owned_before[n].contains(&e) {
-                    continue; // gained ships whole; lost drops below
-                }
+            cells.sort_unstable();
+            cells.dedup();
+            for row in cells.chunk_by(|a, b| a.0 == b.0) {
+                let e = row[0].0;
+                let slot = e.index() as usize;
+                let live = world.is_live(e);
                 let mut touched_row = false;
-                for &cid in comps {
-                    let Some(name) = world.component_name(cid) else {
+                for &(_, cid) in row {
+                    let (Some(name), Some(col)) =
+                        (world.component_name(cid), world.column_by_id(cid))
+                    else {
                         continue;
                     };
-                    match world.get(e, name) {
+                    match col.get(slot).filter(|_| live) {
                         Some(value) => {
                             if self.named[n].insert(cid) {
                                 seg.defines.push((cid, name.to_string()));
@@ -312,37 +357,30 @@ impl ShardRouter {
                         }
                     }
                 }
-                if touched_row {
-                    for (name, value) in world.components_of(e) {
-                        baseline += row_wire_bytes(name, &value);
-                    }
+                if touched_row && live {
+                    baseline += columns
+                        .iter()
+                        .filter_map(|(_, name, col)| stored_row_wire_bytes(name, col, slot))
+                        .sum::<usize>();
                 }
             }
             // lost entities: handed off to another node, or despawned
             // (a dead entity has no owner in the new placement)
-            for &e in owned_before[n].difference(&owned_now[n]) {
-                seg.drops.push(e);
-                report.dropped[n].push(e);
-                baseline += 8;
-            }
+            seg.drops.extend_from_slice(&report.dropped[n]);
+            baseline += 8 * seg.drops.len();
             if !seg.is_empty() {
                 report.segment_bytes[n] += seg.wire_bytes();
                 self.note_baseline(baseline);
                 self.ship(n, seg);
             }
         }
-        self.entities_moved += if self.prev.is_some() {
-            report.total_moved()
-        } else {
-            0 // the priming tick seeds state; nothing *moved*
-        };
+        // the priming tick seeds state; nothing *moved*
+        let moved = if primed { report.total_moved() } else { 0 };
+        self.entities_moved += moved;
         if let Some(m) = &self.metrics {
-            m.entities.add(if self.prev.is_some() {
-                report.total_moved() as u64
-            } else {
-                0
-            });
-            let lag = (0..self.nodes)
+            m.entities.add(moved as u64);
+            m.diff_scanned.add(slots as u64);
+            let lag = (0..nodes)
                 .filter_map(|n| self.standby_lag(n))
                 .max()
                 .unwrap_or(0);
@@ -393,7 +431,7 @@ pub fn node_oracle(
     node: NodeId,
 ) -> HashMap<(EntityId, String), Value> {
     let mut rows = HashMap::new();
-    for (&e, &n) in &assignment.node_of {
+    for (e, n) in assignment.iter() {
         if n == node && world.is_live(e) {
             for (name, value) in world.components_of(e) {
                 rows.insert((e, name.to_string()), value);
@@ -496,27 +534,184 @@ mod tests {
         router.detach(&mut w);
     }
 
+    /// One node's slice of a [`HandoffReport`]: gained and dropped
+    /// entities as `(slot, generation)`, segment bytes, snapshot seq.
+    type GoldenLink = (&'static [(u32, u32)], &'static [(u32, u32)], usize, u64);
+
+    /// The first 12 ticks of `migrating_setup` under `churn`, recorded
+    /// from the set-difference router this one replaced.
+    const GOLDEN_12: [[GoldenLink; NODES]; 12] = [
+        // tick 0
+        [
+            (&[(0, 0), (1, 0), (2, 0), (3, 0), (4, 0), (5, 0), (6, 0), (7, 0), (24, 0)], &[], 689, 32),
+            (&[(8, 0), (9, 0), (10, 0), (11, 0), (12, 0), (13, 0), (14, 0), (15, 0)], &[], 671, 32),
+            (&[(16, 0), (17, 0), (18, 0), (19, 0), (20, 0), (21, 0), (22, 0), (23, 0)], &[], 671, 32),
+        ],
+        // tick 1
+        [
+            (&[], &[], 186, 64),
+            (&[], &[], 172, 64),
+            (&[], &[], 186, 64),
+        ],
+        // tick 2
+        [
+            (&[], &[], 172, 96),
+            (&[], &[], 186, 96),
+            (&[], &[], 186, 96),
+        ],
+        // tick 3
+        [
+            (&[], &[], 186, 128),
+            (&[], &[], 186, 128),
+            (&[], &[], 172, 128),
+        ],
+        // tick 4
+        [
+            (&[], &[(5, 0)], 176, 161),
+            (&[], &[], 172, 161),
+            (&[], &[], 186, 161),
+        ],
+        // tick 5
+        [
+            (&[], &[], 140, 191),
+            (&[], &[], 186, 191),
+            (&[], &[], 186, 191),
+        ],
+        // tick 6
+        [
+            (&[(5, 1)], &[], 200, 225),
+            (&[], &[], 186, 225),
+            (&[], &[], 172, 225),
+        ],
+        // tick 7
+        [
+            (&[], &[], 168, 256),
+            (&[], &[], 172, 256),
+            (&[], &[], 186, 256),
+        ],
+        // tick 8
+        [
+            (&[], &[], 140, 286),
+            (&[], &[], 186, 286),
+            (&[], &[], 186, 286),
+        ],
+        // tick 9
+        [
+            (&[], &[], 168, 317),
+            (&[], &[], 186, 317),
+            (&[], &[], 172, 317),
+        ],
+        // tick 10
+        [
+            (&[], &[], 168, 348),
+            (&[], &[], 172, 348),
+            (&[], &[], 186, 348),
+        ],
+        // tick 11
+        [
+            (&[], &[], 140, 378),
+            (&[], &[], 186, 378),
+            (&[], &[], 186, 378),
+        ],
+    ];
+
     /// ISSUE-8 satellite: identical seeds produce identical per-tick
     /// handoff sets, segment byte counts, and snapshot anchors — the
     /// segment-layer extension of
-    /// `dynamic_bubbles_placement_is_deterministic_per_seed`.
+    /// `dynamic_bubbles_placement_is_deterministic_per_seed`. ISSUE-12
+    /// pins the stream itself: the dense single-pass diff ships what
+    /// the per-node ownership-set difference shipped — the first 12
+    /// reports listed in full, then a digest of 100 ticks (18
+    /// migrations as the squads merge) and the running totals, all
+    /// recorded before the rewrite.
     #[test]
     fn handoff_stream_is_deterministic_per_seed() {
         let run = || {
             let (mut w, ids, mut mgr) = migrating_setup();
             let mut router = ShardRouter::new(&mut w, NODES);
             let mut reports = Vec::new();
-            for t in 0..10 {
+            for t in 0..100 {
                 churn(&mut w, &ids, t);
                 let a = mgr.tick(&w, &[]);
                 reports.push(router.tick(&mut w, &a));
             }
-            (reports, router.handoff_bytes, router.baseline_bytes)
+            let totals = (
+                router.handoff_bytes,
+                router.baseline_bytes,
+                router.segments_sent,
+                router.rows_sent,
+                router.entities_moved,
+            );
+            (reports, totals)
         };
-        let (r1, b1, base1) = run();
-        let (r2, b2, base2) = run();
+        let (r1, totals1) = run();
+        let (r2, totals2) = run();
         assert_eq!(r1, r2, "per-tick handoff sets and bytes must match");
-        assert_eq!((b1, base1), (b2, base2));
+        assert_eq!(totals1, totals2);
+
+        let ids = |es: &[EntityId]| -> Vec<(u32, u32)> {
+            es.iter().map(|e| (e.index(), e.generation())).collect()
+        };
+        for (t, (report, golden)) in r1.iter().zip(&GOLDEN_12).enumerate() {
+            for (n, &(gained, dropped, bytes, seq)) in golden.iter().enumerate() {
+                assert_eq!(ids(&report.gained[n]), gained, "tick {t} node {n} gained");
+                assert_eq!(ids(&report.dropped[n]), dropped, "tick {t} node {n} dropped");
+                assert_eq!(report.segment_bytes[n], bytes, "tick {t} node {n} bytes");
+                assert_eq!(report.snapshot_seq[n], seq, "tick {t} node {n} snapshot");
+            }
+        }
+        let mut digest = 0xcbf29ce484222325u64; // FNV-1a over the report fields
+        let mut mix = |v: u64| digest = (digest ^ v).wrapping_mul(0x100000001b3);
+        for report in &r1 {
+            for n in 0..NODES {
+                for e in report.gained[n].iter().chain(&report.dropped[n]) {
+                    mix(e.to_bits());
+                }
+                mix(report.gained[n].len() as u64);
+                mix(report.dropped[n].len() as u64);
+                mix(report.segment_bytes[n] as u64);
+                mix(report.snapshot_seq[n]);
+            }
+        }
+        assert_eq!(digest, 0xc325b1e6be84fe37, "100-tick handoff stream");
+        assert_eq!(totals1, (54795, 253695, 226, 3223, 18));
+    }
+
+    /// ISSUE-12 satellite: the owner tables are indexed by entity
+    /// *slot*. An entity despawned and another spawned into its slot
+    /// between two placements are different entities: the stale id has
+    /// no owner, its node is told to drop it, and the new generation
+    /// ships as a whole row — on the same tick, even onto the same node.
+    #[test]
+    fn slot_reuse_drops_the_old_generation_and_ships_the_new_whole() {
+        let (mut w, ids, mut mgr) = migrating_setup();
+        let mut router = ShardRouter::new(&mut w, NODES);
+        let a = mgr.tick(&w, &[]);
+        router.tick(&mut w, &a);
+        let old = ids[3];
+        let home = a.node_of(old).expect("placed");
+        let at = w.pos(old).unwrap();
+        // a pending change record still names the old id
+        w.set_f32(old, "hp", 1.0).unwrap();
+        w.despawn(old);
+        let new = w.spawn_at(at);
+        w.set_f32(new, "hp", 77.0).unwrap();
+        assert_eq!(new.index(), old.index(), "the freed slot is reused");
+        assert_ne!(new, old);
+
+        let a = mgr.tick(&w, &[]);
+        assert_eq!(a.node_of(old), None, "a stale generation owns nothing");
+        let to = a.node_of(new).expect("the new generation is placed");
+        let report = router.tick(&mut w, &a);
+        assert_eq!(report.dropped[home], vec![old]);
+        assert_eq!(report.gained[to], vec![new]);
+        for n in 0..NODES {
+            assert_eq!(router.node_state(n).rows, node_oracle(&w, &a, n), "node {n}");
+        }
+        let rows = &router.node_state(to).rows;
+        assert_eq!(rows.get(&(new, "hp".to_string())), Some(&Value::Float(77.0)));
+        assert_eq!(rows.get(&(new, "pos".to_string())), Some(&Value::Vec2(at.x, at.y)));
+        router.detach(&mut w);
     }
 
     /// Warm standby: fed from the node's own segment stream, lag stays

@@ -20,13 +20,11 @@
 //!   prefers the node already owning most of its entities) so rebalancing
 //!   only pays migration cost when imbalance actually demands it.
 
-use std::collections::HashMap;
-
 use gamedb_core::{EntityId, World};
 use gamedb_spatial::Vec2;
 
 use crate::action::Action;
-use crate::bubbles::{partition, BubbleConfig, Partition};
+use crate::bubbles::{partition, BubbleConfig, BubbleTracker};
 
 /// Identifier of a simulated server node.
 pub type NodeId = usize;
@@ -53,19 +51,93 @@ pub enum AssignPolicy {
     DynamicBubbles { cfg: BubbleConfig, max_overload: f32 },
 }
 
+/// One slot of the owner table: the node, and the generation of the
+/// entity it was assigned to — a later entity reusing the slot is a
+/// different entity and has no owner here.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Owner {
+    gen: u32,
+    node: u32,
+}
+
+const VACANT: Owner = Owner { gen: 0, node: u32::MAX };
+
 /// Per-tick shard placement: which node owns each entity.
-#[derive(Debug, Clone, Default)]
+///
+/// A dense owner table indexed by [`EntityId::index`], so a lookup is an
+/// array read plus a generation check and a clone is a `memcpy`. The
+/// table never ends in a vacant slot, which makes structural equality
+/// placement equality.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ShardAssignment {
-    pub node_of: HashMap<EntityId, NodeId>,
+    owners: Vec<Owner>,
+    len: usize,
     pub nodes: usize,
 }
 
 impl ShardAssignment {
+    /// An empty placement over `nodes` nodes.
+    pub fn new(nodes: usize) -> Self {
+        ShardAssignment { owners: Vec::new(), len: 0, nodes }
+    }
+
+    /// The node owning `e`, if it has one. A stale id — its slot since
+    /// despawned or reused — has none.
+    #[inline]
+    pub fn node_of(&self, e: EntityId) -> Option<NodeId> {
+        self.at(e.index() as usize)
+            .filter(|&(held, _)| held == e)
+            .map(|(_, node)| node)
+    }
+
+    /// Give `e` to `node`, replacing whatever held `e`'s slot.
+    pub fn set(&mut self, e: EntityId, node: NodeId) {
+        assert!(node < self.nodes, "node {node} out of range for {} nodes", self.nodes);
+        let slot = e.index() as usize;
+        if slot >= self.owners.len() {
+            self.owners.resize(slot + 1, VACANT);
+        }
+        if self.owners[slot] == VACANT {
+            self.len += 1;
+        }
+        self.owners[slot] = Owner { gen: e.generation(), node: node as u32 };
+    }
+
+    /// Number of owned entities.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True when no entity is owned.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// One past the highest owned slot.
+    pub(crate) fn slots(&self) -> usize {
+        self.owners.len()
+    }
+
+    /// The entity owning `slot` and its node.
+    #[inline]
+    pub(crate) fn at(&self, slot: usize) -> Option<(EntityId, NodeId)> {
+        let o = *self.owners.get(slot)?;
+        (o != VACANT).then(|| {
+            let bits = ((o.gen as u64) << 32) | slot as u64;
+            (EntityId::from_bits(bits), o.node as NodeId)
+        })
+    }
+
+    /// Every `(entity, owner)` pair, in slot (= id) order.
+    pub fn iter(&self) -> impl Iterator<Item = (EntityId, NodeId)> + '_ {
+        (0..self.owners.len()).filter_map(|slot| self.at(slot))
+    }
+
     /// Entities owned by each node.
     pub fn load_per_node(&self) -> Vec<usize> {
         let mut load = vec![0usize; self.nodes];
-        for &n in self.node_of.values() {
-            load[n] += 1;
+        for o in self.owners.iter().filter(|&&o| o != VACANT) {
+            load[o.node as usize] += 1;
         }
         load
     }
@@ -76,7 +148,7 @@ impl ShardAssignment {
     pub fn imbalance(&self) -> f32 {
         let load = self.load_per_node();
         let max = load.iter().copied().max().unwrap_or(0) as f32;
-        let ideal = self.node_of.len() as f32 / self.nodes.max(1) as f32;
+        let ideal = self.len as f32 / self.nodes.max(1) as f32;
         if ideal == 0.0 {
             1.0
         } else {
@@ -87,9 +159,12 @@ impl ShardAssignment {
     /// Number of entities whose owner changed relative to `prev`
     /// (the handoff cost a real cluster pays in serialization + network).
     pub fn migrations_from(&self, prev: &ShardAssignment) -> usize {
-        self.node_of
+        self.owners
             .iter()
-            .filter(|(e, n)| prev.node_of.get(e).is_some_and(|p| p != *n))
+            .zip(&prev.owners)
+            .filter(|(now, was)| {
+                **now != VACANT && **was != VACANT && now.gen == was.gen && now.node != was.node
+            })
             .count()
     }
 
@@ -106,10 +181,10 @@ impl ShardAssignment {
                 fp.extend(a.write_set());
                 let mut owner: Option<NodeId> = None;
                 for e in fp {
-                    match (owner, self.node_of.get(&e)) {
+                    match (owner, self.node_of(e)) {
                         (_, None) => {}
-                        (None, Some(&n)) => owner = Some(n),
-                        (Some(prev), Some(&n)) if prev != n => return true,
+                        (None, Some(n)) => owner = Some(n),
+                        (Some(prev), Some(n)) if prev != n => return true,
                         _ => {}
                     }
                 }
@@ -141,6 +216,9 @@ pub struct ShardManager {
     pub policy: AssignPolicy,
     pub nodes: usize,
     prev: Option<ShardAssignment>,
+    /// The maintained bubble partition [`ShardManager::tick`] places
+    /// from under [`AssignPolicy::DynamicBubbles`]; built on first use.
+    bubbles: Option<BubbleTracker>,
     // accumulators
     ticks: usize,
     sum_imbalance: f64,
@@ -158,6 +236,7 @@ impl ShardManager {
             policy,
             nodes,
             prev: None,
+            bubbles: None,
             ticks: 0,
             sum_imbalance: 0.0,
             max_imbalance: 0.0,
@@ -180,86 +259,113 @@ impl ShardManager {
         self.metrics = None;
     }
 
-    /// Compute this tick's placement for the current world state.
-    /// Every live entity receives an owner: positioned entities per the
-    /// policy, unpositioned entities at their hash home node (see
+    /// Compute this tick's placement for the current world state from
+    /// scratch — what [`ShardManager::tick`] must equal, and the test
+    /// oracle for its maintained bubble partition. Every live entity
+    /// receives an owner: positioned entities per the policy,
+    /// unpositioned entities at their hash home node (see
     /// [`AssignPolicy`]).
     pub fn assign(&self, world: &World) -> ShardAssignment {
-        let mut assignment = match self.policy {
+        let mut assignment = ShardAssignment::new(self.nodes);
+        match self.policy {
             AssignPolicy::StaticZones { cols, rows, map_size } => {
-                self.assign_zones(world, cols, rows, map_size)
+                for e in world.entities() {
+                    if let Some(p) = world.pos(e) {
+                        let cx = zone_coord(p.x, map_size, cols);
+                        let cy = zone_coord(p.y, map_size, rows);
+                        assignment.set(e, (cy * cols + cx) % self.nodes);
+                    }
+                }
             }
             AssignPolicy::HashEntities => {
-                let node_of = world
-                    .entities()
-                    .map(|e| (e, e.index() as usize % self.nodes))
-                    .collect();
-                ShardAssignment { node_of, nodes: self.nodes }
+                for e in world.entities() {
+                    assignment.set(e, e.index() as usize % self.nodes);
+                }
             }
             AssignPolicy::DynamicBubbles { cfg, max_overload } => {
-                self.assign_bubbles(world, &cfg, max_overload)
+                let part = partition(world, &cfg);
+                // Largest bubbles first; the sort is stable, so equal
+                // sizes keep first-member order.
+                let mut order: Vec<&[EntityId]> = part.bubbles.iter().map(Vec::as_slice).collect();
+                order.sort_by_key(|b| std::cmp::Reverse(b.len()));
+                let positioned = order.iter().map(|b| b.len()).sum();
+                self.pack(positioned, max_overload, order.into_iter(), &mut assignment);
             }
-        };
+        }
         // Unpositioned entities fall through every spatial rule; pin
         // them to their stable home node so no policy leaves live
         // state unowned.
         for e in world.entities() {
             if world.pos(e).is_none() {
-                assignment
-                    .node_of
-                    .entry(e)
-                    .or_insert(e.index() as usize % self.nodes);
+                assignment.set(e, e.index() as usize % self.nodes);
             }
         }
         assignment
     }
 
-    fn assign_zones(
-        &self,
+    /// [`AssignPolicy::DynamicBubbles`] placement off the maintained
+    /// partition: only entities whose position or reach changed since
+    /// the last tick are re-probed.
+    fn assign_maintained(
+        &mut self,
         world: &World,
-        cols: usize,
-        rows: usize,
-        map_size: f32,
-    ) -> ShardAssignment {
-        let node_of = world
-            .entities()
-            .filter_map(|e| world.pos(e).map(|p| (e, p)))
-            .map(|(e, p)| {
-                let cx = zone_coord(p.x, map_size, cols);
-                let cy = zone_coord(p.y, map_size, rows);
-                (e, (cy * cols + cx) % self.nodes)
-            })
-            .collect();
-        ShardAssignment { node_of, nodes: self.nodes }
-    }
-
-    fn assign_bubbles(
-        &self,
-        world: &World,
-        cfg: &BubbleConfig,
+        cfg: BubbleConfig,
         max_overload: f32,
     ) -> ShardAssignment {
-        let part: Partition = partition(world, cfg);
-        let total: usize = part.bubbles.iter().map(Vec::len).sum();
-        let ideal = total as f32 / self.nodes as f32;
+        // a policy edited to another motion model starts over
+        let mut tracker = self
+            .bubbles
+            .take()
+            .filter(|tracker| *tracker.cfg() == cfg)
+            .unwrap_or_else(|| BubbleTracker::new(cfg));
+        let reprobed = tracker.update(world);
+        let mut joined: Vec<&[EntityId]> = tracker.joined().collect();
+        joined.sort_by_key(|b| std::cmp::Reverse(b.len()));
+        let mut assignment = ShardAssignment::new(self.nodes);
+        assignment
+            .owners
+            .reserve(self.prev.as_ref().map_or(0, ShardAssignment::slots));
+        self.pack(
+            tracker.positioned(),
+            max_overload,
+            joined.into_iter().chain(tracker.singletons()),
+            &mut assignment,
+        );
+        for &e in tracker.unpositioned() {
+            assignment.set(e, e.index() as usize % self.nodes);
+        }
+        if let Some(m) = &self.metrics {
+            m.partition_reprobed.add(reprobed as u64);
+            m.bubbles.set(tracker.len() as i64);
+            m.edges.set(tracker.edges() as i64);
+        }
+        self.bubbles = Some(tracker);
+        assignment
+    }
+
+    /// Sticky first-fit-decreasing bin packing. `bubbles` arrive largest
+    /// first; each tries its sticky node (the plurality owner of its
+    /// members last tick) and falls to the least-loaded node once that
+    /// node's projected load would exceed `ideal · max_overload`.
+    fn pack<'a>(
+        &self,
+        positioned: usize,
+        max_overload: f32,
+        bubbles: impl Iterator<Item = &'a [EntityId]>,
+        assignment: &mut ShardAssignment,
+    ) {
+        let ideal = positioned as f32 / self.nodes as f32;
+        // The cap is compared in f32: `cap as usize` floored a
+        // fractional cap (max_overload 1.1 over ideal 6 ⇒ 6.6 became
+        // 6), spilling sticky bubbles off their preferred node earlier
+        // than the documented "projected load exceeds
+        // ideal · max_overload" rule.
         let cap = (ideal * max_overload).max(1.0);
-
-        // Largest bubbles first: classic first-fit-decreasing bin packing,
-        // except each bubble first tries its sticky node.
-        let mut order: Vec<usize> = (0..part.bubbles.len()).collect();
-        order.sort_by_key(|&b| std::cmp::Reverse(part.bubbles[b].len()));
-
         let mut load = vec![0usize; self.nodes];
-        let mut node_of = HashMap::with_capacity(total);
-        for b in order {
-            let members = &part.bubbles[b];
-            // The cap is compared in f32: `cap as usize` floored a
-            // fractional cap (max_overload 1.1 over ideal 6 ⇒ 6.6
-            // became 6), spilling sticky bubbles off their preferred
-            // node earlier than the documented "projected load exceeds
-            // ideal · max_overload" rule.
+        let mut votes = vec![0usize; self.nodes];
+        for members in bubbles {
             let target = self
-                .sticky_node(members)
+                .sticky_node(members, &mut votes)
                 .filter(|&n| (load[n] + members.len()) as f32 <= cap)
                 .unwrap_or_else(|| {
                     // least-loaded node
@@ -267,26 +373,28 @@ impl ShardManager {
                 });
             load[target] += members.len();
             for &e in members {
-                node_of.insert(e, target);
+                assignment.set(e, target);
             }
         }
-        ShardAssignment { node_of, nodes: self.nodes }
     }
 
-    /// Node owning the plurality of `members` last tick, if any. The
-    /// previous placement may name nodes this manager no longer has —
-    /// a manager rebuilt after failover or scale-down and seeded with
-    /// the old placement ([`ShardManager::seed_placement`]) — so votes
-    /// for out-of-range nodes are discarded rather than indexed
-    /// (which used to panic).
-    fn sticky_node(&self, members: &[EntityId]) -> Option<NodeId> {
+    /// Node owning the plurality of `members` last tick, if any (ties
+    /// go to the highest node id). The previous placement may name
+    /// nodes this manager no longer has — a manager rebuilt after
+    /// failover or scale-down and seeded with the old placement
+    /// ([`ShardManager::seed_placement`]) — so votes for out-of-range
+    /// nodes are discarded rather than indexed (which used to panic).
+    /// `votes` is scratch, one tally per node.
+    fn sticky_node(&self, members: &[EntityId], votes: &mut [usize]) -> Option<NodeId> {
         let prev = self.prev.as_ref()?;
-        let mut votes = vec![0usize; self.nodes];
-        for e in members {
-            if let Some(&n) = prev.node_of.get(e) {
-                if n < self.nodes {
-                    votes[n] += 1;
-                }
+        let owner = |e: EntityId| prev.node_of(e).filter(|&n| n < self.nodes);
+        if let [only] = members {
+            return owner(*only);
+        }
+        votes.fill(0);
+        for &e in members {
+            if let Some(n) = owner(e) {
+                votes[n] += 1;
             }
         }
         let (best, &count) = votes.iter().enumerate().max_by_key(|(_, &c)| c)?;
@@ -304,9 +412,20 @@ impl ShardManager {
         self.prev = Some(prev);
     }
 
+    /// The maintained bubble partition, once a
+    /// [`AssignPolicy::DynamicBubbles`] tick has built it.
+    pub fn bubbles(&self) -> Option<&BubbleTracker> {
+        self.bubbles.as_ref()
+    }
+
     /// Place this tick, score it against the action batch, accumulate.
     pub fn tick(&mut self, world: &World, actions: &[Action]) -> ShardAssignment {
-        let assignment = self.assign(world);
+        let assignment = match self.policy {
+            AssignPolicy::DynamicBubbles { cfg, max_overload } => {
+                self.assign_maintained(world, cfg, max_overload)
+            }
+            _ => self.assign(world),
+        };
         let imb = assignment.imbalance();
         self.sum_imbalance += imb as f64;
         self.max_imbalance = self.max_imbalance.max(imb);
@@ -384,7 +503,7 @@ mod tests {
             AssignPolicy::StaticZones { cols: 2, rows: 2, map_size: 1000.0 },
         );
         let a = mgr.assign(&w);
-        let nodes: Vec<NodeId> = ids.iter().map(|e| a.node_of[e]).collect();
+        let nodes: Vec<NodeId> = ids.iter().map(|&e| a.node_of(e).unwrap()).collect();
         assert_eq!(nodes, vec![0, 1, 2, 3]);
     }
 
@@ -453,7 +572,7 @@ mod tests {
         let part = partition(&w, &cfg);
         for bubble in &part.bubbles {
             let owners: std::collections::HashSet<NodeId> =
-                bubble.iter().map(|e| a.node_of[e]).collect();
+                bubble.iter().map(|&e| a.node_of(e).unwrap()).collect();
             assert_eq!(owners.len(), 1, "bubble split across {owners:?}");
         }
     }
@@ -501,10 +620,7 @@ mod tests {
             for _ in 0..8 {
                 let batch = wl.next_batch();
                 let assignment = mgr.tick(&wl.world, &batch);
-                let mut sorted: Vec<(EntityId, NodeId)> =
-                    assignment.node_of.iter().map(|(&e, &n)| (e, n)).collect();
-                sorted.sort_unstable();
-                placements.push(sorted);
+                placements.push(assignment.iter().collect());
                 // evolve the world so later ticks exercise stickiness
                 let event = Vec2::new(200.0, 200.0);
                 let players = wl.players.clone();
@@ -647,11 +763,11 @@ mod tests {
                 2,
                 AssignPolicy::DynamicBubbles { cfg: BubbleConfig::default(), max_overload },
             );
-            let mut node_of = HashMap::new();
+            let mut seeded = ShardAssignment::new(2);
             for (i, &e) in ids.iter().enumerate() {
-                node_of.insert(e, if (6..=10).contains(&i) { 1 } else { 0 });
+                seeded.set(e, if (6..=10).contains(&i) { 1 } else { 0 });
             }
-            mgr.seed_placement(ShardAssignment { node_of, nodes: 2 });
+            mgr.seed_placement(seeded);
             mgr.tick(&w, &[]);
             mgr.stats().total_migrations
         };
@@ -678,22 +794,20 @@ mod tests {
         };
         let mut before = ShardManager::new(4, policy);
         let old = before.tick(&w, &[]);
-        assert!(old.node_of.values().any(|&n| n >= 2), "4-node placement uses high ids");
+        assert!(old.iter().any(|(_, n)| n >= 2), "4-node placement uses high ids");
         // nodes 2 and 3 died: rebuild on the survivors, seeded with the
         // last known placement (the failover path)
         let mut after = ShardManager::new(2, policy);
         after.seed_placement(old.clone());
         let rebalanced = after.tick(&w, &[]); // used to panic in sticky_node
         assert_eq!(rebalanced.nodes, 2);
-        assert!(rebalanced.node_of.values().all(|&n| n < 2));
-        assert_eq!(rebalanced.node_of.len(), 40, "every entity re-placed");
+        assert!(rebalanced.iter().all(|(_, n)| n < 2));
+        assert_eq!(rebalanced.len(), 40, "every entity re-placed");
         // bubbles whose majority owner survived stay put (stickiness
         // still works for in-range owners)
-        for (e, &n) in &rebalanced.node_of {
-            if let Some(&p) = old.node_of.get(e) {
-                if p < 2 {
-                    assert_eq!(n, p, "surviving owner keeps its bubble");
-                }
+        for (e, n) in rebalanced.iter() {
+            if let Some(p) = old.node_of(e).filter(|&p| p < 2) {
+                assert_eq!(n, p, "surviving owner keeps its bubble");
             }
         }
     }
@@ -719,17 +833,13 @@ mod tests {
         ] {
             let mgr = ShardManager::new(3, policy);
             let a = mgr.assign(&w);
-            assert_eq!(
-                a.node_of.len(),
-                10,
-                "every live entity owned under {policy:?}"
-            );
-            assert_eq!(a.node_of[&flag], home, "stable hash home under {policy:?}");
+            assert_eq!(a.len(), 10, "every live entity owned under {policy:?}");
+            assert_eq!(a.node_of(flag), Some(home), "stable hash home under {policy:?}");
             // a transaction touching the flag and an entity owned
             // elsewhere is a distributed transaction — and now counts
             let other = ids
                 .iter()
-                .find(|&&e| a.node_of[&e] != home)
+                .find(|&&e| a.node_of(e) != Some(home))
                 .copied()
                 .expect("some entity on another node");
             let batch = vec![Action::Trade { from: other, to: flag, amount: 1 }];
@@ -746,7 +856,7 @@ mod tests {
         let w = World::new();
         let mgr = ShardManager::new(3, AssignPolicy::HashEntities);
         let a = mgr.assign(&w);
-        assert!(a.node_of.is_empty());
+        assert!(a.is_empty());
         assert_eq!(a.imbalance(), 1.0);
         assert_eq!(a.cross_node_fraction(&[]), 0.0);
     }

@@ -4,8 +4,11 @@
 //! * the racy loop never *destroys* more than it *creates* silently — the
 //!   auditor's drift always accounts for the discrepancy vs serial;
 //! * dynamic bubble shard placement never splits a bubble across nodes
-//!   and is deterministic.
+//!   and is deterministic;
+//! * the maintained bubble partition and the placement built from it
+//!   equal their from-scratch evaluations tick for tick under churn.
 
+use gamedb_content::{Value, ValueType};
 use gamedb_core::EntityId;
 use gamedb_spatial::Vec2;
 use gamedb_sync::{
@@ -108,14 +111,125 @@ proptest! {
         );
         let a1 = mgr.assign(&w);
         let a2 = mgr.assign(&w);
-        prop_assert_eq!(&a1.node_of, &a2.node_of, "placement must be deterministic");
+        prop_assert_eq!(&a1, &a2, "placement must be deterministic");
         let part = partition(&w, &cfg);
         for bubble in &part.bubbles {
             let owners: std::collections::HashSet<usize> =
-                bubble.iter().map(|e| a1.node_of[e]).collect();
+                bubble.iter().map(|&e| a1.node_of(e).unwrap()).collect();
             prop_assert_eq!(owners.len(), 1, "bubble split across nodes");
         }
         // every positioned entity is placed
-        prop_assert_eq!(a1.node_of.len(), positions.len());
+        prop_assert_eq!(a1.len(), positions.len());
+    }
+
+    /// ISSUE-12 tentpole: `ShardManager::tick` places from a maintained
+    /// bubble partition (only movers are re-probed). Under seeded moves,
+    /// cross-cell teleports, velocity changes (one entity raising the
+    /// world's maximum reach, then dropping it again), spawns, despawns
+    /// with slot reuse, position removal, and a mid-run manager rebuild
+    /// seeded with the old placement on a different node count, every
+    /// tick the maintained partition equals `partition` as a set of sets
+    /// and the placement equals the from-scratch `assign`, entity for
+    /// entity.
+    #[test]
+    fn incremental_placement_equals_from_scratch_under_churn(
+        positions in proptest::collection::vec((0.0f32..80.0, 0.0f32..80.0), 24..48),
+        script in proptest::collection::vec(
+            proptest::collection::vec((0u8..8, 0usize..1000, 0.0f32..80.0, 0.0f32..80.0), 0..8),
+            40..48,
+        ),
+        nodes in 2usize..6,
+        reseed_at in 5usize..35,
+        reseed_nodes in 1usize..6,
+    ) {
+        let (mut w, mut live) = arena_world(positions.len(), |i| {
+            Vec2::new(positions[i].0, positions[i].1)
+        });
+        w.define_component("vel", ValueType::Vec2).unwrap();
+        let cfg = BubbleConfig::default();
+        let policy = AssignPolicy::DynamicBubbles { cfg, max_overload: 1.3 };
+        let mut mgr = ShardManager::new(nodes, policy);
+        let mut last = None;
+        for (t, ops) in script.iter().enumerate() {
+            for &(kind, pick, x, y) in ops {
+                if kind == 4 {
+                    // reuses the most recently freed slot, if any
+                    live.push(w.spawn_at(Vec2::new(x, y)));
+                    continue;
+                }
+                if live.is_empty() {
+                    continue;
+                }
+                let at = pick % live.len();
+                let e = live[at];
+                match kind {
+                    0 | 1 => {
+                        // a step within (mostly) the same grid cell
+                        if let Some(p) = w.pos(e) {
+                            let step = Vec2::new((x - 40.0) / 20.0, (y - 40.0) / 20.0);
+                            w.set_pos(e, p + step).unwrap();
+                        }
+                    }
+                    // teleport across cells; also re-positions an
+                    // entity whose position was removed
+                    2 => w.set_pos(e, Vec2::new(x, y)).unwrap(),
+                    3 => {
+                        let v = Value::Vec2((x - 40.0) / 8.0, (y - 40.0) / 8.0);
+                        w.set(e, "vel", v).unwrap();
+                    }
+                    5 => {
+                        w.despawn(e);
+                        live.swap_remove(at);
+                    }
+                    6 => {
+                        w.remove_component(e, "pos").unwrap();
+                    }
+                    _ => {
+                        w.remove_component(e, "vel").unwrap();
+                    }
+                }
+            }
+            // one entity outruns everyone (every probe radius grows),
+            // then stops again
+            if let Some(&fast) = live.first() {
+                if t == 7 {
+                    w.set(fast, "vel", Value::Vec2(40.0, 0.0)).unwrap();
+                } else if t == 21 {
+                    w.set(fast, "vel", Value::Vec2(0.0, 0.0)).unwrap();
+                }
+            }
+            if t == reseed_at {
+                // failover: a fresh manager (empty partition cache) on
+                // another node count adopts the last placement
+                mgr = ShardManager::new(reseed_nodes, policy);
+                if let Some(last) = last.take() {
+                    mgr.seed_placement(last);
+                }
+            }
+            let expect = mgr.assign(&w);
+            let got = mgr.tick(&w, &[]);
+            prop_assert_eq!(&got, &expect, "placement diverged at tick {}", t);
+
+            let canonical = |mut bubbles: Vec<Vec<EntityId>>| {
+                for b in &mut bubbles {
+                    b.sort_unstable();
+                }
+                bubbles.sort_unstable();
+                bubbles
+            };
+            let tracker = mgr.bubbles().expect("a bubble tick builds the partition");
+            let maintained: Vec<Vec<EntityId>> = tracker
+                .joined()
+                .chain(tracker.singletons())
+                .map(<[EntityId]>::to_vec)
+                .collect();
+            prop_assert_eq!(maintained.len(), tracker.len());
+            prop_assert_eq!(
+                canonical(maintained),
+                canonical(partition(&w, &cfg).bubbles),
+                "partition diverged at tick {}", t
+            );
+            last = Some(got);
+        }
     }
 }

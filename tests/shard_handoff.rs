@@ -154,7 +154,7 @@ fn crash_during_handoff_recovers_exact_node_states_at_every_offset() {
         let mut router = ShardRouter::new(store.world_mut(), NODES);
         let a = mgr.tick(store.world(), &[]);
         assert_eq!(
-            a.node_of, expected_assignment.node_of,
+            &a, expected_assignment,
             "offset {off}: seeded rebuild must re-derive the durable placement"
         );
         router.tick(store.world_mut(), &a);
