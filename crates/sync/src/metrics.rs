@@ -37,6 +37,17 @@ pub(crate) struct ReplMetrics {
     /// `repl.gated_ticks`: Strict-level syncs refused because the
     /// durability watermark had not drained.
     pub gated_ticks: Counter,
+    /// `repl.fold_records`: change records a stream sync examined.
+    pub fold_records: Counter,
+    /// `repl.fold_kept`: records that survived the interest filter
+    /// (entity in the bubble view, unpositioned, or dead) and reached
+    /// the dirty set.
+    pub fold_kept: Counter,
+    /// `repl.candidates`: entities a stream sync visited.
+    pub candidates: Counter,
+    /// `repl.drops`: entities forgotten from replicas by the stream path
+    /// (died, or left `radius + margin`).
+    pub drops: Counter,
 }
 
 impl ReplMetrics {
@@ -51,6 +62,10 @@ impl ReplMetrics {
             full_walk_bytes: registry.counter("repl.full_walk_bytes"),
             resyncs: registry.counter("repl.resyncs"),
             gated_ticks: registry.counter("repl.gated_ticks"),
+            fold_records: registry.counter("repl.fold_records"),
+            fold_kept: registry.counter("repl.fold_kept"),
+            candidates: registry.counter("repl.candidates"),
+            drops: registry.counter("repl.drops"),
         }
     }
 }

@@ -13,6 +13,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use gamedb_content::{Value, ValueType};
 use gamedb_core::{
     ChangeOp, Column, ComponentId, DurabilityWatermark, EntityId, Query, TapId, ViewId, World,
+    POS, POS_ID,
 };
 use gamedb_metrics::MetricsRegistry;
 use gamedb_spatial::Vec2;
@@ -135,6 +136,24 @@ pub enum ConsistencyLevel {
     EventualSimilar { threshold: f32, state_period: u32 },
 }
 
+/// Key of one replicated row.
+type RowKey = (EntityId, String);
+
+/// A reusable lookup key for [`Replica::rows`]: the map's key type owns
+/// its `String`, so per-row lookups re-point one scratch key instead of
+/// allocating a name each.
+fn scratch_key() -> RowKey {
+    (EntityId::from_bits(0), String::new())
+}
+
+/// Point `key` at `(id, name)`.
+fn point_key<'k>(key: &'k mut RowKey, id: EntityId, name: &str) -> &'k RowKey {
+    key.0 = id;
+    key.1.clear();
+    key.1.push_str(name);
+    key
+}
+
 /// A client-side copy of (part of) the world state.
 #[derive(Debug, Clone, Default)]
 pub struct Replica {
@@ -152,6 +171,32 @@ impl Replica {
             Some(Value::Vec2(x, y)) => Some((*x, *y)),
             _ => None,
         }
+    }
+
+    /// Forget every row held for `entity`, through the name table:
+    /// O(names), not O(rows held). `key` is the caller's scratch key.
+    /// Returns whether a row went.
+    fn forget(&mut self, entity: EntityId, key: &mut RowKey) -> bool {
+        let mut any = false;
+        for name in self.names.values() {
+            any |= self.rows.remove(point_key(key, entity, name)).is_some();
+        }
+        any
+    }
+
+    /// The entities this replica holds rows for. Rows that arrived by
+    /// full walk carry no name-table entry; their columns are entered
+    /// here so [`Replica::forget`] reaches them too. One pass over every
+    /// row — for (re)attachment, not for the tick.
+    fn adopt_held(&mut self, world: &World) -> BTreeSet<EntityId> {
+        let mut held = BTreeSet::new();
+        for (id, name) in self.rows.keys() {
+            held.insert(*id);
+            if let Some(cid) = world.component_id(name) {
+                self.names.entry(cid).or_insert_with(|| name.clone());
+            }
+        }
+        held
     }
 
     /// Apply one delta segment: per-component reconciliation. Defines
@@ -182,14 +227,9 @@ impl Replica {
                 .clone();
             self.rows.remove(&(*entity, name));
         }
-        let mut key = (EntityId::from_bits(0), String::new());
+        let mut key = scratch_key();
         for &entity in &seg.drops {
-            key.0 = entity;
-            for name in self.names.values() {
-                key.1.clear();
-                key.1.push_str(name);
-                self.rows.remove(&key);
-            }
+            self.forget(entity, &mut key);
         }
     }
 }
@@ -459,19 +499,6 @@ impl Replicator {
         }
     }
 
-    /// [`Replicator::sync`] driven by the change stream: the pending
-    /// segment names every entity touched since the last shipment, the
-    /// interest view's changelog names every entity the (possibly
-    /// retargeted) bubble gained — and only those candidates are
-    /// visited. Ships the **exact** replica state and row counts of the
-    /// full-walk [`Replicator::sync_live`] (proven by test) while the
-    /// per-tick work shrinks from O(bubble) to O(changed).
-    ///
-    /// Entities whose rows could not all ship under the current level's
-    /// off-cycle rules (e.g. positions between `CoarseEpoch` epochs)
-    /// stay in the dirty set and are revisited until a full-ship tick
-    /// clears them. Falls back to [`Replicator::sync_live`] when no
-    /// stream is attached.
     /// [`Replicator::sync_stream`] gated on the server's durability
     /// watermark. A `Strict` replicator refuses to ship while commits
     /// are still in flight behind the async WAL writer
@@ -499,6 +526,36 @@ impl Replicator {
         true
     }
 
+    /// [`Replicator::sync`] driven by the change stream, at a cost of
+    /// O(pending records, each examined cheaply + bubble members
+    /// touched) — never O(world) and never O(rows the replica holds).
+    /// Ships the **exact** replica state of the full walk (proven by
+    /// test) in never more rows.
+    ///
+    /// **Interest-first fold.** With an interest view attached, a
+    /// pending record is kept only if its entity is a member of the
+    /// freshly refreshed/retargeted view (`radius + margin`, so the
+    /// hysteresis band is covered) or has no position (global state, or
+    /// dead). Everything else is discarded before it touches the dirty
+    /// set: no shipped state depends on it, because an entity that
+    /// later comes into the bubble is named by the view changelog's
+    /// `entered` and, not being `known`, ships its whole row from live
+    /// state. Without a view (unbounded interest) every record is kept.
+    ///
+    /// **Event-driven drops.** An entity the replica holds stops being
+    /// shippable only by dying (`Despawned` record), by leaving the
+    /// view (changelog `exited` — it moved, or the bubble did), or by
+    /// gaining its first position outside the bubble (a `Set pos` with
+    /// no old value: it was never a view member, so nothing exits).
+    /// Each of those events makes it a candidate, and every visited
+    /// candidate is re-validated against live state; nothing walks the
+    /// replica.
+    ///
+    /// Entities whose rows could not all ship under the current level's
+    /// off-cycle rules (e.g. positions between `CoarseEpoch` epochs)
+    /// stay in the dirty set and are revisited until a full-ship tick
+    /// clears them. Falls back to [`Replicator::sync_live`] when no
+    /// stream is attached.
     pub fn sync_stream(&mut self, world: &mut World, replica: &mut Replica) {
         let Some(tap) = self.stream_tap else {
             self.sync_live(world, replica);
@@ -511,11 +568,8 @@ impl Replicator {
             // and re-attach fresh
             world.detach_tap(tap);
             self.stream_tap = None;
-            self.dirty.clear();
-            self.pending_comps.clear();
-            self.known.clear();
             self.named.clear(); // re-ship defines: the replica may be fresh
-            self.stream_primed = false;
+            self.stream_primed = false; // the next stream sync starts over
             if let Some(m) = &self.metrics {
                 m.resyncs.inc();
             }
@@ -543,44 +597,72 @@ impl Replicator {
         } else {
             world.refresh_views();
         }
-        // the pending records name every touched entity — and, per
-        // entity, exactly the columns whose values moved: the delta a
-        // segment ships instead of the whole row
-        for change in world.tap_pending(tap) {
-            match &change.op {
-                ChangeOp::Set { id, component, .. }
-                | ChangeOp::Removed { id, component, .. } => {
-                    self.dirty.insert(*id);
-                    self.pending_comps.entry(*id).or_default().insert(*component);
-                }
-                ChangeOp::Spawned { id } | ChangeOp::Despawned { id, .. } => {
-                    self.dirty.insert(*id);
-                }
-                _ => {}
+        // the kept records name every touched entity this client can
+        // see — and, per entity, exactly the columns whose values
+        // moved: the delta a segment ships instead of the whole row
+        let pending = world.tap_pending(tap);
+        let mut kept = 0u64;
+        for change in pending {
+            let (id, component, gained_pos) = match &change.op {
+                ChangeOp::Set {
+                    id, component, old, ..
+                } => (*id, Some(*component), *component == POS_ID && old.is_none()),
+                ChangeOp::Removed { id, component, .. } => (*id, Some(*component), false),
+                ChangeOp::Spawned { id } | ChangeOp::Despawned { id, .. } => (*id, None, false),
+                _ => continue,
+            };
+            let keep = gained_pos
+                || view.is_none_or(|v| world.pos(id).is_none() || world.view_contains(v, id));
+            if !keep {
+                continue;
             }
+            kept += 1;
+            self.dirty.insert(id);
+            if let Some(component) = component {
+                self.pending_comps.entry(id).or_default().insert(component);
+            }
+        }
+        if let Some(m) = &self.metrics {
+            m.fold_records.add(pending.len() as u64);
+            m.fold_kept.add(kept);
         }
         world.ack_tap(tap);
-        // membership the bubble gained without the entity itself moving
-        // (the focus moved): the view changelog names it
         if let Some(view) = view {
+            // membership the bubble gained or lost without the entity
+            // itself being written (the focus moved): the view
+            // changelog names it
             let log = world.take_view_changelog(view);
             self.dirty.extend(log.entered);
+            self.dirty.extend(log.exited);
             if retargeted {
-                // a focus move changes interest geometry for *every*
-                // member — entities in the hysteresis band can become
-                // shippable without moving or re-entering the view, so
-                // the whole membership is revisited this tick (the same
-                // O(bubble) cost sync_live pays every tick, paid here
-                // only when the focus actually moved)
-                self.dirty.extend(world.view_rows(view).iter().copied());
+                // a focus move changes interest geometry for every
+                // member: one waiting in the hysteresis band can become
+                // shippable without moving or re-entering the view.
+                // Only members the replica does not know can — a known
+                // one stays visible while it stays in the view, and
+                // what it is owed is already in `dirty`.
+                let known = &self.known;
+                let members = world.view_rows(view).iter().copied();
+                self.dirty.extend(members.filter(|e| !known.contains(e)));
             }
         }
-        let (candidates, settled): (Vec<EntityId>, bool) = if !self.stream_primed {
-            // first shipment: the full candidate set, like sync_live
+        // a tick that ships everything shippable settles all debts;
+        // partial ticks (epoch positions pending) keep entities dirty
+        let (send_all_pos, send_state, pos_threshold) = self.ship_plan(self.tick + 1);
+        let settled = send_state && (send_all_pos || pos_threshold.is_some());
+        let candidates: Vec<EntityId> = if !self.stream_primed {
+            // first shipment after an attach, a reconnect or an eviction
+            // resync: the full candidate set, like sync_live, and no
+            // entity counts as known. The replica handed in may hold
+            // rows this replicator never shipped (a previous session,
+            // the resync's full walk); one pass over it — the only one
+            // — enters their columns in its name table and makes their
+            // entities candidates, so the drop rule reaches them.
             self.stream_primed = true;
+            self.known.clear();
             self.dirty.clear();
             self.pending_comps.clear();
-            let c = match view {
+            let mut c = match view {
                 Some(v) => {
                     let mut c: Vec<EntityId> = world.view_rows(v).to_vec();
                     c.extend(world.entities().filter(|&e| world.pos(e).is_none()));
@@ -588,32 +670,30 @@ impl Replicator {
                 }
                 None => world.entity_vec(),
             };
-            (c, false)
+            c.extend(replica.adopt_held(world));
+            c.sort_unstable();
+            c.dedup();
+            c
         } else {
-            let c: Vec<EntityId> = self.dirty.iter().copied().collect();
-            // a tick that ships everything shippable settles all debts;
-            // partial ticks (epoch positions pending) keep entities dirty
-            let (send_all_pos, send_state, pos_threshold) = self.ship_plan(self.tick + 1);
-            let settled = send_state && (send_all_pos || pos_threshold.is_some());
-            if settled {
-                self.dirty.clear();
-            }
-            (c, settled)
+            self.dirty.iter().copied().collect()
         };
         self.ship_delta_segment(world, replica, &candidates);
         if settled {
+            self.dirty.clear();
             self.pending_comps.clear();
         }
     }
 
-    /// The delta-encoded ship body: visit `candidates`, decide each row
-    /// under the exact rules of [`Replicator::sync_from`], but collect
-    /// the shipped rows into one [`DeltaSegment`] (id-keyed, names
-    /// shipped once) and reconcile it onto the replica per component.
-    /// Entities the replica does not fully know (first sight, or
-    /// re-entering interest after their rows were dropped) ship their
-    /// whole row; known entities ship only the columns the change
-    /// records named since the last settling tick.
+    /// The delta-encoded ship body: visit `candidates` once each. A
+    /// candidate that is dead or outside `radius + margin` is forgotten
+    /// by the replica. The rest are decided row by row under the exact
+    /// rules of [`Replicator::sync_from`], the shipped rows collected
+    /// into one [`DeltaSegment`] (id-keyed, names shipped once) and
+    /// reconciled onto the replica per component. Entities the replica
+    /// does not fully know (first sight, re-entering interest after
+    /// their rows were dropped) ship their whole row; known entities
+    /// ship only the columns the change records named since the last
+    /// settling tick.
     fn ship_delta_segment(
         &mut self,
         world: &World,
@@ -623,42 +703,16 @@ impl Replicator {
         self.tick += 1;
         let (send_all_pos, send_state, pos_threshold) = self.ship_plan(self.tick);
         let interest = self.interest;
-        let interesting = |id: EntityId, known: bool| -> bool {
-            match world.pos(id) {
-                Some(p) => interest.inside((p.x, p.y), known),
-                None => true,
-            }
-        };
-        // drop rows of dead entities and of entities that left the
-        // interest area (all levels) — and forget their full-image
-        // status, so a return ships the whole row again
-        let in_replica: BTreeSet<EntityId> = replica.rows.keys().map(|(id, _)| *id).collect();
-        let dropped: BTreeSet<EntityId> = in_replica
-            .into_iter()
-            .filter(|&id| !world.is_live(id) || !interesting(id, true))
-            .collect();
-        if !dropped.is_empty() {
-            replica.rows.retain(|(id, _), _| !dropped.contains(id));
-            for id in &dropped {
-                self.known.remove(id);
-            }
-        }
-        // decide-and-collect: decisions read the replica's pre-segment
-        // state (each (entity, component) key is decided at most once
-        // per tick, so deferring the writes cannot change a decision)
-        let mut seg = DeltaSegment::default();
-        let decide = |seg: &mut DeltaSegment,
-                          named: &mut HashSet<ComponentId>,
-                          id: EntityId,
-                          cid: ComponentId,
-                          name: &str,
-                          value: Value| {
-            let key = (id, name.to_string());
-            let ship = if name == "pos" {
+        // whether a row ships, given what the replica holds for it.
+        // Decisions read the replica's pre-segment state: each (entity,
+        // component) key is decided at most once per tick, so deferring
+        // the writes cannot change a decision.
+        let ships = |name: &str, value: &Value, held: Option<&Value>| -> bool {
+            if name == POS {
                 if send_all_pos {
                     true
                 } else if let Some(threshold) = pos_threshold {
-                    match (&value, replica.rows.get(&key)) {
+                    match (value, held) {
                         (Value::Vec2(sx, sy), Some(Value::Vec2(cx, cy))) => {
                             let (dx, dy) = (sx - cx, sy - cy);
                             (dx * dx + dy * dy).sqrt() > threshold
@@ -667,33 +721,60 @@ impl Replicator {
                     }
                 } else {
                     // CoarseEpoch off-cycle: ship only brand-new rows
-                    !replica.rows.contains_key(&key)
+                    held.is_none()
                 }
             } else if send_state {
-                replica.rows.get(&key) != Some(&value)
+                held != Some(value)
             } else {
-                !replica.rows.contains_key(&key)
-            };
-            if ship {
-                if named.insert(cid) {
-                    seg.defines.push((cid, name.to_string()));
-                }
-                seg.puts.push((id, cid, value));
+                held.is_none()
             }
         };
-        let mut full_rows = 0u64;
-        let mut delta_rows = 0u64;
+        let mut seg = DeltaSegment::default();
+        let mut put = |named: &mut HashSet<ComponentId>,
+                       id: EntityId,
+                       cid: ComponentId,
+                       name: &str,
+                       value: Value| {
+            if named.insert(cid) {
+                seg.defines.push((cid, name.to_string()));
+            }
+            seg.puts.push((id, cid, value));
+        };
+        let mut key = scratch_key();
+        let (mut full_rows, mut delta_rows, mut drops) = (0u64, 0u64, 0u64);
         for &id in candidates {
-            if !world.is_live(id)
-                || !interesting(id, replica.rows.contains_key(&(id, "pos".to_string())))
-            {
+            let pos = world.pos(id).map(|p| (p.x, p.y));
+            if !world.is_live(id) || pos.is_some_and(|p| !interest.inside(p, true)) {
+                self.known.remove(&id);
+                drops += u64::from(replica.forget(id, &mut key));
+                continue;
+            }
+            if pos.is_some_and(|p| {
+                !interest.inside(p, replica.rows.contains_key(point_key(&mut key, id, POS)))
+            }) {
+                // in the hysteresis band with no `pos` row on the
+                // replica: not subscribed. For a known entity (an
+                // unpositioned one's first position landed here) the
+                // full walk skips it too, keeping its rows; what it
+                // changes while hidden is owed when it becomes visible,
+                // so its image no longer counts as complete.
+                self.known.remove(&id);
                 continue;
             }
             if !self.known.contains(&id) {
                 // full row: the replica holds no (complete) image
                 for (name, value) in world.components_of(id) {
-                    let cid = world.component_id(name).expect("named column exists");
-                    decide(&mut seg, &mut self.named, id, cid, name, value);
+                    let held = replica.rows.get(point_key(&mut key, id, name));
+                    let cid = || world.component_id(name).expect("named column exists");
+                    if ships(name, &value, held) {
+                        put(&mut self.named, id, cid(), name, value);
+                    } else if held.is_some_and(|h| *h != value) {
+                        // a stale row (the replica kept it while the
+                        // entity was hidden, or across a reconnect) that
+                        // this tick's off-cycle rules withhold: owed
+                        self.dirty.insert(id);
+                        self.pending_comps.entry(id).or_default().insert(cid());
+                    }
                 }
                 self.known.insert(id);
                 full_rows += 1;
@@ -706,7 +787,9 @@ impl Replicator {
                     let Some(value) = world.get(id, name) else {
                         continue; // removed column: full walks skip it too
                     };
-                    decide(&mut seg, &mut self.named, id, cid, name, value);
+                    if ships(name, &value, replica.rows.get(point_key(&mut key, id, name))) {
+                        put(&mut self.named, id, cid, name, value);
+                    }
                 }
                 delta_rows += 1;
             }
@@ -719,6 +802,8 @@ impl Replicator {
             m.rows.add(seg.puts.len() as u64);
             m.full_rows.add(full_rows);
             m.delta_rows.add(delta_rows);
+            m.candidates.add(candidates.len() as u64);
+            m.drops.add(drops);
         }
         replica.apply_segment(&seg);
     }
@@ -1321,6 +1406,151 @@ mod tests {
         drift(&mut w, &ids, 0.5);
         rep.sync_stream(&mut w, &mut client);
         assert_eq!(Replicator::divergence(&w, &client).mean_pos_error, 0.0);
+        // ISSUE-13: the resync's rows arrived by full walk, not through
+        // this stream — a later despawn must still drop all of them
+        w.despawn(ids[3]);
+        rep.sync_stream(&mut w, &mut client);
+        assert!(
+            client.rows.keys().all(|(id, _)| *id != ids[3]),
+            "a row the resync shipped outlived its entity"
+        );
+    }
+
+    /// ISSUE-13: a client evicted before any segment reached it holds
+    /// only full-walk rows — its name table is empty, and under `Strict`
+    /// the priming tick defines just `pos` (the other rows are already
+    /// equal). The drop rule forgets rows through that table, so the
+    /// priming pass must enter the columns the replica already holds.
+    #[test]
+    fn rows_that_arrived_by_full_walk_are_forgotten_whole() {
+        let (mut w, ids) = moving_world(6);
+        let mut rep = Replicator::new(ConsistencyLevel::Strict);
+        rep.attach_stream(&mut w);
+        let mut client = Replica::default();
+        drift(&mut w, &ids, 0.5);
+        w.set_tap_retention(Some(0)); // evicts the lagging tap at once
+        w.set_tap_retention(None);
+        rep.sync_stream(&mut w, &mut client); // full-walk resync
+        rep.sync_stream(&mut w, &mut client); // priming
+        assert!(client.rows.contains_key(&(ids[2], "gold".to_string())));
+        w.despawn(ids[2]);
+        rep.sync_stream(&mut w, &mut client);
+        assert!(
+            client.rows.keys().all(|(id, _)| *id != ids[2]),
+            "every column of a dead entity goes, named by a segment or not"
+        );
+        assert_eq!(Replicator::divergence(&w, &client).persistent_mismatches, 0);
+    }
+
+    /// ISSUE-13: `detach_stream` → `attach_stream` on the replica the
+    /// client kept. The replicator has forgotten what it shipped, the
+    /// replica has not: an entity that then leaves the bubble, and one
+    /// that dies, must still be dropped — by the event that names them,
+    /// since nothing walks the replica any more.
+    #[test]
+    fn reattached_stream_drops_what_the_old_session_shipped() {
+        let interest = Interest {
+            center: (0.0, 0.0),
+            radius: 10.0,
+            margin: 2.0,
+        };
+        let (mut w, ids) = moving_world(8); // x = 0, 3, 6, 9 are inside
+        let mut rep = Replicator::with_interest(ConsistencyLevel::Strict, interest);
+        rep.attach_stream(&mut w);
+        let mut client = Replica::default();
+        rep.sync_stream(&mut w, &mut client);
+        assert!(client.pos(ids[1]).is_some() && client.pos(ids[2]).is_some());
+        rep.detach_stream(&mut w);
+        // an entity the replica holds leaves while nobody is listening
+        w.set_pos(ids[3], Vec2::new(40.0, 0.0)).unwrap();
+        rep.attach_stream(&mut w);
+        rep.sync_stream(&mut w, &mut client);
+        assert!(client.pos(ids[3]).is_none(), "left during the disconnect");
+        // ... and two more after the stream is primed again
+        w.set_pos(ids[1], Vec2::new(40.0, 0.0)).unwrap();
+        w.despawn(ids[2]);
+        rep.sync_stream(&mut w, &mut client);
+        for gone in [ids[1], ids[2], ids[3]] {
+            assert!(
+                client.rows.keys().all(|(id, _)| *id != gone),
+                "{gone:?} is still on the replica"
+            );
+        }
+        let d = Replicator::divergence_within(&w, &client, interest);
+        assert_eq!((d.mean_pos_error, d.persistent_mismatches), (0.0, 0));
+    }
+
+    /// A resync or reconnect can leave the replica holding a stale row
+    /// that the priming tick's off-cycle rules do not ship. The full
+    /// walk ships it at the next state tick; so must the stream (the
+    /// parent of ISSUE-13 lost the debt: the priming visit marked the
+    /// entity fully known).
+    #[test]
+    fn stale_rows_held_across_an_off_cycle_resync_stay_owed() {
+        let level = ConsistencyLevel::EventualSimilar {
+            threshold: 100.0,
+            state_period: 4,
+        };
+        let (mut w, ids) = moving_world(6);
+        let mut rep = Replicator::new(level);
+        rep.attach_stream(&mut w);
+        let mut walk = Replicator::new(level);
+        let (mut client, mut shadow) = (Replica::default(), Replica::default());
+        rep.sync_stream(&mut w, &mut client); // tick 1
+        walk.sync(&w, &mut shadow);
+        w.set_f32(ids[0], "hp", 12.0).unwrap();
+        w.set_tap_retention(Some(0));
+        w.set_tap_retention(None);
+        for tick in 2..=4 {
+            // 2: full-walk resync, 3: priming — both off-cycle; 4: state
+            rep.sync_stream(&mut w, &mut client);
+            walk.sync(&w, &mut shadow);
+            assert_eq!(client.rows, shadow.rows, "tick {tick}");
+        }
+        assert_eq!(
+            client.rows.get(&(ids[0], "hp".to_string())),
+            Some(&Value::Float(12.0))
+        );
+    }
+
+    /// An unpositioned entity the replica knows gains its first
+    /// position inside the hysteresis band: with no `pos` row on the
+    /// replica it is invisible (the full walk skips it and keeps its
+    /// rows). What it changes while hidden ships when it becomes
+    /// visible (the parent of ISSUE-13 cleared that debt at the next
+    /// settling tick).
+    #[test]
+    fn changes_made_while_hidden_in_the_band_ship_on_return() {
+        let interest = Interest {
+            center: (0.0, 0.0),
+            radius: 10.0,
+            margin: 4.0,
+        };
+        let (mut w, _) = moving_world(4);
+        let flag = w.spawn();
+        w.set(flag, "gold", Value::Int(1)).unwrap();
+        let mut rep = Replicator::with_interest(ConsistencyLevel::Strict, interest);
+        rep.attach_stream(&mut w);
+        let mut walk = Replicator::with_interest(ConsistencyLevel::Strict, interest);
+        let (mut client, mut shadow) = (Replica::default(), Replica::default());
+        let mut step = |w: &mut World, at: &str| {
+            rep.sync_stream(w, &mut client);
+            walk.sync(w, &mut shadow);
+            assert_eq!(client.rows, shadow.rows, "{at}");
+        };
+        step(&mut w, "unpositioned: shipped");
+        w.set_pos(flag, Vec2::new(12.0, 0.0)).unwrap();
+        w.set(flag, "gold", Value::Int(2)).unwrap();
+        step(&mut w, "first position in the band: hidden");
+        w.set_pos(flag, Vec2::new(5.0, 0.0)).unwrap();
+        step(&mut w, "inside the radius: visible, gold 2 owed");
+        // and the other way out: a first position beyond the band drops
+        // an entity no view ever held
+        let far = w.spawn();
+        w.set(far, "gold", Value::Int(3)).unwrap();
+        step(&mut w, "second global entity shipped");
+        w.set_pos(far, Vec2::new(90.0, 0.0)).unwrap();
+        step(&mut w, "first position outside the bubble: dropped");
     }
 
     #[test]

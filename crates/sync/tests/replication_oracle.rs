@@ -1,0 +1,344 @@
+//! The stream replicator against its oracles (CI step
+//! `replication-oracle`):
+//! * a golden recorded on the commit before the interest-first fold:
+//!   per tick, the replica digest, `rows_sent` and `bytes_sent` of a
+//!   seeded 60-tick migrating workload at every consistency level, with
+//!   and without a hysteresis margin;
+//! * a property test holding the stream replica equal, tick for tick,
+//!   to a shadow replica driven by the full-walk `Replicator::sync`
+//!   under generated churn.
+
+use gamedb_content::Value;
+use gamedb_core::{EntityId, World};
+use gamedb_spatial::Vec2;
+use gamedb_sync::{arena_world, ConsistencyLevel, Interest, Replica, Replicator};
+use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+const LEVELS: [ConsistencyLevel; 3] = [
+    ConsistencyLevel::Strict,
+    ConsistencyLevel::CoarseEpoch { pos_period: 3 },
+    ConsistencyLevel::EventualSimilar {
+        threshold: 2.5,
+        state_period: 4,
+    },
+];
+
+/// FNV-1a over the replica's rows in key order.
+fn replica_digest(replica: &Replica) -> u64 {
+    let mut rows: Vec<_> = replica.rows.iter().collect();
+    rows.sort_by(|a, b| a.0.cmp(b.0));
+    let mut digest = 0xcbf29ce484222325u64;
+    let mut mix = |v: u64| digest = (digest ^ v).wrapping_mul(0x100000001b3);
+    for ((id, name), value) in rows {
+        mix(id.to_bits());
+        name.bytes().for_each(|b| mix(b as u64));
+        match value {
+            Value::Float(f) => mix(f.to_bits() as u64),
+            Value::Int(i) => mix(*i as u64),
+            Value::Bool(b) => mix(*b as u64),
+            Value::Str(s) => s.bytes().for_each(|b| mix(b as u64)),
+            Value::Vec2(x, y) => {
+                mix(x.to_bits() as u64);
+                mix(y.to_bits() as u64);
+            }
+        }
+    }
+    digest
+}
+
+// ---- golden: the seeded migrating workload ----
+
+const GOLDEN_TICKS: usize = 60;
+const MAP: f32 = 240.0;
+
+/// The client's bubble on tick `t`: orbits the map centre, standing
+/// still on every fourth tick and through ticks 40..48.
+fn golden_bubble(t: usize, margin: f32) -> Interest {
+    let moving = (0..=t).filter(|&s| s % 4 != 3 && !(40..48).contains(&s)).count();
+    let theta = moving as f32 * 0.11;
+    Interest {
+        center: (
+            MAP / 2.0 + 0.3 * MAP * theta.cos(),
+            MAP / 2.0 + 0.3 * MAP * theta.sin(),
+        ),
+        radius: 30.0,
+        margin,
+    }
+}
+
+/// One seeded tick of churn: walkers heading for a drifting hotspot,
+/// state writes, teleports, spawns, despawns (slots are reused),
+/// component and position removal, and unpositioned entities gaining a
+/// position.
+fn golden_churn(w: &mut World, ids: &mut Vec<EntityId>, rng: &mut StdRng, t: usize) {
+    let hot = Vec2::new(
+        MAP / 2.0 + 0.3 * MAP * (t as f32 * 0.07).cos(),
+        MAP / 2.0 + 0.3 * MAP * (t as f32 * 0.07).sin(),
+    );
+    for _ in 0..60 {
+        let e = ids[rng.gen_range(0..ids.len())];
+        if !w.is_live(e) {
+            continue;
+        }
+        match rng.gen_range(0..100u32) {
+            0..=49 => {
+                if let Some(p) = w.pos(e) {
+                    let d = hot - p;
+                    let step = d * (rng.gen_range(1.0..6.0f32) / d.len().max(1.0));
+                    w.set_pos(e, p + step).unwrap();
+                }
+            }
+            50..=69 => w.set_f32(e, "hp", rng.gen_range(1.0..100.0f32)).unwrap(),
+            70..=79 => w.set(e, "gold", Value::Int(rng.gen_range(0..500i64))).unwrap(),
+            80..=85 => {
+                let to = Vec2::new(rng.gen::<f32>() * MAP, rng.gen::<f32>() * MAP);
+                w.set_pos(e, to).unwrap();
+            }
+            86..=89 => {
+                let at = hot + Vec2::new(rng.gen_range(-40.0..40.0), rng.gen_range(-40.0..40.0));
+                let n = w.spawn_at(at);
+                w.set_f32(n, "hp", rng.gen_range(1.0..100.0f32)).unwrap();
+                ids.push(n);
+            }
+            90..=93 => {
+                w.despawn(e);
+            }
+            94..=95 => {
+                w.remove_component(e, "power").unwrap();
+            }
+            96..=97 => {
+                w.remove_component(e, "pos").unwrap();
+            }
+            _ => {
+                let n = w.spawn();
+                w.set(n, "gold", Value::Int(rng.gen_range(0..50i64))).unwrap();
+                ids.push(n);
+            }
+        }
+    }
+}
+
+/// Per tick `(replica digest, rows_sent, bytes_sent)` of one config.
+fn golden_run(level: ConsistencyLevel, margin: f32) -> Vec<(u64, usize, usize)> {
+    let mut rng = StdRng::seed_from_u64(0x13_57AE);
+    let positions: Vec<Vec2> = (0..400)
+        .map(|_| Vec2::new(rng.gen::<f32>() * MAP, rng.gen::<f32>() * MAP))
+        .collect();
+    let (mut w, mut ids) = arena_world(positions.len(), |i| positions[i]);
+    for gold in [7, 11] {
+        let flag = w.spawn();
+        w.set(flag, "gold", Value::Int(gold)).unwrap();
+        ids.push(flag);
+    }
+    let mut stream = Replicator::with_interest(level, golden_bubble(0, margin));
+    stream.attach_stream(&mut w);
+    let mut walk = Replicator::with_interest(level, golden_bubble(0, margin));
+    let (mut replica, mut shadow) = (Replica::default(), Replica::default());
+    let mut out = Vec::with_capacity(GOLDEN_TICKS);
+    for t in 0..GOLDEN_TICKS {
+        golden_churn(&mut w, &mut ids, &mut rng, t);
+        stream.interest = golden_bubble(t, margin);
+        walk.interest = stream.interest;
+        stream.sync_stream(&mut w, &mut replica);
+        walk.sync(&w, &mut shadow);
+        assert_eq!(
+            replica.rows, shadow.rows,
+            "tick {t} {level:?} margin {margin}: stream replica left the full walk"
+        );
+        out.push((replica_digest(&replica), stream.rows_sent, stream.bytes_sent));
+    }
+    out
+}
+
+include!("replication_golden.in");
+
+/// ISSUE-13 satellite. `GOLDEN` (in `replication_golden.in`, printed by
+/// this test under `REPL_GOLDEN_PRINT=1`) was recorded on the commit
+/// *before* the interest-first fold. Every replica digest must be
+/// identical at every tick. `rows_sent` / `bytes_sent` may only be
+/// **lower**: the old fold kept a `pending_comps` entry for a record
+/// naming an out-of-bubble entity; when the bubble then moved over that
+/// entity between epochs it shipped whole, and the stale entry
+/// re-shipped its unchanged `pos` at the next epoch. Records for
+/// entities outside the bubble are now discarded, so that second put is
+/// gone — same replica, fewer bytes.
+#[test]
+fn stream_replication_matches_the_recorded_golden() {
+    let print = std::env::var_os("REPL_GOLDEN_PRINT").is_some();
+    let mut saved = 0usize;
+    let mut config = 0usize;
+    for level in LEVELS {
+        for margin in [0.0f32, 8.0] {
+            let run = golden_run(level, margin);
+            if print {
+                println!("    // {level:?}, margin {margin}\n    [");
+                for tick in run.chunks(3) {
+                    let cells: Vec<String> = tick
+                        .iter()
+                        .map(|(d, r, b)| format!("(0x{d:016x}, {r}, {b})"))
+                        .collect();
+                    println!("        {},", cells.join(", "));
+                }
+                println!("    ],");
+                continue;
+            }
+            for (t, (&(digest, rows, bytes), &(g_digest, g_rows, g_bytes))) in
+                run.iter().zip(&GOLDEN[config]).enumerate()
+            {
+                let at = format!("tick {t} {level:?} margin {margin}");
+                assert_eq!(digest, g_digest, "{at}: replica digest");
+                assert!(rows <= g_rows, "{at}: rows_sent {rows} > recorded {g_rows}");
+                assert!(bytes <= g_bytes, "{at}: bytes_sent {bytes} > recorded {g_bytes}");
+            }
+            let last = GOLDEN_TICKS - 1;
+            saved += GOLDEN[config][last].2 - run[last].2;
+            config += 1;
+        }
+    }
+    if !print {
+        println!("bytes saved against the recorded golden: {saved}");
+    }
+}
+
+// ---- property: stream replica == full-walk replica under churn ----
+
+const R: f32 = 12.0;
+
+/// One generated mutation: `(kind, pick, a, b)`; `a`, `b` in `0..1`.
+type RawOp = (u8, usize, f32, f32);
+
+/// A point at a generated distance from `center` that straddles the
+/// bubble: inside `radius`, in the hysteresis band, or beyond it.
+fn around(center: (f32, f32), margin: f32, a: f32, b: f32) -> Vec2 {
+    let dist = a * (R + 2.0 * margin + 6.0);
+    let angle = b * std::f32::consts::TAU;
+    Vec2::new(center.0 + dist * angle.cos(), center.1 + dist * angle.sin())
+}
+
+fn apply_op(w: &mut World, ids: &mut Vec<EntityId>, focus: (f32, f32), margin: f32, op: RawOp) {
+    let (kind, pick, a, b) = op;
+    let e = ids[pick % ids.len()];
+    match kind {
+        // spawns take a freed slot when there is one (slot reuse)
+        0 => {
+            let n = w.spawn_at(around(focus, margin, a, b));
+            w.set_f32(n, "hp", 1.0 + 98.0 * b).unwrap();
+            ids.push(n);
+        }
+        1 => {
+            // an unpositioned global entity
+            let n = w.spawn();
+            w.set(n, "gold", Value::Int((a * 100.0) as i64)).unwrap();
+            ids.push(n);
+        }
+        _ if !w.is_live(e) => {}
+        2 => {
+            w.despawn(e);
+        }
+        // a step: members drift through the band and over the edge
+        3..=6 => {
+            if let Some(p) = w.pos(e) {
+                let to = Vec2::new(p.x + 6.0 * a - 3.0, p.y + 6.0 * b - 3.0);
+                w.set_pos(e, to).unwrap();
+            }
+        }
+        // a teleport across the edge — for an unpositioned entity, its
+        // first position
+        7 => w.set_pos(e, around(focus, margin, a, b)).unwrap(),
+        8 => w.set_f32(e, "hp", 100.0 * a).unwrap(),
+        9 => w.set(e, "gold", Value::Int((b * 500.0) as i64)).unwrap(),
+        10 => {
+            w.remove_component(e, if a < 0.5 { "power" } else { "hp" }).unwrap();
+        }
+        _ => {
+            // the entity becomes unpositioned
+            w.remove_component(e, "pos").unwrap();
+        }
+    }
+}
+
+proptest! {
+    // 64 cases by default; CI's `replication-oracle` step runs 256
+    // through PROPTEST_CASES
+    #![proptest_config(ProptestConfig::default())]
+
+    /// ISSUE-13 satellite: under generated moves, teleports across the
+    /// bubble edge and through the hysteresis band, spawns, despawns
+    /// with slot reuse, component removal, position removal, first
+    /// positions for unpositioned entities, retargeting and stationary
+    /// ticks, a tap eviction and a reconnect (on a fresh replica or on
+    /// the one the client kept), the stream replica equals — every tick
+    /// — a shadow replica driven by the full walk at the same level.
+    #[test]
+    fn stream_replica_equals_full_walk_under_churn(
+        level in 0usize..3,
+        margin in prop_oneof![Just(0.0f32), Just(4.0f32)],
+        ticks in proptest::collection::vec(
+            (
+                proptest::collection::vec((0u8..12, 0usize..1000, 0.0f32..1.0, 0.0f32..1.0), 0..10),
+                0u8..6,
+                (0.0f32..1.0, 0.0f32..1.0),
+            ),
+            40..56,
+        ),
+        evict_at in 3usize..38,
+        reconnect_at in 3usize..38,
+        fresh_replica in any::<bool>(),
+    ) {
+        let level = LEVELS[level];
+        let mut focus = (30.0f32, 30.0f32);
+        let bubble = |focus| Interest { center: focus, radius: R, margin };
+        let (mut w, mut ids) = arena_world(48, |i| {
+            Vec2::new((i % 8) as f32 * 8.0 + 2.0, (i / 8) as f32 * 10.0 + 2.0)
+        });
+        for gold in [7, 11] {
+            let flag = w.spawn();
+            w.set(flag, "gold", Value::Int(gold)).unwrap();
+            ids.push(flag);
+        }
+        let mut stream = Replicator::with_interest(level, bubble(focus));
+        stream.attach_stream(&mut w);
+        let mut walk = Replicator::with_interest(level, bubble(focus));
+        let (mut replica, mut shadow) = (Replica::default(), Replica::default());
+        for (t, (ops, walk_kind, (fa, fb))) in ticks.into_iter().enumerate() {
+            for op in ops {
+                apply_op(&mut w, &mut ids, focus, margin, op);
+            }
+            match walk_kind {
+                0..=2 => {} // the player stands still
+                3 | 4 => focus = (focus.0 + 4.0 * fa - 2.0, focus.1 + 4.0 * fb - 2.0),
+                _ => focus = (focus.0 + 30.0 * fa - 15.0, focus.1 + 30.0 * fb - 15.0),
+            }
+            if t == evict_at {
+                // the sync loop stalled past the retention window
+                w.set_tap_retention(Some(0));
+                w.set_tap_retention(None);
+            }
+            if t == reconnect_at {
+                stream.detach_stream(&mut w);
+                if fresh_replica {
+                    replica = Replica::default();
+                    shadow = Replica::default();
+                }
+                stream.attach_stream(&mut w);
+            }
+            stream.interest = bubble(focus);
+            walk.interest = bubble(focus);
+            stream.sync_stream(&mut w, &mut replica);
+            walk.sync(&w, &mut shadow);
+            prop_assert!(
+                replica.rows == shadow.rows,
+                "tick {t} {level:?} margin {margin}: stream replica left the full walk\n\
+                 only in stream: {:?}\nonly in walk: {:?}",
+                replica.rows.iter().filter(|(k, v)| shadow.rows.get(k) != Some(v)).collect::<Vec<_>>(),
+                shadow.rows.iter().filter(|(k, v)| replica.rows.get(k) != Some(v)).collect::<Vec<_>>()
+            );
+            prop_assert!(
+                stream.rows_sent <= walk.rows_sent,
+                "tick {t} {level:?}: the stream shipped more rows than the full walk"
+            );
+        }
+    }
+}

@@ -16,8 +16,15 @@ impl ProptestConfig {
 }
 
 impl Default for ProptestConfig {
+    /// 64 cases, or `PROPTEST_CASES` when set (as in the real crate, the
+    /// variable reaches only blocks that take the default — an explicit
+    /// [`ProptestConfig::with_cases`] wins).
     fn default() -> Self {
-        ProptestConfig { cases: 64 }
+        let cases = std::env::var("PROPTEST_CASES")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(64);
+        ProptestConfig { cases }
     }
 }
 
