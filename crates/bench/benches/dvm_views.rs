@@ -1,16 +1,18 @@
-//! Differential view maintenance bench: the ISSUE-10 acceptance
-//! experiment.
+//! View maintenance bench: the ISSUE-2 and ISSUE-10 acceptance
+//! experiments, on the one view engine.
 //!
-//! Two operator-tree views over a 100k-entity world with 1% churn per
-//! tick — an equi-join (`hp < 10` rows against their teammates) and a
-//! per-team `Sum(hp)` group aggregate — maintained two ways: (a) a
-//! forced `ViewPlan::evaluate` re-materialization every tick, and (b)
-//! incremental maintenance from the delta stream (`refresh_views`).
-//! Both sides pay the same churn writes inside the measured iteration —
-//! the delta path additionally pays delta recording, so the comparison
-//! charges the subsystem its full overhead. Incremental maintenance
-//! must beat per-tick recompute by ≥10×; the measured speedup prints on
-//! every run.
+//! Standing views over a 100k-entity world with 1% churn per tick, in
+//! two cases — a rows view (`hp < 10`, ~1% of rows), and an equi-join
+//! (`hp < 10` rows against their teammates) together with a per-team
+//! `Sum(hp)` group aggregate — each answered two ways: (a) from scratch
+//! every tick (`Query::run_scan` for the rows view, a forced
+//! `ViewPlan::evaluate` for the operator trees), and (b) by incremental
+//! maintenance from the delta stream (`refresh_views`). Both sides pay
+//! the same churn writes inside the measured iteration — the delta path
+//! additionally pays delta recording, so the comparison charges the
+//! subsystem its full overhead. Incremental maintenance must beat the
+//! from-scratch answer by ≥10× in each case; the measured speedups print
+//! on every run.
 
 use std::cell::{Cell, RefCell};
 
@@ -28,8 +30,9 @@ const HP_SPREAD: usize = 1_000;
 const TEAMS: usize = 10_000;
 
 /// One tick of churn: rotate the hp of a striding 1% slice. Entities
-/// enter and leave the join's left side as their hp wraps past the
-/// threshold, and every write shifts its team's aggregate sum.
+/// enter and leave `hp < 10` (the rows view, the join's left side) as
+/// their hp wraps past the threshold, and every write shifts its team's
+/// aggregate sum.
 fn churn(world: &mut World, ids: &[EntityId], step: usize) {
     for k in 0..CHURN {
         let e = ids[(step * CHURN + k) % N];
@@ -40,9 +43,13 @@ fn churn(world: &mut World, ids: &[EntityId], step: usize) {
     }
 }
 
+fn low_hp() -> Query {
+    Query::select().filter("hp", CmpOp::Lt, Value::Float(10.0))
+}
+
 fn join_plan() -> ViewPlan {
     ViewPlan::join(
-        PlanNode::scan(Query::select().filter("hp", CmpOp::Lt, Value::Float(10.0))),
+        PlanNode::scan(low_hp()),
         PlanNode::scan(Query::select()),
         JoinOn::Eq {
             left: "team".into(),
@@ -57,6 +64,15 @@ fn group_plan() -> ViewPlan {
         .expect("sum over a named column is a valid aggregate")
 }
 
+/// Size of a plan's forced recompute (what the from-scratch side pays).
+fn recompute_len(plan: &ViewPlan, w: &World) -> usize {
+    let out = plan.evaluate(w).expect("valid plan");
+    out.as_pairs()
+        .map(<[_]>::len)
+        .or(out.as_groups().map(<[_]>::len))
+        .expect("join or group plan")
+}
+
 fn bench_dvm_views(c: &mut Criterion) {
     let (mut world, ids) = combat_world(N, 2_000.0, 42);
     for (i, &e) in ids.iter().enumerate() {
@@ -68,73 +84,67 @@ fn bench_dvm_views(c: &mut Criterion) {
             .unwrap();
     }
     let (jp, gp) = (join_plan(), group_plan());
-    let seed_pairs = jp.evaluate(&world).unwrap().as_pairs().unwrap().len();
+    assert_eq!(low_hp().run_scan(&world).len(), N / HP_SPREAD * 10);
+    let seed_pairs = recompute_len(&jp, &world);
     assert!(
         seed_pairs > 0 && seed_pairs < N,
         "join output should be selective (~10 teammates per hp<10 row), \
          got {seed_pairs} pairs"
     );
-    assert_eq!(
-        gp.evaluate(&world).unwrap().as_groups().unwrap().len(),
-        TEAMS,
-        "one group row per team"
-    );
+    assert_eq!(recompute_len(&gp, &world), TEAMS, "one group row per team");
 
     let world = RefCell::new(world);
     let step = Cell::new(0usize);
-    // (a) no views registered: churn writes record nothing, both
-    // standing questions are answered by full re-materialization
-    {
+    // One case: (a) with no views registered — churn writes record
+    // nothing — answer from scratch every tick; (b) register the case's
+    // plans and fold the delta stream instead. Returns the speedup.
+    let mut run_case = |case: &str, plans: &[ViewPlan], scratch: &dyn Fn(&World) -> usize| {
+        let tick = |world: &mut World| {
+            step.set(step.get() + 1);
+            churn(world, &ids, step.get());
+        };
         let mut group = c.benchmark_group("dvm_views");
         group.sample_size(15);
-        group.bench_with_input(BenchmarkId::new("per_tick_recompute", N), &(), |b, _| {
+        group.bench_with_input(BenchmarkId::new(format!("{case}_per_tick_recompute"), N), &(), |b, _| {
             b.iter(|| {
                 let mut w = world.borrow_mut();
-                step.set(step.get() + 1);
-                churn(&mut w, &ids, step.get());
-                let pairs = jp.evaluate(&w).unwrap().as_pairs().unwrap().len();
-                let groups = gp.evaluate(&w).unwrap().as_groups().unwrap().len();
-                pairs + groups
+                tick(&mut w);
+                scratch(&w)
             })
         });
-        group.finish();
-    }
-
-    // (b) the same questions as standing operator-tree views folded
-    // from the delta stream
-    let jv = world.borrow_mut().register_view_plan(join_plan()).unwrap();
-    let gv = world.borrow_mut().register_view_plan(group_plan()).unwrap();
-    {
-        let mut group = c.benchmark_group("dvm_views");
-        group.sample_size(15);
-        group.bench_with_input(BenchmarkId::new("incremental_refresh", N), &(), |b, _| {
+        let views: Vec<_> = plans
+            .iter()
+            .map(|p| world.borrow_mut().register_view_plan(p.clone()).unwrap())
+            .collect();
+        group.bench_with_input(BenchmarkId::new(format!("{case}_incremental_refresh"), N), &(), |b, _| {
             b.iter(|| {
                 let mut w = world.borrow_mut();
-                step.set(step.get() + 1);
-                churn(&mut w, &ids, step.get());
+                tick(&mut w);
                 w.refresh_views();
-                w.view_pairs(jv).len() + w.view_groups(gv).len()
+                views.iter().map(|&v| w.view_stats(v).refreshes).sum::<u64>()
             })
         });
         group.finish();
-    }
 
-    // the incrementally maintained outputs are exactly the forced
-    // recompute, and plan views never fell back to a rescan
-    {
+        // the maintained outputs are exactly the forced recompute, and
+        // no fold ever re-evaluated
         let mut w = world.borrow_mut();
         w.refresh_views();
-        assert_eq!(w.view_output(jv), jp.evaluate(&w).unwrap());
-        assert_eq!(w.view_output(gv), gp.evaluate(&w).unwrap());
-        for v in [jv, gv] {
+        for (&v, plan) in views.iter().zip(plans) {
+            assert_eq!(w.view_output(v), plan.evaluate(&w).unwrap());
             let stats = w.view_stats(v);
-            assert_eq!(stats.rescans, 0, "plan views are delta-only ({stats:?})");
+            assert_eq!(stats.rescans, 0, "views are delta-only ({stats:?})");
             println!(
                 "view {v:?}: {} refreshes, {} deltas folded",
                 stats.refreshes, stats.deltas_seen
             );
+            w.drop_view(v);
         }
-    }
+    };
+    run_case("rows", &[low_hp().into_plan()], &|w| low_hp().run_scan(w).len());
+    run_case("join_group", &[jp.clone(), gp.clone()], &|w| {
+        recompute_len(&jp, w) + recompute_len(&gp, w)
+    });
 
     let ns = |name: &str| {
         c.results
@@ -143,16 +153,22 @@ fn bench_dvm_views(c: &mut Criterion) {
             .map(|(_, v)| *v)
             .expect("bench ran")
     };
-    let speedup = ns("per_tick_recompute") / ns("incremental_refresh");
-    println!(
-        "dvm views speedup: {speedup:.1}x (per-tick operator-tree recompute vs \
-         incremental maintenance, {N} entities, {CHURN} writes/tick, join + group-by)"
-    );
-    assert!(
-        speedup >= 10.0,
-        "acceptance: incremental operator-tree maintenance must be >=10x over \
-         per-tick recompute at 1% churn, got {speedup:.1}x"
-    );
+    for (case, what) in [
+        ("rows", "per-tick run_scan, rows view"),
+        ("join_group", "per-tick operator-tree recompute, join + group-by"),
+    ] {
+        let speedup = ns(&format!("{case}_per_tick_recompute"))
+            / ns(&format!("{case}_incremental_refresh"));
+        println!(
+            "dvm views speedup, {case}: {speedup:.1}x ({what} vs incremental \
+             maintenance, {N} entities, {CHURN} writes/tick)"
+        );
+        assert!(
+            speedup >= 10.0,
+            "acceptance: incremental maintenance must be >=10x over the \
+             from-scratch answer at 1% churn, got {speedup:.1}x for {case}"
+        );
+    }
 }
 
 criterion_group!(benches, bench_dvm_views);

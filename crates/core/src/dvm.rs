@@ -1,15 +1,15 @@
-//! Differential view maintenance: operator-tree standing views.
+//! Differential view maintenance: the view engine.
 //!
-//! PR 2's standing views answer one shape of question — a single-table
-//! filter query — incrementally. The paper's thesis covers far more:
-//! "guild wealth leaderboard" is a group-by aggregate, "players near any
-//! flagged mob" is a spatial join, "per-zone population" is a group-by
-//! count. This module generalizes the view engine to a relational
-//! **operator tree** ([`ViewPlan`]) maintained by per-operator delta
-//! rules in the DBSP / Z-set style: every operator consumes its input's
-//! delta batch — rows carried with ±1 multiplicity — and emits its own,
-//! folded from the very same change-stream segments that feed the
-//! single-table views.
+//! A standing question is rarely just a filter: "guild wealth
+//! leaderboard" is a group-by aggregate, "players near any flagged mob"
+//! is a spatial join, "per-zone population" is a group-by count. Every
+//! standing view is therefore a relational **operator tree**
+//! ([`ViewPlan`]) maintained by per-operator delta rules in the DBSP /
+//! Z-set style: every operator consumes its input's delta batch — rows
+//! carried with ±1 multiplicity — and emits its own, folded from the
+//! world's change-stream segments. A plain standing query is the
+//! one-leaf tree ([`Query::into_plan`]); filter is a linear operator and
+//! needs no engine of its own.
 //!
 //! ## Operator taxonomy
 //!
@@ -49,8 +49,7 @@
 //! each ±row into its group's running state and diff the rebuilt group
 //! table. Membership itself is always re-evaluated against the
 //! *post-batch* world (never trusted from the log), so duplicate or
-//! stale deltas cannot corrupt a view — the same invariant the
-//! single-table views rely on.
+//! stale deltas cannot corrupt a view.
 //!
 //! ## Equivalence and determinism
 //!
@@ -527,6 +526,16 @@ struct FoldOut {
     deltas: Vec<RowDelta>,
 }
 
+/// What one refresh of a view did, for the maintenance counters every
+/// view kind shares: candidate rows inspected, and changelog entries
+/// delivered (rows, pairs or groups — whatever the view materializes).
+struct Refreshed {
+    cands: usize,
+    entered: usize,
+    exited: usize,
+    changed: usize,
+}
+
 /// A fused source with its materialized row tuples.
 #[derive(Debug, Clone)]
 struct SourceState {
@@ -540,11 +549,6 @@ impl SourceState {
             src,
             rows: HashMap::new(),
         }
-    }
-
-    fn member(&self, world: &World, id: EntityId) -> bool {
-        (self.src.only.is_none() || self.src.only == Some(id))
-            && self.src.query.matches(world, id)
     }
 
     fn read_tuple(&self, world: &World, id: EntityId) -> Tuple {
@@ -601,10 +605,13 @@ impl SourceState {
         cands.sort_unstable();
         cands.dedup();
 
+        // Columns resolve once per batch; per candidate the membership
+        // test is positional reads, not name lookups.
+        let matcher = self.src.query.matcher(world);
         let mut passed = 0usize;
         let mut deltas = Vec::new();
         for &c in &cands {
-            let now = self.member(world, c);
+            let now = matcher(c);
             if now {
                 passed += 1;
             }
@@ -647,22 +654,27 @@ impl SourceState {
         }
     }
 
+    /// The source's current members, ascending by id, evaluated through
+    /// the planner ([`Query::run`]: index probe when one applies) — a
+    /// pinned scan tests its one entity instead.
+    fn evaluate(&self, world: &World) -> Vec<EntityId> {
+        match self.src.only {
+            Some(o) if self.src.query.matches(world, o) => vec![o],
+            Some(_) => Vec::new(),
+            None => self.src.query.run(world),
+        }
+    }
+
     /// Seed the row set from the live world (registration / recovery) —
-    /// initial rows are state, not events.
-    fn init(&mut self, world: &World) {
-        if let Some(o) = self.src.only {
-            if self.member(world, o) {
-                let t = self.read_tuple(world, o);
-                self.rows.insert(o, t);
-            }
-            return;
+    /// initial rows are state, not events. Returns the member ids,
+    /// ascending.
+    fn init(&mut self, world: &World) -> Vec<EntityId> {
+        let ids = self.evaluate(world);
+        for &id in &ids {
+            let t = self.read_tuple(world, id);
+            self.rows.insert(id, t);
         }
-        for id in world.entities() {
-            if self.member(world, id) {
-                let t = self.read_tuple(world, id);
-                self.rows.insert(id, t);
-            }
-        }
+        ids
     }
 }
 
@@ -679,8 +691,12 @@ struct RowsState {
 }
 
 impl RowsState {
-    /// Returns `(rows_in, rows_out)` for the operator counters.
-    fn refresh(&mut self, world: &World, ctx: &FoldCtx<'_>) -> (usize, usize, usize, usize) {
+    fn refresh(
+        &mut self,
+        world: &World,
+        ctx: &FoldCtx<'_>,
+        metrics: Option<&CoreMetrics>,
+    ) -> Refreshed {
         let fold = self.source.fold(world, ctx);
         let mut entered = Vec::new();
         let mut exited = Vec::new();
@@ -694,17 +710,46 @@ impl RowsState {
         if !entered.is_empty() || !exited.is_empty() {
             self.out = crate::view::apply_diff(&self.out, &entered, &exited);
         }
-        // `changed` matches the single-table view contract: touched rows
-        // that are (still) members and did not just enter.
+        // `changed`: touched rows that are (still) members and did not
+        // just enter — `touched` is sorted, so the output is too.
         let changed: Vec<EntityId> = ctx
             .touched
             .iter()
             .copied()
             .filter(|t| self.out.binary_search(t).is_ok() && entered.binary_search(t).is_err())
             .collect();
-        let emitted = fold.deltas.len();
+        if let Some(m) = metrics {
+            m.op_scan.note(fold.cands, fold.deltas.len());
+            if !self.source.src.query.predicates().is_empty() {
+                m.op_filter.note(fold.cands, fold.passed);
+            }
+        }
+        let done = Refreshed {
+            cands: fold.cands,
+            entered: entered.len(),
+            exited: exited.len(),
+            changed: changed.len(),
+        };
         self.log.absorb_batch(entered, exited, changed, false);
-        (fold.cands, fold.passed, emitted, emitted)
+        done
+    }
+
+    /// Move the scan's `within` disk and re-evaluate through the planner
+    /// once; the membership diff lands in the changelog as `entered` /
+    /// `exited`, flagged as a rescan.
+    fn retarget(&mut self, world: &World, center: Vec2, radius: f32) {
+        self.source.src.query.retarget_within(center, radius);
+        let rows = self.source.evaluate(world);
+        let (entered, exited) = crate::view::diff_sorted(&self.out, &rows);
+        for id in &exited {
+            self.source.rows.remove(id);
+        }
+        for &id in &entered {
+            let t = self.source.read_tuple(world, id);
+            self.source.rows.insert(id, t);
+        }
+        self.out = rows;
+        self.log.absorb_batch(entered, exited, Vec::new(), true);
     }
 }
 
@@ -897,8 +942,13 @@ impl JoinState {
     /// Bilinear delta rule, applied sequentially: left deltas probe the
     /// pre-batch right state, right deltas probe the post-batch left
     /// state; pair weights accumulate in ±1 steps and cancel to the net
-    /// entered/exited sets. Returns `(rows_in, rows_out)`.
-    fn refresh(&mut self, world: &World, ctx: &FoldCtx<'_>) -> (usize, usize) {
+    /// entered/exited sets.
+    fn refresh(
+        &mut self,
+        world: &World,
+        ctx: &FoldCtx<'_>,
+        metrics: Option<&CoreMetrics>,
+    ) -> Refreshed {
         let (l_col, r_col) = self.key_cols();
         // Deterministic iteration order for the weight map: pairs ascend.
         let mut weights: BTreeMap<(EntityId, EntityId), i64> = BTreeMap::new();
@@ -957,10 +1007,20 @@ impl JoinState {
                 std::cmp::Ordering::Equal => {}
             }
         }
-        let rows_out = entered.len() + exited.len();
+        let done = Refreshed {
+            cands: l_fold.cands + r_fold.cands,
+            entered: entered.len(),
+            exited: exited.len(),
+            changed: 0,
+        };
+        if let Some(m) = metrics {
+            let rows_in = l_fold.deltas.len() + r_fold.deltas.len();
+            m.op_scan.note(rows_in, rows_in);
+            m.op_join.note(rows_in, done.entered + done.exited);
+        }
         self.log.entered.extend(entered);
         self.log.exited.extend(exited);
-        (l_fold.deltas.len() + r_fold.deltas.len(), rows_out)
+        done
     }
 
     /// Cold-start materialization (registration / recovery).
@@ -1133,7 +1193,7 @@ impl GroupState {
 
     /// Rebuild the materialized output and, when `log_diff`, absorb the
     /// old-vs-new diff into the changelog.
-    fn rebuild(&mut self, log_diff: bool) -> usize {
+    fn rebuild(&mut self, log_diff: bool) {
         let mut new_out = Vec::with_capacity(self.groups.len());
         let mut new_keys = Vec::with_capacity(self.groups.len());
         for (k, g) in &self.groups {
@@ -1143,7 +1203,6 @@ impl GroupState {
                 value: g.value(self.agg),
             });
         }
-        let mut changes = 0usize;
         if log_diff {
             let (mut i, mut j) = (0usize, 0usize);
             while i < self.out_keys.len() || j < new_keys.len() {
@@ -1151,29 +1210,24 @@ impl GroupState {
                     (Some(a), Some(b)) if a == b => {
                         if self.out[i].value != new_out[j].value {
                             self.log.changed.push(new_out[j].clone());
-                            changes += 1;
                         }
                         i += 1;
                         j += 1;
                     }
                     (Some(a), Some(b)) if a < b => {
                         self.log.exited.push(self.out[i].clone());
-                        changes += 1;
                         i += 1;
                     }
                     (Some(_), Some(_)) => {
                         self.log.entered.push(new_out[j].clone());
-                        changes += 1;
                         j += 1;
                     }
                     (Some(_), None) => {
                         self.log.exited.push(self.out[i].clone());
-                        changes += 1;
                         i += 1;
                     }
                     (None, Some(_)) => {
                         self.log.entered.push(new_out[j].clone());
-                        changes += 1;
                         j += 1;
                     }
                     (None, None) => unreachable!("loop condition"),
@@ -1182,25 +1236,43 @@ impl GroupState {
         }
         self.out = new_out;
         self.out_keys = new_keys;
-        changes
     }
 
-    /// Returns `(rows_in, rows_out)`.
-    fn refresh(&mut self, world: &World, ctx: &FoldCtx<'_>) -> (usize, usize) {
+    fn refresh(
+        &mut self,
+        world: &World,
+        ctx: &FoldCtx<'_>,
+        metrics: Option<&CoreMetrics>,
+    ) -> Refreshed {
         let fold = self.source.fold(world, ctx);
-        if fold.deltas.is_empty() {
-            return (0, 0);
-        }
-        for d in &fold.deltas {
-            if let Some(o) = &d.old {
-                self.retract(d.id, o);
+        let logged = |log: &GroupChangelog| [log.entered.len(), log.exited.len(), log.changed.len()];
+        let before = logged(&self.log);
+        let retracts_before = self.retracts;
+        if !fold.deltas.is_empty() {
+            for d in &fold.deltas {
+                if let Some(o) = &d.old {
+                    self.retract(d.id, o);
+                }
+                if let Some(n) = &d.new {
+                    self.insert(d.id, n);
+                }
             }
-            if let Some(n) = &d.new {
-                self.insert(d.id, n);
-            }
+            self.rebuild(true);
         }
-        let changes = self.rebuild(true);
-        (fold.deltas.len(), changes)
+        let after = logged(&self.log);
+        let done = Refreshed {
+            cands: fold.cands,
+            entered: after[0] - before[0],
+            exited: after[1] - before[1],
+            changed: after[2] - before[2],
+        };
+        if let Some(m) = metrics {
+            let rows_in = fold.deltas.len();
+            m.op_scan.note(rows_in, rows_in);
+            m.op_group.note(rows_in, done.entered + done.exited + done.changed);
+            m.op_group_retracts.add(self.retracts - retracts_before);
+        }
+        done
     }
 
     fn init(&mut self, world: &World) {
@@ -1230,8 +1302,8 @@ enum OpState {
     Group(GroupState),
 }
 
-/// One registered operator-tree view: the plan (what the catalog
-/// persists), the operator state, and the shared maintenance counters.
+/// One registered view: the plan (what the catalog persists), the
+/// operator state, and the shared maintenance counters.
 #[derive(Debug, Clone)]
 pub(crate) struct PlanView {
     plan: ViewPlan,
@@ -1245,12 +1317,7 @@ impl PlanView {
     pub(crate) fn new(plan: ViewPlan, world: &World) -> Result<PlanView, CoreError> {
         let mut state = compile(&plan)?;
         match &mut state {
-            OpState::Rows(s) => {
-                s.source.init(world);
-                let mut out: Vec<EntityId> = s.source.rows.keys().copied().collect();
-                out.sort_unstable();
-                s.out = out;
-            }
+            OpState::Rows(s) => s.out = s.source.init(world),
             OpState::Join(s) => s.init(world),
             OpState::Group(s) => s.init(world),
         }
@@ -1277,47 +1344,69 @@ impl PlanView {
         slot: usize,
         metrics: Option<&CoreMetrics>,
     ) {
+        let done = match &mut self.state {
+            OpState::Rows(s) => s.refresh(world, ctx, metrics),
+            OpState::Join(s) => s.refresh(world, ctx, metrics),
+            OpState::Group(s) => s.refresh(world, ctx, metrics),
+        };
+        let delta_rows = (done.entered + done.exited + done.changed) as u64;
         self.stats.refreshes += 1;
         self.stats.deltas_seen += ctx.batch_len as u64;
-        let rows_out;
-        match &mut self.state {
-            OpState::Rows(s) => {
-                let (cands, passed, emitted, out) = s.refresh(world, ctx);
-                rows_out = out;
-                if let Some(m) = metrics {
-                    m.op_scan.note(cands, emitted);
-                    if !s.source.src.query.predicates().is_empty() {
-                        m.op_filter.note(cands, passed);
-                    }
-                }
-            }
-            OpState::Join(s) => {
-                let (rows_in, out) = s.refresh(world, ctx);
-                rows_out = out;
-                if let Some(m) = metrics {
-                    m.op_scan.note(rows_in, rows_in);
-                    m.op_join.note(rows_in, out);
-                }
-            }
-            OpState::Group(s) => {
-                let retracts_before = s.retracts;
-                let (rows_in, out) = s.refresh(world, ctx);
-                rows_out = out;
-                if let Some(m) = metrics {
-                    m.op_scan.note(rows_in, rows_in);
-                    m.op_group.note(rows_in, out);
-                    m.op_group_retracts.add(s.retracts - retracts_before);
+        self.stats.delta_rows += delta_rows;
+        if let Some(m) = metrics {
+            m.view_refreshes.inc();
+            m.view_deltas.add(ctx.batch_len as u64);
+            m.view_candidates.observe(done.cands as u64);
+            m.view_entered.add(done.entered as u64);
+            m.view_exited.add(done.exited as u64);
+            m.view_changed.add(done.changed as u64);
+            let per_slot = m.view_slot(slot);
+            per_slot.refreshes.inc();
+            per_slot.candidates.add(done.cands as u64);
+            per_slot.delta_rows.add(delta_rows);
+        }
+    }
+
+    /// Move a rows view's spatial restriction: the scan leaf's `within`
+    /// is rewritten **in the stored plan** — catalog export,
+    /// [`crate::world::World::find_view`], WAL redo and recovery all see
+    /// the current disk — and the view re-evaluates once under it.
+    ///
+    /// # Panics
+    /// On join and group-aggregate plans: spatial joins follow their
+    /// anchor's position deltas instead of retargeting.
+    pub(crate) fn retarget(&mut self, world: &World, slot: usize, center: Vec2, radius: f32) {
+        let OpState::Rows(s) = &mut self.state else {
+            panic!("view at slot {slot} is a join or group-aggregate view; only rows views retarget");
+        };
+        let mut leaf = &mut self.plan.root;
+        loop {
+            match leaf {
+                PlanNode::Scan { query, .. } => break query.retarget_within(center, radius),
+                PlanNode::Filter { input, .. } | PlanNode::Project { input, .. } => leaf = input,
+                PlanNode::Join { .. } | PlanNode::GroupAggregate { .. } => {
+                    unreachable!("a rows view's plan is a scan chain")
                 }
             }
         }
-        self.stats.delta_rows += rows_out as u64;
-        if let Some(m) = metrics {
+        s.retarget(world, center, radius);
+        self.stats.refreshes += 1;
+        self.stats.rescans += 1;
+        if let Some(m) = world.core_metrics() {
             m.view_refreshes.inc();
-            m.view_incremental.inc();
-            m.view_deltas.add(ctx.batch_len as u64);
+            m.view_rescans.inc();
             let per_slot = m.view_slot(slot);
             per_slot.refreshes.inc();
-            per_slot.delta_rows.add(rows_out as u64);
+            per_slot.rescans.inc();
+        }
+    }
+
+    /// The fused scan query of a rows view: the leaf's standing query
+    /// with every filter above it folded in.
+    pub(crate) fn query(&self) -> Option<&Query> {
+        match &self.state {
+            OpState::Rows(s) => Some(&s.source.src.query),
+            _ => None,
         }
     }
 
@@ -1371,23 +1460,9 @@ impl PlanView {
         }
     }
 
-    pub(crate) fn pair_log(&self) -> Option<&PairChangelog> {
-        match &self.state {
-            OpState::Join(s) => Some(&s.log),
-            _ => None,
-        }
-    }
-
     pub(crate) fn take_pair_log(&mut self) -> Option<PairChangelog> {
         match &mut self.state {
             OpState::Join(s) => Some(std::mem::take(&mut s.log)),
-            _ => None,
-        }
-    }
-
-    pub(crate) fn group_log(&self) -> Option<&GroupChangelog> {
-        match &self.state {
-            OpState::Group(s) => Some(&s.log),
             _ => None,
         }
     }
@@ -1832,6 +1907,34 @@ mod tests {
     }
 
     #[test]
+    fn conserving_transfers_leave_a_global_sum_silent() {
+        let registry = gamedb_metrics::MetricsRegistry::new();
+        let mut w = world();
+        let a = w.spawn_at(Vec2::ZERO);
+        let b = w.spawn_at(Vec2::ZERO);
+        w.set(a, "gold", Value::Int(100)).unwrap();
+        w.set(b, "gold", Value::Int(100)).unwrap();
+        w.attach_metrics(&registry);
+        let v = w
+            .register_view_plan(ViewPlan::aggregate(
+                PlanNode::scan(Query::select()),
+                AggFn::Sum("gold".into()),
+            ))
+            .unwrap();
+        // a trade: debit and credit in one batch
+        w.set(a, "gold", Value::Int(80)).unwrap();
+        w.set(b, "gold", Value::Int(120)).unwrap();
+        w.refresh_views();
+        assert_eq!(w.view_group_value(v, None), Some(200.0));
+        assert!(w.take_view_group_changelog(v).is_empty(), "the sum did not move");
+        assert_eq!(w.view_stats(v).delta_rows, 0);
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter("view.op_group.rows_in"), 2, "both writes reached the aggregate");
+        assert_eq!(snap.counter("view.op_group.rows_out"), 0, "no group row changed value");
+        assert_oracle(&w, v);
+    }
+
+    #[test]
     fn plan_views_round_trip_through_the_catalog() {
         let mut w = world();
         let a = w.spawn_at(Vec2::ZERO);
@@ -1845,8 +1948,8 @@ mod tests {
             ))
             .unwrap();
         let cat = w.export_catalog();
-        assert_eq!(cat.plan_views.len(), 1);
-        assert_eq!(cat.plan_views[0].0, v.slot());
+        assert_eq!(cat.views.len(), 1);
+        assert_eq!(cat.views[0].0, v.slot());
         // reconcile restores a dropped plan view at its exact slot,
         // rematerialized from current state
         assert!(w.drop_view(v));
@@ -1859,18 +1962,18 @@ mod tests {
         );
         // and drops a plan view absent from the catalog
         let mut cat2 = cat.clone();
-        cat2.plan_views.clear();
+        cat2.views.clear();
         w.reconcile_catalog(&cat2).unwrap();
         assert!(w.view_id_at(v.slot()).is_none());
     }
 
     #[test]
-    fn find_plan_view_reattaches_by_plan() {
+    fn find_view_reattaches_by_plan() {
         let mut w = world();
         let plan = ViewPlan::group_by(PlanNode::scan(Query::select()), "team", AggFn::Count);
-        assert_eq!(w.find_plan_view(&plan), None);
+        assert_eq!(w.find_view(&plan), None);
         let v = w.register_view_plan(plan.clone()).unwrap();
-        assert_eq!(w.find_plan_view(&plan), Some(v));
+        assert_eq!(w.find_view(&plan), Some(v));
     }
 
     #[test]

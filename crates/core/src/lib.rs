@@ -29,11 +29,11 @@
 //!   durability, and replication, and the batch commit surface
 //!   ([`WriteBatch`], [`World::apply_batch`]).
 //! * [`view`](mod@view) — continuous queries: standing views maintained
-//!   incrementally by folding the change stream
-//!   ([`World::register_view`], [`Changelog`]).
-//! * [`dvm`](mod@dvm) — differential view maintenance: operator-tree
-//!   views (filter / project / join / group-by) maintained by
-//!   per-operator delta rules ([`ViewPlan`],
+//!   incrementally by folding the change stream — handles, slots and
+//!   changelogs ([`World::register_view`], [`Changelog`]).
+//! * [`dvm`](mod@dvm) — differential view maintenance, the engine
+//!   behind every view: operator trees (filter / project / join /
+//!   group-by) maintained by per-operator delta rules ([`ViewPlan`],
 //!   [`World::register_view_plan`]).
 //! * [`effect`] — deferred commutative writes ([`EffectBuffer`]).
 //! * [`exec`] — sequential/parallel tick execution ([`TickExecutor`]).
@@ -88,5 +88,5 @@ pub use index::{IndexKey, IndexKind, SecondaryIndex};
 pub use intern::ComponentId;
 pub use planner::{plan, Access, ColumnStats, Plan, TableStats};
 pub use query::{aggregate, compare, AggFn, AggResult, Pred, Query};
-pub use view::{Changelog, ViewId, ViewRegistry, ViewStats};
+pub use view::{Changelog, ViewId, ViewStats};
 pub use world::{CoreError, World, WorldCatalog, WorldEntityView, POS, POS_ID};

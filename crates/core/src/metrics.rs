@@ -43,22 +43,22 @@ pub(crate) struct CoreMetrics {
     /// `change.tap{N}.lag`: per-tap lag at its most recent ack.
     tap_lag: Mutex<Vec<Option<Gauge>>>,
     // -- standing views --
-    /// `view.refreshes`: delta batches folded into views.
+    /// `view.refreshes`: delta batches folded into views, plus
+    /// retargets.
     pub view_refreshes: Counter,
-    /// `view.rescans`: refreshes that fell back to a planner rescan.
+    /// `view.rescans`: re-evaluations caused by a retarget.
     pub view_rescans: Counter,
-    /// `view.incremental`: refreshes maintained incrementally.
-    pub view_incremental: Counter,
     /// `view.deltas_seen`: deltas inspected across all refreshes.
     pub view_deltas: Counter,
     /// `view.refresh_candidates`: candidate rows evaluated per refresh
     /// (the refresh cost, in the planner's row-visit units).
     pub view_candidates: Histogram,
-    /// `view.entered` / `view.exited` / `view.changed`: changelog sizes.
+    /// `view.entered` / `view.exited` / `view.changed`: changelog sizes
+    /// (rows, pairs and groups alike).
     pub view_entered: Counter,
     pub view_exited: Counter,
     pub view_changed: Counter,
-    // -- operator-tree views (differential view maintenance) --
+    // -- view operators --
     /// `view.op_scan.rows_in/rows_out`: candidate rows inspected by
     /// fused scan chains / source delta rows emitted.
     pub op_scan: OpMetrics,
@@ -74,7 +74,8 @@ pub(crate) struct CoreMetrics {
     /// `view.op_group.retract_recomputes`: min/max retractions of a
     /// group's current extreme (recomputed from the ordered multiset).
     pub op_group_retracts: Counter,
-    /// `view.s{slot}.*`: per-view refresh/rescan/candidate counters.
+    /// `view.s{slot}.*`: per-view refresh/rescan/candidate/delta-row
+    /// counters.
     view_slots: Mutex<Vec<Option<ViewSlotMetrics>>>,
     // -- planner --
     /// `planner.plans`: cost-based plan selections executed.
@@ -134,7 +135,6 @@ impl CoreMetrics {
             tap_lag: Mutex::new(Vec::new()),
             view_refreshes: registry.counter("view.refreshes"),
             view_rescans: registry.counter("view.rescans"),
-            view_incremental: registry.counter("view.incremental"),
             view_deltas: registry.counter("view.deltas_seen"),
             view_candidates: registry.histogram("view.refresh_candidates", SIZE_BUCKETS),
             view_entered: registry.counter("view.entered"),

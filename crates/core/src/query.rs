@@ -277,10 +277,8 @@ impl Query {
     // ---- lowering into the differential view engine ----
 
     /// Lower into a single-source operator-tree plan: the query becomes
-    /// the [`crate::dvm::PlanNode::Scan`] leaf of a [`crate::dvm::ViewPlan`].
-    /// Registering the result via [`crate::world::World::register_view_plan`]
-    /// maintains the same row set as [`crate::world::World::register_view`],
-    /// through the operator engine.
+    /// the [`crate::dvm::PlanNode::Scan`] leaf of a [`crate::dvm::ViewPlan`]
+    /// — what [`crate::world::World::register_view`] registers.
     pub fn into_plan(self) -> crate::dvm::ViewPlan {
         crate::dvm::ViewPlan::scan(self)
     }

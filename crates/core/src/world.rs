@@ -21,6 +21,7 @@ use gamedb_spatial::{SpatialIndex, UniformGrid, Vec2};
 use crate::change::{BatchOp, Change, ChangeOp, ChangeStream, TapId, TapStats, WriteBatch};
 use crate::metrics::CoreMetrics;
 use crate::column::Column;
+use crate::dvm::{PlanView, ViewPlan};
 use crate::entity::{EntityAllocator, EntityId};
 use crate::index::{IndexKind, SecondaryIndex};
 use crate::intern::{ComponentId, ComponentInterner};
@@ -966,7 +967,9 @@ impl World {
 
     // ---- standing views (continuous queries) ----
 
-    /// Register a standing query: the result set is materialized now and
+    /// Register a standing query — sugar for
+    /// [`World::register_view_plan`] over its one-leaf plan
+    /// ([`Query::into_plan`]). The result set is materialized now and
     /// maintained incrementally from the world's delta stream from here
     /// on (see [`crate::view`] for the maintenance invariants). Returns a
     /// handle for [`World::view_rows`] / [`World::take_view_changelog`].
@@ -975,42 +978,52 @@ impl World {
     /// compact delta; [`World::refresh_views`] (called automatically at
     /// every tick bump) folds the pending batch into all views.
     pub fn register_view(&mut self, query: Query) -> ViewId {
+        self.register_view_plan(query.into_plan())
+            .expect("a bare scan is always a valid plan")
+    }
+
+    /// Register a view over an operator tree ([`ViewPlan`]): the
+    /// plan is validated and materialized now, then maintained
+    /// incrementally by per-operator delta rules from the change
+    /// stream. Errors on structurally invalid plans
+    /// ([`CoreError::PlanInvalid`]); nothing is registered or recorded
+    /// then.
+    pub fn register_view_plan(&mut self, plan: ViewPlan) -> Result<ViewId, CoreError> {
         // Fold any pending changes under the old view set first so the
         // initial materialization and the stream agree on "now".
         self.refresh_views();
-        let rows = query.run(self);
-        let id = self.views.register(self.world_id, query.clone(), rows);
-        self.record_catalog(ChangeOp::RegisterView {
-            slot: id.slot,
-            query,
-        });
-        id
+        let view = PlanView::new(plan.clone(), self)?;
+        let slot = self.views.register(view);
+        self.record_catalog(ChangeOp::RegisterPlanView { slot, plan });
+        Ok(self.view_id(slot))
     }
 
-    /// Register an operator-tree view ([`crate::dvm::ViewPlan`]): the
-    /// plan is validated and materialized now, then maintained
-    /// incrementally by per-operator delta rules from the same change
-    /// stream that feeds single-table views. Errors on structurally
-    /// invalid plans ([`CoreError::PlanInvalid`]); nothing is registered
-    /// or recorded then.
-    pub fn register_view_plan(&mut self, plan: crate::dvm::ViewPlan) -> Result<ViewId, CoreError> {
-        self.refresh_views();
-        let view = crate::dvm::PlanView::new(plan.clone(), self)?;
-        let id = self.views.register_plan(self.world_id, view);
-        self.record_catalog(ChangeOp::RegisterPlanView {
-            slot: id.slot,
-            plan,
-        });
-        Ok(id)
+    /// This world's handle for `slot`.
+    fn view_id(&self, slot: u32) -> ViewId {
+        ViewId {
+            world: self.world_id,
+            slot,
+        }
     }
 
-    /// Panic unless `id` was issued by this world (lineage) — reading a
-    /// foreign handle would silently return an unrelated view's rows.
-    fn check_view_lineage(&self, id: ViewId) {
+    /// The live view behind `id`.
+    ///
+    /// # Panics
+    /// On handles issued by another world (lineage) — reading a foreign
+    /// handle would silently return an unrelated view's state — and on
+    /// unknown or dropped ids.
+    fn plan_view(&self, id: ViewId) -> &PlanView {
         assert!(
             id.world == self.world_id,
             "view {id:?} belongs to a different world"
         );
+        self.views.get(id)
+    }
+
+    /// [`World::plan_view`], mutably.
+    fn plan_view_mut(&mut self, id: ViewId) -> &mut PlanView {
+        self.plan_view(id);
+        self.views.get_mut(id)
     }
 
     /// Drop a standing view; returns whether it existed. Dropping the
@@ -1033,76 +1046,72 @@ impl World {
     /// dropped views stay stale forever — slots are never reused — and
     /// handles from other worlds are never accepted).
     pub fn has_view(&self, id: ViewId) -> bool {
-        id.world == self.world_id && self.views.contains_view(id)
+        id.world == self.world_id && self.views.at_slot(id.slot).is_some()
     }
 
     /// Materialized rows of a view, sorted by entity id. Reflects the
     /// state as of the last [`World::refresh_views`].
     ///
     /// # Panics
-    /// On foreign, unknown, or dropped view ids (programmer error).
+    /// On foreign, unknown, or dropped view ids, and on views that do
+    /// not materialize entity rows (programmer error).
     pub fn view_rows(&self, id: ViewId) -> &[EntityId] {
-        self.check_view_lineage(id);
-        self.views.rows(id)
-    }
-
-    /// Number of rows currently in a view.
-    pub fn view_count(&self, id: ViewId) -> usize {
-        self.view_rows(id).len()
+        self.plan_view(id)
+            .rows()
+            .unwrap_or_else(|| panic!("view {id:?} does not materialize entity rows"))
     }
 
     /// True when `e` is currently a member of the view.
     pub fn view_contains(&self, id: ViewId, e: EntityId) -> bool {
-        self.check_view_lineage(id);
-        self.views.contains_row(id, e)
+        self.plan_view(id).contains_row(e)
     }
 
-    /// The standing query a view maintains.
+    /// The standing query a rows view maintains: its scan leaf's query
+    /// with every filter above it folded in.
+    ///
+    /// # Panics
+    /// As [`World::view_rows`].
     pub fn view_query(&self, id: ViewId) -> &Query {
-        self.check_view_lineage(id);
-        self.views.query(id)
+        self.plan_view(id)
+            .query()
+            .unwrap_or_else(|| panic!("view {id:?} does not materialize entity rows"))
     }
 
     /// Peek at the changes accumulated since the changelog was last
     /// taken (does not consume).
     pub fn view_changelog(&self, id: ViewId) -> &Changelog {
-        self.check_view_lineage(id);
-        self.views.changelog(id)
+        self.plan_view(id)
+            .rows_log()
+            .unwrap_or_else(|| panic!("view {id:?} does not produce a row changelog"))
     }
 
     /// Consume a view's accumulated changelog — the per-tick changelog
     /// when called once per tick.
     pub fn take_view_changelog(&mut self, id: ViewId) -> Changelog {
-        self.check_view_lineage(id);
-        self.views.take_changelog(id)
+        self.plan_view_mut(id)
+            .take_rows_log()
+            .unwrap_or_else(|| panic!("view {id:?} does not produce a row changelog"))
     }
 
     /// Maintenance counters of a view.
     pub fn view_stats(&self, id: ViewId) -> ViewStats {
-        self.check_view_lineage(id);
-        self.views.stats(id)
+        self.plan_view(id).stats()
     }
 
-    // ---- operator-tree views (differential view maintenance) ----
-
-    /// The operator tree a view maintains, when `id` names a plan view
-    /// (`None` for single-table query views).
-    pub fn view_plan(&self, id: ViewId) -> Option<&crate::dvm::ViewPlan> {
-        self.check_view_lineage(id);
-        self.views.plan(id)
+    /// The operator tree a view maintains; `None` when `id` names no
+    /// live view (dropped, or never issued).
+    pub fn view_plan(&self, id: ViewId) -> Option<&ViewPlan> {
+        self.has_view(id).then(|| self.views.get(id).plan())
     }
 
-    /// The live plan view maintaining exactly `plan`, if one exists —
-    /// subscribers re-adopt their views across reconnects with this
-    /// (the plan-view analogue of scanning `view_ids` for a query).
-    pub fn find_plan_view(&self, plan: &crate::dvm::ViewPlan) -> Option<ViewId> {
+    /// First live view maintaining exactly `plan` — how a subscriber
+    /// re-attaches to its standing view after a restart or reconnect
+    /// instead of registering a duplicate.
+    pub fn find_view(&self, plan: &ViewPlan) -> Option<ViewId> {
         self.views
-            .live_plan_slots()
+            .live_slots()
             .find(|(_, p)| *p == plan)
-            .map(|(slot, _)| ViewId {
-                world: self.world_id,
-                slot,
-            })
+            .map(|(slot, _)| self.view_id(slot))
     }
 
     /// Materialized pairs of a join view, ascending by `(left, right)`.
@@ -1111,8 +1120,9 @@ impl World {
     /// On foreign, unknown, or dropped ids, and on views that do not
     /// materialize pairs (programmer error).
     pub fn view_pairs(&self, id: ViewId) -> &[(EntityId, EntityId)] {
-        self.check_view_lineage(id);
-        self.views.pairs(id)
+        self.plan_view(id)
+            .pairs()
+            .unwrap_or_else(|| panic!("view {id:?} does not materialize join pairs"))
     }
 
     /// Materialized group rows of a group-aggregate view, ascending by
@@ -1121,8 +1131,9 @@ impl World {
     /// # Panics
     /// As [`World::view_pairs`], for non-group views.
     pub fn view_groups(&self, id: ViewId) -> &[crate::dvm::GroupRow] {
-        self.check_view_lineage(id);
-        self.views.groups(id)
+        self.plan_view(id)
+            .groups()
+            .unwrap_or_else(|| panic!("view {id:?} does not materialize group rows"))
     }
 
     /// Aggregate value of the group keyed `key` (`None` = the global
@@ -1136,43 +1147,29 @@ impl World {
 
     /// Min/max retract-and-recompute count of a group-aggregate view.
     pub fn view_retract_recomputes(&self, id: ViewId) -> u64 {
-        self.check_view_lineage(id);
-        self.views.retract_recomputes(id)
+        self.plan_view(id).retract_recomputes()
     }
 
-    /// Snapshot of an operator-tree view's maintained output — the
-    /// shape [`crate::dvm::ViewPlan::evaluate`] returns, so callers can
-    /// compare the incrementally-maintained state against a fresh
-    /// recompute with one equality check.
+    /// Snapshot of a view's maintained output — the shape
+    /// [`ViewPlan::evaluate`] returns, so callers can compare the
+    /// incrementally-maintained state against a fresh recompute with
+    /// one equality check.
     pub fn view_output(&self, id: ViewId) -> crate::dvm::PlanOutput {
-        self.check_view_lineage(id);
-        self.views.plan_output(id)
-    }
-
-    /// Peek at a join view's accumulated pair changelog (does not
-    /// consume).
-    pub fn view_pair_changelog(&self, id: ViewId) -> &crate::dvm::PairChangelog {
-        self.check_view_lineage(id);
-        self.views.pair_changelog(id)
+        self.plan_view(id).output()
     }
 
     /// Consume a join view's accumulated pair changelog.
     pub fn take_view_pair_changelog(&mut self, id: ViewId) -> crate::dvm::PairChangelog {
-        self.check_view_lineage(id);
-        self.views.take_pair_changelog(id)
-    }
-
-    /// Peek at a group view's accumulated group changelog (does not
-    /// consume).
-    pub fn view_group_changelog(&self, id: ViewId) -> &crate::dvm::GroupChangelog {
-        self.check_view_lineage(id);
-        self.views.group_changelog(id)
+        self.plan_view_mut(id)
+            .take_pair_log()
+            .unwrap_or_else(|| panic!("view {id:?} does not produce a pair changelog"))
     }
 
     /// Consume a group view's accumulated group changelog.
     pub fn take_view_group_changelog(&mut self, id: ViewId) -> crate::dvm::GroupChangelog {
-        self.check_view_lineage(id);
-        self.views.take_group_changelog(id)
+        self.plan_view_mut(id)
+            .take_group_log()
+            .unwrap_or_else(|| panic!("view {id:?} does not produce a group changelog"))
     }
 
     /// Row-op changes recorded since the last refresh. Views are stale
@@ -1210,15 +1207,23 @@ impl World {
         self.changes.mark_views_folded();
     }
 
-    /// Move a spatial view's `within` restriction (interest bubbles and
+    /// Move a rows view's `within` restriction (interest bubbles and
     /// aggro ranges follow their focus entity). Pending changes are
-    /// folded first, then the view rescans under the new disk and the
-    /// membership diff lands in its changelog as `entered` / `exited`.
+    /// folded first, then the view's plan takes the new disk, the view
+    /// re-evaluates under it once, and the membership diff lands in its
+    /// changelog as `entered` / `exited`.
+    ///
+    /// # Panics
+    /// On foreign, unknown, or dropped ids, and on join or
+    /// group-aggregate views.
     pub fn retarget_view(&mut self, id: ViewId, center: Vec2, radius: f32) {
-        self.check_view_lineage(id);
+        self.plan_view(id);
         self.refresh_views();
+        // Move the registry out so the re-evaluation can read `self`.
         let mut views = std::mem::take(&mut self.views);
-        views.retarget(self, id, center, radius);
+        views
+            .get_mut(id)
+            .retarget(self, id.slot as usize, center, radius);
         self.views = views;
         self.record_catalog(ChangeOp::RetargetView {
             slot: id.slot,
@@ -1265,11 +1270,6 @@ impl World {
             views: self
                 .views
                 .live_slots()
-                .map(|(slot, q)| (slot, q.clone()))
-                .collect(),
-            plan_views: self
-                .views
-                .live_plan_slots()
                 .map(|(slot, p)| (slot, p.clone()))
                 .collect(),
         }
@@ -1286,11 +1286,8 @@ impl World {
             self.ensure_index(component, *kind)?;
         }
         self.views.reserve_slots(cat.view_slots);
-        for (slot, query) in &cat.views {
-            self.import_view_at_slot(*slot, query.clone())?;
-        }
-        for (slot, plan) in &cat.plan_views {
-            self.import_plan_view_at_slot(*slot, plan.clone())?;
+        for (slot, plan) in &cat.views {
+            self.import_view_at_slot(*slot, plan.clone())?;
         }
         self.advance_tick_to(cat.tick);
         Ok(())
@@ -1317,15 +1314,7 @@ impl World {
             let keep = cat
                 .views
                 .iter()
-                .any(|(slot, q)| *slot == id.slot && q == self.view_query(id));
-            if !keep {
-                self.drop_view(id);
-            }
-        }
-        for id in self.plan_view_ids() {
-            let keep = cat.plan_views.iter().any(|(slot, p)| {
-                *slot == id.slot && Some(p) == self.view_plan(id)
-            });
+                .any(|(slot, p)| *slot == id.slot && Some(p) == self.view_plan(id));
             if !keep {
                 self.drop_view(id);
             }
@@ -1348,109 +1337,37 @@ impl World {
         Ok(true)
     }
 
-    /// Handles of every live single-table standing view, slot-ordered.
-    /// Operator-tree views are listed by [`World::plan_view_ids`].
+    /// Handles of every live view, slot-ordered.
     pub fn view_ids(&self) -> Vec<ViewId> {
         self.views
             .live_slots()
-            .map(|(slot, _)| ViewId {
-                world: self.world_id,
-                slot,
-            })
+            .map(|(slot, _)| self.view_id(slot))
             .collect()
     }
 
-    /// Handles of every live operator-tree view, slot-ordered.
-    pub fn plan_view_ids(&self) -> Vec<ViewId> {
-        self.views
-            .live_plan_slots()
-            .map(|(slot, _)| ViewId {
-                world: self.world_id,
-                slot,
-            })
-            .collect()
-    }
-
-    /// Handle of the live view at `slot` (either kind), if any.
+    /// Handle of the live view at `slot`, if any.
     pub fn view_id_at(&self, slot: u32) -> Option<ViewId> {
-        if self.views.query_at_slot(slot).is_some() || self.views.plan_at_slot(slot).is_some() {
-            Some(ViewId {
-                world: self.world_id,
-                slot,
-            })
-        } else {
-            None
-        }
+        self.views.at_slot(slot).map(|_| self.view_id(slot))
     }
 
-    /// First live view maintaining exactly `query` — how a subscriber
-    /// re-attaches to its standing view after a restart instead of
-    /// registering a duplicate.
-    pub fn find_view(&self, query: &Query) -> Option<ViewId> {
-        self.views
-            .live_slots()
-            .find(|(_, q)| *q == query)
-            .map(|(slot, _)| ViewId {
-                world: self.world_id,
-                slot,
-            })
-    }
-
-    /// Re-register a standing view at an exact slot (recovery replay).
-    /// The view materializes from current state with an empty changelog.
-    /// A live slot holding the same query is accepted unchanged
-    /// (idempotent redo); a different query is a conflict.
-    pub fn import_view_at_slot(&mut self, slot: u32, query: Query) -> Result<ViewId, CoreError> {
-        let id = ViewId {
-            world: self.world_id,
-            slot,
-        };
-        if let Some(existing) = self.views.query_at_slot(slot) {
-            return if *existing == query {
-                Ok(id)
+    /// Re-register a view at an exact slot (recovery replay). The view
+    /// materializes from current state with empty changelogs. A live
+    /// slot holding the same plan is accepted unchanged (idempotent
+    /// redo); any other occupant is a conflict.
+    pub fn import_view_at_slot(&mut self, slot: u32, plan: ViewPlan) -> Result<ViewId, CoreError> {
+        if let Some(existing) = self.views.at_slot(slot) {
+            return if *existing.plan() == plan {
+                Ok(self.view_id(slot))
             } else {
                 Err(CoreError::ViewSlotConflict(slot))
             };
         }
         self.refresh_views();
-        let rows = query.run(self);
-        let installed = self.views.install_at_slot(slot, query.clone(), rows);
+        let view = PlanView::new(plan.clone(), self)?;
+        let installed = self.views.install_at_slot(slot, view);
         debug_assert!(installed, "slot checked dead above");
-        self.record_catalog(ChangeOp::RegisterView { slot, query });
-        Ok(id)
-    }
-
-    /// Re-register an operator-tree view at an exact slot (recovery
-    /// replay). The view materializes from current state with empty
-    /// changelogs. A live slot holding the same plan is accepted
-    /// unchanged (idempotent redo); any other occupant is a conflict.
-    pub fn import_plan_view_at_slot(
-        &mut self,
-        slot: u32,
-        plan: crate::dvm::ViewPlan,
-    ) -> Result<ViewId, CoreError> {
-        let id = ViewId {
-            world: self.world_id,
-            slot,
-        };
-        if let Some(existing) = self.views.plan_at_slot(slot) {
-            return if *existing == plan {
-                Ok(id)
-            } else {
-                Err(CoreError::ViewSlotConflict(slot))
-            };
-        }
-        if self.views.query_at_slot(slot).is_some() {
-            return Err(CoreError::ViewSlotConflict(slot));
-        }
-        self.refresh_views();
-        let view = crate::dvm::PlanView::new(plan.clone(), self)?;
-        let installed = self.views.install_plan_at_slot(slot, view);
-        if !installed {
-            return Err(CoreError::ViewSlotConflict(slot));
-        }
         self.record_catalog(ChangeOp::RegisterPlanView { slot, plan });
-        Ok(id)
+        Ok(self.view_id(slot))
     }
 
     /// [`World::drop_view`] addressed by slot (recovery replay).
@@ -1748,10 +1665,8 @@ pub struct WorldCatalog {
     /// Total view slots ever issued — dropped slots stay burned after
     /// recovery so stale handles cannot alias a new view.
     pub view_slots: u32,
-    /// `(slot, standing query)` per live single-table view, slot-ordered.
-    pub views: Vec<(u32, Query)>,
-    /// `(slot, operator tree)` per live operator-tree view, slot-ordered.
-    pub plan_views: Vec<(u32, crate::dvm::ViewPlan)>,
+    /// `(slot, operator tree)` per live view, slot-ordered.
+    pub views: Vec<(u32, ViewPlan)>,
 }
 
 /// [`ComponentView`] over one world entity.
@@ -2103,8 +2018,9 @@ mod tests {
         let mut w = world_with_hp();
         let q = Query::select().filter("hp", CmpOp::Lt, Value::Float(5.0));
         let id = w.register_view(q.clone());
-        assert_eq!(w.find_view(&q), Some(id));
-        assert_eq!(w.find_view(&Query::select()), None);
+        let plan = q.into_plan();
+        assert_eq!(w.find_view(&plan), Some(id));
+        assert_eq!(w.find_view(&Query::select().into_plan()), None);
         assert_eq!(w.view_id_at(0), Some(id));
         assert_eq!(w.view_id_at(1), None);
         assert_eq!(w.view_ids(), vec![id]);
@@ -2112,7 +2028,7 @@ mod tests {
         assert!(!w.retarget_view_slot(9, Vec2::ZERO, 1.0));
         assert!(w.drop_view_slot(0));
         assert!(!w.drop_view_slot(0));
-        assert_eq!(w.find_view(&q), None);
+        assert_eq!(w.find_view(&plan), None);
     }
 
     #[test]

@@ -317,34 +317,46 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
-    /// ISSUE-2 acceptance property: every registered standing view's
-    /// materialized rows equal the `Query::run_scan` oracle after each
-    /// tick (and at the end, after a final refresh), for random
-    /// interleavings of writes, component removals, despawns, template
-    /// spawns, and ticks. The changelog is simultaneously checked for
-    /// coherence: replaying entered/exited over the previous membership
-    /// set must reproduce the current one.
+    /// The view engine's acceptance property, one engine ⇒ one churn
+    /// test. Rows views (filter, equality, spatial + filter, liveness),
+    /// an equi-join, a spatial join and two group-by aggregates are
+    /// maintained through random interleavings of writes, component
+    /// removals, despawns, template spawns, ticks, **retargets** of the
+    /// spatial rows view and **drop + re-register** of any rows view,
+    /// with and without a sorted index on `hp`. After every tick (and at
+    /// the end, after a final refresh) each rows view equals the
+    /// `Query::run_scan` oracle and every view equals a forced
+    /// `ViewPlan::evaluate`; row, pair and group changelogs are checked
+    /// for coherence: replaying them over the previous materialized
+    /// state must reproduce the current one.
     #[test]
-    fn views_track_scan_oracle_under_churn(
-        ops in proptest::collection::vec(index_op_strategy(), 1..80),
+    fn operator_views_track_scan_oracle_under_churn(
+        ops in proptest::collection::vec(
+            (index_op_strategy(), 0u8..12, -40.0f32..40.0, -40.0f32..40.0, 0.5f32..120.0),
+            1..80,
+        ),
         hp_bound in 0.0f32..100.0,
         team in 0u8..4,
         cx in -40.0f32..40.0,
         cy in -40.0f32..40.0,
         r in 0.5f32..120.0,
+        join_r in 0.5f32..60.0,
         index_hp in any::<bool>(),
     ) {
-        use std::collections::BTreeSet;
+        use gamedb_core::{AggFn, JoinOn, PlanNode, ViewId, ViewPlan};
+        use std::collections::{BTreeMap, BTreeSet};
+        /// Index of the spatial rows view — the one retargets move.
+        const SPATIAL: usize = 2;
         let mut w = World::new();
         w.define_component("hp", ValueType::Float).unwrap();
         w.define_component("dmg", ValueType::Float).unwrap();
         w.define_component("team", ValueType::Str).unwrap();
         if index_hp {
-            // an index changes which refresh strategy the cost model
-            // picks (rescans get cheap); equivalence must hold either way
+            // an index changes how views seed and re-evaluate (planner
+            // probe instead of scan); equivalence must hold either way
             w.create_index("hp", IndexKind::Sorted).unwrap();
         }
-        let queries = vec![
+        let mut queries = vec![
             Query::select().filter("hp", CmpOp::Lt, Value::Float(hp_bound)),
             Query::select().filter("team", CmpOp::Eq, Value::Str(team_name(team).into())),
             Query::select()
@@ -352,78 +364,10 @@ proptest! {
                 .filter("hp", CmpOp::Ge, Value::Float(hp_bound)),
             Query::select(), // membership = liveness (spawn/despawn stream)
         ];
-        let views: Vec<_> = queries
+        let mut row_views: Vec<ViewId> = queries
             .iter()
             .map(|q| w.register_view(q.clone()))
             .collect();
-        let mut shadows: Vec<BTreeSet<EntityId>> = views
-            .iter()
-            .map(|&v| w.view_rows(v).iter().copied().collect())
-            .collect();
-
-        let mut live = Vec::new();
-        let check = |w: &mut World,
-                         shadows: &mut Vec<BTreeSet<EntityId>>|
-         -> Result<(), TestCaseError> {
-            for ((&v, q), shadow) in views.iter().zip(&queries).zip(shadows.iter_mut()) {
-                let oracle = q.run_scan(w);
-                prop_assert_eq!(w.view_rows(v), oracle.as_slice(), "query: {:?}", q);
-                let log = w.take_view_changelog(v);
-                for e in &log.exited {
-                    shadow.remove(e);
-                }
-                for e in &log.entered {
-                    prop_assert!(shadow.insert(*e), "duplicate enter for {e:?}");
-                }
-                prop_assert_eq!(
-                    shadow.iter().copied().collect::<Vec<_>>(),
-                    oracle,
-                    "changelog replay diverged for {:?}", q
-                );
-            }
-            Ok(())
-        };
-
-        for op in &ops {
-            apply_index_op(&mut w, &mut live, op);
-            if matches!(op, IndexOp::Tick) {
-                // bump_tick refreshed the views already
-                prop_assert_eq!(w.pending_deltas(), 0);
-                check(&mut w, &mut shadows)?;
-            }
-        }
-        w.refresh_views();
-        check(&mut w, &mut shadows)?;
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// ISSUE-10 acceptance property: operator-tree views — equi-join,
-    /// spatial join, and group-by aggregates — maintained from Z-set
-    /// deltas equal a forced `ViewPlan::evaluate` recompute after every
-    /// tick (and at the end, after a final refresh), for random
-    /// interleavings of writes, component removals, despawns, template
-    /// spawns, and ticks. Pair and group changelogs are simultaneously
-    /// checked for coherence: replaying them over the previous
-    /// materialized state must reproduce the current one.
-    #[test]
-    fn operator_views_track_scan_oracle_under_churn(
-        ops in proptest::collection::vec(index_op_strategy(), 1..80),
-        hp_bound in 0.0f32..100.0,
-        r in 0.5f32..60.0,
-        index_hp in any::<bool>(),
-    ) {
-        use gamedb_core::{AggFn, JoinOn, PlanNode, ViewPlan};
-        use std::collections::{BTreeMap, BTreeSet};
-        let mut w = World::new();
-        w.define_component("hp", ValueType::Float).unwrap();
-        w.define_component("dmg", ValueType::Float).unwrap();
-        w.define_component("team", ValueType::Str).unwrap();
-        if index_hp {
-            w.create_index("hp", IndexKind::Sorted).unwrap();
-        }
         // healthy×anyone teammate pairs, proximity pairs, and per-team
         // head-counts + weakest member — one view per operator family
         let equi = w.register_view_plan(ViewPlan::join(
@@ -434,7 +378,7 @@ proptest! {
         let spatial = w.register_view_plan(ViewPlan::join(
             PlanNode::scan(Query::select()),
             PlanNode::scan(Query::select()),
-            JoinOn::Within { radius: r },
+            JoinOn::Within { radius: join_r },
         )).unwrap();
         let count = w.register_view_plan(
             Query::select().into_grouped_plan("team", AggFn::Count).unwrap(),
@@ -445,6 +389,10 @@ proptest! {
 
         let pair_views = [equi, spatial];
         let group_views = [count, weakest];
+        let mut row_shadows: Vec<BTreeSet<EntityId>> = row_views
+            .iter()
+            .map(|&v| w.view_rows(v).iter().copied().collect())
+            .collect();
         let mut pair_shadows: Vec<BTreeSet<(EntityId, EntityId)>> = pair_views
             .iter()
             .map(|&v| w.view_pairs(v).iter().copied().collect())
@@ -462,9 +410,31 @@ proptest! {
 
         let mut live = Vec::new();
         let check = |w: &mut World,
+                     row_views: &[ViewId],
+                     queries: &[Query],
+                     row_shadows: &mut [BTreeSet<EntityId>],
                      pair_shadows: &mut [BTreeSet<(EntityId, EntityId)>],
                      group_shadows: &mut [BTreeMap<String, f64>]|
          -> Result<(), TestCaseError> {
+            for ((&v, q), shadow) in row_views.iter().zip(queries).zip(row_shadows.iter_mut()) {
+                let oracle = q.run_scan(w);
+                prop_assert_eq!(w.view_rows(v), oracle.as_slice(), "query: {:?}", q);
+                prop_assert_eq!(w.view_query(v), q, "the stored plan follows retargets");
+                let forced = w.view_plan(v).unwrap().evaluate(w).unwrap();
+                prop_assert_eq!(w.view_output(v), forced, "rows view {:?}", v);
+                let log = w.take_view_changelog(v);
+                for e in &log.exited {
+                    shadow.remove(e);
+                }
+                for e in &log.entered {
+                    prop_assert!(shadow.insert(*e), "duplicate enter for {e:?}");
+                }
+                prop_assert_eq!(
+                    shadow.iter().copied().collect::<Vec<_>>(),
+                    oracle,
+                    "changelog replay diverged for {:?}", q
+                );
+            }
             for (&v, shadow) in pair_views.iter().zip(pair_shadows.iter_mut()) {
                 let forced = w.view_plan(v).unwrap().evaluate(w).unwrap();
                 prop_assert_eq!(w.view_output(v), forced, "pair view {:?}", v);
@@ -515,15 +485,55 @@ proptest! {
             Ok(())
         };
 
-        for op in &ops {
+        let mut retargets = 0u64;
+        for (op, view_op, x, y, vr) in &ops {
             apply_index_op(&mut w, &mut live, op);
-            if matches!(op, IndexOp::Tick) {
+            // Each changelog taken must hold one refresh batch — across
+            // batches the order of an enter and an exit of the same row
+            // is not recorded — and a retarget or registration folds the
+            // pending changes first: drain that batch on its own.
+            if *view_op < 2 {
+                w.refresh_views();
+                check(&mut w, &row_views, &queries, &mut row_shadows, &mut pair_shadows, &mut group_shadows)?;
+            }
+            match *view_op {
+                // move the spatial rows view's disk: the diff lands in
+                // the changelog the shadow replays
+                0 => {
+                    w.retarget_view(row_views[SPATIAL], Vec2::new(*x, *y), *vr);
+                    queries[SPATIAL].retarget_within(Vec2::new(*x, *y), *vr);
+                    retargets += 1;
+                    prop_assert_eq!(w.view_stats(row_views[SPATIAL]).rescans, retargets);
+                }
+                // drop a rows view and register it again: a fresh slot
+                // seeded from current state, the old handle stale
+                1 => {
+                    let i = (*x as i32).unsigned_abs() as usize % row_views.len();
+                    let old = row_views[i];
+                    prop_assert!(w.drop_view(old));
+                    row_views[i] = w.register_view(queries[i].clone());
+                    prop_assert!(!w.has_view(old));
+                    prop_assert_ne!(row_views[i], old);
+                    row_shadows[i] = w.view_rows(row_views[i]).iter().copied().collect();
+                    if i == SPATIAL {
+                        retargets = 0;
+                    }
+                }
+                _ => {}
+            }
+            // bump_tick refreshed the views already
+            if matches!(op, IndexOp::Tick) || *view_op < 2 {
                 prop_assert_eq!(w.pending_deltas(), 0);
-                check(&mut w, &mut pair_shadows, &mut group_shadows)?;
+                check(&mut w, &row_views, &queries, &mut row_shadows, &mut pair_shadows, &mut group_shadows)?;
             }
         }
         w.refresh_views();
-        check(&mut w, &mut pair_shadows, &mut group_shadows)?;
+        check(&mut w, &row_views, &queries, &mut row_shadows, &mut pair_shadows, &mut group_shadows)?;
+        // retargets are the only re-evaluations; folds never rescan
+        for (i, &v) in row_views.iter().enumerate() {
+            let expect = if i == SPATIAL { retargets } else { 0 };
+            prop_assert_eq!(w.view_stats(v).rescans, expect);
+        }
     }
 }
 
@@ -556,8 +566,8 @@ proptest! {
     /// tracking the `run_scan` oracle when the workload *resumes* on the
     /// recovered world — random writes, component removals, despawns,
     /// template spawns, and ticks split at an arbitrary crash point,
-    /// with and without a secondary index (the index changes which
-    /// maintenance strategy the cost model picks post-restore).
+    /// with and without a secondary index (the index changes how the
+    /// restored views re-seed: planner probe instead of scan).
     #[test]
     fn restored_views_track_scan_oracle_when_workload_resumes(
         ops in proptest::collection::vec(index_op_strategy(), 2..70),
@@ -709,11 +719,8 @@ fn replay_change(w: &mut World, op: &gamedb_core::ChangeOp) {
             let name = w.component_name(*component).unwrap().to_string();
             w.drop_index(&name);
         }
-        ChangeOp::RegisterView { slot, query } => {
-            w.import_view_at_slot(*slot, query.clone()).unwrap();
-        }
         ChangeOp::RegisterPlanView { slot, plan } => {
-            w.import_plan_view_at_slot(*slot, plan.clone()).unwrap();
+            w.import_view_at_slot(*slot, plan.clone()).unwrap();
         }
         ChangeOp::DropView { slot } => {
             w.drop_view_slot(*slot);

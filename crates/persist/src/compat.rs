@@ -16,7 +16,12 @@
 //!   hot `Set` record — from raw hand-written bytes, so the exact old
 //!   layout is pinned independent of the encoder,
 //! * a mixed log (legacy prefix, interned tail) — what a store looks
-//!   like after an in-place upgrade without a fresh checkpoint.
+//!   like after an in-place upgrade without a fresh checkpoint,
+//! * table views: catalogs and WAL frames from before the view engines
+//!   merged carry bare standing queries (the catalog's query section,
+//!   WAL tag 8). Nothing writes those any more, so the fixtures assemble
+//!   them by hand; recovery must turn each into the one-leaf plan view
+//!   at the same slot.
 
 #![cfg(test)]
 
@@ -25,14 +30,23 @@ use gamedb_content::{CmpOp, Value, ValueType};
 use gamedb_core::{ComponentId, EntityId, IndexKind, Query, World};
 use gamedb_spatial::Vec2;
 
-use crate::snapshot::{checksum, decode, put_catalog, put_str, put_value};
+use crate::snapshot::{checksum, decode, kind_tag, put_catalog, put_query, put_str, put_value};
 use crate::wal::{decode_log, CompRef, WalRecord};
 use crate::walstore::recover_from_parts;
+
+const MAGIC_V2: u32 = 0x6744_4202;
+const MAGIC_V3: u32 = 0x6744_4203;
 
 /// The pre-interning snapshot encoder, verbatim: magic v2, schema in
 /// **name** order, entities, rows by schema index, catalog, checksum.
 fn encode_v2(world: &World) -> Vec<u8> {
-    const MAGIC_V2: u32 = 0x6744_4202;
+    encode_pre_v4(world, MAGIC_V2)
+}
+
+/// The v2 and v3 layouts: they differ in the schema section's order
+/// (v2 by name, v3 by interned id) and share the catalog without a plan
+/// section.
+fn encode_pre_v4(world: &World, magic: u32) -> Vec<u8> {
     let type_tag = |ty: ValueType| -> u8 {
         match ty {
             ValueType::Float => 0,
@@ -43,10 +57,11 @@ fn encode_v2(world: &World) -> Vec<u8> {
         }
     };
     let mut body = BytesMut::new();
-    let schema: Vec<(String, ValueType)> = world
-        .schema()
-        .map(|(n, t)| (n.to_string(), t))
-        .collect();
+    let schema: Vec<(String, ValueType)> = if magic == MAGIC_V2 {
+        world.schema().map(|(n, t)| (n.to_string(), t)).collect()
+    } else {
+        world.schema_by_id().map(|(_, n, t)| (n.to_string(), t)).collect()
+    };
     body.put_u32_le(schema.len() as u32);
     for (name, ty) in &schema {
         put_str(&mut body, name);
@@ -69,9 +84,22 @@ fn encode_v2(world: &World) -> Vec<u8> {
             put_value(&mut body, &v);
         }
     }
-    put_catalog(&mut body, &world.export_catalog(), false);
+    // the pre-v4 catalog: indexes, slot count, then every view as a
+    // `(slot, standing query)` table-view entry — and no plan section
+    let cat = world.export_catalog();
+    body.put_u32_le(cat.indexes.len() as u32);
+    for (component, kind) in &cat.indexes {
+        put_str(&mut body, component);
+        body.put_u8(kind_tag(*kind));
+    }
+    body.put_u32_le(cat.view_slots);
+    body.put_u32_le(cat.views.len() as u32);
+    for id in world.view_ids() {
+        body.put_u32_le(id.slot());
+        put_query(&mut body, world.view_query(id));
+    }
     let mut out = BytesMut::with_capacity(body.len() + 28);
-    out.put_u32_le(MAGIC_V2);
+    out.put_u32_le(magic);
     out.put_u64_le(world.tick());
     out.put_u64_le(world.lineage());
     out.put_u32_le(body.len() as u32);
@@ -79,6 +107,15 @@ fn encode_v2(world: &World) -> Vec<u8> {
     out.put_slice(&body);
     out.put_u32_le(cksum);
     out.to_vec()
+}
+
+/// Frame a hand-written payload: `len | payload | cksum`.
+fn raw_frame(payload: &[u8]) -> Vec<u8> {
+    let mut framed = BytesMut::new();
+    framed.put_u32_le(payload.len() as u32);
+    framed.put_slice(payload);
+    framed.put_u32_le(checksum(payload));
+    framed.to_vec()
 }
 
 /// A raw legacy `Set` frame, byte-by-byte from the old wire spec:
@@ -91,12 +128,17 @@ fn raw_legacy_set_frame(entity: EntityId, name: &str, hp: f32) -> Vec<u8> {
     payload.put_slice(name.as_bytes());
     payload.put_u8(0); // value tag: Float
     payload.put_f32_le(hp);
-    let mut framed = BytesMut::new();
-    framed.put_u32_le(payload.len() as u32);
-    let sum = checksum(&payload);
-    framed.put_slice(&payload);
-    framed.put_u32_le(sum);
-    framed.to_vec()
+    raw_frame(&payload)
+}
+
+/// A raw legacy `RegisterView` frame — tag 8, a bare standing query:
+/// `len | tag=8 | slot | query | cksum`.
+fn raw_legacy_register_view_frame(slot: u32, query: &Query) -> Vec<u8> {
+    let mut payload = BytesMut::new();
+    payload.put_u8(8); // TAG_REGISTER_VIEW
+    payload.put_u32_le(slot);
+    put_query(&mut payload, query);
+    raw_frame(&payload)
 }
 
 fn sample_world() -> (World, Vec<EntityId>) {
@@ -136,22 +178,26 @@ fn v2_snapshot_decodes_bit_identically() {
     crate::crashpoint::assert_equivalent(&decoded, &w).unwrap();
 }
 
-/// v2 and v3 snapshots of one world decode to equal databases — the
-/// format bump changes bytes, never meaning. (The interner tables may
+/// v2, v3 and v4 snapshots of one world decode to equal databases — the
+/// format bumps change bytes, never meaning. (The interner tables may
 /// assign different ids — v2 re-interns in name order — which is
 /// invisible to every name-keyed surface and only matters to *new*
 /// id-keyed WAL tails, which always follow a v3 snapshot.)
 #[test]
-fn v2_and_v3_snapshots_agree() {
+fn v2_v3_and_v4_snapshots_agree() {
     let (w, _) = sample_world();
     let (from_v2, _) = decode(&encode_v2(&w)).unwrap();
-    let (from_v3, _) = decode(&crate::snapshot::encode(&w)).unwrap();
-    assert_eq!(from_v2.rows(), from_v3.rows());
-    assert_eq!(from_v2.export_catalog(), from_v3.export_catalog());
-    // v3 restores the source interner verbatim
-    for (id, name, ty) in w.schema_by_id() {
-        assert_eq!(from_v3.component_id(name), Some(id));
-        assert_eq!(from_v3.component_type(name), Some(ty));
+    let (from_v3, _) = decode(&encode_pre_v4(&w, MAGIC_V3)).unwrap();
+    let (from_v4, _) = decode(&crate::snapshot::encode(&w)).unwrap();
+    for later in [&from_v3, &from_v4] {
+        assert_eq!(from_v2.rows(), later.rows());
+        assert_eq!(from_v2.export_catalog(), later.export_catalog());
+        crate::crashpoint::assert_equivalent(later, &w).unwrap();
+        // v3 and later restore the source interner verbatim
+        for (id, name, ty) in w.schema_by_id() {
+            assert_eq!(later.component_id(name), Some(id));
+            assert_eq!(later.component_type(name), Some(ty));
+        }
     }
 }
 
@@ -181,10 +227,6 @@ fn legacy_wal_frames_recover_bit_identically() {
             value: Value::Float(9.0),
         },
         WalRecord::CreateIndex { component: "hp".into(), kind: IndexKind::Sorted },
-        WalRecord::RegisterView {
-            slot: 0,
-            query: Query::select().filter("hp", CmpOp::Lt, Value::Float(20.0)),
-        },
         WalRecord::RemoveComponent { entity: e1, component: "mana".into() },
         WalRecord::TickTo { tick: 4 },
         WalRecord::DropIndex { component: "hp".into() },
@@ -197,6 +239,17 @@ fn legacy_wal_frames_recover_bit_identically() {
         assert_eq!(decoded, vec![r.clone()]);
         log.extend_from_slice(&bytes);
     }
+    // a table-view registration decodes as its one-leaf plan
+    let watch = Query::select().filter("hp", CmpOp::Lt, Value::Float(20.0));
+    let frame = raw_legacy_register_view_frame(0, &watch);
+    assert_eq!(
+        decode_log(&frame),
+        (
+            vec![WalRecord::RegisterPlanView { slot: 0, plan: watch.clone().into_plan() }],
+            frame.len()
+        )
+    );
+    log.extend_from_slice(&frame);
 
     let (recovered, seq, replayed) =
         recover_from_parts(&[(0u64, snapshot.as_slice())], &log).unwrap();
@@ -210,16 +263,73 @@ fn legacy_wal_frames_recover_bit_identically() {
     oracle.define_component("mana", ValueType::Float).unwrap();
     oracle.set_f32(e1, "mana", 9.0).unwrap();
     oracle.create_index("hp", IndexKind::Sorted).unwrap();
-    oracle
-        .import_view_at_slot(0, Query::select().filter("hp", CmpOp::Lt, Value::Float(20.0)))
-        .unwrap();
     oracle.remove_component(e1, "mana").unwrap();
     oracle.advance_tick_to(4);
     oracle.drop_index("hp");
+    oracle.import_view_at_slot(0, watch.into_plan()).unwrap();
     oracle.refresh_views();
     oracle.reset_view_changelogs();
 
     crate::crashpoint::assert_equivalent(&recovered, &oracle).unwrap();
+}
+
+/// The table-view upgrade path: a pre-v4 snapshot whose catalog lists a
+/// table view, and a WAL tail that registers two more by the legacy tag,
+/// retargets one and drops the other. Recovery hands back plan views at
+/// the same slots — pre-crash handles resolve, rows equal the scan
+/// oracle — and the next checkpoint writes them as plans.
+#[test]
+fn legacy_table_views_recover_as_plan_views_at_their_slots() {
+    let (w, _) = sample_world();
+    let wounded = w.view_ids()[0];
+    let snapshot = encode_v2(&w);
+
+    let bubble = Query::select().within(Vec2::ZERO, 4.0);
+    let mut log: Vec<u8> = Vec::new();
+    log.extend_from_slice(&WalRecord::CheckpointMark { seq: 0 }.encode());
+    log.extend_from_slice(&raw_legacy_register_view_frame(1, &bubble));
+    log.extend_from_slice(&raw_legacy_register_view_frame(2, &Query::select()));
+    for r in [
+        WalRecord::RetargetView { slot: 1, x: 12.0, y: -4.0, radius: 5.0 },
+        WalRecord::DropView { slot: 2 },
+    ] {
+        log.extend_from_slice(&r.encode());
+    }
+    let (recovered, _, replayed) =
+        recover_from_parts(&[(0u64, snapshot.as_slice())], &log).unwrap();
+    assert_eq!(replayed, 4);
+
+    // same slots, same lineage: the pre-crash handle reads the plan view
+    assert!(recovered.has_view(wounded));
+    assert_eq!(recovered.view_plan(wounded), w.view_plan(wounded));
+    let moved = recovered.view_id_at(1).expect("slot 1 is live");
+    assert_eq!(
+        recovered.view_plan(moved),
+        Some(&Query::select().within(Vec2::new(12.0, -4.0), 5.0).into_plan()),
+        "the retarget landed in the stored plan"
+    );
+    assert_eq!(recovered.view_id_at(2), None, "dropped slot stays burned");
+    assert_eq!(recovered.export_catalog().view_slots, 3);
+    for id in recovered.view_ids() {
+        assert_eq!(
+            recovered.view_rows(id),
+            recovered.view_query(id).run_scan(&recovered).as_slice()
+        );
+        assert!(recovered.view_changelog(id).is_empty());
+    }
+    assert!(!recovered.view_rows(moved).is_empty(), "the moved disk holds someone");
+
+    // a checkpoint written now round-trips, and carries no table views:
+    // the query section's count (after the empty index list and the
+    // slot count) is zero, the plan section holds both views
+    let (reloaded, _) = decode(&crate::snapshot::encode(&recovered)).unwrap();
+    crate::crashpoint::assert_equivalent(&reloaded, &recovered).unwrap();
+    let mut cat = recovered.export_catalog();
+    cat.indexes.clear();
+    let mut bytes = BytesMut::new();
+    put_catalog(&mut bytes, &cat);
+    assert_eq!(bytes[8..12], 0u32.to_le_bytes());
+    assert_eq!(bytes[12..16], 2u32.to_le_bytes());
 }
 
 /// The in-place-upgrade shape: a legacy log tail continued by the new

@@ -469,36 +469,28 @@ pub fn assert_equivalent(recovered: &World, oracle: &World) -> Result<(), String
             }
         }
     }
-    // every standing view: same rows, and rows == the scan oracle
-    for (slot, query) in &ocat.views {
+    // every standing view: identical maintained output on both sides,
+    // equal to a forced recompute of its plan, and — for rows views —
+    // to the scan oracle of its query
+    for (slot, plan) in &ocat.views {
         let rid = recovered
             .view_id_at(*slot)
             .ok_or_else(|| format!("view slot {slot} missing after recovery"))?;
         let oid = oracle.view_id_at(*slot).expect("oracle catalog slot");
-        if recovered.view_rows(rid) != oracle.view_rows(oid) {
-            return Err(format!("view slot {slot} rows differ ({query:?})"));
-        }
-        if recovered.view_rows(rid) != query.run_scan(recovered).as_slice() {
-            return Err(format!("view slot {slot} diverges from its scan oracle"));
-        }
-    }
-    // every operator-tree view: identical maintained output on both
-    // sides, and the output equals a forced recompute of its plan
-    for (slot, plan) in &ocat.plan_views {
-        let rid = recovered
-            .view_id_at(*slot)
-            .ok_or_else(|| format!("plan view slot {slot} missing after recovery"))?;
-        let oid = oracle.view_id_at(*slot).expect("oracle catalog slot");
-        if recovered.view_output(rid) != oracle.view_output(oid) {
-            return Err(format!("plan view slot {slot} output differs"));
+        let output = recovered.view_output(rid);
+        if output != oracle.view_output(oid) {
+            return Err(format!("view slot {slot} output differs ({plan:?})"));
         }
         let forced = plan
             .evaluate(recovered)
-            .map_err(|e| format!("plan view slot {slot} recompute failed: {e}"))?;
-        if recovered.view_output(rid) != forced {
-            return Err(format!(
-                "plan view slot {slot} diverges from forced recompute"
-            ));
+            .map_err(|e| format!("view slot {slot} recompute failed: {e}"))?;
+        if output != forced {
+            return Err(format!("view slot {slot} diverges from forced recompute"));
+        }
+        if let Some(rows) = output.as_rows() {
+            if rows != recovered.view_query(rid).run_scan(recovered).as_slice() {
+                return Err(format!("view slot {slot} diverges from its scan oracle"));
+            }
         }
     }
     // spatial index sanity

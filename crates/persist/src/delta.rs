@@ -136,7 +136,7 @@ pub fn encode_delta(world: &World, prev: &RowHashes) -> (Bytes, RowHashes) {
     // tick, not the base snapshot's
     body.put_u64_le(world.lineage());
     body.put_u64_le(world.tick());
-    crate::snapshot::put_catalog(&mut body, &world.export_catalog(), true);
+    crate::snapshot::put_catalog(&mut body, &world.export_catalog());
     let mut out = BytesMut::with_capacity(body.len() + 16);
     out.put_u32_le(DELTA_MAGIC);
     out.put_u32_le(body.len() as u32);

@@ -20,11 +20,12 @@ use std::fmt;
 /// name order: decoding defines columns in listed order, so the
 /// recovered world's [`gamedb_core::ComponentId`] table matches the
 /// snapshotted world's exactly and interned WAL-tail records decode to
-/// the same columns they were recorded against. v4 appends the
-/// operator-tree (plan) views of the differential view engine to the
-/// catalog section, so joins and group aggregates survive recovery at
-/// their exact slots. v3 and v2 snapshots still decode — their catalogs
-/// simply carry no plan views.
+/// the same columns they were recorded against. v4 appends a section of
+/// operator-tree view plans to the catalog, after the v2 section of bare
+/// standing queries. Since the view engines merged every view is a plan
+/// and the query section is written empty; v2–v4 files that fill it
+/// still decode, each query as the one-leaf plan it always meant, at
+/// the same slot.
 const MAGIC: u32 = 0x6744_4204; // "gDB" v4
 const MAGIC_V3: u32 = 0x6744_4203;
 const MAGIC_V2: u32 = 0x6744_4202;
@@ -198,9 +199,8 @@ pub(crate) fn tag_kind(tag: u8) -> Result<IndexKind, SnapshotError> {
     })
 }
 
-/// Encode a standing query: predicates, spatial restriction, exclusion.
-/// Shared by the snapshot catalog section and the WAL's `RegisterView`
-/// record so both sides of recovery agree on the definition.
+/// Encode a standing query: predicates, spatial restriction, exclusion
+/// — the body of a plan's scan leaf.
 pub(crate) fn put_query(buf: &mut BytesMut, q: &Query) {
     buf.put_u32_le(q.predicates().len() as u32);
     for p in q.predicates() {
@@ -444,8 +444,9 @@ fn get_node(buf: &mut Bytes, depth: usize) -> Result<PlanNode, SnapshotError> {
     })
 }
 
-/// Encode an operator-tree view plan. Shared by the snapshot catalog
-/// section and the WAL's `RegisterPlanView` record.
+/// Encode a view plan. Shared by the snapshot catalog section and the
+/// WAL's `RegisterPlanView` record so both sides of recovery agree on
+/// the definition.
 pub(crate) fn put_plan(buf: &mut BytesMut, plan: &ViewPlan) {
     put_node(buf, &plan.root);
 }
@@ -462,26 +463,19 @@ pub(crate) fn get_plan(buf: &mut Bytes) -> Result<ViewPlan, SnapshotError> {
 /// header already carries). Shared with the delta format, which
 /// carries the catalog wholesale per checkpoint — definitions are tiny
 /// next to rows, and "diffing" them would buy complexity, not bytes.
-/// `with_plans` gates the trailing plan-view section (absent from the
-/// pre-v4 layouts `compat` still writes).
-pub(crate) fn put_catalog(buf: &mut BytesMut, cat: &WorldCatalog, with_plans: bool) {
+pub(crate) fn put_catalog(buf: &mut BytesMut, cat: &WorldCatalog) {
     buf.put_u32_le(cat.indexes.len() as u32);
     for (component, kind) in &cat.indexes {
         put_str(buf, component);
         buf.put_u8(kind_tag(*kind));
     }
     buf.put_u32_le(cat.view_slots);
+    // the bare-query section: empty, every view is in the plan section
+    buf.put_u32_le(0);
     buf.put_u32_le(cat.views.len() as u32);
-    for (slot, query) in &cat.views {
+    for (slot, plan) in &cat.views {
         buf.put_u32_le(*slot);
-        put_query(buf, query);
-    }
-    if with_plans {
-        buf.put_u32_le(cat.plan_views.len() as u32);
-        for (slot, plan) in &cat.plan_views {
-            buf.put_u32_le(*slot);
-            put_plan(buf, plan);
-        }
+        put_plan(buf, plan);
     }
 }
 
@@ -508,30 +502,30 @@ pub(crate) fn get_catalog(
     }
     need!(8);
     let view_slots = buf.get_u32_le();
-    let n_views = buf.get_u32_le() as usize;
-    let mut views = Vec::with_capacity(n_views);
-    for _ in 0..n_views {
+    let n_queries = buf.get_u32_le() as usize;
+    let mut views = Vec::new();
+    for _ in 0..n_queries {
         need!(4);
         let slot = buf.get_u32_le();
-        views.push((slot, get_query(buf)?));
+        views.push((slot, get_query(buf)?.into_plan()));
     }
-    let mut plan_views = Vec::new();
     if with_plans {
         need!(4);
         let n_plans = buf.get_u32_le() as usize;
         for _ in 0..n_plans {
             need!(4);
             let slot = buf.get_u32_le();
-            plan_views.push((slot, get_plan(buf)?));
+            views.push((slot, get_plan(buf)?));
         }
     }
+    // one slot-ordered list, as `World::export_catalog` hands out
+    views.sort_by_key(|(slot, _)| *slot);
     Ok(WorldCatalog {
         lineage,
         tick,
         indexes,
         view_slots,
         views,
-        plan_views,
     })
 }
 
@@ -573,8 +567,8 @@ pub fn encode(world: &World) -> Bytes {
             put_value(&mut body, &v);
         }
     }
-    // catalog: index definitions + standing views (both kinds)
-    put_catalog(&mut body, &world.export_catalog(), true);
+    // catalog: index definitions + standing views
+    put_catalog(&mut body, &world.export_catalog());
     // frame: magic, tick, lineage, len, body, checksum
     let mut out = BytesMut::with_capacity(body.len() + 28);
     out.put_u32_le(MAGIC);
@@ -880,29 +874,6 @@ mod tests {
             w2.view_plan(join).unwrap().evaluate(&w2).unwrap(),
             "restored join view agrees with forced recompute"
         );
-    }
-
-    #[test]
-    fn legacy_v3_snapshots_still_decode() {
-        use gamedb_content::CmpOp;
-        let mut w = sample_world();
-        let v = w.register_view(Query::select().filter("hp", CmpOp::Lt, Value::Float(100.0)));
-        w.refresh_views();
-        // rebuild the v4 frame under the v3 magic: identical body layout
-        // minus the trailing plan-view section (the empty u32 count)
-        let v4 = encode(&w);
-        let len = u32::from_le_bytes(v4[20..24].try_into().unwrap()) as usize;
-        let body = &v4[24..24 + len - 4];
-        let mut legacy = BytesMut::with_capacity(body.len() + 28);
-        legacy.put_u32_le(MAGIC_V3);
-        legacy.extend_from_slice(&v4[4..20]); // tick + lineage
-        legacy.put_u32_le(body.len() as u32);
-        legacy.extend_from_slice(body);
-        legacy.put_u32_le(checksum(body));
-        let (w2, tick) = decode(&legacy).unwrap();
-        assert_eq!(tick, w.tick());
-        assert_eq!(w2.rows(), w.rows());
-        assert_eq!(w2.view_rows(v), w.view_rows(v));
     }
 
     #[test]

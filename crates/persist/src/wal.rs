@@ -14,12 +14,12 @@
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use gamedb_content::{Value, ValueType};
 use gamedb_core::{
-    Change, ChangeOp, ComponentId, CoreError, EntityId, IndexKind, Query, ViewPlan, World,
+    Change, ChangeOp, ComponentId, CoreError, EntityId, IndexKind, ViewPlan, World,
 };
 use gamedb_spatial::Vec2;
 
 use crate::snapshot::{
-    checksum, get_plan, get_query, get_str, get_value, kind_tag, put_plan, put_query, put_str,
+    checksum, get_plan, get_query, get_str, get_value, kind_tag, put_plan, put_str,
     put_value, tag_kind, tag_type_pub, type_tag_pub, SnapshotError,
 };
 
@@ -149,10 +149,8 @@ pub enum WalRecord {
     /// Register a standing view at an exact slot. Replay re-materializes
     /// it from post-replay row state; the slot is recorded so pre-crash
     /// [`gamedb_core::ViewId`] handles keep resolving after recovery.
-    RegisterView { slot: u32, query: Query },
-    /// Register an operator-tree (differential) view at a slot.
     RegisterPlanView { slot: u32, plan: ViewPlan },
-    /// Drop the standing view at a slot (either kind).
+    /// Drop the standing view at a slot.
     DropView { slot: u32 },
     /// Move a spatial view's disk (interest bubbles following a focus).
     RetargetView { slot: u32, x: f32, y: f32, radius: f32 },
@@ -179,6 +177,8 @@ const TAG_MARK: u8 = 4;
 const TAG_REMOVE: u8 = 5;
 const TAG_CREATE_INDEX: u8 = 6;
 const TAG_DROP_INDEX: u8 = 7;
+// a bare standing query: written by logs that predate the single view
+// engine, decoded as the one-leaf plan it always meant
 const TAG_REGISTER_VIEW: u8 = 8;
 const TAG_DROP_VIEW: u8 = 9;
 const TAG_RETARGET_VIEW: u8 = 10;
@@ -312,11 +312,6 @@ impl WalRecord {
                     put_str(payload, name);
                 }
             },
-            WalRecord::RegisterView { slot, query } => {
-                payload.put_u8(TAG_REGISTER_VIEW);
-                payload.put_u32_le(*slot);
-                put_query(payload, query);
-            }
             WalRecord::RegisterPlanView { slot, plan } => {
                 payload.put_u8(TAG_REGISTER_PLAN_VIEW);
                 payload.put_u32_le(*slot);
@@ -467,9 +462,9 @@ impl WalRecord {
             TAG_REGISTER_VIEW => {
                 need!(4);
                 let slot = p.get_u32_le();
-                WalRecord::RegisterView {
+                WalRecord::RegisterPlanView {
                     slot,
-                    query: get_query(&mut p)?,
+                    plan: get_query(&mut p)?.into_plan(),
                 }
             }
             TAG_REGISTER_PLAN_VIEW => {
@@ -589,12 +584,9 @@ impl WalRecord {
                 }
                 Ok(())
             }
-            WalRecord::RegisterView { slot, query } => {
-                world.import_view_at_slot(*slot, query.clone()).map(|_| ())
+            WalRecord::RegisterPlanView { slot, plan } => {
+                world.import_view_at_slot(*slot, plan.clone()).map(|_| ())
             }
-            WalRecord::RegisterPlanView { slot, plan } => world
-                .import_plan_view_at_slot(*slot, plan.clone())
-                .map(|_| ()),
             WalRecord::DropView { slot } => {
                 world.drop_view_slot(*slot);
                 Ok(())
@@ -661,10 +653,6 @@ impl WalRecord {
             },
             ChangeOp::DropIndex { component } => WalRecord::DropIndex {
                 component: CompRef::Id(*component),
-            },
-            ChangeOp::RegisterView { slot, query } => WalRecord::RegisterView {
-                slot: *slot,
-                query: query.clone(),
             },
             ChangeOp::RegisterPlanView { slot, plan } => WalRecord::RegisterPlanView {
                 slot: *slot,
@@ -748,6 +736,7 @@ pub fn replay_after_checkpoint(
 mod tests {
     use super::*;
     use gamedb_content::ValueType;
+    use gamedb_core::Query;
 
     fn sample_records() -> Vec<WalRecord> {
         use gamedb_content::CmpOp;
@@ -772,12 +761,13 @@ mod tests {
                 component: "hp".into(),
                 kind: IndexKind::Sorted,
             },
-            WalRecord::RegisterView {
+            WalRecord::RegisterPlanView {
                 slot: 0,
-                query: Query::select()
+                plan: Query::select()
                     .filter("hp", CmpOp::Lt, Value::Float(50.0))
                     .within(Vec2::new(1.0, 2.0), 9.5)
-                    .excluding(e),
+                    .excluding(e)
+                    .into_plan(),
             },
             WalRecord::RetargetView {
                 slot: 0,
@@ -976,9 +966,11 @@ mod tests {
                 component: "hp".into(),
                 kind: IndexKind::Sorted,
             },
-            WalRecord::RegisterView {
+            WalRecord::RegisterPlanView {
                 slot: 0,
-                query: Query::select().filter("hp", CmpOp::Lt, Value::Float(10.0)),
+                plan: Query::select()
+                    .filter("hp", CmpOp::Lt, Value::Float(10.0))
+                    .into_plan(),
             },
             WalRecord::TickTo { tick: 4 },
         ];

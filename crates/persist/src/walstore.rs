@@ -882,10 +882,14 @@ impl WalStore {
     /// subscription itself is durable without registering duplicates
     /// after a restart.
     pub fn ensure_view(&mut self, query: Query) -> Result<ViewId, StoreError> {
-        match self.world.find_view(&query) {
+        let plan = query.into_plan();
+        match self.world.find_view(&plan) {
             Some(id) => Ok(id),
             None => {
-                let id = self.world.register_view(query);
+                let id = self
+                    .world
+                    .register_view_plan(plan)
+                    .expect("a bare scan is always a valid plan");
                 self.commit()?;
                 Ok(id)
             }

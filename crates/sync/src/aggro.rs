@@ -166,7 +166,7 @@ impl CandidateView {
     pub fn reattach(world: &mut World, mob: EntityId, radius: f32) -> Option<Self> {
         world.pos(mob)?;
         let plan = Self::plan(mob, radius);
-        let view = match world.find_plan_view(&plan) {
+        let view = match world.find_view(&plan) {
             Some(v) => v,
             None => world.register_view_plan(plan).ok()?,
         };

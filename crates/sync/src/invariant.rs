@@ -144,7 +144,7 @@ impl Auditor {
             let query = overdraft_query();
             self.overdraft_view = Some(
                 world
-                    .find_view(&query)
+                    .find_view(&query.clone().into_plan())
                     .unwrap_or_else(|| world.register_view(query)),
             );
         }
@@ -197,11 +197,11 @@ impl Auditor {
         if self.wealth_views.is_none() {
             let gold_plan = Query::select().into_aggregate_plan(AggFn::Sum("gold".into()))?;
             let value_plan = Query::select().into_aggregate_plan(AggFn::Sum("value".into()))?;
-            let gold = match world.find_plan_view(&gold_plan) {
+            let gold = match world.find_view(&gold_plan) {
                 Some(v) => v,
                 None => world.register_view_plan(gold_plan)?,
             };
-            let value = match world.find_plan_view(&value_plan) {
+            let value = match world.find_view(&value_plan) {
                 Some(v) => v,
                 None => world.register_view_plan(value_plan)?,
             };
@@ -381,7 +381,7 @@ impl Auditor {
     ) -> AuditReport {
         let eps = 1e-3;
         let overdrafts = match self.overdraft_view {
-            Some(v) if world.has_view(v) && world.pending_deltas() == 0 => world.view_count(v),
+            Some(v) if world.has_view(v) && world.pending_deltas() == 0 => world.view_rows(v).len(),
             _ => overdraft_query().count(world),
         };
         let speed_violations = streamed_speed.unwrap_or_else(|| {

@@ -403,7 +403,7 @@ impl Replicator {
             let query = Query::select().within(Vec2::new(cx, cy), r);
             self.interest_view = Some(
                 world
-                    .find_view(&query)
+                    .find_view(&query.clone().into_plan())
                     .unwrap_or_else(|| world.register_view(query)),
             );
             self.view_anchor = (self.interest.center, r);

@@ -16,7 +16,7 @@ use gamedb::sync::{
 
 /// Every name a fully attached stack registers, after one tick that
 /// touches the lazily created families (per-slot view counters for a
-/// table view and a plan view, the per-tap lag gauge).
+/// rows view and a group view, the per-tap lag gauge).
 fn registered_names() -> BTreeSet<String> {
     let registry = MetricsRegistry::new();
     let (mut world, players) = arena_world(16, |i| Vec2::new(i as f32 * 5.0, 0.0));
