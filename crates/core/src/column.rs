@@ -117,6 +117,12 @@ impl Column {
 
     /// Set `slot` from a dynamic value; the value type must match.
     pub fn set(&mut self, slot: usize, value: &Value) -> Result<(), ValueType> {
+        self.put(slot, value.clone())
+    }
+
+    /// [`Column::set`] taking the value: a string moves into the column
+    /// instead of being copied (bulk loads hand over what they decoded).
+    pub fn put(&mut self, slot: usize, value: Value) -> Result<(), ValueType> {
         if value.value_type() != self.ty {
             return Err(self.ty);
         }
@@ -126,11 +132,11 @@ impl Column {
             self.present_count += 1;
         }
         match (&mut self.data, value) {
-            (ColumnData::F32(v), Value::Float(x)) => v[slot] = *x,
-            (ColumnData::I64(v), Value::Int(x)) => v[slot] = *x,
-            (ColumnData::Bool(v), Value::Bool(x)) => v[slot] = *x,
-            (ColumnData::Str(v), Value::Str(x)) => v[slot] = x.clone(),
-            (ColumnData::V2(v), Value::Vec2(x, y)) => v[slot] = [*x, *y],
+            (ColumnData::F32(v), Value::Float(x)) => v[slot] = x,
+            (ColumnData::I64(v), Value::Int(x)) => v[slot] = x,
+            (ColumnData::Bool(v), Value::Bool(x)) => v[slot] = x,
+            (ColumnData::Str(v), Value::Str(x)) => v[slot] = x,
+            (ColumnData::V2(v), Value::Vec2(x, y)) => v[slot] = [x, y],
             _ => unreachable!("type checked above"),
         }
         Ok(())

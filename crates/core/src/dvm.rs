@@ -70,8 +70,9 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use gamedb_content::Value;
 use gamedb_spatial::Vec2;
 
+use crate::column::Column;
 use crate::entity::EntityId;
-use crate::index::{IndexKey, OrdF64};
+use crate::index::{append_posting, IndexKey, KeyBuf, OrdF64};
 use crate::intern::ComponentId;
 use crate::metrics::CoreMetrics;
 use crate::query::{AggFn, Pred, Query};
@@ -472,14 +473,17 @@ fn compile(plan: &ViewPlan) -> Result<OpState, CoreError> {
             });
             Ok(OpState::Group(GroupState {
                 source: SourceState::new(src),
-                key_col,
-                agg: kind,
-                agg_col,
-                groups: BTreeMap::new(),
+                table: GroupTable {
+                    key_col,
+                    agg: kind,
+                    agg_col,
+                    groups: BTreeMap::new(),
+                    key: KeyBuf::default(),
+                    retracts: 0,
+                },
                 out: Vec::new(),
                 out_keys: Vec::new(),
                 log: GroupChangelog::default(),
-                retracts: 0,
             }))
         }
         chain => {
@@ -536,6 +540,43 @@ struct Refreshed {
     changed: usize,
 }
 
+/// A source's tuple columns resolved against one world, once per batch
+/// or seeding: per row the tuple is positional column reads, not a name
+/// lookup per column.
+struct TupleReader<'w> {
+    cols: Vec<Option<&'w Column>>,
+    pos: Option<&'w Column>,
+}
+
+impl<'w> TupleReader<'w> {
+    fn new(src: &Source, world: &'w World) -> TupleReader<'w> {
+        TupleReader {
+            cols: src.schema.iter().map(|c| world.column(c)).collect(),
+            pos: src
+                .needs_pos
+                .then(|| world.column_by_id(crate::world::POS_ID))
+                .flatten(),
+        }
+    }
+
+    /// The tuple of `id`, which must be live (members are: the
+    /// membership test rejects dead ids).
+    fn read(&self, id: EntityId) -> Tuple {
+        let slot = id.index() as usize;
+        Tuple {
+            cols: self
+                .cols
+                .iter()
+                .map(|col| col.and_then(|c| c.get(slot)))
+                .collect(),
+            pos: self
+                .pos
+                .and_then(|c| c.get_v2(slot))
+                .map(|[x, y]| Vec2::new(x, y)),
+        }
+    }
+}
+
 /// A fused source with its materialized row tuples.
 #[derive(Debug, Clone)]
 struct SourceState {
@@ -548,17 +589,6 @@ impl SourceState {
         SourceState {
             src,
             rows: HashMap::new(),
-        }
-    }
-
-    fn read_tuple(&self, world: &World, id: EntityId) -> Tuple {
-        Tuple {
-            cols: self.src.schema.iter().map(|c| world.get(id, c)).collect(),
-            pos: if self.src.needs_pos {
-                world.pos(id)
-            } else {
-                None
-            },
         }
     }
 
@@ -608,6 +638,7 @@ impl SourceState {
         // Columns resolve once per batch; per candidate the membership
         // test is positional reads, not name lookups.
         let matcher = self.src.query.matcher(world);
+        let reader = TupleReader::new(&self.src, world);
         let mut passed = 0usize;
         let mut deltas = Vec::new();
         for &c in &cands {
@@ -618,7 +649,7 @@ impl SourceState {
             match (self.rows.get(&c).cloned(), now) {
                 (None, false) => {}
                 (None, true) => {
-                    let t = self.read_tuple(world, c);
+                    let t = reader.read(c);
                     self.rows.insert(c, t.clone());
                     deltas.push(RowDelta {
                         id: c,
@@ -635,7 +666,7 @@ impl SourceState {
                     });
                 }
                 (Some(old), true) => {
-                    let t = self.read_tuple(world, c);
+                    let t = reader.read(c);
                     if old != t {
                         self.rows.insert(c, t.clone());
                         deltas.push(RowDelta {
@@ -666,12 +697,18 @@ impl SourceState {
     }
 
     /// Seed the row set from the live world (registration / recovery) —
-    /// initial rows are state, not events. Returns the member ids,
-    /// ascending.
-    fn init(&mut self, world: &World) -> Vec<EntityId> {
+    /// initial rows are state, not events. Members are read in
+    /// ascending id order through columns resolved once, into a map
+    /// sized for them; `each` sees every `(id, tuple)` in that order, so
+    /// an operator seeds its own state (postings, group table) in the
+    /// same pass and by appending. Returns the member ids, ascending.
+    fn init(&mut self, world: &World, mut each: impl FnMut(EntityId, &Tuple)) -> Vec<EntityId> {
         let ids = self.evaluate(world);
+        let reader = TupleReader::new(&self.src, world);
+        self.rows.reserve(ids.len());
         for &id in &ids {
-            let t = self.read_tuple(world, id);
+            let t = reader.read(id);
+            each(id, &t);
             self.rows.insert(id, t);
         }
         ids
@@ -744,9 +781,9 @@ impl RowsState {
         for id in &exited {
             self.source.rows.remove(id);
         }
+        let reader = TupleReader::new(&self.source.src, world);
         for &id in &entered {
-            let t = self.source.read_tuple(world, id);
-            self.source.rows.insert(id, t);
+            self.source.rows.insert(id, reader.read(id));
         }
         self.out = rows;
         self.log.absorb_batch(entered, exited, Vec::new(), true);
@@ -786,12 +823,19 @@ fn value_key(v: &Value) -> Option<IndexKey> {
         }
         Value::Bool(b) => Some(IndexKey::Bool(*b)),
         Value::Str(s) => Some(IndexKey::Str(s.clone())),
-        Value::Vec2(x, y) if !x.is_nan() && !y.is_nan() => {
-            let norm = |v: f32| if v == 0.0 { 0.0f32 } else { v };
-            Some(IndexKey::Vec2([norm(*x).to_bits(), norm(*y).to_bits()]))
-        }
-        Value::Vec2(..) => None,
+        Value::Vec2(x, y) => IndexKey::vec2(*x, *y),
     }
+}
+
+/// Load [`value_key`] of `v` into `key` — a string reuses the buffer, so
+/// a lookup of a key the map already holds allocates nothing. `false`
+/// when `v` has no key.
+fn load_key(key: &mut KeyBuf, v: &Value) -> bool {
+    match v {
+        Value::Str(s) => key.load_str(s),
+        v => key.load(value_key(v)),
+    }
+    key.get().is_some()
 }
 
 fn eq_key(t: &Tuple, col: usize) -> Option<IndexKey> {
@@ -853,20 +897,18 @@ impl SideIndex {
         }
     }
 
-    fn seed(&mut self, key_col: usize, rows: &HashMap<EntityId, Tuple>) {
+    /// Seed one row (`key_col` as in [`SideIndex::apply`]). Rows arrive
+    /// in ascending id order, so postings are appended, not searched.
+    fn append(&mut self, key: &mut KeyBuf, key_col: usize, id: EntityId, t: &Tuple) {
         match self {
             SideIndex::Keyed(map) => {
-                for (&id, t) in rows {
-                    if let Some(k) = eq_key(t, key_col) {
-                        posting_insert(map.entry(k).or_default(), id);
-                    }
+                if t.cols[key_col].as_ref().is_some_and(|v| load_key(key, v)) {
+                    append_posting(map, key, id);
                 }
             }
             SideIndex::Cells { cell, map } => {
-                for (&id, t) in rows {
-                    if let Some(p) = t.pos {
-                        posting_insert(map.entry(cell_of(p, *cell)).or_default(), id);
-                    }
+                if let Some(p) = t.pos {
+                    map.entry(cell_of(p, *cell)).or_default().push(id);
                 }
             }
         }
@@ -1026,20 +1068,26 @@ impl JoinState {
     /// Cold-start materialization (registration / recovery).
     fn init(&mut self, world: &World) {
         let (l_col, r_col) = self.key_cols();
-        self.left.init(world);
-        self.right.init(world);
-        self.l_idx.seed(l_col, &self.left.rows);
-        self.r_idx.seed(r_col, &self.right.rows);
+        let mut key = KeyBuf::default();
+        let l_idx = &mut self.l_idx;
+        let l_ids = self
+            .left
+            .init(world, |id, t| l_idx.append(&mut key, l_col, id, t));
+        let r_idx = &mut self.r_idx;
+        self.right
+            .init(world, |id, t| r_idx.append(&mut key, r_col, id, t));
+        // left ids ascend and every probe answers in ascending order,
+        // so the pairs come out sorted and duplicate-free
         let mut pairs = Vec::new();
-        for (&l, t) in &self.left.rows {
+        for l in l_ids {
+            let t = &self.left.rows[&l];
             for r in Self::probe(self.on, true, &self.r_idx, &self.right.rows, t) {
                 if l != r {
                     pairs.push((l, r));
                 }
             }
         }
-        pairs.sort_unstable();
-        pairs.dedup();
+        debug_assert!(pairs.windows(2).all(|w| w[0] < w[1]));
         self.pairs = pairs;
     }
 }
@@ -1057,18 +1105,43 @@ enum AggKind {
     Avg,
 }
 
+impl AggKind {
+    /// Min and max need every value to find the next extreme after a
+    /// retraction; the others are maintained from a count and a sum
+    /// (the counting algorithm).
+    fn ordered(self) -> bool {
+        matches!(self, AggKind::Min | AggKind::Max)
+    }
+}
+
 /// Running state of one group. `rows` counts member rows (Count's
-/// answer); `vals` holds the non-NaN aggregate values as an ordered
-/// multiset keyed `(value, entity)` — min/max read its ends, avg divides
-/// `sum` by its length (NaN inputs are skipped, SQL NULL style).
+/// answer); `n` and `sum` count and add the non-NaN aggregate values
+/// (NaN inputs are skipped, SQL NULL style) — sum's and avg's whole
+/// state. Only min/max keep `vals`, the values as an ordered multiset
+/// keyed `(value, entity)`, and read its ends.
 #[derive(Debug, Clone, Default)]
 struct GroupAgg {
     rows: usize,
+    n: usize,
     sum: f64,
     vals: BTreeSet<(OrdF64, EntityId)>,
 }
 
 impl GroupAgg {
+    fn add(&mut self, kind: AggKind, id: EntityId, val: Option<(OrdF64, f64)>) {
+        self.rows += 1;
+        match val {
+            Some((o, _)) if kind.ordered() => {
+                self.vals.insert((o, id));
+            }
+            Some((_, v)) => {
+                self.n += 1;
+                self.sum += v;
+            }
+            None => {}
+        }
+    }
+
     fn value(&self, kind: AggKind) -> f64 {
         match kind {
             AggKind::Count => self.rows as f64,
@@ -1086,10 +1159,10 @@ impl GroupAgg {
                 .map(|(v, _)| v.get())
                 .unwrap_or(0.0),
             AggKind::Avg => {
-                if self.vals.is_empty() {
+                if self.n == 0 {
                     0.0
                 } else {
-                    self.sum / self.vals.len() as f64
+                    self.sum / self.n as f64
                 }
             }
         }
@@ -1115,34 +1188,39 @@ fn key_repr(k: &IndexKey) -> Value {
     }
 }
 
+/// The group table: running state per group key, folded one ±row at a
+/// time (seeding is the same fold over every member).
 #[derive(Debug, Clone)]
-struct GroupState {
-    source: SourceState,
+struct GroupTable {
     /// Schema position of the group column (`None` = global group).
     key_col: Option<usize>,
     agg: AggKind,
     /// Schema position of the aggregated column (`None` for Count).
     agg_col: Option<usize>,
     groups: BTreeMap<Option<IndexKey>, GroupAgg>,
-    /// Materialized output, ascending by group key; `out_keys` is the
-    /// parallel key list the changelog diff merges on.
-    out: Vec<GroupRow>,
-    out_keys: Vec<Option<IndexKey>>,
-    log: GroupChangelog,
+    /// Lookup key, reused row to row: only the first row of a group
+    /// pays for its key.
+    key: KeyBuf,
     /// Min/max retractions of the current extreme — the "recompute from
     /// the ordered multiset" events the metrics surface.
     retracts: u64,
 }
 
-impl GroupState {
-    /// Group key of a tuple. `None` on the outside means "no group":
-    /// rows missing the group column (or carrying a NaN key, which
-    /// `compare` can never select) belong to no group, matching the
-    /// scan-side rule that a missing component fails every predicate.
-    fn group_key(&self, t: &Tuple) -> Option<Option<IndexKey>> {
+impl GroupTable {
+    /// Load the group key of a tuple into `self.key`. `false` means "no
+    /// group": rows missing the group column (or carrying a NaN key,
+    /// which `compare` can never select) belong to no group, matching
+    /// the scan-side rule that a missing component fails every
+    /// predicate.
+    fn load_group_key(&mut self, t: &Tuple) -> bool {
         match self.key_col {
-            None => Some(None),
-            Some(c) => t.cols[c].as_ref().and_then(value_key).map(Some),
+            None => {
+                self.key.load(None);
+                true
+            }
+            Some(c) => t.cols[c]
+                .as_ref()
+                .is_some_and(|v| load_key(&mut self.key, v)),
         }
     }
 
@@ -1153,54 +1231,80 @@ impl GroupState {
     }
 
     fn insert(&mut self, id: EntityId, t: &Tuple) {
-        let Some(key) = self.group_key(t) else { return };
+        if !self.load_group_key(t) {
+            return;
+        }
         let val = self.agg_val(t);
-        let g = self.groups.entry(key).or_default();
-        g.rows += 1;
-        if let Some((o, v)) = val {
-            g.sum += v;
-            g.vals.insert((o, id));
+        match self.groups.get_mut(self.key.get()) {
+            Some(g) => g.add(self.agg, id, val),
+            None => self
+                .groups
+                .entry(self.key.get().clone())
+                .or_default()
+                .add(self.agg, id, val),
         }
     }
 
+    /// Retract a row by the tuple remembered for it — exactly what
+    /// [`GroupTable::insert`] folded in, which is what lets sum and avg
+    /// subtract without keeping the values.
     fn retract(&mut self, id: EntityId, t: &Tuple) {
-        let Some(key) = self.group_key(t) else { return };
+        if !self.load_group_key(t) {
+            return;
+        }
         let val = self.agg_val(t);
-        let Some(g) = self.groups.get_mut(&key) else {
+        let Some(g) = self.groups.get_mut(self.key.get()) else {
             return;
         };
         g.rows = g.rows.saturating_sub(1);
-        if let Some((o, v)) = val {
-            let entry = (o, id);
-            let was_extreme = match self.agg {
-                AggKind::Min => g.vals.iter().next() == Some(&entry),
-                AggKind::Max => g.vals.iter().next_back() == Some(&entry),
-                _ => false,
-            };
-            if g.vals.remove(&entry) {
-                g.sum -= v;
-                if was_extreme {
+        match val {
+            Some((o, _)) if self.agg.ordered() => {
+                let entry = (o, id);
+                let was_extreme = match self.agg {
+                    AggKind::Min => g.vals.iter().next() == Some(&entry),
+                    _ => g.vals.iter().next_back() == Some(&entry),
+                };
+                if g.vals.remove(&entry) && was_extreme {
                     // The new extreme is the multiset's next element —
                     // an O(log n) recompute, never a base-table rescan.
                     self.retracts += 1;
                 }
             }
+            Some((_, v)) => {
+                g.n = g.n.saturating_sub(1);
+                g.sum -= v;
+            }
+            None => {}
         }
         if g.rows == 0 {
-            self.groups.remove(&key);
+            self.groups.remove(self.key.get());
         }
     }
+}
 
+#[derive(Debug, Clone)]
+struct GroupState {
+    source: SourceState,
+    table: GroupTable,
+    /// Materialized output, ascending by group key; `out_keys` is the
+    /// parallel key list the changelog diff merges on.
+    out: Vec<GroupRow>,
+    out_keys: Vec<Option<IndexKey>>,
+    log: GroupChangelog,
+}
+
+impl GroupState {
     /// Rebuild the materialized output and, when `log_diff`, absorb the
     /// old-vs-new diff into the changelog.
     fn rebuild(&mut self, log_diff: bool) {
-        let mut new_out = Vec::with_capacity(self.groups.len());
-        let mut new_keys = Vec::with_capacity(self.groups.len());
-        for (k, g) in &self.groups {
+        let table = &self.table;
+        let mut new_out = Vec::with_capacity(table.groups.len());
+        let mut new_keys = Vec::with_capacity(table.groups.len());
+        for (k, g) in &table.groups {
             new_keys.push(k.clone());
             new_out.push(GroupRow {
                 key: k.as_ref().map(key_repr),
-                value: g.value(self.agg),
+                value: g.value(table.agg),
             });
         }
         if log_diff {
@@ -1247,14 +1351,14 @@ impl GroupState {
         let fold = self.source.fold(world, ctx);
         let logged = |log: &GroupChangelog| [log.entered.len(), log.exited.len(), log.changed.len()];
         let before = logged(&self.log);
-        let retracts_before = self.retracts;
+        let retracts_before = self.table.retracts;
         if !fold.deltas.is_empty() {
             for d in &fold.deltas {
                 if let Some(o) = &d.old {
-                    self.retract(d.id, o);
+                    self.table.retract(d.id, o);
                 }
                 if let Some(n) = &d.new {
-                    self.insert(d.id, n);
+                    self.table.insert(d.id, n);
                 }
             }
             self.rebuild(true);
@@ -1270,23 +1374,14 @@ impl GroupState {
             let rows_in = fold.deltas.len();
             m.op_scan.note(rows_in, rows_in);
             m.op_group.note(rows_in, done.entered + done.exited + done.changed);
-            m.op_group_retracts.add(self.retracts - retracts_before);
+            m.op_group_retracts.add(self.table.retracts - retracts_before);
         }
         done
     }
 
     fn init(&mut self, world: &World) {
-        self.source.init(world);
-        let seed: Vec<(EntityId, Tuple)> = self
-            .source
-            .rows
-            .iter()
-            .map(|(&id, t)| (id, t.clone()))
-            .collect();
-        for (id, t) in seed {
-            self.insert(id, &t);
-        }
-        self.retracts = 0;
+        let table = &mut self.table;
+        self.source.init(world, |id, t| table.insert(id, t));
         self.rebuild(false);
     }
 }
@@ -1317,7 +1412,7 @@ impl PlanView {
     pub(crate) fn new(plan: ViewPlan, world: &World) -> Result<PlanView, CoreError> {
         let mut state = compile(&plan)?;
         match &mut state {
-            OpState::Rows(s) => s.out = s.source.init(world),
+            OpState::Rows(s) => s.out = s.source.init(world, |_, _| {}),
             OpState::Join(s) => s.init(world),
             OpState::Group(s) => s.init(world),
         }
@@ -1441,7 +1536,7 @@ impl PlanView {
     /// Retract-and-recompute count (min/max extreme retractions).
     pub(crate) fn retract_recomputes(&self) -> u64 {
         match &self.state {
-            OpState::Group(s) => s.retracts,
+            OpState::Group(s) => s.table.retracts,
             _ => 0,
         }
     }

@@ -50,17 +50,25 @@
 //! 2. [`crate::World::remove_component`] removes the entity's posting.
 //! 3. [`crate::World::despawn`] removes the entity from every index
 //!    before clearing its columns.
-//! 4. Effects, template spawns, snapshot/delta recovery, and script
-//!    writes all funnel through those three entry points, so no other
-//!    code path can desynchronize an index.
+//! 4. Effects, template spawns, WAL/delta redo, and script writes all
+//!    funnel through those three entry points, so no other code path can
+//!    desynchronize an index.
 //! 5. Postings are sorted by [`EntityId`], so probes return deterministic
 //!    id-ordered candidate sets without re-sorting equality lookups.
+//! 6. An index comes into being over existing rows in one pass
+//!    (`SecondaryIndex::build` — live `create_index` and snapshot
+//!    recovery alike, which loads rows *before* any index exists): ids
+//!    are read in ascending order, so hash postings are appended and a
+//!    sorted index is bulk-built from one sorted run. The result is the
+//!    structure per-row inserts would have built
+//!    (`bulk_load_equals_row_by_row_restore` in `tests/prop_core.rs`).
 
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Bound;
 
 use gamedb_content::{CmpOp, Value, ValueType};
 
+use crate::column::Column;
 use crate::entity::EntityId;
 
 /// Physical structure of a secondary index.
@@ -134,12 +142,86 @@ impl IndexKey {
                 _ => None,
             },
             ValueType::Vec2 => match value {
-                Value::Vec2(x, y) if !x.is_nan() && !y.is_nan() => {
-                    let norm = |v: f32| if v == 0.0 { 0.0f32 } else { v };
-                    Some(IndexKey::Vec2([norm(*x).to_bits(), norm(*y).to_bits()]))
-                }
+                Value::Vec2(x, y) => IndexKey::vec2(*x, *y),
                 _ => None,
             },
+        }
+    }
+
+    /// Vector key: equality only, so the bit pattern — `-0.0` folded
+    /// onto `0.0`, no key for a NaN component.
+    pub(crate) fn vec2(x: f32, y: f32) -> Option<IndexKey> {
+        if x.is_nan() || y.is_nan() {
+            return None;
+        }
+        let norm = |v: f32| if v == 0.0 { 0.0f32 } else { v };
+        Some(IndexKey::Vec2([norm(x).to_bits(), norm(y).to_bits()]))
+    }
+
+    /// The key [`IndexKey::encode`] gives the value stored at `slot` of
+    /// `col`, read through the typed accessors — no [`Value`] is built.
+    fn at(col: &Column, slot: usize) -> Option<IndexKey> {
+        match col.ty() {
+            ValueType::Float | ValueType::Int => col
+                .get_number(slot)
+                .and_then(OrdF64::new)
+                .map(IndexKey::Num),
+            ValueType::Bool => col.get_bool(slot).map(IndexKey::Bool),
+            ValueType::Str => col.get_str(slot).map(|s| IndexKey::Str(s.to_string())),
+            ValueType::Vec2 => col.get_v2(slot).and_then(|[x, y]| IndexKey::vec2(x, y)),
+        }
+    }
+}
+
+/// A lookup key whose string buffer is reused from one lookup to the
+/// next: finding the bucket of a string key that is already in the map
+/// allocates nothing, and only a first sighting clones the key into it.
+/// Bulk builds look up one key per row.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct KeyBuf(Option<IndexKey>);
+
+impl KeyBuf {
+    /// Load a string key into the reused buffer.
+    pub(crate) fn load_str(&mut self, s: &str) {
+        match &mut self.0 {
+            Some(IndexKey::Str(buf)) => {
+                buf.clear();
+                buf.push_str(s);
+            }
+            other => *other = Some(IndexKey::Str(s.to_string())),
+        }
+    }
+
+    /// Load `key` (`None` is the key of a global group).
+    pub(crate) fn load(&mut self, key: Option<IndexKey>) {
+        self.0 = key;
+    }
+
+    /// Load the key of `col[slot]`; `false` when the slot has no key
+    /// (absent, or NaN).
+    fn load_slot(&mut self, col: &Column, slot: usize) -> bool {
+        match col.get_str(slot) {
+            Some(s) => self.load_str(s),
+            None => self.0 = IndexKey::at(col, slot),
+        }
+        self.0.is_some()
+    }
+
+    /// The loaded key, as maps keyed by an optional key look it up.
+    pub(crate) fn get(&self) -> &Option<IndexKey> {
+        &self.0
+    }
+}
+
+/// Append `id` to the posting list of the key loaded in `key`. Callers
+/// feed ids in ascending order per key, so lists stay sorted without a
+/// search.
+pub(crate) fn append_posting(map: &mut HashMap<IndexKey, Vec<EntityId>>, key: &KeyBuf, id: EntityId) {
+    let Some(k) = key.get() else { return };
+    match map.get_mut(k) {
+        Some(posting) => posting.push(id),
+        None => {
+            map.insert(k.clone(), vec![id]);
         }
     }
 }
@@ -183,6 +265,53 @@ impl SecondaryIndex {
                 IndexKind::Sorted => Buckets::Sorted(BTreeMap::new()),
             },
             entries: 0,
+        }
+    }
+
+    /// Build the index over `col` in one pass. `ids` are the live
+    /// entities in ascending order, so hash postings are appended, never
+    /// searched; a sorted index collects its `(key, id)` pairs, sorts
+    /// them once and bulk-builds the tree from the sorted run. The
+    /// result is what inserting every row one at a time would build.
+    pub(crate) fn build(
+        kind: IndexKind,
+        col: &Column,
+        ids: impl Iterator<Item = EntityId>,
+    ) -> SecondaryIndex {
+        let mut entries = 0;
+        let buckets = match kind {
+            IndexKind::Hash => {
+                let mut map = HashMap::new();
+                let mut key = KeyBuf::default();
+                for id in ids {
+                    if key.load_slot(col, id.index() as usize) {
+                        append_posting(&mut map, &key, id);
+                        entries += 1;
+                    }
+                }
+                Buckets::Hash(map)
+            }
+            IndexKind::Sorted => {
+                let mut run: Vec<(IndexKey, EntityId)> = ids
+                    .filter_map(|id| IndexKey::at(col, id.index() as usize).map(|k| (k, id)))
+                    .collect();
+                entries = run.len();
+                run.sort_unstable();
+                let mut postings: Vec<(IndexKey, Vec<EntityId>)> = Vec::new();
+                for (key, id) in run {
+                    match postings.last_mut() {
+                        Some((last, posting)) if *last == key => posting.push(id),
+                        _ => postings.push((key, vec![id])),
+                    }
+                }
+                // `BTreeMap::from_iter` builds bottom-up from a sorted run
+                Buckets::Sorted(postings.into_iter().collect())
+            }
+        };
+        SecondaryIndex {
+            ty: col.ty(),
+            buckets,
+            entries,
         }
     }
 

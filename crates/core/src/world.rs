@@ -29,6 +29,9 @@ use crate::query::Query;
 use crate::view::{Changelog, ViewId, ViewRegistry, ViewStats};
 use gamedb_content::CmpOp;
 
+mod bulk;
+pub use bulk::BulkLoader;
+
 /// Name of the reserved position component.
 pub const POS: &str = "pos";
 
@@ -260,9 +263,10 @@ impl World {
 
     // ---- secondary indexes ----
 
-    /// Create a secondary index on a component, backfilled from current
-    /// data and maintained through every subsequent write. `pos` is
-    /// served by the spatial index and cannot carry one.
+    /// Create a secondary index on a component, built from the column
+    /// in one pass (`SecondaryIndex::build`) and maintained through
+    /// every subsequent write. `pos` is served by the spatial index and
+    /// cannot carry one.
     ///
     /// Pick [`IndexKind::Hash`] for identity-like equality lookups and
     /// [`IndexKind::Sorted`] when range predicates matter; the planner
@@ -279,13 +283,7 @@ impl World {
         if self.index_of(cid).is_some() {
             return Err(CoreError::DuplicateIndex(component.to_string()));
         }
-        let col = &self.columns[cid.index()];
-        let mut idx = SecondaryIndex::new(kind, col.ty());
-        for id in self.alloc.iter_live() {
-            if let Some(v) = col.get(id.index() as usize) {
-                idx.insert(&v, id);
-            }
-        }
+        let idx = SecondaryIndex::build(kind, &self.columns[cid.index()], self.alloc.iter_live());
         if self.indexes.len() <= cid.index() {
             self.indexes.resize_with(cid.index() + 1, || None);
         }
@@ -613,8 +611,9 @@ impl World {
         Ok(id)
     }
 
-    /// Restore an entity with an exact id (used by snapshot recovery so
-    /// ids survive a round-trip). Fails when the slot is already live.
+    /// Restore an entity with an exact id (WAL and delta redo, so ids
+    /// survive a round-trip; a whole row image loads through
+    /// [`World::bulk_load`]). Fails when the slot is already live.
     pub fn restore_entity(&mut self, id: EntityId) -> Result<(), CoreError> {
         if self.alloc.restore(id) {
             if self.recording() {
@@ -874,13 +873,7 @@ impl World {
             });
         }
         self.spatial.update(id.to_bits(), pos);
-        self.bounds = Some(match self.bounds {
-            None => (pos, pos),
-            Some((lo, hi)) => (
-                Vec2::new(lo.x.min(pos.x), lo.y.min(pos.y)),
-                Vec2::new(hi.x.max(pos.x), hi.y.max(pos.y)),
-            ),
-        });
+        grow_bounds(&mut self.bounds, pos);
         Ok(())
     }
 
@@ -1249,13 +1242,6 @@ impl World {
         self.world_id
     }
 
-    /// Adopt a recorded lineage (recovery): handles issued by the
-    /// pre-crash world resolve against the recovered one. Call before
-    /// re-registering views, or their ids will carry the wrong lineage.
-    pub fn restore_lineage(&mut self, lineage: u64) {
-        self.world_id = lineage;
-    }
-
     /// Export the catalog: index definitions, live standing views with
     /// their slots, total slots ever issued, lineage, and tick.
     pub fn export_catalog(&self) -> WorldCatalog {
@@ -1281,7 +1267,9 @@ impl World {
     /// tick are restored. Idempotent: re-importing over matching state
     /// is a no-op, so duplicated redo records are harmless.
     pub fn import_catalog(&mut self, cat: &WorldCatalog) -> Result<(), CoreError> {
-        self.restore_lineage(cat.lineage);
+        // adopt the lineage first: the views registered below issue
+        // their handles under it, so pre-crash handles keep resolving
+        self.world_id = cat.lineage;
         for (component, kind) in &cat.indexes {
             self.ensure_index(component, *kind)?;
         }
@@ -1289,7 +1277,7 @@ impl World {
         for (slot, plan) in &cat.views {
             self.import_view_at_slot(*slot, plan.clone())?;
         }
-        self.advance_tick_to(cat.tick);
+        self.restore_tick(cat.tick);
         Ok(())
     }
 
@@ -1320,6 +1308,36 @@ impl World {
             }
         }
         self.import_catalog(cat)
+    }
+
+    /// Begin a bulk load of a row image (snapshot restore): a fresh
+    /// world with `schema` defined in listed order — so every interned
+    /// id lands where the image's writer had it; the predefined `pos`
+    /// may appear anywhere in the list — holding exactly `entities`,
+    /// restored with their generations in one allocator pass. Rows then
+    /// go straight into their columns through the returned
+    /// [`BulkLoader`]; nothing is indexed, folded or recorded per row.
+    /// Derived state is built over the finished rows by
+    /// [`World::import_catalog`], each index and view in one pass.
+    pub fn bulk_load(
+        schema: &[(String, ValueType)],
+        entities: &[EntityId],
+    ) -> Result<BulkLoader, CoreError> {
+        let mut world = World::new();
+        let mut ids = Vec::with_capacity(schema.len());
+        for (name, ty) in schema {
+            if name == POS {
+                if *ty != ValueType::Vec2 {
+                    return Err(CoreError::ReservedComponent(name.clone()));
+                }
+                ids.push(POS_ID);
+            } else {
+                world.define_component(name, *ty)?;
+                ids.push(world.interner.get(name).expect("just defined"));
+            }
+        }
+        world.alloc = EntityAllocator::restore_all(entities).map_err(CoreError::DeadEntity)?;
+        Ok(BulkLoader { world, ids })
     }
 
     /// [`World::create_index`] that tolerates an identical existing
@@ -1370,26 +1388,6 @@ impl World {
         Ok(self.view_id(slot))
     }
 
-    /// [`World::drop_view`] addressed by slot (recovery replay).
-    pub fn drop_view_slot(&mut self, slot: u32) -> bool {
-        match self.view_id_at(slot) {
-            Some(id) => self.drop_view(id),
-            None => false,
-        }
-    }
-
-    /// [`World::retarget_view`] addressed by slot (recovery replay).
-    /// Returns `false` when the slot is dead.
-    pub fn retarget_view_slot(&mut self, slot: u32, center: Vec2, radius: f32) -> bool {
-        match self.view_id_at(slot) {
-            Some(id) => {
-                self.retarget_view(id, center, radius);
-                true
-            }
-            None => false,
-        }
-    }
-
     /// Drop every view's accumulated changelog. Recovery calls this
     /// last: replaying the WAL tail re-runs pre-crash writes through the
     /// view machinery, and those churn entries must not be re-delivered
@@ -1408,11 +1406,21 @@ impl World {
         self.tick
     }
 
-    /// Restore the tick counter to `tick` (recovery). Pending changes
-    /// are folded first, mirroring [`World::bump_tick`]; the counter
-    /// never moves backward, so duplicated redo records are harmless.
+    /// Move the tick counter forward to `tick` on a live world. Pending
+    /// changes are folded first, mirroring [`World::bump_tick`]; the
+    /// counter never moves backward.
     pub fn advance_tick_to(&mut self, tick: u64) {
         self.refresh_views();
+        self.restore_tick(tick);
+    }
+
+    /// Redo-side tick restore: move the counter to `tick` **without**
+    /// folding pending changes into the views. Replaying a log tail
+    /// applies one of these per pre-crash tick; folding at each would
+    /// refresh every view once per record into changelogs recovery
+    /// discards anyway, so the tail folds once, at the end
+    /// ([`World::refresh_views`]). Never moves backward.
+    pub fn restore_tick(&mut self, tick: u64) {
         if tick > self.tick {
             self.tick = tick;
             self.record_catalog(ChangeOp::TickTo { tick });
@@ -1645,6 +1653,17 @@ impl World {
         }
         Ok(())
     }
+}
+
+/// Widen an expand-only bounding box ([`World::approx_bounds`]) to `pos`.
+fn grow_bounds(bounds: &mut Option<(Vec2, Vec2)>, pos: Vec2) {
+    *bounds = Some(match *bounds {
+        None => (pos, pos),
+        Some((lo, hi)) => (
+            Vec2::new(lo.x.min(pos.x), lo.y.min(pos.y)),
+            Vec2::new(hi.x.max(pos.x), hi.y.max(pos.y)),
+        ),
+    });
 }
 
 /// The definitions of a world's derived state — secondary indexes and
@@ -2024,10 +2043,9 @@ mod tests {
         assert_eq!(w.view_id_at(0), Some(id));
         assert_eq!(w.view_id_at(1), None);
         assert_eq!(w.view_ids(), vec![id]);
-        // slot-addressed retarget and drop mirror the handle methods
-        assert!(!w.retarget_view_slot(9, Vec2::ZERO, 1.0));
-        assert!(w.drop_view_slot(0));
-        assert!(!w.drop_view_slot(0));
+        // replay resolves a recorded slot to its handle, or to nothing
+        assert!(w.drop_view(w.view_id_at(0).unwrap()));
+        assert_eq!(w.view_id_at(0), None);
         assert_eq!(w.find_view(&plan), None);
     }
 
@@ -2052,6 +2070,66 @@ mod tests {
         assert_eq!(w.tick(), 5);
         w.advance_tick_to(3);
         assert_eq!(w.tick(), 5, "duplicated redo records are harmless");
+    }
+
+    #[test]
+    fn restore_tick_moves_the_counter_without_folding() {
+        use gamedb_content::CmpOp;
+        let mut w = world_with_hp();
+        let view = w.register_view(Query::select().filter("hp", CmpOp::Lt, Value::Float(50.0)));
+        let a = w.spawn_at(v(0.0, 0.0));
+        w.set_f32(a, "hp", 1.0).unwrap();
+        w.restore_tick(9);
+        assert_eq!(w.tick(), 9);
+        assert!(w.pending_deltas() > 0, "the redo-side restore leaves the fold to its caller");
+        assert!(w.view_rows(view).is_empty());
+        w.restore_tick(4);
+        assert_eq!(w.tick(), 9, "never backward");
+        w.advance_tick_to(10);
+        assert_eq!(w.pending_deltas(), 0, "the live-side advance folds first");
+        assert_eq!(w.view_rows(view), &[a]);
+    }
+
+    #[test]
+    fn bulk_load_rejects_what_a_row_restore_rejected() {
+        let schema = vec![
+            ("hp".to_string(), ValueType::Float),
+            (POS.to_string(), ValueType::Vec2),
+        ];
+        let (a, b) = (EntityId::from_bits(3), EntityId::from_bits(3 | 1 << 32));
+        assert_eq!(
+            World::bulk_load(&schema, &[a, b]).unwrap_err(),
+            CoreError::DeadEntity(b),
+            "one slot, two generations"
+        );
+        let bad_pos = vec![(POS.to_string(), ValueType::Float)];
+        assert!(matches!(
+            World::bulk_load(&bad_pos, &[]),
+            Err(CoreError::ReservedComponent(_))
+        ));
+        let twice = vec![schema[0].clone(), schema[0].clone()];
+        assert!(matches!(
+            World::bulk_load(&twice, &[]),
+            Err(CoreError::DuplicateComponent(_))
+        ));
+
+        let mut load = World::bulk_load(&schema, &[a]).unwrap();
+        // `pos` keeps its reserved id wherever the schema lists it
+        let (hp, pos) = (load.component_ids()[0], load.component_ids()[1]);
+        assert_eq!(pos, POS_ID);
+        assert!(matches!(
+            load.put(a, hp, Value::Int(1)),
+            Err(CoreError::TypeMismatch { .. })
+        ));
+        assert_eq!(load.put(b, hp, Value::Float(1.0)), Err(CoreError::DeadEntity(b)));
+        load.put(a, hp, Value::Float(7.0)).unwrap();
+        load.put(a, pos, Value::Vec2(2.0, 3.0)).unwrap();
+        let w = load.finish();
+        assert_eq!(w.get_f32(a, "hp"), Some(7.0));
+        let mut near = vec![];
+        w.within(v(2.0, 3.0), 0.5, &mut near);
+        assert_eq!(near, vec![a], "positions reach the grid when the load finishes");
+        assert_eq!(w.approx_bounds(), Some((v(2.0, 3.0), v(2.0, 3.0))));
     }
 
     /// The batch regroup sorts by interned id via an in-place

@@ -537,26 +537,297 @@ proptest! {
     }
 }
 
-/// Rebuild a world from its public recovery surface: schema + rows
-/// restored entity-by-entity, then the catalog import that recovery
-/// uses (indexes backfilled, views re-materialized at their original
-/// slots, lineage + tick adopted). This is the core-level shape of what
-/// the persistence layer does after a crash.
+/// Rebuild a world from its public recovery surface, the way the
+/// persistence layer does after a crash: the row image bulk-loaded
+/// (schema in id order, entities with their generations, every value
+/// straight into its column), then the catalog import (each index built
+/// from its column, each view seeded at its original slot, lineage +
+/// tick adopted).
 fn restore_via_catalog(w: &World) -> World {
+    let schema: Vec<(String, ValueType)> = w
+        .schema_by_id()
+        .map(|(_, name, ty)| (name.to_string(), ty))
+        .collect();
+    let mut load = World::bulk_load(&schema, &w.entity_vec()).unwrap();
+    for (e, comp, val) in w.rows() {
+        // the schema was listed in id order, so the ids are `w`'s
+        load.put(e, w.component_id(&comp).unwrap(), val).unwrap();
+    }
+    let mut r = load.finish();
+    r.import_catalog(&w.export_catalog()).unwrap();
+    r
+}
+
+/// The same image restored one row at a time through the live write
+/// path. Indexes and views are created first, over the empty world, so
+/// every posting is an incremental insert and every view row an
+/// incremental fold — what the bulk builders must be equal to.
+fn restore_row_by_row(w: &World) -> World {
     let mut r = World::new();
-    for (name, ty) in w.schema().map(|(n, t)| (n.to_string(), t)).collect::<Vec<_>>() {
+    for (_, name, ty) in w.schema_by_id() {
         if name != gamedb_core::POS {
-            r.define_component(&name, ty).unwrap();
+            r.define_component(name, ty).unwrap();
         }
     }
+    r.import_catalog(&w.export_catalog()).unwrap();
     for e in w.entity_vec() {
         r.restore_entity(e).unwrap();
     }
     for (e, comp, val) in w.rows() {
         r.set(e, &comp, val).unwrap();
     }
-    r.import_catalog(&w.export_catalog()).unwrap();
+    r.refresh_views();
     r
+}
+
+/// One mutation step of the image-equivalence workload: every column
+/// type, the values indexes and aggregates must skip or fold (NaN,
+/// `-0.0`), missing values, entities without a position, and
+/// despawn/respawn churn (id holes, bumped generations).
+#[derive(Debug, Clone)]
+enum ImageOp {
+    Spawn {
+        at: Option<(f32, f32)>,
+        hp: f32,
+        gold: i64,
+        alive: bool,
+        team: u8,
+        home: Option<(f32, f32)>,
+    },
+    /// Overwrite column `.1` of the i-th live entity from the payload.
+    Set(u16, u8, f32),
+    /// Remove column `.1` (`pos` included) from the i-th live entity.
+    Remove(u16, u8),
+    Despawn(u16),
+}
+
+const IMAGE_COLUMNS: [&str; 6] = ["hp", "gold", "alive", "team", "home", gamedb_core::POS];
+
+fn odd_float() -> impl Strategy<Value = f32> {
+    prop_oneof![
+        0.0f32..100.0,
+        0.0f32..100.0,
+        Just(f32::NAN),
+        Just(-0.0f32),
+        Just(0.0f32),
+    ]
+}
+
+fn image_op_strategy() -> impl Strategy<Value = ImageOp> {
+    let point = || (-40.0f32..40.0, -40.0f32..40.0);
+    prop_oneof![
+        (
+            proptest::option::of(point()),
+            odd_float(),
+            0i64..50,
+            any::<bool>(),
+            0u8..4,
+            proptest::option::of(point()),
+        )
+            .prop_map(|(at, hp, gold, alive, team, home)| ImageOp::Spawn {
+                at,
+                hp,
+                gold,
+                alive,
+                team,
+                home
+            }),
+        (0u16..64, 0u8..6, odd_float()).prop_map(|(i, c, v)| ImageOp::Set(i, c, v)),
+        (0u16..64, 0u8..6, odd_float()).prop_map(|(i, c, v)| ImageOp::Set(i, c, v)),
+        (0u16..64, 0u8..6).prop_map(|(i, c)| ImageOp::Remove(i, c)),
+        (0u16..64).prop_map(ImageOp::Despawn),
+    ]
+}
+
+fn image_value(column: u8, v: f32) -> Value {
+    // NaN never reaches a position (the grid wants finite points)
+    let finite = if v.is_nan() { 7.0 } else { v };
+    match column {
+        0 => Value::Float(v),
+        1 => Value::Int(finite as i64),
+        2 => Value::Bool(finite > 50.0),
+        3 => Value::Str(team_name(finite as u8).into()),
+        4 => Value::Vec2(v, -finite),
+        _ => Value::Vec2(finite, finite / 2.0),
+    }
+}
+
+fn apply_image_op(w: &mut World, live: &mut Vec<EntityId>, op: &ImageOp) {
+    match *op {
+        ImageOp::Spawn {
+            at,
+            hp,
+            gold,
+            alive,
+            team,
+            home,
+        } => {
+            let e = match at {
+                Some((x, y)) => w.spawn_at(Vec2::new(x, y)),
+                None => w.spawn(),
+            };
+            w.set_f32(e, "hp", hp).unwrap();
+            w.set(e, "gold", Value::Int(gold)).unwrap();
+            w.set(e, "alive", Value::Bool(alive)).unwrap();
+            w.set(e, "team", Value::Str(team_name(team).into())).unwrap();
+            if let Some((x, y)) = home {
+                w.set(e, "home", Value::Vec2(x, y)).unwrap();
+            }
+            live.push(e);
+        }
+        ImageOp::Set(i, c, v) if !live.is_empty() => {
+            let e = live[i as usize % live.len()];
+            w.set(e, IMAGE_COLUMNS[c as usize], image_value(c, v)).unwrap();
+        }
+        ImageOp::Remove(i, c) if !live.is_empty() => {
+            let e = live[i as usize % live.len()];
+            w.remove_component(e, IMAGE_COLUMNS[c as usize]).unwrap();
+        }
+        ImageOp::Despawn(i) if !live.is_empty() => {
+            let e = live.swap_remove(i as usize % live.len());
+            w.despawn(e);
+        }
+        _ => {}
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::default())]
+
+    /// ISSUE-19: recovery is a bulk load, and a bulk load must be
+    /// indistinguishable from the row-at-a-time restore it replaced.
+    /// One generated image — five column types, NaN and `-0.0`, missing
+    /// values, unpositioned entities, id holes with bumped generations,
+    /// five indexes (both kinds), nine views (rows, spatial, both join
+    /// kinds, sum / avg / count / min / max groups, one burned slot) —
+    /// restored both ways must agree on rows, the interned id table,
+    /// the catalog, the spatial grid, every index probe (each also
+    /// equal to the scan), every view output (each also equal to the
+    /// forced recompute), and the ids the next 50 spawns hand out.
+    #[test]
+    fn bulk_load_equals_row_by_row_restore(
+        ops in proptest::collection::vec(image_op_strategy(), 1..90),
+        bound in 0.0f32..100.0,
+        team in 0u8..4,
+        center in (-40.0f32..40.0, -40.0f32..40.0),
+        radius in 0.5f32..60.0,
+        sorted_team_index in any::<bool>(),
+    ) {
+        use gamedb_core::{AggFn, JoinOn, PlanNode, ViewPlan};
+        let mut w = World::new();
+        for (name, ty) in [
+            ("hp", ValueType::Float),
+            ("gold", ValueType::Int),
+            ("alive", ValueType::Bool),
+            ("team", ValueType::Str),
+            ("home", ValueType::Vec2),
+        ] {
+            w.define_component(name, ty).unwrap();
+        }
+        w.create_index("hp", IndexKind::Sorted).unwrap();
+        w.create_index("gold", IndexKind::Sorted).unwrap();
+        w.create_index("alive", IndexKind::Hash).unwrap();
+        w.create_index("home", IndexKind::Hash).unwrap();
+        w.create_index(
+            "team",
+            if sorted_team_index { IndexKind::Sorted } else { IndexKind::Hash },
+        )
+        .unwrap();
+        let center = Vec2::new(center.0, center.1);
+        let wounded = Query::select().filter("hp", CmpOp::Lt, Value::Float(bound));
+        let awake = Query::select().filter("alive", CmpOp::Eq, Value::Bool(true));
+        let burned = w.register_view(Query::select());
+        let plans = vec![
+            wounded.clone().into_plan(),
+            awake.clone().within(center, radius).into_plan(),
+            ViewPlan::join(
+                PlanNode::scan(wounded.clone()),
+                PlanNode::scan(Query::select()),
+                JoinOn::Eq { left: "team".into(), right: "team".into() },
+            ),
+            ViewPlan::join(
+                PlanNode::scan(awake.clone()),
+                PlanNode::scan(Query::select()),
+                JoinOn::Within { radius: 10.0 },
+            ),
+            Query::select().into_grouped_plan("team", AggFn::Sum("hp".into())).unwrap(),
+            Query::select().into_grouped_plan("alive", AggFn::Min("gold".into())).unwrap(),
+            Query::select().into_grouped_plan("team", AggFn::Max("hp".into())).unwrap(),
+            wounded.clone().into_grouped_plan("gold", AggFn::Count).unwrap(),
+            Query::select().into_aggregate_plan(AggFn::Avg("hp".into())).unwrap(),
+        ];
+        let views: Vec<_> = plans
+            .iter()
+            .map(|p| w.register_view_plan(p.clone()).unwrap())
+            .collect();
+        w.drop_view(burned);
+
+        let mut live = Vec::new();
+        for op in &ops {
+            apply_image_op(&mut w, &mut live, op);
+        }
+        w.refresh_views();
+
+        let mut bulk = restore_via_catalog(&w);
+        let mut rowwise = restore_row_by_row(&w);
+
+        // NaN is in the image, so rows compare by their printed form
+        let printed = |w: &World| format!("{:?}", w.rows());
+        prop_assert_eq!(printed(&bulk), printed(&w));
+        prop_assert_eq!(printed(&bulk), printed(&rowwise));
+        prop_assert_eq!(
+            bulk.schema_by_id().collect::<Vec<_>>(),
+            w.schema_by_id().collect::<Vec<_>>()
+        );
+        prop_assert_eq!(bulk.export_catalog(), w.export_catalog());
+        prop_assert_eq!(bulk.export_catalog(), rowwise.export_catalog());
+        prop_assert_eq!(bulk.positioned_count(), rowwise.positioned_count());
+        prop_assert_eq!(bulk.approx_bounds(), rowwise.approx_bounds());
+        let near = |w: &World| {
+            let mut out = Vec::new();
+            w.within(center, radius, &mut out);
+            out
+        };
+        prop_assert_eq!(near(&bulk), near(&rowwise));
+
+        let probes = vec![
+            wounded.clone(),
+            Query::select().filter("hp", CmpOp::Ge, Value::Float(bound)),
+            Query::select().filter("hp", CmpOp::Eq, Value::Float(0.0)),
+            Query::select().filter("gold", CmpOp::Le, Value::Int(bound as i64 / 2)),
+            Query::select().filter("team", CmpOp::Eq, Value::Str(team_name(team).into())),
+            Query::select().filter("team", CmpOp::Gt, Value::Str(team_name(team).into())),
+            awake.clone(),
+            Query::select().filter("home", CmpOp::Eq, Value::Vec2(0.0, 0.0)),
+            awake.clone().within(center, radius).filter("gold", CmpOp::Gt, Value::Int(10)),
+        ];
+        for q in &probes {
+            prop_assert_eq!(q.run(&bulk), q.run_scan(&bulk), "probe vs scan: {:?}", q);
+            prop_assert_eq!(q.run(&bulk), q.run(&rowwise), "bulk vs row-by-row: {:?}", q);
+        }
+        for (c, kind) in w.indexed_components() {
+            let (b, r) = (bulk.index_on(c).unwrap(), rowwise.index_on(c).unwrap());
+            prop_assert_eq!((b.kind(), b.len(), b.ndv()), (kind, r.len(), r.ndv()), "index {}", c);
+            prop_assert_eq!(b.numeric_bounds(), r.numeric_bounds(), "index {}", c);
+        }
+
+        prop_assert!(!bulk.has_view(burned), "burned slots stay burned");
+        for (&v, plan) in views.iter().zip(&plans) {
+            prop_assert_eq!(bulk.view_plan(v), Some(plan));
+            let out = bulk.view_output(v);
+            prop_assert_eq!(&out, &plan.evaluate(&bulk).unwrap(), "vs recompute: {:?}", plan);
+            prop_assert_eq!(&out, &rowwise.view_output(v), "vs incremental: {:?}", plan);
+            // (a live float sum carries its own history of rounding)
+            if out.as_groups().is_none() {
+                prop_assert_eq!(&out, &w.view_output(v), "vs the live world: {:?}", plan);
+            }
+        }
+
+        // the allocator hands out the same slots, in the same order
+        for _ in 0..50 {
+            prop_assert_eq!(bulk.spawn(), rowwise.spawn());
+        }
+    }
 }
 
 proptest! {
@@ -723,10 +994,14 @@ fn replay_change(w: &mut World, op: &gamedb_core::ChangeOp) {
             w.import_view_at_slot(*slot, plan.clone()).unwrap();
         }
         ChangeOp::DropView { slot } => {
-            w.drop_view_slot(*slot);
+            if let Some(v) = w.view_id_at(*slot) {
+                w.drop_view(v);
+            }
         }
         ChangeOp::RetargetView { slot, x, y, radius } => {
-            w.retarget_view_slot(*slot, Vec2::new(*x, *y), *radius);
+            if let Some(v) = w.view_id_at(*slot) {
+                w.retarget_view(v, Vec2::new(*x, *y), *radius);
+            }
         }
         ChangeOp::TickTo { tick } => {
             w.advance_tick_to(*tick);

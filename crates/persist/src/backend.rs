@@ -280,6 +280,16 @@ impl Backend {
         self.seqs_with_prefix("snapshot-")
     }
 
+    /// Every snapshot on disk as `(seq, bytes)`, newest first, each file
+    /// read only when the iterator reaches it — recovery stops at the
+    /// first one that decodes, so older files are never opened.
+    pub fn snapshots_newest_first(
+        &self,
+    ) -> Result<impl Iterator<Item = (u64, Result<Vec<u8>, BackendError>)> + '_, BackendError> {
+        let seqs = self.snapshot_seqs()?;
+        Ok(seqs.into_iter().rev().map(|seq| (seq, self.read_snapshot(seq))))
+    }
+
     /// Sequence numbers of durably installed deltas, ascending.
     pub fn delta_seqs(&self) -> Result<Vec<u64>, BackendError> {
         self.seqs_with_prefix("delta-")

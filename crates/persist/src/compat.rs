@@ -32,7 +32,7 @@ use gamedb_spatial::Vec2;
 
 use crate::snapshot::{checksum, decode, kind_tag, put_catalog, put_query, put_str, put_value};
 use crate::wal::{decode_log, CompRef, WalRecord};
-use crate::walstore::recover_from_parts;
+use crate::walstore::{newest_first, recover_from_parts, Recovered};
 
 const MAGIC_V2: u32 = 0x6744_4202;
 const MAGIC_V3: u32 = 0x6744_4203;
@@ -251,8 +251,12 @@ fn legacy_wal_frames_recover_bit_identically() {
     );
     log.extend_from_slice(&frame);
 
-    let (recovered, seq, replayed) =
-        recover_from_parts(&[(0u64, snapshot.as_slice())], &log).unwrap();
+    let Recovered {
+        world: recovered,
+        snapshot_seq: seq,
+        replayed,
+        ..
+    } = recover_from_parts(newest_first(&[(0u64, snapshot.as_slice())]), &log).unwrap();
     assert_eq!((seq, replayed), (0, 8));
 
     // the oracle: the same history through the live write API
@@ -295,8 +299,11 @@ fn legacy_table_views_recover_as_plan_views_at_their_slots() {
     ] {
         log.extend_from_slice(&r.encode());
     }
-    let (recovered, _, replayed) =
-        recover_from_parts(&[(0u64, snapshot.as_slice())], &log).unwrap();
+    let Recovered {
+        world: recovered,
+        replayed,
+        ..
+    } = recover_from_parts(newest_first(&[(0u64, snapshot.as_slice())]), &log).unwrap();
     assert_eq!(replayed, 4);
 
     // same slots, same lineage: the pre-crash handle reads the plan view
@@ -374,8 +381,11 @@ fn mixed_legacy_and_interned_log_replays() {
         log.extend_from_slice(&r.encode());
     }
 
-    let (recovered, _, replayed) =
-        recover_from_parts(&[(0u64, snapshot.as_slice())], &log).unwrap();
+    let Recovered {
+        world: recovered,
+        replayed,
+        ..
+    } = recover_from_parts(newest_first(&[(0u64, snapshot.as_slice())]), &log).unwrap();
     assert_eq!(replayed, 4);
     assert_eq!(recovered.get_f32(e, "hp"), Some(44.0));
     assert_eq!(recovered.get_i64(e, "rage"), Some(7));

@@ -32,7 +32,7 @@
 //! durable at crash offset `o` iff `o` is at or past the first byte of
 //! its mark record — including the window where the snapshot exists but
 //! its mark was torn away, which is exactly the window the
-//! mark-anchored replay rule ([`crate::wal::replay_after_checkpoint`])
+//! mark-anchored replay rule ([`crate::wal::replay_log_tail`])
 //! protects.
 
 use gamedb_content::{CmpOp, Value, ValueType};
@@ -43,7 +43,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::backend::{temp_dir, Backend, FaultKind};
 use crate::wal::{decode_log, WalRecord};
-use crate::walstore::{recover_from_parts, FlushPolicy, StoreError, WalStore};
+use crate::walstore::{newest_first, recover_from_parts, FlushPolicy, StoreError, WalStore};
 
 /// Sweep parameters.
 #[derive(Debug, Clone, Copy)]
@@ -558,8 +558,9 @@ pub fn run_sweep(cfg: SweepConfig) -> Result<SweepReport, String> {
     };
     let check = |fault: &str, o: usize, faulted: &[u8], survivors: usize| -> Result<(), String> {
         let parts = durable_at(o);
-        let (world, _, _) = recover_from_parts(&parts, faulted)
-            .map_err(|e| format!("{fault} @ {o}: recovery failed: {e}"))?;
+        let world = recover_from_parts(newest_first(&parts), faulted)
+            .map_err(|e| format!("{fault} @ {o}: recovery failed: {e}"))?
+            .world;
         let boundary = if survivors == 0 { 0 } else { bounds[survivors - 1].1 as u64 };
         let oracle = driver
             .oracle_at(boundary)

@@ -10,6 +10,8 @@
 
 use gamedb_metrics::{Counter, Gauge, Histogram, MetricsRegistry, LATENCY_US_BUCKETS, SIZE_BUCKETS};
 
+use crate::walstore::RecoveryStats;
+
 /// Cached handles for one WAL store. Metric catalog in ARCHITECTURE.md
 /// § Observability; operational meanings in docs/RUNBOOK.md.
 #[derive(Debug, Clone)]
@@ -41,6 +43,24 @@ pub(crate) struct WalMetrics {
     /// `wal.writer_errors`: writer-side failures (I/O error or backend
     /// crash). Anything above 0 means the pipeline is dead.
     pub writer_errors: Counter,
+    /// `recover.*`: what each [`crate::walstore::WalStore::crash_and_recover`]
+    /// read and where its time went, phase by phase.
+    recover: RecoverMetrics,
+}
+
+/// One recovery's [`RecoveryStats`], as counters and per-phase
+/// microsecond histograms.
+#[derive(Debug, Clone)]
+struct RecoverMetrics {
+    snapshots_read: Counter,
+    records_decoded: Counter,
+    rows_loaded: Counter,
+    read_us: Histogram,
+    decode_us: Histogram,
+    load_rows_us: Histogram,
+    indexes_us: Histogram,
+    views_us: Histogram,
+    replay_us: Histogram,
 }
 
 impl WalMetrics {
@@ -57,6 +77,35 @@ impl WalMetrics {
             flush_commits: registry.histogram("wal.flush_commits", SIZE_BUCKETS),
             checkpoints: registry.counter("wal.checkpoints"),
             writer_errors: registry.counter("wal.writer_errors"),
+            recover: RecoverMetrics {
+                snapshots_read: registry.counter("recover.snapshots_read"),
+                records_decoded: registry.counter("recover.records_decoded"),
+                rows_loaded: registry.counter("recover.rows_loaded"),
+                read_us: registry.histogram("recover.read_us", LATENCY_US_BUCKETS),
+                decode_us: registry.histogram("recover.decode_us", LATENCY_US_BUCKETS),
+                load_rows_us: registry.histogram("recover.load_rows_us", LATENCY_US_BUCKETS),
+                indexes_us: registry.histogram("recover.indexes_us", LATENCY_US_BUCKETS),
+                views_us: registry.histogram("recover.views_us", LATENCY_US_BUCKETS),
+                replay_us: registry.histogram("recover.replay_us", LATENCY_US_BUCKETS),
+            },
+        }
+    }
+
+    /// Report one finished recovery.
+    pub fn observe_recovery(&self, stats: &RecoveryStats) {
+        let r = &self.recover;
+        r.snapshots_read.add(stats.snapshots_read);
+        r.records_decoded.add(stats.records_decoded);
+        r.rows_loaded.add(stats.rows_loaded);
+        for (phase, spent) in [
+            (&r.read_us, stats.read),
+            (&r.decode_us, stats.decode),
+            (&r.load_rows_us, stats.load_rows),
+            (&r.indexes_us, stats.indexes),
+            (&r.views_us, stats.views),
+            (&r.replay_us, stats.replay),
+        ] {
+            phase.observe(spent.as_micros() as u64);
         }
     }
 }

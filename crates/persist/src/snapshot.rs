@@ -8,10 +8,14 @@
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use gamedb_content::{CmpOp, Value, ValueType};
 use gamedb_core::{
-    AggFn, EntityId, IndexKind, JoinOn, PlanNode, Pred, Query, ViewPlan, World, WorldCatalog,
+    AggFn, ComponentId, EntityId, IndexKind, JoinOn, PlanNode, Pred, Query, ViewPlan, World,
+    WorldCatalog,
 };
 use gamedb_spatial::Vec2;
 use std::fmt;
+use std::time::Instant;
+
+use crate::walstore::RecoveryStats;
 
 /// Format magic + version. v2 appended the catalog (secondary indexes,
 /// standing views, lineage) to the row image — recovery that restores
@@ -102,7 +106,7 @@ pub(crate) fn put_str(buf: &mut BytesMut, s: &str) {
     buf.put_slice(s.as_bytes());
 }
 
-pub(crate) fn get_str(buf: &mut Bytes) -> Result<String, SnapshotError> {
+pub(crate) fn get_str(buf: &mut impl Buf) -> Result<String, SnapshotError> {
     if buf.remaining() < 4 {
         return Err(SnapshotError::Truncated);
     }
@@ -110,9 +114,11 @@ pub(crate) fn get_str(buf: &mut Bytes) -> Result<String, SnapshotError> {
     if buf.remaining() < len {
         return Err(SnapshotError::Truncated);
     }
-    let bytes = buf.copy_to_bytes(len);
-    String::from_utf8(bytes.to_vec())
-        .map_err(|_| SnapshotError::Corrupt("non-utf8 string".into()))
+    let s = std::str::from_utf8(&buf.chunk()[..len])
+        .map_err(|_| SnapshotError::Corrupt("non-utf8 string".into()))?
+        .to_owned();
+    buf.advance(len);
+    Ok(s)
 }
 
 /// Encode one value (type known from the schema).
@@ -130,7 +136,7 @@ pub(crate) fn put_value(buf: &mut BytesMut, v: &Value) {
 }
 
 /// Decode one value of a known type.
-pub(crate) fn get_value(buf: &mut Bytes, ty: ValueType) -> Result<Value, SnapshotError> {
+pub(crate) fn get_value(buf: &mut impl Buf, ty: ValueType) -> Result<Value, SnapshotError> {
     macro_rules! need {
         ($n:expr) => {
             if buf.remaining() < $n {
@@ -228,7 +234,7 @@ pub(crate) fn put_query(buf: &mut BytesMut, q: &Query) {
 }
 
 /// Inverse of [`put_query`].
-pub(crate) fn get_query(buf: &mut Bytes) -> Result<Query, SnapshotError> {
+pub(crate) fn get_query(buf: &mut impl Buf) -> Result<Query, SnapshotError> {
     macro_rules! need {
         ($n:expr) => {
             if buf.remaining() < $n {
@@ -357,7 +363,7 @@ fn put_node(buf: &mut BytesMut, node: &PlanNode) {
     }
 }
 
-fn get_node(buf: &mut Bytes, depth: usize) -> Result<PlanNode, SnapshotError> {
+fn get_node(buf: &mut impl Buf, depth: usize) -> Result<PlanNode, SnapshotError> {
     macro_rules! need {
         ($n:expr) => {
             if buf.remaining() < $n {
@@ -455,7 +461,7 @@ pub(crate) fn put_plan(buf: &mut BytesMut, plan: &ViewPlan) {
 /// column visibility) is re-checked by the core when the plan is
 /// re-registered, so corruption surfaces as a registration error, not
 /// undefined view state.
-pub(crate) fn get_plan(buf: &mut Bytes) -> Result<ViewPlan, SnapshotError> {
+pub(crate) fn get_plan(buf: &mut impl Buf) -> Result<ViewPlan, SnapshotError> {
     Ok(ViewPlan::new(get_node(buf, 0)?))
 }
 
@@ -480,7 +486,7 @@ pub(crate) fn put_catalog(buf: &mut BytesMut, cat: &WorldCatalog) {
 }
 
 pub(crate) fn get_catalog(
-    buf: &mut Bytes,
+    buf: &mut impl Buf,
     lineage: u64,
     tick: u64,
     with_plans: bool,
@@ -494,7 +500,7 @@ pub(crate) fn get_catalog(
     }
     need!(4);
     let n_indexes = buf.get_u32_le() as usize;
-    let mut indexes = Vec::with_capacity(n_indexes);
+    let mut indexes = Vec::with_capacity(bounded(n_indexes, &*buf, MIN_STR + 1)?);
     for _ in 0..n_indexes {
         let name = get_str(buf)?;
         need!(1);
@@ -581,12 +587,41 @@ pub fn encode(world: &World) -> Bytes {
     out.freeze()
 }
 
-/// Deserialize a world — rows *and* catalog: secondary indexes are
-/// rebuilt (backfilled), standing views re-materialize at their original
-/// slots with empty changelogs, and the lineage and tick counter are
-/// restored into the world (the returned tick equals `world.tick()`).
+/// Smallest encoding of a string: its length prefix.
+const MIN_STR: usize = 4;
+
+/// A count read from disk, checked against what the rest of the buffer
+/// could possibly hold at `min_size` bytes per item — a forged count is
+/// a truncation, found before anything is allocated for it.
+fn bounded(count: usize, buf: &impl Buf, min_size: usize) -> Result<usize, SnapshotError> {
+    if buf.remaining() / min_size < count {
+        return Err(SnapshotError::Truncated);
+    }
+    Ok(count)
+}
+
+/// Deserialize a world — rows *and* catalog — as a bulk load, in this
+/// order: every row goes straight into its column
+/// ([`World::bulk_load`]; the row section is the same in every format
+/// version, so this is the one loader), then each secondary index is
+/// built from its column in one pass, then each standing view is seeded
+/// at its original slot with an empty changelog, and the lineage and
+/// tick counter are restored into the world (the returned tick equals
+/// `world.tick()`). The input is sliced, never copied.
 pub fn decode(data: &[u8]) -> Result<(World, u64), SnapshotError> {
-    let mut buf = Bytes::copy_from_slice(data);
+    let world = decode_phased(data, &mut RecoveryStats::default())?;
+    let tick = world.tick();
+    Ok((world, tick))
+}
+
+/// [`decode`], reporting where the time went: the decode, load-rows,
+/// index and view phases and the row count of `phases` are set.
+pub(crate) fn decode_phased(data: &[u8], phases: &mut RecoveryStats) -> Result<World, SnapshotError> {
+    fn corrupt(e: gamedb_core::CoreError) -> SnapshotError {
+        SnapshotError::Corrupt(e.to_string())
+    }
+    let started = Instant::now();
+    let mut buf = data;
     if buf.remaining() < 24 {
         return Err(SnapshotError::Truncated);
     }
@@ -597,80 +632,88 @@ pub fn decode(data: &[u8]) -> Result<(World, u64), SnapshotError> {
     let tick = buf.get_u64_le();
     let lineage = buf.get_u64_le();
     let len = buf.get_u32_le() as usize;
-    if buf.remaining() < len + 4 {
+    if buf.remaining() < 4 || buf.remaining() - 4 < len {
         return Err(SnapshotError::Truncated);
     }
-    let body = buf.copy_to_bytes(len);
-    let expected = buf.get_u32_le();
-    let got = checksum(&body);
+    let (body, mut trailer) = buf.split_at(len);
+    let expected = trailer.get_u32_le();
+    let got = checksum(body);
     if expected != got {
         return Err(SnapshotError::ChecksumMismatch { expected, got });
     }
 
     let mut buf = body;
-    let mut world = World::new();
-    // schema
+    // schema: name + type tag per entry
     if buf.remaining() < 4 {
         return Err(SnapshotError::Truncated);
     }
     let n_schema = buf.get_u32_le() as usize;
-    let mut schema = Vec::with_capacity(n_schema);
+    let mut schema = Vec::with_capacity(bounded(n_schema, &buf, MIN_STR + 1)?);
     for _ in 0..n_schema {
         let name = get_str(&mut buf)?;
         if buf.remaining() < 1 {
             return Err(SnapshotError::Truncated);
         }
-        let ty = tag_type(buf.get_u8())?;
-        if name != gamedb_core::POS {
-            world
-                .define_component(&name, ty)
-                .map_err(|e| SnapshotError::Corrupt(e.to_string()))?;
-        }
-        schema.push((name, ty));
+        schema.push((name, tag_type(buf.get_u8())?));
     }
-    // entities
+    // entities: 8 bytes each
     if buf.remaining() < 4 {
         return Err(SnapshotError::Truncated);
     }
     let n_entities = buf.get_u32_le() as usize;
-    let mut entities = Vec::with_capacity(n_entities);
+    let mut entities = Vec::with_capacity(bounded(n_entities, &buf, 8)?);
     for _ in 0..n_entities {
-        if buf.remaining() < 8 {
-            return Err(SnapshotError::Truncated);
-        }
-        let id = EntityId::from_bits(buf.get_u64_le());
-        world
-            .restore_entity(id)
-            .map_err(|e| SnapshotError::Corrupt(e.to_string()))?;
-        entities.push(id);
+        entities.push(EntityId::from_bits(buf.get_u64_le()));
     }
-    // rows
+    phases.decode = started.elapsed();
+
+    // rows: each schema entry resolves to its column once, then every
+    // value goes straight into that column
+    let started = Instant::now();
+    let mut loader = World::bulk_load(&schema, &entities).map_err(corrupt)?;
+    let columns: Vec<(ComponentId, ValueType)> = loader
+        .component_ids()
+        .iter()
+        .zip(&schema)
+        .map(|(&id, (_, ty))| (id, *ty))
+        .collect();
+    let mut rows = 0u64;
     for &e in &entities {
         if buf.remaining() < 4 {
             return Err(SnapshotError::Truncated);
         }
-        let n_rows = buf.get_u32_le() as usize;
+        let n_rows = buf.get_u32_le();
         for _ in 0..n_rows {
             if buf.remaining() < 4 {
                 return Err(SnapshotError::Truncated);
             }
             let idx = buf.get_u32_le() as usize;
-            let (name, ty) = schema
+            let &(component, ty) = columns
                 .get(idx)
                 .ok_or_else(|| SnapshotError::Corrupt(format!("schema index {idx}")))?;
-            let value = get_value(&mut buf, *ty)?;
-            world
-                .set(e, name, value)
-                .map_err(|err| SnapshotError::Corrupt(err.to_string()))?;
+            let value = get_value(&mut buf, ty)?;
+            loader.put(e, component, value).map_err(corrupt)?;
+            rows += 1;
         }
     }
-    // catalog: rebuild indexes and views over the restored rows, adopt
-    // the recorded lineage and tick
+    let mut world = loader.finish();
+    phases.load_rows = started.elapsed();
+    phases.rows_loaded = rows;
+
+    let started = Instant::now();
     let catalog = get_catalog(&mut buf, lineage, tick, magic == MAGIC)?;
-    world
-        .import_catalog(&catalog)
-        .map_err(|e| SnapshotError::Corrupt(e.to_string()))?;
-    Ok((world, tick))
+    phases.decode += started.elapsed();
+    // indexes first and on their own, so the phase split can tell them
+    // from the views; the import below finds them in place
+    let started = Instant::now();
+    for (component, kind) in &catalog.indexes {
+        world.ensure_index(component, *kind).map_err(corrupt)?;
+    }
+    phases.indexes = started.elapsed();
+    let started = Instant::now();
+    world.import_catalog(&catalog).map_err(corrupt)?;
+    phases.views = started.elapsed();
+    Ok(world)
 }
 
 #[cfg(test)]
@@ -762,6 +805,47 @@ mod tests {
             decode(&bytes).unwrap_err(),
             SnapshotError::BadMagic(_)
         ));
+    }
+
+    /// A count read from disk is bounded by what the buffer could hold
+    /// before anything is sized by it: a forged count under a recomputed
+    /// (valid) checksum is a truncation, not a multi-gigabyte allocation.
+    #[test]
+    fn forged_counts_fail_before_they_allocate() {
+        // an empty world's body, by offset: n_schema(=1) | len(3) "pos"
+        // tag | n_entities(=0) | n_indexes(=0) | ...
+        const BODY: usize = 24;
+        let bytes = encode(&World::new()).to_vec();
+        for (what, at) in [("schema", 0), ("entity", 12), ("index", 16)] {
+            let mut forged = bytes.clone();
+            forged[BODY + at..BODY + at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            let end = forged.len() - 4;
+            let sum = checksum(&forged[BODY..end]);
+            forged[end..].copy_from_slice(&sum.to_le_bytes());
+            let err = decode(&forged).unwrap_err();
+            assert!(
+                matches!(err, SnapshotError::Truncated | SnapshotError::Corrupt(_)),
+                "forged {what} count: {err}"
+            );
+        }
+        // and on a populated image, where the entity list is real
+        let w = sample_world();
+        let mut forged = encode(&w).to_vec();
+        let mut at = BODY + 4;
+        for _ in 0..w.component_count() {
+            let len = u32::from_le_bytes(forged[at..at + 4].try_into().unwrap()) as usize;
+            at += 4 + len + 1;
+        }
+        assert_eq!(
+            u32::from_le_bytes(forged[at..at + 4].try_into().unwrap()) as usize,
+            w.len(),
+            "the entity count sits after the schema"
+        );
+        forged[at..at + 4].copy_from_slice(&(u32::MAX - 1).to_le_bytes());
+        let end = forged.len() - 4;
+        let sum = checksum(&forged[BODY..end]);
+        forged[end..].copy_from_slice(&sum.to_le_bytes());
+        assert_eq!(decode(&forged).unwrap_err(), SnapshotError::Truncated);
     }
 
     #[test]

@@ -587,16 +587,23 @@ impl WalRecord {
             WalRecord::RegisterPlanView { slot, plan } => {
                 world.import_view_at_slot(*slot, plan.clone()).map(|_| ())
             }
+            // a dead slot means the drop already won: a clean no-op
             WalRecord::DropView { slot } => {
-                world.drop_view_slot(*slot);
+                if let Some(view) = world.view_id_at(*slot) {
+                    world.drop_view(view);
+                }
                 Ok(())
             }
             WalRecord::RetargetView { slot, x, y, radius } => {
-                world.retarget_view_slot(*slot, Vec2::new(*x, *y), *radius);
+                if let Some(view) = world.view_id_at(*slot) {
+                    world.retarget_view(view, Vec2::new(*x, *y), *radius);
+                }
                 Ok(())
             }
+            // no view fold per replayed tick: the whole tail folds once,
+            // when recovery ends (`recover_from_parts`)
             WalRecord::TickTo { tick } => {
-                world.advance_tick_to(*tick);
+                world.restore_tick(*tick);
                 Ok(())
             }
             WalRecord::Restore { entity } => {
@@ -670,63 +677,91 @@ impl WalRecord {
     }
 }
 
+/// Walk a log buffer frame by frame, yielding each frame's payload once
+/// its length and checksum hold; a torn or corrupt frame ends the log.
+fn frames(data: &[u8]) -> impl Iterator<Item = &[u8]> {
+    let mut pos = 0usize;
+    std::iter::from_fn(move || {
+        let rest = &data[pos..];
+        if rest.len() < 8 {
+            return None;
+        }
+        let len = u32::from_le_bytes(rest[..4].try_into().expect("4 bytes")) as usize;
+        if rest.len() - 8 < len {
+            return None; // torn frame
+        }
+        let payload = &rest[4..4 + len];
+        let stored = u32::from_le_bytes(rest[4 + len..8 + len].try_into().expect("4 bytes"));
+        if checksum(payload) != stored {
+            return None; // corrupt tail
+        }
+        pos += 8 + len;
+        Some(payload)
+    })
+}
+
 /// Decode a log buffer into records, stopping cleanly at a torn tail.
 ///
 /// Returns the records and the number of bytes of valid log consumed.
 pub fn decode_log(data: &[u8]) -> (Vec<WalRecord>, usize) {
     let mut records = Vec::new();
-    let mut pos = 0usize;
-    while data.len() - pos >= 8 {
-        let len = u32::from_le_bytes(data[pos..pos + 4].try_into().expect("4 bytes")) as usize;
-        if data.len() - pos < 4 + len + 4 {
-            break; // torn frame
-        }
-        let payload = &data[pos + 4..pos + 4 + len];
-        let stored =
-            u32::from_le_bytes(data[pos + 4 + len..pos + 8 + len].try_into().expect("4 bytes"));
-        if checksum(payload) != stored {
-            break; // corrupt tail
-        }
+    let mut consumed = 0usize;
+    for payload in frames(data) {
         match WalRecord::decode_payload(Bytes::copy_from_slice(payload)) {
             Ok(r) => records.push(r),
             Err(_) => break,
         }
-        pos += 8 + len;
+        consumed += 8 + payload.len();
     }
-    (records, pos)
+    (records, consumed)
+}
+
+/// The `seq` of a frame that is a [`WalRecord::CheckpointMark`], read
+/// off the payload without decoding it.
+fn mark_seq(payload: &[u8]) -> Option<u64> {
+    match payload {
+        [TAG_MARK, seq @ ..] => seq.try_into().ok().map(u64::from_le_bytes),
+        _ => None,
+    }
 }
 
 /// Replay a log tail onto a recovered snapshot world: only records after
 /// the last `CheckpointMark { seq }` matching `snapshot_seq` are applied
-/// (earlier records are already reflected in the snapshot).
+/// (earlier records are already reflected in the snapshot), and only
+/// those are decoded — every frame is still walked and checksummed, but
+/// what recovery pays to decode does not grow with the history a log
+/// retains.
 ///
 /// **No matching mark ⇒ nothing replays.** Log appends are ordered, so a
 /// record written after snapshot `seq` can only exist in the durable log
 /// if the mark for `seq` made it there first; a missing mark means the
 /// crash tore the log at (or before) the mark itself, and every
 /// surviving record predates the snapshot. Replaying the whole log in
-/// that situation — the previous behavior — re-applies history the
-/// snapshot already contains, resurrecting despawned generations and
-/// un-dropping views. The crash-point sweep in [`crate::crashpoint`]
-/// exercises exactly this window.
+/// that situation re-applies history the snapshot already contains,
+/// resurrecting despawned generations and un-dropping views. The
+/// crash-point sweep in [`crate::crashpoint`] exercises exactly this
+/// window.
 ///
-/// Returns the number of records applied.
-pub fn replay_after_checkpoint(
+/// A tail frame that does not decode ends the log there, like a torn
+/// one. Returns the number of records decoded and applied.
+pub fn replay_log_tail(
     world: &mut World,
-    records: &[WalRecord],
+    log: &[u8],
     snapshot_seq: u64,
 ) -> Result<usize, CoreError> {
-    // find the last mark for this snapshot
-    let Some(start) = records
+    let frames: Vec<&[u8]> = frames(log).collect();
+    let Some(mark) = frames
         .iter()
-        .rposition(|r| matches!(r, WalRecord::CheckpointMark { seq } if *seq == snapshot_seq))
-        .map(|i| i + 1)
+        .rposition(|p| mark_seq(p) == Some(snapshot_seq))
     else {
         return Ok(0);
     };
     let mut applied = 0;
-    for r in &records[start..] {
-        r.apply(world)?;
+    for payload in &frames[mark + 1..] {
+        let Ok(record) = WalRecord::decode_payload(Bytes::copy_from_slice(payload)) else {
+            break;
+        };
+        record.apply(world)?;
         applied += 1;
     }
     Ok(applied)
@@ -892,6 +927,10 @@ mod tests {
         assert_eq!(w.get_i64(e, "brand_new"), Some(9));
     }
 
+    fn log_of(records: &[WalRecord]) -> Vec<u8> {
+        records.iter().flat_map(|r| r.encode().to_vec()).collect()
+    }
+
     #[test]
     fn replay_skips_records_before_checkpoint_mark() {
         let mut w = World::new();
@@ -914,7 +953,7 @@ mod tests {
                 value: Value::Float(42.0),
             },
         ];
-        let applied = replay_after_checkpoint(&mut w, &records, 3).unwrap();
+        let applied = replay_log_tail(&mut w, &log_of(&records), 3).unwrap();
         assert_eq!(applied, 1);
         assert_eq!(w.get_f32(e, "hp"), Some(42.0));
     }
@@ -941,9 +980,40 @@ mod tests {
                 value: Value::Float(2.0),
             },
         ];
-        let applied = replay_after_checkpoint(&mut w, &records, 2).unwrap();
+        let applied = replay_log_tail(&mut w, &log_of(&records), 2).unwrap();
         assert_eq!(applied, 0, "no mark for seq 2: nothing may replay");
         assert_eq!(w.get_f32(e, "hp"), Some(50.0));
+    }
+
+    /// Only the tail is decoded: a frame whose checksum holds but whose
+    /// payload no decoder knows ends the log where replay meets it —
+    /// after the mark — and is never looked at before the mark, where
+    /// nothing is decoded at all.
+    #[test]
+    fn replay_decodes_the_tail_only() {
+        let mut w = World::new();
+        w.define_component("hp", ValueType::Float).unwrap();
+        let e = w.spawn_at(Vec2::ZERO);
+        let set = |hp: f32| WalRecord::Set {
+            entity: e,
+            component: "hp".into(),
+            value: Value::Float(hp),
+        };
+        let unknown = {
+            let payload = [0xEEu8, 1, 2, 3];
+            let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
+            frame.extend_from_slice(&payload);
+            frame.extend_from_slice(&checksum(&payload).to_le_bytes());
+            frame
+        };
+        let mut log = unknown.clone();
+        log.extend(log_of(&[set(1.0), WalRecord::CheckpointMark { seq: 5 }, set(2.0)]));
+        log.extend(&unknown);
+        log.extend(log_of(&[set(3.0)]));
+
+        assert_eq!(decode_log(&log).0, vec![], "a full decode stops at frame one");
+        assert_eq!(replay_log_tail(&mut w, &log, 5).unwrap(), 1);
+        assert_eq!(w.get_f32(e, "hp"), Some(2.0), "the log ends at the unknown tail frame");
     }
 
     #[test]

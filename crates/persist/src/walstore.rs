@@ -55,49 +55,112 @@ use gamedb_metrics::MetricsRegistry;
 use crate::backend::{Backend, BackendError};
 use crate::metrics::WalMetrics;
 use crate::snapshot;
-use crate::wal::{decode_log, replay_after_checkpoint, WalRecord};
+use crate::wal::{decode_log, replay_log_tail, WalRecord};
 
-/// Recover a world from raw durable parts: `(seq, bytes)` snapshots in
-/// ascending sequence order and the raw event log. This is the one
-/// recovery algorithm — [`WalStore::crash_and_recover`] and the
-/// crash-point sweep ([`crate::crashpoint`]) both run it:
+/// What one recovery read, decoded and spent. [`WalStore`] reports it
+/// as the `recover.*` metrics (catalog in ARCHITECTURE.md
+/// § Observability; "reading a slow recovery" in docs/RUNBOOK.md).
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct RecoveryStats {
+    /// Snapshot files read: 1 unless the newest failed to decode.
+    pub snapshots_read: u64,
+    /// WAL records decoded — the tail after the snapshot's mark, never
+    /// the history before it.
+    pub records_decoded: u64,
+    /// `(entity, component)` values bulk-loaded from the snapshot.
+    pub rows_loaded: u64,
+    /// Fetching the snapshot (and, in a store, the log) from the backend.
+    pub read: Duration,
+    /// Snapshot checksum, header, schema, entity list, catalog parse.
+    pub decode: Duration,
+    /// Row section into columns, positions into the spatial grid.
+    pub load_rows: Duration,
+    /// Secondary indexes, each built from its column in one pass.
+    pub indexes: Duration,
+    /// Standing views, each seeded from id-ordered column reads.
+    pub views: Duration,
+    /// Log frame walk, tail replay, and the one view fold that ends it.
+    pub replay: Duration,
+}
+
+/// A recovered world and how it was reached.
+#[derive(Debug)]
+pub struct Recovered {
+    pub world: World,
+    /// Sequence of the snapshot recovery started from.
+    pub snapshot_seq: u64,
+    /// Log records replayed on top of it.
+    pub replayed: usize,
+    pub stats: RecoveryStats,
+}
+
+/// Recover a world from raw durable parts: `(seq, bytes)` snapshots
+/// **newest first** and the raw event log. This is the one recovery
+/// algorithm — [`WalStore::crash_and_recover`] and the crash-point
+/// sweep ([`crate::crashpoint`]) both run it — and it is a bulk load,
+/// rows → indexes → views → replay → one fold:
 ///
-/// 1. Decode the log into records, stopping cleanly at the first torn
-///    or corrupt frame (a torn batch frame drops the whole batch —
-///    batch commits are atomic).
-/// 2. Take the newest snapshot that decodes; fall back to older ones if
-///    a snapshot itself is unreadable.
-/// 3. Replay the record tail after that snapshot's checkpoint mark —
-///    nothing when the mark is absent (see
-///    [`replay_after_checkpoint`]); catalog records rebuild indexes and
-///    views along the way.
-/// 4. Fold outstanding view changes and reset every changelog, so
-///    subscribers re-anchor at the recovery tick instead of receiving
-///    pre-crash churn twice.
-///
-/// Returns `(world, snapshot seq used, records replayed)`.
+/// 1. Take the newest snapshot and decode it ([`snapshot::decode`]):
+///    rows into columns, then each index and each view in one pass over
+///    them. The iterator is pulled **lazily** — an older snapshot is
+///    read only when a newer one fails to decode — so recovery reads
+///    one snapshot however many a backend retains.
+/// 2. Walk the log frame by frame, stopping cleanly at the first torn or
+///    corrupt frame (a torn batch frame drops the whole batch — batch
+///    commits are atomic), and replay the tail after that snapshot's
+///    checkpoint mark — nothing when the mark is absent (see
+///    [`replay_log_tail`]); catalog records rebuild indexes and views
+///    along the way. Only the tail is decoded, and a replayed `TickTo`
+///    moves the counter without refreshing the views.
+/// 3. Fold the whole tail into the views **once** and reset every
+///    changelog, so subscribers re-anchor at the recovery tick instead
+///    of receiving pre-crash churn twice. (A fold per replayed tick
+///    built exactly the changelogs this step throws away.)
 pub fn recover_from_parts<S: AsRef<[u8]>>(
-    snapshots: &[(u64, S)],
+    snapshots: impl IntoIterator<Item = (u64, Result<S, BackendError>)>,
     log: &[u8],
-) -> Result<(World, u64, usize), StoreError> {
-    let (records, _) = decode_log(log);
-    let mut last_err: Option<StoreError> = None;
-    for (seq, data) in snapshots.iter().rev() {
-        let mut world = match snapshot::decode(data.as_ref()) {
-            Ok((world, _tick)) => world,
+) -> Result<Recovered, StoreError> {
+    let mut stats = RecoveryStats::default();
+    let mut last_err = StoreError::Backend(BackendError::NoSnapshot);
+    let mut snapshots = snapshots.into_iter();
+    loop {
+        let started = Instant::now();
+        let Some((snapshot_seq, data)) = snapshots.next() else {
+            return Err(last_err);
+        };
+        let data = data?;
+        stats.read += started.elapsed();
+        stats.snapshots_read += 1;
+        let mut world = match snapshot::decode_phased(data.as_ref(), &mut stats) {
+            Ok(world) => world,
             Err(e) => {
-                last_err = Some(StoreError::Backend(BackendError::Io(
-                    std::io::Error::other(e.to_string()),
-                )));
+                last_err =
+                    StoreError::Backend(BackendError::Io(std::io::Error::other(e.to_string())));
                 continue;
             }
         };
-        let replayed = replay_after_checkpoint(&mut world, &records, *seq)?;
+        let started = Instant::now();
+        let replayed = replay_log_tail(&mut world, log, snapshot_seq)?;
         world.refresh_views();
         world.reset_view_changelogs();
-        return Ok((world, *seq, replayed));
+        stats.replay = started.elapsed();
+        stats.records_decoded = replayed as u64;
+        return Ok(Recovered {
+            world,
+            snapshot_seq,
+            replayed,
+            stats,
+        });
     }
-    Err(last_err.unwrap_or(StoreError::Backend(BackendError::NoSnapshot)))
+}
+
+/// In-memory `(seq, bytes)` parts, ascending by `seq` as a backend lists
+/// them, in the shape [`recover_from_parts`] pulls: newest first, every
+/// "read" succeeding.
+pub(crate) fn newest_first<S: AsRef<[u8]>>(
+    parts: &[(u64, S)],
+) -> impl Iterator<Item = (u64, Result<&[u8], BackendError>)> {
+    parts.iter().rev().map(|(seq, data)| (*seq, Ok(data.as_ref())))
 }
 
 /// A monotone commit sequence number: one per commit boundary handed to
@@ -1009,23 +1072,29 @@ impl WalStore {
         let backend = Arc::clone(&self.backend);
         let stats = self.stats;
         let metrics = self.metrics.clone();
-        let snapshot_parts;
-        let log;
-        {
+        drop(self); // old writer (if any) is already down; release the world
+        let recovered = {
             let mut b = backend.lock().expect("backend poisoned");
             b.crash();
-            let mut snaps = Vec::new();
-            for seq in b.snapshot_seqs()? {
-                snaps.push((seq, b.read_snapshot(seq)?));
-            }
-            snapshot_parts = snaps;
-            log = b.read_log()?;
+            let started = Instant::now();
+            let log = b.read_log()?;
+            let read_log = started.elapsed();
+            let mut r = recover_from_parts(b.snapshots_newest_first()?, &log)?;
+            r.stats.read += read_log;
+            r
+        };
+        if let Some(m) = &metrics {
+            m.observe_recovery(&recovered.stats);
         }
-        drop(self); // old writer (if any) is already down; release the world
-        let (mut world, seq, replayed) = recover_from_parts(&snapshot_parts, &log)?;
+        let Recovered {
+            mut world,
+            snapshot_seq,
+            replayed,
+            ..
+        } = recovered;
         let tap = world.attach_tap_pinned();
         Ok((
-            Self::assemble(world, tap, backend, seq, blueprint, stats, metrics),
+            Self::assemble(world, tap, backend, snapshot_seq, blueprint, stats, metrics),
             replayed,
         ))
     }
@@ -1492,6 +1561,153 @@ mod tests {
         assert_eq!(recovered.world().get_f32(e, "hp"), Some(9.0));
     }
 
+    /// Snapshots are never pruned and the log keeps every frame, so a
+    /// long-lived store accumulates both — and recovery must not care:
+    /// however many checkpoints lie behind it, it reads the one newest
+    /// snapshot and decodes only the frames after its mark.
+    #[test]
+    fn recovery_work_does_not_grow_with_history() {
+        let registry = MetricsRegistry::new();
+        let mut s = fresh(1, "wal-history");
+        s.attach_metrics(&registry);
+        let e = s.world_mut().spawn_at(Vec2::ZERO);
+        let mut checkpoints = 0;
+        for history in [1, 4, 16] {
+            while checkpoints < history {
+                for i in 0..5 {
+                    s.world_mut().set(e, "hp", Value::Float(i as f32)).unwrap();
+                    s.commit().unwrap();
+                }
+                s.checkpoint().unwrap();
+                checkpoints += 1;
+            }
+            for i in 0..3 {
+                s.world_mut().set(e, "hp", Value::Float(100.0 + i as f32)).unwrap();
+                s.commit().unwrap();
+            }
+            assert!(s.backend().snapshot_seqs().unwrap().len() > history);
+            let before = registry.snapshot();
+            let (recovered, replayed) = s.crash_and_recover().unwrap();
+            s = recovered;
+            let after = registry.snapshot();
+            let grew = |name: &str| after.counter(name) - before.counter(name);
+            assert_eq!(replayed, 3, "after {history} checkpoints");
+            assert_eq!(grew("recover.snapshots_read"), 1, "after {history} checkpoints");
+            assert_eq!(grew("recover.records_decoded"), 3, "after {history} checkpoints");
+            assert_eq!(s.world().get_f32(e, "hp"), Some(102.0));
+        }
+    }
+
+    /// Catalog records inside the replayed tail — a view registered, one
+    /// retargeted, one dropped, ticks on every side of each — recover
+    /// with `TickTo` moving the counter only and one fold at the end.
+    /// The oracle replays the same tail with a fold at every `TickTo`,
+    /// as recovery used to: same rows, catalog, and view outputs.
+    #[test]
+    fn one_fold_at_the_end_equals_a_fold_per_replayed_tick() {
+        use gamedb_core::{AggFn, JoinOn, PlanNode, ViewPlan};
+        let mut w = World::new();
+        w.define_component("hp", ValueType::Float).unwrap();
+        w.define_component("team", ValueType::Str).unwrap();
+        w.create_index("hp", IndexKind::Sorted).unwrap();
+        let mut s =
+            WalStore::new(w, Backend::open(temp_dir("wal-one-fold")).unwrap(), 1).unwrap();
+        let team = |i: usize| Value::Str(["red", "blue", "gold"][i % 3].into());
+        let ids: Vec<_> = (0..40)
+            .map(|i| {
+                let e = s.world_mut().spawn_at(Vec2::new(i as f32, 0.0));
+                s.world_mut().set(e, "hp", Value::Float(i as f32 * 2.5)).unwrap();
+                s.world_mut().set(e, "team", team(i)).unwrap();
+                e
+            })
+            .collect();
+        let doomed = s.world_mut().register_view(Query::select());
+        let bubble = s
+            .world_mut()
+            .register_view(Query::select().within(Vec2::new(5.0, 0.0), 4.0));
+        s.checkpoint().unwrap();
+
+        let tick = |s: &mut WalStore, round: usize| {
+            for (i, &e) in ids.iter().enumerate().filter(|(i, _)| (i + round).is_multiple_of(3)) {
+                let hp = ((i * 7 + round * 13) % 100) as f32;
+                s.world_mut().set(e, "hp", Value::Float(hp)).unwrap();
+                s.world_mut().set(e, "team", team(i + round)).unwrap();
+            }
+            let next = s.world().tick() + 1;
+            s.world_mut().advance_tick_to(next);
+            s.commit().unwrap();
+        };
+        tick(&mut s, 0);
+        let wealth = s
+            .world_mut()
+            .register_view_plan(
+                Query::select()
+                    .into_grouped_plan("team", AggFn::Sum("hp".into()))
+                    .unwrap(),
+            )
+            .unwrap();
+        tick(&mut s, 1);
+        s.world_mut().retarget_view(bubble, Vec2::new(30.0, 0.0), 6.0);
+        let join = s
+            .world_mut()
+            .register_view_plan(ViewPlan::join(
+                PlanNode::scan(Query::select().filter("hp", CmpOp::Lt, Value::Float(30.0))),
+                PlanNode::scan(Query::select()),
+                JoinOn::Eq {
+                    left: "team".into(),
+                    right: "team".into(),
+                },
+            ))
+            .unwrap();
+        tick(&mut s, 2);
+        s.world_mut().drop_view(doomed);
+        s.world_mut().despawn(ids[7]);
+        tick(&mut s, 3);
+        tick(&mut s, 4);
+
+        // the oracle: same snapshot, same tail, a fold per `TickTo`
+        let (seq, log) = {
+            let b = s.backend();
+            (*b.snapshot_seqs().unwrap().last().unwrap(), b.read_log().unwrap())
+        };
+        let (mut oracle, _) = snapshot::decode(&s.backend().read_snapshot(seq).unwrap()).unwrap();
+        let (records, _) = decode_log(&log);
+        let mark = records
+            .iter()
+            .rposition(|r| *r == WalRecord::CheckpointMark { seq })
+            .unwrap();
+        let mut folds = 0;
+        for r in &records[mark + 1..] {
+            r.apply(&mut oracle).unwrap();
+            let ticks = match r {
+                WalRecord::Batch { ops } => ops.iter().any(|op| matches!(op, WalRecord::TickTo { .. })),
+                r => matches!(r, WalRecord::TickTo { .. }),
+            };
+            if ticks {
+                oracle.refresh_views();
+                folds += 1;
+            }
+        }
+        oracle.refresh_views();
+        assert_eq!(folds, 5, "the tail holds five ticks");
+
+        let (recovered, replayed) = s.crash_and_recover().unwrap();
+        assert_eq!(replayed, records.len() - mark - 1);
+        let w = recovered.world();
+        crate::crashpoint::assert_equivalent(w, &oracle).unwrap();
+        assert!(!w.has_view(doomed));
+        for v in [bubble, wealth, join] {
+            assert_eq!(w.view_output(v), oracle.view_output(v));
+            assert_eq!(w.view_output(v), w.view_plan(v).unwrap().evaluate(w).unwrap());
+        }
+        assert_eq!(
+            w.view_stats(join).refreshes,
+            1,
+            "three ticks were replayed after the join registered; they folded once"
+        );
+        assert!(w.view_changelog(bubble).is_empty(), "changelogs re-anchor");
+    }
+
     #[test]
     fn stats_track_activity() {
         let mut s = fresh(2, "wal-stats");
@@ -1666,13 +1882,9 @@ mod tests {
         } // drop: disconnect, writer flushes the tail, join
         let b = Backend::open(dir).unwrap();
         let log = b.read_log().unwrap();
-        let snaps: Vec<(u64, Vec<u8>)> = b
-            .snapshot_seqs()
+        let world = recover_from_parts(b.snapshots_newest_first().unwrap(), &log)
             .unwrap()
-            .into_iter()
-            .map(|seq| (seq, b.read_snapshot(seq).unwrap()))
-            .collect();
-        let (world, _, _) = recover_from_parts(&snaps, &log).unwrap();
+            .world;
         assert_eq!(world.get_f32(e, "hp"), Some(29.0));
     }
 

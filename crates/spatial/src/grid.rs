@@ -64,6 +64,12 @@ impl UniformGrid {
         }
     }
 
+    /// Size the position map for `additional` more items — a restored
+    /// world fills the grid in one pass and knows how many it holds.
+    pub fn reserve(&mut self, additional: usize) {
+        self.positions.reserve(additional);
+    }
+
     #[inline]
     fn key_for(&self, p: Vec2) -> CellKey {
         CellKey {

@@ -160,6 +160,23 @@ impl Buf for Bytes {
     }
 }
 
+/// A plain slice is a cursor too (as in the real crate): reading
+/// advances the slice itself, so a decoder can walk borrowed input
+/// without copying it into a [`Bytes`] first.
+impl Buf for &[u8] {
+    fn remaining(&self) -> usize {
+        self.len()
+    }
+
+    fn chunk(&self) -> &[u8] {
+        self
+    }
+
+    fn advance(&mut self, cnt: usize) {
+        *self = &self[cnt..];
+    }
+}
+
 impl Deref for Bytes {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
