@@ -591,27 +591,89 @@ impl ChangeStream {
     }
 }
 
-/// One primitive write of a [`WriteBatch`].
+/// Buffer-local component-name table: the ops of a [`WriteBatch`] or a
+/// [`crate::effect::EffectBuffer`] carry a small key into it instead of
+/// a `String` each. A tick touches a handful of distinct components, so
+/// lookup is a linear scan.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub(crate) struct NameTable(Vec<Box<str>>);
+
+impl NameTable {
+    /// Key of `name`, entered on first sight.
+    pub fn key(&mut self, name: &str) -> u32 {
+        let at = self.0.iter().position(|n| &**n == name).unwrap_or_else(|| {
+            self.0.push(name.into());
+            self.0.len() - 1
+        });
+        at as u32
+    }
+
+    /// The name behind a key this table issued.
+    pub fn name(&self, key: u32) -> &str {
+        &self.0[key as usize]
+    }
+
+    /// Every name, in key order.
+    pub fn iter(&self) -> impl Iterator<Item = &str> {
+        self.0.iter().map(|n| &**n)
+    }
+
+    /// `ranks()[key]` is the key's position in name order: comparing
+    /// ranks compares the names.
+    pub fn ranks(&self) -> Vec<u32> {
+        let below = |name| self.0.iter().filter(|other| *other < name).count();
+        self.0.iter().map(|name| below(name) as u32).collect()
+    }
+}
+
+/// One queued write of a [`WriteBatch`]; `component` keys the batch's
+/// [`NameTable`].
 #[derive(Debug, Clone, PartialEq)]
-pub enum BatchOp {
+pub(crate) enum QueuedOp {
+    Set {
+        id: EntityId,
+        component: u32,
+        value: Value,
+    },
+    SetPos {
+        id: EntityId,
+        pos: Vec2,
+    },
+    Remove {
+        id: EntityId,
+        component: u32,
+    },
+    Despawn {
+        id: EntityId,
+    },
+    Spawn {
+        components: Vec<(String, Value)>,
+        pos: Vec2,
+    },
+}
+
+/// One primitive write of a [`WriteBatch`], as [`WriteBatch::ops`]
+/// reports it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum BatchOp<'a> {
     /// Set a component value (non-`pos`; `pos` values route through
     /// [`BatchOp::SetPos`] semantics either way).
     Set {
         id: EntityId,
-        component: String,
-        value: Value,
+        component: &'a str,
+        value: &'a Value,
     },
     /// Move an entity.
     SetPos { id: EntityId, pos: Vec2 },
     /// Remove a component from an entity.
-    Remove { id: EntityId, component: String },
+    Remove { id: EntityId, component: &'a str },
     /// Despawn an entity.
     Despawn { id: EntityId },
     /// Spawn a fresh entity at a position with initial components
     /// (unknown components are auto-defined from the value's type, as
     /// template spawning does).
     Spawn {
-        components: Vec<(String, Value)>,
+        components: &'a [(String, Value)],
         pos: Vec2,
     },
 }
@@ -622,10 +684,11 @@ pub enum BatchOp {
 /// preserved), so column resolution and index lookup are paid once per
 /// component group instead of once per write — and a durability tap
 /// sees the whole batch as one segment, i.e. one group-commit WAL
-/// frame.
+/// frame. Component names are kept once per batch, not per op.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct WriteBatch {
-    pub(crate) ops: Vec<BatchOp>,
+    pub(crate) names: NameTable,
+    pub(crate) ops: Vec<QueuedOp>,
 }
 
 impl WriteBatch {
@@ -634,35 +697,34 @@ impl WriteBatch {
     }
 
     /// Queue a component write.
-    pub fn set(&mut self, id: EntityId, component: impl Into<String>, value: Value) {
-        self.ops.push(BatchOp::Set {
+    pub fn set(&mut self, id: EntityId, component: &str, value: Value) {
+        let component = self.names.key(component);
+        self.ops.push(QueuedOp::Set {
             id,
-            component: component.into(),
+            component,
             value,
         });
     }
 
     /// Queue a position write.
     pub fn set_pos(&mut self, id: EntityId, pos: Vec2) {
-        self.ops.push(BatchOp::SetPos { id, pos });
+        self.ops.push(QueuedOp::SetPos { id, pos });
     }
 
     /// Queue a component removal.
-    pub fn remove(&mut self, id: EntityId, component: impl Into<String>) {
-        self.ops.push(BatchOp::Remove {
-            id,
-            component: component.into(),
-        });
+    pub fn remove(&mut self, id: EntityId, component: &str) {
+        let component = self.names.key(component);
+        self.ops.push(QueuedOp::Remove { id, component });
     }
 
     /// Queue a despawn.
     pub fn despawn(&mut self, id: EntityId) {
-        self.ops.push(BatchOp::Despawn { id });
+        self.ops.push(QueuedOp::Despawn { id });
     }
 
     /// Queue a spawn.
     pub fn spawn(&mut self, components: Vec<(String, Value)>, pos: Vec2) {
-        self.ops.push(BatchOp::Spawn { components, pos });
+        self.ops.push(QueuedOp::Spawn { components, pos });
     }
 
     /// Number of queued ops.
@@ -675,9 +737,32 @@ impl WriteBatch {
         self.ops.is_empty()
     }
 
-    /// The queued ops, in order.
-    pub fn ops(&self) -> &[BatchOp] {
-        &self.ops
+    /// The queued ops, in order, component names resolved.
+    pub fn ops(&self) -> Vec<BatchOp<'_>> {
+        self.ops
+            .iter()
+            .map(|op| match op {
+                QueuedOp::Set {
+                    id,
+                    component,
+                    value,
+                } => BatchOp::Set {
+                    id: *id,
+                    component: self.names.name(*component),
+                    value,
+                },
+                QueuedOp::SetPos { id, pos } => BatchOp::SetPos { id: *id, pos: *pos },
+                QueuedOp::Remove { id, component } => BatchOp::Remove {
+                    id: *id,
+                    component: self.names.name(*component),
+                },
+                QueuedOp::Despawn { id } => BatchOp::Despawn { id: *id },
+                QueuedOp::Spawn { components, pos } => BatchOp::Spawn {
+                    components,
+                    pos: *pos,
+                },
+            })
+            .collect()
     }
 }
 

@@ -9,12 +9,13 @@
 //! identical — the property the parallel executor (experiment E5) and its
 //! determinism property test rely on.
 
-use gamedb_content::Value;
+use gamedb_content::{Value, ValueType};
 use gamedb_spatial::Vec2;
 
-use crate::change::WriteBatch;
+use crate::change::{NameTable, QueuedOp, WriteBatch};
+use crate::column::Column;
 use crate::entity::EntityId;
-use crate::world::{CoreError, World, POS};
+use crate::world::{CoreError, World, POS_ID};
 
 /// A deferred write to one component of one entity.
 #[derive(Debug, Clone, PartialEq)]
@@ -73,12 +74,91 @@ pub struct SpawnRequest {
 ///
 /// Buffers merge by concatenation; [`EffectBuffer::apply`] canonicalizes
 /// ordering, so the merged result is independent of which thread produced
-/// which effect.
+/// which effect. An op names its component by a key into the buffer's
+/// own name table, so queueing an effect allocates nothing.
 #[derive(Debug, Clone, Default)]
 pub struct EffectBuffer {
-    ops: Vec<(EntityId, String, Effect)>,
+    names: NameTable,
+    ops: Vec<(EntityId, u32, Effect)>,
     spawns: Vec<SpawnRequest>,
     despawns: Vec<EntityId>,
+}
+
+/// The queued operations of an [`EffectBuffer`], in push order
+/// ([`EffectBuffer::ops`]).
+#[derive(Debug, Clone)]
+pub struct EffectOps<'a> {
+    names: &'a NameTable,
+    ops: std::slice::Iter<'a, (EntityId, u32, Effect)>,
+}
+
+impl<'a> Iterator for EffectOps<'a> {
+    type Item = (EntityId, &'a str, &'a Effect);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let (id, key, effect) = self.ops.next()?;
+        Some((*id, self.names.name(*key), effect))
+    }
+}
+
+impl<'a> EffectOps<'a> {
+    /// Owned `(entity, component, effect)` copies — for holding two
+    /// buffers' write streams side by side.
+    pub fn cloned(self) -> impl Iterator<Item = (EntityId, String, Effect)> + 'a {
+        self.map(|(id, component, effect)| (id, component.to_string(), effect.clone()))
+    }
+}
+
+/// The value of slot `(_, name)` after `effect` lands on `cur` (the
+/// world's value, or an earlier effect's result). `ty` is the slot's
+/// column type, `None` for an undefined component; `name` is read only
+/// to build an error.
+fn fold(
+    cur: Option<&Value>,
+    effect: &Effect,
+    name: &str,
+    ty: Option<ValueType>,
+    is_pos: bool,
+) -> Result<Value, CoreError> {
+    let mismatch = |expected, got| {
+        Err(CoreError::TypeMismatch {
+            component: name.to_string(),
+            expected,
+            got,
+        })
+    };
+    let unknown = || Err(CoreError::UnknownComponent(name.to_string()));
+    match (effect, cur) {
+        (Effect::Set(v), _) => match ty {
+            Some(ty) if v.value_type() == ty => Ok(v.clone()),
+            Some(ty) => mismatch(ty, v.value_type()),
+            None => unknown(),
+        },
+        (Effect::Add(_), _) if is_pos => mismatch(ValueType::Vec2, ValueType::Float),
+        (Effect::Add(x), Some(Value::Float(c))) => Ok(Value::Float(c + *x as f32)),
+        (Effect::Add(x), Some(Value::Int(c))) => Ok(Value::Int(c + *x as i64)),
+        (Effect::Min(x), Some(Value::Float(c))) => Ok(Value::Float((*c as f64).min(*x) as f32)),
+        (Effect::Min(x), Some(Value::Int(c))) => Ok(Value::Int((*c as f64).min(*x) as i64)),
+        (Effect::Max(x), Some(Value::Float(c))) => Ok(Value::Float((*c as f64).max(*x) as f32)),
+        (Effect::Max(x), Some(Value::Int(c))) => Ok(Value::Int((*c as f64).max(*x) as i64)),
+        // A numeric combinator on an absent component treats it as its
+        // zero (designers expect counters to work without
+        // initialization).
+        (Effect::Add(x) | Effect::Min(x) | Effect::Max(x), None) => match ty {
+            Some(ValueType::Float) => Ok(Value::Float(*x as f32)),
+            Some(ValueType::Int) => Ok(Value::Int(*x as i64)),
+            Some(other) => mismatch(other, ValueType::Float),
+            None => unknown(),
+        },
+        (Effect::Add(_) | Effect::Min(_) | Effect::Max(_), Some(other)) => {
+            mismatch(other.value_type(), ValueType::Float)
+        }
+        (Effect::AddVec2(dx, dy), Some(Value::Vec2(x, y))) => Ok(Value::Vec2(x + dx, y + dy)),
+        // `0.0 + d`, not `d`: a `-0.0` delta lands as `+0.0`, as it would
+        // on a present zero
+        (Effect::AddVec2(dx, dy), None) => Ok(Value::Vec2(0.0 + dx, 0.0 + dy)),
+        (Effect::AddVec2(..), Some(other)) => mismatch(other.value_type(), ValueType::Vec2),
+    }
 }
 
 impl EffectBuffer {
@@ -87,8 +167,9 @@ impl EffectBuffer {
     }
 
     /// Queue an effect on `(entity, component)`.
-    pub fn push(&mut self, id: EntityId, component: impl Into<String>, effect: Effect) {
-        self.ops.push((id, component.into(), effect));
+    pub fn push(&mut self, id: EntityId, component: &str, effect: Effect) {
+        let key = self.names.key(component);
+        self.ops.push((id, key, effect));
     }
 
     /// Queue a spawn.
@@ -114,8 +195,11 @@ impl EffectBuffer {
     /// Queued `(entity, component, effect)` operations, in push order.
     /// Consumers that maintain read-through overlays (e.g. serial-within-
     /// bubble execution in `gamedb-sync`) fold these without applying.
-    pub fn ops(&self) -> impl Iterator<Item = &(EntityId, String, Effect)> {
-        self.ops.iter()
+    pub fn ops(&self) -> EffectOps<'_> {
+        EffectOps {
+            names: &self.names,
+            ops: self.ops.iter(),
+        }
     }
 
     /// Queued despawns, in push order.
@@ -126,7 +210,17 @@ impl EffectBuffer {
     /// Absorb another buffer (used when merging per-thread buffers; the
     /// caller merges in chunk order, and `apply` canonicalizes anyway).
     pub fn merge(&mut self, other: EffectBuffer) {
-        self.ops.extend(other.ops);
+        // (their key, ours): a run of effects on one component — the
+        // usual shape — resolves its name once
+        let mut last = None;
+        self.ops.extend(other.ops.into_iter().map(|(id, key, effect)| {
+            let ours = match last {
+                Some((theirs, ours)) if theirs == key => ours,
+                _ => self.names.key(other.names.name(key)),
+            };
+            last = Some((key, ours));
+            (id, ours, effect)
+        }));
         self.spawns.extend(other.spawns);
         self.despawns.extend(other.despawns);
     }
@@ -136,6 +230,11 @@ impl EffectBuffer {
     /// that despawned this tick (or were already dead) are dropped
     /// silently — scripts race against deaths every tick and that must
     /// not be an error.
+    ///
+    /// The canonical order is entity, component *name*, effect key. The
+    /// name table is ranked by name once, so the sort compares integers
+    /// and still lands in that order; each distinct name then resolves
+    /// to its column id and type once, not once per slot.
     ///
     /// Effects are first *resolved* against a read-through overlay: all
     /// combinators targeting one `(entity, component)` slot fold into a
@@ -154,168 +253,71 @@ impl EffectBuffer {
     /// offending op with earlier slots already applied — callers treat
     /// any error as a failed tick either way.
     pub fn apply(mut self, world: &mut World) -> Result<usize, CoreError> {
-        use gamedb_content::ValueType;
-        // Canonical order: entity, component, then effect kind/payload.
-        self.ops.sort_by(|a, b| {
-            a.0.cmp(&b.0)
-                .then_with(|| a.1.cmp(&b.1))
-                .then_with(|| a.2.order_key().cmp(&b.2.order_key()))
-        });
-        let mut batch = WriteBatch::new();
+        let names = self.names;
+        let rank = names.ranks();
+        // slots first (mostly in order already: systems visit entities
+        // in id order); each slot's few effects are ordered as it folds
+        self.ops.sort_by_key(|&(id, key, _)| (id, rank[key as usize]));
+        // (is `pos`, column) per distinct name; `None` = undefined
+        let columns: Vec<Option<(bool, &Column)>> = names
+            .iter()
+            .map(|n| {
+                let cid = world.component_id(n)?;
+                Some((cid == POS_ID, world.column_by_id(cid)?))
+            })
+            .collect();
+
+        let mut writes = Vec::new();
         let mut applied = 0usize;
         let mut i = 0;
         while i < self.ops.len() {
             // one run = every effect on one (entity, component) slot
-            let (id, component) = (self.ops[i].0, self.ops[i].1.as_str());
+            let (id, key) = (self.ops[i].0, self.ops[i].1);
             let j = i + self.ops[i..]
                 .iter()
-                .take_while(|(id2, c2, _)| *id2 == id && c2 == component)
+                .take_while(|(id2, key2, _)| *id2 == id && *key2 == key)
                 .count();
+            let run = &mut self.ops[i..j];
+            i = j;
             if !world.is_live(id) {
-                i = j;
                 continue;
             }
-            let is_pos = component == POS;
+            let column = columns[key as usize];
+            let is_pos = column.is_some_and(|(is_pos, _)| is_pos);
+            let ty = column.map(|(_, col)| col.ty());
             // the overlay: starts at the world's value, each effect in
             // the run reads the previous effect's result
-            let mut cur: Option<Value> = world.get(id, component);
-            for (_, _, effect) in &self.ops[i..j] {
-                match effect {
-                    Effect::Set(v) => {
-                        let expected = if is_pos {
-                            Some(ValueType::Vec2)
-                        } else {
-                            world.component_type(component)
-                        };
-                        match expected {
-                            Some(ty) if v.value_type() == ty => cur = Some(v.clone()),
-                            Some(ty) => {
-                                return Err(CoreError::TypeMismatch {
-                                    component: component.to_string(),
-                                    expected: ty,
-                                    got: v.value_type(),
-                                })
-                            }
-                            None => {
-                                return Err(CoreError::UnknownComponent(component.to_string()))
-                            }
-                        }
-                    }
-                    Effect::Add(x) => {
-                        if is_pos {
-                            return Err(CoreError::TypeMismatch {
-                                component: component.to_string(),
-                                expected: ValueType::Vec2,
-                                got: ValueType::Float,
-                            });
-                        }
-                        match &cur {
-                            Some(Value::Float(c)) => cur = Some(Value::Float(c + *x as f32)),
-                            Some(Value::Int(c)) => cur = Some(Value::Int(c + *x as i64)),
-                            // Adding to an absent numeric component
-                            // treats it as its zero (designers expect
-                            // counters to work without initialization).
-                            None => match world.component_type(component) {
-                                Some(ValueType::Float) => cur = Some(Value::Float(*x as f32)),
-                                Some(ValueType::Int) => cur = Some(Value::Int(*x as i64)),
-                                Some(other) => {
-                                    return Err(CoreError::TypeMismatch {
-                                        component: component.to_string(),
-                                        expected: other,
-                                        got: ValueType::Float,
-                                    })
-                                }
-                                None => {
-                                    return Err(CoreError::UnknownComponent(
-                                        component.to_string(),
-                                    ))
-                                }
-                            },
-                            Some(other) => {
-                                return Err(CoreError::TypeMismatch {
-                                    component: component.to_string(),
-                                    expected: other.value_type(),
-                                    got: ValueType::Float,
-                                })
-                            }
-                        }
-                    }
-                    Effect::Min(x) | Effect::Max(x) => {
-                        let is_min = matches!(effect, Effect::Min(_));
-                        let bound = |c: f64| if is_min { c.min(*x) } else { c.max(*x) };
-                        match &cur {
-                            Some(Value::Float(c)) => {
-                                cur = Some(Value::Float(bound(*c as f64) as f32))
-                            }
-                            Some(Value::Int(c)) => cur = Some(Value::Int(bound(*c as f64) as i64)),
-                            None => match world.component_type(component) {
-                                Some(ValueType::Float) => cur = Some(Value::Float(*x as f32)),
-                                Some(ValueType::Int) => cur = Some(Value::Int(*x as i64)),
-                                Some(other) => {
-                                    return Err(CoreError::TypeMismatch {
-                                        component: component.to_string(),
-                                        expected: other,
-                                        got: ValueType::Float,
-                                    })
-                                }
-                                None => {
-                                    return Err(CoreError::UnknownComponent(
-                                        component.to_string(),
-                                    ))
-                                }
-                            },
-                            Some(other) => {
-                                return Err(CoreError::TypeMismatch {
-                                    component: component.to_string(),
-                                    expected: other.value_type(),
-                                    got: ValueType::Float,
-                                })
-                            }
-                        }
-                    }
-                    Effect::AddVec2(dx, dy) => {
-                        if is_pos {
-                            let p = match &cur {
-                                Some(Value::Vec2(x, y)) => Vec2::new(*x, *y),
-                                _ => Vec2::ZERO,
-                            };
-                            cur = Some(Value::Vec2(p.x + dx, p.y + dy));
-                        } else {
-                            let (cx, cy) = match &cur {
-                                Some(Value::Vec2(x, y)) => (*x, *y),
-                                None => (0.0, 0.0),
-                                Some(other) => {
-                                    return Err(CoreError::TypeMismatch {
-                                        component: component.to_string(),
-                                        expected: other.value_type(),
-                                        got: ValueType::Vec2,
-                                    })
-                                }
-                            };
-                            cur = Some(Value::Vec2(cx + dx, cy + dy));
-                        }
-                    }
-                }
-                applied += 1;
+            let mut cur = column.and_then(|(_, col)| col.get(id.index() as usize));
+            run.sort_by_key(|(_, _, effect)| effect.order_key());
+            for (_, _, effect) in run.iter() {
+                cur = Some(fold(cur.as_ref(), effect, names.name(key), ty, is_pos)?);
             }
+            applied += run.len();
             match cur {
-                Some(Value::Vec2(x, y)) if is_pos => batch.set_pos(id, Vec2::new(x, y)),
-                Some(v) => batch.set(id, component, v),
+                Some(Value::Vec2(x, y)) if is_pos => writes.push(QueuedOp::SetPos {
+                    id,
+                    pos: Vec2::new(x, y),
+                }),
+                Some(value) => writes.push(QueuedOp::Set {
+                    id,
+                    component: key,
+                    value,
+                }),
                 None => {}
             }
-            i = j;
         }
         // Despawns: dedupe, deterministic order.
         self.despawns.sort_unstable();
         self.despawns.dedup();
-        for id in self.despawns {
-            batch.despawn(id);
-        }
+        writes.extend(self.despawns.into_iter().map(|id| QueuedOp::Despawn { id }));
         // Spawns in buffer order (merge order is chunk-deterministic).
-        for req in self.spawns {
-            batch.spawn(req.components, req.pos);
-        }
-        world.apply_batch(batch)?;
+        writes.extend(self.spawns.into_iter().map(|req| QueuedOp::Spawn {
+            components: req.components,
+            pos: req.pos,
+        }));
+        // the batch adopts this buffer's name table: its `Set` ops keep
+        // the keys they were queued under
+        world.apply_batch(WriteBatch { names, ops: writes })?;
         Ok(applied)
     }
 }
@@ -323,7 +325,7 @@ impl EffectBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gamedb_content::ValueType;
+    use crate::world::POS;
 
     fn world() -> World {
         let mut w = World::new();

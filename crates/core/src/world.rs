@@ -18,7 +18,9 @@ use gamedb_content::{ComponentView, ResolvedTemplate, Value, ValueType};
 use gamedb_metrics::MetricsRegistry;
 use gamedb_spatial::{SpatialIndex, UniformGrid, Vec2};
 
-use crate::change::{BatchOp, Change, ChangeOp, ChangeStream, TapId, TapStats, WriteBatch};
+use crate::change::{
+    Change, ChangeOp, ChangeStream, NameTable, QueuedOp, TapId, TapStats, WriteBatch,
+};
 use crate::metrics::CoreMetrics;
 use crate::column::Column;
 use crate::dvm::{PlanView, ViewPlan};
@@ -1490,27 +1492,25 @@ impl World {
     /// the offending op (already-applied ops stay applied — batches are
     /// atomic only with respect to durability framing, not rollback).
     pub fn apply_batch(&mut self, batch: WriteBatch) -> Result<usize, CoreError> {
-        let mut ops = batch.ops;
+        let WriteBatch { names, mut ops } = batch;
+        let is_write = |o: &QueuedOp| matches!(o, QueuedOp::Set { .. } | QueuedOp::SetPos { .. });
         let total = ops.len();
         let mut i = 0;
         while i < ops.len() {
-            if matches!(ops[i], BatchOp::Set { .. } | BatchOp::SetPos { .. }) {
-                let j = i + ops[i..]
-                    .iter()
-                    .take_while(|o| matches!(o, BatchOp::Set { .. } | BatchOp::SetPos { .. }))
-                    .count();
-                self.apply_write_run(&mut ops[i..j])?;
+            if is_write(&ops[i]) {
+                let j = i + ops[i..].iter().take_while(|o| is_write(o)).count();
+                self.apply_write_run(&names, &mut ops[i..j])?;
                 i = j;
                 continue;
             }
             match &ops[i] {
-                BatchOp::Remove { id, component } => {
-                    self.remove_component(*id, component)?;
+                QueuedOp::Remove { id, component } => {
+                    self.remove_component(*id, names.name(*component))?;
                 }
-                BatchOp::Despawn { id } => {
+                QueuedOp::Despawn { id } => {
                     self.despawn(*id);
                 }
-                BatchOp::Spawn { components, pos } => {
+                QueuedOp::Spawn { components, pos } => {
                     let id = self.spawn_at(*pos);
                     for (component, value) in components {
                         if self.component_type(component).is_none() {
@@ -1520,7 +1520,7 @@ impl World {
                         self.set(id, component, value.clone())?;
                     }
                 }
-                BatchOp::Set { .. } | BatchOp::SetPos { .. } => unreachable!("handled above"),
+                QueuedOp::Set { .. } | QueuedOp::SetPos { .. } => unreachable!("handled above"),
             }
             i += 1;
         }
@@ -1531,30 +1531,33 @@ impl World {
         Ok(total)
     }
 
-    /// Apply a run of value writes, regrouped by **interned column id**
-    /// (names resolve to ids once, before the sort). The sort is
-    /// stable, so multiple writes to one `(entity, component)` slot keep
-    /// their order; cross-slot writes commute (no observer runs between
-    /// the ops of a batch, and replay applies records in stream order).
-    fn apply_write_run(&mut self, run: &mut [BatchOp]) -> Result<(), CoreError> {
-        fn key_of(interner: &ComponentInterner, op: &BatchOp) -> u32 {
-            match op {
-                // unknown names sort last and error when their group
-                // applies
-                BatchOp::Set { component, .. } => {
-                    interner.get(component).map_or(u32::MAX, ComponentId::as_u32)
-                }
-                BatchOp::SetPos { .. } => POS_ID.as_u32(),
+    /// Apply a run of value writes, regrouped by **interned column id**.
+    /// The batch's names resolve to ids once per run — a spawn earlier
+    /// in the batch may have defined one — so an op finds its column by
+    /// table index, not by hashing its name. The sort is stable, so
+    /// multiple writes to one `(entity, component)` slot keep their
+    /// order; cross-slot writes commute (no observer runs between the
+    /// ops of a batch, and replay applies records in stream order).
+    fn apply_write_run(&mut self, names: &NameTable, run: &mut [QueuedOp]) -> Result<(), CoreError> {
+        // unknown names sort last and error when their group applies
+        let ids: Vec<u32> = names
+            .iter()
+            .map(|n| self.interner.get(n).map_or(u32::MAX, ComponentId::as_u32))
+            .collect();
+        // compute keys once, then stably co-sort `run` and `keys` by
+        // applying the sorting permutation in place (index-chasing form
+        // — `order[i]` may point at a slot already emptied by an earlier
+        // step, so chase forward until the source is at or past `i`).
+        // The index tiebreak keeps the sort stable: per-slot write
+        // order holds.
+        let mut keys: Vec<u32> = run
+            .iter()
+            .map(|op| match op {
+                QueuedOp::Set { component, .. } => ids[*component as usize],
+                QueuedOp::SetPos { .. } => POS_ID.as_u32(),
                 _ => unreachable!("write runs hold only value writes"),
-            }
-        }
-        // one interner resolution per op: compute keys once, then
-        // stably co-sort `run` and `keys` by applying the sorting
-        // permutation in place (index-chasing form — `order[i]` may
-        // point at a slot already emptied by an earlier step, so chase
-        // forward until the source is at or past `i`). The index
-        // tiebreak keeps the sort stable: per-slot write order holds.
-        let mut keys: Vec<u32> = run.iter().map(|op| key_of(&self.interner, op)).collect();
+            })
+            .collect();
         let mut order: Vec<u32> = (0..run.len() as u32).collect();
         order.sort_unstable_by_key(|&i| (keys[i as usize], i));
         for i in 0..order.len() {
@@ -1574,16 +1577,16 @@ impl World {
                 // position writes maintain the spatial index per op
                 for op in &run[i..j] {
                     match op {
-                        BatchOp::SetPos { id, pos } => self.set_pos(*id, *pos)?,
-                        BatchOp::Set { id, value, .. } => self.set(*id, POS, value.clone())?,
+                        QueuedOp::SetPos { id, pos } => self.set_pos(*id, *pos)?,
+                        QueuedOp::Set { id, value, .. } => self.set(*id, POS, value.clone())?,
                         _ => unreachable!(),
                     }
                 }
             } else if keys[i] == u32::MAX {
-                let BatchOp::Set { component, .. } = &run[i] else {
+                let QueuedOp::Set { component, .. } = &run[i] else {
                     unreachable!("write runs hold only value writes");
                 };
-                return Err(CoreError::UnknownComponent(component.clone()));
+                return Err(CoreError::UnknownComponent(names.name(*component).to_string()));
             } else {
                 self.apply_column_group(&run[i..j], ComponentId::from_u32(keys[i]))?;
             }
@@ -1596,12 +1599,13 @@ impl World {
     /// component: the column and its secondary index are resolved once
     /// for the whole group — the amortization the per-call path pays on
     /// every write.
-    fn apply_column_group(&mut self, group: &[BatchOp], cid: ComponentId) -> Result<(), CoreError> {
+    fn apply_column_group(&mut self, group: &[QueuedOp], cid: ComponentId) -> Result<(), CoreError> {
         let recording = self.recording();
         let tick = self.tick;
         let World {
             alloc,
             columns,
+            interner,
             indexes,
             changes,
             ..
@@ -1610,12 +1614,7 @@ impl World {
         let mut idx = indexes.get_mut(cid.index()).and_then(Option::as_mut);
         let has_idx = idx.is_some();
         for op in group {
-            let BatchOp::Set {
-                id,
-                component,
-                value,
-            } = op
-            else {
+            let QueuedOp::Set { id, value, .. } = op else {
                 unreachable!("column groups hold only Set ops");
             };
             if !alloc.is_live(*id) {
@@ -1629,7 +1628,10 @@ impl World {
             };
             col.set(slot, value)
                 .map_err(|expected| CoreError::TypeMismatch {
-                    component: component.clone(),
+                    component: interner
+                        .name(cid)
+                        .expect("group ids come from the interner")
+                        .to_string(),
                     expected,
                     got: value.value_type(),
                 })?;

@@ -8,7 +8,9 @@
 //!   interleavings of writes, component removals, despawns, and ticks.
 
 use gamedb_content::{CmpOp, Value, ValueType};
-use gamedb_core::{Effect, EffectBuffer, EntityId, IndexKind, Query, TickExecutor, World};
+use gamedb_core::{
+    Effect, EffectBuffer, EntityId, IndexKind, Query, SpawnRequest, TickExecutor, World,
+};
 use gamedb_spatial::Vec2;
 use proptest::prelude::*;
 
@@ -1104,5 +1106,267 @@ proptest! {
         // replayed indexes stay pure optimizations
         let probe = Query::select().filter("hp", CmpOp::Lt, Value::Float(hp_bound));
         prop_assert_eq!(probe.run(&r), probe.run_scan(&r));
+    }
+}
+
+// ---- the effect merge against a naive oracle ----
+
+const EFFECT_COMPONENTS: [&str; 6] = ["hp", "gold", "home", "pos", "tag", "ghost"];
+
+/// One generated effect: target entity slot, component, and the effect.
+/// `wild` draws ignore the component's type — mismatched `Set`s,
+/// numeric combinators on `pos` / str, anything on the undefined `ghost`.
+fn effect_strategy() -> impl Strategy<Value = (u8, &'static str, Effect)> {
+    (0u8..8, 0usize..5, 0u8..5, -3i8..4, -3i8..4, 0u8..12).prop_map(
+        |(ent, comp, kind, a, b, wild)| {
+            let (x, y) = (a as f32 * 0.5, b as f32 * 0.25);
+            let vec2 = |k: u8| match k % 2 {
+                0 => Effect::Set(Value::Vec2(x, y)),
+                _ => Effect::AddVec2(x, y),
+            };
+            let numeric = |set: Value| match kind % 4 {
+                0 => Effect::Set(set),
+                1 => Effect::Add(x as f64 * 1.5),
+                2 => Effect::Min(x as f64 * 20.0),
+                _ => Effect::Max(y as f64 * 20.0),
+            };
+            if wild == 0 {
+                let comp = EFFECT_COMPONENTS[(comp + kind as usize) % 6];
+                let effect = match kind {
+                    0 => Effect::Set([Value::Float(x), Value::Int(a as i64), Value::Bool(a > 0)][b.unsigned_abs() as usize % 3].clone()),
+                    1 => Effect::Add(x as f64),
+                    2 => Effect::Min(x as f64),
+                    3 => Effect::Max(x as f64),
+                    _ => Effect::AddVec2(x, y),
+                };
+                return (ent, comp, effect);
+            }
+            let effect = match EFFECT_COMPONENTS[comp] {
+                "hp" => numeric(Value::Float(x)),
+                "gold" => numeric(Value::Int(a as i64)),
+                "tag" => Effect::Set(Value::Str(format!("t{a}"))),
+                _ => vec2(kind),
+            };
+            (ent, EFFECT_COMPONENTS[comp], effect)
+        },
+    )
+}
+
+/// Eight target slots: six live entities holding different subsets of
+/// the components (one without a position), one despawned before the
+/// tick, and the id that slot hands out next.
+fn effect_world() -> (World, Vec<EntityId>) {
+    let mut w = World::new();
+    for (name, ty) in [
+        ("hp", ValueType::Float),
+        ("gold", ValueType::Int),
+        ("home", ValueType::Vec2),
+        ("tag", ValueType::Str),
+    ] {
+        w.define_component(name, ty).unwrap();
+    }
+    w.create_index("hp", IndexKind::Sorted).unwrap();
+    w.create_index("gold", IndexKind::Hash).unwrap();
+    let mut ids = Vec::new();
+    for i in 0..7 {
+        let e = if i == 3 { w.spawn() } else { w.spawn_at(Vec2::new(i as f32 * 3.0, -(i as f32))) };
+        if i % 2 == 0 {
+            w.set_f32(e, "hp", 10.0 * i as f32).unwrap();
+        }
+        if i % 3 != 0 {
+            w.set(e, "gold", Value::Int(i - 2)).unwrap();
+        }
+        if i == 1 {
+            w.set(e, "home", Value::Vec2(1.0, 1.0)).unwrap();
+            w.set(e, "tag", Value::Str("one".into())).unwrap();
+        }
+        ids.push(e);
+    }
+    w.despawn(ids[6]);
+    let reborn = w.spawn_at(Vec2::new(50.0, 50.0));
+    ids.push(reborn);
+    (w, ids)
+}
+
+/// The canonical within-slot order of effects: kind, then payload bits.
+fn effect_order_key(e: &Effect) -> (u8, u64, u64) {
+    match e {
+        Effect::Set(Value::Float(x)) => (0, x.to_bits() as u64, 0),
+        Effect::Set(Value::Int(x)) => (0, *x as u64, 0),
+        Effect::Set(Value::Bool(b)) => (0, *b as u64, 0),
+        Effect::Set(Value::Vec2(x, y)) => (0, ((x.to_bits() as u64) << 32) | y.to_bits() as u64, 0),
+        // FNV-1a
+        Effect::Set(Value::Str(s)) => {
+            let fnv = |h: u64, b: u8| (h ^ b as u64).wrapping_mul(1099511628211);
+            (0, s.bytes().fold(1469598103934665603, fnv), 0)
+        }
+        Effect::Add(x) => (1, x.to_bits(), 0),
+        Effect::Min(x) => (2, x.to_bits(), 0),
+        Effect::Max(x) => (3, x.to_bits(), 0),
+        Effect::AddVec2(x, y) => (4, x.to_bits() as u64, y.to_bits() as u64),
+    }
+}
+
+/// What one effect makes of a slot's current value, spelled out per
+/// combinator with every name looked up on the spot.
+fn naive_fold(world: &World, name: &str, cur: Option<Value>, effect: &Effect) -> Result<Value, gamedb_core::CoreError> {
+    use gamedb_core::CoreError;
+    let ty = world.component_type(name);
+    let mismatch = |expected, got| CoreError::TypeMismatch {
+        component: name.to_string(),
+        expected,
+        got,
+    };
+    let unknown = CoreError::UnknownComponent(name.to_string());
+    match (effect, cur) {
+        (Effect::Set(v), _) => match ty {
+            None => Err(unknown),
+            Some(ty) if ty != v.value_type() => Err(mismatch(ty, v.value_type())),
+            Some(_) => Ok(v.clone()),
+        },
+        (Effect::AddVec2(dx, dy), cur) => match cur {
+            None => Ok(Value::Vec2(0.0 + dx, 0.0 + dy)),
+            Some(Value::Vec2(x, y)) => Ok(Value::Vec2(x + dx, y + dy)),
+            Some(other) => Err(mismatch(other.value_type(), ValueType::Vec2)),
+        },
+        (Effect::Add(_), _) if name == "pos" => Err(mismatch(ValueType::Vec2, ValueType::Float)),
+        (numeric, cur) => {
+            let (Effect::Add(x) | Effect::Min(x) | Effect::Max(x)) = numeric else {
+                unreachable!()
+            };
+            match (cur, ty) {
+                (Some(Value::Float(c)), _) => Ok(Value::Float(match numeric {
+                    Effect::Add(_) => c + *x as f32,
+                    Effect::Min(_) => (c as f64).min(*x) as f32,
+                    _ => (c as f64).max(*x) as f32,
+                })),
+                (Some(Value::Int(c)), _) => Ok(Value::Int(match numeric {
+                    Effect::Add(_) => c + *x as i64,
+                    Effect::Min(_) => (c as f64).min(*x) as i64,
+                    _ => (c as f64).max(*x) as i64,
+                })),
+                (Some(other), _) => Err(mismatch(other.value_type(), ValueType::Float)),
+                // an absent numeric component counts from its zero
+                (None, Some(ValueType::Float)) => Ok(Value::Float(*x as f32)),
+                (None, Some(ValueType::Int)) => Ok(Value::Int(*x as i64)),
+                (None, Some(other)) => Err(mismatch(other, ValueType::Float)),
+                (None, None) => Err(unknown),
+            }
+        }
+    }
+}
+
+/// `EffectBuffer::apply` the slow way: sort `(entity, name, order key)`
+/// tuples by comparing the strings, fold them one at a time through
+/// `World::get`, then write each slot's final value through `World::set`
+/// — pos first and then column by column, as one batch commit does.
+fn naive_apply(
+    world: &mut World,
+    mut ops: Vec<(EntityId, &'static str, Effect)>,
+    mut despawns: Vec<EntityId>,
+    spawn: Option<SpawnRequest>,
+) -> Result<usize, gamedb_core::CoreError> {
+    ops.sort_by(|a, b| {
+        (a.0, a.1)
+            .cmp(&(b.0, b.1))
+            .then_with(|| effect_order_key(&a.2).cmp(&effect_order_key(&b.2)))
+    });
+    let mut slots: Vec<(EntityId, &str, Value)> = Vec::new();
+    let mut applied = 0;
+    for (id, name, effect) in &ops {
+        if !world.is_live(*id) {
+            continue;
+        }
+        let pending = slots.last().is_some_and(|(i, n, _)| i == id && n == name);
+        let cur = if pending { slots.pop().map(|s| s.2) } else { world.get(*id, name) };
+        slots.push((*id, name, naive_fold(world, name, cur, effect)?));
+        applied += 1;
+    }
+    slots.sort_by_key(|(_, name, _)| world.component_id(name).map_or(u32::MAX, |c| c.as_u32()));
+    for (id, name, value) in slots {
+        world.set(id, name, value)?;
+    }
+    despawns.sort_unstable();
+    despawns.dedup();
+    for id in despawns {
+        world.despawn(id);
+    }
+    if let Some(req) = spawn {
+        let id = world.spawn_at(req.pos);
+        for (name, value) in req.components {
+            world.set(id, &name, value)?;
+        }
+    }
+    Ok(applied)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::default())]
+
+    /// The effect merge — name keys, the rank-once sort, the by-id fold,
+    /// the keyed batch — must be indistinguishable from [`naive_apply`]:
+    /// same world, same change-stream records, same `Err` (variant and
+    /// component name), whatever order the effects were pushed in and
+    /// however they were split over buffers and merged back. Covers all
+    /// five combinators on float / int / vec2 / `pos` / str targets,
+    /// absent values, a dead and a same-tick-despawned target, an
+    /// undefined component and type-mismatched effects.
+    #[test]
+    fn effect_merge_equals_naive_fold(
+        effects in proptest::collection::vec(effect_strategy(), 0..40),
+        homes in proptest::collection::vec(0usize..4, 40),
+        buffers in 1usize..5,
+        merges in proptest::collection::vec((0usize..4, 0usize..4), 3),
+        despawn in proptest::option::of(0usize..8),
+        spawn in any::<bool>(),
+    ) {
+        let (mut real, ids) = effect_world();
+        let (mut naive, _) = effect_world();
+        let (tap_real, tap_naive) = (real.attach_tap(), naive.attach_tap());
+
+        let ops: Vec<_> = effects.iter().map(|(e, c, fx)| (ids[*e as usize], *c, fx.clone())).collect();
+        let mut bufs: Vec<EffectBuffer> = (0..buffers).map(|_| EffectBuffer::new()).collect();
+        let mut pushed: Vec<Vec<(EntityId, String, Effect)>> = vec![Vec::new(); buffers];
+        for (op, home) in ops.iter().zip(&homes) {
+            bufs[home % buffers].push(op.0, op.1, op.2.clone());
+            pushed[home % buffers].push((op.0, op.1.to_string(), op.2.clone()));
+        }
+        let despawns: Vec<EntityId> = despawn.map(|i| vec![ids[i], ids[i]]).unwrap_or_default();
+        for &id in &despawns {
+            bufs[0].despawn(id);
+        }
+        let request = spawn.then(|| SpawnRequest {
+            components: vec![("hp".to_string(), Value::Float(7.0))],
+            pos: Vec2::new(9.0, 9.0),
+        });
+        if let Some(req) = &request {
+            bufs[buffers - 1].spawn(req.clone());
+        }
+        for (buf, pushed) in bufs.iter().zip(&pushed) {
+            // names come back, in push order
+            prop_assert_eq!(&buf.ops().cloned().collect::<Vec<_>>(), pushed);
+        }
+        // merge back in a generated chunking
+        for (into, from) in merges {
+            if bufs.len() > 1 {
+                let from = bufs.remove(from % bufs.len());
+                let into = into % bufs.len();
+                bufs[into].merge(from);
+            }
+        }
+        let mut merged = bufs.remove(0);
+        for rest in bufs {
+            merged.merge(rest);
+        }
+        prop_assert_eq!(merged.ops().count(), ops.len());
+
+        let got = merged.apply(&mut real);
+        let want = naive_apply(&mut naive, ops, despawns, request);
+        prop_assert_eq!(got, want);
+        prop_assert_eq!(real.rows(), naive.rows());
+        prop_assert_eq!(real.tap_pending(tap_real), naive.tap_pending(tap_naive));
+        // the indexes followed the writes
+        let probe = Query::select().filter("hp", CmpOp::Lt, Value::Float(15.0));
+        prop_assert_eq!(probe.run(&real), probe.run_scan(&real));
     }
 }

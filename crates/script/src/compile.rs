@@ -725,7 +725,7 @@ impl<'a> Compiler<'a> {
                                 let val = v(ctx)?;
                                 ctx.buf.push(
                                     id,
-                                    name.to_string(),
+                                    &name,
                                     Effect::Set(Value::Float(val as f32)),
                                 );
                                 Ok(())
@@ -738,7 +738,7 @@ impl<'a> Compiler<'a> {
                                 let val = v(ctx)?;
                                 ctx.buf.push(
                                     id,
-                                    name.to_string(),
+                                    &name,
                                     Effect::Set(Value::Int(val.round() as i64)),
                                 );
                                 Ok(())
@@ -750,7 +750,7 @@ impl<'a> Compiler<'a> {
                                 let id = ctx.subject(subject)?;
                                 let val = v(ctx)?;
                                 ctx.buf
-                                    .push(id, name.to_string(), Effect::Set(Value::Bool(val)));
+                                    .push(id, &name, Effect::Set(Value::Bool(val)));
                                 Ok(())
                             }))
                         }
@@ -760,7 +760,7 @@ impl<'a> Compiler<'a> {
                                 let id = ctx.subject(subject)?;
                                 let val = v(ctx)?;
                                 ctx.buf
-                                    .push(id, name.to_string(), Effect::Set(Value::Str(val)));
+                                    .push(id, &name, Effect::Set(Value::Str(val)));
                                 Ok(())
                             }))
                         }
@@ -777,7 +777,7 @@ impl<'a> Compiler<'a> {
                             if negate {
                                 val = -val;
                             }
-                            ctx.buf.push(id, name.to_string(), Effect::Add(val));
+                            ctx.buf.push(id, &name, Effect::Add(val));
                             Ok(())
                         }))
                     }

@@ -15,6 +15,7 @@
 //! that slot from a per-entity cache without hashing the script name.
 
 use std::collections::HashMap;
+use std::time::Instant;
 
 use gamedb_content::{Value, ValueType};
 use gamedb_core::{EffectBuffer, EntityId, World};
@@ -67,10 +68,6 @@ impl std::error::Error for EngineError {}
 pub struct EngineTickStats {
     /// Entities that ran a script.
     pub scripts_run: usize,
-    /// Entities whose script ran compiled (vs interpreted). Equal to
-    /// [`EngineTickStats::vm_runs`] — kept for callers that predate the
-    /// mode split.
-    pub compiled_runs: usize,
     /// Executions dispatched through the bytecode VM.
     pub vm_runs: usize,
     /// Executions that tree-walked (interpreter mode or VM fallback).
@@ -358,6 +355,7 @@ impl ScriptEngine {
     pub fn tick(&mut self, world: &mut World) -> Result<EngineTickStats, RuntimeError> {
         let mut stats = EngineTickStats::default();
         let mut buf = EffectBuffer::new();
+        let started = Instant::now();
         self.revalidate_programs(world);
         if let Some(script_cid) = world.component_id(SCRIPT_COMPONENT) {
             for entity in world.entity_vec() {
@@ -402,20 +400,25 @@ impl ScriptEngine {
                 stats.scripts_run += 1;
             }
         }
-        stats.compiled_runs = stats.vm_runs;
         let vm_instrs = self.vm.take_instr_count();
+        let (probes, probe_rows) = self.vm.take_probe_counts();
+        let effects = buf.len() as u64;
+        let ran = Instant::now();
+        let applied = buf.apply(world);
         if let Some(m) = &self.metrics {
             m.ticks.inc();
             m.scripts_run.add(stats.scripts_run as u64);
-            m.compiled_runs.add(stats.compiled_runs as u64);
             m.vm_runs.add(stats.vm_runs as u64);
             m.interp_runs.add(stats.interp_runs as u64);
             m.vm_instrs.add(vm_instrs);
+            m.probes.add(probes);
+            m.probe_rows.add(probe_rows);
             m.events.add(stats.events.len() as u64);
-            m.tick_effects.observe(buf.len() as u64);
+            m.tick_effects.observe(effects);
+            m.vm_us.observe((ran - started).as_micros() as u64);
+            m.apply_us.observe(ran.elapsed().as_micros() as u64);
         }
-        buf.apply(world)
-            .map_err(|e| RuntimeError::TypeError(e.to_string()))?;
+        applied.map_err(|e| RuntimeError::TypeError(e.to_string()))?;
         Ok(stats)
     }
 }
@@ -490,8 +493,7 @@ mod tests {
 
         let stats = e.tick(&mut w).unwrap();
         assert_eq!(stats.scripts_run, 2);
-        assert_eq!(stats.compiled_runs, 2, "both scripts compile");
-        assert_eq!(stats.vm_runs, 2, "default mode is the VM");
+        assert_eq!(stats.vm_runs, 2, "both scripts compile; default mode is the VM");
         assert_eq!(stats.interp_runs, 0);
         assert_eq!(w.get_f32(a, "hp"), Some(15.0));
         assert_eq!(w.get_f32(b, "hp"), Some(9.0));
@@ -523,7 +525,7 @@ mod tests {
         e.bind(&mut w, id, "fallback").unwrap();
         let stats = e.tick(&mut w).unwrap();
         assert_eq!(stats.scripts_run, 1);
-        assert_eq!(stats.compiled_runs, 0, "fell back to the interpreter");
+        assert_eq!(stats.vm_runs, 0, "fell back to the interpreter");
         assert_eq!(stats.interp_runs, 1);
         assert_eq!(w.get_f32(id, "hp"), Some(2.0));
     }
@@ -623,6 +625,27 @@ mod tests {
         let stats = e.tick(&mut w2).unwrap();
         assert_eq!(stats.vm_runs, 1, "revalidation recompiled for w2");
         assert_eq!(w2.get_f32(id2, "hp"), Some(6.0));
+    }
+
+    /// A radius far beyond the map must cost one pass over the spatial
+    /// grid, not a probe per cell of the query box — on the old grid
+    /// this tick never returned.
+    #[test]
+    fn a_huge_literal_radius_finishes_its_tick() {
+        let mut w = world();
+        let mut e = ScriptEngine::new(Level::Restricted);
+        e.ensure_binding_component(&mut w);
+        e.load("census", "self.hp = count(1000000000);", &w).unwrap();
+        let ids: Vec<_> = (0..50)
+            .map(|i| w.spawn_at(Vec2::new(i as f32 * 900.0, i as f32 * -700.0)))
+            .collect();
+        for &id in &ids {
+            e.bind(&mut w, id, "census").unwrap();
+        }
+        let started = Instant::now();
+        e.tick(&mut w).unwrap();
+        assert!(started.elapsed().as_secs() < 2, "took {:?}", started.elapsed());
+        assert_eq!(w.get_f32(ids[0], "hp"), Some(49.0), "everyone else is in range");
     }
 
     #[test]

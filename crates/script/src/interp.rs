@@ -488,12 +488,12 @@ impl<'a> Interp<'a> {
                 match op {
                     AssignOp::Set => {
                         let cv = self.to_component_value(component, v)?;
-                        self.buf.push(target, component.clone(), Effect::Set(cv));
+                        self.buf.push(target, component, Effect::Set(cv));
                     }
                     AssignOp::Add | AssignOp::Sub => {
                         let n = v.as_num()?;
                         let delta = if *op == AssignOp::Add { n } else { -n };
-                        self.buf.push(target, component.clone(), Effect::Add(delta));
+                        self.buf.push(target, component, Effect::Add(delta));
                     }
                 }
             }

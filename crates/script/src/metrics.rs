@@ -2,7 +2,7 @@
 //! [`crate::engine::ScriptEngine`] reports through when a
 //! [`gamedb_metrics::MetricsRegistry`] is attached.
 
-use gamedb_metrics::{Counter, Histogram, MetricsRegistry, SIZE_BUCKETS};
+use gamedb_metrics::{Counter, Histogram, MetricsRegistry, LATENCY_US_BUCKETS, SIZE_BUCKETS};
 
 /// Cached handles for one engine. Catalog in ARCHITECTURE.md
 /// § Observability.
@@ -13,9 +13,6 @@ pub(crate) struct ScriptMetrics {
     /// `script.scripts_run`: per-entity script executions across all
     /// ticks.
     pub scripts_run: Counter,
-    /// `script.compiled_runs`: executions served by the compiled cache
-    /// (the rest interpreted).
-    pub compiled_runs: Counter,
     /// `script.events`: events emitted by scripts.
     pub events: Counter,
     /// `script.vm_runs`: per-entity executions dispatched through the
@@ -29,9 +26,20 @@ pub(crate) struct ScriptMetrics {
     /// `script.vm_compiles`: scripts lowered to bytecode (per binding
     /// preparation, including schema-change recompiles).
     pub vm_compiles: Counter,
+    /// `script.probes`: neighbour loops (`foreach`, aggregates) the VM
+    /// began.
+    pub probes: Counter,
+    /// `script.probe_rows`: candidates those loops were handed.
+    pub probe_rows: Counter,
     /// `script.tick_effects`: effect-buffer size per tick — the batch
     /// the tick commits through `World::apply_batch`.
     pub tick_effects: Histogram,
+    /// `script.vm_us`: per tick, running every bound script (dispatch +
+    /// neighbour probes + effect pushes).
+    pub vm_us: Histogram,
+    /// `script.apply_us`: per tick, `EffectBuffer::apply` — the effect
+    /// merge and its batch commit.
+    pub apply_us: Histogram,
 }
 
 impl ScriptMetrics {
@@ -39,13 +47,16 @@ impl ScriptMetrics {
         ScriptMetrics {
             ticks: registry.counter("script.ticks"),
             scripts_run: registry.counter("script.scripts_run"),
-            compiled_runs: registry.counter("script.compiled_runs"),
             events: registry.counter("script.events"),
             vm_runs: registry.counter("script.vm_runs"),
             interp_runs: registry.counter("script.interp_runs"),
             vm_instrs: registry.counter("script.vm_instrs"),
             vm_compiles: registry.counter("script.vm_compiles"),
+            probes: registry.counter("script.probes"),
+            probe_rows: registry.counter("script.probe_rows"),
             tick_effects: registry.histogram("script.tick_effects", SIZE_BUCKETS),
+            vm_us: registry.histogram("script.vm_us", LATENCY_US_BUCKETS),
+            apply_us: registry.histogram("script.apply_us", LATENCY_US_BUCKETS),
         }
     }
 }

@@ -55,6 +55,34 @@ pub enum VmCmp {
     Ge,
 }
 
+impl VmCmp {
+    /// The opcode that holds for `(y, x)` exactly when `self` holds for
+    /// `(x, y)` — NaN operands included.
+    fn mirrored(self) -> VmCmp {
+        match self {
+            VmCmp::Lt => VmCmp::Gt,
+            VmCmp::Le => VmCmp::Ge,
+            VmCmp::Gt => VmCmp::Lt,
+            VmCmp::Ge => VmCmp::Le,
+            eq_or_ne => eq_or_ne,
+        }
+    }
+
+    /// Raw f64 comparison — the interpreter's `partial_cmp` table (a NaN
+    /// operand fails everything but `Ne`).
+    #[inline]
+    fn holds(self, x: f64, y: f64) -> bool {
+        match self {
+            VmCmp::Eq => x == y,
+            VmCmp::Ne => x != y,
+            VmCmp::Lt => x < y,
+            VmCmp::Le => x <= y,
+            VmCmp::Gt => x > y,
+            VmCmp::Ge => x >= y,
+        }
+    }
+}
+
 /// Arithmetic opcodes. Div/Rem by zero yield 0.0 — scripts never crash
 /// the server on ÷0.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,6 +92,21 @@ pub enum VmArith {
     Mul,
     Div,
     Rem,
+}
+
+impl VmArith {
+    #[inline]
+    fn apply(self, x: f64, y: f64) -> f64 {
+        match self {
+            VmArith::Add => x + y,
+            VmArith::Sub => x - y,
+            VmArith::Mul => x * y,
+            VmArith::Div if y == 0.0 => 0.0,
+            VmArith::Div => x / y,
+            VmArith::Rem if y == 0.0 => 0.0,
+            VmArith::Rem => x % y,
+        }
+    }
 }
 
 /// A pre-extracted sargable aggregate filter — `other.<comp> <op>
@@ -100,6 +143,9 @@ pub enum Instr {
     ReadAxis { dst: Reg, subj: Subject, y: bool },
 
     Arith { op: VmArith, dst: Reg, a: Reg, b: Reg },
+    /// [`Instr::Arith`] with a literal operand: num\[dst\] ← num\[a\] op
+    /// `k`, or `k` op num\[a\] when `rev` (the literal stood on the left)
+    ArithK { op: VmArith, rev: bool, dst: Reg, a: Reg, k: f64 },
     Neg { dst: Reg, src: Reg },
     Not { dst: Reg, src: Reg },
     MinNum { dst: Reg, a: Reg, b: Reg },
@@ -120,6 +166,12 @@ pub enum Instr {
     Jump { to: u32 },
     JumpIf { cond: Reg, to: u32 },
     JumpIfNot { cond: Reg, to: u32 },
+    /// Compare-and-branch: jump unless num\[a\] op num\[b\] holds — a
+    /// numeric `while`/`if`/filter condition in one instruction
+    JumpUnlessCmp { op: VmCmp, a: Reg, b: Reg, to: u32 },
+    /// [`Instr::JumpUnlessCmp`] against a literal: jump unless
+    /// num\[a\] op `k` holds
+    JumpUnlessCmpK { op: VmCmp, a: Reg, to: u32, k: f64 },
     /// Burn one unit of the run-wide `while` fuel
     /// ([`ExecOptions::loop_fuel`], shared across all loops of the run —
     /// interpreter semantics, not the closure compiler's per-loop cap).
@@ -158,6 +210,10 @@ pub enum Instr {
     /// Append pool\[pool\] to the run's emitted events
     Emit { pool: u16 },
 }
+
+// Every instruction — immediates included — stays two words, so the
+// dispatch loop's fetch is one aligned 16-byte load.
+const _: () = assert!(std::mem::size_of::<Instr>() == 16);
 
 /// A compiled script: dense instructions plus the constant pool and the
 /// register-file sizes the compiler high-watermarked.
@@ -253,6 +309,8 @@ pub struct Vm {
     events: Vec<String>,
     scratch: Vec<EntityId>,
     instrs_retired: u64,
+    probes: u64,
+    probe_rows: u64,
 }
 
 #[inline]
@@ -320,6 +378,15 @@ impl Vm {
     /// Instructions retired since the last call (metrics drain).
     pub fn take_instr_count(&mut self) -> u64 {
         std::mem::take(&mut self.instrs_retired)
+    }
+
+    /// `(neighbour loops begun, candidates they returned)` since the
+    /// last call (metrics drain).
+    pub fn take_probe_counts(&mut self) -> (u64, u64) {
+        (
+            std::mem::take(&mut self.probes),
+            std::mem::take(&mut self.probe_rows),
+        )
     }
 
     /// Run one compiled script for one entity against the immutable
@@ -428,26 +495,11 @@ impl Vm {
                 }
 
                 Instr::Arith { op, dst, a, b } => {
-                    let (x, y) = (self.nums[a as usize], self.nums[b as usize]);
-                    self.nums[dst as usize] = match op {
-                        VmArith::Add => x + y,
-                        VmArith::Sub => x - y,
-                        VmArith::Mul => x * y,
-                        VmArith::Div => {
-                            if y == 0.0 {
-                                0.0
-                            } else {
-                                x / y
-                            }
-                        }
-                        VmArith::Rem => {
-                            if y == 0.0 {
-                                0.0
-                            } else {
-                                x % y
-                            }
-                        }
-                    };
+                    self.nums[dst as usize] = op.apply(self.nums[a as usize], self.nums[b as usize]);
+                }
+                Instr::ArithK { op, rev, dst, a, k } => {
+                    let x = self.nums[a as usize];
+                    self.nums[dst as usize] = if rev { op.apply(k, x) } else { op.apply(x, k) };
                 }
                 Instr::Neg { dst, src } => self.nums[dst as usize] = -self.nums[src as usize],
                 Instr::Not { dst, src } => self.bools[dst as usize] = !self.bools[src as usize],
@@ -466,17 +518,7 @@ impl Vm {
                     self.nums[dst as usize] = v.clamp(lo.min(hi), hi.max(lo));
                 }
                 Instr::CmpNum { op, dst, a, b } => {
-                    let (x, y) = (self.nums[a as usize], self.nums[b as usize]);
-                    // raw f64 comparisons match the interpreter's
-                    // partial_cmp table (NaN fails all but Ne)
-                    self.bools[dst as usize] = match op {
-                        VmCmp::Eq => x == y,
-                        VmCmp::Ne => x != y,
-                        VmCmp::Lt => x < y,
-                        VmCmp::Le => x <= y,
-                        VmCmp::Gt => x > y,
-                        VmCmp::Ge => x >= y,
-                    };
+                    self.bools[dst as usize] = op.holds(self.nums[a as usize], self.nums[b as usize]);
                 }
                 Instr::CmpBool { op, dst, a, b } => {
                     let ord = self.bools[a as usize].cmp(&self.bools[b as usize]);
@@ -518,6 +560,16 @@ impl Vm {
                         pc = to as usize;
                     }
                 }
+                Instr::JumpUnlessCmp { op, a, b, to } => {
+                    if !op.holds(self.nums[a as usize], self.nums[b as usize]) {
+                        pc = to as usize;
+                    }
+                }
+                Instr::JumpUnlessCmpK { op, a, to, k } => {
+                    if !op.holds(self.nums[a as usize], k) {
+                        pc = to as usize;
+                    }
+                }
                 Instr::ConsumeFuel => {
                     if fuel == 0 {
                         return Err(RuntimeError::LoopFuelExhausted {
@@ -549,6 +601,8 @@ impl Vm {
                         frame.prefiltered = false;
                         neighbors(world, self_id, r, opts.use_index, &mut frame.cands)?;
                     }
+                    self.probes += 1;
+                    self.probe_rows += frame.cands.len() as u64;
                 }
                 Instr::LoopNext { slot, exit } => {
                     let frame = &mut self.loops[slot as usize];
@@ -597,22 +651,22 @@ impl Vm {
                 Instr::SetF32 { subj, name, src } => {
                     let id = subj_id(self_id, other, subj)?;
                     let v = self.nums[src as usize] as f32;
-                    buf.push(id, p.pool[name as usize].clone(), Effect::Set(Value::Float(v)));
+                    buf.push(id, &p.pool[name as usize], Effect::Set(Value::Float(v)));
                 }
                 Instr::SetI64 { subj, name, src } => {
                     let id = subj_id(self_id, other, subj)?;
                     let v = self.nums[src as usize].round() as i64;
-                    buf.push(id, p.pool[name as usize].clone(), Effect::Set(Value::Int(v)));
+                    buf.push(id, &p.pool[name as usize], Effect::Set(Value::Int(v)));
                 }
                 Instr::SetBool { subj, name, src } => {
                     let id = subj_id(self_id, other, subj)?;
                     let v = self.bools[src as usize];
-                    buf.push(id, p.pool[name as usize].clone(), Effect::Set(Value::Bool(v)));
+                    buf.push(id, &p.pool[name as usize], Effect::Set(Value::Bool(v)));
                 }
                 Instr::SetStr { subj, name, src } => {
                     let id = subj_id(self_id, other, subj)?;
                     let v = self.strs[src as usize].clone();
-                    buf.push(id, p.pool[name as usize].clone(), Effect::Set(Value::Str(v)));
+                    buf.push(id, &p.pool[name as usize], Effect::Set(Value::Str(v)));
                 }
                 Instr::AddNum { subj, name, src, negate } => {
                     let id = subj_id(self_id, other, subj)?;
@@ -620,7 +674,7 @@ impl Vm {
                     if negate {
                         v = -v;
                     }
-                    buf.push(id, p.pool[name as usize].clone(), Effect::Add(v));
+                    buf.push(id, &p.pool[name as usize], Effect::Add(v));
                 }
                 Instr::MoveBy { dx, dy } => {
                     let (x, y) =

@@ -160,6 +160,8 @@ impl<'a> Compiler<'a> {
             Instr::Jump { to }
             | Instr::JumpIf { to, .. }
             | Instr::JumpIfNot { to, .. }
+            | Instr::JumpUnlessCmp { to, .. }
+            | Instr::JumpUnlessCmpK { to, .. }
             | Instr::SkipIfPrefiltered { to, .. } => *to = target,
             Instr::LoopNext { exit, .. } => *exit = target,
             other => unreachable!("patched non-jump instruction {other:?}"),
@@ -372,8 +374,6 @@ impl<'a> Compiler<'a> {
             }
             Expr::Bin { op, lhs, rhs } if !op.is_cmp() && !op.is_logic() => {
                 let m = self.marks();
-                let a = self.num_src(lhs)?;
-                let b = self.num_src(rhs)?;
                 let op = match op {
                     BinOp::Add => VmArith::Add,
                     BinOp::Sub => VmArith::Sub,
@@ -382,7 +382,24 @@ impl<'a> Compiler<'a> {
                     BinOp::Rem => VmArith::Rem,
                     _ => unreachable!(),
                 };
-                self.emit(Instr::Arith { op, dst, a, b });
+                // a literal operand rides in the instruction; `rev` keeps
+                // the operand order the interpreter evaluates
+                let instr = match (&**lhs, &**rhs) {
+                    (_, &Expr::Num(k)) => {
+                        let a = self.num_src(lhs)?;
+                        Instr::ArithK { op, rev: false, dst, a, k }
+                    }
+                    (&Expr::Num(k), _) => {
+                        let a = self.num_src(rhs)?;
+                        Instr::ArithK { op, rev: true, dst, a, k }
+                    }
+                    _ => {
+                        let a = self.num_src(lhs)?;
+                        let b = self.num_src(rhs)?;
+                        Instr::Arith { op, dst, a, b }
+                    }
+                };
+                self.emit(instr);
                 self.release(m);
             }
             Expr::Bin { .. } => {
@@ -522,6 +539,44 @@ impl<'a> Compiler<'a> {
         Ok(())
     }
 
+    /// Lower a branch condition: evaluate `cond` and emit the jump taken
+    /// when it is **false**, target left for [`Compiler::patch`]. A
+    /// numeric comparison becomes one compare-and-branch (the literal
+    /// side, if any, inline — mirrored onto the right when it stood on
+    /// the left); anything else evaluates to a bool register first.
+    fn jump_unless(&mut self, cond: &Expr) -> Result<usize, CompileError> {
+        let m = self.marks();
+        let instr = match cond {
+            Expr::Bin { op, lhs, rhs }
+                if op.is_cmp() && self.ty_of(lhs)? == Ty::Num && self.ty_of(rhs)? == Ty::Num =>
+            {
+                let op = vm_cmp(*op);
+                match (&**lhs, &**rhs) {
+                    (_, &Expr::Num(k)) => {
+                        let a = self.num_src(lhs)?;
+                        Instr::JumpUnlessCmpK { op, a, to: 0, k }
+                    }
+                    (&Expr::Num(k), _) => {
+                        let a = self.num_src(rhs)?;
+                        let op = op.mirrored();
+                        Instr::JumpUnlessCmpK { op, a, to: 0, k }
+                    }
+                    _ => {
+                        let a = self.num_src(lhs)?;
+                        let b = self.num_src(rhs)?;
+                        Instr::JumpUnlessCmp { op, a, b, to: 0 }
+                    }
+                }
+            }
+            _ => {
+                let cond = self.bool_src(cond)?;
+                Instr::JumpIfNot { cond, to: 0 }
+            }
+        };
+        self.release(m);
+        Ok(self.emit(instr))
+    }
+
     /// Aggregate lowering: accumulator registers + a candidate loop,
     /// with the sargable filter routed through a pre-built query handle
     /// when extraction succeeds (same conditions as the closure path).
@@ -539,7 +594,6 @@ impl<'a> Compiler<'a> {
         let sum = self.alloc_num()?;
         let minr = self.alloc_num()?;
         let maxr = self.alloc_num()?;
-        let one = self.alloc_num()?;
         self.emit(Instr::LoadNum { dst: cnt, val: 0.0 });
         self.emit(Instr::LoadNum { dst: sum, val: 0.0 });
         self.emit(Instr::LoadNum {
@@ -550,7 +604,6 @@ impl<'a> Compiler<'a> {
             dst: maxr,
             val: f64::NEG_INFINITY,
         });
-        self.emit(Instr::LoadNum { dst: one, val: 1.0 });
 
         let query = match filter.and_then(sargable_filter) {
             Some((comp, op, lit)) => {
@@ -580,20 +633,19 @@ impl<'a> Compiler<'a> {
             // because `use_index: false` falls back to the naive path
             let skip_at = (query != NO_QUERY)
                 .then(|| self.emit(Instr::SkipIfPrefiltered { slot, to: 0 }));
-            let fm = self.marks();
-            let fb = self.bool_src(f)?;
-            self.emit(Instr::JumpIfNot { cond: fb, to: head });
-            self.release(fm);
+            let rejected = self.jump_unless(f)?;
+            self.patch(rejected, head);
             if let Some(at) = skip_at {
                 let here = self.here();
                 self.patch(at, here);
             }
         }
-        self.emit(Instr::Arith {
+        self.emit(Instr::ArithK {
             op: VmArith::Add,
+            rev: false,
             dst: cnt,
             a: cnt,
-            b: one,
+            k: 1.0,
         });
         if let Some(a) = arg {
             let am = self.marks();
@@ -772,10 +824,7 @@ impl<'a> Compiler<'a> {
                 then_block,
                 else_block,
             } => {
-                let m = self.marks();
-                let c = self.bool_src(cond)?;
-                let jf = self.emit(Instr::JumpIfNot { cond: c, to: 0 });
-                self.release(m);
+                let jf = self.jump_unless(cond)?;
                 self.block(then_block)?;
                 if else_block.is_empty() {
                     let end = self.here();
@@ -809,10 +858,7 @@ impl<'a> Compiler<'a> {
             }
             Stmt::While { cond, body } => {
                 let head = self.here();
-                let m = self.marks();
-                let c = self.bool_src(cond)?;
-                let jf = self.emit(Instr::JumpIfNot { cond: c, to: 0 });
-                self.release(m);
+                let jf = self.jump_unless(cond)?;
                 self.emit(Instr::ConsumeFuel);
                 self.block(body)?;
                 self.emit(Instr::Jump { to: head });
@@ -1111,6 +1157,90 @@ mod tests {
             &test_world(3),
             opts,
         );
+    }
+
+    /// A literal operand rides in the arithmetic instruction (either
+    /// side), and a numeric `while` / `if` condition is one
+    /// compare-and-branch — with fuel, ÷0 and NaN behaving as in the
+    /// interpreter.
+    #[test]
+    fn literals_and_numeric_conditions_lower_to_single_instructions() {
+        let w = test_world(3);
+        let compiled = |src: &str| compile_program(&lib(&[("s", src)]), "s", &w).unwrap();
+        for (expr, op, rev, k) in [
+            ("x * 0.5", VmArith::Mul, false, 0.5),
+            ("1 - x", VmArith::Sub, true, 1.0),
+            ("x / 0", VmArith::Div, false, 0.0),
+            ("0.5 * x", VmArith::Mul, true, 0.5),
+        ] {
+            let src = format!("let x = self.hp; let y = {expr}; self.hp = y;");
+            let p = compiled(&src);
+            let arith: Vec<_> = p
+                .instrs()
+                .iter()
+                .filter(|i| matches!(i, Instr::Arith { .. } | Instr::ArithK { .. }))
+                .collect();
+            assert!(
+                matches!(arith[..], [Instr::ArithK { op: o, rev: r, k: kk, .. }] if *o == op && *r == rev && *kk == k),
+                "{expr}: {arith:?}"
+            );
+            assert!(
+                !p.instrs().iter().any(|i| matches!(i, Instr::LoadNum { .. })),
+                "{expr}: no literal load survives"
+            );
+            assert_vm_equivalent(&src);
+        }
+        for (cond, op) in [("i < 24", VmCmp::Lt), ("24 > i", VmCmp::Lt), ("24 <= i", VmCmp::Ge)] {
+            let src = format!("let i = 0; while {cond} {{ i = i + 1; }} self.hp = i;");
+            let p = compiled(&src);
+            // head: compare-branch, fuel, body (one ArithK), back-jump
+            assert!(
+                matches!(
+                    p.instrs()[1..5],
+                    [
+                        Instr::JumpUnlessCmpK { op: o, k, .. },
+                        Instr::ConsumeFuel,
+                        Instr::ArithK { .. },
+                        Instr::Jump { to: 1 },
+                    ] if o == op && k == 24.0
+                ),
+                "{cond}: {:?}",
+                p.instrs()
+            );
+            assert_vm_equivalent(&src);
+            // fuel runs out on the same iteration, same partial effects
+            let src = format!("let i = 0; while {cond} {{ self.hp += 1; i = i + 1; }}");
+            let opts = ExecOptions {
+                loop_fuel: 10,
+                ..ExecOptions::default()
+            };
+            assert_vm_equivalent_opts(&src, &w, opts);
+        }
+        // register-register form
+        let p = compiled("let i = 0; let n = self.gold; while i < n { i = i + 1; }");
+        assert!(p
+            .instrs()
+            .iter()
+            .any(|i| matches!(i, Instr::JumpUnlessCmp { op: VmCmp::Lt, .. })));
+        assert!(!p.instrs().iter().any(|i| matches!(i, Instr::CmpNum { .. })));
+
+        // NaN (here inf - inf) fails every comparison but `!=`, on either
+        // side of the literal
+        let nan = "let x = 10; let i = 0; while i < 11 { x = x * x; i = i + 1; } let n = x - x;";
+        for cond in ["n < 5", "5 > n", "n >= 5", "n != 5", "5 == n", "n <= self.dmg"] {
+            assert_vm_equivalent(&format!(
+                "{nan} if {cond} {{ self.gold += 1; }} else {{ self.gold -= 1; }}"
+            ));
+            let opts = ExecOptions {
+                loop_fuel: 11 + 7,
+                ..ExecOptions::default()
+            };
+            assert_vm_equivalent_opts(
+                &format!("{nan} while {cond} {{ self.gold += 1; }} self.gold -= 100;"),
+                &w,
+                opts,
+            );
+        }
     }
 
     #[test]

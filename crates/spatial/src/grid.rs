@@ -4,26 +4,68 @@
 //! density: O(1) updates and range queries that touch only the cells
 //! overlapping the query disk. Degrades when entities cluster into few
 //! cells — exactly the regime where the tree indices win (experiment E3).
+//!
+//! Cells hold `(id, position)` pairs, so a query tests candidates
+//! straight from the cell slice; the id → position map serves only
+//! [`SpatialIndex::position`], removal and re-linking on a move. A query
+//! box spanning more cells than the grid has occupied iterates the
+//! occupied cells instead of walking the box, so no radius — however
+//! large — costs more than one pass over the grid.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 use crate::geom::{Aabb, Vec2};
 use crate::index::{finish_knn, ItemId, SpatialIndex};
 
 /// Key of a grid cell. Positions are divided by the cell size and floored,
 /// so the grid is unbounded and supports negative coordinates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct CellKey {
     cx: i32,
     cy: i32,
 }
+
+impl Hash for CellKey {
+    #[inline]
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(((self.cx as u32 as u64) << 32) | self.cy as u32 as u64);
+    }
+}
+
+/// Multiply-rotate hasher for [`CellKey`]s. The keys are cell
+/// coordinates the grid derives itself, never caller-chosen bytes, so
+/// SipHash's collision resistance buys nothing here and costs a cell
+/// lookup's worth of time per lookup.
+#[derive(Debug, Clone, Copy, Default)]
+struct CellHasher(u64);
+
+impl Hasher for CellHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("CellKey hashes as one u64");
+    }
+
+    #[inline]
+    fn write_u64(&mut self, v: u64) {
+        // the multiply gathers every input bit into the high half; the
+        // rotate moves those into the low bits the table indexes by
+        self.0 = v.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(26);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type Cell = Vec<(ItemId, Vec2)>;
 
 /// A uniform grid over 2-D points.
 #[derive(Debug, Clone)]
 pub struct UniformGrid {
     cell_size: f32,
     inv_cell: f32,
-    cells: HashMap<CellKey, Vec<ItemId>>,
+    cells: HashMap<CellKey, Cell, BuildHasherDefault<CellHasher>>,
     positions: HashMap<ItemId, Vec2>,
 }
 
@@ -40,7 +82,7 @@ impl UniformGrid {
         UniformGrid {
             cell_size,
             inv_cell: 1.0 / cell_size,
-            cells: HashMap::new(),
+            cells: HashMap::default(),
             positions: HashMap::new(),
         }
     }
@@ -70,6 +112,8 @@ impl UniformGrid {
         self.positions.reserve(additional);
     }
 
+    /// Cell of a point. The float → int casts saturate, so far-away and
+    /// infinite coordinates land on the outermost keys.
     #[inline]
     fn key_for(&self, p: Vec2) -> CellKey {
         CellKey {
@@ -78,10 +122,9 @@ impl UniformGrid {
         }
     }
 
-    fn unlink(&mut self, id: ItemId, pos: Vec2) {
-        let key = self.key_for(pos);
+    fn unlink(&mut self, id: ItemId, key: CellKey) {
         if let Some(v) = self.cells.get_mut(&key) {
-            if let Some(i) = v.iter().position(|&x| x == id) {
+            if let Some(i) = v.iter().position(|&(x, _)| x == id) {
                 v.swap_remove(i);
             }
             if v.is_empty() {
@@ -100,18 +143,34 @@ impl UniformGrid {
         let bounds = Aabb::around_circle(center, radius);
         let r2 = radius * radius;
         self.for_cells_in_aabb(&bounds, |items| {
-            for &id in items {
-                if self.positions[&id].dist2(center) <= r2 {
+            for &(id, pos) in items {
+                if pos.dist2(center) <= r2 {
                     f(id);
                 }
             }
         });
     }
 
-    /// Visit each cell overlapping the box and run `f` on its item list.
-    fn for_cells_in_aabb(&self, bounds: &Aabb, mut f: impl FnMut(&[ItemId])) {
+    /// Visit each occupied cell overlapping the box and run `f` on its
+    /// items. A box of more cells than the grid has occupied is served
+    /// by filtering the occupied cells on the key range instead of
+    /// probing every key in it (the sparse-box rule): the cost is
+    /// bounded by the grid's size, not the query's.
+    fn for_cells_in_aabb(&self, bounds: &Aabb, mut f: impl FnMut(&[(ItemId, Vec2)])) {
         let lo = self.key_for(bounds.min);
         let hi = self.key_for(bounds.max);
+        if lo.cx > hi.cx || lo.cy > hi.cy {
+            return;
+        }
+        let span = |lo: i32, hi: i32| (hi as i64 - lo as i64 + 1) as u64;
+        if span(lo.cx, hi.cx).saturating_mul(span(lo.cy, hi.cy)) > self.cells.len() as u64 {
+            for (k, v) in &self.cells {
+                if (lo.cx..=hi.cx).contains(&k.cx) && (lo.cy..=hi.cy).contains(&k.cy) {
+                    f(v);
+                }
+            }
+            return;
+        }
         for cx in lo.cx..=hi.cx {
             for cy in lo.cy..=hi.cy {
                 if let Some(v) = self.cells.get(&CellKey { cx, cy }) {
@@ -120,26 +179,58 @@ impl UniformGrid {
             }
         }
     }
+
+    /// Visit each occupied cell on the square shell at Chebyshev
+    /// distance `ring` from `start`.
+    fn for_cells_in_ring(&self, start: CellKey, ring: i64, mut f: impl FnMut(&[(ItemId, Vec2)])) {
+        let (sx, sy) = (start.cx as i64, start.cy as i64);
+        let mut visit = |cx: i64, cy: i64| {
+            // shells around a saturated start run off the key space
+            if let (Ok(cx), Ok(cy)) = (i32::try_from(cx), i32::try_from(cy)) {
+                if let Some(v) = self.cells.get(&CellKey { cx, cy }) {
+                    f(v);
+                }
+            }
+        };
+        if ring == 0 {
+            return visit(sx, sy);
+        }
+        for d in -ring..=ring {
+            visit(sx + d, sy - ring);
+            visit(sx + d, sy + ring);
+        }
+        for d in 1 - ring..ring {
+            visit(sx - ring, sy + d);
+            visit(sx + ring, sy + d);
+        }
+    }
 }
 
 impl SpatialIndex for UniformGrid {
     fn insert(&mut self, id: ItemId, pos: Vec2) {
         debug_assert!(pos.is_finite(), "non-finite position for item {id}");
+        let key = self.key_for(pos);
         if let Some(old) = self.positions.insert(id, pos) {
-            let same_cell = self.key_for(old) == self.key_for(pos);
-            if same_cell {
+            let old_key = self.key_for(old);
+            if old_key == key {
+                // same-cell move: rewrite the inline copy queries read
+                let entry = self
+                    .cells
+                    .get_mut(&key)
+                    .and_then(|v| v.iter_mut().find(|(x, _)| *x == id))
+                    .expect("an indexed item is linked into its position's cell");
+                entry.1 = pos;
                 return;
             }
-            self.unlink(id, old);
+            self.unlink(id, old_key);
         }
-        let key = self.key_for(pos);
-        self.cells.entry(key).or_default().push(id);
+        self.cells.entry(key).or_default().push((id, pos));
     }
 
     fn remove(&mut self, id: ItemId) -> bool {
         match self.positions.remove(&id) {
             Some(pos) => {
-                self.unlink(id, pos);
+                self.unlink(id, self.key_for(pos));
                 true
             }
             None => false,
@@ -156,11 +247,7 @@ impl SpatialIndex for UniformGrid {
 
     fn query_aabb(&self, bounds: &Aabb, out: &mut Vec<ItemId>) {
         self.for_cells_in_aabb(bounds, |items| {
-            for &id in items {
-                if bounds.contains(self.positions[&id]) {
-                    out.push(id);
-                }
-            }
+            out.extend(items.iter().filter(|(_, p)| bounds.contains(*p)).map(|&(id, _)| id));
         });
     }
 
@@ -173,45 +260,29 @@ impl SpatialIndex for UniformGrid {
         // all certainly smaller than anything in unexamined shells.
         let start = self.key_for(center);
         let mut cands: Vec<(f32, ItemId)> = Vec::new();
-        // Rings beyond the occupied-cell bounding box cannot contain items,
-        // so the Chebyshev distance to its corners bounds the search.
-        let max_ring = self
-            .cells
-            .keys()
-            .map(|k| (k.cx - start.cx).abs().max((k.cy - start.cy).abs()))
-            .max()
-            .unwrap_or(0);
-        let mut ring = 0i32;
+        let collect = |cands: &mut Vec<(f32, ItemId)>, items: &[(ItemId, Vec2)]| {
+            cands.extend(items.iter().map(|&(id, p)| (p.dist2(center), id)));
+        };
+        // The walk may probe as many keys as the grid has occupied cells;
+        // past that (a far-away center, a sparse world) one pass over the
+        // occupied cells is cheaper than any further shell.
+        let mut budget = self.cells.len() as i64;
+        let mut ring = 0i64;
         loop {
-            let mut visited_any = false;
-            for cx in (start.cx - ring)..=(start.cx + ring) {
-                for cy in (start.cy - ring)..=(start.cy + ring) {
-                    // only the shell, not the interior (already visited)
-                    if ring > 0
-                        && (cx - start.cx).abs() != ring
-                        && (cy - start.cy).abs() != ring
-                    {
-                        continue;
-                    }
-                    if let Some(items) = self.cells.get(&CellKey { cx, cy }) {
-                        visited_any = true;
-                        for &id in items {
-                            cands.push((self.positions[&id].dist2(center), id));
-                        }
-                    }
-                }
+            budget -= (8 * ring).max(1);
+            if budget < 0 {
+                cands.clear();
+                self.cells.values().for_each(|v| collect(&mut cands, v));
+                break;
             }
-            let _ = visited_any;
+            self.for_cells_in_ring(start, ring, |v| collect(&mut cands, v));
             // Distance below which everything in visited shells is complete:
             // points in unvisited shells are at least `ring * cell_size`
             // minus the offset of center within its cell away.
             let safe = (ring as f32 - 1.0).max(0.0) * self.cell_size;
             let safe2 = safe * safe;
             let complete = cands.iter().filter(|&&(d, _)| d <= safe2).count();
-            if complete >= k || ring > max_ring {
-                break;
-            }
-            if cands.len() >= self.positions.len() {
+            if complete >= k || cands.len() >= self.positions.len() {
                 break;
             }
             ring += 1;

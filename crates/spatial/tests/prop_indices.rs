@@ -11,16 +11,16 @@ enum Op {
     Update(u64, f32, f32),
 }
 
-fn coord() -> impl Strategy<Value = f32> {
-    // world coordinates, including negatives and out-of-quadtree-bounds
-    (-150.0f32..150.0).prop_map(|v| (v * 8.0).round() / 8.0)
+/// World coordinates in `±span`, including negatives.
+fn coord(span: f32) -> impl Strategy<Value = f32> {
+    (-span..span).prop_map(|v| (v * 8.0).round() / 8.0)
 }
 
-fn op() -> impl Strategy<Value = Op> {
+fn op(span: f32) -> impl Strategy<Value = Op> {
     prop_oneof![
-        (0u64..32, coord(), coord()).prop_map(|(id, x, y)| Op::Insert(id, x, y)),
+        (0u64..32, coord(span), coord(span)).prop_map(|(id, x, y)| Op::Insert(id, x, y)),
         (0u64..32).prop_map(Op::Remove),
-        (0u64..32, coord(), coord()).prop_map(|(id, x, y)| Op::Update(id, x, y)),
+        (0u64..32, coord(span), coord(span)).prop_map(|(id, x, y)| Op::Update(id, x, y)),
     ]
 }
 
@@ -56,10 +56,24 @@ fn knn<I: SpatialIndex>(idx: &I, c: Vec2, k: usize) -> Vec<u64> {
     out
 }
 
+/// `$span` bounds the generated coordinates: ±150 runs items across
+/// many cells (and out of the quadtree's bounds); a span inside one cell
+/// makes every `Update` a same-cell move.
 macro_rules! index_equivalence_suite {
     ($modname:ident, $make:expr) => {
+        index_equivalence_suite!($modname, $make, 150.0);
+    };
+    ($modname:ident, $make:expr, $span:expr) => {
         mod $modname {
             use super::*;
+
+            fn coord() -> impl Strategy<Value = f32> {
+                super::coord($span)
+            }
+
+            fn op() -> impl Strategy<Value = Op> {
+                super::op($span)
+            }
 
             proptest! {
                 #![proptest_config(ProptestConfig::with_cases(64))]
@@ -129,12 +143,63 @@ macro_rules! index_equivalence_suite {
 
 index_equivalence_suite!(grid_vs_oracle, UniformGrid::new(16.0));
 index_equivalence_suite!(grid_small_cells_vs_oracle, UniformGrid::new(3.0));
+// every item in the four cells around the origin: a quarter of the moves
+// stay in their cell, where the grid rewrites the position held inline
+index_equivalence_suite!(grid_same_cell_moves_vs_oracle, UniformGrid::new(16.0), 8.0);
 index_equivalence_suite!(bsp_vs_oracle, BspTree::new(4));
 index_equivalence_suite!(quadtree_vs_oracle, Quadtree::new(
     Aabb::new(Vec2::new(-100.0, -100.0), Vec2::new(100.0, 100.0)),
     4,
     8
 ));
+
+/// A query far larger than the populated area must cost one pass over
+/// the grid, not one probe per cell of the query box: radius 1e9 spans
+/// 1.5e16 cells of a 16-unit grid, and an infinite one saturates both
+/// key bounds.
+mod grid_huge_queries {
+    use super::*;
+    use std::time::{Duration, Instant};
+
+    fn sparse_world() -> (UniformGrid, BruteForce) {
+        let (mut grid, mut oracle) = (UniformGrid::new(16.0), BruteForce::new());
+        for id in 0..100u64 {
+            let p = Vec2::new(
+                (id as f32 * 7919.0) % 3.0e5 - 1.5e5,
+                (id as f32 * 104_729.0) % 3.0e5 - 1.5e5,
+            );
+            grid.insert(id, p);
+            oracle.insert(id, p);
+        }
+        (grid, oracle)
+    }
+
+    #[test]
+    fn huge_and_infinite_probes_match_the_oracle_in_bounded_time() {
+        let (grid, oracle) = sparse_world();
+        let started = Instant::now();
+        for r in [3.0e5, 1.0e9, f32::INFINITY] {
+            for c in [Vec2::ZERO, Vec2::new(-1.5e5, 1.5e5)] {
+                assert_eq!(sorted_range(&grid, c, r), sorted_range(&oracle, c, r), "r {r}");
+            }
+            let b = Aabb::new(Vec2::new(-r, -r), Vec2::new(r, r));
+            assert_eq!(sorted_aabb(&grid, &b), sorted_aabb(&oracle, &b), "box {r}");
+            assert_eq!(sorted_aabb(&grid, &b).len(), 100);
+        }
+        // sparse worlds and far-away centers: the ring walk gives way to
+        // one pass over the occupied cells
+        for c in [Vec2::ZERO, Vec2::new(1.0e9, -1.0e9), Vec2::new(3.0e12, 0.0)] {
+            for k in [1, 5, 100, 200] {
+                assert_eq!(knn(&grid, c, k), knn(&oracle, c, k), "knn {c:?} k {k}");
+            }
+        }
+        assert!(
+            started.elapsed() < Duration::from_secs(2),
+            "huge queries took {:?}",
+            started.elapsed()
+        );
+    }
+}
 
 mod navmesh_props {
     use super::*;

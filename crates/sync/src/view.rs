@@ -101,18 +101,18 @@ impl<'a> OverlayView<'a> {
     /// components as zero, effects on despawned entities are dropped.
     pub fn absorb(&mut self, buf: &EffectBuffer) {
         for (id, component, effect) in buf.ops() {
-            if !self.view_is_live(*id) {
+            if !self.view_is_live(id) {
                 continue;
             }
             if component == POS {
                 if let Effect::AddVec2(dx, dy) = effect {
-                    if let Some(p) = self.view_pos(*id) {
-                        self.positions.insert(*id, p + Vec2::new(*dx, *dy));
+                    if let Some(p) = self.view_pos(id) {
+                        self.positions.insert(id, p + Vec2::new(*dx, *dy));
                     }
                     continue;
                 }
             }
-            let current = self.view_get(*id, component);
+            let current = self.view_get(id, component);
             let next = match (effect, current) {
                 (Effect::Set(v), _) => Some(v.clone()),
                 (Effect::Add(x), Some(Value::Float(cur))) => Some(Value::Float(cur + *x as f32)),
@@ -137,9 +137,9 @@ impl<'a> OverlayView<'a> {
             };
             if let Some(v) = next {
                 self.values
-                    .entry(*id)
+                    .entry(id)
                     .or_default()
-                    .insert(component.clone(), v);
+                    .insert(component.to_string(), v);
             }
         }
         for &id in buf.despawned() {

@@ -150,7 +150,7 @@ fn main() {
         println!(
             "   tick {tick}: {} scripts ran ({} compiled), fountain glow = {:.1}",
             stats.scripts_run,
-            stats.compiled_runs,
+            stats.vm_runs,
             world.get_f32(fountain, "glow").unwrap(),
         );
     }
