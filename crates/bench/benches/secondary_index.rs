@@ -2,8 +2,9 @@
 //!
 //! At 100k entities, an equality predicate selecting <1% of rows runs
 //! through (a) the forced full scan the seed engine was limited to
-//! (`Query::run_scan`), (b) the hash-indexed path, and (c) a sorted-index
-//! range probe — plus the planner's own choice. The indexed paths must
+//! (`Query::run_scan`), (b) the hash-indexed path, (c) a sorted-index
+//! range probe, and (d) a two-sided range whose bounds both reach one
+//! probe — plus the planner's own choice. The indexed paths must
 //! beat the scan by ≥10×; the bench prints the measured speedups so the
 //! claim is checked on every run, not asserted once and forgotten.
 
@@ -28,9 +29,15 @@ fn bench_secondary_index(c: &mut Criterion) {
 
     let eq_query = Query::select().filter("class", CmpOp::Eq, Value::Str("class-007".into()));
     let range_query = Query::select().filter("hp", CmpOp::Lt, Value::Float(5.0));
+    // two-sided: both bounds must reach the sorted index, or the probe
+    // hands half the table to a residual filter
+    let two_sided_query = Query::select()
+        .filter("hp", CmpOp::Ge, Value::Float(500.0))
+        .filter("hp", CmpOp::Lt, Value::Float(505.0));
     let expected_eq = N / CLASSES;
     assert_eq!(eq_query.run_scan(&world).len(), expected_eq);
     assert_eq!(range_query.run_scan(&world).len(), N / 1000 * 5);
+    assert_eq!(two_sided_query.run_scan(&world).len(), N / 1000 * 5);
 
     {
         let mut group = c.benchmark_group("secondary_index");
@@ -41,6 +48,11 @@ fn bench_secondary_index(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("range_scan", N), &range_query, |b, q| {
             b.iter(|| q.run_scan(&world).len())
         });
+        group.bench_with_input(
+            BenchmarkId::new("two_sided_scan", N),
+            &two_sided_query,
+            |b, q| b.iter(|| q.run_scan(&world).len()),
+        );
         group.finish();
     }
 
@@ -49,9 +61,23 @@ fn bench_secondary_index(c: &mut Criterion) {
     // sanity: identical result sets through the indexed paths
     assert_eq!(eq_query.run(&world), eq_query.run_scan(&world));
     assert_eq!(range_query.run(&world), range_query.run_scan(&world));
+    assert_eq!(
+        two_sided_query.run(&world),
+        two_sided_query.run_scan(&world)
+    );
     let stats = TableStats::from_catalog(&world);
     println!("planned eq:    {}", plan(&eq_query, &stats).explain());
     println!("planned range: {}", plan(&range_query, &stats).explain());
+    let two_sided_plan = plan(&two_sided_query, &stats);
+    println!(
+        "planned two-sided: {}",
+        two_sided_plan.explain_analyze(&world)
+    );
+    assert!(
+        two_sided_plan.second_bound.is_some(),
+        "both bounds reach the probe: {}",
+        two_sided_plan.explain()
+    );
 
     {
         let mut group = c.benchmark_group("secondary_index");
@@ -62,6 +88,11 @@ fn bench_secondary_index(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("range_sorted_index", N),
             &range_query,
+            |b, q| b.iter(|| q.run(&world).len()),
+        );
+        group.bench_with_input(
+            BenchmarkId::new("two_sided_sorted_index", N),
+            &two_sided_query,
             |b, q| b.iter(|| q.run(&world).len()),
         );
         group.finish();
@@ -76,8 +107,10 @@ fn bench_secondary_index(c: &mut Criterion) {
     };
     let eq_speedup = ns("eq_scan") / ns("eq_hash_index");
     let range_speedup = ns("range_scan") / ns("range_sorted_index");
+    let two_sided_speedup = ns("two_sided_scan") / ns("two_sided_sorted_index");
     println!("eq    speedup: {eq_speedup:.1}x (scan vs hash index, {expected_eq} of {N} rows)");
     println!("range speedup: {range_speedup:.1}x (scan vs sorted index)");
+    println!("two-sided speedup: {two_sided_speedup:.1}x (scan vs one probe with both bounds)");
     assert!(
         eq_speedup >= 10.0,
         "acceptance: equality index must be >=10x over the scan, got {eq_speedup:.1}x"
@@ -85,6 +118,10 @@ fn bench_secondary_index(c: &mut Criterion) {
     assert!(
         range_speedup >= 10.0,
         "acceptance: range index must be >=10x over the scan, got {range_speedup:.1}x"
+    );
+    assert!(
+        two_sided_speedup >= 10.0,
+        "acceptance: a two-sided range must be >=10x over the scan, got {two_sided_speedup:.1}x"
     );
 }
 

@@ -72,7 +72,7 @@ use gamedb_spatial::Vec2;
 
 use crate::column::Column;
 use crate::entity::EntityId;
-use crate::index::{append_posting, IndexKey, KeyBuf, OrdF64};
+use crate::index::{append_posting, IndexKey, KeyBuf, KeyRef, OrdF64};
 use crate::intern::ComponentId;
 use crate::metrics::CoreMetrics;
 use crate::query::{AggFn, Pred, Query};
@@ -207,12 +207,28 @@ impl ViewPlan {
 
     /// Forced recompute from a cold start — the equivalence oracle every
     /// incrementally maintained instance of this plan is held equal to.
+    /// Nothing is materialized that the answer does not need: a rows
+    /// root returns its source's members, a group root folds them from
+    /// a sorted run read by slot ([`GroupTable::fold_run`]); only a join
+    /// builds its operator state.
     pub fn evaluate(&self, world: &World) -> Result<PlanOutput, CoreError> {
-        let view = PlanView::new(self.clone(), world)?;
-        Ok(match view.state {
-            OpState::Rows(s) => PlanOutput::Rows(s.out),
-            OpState::Join(s) => PlanOutput::Pairs(s.pairs),
-            OpState::Group(s) => PlanOutput::Groups(s.out),
+        Ok(match compile(self)? {
+            OpState::Rows(s) => PlanOutput::Rows(s.source.evaluate(world)),
+            OpState::Group(s) => {
+                let members = s.source.evaluate(world);
+                let mut out = Vec::new();
+                s.table.fold_run(world, &s.source.src.schema, &members, |key, g| {
+                    out.push(GroupRow {
+                        key: key.map(key_repr),
+                        value: g.value(s.table.agg),
+                    })
+                });
+                PlanOutput::Groups(out)
+            }
+            OpState::Join(mut s) => {
+                s.init(world);
+                PlanOutput::Pairs(s.pairs)
+            }
         })
     }
 }
@@ -700,8 +716,8 @@ impl SourceState {
     /// initial rows are state, not events. Members are read in
     /// ascending id order through columns resolved once, into a map
     /// sized for them; `each` sees every `(id, tuple)` in that order, so
-    /// an operator seeds its own state (postings, group table) in the
-    /// same pass and by appending. Returns the member ids, ascending.
+    /// a join seeds its side postings in the same pass and by appending.
+    /// Returns the member ids, ascending.
     fn init(&mut self, world: &World, mut each: impl FnMut(EntityId, &Tuple)) -> Vec<EntityId> {
         let ids = self.evaluate(world);
         let reader = TupleReader::new(&self.src, world);
@@ -1114,6 +1130,10 @@ impl AggKind {
     }
 }
 
+/// One row's aggregate input, as a multiset key and as a number; `None`
+/// when the value is absent or NaN.
+type AggInput = Option<(OrdF64, f64)>;
+
 /// Running state of one group. `rows` counts member rows (Count's
 /// answer); `n` and `sum` count and add the non-NaN aggregate values
 /// (NaN inputs are skipped, SQL NULL style) — sum's and avg's whole
@@ -1128,7 +1148,7 @@ struct GroupAgg {
 }
 
 impl GroupAgg {
-    fn add(&mut self, kind: AggKind, id: EntityId, val: Option<(OrdF64, f64)>) {
+    fn add(&mut self, kind: AggKind, id: EntityId, val: AggInput) {
         self.rows += 1;
         match val {
             Some((o, _)) if kind.ordered() => {
@@ -1172,9 +1192,9 @@ impl GroupAgg {
 /// Normalized group-key value for output rows: derived from the
 /// coercion-domain key so `Int 3` and `Float 3.0` — one group — render
 /// one deterministic representative.
-fn key_repr(k: &IndexKey) -> Value {
+fn key_repr(k: KeyRef<'_>) -> Value {
     match k {
-        IndexKey::Num(n) => {
+        KeyRef::Num(n) => {
             let f = n.get();
             if f.fract() == 0.0 && f.abs() < 9.0e15 {
                 Value::Int(f as i64)
@@ -1182,14 +1202,14 @@ fn key_repr(k: &IndexKey) -> Value {
                 Value::Float(f as f32)
             }
         }
-        IndexKey::Bool(b) => Value::Bool(*b),
-        IndexKey::Str(s) => Value::Str(s.clone()),
-        IndexKey::Vec2([a, b]) => Value::Vec2(f32::from_bits(*a), f32::from_bits(*b)),
+        KeyRef::Bool(b) => Value::Bool(b),
+        KeyRef::Str(s) => Value::Str(s.to_string()),
+        KeyRef::Vec2([a, b]) => Value::Vec2(f32::from_bits(a), f32::from_bits(b)),
     }
 }
 
-/// The group table: running state per group key, folded one ±row at a
-/// time (seeding is the same fold over every member).
+/// The group table: running state per group key, seeded from a sorted
+/// run ([`GroupTable::fold_run`]) and folded one ±row at a time after.
 #[derive(Debug, Clone)]
 struct GroupTable {
     /// Schema position of the group column (`None` = global group).
@@ -1207,6 +1227,49 @@ struct GroupTable {
 }
 
 impl GroupTable {
+    /// The sorted-run builder — the one way a group table is seeded
+    /// (`init`) and a group plan evaluated. `members` (ascending ids)
+    /// are read by slot into a `(key, value, id)` run, with the key
+    /// borrowed from its column; a stable sort by key keeps id order
+    /// within each group, so every group folds its rows in the order
+    /// per-row inserts would (sums are bit-identical). `each` receives
+    /// each group's key and state, in key order. Rows without a group
+    /// key (missing, or NaN) belong to no group.
+    fn fold_run<'w>(
+        &self,
+        world: &'w World,
+        schema: &[String],
+        members: &[EntityId],
+        mut each: impl FnMut(Option<KeyRef<'w>>, GroupAgg),
+    ) {
+        let key_col = self.key_col.map(|c| world.column(&schema[c]));
+        let agg_col = self.agg_col.and_then(|c| world.column(&schema[c]));
+        let mut run: Vec<(Option<KeyRef<'w>>, AggInput, EntityId)> =
+            Vec::with_capacity(members.len());
+        for &id in members {
+            let slot = id.index() as usize;
+            let key = match key_col {
+                None => None,
+                Some(col) => match col.and_then(|c| KeyRef::at(c, slot)) {
+                    Some(k) => Some(k),
+                    None => continue,
+                },
+            };
+            let val = agg_col
+                .and_then(|c| c.get_number(slot))
+                .and_then(|v| OrdF64::new(v).map(|o| (o, v)));
+            run.push((key, val, id));
+        }
+        run.sort_by(|a, b| a.0.cmp(&b.0));
+        for group in run.chunk_by(|a, b| a.0 == b.0) {
+            let mut g = GroupAgg::default();
+            for &(_, val, id) in group {
+                g.add(self.agg, id, val);
+            }
+            each(group[0].0, g);
+        }
+    }
+
     /// Load the group key of a tuple into `self.key`. `false` means "no
     /// group": rows missing the group column (or carrying a NaN key,
     /// which `compare` can never select) belong to no group, matching
@@ -1224,7 +1287,7 @@ impl GroupTable {
         }
     }
 
-    fn agg_val(&self, t: &Tuple) -> Option<(OrdF64, f64)> {
+    fn agg_val(&self, t: &Tuple) -> AggInput {
         let c = self.agg_col?;
         let v = t.cols[c].as_ref().and_then(|v| v.as_number())?;
         OrdF64::new(v).map(|o| (o, v))
@@ -1303,7 +1366,7 @@ impl GroupState {
         for (k, g) in &table.groups {
             new_keys.push(k.clone());
             new_out.push(GroupRow {
-                key: k.as_ref().map(key_repr),
+                key: k.as_ref().map(|k| key_repr(k.as_ref())),
                 value: g.value(table.agg),
             });
         }
@@ -1380,8 +1443,14 @@ impl GroupState {
     }
 
     fn init(&mut self, world: &World) {
-        let table = &mut self.table;
-        self.source.init(world, |id, t| table.insert(id, t));
+        let members = self.source.init(world, |_, _| {});
+        let mut groups = Vec::new();
+        self.table
+            .fold_run(world, &self.source.src.schema, &members, |key, g| {
+                groups.push((key.map(KeyRef::to_key), g))
+            });
+        // `BTreeMap::from_iter` builds bottom-up from the sorted run
+        self.table.groups = groups.into_iter().collect();
         self.rebuild(false);
     }
 }

@@ -54,7 +54,11 @@
 //!    funnel through those three entry points, so no other code path can
 //!    desynchronize an index.
 //! 5. Postings are sorted by [`EntityId`], so probes return deterministic
-//!    id-ordered candidate sets without re-sorting equality lookups.
+//!    id-ordered candidate sets without re-sorting equality lookups. A
+//!    range probe concatenates one posting list per key and orders the
+//!    result with an LSD radix sort on the slot index (linear time); an
+//!    index holds each live slot at most once, so slot order is id order
+//!    and there is nothing to de-duplicate.
 //! 6. An index comes into being over existing rows in one pass
 //!    (`SecondaryIndex::build` — live `create_index` and snapshot
 //!    recovery alike, which loads rows *before* any index exists): ids
@@ -63,6 +67,7 @@
 //!    structure per-row inserts would have built
 //!    (`bulk_load_equals_row_by_row_restore` in `tests/prop_core.rs`).
 
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Bound;
 
@@ -151,24 +156,67 @@ impl IndexKey {
     /// Vector key: equality only, so the bit pattern — `-0.0` folded
     /// onto `0.0`, no key for a NaN component.
     pub(crate) fn vec2(x: f32, y: f32) -> Option<IndexKey> {
-        if x.is_nan() || y.is_nan() {
-            return None;
-        }
-        let norm = |v: f32| if v == 0.0 { 0.0f32 } else { v };
-        Some(IndexKey::Vec2([norm(x).to_bits(), norm(y).to_bits()]))
+        vec2_bits(x, y).map(IndexKey::Vec2)
     }
 
+    /// The key borrowed: same variant, same order, the string not copied.
+    pub(crate) fn as_ref(&self) -> KeyRef<'_> {
+        match self {
+            IndexKey::Num(n) => KeyRef::Num(*n),
+            IndexKey::Bool(b) => KeyRef::Bool(*b),
+            IndexKey::Str(s) => KeyRef::Str(s),
+            IndexKey::Vec2(v) => KeyRef::Vec2(*v),
+        }
+    }
+}
+
+/// The bits of a vector key: `-0.0` folded onto `0.0`, none for a NaN
+/// component.
+fn vec2_bits(x: f32, y: f32) -> Option<[u32; 2]> {
+    if x.is_nan() || y.is_nan() {
+        return None;
+    }
+    let norm = |v: f32| if v == 0.0 { 0.0f32 } else { v };
+    Some([norm(x).to_bits(), norm(y).to_bits()])
+}
+
+/// An [`IndexKey`] read from a column slot without copying its string:
+/// the variants and the order of `IndexKey`, so a run of these sorts
+/// exactly as the owned keys would, and only a key that is kept (one per
+/// distinct value) pays for an allocation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) enum KeyRef<'a> {
+    Num(OrdF64),
+    Bool(bool),
+    Str(&'a str),
+    Vec2([u32; 2]),
+}
+
+impl<'a> KeyRef<'a> {
     /// The key [`IndexKey::encode`] gives the value stored at `slot` of
     /// `col`, read through the typed accessors — no [`Value`] is built.
-    fn at(col: &Column, slot: usize) -> Option<IndexKey> {
+    /// `None` when the slot is empty or holds a NaN.
+    pub(crate) fn at(col: &'a Column, slot: usize) -> Option<KeyRef<'a>> {
         match col.ty() {
-            ValueType::Float | ValueType::Int => col
-                .get_number(slot)
-                .and_then(OrdF64::new)
-                .map(IndexKey::Num),
-            ValueType::Bool => col.get_bool(slot).map(IndexKey::Bool),
-            ValueType::Str => col.get_str(slot).map(|s| IndexKey::Str(s.to_string())),
-            ValueType::Vec2 => col.get_v2(slot).and_then(|[x, y]| IndexKey::vec2(x, y)),
+            ValueType::Float | ValueType::Int => {
+                col.get_number(slot).and_then(OrdF64::new).map(KeyRef::Num)
+            }
+            ValueType::Bool => col.get_bool(slot).map(KeyRef::Bool),
+            ValueType::Str => col.get_str(slot).map(KeyRef::Str),
+            ValueType::Vec2 => col
+                .get_v2(slot)
+                .and_then(|[x, y]| vec2_bits(x, y))
+                .map(KeyRef::Vec2),
+        }
+    }
+
+    /// The owned key.
+    pub(crate) fn to_key(self) -> IndexKey {
+        match self {
+            KeyRef::Num(n) => IndexKey::Num(n),
+            KeyRef::Bool(b) => IndexKey::Bool(b),
+            KeyRef::Str(s) => IndexKey::Str(s.to_string()),
+            KeyRef::Vec2(v) => IndexKey::Vec2(v),
         }
     }
 }
@@ -200,9 +248,9 @@ impl KeyBuf {
     /// Load the key of `col[slot]`; `false` when the slot has no key
     /// (absent, or NaN).
     fn load_slot(&mut self, col: &Column, slot: usize) -> bool {
-        match col.get_str(slot) {
-            Some(s) => self.load_str(s),
-            None => self.0 = IndexKey::at(col, slot),
+        match KeyRef::at(col, slot) {
+            Some(KeyRef::Str(s)) => self.load_str(s),
+            key => self.0 = key.map(KeyRef::to_key),
         }
         self.0.is_some()
     }
@@ -292,16 +340,16 @@ impl SecondaryIndex {
                 Buckets::Hash(map)
             }
             IndexKind::Sorted => {
-                let mut run: Vec<(IndexKey, EntityId)> = ids
-                    .filter_map(|id| IndexKey::at(col, id.index() as usize).map(|k| (k, id)))
+                let mut run: Vec<(KeyRef, EntityId)> = ids
+                    .filter_map(|id| KeyRef::at(col, id.index() as usize).map(|k| (k, id)))
                     .collect();
                 entries = run.len();
                 run.sort_unstable();
                 let mut postings: Vec<(IndexKey, Vec<EntityId>)> = Vec::new();
                 for (key, id) in run {
                     match postings.last_mut() {
-                        Some((last, posting)) if *last == key => posting.push(id),
-                        _ => postings.push((key, vec![id])),
+                        Some((last, posting)) if last.as_ref() == key => posting.push(id),
+                        _ => postings.push((key.to_key(), vec![id])),
                     }
                 }
                 // `BTreeMap::from_iter` builds bottom-up from a sorted run
@@ -427,44 +475,140 @@ impl SecondaryIndex {
     }
 
     /// Append every entity whose value satisfies `value_stored op value`
-    /// to `out`. Returns `false` (leaving `out` untouched) when the index
-    /// cannot serve `op`. Results are id-sorted.
-    pub fn probe(&self, op: CmpOp, value: &Value, out: &mut Vec<EntityId>) -> bool {
-        if !self.supports(op) {
+    /// — and, when `also` carries a second bound, `value_stored op2
+    /// value2` — to `out`, id-sorted. Returns `false` (leaving `out`
+    /// untouched) when the index cannot serve an operator. An empty or
+    /// inverted range (`>= 10 AND < 5`, `> 5 AND < 5`) and an unkeyable
+    /// value (NaN, a type the column can never equal) append nothing:
+    /// `compare` would reject every row.
+    pub fn probe(
+        &self,
+        op: CmpOp,
+        value: &Value,
+        also: Option<(CmpOp, &Value)>,
+        out: &mut Vec<EntityId>,
+    ) -> bool {
+        if !self.supports(op) || also.is_some_and(|(op2, _)| !self.supports(op2)) {
             return false;
         }
         let Some(key) = IndexKey::encode(self.ty, value) else {
-            // Unkeyable probe value: `compare` would reject every row.
             return true;
         };
-        match (&self.buckets, op) {
-            (Buckets::Hash(m), CmpOp::Eq) => {
-                if let Some(p) = m.get(&key) {
+        let (mut lo, mut hi) = bounds(op, key);
+        if let Some((op2, value2)) = also {
+            let Some(key2) = IndexKey::encode(self.ty, value2) else {
+                return true;
+            };
+            let (lo2, hi2) = bounds(op2, key2);
+            lo = tighter(lo, lo2, Ordering::Greater);
+            hi = tighter(hi, hi2, Ordering::Less);
+        }
+        if holds_nothing(&lo, &hi) {
+            return true;
+        }
+        match (&self.buckets, (&lo, &hi)) {
+            // a point: one posting list, already id-sorted
+            (Buckets::Hash(m), (Bound::Included(k), Bound::Included(_))) => {
+                if let Some(p) = m.get(k) {
                     out.extend_from_slice(p);
                 }
             }
-            (Buckets::Sorted(m), CmpOp::Eq) => {
-                if let Some(p) = m.get(&key) {
-                    out.extend_from_slice(p);
-                }
-            }
-            (Buckets::Sorted(m), op) => {
-                let range = match op {
-                    CmpOp::Lt => (Bound::Unbounded, Bound::Excluded(key)),
-                    CmpOp::Le => (Bound::Unbounded, Bound::Included(key)),
-                    CmpOp::Gt => (Bound::Excluded(key), Bound::Unbounded),
-                    CmpOp::Ge => (Bound::Included(key), Bound::Unbounded),
-                    _ => unreachable!("supports() filtered Eq/Ne already"),
-                };
+            (Buckets::Sorted(m), _) => {
                 let before = out.len();
-                for posting in m.range(range).map(|(_, p)| p) {
+                let mut lists = 0;
+                for posting in m.range((lo, hi)).map(|(_, p)| p) {
                     out.extend_from_slice(posting);
+                    lists += 1;
                 }
-                out[before..].sort_unstable();
+                if lists > 1 {
+                    sort_by_slot(&mut out[before..]);
+                }
             }
             (Buckets::Hash(_), _) => unreachable!("supports() rejected ranges on hash"),
         }
         true
+    }
+}
+
+/// The key range `stored op key` selects.
+fn bounds(op: CmpOp, key: IndexKey) -> (Bound<IndexKey>, Bound<IndexKey>) {
+    match op {
+        CmpOp::Eq => (Bound::Included(key.clone()), Bound::Included(key)),
+        CmpOp::Lt => (Bound::Unbounded, Bound::Excluded(key)),
+        CmpOp::Le => (Bound::Unbounded, Bound::Included(key)),
+        CmpOp::Gt => (Bound::Excluded(key), Bound::Unbounded),
+        CmpOp::Ge => (Bound::Included(key), Bound::Unbounded),
+        CmpOp::Ne => unreachable!("supports() refuses Ne"),
+    }
+}
+
+/// The narrower of two lower bounds (`keep = Greater`: the larger key
+/// wins) or of two upper bounds (`keep = Less`); on equal keys the
+/// exclusive bound is the narrower.
+fn tighter(a: Bound<IndexKey>, b: Bound<IndexKey>, keep: Ordering) -> Bound<IndexKey> {
+    let ord = match (&a, &b) {
+        (Bound::Unbounded, _) => return b,
+        (_, Bound::Unbounded) => return a,
+        (Bound::Included(x) | Bound::Excluded(x), Bound::Included(y) | Bound::Excluded(y)) => {
+            x.cmp(y)
+        }
+    };
+    match ord {
+        Ordering::Equal if matches!(a, Bound::Excluded(_)) => a,
+        Ordering::Equal => b,
+        o if o == keep => a,
+        _ => b,
+    }
+}
+
+/// True when no key lies in `(lo, hi)` — the ranges `BTreeMap::range`
+/// panics on (start above end, or one key with an exclusive side).
+fn holds_nothing(lo: &Bound<IndexKey>, hi: &Bound<IndexKey>) -> bool {
+    match (lo, hi) {
+        (Bound::Included(a) | Bound::Excluded(a), Bound::Included(b) | Bound::Excluded(b)) => {
+            match a.cmp(b) {
+                Ordering::Less => false,
+                Ordering::Equal => {
+                    !matches!((lo, hi), (Bound::Included(_), Bound::Included(_)))
+                }
+                Ordering::Greater => true,
+            }
+        }
+        _ => false,
+    }
+}
+
+/// Sort `ids` ascending with an LSD radix sort on the slot index, one
+/// byte per pass and as many passes as the largest slot needs — linear
+/// in `ids.len()`, where the comparison sort it replaced paid a log
+/// factor. Each pass is a stable counting sort, so after the last one
+/// the ids are in slot order; the ids occupy distinct slots (an index
+/// holds each live slot at most once), so slot order is id order.
+fn sort_by_slot(ids: &mut [EntityId]) {
+    let max = ids.iter().map(|e| e.index()).max().unwrap_or(0);
+    let passes = (u32::BITS - max.leading_zeros()).div_ceil(8);
+    let mut scratch = ids.to_vec();
+    let (mut src, mut dst): (&mut [EntityId], &mut [EntityId]) = (ids, &mut scratch);
+    for pass in 0..passes {
+        let digit = |e: &EntityId| (e.index() >> (8 * pass)) as u8 as usize;
+        let mut at = [0usize; 256];
+        for e in src.iter() {
+            at[digit(e)] += 1;
+        }
+        let mut sum = 0;
+        for slot in at.iter_mut() {
+            (*slot, sum) = (sum, sum + *slot);
+        }
+        for &e in src.iter() {
+            let d = digit(&e);
+            dst[at[d]] = e;
+            at[d] += 1;
+        }
+        std::mem::swap(&mut src, &mut dst);
+    }
+    if passes % 2 == 1 {
+        // the last pass wrote the scratch copy
+        dst.copy_from_slice(src);
     }
 }
 
@@ -502,10 +646,10 @@ mod tests {
         assert_eq!(idx.len(), 3);
         assert_eq!(idx.ndv(), 2);
         let mut out = vec![];
-        assert!(idx.probe(CmpOp::Eq, &Value::Str("red".into()), &mut out));
+        assert!(idx.probe(CmpOp::Eq, &Value::Str("red".into()), None, &mut out));
         assert_eq!(out, vec![id(1), id(3)]);
         // ranges unsupported on hash
-        assert!(!idx.probe(CmpOp::Lt, &Value::Str("red".into()), &mut out));
+        assert!(!idx.probe(CmpOp::Lt, &Value::Str("red".into()), None, &mut out));
         assert_eq!(idx.eq_count(&Value::Str("red".into())), 2);
         assert_eq!(idx.eq_count(&Value::Str("green".into())), 0);
     }
@@ -517,19 +661,42 @@ mod tests {
             idx.insert(&Value::Float(*hp), id(i as u32));
         }
         let mut out = vec![];
-        idx.probe(CmpOp::Lt, &Value::Float(20.0), &mut out);
+        idx.probe(CmpOp::Lt, &Value::Float(20.0), None, &mut out);
         assert_eq!(out, vec![id(0)]);
         out.clear();
-        idx.probe(CmpOp::Le, &Value::Float(20.0), &mut out);
+        idx.probe(CmpOp::Le, &Value::Float(20.0), None, &mut out);
         assert_eq!(out, vec![id(0), id(1), id(2)]);
         out.clear();
-        idx.probe(CmpOp::Gt, &Value::Float(20.0), &mut out);
+        idx.probe(CmpOp::Gt, &Value::Float(20.0), None, &mut out);
         assert_eq!(out, vec![id(3)]);
         out.clear();
         // int literal probes a float column through numeric coercion
-        idx.probe(CmpOp::Ge, &Value::Int(20), &mut out);
+        idx.probe(CmpOp::Ge, &Value::Int(20), None, &mut out);
         assert_eq!(out, vec![id(1), id(2), id(3)]);
         assert_eq!(idx.numeric_bounds(), Some((10.0, 30.0)));
+    }
+
+    #[test]
+    fn range_probe_orders_ids_across_slot_bytes() {
+        // slots spanning three radix digits, inserted key by key, so the
+        // concatenated posting lists are out of id order
+        let mut idx = SecondaryIndex::new(IndexKind::Sorted, ValueType::Int);
+        let slots: Vec<u32> = (0..3000u32).map(|i| (i * 7919) % 70_000).collect();
+        for (i, &s) in slots.iter().enumerate() {
+            idx.insert(&Value::Int((i % 37) as i64), id(s));
+        }
+        let mut out = vec![id(u32::MAX)];
+        let upper = Value::Int(30);
+        assert!(idx.probe(CmpOp::Ge, &Value::Int(3), Some((CmpOp::Lt, &upper)), &mut out));
+        let mut want: Vec<EntityId> = slots
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| (3..30).contains(&(i % 37)))
+            .map(|(_, &s)| id(s))
+            .collect();
+        want.sort_unstable();
+        assert_eq!(out[0], id(u32::MAX), "what `out` held stays put");
+        assert_eq!(out[1..], want[..]);
     }
 
     #[test]
@@ -555,7 +722,7 @@ mod tests {
         assert_eq!(idx.len(), 0);
         idx.insert(&Value::Float(1.0), id(2));
         let mut out = vec![];
-        assert!(idx.probe(CmpOp::Lt, &Value::Float(f32::NAN), &mut out));
+        assert!(idx.probe(CmpOp::Lt, &Value::Float(f32::NAN), None, &mut out));
         assert!(out.is_empty());
     }
 
@@ -564,7 +731,7 @@ mod tests {
         let mut idx = SecondaryIndex::new(IndexKind::Hash, ValueType::Float);
         idx.insert(&Value::Float(5.0), id(1));
         let mut out = vec![];
-        assert!(idx.probe(CmpOp::Eq, &Value::Str("5".into()), &mut out));
+        assert!(idx.probe(CmpOp::Eq, &Value::Str("5".into()), None, &mut out));
         assert!(out.is_empty(), "compare() calls mixed comparisons false");
     }
 
@@ -573,7 +740,7 @@ mod tests {
         let mut idx = SecondaryIndex::new(IndexKind::Hash, ValueType::Float);
         idx.insert(&Value::Float(-0.0), id(1));
         let mut out = vec![];
-        idx.probe(CmpOp::Eq, &Value::Float(0.0), &mut out);
+        idx.probe(CmpOp::Eq, &Value::Float(0.0), None, &mut out);
         assert_eq!(out, vec![id(1)]);
     }
 
@@ -582,8 +749,8 @@ mod tests {
         let mut idx = SecondaryIndex::new(IndexKind::Sorted, ValueType::Vec2);
         idx.insert(&Value::Vec2(1.0, 2.0), id(1));
         let mut out = vec![];
-        assert!(idx.probe(CmpOp::Eq, &Value::Vec2(1.0, 2.0), &mut out));
+        assert!(idx.probe(CmpOp::Eq, &Value::Vec2(1.0, 2.0), None, &mut out));
         assert_eq!(out, vec![id(1)]);
-        assert!(!idx.probe(CmpOp::Lt, &Value::Vec2(1.0, 2.0), &mut out));
+        assert!(!idx.probe(CmpOp::Lt, &Value::Vec2(1.0, 2.0), None, &mut out));
     }
 }

@@ -85,6 +85,10 @@ pub(crate) struct CoreMetrics {
     pub plan_full_scan: Counter,
     pub plan_spatial: Counter,
     pub plan_attr: Counter,
+    /// `planner.candidates` / `planner.rows`: rows executed plans drew
+    /// from their access path / rows they returned.
+    pub plan_candidates: Counter,
+    pub plan_rows: Counter,
 }
 
 /// Rows-in/rows-out pair for one operator class of the differential
@@ -150,6 +154,8 @@ impl CoreMetrics {
             plan_full_scan: registry.counter("planner.full_scan"),
             plan_spatial: registry.counter("planner.spatial_index"),
             plan_attr: registry.counter("planner.attribute_index"),
+            plan_candidates: registry.counter("planner.candidates"),
+            plan_rows: registry.counter("planner.rows"),
             registry: registry.clone(),
         }
     }

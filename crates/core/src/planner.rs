@@ -14,8 +14,18 @@
 //!   where the index only adds overhead);
 //! * **attribute-index probe** — when a predicate's component carries a
 //!   [`crate::index::SecondaryIndex`] that supports its operator; the
-//!   most selective such predicate is pushed into the index and the rest
-//!   run as residual filters.
+//!   most selective such predicate is pushed into the index — together
+//!   with the opposite bound of a two-sided range on the same column,
+//!   so `gold >= a AND gold < b` is one probe of the window — and the
+//!   rest run as residual filters.
+//!
+//! Execution reads by slot: every access path yields candidates in
+//! ascending id order, and the residual filters are resolved once per
+//! execution against their columns (`query::RowFilter`), so a
+//! plan neither re-sorts its output nor looks a column up by name per
+//! row. [`Plan::explain_analyze`] adds the actual candidate and row
+//! counts to the `EXPLAIN` line, and every execution reports them to
+//! `planner.candidates` / `planner.rows`.
 //!
 //! Index-backed columns report *exact* NDV and numeric bounds
 //! (maintained incrementally by the index itself), so
@@ -36,7 +46,7 @@ use gamedb_spatial::Vec2;
 
 use crate::entity::EntityId;
 use crate::index::IndexKind;
-use crate::query::{Pred, Query};
+use crate::query::{Pred, Query, RowFilter};
 use crate::world::World;
 
 /// Per-component statistics.
@@ -239,21 +249,29 @@ impl TableStats {
         let among_present = match pred.op {
             CmpOp::Eq => 1.0 / col.ndv.max(1) as f64,
             CmpOp::Ne => 1.0 - 1.0 / col.ndv.max(1) as f64,
-            CmpOp::Lt | CmpOp::Le | CmpOp::Gt | CmpOp::Ge => {
-                match (col.min, col.max, pred.value.as_number()) {
-                    (Some(lo), Some(hi), Some(v)) if hi > lo => {
-                        let below = ((v - lo) / (hi - lo)).clamp(0.0, 1.0);
-                        match pred.op {
-                            CmpOp::Lt | CmpOp::Le => below,
-                            _ => 1.0 - below,
-                        }
-                    }
-                    // degenerate span or non-numeric literal: even odds
-                    _ => 0.5,
-                }
-            }
+            // degenerate span or non-numeric literal: even odds
+            _ => interpolated(col, pred).unwrap_or(0.5),
         };
         presence * among_present
+    }
+
+    /// Estimated fraction of live entities inside a two-sided range —
+    /// `lo` a lower bound (`>`/`>=`) and `hi` an upper one on the same
+    /// column. Each bound keeps its interpolated share `a`, `b` of the
+    /// present rows; the two half-lines cover the span once plus the
+    /// window, so the window keeps `max(0, a + b − 1)` of them (0 for an
+    /// inverted range) — `max(0, s_lo + s_hi − 1)` of the rows when every
+    /// row carries the column. Where a bound cannot be interpolated
+    /// (degenerate span, non-numeric literal) the pair is priced as its
+    /// more selective bound.
+    pub(crate) fn range_selectivity(&self, lo: &Pred, hi: &Pred) -> f64 {
+        let Some(col) = self.column(&lo.component).filter(|c| c.present > 0) else {
+            return 0.0;
+        };
+        match (interpolated(col, lo), interpolated(col, hi)) {
+            (Some(a), Some(b)) => col.present as f64 / self.rows as f64 * (a + b - 1.0).max(0.0),
+            _ => self.selectivity(lo).min(self.selectivity(hi)),
+        }
     }
 
     /// Estimated entities inside a query disk, from positioned density
@@ -263,6 +281,31 @@ impl TableStats {
         let area = ((hi.x - lo.x) as f64).max(1e-9) * ((hi.y - lo.y) as f64).max(1e-9);
         let disk = std::f64::consts::PI * radius as f64 * radius as f64;
         (self.positioned as f64 * (disk / area).min(1.0)).min(self.positioned as f64)
+    }
+}
+
+/// A range predicate's share of the present rows, interpolated over the
+/// column's `[min, max]` span; `None` for a degenerate span or a
+/// non-numeric literal.
+fn interpolated(col: &ColumnStats, pred: &Pred) -> Option<f64> {
+    match (col.min, col.max, pred.value.as_number()) {
+        (Some(lo), Some(hi), Some(v)) if hi > lo => {
+            let below = ((v - lo) / (hi - lo)).clamp(0.0, 1.0);
+            Some(match pred.op {
+                CmpOp::Lt | CmpOp::Le => below,
+                _ => 1.0 - below,
+            })
+        }
+        _ => None,
+    }
+}
+
+/// True for `>` / `>=`, false for `<` / `<=`, `None` for the rest.
+fn lower_bound(op: CmpOp) -> Option<bool> {
+    match op {
+        CmpOp::Gt | CmpOp::Ge => Some(true),
+        CmpOp::Lt | CmpOp::Le => Some(false),
+        CmpOp::Eq | CmpOp::Ne => None,
     }
 }
 
@@ -285,8 +328,10 @@ pub enum Access {
     FullScan,
     /// Probe the spatial index.
     SpatialIndex { center: Vec2, radius: f32 },
-    /// Probe a secondary attribute index with one pushed-down predicate;
-    /// the remaining predicates (and any `within`) run as residuals.
+    /// Probe a secondary attribute index with one pushed-down predicate
+    /// (plus [`Plan::second_bound`], the other side of a two-sided
+    /// range); the remaining predicates (and any `within`) run as
+    /// residuals.
     AttributeIndex {
         component: String,
         op: CmpOp,
@@ -308,6 +353,11 @@ const DEFAULT_NDV: usize = 10;
 pub struct Plan {
     /// Access path.
     pub access: Access,
+    /// The other bound of a two-sided range on the index `access`
+    /// probes (`gold >= a AND gold < b`): absorbed into the same probe,
+    /// so only rows inside both bounds become candidates. `access` keeps
+    /// the bound the cost model chose.
+    pub second_bound: Option<(CmpOp, Value)>,
     /// Predicates in evaluation order (most selective first).
     pub preds: Vec<Pred>,
     /// Per-predicate selectivity estimates, aligned with `preds`.
@@ -326,18 +376,46 @@ pub struct Plan {
 }
 
 impl Plan {
+    /// The plan a query runs when no predicate can use an index: the
+    /// spatial probe when it has a `within`, else a full scan, the
+    /// predicates in authored order. Not costed — the estimates are NaN.
+    pub(crate) fn seed(query: &Query) -> Plan {
+        let access = match query.spatial() {
+            Some((center, radius)) => Access::SpatialIndex { center, radius },
+            None => Access::FullScan,
+        };
+        Plan {
+            access,
+            second_bound: None,
+            preds: query.predicates().to_vec(),
+            selectivities: vec![f64::NAN; query.predicates().len()],
+            exclude: query.excluded(),
+            residual_within: None,
+            est_candidates: f64::NAN,
+            est_rows: f64::NAN,
+            est_cost: f64::NAN,
+        }
+    }
+
     /// Render the plan like `EXPLAIN`.
     pub fn explain(&self) -> String {
         format!("{self}")
+    }
+
+    /// Execute once and render the plan like `EXPLAIN ANALYZE`: the
+    /// [`Plan::explain`] line plus the candidates the access path
+    /// actually produced and the rows that passed.
+    pub fn explain_analyze(&self, world: &World) -> String {
+        let (candidates, rows) = self.execute(world, &mut |_| {});
+        format!("{self} | actual candidates={candidates} rows={rows}")
     }
 
     /// Execute, returning matches in deterministic (id) order — always
     /// the same result set as [`Query::run`] on the same query.
     pub fn run(&self, world: &World) -> Vec<EntityId> {
         let mut out = Vec::new();
-        self.visit_matches(world, &mut |id| out.push(id));
-        out.sort_unstable();
-        out.dedup();
+        self.execute(world, &mut |id| out.push(id));
+        debug_assert!(out.is_sorted_by(|a, b| a < b), "access paths yield ascending ids");
         out
     }
 
@@ -345,79 +423,87 @@ impl Plan {
     /// [`Plan::run`]`.len()`, zero allocation on the scan and probe-free
     /// paths.
     pub fn count(&self, world: &World) -> usize {
-        let mut n = 0usize;
-        self.visit_matches(world, &mut |_| n += 1);
-        n
+        self.execute(world, &mut |_| {}).1
     }
 
-    /// The one candidate-iteration used by both [`Plan::run`] and
-    /// [`Plan::count`]: access-path dispatch, residual `within` distance
-    /// test, residual predicate evaluation, probe-failure degradation.
-    /// Matching ids reach `sink` exactly once each (candidate sources
-    /// are duplicate-free), in candidate order.
-    fn visit_matches(&self, world: &World, sink: &mut dyn FnMut(EntityId)) {
-        let keep = |id: EntityId| {
-            if Some(id) == self.exclude {
-                return false;
-            }
-            if let Some((center, radius)) = self.residual_within {
-                match world.pos(id) {
-                    Some(p) => {
-                        if p.dist2(center) > radius * radius {
-                            return false;
-                        }
-                    }
-                    None => return false,
-                }
-            }
-            self.preds.iter().all(|p| p.eval(world, id))
-        };
+    /// Hand every match to `sink`, in ascending id order — the
+    /// execution [`Plan::run`], [`Plan::count`] and `aggregate` share —
+    /// and report it to `planner.candidates` / `planner.rows`. Returns
+    /// `(candidates, rows)`.
+    pub(crate) fn execute(
+        &self,
+        world: &World,
+        sink: &mut dyn FnMut(EntityId),
+    ) -> (usize, usize) {
+        let mut rows = 0usize;
+        let candidates = self.visit_matches(world, &mut |id| {
+            rows += 1;
+            sink(id)
+        });
+        if let Some(m) = world.core_metrics() {
+            m.plan_candidates.add(candidates as u64);
+            m.plan_rows.add(rows as u64);
+        }
+        (candidates, rows)
+    }
+
+    /// The one candidate iteration every execution runs: access-path
+    /// dispatch, then the residual test ([`RowFilter`]: excluded id,
+    /// `within` distance, predicates resolved once against their
+    /// columns), with probe-failure degradation. Every access path
+    /// yields each candidate once and in ascending id order (slot order
+    /// for the scan, sorted spatial and index probes), so matches reach
+    /// `sink` in id order with no re-sort. Returns the candidate count.
+    fn visit_matches(&self, world: &World, sink: &mut dyn FnMut(EntityId)) -> usize {
+        let filter = RowFilter::new(world, &self.preds, self.residual_within, self.exclude);
+        let mut cands = Vec::new();
         match &self.access {
             Access::FullScan => {
+                let mut n = 0;
                 for id in world.entities() {
-                    if keep(id) {
+                    n += 1;
+                    if filter.keep(id) {
                         sink(id);
                     }
                 }
+                return n;
             }
-            Access::SpatialIndex { center, radius } => {
-                let mut cands = Vec::new();
-                world.within(*center, *radius, &mut cands);
-                for id in cands {
-                    if keep(id) {
-                        sink(id);
-                    }
-                }
-            }
+            Access::SpatialIndex { center, radius } => world.within(*center, *radius, &mut cands),
             Access::AttributeIndex {
                 component,
                 op,
                 value,
             } => {
-                let mut cands = Vec::new();
-                if !world.index_probe(component, *op, value, &mut cands) {
+                let second = self.second_bound.as_ref().map(|(op, v)| (*op, v));
+                let probed = world
+                    .index_on(component)
+                    .is_some_and(|idx| idx.probe(*op, value, second, &mut cands));
+                if !probed {
                     // Index vanished between planning and execution
                     // (dropped, or a stale plan): degrade to the scan the
                     // probe replaced — same rows, just slower.
-                    self.degraded_scan(component, *op, value)
-                        .visit_matches(world, sink);
-                    return;
-                }
-                for id in cands {
-                    if keep(id) {
-                        sink(id);
-                    }
+                    return self.degraded_scan(component, *op, value).visit_matches(world, sink);
                 }
             }
         }
+        for &id in &cands {
+            if filter.keep(id) {
+                sink(id);
+            }
+        }
+        cands.len()
     }
 
     /// The scan a stale attribute probe degrades to: same rows, slower.
     fn degraded_scan(&self, component: &str, op: CmpOp, value: &Value) -> Plan {
         let mut preds = self.preds.clone();
         preds.push(Pred::new(component.to_string(), op, value.clone()));
+        if let Some((op2, value2)) = &self.second_bound {
+            preds.push(Pred::new(component.to_string(), *op2, value2.clone()));
+        }
         Plan {
             access: Access::FullScan,
+            second_bound: None,
             selectivities: vec![0.5; preds.len()],
             preds,
             exclude: self.exclude,
@@ -440,7 +526,13 @@ impl fmt::Display for Plan {
                 component,
                 op,
                 value,
-            } => write!(f, "AttrIndex({component} {op:?} {value:?})")?,
+            } => {
+                write!(f, "AttrIndex({component} {op:?} {value:?}")?;
+                if let Some((op2, value2)) = &self.second_bound {
+                    write!(f, " AND {op2:?} {value2:?}")?;
+                }
+                write!(f, ")")?
+            }
         }
         if let Some((_, r)) = self.residual_within {
             write!(f, " -> Within(r={r})")?;
@@ -507,8 +599,9 @@ pub fn plan(query: &Query, stats: &TableStats) -> Plan {
     enum Choice {
         Scan,
         Spatial,
-        /// Probe via `preds[i]`, with `(est_candidates, residual_pass)`.
-        Attr(usize, f64, f64),
+        /// Probe via `preds[i]` — and `preds[j]` as its second bound —
+        /// with `(est_candidates, residual_pass)`.
+        Attr(usize, Option<usize>, f64, f64),
     }
 
     // 1. Full scan (always available; pays a distance test per row when
@@ -531,7 +624,9 @@ pub fn plan(query: &Query, stats: &TableStats) -> Plan {
 
     // 3. One attribute probe per indexed predicate. `preds` is already
     // selectivity-sorted, so the most selective eligible probe is
-    // considered first and wins cost ties.
+    // considered first and wins cost ties. A range probe takes the most
+    // selective opposite bound on the same column as its second bound,
+    // priced by `range_selectivity`; both leave the residual set.
     let within_test = if query.spatial().is_some() { 1.0 } else { 0.0 };
     for (i, pred) in preds.iter().enumerate() {
         let Some(col) = stats.column(&pred.component) else {
@@ -541,11 +636,21 @@ pub fn plan(query: &Query, stats: &TableStats) -> Plan {
         if !crate::index::supports(kind, col.ty, pred.op) {
             continue;
         }
-        let est_cands = sels[i] * rows;
+        let lower = lower_bound(pred.op);
+        let partner = lower.and_then(|lower| {
+            preds.iter().position(|q| {
+                q.component == pred.component && lower_bound(q.op) == Some(!lower)
+            })
+        });
+        let est_cands = match (lower, partner) {
+            (Some(true), Some(j)) => stats.range_selectivity(pred, &preds[j]) * rows,
+            (_, Some(j)) => stats.range_selectivity(&preds[j], pred) * rows,
+            (_, None) => sels[i] * rows,
+        };
         let mut residual_cost = 0.0;
         let mut residual_pass = 1.0;
         for (j, s) in sels.iter().enumerate() {
-            if j != i {
+            if j != i && Some(j) != partner {
                 residual_cost += residual_pass;
                 residual_pass *= s;
             }
@@ -554,13 +659,14 @@ pub fn plan(query: &Query, stats: &TableStats) -> Plan {
             INDEX_PROBE_COST + est_cands * (INDEX_ROW_FACTOR + within_test + residual_cost);
         if cost < best_cost {
             best_cost = cost;
-            choice = Choice::Attr(i, est_cands, residual_pass);
+            choice = Choice::Attr(i, partner, est_cands, residual_pass);
         }
     }
 
     match choice {
         Choice::Scan => Plan {
             access: Access::FullScan,
+            second_bound: None,
             est_candidates: rows,
             est_rows: match query.spatial() {
                 Some((_, radius)) => stats.est_in_radius(radius) * pred_pass,
@@ -576,6 +682,7 @@ pub fn plan(query: &Query, stats: &TableStats) -> Plan {
             let (center, radius) = query.spatial().expect("spatial choice implies within");
             Plan {
                 access: Access::SpatialIndex { center, radius },
+                second_bound: None,
                 est_candidates: stats.est_in_radius(radius),
                 est_rows: stats.est_in_radius(radius) * pred_pass,
                 est_cost: best_cost,
@@ -585,7 +692,17 @@ pub fn plan(query: &Query, stats: &TableStats) -> Plan {
                 selectivities: sels,
             }
         }
-        Choice::Attr(i, est_cands, residual_pass) => {
+        Choice::Attr(i, partner, est_cands, residual_pass) => {
+            let second_bound = partner.map(|j| {
+                sels.remove(j);
+                let p = preds.remove(j);
+                (p.op, p.value)
+            });
+            // the partner's removal shifted a later probe left by one
+            let i = match partner {
+                Some(j) if j < i => i - 1,
+                _ => i,
+            };
             let probed = preds.remove(i);
             sels.remove(i);
             Plan {
@@ -594,6 +711,7 @@ pub fn plan(query: &Query, stats: &TableStats) -> Plan {
                     op: probed.op,
                     value: probed.value,
                 },
+                second_bound,
                 est_candidates: est_cands,
                 est_rows: est_cands * residual_pass * within_frac,
                 est_cost: best_cost,
@@ -956,6 +1074,156 @@ mod tests {
             assert_eq!(p.count(&w), p.run(&w).len(), "{}", p.explain());
             assert_eq!(q.count(&w), q.run_scan(&w).len());
         }
+    }
+
+    /// 60 entities: `gold = i % 20` and an `hp` cycling through
+    /// fractions, `0.0`, `-0.0` and NaN, each under a sorted index.
+    fn range_world() -> World {
+        let mut w = World::new();
+        w.define_component("gold", ValueType::Int).unwrap();
+        w.define_component("hp", ValueType::Float).unwrap();
+        let hps = [-0.0, 0.0, 0.5, 2.25, f32::NAN, 3.0, 6.5, 7.0, -1.5];
+        for i in 0..60 {
+            let e = w.spawn_at(Vec2::new(i as f32, 0.0));
+            w.set(e, "gold", Value::Int(i % 20)).unwrap();
+            w.set_f32(e, "hp", hps[i as usize % hps.len()]).unwrap();
+        }
+        w.create_index("gold", IndexKind::Sorted).unwrap();
+        w.create_index("hp", IndexKind::Sorted).unwrap();
+        w
+    }
+
+    fn two_bound(c: &str, lo: (CmpOp, Value), hi: (CmpOp, Value)) -> Query {
+        Query::select().filter(c, lo.0, lo.1).filter(c, hi.0, hi.1)
+    }
+
+    #[test]
+    fn inverted_and_empty_ranges_return_nothing() {
+        use CmpOp::{Ge, Gt, Le, Lt};
+        let w = range_world();
+        let (int, float) = (Value::Int, Value::Float);
+        let nan = || Value::Float(f32::NAN);
+        let text = |s: &str| Value::Str(s.into());
+        // (query, answer is empty)
+        let cases = [
+            (two_bound("gold", (Ge, int(10)), (Lt, int(5))), true),
+            (two_bound("gold", (Gt, int(5)), (Lt, int(5))), true),
+            (two_bound("gold", (Ge, int(5)), (Le, int(5))), false),
+            (two_bound("gold", (Ge, nan()), (Lt, int(10))), true),
+            (two_bound("gold", (Ge, int(0)), (Lt, nan())), true),
+            (two_bound("gold", (Ge, text("a")), (Lt, int(10))), true),
+            (two_bound("gold", (Ge, int(0)), (Lt, text("z"))), true),
+            (two_bound("hp", (Ge, int(2)), (Lt, int(7))), false),
+            (two_bound("hp", (Ge, float(-0.0)), (Le, float(0.0))), false),
+            (two_bound("hp", (Gt, float(-0.0)), (Lt, float(1.0))), false),
+            (two_bound("hp", (Ge, float(0.0)), (Lt, float(-0.0))), true),
+            (two_bound("hp", (Gt, nan()), (Lt, nan())), true),
+        ];
+        for (q, empty) in cases {
+            let p = plan(&q, &TableStats::from_catalog(&w));
+            assert!(p.second_bound.is_some(), "both bounds reach the probe: {}", p.explain());
+            let scan = q.run_scan(&w);
+            assert_eq!(p.run(&w), scan, "{}", p.explain());
+            assert_eq!(q.run(&w), scan);
+            assert_eq!(q.count(&w), scan.len());
+            assert_eq!(scan.is_empty(), empty, "{}", p.explain());
+        }
+        // the point range is the equality probe
+        let point = two_bound("gold", (Ge, int(5)), (Le, int(5)));
+        let eq = Query::select().filter("gold", CmpOp::Eq, int(5));
+        assert_eq!(point.run(&w), eq.run(&w));
+        // straight at the index: served, nothing — `BTreeMap::range`
+        // would panic on the first and third
+        let idx = w.index_on("gold").unwrap();
+        for ((op, a), (op2, b)) in [((Ge, 10), (Lt, 5)), ((Gt, 5), (Lt, 5)), ((Ge, 5), (Lt, 5))] {
+            let mut out = Vec::new();
+            assert!(idx.probe(op, &int(a), Some((op2, &int(b))), &mut out));
+            assert!(out.is_empty(), "{op:?} {a} AND {op2:?} {b}");
+        }
+    }
+
+    #[test]
+    fn explain_analyze_golden_per_access_path() {
+        let (mut w, _) = stats_world();
+        w.create_index("hp", IndexKind::Sorted).unwrap();
+        let explain = |q: &Query| plan(q, &TableStats::from_catalog(&w)).explain_analyze(&w);
+        let scan = Query::select().filter("level", CmpOp::Le, Value::Int(2));
+        let spatial = Query::select()
+            .within(Vec2::new(50.0, 50.0), 12.0)
+            .filter("team", CmpOp::Eq, Value::Str("blue".into()));
+        let eq = Query::select().filter("hp", CmpOp::Eq, Value::Float(30.0));
+        let range = Query::select()
+            .filter("hp", CmpOp::Lt, Value::Float(20.0))
+            .filter("team", CmpOp::Ne, Value::Str("red".into()))
+            .filter("hp", CmpOp::Ge, Value::Float(10.0));
+        assert_eq!(
+            explain(&scan),
+            "FullScan -> Filter(level Le Int(2), sel=0.250) \
+             | est_candidates=100.0 est_rows=25.0 est_cost=100.0 | actual candidates=100 rows=30"
+        );
+        assert_eq!(
+            explain(&spatial),
+            "SpatialIndex(center=(50, 50), r=12) -> Filter(team Eq Str(\"blue\"), sel=0.100) \
+             | est_candidates=4.6 est_rows=0.5 est_cost=19.1 | actual candidates=4 rows=4"
+        );
+        assert_eq!(
+            explain(&eq),
+            "AttrIndex(hp Eq Float(30.0)) \
+             | est_candidates=1.0 est_rows=1.0 est_cost=9.4 | actual candidates=1 rows=1"
+        );
+        // the second bound rides in the probe: 10 candidates for 9 rows,
+        // where one bound alone would hand over 20
+        assert_eq!(
+            explain(&range),
+            "AttrIndex(hp Lt Float(20.0) AND Ge Float(10.0)) -> Filter(team Ne Str(\"red\"), sel=0.900) \
+             | est_candidates=10.1 est_rows=9.1 est_cost=32.2 | actual candidates=10 rows=9"
+        );
+    }
+
+    #[test]
+    fn two_bound_estimate_tracks_actual_on_query_mix_shape() {
+        // query_mix's range class: 100k uniform ints in 0..10 000 under a
+        // sorted index, `gold >= a AND gold < a + w` with w in 1..=100.
+        // Windows lie inside the value domain: at its top edge a window
+        // holding only the maximum interpolates to 0 rows, as a one-sided
+        // `gold >= max` already does.
+        let mut w = World::new();
+        w.define_component("gold", ValueType::Int).unwrap();
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let mut next = |n: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % n
+        };
+        for _ in 0..100_000 {
+            let e = w.spawn();
+            w.set(e, "gold", Value::Int(next(10_000) as i64)).unwrap();
+        }
+        w.create_index("gold", IndexKind::Sorted).unwrap();
+        let registry = gamedb_metrics::MetricsRegistry::new();
+        w.attach_metrics(&registry);
+        for _ in 0..50 {
+            let a = next(9_900) as i64;
+            let width = 1 + next(100) as i64;
+            let q = two_bound(
+                "gold",
+                (CmpOp::Ge, Value::Int(a)),
+                (CmpOp::Lt, Value::Int(a + width)),
+            );
+            let p = plan(&q, &TableStats::from_catalog(&w));
+            assert!(p.second_bound.is_some(), "{}", p.explain());
+            let actual = p.run(&w).len() as f64;
+            assert!(
+                p.est_rows <= 4.0 * actual && actual <= 4.0 * p.est_rows,
+                "est {} vs actual {actual}: {}",
+                p.est_rows,
+                p.explain()
+            );
+        }
+        let snap = registry.snapshot();
+        let (candidates, rows) = (snap.counter("planner.candidates"), snap.counter("planner.rows"));
+        assert!(rows > 0 && candidates <= 3 * rows, "{candidates} candidates for {rows} rows");
     }
 
     #[test]

@@ -8,11 +8,15 @@
 //! (pushed into the index), and the aggregate functions that the
 //! set-at-a-time script compiler targets.
 
-use gamedb_content::{CmpOp, Value};
+use std::cmp::Ordering;
+
+use gamedb_content::{CmpOp, Value, ValueType};
 use gamedb_spatial::Vec2;
 
+use crate::column::Column;
 use crate::entity::EntityId;
-use crate::world::{CoreError, World};
+use crate::planner::{Plan, TableStats};
+use crate::world::{CoreError, World, POS_ID};
 
 /// A selection predicate on one component.
 #[derive(Debug, Clone, PartialEq)]
@@ -44,23 +48,24 @@ impl Pred {
 /// Compare two values under an operator. Numeric types coerce; mixed
 /// non-numeric comparisons are false (never panic on designer data).
 pub fn compare(a: &Value, op: CmpOp, b: &Value) -> bool {
-    use std::cmp::Ordering;
     let ord: Option<Ordering> = match (a.as_number(), b.as_number()) {
         (Some(x), Some(y)) => x.partial_cmp(&y),
         _ => match (a, b) {
             (Value::Str(x), Value::Str(y)) => Some(x.as_str().cmp(y.as_str())),
             (Value::Bool(x), Value::Bool(y)) => Some(x.cmp(y)),
             (Value::Vec2(ax, ay), Value::Vec2(bx, by)) => {
-                // vectors compare only for equality
-                return match op {
-                    CmpOp::Eq => ax == bx && ay == by,
-                    CmpOp::Ne => ax != bx || ay != by,
-                    _ => false,
-                };
+                return vec2_holds(op, [*ax, *ay], [*bx, *by]);
             }
             _ => None,
         },
     };
+    holds(op, ord)
+}
+
+/// `op` applied to the outcome of a comparison; an unordered pair (a NaN
+/// side, mixed types) fails every operator, `Ne` included.
+#[inline]
+fn holds(op: CmpOp, ord: Option<Ordering>) -> bool {
     let Some(ord) = ord else { return false };
     match op {
         CmpOp::Eq => ord == Ordering::Equal,
@@ -69,6 +74,110 @@ pub fn compare(a: &Value, op: CmpOp, b: &Value) -> bool {
         CmpOp::Le => ord != Ordering::Greater,
         CmpOp::Gt => ord == Ordering::Greater,
         CmpOp::Ge => ord != Ordering::Less,
+    }
+}
+
+/// Vectors compare only for equality.
+#[inline]
+fn vec2_holds(op: CmpOp, [ax, ay]: [f32; 2], [bx, by]: [f32; 2]) -> bool {
+    match op {
+        CmpOp::Eq => ax == bx && ay == by,
+        CmpOp::Ne => ax != bx || ay != by,
+        _ => false,
+    }
+}
+
+/// A [`Pred`] resolved once against its column: the literal is coerced
+/// into the column's comparison domain up front (a number to `f64`, a
+/// string borrowed as `&str`), so testing a row is one typed read by
+/// slot and one native comparison — no name lookup, no [`Value`]. It
+/// decides exactly what [`compare`] decides on the stored value: numeric
+/// coercion, NaN false under every operator, strings and booleans
+/// ordered, vectors equal-or-not, mixed types and missing values false.
+enum ColPred<'w> {
+    Num(&'w Column, CmpOp, f64),
+    Str(&'w Column, CmpOp, &'w str),
+    Bool(&'w Column, CmpOp, bool),
+    Vec2(&'w Column, CmpOp, [f32; 2]),
+    /// Unknown column, or a literal no stored value can compare with.
+    Never,
+}
+
+impl<'w> ColPred<'w> {
+    fn resolve(pred: &'w Pred, world: &'w World) -> ColPred<'w> {
+        let Some(col) = world.column(&pred.component) else {
+            return ColPred::Never;
+        };
+        let op = pred.op;
+        match (col.ty(), &pred.value) {
+            (ValueType::Float | ValueType::Int, v) => {
+                v.as_number().map_or(ColPred::Never, |y| ColPred::Num(col, op, y))
+            }
+            (ValueType::Str, Value::Str(s)) => ColPred::Str(col, op, s),
+            (ValueType::Bool, Value::Bool(b)) => ColPred::Bool(col, op, *b),
+            (ValueType::Vec2, Value::Vec2(x, y)) => ColPred::Vec2(col, op, [*x, *y]),
+            _ => ColPred::Never,
+        }
+    }
+
+    #[inline]
+    fn test(&self, slot: usize) -> bool {
+        match *self {
+            ColPred::Num(col, op, y) => {
+                col.get_number(slot).is_some_and(|x| holds(op, x.partial_cmp(&y)))
+            }
+            ColPred::Str(col, op, y) => {
+                col.get_str(slot).is_some_and(|x| holds(op, Some(x.cmp(y))))
+            }
+            ColPred::Bool(col, op, y) => {
+                col.get_bool(slot).is_some_and(|x| holds(op, Some(x.cmp(&y))))
+            }
+            ColPred::Vec2(col, op, y) => col.get_v2(slot).is_some_and(|x| vec2_holds(op, x, y)),
+            ColPred::Never => false,
+        }
+    }
+}
+
+/// The per-row test every query loop runs — [`crate::planner::Plan`]'s
+/// candidates and [`Query::matcher`]'s view-fold candidates alike: the
+/// excluded id, an optional disk, and the predicates in order, each
+/// resolved once against its column ([`ColPred`]). Rows must be live;
+/// the by-name [`Query::matches`] stays as the oracle.
+pub(crate) struct RowFilter<'w> {
+    exclude: Option<EntityId>,
+    within: Option<(Vec2, f32, &'w Column)>,
+    preds: Vec<ColPred<'w>>,
+}
+
+impl<'w> RowFilter<'w> {
+    pub(crate) fn new(
+        world: &'w World,
+        preds: &'w [Pred],
+        within: Option<(Vec2, f32)>,
+        exclude: Option<EntityId>,
+    ) -> RowFilter<'w> {
+        let pos = world.column_by_id(POS_ID).expect("pos column always exists");
+        RowFilter {
+            exclude,
+            within: within.map(|(center, radius)| (center, radius, pos)),
+            preds: preds.iter().map(|p| ColPred::resolve(p, world)).collect(),
+        }
+    }
+
+    /// True when live row `id` passes.
+    #[inline]
+    pub(crate) fn keep(&self, id: EntityId) -> bool {
+        if Some(id) == self.exclude {
+            return false;
+        }
+        let slot = id.index() as usize;
+        if let Some((center, radius, pos)) = self.within {
+            match pos.get_v2(slot) {
+                Some([x, y]) if Vec2::new(x, y).dist2(center) <= radius * radius => {}
+                _ => return false,
+            }
+        }
+        self.preds.iter().all(|p| p.test(slot))
     }
 }
 
@@ -147,85 +256,45 @@ impl Query {
     /// [`Query::matches`] with every referenced column resolved once up
     /// front, for callers that test many entities against one world
     /// state (incremental view maintenance evaluates this per delta
-    /// candidate — the by-name column lookup would otherwise dominate).
-    /// Same decisions as `matches` on every entity.
+    /// candidate). Same decisions as `matches` on every entity, through
+    /// the typed evaluator plans run.
     pub fn matcher<'a>(&'a self, world: &'a World) -> impl Fn(EntityId) -> bool + 'a {
-        let cols: Vec<Option<&crate::column::Column>> = self
-            .preds
-            .iter()
-            .map(|p| world.column(&p.component))
-            .collect();
-        let pos_col = self
-            .within
-            .map(|_| world.column(crate::world::POS).expect("pos column always exists"));
-        move |id: EntityId| {
-            if !world.is_live(id) || Some(id) == self.exclude {
-                return false;
-            }
-            if let (Some((center, radius)), Some(pos_col)) = (self.within, pos_col) {
-                match pos_col.get_v2(id.index() as usize) {
-                    Some([x, y]) if Vec2::new(x, y).dist2(center) <= radius * radius => {}
-                    _ => return false,
-                }
-            }
-            self.preds.iter().zip(&cols).all(|(p, col)| {
-                col.is_some_and(|c| {
-                    c.get(id.index() as usize)
-                        .is_some_and(|v| compare(&v, p.op, &p.value))
-                })
-            })
-        }
+        let filter = RowFilter::new(world, &self.preds, self.within, self.exclude);
+        move |id: EntityId| world.is_live(id) && filter.keep(id)
     }
 
     /// True when some predicate could be answered by a secondary index
-    /// on this world — the cue for [`Query::run`] to involve the planner.
+    /// on this world — the cue to involve the cost-based planner.
     fn index_eligible(&self, world: &World) -> bool {
         self.preds
             .iter()
             .any(|p| world.index_supports(&p.component, p.op))
     }
 
-    /// Run, returning matching entities in deterministic (id) order.
-    ///
-    /// When any predicate's component carries a supporting secondary
-    /// index, the query is planned against catalog statistics
-    /// ([`crate::planner::TableStats::for_query`], O(predicates)) and the
-    /// chosen access path executes — pushing the most selective indexed
-    /// predicate into its index and applying the rest as residual
-    /// filters. Otherwise the seed behavior stands: spatial probe when a
-    /// `within` exists, full scan when not. Either way the result set is
-    /// identical to [`Query::run_scan`] (the property tests hold us to
-    /// that).
+    /// The plan [`Query::run`], [`Query::count`] and [`aggregate`]
+    /// execute. When any predicate's component carries a supporting
+    /// secondary index, the query is planned against catalog statistics
+    /// ([`TableStats::for_query`], O(predicates)): the most selective
+    /// indexed predicate — with the other bound of a two-sided range on
+    /// the same index — goes into the probe and the rest run as residual
+    /// filters. Otherwise it is the seed plan ([`Plan::seed`]): spatial
+    /// probe when a `within` exists, full scan when not.
+    pub(crate) fn plan_for(&self, world: &World) -> Plan {
+        if !self.index_eligible(world) {
+            return Plan::seed(self);
+        }
+        let chosen = crate::planner::plan(self, &TableStats::for_query(world, self));
+        if let Some(m) = world.core_metrics() {
+            m.note_access(&chosen.access);
+        }
+        chosen
+    }
+
+    /// Run, returning matching entities in deterministic (id) order —
+    /// the result set of [`Query::run_scan`], whichever plan
+    /// [`Query::plan_for`] picks (the property tests hold us to that).
     pub fn run(&self, world: &World) -> Vec<EntityId> {
-        if self.index_eligible(world) {
-            let stats = crate::planner::TableStats::for_query(world, self);
-            let chosen = crate::planner::plan(self, &stats);
-            if let Some(m) = world.core_metrics() {
-                m.note_access(&chosen.access);
-            }
-            return chosen.run(world);
-        }
-        let mut out = Vec::new();
-        match self.within {
-            Some((center, radius)) => {
-                // index-first: candidates from the spatial index
-                let mut cands = Vec::new();
-                world.within(center, radius, &mut cands);
-                for id in cands {
-                    if Some(id) != self.exclude && self.preds.iter().all(|p| p.eval(world, id)) {
-                        out.push(id);
-                    }
-                }
-            }
-            None => {
-                for id in world.entities() {
-                    if Some(id) != self.exclude && self.preds.iter().all(|p| p.eval(world, id)) {
-                        out.push(id);
-                    }
-                }
-            }
-        }
-        out
+        self.plan_for(world).run(world)
     }
 
     /// Reference evaluation: a full scan that never consults the spatial
@@ -242,36 +311,10 @@ impl Query {
         out
     }
 
-    /// Run and count without materializing ids (indexes apply as in
+    /// Run and count without materializing ids (same plan as
     /// [`Query::run`]).
     pub fn count(&self, world: &World) -> usize {
-        if self.index_eligible(world) {
-            let stats = crate::planner::TableStats::for_query(world, self);
-            let chosen = crate::planner::plan(self, &stats);
-            if let Some(m) = world.core_metrics() {
-                m.note_access(&chosen.access);
-            }
-            return chosen.count(world);
-        }
-        // Same traversal as `run`, avoiding the output vector.
-        match self.within {
-            Some((center, radius)) => {
-                let mut cands = Vec::new();
-                world.within(center, radius, &mut cands);
-                cands
-                    .into_iter()
-                    .filter(|&id| {
-                        Some(id) != self.exclude && self.preds.iter().all(|p| p.eval(world, id))
-                    })
-                    .count()
-            }
-            None => world
-                .entities()
-                .filter(|&id| {
-                    Some(id) != self.exclude && self.preds.iter().all(|p| p.eval(world, id))
-                })
-                .count(),
-        }
+        self.plan_for(world).count(world)
     }
 
     // ---- lowering into the differential view engine ----
@@ -364,71 +407,61 @@ impl AggResult {
 /// scripts do). The differential view engine ([`crate::dvm`]) maintains
 /// these same semantics incrementally.
 pub fn aggregate(world: &World, query: &Query, f: &AggFn) -> AggResult {
-    // NaN is a NULL, never an aggregate input.
-    let value = |id: EntityId, c: &str| world.get_number(id, c).filter(|v| !v.is_nan());
+    // The plan's members arrive in ascending id order; the column
+    // resolves once and each input is a typed read by slot. NaN is a
+    // NULL, never an aggregate input.
+    let fold = |c: &str, step: &mut dyn FnMut(EntityId, f64)| {
+        let col = world.column(c);
+        query.plan_for(world).execute(world, &mut |id| {
+            let v = col.and_then(|col| col.get_number(id.index() as usize));
+            if let Some(v) = v.filter(|v| !v.is_nan()) {
+                step(id, v);
+            }
+        });
+    };
     match f {
         AggFn::Count => AggResult::Number(query.count(world) as f64),
         AggFn::Sum(c) => {
             let mut sum = 0.0;
-            for id in query.run(world) {
-                if let Some(v) = value(id, c) {
-                    sum += v;
-                }
-            }
+            fold(c, &mut |_, v| sum += v);
             AggResult::Number(sum)
         }
         AggFn::Min(c) | AggFn::Max(c) => {
             let is_min = matches!(f, AggFn::Min(_));
             let mut best: Option<f64> = None;
-            for id in query.run(world) {
-                if let Some(v) = value(id, c) {
-                    best = Some(match best {
-                        None => v,
-                        Some(b) => {
-                            if is_min {
-                                b.min(v)
-                            } else {
-                                b.max(v)
-                            }
-                        }
-                    });
-                }
-            }
+            fold(c, &mut |_, v| {
+                best = Some(match best {
+                    None => v,
+                    Some(b) if is_min => b.min(v),
+                    Some(b) => b.max(v),
+                });
+            });
             AggResult::Number(best.unwrap_or(0.0))
         }
         AggFn::Avg(c) => {
             let mut sum = 0.0;
             let mut n = 0usize;
-            for id in query.run(world) {
-                if let Some(v) = value(id, c) {
-                    sum += v;
-                    n += 1;
-                }
-            }
+            fold(c, &mut |_, v| {
+                sum += v;
+                n += 1;
+            });
             AggResult::Number(if n == 0 { 0.0 } else { sum / n as f64 })
         }
         AggFn::ArgMin(c) | AggFn::ArgMax(c) => {
             let is_min = matches!(f, AggFn::ArgMin(_));
             let mut best: Option<(f64, EntityId)> = None;
-            for id in query.run(world) {
-                if let Some(v) = value(id, c) {
-                    let better = match best {
-                        None => true,
-                        // ties break toward the smaller id (run() is id-ordered,
-                        // so strict comparison keeps the first)
-                        Some((bv, _)) => {
-                            if is_min {
-                                v < bv
-                            } else {
-                                v > bv
-                            }
-                        }
-                    };
-                    if better {
-                        best = Some((v, id));
-                    }
+            fold(c, &mut |id, v| {
+                let better = match best {
+                    None => true,
+                    // ties break toward the smaller id (members arrive
+                    // id-ordered, so strict comparison keeps the first)
+                    Some((bv, _)) if is_min => v < bv,
+                    Some((bv, _)) => v > bv,
+                };
+                if better {
+                    best = Some((v, id));
                 }
-            }
+            });
             AggResult::Entity(best.map(|(_, id)| id))
         }
     }

@@ -348,7 +348,7 @@ impl World {
         out: &mut Vec<EntityId>,
     ) -> bool {
         match self.index_on(component) {
-            Some(idx) => idx.probe(op, value, out),
+            Some(idx) => idx.probe(op, value, None, out),
             None => false,
         }
     }

@@ -9,7 +9,8 @@
 
 use gamedb_content::{CmpOp, Value, ValueType};
 use gamedb_core::{
-    Effect, EffectBuffer, EntityId, IndexKind, Query, SpawnRequest, TickExecutor, World,
+    AggFn, AggResult, Effect, EffectBuffer, EntityId, IndexKind, Query, SpawnRequest,
+    TickExecutor, World,
 };
 use gamedb_spatial::Vec2;
 use proptest::prelude::*;
@@ -224,16 +225,143 @@ fn apply_index_op(w: &mut World, live: &mut Vec<EntityId>, op: &IndexOp) {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+/// A float across twelve orders of magnitude — fractional, so an `f64`
+/// sum of a few hundred of them rounds and its bits depend on the order
+/// of the terms — plus NaN and both zeros.
+fn wide_float() -> impl Strategy<Value = f32> {
+    prop_oneof![
+        (-1.0e6f32..1.0e6, 0i32..13).prop_map(|(x, e)| x * 10f32.powi(-e)),
+        0.0f32..100.0,
+        Just(f32::NAN),
+        Just(-0.0f32),
+        Just(0.0f32),
+    ]
+}
 
-    /// ISSUE-1 acceptance property: with secondary indexes on `hp`
-    /// (sorted) and `team` (hash), every query run through the planner's
-    /// index machinery returns exactly the entity set a forced full scan
-    /// returns — after any interleaving of spawns, overwrites, component
-    /// removals, despawns, and ticks.
+/// `aggregate`'s contract spelled out over the scan oracle's rows, in id
+/// order: NaN and missing values skipped, ties to the first id.
+fn aggregate_oracle(w: &World, rows: &[EntityId], f: &AggFn) -> AggResult {
+    let (AggFn::Sum(c)
+    | AggFn::Min(c)
+    | AggFn::Max(c)
+    | AggFn::Avg(c)
+    | AggFn::ArgMin(c)
+    | AggFn::ArgMax(c)) = f
+    else {
+        return AggResult::Number(rows.len() as f64);
+    };
+    let vals: Vec<(EntityId, f64)> = rows
+        .iter()
+        .filter_map(|&e| w.get_number(e, c).filter(|v| !v.is_nan()).map(|v| (e, v)))
+        .collect();
+    let sum = vals.iter().fold(0.0, |s, &(_, v)| s + v);
+    let arg = |better: fn(f64, f64) -> bool| {
+        let mut best: Option<(EntityId, f64)> = None;
+        for &(e, v) in &vals {
+            if best.is_none_or(|(_, b)| better(v, b)) {
+                best = Some((e, v));
+            }
+        }
+        AggResult::Entity(best.map(|(e, _)| e))
+    };
+    let extreme = |pick: fn(f64, f64) -> f64| {
+        AggResult::Number(vals.iter().map(|v| v.1).reduce(pick).unwrap_or(0.0))
+    };
+    match f {
+        AggFn::Sum(_) => AggResult::Number(sum),
+        AggFn::Min(_) => extreme(f64::min),
+        AggFn::Max(_) => extreme(f64::max),
+        AggFn::Avg(_) if vals.is_empty() => AggResult::Number(0.0),
+        AggFn::Avg(_) => AggResult::Number(sum / vals.len() as f64),
+        AggFn::ArgMin(_) => arg(|v, b| v < b),
+        AggFn::ArgMax(_) => arg(|v, b| v > b),
+        AggFn::Count => unreachable!("returned above"),
+    }
+}
+
+/// Bit-for-bit equality of aggregate results.
+fn same_bits(a: &AggResult, b: &AggResult) -> bool {
+    match (a.as_number(), b.as_number()) {
+        (Some(x), Some(y)) => x.to_bits() == y.to_bits(),
+        (None, None) => a.as_entity() == b.as_entity(),
+        _ => false,
+    }
+}
+
+/// A group key as the scan oracle orders it: numbers by value (`-0.0`
+/// is `0.0`), strings lexicographically; NaN and missing values have
+/// none.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+enum GroupKey {
+    Num(u64),
+    Str(String),
+}
+
+fn group_key(v: &Value) -> Option<GroupKey> {
+    match v {
+        Value::Str(s) => Some(GroupKey::Str(s.clone())),
+        v => {
+            let x = v.as_number().filter(|x| !x.is_nan())?;
+            let bits = if x == 0.0 { 0.0f64 } else { x }.to_bits();
+            Some(GroupKey::Num(if bits >> 63 == 0 { bits | 1 << 63 } else { !bits }))
+        }
+    }
+}
+
+/// `ViewPlan::evaluate` of `query` grouped by `col` under `agg`, spelled
+/// out as a `BTreeMap` fold over the scan oracle's rows in id order.
+fn grouped_oracle(w: &World, query: &Query, col: &str, agg: &AggFn) -> Vec<(GroupKey, u64)> {
+    let mut groups: std::collections::BTreeMap<GroupKey, (usize, Vec<f64>)> = Default::default();
+    for e in query.run_scan(w) {
+        let Some(key) = w.get(e, col).as_ref().and_then(group_key) else { continue };
+        let g = groups.entry(key).or_default();
+        g.0 += 1;
+        if let AggFn::Sum(c) | AggFn::Avg(c) | AggFn::Min(c) | AggFn::Max(c) = agg {
+            g.1.extend(w.get_number(e, c).filter(|v| !v.is_nan()));
+        }
+    }
+    let unzero = |v: f64| if v == 0.0 { 0.0 } else { v };
+    groups
+        .into_iter()
+        .map(|(k, (rows, vals))| {
+            let sum = vals.iter().fold(0.0, |s, v| s + v);
+            let value = match agg {
+                AggFn::Count => rows as f64,
+                AggFn::Sum(_) => sum,
+                AggFn::Avg(_) if vals.is_empty() => 0.0,
+                AggFn::Avg(_) => sum / vals.len() as f64,
+                AggFn::Min(_) => vals.iter().copied().map(unzero).reduce(f64::min).unwrap_or(0.0),
+                AggFn::Max(_) => vals.iter().copied().map(unzero).reduce(f64::max).unwrap_or(0.0),
+                AggFn::ArgMin(_) | AggFn::ArgMax(_) => unreachable!("not a group aggregate"),
+            };
+            (k, value.to_bits())
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::default())]
+
+    /// ISSUE-1 acceptance property, widened for the read path by slot:
+    /// with sorted indexes on `hp` and `gold` and one on `team` (either
+    /// kind), every query run through the planner's index machinery
+    /// returns exactly the entity set a forced full scan returns — after
+    /// any interleaving of spawns, overwrites, component removals,
+    /// despawns, and ticks over a few hundred base rows (slots past one
+    /// radix digit; fractional floats across twelve orders of magnitude,
+    /// NaN, `±0.0`, missing `gold` and `team`). That covers two-bound
+    /// ranges with random — possibly inverted — bounds under all four
+    /// operator pairs in both authored orders; `aggregate` under every
+    /// `AggFn`, bit-for-bit equal to a fold over `run_scan`; and grouped
+    /// `ViewPlan::evaluate` (count / sum / avg / min / max by string,
+    /// int and float keys, NaN and missing keys) equal to a `BTreeMap`
+    /// fold over `run_scan`.
     #[test]
     fn index_and_scan_agree_under_churn(
+        base in proptest::collection::vec(
+            (wide_float(), proptest::option::of(-5i64..45), proptest::option::of(0u8..4)),
+            200..700,
+        ),
         ops in proptest::collection::vec(index_op_strategy(), 1..80),
         hp_bound in 0.0f32..100.0,
         team in 0u8..4,
@@ -241,22 +369,46 @@ proptest! {
         cy in -40.0f32..40.0,
         r in 0.5f32..120.0,
         sorted_team_index in any::<bool>(),
+        gold_bounds in (-5i64..45, -5i64..45),
+        hp_bounds in (wide_float(), wide_float()),
+        upper_first in any::<bool>(),
     ) {
+        use gamedb_core::PlanOutput;
         let mut w = World::new();
         w.define_component("hp", ValueType::Float).unwrap();
         w.define_component("dmg", ValueType::Float).unwrap();
         w.define_component("team", ValueType::Str).unwrap();
+        w.define_component("gold", ValueType::Int).unwrap();
         w.create_index("hp", IndexKind::Sorted).unwrap();
+        w.create_index("gold", IndexKind::Sorted).unwrap();
         w.create_index(
             "team",
             if sorted_team_index { IndexKind::Sorted } else { IndexKind::Hash },
         )
         .unwrap();
         let mut live = Vec::new();
+        for (i, &(hp, gold, t)) in base.iter().enumerate() {
+            // spread thin so a tick's combat stays cheap
+            let at = Vec2::new((i * 37 % 400) as f32 - 200.0, (i * 101 % 400) as f32 - 200.0);
+            let e = w.spawn_at(at);
+            w.set_f32(e, "hp", hp).unwrap();
+            w.set_f32(e, "dmg", 1.0).unwrap();
+            if let Some(g) = gold {
+                w.set(e, "gold", Value::Int(g)).unwrap();
+            }
+            if let Some(t) = t {
+                w.set(e, "team", Value::Str(team_name(t).into())).unwrap();
+            }
+            live.push(e);
+        }
         for op in &ops {
             apply_index_op(&mut w, &mut live, op);
         }
-        let queries = vec![
+        let two_bound = |c: &str, lo: (CmpOp, Value), hi: (CmpOp, Value)| {
+            let (a, b) = if upper_first { (hi, lo) } else { (lo, hi) };
+            Query::select().filter(c, a.0, a.1).filter(c, b.0, b.1)
+        };
+        let mut queries = vec![
             Query::select().filter("hp", CmpOp::Lt, Value::Float(hp_bound)),
             Query::select().filter("hp", CmpOp::Ge, Value::Float(hp_bound)),
             Query::select().filter("hp", CmpOp::Eq, Value::Float(hp_bound.floor())),
@@ -268,11 +420,87 @@ proptest! {
                 .within(Vec2::new(cx, cy), r)
                 .filter("hp", CmpOp::Gt, Value::Float(hp_bound)),
         ];
-        for q in queries {
-            prop_assert_eq!(q.run(&w), q.run_scan(&w), "query: {:?}", q);
-            prop_assert_eq!(q.count(&w), q.run_scan(&w).len());
+        for lo in [CmpOp::Gt, CmpOp::Ge] {
+            for hi in [CmpOp::Lt, CmpOp::Le] {
+                queries.push(two_bound(
+                    "gold",
+                    (lo, Value::Int(gold_bounds.0)),
+                    (hi, Value::Int(gold_bounds.1)),
+                ));
+                queries.push(two_bound(
+                    "hp",
+                    (lo, Value::Float(hp_bounds.0)),
+                    (hi, Value::Float(hp_bounds.1)),
+                ));
+            }
+        }
+        queries.push(
+            two_bound(
+                "gold",
+                (CmpOp::Ge, Value::Int(gold_bounds.0)),
+                (CmpOp::Lt, Value::Int(gold_bounds.1)),
+            )
+            .filter("team", CmpOp::Eq, Value::Str(team_name(team).into())),
+        );
+        for q in &queries {
+            let scan = q.run_scan(&w);
+            prop_assert_eq!(q.run(&w), scan.clone(), "query: {:?}", q);
+            prop_assert_eq!(q.count(&w), scan.len());
+        }
+
+        // aggregates and grouped evaluation over a scan, a probe with
+        // residuals, and a two-bound probe
+        let folded = [Query::select(), queries[4].clone(), queries[6].clone()];
+        for q in &folded {
+            let scan = q.run_scan(&w);
+            for f in [
+                AggFn::Count,
+                AggFn::Sum("hp".into()),
+                AggFn::Min("hp".into()),
+                AggFn::Max("hp".into()),
+                AggFn::Avg("hp".into()),
+                AggFn::ArgMin("hp".into()),
+                AggFn::ArgMax("hp".into()),
+            ] {
+                let got = gamedb_core::aggregate(&w, q, &f);
+                let want = aggregate_oracle(&w, &scan, &f);
+                prop_assert!(
+                    same_bits(&got, &want),
+                    "{:?} over {:?}: {:?} vs {:?}", f, q, got, want
+                );
+            }
+            for col in ["team", "gold", "hp"] {
+                for agg in [
+                    AggFn::Count,
+                    AggFn::Sum("hp".into()),
+                    AggFn::Avg("hp".into()),
+                    AggFn::Min("hp".into()),
+                    AggFn::Max("hp".into()),
+                ] {
+                    let plan = q.clone().into_grouped_plan(col, agg.clone()).unwrap();
+                    let PlanOutput::Groups(rows) = plan.evaluate(&w).unwrap() else {
+                        return Err(TestCaseError::fail("a group plan evaluates to groups"));
+                    };
+                    let got: Vec<(GroupKey, u64)> = rows
+                        .iter()
+                        .map(|g| {
+                            let key = g.key.as_ref().and_then(group_key).expect("a keyed group");
+                            (key, g.value.to_bits())
+                        })
+                        .collect();
+                    prop_assert_eq!(
+                        got,
+                        grouped_oracle(&w, q, col, &agg),
+                        "{:?} by {} over {:?}", agg, col, q
+                    );
+                }
+            }
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Creating an index on live data (backfill) and creating it before
     /// the data existed must produce identical probe behavior.
