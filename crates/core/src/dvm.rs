@@ -19,10 +19,8 @@
 //! * [`PlanNode::Filter`] / [`PlanNode::Project`] — entity-keyed row
 //!   transforms. They are **fused into their scan at compile time**: a
 //!   `Scan → Filter* → Project*` chain compiles to one [`Source`] whose
-//!   membership test is the conjunction of every predicate and whose
-//!   stored tuple carries exactly the columns downstream operators read.
-//!   Fusion keeps the hot path one hash probe + one membership check per
-//!   candidate instead of one allocation per operator per delta.
+//!   membership test is the conjunction of every predicate and which
+//!   remembers of each member only the fields downstream operators read.
 //! * [`PlanNode::Join`] — binary, over two source chains. Equi-joins
 //!   ([`JoinOn::Eq`]) key both sides in the same coercion domain the
 //!   secondary indexes use ([`crate::index::IndexKey`]), so `Int 3`
@@ -37,19 +35,33 @@
 //!   the next element instead of rescanning the base table (counted in
 //!   `view.op_group.retract_recomputes`).
 //!
+//! ## State by slot
+//!
+//! A source remembers its members in slot-indexed vectors: the member's
+//! id — whose generation tells a reused slot's new tenant from the old
+//! one — and, only where its operator reads them, the row's key id, its
+//! aggregate input and its position. Keys are interned once per operator
+//! ([`KeyTable`]; both sides of a join share one, so ids compare across
+//! sides), so the group table and the join postings are vectors indexed
+//! by key id. A candidate costs one membership test and a compare of the
+//! remembered fields against the columns: an unchanged key is compared,
+//! not hashed or copied — only a changed key is looked up.
+//!
 //! ## Delta rules
 //!
 //! A source turns a change-stream segment into a net per-entity delta:
-//! insert (`+row`), delete (`−row`, with the *remembered* old tuple — a
+//! insert (`+row`), delete (`−row`, with the *remembered* fields — a
 //! despawn never needs a row image), or update (`−old +new`). Joins
 //! apply the bilinear rule `ΔJ = ΔL ⋈ R_old  +  L_new ⋈ ΔR`
 //! sequentially — left deltas probe the pre-batch right state, right
 //! deltas probe the post-batch left state — accumulating pair weights
 //! that cancel to the net entered/exited sets. Group aggregates fold
-//! each ±row into its group's running state and diff the rebuilt group
-//! table. Membership itself is always re-evaluated against the
-//! *post-batch* world (never trusted from the log), so duplicate or
-//! stale deltas cannot corrupt a view.
+//! each ±row into its group's running state and flag the group touched;
+//! the touched groups then patch the materialized output in key order,
+//! so a refresh costs O(candidates + touched groups), never O(groups).
+//! Membership itself is always re-evaluated against the *post-batch*
+//! world (never trusted from the log), so duplicate or stale deltas
+//! cannot corrupt a view.
 //!
 //! ## Equivalence and determinism
 //!
@@ -66,18 +78,19 @@
 //! with [`crate::query::aggregate`]), and a NaN join key joins nothing.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::time::Instant;
 
 use gamedb_content::Value;
 use gamedb_spatial::Vec2;
 
 use crate::column::Column;
 use crate::entity::EntityId;
-use crate::index::{append_posting, IndexKey, KeyBuf, KeyRef, OrdF64};
+use crate::index::{KeyRef, KeyTable, OrdF64, NO_KEY};
 use crate::intern::ComponentId;
 use crate::metrics::CoreMetrics;
 use crate::query::{AggFn, Pred, Query};
 use crate::view::{Changelog, FoldCtx, ViewStats};
-use crate::world::{CoreError, World};
+use crate::world::{CoreError, World, POS_ID};
 
 /// Decode safety bound on operator-chain depth (catalog records are
 /// parsed from disk; a corrupt length must not recurse unboundedly).
@@ -216,11 +229,12 @@ impl ViewPlan {
             OpState::Rows(s) => PlanOutput::Rows(s.source.evaluate(world)),
             OpState::Group(s) => {
                 let members = s.source.evaluate(world);
+                let agg = s.table.agg;
                 let mut out = Vec::new();
-                s.table.fold_run(world, &s.source.src.schema, &members, |key, g| {
+                GroupTable::fold_run(agg, world, &s.source.src, &members, |key, g, _| {
                     out.push(GroupRow {
                         key: key.map(key_repr),
-                        value: g.value(s.table.agg),
+                        value: g.value(agg),
                     })
                 });
                 PlanOutput::Groups(out)
@@ -317,22 +331,30 @@ impl GroupChangelog {
 // ---------------------------------------------------------------------
 
 /// A `Scan → Filter* → Project*` chain fused into one physical source:
-/// membership is the conjunction of every predicate (scan + filters),
-/// the stored tuple carries exactly the columns downstream consumers
-/// read (`schema`), plus the position when a spatial join needs it.
+/// membership is the conjunction of every predicate (scan + filters);
+/// of each member it remembers what its consumer reads — the key
+/// column's key, the aggregated column's number, the position.
 #[derive(Debug, Clone)]
 struct Source {
     query: Query,
     only: Option<EntityId>,
-    schema: Vec<String>,
+    /// Column whose key rows carry (join or group key).
+    key_col: Option<String>,
+    /// Column whose number is the aggregate input.
+    val_col: Option<String>,
+    /// Rows carry their position (a spatial join reads it).
     needs_pos: bool,
 }
 
-/// Fuse the chain rooted at `node` down to its scan. `need` lists the
-/// columns the consumer reads from each row; they must survive every
-/// projection on the path, as must the column of any filter sitting
-/// above that projection.
-fn compile_source(node: &PlanNode, need: &[String], needs_pos: bool) -> Result<Source, CoreError> {
+/// Fuse the chain rooted at `node` down to its scan. The consumer's
+/// columns must survive every projection on the path, as must the
+/// column of any filter sitting above that projection.
+fn compile_source(
+    node: &PlanNode,
+    key_col: Option<&String>,
+    val_col: Option<&String>,
+    needs_pos: bool,
+) -> Result<Source, CoreError> {
     let mut chain: Vec<&PlanNode> = Vec::new();
     let mut cur = node;
     loop {
@@ -383,21 +405,17 @@ fn compile_source(node: &PlanNode, need: &[String], needs_pos: bool) -> Result<S
         }
     }
     if let Some(v) = &visible {
-        for col in need {
-            if !v.contains(col.as_str()) {
-                return Err(CoreError::PlanInvalid(
-                    "consumer column does not survive the projection",
-                ));
-            }
+        if key_col.into_iter().chain(val_col).any(|c| !v.contains(c.as_str())) {
+            return Err(CoreError::PlanInvalid(
+                "consumer column does not survive the projection",
+            ));
         }
     }
-    let mut schema: Vec<String> = need.to_vec();
-    schema.sort();
-    schema.dedup();
     Ok(Source {
         query,
         only,
-        schema,
+        key_col: key_col.cloned(),
+        val_col: val_col.cloned(),
         needs_pos,
     })
 }
@@ -406,46 +424,34 @@ fn compile_source(node: &PlanNode, need: &[String], needs_pos: bool) -> Result<S
 fn compile(plan: &ViewPlan) -> Result<OpState, CoreError> {
     match &plan.root {
         PlanNode::Join { left, right, on } => {
-            let (l_src, r_src, on_c) = match on {
-                JoinOn::Eq { left: lc, right: rc } => {
-                    let l_src = compile_source(left, std::slice::from_ref(lc), false)?;
-                    let r_src = compile_source(right, std::slice::from_ref(rc), false)?;
-                    let l = l_src
-                        .schema
-                        .iter()
-                        .position(|c| c == lc)
-                        .expect("key column is in the schema it seeded");
-                    let r = r_src
-                        .schema
-                        .iter()
-                        .position(|c| c == rc)
-                        .expect("key column is in the schema it seeded");
-                    (l_src, r_src, JoinOnC::Eq { l, r })
-                }
+            let (l_src, r_src, idx) = match on {
+                JoinOn::Eq { left: lc, right: rc } => (
+                    compile_source(left, Some(lc), None, false)?,
+                    compile_source(right, Some(rc), None, false)?,
+                    SideIndex::Keyed(Vec::new()),
+                ),
                 JoinOn::Within { radius } => {
                     if !(radius.is_finite() && *radius > 0.0) {
                         return Err(CoreError::PlanInvalid(
                             "spatial join radius must be finite and positive",
                         ));
                     }
-                    let l_src = compile_source(left, &[], true)?;
-                    let r_src = compile_source(right, &[], true)?;
-                    (l_src, r_src, JoinOnC::Within { radius: *radius })
+                    (
+                        compile_source(left, None, None, true)?,
+                        compile_source(right, None, None, true)?,
+                        SideIndex::Cells {
+                            cell: *radius,
+                            map: HashMap::new(),
+                        },
+                    )
                 }
             };
-            let mk_idx = || match on_c {
-                JoinOnC::Eq { .. } => SideIndex::Keyed(HashMap::new()),
-                JoinOnC::Within { radius } => SideIndex::Cells {
-                    cell: radius,
-                    map: HashMap::new(),
-                },
-            };
             Ok(OpState::Join(JoinState {
-                l_idx: mk_idx(),
-                r_idx: mk_idx(),
                 left: SourceState::new(l_src),
                 right: SourceState::new(r_src),
-                on: on_c,
+                keys: KeyTable::default(),
+                l_idx: idx.clone(),
+                r_idx: idx,
                 pairs: Vec::new(),
                 log: PairChangelog::default(),
             }))
@@ -455,61 +461,37 @@ fn compile(plan: &ViewPlan) -> Result<OpState, CoreError> {
             group_by,
             agg,
         } => {
-            let (kind, agg_col_name) = match agg {
+            let (kind, val_col) = match agg {
                 AggFn::Count => (AggKind::Count, None),
-                AggFn::Sum(c) => (AggKind::Sum, Some(c.clone())),
-                AggFn::Min(c) => (AggKind::Min, Some(c.clone())),
-                AggFn::Max(c) => (AggKind::Max, Some(c.clone())),
-                AggFn::Avg(c) => (AggKind::Avg, Some(c.clone())),
+                AggFn::Sum(c) => (AggKind::Sum, Some(c)),
+                AggFn::Min(c) => (AggKind::Min, Some(c)),
+                AggFn::Max(c) => (AggKind::Max, Some(c)),
+                AggFn::Avg(c) => (AggKind::Avg, Some(c)),
                 AggFn::ArgMin(_) | AggFn::ArgMax(_) => {
                     return Err(CoreError::PlanInvalid(
                         "argmin/argmax aggregates are not supported in group-aggregate views",
                     ));
                 }
             };
-            let mut need: Vec<String> = Vec::new();
-            if let Some(g) = group_by {
-                need.push(g.clone());
-            }
-            if let Some(c) = &agg_col_name {
-                need.push(c.clone());
-            }
-            let src = compile_source(input, &need, false)?;
-            let key_col = group_by.as_ref().map(|g| {
-                src.schema
-                    .iter()
-                    .position(|c| c == g)
-                    .expect("group column is in the schema it seeded")
-            });
-            let agg_col = agg_col_name.map(|c| {
-                src.schema
-                    .iter()
-                    .position(|s| *s == c)
-                    .expect("aggregate column is in the schema it seeded")
-            });
             Ok(OpState::Group(GroupState {
-                source: SourceState::new(src),
+                source: SourceState::new(compile_source(input, group_by.as_ref(), val_col, false)?),
+                keys: KeyTable::default(),
                 table: GroupTable {
-                    key_col,
                     agg: kind,
-                    agg_col,
-                    groups: BTreeMap::new(),
-                    key: KeyBuf::default(),
+                    groups: Vec::new(),
+                    touched: Vec::new(),
                     retracts: 0,
                 },
                 out: Vec::new(),
-                out_keys: Vec::new(),
+                out_ids: Vec::new(),
                 log: GroupChangelog::default(),
             }))
         }
-        chain => {
-            let src = compile_source(chain, &[], false)?;
-            Ok(OpState::Rows(RowsState {
-                source: SourceState::new(src),
-                out: Vec::new(),
-                log: Changelog::default(),
-            }))
-        }
+        chain => Ok(OpState::Rows(RowsState {
+            source: SourceState::new(compile_source(chain, None, None, false)?),
+            out: Vec::new(),
+            log: Changelog::default(),
+        })),
     }
 }
 
@@ -517,14 +499,35 @@ fn compile(plan: &ViewPlan) -> Result<OpState, CoreError> {
 // Runtime: sources and their Z-set deltas
 // ---------------------------------------------------------------------
 
-/// One stored row: the schema columns (by position) plus the position
-/// when a spatial join reads it. The remembered tuple is what lets a
-/// retraction proceed without a row image — a despawned entity's old
-/// join key / group value is read from here, never from the log.
-#[derive(Debug, Clone, PartialEq)]
-struct Tuple {
-    cols: Vec<Option<Value>>,
-    pos: Option<Vec2>,
+/// What a source remembers of one member: the fields its operator reads
+/// (the others stay as in [`Fields::NONE`]). A retraction folds out
+/// exactly these — a despawned entity's old key or value is read from
+/// here, never from the log.
+#[derive(Debug, Clone, Copy)]
+struct Fields {
+    /// Interned key id; [`NO_KEY`] when the row has no key.
+    key: u32,
+    /// Aggregate input; NaN when absent or NaN (skipped either way).
+    val: f64,
+    pos: Option<[f32; 2]>,
+}
+
+impl Fields {
+    const NONE: Fields = Fields {
+        key: NO_KEY,
+        val: f64::NAN,
+        pos: None,
+    };
+
+    /// Same key id, and value and position equal bit for bit.
+    fn same(&self, o: &Fields) -> bool {
+        let bits = |p: Option<[f32; 2]>| p.map(|p| p.map(f32::to_bits));
+        self.key == o.key && self.val.to_bits() == o.val.to_bits() && bits(self.pos) == bits(o.pos)
+    }
+
+    fn agg_input(&self) -> AggInput {
+        OrdF64::new(self.val).map(|o| (o, self.val))
+    }
 }
 
 /// Net ±1 delta for one entity in one batch: `(old, new)` with at least
@@ -532,8 +535,8 @@ struct Tuple {
 #[derive(Debug)]
 struct RowDelta {
     id: EntityId,
-    old: Option<Tuple>,
-    new: Option<Tuple>,
+    old: Option<Fields>,
+    new: Option<Fields>,
 }
 
 /// Per-batch fold result of one source.
@@ -542,74 +545,135 @@ struct FoldOut {
     cands: usize,
     /// Candidates passing the fused membership test.
     passed: usize,
-    /// Net row deltas, ascending by entity id.
+    /// Net row deltas, ascending by entity id — but a displaced slot
+    /// tenant's retraction, just ahead of its lower-generation successor.
     deltas: Vec<RowDelta>,
 }
 
 /// What one refresh of a view did, for the maintenance counters every
-/// view kind shares: candidate rows inspected, and changelog entries
-/// delivered (rows, pairs or groups — whatever the view materializes).
+/// view kind shares: candidate rows inspected, changelog entries
+/// delivered (rows, pairs or groups — whatever the view materializes),
+/// and the keys its operator holds.
 struct Refreshed {
     cands: usize,
     entered: usize,
     exited: usize,
     changed: usize,
+    keys: usize,
 }
 
-/// A source's tuple columns resolved against one world, once per batch
-/// or seeding: per row the tuple is positional column reads, not a name
-/// lookup per column.
-struct TupleReader<'w> {
-    cols: Vec<Option<&'w Column>>,
+/// A source's field columns resolved against one world, once per batch
+/// or seeding.
+struct Cols<'w> {
+    key: Option<&'w Column>,
+    val: Option<&'w Column>,
     pos: Option<&'w Column>,
 }
 
-impl<'w> TupleReader<'w> {
-    fn new(src: &Source, world: &'w World) -> TupleReader<'w> {
-        TupleReader {
-            cols: src.schema.iter().map(|c| world.column(c)).collect(),
-            pos: src
-                .needs_pos
-                .then(|| world.column_by_id(crate::world::POS_ID))
-                .flatten(),
+impl<'w> Cols<'w> {
+    fn new(src: &Source, world: &'w World) -> Cols<'w> {
+        let col = |c: &Option<String>| c.as_ref().and_then(|c| world.column(c));
+        Cols {
+            key: col(&src.key_col),
+            val: col(&src.val_col),
+            pos: src.needs_pos.then(|| world.column_by_id(POS_ID)).flatten(),
         }
     }
 
-    /// The tuple of `id`, which must be live (members are: the
-    /// membership test rejects dead ids).
-    fn read(&self, id: EntityId) -> Tuple {
-        let slot = id.index() as usize;
-        Tuple {
-            cols: self
-                .cols
-                .iter()
-                .map(|col| col.and_then(|c| c.get(slot)))
-                .collect(),
-            pos: self
-                .pos
-                .and_then(|c| c.get_v2(slot))
-                .map(|[x, y]| Vec2::new(x, y)),
+    /// The key at live `slot`, borrowed from its column.
+    fn key(&self, slot: usize) -> Option<KeyRef<'w>> {
+        self.key.and_then(|c| KeyRef::at(c, slot))
+    }
+
+    /// The fields of live `slot`, with key id `key`.
+    fn read(&self, slot: usize, key: u32) -> Fields {
+        Fields {
+            key,
+            val: self.val.and_then(|c| c.get_number(slot)).unwrap_or(f64::NAN),
+            pos: self.pos.and_then(|c| c.get_v2(slot)),
         }
     }
 }
 
-/// A fused source with its materialized row tuples.
+/// A source's members by slot: `ids` holds each slot's member (`None`:
+/// none), and a field vector exists only if the operator reads that
+/// field — a rows view keeps membership only.
+#[derive(Debug, Clone)]
+struct SlotRows {
+    ids: Vec<Option<EntityId>>,
+    keys: Option<Vec<u32>>,
+    vals: Option<Vec<f64>>,
+    pos: Option<Vec<Option<[f32; 2]>>>,
+}
+
+impl SlotRows {
+    fn new(src: &Source) -> SlotRows {
+        SlotRows {
+            ids: Vec::new(),
+            keys: src.key_col.is_some().then(Vec::new),
+            vals: src.val_col.is_some().then(Vec::new),
+            pos: src.needs_pos.then(Vec::new),
+        }
+    }
+
+    /// The member at `slot`, if any.
+    fn held(&self, slot: usize) -> Option<EntityId> {
+        self.ids.get(slot).copied().flatten()
+    }
+
+    /// The remembered fields of the member at `slot`.
+    fn fields(&self, slot: usize) -> Fields {
+        Fields {
+            key: self.keys.as_ref().map_or(NO_KEY, |v| v[slot]),
+            val: self.vals.as_ref().map_or(f64::NAN, |v| v[slot]),
+            pos: self.pos.as_ref().and_then(|v| v[slot]),
+        }
+    }
+
+    /// Room for every slot below `len`.
+    fn grow(&mut self, len: usize) {
+        if self.ids.len() < len {
+            self.ids.resize(len, None);
+            self.keys.iter_mut().for_each(|v| v.resize(len, NO_KEY));
+            self.vals.iter_mut().for_each(|v| v.resize(len, f64::NAN));
+            self.pos.iter_mut().for_each(|v| v.resize(len, None));
+        }
+    }
+
+    /// Forget the member at `slot`, releasing its key; its fields.
+    fn forget(&mut self, slot: usize, keys: &mut KeyTable) -> Fields {
+        let f = self.fields(slot);
+        self.ids[slot] = None;
+        keys.rekey(f.key, None);
+        f
+    }
+
+    fn put(&mut self, slot: usize, id: EntityId, f: Fields) {
+        self.grow(slot + 1);
+        self.ids[slot] = Some(id);
+        self.keys.iter_mut().for_each(|v| v[slot] = f.key);
+        self.vals.iter_mut().for_each(|v| v[slot] = f.val);
+        self.pos.iter_mut().for_each(|v| v[slot] = f.pos);
+    }
+}
+
+/// A fused source with its remembered members.
 #[derive(Debug, Clone)]
 struct SourceState {
     src: Source,
-    rows: HashMap<EntityId, Tuple>,
+    rows: SlotRows,
 }
 
 impl SourceState {
     fn new(src: Source) -> SourceState {
         SourceState {
+            rows: SlotRows::new(&src),
             src,
-            rows: HashMap::new(),
         }
     }
 
     /// Interned ids of the components whose deltas can change this
-    /// source's membership *or* stored tuples (sorted, deduped).
+    /// source's membership *or* remembered fields (sorted, deduped).
     fn tracked_ids(&self, world: &World) -> Vec<ComponentId> {
         let mut ids: Vec<ComponentId> = self
             .src
@@ -617,10 +681,15 @@ impl SourceState {
             .predicates()
             .iter()
             .filter_map(|p| world.component_id(&p.component))
+            .chain(
+                [&self.src.key_col, &self.src.val_col]
+                    .into_iter()
+                    .flatten()
+                    .filter_map(|c| world.component_id(c)),
+            )
             .collect();
-        ids.extend(self.src.schema.iter().filter_map(|c| world.component_id(c)));
         if self.src.query.spatial().is_some() || self.src.needs_pos {
-            ids.push(crate::world::POS_ID);
+            ids.push(POS_ID);
         }
         ids.sort_unstable();
         ids.dedup();
@@ -629,9 +698,9 @@ impl SourceState {
 
     /// Fold one change-stream segment into the source: candidates are
     /// the structural deltas plus component deltas on tracked columns;
-    /// each candidate's membership and tuple are re-read from the
-    /// post-batch world and diffed against the stored row.
-    fn fold(&mut self, world: &World, ctx: &FoldCtx<'_>) -> FoldOut {
+    /// each candidate's membership and fields are re-read from the
+    /// post-batch world and diffed against the remembered ones.
+    fn fold(&mut self, world: &World, ctx: &FoldCtx<'_>, keys: &mut KeyTable) -> FoldOut {
         let tracked = self.tracked_ids(world);
         let mut cands: Vec<EntityId> = ctx.structural.to_vec();
         let mut i = 0;
@@ -652,46 +721,39 @@ impl SourceState {
         cands.dedup();
 
         // Columns resolve once per batch; per candidate the membership
-        // test is positional reads, not name lookups.
+        // test and the field reads are positional.
         let matcher = self.src.query.matcher(world);
-        let reader = TupleReader::new(&self.src, world);
+        let cols = Cols::new(&self.src, world);
         let mut passed = 0usize;
         let mut deltas = Vec::new();
         for &c in &cands {
+            let slot = c.index() as usize;
             let now = matcher(c);
-            if now {
-                passed += 1;
-            }
-            match (self.rows.get(&c).cloned(), now) {
-                (None, false) => {}
-                (None, true) => {
-                    let t = reader.read(c);
-                    self.rows.insert(c, t.clone());
-                    deltas.push(RowDelta {
-                        id: c,
-                        old: None,
-                        new: Some(t),
-                    });
+            passed += usize::from(now);
+            let held = self.rows.held(slot);
+            if held == Some(c) {
+                if !now {
+                    let old = self.rows.forget(slot, keys);
+                    deltas.push(RowDelta { id: c, old: Some(old), new: None });
+                    continue;
                 }
-                (Some(old), false) => {
-                    self.rows.remove(&c);
-                    deltas.push(RowDelta {
-                        id: c,
-                        old: Some(old),
-                        new: None,
-                    });
+                let old = self.rows.fields(slot);
+                let new = cols.read(slot, keys.rekey(old.key, cols.key(slot)));
+                if !new.same(&old) {
+                    self.rows.put(slot, c, new);
+                    deltas.push(RowDelta { id: c, old: Some(old), new: Some(new) });
                 }
-                (Some(old), true) => {
-                    let t = reader.read(c);
-                    if old != t {
-                        self.rows.insert(c, t.clone());
-                        deltas.push(RowDelta {
-                            id: c,
-                            old: Some(old),
-                            new: Some(t),
-                        });
-                    }
+            } else if now {
+                // A restored entity may reuse a slot at a lower generation
+                // than the tenant it replaces, so it sorts first: retract
+                // that tenant here, just ahead of its own turn.
+                if let Some(gone) = held {
+                    let old = self.rows.forget(slot, keys);
+                    deltas.push(RowDelta { id: gone, old: Some(old), new: None });
                 }
+                let new = cols.read(slot, keys.rekey(NO_KEY, cols.key(slot)));
+                self.rows.put(slot, c, new);
+                deltas.push(RowDelta { id: c, old: None, new: Some(new) });
             }
         }
         FoldOut {
@@ -712,20 +774,22 @@ impl SourceState {
         }
     }
 
-    /// Seed the row set from the live world (registration / recovery) —
+    /// Seed the members from the live world (registration / recovery) —
     /// initial rows are state, not events. Members are read in
-    /// ascending id order through columns resolved once, into a map
-    /// sized for them; `each` sees every `(id, tuple)` in that order, so
-    /// a join seeds its side postings in the same pass and by appending.
-    /// Returns the member ids, ascending.
-    fn init(&mut self, world: &World, mut each: impl FnMut(EntityId, &Tuple)) -> Vec<EntityId> {
+    /// ascending id order through columns resolved once; with `keys`
+    /// each row's key is interned as it is read (a group seed passes
+    /// none and takes its ids per group from the sorted run). Returns
+    /// the member ids, ascending.
+    fn init(&mut self, world: &World, mut keys: Option<&mut KeyTable>) -> Vec<EntityId> {
         let ids = self.evaluate(world);
-        let reader = TupleReader::new(&self.src, world);
-        self.rows.reserve(ids.len());
+        let cols = Cols::new(&self.src, world);
+        if let Some(last) = ids.last() {
+            self.rows.grow(last.index() as usize + 1);
+        }
         for &id in &ids {
-            let t = reader.read(id);
-            each(id, &t);
-            self.rows.insert(id, t);
+            let slot = id.index() as usize;
+            let key = keys.as_deref_mut().map_or(NO_KEY, |t| t.rekey(NO_KEY, cols.key(slot)));
+            self.rows.put(slot, id, cols.read(slot, key));
         }
         ids
     }
@@ -750,7 +814,7 @@ impl RowsState {
         ctx: &FoldCtx<'_>,
         metrics: Option<&CoreMetrics>,
     ) -> Refreshed {
-        let fold = self.source.fold(world, ctx);
+        let fold = self.source.fold(world, ctx, &mut KeyTable::default());
         let mut entered = Vec::new();
         let mut exited = Vec::new();
         for d in &fold.deltas {
@@ -782,6 +846,7 @@ impl RowsState {
             entered: entered.len(),
             exited: exited.len(),
             changed: changed.len(),
+            keys: 0,
         };
         self.log.absorb_batch(entered, exited, changed, false);
         done
@@ -795,11 +860,10 @@ impl RowsState {
         let rows = self.source.evaluate(world);
         let (entered, exited) = crate::view::diff_sorted(&self.out, &rows);
         for id in &exited {
-            self.source.rows.remove(id);
+            self.source.rows.ids[id.index() as usize] = None;
         }
-        let reader = TupleReader::new(&self.source.src, world);
         for &id in &entered {
-            self.source.rows.insert(id, reader.read(id));
+            self.source.rows.put(id.index() as usize, id, Fields::NONE);
         }
         self.out = rows;
         self.log.absorb_batch(entered, exited, Vec::new(), true);
@@ -810,94 +874,59 @@ impl RowsState {
 // Join operator
 // ---------------------------------------------------------------------
 
-#[derive(Debug, Clone, Copy)]
-enum JoinOnC {
-    /// Key column's position within each side's schema.
-    Eq { l: usize, r: usize },
-    Within { radius: f32 },
-}
-
-/// Per-side probe structure: key postings for equi-joins, a uniform
-/// cell map (cell edge = radius) for spatial joins. Posting lists stay
-/// sorted by id so probes return deterministic candidates.
+/// Per-side probe structure: posting lists by key id for equi-joins, a
+/// uniform cell map (cell edge = radius) for spatial joins. Posting
+/// lists stay sorted by id so probes return deterministic candidates.
 #[derive(Debug, Clone)]
 enum SideIndex {
-    Keyed(HashMap<IndexKey, Vec<EntityId>>),
+    Keyed(Vec<Vec<EntityId>>),
     Cells {
         cell: f32,
         map: HashMap<(i64, i64), Vec<EntityId>>,
     },
 }
 
-/// Join key of a value, in the same coercion domain as
-/// [`crate::index::IndexKey::encode`]: ints and floats share numeric
-/// keys, NaN (which `compare` rejects under every operator) has none.
-fn value_key(v: &Value) -> Option<IndexKey> {
-    match v {
-        Value::Float(_) | Value::Int(_) => {
-            v.as_number().and_then(OrdF64::new).map(IndexKey::Num)
-        }
-        Value::Bool(b) => Some(IndexKey::Bool(*b)),
-        Value::Str(s) => Some(IndexKey::Str(s.clone())),
-        Value::Vec2(x, y) => IndexKey::vec2(*x, *y),
-    }
+fn cell_of(p: [f32; 2], cell: f32) -> (i64, i64) {
+    ((p[0] / cell).floor() as i64, (p[1] / cell).floor() as i64)
 }
 
-/// Load [`value_key`] of `v` into `key` — a string reuses the buffer, so
-/// a lookup of a key the map already holds allocates nothing. `false`
-/// when `v` has no key.
-fn load_key(key: &mut KeyBuf, v: &Value) -> bool {
-    match v {
-        Value::Str(s) => key.load_str(s),
-        v => key.load(value_key(v)),
-    }
-    key.get().is_some()
-}
-
-fn eq_key(t: &Tuple, col: usize) -> Option<IndexKey> {
-    t.cols[col].as_ref().and_then(value_key)
-}
-
-fn cell_of(p: Vec2, cell: f32) -> (i64, i64) {
-    ((p.x / cell).floor() as i64, (p.y / cell).floor() as i64)
-}
-
+/// Insert `id` into a sorted posting list — an append when it sorts
+/// last, as every id of an ascending seed does.
 fn posting_insert(list: &mut Vec<EntityId>, id: EntityId) {
-    if let Err(pos) = list.binary_search(&id) {
-        list.insert(pos, id);
+    match list.last() {
+        Some(&last) if last >= id => {
+            if let Err(pos) = list.binary_search(&id) {
+                list.insert(pos, id);
+            }
+        }
+        _ => list.push(id),
     }
 }
 
-fn posting_remove(list: &mut Vec<EntityId>, id: EntityId) -> bool {
-    match list.binary_search(&id) {
-        Ok(pos) => {
-            list.remove(pos);
-            true
-        }
-        Err(_) => false,
+fn posting_remove(list: &mut Vec<EntityId>, id: EntityId) {
+    if let Ok(pos) = list.binary_search(&id) {
+        list.remove(pos);
     }
 }
 
 impl SideIndex {
-    /// Fold one row delta into the index (`key_col` is this side's key
-    /// position; unused for cell maps).
-    fn apply(&mut self, key_col: usize, d: &RowDelta) {
+    /// Fold one row delta of this side into the index.
+    fn apply(&mut self, d: &RowDelta) {
         match self {
-            SideIndex::Keyed(map) => {
-                if let Some(k) = d.old.as_ref().and_then(|t| eq_key(t, key_col)) {
-                    if let Some(list) = map.get_mut(&k) {
-                        posting_remove(list, d.id);
-                        if list.is_empty() {
-                            map.remove(&k);
-                        }
-                    }
+            SideIndex::Keyed(lists) => {
+                if let Some(o) = d.old.filter(|o| o.key != NO_KEY) {
+                    posting_remove(&mut lists[o.key as usize], d.id);
                 }
-                if let Some(k) = d.new.as_ref().and_then(|t| eq_key(t, key_col)) {
-                    posting_insert(map.entry(k).or_default(), d.id);
+                if let Some(n) = d.new.filter(|n| n.key != NO_KEY) {
+                    let k = n.key as usize;
+                    if lists.len() <= k {
+                        lists.resize_with(k + 1, Vec::new);
+                    }
+                    posting_insert(&mut lists[k], d.id);
                 }
             }
             SideIndex::Cells { cell, map } => {
-                if let Some(p) = d.old.as_ref().and_then(|t| t.pos) {
+                if let Some(p) = d.old.and_then(|o| o.pos) {
                     let c = cell_of(p, *cell);
                     if let Some(list) = map.get_mut(&c) {
                         posting_remove(list, d.id);
@@ -906,26 +935,42 @@ impl SideIndex {
                         }
                     }
                 }
-                if let Some(p) = d.new.as_ref().and_then(|t| t.pos) {
+                if let Some(p) = d.new.and_then(|n| n.pos) {
                     posting_insert(map.entry(cell_of(p, *cell)).or_default(), d.id);
                 }
             }
         }
     }
 
-    /// Seed one row (`key_col` as in [`SideIndex::apply`]). Rows arrive
-    /// in ascending id order, so postings are appended, not searched.
-    fn append(&mut self, key: &mut KeyBuf, key_col: usize, id: EntityId, t: &Tuple) {
+    /// This side's rows matching a row of the other side with fields
+    /// `f`, into `out` (cleared first), ascending. `rows` are this
+    /// side's members: a cell probe reads their positions by slot.
+    fn probe(&self, rows: &SlotRows, f: &Fields, out: &mut Vec<EntityId>) {
+        out.clear();
         match self {
-            SideIndex::Keyed(map) => {
-                if t.cols[key_col].as_ref().is_some_and(|v| load_key(key, v)) {
-                    append_posting(map, key, id);
+            SideIndex::Keyed(lists) => {
+                if let Some(list) = lists.get(f.key as usize) {
+                    out.extend_from_slice(list);
                 }
             }
             SideIndex::Cells { cell, map } => {
-                if let Some(p) = t.pos {
-                    map.entry(cell_of(p, *cell)).or_default().push(id);
+                let Some(p) = f.pos else { return };
+                let (cx, cy) = cell_of(p, *cell);
+                let at = Vec2::new(p[0], p[1]);
+                for dx in -1..=1i64 {
+                    for dy in -1..=1i64 {
+                        for &id in map.get(&(cx + dx, cy + dy)).into_iter().flatten() {
+                            let close = rows
+                                .fields(id.index() as usize)
+                                .pos
+                                .is_some_and(|[x, y]| Vec2::new(x, y).dist2(at) <= cell * cell);
+                            if close {
+                                out.push(id);
+                            }
+                        }
+                    }
                 }
+                out.sort_unstable();
             }
         }
     }
@@ -935,7 +980,8 @@ impl SideIndex {
 struct JoinState {
     left: SourceState,
     right: SourceState,
-    on: JoinOnC,
+    /// Both sides' join keys: one table, so ids compare across sides.
+    keys: KeyTable,
     l_idx: SideIndex,
     r_idx: SideIndex,
     /// Materialized pairs, ascending by `(left, right)`. Self-pairs are
@@ -945,58 +991,6 @@ struct JoinState {
 }
 
 impl JoinState {
-    /// Rows of the *other* side matching tuple `t` of the probing side.
-    /// `probing_left` says which side `t` belongs to; the probe runs
-    /// against `idx` / `other_rows` of the opposite side. Output ids
-    /// ascend (posting lists are sorted; cell probes re-sort).
-    fn probe(
-        on: JoinOnC,
-        probing_left: bool,
-        idx: &SideIndex,
-        other_rows: &HashMap<EntityId, Tuple>,
-        t: &Tuple,
-    ) -> Vec<EntityId> {
-        match (on, idx) {
-            (JoinOnC::Eq { l, r }, SideIndex::Keyed(map)) => {
-                let col = if probing_left { l } else { r };
-                match eq_key(t, col) {
-                    Some(k) => map.get(&k).cloned().unwrap_or_default(),
-                    None => Vec::new(),
-                }
-            }
-            (JoinOnC::Within { radius }, SideIndex::Cells { cell, map }) => {
-                let Some(p) = t.pos else { return Vec::new() };
-                let (cx, cy) = cell_of(p, *cell);
-                let mut out = Vec::new();
-                for dx in -1..=1i64 {
-                    for dy in -1..=1i64 {
-                        if let Some(ids) = map.get(&(cx + dx, cy + dy)) {
-                            for &id in ids {
-                                let close = other_rows
-                                    .get(&id)
-                                    .and_then(|o| o.pos)
-                                    .is_some_and(|q| q.dist2(p) <= radius * radius);
-                                if close {
-                                    out.push(id);
-                                }
-                            }
-                        }
-                    }
-                }
-                out.sort_unstable();
-                out
-            }
-            _ => unreachable!("index kind always matches join kind"),
-        }
-    }
-
-    fn key_cols(&self) -> (usize, usize) {
-        match self.on {
-            JoinOnC::Eq { l, r } => (l, r),
-            JoinOnC::Within { .. } => (0, 0),
-        }
-    }
-
     /// Bilinear delta rule, applied sequentially: left deltas probe the
     /// pre-batch right state, right deltas probe the post-batch left
     /// state; pair weights accumulate in ±1 steps and cancel to the net
@@ -1007,41 +1001,36 @@ impl JoinState {
         ctx: &FoldCtx<'_>,
         metrics: Option<&CoreMetrics>,
     ) -> Refreshed {
-        let (l_col, r_col) = self.key_cols();
         // Deterministic iteration order for the weight map: pairs ascend.
         let mut weights: BTreeMap<(EntityId, EntityId), i64> = BTreeMap::new();
+        let mut hits = Vec::new();
 
         // ΔL ⋈ R_old — the right source has not folded yet.
-        let l_fold = self.left.fold(world, ctx);
+        let l_fold = self.left.fold(world, ctx, &mut self.keys);
         for d in &l_fold.deltas {
-            if let Some(o) = &d.old {
-                for r in Self::probe(self.on, true, &self.r_idx, &self.right.rows, o) {
-                    *weights.entry((d.id, r)).or_default() -= 1;
+            for (f, w) in [(d.old, -1), (d.new, 1)] {
+                let Some(f) = f else { continue };
+                self.r_idx.probe(&self.right.rows, &f, &mut hits);
+                for &r in &hits {
+                    *weights.entry((d.id, r)).or_default() += w;
                 }
             }
-            if let Some(n) = &d.new {
-                for r in Self::probe(self.on, true, &self.r_idx, &self.right.rows, n) {
-                    *weights.entry((d.id, r)).or_default() += 1;
-                }
-            }
-            self.l_idx.apply(l_col, d);
+            self.l_idx.apply(d);
         }
 
         // L_new ⋈ ΔR — the left side now reflects this batch.
-        let r_fold = self.right.fold(world, ctx);
+        let r_fold = self.right.fold(world, ctx, &mut self.keys);
         for d in &r_fold.deltas {
-            if let Some(o) = &d.old {
-                for l in Self::probe(self.on, false, &self.l_idx, &self.left.rows, o) {
-                    *weights.entry((l, d.id)).or_default() -= 1;
+            for (f, w) in [(d.old, -1), (d.new, 1)] {
+                let Some(f) = f else { continue };
+                self.l_idx.probe(&self.left.rows, &f, &mut hits);
+                for &l in &hits {
+                    *weights.entry((l, d.id)).or_default() += w;
                 }
             }
-            if let Some(n) = &d.new {
-                for l in Self::probe(self.on, false, &self.l_idx, &self.left.rows, n) {
-                    *weights.entry((l, d.id)).or_default() += 1;
-                }
-            }
-            self.r_idx.apply(r_col, d);
+            self.r_idx.apply(d);
         }
+        self.keys.sweep();
 
         let mut entered = Vec::new();
         let mut exited = Vec::new();
@@ -1070,6 +1059,7 @@ impl JoinState {
             entered: entered.len(),
             exited: exited.len(),
             changed: 0,
+            keys: self.keys.len(),
         };
         if let Some(m) = metrics {
             let rows_in = l_fold.deltas.len() + r_fold.deltas.len();
@@ -1081,27 +1071,28 @@ impl JoinState {
         done
     }
 
-    /// Cold-start materialization (registration / recovery).
+    /// Cold-start materialization (registration / recovery): each side
+    /// seeds its rows and keys in id order, so postings are appended.
     fn init(&mut self, world: &World) {
-        let (l_col, r_col) = self.key_cols();
-        let mut key = KeyBuf::default();
-        let l_idx = &mut self.l_idx;
-        let l_ids = self
-            .left
-            .init(world, |id, t| l_idx.append(&mut key, l_col, id, t));
-        let r_idx = &mut self.r_idx;
-        self.right
-            .init(world, |id, t| r_idx.append(&mut key, r_col, id, t));
+        let l_ids = self.left.init(world, Some(&mut self.keys));
+        let r_ids = self.right.init(world, Some(&mut self.keys));
+        for (side, idx, ids) in [
+            (&self.left, &mut self.l_idx, &l_ids),
+            (&self.right, &mut self.r_idx, &r_ids),
+        ] {
+            for &id in ids {
+                let new = Some(side.rows.fields(id.index() as usize));
+                idx.apply(&RowDelta { id, old: None, new });
+            }
+        }
         // left ids ascend and every probe answers in ascending order,
         // so the pairs come out sorted and duplicate-free
         let mut pairs = Vec::new();
+        let mut hits = Vec::new();
         for l in l_ids {
-            let t = &self.left.rows[&l];
-            for r in Self::probe(self.on, true, &self.r_idx, &self.right.rows, t) {
-                if l != r {
-                    pairs.push((l, r));
-                }
-            }
+            let f = self.left.rows.fields(l.index() as usize);
+            self.r_idx.probe(&self.right.rows, &f, &mut hits);
+            pairs.extend(hits.iter().filter(|&&r| r != l).map(|&r| (l, r)));
         }
         debug_assert!(pairs.windows(2).all(|w| w[0] < w[1]));
         self.pairs = pairs;
@@ -1138,13 +1129,15 @@ type AggInput = Option<(OrdF64, f64)>;
 /// answer); `n` and `sum` count and add the non-NaN aggregate values
 /// (NaN inputs are skipped, SQL NULL style) — sum's and avg's whole
 /// state. Only min/max keep `vals`, the values as an ordered multiset
-/// keyed `(value, entity)`, and read its ends.
+/// keyed `(value, entity)`, and read its ends. `touched` marks a group
+/// on the current refresh's touched list.
 #[derive(Debug, Clone, Default)]
 struct GroupAgg {
     rows: usize,
     n: usize,
     sum: f64,
     vals: BTreeSet<(OrdF64, EntityId)>,
+    touched: bool,
 }
 
 impl GroupAgg {
@@ -1166,18 +1159,8 @@ impl GroupAgg {
         match kind {
             AggKind::Count => self.rows as f64,
             AggKind::Sum => self.sum,
-            AggKind::Min => self
-                .vals
-                .iter()
-                .next()
-                .map(|(v, _)| v.get())
-                .unwrap_or(0.0),
-            AggKind::Max => self
-                .vals
-                .iter()
-                .next_back()
-                .map(|(v, _)| v.get())
-                .unwrap_or(0.0),
+            AggKind::Min => self.vals.first().map_or(0.0, |(v, _)| v.get()),
+            AggKind::Max => self.vals.last().map_or(0.0, |(v, _)| v.get()),
             AggKind::Avg => {
                 if self.n == 0 {
                     0.0
@@ -1208,19 +1191,19 @@ fn key_repr(k: KeyRef<'_>) -> Value {
     }
 }
 
-/// The group table: running state per group key, seeded from a sorted
-/// run ([`GroupTable::fold_run`]) and folded one ±row at a time after.
+/// One member of a sorted run: its group key, aggregate input and id.
+type RunRow<'w> = (Option<KeyRef<'w>>, AggInput, EntityId);
+
+/// The group table: running state per group id — the group key's id in
+/// the operator's [`KeyTable`], 0 for the global group — seeded from a
+/// sorted run ([`GroupTable::fold_run`]) and folded one ±row at a time
+/// after.
 #[derive(Debug, Clone)]
 struct GroupTable {
-    /// Schema position of the group column (`None` = global group).
-    key_col: Option<usize>,
     agg: AggKind,
-    /// Schema position of the aggregated column (`None` for Count).
-    agg_col: Option<usize>,
-    groups: BTreeMap<Option<IndexKey>, GroupAgg>,
-    /// Lookup key, reused row to row: only the first row of a group
-    /// pays for its key.
-    key: KeyBuf,
+    groups: Vec<GroupAgg>,
+    /// Groups this refresh's deltas touched, each once.
+    touched: Vec<u32>,
     /// Min/max retractions of the current extreme — the "recompute from
     /// the ordered multiset" events the metrics surface.
     retracts: u64,
@@ -1228,24 +1211,23 @@ struct GroupTable {
 
 impl GroupTable {
     /// The sorted-run builder — the one way a group table is seeded
-    /// (`init`) and a group plan evaluated. `members` (ascending ids)
-    /// are read by slot into a `(key, value, id)` run, with the key
-    /// borrowed from its column; a stable sort by key keeps id order
-    /// within each group, so every group folds its rows in the order
-    /// per-row inserts would (sums are bit-identical). `each` receives
-    /// each group's key and state, in key order. Rows without a group
-    /// key (missing, or NaN) belong to no group.
+    /// ([`GroupState::init`]) and a group plan evaluated. `members`
+    /// (ascending ids) are read by slot into a `(key, value, id)` run,
+    /// with the key borrowed from its column; a stable sort by key keeps
+    /// id order within each group, so every group folds its rows in the
+    /// order per-row inserts would (sums are bit-identical). `each`
+    /// receives each group's key, state and run, in key order. Rows
+    /// without a group key (missing, or NaN) belong to no group.
     fn fold_run<'w>(
-        &self,
+        agg: AggKind,
         world: &'w World,
-        schema: &[String],
+        src: &Source,
         members: &[EntityId],
-        mut each: impl FnMut(Option<KeyRef<'w>>, GroupAgg),
+        mut each: impl FnMut(Option<KeyRef<'w>>, GroupAgg, &[RunRow<'w>]),
     ) {
-        let key_col = self.key_col.map(|c| world.column(&schema[c]));
-        let agg_col = self.agg_col.and_then(|c| world.column(&schema[c]));
-        let mut run: Vec<(Option<KeyRef<'w>>, AggInput, EntityId)> =
-            Vec::with_capacity(members.len());
+        let key_col = src.key_col.as_ref().map(|c| world.column(c));
+        let val_col = src.val_col.as_ref().and_then(|c| world.column(c));
+        let mut run: Vec<RunRow<'w>> = Vec::with_capacity(members.len());
         for &id in members {
             let slot = id.index() as usize;
             let key = match key_col {
@@ -1255,7 +1237,7 @@ impl GroupTable {
                     None => continue,
                 },
             };
-            let val = agg_col
+            let val = val_col
                 .and_then(|c| c.get_number(slot))
                 .and_then(|v| OrdF64::new(v).map(|o| (o, v)));
             run.push((key, val, id));
@@ -1264,145 +1246,134 @@ impl GroupTable {
         for group in run.chunk_by(|a, b| a.0 == b.0) {
             let mut g = GroupAgg::default();
             for &(_, val, id) in group {
-                g.add(self.agg, id, val);
+                g.add(agg, id, val);
             }
-            each(group[0].0, g);
+            each(group[0].0, g, group);
         }
     }
 
-    /// Load the group key of a tuple into `self.key`. `false` means "no
-    /// group": rows missing the group column (or carrying a NaN key,
-    /// which `compare` can never select) belong to no group, matching
-    /// the scan-side rule that a missing component fails every
-    /// predicate.
-    fn load_group_key(&mut self, t: &Tuple) -> bool {
-        match self.key_col {
-            None => {
-                self.key.load(None);
-                true
-            }
-            Some(c) => t.cols[c]
-                .as_ref()
-                .is_some_and(|v| load_key(&mut self.key, v)),
+    /// The state of group `g`, flagged touched.
+    fn touch(&mut self, g: u32) -> &mut GroupAgg {
+        let i = g as usize;
+        if self.groups.len() <= i {
+            self.groups.resize_with(i + 1, GroupAgg::default);
         }
+        let group = &mut self.groups[i];
+        if !group.touched {
+            group.touched = true;
+            self.touched.push(g);
+        }
+        group
     }
 
-    fn agg_val(&self, t: &Tuple) -> AggInput {
-        let c = self.agg_col?;
-        let v = t.cols[c].as_ref().and_then(|v| v.as_number())?;
-        OrdF64::new(v).map(|o| (o, v))
+    fn insert(&mut self, g: u32, id: EntityId, val: AggInput) {
+        let agg = self.agg;
+        self.touch(g).add(agg, id, val);
     }
 
-    fn insert(&mut self, id: EntityId, t: &Tuple) {
-        if !self.load_group_key(t) {
-            return;
-        }
-        let val = self.agg_val(t);
-        match self.groups.get_mut(self.key.get()) {
-            Some(g) => g.add(self.agg, id, val),
-            None => self
-                .groups
-                .entry(self.key.get().clone())
-                .or_default()
-                .add(self.agg, id, val),
-        }
-    }
-
-    /// Retract a row by the tuple remembered for it — exactly what
+    /// Retract a row by its remembered fields — exactly what
     /// [`GroupTable::insert`] folded in, which is what lets sum and avg
-    /// subtract without keeping the values.
-    fn retract(&mut self, id: EntityId, t: &Tuple) {
-        if !self.load_group_key(t) {
-            return;
-        }
-        let val = self.agg_val(t);
-        let Some(g) = self.groups.get_mut(self.key.get()) else {
-            return;
-        };
-        g.rows = g.rows.saturating_sub(1);
+    /// subtract without keeping the values. A group left without rows
+    /// starts over from empty state.
+    fn retract(&mut self, g: u32, id: EntityId, val: AggInput) {
+        let agg = self.agg;
+        let group = self.touch(g);
+        group.rows -= 1;
+        let mut recomputed = false;
         match val {
-            Some((o, _)) if self.agg.ordered() => {
+            Some((o, _)) if agg.ordered() => {
                 let entry = (o, id);
-                let was_extreme = match self.agg {
-                    AggKind::Min => g.vals.iter().next() == Some(&entry),
-                    _ => g.vals.iter().next_back() == Some(&entry),
+                let was_extreme = match agg {
+                    AggKind::Min => group.vals.first() == Some(&entry),
+                    _ => group.vals.last() == Some(&entry),
                 };
-                if g.vals.remove(&entry) && was_extreme {
-                    // The new extreme is the multiset's next element —
-                    // an O(log n) recompute, never a base-table rescan.
-                    self.retracts += 1;
-                }
+                // The new extreme is the multiset's next element — an
+                // O(log n) recompute, never a base-table rescan.
+                recomputed = group.vals.remove(&entry) && was_extreme;
             }
             Some((_, v)) => {
-                g.n = g.n.saturating_sub(1);
-                g.sum -= v;
+                group.n -= 1;
+                group.sum -= v;
             }
             None => {}
         }
-        if g.rows == 0 {
-            self.groups.remove(self.key.get());
+        if group.rows == 0 {
+            *group = GroupAgg {
+                touched: true,
+                ..GroupAgg::default()
+            };
         }
+        self.retracts += u64::from(recomputed);
     }
 }
 
 #[derive(Debug, Clone)]
 struct GroupState {
     source: SourceState,
+    /// Group keys, interned: a group's id indexes the group table.
+    keys: KeyTable,
     table: GroupTable,
-    /// Materialized output, ascending by group key; `out_keys` is the
-    /// parallel key list the changelog diff merges on.
+    /// Materialized output, ascending by group key; `out_ids` holds each
+    /// row's group id, so a touched group finds its row by binary search.
     out: Vec<GroupRow>,
-    out_keys: Vec<Option<IndexKey>>,
+    out_ids: Vec<u32>,
     log: GroupChangelog,
 }
 
 impl GroupState {
-    /// Rebuild the materialized output and, when `log_diff`, absorb the
-    /// old-vs-new diff into the changelog.
-    fn rebuild(&mut self, log_diff: bool) {
-        let table = &self.table;
-        let mut new_out = Vec::with_capacity(table.groups.len());
-        let mut new_keys = Vec::with_capacity(table.groups.len());
-        for (k, g) in &table.groups {
-            new_keys.push(k.clone());
-            new_out.push(GroupRow {
-                key: k.as_ref().map(|k| key_repr(k.as_ref())),
-                value: g.value(table.agg),
-            });
+    /// The group of a row with fields `f`: its key id, 0 for the global
+    /// group; `None` for a keyed view's row without a key.
+    fn group_of(&self, f: &Fields) -> Option<u32> {
+        match (&self.source.src.key_col, f.key) {
+            (None, _) => Some(0),
+            (Some(_), NO_KEY) => None,
+            (Some(_), k) => Some(k),
         }
-        if log_diff {
-            let (mut i, mut j) = (0usize, 0usize);
-            while i < self.out_keys.len() || j < new_keys.len() {
-                match (self.out_keys.get(i), new_keys.get(j)) {
-                    (Some(a), Some(b)) if a == b => {
-                        if self.out[i].value != new_out[j].value {
-                            self.log.changed.push(new_out[j].clone());
-                        }
-                        i += 1;
-                        j += 1;
+    }
+
+    /// Patch the output row of every touched group, in key order, and
+    /// log it: a group still holding rows whose value moved (bit for bit)
+    /// is `changed`, one left without rows `exited`, a new one `entered`.
+    /// Returns those three counts.
+    fn patch(&mut self) -> [usize; 3] {
+        let logged = |log: &GroupChangelog| [log.entered.len(), log.exited.len(), log.changed.len()];
+        let before = logged(&self.log);
+        let mut touched = std::mem::take(&mut self.table.touched);
+        let keys = &self.keys;
+        touched.sort_unstable_by(|&a, &b| keys.order(a, b));
+        for &g in &touched {
+            let group = &mut self.table.groups[g as usize];
+            group.touched = false;
+            let key = keys.get(g);
+            let value = group.value(self.table.agg);
+            let at = self.out_ids.binary_search_by(|&o| keys.order(o, g));
+            match (at, group.rows > 0) {
+                (Ok(i), true) => {
+                    if self.out[i].value.to_bits() != value.to_bits() {
+                        self.out[i].value = value;
+                        self.log.changed.push(self.out[i].clone());
                     }
-                    (Some(a), Some(b)) if a < b => {
-                        self.log.exited.push(self.out[i].clone());
-                        i += 1;
-                    }
-                    (Some(_), Some(_)) => {
-                        self.log.entered.push(new_out[j].clone());
-                        j += 1;
-                    }
-                    (Some(_), None) => {
-                        self.log.exited.push(self.out[i].clone());
-                        i += 1;
-                    }
-                    (None, Some(_)) => {
-                        self.log.entered.push(new_out[j].clone());
-                        j += 1;
-                    }
-                    (None, None) => unreachable!("loop condition"),
                 }
+                (Ok(i), false) => {
+                    self.out_ids.remove(i);
+                    self.log.exited.push(self.out.remove(i));
+                }
+                (Err(i), true) => {
+                    let row = GroupRow {
+                        key: key.map(key_repr),
+                        value,
+                    };
+                    self.out_ids.insert(i, g);
+                    self.out.insert(i, row.clone());
+                    self.log.entered.push(row);
+                }
+                (Err(_), false) => {}
             }
         }
-        self.out = new_out;
-        self.out_keys = new_keys;
+        touched.clear();
+        self.table.touched = touched;
+        let after = logged(&self.log);
+        [0, 1, 2].map(|i| after[i] - before[i])
     }
 
     fn refresh(
@@ -1411,47 +1382,62 @@ impl GroupState {
         ctx: &FoldCtx<'_>,
         metrics: Option<&CoreMetrics>,
     ) -> Refreshed {
-        let fold = self.source.fold(world, ctx);
-        let logged = |log: &GroupChangelog| [log.entered.len(), log.exited.len(), log.changed.len()];
-        let before = logged(&self.log);
+        let fold = self.source.fold(world, ctx, &mut self.keys);
         let retracts_before = self.table.retracts;
-        if !fold.deltas.is_empty() {
-            for d in &fold.deltas {
-                if let Some(o) = &d.old {
-                    self.table.retract(d.id, o);
-                }
-                if let Some(n) = &d.new {
-                    self.table.insert(d.id, n);
+        for d in &fold.deltas {
+            if let Some(o) = d.old {
+                if let Some(g) = self.group_of(&o) {
+                    self.table.retract(g, d.id, o.agg_input());
                 }
             }
-            self.rebuild(true);
+            if let Some(n) = d.new {
+                if let Some(g) = self.group_of(&n) {
+                    self.table.insert(g, d.id, n.agg_input());
+                }
+            }
         }
-        let after = logged(&self.log);
+        let [entered, exited, changed] = self.patch();
+        self.keys.sweep();
         let done = Refreshed {
             cands: fold.cands,
-            entered: after[0] - before[0],
-            exited: after[1] - before[1],
-            changed: after[2] - before[2],
+            entered,
+            exited,
+            changed,
+            keys: self.keys.len(),
         };
         if let Some(m) = metrics {
             let rows_in = fold.deltas.len();
             m.op_scan.note(rows_in, rows_in);
-            m.op_group.note(rows_in, done.entered + done.exited + done.changed);
+            m.op_group.note(rows_in, entered + exited + changed);
             m.op_group_retracts.add(self.table.retracts - retracts_before);
         }
         done
     }
 
+    /// Seed from the sorted run: each group's key is interned once, for
+    /// all its rows, and the output is built in the run's key order.
     fn init(&mut self, world: &World) {
-        let members = self.source.init(world, |_, _| {});
-        let mut groups = Vec::new();
-        self.table
-            .fold_run(world, &self.source.src.schema, &members, |key, g| {
-                groups.push((key.map(KeyRef::to_key), g))
+        let members = self.source.init(world, None);
+        let agg = self.table.agg;
+        let (keys, groups) = (&mut self.keys, &mut self.table.groups);
+        let (out, out_ids) = (&mut self.out, &mut self.out_ids);
+        let slot_keys = &mut self.source.rows.keys;
+        GroupTable::fold_run(agg, world, &self.source.src, &members, |key, g, run| {
+            let id = key.map_or(0, |k| keys.intern(k, run.len() as u32));
+            if let Some(v) = slot_keys.as_mut() {
+                for &(_, _, e) in run {
+                    v[e.index() as usize] = id;
+                }
+            }
+            out.push(GroupRow {
+                key: key.map(key_repr),
+                value: g.value(agg),
             });
-        // `BTreeMap::from_iter` builds bottom-up from the sorted run
-        self.table.groups = groups.into_iter().collect();
-        self.rebuild(false);
+            out_ids.push(id);
+            // a fresh table hands out ids in the run's order: 0, 1, 2, …
+            debug_assert_eq!(groups.len(), id as usize);
+            groups.push(g);
+        });
     }
 }
 
@@ -1459,6 +1445,8 @@ impl GroupState {
 // The registered view
 // ---------------------------------------------------------------------
 
+// one per registered view: the variants' sizes do not matter
+#[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone)]
 enum OpState {
     Rows(RowsState),
@@ -1481,7 +1469,7 @@ impl PlanView {
     pub(crate) fn new(plan: ViewPlan, world: &World) -> Result<PlanView, CoreError> {
         let mut state = compile(&plan)?;
         match &mut state {
-            OpState::Rows(s) => s.out = s.source.init(world, |_, _| {}),
+            OpState::Rows(s) => s.out = s.source.init(world, None),
             OpState::Join(s) => s.init(world),
             OpState::Group(s) => s.init(world),
         }
@@ -1500,7 +1488,8 @@ impl PlanView {
         self.stats
     }
 
-    /// Fold one change-stream segment into the operator tree.
+    /// Fold one change-stream segment into the operator tree; with
+    /// metrics attached the fold is timed (`view.s{slot}.fold_us`).
     pub(crate) fn refresh(
         &mut self,
         world: &World,
@@ -1508,6 +1497,7 @@ impl PlanView {
         slot: usize,
         metrics: Option<&CoreMetrics>,
     ) {
+        let started = metrics.map(|_| Instant::now());
         let done = match &mut self.state {
             OpState::Rows(s) => s.refresh(world, ctx, metrics),
             OpState::Join(s) => s.refresh(world, ctx, metrics),
@@ -1517,31 +1507,40 @@ impl PlanView {
         self.stats.refreshes += 1;
         self.stats.deltas_seen += ctx.batch_len as u64;
         self.stats.delta_rows += delta_rows;
-        if let Some(m) = metrics {
+        if let (Some(m), Some(started)) = (metrics, started) {
+            let fold_us = started.elapsed().as_micros() as u64;
+            let per_slot = m.view_slot(slot);
+            per_slot.fold_us.observe(fold_us);
             m.view_refreshes.inc();
             m.view_deltas.add(ctx.batch_len as u64);
             m.view_candidates.observe(done.cands as u64);
             m.view_entered.add(done.entered as u64);
             m.view_exited.add(done.exited as u64);
             m.view_changed.add(done.changed as u64);
-            let per_slot = m.view_slot(slot);
             per_slot.refreshes.inc();
             per_slot.candidates.add(done.cands as u64);
             per_slot.delta_rows.add(delta_rows);
+            per_slot.keys.set(done.keys as i64);
         }
     }
 
     /// Move a rows view's spatial restriction: the scan leaf's `within`
     /// is rewritten **in the stored plan** — catalog export,
     /// [`crate::world::World::find_view`], WAL redo and recovery all see
-    /// the current disk — and the view re-evaluates once under it.
-    ///
-    /// # Panics
-    /// On join and group-aggregate plans: spatial joins follow their
-    /// anchor's position deltas instead of retargeting.
-    pub(crate) fn retarget(&mut self, world: &World, slot: usize, center: Vec2, radius: f32) {
+    /// the current disk — and the view re-evaluates once under it. Join
+    /// and group-aggregate views refuse ([`CoreError::PlanInvalid`]):
+    /// spatial joins follow their anchor's position deltas instead.
+    pub(crate) fn retarget(
+        &mut self,
+        world: &World,
+        slot: usize,
+        center: Vec2,
+        radius: f32,
+    ) -> Result<(), CoreError> {
         let OpState::Rows(s) = &mut self.state else {
-            panic!("view at slot {slot} is a join or group-aggregate view; only rows views retarget");
+            return Err(CoreError::PlanInvalid(
+                "only rows views retarget; join and group views follow their deltas",
+            ));
         };
         let mut leaf = &mut self.plan.root;
         loop {
@@ -1563,6 +1562,7 @@ impl PlanView {
             per_slot.refreshes.inc();
             per_slot.rescans.inc();
         }
+        Ok(())
     }
 
     /// The fused scan query of a rows view: the leaf's standing query
@@ -2096,6 +2096,75 @@ mod tests {
         assert_eq!(snap.counter("view.op_group.rows_in"), 2, "both writes reached the aggregate");
         assert_eq!(snap.counter("view.op_group.rows_out"), 0, "no group row changed value");
         assert_oracle(&w, v);
+    }
+
+    #[test]
+    fn untouched_groups_are_never_logged_changed() {
+        // Team a sums +inf and -inf: its value is NaN, which never
+        // equals itself. A refresh that touches only team b must report
+        // b alone.
+        let mut w = world();
+        let [a1, a2, b] = [(); 3].map(|_| w.spawn_at(Vec2::ZERO));
+        team(&mut w, a1, "a");
+        team(&mut w, a2, "a");
+        team(&mut w, b, "b");
+        w.set_f32(a1, "hp", f32::INFINITY).unwrap();
+        w.set_f32(a2, "hp", f32::NEG_INFINITY).unwrap();
+        w.set_f32(b, "hp", 1.0).unwrap();
+        let v = w
+            .register_view_plan(ViewPlan::group_by(
+                PlanNode::scan(Query::select()),
+                "team",
+                AggFn::Sum("hp".into()),
+            ))
+            .unwrap();
+        assert!(w.view_group_value(v, Some(&Value::Str("a".into()))).unwrap().is_nan());
+        w.set_f32(b, "hp", 2.0).unwrap();
+        w.refresh_views();
+        let log = w.take_view_group_changelog(v);
+        assert_eq!(
+            log.changed,
+            vec![GroupRow {
+                key: Some(Value::Str("b".into())),
+                value: 2.0
+            }]
+        );
+        assert!(log.entered.is_empty() && log.exited.is_empty());
+        // a write to a member of a that leaves its sum NaN changes nothing
+        w.set_f32(a1, "hp", f32::INFINITY).unwrap();
+        w.set(a1, "gold", Value::Int(1)).unwrap();
+        w.refresh_views();
+        assert!(w.take_view_group_changelog(v).is_empty());
+    }
+
+    #[test]
+    fn retarget_refuses_join_and_group_views() {
+        let mut w = world();
+        let a = w.spawn_at(Vec2::ZERO);
+        team(&mut w, a, "red");
+        let group = w
+            .register_view_plan(ViewPlan::group_by(
+                PlanNode::scan(Query::select()),
+                "team",
+                AggFn::Count,
+            ))
+            .unwrap();
+        let join = w
+            .register_view_plan(ViewPlan::join(
+                PlanNode::scan(Query::select()),
+                PlanNode::scan(Query::select()),
+                JoinOn::Within { radius: 5.0 },
+            ))
+            .unwrap();
+        for v in [group, join] {
+            let plan = w.view_plan(v).unwrap().clone();
+            let err = w.retarget_view(v, Vec2::new(9.0, 9.0), 3.0);
+            assert!(matches!(err, Err(CoreError::PlanInvalid(_))), "{err:?}");
+            assert_eq!(w.view_plan(v), Some(&plan), "nothing moved");
+            assert_eq!(w.view_stats(v).rescans, 0);
+        }
+        assert_oracle(&w, group);
+        assert_oracle(&w, join);
     }
 
     #[test]

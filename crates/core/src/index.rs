@@ -210,6 +210,23 @@ impl<'a> KeyRef<'a> {
         }
     }
 
+    /// The first eight bytes of the key's order as one integer: `a < b`
+    /// implies `a.prefix() <= b.prefix()`, and only two strings sharing
+    /// their first eight bytes can tie on distinct keys.
+    fn prefix(self) -> u64 {
+        match self {
+            KeyRef::Num(n) => n.0,
+            KeyRef::Bool(b) => b as u64,
+            KeyRef::Str(s) => {
+                let mut head = [0u8; 8];
+                let n = s.len().min(8);
+                head[..n].copy_from_slice(&s.as_bytes()[..n]);
+                u64::from_be_bytes(head)
+            }
+            KeyRef::Vec2([x, y]) => (x as u64) << 32 | y as u64,
+        }
+    }
+
     /// The owned key.
     pub(crate) fn to_key(self) -> IndexKey {
         match self {
@@ -229,50 +246,136 @@ impl<'a> KeyRef<'a> {
 pub(crate) struct KeyBuf(Option<IndexKey>);
 
 impl KeyBuf {
-    /// Load a string key into the reused buffer.
-    pub(crate) fn load_str(&mut self, s: &str) {
-        match &mut self.0 {
-            Some(IndexKey::Str(buf)) => {
+    /// Load `key` — a string into the reused buffer — and return it as
+    /// the owned key type maps look up.
+    pub(crate) fn load(&mut self, key: KeyRef<'_>) -> &IndexKey {
+        match (key, &mut self.0) {
+            (KeyRef::Str(s), Some(IndexKey::Str(buf))) => {
                 buf.clear();
                 buf.push_str(s);
             }
-            other => *other = Some(IndexKey::Str(s.to_string())),
+            (key, held) => *held = Some(key.to_key()),
         }
-    }
-
-    /// Load `key` (`None` is the key of a global group).
-    pub(crate) fn load(&mut self, key: Option<IndexKey>) {
-        self.0 = key;
-    }
-
-    /// Load the key of `col[slot]`; `false` when the slot has no key
-    /// (absent, or NaN).
-    fn load_slot(&mut self, col: &Column, slot: usize) -> bool {
-        match KeyRef::at(col, slot) {
-            Some(KeyRef::Str(s)) => self.load_str(s),
-            key => self.0 = key.map(KeyRef::to_key),
-        }
-        self.0.is_some()
-    }
-
-    /// The loaded key, as maps keyed by an optional key look it up.
-    pub(crate) fn get(&self) -> &Option<IndexKey> {
-        &self.0
+        self.0.as_ref().expect("just loaded")
     }
 }
 
-/// Append `id` to the posting list of the key loaded in `key`. Callers
-/// feed ids in ascending order per key, so lists stay sorted without a
-/// search.
-pub(crate) fn append_posting(map: &mut HashMap<IndexKey, Vec<EntityId>>, key: &KeyBuf, id: EntityId) {
-    let Some(k) = key.get() else { return };
-    match map.get_mut(k) {
+/// Append `id` to the posting list of `key`. Callers feed ids in
+/// ascending order per key, so lists stay sorted without a search.
+fn append_posting(map: &mut HashMap<IndexKey, Vec<EntityId>>, key: &IndexKey, id: EntityId) {
+    match map.get_mut(key) {
         Some(posting) => posting.push(id),
         None => {
-            map.insert(k.clone(), vec![id]);
+            map.insert(key.clone(), vec![id]);
         }
     }
 }
+
+/// Interns the keys one view operator holds as dense `u32` ids, so its
+/// group table and join postings are vectors indexed by id and a row
+/// remembers its key in four bytes. Each id counts the rows holding it;
+/// an id whose count falls to zero is freed by [`KeyTable::sweep`] — at
+/// the end of a refresh, so ids stay stable while one is folded — and
+/// reused by the next new key, so key churn cannot grow the table.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct KeyTable {
+    ids: HashMap<IndexKey, u32>,
+    /// Key of each id; `None` for a free id.
+    keys: Vec<Option<IndexKey>>,
+    /// Order-preserving prefix of each id's key ([`KeyRef::prefix`]).
+    prefixes: Vec<u64>,
+    /// Rows holding each id.
+    rows: Vec<u32>,
+    free: Vec<u32>,
+    /// Ids whose count reached zero since the last sweep.
+    dead: Vec<u32>,
+    buf: KeyBuf,
+}
+
+impl KeyTable {
+    /// The key of `id`; `None` for a free id or [`NO_KEY`].
+    pub(crate) fn get(&self, id: u32) -> Option<KeyRef<'_>> {
+        self.keys.get(id as usize)?.as_ref().map(IndexKey::as_ref)
+    }
+
+    /// How the keys of `a` and `b` — of one type, as one column's keys
+    /// are — order: by their cached prefixes, and by the keys themselves
+    /// only when those tie.
+    pub(crate) fn order(&self, a: u32, b: u32) -> Ordering {
+        if a == b {
+            return Ordering::Equal;
+        }
+        let prefix = |id: u32| self.prefixes.get(id as usize);
+        prefix(a)
+            .cmp(&prefix(b))
+            .then_with(|| self.get(a).cmp(&self.get(b)))
+    }
+
+    /// The id of `key`, counting `rows` more rows on it. A known key is
+    /// found through the reused lookup buffer, so it allocates nothing.
+    pub(crate) fn intern(&mut self, key: KeyRef<'_>, rows: u32) -> u32 {
+        if let Some(&id) = self.ids.get(self.buf.load(key)) {
+            self.rows[id as usize] += rows;
+            return id;
+        }
+        let id = self.free.pop().unwrap_or(self.keys.len() as u32);
+        if id as usize == self.keys.len() {
+            self.keys.push(None);
+            self.prefixes.push(0);
+            self.rows.push(0);
+        }
+        self.keys[id as usize] = Some(key.to_key());
+        self.prefixes[id as usize] = key.prefix();
+        self.rows[id as usize] = rows;
+        self.ids.insert(key.to_key(), id);
+        id
+    }
+
+    /// The id a row holding `held` ([`NO_KEY`]: none) holds once its key
+    /// is `now`: `held` itself when the key is unchanged — compared with
+    /// the interned key, not hashed — else `now` interned, `held`
+    /// released.
+    pub(crate) fn rekey(&mut self, held: u32, now: Option<KeyRef<'_>>) -> u32 {
+        match now {
+            Some(k) if self.get(held) == Some(k) => held,
+            now => {
+                if held != NO_KEY {
+                    self.release(held);
+                }
+                now.map_or(NO_KEY, |k| self.intern(k, 1))
+            }
+        }
+    }
+
+    /// One row stopped holding `id`.
+    fn release(&mut self, id: u32) {
+        let rows = &mut self.rows[id as usize];
+        *rows -= 1;
+        if *rows == 0 {
+            self.dead.push(id);
+        }
+    }
+
+    /// Free every id no row holds any more.
+    pub(crate) fn sweep(&mut self) {
+        while let Some(id) = self.dead.pop() {
+            if self.rows[id as usize] == 0 {
+                if let Some(key) = self.keys[id as usize].take() {
+                    self.ids.remove(&key);
+                    self.free.push(id);
+                }
+            }
+        }
+    }
+
+    /// Keys currently interned.
+    pub(crate) fn len(&self) -> usize {
+        self.ids.len()
+    }
+}
+
+/// The key id of a row without a key (the column absent, or NaN).
+pub(crate) const NO_KEY: u32 = u32::MAX;
 
 /// The support matrix shared by executor ([`SecondaryIndex::supports`])
 /// and planner (`planner::plan`) — one source of truth, so the planner
@@ -332,8 +435,8 @@ impl SecondaryIndex {
                 let mut map = HashMap::new();
                 let mut key = KeyBuf::default();
                 for id in ids {
-                    if key.load_slot(col, id.index() as usize) {
-                        append_posting(&mut map, &key, id);
+                    if let Some(k) = KeyRef::at(col, id.index() as usize) {
+                        append_posting(&mut map, key.load(k), id);
                         entries += 1;
                     }
                 }

@@ -13,7 +13,9 @@
 
 use std::sync::Mutex;
 
-use gamedb_metrics::{Counter, Gauge, Histogram, MetricsRegistry, SIZE_BUCKETS};
+use gamedb_metrics::{
+    Counter, Gauge, Histogram, MetricsRegistry, LATENCY_US_BUCKETS, SIZE_BUCKETS,
+};
 
 use crate::planner::Access;
 
@@ -75,7 +77,7 @@ pub(crate) struct CoreMetrics {
     /// group's current extreme (recomputed from the ordered multiset).
     pub op_group_retracts: Counter,
     /// `view.s{slot}.*`: per-view refresh/rescan/candidate/delta-row
-    /// counters.
+    /// counters, fold time and key-table size.
     view_slots: Mutex<Vec<Option<ViewSlotMetrics>>>,
     // -- planner --
     /// `planner.plans`: cost-based plan selections executed.
@@ -125,6 +127,11 @@ pub(crate) struct ViewSlotMetrics {
     /// `view.s{slot}.delta_rows`: output delta rows this view emitted
     /// (its per-refresh delta-batch size, accumulated).
     pub delta_rows: Counter,
+    /// `view.s{slot}.fold_us`: wall time of each refresh's fold.
+    pub fold_us: Histogram,
+    /// `view.s{slot}.keys`: keys the view's operator holds interned
+    /// after its last refresh (0 for views without a key column).
+    pub keys: Gauge,
 }
 
 impl CoreMetrics {
@@ -196,6 +203,10 @@ impl CoreMetrics {
                 rescans: self.registry.counter(&format!("view.s{slot}.rescans")),
                 candidates: self.registry.counter(&format!("view.s{slot}.candidates")),
                 delta_rows: self.registry.counter(&format!("view.s{slot}.delta_rows")),
+                fold_us: self
+                    .registry
+                    .histogram(&format!("view.s{slot}.fold_us"), LATENCY_US_BUCKETS),
+                keys: self.registry.gauge(&format!("view.s{slot}.keys")),
             })
             .clone()
     }

@@ -518,7 +518,7 @@ mod tests {
         let b = w.spawn_at(Vec2::new(100.0, 0.0));
         let v = w.register_view(Query::select().within(Vec2::ZERO, 10.0));
         assert_eq!(w.view_rows(v), &[a]);
-        w.retarget_view(v, Vec2::new(100.0, 0.0), 10.0);
+        w.retarget_view(v, Vec2::new(100.0, 0.0), 10.0).unwrap();
         let log = w.take_view_changelog(v);
         assert_eq!(log.entered, vec![b]);
         assert_eq!(log.exited, vec![a]);
@@ -614,7 +614,7 @@ mod tests {
         );
         let v = w.register_view_plan(plan.clone()).unwrap();
         assert!(w.view_rows(v).is_empty());
-        w.retarget_view(v, Vec2::new(100.0, 0.0), 10.0);
+        w.retarget_view(v, Vec2::new(100.0, 0.0), 10.0).unwrap();
         assert_eq!(w.view_rows(v), &[a]);
         let moved = Query::select().within(Vec2::new(100.0, 0.0), 10.0);
         assert_eq!(w.view_query(v), &moved.clone().filter("hp", CmpOp::Lt, Value::Float(50.0)));

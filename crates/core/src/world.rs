@@ -1206,26 +1206,29 @@ impl World {
     /// aggro ranges follow their focus entity). Pending changes are
     /// folded first, then the view's plan takes the new disk, the view
     /// re-evaluates under it once, and the membership diff lands in its
-    /// changelog as `entered` / `exited`.
+    /// changelog as `entered` / `exited`. Join and group-aggregate views
+    /// do not retarget: they return [`CoreError::PlanInvalid`], and
+    /// nothing is moved or recorded.
     ///
     /// # Panics
-    /// On foreign, unknown, or dropped ids, and on join or
-    /// group-aggregate views.
-    pub fn retarget_view(&mut self, id: ViewId, center: Vec2, radius: f32) {
+    /// On foreign, unknown, or dropped ids.
+    pub fn retarget_view(&mut self, id: ViewId, center: Vec2, radius: f32) -> Result<(), CoreError> {
         self.plan_view(id);
         self.refresh_views();
         // Move the registry out so the re-evaluation can read `self`.
         let mut views = std::mem::take(&mut self.views);
-        views
+        let moved = views
             .get_mut(id)
             .retarget(self, id.slot as usize, center, radius);
         self.views = views;
+        moved?;
         self.record_catalog(ChangeOp::RetargetView {
             slot: id.slot,
             x: center.x,
             y: center.y,
             radius,
         });
+        Ok(())
     }
 
     // ---- catalog: the recovery surface ----

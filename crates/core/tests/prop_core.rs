@@ -545,24 +545,32 @@ proptest! {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(40))]
+    #![proptest_config(ProptestConfig::default())]
 
     /// The view engine's acceptance property, one engine ⇒ one churn
     /// test. Rows views (filter, equality, spatial + filter, liveness),
-    /// an equi-join, a spatial join and two group-by aggregates are
-    /// maintained through random interleavings of writes, component
-    /// removals, despawns, template spawns, ticks, **retargets** of the
-    /// spatial rows view and **drop + re-register** of any rows view,
-    /// with and without a sorted index on `hp`. After every tick (and at
-    /// the end, after a final refresh) each rows view equals the
-    /// `Query::run_scan` oracle and every view equals a forced
+    /// two equi-joins (string keys; int keys against float keys), a
+    /// spatial join and four group-by aggregates (count and min by a
+    /// string key, max by an int key, sum by a float key) are maintained
+    /// through random interleavings of writes, component removals,
+    /// despawns, template spawns, ticks, members moving between groups —
+    /// a whole team renamed, so one group empties while another fills in
+    /// the same batch — slots reused inside one batch (a despawn plus a
+    /// spawn, or a restore at a *lower* generation, which sorts ahead of
+    /// the tenant it replaces), float keys `-0.0`, `0.0` and NaN,
+    /// **retargets** of the spatial rows view and **drop + re-register**
+    /// of any rows view, with and without a sorted index on `hp`. After
+    /// every tick (and at the end, after a final refresh) each rows view
+    /// equals the `Query::run_scan` oracle and every view equals a forced
     /// `ViewPlan::evaluate`; row, pair and group changelogs are checked
-    /// for coherence: replaying them over the previous materialized
-    /// state must reproduce the current one.
+    /// for coherence — replaying them over the previous materialized
+    /// state must reproduce the current one — and each batch's group
+    /// changelog for key order. At the end every keyed view's key table
+    /// (`view.s{slot}.keys`) holds exactly its live rows' distinct keys.
     #[test]
     fn operator_views_track_scan_oracle_under_churn(
         ops in proptest::collection::vec(
-            (index_op_strategy(), 0u8..12, -40.0f32..40.0, -40.0f32..40.0, 0.5f32..120.0),
+            (index_op_strategy(), 0u8..20, -40.0f32..40.0, -40.0f32..40.0, 0.5f32..120.0),
             1..80,
         ),
         hp_bound in 0.0f32..100.0,
@@ -577,10 +585,17 @@ proptest! {
         use std::collections::{BTreeMap, BTreeSet};
         /// Index of the spatial rows view — the one retargets move.
         const SPATIAL: usize = 2;
+        /// The float key column's values: both zeros, NaN (no key), and
+        /// 3.0, which joins the int key 3.
+        const WTS: [f32; 6] = [-0.0, 0.0, f32::NAN, 1.5, 3.0, 2.0];
+        let registry = gamedb_metrics::MetricsRegistry::new();
         let mut w = World::new();
         w.define_component("hp", ValueType::Float).unwrap();
         w.define_component("dmg", ValueType::Float).unwrap();
         w.define_component("team", ValueType::Str).unwrap();
+        w.define_component("tier", ValueType::Int).unwrap();
+        w.define_component("wt", ValueType::Float).unwrap();
+        w.attach_metrics(&registry);
         if index_hp {
             // an index changes how views seed and re-evaluate (planner
             // probe instead of scan); equivalence must hold either way
@@ -598,10 +613,12 @@ proptest! {
             .iter()
             .map(|q| w.register_view(q.clone()))
             .collect();
-        // healthy×anyone teammate pairs, proximity pairs, and per-team
-        // head-counts + weakest member — one view per operator family
+        // healthy×anyone teammate pairs, proximity pairs, tier-to-weight
+        // pairs, per-team head-counts + weakest member, per-tier
+        // strongest member, per-weight tier sums
+        let healthy = Query::select().filter("hp", CmpOp::Ge, Value::Float(hp_bound));
         let equi = w.register_view_plan(ViewPlan::join(
-            PlanNode::scan(Query::select().filter("hp", CmpOp::Ge, Value::Float(hp_bound))),
+            PlanNode::scan(healthy.clone()),
             PlanNode::scan(Query::select()),
             JoinOn::Eq { left: "team".into(), right: "team".into() },
         )).unwrap();
@@ -610,15 +627,22 @@ proptest! {
             PlanNode::scan(Query::select()),
             JoinOn::Within { radius: join_r },
         )).unwrap();
-        let count = w.register_view_plan(
-            Query::select().into_grouped_plan("team", AggFn::Count).unwrap(),
-        ).unwrap();
-        let weakest = w.register_view_plan(
-            Query::select().into_grouped_plan("team", AggFn::Min("hp".into())).unwrap(),
-        ).unwrap();
+        let cross = w.register_view_plan(ViewPlan::join(
+            PlanNode::scan(Query::select()),
+            PlanNode::scan(healthy.clone()),
+            JoinOn::Eq { left: "tier".into(), right: "wt".into() },
+        )).unwrap();
+        let grouped = |w: &mut World, col: &str, agg: AggFn| {
+            w.register_view_plan(Query::select().into_grouped_plan(col, agg).unwrap()).unwrap()
+        };
+        let count = grouped(&mut w, "team", AggFn::Count);
+        let weakest = grouped(&mut w, "team", AggFn::Min("hp".into()));
+        let strongest = grouped(&mut w, "tier", AggFn::Max("hp".into()));
+        // tiers are integers: their sums are exact, so the oracle is too
+        let tier_sums = grouped(&mut w, "wt", AggFn::Sum("tier".into()));
 
-        let pair_views = [equi, spatial];
-        let group_views = [count, weakest];
+        let pair_views = [equi, spatial, cross];
+        let group_views = [count, weakest, strongest, tier_sums];
         let mut row_shadows: Vec<BTreeSet<EntityId>> = row_views
             .iter()
             .map(|&v| w.view_rows(v).iter().copied().collect())
@@ -685,6 +709,13 @@ proptest! {
                 let forced = w.view_plan(v).unwrap().evaluate(w).unwrap();
                 prop_assert_eq!(w.view_output(v), forced, "group view {:?}", v);
                 let log = w.take_view_group_changelog(v);
+                for rows in [&log.entered, &log.exited, &log.changed] {
+                    let keys: Vec<_> = rows.iter().map(|g| g.key.as_ref().and_then(group_key)).collect();
+                    prop_assert!(
+                        keys.windows(2).all(|k| k[0] < k[1]),
+                        "a batch's group changelog is in key order: {:?}", keys
+                    );
+                }
                 for g in &log.exited {
                     prop_assert!(
                         shadow.remove(&format!("{:?}", g.key)).is_some(),
@@ -703,20 +734,65 @@ proptest! {
                         "change of unknown group {:?}", g.key
                     );
                 }
-                let replayed: Vec<(String, f64)> =
-                    shadow.iter().map(|(k, &x)| (k.clone(), x)).collect();
-                let actual: Vec<(String, f64)> = w
+                let actual: BTreeMap<String, f64> = w
                     .view_groups(v)
                     .iter()
                     .map(|g| (format!("{:?}", g.key), g.value))
                     .collect();
-                prop_assert_eq!(replayed, actual, "group changelog replay diverged for {:?}", v);
+                prop_assert_eq!(&*shadow, &actual, "group changelog replay diverged for {:?}", v);
             }
             Ok(())
         };
 
         let mut retargets = 0u64;
         for (op, view_op, x, y, vr) in &ops {
+            let pick = (*x as i32).unsigned_abs() as usize;
+            let at = (!live.is_empty()).then(|| pick % live.len());
+            // world ops beside the workload's, ahead of it so that a tick
+            // folds them into its batch
+            match (*view_op, at) {
+                (2, Some(i)) => w.set(live[i], "tier", Value::Int((*y as i64).rem_euclid(5))).unwrap(),
+                (3, Some(i)) => {
+                    let wt = WTS[(*y as i64).rem_euclid(WTS.len() as i64) as usize];
+                    w.set_f32(live[i], "wt", wt).unwrap();
+                }
+                (4, Some(i)) => {
+                    w.remove_component(live[i], "tier").unwrap();
+                }
+                // the slot changes tenant inside the batch: a despawn,
+                // then a spawn the allocator puts in the freed slot, or a
+                // restore one generation *below* the old tenant (where
+                // there is one), which sorts ahead of it
+                (5 | 6, Some(i)) => {
+                    let old = live[i];
+                    w.despawn(old);
+                    let new = if *view_op == 5 {
+                        w.spawn_at(Vec2::new(*y, *x))
+                    } else {
+                        let gen = old.generation().checked_sub(1).unwrap_or(1);
+                        let id = EntityId::from_bits(u64::from(old.index()) | u64::from(gen) << 32);
+                        w.restore_entity(id).unwrap();
+                        w.set_pos(id, Vec2::new(*y, *x)).unwrap();
+                        id
+                    };
+                    prop_assert_eq!(new.index(), old.index(), "the slot is reused");
+                    w.set_f32(new, "hp", vr.min(99.0)).unwrap();
+                    w.set(new, "team", Value::Str(team_name(pick as u8).into())).unwrap();
+                    w.set(new, "tier", Value::Int((*y as i64).rem_euclid(5))).unwrap();
+                    w.set_f32(new, "wt", WTS[pick % WTS.len()]).unwrap();
+                    live[i] = new;
+                }
+                // members move between groups: a whole team renamed
+                (7, Some(_)) => {
+                    let (from, to) = (team_name(pick as u8), team_name((*y as i32).unsigned_abs() as u8));
+                    for &e in &live {
+                        if w.get(e, "team") == Some(Value::Str(from.into())) {
+                            w.set(e, "team", Value::Str(to.into())).unwrap();
+                        }
+                    }
+                }
+                _ => {}
+            }
             apply_index_op(&mut w, &mut live, op);
             // Each changelog taken must hold one refresh batch — across
             // batches the order of an enter and an exit of the same row
@@ -730,7 +806,7 @@ proptest! {
                 // move the spatial rows view's disk: the diff lands in
                 // the changelog the shadow replays
                 0 => {
-                    w.retarget_view(row_views[SPATIAL], Vec2::new(*x, *y), *vr);
+                    w.retarget_view(row_views[SPATIAL], Vec2::new(*x, *y), *vr).unwrap();
                     queries[SPATIAL].retarget_within(Vec2::new(*x, *y), *vr);
                     retargets += 1;
                     prop_assert_eq!(w.view_stats(row_views[SPATIAL]).rescans, retargets);
@@ -738,7 +814,7 @@ proptest! {
                 // drop a rows view and register it again: a fresh slot
                 // seeded from current state, the old handle stale
                 1 => {
-                    let i = (*x as i32).unsigned_abs() as usize % row_views.len();
+                    let i = pick % row_views.len();
                     let old = row_views[i];
                     prop_assert!(w.drop_view(old));
                     row_views[i] = w.register_view(queries[i].clone());
@@ -757,6 +833,10 @@ proptest! {
                 check(&mut w, &row_views, &queries, &mut row_shadows, &mut pair_shadows, &mut group_shadows)?;
             }
         }
+        // a spawn and a despawn: a final batch every view folds (and
+        // sweeps its key table after)
+        let e = w.spawn_at(Vec2::ZERO);
+        w.despawn(e);
         w.refresh_views();
         check(&mut w, &row_views, &queries, &mut row_shadows, &mut pair_shadows, &mut group_shadows)?;
         // retargets are the only re-evaluations; folds never rescan
@@ -764,9 +844,31 @@ proptest! {
             let expect = if i == SPATIAL { retargets } else { 0 };
             prop_assert_eq!(w.view_stats(v).rescans, expect);
         }
+        // each key table holds the distinct keys of its view's live rows
+        // — every side's, for a join — and no other
+        let all = Query::select();
+        let keyed = [
+            (equi, [(&healthy, "team"), (&all, "team")]),
+            (cross, [(&all, "tier"), (&healthy, "wt")]),
+            (count, [(&all, "team"); 2]),
+            (weakest, [(&all, "team"); 2]),
+            (strongest, [(&all, "tier"); 2]),
+            (tier_sums, [(&all, "wt"); 2]),
+        ];
+        for (v, sides) in keyed {
+            let distinct: BTreeSet<GroupKey> = sides
+                .iter()
+                .flat_map(|(q, col)| {
+                    q.run_scan(&w)
+                        .into_iter()
+                        .filter_map(|e| w.get(e, col).as_ref().and_then(group_key))
+                })
+                .collect();
+            let held = registry.snapshot().gauge(&format!("view.s{}.keys", v.slot()));
+            prop_assert_eq!(held, distinct.len() as i64, "key table of {:?}", v);
+        }
     }
 }
-
 /// Rebuild a world from its public recovery surface, the way the
 /// persistence layer does after a crash: the row image bulk-loaded
 /// (schema in id order, entities with their generations, every value
@@ -1230,7 +1332,7 @@ fn replay_change(w: &mut World, op: &gamedb_core::ChangeOp) {
         }
         ChangeOp::RetargetView { slot, x, y, radius } => {
             if let Some(v) = w.view_id_at(*slot) {
-                w.retarget_view(v, Vec2::new(*x, *y), *radius);
+                w.retarget_view(v, Vec2::new(*x, *y), *radius).unwrap();
             }
         }
         ChangeOp::TickTo { tick } => {
@@ -1286,7 +1388,8 @@ proptest! {
                     bubble,
                     Vec2::new(k as f32 - 20.0, 3.0),
                     8.0 + (k % 30) as f32,
-                );
+                )
+                .unwrap();
             }
             // catalog churn mid-stream: index toggles, view lifecycle
             if k % 7 == 3 {

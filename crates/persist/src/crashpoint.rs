@@ -304,7 +304,10 @@ impl Driver {
                         self.rng.gen_range(-30.0..30.0f32),
                     );
                     let r = self.rng.gen_range(5.0..40.0f32);
-                    self.store.world_mut().retarget_view(v, c, r);
+                    self.store
+                        .world_mut()
+                        .retarget_view(v, c, r)
+                        .expect("the workload registers rows views only");
                 }
             }
         }

@@ -594,12 +594,12 @@ impl WalRecord {
                 }
                 Ok(())
             }
-            WalRecord::RetargetView { slot, x, y, radius } => {
-                if let Some(view) = world.view_id_at(*slot) {
-                    world.retarget_view(view, Vec2::new(*x, *y), *radius);
-                }
-                Ok(())
-            }
+            // a dead slot means the drop already won; a join or group
+            // view at the slot is a log no live world wrote: an error
+            WalRecord::RetargetView { slot, x, y, radius } => match world.view_id_at(*slot) {
+                Some(view) => world.retarget_view(view, Vec2::new(*x, *y), *radius),
+                None => Ok(()),
+            },
             // no view fold per replayed tick: the whole tail folds once,
             // when recovery ends (`recover_from_parts`)
             WalRecord::TickTo { tick } => {
@@ -1063,6 +1063,46 @@ mod tests {
         .unwrap();
         w.refresh_views();
         assert!(w.view_rows(v).is_empty());
+    }
+
+    /// A log no live world writes — a retarget of the join or group view
+    /// at its slot — fails its replay with the world's error, like an
+    /// invalid plan registration does, instead of panicking; the records
+    /// after it are not applied.
+    #[test]
+    fn replayed_retarget_of_a_join_or_group_view_is_an_error() {
+        use gamedb_core::{AggFn, CoreError, JoinOn, PlanNode, ViewPlan};
+        let group = ViewPlan::group_by(PlanNode::scan(Query::select()), "hp", AggFn::Count);
+        let join = ViewPlan::join(
+            PlanNode::scan(Query::select()),
+            PlanNode::scan(Query::select()),
+            JoinOn::Within { radius: 4.0 },
+        );
+        for plan in [group, join] {
+            let mut w = World::new();
+            w.define_component("hp", ValueType::Float).unwrap();
+            let e = w.spawn_at(Vec2::ZERO);
+            let log = log_of(&[
+                WalRecord::CheckpointMark { seq: 1 },
+                WalRecord::RegisterPlanView { slot: 0, plan: plan.clone() },
+                WalRecord::RetargetView {
+                    slot: 0,
+                    x: 5.0,
+                    y: 5.0,
+                    radius: 2.0,
+                },
+                WalRecord::Set {
+                    entity: e,
+                    component: "hp".into(),
+                    value: Value::Float(3.0),
+                },
+            ]);
+            let err = replay_log_tail(&mut w, &log, 1);
+            assert!(matches!(err, Err(CoreError::PlanInvalid(_))), "{err:?}");
+            let v = w.view_id_at(0).expect("the registration replayed");
+            assert_eq!(w.view_plan(v), Some(&plan), "the plan did not move");
+            assert_eq!(w.get_f32(e, "hp"), None, "replay stopped at the error");
+        }
     }
 
     /// Satellite: a checksum-valid **duplicated tail** — what an

@@ -1470,7 +1470,8 @@ mod tests {
             .world_mut()
             .register_view(Query::select().within(Vec2::ZERO, 10.0));
         s.world_mut()
-            .retarget_view(near, Vec2::new(50.0, 0.0), 10.0);
+            .retarget_view(near, Vec2::new(50.0, 0.0), 10.0)
+            .unwrap();
         let t = s.world().tick();
         s.world_mut().advance_tick_to(t + 1);
         s.world_mut().remove_component(a, "hp").unwrap();
@@ -1647,7 +1648,9 @@ mod tests {
             )
             .unwrap();
         tick(&mut s, 1);
-        s.world_mut().retarget_view(bubble, Vec2::new(30.0, 0.0), 6.0);
+        s.world_mut()
+            .retarget_view(bubble, Vec2::new(30.0, 0.0), 6.0)
+            .unwrap();
         let join = s
             .world_mut()
             .register_view_plan(ViewPlan::join(

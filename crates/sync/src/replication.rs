@@ -428,7 +428,9 @@ impl Replicator {
         let anchor = (self.interest.center, self.interest.radius + self.interest.margin);
         if anchor != self.view_anchor {
             let ((cx, cy), r) = anchor;
-            world.retarget_view(view, Vec2::new(cx, cy), r);
+            world
+                .retarget_view(view, Vec2::new(cx, cy), r)
+                .expect("the interest view is a rows view");
             self.view_anchor = anchor;
         } else {
             world.refresh_views();
@@ -588,7 +590,9 @@ impl Replicator {
             );
             if anchor != self.view_anchor {
                 let ((cx, cy), r) = anchor;
-                world.retarget_view(view, Vec2::new(cx, cy), r);
+                world
+                    .retarget_view(view, Vec2::new(cx, cy), r)
+                    .expect("the interest view is a rows view");
                 self.view_anchor = anchor;
                 retargeted = true;
             } else {
