@@ -1,6 +1,7 @@
 //! Replication bandwidth bench: delta-encoded stream segments
 //! (`Replicator::sync_stream`) vs the full-walk row-shipping baseline
-//! (`Replicator::sync_live`) — the ISSUE-5 acceptance experiment.
+//! (`Replicator::sync`) — the bandwidth acceptance experiment of the
+//! interned change pipeline.
 //!
 //! A 20k-entity arena with a finite interest bubble drifts for a fixed
 //! number of ticks (1% of entities move or change state per tick, the
@@ -52,8 +53,6 @@ fn bench_replication_delta(c: &mut Criterion) {
         let mut rep = Replicator::with_interest(ConsistencyLevel::Strict, interest);
         if stream {
             rep.attach_stream(&mut world);
-        } else {
-            rep.attach_view(&mut world);
         }
         let mut client = Replica::default();
         let start = std::time::Instant::now();
@@ -65,7 +64,7 @@ fn bench_replication_delta(c: &mut Criterion) {
             if stream {
                 rep.sync_stream(&mut world, &mut client);
             } else {
-                rep.sync_live(&mut world, &mut client);
+                rep.sync(&world, &mut client);
             }
         }
         let ms = start.elapsed().as_secs_f64() * 1e3;
@@ -110,15 +109,14 @@ fn bench_replication_delta(c: &mut Criterion) {
     {
         let (mut world, ids) = combat_world(N, 2_000.0, 42);
         let mut rep = Replicator::with_interest(ConsistencyLevel::Strict, interest);
-        rep.attach_view(&mut world);
         let mut client = Replica::default();
-        rep.sync_live(&mut world, &mut client);
+        rep.sync(&world, &mut client);
         let mut t = 0usize;
         group.bench_function("full_walk", |b| {
             b.iter(|| {
                 t += 1;
                 churn(&mut world, &ids, t);
-                rep.sync_live(&mut world, &mut client);
+                rep.sync(&world, &mut client);
             })
         });
     }

@@ -45,6 +45,73 @@ impl Effect {
             Effect::AddVec2(x, y) => (4, x.to_bits() as u64, y.to_bits() as u64),
         }
     }
+
+    /// The value of slot `(_, component)` after this effect lands on
+    /// `cur` (the world's value, or an earlier effect's result) — the
+    /// one fold table: [`EffectBuffer::apply`] resolves every slot
+    /// through it, and read-through overlays of pending effects call it
+    /// to stay equal to what `apply` will write. `ty` is the slot's
+    /// column type, `None` for an undefined component; `component` is
+    /// read only to build an error.
+    pub fn fold_onto(
+        &self,
+        cur: Option<&Value>,
+        ty: Option<ValueType>,
+        component: &str,
+    ) -> Result<Value, CoreError> {
+        let mismatch = |expected, got| {
+            Err(CoreError::TypeMismatch {
+                component: component.to_string(),
+                expected,
+                got,
+            })
+        };
+        let unknown = || Err(CoreError::UnknownComponent(component.to_string()));
+        match (self, cur) {
+            (Effect::Set(v), _) => match ty {
+                Some(ty) if v.value_type() == ty => Ok(v.clone()),
+                Some(ty) => mismatch(ty, v.value_type()),
+                None => unknown(),
+            },
+            (Effect::Add(x), Some(Value::Float(c))) => Ok(Value::Float(c + *x as f32)),
+            (Effect::Add(x), Some(Value::Int(c))) => Ok(Value::Int(c + *x as i64)),
+            (Effect::Min(x), Some(Value::Float(c))) => {
+                Ok(Value::Float((*c as f64).min(*x) as f32))
+            }
+            (Effect::Max(x), Some(Value::Float(c))) => {
+                Ok(Value::Float((*c as f64).max(*x) as f32))
+            }
+            // An integer stays exact unless the bound binds: `x as i64`
+            // truncates toward zero, which never crosses an integer `c`
+            // on the non-binding side; a NaN bound binds nothing.
+            (Effect::Min(x), Some(Value::Int(c))) if !x.is_nan() => {
+                Ok(Value::Int((*c).min(*x as i64)))
+            }
+            (Effect::Max(x), Some(Value::Int(c))) if !x.is_nan() => {
+                Ok(Value::Int((*c).max(*x as i64)))
+            }
+            (Effect::Min(_) | Effect::Max(_), Some(Value::Int(c))) => Ok(Value::Int(*c)),
+            // A numeric combinator on an absent component treats it as
+            // its zero (designers expect counters to work without
+            // initialization).
+            (Effect::Add(x) | Effect::Min(x) | Effect::Max(x), None) => match ty {
+                Some(ValueType::Float) => Ok(Value::Float(*x as f32)),
+                Some(ValueType::Int) => Ok(Value::Int(*x as i64)),
+                Some(other) => mismatch(other, ValueType::Float),
+                None => unknown(),
+            },
+            (Effect::Add(_) | Effect::Min(_) | Effect::Max(_), Some(other)) => {
+                mismatch(other.value_type(), ValueType::Float)
+            }
+            (Effect::AddVec2(dx, dy), Some(Value::Vec2(x, y))) => {
+                Ok(Value::Vec2(x + dx, y + dy))
+            }
+            // `0.0 + d`, not `d`: a `-0.0` delta lands as `+0.0`, as it
+            // would on a present zero
+            (Effect::AddVec2(dx, dy), None) => Ok(Value::Vec2(0.0 + dx, 0.0 + dy)),
+            (Effect::AddVec2(..), Some(other)) => mismatch(other.value_type(), ValueType::Vec2),
+        }
+    }
 }
 
 fn hash_value(v: &Value) -> u64 {
@@ -109,56 +176,14 @@ impl<'a> EffectOps<'a> {
     }
 }
 
-/// The value of slot `(_, name)` after `effect` lands on `cur` (the
-/// world's value, or an earlier effect's result). `ty` is the slot's
-/// column type, `None` for an undefined component; `name` is read only
-/// to build an error.
-fn fold(
-    cur: Option<&Value>,
-    effect: &Effect,
-    name: &str,
-    ty: Option<ValueType>,
-    is_pos: bool,
-) -> Result<Value, CoreError> {
-    let mismatch = |expected, got| {
-        Err(CoreError::TypeMismatch {
-            component: name.to_string(),
-            expected,
-            got,
-        })
-    };
-    let unknown = || Err(CoreError::UnknownComponent(name.to_string()));
-    match (effect, cur) {
-        (Effect::Set(v), _) => match ty {
-            Some(ty) if v.value_type() == ty => Ok(v.clone()),
-            Some(ty) => mismatch(ty, v.value_type()),
-            None => unknown(),
-        },
-        (Effect::Add(_), _) if is_pos => mismatch(ValueType::Vec2, ValueType::Float),
-        (Effect::Add(x), Some(Value::Float(c))) => Ok(Value::Float(c + *x as f32)),
-        (Effect::Add(x), Some(Value::Int(c))) => Ok(Value::Int(c + *x as i64)),
-        (Effect::Min(x), Some(Value::Float(c))) => Ok(Value::Float((*c as f64).min(*x) as f32)),
-        (Effect::Min(x), Some(Value::Int(c))) => Ok(Value::Int((*c as f64).min(*x) as i64)),
-        (Effect::Max(x), Some(Value::Float(c))) => Ok(Value::Float((*c as f64).max(*x) as f32)),
-        (Effect::Max(x), Some(Value::Int(c))) => Ok(Value::Int((*c as f64).max(*x) as i64)),
-        // A numeric combinator on an absent component treats it as its
-        // zero (designers expect counters to work without
-        // initialization).
-        (Effect::Add(x) | Effect::Min(x) | Effect::Max(x), None) => match ty {
-            Some(ValueType::Float) => Ok(Value::Float(*x as f32)),
-            Some(ValueType::Int) => Ok(Value::Int(*x as i64)),
-            Some(other) => mismatch(other, ValueType::Float),
-            None => unknown(),
-        },
-        (Effect::Add(_) | Effect::Min(_) | Effect::Max(_), Some(other)) => {
-            mismatch(other.value_type(), ValueType::Float)
-        }
-        (Effect::AddVec2(dx, dy), Some(Value::Vec2(x, y))) => Ok(Value::Vec2(x + dx, y + dy)),
-        // `0.0 + d`, not `d`: a `-0.0` delta lands as `+0.0`, as it would
-        // on a present zero
-        (Effect::AddVec2(dx, dy), None) => Ok(Value::Vec2(0.0 + dx, 0.0 + dy)),
-        (Effect::AddVec2(..), Some(other)) => mismatch(other.value_type(), ValueType::Vec2),
-    }
+/// Where an [`EffectBuffer`]'s queues ended at [`EffectBuffer::mark`]:
+/// [`EffectBuffer::ops_since`] and [`EffectBuffer::despawned_since`]
+/// read back only what was queued after it. The default mark is the
+/// empty buffer — everything.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EffectMark {
+    ops: usize,
+    despawns: usize,
 }
 
 impl EffectBuffer {
@@ -193,18 +218,37 @@ impl EffectBuffer {
     }
 
     /// Queued `(entity, component, effect)` operations, in push order.
-    /// Consumers that maintain read-through overlays (e.g. serial-within-
-    /// bubble execution in `gamedb-sync`) fold these without applying.
     pub fn ops(&self) -> EffectOps<'_> {
-        EffectOps {
-            names: &self.names,
-            ops: self.ops.iter(),
-        }
+        self.ops_since(EffectMark::default())
     }
 
     /// Queued despawns, in push order.
     pub fn despawned(&self) -> &[EntityId] {
         &self.despawns
+    }
+
+    /// Where the queues end now (see [`EffectMark`]).
+    pub fn mark(&self) -> EffectMark {
+        EffectMark {
+            ops: self.ops.len(),
+            despawns: self.despawns.len(),
+        }
+    }
+
+    /// The operations queued after `mark`, in push order. Consumers that
+    /// maintain read-through overlays (serial-within-bubble execution in
+    /// `gamedb-sync`) fold each action's ops this way as it pushes them
+    /// into one shared buffer, without applying.
+    pub fn ops_since(&self, mark: EffectMark) -> EffectOps<'_> {
+        EffectOps {
+            names: &self.names,
+            ops: self.ops[mark.ops..].iter(),
+        }
+    }
+
+    /// The despawns queued after `mark`, in push order.
+    pub fn despawned_since(&self, mark: EffectMark) -> &[EntityId] {
+        &self.despawns[mark.despawns..]
     }
 
     /// Absorb another buffer (used when merging per-thread buffers; the
@@ -290,7 +334,7 @@ impl EffectBuffer {
             let mut cur = column.and_then(|(_, col)| col.get(id.index() as usize));
             run.sort_by_key(|(_, _, effect)| effect.order_key());
             for (_, _, effect) in run.iter() {
-                cur = Some(fold(cur.as_ref(), effect, names.name(key), ty, is_pos)?);
+                cur = Some(effect.fold_onto(cur.as_ref(), ty, names.name(key))?);
             }
             applied += run.len();
             match cur {
@@ -375,6 +419,40 @@ mod tests {
         buf.push(e, "hp", Effect::Max(45.0));
         buf.apply(&mut w).unwrap();
         assert_eq!(w.get_f32(e, "hp"), Some(45.0));
+    }
+
+    /// `Min`/`Max` on an `Int` column used to round-trip the value
+    /// through `f64`, rewriting integers beyond 2^53 even when the bound
+    /// did not bind.
+    #[test]
+    fn min_max_leave_large_ints_alone_unless_they_bind() {
+        let big = 9_007_199_254_740_993i64; // 2^53 + 1: no f64 holds it
+        let run = |effect: Effect| {
+            let mut w = world();
+            let e = w.spawn_at(Vec2::ZERO);
+            w.set(e, "gold", Value::Int(big)).unwrap();
+            let mut buf = EffectBuffer::new();
+            buf.push(e, "gold", effect);
+            buf.apply(&mut w).unwrap();
+            w.get_i64(e, "gold").unwrap()
+        };
+        // bounds that do not bind leave the integer exact
+        assert_eq!(run(Effect::Min(1e18)), big);
+        assert_eq!(run(Effect::Max(-5.0)), big);
+        assert_eq!(run(Effect::Min(f64::NAN)), big);
+        assert_eq!(run(Effect::Max(f64::NAN)), big);
+        // binding bounds land as before: the bound, truncated
+        assert_eq!(run(Effect::Min(-2.5)), -2);
+        assert_eq!(run(Effect::Max(1e19)), i64::MAX);
+        assert_eq!(run(Effect::Min(9_007_199_254_740_992.0)), 9_007_199_254_740_992);
+        // small integers: exactly what the f64 round trip gave
+        for (c, x) in [(7i64, 3.9f64), (7, 7.5), (-7, -7.5), (-7, -6.5), (0, -0.0)] {
+            let ty = Some(ValueType::Int);
+            let min = Effect::Min(x).fold_onto(Some(&Value::Int(c)), ty, "gold").unwrap();
+            let max = Effect::Max(x).fold_onto(Some(&Value::Int(c)), ty, "gold").unwrap();
+            assert_eq!(min, Value::Int((c as f64).min(x) as i64), "min({c}, {x})");
+            assert_eq!(max, Value::Int((c as f64).max(x) as i64), "max({c}, {x})");
+        }
     }
 
     #[test]

@@ -81,7 +81,7 @@ pub use change::{
 };
 pub use column::{Column, ColumnData};
 pub use dvm::{GroupChangelog, GroupRow, JoinOn, PairChangelog, PlanNode, PlanOutput, ViewPlan};
-pub use effect::{Effect, EffectBuffer, EffectOps, SpawnRequest};
+pub use effect::{Effect, EffectBuffer, EffectMark, EffectOps, SpawnRequest};
 pub use entity::{EntityAllocator, EntityId};
 pub use exec::{System, TickExecutor, TickStats};
 pub use index::{IndexKey, IndexKind, SecondaryIndex};

@@ -1571,10 +1571,12 @@ fn naive_fold(world: &World, name: &str, cur: Option<Value>, effect: &Effect) ->
                     Effect::Min(_) => (c as f64).min(*x) as f32,
                     _ => (c as f64).max(*x) as f32,
                 })),
+                // an integer changes only where the bound binds
                 (Some(Value::Int(c)), _) => Ok(Value::Int(match numeric {
                     Effect::Add(_) => c + *x as i64,
-                    Effect::Min(_) => (c as f64).min(*x) as i64,
-                    _ => (c as f64).max(*x) as i64,
+                    Effect::Min(_) if *x < c as f64 => *x as i64,
+                    Effect::Max(_) if *x > c as f64 => *x as i64,
+                    _ => c,
                 })),
                 (Some(other), _) => Err(mismatch(other.value_type(), ValueType::Float)),
                 // an absent numeric component counts from its zero

@@ -13,9 +13,10 @@
 //! large — costs more than one pass over the grid.
 
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::hash::{Hash, Hasher};
 
 use crate::geom::{Aabb, Vec2};
+use crate::hash::BuildIdHasher;
 use crate::index::{finish_knn, ItemId, SpatialIndex};
 
 /// Key of a grid cell. Positions are divided by the cell size and floored,
@@ -26,35 +27,12 @@ struct CellKey {
     cy: i32,
 }
 
+/// Cells hash as one `u64` through [`crate::hash::IdHasher`]: the keys
+/// are coordinates the grid derives itself, never caller-chosen bytes.
 impl Hash for CellKey {
     #[inline]
     fn hash<H: Hasher>(&self, state: &mut H) {
         state.write_u64(((self.cx as u32 as u64) << 32) | self.cy as u32 as u64);
-    }
-}
-
-/// Multiply-rotate hasher for [`CellKey`]s. The keys are cell
-/// coordinates the grid derives itself, never caller-chosen bytes, so
-/// SipHash's collision resistance buys nothing here and costs a cell
-/// lookup's worth of time per lookup.
-#[derive(Debug, Clone, Copy, Default)]
-struct CellHasher(u64);
-
-impl Hasher for CellHasher {
-    fn write(&mut self, _: &[u8]) {
-        unreachable!("CellKey hashes as one u64");
-    }
-
-    #[inline]
-    fn write_u64(&mut self, v: u64) {
-        // the multiply gathers every input bit into the high half; the
-        // rotate moves those into the low bits the table indexes by
-        self.0 = v.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(26);
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
     }
 }
 
@@ -65,7 +43,7 @@ type Cell = Vec<(ItemId, Vec2)>;
 pub struct UniformGrid {
     cell_size: f32,
     inv_cell: f32,
-    cells: HashMap<CellKey, Cell, BuildHasherDefault<CellHasher>>,
+    cells: HashMap<CellKey, Cell, BuildIdHasher>,
     positions: HashMap<ItemId, Vec2>,
 }
 

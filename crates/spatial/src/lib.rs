@@ -11,6 +11,8 @@
 //! * [`geom`] — vectors and bounding boxes (2-D and 3-D).
 //! * [`index`] — the [`SpatialIndex`] trait plus the brute-force oracle.
 //! * [`grid`] — uniform grid / spatial hash ([`UniformGrid`]).
+//! * [`hash`] — the multiply-rotate [`IdHasher`] for derived integer keys
+//!   (grid cells here; entity and column ids in the sync layer).
 //! * [`bsp`] — dynamic BSP (kd) tree ([`BspTree`]).
 //! * [`quadtree`] — region quadtree ([`Quadtree`]).
 //! * [`octree`] — 3-D octree over [`geom::Vec3`] points ([`Octree`]).
@@ -34,6 +36,7 @@
 pub mod bsp;
 pub mod geom;
 pub mod grid;
+pub mod hash;
 pub mod index;
 pub mod navmesh;
 pub mod octree;
@@ -43,6 +46,7 @@ pub mod quadtree;
 pub use bsp::BspTree;
 pub use geom::{Aabb, Aabb3, Vec2, Vec3};
 pub use grid::UniformGrid;
+pub use hash::{BuildIdHasher, IdHasher};
 pub use index::{BruteForce, ItemId, SpatialIndex};
 pub use navmesh::{Annotation, CostProfile, NavMesh, NavMeshError, NavPath, Polygon};
 pub use octree::Octree;

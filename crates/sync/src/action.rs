@@ -57,6 +57,20 @@ impl Action {
         }
     }
 
+    /// The entities this action touches — its read set, which contains
+    /// its write set — without allocating (`Move` names its one entity
+    /// twice). What placement routing reads: an action is local exactly
+    /// when both entries share an owner.
+    pub(crate) fn footprint(&self) -> [EntityId; 2] {
+        match *self {
+            Action::Move { who, .. } => [who, who],
+            Action::Attack { attacker: a, target: b }
+            | Action::Trade { from: a, to: b, .. }
+            | Action::Heal { healer: a, target: b }
+            | Action::Pickup { player: a, item: b } => [a, b],
+        }
+    }
+
     /// True when the two actions' footprints conflict (any write-write or
     /// read-write overlap on an entity).
     pub fn conflicts_with(&self, other: &Action) -> bool {

@@ -20,6 +20,7 @@ use gamedb_spatial::Vec2;
 
 use crate::action::Action;
 use crate::executor::{ExecStats, Executor};
+use crate::view::run_serial;
 
 /// Union-find over dense indices.
 #[derive(Debug, Clone)]
@@ -464,10 +465,8 @@ impl BubbleExecutor {
         let mut per_bubble: Vec<Vec<usize>> = vec![Vec::new(); part.len()];
         let mut residual = Vec::new();
         'outer: for (i, a) in actions.iter().enumerate() {
-            let mut fp = a.read_set();
-            fp.extend(a.write_set());
             let mut bubble: Option<usize> = None;
-            for e in fp {
+            for e in a.footprint() {
                 match part.bubble_of.get(&e) {
                     None => {
                         residual.push(i);
@@ -510,13 +509,7 @@ impl Executor for BubbleExecutor {
         // one account both clamp against the tick-start balance and
         // overdraw it (the write-skew anomaly experiment E13 audits for).
         let run_bubble = |bubble_actions: &[usize], buf: &mut EffectBuffer| {
-            let mut view = crate::view::OverlayView::new(world);
-            for &i in bubble_actions {
-                let mut tmp = EffectBuffer::new();
-                actions[i].execute(&view, &mut tmp);
-                view.absorb(&tmp);
-                buf.merge(tmp);
-            }
+            run_serial(world, actions, bubble_actions, buf);
         };
         let busy: Vec<&Vec<usize>> =
             per_bubble.iter().filter(|b| !b.is_empty()).collect();

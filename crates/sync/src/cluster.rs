@@ -16,7 +16,7 @@ use gamedb_core::{EffectBuffer, World};
 
 use crate::action::Action;
 use crate::shard::{NodeId, ShardAssignment};
-use crate::view::OverlayView;
+use crate::view::run_serial;
 
 /// Cost model for the simulated cluster, in microseconds of simulated
 /// wall time.
@@ -96,10 +96,8 @@ impl ClusterExecutor {
         let mut local: Vec<Vec<usize>> = vec![Vec::new(); assignment.nodes];
         let mut distributed = Vec::new();
         'outer: for (i, a) in actions.iter().enumerate() {
-            let mut fp = a.read_set();
-            fp.extend(a.write_set());
             let mut owner: Option<NodeId> = None;
-            for e in fp {
+            for e in a.footprint() {
                 match (owner, assignment.node_of(e)) {
                     // unplaced entity (dead, or not in this placement):
                     // treat as distributed
@@ -124,9 +122,10 @@ impl ClusterExecutor {
     }
 
     /// Execute one tick. Each node's local batch runs serially within the
-    /// node against an overlay view (nodes own disjoint entities, so
-    /// their effect buffers merge conflict-free); the distributed residue
-    /// runs afterwards, serially, each action billed a 2PC.
+    /// node against an overlay view, every node pushing into one effect
+    /// buffer (nodes own disjoint entities, so their effects commute);
+    /// the distributed residue runs afterwards, serially, each action
+    /// billed a 2PC.
     pub fn execute(
         &self,
         world: &mut World,
@@ -137,13 +136,7 @@ impl ClusterExecutor {
 
         let mut merged = EffectBuffer::new();
         for node_batch in &local {
-            let mut view = OverlayView::new(world);
-            for &i in node_batch {
-                let mut tmp = EffectBuffer::new();
-                actions[i].execute(&view, &mut tmp);
-                view.absorb(&tmp);
-                merged.merge(tmp);
-            }
+            run_serial(world, actions, node_batch, &mut merged);
         }
         merged.apply(world).expect("action effects are well-typed");
 
@@ -255,18 +248,17 @@ mod tests {
 
     #[test]
     fn local_actions_within_a_node_serialize() {
-        // two trades out of one account on the same node must not overdraw
+        // trades out of one account on the same node must not overdraw:
+        // each reads the balance its predecessors left, exactly once
         let (mut w, ids, a) = squads();
         let batch = vec![
-            Action::Trade { from: ids[0], to: ids[1], amount: 60 },
-            Action::Trade { from: ids[0], to: ids[2], amount: 60 },
+            Action::Trade { from: ids[0], to: ids[1], amount: 40 },
+            Action::Trade { from: ids[0], to: ids[2], amount: 40 },
+            Action::Trade { from: ids[0], to: ids[3], amount: 40 },
         ];
         ClusterExecutor::default().execute(&mut w, &a, &batch);
-        assert_eq!(w.get_i64(ids[0], "gold"), Some(0));
-        assert_eq!(
-            w.get_i64(ids[1], "gold").unwrap() + w.get_i64(ids[2], "gold").unwrap(),
-            300
-        );
+        let gold = |i: usize| w.get_i64(ids[i], "gold").unwrap();
+        assert_eq!([gold(0), gold(1), gold(2), gold(3)], [0, 140, 140, 120]);
     }
 
     #[test]

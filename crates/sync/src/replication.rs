@@ -13,10 +13,10 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use gamedb_content::{Value, ValueType};
 use gamedb_core::{
     ChangeOp, Column, ComponentId, DurabilityWatermark, EntityId, Query, TapId, ViewId, World,
-    POS, POS_ID,
+    POS_ID,
 };
 use gamedb_metrics::MetricsRegistry;
-use gamedb_spatial::Vec2;
+use gamedb_spatial::{BuildIdHasher, Vec2};
 
 use crate::metrics::ReplMetrics;
 
@@ -50,8 +50,8 @@ fn varint_len(v: u32) -> usize {
 
 /// Wire size of one row under the legacy **row-shipping** framing:
 /// entity id + length-prefixed component name + type tag + value. This
-/// is the baseline [`Replicator::sync`]/[`Replicator::sync_live`]
-/// account against.
+/// is the baseline the full walk ([`Replicator::sync`]) accounts
+/// against.
 pub(crate) fn row_wire_bytes(component: &str, v: &Value) -> usize {
     8 + 4 + component.len() + 1 + value_wire_bytes(v)
 }
@@ -136,50 +136,61 @@ pub enum ConsistencyLevel {
     EventualSimilar { threshold: f32, state_period: u32 },
 }
 
-/// Key of one replicated row.
-type RowKey = (EntityId, String);
-
-/// A reusable lookup key for [`Replica::rows`]: the map's key type owns
-/// its `String`, so per-row lookups re-point one scratch key instead of
-/// allocating a name each.
-fn scratch_key() -> RowKey {
-    (EntityId::from_bits(0), String::new())
-}
-
-/// Point `key` at `(id, name)`.
-fn point_key<'k>(key: &'k mut RowKey, id: EntityId, name: &str) -> &'k RowKey {
-    key.0 = id;
-    key.1.clear();
-    key.1.push_str(name);
-    key
-}
+/// A replica's rows: one value per `(entity, column id)`, the column id
+/// interned by the primary world and carried by every segment put.
+pub type ReplicaRows = HashMap<(EntityId, ComponentId), Value, BuildIdHasher>;
 
 /// A client-side copy of (part of) the world state.
 #[derive(Debug, Clone, Default)]
 pub struct Replica {
     /// replicated component values
-    pub rows: HashMap<(EntityId, String), Value>,
-    /// Accumulated component name table (from [`DeltaSegment::defines`])
-    /// — how id-keyed puts resolve to the name-keyed rows above.
-    names: HashMap<ComponentId, String>,
+    pub rows: ReplicaRows,
+    /// Accumulated component name table, indexed by column id (from
+    /// [`DeltaSegment::defines`], and entered for rows that arrived by
+    /// full walk) — the columns a drop forgets.
+    names: Vec<Option<String>>,
+}
+
+/// Enter `(cid, name)` in a name table unless the id is known (ids are
+/// stable for the life of a world lineage, so a redefinition carries
+/// the same name).
+fn define(names: &mut Vec<Option<String>>, cid: ComponentId, name: &str) {
+    let at = cid.as_u32() as usize;
+    if names.len() <= at {
+        names.resize(at + 1, None);
+    }
+    names[at].get_or_insert_with(|| name.to_string());
 }
 
 impl Replica {
     /// Position the client believes an entity has.
     pub fn pos(&self, id: EntityId) -> Option<(f32, f32)> {
-        match self.rows.get(&(id, "pos".to_string())) {
+        match self.rows.get(&(id, POS_ID)) {
             Some(Value::Vec2(x, y)) => Some((*x, *y)),
             _ => None,
         }
     }
 
-    /// Forget every row held for `entity`, through the name table:
-    /// O(names), not O(rows held). `key` is the caller's scratch key.
-    /// Returns whether a row went.
-    fn forget(&mut self, entity: EntityId, key: &mut RowKey) -> bool {
+    /// Panic on a segment that uses a column id before defining it.
+    fn check_defined(&self, cid: ComponentId) {
+        assert!(
+            self.names
+                .get(cid.as_u32() as usize)
+                .is_some_and(Option::is_some),
+            "segment defines precede first use of an id"
+        );
+    }
+
+    /// Forget every row held for `entity`: one removal per column id in
+    /// the name table — O(names), not O(rows held). Returns whether a
+    /// row went.
+    fn forget(&mut self, entity: EntityId) -> bool {
         let mut any = false;
-        for name in self.names.values() {
-            any |= self.rows.remove(point_key(key, entity, name)).is_some();
+        for (at, name) in self.names.iter().enumerate() {
+            if name.is_some() {
+                let cid = ComponentId::from_u32(at as u32);
+                any |= self.rows.remove(&(entity, cid)).is_some();
+            }
         }
         any
     }
@@ -190,10 +201,10 @@ impl Replica {
     /// row — for (re)attachment, not for the tick.
     fn adopt_held(&mut self, world: &World) -> BTreeSet<EntityId> {
         let mut held = BTreeSet::new();
-        for (id, name) in self.rows.keys() {
-            held.insert(*id);
-            if let Some(cid) = world.component_id(name) {
-                self.names.entry(cid).or_insert_with(|| name.clone());
+        for &(id, cid) in self.rows.keys() {
+            held.insert(id);
+            if let Some(name) = world.component_name(cid) {
+                define(&mut self.names, cid, name);
             }
         }
         held
@@ -208,28 +219,19 @@ impl Replica {
     /// A drop forgets the columns the name table knows — every row that
     /// arrived by segment — in O(drops × names), not O(rows held).
     pub fn apply_segment(&mut self, seg: &DeltaSegment) {
-        for (id, name) in &seg.defines {
-            self.names.insert(*id, name.clone());
+        for (cid, name) in &seg.defines {
+            define(&mut self.names, *cid, name);
         }
-        for (entity, comp, value) in &seg.puts {
-            let name = self
-                .names
-                .get(comp)
-                .expect("segment defines precede first use of an id")
-                .clone();
-            self.rows.insert((*entity, name), value.clone());
+        for (entity, cid, value) in &seg.puts {
+            self.check_defined(*cid);
+            self.rows.insert((*entity, *cid), value.clone());
         }
-        for (entity, comp) in &seg.unsets {
-            let name = self
-                .names
-                .get(comp)
-                .expect("segment defines precede first use of an id")
-                .clone();
-            self.rows.remove(&(*entity, name));
+        for (entity, cid) in &seg.unsets {
+            self.check_defined(*cid);
+            self.rows.remove(&(*entity, *cid));
         }
-        let mut key = scratch_key();
         for &entity in &seg.drops {
-            self.forget(entity, &mut key);
+            self.forget(entity);
         }
     }
 }
@@ -292,7 +294,7 @@ pub struct Replicator {
     pub level: ConsistencyLevel,
     /// Area-of-interest filter (defaults to unbounded).
     pub interest: Interest,
-    /// Standing interest-bubble view (see [`Replicator::attach_view`]).
+    /// Standing interest-bubble view (see [`Replicator::attach_stream`]).
     interest_view: Option<ViewId>,
     /// Center/radius the view was last anchored at.
     view_anchor: ((f32, f32), f32),
@@ -304,14 +306,14 @@ pub struct Replicator {
     /// Per dirty entity, the columns the stream named since the last
     /// settling tick — the delta a segment ships for an entity the
     /// replica already fully knows.
-    pending_comps: HashMap<EntityId, BTreeSet<ComponentId>>,
+    pending_comps: HashMap<EntityId, BTreeSet<ComponentId>, BuildIdHasher>,
     /// Entities whose complete row image the replica currently holds
     /// (full-walked at least once and retained since). Only these may
     /// ship partial (changed-columns-only) updates.
     known: BTreeSet<EntityId>,
     /// Component ids whose names this client has been sent (the
     /// server-side mirror of the replica's name table).
-    named: HashSet<ComponentId>,
+    named: HashSet<ComponentId, BuildIdHasher>,
     /// Whether the first (full) stream sync has happened.
     stream_primed: bool,
     tick: u32,
@@ -322,6 +324,62 @@ pub struct Replicator {
     pub bytes_sent: usize,
     /// Instrumentation handles ([`Replicator::attach_metrics`]).
     metrics: Option<ReplMetrics>,
+}
+
+/// The ship rules of one tick under a consistency level
+/// ([`Replicator::ship_plan`]).
+#[derive(Debug, Clone, Copy)]
+struct ShipPlan {
+    /// Every position ships.
+    all_pos: bool,
+    /// Persistent state (non-`pos` columns) ships when it differs.
+    state: bool,
+    /// Positions ship when they drifted beyond this on the replica.
+    pos_threshold: Option<f32>,
+}
+
+impl ShipPlan {
+    /// A tick that ships everything shippable: nothing stays owed.
+    fn settles(&self) -> bool {
+        self.state && (self.all_pos || self.pos_threshold.is_some())
+    }
+
+    /// Whether column `cid` holding `value` ships, given what the
+    /// replica holds for it.
+    fn ships(&self, cid: ComponentId, value: &Value, held: Option<&Value>) -> bool {
+        if cid == POS_ID {
+            if self.all_pos {
+                true
+            } else if let Some(threshold) = self.pos_threshold {
+                match (value, held) {
+                    (Value::Vec2(sx, sy), Some(Value::Vec2(cx, cy))) => {
+                        let (dx, dy) = (sx - cx, sy - cy);
+                        (dx * dx + dy * dy).sqrt() > threshold
+                    }
+                    _ => true, // client has never seen it
+                }
+            } else {
+                // CoarseEpoch off-cycle: ship only brand-new rows
+                held.is_none()
+            }
+        } else if self.state {
+            held != Some(value)
+        } else {
+            held.is_none()
+        }
+    }
+}
+
+/// The world's columns as `(id, name, column)` in name order — the
+/// order row images ship in. Built once per shipment; rows are then
+/// read by slot, never by name.
+pub(crate) fn columns_by_name(world: &World) -> Vec<(ComponentId, &str, &Column)> {
+    let mut columns: Vec<(ComponentId, &str, &Column)> = world
+        .schema_by_id()
+        .filter_map(|(cid, name, _)| Some((cid, name, world.column_by_id(cid)?)))
+        .collect();
+    columns.sort_unstable_by_key(|&(_, name, _)| name);
+    columns
 }
 
 impl Replicator {
@@ -338,9 +396,9 @@ impl Replicator {
             view_anchor: ((0.0, 0.0), 0.0),
             stream_tap: None,
             dirty: BTreeSet::new(),
-            pending_comps: HashMap::new(),
+            pending_comps: HashMap::default(),
             known: BTreeSet::new(),
-            named: HashSet::new(),
+            named: HashSet::default(),
             stream_primed: false,
             tick: 0,
             rows_sent: 0,
@@ -368,86 +426,57 @@ impl Replicator {
         self.tick
     }
 
-    /// Turn the interest bubble into a standing view: the world
-    /// maintains the set of entities within `radius + margin` of the
-    /// focus incrementally, so [`Replicator::sync_live`] walks only the
-    /// bubble's members (plus unpositioned global state) instead of
-    /// every row of the world. No-op for unbounded interest.
-    ///
-    pub fn attach_view(&mut self, world: &mut World) {
-        if self.interest_view.is_none() && self.interest.radius.is_finite() {
-            let (cx, cy) = self.interest.center;
-            let r = self.interest.radius + self.interest.margin;
-            self.interest_view =
-                Some(world.register_view(Query::select().within(Vec2::new(cx, cy), r)));
-            self.view_anchor = (self.interest.center, r);
-        }
+    /// Where the interest view belongs: the focus, and `radius +
+    /// margin` so the hysteresis band is covered.
+    fn anchor(&self) -> ((f32, f32), f32) {
+        (
+            self.interest.center,
+            self.interest.radius + self.interest.margin,
+        )
     }
 
-    /// [`Replicator::attach_view`] for a world recovered from the
-    /// persistence layer: the interest view survived the crash (the
-    /// snapshot/WAL catalog re-materialized it), so a replicator rebuilt
-    /// after a restart adopts the view matching its interest query
-    /// instead of registering a duplicate; a fresh view is registered
-    /// when none survives.
+    /// The standing interest-bubble query at [`Replicator::anchor`].
+    fn interest_query(&self) -> Query {
+        let ((cx, cy), r) = self.anchor();
+        Query::select().within(Vec2::new(cx, cy), r)
+    }
+
+    /// Adopt the interest view of a world recovered from the
+    /// persistence layer: the view survived the crash (the snapshot/WAL
+    /// catalog re-materialized it), so a replicator rebuilt after a
+    /// restart adopts the view matching its interest query instead of
+    /// registering a duplicate; a fresh view is registered when none
+    /// survives. Call before [`Replicator::attach_stream`], which then
+    /// keeps the adopted view. No-op for unbounded interest.
     ///
-    /// Re-attachment is deliberately **not** the default `attach_view`
-    /// behavior: a replicator retargets its view as the focus moves, so
-    /// two live replicators must never share one — adoption is only
-    /// sound when the caller knows the matching view is its own orphan
-    /// (the restart path).
+    /// Adoption is deliberately **not** what `attach_stream` does: a
+    /// replicator retargets its view as the focus moves, so two live
+    /// replicators must never share one — adoption is only sound when
+    /// the caller knows the matching view is its own orphan (the
+    /// restart path).
     pub fn reattach_view(&mut self, world: &mut World) {
         if self.interest_view.is_none() && self.interest.radius.is_finite() {
-            let (cx, cy) = self.interest.center;
-            let r = self.interest.radius + self.interest.margin;
-            let query = Query::select().within(Vec2::new(cx, cy), r);
+            let query = self.interest_query();
             self.interest_view = Some(
                 world
                     .find_view(&query.clone().into_plan())
                     .unwrap_or_else(|| world.register_view(query)),
             );
-            self.view_anchor = (self.interest.center, r);
+            self.view_anchor = self.anchor();
         }
     }
 
-    /// [`Replicator::sync`] driven by the standing interest view: the
-    /// view is re-anchored if the focus moved, pending deltas are
-    /// folded, and row shipping visits only bubble members and
-    /// unpositioned entities — identical replica state. The expensive
-    /// part of the full walk (materializing and interest-testing every
-    /// row of every entity) shrinks to O(interest); what remains
-    /// world-sized is a cheap liveness pass to find unpositioned
-    /// global-state entities (one presence check per entity, no row
-    /// materialization — a spatial view cannot contain them). Falls
-    /// back to the full-walk sync when no view is attached.
-    pub fn sync_live(&mut self, world: &mut World, replica: &mut Replica) {
-        let Some(view) = self.interest_view.filter(|&v| world.has_view(v)) else {
-            self.sync(world, replica);
-            return;
-        };
-        let anchor = (self.interest.center, self.interest.radius + self.interest.margin);
-        if anchor != self.view_anchor {
-            let ((cx, cy), r) = anchor;
-            world
-                .retarget_view(view, Vec2::new(cx, cy), r)
-                .expect("the interest view is a rows view");
-            self.view_anchor = anchor;
-        } else {
-            world.refresh_views();
-        }
-        let mut candidates: Vec<EntityId> = world.view_rows(view).to_vec();
-        // Unpositioned entities (global flags, quest state) replicate at
-        // every interest level; a spatial view can never contain them.
-        candidates.extend(world.entities().filter(|&e| world.pos(e).is_none()));
-        self.sync_from(world, replica, Some(&candidates));
-    }
-
-    /// Turn incremental replication on: attaches the interest-bubble
-    /// view (finite interest only) **and** a change-stream tap, so
+    /// Turn incremental replication on: turns the interest bubble into
+    /// a standing view (finite interest only; the world maintains the
+    /// set of entities within `radius + margin` of the focus
+    /// incrementally) **and** attaches a change-stream tap, so
     /// [`Replicator::sync_stream`] can ship exactly the rows each
     /// stream segment touched instead of re-walking bubble members.
     pub fn attach_stream(&mut self, world: &mut World) {
-        self.attach_view(world);
+        if self.interest_view.is_none() && self.interest.radius.is_finite() {
+            self.interest_view = Some(world.register_view(self.interest_query()));
+            self.view_anchor = self.anchor();
+        }
         if self.stream_tap.is_none() {
             self.stream_tap = Some(world.attach_tap());
             self.dirty.clear();
@@ -482,10 +511,10 @@ impl Replicator {
         self.stream_primed = false;
     }
 
-    /// What the ship rules are for a given tick number, per the
-    /// consistency level: `(send_all_pos, send_state, pos_threshold)`.
-    fn ship_plan(&self, tick: u32) -> (bool, bool, Option<f32>) {
-        match self.level {
+    /// The ship rules for a given tick number, per the consistency
+    /// level.
+    fn ship_plan(&self, tick: u32) -> ShipPlan {
+        let (all_pos, state, pos_threshold) = match self.level {
             ConsistencyLevel::Strict => (true, true, None),
             ConsistencyLevel::CoarseEpoch { pos_period } => {
                 (tick.is_multiple_of(pos_period.max(1)), true, None)
@@ -498,6 +527,11 @@ impl Replicator {
                 tick.is_multiple_of(state_period.max(1)),
                 Some(threshold),
             ),
+        };
+        ShipPlan {
+            all_pos,
+            state,
+            pos_threshold,
         }
     }
 
@@ -556,11 +590,11 @@ impl Replicator {
     /// Entities whose rows could not all ship under the current level's
     /// off-cycle rules (e.g. positions between `CoarseEpoch` epochs)
     /// stay in the dirty set and are revisited until a full-ship tick
-    /// clears them. Falls back to [`Replicator::sync_live`] when no
-    /// stream is attached.
+    /// clears them. Falls back to the full walk ([`Replicator::sync`])
+    /// when no stream is attached.
     pub fn sync_stream(&mut self, world: &mut World, replica: &mut Replica) {
         let Some(tap) = self.stream_tap else {
-            self.sync_live(world, replica);
+            self.sync(world, replica);
             return;
         };
         if world.tap_evicted(tap) {
@@ -575,19 +609,16 @@ impl Replicator {
             if let Some(m) = &self.metrics {
                 m.resyncs.inc();
             }
-            self.sync_live(world, replica);
+            self.sync(world, replica);
             self.stream_tap = Some(world.attach_tap());
             return;
         }
         // fold pending changes into the interest view, re-anchoring it
-        // if the focus moved — mirroring sync_live exactly
+        // if the focus moved
         let view = self.interest_view.filter(|&v| world.has_view(v));
         let mut retargeted = false;
         if let Some(view) = view {
-            let anchor = (
-                self.interest.center,
-                self.interest.radius + self.interest.margin,
-            );
+            let anchor = self.anchor();
             if anchor != self.view_anchor {
                 let ((cx, cy), r) = anchor;
                 world
@@ -652,16 +683,16 @@ impl Replicator {
         }
         // a tick that ships everything shippable settles all debts;
         // partial ticks (epoch positions pending) keep entities dirty
-        let (send_all_pos, send_state, pos_threshold) = self.ship_plan(self.tick + 1);
-        let settled = send_state && (send_all_pos || pos_threshold.is_some());
+        let settled = self.ship_plan(self.tick + 1).settles();
         let candidates: Vec<EntityId> = if !self.stream_primed {
             // first shipment after an attach, a reconnect or an eviction
-            // resync: the full candidate set, like sync_live, and no
-            // entity counts as known. The replica handed in may hold
-            // rows this replicator never shipped (a previous session,
-            // the resync's full walk); one pass over it — the only one
-            // — enters their columns in its name table and makes their
-            // entities candidates, so the drop rule reaches them.
+            // resync: the full candidate set — bubble members plus
+            // unpositioned global state — and no entity counts as known.
+            // The replica handed in may hold rows this replicator never
+            // shipped (a previous session, the resync's full walk); one
+            // pass over it — the only one — enters their columns in its
+            // name table and makes their entities candidates, so the
+            // drop rule reaches them.
             self.stream_primed = true;
             self.known.clear();
             self.dirty.clear();
@@ -691,8 +722,8 @@ impl Replicator {
     /// The delta-encoded ship body: visit `candidates` once each. A
     /// candidate that is dead or outside `radius + margin` is forgotten
     /// by the replica. The rest are decided row by row under the exact
-    /// rules of [`Replicator::sync_from`], the shipped rows collected
-    /// into one [`DeltaSegment`] (id-keyed, names shipped once) and
+    /// rules of [`Replicator::sync`], the shipped rows collected into
+    /// one [`DeltaSegment`] (id-keyed, names shipped once) and
     /// reconciled onto the replica per component. Entities the replica
     /// does not fully know (first sight, re-entering interest after
     /// their rows were dropped) ship their whole row; known entities
@@ -705,57 +736,35 @@ impl Replicator {
         candidates: &[EntityId],
     ) {
         self.tick += 1;
-        let (send_all_pos, send_state, pos_threshold) = self.ship_plan(self.tick);
-        let interest = self.interest;
-        // whether a row ships, given what the replica holds for it.
         // Decisions read the replica's pre-segment state: each (entity,
         // component) key is decided at most once per tick, so deferring
         // the writes cannot change a decision.
-        let ships = |name: &str, value: &Value, held: Option<&Value>| -> bool {
-            if name == POS {
-                if send_all_pos {
-                    true
-                } else if let Some(threshold) = pos_threshold {
-                    match (value, held) {
-                        (Value::Vec2(sx, sy), Some(Value::Vec2(cx, cy))) => {
-                            let (dx, dy) = (sx - cx, sy - cy);
-                            (dx * dx + dy * dy).sqrt() > threshold
-                        }
-                        _ => true, // client has never seen it
-                    }
-                } else {
-                    // CoarseEpoch off-cycle: ship only brand-new rows
-                    held.is_none()
-                }
-            } else if send_state {
-                held != Some(value)
-            } else {
-                held.is_none()
-            }
-        };
+        let plan = self.ship_plan(self.tick);
+        let interest = self.interest;
+        let columns = columns_by_name(world);
         let mut seg = DeltaSegment::default();
-        let mut put = |named: &mut HashSet<ComponentId>,
+        let mut put = |named: &mut HashSet<ComponentId, BuildIdHasher>,
                        id: EntityId,
                        cid: ComponentId,
-                       name: &str,
                        value: Value| {
             if named.insert(cid) {
+                let name = world
+                    .component_name(cid)
+                    .expect("shipped columns are named");
                 seg.defines.push((cid, name.to_string()));
             }
             seg.puts.push((id, cid, value));
         };
-        let mut key = scratch_key();
         let (mut full_rows, mut delta_rows, mut drops) = (0u64, 0u64, 0u64);
         for &id in candidates {
+            let slot = id.index() as usize;
             let pos = world.pos(id).map(|p| (p.x, p.y));
             if !world.is_live(id) || pos.is_some_and(|p| !interest.inside(p, true)) {
                 self.known.remove(&id);
-                drops += u64::from(replica.forget(id, &mut key));
+                drops += u64::from(replica.forget(id));
                 continue;
             }
-            if pos.is_some_and(|p| {
-                !interest.inside(p, replica.rows.contains_key(point_key(&mut key, id, POS)))
-            }) {
+            if pos.is_some_and(|p| !interest.inside(p, replica.rows.contains_key(&(id, POS_ID)))) {
                 // in the hysteresis band with no `pos` row on the
                 // replica: not subscribed. For a known entity (an
                 // unpositioned one's first position landed here) the
@@ -767,17 +776,19 @@ impl Replicator {
             }
             if !self.known.contains(&id) {
                 // full row: the replica holds no (complete) image
-                for (name, value) in world.components_of(id) {
-                    let held = replica.rows.get(point_key(&mut key, id, name));
-                    let cid = || world.component_id(name).expect("named column exists");
-                    if ships(name, &value, held) {
-                        put(&mut self.named, id, cid(), name, value);
+                for &(cid, _, col) in &columns {
+                    let Some(value) = col.get(slot) else {
+                        continue;
+                    };
+                    let held = replica.rows.get(&(id, cid));
+                    if plan.ships(cid, &value, held) {
+                        put(&mut self.named, id, cid, value);
                     } else if held.is_some_and(|h| *h != value) {
                         // a stale row (the replica kept it while the
                         // entity was hidden, or across a reconnect) that
                         // this tick's off-cycle rules withhold: owed
                         self.dirty.insert(id);
-                        self.pending_comps.entry(id).or_default().insert(cid());
+                        self.pending_comps.entry(id).or_default().insert(cid);
                     }
                 }
                 self.known.insert(id);
@@ -785,14 +796,11 @@ impl Replicator {
             } else if let Some(comps) = self.pending_comps.get(&id) {
                 // delta: only the columns the records named
                 for &cid in comps {
-                    let Some(name) = world.component_name(cid) else {
-                        continue;
-                    };
-                    let Some(value) = world.get(id, name) else {
+                    let Some(value) = world.column_by_id(cid).and_then(|col| col.get(slot)) else {
                         continue; // removed column: full walks skip it too
                     };
-                    if ships(name, &value, replica.rows.get(point_key(&mut key, id, name))) {
-                        put(&mut self.named, id, cid, name, value);
+                    if plan.ships(cid, &value, replica.rows.get(&(id, cid))) {
+                        put(&mut self.named, id, cid, value);
                     }
                 }
                 delta_rows += 1;
@@ -812,23 +820,14 @@ impl Replicator {
         replica.apply_segment(&seg);
     }
 
-    /// Ship one tick of updates from `world` into `replica`.
+    /// Ship one tick of updates from `world` into `replica` by walking
+    /// every live entity — the full-walk oracle [`Replicator::sync_stream`]
+    /// is held to, and its fallback when no stream is attached or the
+    /// stream was evicted. Rows are priced under the row framing
+    /// ([`row_wire_bytes`]).
     pub fn sync(&mut self, world: &World, replica: &mut Replica) {
-        self.sync_from(world, replica, None);
-    }
-
-    /// The shared sync body: `candidates` limits which entities are
-    /// visited (`None` = every row of the world); visiting a superset
-    /// never changes the outcome because every row still passes the
-    /// interest test.
-    fn sync_from(
-        &mut self,
-        world: &World,
-        replica: &mut Replica,
-        candidates: Option<&[EntityId]>,
-    ) {
         self.tick += 1;
-        let (send_all_pos, send_state, pos_threshold) = self.ship_plan(self.tick);
+        let plan = self.ship_plan(self.tick);
         // Interest management: which live entities does this client care
         // about? Known entities get the hysteresis margin.
         let interest = self.interest;
@@ -842,65 +841,25 @@ impl Replicator {
         };
         // remove rows of despawned entities (all levels: death is
         // persistent state) and of entities that left the interest area
-        replica.rows.retain(|(id, _), _| {
-            world.is_live(*id) && interesting(*id, true)
-        });
+        replica
+            .rows
+            .retain(|&(id, _), _| world.is_live(id) && interesting(id, true));
+        let columns = columns_by_name(world);
         let mut rows_sent = 0usize;
         let mut bytes_sent = 0usize;
-        let mut ship_row = |replica: &mut Replica, id: EntityId, comp: &str, value: Value| {
-            let key = (id, comp.to_string());
-            if comp == "pos" {
-                let ship = if send_all_pos {
-                    true
-                } else if let Some(threshold) = pos_threshold {
-                    match (&value, replica.rows.get(&key)) {
-                        (Value::Vec2(sx, sy), Some(Value::Vec2(cx, cy))) => {
-                            let (dx, dy) = (sx - cx, sy - cy);
-                            (dx * dx + dy * dy).sqrt() > threshold
-                        }
-                        _ => true, // client has never seen it
-                    }
-                } else {
-                    // CoarseEpoch off-cycle: ship only brand-new entities
-                    !replica.rows.contains_key(&key)
-                };
-                if ship {
-                    bytes_sent += row_wire_bytes(comp, &value);
-                    replica.rows.insert(key, value);
-                    rows_sent += 1;
-                }
-            } else {
-                let ship = if send_state {
-                    replica.rows.get(&key) != Some(&value)
-                } else {
-                    !replica.rows.contains_key(&key)
-                };
-                if ship {
-                    bytes_sent += row_wire_bytes(comp, &value);
-                    replica.rows.insert(key, value);
-                    rows_sent += 1;
-                }
+        for id in world.entities() {
+            if !interesting(id, replica.rows.contains_key(&(id, POS_ID))) {
+                continue;
             }
-        };
-        match candidates {
-            None => {
-                for (id, comp, value) in world.rows() {
-                    if !interesting(id, replica.rows.contains_key(&(id, "pos".to_string()))) {
-                        continue;
-                    }
-                    ship_row(replica, id, &comp, value);
-                }
-            }
-            Some(ids) => {
-                for &id in ids {
-                    if !world.is_live(id)
-                        || !interesting(id, replica.rows.contains_key(&(id, "pos".to_string())))
-                    {
-                        continue;
-                    }
-                    for (comp, value) in world.components_of(id) {
-                        ship_row(replica, id, comp, value);
-                    }
+            let slot = id.index() as usize;
+            for &(cid, name, col) in &columns {
+                let Some(value) = col.get(slot) else {
+                    continue;
+                };
+                if plan.ships(cid, &value, replica.rows.get(&(id, cid))) {
+                    bytes_sent += row_wire_bytes(name, &value);
+                    replica.rows.insert((id, cid), value);
+                    rows_sent += 1;
                 }
             }
         }
@@ -925,26 +884,31 @@ impl Replicator {
         replica: &Replica,
         interest: Interest,
     ) -> Divergence {
+        let columns = columns_by_name(world);
+        let mut server_rows: BTreeMap<(EntityId, ComponentId), Value> = BTreeMap::new();
+        for id in world.entities() {
+            // mirror sync's subscribe rule: entities the client knows
+            // get the hysteresis margin, unknown ones the base radius
+            let known = replica.rows.contains_key(&(id, POS_ID));
+            if world
+                .pos(id)
+                .is_some_and(|p| !interest.inside((p.x, p.y), known))
+            {
+                continue;
+            }
+            let slot = id.index() as usize;
+            for &(cid, _, col) in &columns {
+                if let Some(value) = col.get(slot) {
+                    server_rows.insert((id, cid), value);
+                }
+            }
+        }
         let mut pos_errors = Vec::new();
         let mut mismatches = 0usize;
-        let server_rows: BTreeMap<(EntityId, String), Value> = world
-            .rows()
-            .into_iter()
-            .filter(|(id, _, _)| match world.pos(*id) {
-                // mirror sync's subscribe rule: entities the client knows
-                // get the hysteresis margin, unknown ones the base radius
-                Some(p) => interest.inside(
-                    (p.x, p.y),
-                    replica.rows.contains_key(&(*id, "pos".to_string())),
-                ),
-                None => true,
-            })
-            .map(|(id, c, v)| ((id, c), v))
-            .collect();
-        for ((id, comp), value) in &server_rows {
-            if comp == "pos" {
+        for (&(id, cid), value) in &server_rows {
+            if cid == POS_ID {
                 if let Value::Vec2(sx, sy) = value {
-                    let (cx, cy) = replica.pos(*id).unwrap_or((f32::MAX, f32::MAX));
+                    let (cx, cy) = replica.pos(id).unwrap_or((f32::MAX, f32::MAX));
                     let err = if cx == f32::MAX {
                         f32::MAX
                     } else {
@@ -952,13 +916,13 @@ impl Replicator {
                     };
                     pos_errors.push(err.min(1e9));
                 }
-            } else if replica.rows.get(&(*id, comp.clone())) != Some(value) {
+            } else if replica.rows.get(&(id, cid)) != Some(value) {
                 mismatches += 1;
             }
         }
         // replica rows for entities/components the server lacks also count
         for key in replica.rows.keys() {
-            if key.1 != "pos" && !server_rows.contains_key(key) {
+            if key.1 != POS_ID && !server_rows.contains_key(key) {
                 mismatches += 1;
             }
         }
@@ -1129,10 +1093,10 @@ mod tests {
         assert!(client.pos(ids[0]).is_none(), "dropped beyond radius+margin");
     }
 
-    /// ISSUE-2: the standing interest-bubble view must reproduce the
-    /// full-world walk exactly — same replica rows, same bandwidth —
-    /// while the world churns, entities die, unpositioned state exists,
-    /// and the focus itself moves.
+    /// Replication driven by the standing interest-bubble view
+    /// must reproduce the full-world walk exactly — same replica rows,
+    /// never more bandwidth — while the world churns, entities die,
+    /// unpositioned state exists, and the focus itself moves.
     #[test]
     fn interest_view_sync_matches_full_walk() {
         let interest = Interest {
@@ -1149,7 +1113,7 @@ mod tests {
         }
         let mut plain = Replicator::with_interest(ConsistencyLevel::Strict, interest);
         let mut viewed = Replicator::with_interest(ConsistencyLevel::Strict, interest);
-        viewed.attach_view(&mut w_view);
+        viewed.attach_stream(&mut w_view);
         let mut r_plain = Replica::default();
         let mut r_view = Replica::default();
         let drift_live = |world: &mut World, ids: &[EntityId], step: f32| {
@@ -1173,22 +1137,10 @@ mod tests {
                 viewed.interest.center = (tick as f32, 0.0);
             }
             plain.sync(&w_full, &mut r_plain);
-            viewed.sync_live(&mut w_view, &mut r_view);
+            viewed.sync_stream(&mut w_view, &mut r_view);
             assert_eq!(r_plain.rows, r_view.rows, "tick {tick}");
-            assert_eq!(plain.rows_sent, viewed.rows_sent, "tick {tick}");
+            assert!(viewed.rows_sent <= plain.rows_sent, "tick {tick}");
         }
-    }
-
-    #[test]
-    fn sync_live_without_view_is_plain_sync() {
-        let (mut w, ids) = moving_world(10);
-        let mut rep = Replicator::new(ConsistencyLevel::Strict);
-        // unbounded interest: attach_view is a no-op, sync_live degrades
-        rep.attach_view(&mut w);
-        let mut client = Replica::default();
-        drift(&mut w, &ids, 1.0);
-        rep.sync_live(&mut w, &mut client);
-        assert_eq!(Replicator::divergence(&w, &client).mean_pos_error, 0.0);
     }
 
     #[test]
@@ -1216,7 +1168,7 @@ mod tests {
     }
 
     /// ISSUE-4 satellite: stream-shipped replication must be exactly
-    /// the full-walk `sync_live` oracle — same replica rows, same
+    /// the full-walk `sync` oracle — same replica rows, same
     /// bandwidth, tick for tick — over a seeded 50-tick workload of
     /// drifting entities, spawns, despawns, component churn,
     /// unpositioned global state, and a wandering focus (bubble
@@ -1245,7 +1197,6 @@ mod tests {
                 w.set(flag, "gold", Value::Int(7)).unwrap();
             }
             let mut walk = Replicator::with_interest(level, interest);
-            walk.attach_view(&mut w_walk);
             let mut stream = Replicator::with_interest(level, interest);
             stream.attach_stream(&mut w_stream);
             let mut r_walk = Replica::default();
@@ -1311,7 +1262,7 @@ mod tests {
                     walk.interest.center = focus;
                     stream.interest.center = focus;
                 }
-                walk.sync_live(&mut w_walk, &mut r_walk);
+                walk.sync(&w_walk, &mut r_walk);
                 stream.sync_stream(&mut w_stream, &mut r_stream);
                 assert_eq!(
                     r_walk.rows, r_stream.rows,
@@ -1436,7 +1387,8 @@ mod tests {
         w.set_tap_retention(None);
         rep.sync_stream(&mut w, &mut client); // full-walk resync
         rep.sync_stream(&mut w, &mut client); // priming
-        assert!(client.rows.contains_key(&(ids[2], "gold".to_string())));
+        let gold = w.component_id("gold").unwrap();
+        assert!(client.rows.contains_key(&(ids[2], gold)));
         w.despawn(ids[2]);
         rep.sync_stream(&mut w, &mut client);
         assert!(
@@ -1512,7 +1464,7 @@ mod tests {
             assert_eq!(client.rows, shadow.rows, "tick {tick}");
         }
         assert_eq!(
-            client.rows.get(&(ids[0], "hp".to_string())),
+            client.rows.get(&(ids[0], w.component_id("hp").unwrap())),
             Some(&Value::Float(12.0))
         );
     }
@@ -1582,13 +1534,29 @@ mod tests {
         assert_eq!(d.mean_pos_error, 0.0);
     }
 
+    /// With no stream attached `sync_stream` is the full walk; with
+    /// unbounded interest `attach_stream` registers no view and the
+    /// stream keeps every record.
     #[test]
-    fn sync_stream_without_tap_is_sync_live() {
+    fn sync_stream_without_tap_or_view_is_the_full_walk() {
         let (mut w, ids) = moving_world(10);
         let mut rep = Replicator::new(ConsistencyLevel::Strict);
-        let mut client = Replica::default();
+        let mut walk = Replicator::new(ConsistencyLevel::Strict);
+        let (mut client, mut shadow) = (Replica::default(), Replica::default());
         drift(&mut w, &ids, 1.0);
         rep.sync_stream(&mut w, &mut client);
+        walk.sync(&w, &mut shadow);
+        assert_eq!(client.rows, shadow.rows);
+        assert_eq!(
+            (rep.rows_sent, rep.bytes_sent),
+            (walk.rows_sent, walk.bytes_sent)
+        );
+        rep.attach_stream(&mut w);
+        assert!(w.view_ids().is_empty(), "unbounded interest needs no view");
+        drift(&mut w, &ids, 1.0);
+        rep.sync_stream(&mut w, &mut client);
+        walk.sync(&w, &mut shadow);
+        assert_eq!(client.rows, shadow.rows);
         assert_eq!(Replicator::divergence(&w, &client).mean_pos_error, 0.0);
     }
 
@@ -1628,9 +1596,9 @@ mod tests {
         assert!(!next.is_empty());
         replica.apply_segment(&next);
         assert_eq!(replica.pos(ids[0]), Some((0.0, 0.0)));
-        assert!(!replica.rows.contains_key(&(ids[0], "hp".to_string())));
+        assert!(!replica.rows.contains_key(&(ids[0], hp)));
         assert!(replica.pos(ids[1]).is_none(), "dropped entity forgotten");
-        assert!(!replica.rows.contains_key(&(ids[1], "hp".to_string())));
+        assert!(!replica.rows.contains_key(&(ids[1], hp)));
         assert_eq!(replica.rows.len(), 1);
         // unsets/drops cost wire bytes: 8 + varint for unset, 8 for drop
         assert_eq!(next.wire_bytes(), (8 + 1 + 1 + 4) + (8 + 1) + 8);

@@ -32,14 +32,16 @@
 //! lag budget, so failover replays only the buffered tail instead of
 //! re-shipping the node's whole state.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 
-use gamedb_content::Value;
-use gamedb_core::{ChangeOp, Column, ComponentId, EntityId, TapId, World};
+use gamedb_core::{ChangeOp, ComponentId, EntityId, TapId, World};
 use gamedb_metrics::MetricsRegistry;
+use gamedb_spatial::BuildIdHasher;
 
 use crate::metrics::RouterMetrics;
-use crate::replication::{row_wire_bytes, stored_row_wire_bytes, DeltaSegment, Replica};
+use crate::replication::{
+    columns_by_name, row_wire_bytes, stored_row_wire_bytes, DeltaSegment, Replica, ReplicaRows,
+};
 use crate::shard::{NodeId, ShardAssignment};
 
 /// A node's warm standby: a replica fed the node's own segment stream,
@@ -94,7 +96,7 @@ pub struct ShardRouter {
     /// Per-link name tables: component ids whose names this link has
     /// been sent (the server-side mirror of the node's accumulated
     /// table, exactly as `Replicator::named` is per client).
-    named: Vec<HashSet<ComponentId>>,
+    named: Vec<HashSet<ComponentId, BuildIdHasher>>,
     /// Node-local state: the rows of the entities each node owns.
     states: Vec<Replica>,
     standbys: Vec<Option<WarmStandby>>,
@@ -124,7 +126,7 @@ impl ShardRouter {
         ShardRouter {
             nodes,
             taps,
-            named: vec![HashSet::new(); nodes],
+            named: vec![HashSet::default(); nodes],
             states: vec![Replica::default(); nodes],
             standbys: vec![None; nodes],
             prev: None,
@@ -302,12 +304,7 @@ impl ShardRouter {
         }
 
         let world: &World = world;
-        // (id, name, column) in name order — the order row images ship in
-        let mut columns: Vec<(ComponentId, &str, &Column)> = world
-            .schema_by_id()
-            .filter_map(|(cid, name, _)| Some((cid, name, world.column_by_id(cid)?)))
-            .collect();
-        columns.sort_unstable_by_key(|&(_, name, _)| name);
+        let columns = columns_by_name(world);
         for (n, cells) in touched.iter_mut().enumerate() {
             let mut seg = DeltaSegment::default();
             let mut baseline = 0usize;
@@ -350,7 +347,7 @@ impl ShardRouter {
                             touched_row = true;
                         }
                         None => {
-                            if self.states[n].rows.contains_key(&(e, name.to_string())) {
+                            if self.states[n].rows.contains_key(&(e, cid)) {
                                 seg.unsets.push((e, cid));
                                 touched_row = true;
                             }
@@ -425,16 +422,15 @@ impl ShardRouter {
 /// The by-value oracle: the rows node `node` owns under `assignment`,
 /// read straight off the primary world. Post-handoff node-local state
 /// must equal this exactly, every tick.
-pub fn node_oracle(
-    world: &World,
-    assignment: &ShardAssignment,
-    node: NodeId,
-) -> HashMap<(EntityId, String), Value> {
-    let mut rows = HashMap::new();
+pub fn node_oracle(world: &World, assignment: &ShardAssignment, node: NodeId) -> ReplicaRows {
+    let columns = columns_by_name(world);
+    let mut rows = ReplicaRows::default();
     for (e, n) in assignment.iter() {
         if n == node && world.is_live(e) {
-            for (name, value) in world.components_of(e) {
-                rows.insert((e, name.to_string()), value);
+            for &(cid, _, col) in &columns {
+                if let Some(value) = col.get(e.index() as usize) {
+                    rows.insert((e, cid), value);
+                }
             }
         }
     }
@@ -447,6 +443,8 @@ mod tests {
     use crate::action::arena_world;
     use crate::bubbles::BubbleConfig;
     use crate::shard::{step_flock, AssignPolicy, ShardManager};
+    use gamedb_content::Value;
+    use gamedb_core::POS_ID;
     use gamedb_spatial::Vec2;
 
     const NODES: usize = 3;
@@ -709,8 +707,9 @@ mod tests {
             assert_eq!(router.node_state(n).rows, node_oracle(&w, &a, n), "node {n}");
         }
         let rows = &router.node_state(to).rows;
-        assert_eq!(rows.get(&(new, "hp".to_string())), Some(&Value::Float(77.0)));
-        assert_eq!(rows.get(&(new, "pos".to_string())), Some(&Value::Vec2(at.x, at.y)));
+        let hp = w.component_id("hp").unwrap();
+        assert_eq!(rows.get(&(new, hp)), Some(&Value::Float(77.0)));
+        assert_eq!(rows.get(&(new, POS_ID)), Some(&Value::Vec2(at.x, at.y)));
         router.detach(&mut w);
     }
 

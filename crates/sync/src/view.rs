@@ -6,7 +6,8 @@
 //! actions inside one bubble observe each other — serial-within-bubble
 //! semantics. [`StateView`] abstracts the reads an [`crate::Action`]
 //! performs; [`OverlayView`] is the world-plus-pending-effects
-//! implementation the bubble executor uses.
+//! implementation the bubble executor and the cluster's per-node local
+//! phase read through ([`run_serial`], their one shared loop).
 //!
 //! Without the overlay, two trades out of one account in the same bubble
 //! both clamp against the tick-start balance and overdraw it — a
@@ -17,8 +18,10 @@
 use std::collections::{HashMap, HashSet};
 
 use gamedb_content::Value;
-use gamedb_core::{Effect, EffectBuffer, EntityId, World, POS};
-use gamedb_spatial::Vec2;
+use gamedb_core::{Column, ComponentId, EffectBuffer, EffectMark, EntityId, World, POS_ID};
+use gamedb_spatial::{BuildIdHasher, Vec2};
+
+use crate::action::Action;
 
 /// The reads an action may perform against tick state.
 pub trait StateView {
@@ -64,107 +67,80 @@ impl StateView for World {
 
 /// A world read through pending (unapplied) effects.
 ///
-/// [`OverlayView::absorb`] folds an action's emitted effects into the
-/// overlay with the same semantics [`EffectBuffer::apply`] would use, so
-/// subsequent reads see the action's writes without mutating the shared
-/// world — exactly what a bubble worker needs to run its actions serially
-/// while other workers run other bubbles.
+/// [`OverlayView::absorb`] folds effects into the overlay through
+/// [`gamedb_core::Effect::fold_onto`] — the fold [`EffectBuffer::apply`]
+/// resolves every slot with — so subsequent reads see what `apply`
+/// would write without mutating the shared world: exactly what a bubble
+/// worker needs to run its actions serially while other workers run
+/// other bubbles. Values are keyed by `(entity, column id)`, `pos`
+/// included, so absorbing a value allocates no name.
 pub struct OverlayView<'a> {
     world: &'a World,
-    /// Per-entity overlaid component values. Nested maps so the read
-    /// path probes with `(&EntityId, &str)` without allocating — reads
-    /// outnumber writes heavily in action execution.
-    values: HashMap<EntityId, HashMap<String, Value>>,
-    positions: HashMap<EntityId, Vec2>,
-    despawned: HashSet<EntityId>,
+    values: HashMap<(EntityId, ComponentId), Value, BuildIdHasher>,
+    despawned: HashSet<EntityId, BuildIdHasher>,
 }
 
 impl<'a> OverlayView<'a> {
     pub fn new(world: &'a World) -> Self {
         OverlayView {
             world,
-            values: HashMap::new(),
-            positions: HashMap::new(),
-            despawned: HashSet::new(),
+            values: HashMap::default(),
+            despawned: HashSet::default(),
         }
     }
 
-    /// Number of overlaid component values (diagnostic).
+    /// Number of overlaid component values plus despawns (diagnostic).
     pub fn pending(&self) -> usize {
-        self.values.values().map(HashMap::len).sum::<usize>()
-            + self.positions.len()
-            + self.despawned.len()
+        self.values.len() + self.despawned.len()
     }
 
-    /// Fold a buffer's operations into the overlay so later reads observe
-    /// them. Mirrors `EffectBuffer::apply`: adds treat absent numeric
-    /// components as zero, effects on despawned entities are dropped.
-    pub fn absorb(&mut self, buf: &EffectBuffer) {
-        for (id, component, effect) in buf.ops() {
+    /// Fold the effects `buf` queued after `since` into the overlay so
+    /// later reads observe them (`EffectMark::default()` absorbs the
+    /// whole buffer). Effects on entities dead in this view are dropped,
+    /// as `apply` drops them; an effect `apply` would reject (undefined
+    /// component, type mismatch) leaves the slot as it was — `apply`
+    /// fails the whole batch on it.
+    pub fn absorb(&mut self, buf: &EffectBuffer, since: EffectMark) {
+        for (id, component, effect) in buf.ops_since(since) {
             if !self.view_is_live(id) {
                 continue;
             }
-            if component == POS {
-                if let Effect::AddVec2(dx, dy) = effect {
-                    if let Some(p) = self.view_pos(id) {
-                        self.positions.insert(id, p + Vec2::new(*dx, *dy));
-                    }
-                    continue;
-                }
-            }
-            let current = self.view_get(id, component);
-            let next = match (effect, current) {
-                (Effect::Set(v), _) => Some(v.clone()),
-                (Effect::Add(x), Some(Value::Float(cur))) => Some(Value::Float(cur + *x as f32)),
-                (Effect::Add(x), Some(Value::Int(cur))) => Some(Value::Int(cur + *x as i64)),
-                (Effect::Add(x), None) => match self.world.component_type(component) {
-                    Some(gamedb_content::ValueType::Float) => Some(Value::Float(*x as f32)),
-                    Some(gamedb_content::ValueType::Int) => Some(Value::Int(*x as i64)),
-                    _ => None,
-                },
-                (Effect::Min(x), Some(Value::Float(cur))) => {
-                    Some(Value::Float(cur.min(*x as f32)))
-                }
-                (Effect::Max(x), Some(Value::Float(cur))) => {
-                    Some(Value::Float(cur.max(*x as f32)))
-                }
-                (Effect::Min(x), Some(Value::Int(cur))) => Some(Value::Int(cur.min(*x as i64))),
-                (Effect::Max(x), Some(Value::Int(cur))) => Some(Value::Int(cur.max(*x as i64))),
-                (Effect::AddVec2(dx, dy), Some(Value::Vec2(x, y))) => {
-                    Some(Value::Vec2(x + dx, y + dy))
-                }
-                _ => None,
+            let Some(cid) = self.world.component_id(component) else {
+                continue;
             };
-            if let Some(v) = next {
-                self.values
-                    .entry(id)
-                    .or_default()
-                    .insert(component.to_string(), v);
+            let ty = self.world.column_by_id(cid).map(Column::ty);
+            if let Ok(v) = effect.fold_onto(self.read(id, cid).as_ref(), ty, component) {
+                self.values.insert((id, cid), v);
             }
         }
-        for &id in buf.despawned() {
-            self.despawned.insert(id);
+        self.despawned.extend(buf.despawned_since(since));
+    }
+
+    /// The value of a live entity's column: overlaid, else the world's.
+    fn read(&self, id: EntityId, cid: ComponentId) -> Option<Value> {
+        match self.values.get(&(id, cid)) {
+            Some(v) => Some(v.clone()),
+            None => self.world.column_by_id(cid)?.get(id.index() as usize),
         }
     }
 }
 
 impl StateView for OverlayView<'_> {
     fn view_get(&self, id: EntityId, component: &str) -> Option<Value> {
-        if self.despawned.contains(&id) {
+        if !self.view_is_live(id) {
             return None;
         }
-        self.values
-            .get(&id)
-            .and_then(|m| m.get(component))
-            .cloned()
-            .or_else(|| self.world.get(id, component))
+        self.read(id, self.world.component_id(component)?)
     }
 
     fn view_pos(&self, id: EntityId) -> Option<Vec2> {
-        if self.despawned.contains(&id) {
+        if !self.view_is_live(id) {
             return None;
         }
-        self.positions.get(&id).copied().or_else(|| self.world.pos(id))
+        match self.read(id, POS_ID)? {
+            Value::Vec2(x, y) => Some(Vec2::new(x, y)),
+            _ => None,
+        }
     }
 
     fn view_is_live(&self, id: EntityId) -> bool {
@@ -172,10 +148,31 @@ impl StateView for OverlayView<'_> {
     }
 }
 
+/// Run `batch` (indices into `actions`) in order, pushing every
+/// action's effects into `buf`. Each action reads the world through an
+/// overlay of what its predecessors in the batch pushed — the overlay
+/// absorbs only the ops the action itself just queued — so the batch is
+/// serial. The one serial-overlay loop: a cluster node's local phase
+/// and a causality bubble both run through it.
+pub(crate) fn run_serial(
+    world: &World,
+    actions: &[Action],
+    batch: &[usize],
+    buf: &mut EffectBuffer,
+) {
+    let mut view = OverlayView::new(world);
+    for &i in batch {
+        let mark = buf.mark();
+        actions[i].execute(&view, buf);
+        view.absorb(buf, mark);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::action::arena_world;
+    use gamedb_core::{Effect, POS};
 
     fn world_pair() -> (World, Vec<EntityId>) {
         arena_world(3, |i| Vec2::new(i as f32 * 4.0, 0.0))
@@ -199,7 +196,7 @@ mod tests {
         let mut buf = EffectBuffer::new();
         buf.push(ids[0], "gold", Effect::Add(-30.0));
         buf.push(ids[0], "hp", Effect::Add(5.0));
-        view.absorb(&buf);
+        view.absorb(&buf, EffectMark::default());
         assert_eq!(view.view_i64(ids[0], "gold"), Some(70));
         assert_eq!(view.view_f32(ids[0], "hp"), Some(105.0));
         // the world itself is untouched
@@ -213,7 +210,7 @@ mod tests {
         for _ in 0..3 {
             let mut buf = EffectBuffer::new();
             buf.push(ids[0], "gold", Effect::Add(-25.0));
-            view.absorb(&buf);
+            view.absorb(&buf, EffectMark::default());
         }
         assert_eq!(view.view_i64(ids[0], "gold"), Some(25));
     }
@@ -224,12 +221,12 @@ mod tests {
         let mut view = OverlayView::new(&w);
         let mut buf = EffectBuffer::new();
         buf.push(ids[0], "hp", Effect::Set(Value::Float(40.0)));
-        view.absorb(&buf);
+        view.absorb(&buf, EffectMark::default());
         assert_eq!(view.view_f32(ids[0], "hp"), Some(40.0));
         let mut buf = EffectBuffer::new();
         buf.push(ids[0], "hp", Effect::Min(25.0));
         buf.push(ids[0], "gold", Effect::Max(500.0));
-        view.absorb(&buf);
+        view.absorb(&buf, EffectMark::default());
         assert_eq!(view.view_f32(ids[0], "hp"), Some(25.0));
         assert_eq!(view.view_i64(ids[0], "gold"), Some(500));
     }
@@ -240,7 +237,7 @@ mod tests {
         let mut view = OverlayView::new(&w);
         let mut buf = EffectBuffer::new();
         buf.despawn(ids[1]);
-        view.absorb(&buf);
+        view.absorb(&buf, EffectMark::default());
         assert!(!view.view_is_live(ids[1]));
         assert_eq!(view.view_get(ids[1], "gold"), None);
         assert_eq!(view.view_pos(ids[1]), None);
@@ -253,10 +250,10 @@ mod tests {
         let mut view = OverlayView::new(&w);
         let mut buf = EffectBuffer::new();
         buf.despawn(ids[1]);
-        view.absorb(&buf);
+        view.absorb(&buf, EffectMark::default());
         let mut buf = EffectBuffer::new();
         buf.push(ids[1], "gold", Effect::Add(50.0));
-        view.absorb(&buf);
+        view.absorb(&buf, EffectMark::default());
         assert_eq!(view.view_get(ids[1], "gold"), None);
     }
 
@@ -267,7 +264,7 @@ mod tests {
         for _ in 0..2 {
             let mut buf = EffectBuffer::new();
             buf.push(ids[0], POS, Effect::AddVec2(1.5, 0.5));
-            view.absorb(&buf);
+            view.absorb(&buf, EffectMark::default());
         }
         assert_eq!(view.view_pos(ids[0]), Some(Vec2::new(3.0, 1.0)));
         assert_eq!(w.pos(ids[0]), Some(Vec2::ZERO));
@@ -280,7 +277,26 @@ mod tests {
         let mut view = OverlayView::new(&w);
         let mut buf = EffectBuffer::new();
         buf.push(ids[0], "score", Effect::Add(7.0));
-        view.absorb(&buf);
+        view.absorb(&buf, EffectMark::default());
         assert_eq!(view.view_i64(ids[0], "score"), Some(7));
+    }
+
+    /// The overlay once kept its own fold table, which read `None` after
+    /// a `Min` on an absent column (`apply` writes the bound) and missed
+    /// the ops of a shared buffer pushed before its mark.
+    #[test]
+    fn absorbs_only_what_was_pushed_since_the_mark_as_apply_folds_it() {
+        let (mut w, ids) = world_pair();
+        w.remove_component(ids[2], "hp").unwrap();
+        let mut buf = EffectBuffer::new();
+        buf.push(ids[0], "gold", Effect::Add(-30.0));
+        let mark = buf.mark();
+        buf.push(ids[2], "hp", Effect::Min(7.0));
+        let mut view = OverlayView::new(&w);
+        view.absorb(&buf, mark);
+        assert_eq!(view.view_i64(ids[0], "gold"), Some(100), "pushed before the mark");
+        assert_eq!(view.view_f32(ids[2], "hp"), Some(7.0));
+        buf.apply(&mut w).unwrap();
+        assert_eq!(w.get_f32(ids[2], "hp"), Some(7.0));
     }
 }

@@ -6,14 +6,19 @@
 //! * dynamic bubble shard placement never splits a bubble across nodes
 //!   and is deterministic;
 //! * the maintained bubble partition and the placement built from it
-//!   equal their from-scratch evaluations tick for tick under churn.
+//!   equal their from-scratch evaluations tick for tick under churn;
+//! * the overlay executors read through agrees with what
+//!   `EffectBuffer::apply` writes (CI step `replication-oracle`).
+
+use std::collections::HashSet;
 
 use gamedb_content::{Value, ValueType};
-use gamedb_core::EntityId;
+use gamedb_core::{Effect, EffectBuffer, EntityId, World};
 use gamedb_spatial::Vec2;
 use gamedb_sync::{
     arena_world, partition, Action, AssignPolicy, Auditor, BubbleConfig, BubbleExecutor,
-    Executor, LockingExecutor, OptimisticExecutor, SerialExecutor, ShardManager,
+    Executor, LockingExecutor, OptimisticExecutor, OverlayView, SerialExecutor, ShardManager,
+    StateView,
 };
 use proptest::prelude::*;
 
@@ -230,6 +235,114 @@ proptest! {
                 "partition diverged at tick {}", t
             );
             last = Some(got);
+        }
+    }
+}
+
+// ---- the overlay against `EffectBuffer::apply` ----
+
+const OVERLAY_COMPONENTS: [&str; 5] = ["hp", "gold", "power", "home", "pos"];
+
+/// Six targets: four positioned players (one without `hp`, one without
+/// `power`, one holding a gold no `f64` holds, one with a `home`), an
+/// unpositioned entity, and a dead id.
+fn overlay_world() -> (World, Vec<EntityId>) {
+    let (mut w, mut ids) = arena_world(4, |i| Vec2::new(i as f32 * 3.0, 1.0));
+    w.define_component("home", ValueType::Vec2).unwrap();
+    w.remove_component(ids[1], "hp").unwrap();
+    w.remove_component(ids[2], "power").unwrap();
+    w.set(ids[0], "gold", Value::Int(9_007_199_254_740_993)).unwrap();
+    w.set(ids[3], "home", Value::Vec2(1.0, 1.0)).unwrap();
+    let flag = w.spawn();
+    w.set(flag, "gold", Value::Int(-3)).unwrap();
+    let dead = w.spawn_at(Vec2::ZERO);
+    w.despawn(dead);
+    ids.extend([flag, dead]);
+    (w, ids)
+}
+
+/// A well-typed effect on `component` from a generated `(kind, a)`:
+/// `Set`/`Add`/`Min`/`Max` on the numeric columns — bounds include NaN,
+/// 1e18 and fractions — and `Set`/`AddVec2` on `home` and `pos`.
+fn overlay_effect(component: &str, kind: u8, a: i8) -> Effect {
+    let x = a as f64 * 0.75;
+    let bound = match a {
+        -8 => f64::NAN,
+        7 => 1e18,
+        _ => x,
+    };
+    match (component, kind % 4) {
+        ("hp" | "power", 0) => Effect::Set(Value::Float(x as f32)),
+        ("gold", 0) => Effect::Set(Value::Int(a as i64)),
+        ("hp" | "power" | "gold", 1) => Effect::Add(x),
+        ("hp" | "power" | "gold", 2) => Effect::Min(bound),
+        ("hp" | "power" | "gold", _) => Effect::Max(bound),
+        (_, k) if k % 2 == 0 => Effect::Set(Value::Vec2(x as f32, a as f32)),
+        _ => Effect::AddVec2(x as f32, -0.5),
+    }
+}
+
+/// Every read an action can make, for every target.
+fn overlay_reads(view: &impl StateView, ids: &[EntityId]) -> Vec<String> {
+    let mut out = Vec::new();
+    for &e in ids {
+        out.push(format!("{e:?} live {} pos {:?}", view.view_is_live(e), view.view_pos(e)));
+        for c in OVERLAY_COMPONENTS {
+            out.push(format!("{e:?} {c} {:?}", view.view_get(e, c)));
+        }
+    }
+    out
+}
+
+proptest! {
+    // 64 cases by default; CI's `replication-oracle` step runs 256
+    // through PROPTEST_CASES
+    #![proptest_config(ProptestConfig::default())]
+
+    /// Executors push every action into one shared buffer and absorb
+    /// only what the action just pushed into the overlay its successors
+    /// read. Step by step — each step's effects (one per slot) pushed
+    /// into the shared buffer and absorbed from the mark taken before
+    /// them, and applied to a second world as a buffer of their own —
+    /// every read through the overlay equals the read of the applied
+    /// world: absent columns, int and float, Min/Max/Add/AddVec2/Set
+    /// (NaN and non-binding bounds on an integer beyond 2^53 included),
+    /// `pos`, dead targets and despawns.
+    #[test]
+    fn overlay_reads_equal_applied_state(
+        steps in proptest::collection::vec(
+            (
+                proptest::collection::vec((0usize..6, 0usize..5, 0u8..4, -8i8..8), 0..6),
+                proptest::option::of(0usize..6),
+            ),
+            1..24,
+        ),
+    ) {
+        let (base, ids) = overlay_world();
+        let mut applied = base.clone();
+        let mut shared = EffectBuffer::new();
+        let mut overlay = OverlayView::new(&base);
+        for (t, (ops, despawn)) in steps.into_iter().enumerate() {
+            let mut step = EffectBuffer::new();
+            let mark = shared.mark();
+            let mut slots = HashSet::new();
+            for (e, c, kind, a) in ops {
+                let component = OVERLAY_COMPONENTS[c];
+                if slots.insert((e, c)) {
+                    let effect = overlay_effect(component, kind, a);
+                    shared.push(ids[e], component, effect.clone());
+                    step.push(ids[e], component, effect);
+                }
+            }
+            if let Some(e) = despawn {
+                shared.despawn(ids[e]);
+                step.despawn(ids[e]);
+            }
+            overlay.absorb(&shared, mark);
+            step.apply(&mut applied).unwrap();
+            let (got, want) = (overlay_reads(&overlay, &ids), overlay_reads(&applied, &ids));
+            let differ: Vec<_> = got.iter().zip(&want).filter(|(g, w)| g != w).collect();
+            prop_assert!(differ.is_empty(), "after step {}, (overlay, applied): {:?}", t, differ);
         }
     }
 }

@@ -25,10 +25,16 @@ const LEVELS: [ConsistencyLevel; 3] = [
     },
 ];
 
-/// FNV-1a over the replica's rows in key order.
-fn replica_digest(replica: &Replica) -> u64 {
-    let mut rows: Vec<_> = replica.rows.iter().collect();
-    rows.sort_by(|a, b| a.0.cmp(b.0));
+/// FNV-1a over the replica's rows in `(entity, component name)` order,
+/// column ids mapped back to their names through `world` — the digest
+/// the golden was recorded with when rows were keyed by name.
+fn replica_digest(replica: &Replica, world: &World) -> u64 {
+    let mut rows: Vec<_> = replica
+        .rows
+        .iter()
+        .map(|(&(id, cid), value)| ((id, world.component_name(cid).expect("interned")), value))
+        .collect();
+    rows.sort_by(|a, b| a.0.cmp(&b.0));
     let mut digest = 0xcbf29ce484222325u64;
     let mut mix = |v: u64| digest = (digest ^ v).wrapping_mul(0x100000001b3);
     for ((id, name), value) in rows {
@@ -147,7 +153,7 @@ fn golden_run(level: ConsistencyLevel, margin: f32) -> Vec<(u64, usize, usize)> 
             replica.rows, shadow.rows,
             "tick {t} {level:?} margin {margin}: stream replica left the full walk"
         );
-        out.push((replica_digest(&replica), stream.rows_sent, stream.bytes_sent));
+        out.push((replica_digest(&replica, &w), stream.rows_sent, stream.bytes_sent));
     }
     out
 }

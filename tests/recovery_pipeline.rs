@@ -151,19 +151,20 @@ fn replicator_reattaches_interest_view_after_recovery() {
         w.set(e, "gold", Value::Int(i)).unwrap();
     }
     let mut rep = Replicator::with_interest(ConsistencyLevel::Strict, interest);
-    rep.attach_view(&mut w);
+    rep.attach_stream(&mut w);
     assert_eq!(w.view_ids().len(), 1);
 
     let (mut recovered, _) = decode(&encode(&w)).unwrap();
     let mut rep2 = Replicator::with_interest(ConsistencyLevel::Strict, interest);
     rep2.reattach_view(&mut recovered);
+    rep2.attach_stream(&mut recovered);
     assert_eq!(
         recovered.view_ids().len(),
         1,
         "interest view adopted, not re-registered"
     );
     let mut via_view = Replica::default();
-    rep2.sync_live(&mut recovered, &mut via_view);
+    rep2.sync_stream(&mut recovered, &mut via_view);
     let mut plain = Replicator::with_interest(ConsistencyLevel::Strict, interest);
     let mut via_walk = Replica::default();
     plain.sync(&recovered, &mut via_walk);
