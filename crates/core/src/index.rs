@@ -63,7 +63,9 @@
 //!    (`SecondaryIndex::build` — live `create_index` and snapshot
 //!    recovery alike, which loads rows *before* any index exists): ids
 //!    are read in ascending order, so hash postings are appended and a
-//!    sorted index is bulk-built from one sorted run. The result is the
+//!    sorted index is bulk-built from one sorted run (for a numeric
+//!    column, `(key bits, id)` integers in a stable radix sort by key,
+//!    which keeps each key's ids in arrival order). The result is the
 //!    structure per-row inserts would have built
 //!    (`bulk_load_equals_row_by_row_restore` in `tests/prop_core.rs`).
 
@@ -422,7 +424,9 @@ impl SecondaryIndex {
     /// Build the index over `col` in one pass. `ids` are the live
     /// entities in ascending order, so hash postings are appended, never
     /// searched; a sorted index collects its `(key, id)` pairs, sorts
-    /// them once and bulk-builds the tree from the sorted run. The
+    /// them once and bulk-builds the tree from the sorted run — on a
+    /// numeric column the pairs are plain integers (the [`OrdF64`] bits
+    /// and the id) and the sort is a stable radix sort by key. The
     /// result is what inserting every row one at a time would build.
     pub(crate) fn build(
         kind: IndexKind,
@@ -441,6 +445,24 @@ impl SecondaryIndex {
                     }
                 }
                 Buckets::Hash(map)
+            }
+            IndexKind::Sorted if matches!(col.ty(), ValueType::Float | ValueType::Int) => {
+                // plain integers: the key's order bits and the id, put in
+                // key order by a stable radix sort, so equal keys keep
+                // the ascending order the ids arrived in
+                let mut run: Vec<(u64, EntityId)> = ids
+                    .filter_map(|id| {
+                        let key = col.get_number(id.index() as usize).and_then(OrdF64::new)?;
+                        Some((key.0, id))
+                    })
+                    .collect();
+                entries = run.len();
+                radix_sort::<_, 8>(&mut run, |&(key, _)| key);
+                let postings = run.chunk_by(|a, b| a.0 == b.0).map(|same| {
+                    let ids = same.iter().map(|&(_, id)| id).collect();
+                    (IndexKey::Num(OrdF64(same[0].0)), ids)
+                });
+                Buckets::Sorted(postings.collect())
             }
             IndexKind::Sorted => {
                 let mut run: Vec<(KeyRef, EntityId)> = ids
@@ -681,35 +703,49 @@ fn holds_nothing(lo: &Bound<IndexKey>, hi: &Bound<IndexKey>) -> bool {
     }
 }
 
-/// Sort `ids` ascending with an LSD radix sort on the slot index, one
-/// byte per pass and as many passes as the largest slot needs — linear
-/// in `ids.len()`, where the comparison sort it replaced paid a log
-/// factor. Each pass is a stable counting sort, so after the last one
-/// the ids are in slot order; the ids occupy distinct slots (an index
-/// holds each live slot at most once), so slot order is id order.
+/// Sort `ids` ascending by slot index ([`radix_sort`]) — linear in
+/// `ids.len()`, where the comparison sort it replaced paid a log factor.
+/// The ids occupy distinct slots (an index holds each live slot at most
+/// once), so slot order is id order.
 fn sort_by_slot(ids: &mut [EntityId]) {
-    let max = ids.iter().map(|e| e.index()).max().unwrap_or(0);
-    let passes = (u32::BITS - max.leading_zeros()).div_ceil(8);
-    let mut scratch = ids.to_vec();
-    let (mut src, mut dst): (&mut [EntityId], &mut [EntityId]) = (ids, &mut scratch);
-    for pass in 0..passes {
-        let digit = |e: &EntityId| (e.index() >> (8 * pass)) as u8 as usize;
-        let mut at = [0usize; 256];
-        for e in src.iter() {
-            at[digit(e)] += 1;
+    radix_sort::<_, 4>(ids, |e| e.index() as u64);
+}
+
+/// Stable LSD radix sort of `items` by the low `BYTES` bytes of `key`,
+/// one counting-sort pass per byte, so items with equal keys keep their
+/// input order. One read counts every byte's digits; a byte on which all
+/// items agree (the high bytes of small slots, the low mantissa bytes of
+/// whole numbers) moves nothing, and its pass is skipped.
+fn radix_sort<T: Copy, const BYTES: usize>(items: &mut [T], key: impl Fn(&T) -> u64) {
+    let digit = |k: u64, byte: usize| (k >> (8 * byte)) as u8 as usize;
+    let mut counts = [[0usize; 256]; BYTES];
+    for item in items.iter() {
+        let k = key(item);
+        for (byte, count) in counts.iter_mut().enumerate() {
+            count[digit(k, byte)] += 1;
+        }
+    }
+    let n = items.len();
+    let mut scratch = items.to_vec();
+    let (mut src, mut dst): (&mut [T], &mut [T]) = (items, &mut scratch);
+    let mut in_scratch = false;
+    for (byte, at) in counts.iter_mut().enumerate() {
+        if at.contains(&n) {
+            continue;
         }
         let mut sum = 0;
         for slot in at.iter_mut() {
             (*slot, sum) = (sum, sum + *slot);
         }
-        for &e in src.iter() {
-            let d = digit(&e);
-            dst[at[d]] = e;
+        for &item in src.iter() {
+            let d = digit(key(&item), byte);
+            dst[at[d]] = item;
             at[d] += 1;
         }
         std::mem::swap(&mut src, &mut dst);
+        in_scratch = !in_scratch;
     }
-    if passes % 2 == 1 {
+    if in_scratch {
         // the last pass wrote the scratch copy
         dst.copy_from_slice(src);
     }

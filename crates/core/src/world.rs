@@ -32,7 +32,7 @@ use crate::view::{Changelog, ViewId, ViewRegistry, ViewStats};
 use gamedb_content::CmpOp;
 
 mod bulk;
-pub use bulk::BulkLoader;
+pub use bulk::{BulkLoader, RowLoader};
 
 /// Name of the reserved position component.
 pub const POS: &str = "pos";
@@ -275,15 +275,18 @@ impl World {
     /// ([`crate::planner::plan`]) weighs either against a scan using the
     /// index's exact NDV and bounds.
     pub fn create_index(&mut self, component: &str, kind: IndexKind) -> Result<(), CoreError> {
-        if component == POS {
-            return Err(CoreError::ReservedComponent(component.to_string()));
+        let cid = self.resolve(component)?;
+        self.create_index_by_id(cid, kind)
+    }
+
+    /// [`World::create_index`] addressed by interned id.
+    fn create_index_by_id(&mut self, cid: ComponentId, kind: IndexKind) -> Result<(), CoreError> {
+        let name = || self.interner.name(cid).unwrap_or_default().to_string();
+        if cid == POS_ID {
+            return Err(CoreError::ReservedComponent(name()));
         }
-        let cid = self
-            .interner
-            .get(component)
-            .ok_or_else(|| CoreError::UnknownComponent(component.to_string()))?;
         if self.index_of(cid).is_some() {
-            return Err(CoreError::DuplicateIndex(component.to_string()));
+            return Err(CoreError::DuplicateIndex(name()));
         }
         let idx = SecondaryIndex::build(kind, &self.columns[cid.index()], self.alloc.iter_live());
         if self.indexes.len() <= cid.index() {
@@ -299,9 +302,13 @@ impl World {
 
     /// Drop the index on a component; returns whether one existed.
     pub fn drop_index(&mut self, component: &str) -> bool {
-        let Some(cid) = self.interner.get(component) else {
-            return false;
-        };
+        self.interner
+            .get(component)
+            .is_some_and(|cid| self.drop_index_by_id(cid))
+    }
+
+    /// [`World::drop_index`] addressed by interned id.
+    pub fn drop_index_by_id(&mut self, cid: ComponentId) -> bool {
         let existed = self
             .indexes
             .get_mut(cid.index())
@@ -696,6 +703,13 @@ impl World {
 
     // ---- component access ----
 
+    /// The interned id of a defined component.
+    fn resolve(&self, component: &str) -> Result<ComponentId, CoreError> {
+        self.interner
+            .get(component)
+            .ok_or_else(|| CoreError::UnknownComponent(component.to_string()))
+    }
+
     fn check_live(&self, id: EntityId) -> Result<(), CoreError> {
         if self.is_live(id) {
             Ok(())
@@ -708,7 +722,20 @@ impl World {
     /// entity in the spatial index.
     pub fn set(&mut self, id: EntityId, component: &str, value: Value) -> Result<(), CoreError> {
         self.check_live(id)?;
-        if component == POS {
+        let cid = self.resolve(component)?;
+        self.set_by_id(id, cid, value)
+    }
+
+    /// [`World::set`] addressed by interned id — the write WAL replay
+    /// issues, with no name hashed.
+    pub fn set_by_id(
+        &mut self,
+        id: EntityId,
+        cid: ComponentId,
+        value: Value,
+    ) -> Result<(), CoreError> {
+        self.check_live(id)?;
+        if cid == POS_ID {
             let Value::Vec2(x, y) = value else {
                 return Err(CoreError::TypeMismatch {
                     component: POS.to_string(),
@@ -718,10 +745,9 @@ impl World {
             };
             return self.set_pos(id, Vec2::new(x, y));
         }
-        let cid = self
-            .interner
-            .get(component)
-            .ok_or_else(|| CoreError::UnknownComponent(component.to_string()))?;
+        if cid.index() >= self.columns.len() {
+            return Err(CoreError::UnknownComponent(format!("{cid}")));
+        }
         let indexed = self.index_of(cid).is_some();
         let recording = self.recording();
         let col = &mut self.columns[cid.index()];
@@ -731,7 +757,7 @@ impl World {
         let old = if indexed || recording { col.get(slot) } else { None };
         col.set(slot, &value)
             .map_err(|expected| CoreError::TypeMismatch {
-                component: component.to_string(),
+                component: self.interner.name(cid).unwrap_or_default().to_string(),
                 expected,
                 got: value.value_type(),
             })?;
@@ -763,10 +789,20 @@ impl World {
     /// Remove a component from an entity.
     pub fn remove_component(&mut self, id: EntityId, component: &str) -> Result<bool, CoreError> {
         self.check_live(id)?;
-        let cid = self
-            .interner
-            .get(component)
-            .ok_or_else(|| CoreError::UnknownComponent(component.to_string()))?;
+        let cid = self.resolve(component)?;
+        self.remove_component_by_id(id, cid)
+    }
+
+    /// [`World::remove_component`] addressed by interned id.
+    pub fn remove_component_by_id(
+        &mut self,
+        id: EntityId,
+        cid: ComponentId,
+    ) -> Result<bool, CoreError> {
+        self.check_live(id)?;
+        if cid.index() >= self.columns.len() {
+            return Err(CoreError::UnknownComponent(format!("{cid}")));
+        }
         if cid == POS_ID {
             self.spatial.remove(id.to_bits());
         }
@@ -1319,9 +1355,10 @@ impl World {
     /// world with `schema` defined in listed order — so every interned
     /// id lands where the image's writer had it; the predefined `pos`
     /// may appear anywhere in the list — holding exactly `entities`,
-    /// restored with their generations in one allocator pass. Rows then
-    /// go straight into their columns through the returned
-    /// [`BulkLoader`]; nothing is indexed, folded or recorded per row.
+    /// restored with their generations in one allocator pass, every
+    /// column sized for them once. Rows then go straight into their
+    /// columns through the returned [`BulkLoader`]; nothing is indexed,
+    /// folded or recorded per row.
     /// Derived state is built over the finished rows by
     /// [`World::import_catalog`], each index and view in one pass.
     pub fn bulk_load(
@@ -1342,6 +1379,10 @@ impl World {
             }
         }
         world.alloc = EntityAllocator::restore_all(entities).map_err(CoreError::DeadEntity)?;
+        let slots = entities.iter().map(|e| e.index() as usize + 1).max().unwrap_or(0);
+        for col in &mut world.columns {
+            col.grow_to(slots);
+        }
         Ok(BulkLoader { world, ids })
     }
 
@@ -1349,14 +1390,29 @@ impl World {
     /// index (idempotent redo). Returns whether an index was created;
     /// a kind mismatch is still an error.
     pub fn ensure_index(&mut self, component: &str, kind: IndexKind) -> Result<bool, CoreError> {
-        if let Some(idx) = self.index_on(component) {
+        let cid = self.resolve(component)?;
+        self.ensure_index_by_id(cid, kind)
+    }
+
+    /// [`World::ensure_index`] addressed by interned id.
+    pub fn ensure_index_by_id(
+        &mut self,
+        cid: ComponentId,
+        kind: IndexKind,
+    ) -> Result<bool, CoreError> {
+        if cid.index() >= self.columns.len() {
+            return Err(CoreError::UnknownComponent(format!("{cid}")));
+        }
+        if let Some(idx) = self.index_of(cid) {
             return if idx.kind() == kind {
                 Ok(false)
             } else {
-                Err(CoreError::DuplicateIndex(component.to_string()))
+                Err(CoreError::DuplicateIndex(
+                    self.interner.name(cid).unwrap_or_default().to_string(),
+                ))
             };
         }
-        self.create_index(component, kind)?;
+        self.create_index_by_id(cid, kind)?;
         Ok(true)
     }
 
@@ -2122,13 +2178,18 @@ mod tests {
         // `pos` keeps its reserved id wherever the schema lists it
         let (hp, pos) = (load.component_ids()[0], load.component_ids()[1]);
         assert_eq!(pos, POS_ID);
+        assert_eq!(load.row(b).unwrap_err(), CoreError::DeadEntity(b));
+        let mut row = load.row(a).unwrap();
         assert!(matches!(
-            load.put(a, hp, Value::Int(1)),
+            row.put_i64(hp, 1),
             Err(CoreError::TypeMismatch { .. })
         ));
-        assert_eq!(load.put(b, hp, Value::Float(1.0)), Err(CoreError::DeadEntity(b)));
-        load.put(a, hp, Value::Float(7.0)).unwrap();
-        load.put(a, pos, Value::Vec2(2.0, 3.0)).unwrap();
+        assert!(matches!(
+            row.put_f32(ComponentId::from_u32(9), 1.0),
+            Err(CoreError::UnknownComponent(_))
+        ));
+        row.put_f32(hp, 7.0).unwrap();
+        row.put_v2(pos, [2.0, 3.0]).unwrap();
         let w = load.finish();
         assert_eq!(w.get_f32(a, "hp"), Some(7.0));
         let mut near = vec![];

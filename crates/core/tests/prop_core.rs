@@ -883,7 +883,16 @@ fn restore_via_catalog(w: &World) -> World {
     let mut load = World::bulk_load(&schema, &w.entity_vec()).unwrap();
     for (e, comp, val) in w.rows() {
         // the schema was listed in id order, so the ids are `w`'s
-        load.put(e, w.component_id(&comp).unwrap(), val).unwrap();
+        let c = w.component_id(&comp).unwrap();
+        let mut row = load.row(e).unwrap();
+        match val {
+            Value::Float(x) => row.put_f32(c, x),
+            Value::Int(x) => row.put_i64(c, x),
+            Value::Bool(x) => row.put_bool(c, x),
+            Value::Str(x) => row.put_str(c, x),
+            Value::Vec2(x, y) => row.put_v2(c, [x, y]),
+        }
+        .unwrap();
     }
     let mut r = load.finish();
     r.import_catalog(&w.export_catalog()).unwrap();
@@ -926,8 +935,13 @@ enum ImageOp {
         team: u8,
         home: Option<(f32, f32)>,
     },
+    /// `.0` entities, positioned or not, sharing one hp and one gold —
+    /// long equal-key runs in the sorted indexes.
+    SpawnRun(u8, bool, f32, i64),
     /// Overwrite column `.1` of the i-th live entity from the payload.
     Set(u16, u8, f32),
+    /// Overwrite the gold of the i-th live entity.
+    SetGold(u16, i64),
     /// Remove column `.1` (`pos` included) from the i-th live entity.
     Remove(u16, u8),
     Despawn(u16),
@@ -938,10 +952,25 @@ const IMAGE_COLUMNS: [&str; 6] = ["hp", "gold", "alive", "team", "home", gamedb_
 fn odd_float() -> impl Strategy<Value = f32> {
     prop_oneof![
         0.0f32..100.0,
-        0.0f32..100.0,
+        -100.0f32..0.0,
         Just(f32::NAN),
         Just(-0.0f32),
         Just(0.0f32),
+    ]
+}
+
+/// Ints whose numeric index keys stress a sorted index's key order:
+/// negatives, values beyond 2^53 that collide once coerced to f64, values
+/// above 2^52 whose keys differ in exactly one byte (each byte a radix
+/// sort passes over), the extremes.
+fn odd_int() -> impl Strategy<Value = i64> {
+    prop_oneof![
+        0i64..50,
+        -50i64..0,
+        (1i64 << 53)..(1i64 << 53) + 16,
+        (0u32..7, 1i64..4).prop_map(|(byte, k)| (1i64 << 52) + (k << (8 * byte))),
+        Just(i64::MIN),
+        Just(i64::MAX),
     ]
 }
 
@@ -964,8 +993,10 @@ fn image_op_strategy() -> impl Strategy<Value = ImageOp> {
                 team,
                 home
             }),
+        (1u8..120, any::<bool>(), odd_float(), odd_int())
+            .prop_map(|(n, at, hp, gold)| ImageOp::SpawnRun(n, at, hp, gold)),
         (0u16..64, 0u8..6, odd_float()).prop_map(|(i, c, v)| ImageOp::Set(i, c, v)),
-        (0u16..64, 0u8..6, odd_float()).prop_map(|(i, c, v)| ImageOp::Set(i, c, v)),
+        (0u16..64, odd_int()).prop_map(|(i, v)| ImageOp::SetGold(i, v)),
         (0u16..64, 0u8..6).prop_map(|(i, c)| ImageOp::Remove(i, c)),
         (0u16..64).prop_map(ImageOp::Despawn),
     ]
@@ -1007,6 +1038,22 @@ fn apply_image_op(w: &mut World, live: &mut Vec<EntityId>, op: &ImageOp) {
             }
             live.push(e);
         }
+        ImageOp::SpawnRun(n, at, hp, gold) => {
+            for k in 0..n {
+                let e = if at {
+                    w.spawn_at(Vec2::new(k as f32, -(k as f32)))
+                } else {
+                    w.spawn()
+                };
+                w.set_f32(e, "hp", hp).unwrap();
+                w.set(e, "gold", Value::Int(gold)).unwrap();
+                live.push(e);
+            }
+        }
+        ImageOp::SetGold(i, v) if !live.is_empty() => {
+            let e = live[i as usize % live.len()];
+            w.set(e, "gold", Value::Int(v)).unwrap();
+        }
         ImageOp::Set(i, c, v) if !live.is_empty() => {
             let e = live[i as usize % live.len()];
             w.set(e, IMAGE_COLUMNS[c as usize], image_value(c, v)).unwrap();
@@ -1036,6 +1083,10 @@ proptest! {
     /// the catalog, the spatial grid, every index probe (each also
     /// equal to the scan), every view output (each also equal to the
     /// forced recompute), and the ids the next 50 spawns hand out.
+    /// The sorted numeric indexes see negative floats, ints beyond 2^53
+    /// that collide as f64 keys, keys differing only in their low bytes
+    /// and long equal-key runs; every posting list must equal the
+    /// row-by-row one in its stored (id) order.
     #[test]
     fn bulk_load_equals_row_by_row_restore(
         ops in proptest::collection::vec(image_op_strategy(), 1..90),
@@ -1141,6 +1192,27 @@ proptest! {
             let (b, r) = (bulk.index_on(c).unwrap(), rowwise.index_on(c).unwrap());
             prop_assert_eq!((b.kind(), b.len(), b.ndv()), (kind, r.len(), r.ndv()), "index {}", c);
             prop_assert_eq!(b.numeric_bounds(), r.numeric_bounds(), "index {}", c);
+        }
+        // every posting list, in its stored order: an equality probe
+        // hands one list back as the index holds it
+        for (e, c, value) in w.rows() {
+            let postings = |w: &World| {
+                let mut out = Vec::new();
+                w.index_probe(&c, CmpOp::Eq, &value, &mut out);
+                out
+            };
+            let held = postings(&bulk);
+            prop_assert_eq!(&held, &postings(&rowwise), "posting of {:?} in {}", value, c);
+            prop_assert!(
+                held.windows(2).all(|p| p[0] < p[1]),
+                "posting of {:?} in {} out of id order", value, c
+            );
+            let keyed = !matches!(value, Value::Float(x) if x.is_nan())
+                && !matches!(value, Value::Vec2(x, y) if x.is_nan() || y.is_nan());
+            prop_assert!(
+                w.index_on(&c).is_none() || !keyed || held.contains(&e),
+                "{:?} missing from the posting of {:?} in {}", e, value, c
+            );
         }
 
         prop_assert!(!bulk.has_view(burned), "burned slots stay burned");

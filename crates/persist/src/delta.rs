@@ -21,7 +21,7 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 use gamedb_content::{Value, ValueType};
 use gamedb_core::{EntityId, World, POS};
 
-use crate::snapshot::{checksum, get_value, put_value, SnapshotError};
+use crate::snapshot::{bounded, checksum, get_value, put_value, SnapshotError, MIN_STR};
 
 /// Delta format magic + version. v2 appends the world catalog
 /// (indexes, standing views, lineage, tick) to every delta: derived-
@@ -177,8 +177,10 @@ pub fn apply_delta(world: &mut World, data: &[u8]) -> Result<(), SnapshotError> 
             }
         };
     }
+    // every count read here is bounded by what the rest of the body
+    // could hold before anything is sized or looped by it
     need!(4);
-    let n_schema = buf.get_u32_le() as usize;
+    let n_schema = bounded(buf.get_u32_le() as usize, &buf, MIN_STR + 1)?;
     let mut schema = Vec::with_capacity(n_schema);
     for _ in 0..n_schema {
         need!(4);
@@ -202,7 +204,7 @@ pub fn apply_delta(world: &mut World, data: &[u8]) -> Result<(), SnapshotError> 
     }
 
     need!(4);
-    let n_removed = buf.get_u32_le() as usize;
+    let n_removed = bounded(buf.get_u32_le() as usize, &buf, 8)?;
     for _ in 0..n_removed {
         need!(8);
         let id = EntityId::from_bits(buf.get_u64_le());
@@ -210,7 +212,8 @@ pub fn apply_delta(world: &mut World, data: &[u8]) -> Result<(), SnapshotError> 
     }
 
     need!(4);
-    let n_upserts = buf.get_u32_le() as usize;
+    // id, position flag, component count
+    let n_upserts = bounded(buf.get_u32_le() as usize, &buf, 8 + 1 + 4)?;
     for _ in 0..n_upserts {
         need!(9);
         let id = EntityId::from_bits(buf.get_u64_le());
@@ -229,7 +232,8 @@ pub fn apply_delta(world: &mut World, data: &[u8]) -> Result<(), SnapshotError> 
                 .map_err(|e| SnapshotError::Corrupt(e.to_string()))?;
         }
         need!(4);
-        let n_present = buf.get_u32_le() as usize;
+        // schema index + the smallest value
+        let n_present = bounded(buf.get_u32_le() as usize, &buf, 4 + 1)?;
         let mut present = vec![false; schema.len()];
         for _ in 0..n_present {
             need!(4);
@@ -384,6 +388,49 @@ mod tests {
         let full = crate::snapshot::encode(&w);
         assert!(small.len() * 20 < big.len(), "1 vs 500 rows");
         assert!(big.len() < full.len(), "500 rows < 1000 rows");
+    }
+
+    /// Every count read from a delta is bounded by what the body could
+    /// hold before anything is sized or looped by it: a forged count
+    /// under a recomputed (valid) checksum is a truncation, not a
+    /// multi-gigabyte allocation.
+    #[test]
+    fn forged_delta_counts_fail_before_they_allocate() {
+        // the body starts after magic and length
+        const BODY: usize = 8;
+        let (mut w, ids) = world(3);
+        let base_world = w.clone();
+        let base = row_hashes(&w);
+        w.set_f32(ids[0], "hp", 1.0).unwrap();
+        w.despawn(ids[2]);
+        let (delta, _) = encode_delta(&w, &base);
+        let delta = delta.to_vec();
+        // body: n_schema | (name, tag)* | n_removed | id* | n_upserts |
+        // id, pos flag, x, y | n_present | ...
+        let schema: usize = non_pos_schema(&w).iter().map(|(n, _)| 4 + n.len() + 1).sum();
+        let removed = 4 + schema;
+        let upserts = removed + 4 + 8;
+        let present = upserts + 4 + 8 + 1 + 8;
+        for (what, at, count) in [
+            ("schema", 0, 2),
+            ("removed", removed, 1),
+            ("upsert", upserts, 1),
+            ("present", present, 2),
+        ] {
+            let at = BODY + at;
+            let read = u32::from_le_bytes(delta[at..at + 4].try_into().unwrap());
+            assert_eq!(read, count, "the {what} count sits at {at}");
+            let mut forged = delta.clone();
+            forged[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            let end = forged.len() - 4;
+            let sum = checksum(&forged[BODY..end]);
+            forged[end..].copy_from_slice(&sum.to_le_bytes());
+            assert_eq!(
+                apply_delta(&mut base_world.clone(), &forged),
+                Err(SnapshotError::Truncated),
+                "forged {what} count"
+            );
+        }
     }
 
     #[test]

@@ -40,6 +40,12 @@ pub(crate) struct WalMetrics {
     pub flush_commits: Histogram,
     /// `wal.checkpoints`: snapshots written.
     pub checkpoints: Counter,
+    /// `checkpoint.encode_us`: microseconds to encode one checkpoint's
+    /// snapshot (`snapshot::encode`, checksum included).
+    pub checkpoint_encode_us: Histogram,
+    /// `checkpoint.write_us`: microseconds to make one encoded snapshot
+    /// durable — the backend put, its checkpoint mark and the flush.
+    pub checkpoint_write_us: Histogram,
     /// `wal.writer_errors`: writer-side failures (I/O error or backend
     /// crash). Anything above 0 means the pipeline is dead.
     pub writer_errors: Counter,
@@ -76,6 +82,8 @@ impl WalMetrics {
             flushes: registry.counter("wal.flushes"),
             flush_commits: registry.histogram("wal.flush_commits", SIZE_BUCKETS),
             checkpoints: registry.counter("wal.checkpoints"),
+            checkpoint_encode_us: registry.histogram("checkpoint.encode_us", LATENCY_US_BUCKETS),
+            checkpoint_write_us: registry.histogram("checkpoint.write_us", LATENCY_US_BUCKETS),
             writer_errors: registry.counter("wal.writer_errors"),
             recover: RecoverMetrics {
                 snapshots_read: registry.counter("recover.snapshots_read"),

@@ -8,7 +8,7 @@
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use gamedb_content::{CmpOp, Value, ValueType};
 use gamedb_core::{
-    AggFn, ComponentId, EntityId, IndexKind, JoinOn, PlanNode, Pred, Query, ViewPlan, World,
+    AggFn, Column, ComponentId, EntityId, IndexKind, JoinOn, PlanNode, Pred, Query, ViewPlan, World,
     WorldCatalog,
 };
 use gamedb_spatial::Vec2;
@@ -542,58 +542,117 @@ pub(crate) fn get_catalog(
 /// table: decode re-interns in listed order, so every id the snapshot
 /// lineage ever recorded (WAL tails, replication segments) resolves
 /// identically after recovery.
+///
+/// Rows are read by slot: each schema entry's column is resolved once,
+/// and every value is written from its typed accessor — no name lookup,
+/// no [`Value`] per row.
 pub fn encode(world: &World) -> Bytes {
-    let mut body = BytesMut::new();
-    // schema, in id order (see above)
-    let schema: Vec<(String, ValueType)> = world
+    let schema: Vec<(&str, &Column)> = world
         .schema_by_id()
-        .map(|(_, n, t)| (n.to_string(), t))
+        .map(|(id, name, _)| (name, world.column_by_id(id).expect("schema ids are dense")))
         .collect();
-    body.put_u32_le(schema.len() as u32);
-    for (name, ty) in &schema {
-        put_str(&mut body, name);
-        body.put_u8(type_tag(*ty));
-    }
-    // entities
-    let entities: Vec<EntityId> = world.entities().collect();
-    body.put_u32_le(entities.len() as u32);
-    for e in &entities {
-        body.put_u64_le(e.to_bits());
-    }
-    // rows: per entity, count + (schema index, value)
-    for &e in &entities {
-        let rows: Vec<(usize, Value)> = schema
-            .iter()
-            .enumerate()
-            .filter_map(|(i, (name, _))| world.get(e, name).map(|v| (i, v)))
-            .collect();
-        body.put_u32_le(rows.len() as u32);
-        for (i, v) in rows {
-            body.put_u32_le(i as u32);
-            put_value(&mut body, &v);
-        }
-    }
-    // catalog: index definitions + standing views
-    put_catalog(&mut body, &world.export_catalog());
-    // frame: magic, tick, lineage, len, body, checksum
-    let mut out = BytesMut::with_capacity(body.len() + 28);
+    let entities = world.len();
+    // the buffer is sized exactly, so it never regrows and freezing it
+    // copies nothing: the catalog is encoded ahead, the rest counted
+    let mut catalog = BytesMut::new();
+    put_catalog(&mut catalog, &world.export_catalog());
+    let size = FRAME
+        + 4
+        + schema.iter().map(|(name, _)| MIN_STR + name.len() + 1).sum::<usize>()
+        + 4
+        + 12 * entities
+        + schema.iter().map(|(_, col)| row_bytes(col)).sum::<usize>()
+        + catalog.len()
+        + 4;
+    let mut out = BytesMut::with_capacity(size);
+    // frame header; the body length is patched in once the body is known
     out.put_u32_le(MAGIC);
     out.put_u64_le(world.tick());
     out.put_u64_le(world.lineage());
-    out.put_u32_le(body.len() as u32);
-    let cksum = checksum(&body);
-    out.put_slice(&body);
+    out.put_u32_le(0);
+    // schema, in id order (see above)
+    out.put_u32_le(schema.len() as u32);
+    for (name, col) in &schema {
+        put_str(&mut out, name);
+        out.put_u8(type_tag(col.ty()));
+    }
+    // entities
+    out.put_u32_le(entities as u32);
+    for e in world.entities() {
+        out.put_u64_le(e.to_bits());
+    }
+    // rows: per entity, count + (schema index, value); the count is
+    // patched in after the entity's values
+    for e in world.entities() {
+        let slot = e.index() as usize;
+        let count_at = out.len();
+        out.put_u32_le(0);
+        let mut count = 0u32;
+        for (i, (_, col)) in schema.iter().enumerate() {
+            if !col.has(slot) {
+                continue;
+            }
+            out.put_u32_le(i as u32);
+            match col.ty() {
+                ValueType::Float => out.put_f32_le(col.get_f32(slot).expect("present")),
+                ValueType::Int => out.put_i64_le(col.get_i64(slot).expect("present")),
+                ValueType::Bool => out.put_u8(col.get_bool(slot).expect("present") as u8),
+                ValueType::Str => put_str(&mut out, col.get_str(slot).expect("present")),
+                ValueType::Vec2 => {
+                    let [x, y] = col.get_v2(slot).expect("present");
+                    out.put_f32_le(x);
+                    out.put_f32_le(y);
+                }
+            }
+            count += 1;
+        }
+        out[count_at..count_at + 4].copy_from_slice(&count.to_le_bytes());
+    }
+    // catalog: index definitions + standing views
+    out.put_slice(&catalog);
+    // frame: the body's length, then its checksum
+    let len = (out.len() - FRAME) as u32;
+    out[FRAME - 4..FRAME].copy_from_slice(&len.to_le_bytes());
+    let cksum = checksum(&out[FRAME..]);
     out.put_u32_le(cksum);
+    debug_assert_eq!(out.len(), size, "the snapshot was sized exactly");
     out.freeze()
 }
 
+/// Bytes of the frame header ahead of the body: magic, tick, lineage,
+/// body length.
+const FRAME: usize = 24;
+
+/// Bytes the row section spends on `col`: a schema index and an encoded
+/// value per present slot.
+fn row_bytes(col: &Column) -> usize {
+    let value = match col.ty() {
+        ValueType::Float => 4,
+        ValueType::Int | ValueType::Vec2 => 8,
+        ValueType::Bool => 1,
+        ValueType::Str => MIN_STR,
+    };
+    let text: usize = match col.ty() {
+        ValueType::Str => (0..col.presence().len())
+            .filter_map(|slot| col.get_str(slot))
+            .map(str::len)
+            .sum(),
+        _ => 0,
+    };
+    col.present_count() * (4 + value) + text
+}
+
 /// Smallest encoding of a string: its length prefix.
-const MIN_STR: usize = 4;
+pub(crate) const MIN_STR: usize = 4;
 
 /// A count read from disk, checked against what the rest of the buffer
 /// could possibly hold at `min_size` bytes per item — a forged count is
 /// a truncation, found before anything is allocated for it.
-fn bounded(count: usize, buf: &impl Buf, min_size: usize) -> Result<usize, SnapshotError> {
+pub(crate) fn bounded(
+    count: usize,
+    buf: &impl Buf,
+    min_size: usize,
+) -> Result<usize, SnapshotError> {
     if buf.remaining() / min_size < count {
         return Err(SnapshotError::Truncated);
     }
@@ -622,7 +681,7 @@ pub(crate) fn decode_phased(data: &[u8], phases: &mut RecoveryStats) -> Result<W
     }
     let started = Instant::now();
     let mut buf = data;
-    if buf.remaining() < 24 {
+    if buf.remaining() < FRAME {
         return Err(SnapshotError::Truncated);
     }
     let magic = buf.get_u32_le();
@@ -643,23 +702,24 @@ pub(crate) fn decode_phased(data: &[u8], phases: &mut RecoveryStats) -> Result<W
     }
 
     let mut buf = body;
-    // schema: name + type tag per entry
-    if buf.remaining() < 4 {
-        return Err(SnapshotError::Truncated);
+    macro_rules! need {
+        ($n:expr) => {
+            if buf.remaining() < $n {
+                return Err(SnapshotError::Truncated);
+            }
+        };
     }
+    // schema: name + type tag per entry
+    need!(4);
     let n_schema = buf.get_u32_le() as usize;
     let mut schema = Vec::with_capacity(bounded(n_schema, &buf, MIN_STR + 1)?);
     for _ in 0..n_schema {
         let name = get_str(&mut buf)?;
-        if buf.remaining() < 1 {
-            return Err(SnapshotError::Truncated);
-        }
+        need!(1);
         schema.push((name, tag_type(buf.get_u8())?));
     }
     // entities: 8 bytes each
-    if buf.remaining() < 4 {
-        return Err(SnapshotError::Truncated);
-    }
+    need!(4);
     let n_entities = buf.get_u32_le() as usize;
     let mut entities = Vec::with_capacity(bounded(n_entities, &buf, 8)?);
     for _ in 0..n_entities {
@@ -668,7 +728,7 @@ pub(crate) fn decode_phased(data: &[u8], phases: &mut RecoveryStats) -> Result<W
     phases.decode = started.elapsed();
 
     // rows: each schema entry resolves to its column once, then every
-    // value goes straight into that column
+    // value goes straight from the buffer into its column slot
     let started = Instant::now();
     let mut loader = World::bulk_load(&schema, &entities).map_err(corrupt)?;
     let columns: Vec<(ComponentId, ValueType)> = loader
@@ -679,20 +739,35 @@ pub(crate) fn decode_phased(data: &[u8], phases: &mut RecoveryStats) -> Result<W
         .collect();
     let mut rows = 0u64;
     for &e in &entities {
-        if buf.remaining() < 4 {
-            return Err(SnapshotError::Truncated);
-        }
+        let mut row = loader.row(e).map_err(corrupt)?;
+        need!(4);
         let n_rows = buf.get_u32_le();
         for _ in 0..n_rows {
-            if buf.remaining() < 4 {
-                return Err(SnapshotError::Truncated);
-            }
+            need!(4);
             let idx = buf.get_u32_le() as usize;
             let &(component, ty) = columns
                 .get(idx)
                 .ok_or_else(|| SnapshotError::Corrupt(format!("schema index {idx}")))?;
-            let value = get_value(&mut buf, ty)?;
-            loader.put(e, component, value).map_err(corrupt)?;
+            match ty {
+                ValueType::Float => {
+                    need!(4);
+                    row.put_f32(component, buf.get_f32_le())
+                }
+                ValueType::Int => {
+                    need!(8);
+                    row.put_i64(component, buf.get_i64_le())
+                }
+                ValueType::Bool => {
+                    need!(1);
+                    row.put_bool(component, buf.get_u8() != 0)
+                }
+                ValueType::Str => row.put_str(component, get_str(&mut buf)?),
+                ValueType::Vec2 => {
+                    need!(8);
+                    row.put_v2(component, [buf.get_f32_le(), buf.get_f32_le()])
+                }
+            }
+            .map_err(corrupt)?;
             rows += 1;
         }
     }
@@ -720,6 +795,166 @@ pub(crate) fn decode_phased(data: &[u8], phases: &mut RecoveryStats) -> Result<W
 mod tests {
     use super::*;
     use gamedb_spatial::Vec2;
+    use proptest::prelude::*;
+
+    /// The row-walk encoder [`encode`] replaced, rebuilt from
+    /// [`World::rows`]: every value passes through a [`Value`], and each
+    /// entity's rows are put back into schema (interned id) order. The
+    /// oracle `encode` must equal byte for byte.
+    fn encode_by_row_walk(world: &World) -> Vec<u8> {
+        let schema: Vec<(&str, ValueType)> = world.schema_by_id().map(|(_, n, t)| (n, t)).collect();
+        let mut body = BytesMut::new();
+        body.put_u32_le(schema.len() as u32);
+        for (name, ty) in &schema {
+            put_str(&mut body, name);
+            body.put_u8(type_tag(*ty));
+        }
+        let entities: Vec<EntityId> = world.entities().collect();
+        body.put_u32_le(entities.len() as u32);
+        for e in &entities {
+            body.put_u64_le(e.to_bits());
+        }
+        let mut rows = world.rows().into_iter().peekable();
+        for &e in &entities {
+            let mut row = Vec::new();
+            while let Some((_, name, value)) = rows.next_if(|(id, ..)| *id == e) {
+                let i = schema.iter().position(|(n, _)| *n == name).unwrap();
+                row.push((i, value));
+            }
+            row.sort_by_key(|(i, _)| *i);
+            body.put_u32_le(row.len() as u32);
+            for (i, value) in row {
+                body.put_u32_le(i as u32);
+                put_value(&mut body, &value);
+            }
+        }
+        put_catalog(&mut body, &world.export_catalog());
+        let mut out = BytesMut::new();
+        out.put_u32_le(MAGIC);
+        out.put_u64_le(world.tick());
+        out.put_u64_le(world.lineage());
+        out.put_u32_le(body.len() as u32);
+        out.put_slice(&body);
+        out.put_u32_le(checksum(&body));
+        out.to_vec()
+    }
+
+    /// One step of the byte-identity workload: a spawn (positioned or
+    /// not) with a random subset of the five column types, a write, a
+    /// removal (`pos` included) or a despawn of the i-th live entity.
+    #[derive(Debug, Clone)]
+    enum ImageOp {
+        Spawn(Option<(f32, f32)>, u8, f32, i64, String),
+        Set(u16, u8, f32, i64, String),
+        Remove(u16, u8),
+        Despawn(u16),
+    }
+
+    /// Floats an encoder must carry bit for bit: NaN, both zeros.
+    fn odd_float() -> impl Strategy<Value = f32> {
+        prop_oneof![
+            -1e6f32..1e6,
+            Just(f32::NAN),
+            Just(-0.0f32),
+            Just(0.0f32),
+            Just(f32::INFINITY),
+        ]
+    }
+
+    fn image_op() -> impl Strategy<Value = ImageOp> {
+        let int = || prop_oneof![-50i64..50, Just(i64::MIN), Just(i64::MAX), any::<i64>()];
+        prop_oneof![
+            (
+                proptest::option::of((-40.0f32..40.0, -40.0f32..40.0)),
+                any::<u8>(),
+                odd_float(),
+                int(),
+                "\\PC{0,6}",
+            )
+                .prop_map(|(at, mask, f, i, s)| ImageOp::Spawn(at, mask, f, i, s)),
+            (0u16..64, 0u8..6, odd_float(), int(), "\\PC{0,6}")
+                .prop_map(|(n, c, f, i, s)| ImageOp::Set(n, c, f, i, s)),
+            (0u16..64, 0u8..6).prop_map(|(n, c)| ImageOp::Remove(n, c)),
+            (0u16..64).prop_map(ImageOp::Despawn),
+        ]
+    }
+
+    const COLUMNS: [&str; 6] = ["hp", "gold", "alive", "name", "home", gamedb_core::POS];
+
+    /// The value op payloads give column `c`; a position stays finite.
+    fn column_value(c: u8, f: f32, i: i64, s: &str) -> Value {
+        match c {
+            0 => Value::Float(f),
+            1 => Value::Int(i),
+            2 => Value::Bool(i % 2 == 0),
+            3 => Value::Str(s.to_string()),
+            4 => Value::Vec2(f, -f),
+            _ => Value::Vec2((i % 40) as f32, if f.is_finite() { f % 40.0 } else { 1.0 }),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::default())]
+
+        /// [`encode`] reads columns by slot; the row walk it replaced read
+        /// them by name through a `Value`. Over worlds with all five
+        /// column types, NaN / ±0.0 / infinities, missing values,
+        /// unpositioned entities, id holes with bumped generations and a
+        /// catalog, the two write the same bytes.
+        #[test]
+        fn snapshot_encode_is_byte_identical_to_row_walk(
+            ops in proptest::collection::vec(image_op(), 0..80),
+            indexed in any::<bool>(),
+        ) {
+            let mut w = World::new();
+            for (name, ty) in [
+                ("hp", ValueType::Float),
+                ("gold", ValueType::Int),
+                ("alive", ValueType::Bool),
+                ("name", ValueType::Str),
+                ("home", ValueType::Vec2),
+            ] {
+                w.define_component(name, ty).unwrap();
+            }
+            if indexed {
+                w.create_index("gold", IndexKind::Sorted).unwrap();
+                w.register_view(Query::select().filter("hp", CmpOp::Lt, Value::Float(0.0)));
+            }
+            let mut live = Vec::new();
+            for op in &ops {
+                match op {
+                    ImageOp::Spawn(at, mask, f, i, s) => {
+                        let e = match at {
+                            Some((x, y)) => w.spawn_at(Vec2::new(*x, *y)),
+                            None => w.spawn(),
+                        };
+                        for c in (0..5u8).filter(|c| mask & (1 << c) != 0) {
+                            w.set(e, COLUMNS[c as usize], column_value(c, *f, *i, s)).unwrap();
+                        }
+                        live.push(e);
+                    }
+                    ImageOp::Set(n, c, f, i, s) if !live.is_empty() => {
+                        let e = live[*n as usize % live.len()];
+                        w.set(e, COLUMNS[*c as usize], column_value(*c, *f, *i, s)).unwrap();
+                    }
+                    ImageOp::Remove(n, c) if !live.is_empty() => {
+                        let e = live[*n as usize % live.len()];
+                        w.remove_component(e, COLUMNS[*c as usize]).unwrap();
+                    }
+                    ImageOp::Despawn(n) if !live.is_empty() => {
+                        let e = live.swap_remove(*n as usize % live.len());
+                        w.despawn(e);
+                    }
+                    _ => {}
+                }
+            }
+            w.refresh_views();
+            let bytes = encode(&w);
+            prop_assert_eq!(&bytes[..], &encode_by_row_walk(&w)[..]);
+            let (back, _) = decode(&bytes).unwrap();
+            prop_assert_eq!(format!("{:?}", back.rows()), format!("{:?}", w.rows()));
+        }
+    }
 
     fn sample_world() -> World {
         let mut w = World::new();

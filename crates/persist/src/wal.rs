@@ -57,15 +57,18 @@ impl From<ComponentId> for CompRef {
 }
 
 impl CompRef {
-    /// Resolve to a component name against `world`. Legacy refs carry
-    /// the name; interned refs require the world's table to know the id
-    /// (a `Define` record or the snapshot schema always precedes use).
-    fn resolve<'a>(&'a self, world: &'a World) -> Result<&'a str, CoreError> {
+    /// Resolve to an interned id against `world`. Legacy refs are looked
+    /// up by name; interned refs require the world's table to know the
+    /// id (a `Define` record or the snapshot schema always precedes use).
+    fn resolve(&self, world: &World) -> Result<ComponentId, CoreError> {
         match self {
-            CompRef::Name(n) => Ok(n.as_str()),
-            CompRef::Id(id) => world
-                .component_name(*id)
-                .ok_or_else(|| CoreError::UnknownComponent(format!("{id}"))),
+            CompRef::Name(n) => world
+                .component_id(n)
+                .ok_or_else(|| CoreError::UnknownComponent(n.clone())),
+            CompRef::Id(id) => match world.component_name(*id) {
+                Some(_) => Ok(*id),
+                None => Err(CoreError::UnknownComponent(format!("{id}"))),
+            },
         }
     }
 }
@@ -542,8 +545,8 @@ impl WalRecord {
                         world.define_component(name, value.value_type())?;
                     }
                 }
-                let name = component.resolve(world)?.to_string();
-                world.set(*entity, &name, value.clone())
+                let component = component.resolve(world)?;
+                world.set_by_id(*entity, component, value.clone())
             }
             WalRecord::Define {
                 component,
@@ -564,23 +567,20 @@ impl WalRecord {
             WalRecord::RemoveComponent { entity, component } => {
                 // a column the replay never (re)defined holds nothing to
                 // remove; a stale entity id means the despawn already won
-                let Ok(name) = component.resolve(world) else {
-                    return Ok(());
-                };
-                if world.component_type(name).is_none() || !world.is_live(*entity) {
-                    return Ok(());
+                match component.resolve(world) {
+                    Ok(component) if world.is_live(*entity) => {
+                        world.remove_component_by_id(*entity, component).map(|_| ())
+                    }
+                    _ => Ok(()),
                 }
-                let name = name.to_string();
-                world.remove_component(*entity, &name).map(|_| ())
             }
             WalRecord::CreateIndex { component, kind } => {
-                let name = component.resolve(world)?.to_string();
-                world.ensure_index(&name, *kind).map(|_| ())
+                let component = component.resolve(world)?;
+                world.ensure_index_by_id(component, *kind).map(|_| ())
             }
             WalRecord::DropIndex { component } => {
-                if let Ok(name) = component.resolve(world) {
-                    let name = name.to_string();
-                    world.drop_index(&name);
+                if let Ok(component) = component.resolve(world) {
+                    world.drop_index_by_id(component);
                 }
                 Ok(())
             }
@@ -925,6 +925,75 @@ mod tests {
         .apply(&mut w)
         .unwrap();
         assert_eq!(w.get_i64(e, "brand_new"), Some(9));
+    }
+
+    /// Interned records replay by id alone: each lands on its column and
+    /// commits the change records a by-name write commits; an id the
+    /// table does not know is an error for a write or an index, and a
+    /// no-op for a removal or an index drop.
+    #[test]
+    fn interned_records_replay_by_id() {
+        let mut w = World::new();
+        w.define_component("hp", ValueType::Float).unwrap();
+        let hp = w.component_id("hp").unwrap();
+        let e = w.spawn_at(Vec2::ZERO);
+        let mut by_name = w.clone();
+        let (tap, name_tap) = (w.attach_tap(), by_name.attach_tap());
+        for record in [
+            WalRecord::Set {
+                entity: e,
+                component: hp.into(),
+                value: Value::Float(5.0),
+            },
+            WalRecord::CreateIndex {
+                component: hp.into(),
+                kind: IndexKind::Sorted,
+            },
+            WalRecord::Set {
+                entity: e,
+                component: gamedb_core::POS_ID.into(),
+                value: Value::Vec2(1.0, 2.0),
+            },
+            WalRecord::RemoveComponent {
+                entity: e,
+                component: hp.into(),
+            },
+            WalRecord::DropIndex {
+                component: hp.into(),
+            },
+        ] {
+            record.apply(&mut w).unwrap();
+        }
+        by_name.set(e, "hp", Value::Float(5.0)).unwrap();
+        by_name.create_index("hp", IndexKind::Sorted).unwrap();
+        by_name.set(e, gamedb_core::POS, Value::Vec2(1.0, 2.0)).unwrap();
+        by_name.remove_component(e, "hp").unwrap();
+        by_name.drop_index("hp");
+        assert_eq!(w.tap_pending(tap), by_name.tap_pending(name_tap));
+        assert_eq!(w.rows(), by_name.rows());
+
+        let ghost = ComponentId::from_u32(9);
+        let set = WalRecord::Set {
+            entity: e,
+            component: ghost.into(),
+            value: Value::Float(1.0),
+        };
+        assert!(matches!(set.apply(&mut w), Err(CoreError::UnknownComponent(_))));
+        let index = WalRecord::CreateIndex {
+            component: ghost.into(),
+            kind: IndexKind::Hash,
+        };
+        assert!(matches!(index.apply(&mut w), Err(CoreError::UnknownComponent(_))));
+        let remove = WalRecord::RemoveComponent {
+            entity: e,
+            component: ghost.into(),
+        };
+        remove.apply(&mut w).unwrap();
+        WalRecord::DropIndex {
+            component: ghost.into(),
+        }
+        .apply(&mut w)
+        .unwrap();
     }
 
     fn log_of(records: &[WalRecord]) -> Vec<u8> {

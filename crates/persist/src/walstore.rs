@@ -325,12 +325,15 @@ impl WriterShared {
 /// would be a lie, so the watermark freezes at the last clean flush).
 /// `inflight` holds the (commit seq, enqueue instant) of every frame
 /// appended but not yet durable; the covered prefix is drained into the
-/// enqueue→durable latency histogram when metrics are attached.
+/// enqueue→durable latency histogram when metrics are attached. A flush
+/// that ends a checkpoint write begun at `checkpoint` observes
+/// `checkpoint.write_us` before the waiting caller is woken.
 fn writer_flush(
     backend: &Mutex<Backend>,
     shared: &WriterShared,
     upto: u64,
     inflight: &mut Vec<(u64, Instant)>,
+    checkpoint: Option<Instant>,
 ) -> bool {
     {
         let mut b = backend.lock().expect("backend poisoned");
@@ -359,6 +362,9 @@ fn writer_flush(
         for (_, enqueued) in &inflight[..covered] {
             m.enqueue_to_durable_us
                 .observe(enqueued.elapsed().as_micros() as u64);
+        }
+        if let Some(started) = checkpoint {
+            m.checkpoint_write_us.observe(started.elapsed().as_micros() as u64);
         }
     }
     inflight.drain(..covered);
@@ -422,7 +428,7 @@ fn writer_loop(
                 appended_seq = seq;
                 inflight.push((seq, enqueued));
                 if buffered_ops >= policy.every_ops {
-                    if !writer_flush(&backend, &shared, appended_seq, &mut inflight) {
+                    if !writer_flush(&backend, &shared, appended_seq, &mut inflight, None) {
                         return;
                     }
                     buffered_ops = 0;
@@ -436,13 +442,14 @@ fn writer_loop(
                 snapshot_seq,
                 snapshot,
             }) => {
+                let started = Instant::now();
                 {
                     let mut b = backend.lock().expect("backend poisoned");
                     b.put_snapshot(snapshot_seq, snapshot);
                     b.append_log(&WalRecord::CheckpointMark { seq: snapshot_seq }.encode());
                 }
                 appended_seq = seq;
-                if !writer_flush(&backend, &shared, appended_seq, &mut inflight) {
+                if !writer_flush(&backend, &shared, appended_seq, &mut inflight, Some(started)) {
                     return;
                 }
                 buffered_ops = 0;
@@ -450,7 +457,7 @@ fn writer_loop(
             }
             Ok(WriterCmd::Flush) | Err(RecvTimeoutError::Timeout) => {
                 if buffered_ops > 0 {
-                    if !writer_flush(&backend, &shared, appended_seq, &mut inflight) {
+                    if !writer_flush(&backend, &shared, appended_seq, &mut inflight, None) {
                         return;
                     }
                     buffered_ops = 0;
@@ -464,7 +471,7 @@ fn writer_loop(
             Err(RecvTimeoutError::Disconnected) => {
                 // clean shutdown: make everything enqueued durable
                 if buffered_ops > 0 {
-                    writer_flush(&backend, &shared, appended_seq, &mut inflight);
+                    writer_flush(&backend, &shared, appended_seq, &mut inflight, None);
                 }
                 return;
             }
@@ -969,11 +976,16 @@ impl WalStore {
     pub fn checkpoint(&mut self) -> Result<(), StoreError> {
         self.commit()?;
         self.snapshot_seq += 1;
+        let started = Instant::now();
         let snap = snapshot::encode(&self.world);
+        if let Some(m) = &self.metrics {
+            m.checkpoint_encode_us.observe(started.elapsed().as_micros() as u64);
+        }
         self.last_enqueued += 1;
         let seq = self.last_enqueued;
         match &mut self.mode {
             Mode::Sync { pending, durable, .. } => {
+                let started = Instant::now();
                 let mut b = self.backend.lock().expect("backend poisoned");
                 b.put_snapshot(self.snapshot_seq, snap);
                 b.append_log(
@@ -989,6 +1001,7 @@ impl WalStore {
                 *durable = seq;
                 self.stats.checkpoints += 1;
                 if let Some(m) = &self.metrics {
+                    m.checkpoint_write_us.observe(started.elapsed().as_micros() as u64);
                     m.checkpoints.inc();
                     m.flushes.inc();
                     m.flush_commits.observe(self.sync_inflight.len() as u64);

@@ -7,7 +7,7 @@
 //! [`BufMut`] traits with the little-endian accessors the snapshot / WAL
 //! encoders use. Semantics match the real crate for this subset.
 
-use std::ops::Deref;
+use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
 /// Read side: a consuming cursor over a byte buffer.
@@ -19,12 +19,14 @@ pub trait Buf {
     /// Advance the cursor.
     fn advance(&mut self, cnt: usize);
 
+    #[inline]
     fn get_u8(&mut self) -> u8 {
         let b = self.chunk()[0];
         self.advance(1);
         b
     }
 
+    #[inline]
     fn get_u32_le(&mut self) -> u32 {
         let mut raw = [0u8; 4];
         raw.copy_from_slice(&self.chunk()[..4]);
@@ -32,6 +34,7 @@ pub trait Buf {
         u32::from_le_bytes(raw)
     }
 
+    #[inline]
     fn get_u64_le(&mut self) -> u64 {
         let mut raw = [0u8; 8];
         raw.copy_from_slice(&self.chunk()[..8]);
@@ -39,19 +42,23 @@ pub trait Buf {
         u64::from_le_bytes(raw)
     }
 
+    #[inline]
     fn get_i64_le(&mut self) -> i64 {
         self.get_u64_le() as i64
     }
 
+    #[inline]
     fn get_f32_le(&mut self) -> f32 {
         f32::from_bits(self.get_u32_le())
     }
 
+    #[inline]
     fn copy_to_slice(&mut self, dst: &mut [u8]) {
         dst.copy_from_slice(&self.chunk()[..dst.len()]);
         self.advance(dst.len());
     }
 
+    #[inline]
     fn copy_to_bytes(&mut self, len: usize) -> Bytes {
         let out = Bytes::copy_from_slice(&self.chunk()[..len]);
         self.advance(len);
@@ -63,22 +70,27 @@ pub trait Buf {
 pub trait BufMut {
     fn put_slice(&mut self, src: &[u8]);
 
+    #[inline]
     fn put_u8(&mut self, v: u8) {
         self.put_slice(&[v]);
     }
 
+    #[inline]
     fn put_u32_le(&mut self, v: u32) {
         self.put_slice(&v.to_le_bytes());
     }
 
+    #[inline]
     fn put_u64_le(&mut self, v: u64) {
         self.put_slice(&v.to_le_bytes());
     }
 
+    #[inline]
     fn put_i64_le(&mut self, v: i64) {
         self.put_slice(&v.to_le_bytes());
     }
 
+    #[inline]
     fn put_f32_le(&mut self, v: f32) {
         self.put_u32_le(v.to_bits());
     }
@@ -87,8 +99,13 @@ pub trait BufMut {
 /// Immutable, cheaply cloneable byte buffer with a read cursor.
 #[derive(Clone, Default)]
 pub struct Bytes {
-    data: Arc<[u8]>,
+    /// Shared storage: a frozen [`BytesMut`] hands its vector over
+    /// whole, so freezing copies nothing, and a split
+    /// ([`Buf::copy_to_bytes`]) shares it.
+    data: Arc<Vec<u8>>,
+    /// The window `pos..end` of `data` this buffer reads.
     pos: usize,
+    end: usize,
 }
 
 impl Bytes {
@@ -97,10 +114,7 @@ impl Bytes {
     }
 
     pub fn copy_from_slice(data: &[u8]) -> Self {
-        Bytes {
-            data: Arc::from(data),
-            pos: 0,
-        }
+        Bytes::from(data.to_vec())
     }
 
     pub fn from_static(data: &'static [u8]) -> Self {
@@ -108,7 +122,7 @@ impl Bytes {
     }
 
     pub fn len(&self) -> usize {
-        self.data.len() - self.pos
+        self.end - self.pos
     }
 
     pub fn is_empty(&self) -> bool {
@@ -120,7 +134,7 @@ impl Bytes {
     }
 
     fn as_slice(&self) -> &[u8] {
-        &self.data[self.pos..]
+        &self.data[self.pos..self.end]
     }
 }
 
@@ -133,7 +147,8 @@ impl Default for BytesMut {
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Self {
         Bytes {
-            data: Arc::from(v),
+            end: v.len(),
+            data: Arc::new(v),
             pos: 0,
         }
     }
@@ -146,17 +161,33 @@ impl From<&[u8]> for Bytes {
 }
 
 impl Buf for Bytes {
+    #[inline]
     fn remaining(&self) -> usize {
         self.len()
     }
 
+    #[inline]
     fn chunk(&self) -> &[u8] {
         self.as_slice()
     }
 
+    #[inline]
     fn advance(&mut self, cnt: usize) {
         assert!(cnt <= self.remaining(), "advance past end of Bytes");
         self.pos += cnt;
+    }
+
+    /// The next `len` bytes as their own buffer, sharing this one's
+    /// storage (as in the real crate): nothing is copied.
+    fn copy_to_bytes(&mut self, len: usize) -> Bytes {
+        assert!(len <= self.remaining(), "split past end of Bytes");
+        let out = Bytes {
+            data: Arc::clone(&self.data),
+            pos: self.pos,
+            end: self.pos + len,
+        };
+        self.pos += len;
+        out
     }
 }
 
@@ -164,14 +195,17 @@ impl Buf for Bytes {
 /// advances the slice itself, so a decoder can walk borrowed input
 /// without copying it into a [`Bytes`] first.
 impl Buf for &[u8] {
+    #[inline]
     fn remaining(&self) -> usize {
         self.len()
     }
 
+    #[inline]
     fn chunk(&self) -> &[u8] {
         self
     }
 
+    #[inline]
     fn advance(&mut self, cnt: usize) {
         *self = &self[cnt..];
     }
@@ -179,12 +213,14 @@ impl Buf for &[u8] {
 
 impl Deref for Bytes {
     type Target = [u8];
+    #[inline]
     fn deref(&self) -> &[u8] {
         self.as_slice()
     }
 }
 
 impl AsRef<[u8]> for Bytes {
+    #[inline]
     fn as_ref(&self) -> &[u8] {
         self.as_slice()
     }
@@ -261,12 +297,14 @@ impl BytesMut {
 }
 
 impl BufMut for BytesMut {
+    #[inline]
     fn put_slice(&mut self, src: &[u8]) {
         self.data.extend_from_slice(src);
     }
 }
 
 impl BufMut for Vec<u8> {
+    #[inline]
     fn put_slice(&mut self, src: &[u8]) {
         self.extend_from_slice(src);
     }
@@ -274,12 +312,21 @@ impl BufMut for Vec<u8> {
 
 impl Deref for BytesMut {
     type Target = [u8];
+    #[inline]
     fn deref(&self) -> &[u8] {
         &self.data
     }
 }
 
+impl DerefMut for BytesMut {
+    #[inline]
+    fn deref_mut(&mut self) -> &mut [u8] {
+        &mut self.data
+    }
+}
+
 impl AsRef<[u8]> for BytesMut {
+    #[inline]
     fn as_ref(&self) -> &[u8] {
         &self.data
     }
@@ -316,5 +363,19 @@ mod tests {
         b.get_u8();
         assert_eq!(b, Bytes::from_static(b"lpha"));
         assert_eq!(a.len(), 5);
+    }
+
+    #[test]
+    fn split_reads_a_window_and_patching_before_freeze_sticks() {
+        let mut w = BytesMut::with_capacity(8);
+        w.put_slice(b"\0\0\0\0body");
+        w[..4].copy_from_slice(&4u32.to_le_bytes());
+        let mut r = w.freeze();
+        let len = r.get_u32_le() as usize;
+        let mut head = r.copy_to_bytes(len - 1);
+        assert_eq!((&head[..], &r[..]), (&b"bod"[..], &b"y"[..]));
+        assert_eq!((head.get_u8(), head.len(), r.remaining()), (b'b', 2, 1));
+        assert_eq!(head.copy_to_bytes(2), Bytes::from_static(b"od"));
+        assert!(head.is_empty());
     }
 }

@@ -137,3 +137,32 @@ fn architecture_catalog_and_registered_names_are_equal_sets() {
          in the catalog but registered by no subsystem: {unregistered:?}"
     );
 }
+
+/// A checkpoint is one observation of its encode and one of its write,
+/// in either durability mode (async: the write is timed on the writer
+/// thread, and observed before the checkpoint call returns).
+#[test]
+fn each_checkpoint_observes_its_encode_and_its_write() {
+    for async_mode in [false, true] {
+        let registry = MetricsRegistry::new();
+        let (world, _) = arena_world(16, |i| Vec2::new(i as f32, 0.0));
+        let backend = Backend::open(temp_dir("metrics_checkpoint")).unwrap();
+        let mut store = if async_mode {
+            WalStore::new_async(world, backend, FlushPolicy::flush_every(8, 1), 4)
+        } else {
+            WalStore::new(world, backend, 1)
+        }
+        .unwrap();
+        store.attach_metrics(&registry);
+        store.checkpoint().unwrap();
+        store.checkpoint().unwrap();
+        let snapshot = registry.snapshot();
+        for name in ["checkpoint.encode_us", "checkpoint.write_us"] {
+            assert_eq!(
+                snapshot.histogram(name).map(|h| h.count),
+                Some(2),
+                "{name} (async: {async_mode})"
+            );
+        }
+    }
+}
