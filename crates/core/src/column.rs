@@ -82,9 +82,8 @@ impl Column {
         self.present_count
     }
 
-    /// Grow the column to hold at least `len` slots. A bulk load sizes
-    /// every column once, from its entities, so no row write grows one.
-    pub(crate) fn grow_to(&mut self, len: usize) {
+    /// Grow the column to hold at least `len` slots.
+    fn grow_to(&mut self, len: usize) {
         if len > self.present.len() {
             self.present.resize(len, false);
             self.data.grow_to(len);
@@ -135,6 +134,7 @@ impl Column {
 
     /// [`Column::set`] taking the value: a string moves into the column
     /// instead of being copied (bulk loads hand over what they decoded).
+    #[inline]
     pub fn put(&mut self, slot: usize, value: Value) -> Result<(), ValueType> {
         if value.value_type() != self.ty {
             return Err(self.ty);
@@ -183,59 +183,6 @@ impl Column {
         }
         match self.occupy(slot) {
             ColumnData::F32(v) => v[slot] = value,
-            _ => unreachable!("type checked above"),
-        }
-        true
-    }
-
-    /// Store an `i64`; returns false when the column is not int-typed.
-    #[inline]
-    pub fn set_i64(&mut self, slot: usize, value: i64) -> bool {
-        if self.ty != ValueType::Int {
-            return false;
-        }
-        match self.occupy(slot) {
-            ColumnData::I64(v) => v[slot] = value,
-            _ => unreachable!("type checked above"),
-        }
-        true
-    }
-
-    /// Store a `bool`; returns false when the column is not bool-typed.
-    #[inline]
-    pub fn set_bool(&mut self, slot: usize, value: bool) -> bool {
-        if self.ty != ValueType::Bool {
-            return false;
-        }
-        match self.occupy(slot) {
-            ColumnData::Bool(v) => v[slot] = value,
-            _ => unreachable!("type checked above"),
-        }
-        true
-    }
-
-    /// Store a string, moved into the column; returns false when the
-    /// column is not string-typed.
-    #[inline]
-    pub fn set_str(&mut self, slot: usize, value: String) -> bool {
-        if self.ty != ValueType::Str {
-            return false;
-        }
-        match self.occupy(slot) {
-            ColumnData::Str(v) => v[slot] = value,
-            _ => unreachable!("type checked above"),
-        }
-        true
-    }
-
-    /// Store a vector; returns false when the column is not vec2-typed.
-    #[inline]
-    pub fn set_v2(&mut self, slot: usize, value: [f32; 2]) -> bool {
-        if self.ty != ValueType::Vec2 {
-            return false;
-        }
-        match self.occupy(slot) {
-            ColumnData::V2(v) => v[slot] = value,
             _ => unreachable!("type checked above"),
         }
         true
@@ -376,30 +323,6 @@ mod tests {
         let mut v = Column::new(ValueType::Vec2);
         v.set(0, &Value::Vec2(3.0, 4.0)).unwrap();
         assert_eq!(v.get_v2(0), Some([3.0, 4.0]));
-    }
-
-    /// Every typed setter stores into its own column type only, counts
-    /// presence once per slot, and reads back through the typed getter.
-    #[test]
-    fn typed_setters() {
-        let mut i = Column::new(ValueType::Int);
-        assert!(i.set_i64(4, -9) && i.set_i64(4, 9));
-        assert_eq!((i.get_i64(4), i.present_count()), (Some(9), 1));
-        let mut b = Column::new(ValueType::Bool);
-        assert!(b.set_bool(0, true));
-        assert_eq!(b.get_bool(0), Some(true));
-        let mut s = Column::new(ValueType::Str);
-        assert!(s.set_str(2, "axe".to_string()));
-        assert_eq!(s.get_str(2), Some("axe"));
-        let mut v = Column::new(ValueType::Vec2);
-        assert!(v.set_v2(1, [3.0, -4.0]));
-        assert_eq!(v.get_v2(1), Some([3.0, -4.0]));
-        let mut f = Column::new(ValueType::Float);
-        assert!(!f.set_i64(0, 1) && !f.set_bool(0, true) && !f.set_str(0, String::new()));
-        assert!(!f.set_v2(0, [0.0, 0.0]));
-        assert_eq!(f.present_count(), 0, "a refused write stores nothing");
-        f.grow_to(8);
-        assert_eq!((f.presence().len(), f.present_count()), (8, 0), "sized, still empty");
     }
 
     #[test]

@@ -710,6 +710,23 @@ impl World {
             .ok_or_else(|| CoreError::UnknownComponent(component.to_string()))
     }
 
+    /// The id of a write addressed by name to `id`: a dead entity
+    /// outranks an unknown name, so liveness is checked here only when
+    /// the name fails (the `*_by_id` write checks it otherwise).
+    fn resolve_for(&self, id: EntityId, component: &str) -> Result<ComponentId, CoreError> {
+        self.resolve(component)
+            .or_else(|e| self.check_live(id).and(Err(e)))
+    }
+
+    /// The column index of an interned id, checked against the schema.
+    fn column_index(&self, cid: ComponentId) -> Result<usize, CoreError> {
+        if cid.index() < self.columns.len() {
+            Ok(cid.index())
+        } else {
+            Err(CoreError::UnknownComponent(format!("{cid}")))
+        }
+    }
+
     fn check_live(&self, id: EntityId) -> Result<(), CoreError> {
         if self.is_live(id) {
             Ok(())
@@ -721,8 +738,7 @@ impl World {
     /// Set a component value (type-checked). Setting `pos` also moves the
     /// entity in the spatial index.
     pub fn set(&mut self, id: EntityId, component: &str, value: Value) -> Result<(), CoreError> {
-        self.check_live(id)?;
-        let cid = self.resolve(component)?;
+        let cid = self.resolve_for(id, component)?;
         self.set_by_id(id, cid, value)
     }
 
@@ -745,12 +761,10 @@ impl World {
             };
             return self.set_pos(id, Vec2::new(x, y));
         }
-        if cid.index() >= self.columns.len() {
-            return Err(CoreError::UnknownComponent(format!("{cid}")));
-        }
+        let ci = self.column_index(cid)?;
         let indexed = self.index_of(cid).is_some();
         let recording = self.recording();
-        let col = &mut self.columns[cid.index()];
+        let col = &mut self.columns[ci];
         let slot = id.index() as usize;
         // Fetch the outgoing value only when an index must forget it or
         // the change stream must carry it.
@@ -788,8 +802,7 @@ impl World {
 
     /// Remove a component from an entity.
     pub fn remove_component(&mut self, id: EntityId, component: &str) -> Result<bool, CoreError> {
-        self.check_live(id)?;
-        let cid = self.resolve(component)?;
+        let cid = self.resolve_for(id, component)?;
         self.remove_component_by_id(id, cid)
     }
 
@@ -800,9 +813,7 @@ impl World {
         cid: ComponentId,
     ) -> Result<bool, CoreError> {
         self.check_live(id)?;
-        if cid.index() >= self.columns.len() {
-            return Err(CoreError::UnknownComponent(format!("{cid}")));
-        }
+        self.column_index(cid)?;
         if cid == POS_ID {
             self.spatial.remove(id.to_bits());
         }
@@ -1355,10 +1366,9 @@ impl World {
     /// world with `schema` defined in listed order — so every interned
     /// id lands where the image's writer had it; the predefined `pos`
     /// may appear anywhere in the list — holding exactly `entities`,
-    /// restored with their generations in one allocator pass, every
-    /// column sized for them once. Rows then go straight into their
-    /// columns through the returned [`BulkLoader`]; nothing is indexed,
-    /// folded or recorded per row.
+    /// restored with their generations in one allocator pass. Rows then
+    /// go straight into their columns through the returned
+    /// [`BulkLoader`]; nothing is indexed, folded or recorded per row.
     /// Derived state is built over the finished rows by
     /// [`World::import_catalog`], each index and view in one pass.
     pub fn bulk_load(
@@ -1379,10 +1389,6 @@ impl World {
             }
         }
         world.alloc = EntityAllocator::restore_all(entities).map_err(CoreError::DeadEntity)?;
-        let slots = entities.iter().map(|e| e.index() as usize + 1).max().unwrap_or(0);
-        for col in &mut world.columns {
-            col.grow_to(slots);
-        }
         Ok(BulkLoader { world, ids })
     }
 
@@ -1400,9 +1406,7 @@ impl World {
         cid: ComponentId,
         kind: IndexKind,
     ) -> Result<bool, CoreError> {
-        if cid.index() >= self.columns.len() {
-            return Err(CoreError::UnknownComponent(format!("{cid}")));
-        }
+        self.column_index(cid)?;
         if let Some(idx) = self.index_of(cid) {
             return if idx.kind() == kind {
                 Ok(false)
@@ -2181,15 +2185,15 @@ mod tests {
         assert_eq!(load.row(b).unwrap_err(), CoreError::DeadEntity(b));
         let mut row = load.row(a).unwrap();
         assert!(matches!(
-            row.put_i64(hp, 1),
+            row.put(hp, Value::Int(1)),
             Err(CoreError::TypeMismatch { .. })
         ));
         assert!(matches!(
-            row.put_f32(ComponentId::from_u32(9), 1.0),
+            row.put(ComponentId::from_u32(9), Value::Float(1.0)),
             Err(CoreError::UnknownComponent(_))
         ));
-        row.put_f32(hp, 7.0).unwrap();
-        row.put_v2(pos, [2.0, 3.0]).unwrap();
+        row.put(hp, Value::Float(7.0)).unwrap();
+        row.put(pos, Value::Vec2(2.0, 3.0)).unwrap();
         let w = load.finish();
         assert_eq!(w.get_f32(a, "hp"), Some(7.0));
         let mut near = vec![];

@@ -1,18 +1,16 @@
 //! The row side of a bulk load: values go straight into their columns,
 //! positions reach the spatial grid in one pass at the end.
 
-use gamedb_content::ValueType;
+use gamedb_content::Value;
 use gamedb_spatial::{SpatialIndex, Vec2};
 
 use super::{grow_bounds, CoreError, World, POS_ID};
-use crate::column::Column;
 use crate::entity::EntityId;
 use crate::intern::ComponentId;
 
 /// A world part-way through [`World::bulk_load`]: schema and entities
-/// are in place and every column is sized for them, rows are being
-/// written ([`BulkLoader::row`]). [`BulkLoader::finish`] hands the world
-/// over.
+/// are in place, rows are being written ([`BulkLoader::row`]).
+/// [`BulkLoader::finish`] hands the world over.
 #[derive(Debug)]
 pub struct BulkLoader {
     pub(super) world: World,
@@ -64,9 +62,8 @@ impl BulkLoader {
 }
 
 /// One live entity's row during a bulk load: each value goes straight
-/// into its column slot from its native type, type-checked against the
-/// column, no [`gamedb_content::Value`] built. A `pos` value reaches the
-/// spatial grid when the load finishes.
+/// into its column slot, type-checked against the column. A `pos` value
+/// reaches the spatial grid when the load finishes.
 #[derive(Debug)]
 pub struct RowLoader<'a> {
     world: &'a mut World,
@@ -74,50 +71,23 @@ pub struct RowLoader<'a> {
 }
 
 impl RowLoader<'_> {
-    /// Write an `f32`.
-    pub fn put_f32(&mut self, component: ComponentId, value: f32) -> Result<(), CoreError> {
-        self.write(component, ValueType::Float, |col, slot| col.set_f32(slot, value))
-    }
-
-    /// Write an `i64`.
-    pub fn put_i64(&mut self, component: ComponentId, value: i64) -> Result<(), CoreError> {
-        self.write(component, ValueType::Int, |col, slot| col.set_i64(slot, value))
-    }
-
-    /// Write a `bool`.
-    pub fn put_bool(&mut self, component: ComponentId, value: bool) -> Result<(), CoreError> {
-        self.write(component, ValueType::Bool, |col, slot| col.set_bool(slot, value))
-    }
-
-    /// Write a string, moved into the column.
-    pub fn put_str(&mut self, component: ComponentId, value: String) -> Result<(), CoreError> {
-        self.write(component, ValueType::Str, |col, slot| col.set_str(slot, value))
-    }
-
-    /// Write a vector.
-    pub fn put_v2(&mut self, component: ComponentId, value: [f32; 2]) -> Result<(), CoreError> {
-        self.write(component, ValueType::Vec2, |col, slot| col.set_v2(slot, value))
-    }
-
-    /// Run `set` — a typed column write, false on a type mismatch — on
-    /// the column of `component` at this row's slot.
-    fn write(
-        &mut self,
-        component: ComponentId,
-        got: ValueType,
-        set: impl FnOnce(&mut Column, usize) -> bool,
-    ) -> Result<(), CoreError> {
-        let Some(col) = self.world.columns.get_mut(component.index()) else {
+    /// Write one value into its column (a string moves in, uncopied).
+    #[inline]
+    pub fn put(&mut self, component: ComponentId, value: Value) -> Result<(), CoreError> {
+        let world = &mut *self.world;
+        let Some(col) = world.columns.get_mut(component.index()) else {
             return Err(CoreError::UnknownComponent(format!("{component}")));
         };
-        let expected = col.ty();
-        if set(col, self.slot) {
-            return Ok(());
-        }
-        Err(CoreError::TypeMismatch {
-            component: self.world.interner.name(component).unwrap_or_default().to_string(),
-            expected,
-            got,
-        })
+        let got = value.value_type();
+        col.put(self.slot, value)
+            .map_err(|expected| CoreError::TypeMismatch {
+                component: world
+                    .interner
+                    .name(component)
+                    .unwrap_or_default()
+                    .to_string(),
+                expected,
+                got,
+            })
     }
 }

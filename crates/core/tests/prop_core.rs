@@ -884,15 +884,7 @@ fn restore_via_catalog(w: &World) -> World {
     for (e, comp, val) in w.rows() {
         // the schema was listed in id order, so the ids are `w`'s
         let c = w.component_id(&comp).unwrap();
-        let mut row = load.row(e).unwrap();
-        match val {
-            Value::Float(x) => row.put_f32(c, x),
-            Value::Int(x) => row.put_i64(c, x),
-            Value::Bool(x) => row.put_bool(c, x),
-            Value::Str(x) => row.put_str(c, x),
-            Value::Vec2(x, y) => row.put_v2(c, [x, y]),
-        }
-        .unwrap();
+        load.row(e).unwrap().put(c, val).unwrap();
     }
     let mut r = load.finish();
     r.import_catalog(&w.export_catalog()).unwrap();

@@ -136,6 +136,7 @@ pub(crate) fn put_value(buf: &mut BytesMut, v: &Value) {
 }
 
 /// Decode one value of a known type.
+#[inline]
 pub(crate) fn get_value(buf: &mut impl Buf, ty: ValueType) -> Result<Value, SnapshotError> {
     macro_rules! need {
         ($n:expr) => {
@@ -748,26 +749,8 @@ pub(crate) fn decode_phased(data: &[u8], phases: &mut RecoveryStats) -> Result<W
             let &(component, ty) = columns
                 .get(idx)
                 .ok_or_else(|| SnapshotError::Corrupt(format!("schema index {idx}")))?;
-            match ty {
-                ValueType::Float => {
-                    need!(4);
-                    row.put_f32(component, buf.get_f32_le())
-                }
-                ValueType::Int => {
-                    need!(8);
-                    row.put_i64(component, buf.get_i64_le())
-                }
-                ValueType::Bool => {
-                    need!(1);
-                    row.put_bool(component, buf.get_u8() != 0)
-                }
-                ValueType::Str => row.put_str(component, get_str(&mut buf)?),
-                ValueType::Vec2 => {
-                    need!(8);
-                    row.put_v2(component, [buf.get_f32_le(), buf.get_f32_le()])
-                }
-            }
-            .map_err(corrupt)?;
+            row.put(component, get_value(&mut buf, ty)?)
+                .map_err(corrupt)?;
             rows += 1;
         }
     }

@@ -100,12 +100,9 @@ pub trait BufMut {
 #[derive(Clone, Default)]
 pub struct Bytes {
     /// Shared storage: a frozen [`BytesMut`] hands its vector over
-    /// whole, so freezing copies nothing, and a split
-    /// ([`Buf::copy_to_bytes`]) shares it.
+    /// whole, so freezing copies nothing.
     data: Arc<Vec<u8>>,
-    /// The window `pos..end` of `data` this buffer reads.
     pos: usize,
-    end: usize,
 }
 
 impl Bytes {
@@ -122,7 +119,7 @@ impl Bytes {
     }
 
     pub fn len(&self) -> usize {
-        self.end - self.pos
+        self.data.len() - self.pos
     }
 
     pub fn is_empty(&self) -> bool {
@@ -134,7 +131,7 @@ impl Bytes {
     }
 
     fn as_slice(&self) -> &[u8] {
-        &self.data[self.pos..self.end]
+        &self.data[self.pos..]
     }
 }
 
@@ -147,7 +144,6 @@ impl Default for BytesMut {
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Self {
         Bytes {
-            end: v.len(),
             data: Arc::new(v),
             pos: 0,
         }
@@ -175,19 +171,6 @@ impl Buf for Bytes {
     fn advance(&mut self, cnt: usize) {
         assert!(cnt <= self.remaining(), "advance past end of Bytes");
         self.pos += cnt;
-    }
-
-    /// The next `len` bytes as their own buffer, sharing this one's
-    /// storage (as in the real crate): nothing is copied.
-    fn copy_to_bytes(&mut self, len: usize) -> Bytes {
-        assert!(len <= self.remaining(), "split past end of Bytes");
-        let out = Bytes {
-            data: Arc::clone(&self.data),
-            pos: self.pos,
-            end: self.pos + len,
-        };
-        self.pos += len;
-        out
     }
 }
 
