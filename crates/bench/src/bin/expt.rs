@@ -24,8 +24,8 @@ use gamedb_persist::{
     StructuredStore,
 };
 use gamedb_script::{
-    check_script, compile, compile_program, parse_script, run_script, ExecMode, ExecOptions,
-    Level, ScriptLibrary, Vm,
+    check_script, compile_program, parse_script, run_script, ExecMode, ExecOptions, Level,
+    ScriptLibrary, Vm,
 };
 use gamedb_spatial::{
     Aabb, Annotation, BruteForce, BspTree, CostProfile, NavMesh, Quadtree, SpatialIndex,
@@ -94,7 +94,7 @@ impl<'a> ScriptRunner<'a> {
 fn e1(full: bool) {
     banner(
         "E1",
-        "script evaluation: naive vs indexed vs compiled",
+        "script evaluation: naive vs indexed vs set-at-a-time",
         "\"scripts where every object interacts with every other object\" are \
          Omega(n^2); indices make them near-linear",
     );
@@ -109,16 +109,17 @@ fn e1(full: bool) {
         "n",
         "naive ms/tick",
         "indexed ms/tick",
-        "compiled ms/tick",
+        "set-at-a-time ms/tick",
         "naive/indexed",
-        "indexed/compiled",
+        "indexed/set",
     ]);
     println!("engine: {:?} (select with --engine=interp|vm)", engine_mode());
     for &n in sizes {
         let (world, ids) = constant_density_world(n, 0.05, 7);
         let mut lib = ScriptLibrary::new();
         lib.insert(parse_script("combat", SRC).unwrap());
-        let compiled = compile(&lib, "combat", &world).unwrap();
+        let program = compile_program(&lib, "combat", &world).unwrap();
+        let mut vm = Vm::new();
         let mut runner = ScriptRunner::new(&lib, "combat", &world);
 
         let mut run_mode = |use_index: bool| {
@@ -139,25 +140,25 @@ fn e1(full: bool) {
         let reps_naive = if n > 4000 { 1 } else { 3 };
         let naive = mean_ms(reps_naive, || run_mode(false));
         let indexed = mean_ms(5, || run_mode(true));
-        let compiled_ms = mean_ms(5, || {
+        let set_ms = mean_ms(5, || {
             let mut buf = EffectBuffer::new();
-            for &id in &ids {
-                compiled.run(&world, id, &mut buf, true).unwrap();
-            }
+            let mut events = Vec::new();
+            vm.run_set(&program, &world, &ids, &mut buf, ExecOptions::default(), &mut events)
+                .unwrap();
             std::hint::black_box(buf.len());
         });
         table.row(&[
             n.to_string(),
             f3(naive),
             f3(indexed),
-            f3(compiled_ms),
+            f3(set_ms),
             f3(naive / indexed.max(1e-9)),
-            f3(indexed / compiled_ms.max(1e-9)),
+            f3(indexed / set_ms.max(1e-9)),
         ]);
     }
     table.print();
     println!(
-        "expected shape: naive grows ~n^2, indexed/compiled near-linear; \
+        "expected shape: naive grows ~n^2, indexed/set-at-a-time near-linear; \
          naive/indexed ratio grows with n."
     );
 }
@@ -256,21 +257,24 @@ fn e2(_full: bool) {
                 if variant == "optimized" { stats.foreach_rewrites.to_string() } else { "-".into() },
                 if variant == "optimized" { stats.folded.to_string() } else { "-".into() },
             ]);
-            // the rewrite's real payoff: the loop-free form compiles
-            if let Ok(compiled) = compile(&lib, name, &world) {
+            // the rewrite's real payoff: the loop-free form runs as
+            // bytecode over the whole sample at once
+            if let Ok(program) = compile_program(&lib, name, &world) {
                 let sample = 200;
-                let run_compiled = || {
+                let mut vm = Vm::new();
+                let mut run_set = || {
                     let mut buf = EffectBuffer::new();
-                    for &id in ids.iter().take(sample) {
-                        compiled.run(&world, id, &mut buf, true).unwrap();
-                    }
+                    let mut events = Vec::new();
+                    let sample = &ids[..sample.min(ids.len())];
+                    vm.run_set(&program, &world, sample, &mut buf, ExecOptions::default(), &mut events)
+                        .unwrap();
                     std::hint::black_box(buf.len());
                 };
-                run_compiled();
-                let ms = mean_ms(3, run_compiled);
+                run_set();
+                let ms = mean_ms(3, run_set);
                 t2.row(&[
                     name.into(),
-                    format!("{variant}+compiled"),
+                    format!("{variant}+set-at-a-time"),
                     f3(ms / sample as f64),
                     "-".into(),
                     "-".into(),

@@ -5,8 +5,8 @@
 //! similar to the techniques that database engines use for join
 //! processing". This module gives the engine a small relational algebra:
 //! selections over component predicates, an optional spatial restriction
-//! (pushed into the index), and the aggregate functions that the
-//! set-at-a-time script compiler targets.
+//! (pushed into the index), and aggregate functions. The script VM runs
+//! its sargable neighbour filters through these selections.
 
 use std::cmp::Ordering;
 

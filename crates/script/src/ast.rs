@@ -1,8 +1,8 @@
 //! Abstract syntax tree for GSL, plus a pretty-printer.
 //!
 //! The AST is the contract between the parser, the type checker (which
-//! enforces the restricted language level), the tree-walking interpreter,
-//! and the set-at-a-time compiler.
+//! enforces the restricted language level), the optimizer, the
+//! tree-walking interpreter, and the bytecode lowering.
 
 use std::fmt;
 

@@ -10,9 +10,11 @@
 //! Execution is mode-switched by [`ExecMode`]: the register VM is the
 //! default hot path; the tree-walking interpreter stays available as the
 //! differential-testing oracle (and runs any script the VM compiler
-//! rejects). Per-entity dispatch is name-free in either mode: `bind`
-//! pre-resolves the script to a prepared slot, and the tick loop revives
-//! that slot from a per-entity cache without hashing the script name.
+//! rejects). Binding is name-free in either mode: `bind` pre-resolves the
+//! script to a prepared slot, and the tick revives that slot from a
+//! per-entity cache without hashing the script name. A VM-mode tick then
+//! groups the bound entities by prepared program, in id order, and runs
+//! each group set-at-a-time ([`Vm::run_set`]).
 
 use std::collections::HashMap;
 use std::time::Instant;
@@ -26,7 +28,7 @@ use crate::interp::{run_script_ref, ExecOptions, RuntimeError, ScriptLibrary};
 use crate::metrics::ScriptMetrics;
 use crate::parser::{parse_script, ParseError};
 use crate::types::{check_library, Level, TypeError};
-use crate::vm::{compile_program, Program, Vm};
+use crate::vm::{compile_program, Program, Vm, VmCounts};
 
 /// Component that names the script an entity runs each tick.
 pub const SCRIPT_COMPONENT: &str = "script";
@@ -103,7 +105,12 @@ pub struct ScriptEngine {
     /// `entity slot → (entity bits, program index)`: the per-binding
     /// cache that makes tick dispatch hash-free.
     slot_cache: Vec<(u64, u32)>,
+    /// Per prepared program, the entities bound to it this tick, in id
+    /// order (capacity kept across ticks).
+    groups: Vec<Vec<EntityId>>,
     vm: Vm,
+    /// The VM's work during the last [`ScriptEngine::run_tick`].
+    counts: VmCounts,
     /// Instrumentation handles ([`ScriptEngine::attach_metrics`]).
     metrics: Option<ScriptMetrics>,
 }
@@ -120,7 +127,9 @@ impl ScriptEngine {
             programs: Vec::new(),
             by_name: HashMap::new(),
             slot_cache: Vec::new(),
+            groups: Vec::new(),
             vm: Vm::new(),
+            counts: VmCounts::default(),
             metrics: None,
         }
     }
@@ -298,23 +307,17 @@ impl ScriptEngine {
         (prep.name == name).then_some(idx)
     }
 
-    /// Recompile prepared programs whose baked-in column ids no longer
-    /// match the world (cross-world reuse, schema growth unlocking a
-    /// previously-uncompilable script). Cheap: a name check per
-    /// component per script.
-    fn revalidate_programs(&mut self, world: &World) {
-        if self.mode != ExecMode::Vm {
-            return;
-        }
-        for i in 0..self.programs.len() {
-            let stale = match &self.programs[i].program {
-                Some(p) => !p.validate_schema(world),
-                None => true, // retry: schema growth may unlock it
-            };
-            if stale {
-                let name = self.programs[i].name.clone();
-                self.programs[i].program = self.lower(&name, world);
-            }
+    /// Recompile prepared program `idx` if its baked-in column ids no
+    /// longer match the world (cross-world reuse), or retry it if it never
+    /// lowered (schema growth may unlock it). Cheap: a name check per
+    /// component.
+    fn revalidate(&mut self, idx: usize, world: &World) {
+        let prep = &self.programs[idx];
+        if self.mode == ExecMode::Vm
+            && prep.program.as_ref().is_none_or(|p| !p.validate_schema(world))
+        {
+            let name = prep.name.clone();
+            self.programs[idx].program = self.lower(&name, world);
         }
     }
 
@@ -327,15 +330,7 @@ impl ScriptEngine {
         buf: &mut EffectBuffer,
     ) -> Result<Vec<String>, RuntimeError> {
         let idx = self.prepare_idx(script, world)? as usize;
-        if self.mode == ExecMode::Vm {
-            let stale = match &self.programs[idx].program {
-                Some(p) => !p.validate_schema(world),
-                None => true,
-            };
-            if stale {
-                self.programs[idx].program = self.lower(script, world);
-            }
-        }
+        self.revalidate(idx, world);
         let prep = &self.programs[idx];
         match (&prep.program, self.mode) {
             (Some(p), ExecMode::Vm) => self.vm.run(p, world, entity, buf, self.opts),
@@ -345,80 +340,143 @@ impl ScriptEngine {
     }
 
     /// Run one tick: every entity bound via the `script` component runs
-    /// its script against the tick-start state; the merged effect buffer
-    /// then commits as **one batch** through `World::apply_batch` —
-    /// every slot one final write, one change-stream segment. Run
-    /// against a `WalStore::world_mut()` world, the whole scripted tick
-    /// becomes durable with a single group-commit WAL frame (pair with
-    /// `WalStore::commit`); before the change pipeline this path
-    /// bypassed durability entirely.
+    /// its script against the tick-start state ([`ScriptEngine::run_tick`]);
+    /// the merged effect buffer then commits as **one batch** through
+    /// `World::apply_batch` — every slot one final write, one
+    /// change-stream segment. Run against a `WalStore::world_mut()`
+    /// world, the whole scripted tick becomes durable with a single
+    /// group-commit WAL frame (pair with `WalStore::commit`). A tick
+    /// whose scripts fail applies nothing.
     pub fn tick(&mut self, world: &mut World) -> Result<EngineTickStats, RuntimeError> {
-        let mut stats = EngineTickStats::default();
-        let mut buf = EffectBuffer::new();
         let started = Instant::now();
-        self.revalidate_programs(world);
-        if let Some(script_cid) = world.component_id(SCRIPT_COMPONENT) {
-            for entity in world.entity_vec() {
-                let Some(name) = world.get_str_by_id(entity, script_cid) else {
-                    continue;
-                };
-                if name.is_empty() {
-                    continue;
-                }
-                let idx = match self.cache_get(entity, name) {
-                    Some(i) => i,
-                    None => {
-                        let i = self.prepare_idx(name, world)?;
-                        self.cache_store(entity, i);
-                        i
-                    }
-                };
-                let prep = &self.programs[idx as usize];
-                match (&prep.program, self.mode) {
-                    (Some(p), ExecMode::Vm) => {
-                        let events = self.vm.run(p, world, entity, &mut buf, self.opts)?;
-                        stats.vm_runs += 1;
-                        stats
-                            .events
-                            .extend(events.into_iter().map(|e| (entity, e)));
-                    }
-                    _ => {
-                        let out = run_script_ref(
-                            &self.lib,
-                            &prep.script,
-                            world,
-                            entity,
-                            &mut buf,
-                            self.opts,
-                        )?;
-                        stats.interp_runs += 1;
-                        stats
-                            .events
-                            .extend(out.events.into_iter().map(|e| (entity, e)));
-                    }
-                }
-                stats.scripts_run += 1;
-            }
-        }
-        let vm_instrs = self.vm.take_instr_count();
-        let (probes, probe_rows) = self.vm.take_probe_counts();
+        let mut buf = EffectBuffer::new();
+        let stats = self.run_tick(world, &mut buf)?;
         let effects = buf.len() as u64;
         let ran = Instant::now();
         let applied = buf.apply(world);
         if let Some(m) = &self.metrics {
+            let c = self.counts;
             m.ticks.inc();
             m.scripts_run.add(stats.scripts_run as u64);
             m.vm_runs.add(stats.vm_runs as u64);
             m.interp_runs.add(stats.interp_runs as u64);
-            m.vm_instrs.add(vm_instrs);
-            m.probes.add(probes);
-            m.probe_rows.add(probe_rows);
+            m.vm_instrs.add(c.instrs);
+            m.vm_dispatches.add(c.dispatches);
+            m.probes.add(c.probes);
+            m.probe_rows.add(c.probe_rows);
             m.events.add(stats.events.len() as u64);
             m.tick_effects.observe(effects);
             m.vm_us.observe((ran - started).as_micros() as u64);
             m.apply_us.observe(ran.elapsed().as_micros() as u64);
         }
         applied.map_err(|e| RuntimeError::TypeError(e.to_string()))?;
+        Ok(stats)
+    }
+
+    /// The run phase of [`ScriptEngine::tick`]: every bound entity runs
+    /// its script against `world`, and the effects land in `buf`;
+    /// nothing is applied. In [`ExecMode::Vm`] the bound entities are
+    /// grouped by prepared program, in id order, and each group runs
+    /// set-at-a-time; scripts the VM does not lower, and every script
+    /// in [`ExecMode::Interp`], are interpreted entity by entity.
+    ///
+    /// The outcome is a per-entity loop's in every respect but one: the
+    /// order in which different entities' effects land in `buf`, which
+    /// `EffectBuffer::apply` canonicalises. Events come back in (entity,
+    /// order) order, and the error is the first failing entity's, in id
+    /// order.
+    pub fn run_tick(
+        &mut self,
+        world: &World,
+        buf: &mut EffectBuffer,
+    ) -> Result<EngineTickStats, RuntimeError> {
+        for idx in 0..self.programs.len() {
+            self.revalidate(idx, world);
+        }
+        let result = self.run_bound(world, buf);
+        // drained on both paths: an aborted tick's instructions and
+        // probes must not be reported under the next tick
+        self.counts = self.vm.take_counts();
+        result
+    }
+
+    fn run_bound(
+        &mut self,
+        world: &World,
+        buf: &mut EffectBuffer,
+    ) -> Result<EngineTickStats, RuntimeError> {
+        let mut stats = EngineTickStats::default();
+        let Some(script_cid) = world.component_id(SCRIPT_COMPONENT) else {
+            return Ok(stats);
+        };
+        for g in &mut self.groups {
+            g.clear();
+        }
+        let mut events = Vec::new();
+        // (entity, error) of the first failure in id order; entities
+        // after it cannot change the outcome, so the walk stops there
+        let mut failure: Option<(EntityId, RuntimeError)> = None;
+        for entity in world.entities() {
+            let Some(name) = world.get_str_by_id(entity, script_cid) else {
+                continue;
+            };
+            if name.is_empty() {
+                continue;
+            }
+            let idx = match self.cache_get(entity, name) {
+                Some(i) => i,
+                None => match self.prepare_idx(name, world) {
+                    Ok(i) => {
+                        self.cache_store(entity, i);
+                        i
+                    }
+                    Err(e) => {
+                        failure = Some((entity, e));
+                        break;
+                    }
+                },
+            } as usize;
+            let prep = &self.programs[idx];
+            if prep.program.is_some() && self.mode == ExecMode::Vm {
+                if self.groups.len() <= idx {
+                    self.groups.resize_with(idx + 1, Vec::new);
+                }
+                self.groups[idx].push(entity);
+                continue;
+            }
+            match run_script_ref(&self.lib, &prep.script, world, entity, buf, self.opts) {
+                Ok(out) => {
+                    stats.interp_runs += 1;
+                    events.extend(out.events.into_iter().map(|e| (entity, e)));
+                }
+                Err(e) => {
+                    failure = Some((entity, e));
+                    break;
+                }
+            }
+        }
+        for (idx, ids) in self.groups.iter().enumerate().filter(|(_, g)| !g.is_empty()) {
+            let p = self.programs[idx]
+                .program
+                .as_ref()
+                .expect("only lowered programs have groups");
+            let mut group_events = Vec::new();
+            let result = self.vm.run_set(p, world, ids, buf, self.opts, &mut group_events);
+            events.extend(group_events.into_iter().map(|(i, e)| (ids[i], e)));
+            stats.vm_runs += ids.len();
+            if let Err((i, e)) = result {
+                if failure.as_ref().is_none_or(|(f, _)| ids[i].index() < f.index()) {
+                    failure = Some((ids[i], e));
+                }
+            }
+        }
+        if let Some((_, e)) = failure {
+            return Err(e);
+        }
+        // stable: each entity's events keep their order
+        events.sort_by_key(|(id, _): &(EntityId, String)| id.index());
+        stats.scripts_run = stats.vm_runs + stats.interp_runs;
+        stats.events = events;
         Ok(stats)
     }
 }
@@ -646,6 +704,40 @@ mod tests {
         e.tick(&mut w).unwrap();
         assert!(started.elapsed().as_secs() < 2, "took {:?}", started.elapsed());
         assert_eq!(w.get_f32(ids[0], "hp"), Some(49.0), "everyone else is in range");
+    }
+
+    /// A failed tick reports nothing, and its VM work must not be
+    /// reported under the next tick either.
+    #[test]
+    fn failed_tick_does_not_leak_counters_into_the_next() {
+        let mut w = world();
+        let registry = MetricsRegistry::new();
+        let mut e = ScriptEngine::new(Level::Full).with_options(ExecOptions {
+            loop_fuel: 8,
+            ..ExecOptions::default()
+        });
+        e.attach_metrics(&registry);
+        e.ensure_binding_component(&mut w);
+        e.load("spin", "self.hp = count(5); while 1 > 0 { self.hp += 1; }", &w)
+            .unwrap();
+        let a = w.spawn_at(Vec2::ZERO);
+        w.spawn_at(Vec2::new(1.0, 0.0)); // a neighbour for the probe
+        e.bind(&mut w, a, "spin").unwrap();
+        assert_eq!(e.tick(&mut w), Err(RuntimeError::LoopFuelExhausted { limit: 8 }));
+
+        w.set(a, SCRIPT_COMPONENT, Value::Str(String::new())).unwrap();
+        let stats = e.tick(&mut w).unwrap();
+        assert_eq!(stats.scripts_run, 0);
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter("script.ticks"), 1, "only the good tick reports");
+        for name in [
+            "script.vm_instrs",
+            "script.vm_dispatches",
+            "script.probes",
+            "script.probe_rows",
+        ] {
+            assert_eq!(snap.counter(name), 0, "{name}");
+        }
     }
 
     #[test]

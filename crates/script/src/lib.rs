@@ -6,8 +6,9 @@
 //! engine type-checks it, optionally *restricts* it (no iteration, no
 //! recursion — the measure the paper reports studios taking to stop
 //! accidentally-quadratic scripts), and executes it either by tree-walking
-//! interpretation or compiled to specialized closures whose neighborhood
-//! operations run through the spatial index.
+//! interpretation or as bytecode run set-at-a-time over up to 1,024
+//! entities at once, its neighborhood operations served by the spatial
+//! index.
 //!
 //! ## Contents
 //!
@@ -17,12 +18,11 @@
 //! * [`interp`] — tree-walking interpreter emitting state–effect writes.
 //! * [`optimize`](mod@optimize) — AST optimizer: constant folding, dead code
 //!   elimination, and foreach-to-aggregate rewriting.
-//! * [`compile`](mod@compile) — closure-specializing compiler (set-at-a-time
-//!   evaluation of the restricted language).
 //! * [`vm`] — register-based bytecode VM: [`vm::compile_program`] lowers
 //!   the optimized AST to a dense instruction stream with pre-resolved
-//!   column ids and pre-built query handles; [`vm::Vm`] dispatches it.
-//!   The engine's default execution mode ([`engine::ExecMode::Vm`]); the
+//!   column ids and pre-built query handles; [`vm::Vm`] runs it
+//!   set-at-a-time over register columns, one lane per entity. The
+//!   engine's default execution mode ([`engine::ExecMode::Vm`]); the
 //!   interpreter stays on as the differential-testing oracle.
 //!
 //! ## A complete example
@@ -58,7 +58,6 @@
 //! ```
 
 pub mod ast;
-pub mod compile;
 pub mod engine;
 pub mod interp;
 pub(crate) mod metrics;
@@ -69,9 +68,8 @@ pub mod types;
 pub mod vm;
 
 pub use ast::{AggKind, AssignOp, BinOp, BuiltinFn, Expr, Script, Stmt, Subject};
-pub use compile::{compile, CompileError, CompiledScript};
 pub use engine::{EngineError, EngineTickStats, ExecMode, ScriptEngine, SCRIPT_COMPONENT};
-pub use vm::{compile_program, Program, Vm};
+pub use vm::{compile_program, CompileError, Program, Vm};
 pub use interp::{run_script, ExecOptions, RunOutput, RuntimeError, SVal, ScriptLibrary};
 pub use optimize::{optimize, OptStats};
 pub use parser::{parse, parse_script, ParseError};

@@ -21,8 +21,13 @@ pub(crate) struct ScriptMetrics {
     /// `script.interp_runs`: per-entity executions that tree-walked
     /// (interpreter mode, or VM-mode fallback for uncompilable scripts).
     pub interp_runs: Counter,
-    /// `script.vm_instrs`: bytecode instructions retired by the VM.
+    /// `script.vm_instrs`: bytecode instructions retired by the VM, one
+    /// per instruction per lane (entity) it ran for.
     pub vm_instrs: Counter,
+    /// `script.vm_dispatches`: instructions the VM issued, each to one
+    /// group of lanes; `vm_instrs ÷ vm_dispatches` is the mean active
+    /// lanes per dispatch.
+    pub vm_dispatches: Counter,
     /// `script.vm_compiles`: scripts lowered to bytecode (per binding
     /// preparation, including schema-change recompiles).
     pub vm_compiles: Counter,
@@ -51,6 +56,7 @@ impl ScriptMetrics {
             vm_runs: registry.counter("script.vm_runs"),
             interp_runs: registry.counter("script.interp_runs"),
             vm_instrs: registry.counter("script.vm_instrs"),
+            vm_dispatches: registry.counter("script.vm_dispatches"),
             vm_compiles: registry.counter("script.vm_compiles"),
             probes: registry.counter("script.probes"),
             probe_rows: registry.counter("script.probe_rows"),

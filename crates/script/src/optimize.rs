@@ -16,8 +16,8 @@
 //!    `self.x += sum(r; e);`, and
 //!    `foreach within (r) { if c { self.x += 1; } }` becomes
 //!    `self.x += count(r; c);`. The rewritten form is exactly what the
-//!    restricted language level accepts and what the set-at-a-time
-//!    compiler evaluates through the spatial index — so the optimizer
+//!    restricted language level accepts and what the VM evaluates
+//!    through the spatial index, one probe per entity — so the optimizer
 //!    mechanically performs the rewrite the paper says studios forced
 //!    their designers to do by hand.
 //!

@@ -1,4 +1,4 @@
-//! Register-based bytecode VM for GSL.
+//! Register-based bytecode VM for GSL, executed set-at-a-time.
 //!
 //! The tree-walking interpreter ([`crate::interp`]) re-touches names,
 //! boxes every value in an [`crate::interp::SVal`], and linear-scans the
@@ -6,42 +6,67 @@
 //! hot-path replacement: [`compile::compile_program`] lowers the
 //! (optimizer-processed) AST once into a dense `Vec<Instr>` with
 //!
-//! * **typed register files** — locals and temporaries live in flat
-//!   `f64` / `bool` / `String` registers, numbered at compile time
-//!   (the eval/apply register-machine design: each AST node compiles to
-//!   instructions that leave their result in a caller-chosen register);
+//! * **typed registers** — locals and temporaries live in `f64` / `bool`
+//!   / `String` registers, numbered at compile time (the eval/apply
+//!   register-machine design: each AST node compiles to instructions
+//!   that leave their result in a caller-chosen register);
 //! * **pre-resolved columns** — component reads carry interned
-//!   [`ComponentId`]s, so the inner loop goes straight to the column
-//!   store with no name hashing;
-//! * **pre-built query handles** — sargable aggregate filters keep the
-//!   closure compiler's [`Query`] push-down, baked into the loop-setup
-//!   instruction.
+//!   [`ComponentId`]s, so execution goes straight to the column store
+//!   with no name hashing;
+//! * **pre-built query handles** — sargable aggregate filters become
+//!   [`Query`] push-downs baked into the loop-setup instruction.
 //!
-//! [`Vm::run`] is a flat dispatch loop over those instructions. Its
-//! contract is *exact* observational equivalence with the interpreter:
-//! the same `EffectBuffer` writes in the same order, the same emitted
-//! events, and the same [`RuntimeError`]s (missing values read as
-//! zero/false/"", ÷0 yields 0, `while` fuel is shared across the whole
-//! run per [`ExecOptions::loop_fuel`]). The interpreter stays on as the
-//! differential-testing oracle behind `ExecMode::Interp`.
+//! [`Vm::run_set`] executes one program over up to [`LANES`] entities at
+//! once, MonetDB/X100-style: the paper's set-at-a-time scripts over a
+//! column store. Every register is a *column* with one slot per lane. An
+//! instruction is issued once to a group of lanes (a selection vector)
+//! and loops over their slots — over contiguous register slices, with
+//! the opcode `match` outside the loop, when every lane is active. A
+//! branch splits its group by target; the executor always resumes the
+//! group with the lowest pc and merges groups waiting at one pc, so lanes
+//! that diverged (an `if`, a neighbour loop of another trip count)
+//! reconverge at the first instruction they share. `other`, the `while`
+//! fuel, loop frames and the pending [`RuntimeError`] are per lane, so a
+//! lane retires exactly the instructions it would alone and every value
+//! is bit-identical to a per-entity run. [`Vm::run`] is the one-lane case
+//! of the same executor.
+//!
+//! The contract is observational equivalence with the interpreter, entity
+//! by entity: the same effect writes, the same emitted events, and the
+//! same [`RuntimeError`]s (missing values read as zero/false/"", ÷0 yields
+//! 0, `while` fuel is shared across one entity's run per
+//! [`ExecOptions::loop_fuel`]). Across entities one thing may differ: the
+//! order in which different entities' effects land in the
+//! [`EffectBuffer`], which [`EffectBuffer::apply`] canonicalises. The
+//! interpreter stays on as the differential-testing oracle behind
+//! `ExecMode::Interp`.
 
 use std::fmt;
 
 use gamedb_content::{CmpOp, Value};
 use gamedb_core::{ComponentId, Effect, EffectBuffer, EntityId, Query, World, POS};
+use gamedb_spatial::Vec2;
 
 use crate::ast::{AggKind, Subject};
 use crate::interp::{ExecOptions, RuntimeError};
 
 pub mod compile;
 
-pub use compile::compile_program;
+pub use compile::{compile_program, CompileError};
 
 /// Register index into one of the VM's typed register files.
 pub type Reg = u16;
 
 /// Sentinel query index on [`Instr::LoopBegin`]: no sargable push-down.
 pub const NO_QUERY: u16 = u16::MAX;
+
+/// Entities one chunk of [`Vm::run_set`] executes together: wide enough
+/// that an instruction's fixed cost spreads over many lanes (256 measured
+/// slower on the combat tick, 4 096 and 20 000 no faster).
+pub const LANES: usize = 1024;
+
+/// A lane's index within its chunk.
+type Lane = u16;
 
 /// Comparison opcodes (f64 comparisons carry IEEE NaN semantics, which
 /// match the interpreter's `partial_cmp` table exactly).
@@ -109,6 +134,19 @@ impl VmArith {
     }
 }
 
+/// Expand `$body` once per listed opcode, `$f` bound to that opcode's
+/// `$method`, so the `match` sits outside the lane loop.
+macro_rules! hoist {
+    ($op:expr, $method:ident, [$($v:path),+], $f:ident => $body:expr) => {
+        match $op {
+            $($v => {
+                let $f = |x, y| $v.$method(x, y);
+                $body
+            })+
+        }
+    };
+}
+
 /// A pre-extracted sargable aggregate filter — `other.<comp> <op>
 /// <literal>` — executed through the query planner (and any secondary
 /// index) instead of per-candidate.
@@ -172,9 +210,9 @@ pub enum Instr {
     /// [`Instr::JumpUnlessCmp`] against a literal: jump unless
     /// num\[a\] op `k` holds
     JumpUnlessCmpK { op: VmCmp, a: Reg, to: u32, k: f64 },
-    /// Burn one unit of the run-wide `while` fuel
-    /// ([`ExecOptions::loop_fuel`], shared across all loops of the run —
-    /// interpreter semantics, not the closure compiler's per-loop cap).
+    /// Burn one unit of the lane's `while` fuel
+    /// ([`ExecOptions::loop_fuel`], shared across all loops of one
+    /// entity's run — interpreter semantics).
     ConsumeFuel,
     /// Error unless `other` is bound — emitted where the interpreter
     /// resolves a subject before evaluating the value expression.
@@ -211,8 +249,8 @@ pub enum Instr {
     Emit { pool: u16 },
 }
 
-// Every instruction — immediates included — stays two words, so the
-// dispatch loop's fetch is one aligned 16-byte load.
+// Every instruction — immediates included — stays two words, so a
+// dispatch's fetch is one aligned 16-byte load.
 const _: () = assert!(std::mem::size_of::<Instr>() == 16);
 
 /// A compiled script: dense instructions plus the constant pool and the
@@ -288,7 +326,22 @@ impl Program {
     }
 }
 
-/// One in-flight neighbor loop.
+/// Work a [`Vm`] did since its counters were last drained
+/// ([`Vm::take_counts`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct VmCounts {
+    /// Lane-instructions retired: each instruction once per lane it ran
+    /// for — what a per-entity loop would have retired.
+    pub instrs: u64,
+    /// Instructions issued, each to one group of lanes.
+    pub dispatches: u64,
+    /// Neighbour loops begun.
+    pub probes: u64,
+    /// Candidates those loops were handed.
+    pub probe_rows: u64,
+}
+
+/// One lane's in-flight neighbor loop.
 #[derive(Default)]
 struct LoopFrame {
     cands: Vec<EntityId>,
@@ -297,20 +350,60 @@ struct LoopFrame {
     prefiltered: bool,
 }
 
-/// The dispatch machine. Register files and loop frames are owned here
-/// and reused across runs, so steady-state per-entity execution does no
-/// allocation beyond what the interpreter's own query paths do.
+/// Lanes that branched away from the running group, waiting at `pc`.
+struct Parked {
+    pc: usize,
+    lanes: Vec<Lane>,
+}
+
+/// What the lanes of one chunk share: lane `l` runs `p` for `ids[l]`.
+struct Chunk<'a> {
+    p: &'a Program,
+    world: &'a World,
+    ids: &'a [EntityId],
+    opts: ExecOptions,
+}
+
+/// The set-at-a-time machine. Register columns, lane state, loop frames
+/// and selection buffers are owned here and reused across chunks and
+/// ticks, so steady-state execution allocates nothing per dispatch or
+/// per lane beyond what the interpreter's own query paths do.
 #[derive(Default)]
 pub struct Vm {
+    /// Register columns: register `r` of lane `l` at `r * n + l`, for a
+    /// chunk of `n` lanes.
     nums: Vec<f64>,
     bools: Vec<bool>,
     strs: Vec<String>,
+    /// Per lane: the `other` binding, the `while` fuel left, the error
+    /// that stopped the lane.
+    other: Vec<Option<EntityId>>,
+    fuel: Vec<usize>,
+    errs: Vec<Option<RuntimeError>>,
+    /// Loop frame `s` of lane `l` at `s * n + l`.
     loops: Vec<LoopFrame>,
-    events: Vec<String>,
+    /// The chunk's effects as `(lane, target, name, effect)` in issue
+    /// order, `name` a pool index (`None`: the position column). They
+    /// reach the buffer lane by lane when the chunk ends
+    /// ([`Vm::flush`]), so one program's effects arrive in entity order —
+    /// the order `EffectBuffer::apply` sorts into, which it then finds
+    /// already sorted instead of merging a run per effect instruction
+    /// per chunk.
+    staged: Vec<(Lane, EntityId, Option<u16>, Effect)>,
+    /// Counting-sort scratch for the flush: per-lane offsets, then the
+    /// staged indices in lane order.
+    offsets: Vec<u32>,
+    order: Vec<u32>,
+    /// `(lane, event)` in issue order.
+    events: Vec<(Lane, String)>,
     scratch: Vec<EntityId>,
-    instrs_retired: u64,
-    probes: u64,
-    probe_rows: u64,
+    /// One register column, for a kernel whose destination may alias a
+    /// source.
+    tmp: Vec<f64>,
+    parked: Vec<Parked>,
+    /// Emptied selection buffers, capacity kept.
+    spare: Vec<Vec<Lane>>,
+    counts: VmCounts,
 }
 
 #[inline]
@@ -323,6 +416,11 @@ fn subj_id(self_id: EntityId, other: Option<EntityId>, s: Subject) -> Result<Ent
     }
 }
 
+#[inline]
+fn pos_of(world: &World, id: EntityId) -> Result<Vec2, RuntimeError> {
+    world.pos(id).ok_or(RuntimeError::NoPosition(id))
+}
+
 /// Neighbor enumeration — byte-for-byte the interpreter's: spatial index
 /// + retain, or the naive entity-order distance scan.
 fn neighbors(
@@ -332,7 +430,7 @@ fn neighbors(
     use_index: bool,
     out: &mut Vec<EntityId>,
 ) -> Result<(), RuntimeError> {
-    let center = world.pos(self_id).ok_or(RuntimeError::NoPosition(self_id))?;
+    let center = pos_of(world, self_id)?;
     let r = radius.max(0.0) as f32;
     out.clear();
     if use_index {
@@ -354,20 +452,58 @@ fn neighbors(
     Ok(())
 }
 
+/// `a op b` from `a.cmp(b)`: it holds exactly when `(a cmp b) op 0`
+/// does, with the ordering as -1 / 0 / 1.
 #[inline]
 fn cmp_ord(op: VmCmp, ord: std::cmp::Ordering) -> bool {
-    use std::cmp::Ordering::*;
-    match (op, ord) {
-        (VmCmp::Eq, Equal) => true,
-        (VmCmp::Eq, _) => false,
-        (VmCmp::Ne, Equal) => false,
-        (VmCmp::Ne, _) => true,
-        (VmCmp::Lt, Less) => true,
-        (VmCmp::Le, Less | Equal) => true,
-        (VmCmp::Gt, Greater) => true,
-        (VmCmp::Ge, Greater | Equal) => true,
-        _ => false,
+    op.holds(ord as i8 as f64, 0.0)
+}
+
+/// num\[dst\] ← num\[a\] op rhs (rhs op num\[a\] when `rev`) for every
+/// lane of an `n`-lane chunk, as one loop over contiguous register
+/// columns; `dst` may be `a`.
+fn arith_kernel(
+    nums: &mut [f64],
+    n: usize,
+    op: VmArith,
+    rev: bool,
+    dst: Reg,
+    a: Reg,
+    rhs: impl Iterator<Item = f64>,
+) {
+    let (d, a) = (dst as usize * n, a as usize * n);
+    // columns are disjoint `n`-wide slices
+    let (src, out): (Option<&[f64]>, &mut [f64]) = if d == a {
+        (None, &mut nums[d..d + n])
+    } else if a < d {
+        let (lo, hi) = nums.split_at_mut(d);
+        (Some(&lo[a..a + n]), &mut hi[..n])
+    } else {
+        let (lo, hi) = nums.split_at_mut(a);
+        (Some(&hi[..n]), &mut lo[d..d + n])
+    };
+    hoist!(op, apply, [VmArith::Add, VmArith::Sub, VmArith::Mul, VmArith::Div, VmArith::Rem], f => {
+        let f = |x, y| if rev { f(y, x) } else { f(x, y) };
+        match src {
+            None => out.iter_mut().zip(rhs).for_each(|(o, y)| *o = f(*o, y)),
+            Some(src) => {
+                for ((o, &x), y) in out.iter_mut().zip(src).zip(rhs) {
+                    *o = f(x, y);
+                }
+            }
+        }
+    })
+}
+
+/// Union two lane groups waiting at one pc into `into`; the emptied
+/// buffer goes back to `spare`.
+fn merge(into: &mut Vec<Lane>, mut other: Vec<Lane>, spare: &mut Vec<Vec<Lane>>) {
+    if other.len() > into.len() {
+        std::mem::swap(into, &mut other);
     }
+    into.extend_from_slice(&other);
+    other.clear();
+    spare.push(other);
 }
 
 impl Vm {
@@ -375,23 +511,15 @@ impl Vm {
         Self::default()
     }
 
-    /// Instructions retired since the last call (metrics drain).
-    pub fn take_instr_count(&mut self) -> u64 {
-        std::mem::take(&mut self.instrs_retired)
-    }
-
-    /// `(neighbour loops begun, candidates they returned)` since the
-    /// last call (metrics drain).
-    pub fn take_probe_counts(&mut self) -> (u64, u64) {
-        (
-            std::mem::take(&mut self.probes),
-            std::mem::take(&mut self.probe_rows),
-        )
+    /// The work done since the last call (metrics drain).
+    pub fn take_counts(&mut self) -> VmCounts {
+        std::mem::take(&mut self.counts)
     }
 
     /// Run one compiled script for one entity against the immutable
-    /// tick-start world. Effects land in `buf`; emitted events are
-    /// returned — exactly as [`crate::interp::run_script`] would.
+    /// tick-start world: [`Vm::run_set`] with one lane. Effects land in
+    /// `buf`; emitted events are returned — exactly as
+    /// [`crate::interp::run_script`] would.
     pub fn run(
         &mut self,
         p: &Program,
@@ -400,291 +528,462 @@ impl Vm {
         buf: &mut EffectBuffer,
         opts: ExecOptions,
     ) -> Result<Vec<String>, RuntimeError> {
-        // size + zero the register files (cheap: a handful of slots)
-        if self.nums.len() < p.num_regs as usize {
-            self.nums.resize(p.num_regs as usize, 0.0);
-        }
-        self.nums[..p.num_regs as usize].fill(0.0);
-        if self.bools.len() < p.bool_regs as usize {
-            self.bools.resize(p.bool_regs as usize, false);
-        }
-        self.bools[..p.bool_regs as usize].fill(false);
-        if self.strs.len() < p.str_regs as usize {
-            self.strs.resize(p.str_regs as usize, String::new());
-        }
-        for s in &mut self.strs[..p.str_regs as usize] {
-            s.clear(); // keep capacity: no per-run string allocation
-        }
-        while self.loops.len() < p.loop_slots as usize {
-            self.loops.push(LoopFrame::default());
-        }
-        self.events.clear();
-        let mut retired = 0u64;
-        let result = self.dispatch(p, world, self_id, buf, opts, &mut retired);
-        self.instrs_retired += retired;
-        result?;
-        Ok(std::mem::take(&mut self.events))
+        let mut events = Vec::new();
+        self.run_set(p, world, &[self_id], buf, opts, &mut events)
+            .map_err(|(_, e)| e)?;
+        Ok(events.into_iter().map(|(_, e)| e).collect())
     }
 
-    fn dispatch(
+    /// Run one compiled script for every entity of `ids` against the
+    /// immutable tick-start world, [`LANES`] entities at a time. Effects
+    /// land in `buf`; events are appended to `events` as `(index into
+    /// ids, event)`, in (entity, order) order.
+    ///
+    /// On failure, returns the error of the first failing entity in
+    /// `ids` order, with its index — what a per-entity loop stopping at
+    /// its first error would return. Chunks after that entity's do not
+    /// run; effects already pushed stay in `buf`.
+    pub fn run_set(
         &mut self,
         p: &Program,
         world: &World,
-        self_id: EntityId,
+        ids: &[EntityId],
         buf: &mut EffectBuffer,
         opts: ExecOptions,
-        retired: &mut u64,
-    ) -> Result<(), RuntimeError> {
-        let instrs = &p.instrs[..];
-        let mut pc = 0usize;
-        let mut other: Option<EntityId> = None;
-        let mut fuel = opts.loop_fuel;
-        while let Some(&i) = instrs.get(pc) {
-            *retired += 1;
-            pc += 1;
-            match i {
-                Instr::LoadNum { dst, val } => self.nums[dst as usize] = val,
-                Instr::LoadBool { dst, val } => self.bools[dst as usize] = val,
-                Instr::LoadStr { dst, pool } => {
-                    let s = &mut self.strs[dst as usize];
-                    s.clear();
-                    s.push_str(&p.pool[pool as usize]);
-                }
-                Instr::CopyNum { dst, src } => self.nums[dst as usize] = self.nums[src as usize],
-                Instr::CopyBool { dst, src } => {
-                    self.bools[dst as usize] = self.bools[src as usize]
-                }
-
-                Instr::ReadNum { dst, col, subj } => {
-                    let id = subj_id(self_id, other, subj)?;
-                    self.nums[dst as usize] = if world.is_live(id) {
-                        world
-                            .column_by_id(col)
-                            .and_then(|c| c.get_number(id.index() as usize))
-                            .unwrap_or(0.0)
-                    } else {
-                        0.0
-                    };
-                }
-                Instr::ReadBool { dst, col, subj } => {
-                    let id = subj_id(self_id, other, subj)?;
-                    self.bools[dst as usize] = world.is_live(id)
-                        && world
-                            .column_by_id(col)
-                            .and_then(|c| c.get_bool(id.index() as usize))
-                            .unwrap_or(false);
-                }
-                Instr::ReadStr { dst, col, subj } => {
-                    let id = subj_id(self_id, other, subj)?;
-                    let val = if world.is_live(id) {
-                        world
-                            .column_by_id(col)
-                            .and_then(|c| c.get_str(id.index() as usize))
-                            .unwrap_or("")
-                    } else {
-                        ""
-                    };
-                    let s = &mut self.strs[dst as usize];
-                    s.clear();
-                    s.push_str(val);
-                }
-                Instr::ReadAxis { dst, subj, y } => {
-                    let id = subj_id(self_id, other, subj)?;
-                    let pp = world.pos(id).ok_or(RuntimeError::NoPosition(id))?;
-                    self.nums[dst as usize] = (if y { pp.y } else { pp.x }) as f64;
-                }
-
-                Instr::Arith { op, dst, a, b } => {
-                    self.nums[dst as usize] = op.apply(self.nums[a as usize], self.nums[b as usize]);
-                }
-                Instr::ArithK { op, rev, dst, a, k } => {
-                    let x = self.nums[a as usize];
-                    self.nums[dst as usize] = if rev { op.apply(k, x) } else { op.apply(x, k) };
-                }
-                Instr::Neg { dst, src } => self.nums[dst as usize] = -self.nums[src as usize],
-                Instr::Not { dst, src } => self.bools[dst as usize] = !self.bools[src as usize],
-                Instr::MinNum { dst, a, b } => {
-                    self.nums[dst as usize] = self.nums[a as usize].min(self.nums[b as usize])
-                }
-                Instr::MaxNum { dst, a, b } => {
-                    self.nums[dst as usize] = self.nums[a as usize].max(self.nums[b as usize])
-                }
-                Instr::AbsNum { dst, src } => {
-                    self.nums[dst as usize] = self.nums[src as usize].abs()
-                }
-                Instr::ClampNum { dst, x, lo, hi } => {
-                    let (v, lo, hi) =
-                        (self.nums[x as usize], self.nums[lo as usize], self.nums[hi as usize]);
-                    self.nums[dst as usize] = v.clamp(lo.min(hi), hi.max(lo));
-                }
-                Instr::CmpNum { op, dst, a, b } => {
-                    self.bools[dst as usize] = op.holds(self.nums[a as usize], self.nums[b as usize]);
-                }
-                Instr::CmpBool { op, dst, a, b } => {
-                    let ord = self.bools[a as usize].cmp(&self.bools[b as usize]);
-                    self.bools[dst as usize] = cmp_ord(op, ord);
-                }
-                Instr::CmpStr { op, dst, a, b } => {
-                    let ord = self.strs[a as usize].cmp(&self.strs[b as usize]);
-                    self.bools[dst as usize] = cmp_ord(op, ord);
-                }
-                Instr::Dist { dst } => {
-                    // interpreter error order: other bound, self
-                    // positioned, other positioned
-                    let o = subj_id(self_id, other, Subject::Other)?;
-                    let sp = world.pos(self_id).ok_or(RuntimeError::NoPosition(self_id))?;
-                    let op_ = world.pos(o).ok_or(RuntimeError::NoPosition(o))?;
-                    self.nums[dst as usize] = sp.dist(op_) as f64;
-                }
-                Instr::NearestDist { dst, radius } => {
-                    let r = self.nums[radius as usize];
-                    let center = world.pos(self_id).ok_or(RuntimeError::NoPosition(self_id))?;
-                    neighbors(world, self_id, r, opts.use_index, &mut self.scratch)?;
-                    let mut best = r;
-                    for &cand in &self.scratch {
-                        if let Some(pp) = world.pos(cand) {
-                            best = best.min(pp.dist(center) as f64);
-                        }
-                    }
-                    self.nums[dst as usize] = best;
-                }
-
-                Instr::Jump { to } => pc = to as usize,
-                Instr::JumpIf { cond, to } => {
-                    if self.bools[cond as usize] {
-                        pc = to as usize;
-                    }
-                }
-                Instr::JumpIfNot { cond, to } => {
-                    if !self.bools[cond as usize] {
-                        pc = to as usize;
-                    }
-                }
-                Instr::JumpUnlessCmp { op, a, b, to } => {
-                    if !op.holds(self.nums[a as usize], self.nums[b as usize]) {
-                        pc = to as usize;
-                    }
-                }
-                Instr::JumpUnlessCmpK { op, a, to, k } => {
-                    if !op.holds(self.nums[a as usize], k) {
-                        pc = to as usize;
-                    }
-                }
-                Instr::ConsumeFuel => {
-                    if fuel == 0 {
-                        return Err(RuntimeError::LoopFuelExhausted {
-                            limit: opts.loop_fuel,
-                        });
-                    }
-                    fuel -= 1;
-                }
-                Instr::CheckOther => {
-                    subj_id(self_id, other, Subject::Other)?;
-                }
-
-                Instr::LoopBegin { slot, radius, query } => {
-                    let r = self.nums[radius as usize];
-                    let frame = &mut self.loops[slot as usize];
-                    frame.idx = 0;
-                    frame.saved_other = other;
-                    if query != NO_QUERY && opts.use_index {
-                        let center =
-                            world.pos(self_id).ok_or(RuntimeError::NoPosition(self_id))?;
-                        let q = &p.queries[query as usize];
-                        frame.cands = Query::select()
-                            .within(center, r.max(0.0) as f32)
-                            .filter(q.comp.clone(), q.op, Value::Float(q.lit))
-                            .excluding(self_id)
-                            .run(world);
-                        frame.prefiltered = true;
-                    } else {
-                        frame.prefiltered = false;
-                        neighbors(world, self_id, r, opts.use_index, &mut frame.cands)?;
-                    }
-                    self.probes += 1;
-                    self.probe_rows += frame.cands.len() as u64;
-                }
-                Instr::LoopNext { slot, exit } => {
-                    let frame = &mut self.loops[slot as usize];
-                    if frame.idx < frame.cands.len() {
-                        other = Some(frame.cands[frame.idx]);
-                        frame.idx += 1;
-                    } else {
-                        other = frame.saved_other;
-                        pc = exit as usize;
-                    }
-                }
-                Instr::SkipIfPrefiltered { slot, to } => {
-                    if self.loops[slot as usize].prefiltered {
-                        pc = to as usize;
-                    }
-                }
-                Instr::AggFinish { kind, dst, count, sum, min, max } => {
-                    let cnt = self.nums[count as usize];
-                    self.nums[dst as usize] = match kind {
-                        AggKind::Count => cnt,
-                        AggKind::Sum => self.nums[sum as usize],
-                        AggKind::Min => {
-                            if cnt == 0.0 {
-                                0.0
-                            } else {
-                                self.nums[min as usize]
-                            }
-                        }
-                        AggKind::Max => {
-                            if cnt == 0.0 {
-                                0.0
-                            } else {
-                                self.nums[max as usize]
-                            }
-                        }
-                        AggKind::Avg => {
-                            if cnt == 0.0 {
-                                0.0
-                            } else {
-                                self.nums[sum as usize] / cnt
-                            }
-                        }
-                    };
-                }
-
-                Instr::SetF32 { subj, name, src } => {
-                    let id = subj_id(self_id, other, subj)?;
-                    let v = self.nums[src as usize] as f32;
-                    buf.push(id, &p.pool[name as usize], Effect::Set(Value::Float(v)));
-                }
-                Instr::SetI64 { subj, name, src } => {
-                    let id = subj_id(self_id, other, subj)?;
-                    let v = self.nums[src as usize].round() as i64;
-                    buf.push(id, &p.pool[name as usize], Effect::Set(Value::Int(v)));
-                }
-                Instr::SetBool { subj, name, src } => {
-                    let id = subj_id(self_id, other, subj)?;
-                    let v = self.bools[src as usize];
-                    buf.push(id, &p.pool[name as usize], Effect::Set(Value::Bool(v)));
-                }
-                Instr::SetStr { subj, name, src } => {
-                    let id = subj_id(self_id, other, subj)?;
-                    let v = self.strs[src as usize].clone();
-                    buf.push(id, &p.pool[name as usize], Effect::Set(Value::Str(v)));
-                }
-                Instr::AddNum { subj, name, src, negate } => {
-                    let id = subj_id(self_id, other, subj)?;
-                    let mut v = self.nums[src as usize];
-                    if negate {
-                        v = -v;
-                    }
-                    buf.push(id, &p.pool[name as usize], Effect::Add(v));
-                }
-                Instr::MoveBy { dx, dy } => {
-                    let (x, y) =
-                        (self.nums[dx as usize] as f32, self.nums[dy as usize] as f32);
-                    buf.push(self_id, POS, Effect::AddVec2(x, y));
-                }
-                Instr::Despawn => buf.despawn(self_id),
-                Instr::Emit { pool } => self.events.push(p.pool[pool as usize].clone()),
+        events: &mut Vec<(usize, String)>,
+    ) -> Result<(), (usize, RuntimeError)> {
+        for (c, ids) in ids.chunks(LANES).enumerate() {
+            let base = c * LANES;
+            self.run_chunk(&Chunk { p, world, ids, opts }, buf);
+            // stable: each lane's events keep their order
+            self.events.sort_by_key(|&(l, _)| l);
+            events.extend(self.events.drain(..).map(|(l, e)| (base + l as usize, e)));
+            // the lowest failing lane, not the one that failed first
+            if let Some(l) = self.errs.iter().position(Option::is_some) {
+                return Err((base + l, self.errs[l].take().expect("position found it")));
             }
         }
         Ok(())
+    }
+
+    /// Size and zero the register columns and lane state for `n` lanes
+    /// (capacity kept: no allocation once warm).
+    fn reset(&mut self, p: &Program, n: usize, fuel: usize) {
+        self.nums.clear();
+        self.nums.resize(p.num_regs as usize * n, 0.0);
+        self.bools.clear();
+        self.bools.resize(p.bool_regs as usize * n, false);
+        let strs = p.str_regs as usize * n;
+        if self.strs.len() < strs {
+            self.strs.resize(strs, String::new());
+        }
+        for s in &mut self.strs[..strs] {
+            s.clear();
+        }
+        let frames = p.loop_slots as usize * n;
+        if self.loops.len() < frames {
+            self.loops.resize_with(frames, LoopFrame::default);
+        }
+        self.other.clear();
+        self.other.resize(n, None);
+        self.fuel.clear();
+        self.fuel.resize(n, fuel);
+        self.errs.clear();
+        self.errs.resize(n, None);
+        self.events.clear();
+    }
+
+    /// Park `lanes` at `pc`, joining the group already waiting there.
+    fn park(&mut self, pc: usize, lanes: Vec<Lane>) {
+        match self.parked.iter_mut().find(|g| g.pc == pc) {
+            Some(g) => merge(&mut g.lanes, lanes, &mut self.spare),
+            None => self.parked.push(Parked { pc, lanes }),
+        }
+    }
+
+    /// The lowest parked group, removed, if it waits at or below `pc`.
+    fn unpark(&mut self, pc: usize) -> Option<Parked> {
+        let (i, lowest) = self
+            .parked
+            .iter()
+            .enumerate()
+            .min_by_key(|(_, g)| g.pc)
+            .map(|(i, g)| (i, g.pc))?;
+        (lowest <= pc).then(|| self.parked.swap_remove(i))
+    }
+
+    /// Run `p` for one chunk of at most [`LANES`] entities. Each lane's
+    /// error, if any, is left in `errs`.
+    fn run_chunk(&mut self, cx: &Chunk, buf: &mut EffectBuffer) {
+        let (p, n) = (cx.p, cx.ids.len());
+        self.reset(p, n, cx.opts.loop_fuel);
+        let mut sel = self.spare.pop().unwrap_or_default();
+        sel.extend(0..n as Lane);
+        let mut taken = self.spare.pop().unwrap_or_default();
+        let mut pc = 0;
+        loop {
+            // min-pc reconvergence: a finished or emptied group hands over
+            // to the lowest parked one, and a group parked at or below the
+            // running pc goes first (or joins it, when level)
+            if pc >= p.instrs.len() || sel.is_empty() {
+                let Some(g) = self.unpark(usize::MAX) else { break };
+                sel.clear();
+                self.spare.push(std::mem::replace(&mut sel, g.lanes));
+                pc = g.pc;
+                continue;
+            }
+            while let Some(g) = self.unpark(pc) {
+                if g.pc == pc {
+                    merge(&mut sel, g.lanes, &mut self.spare);
+                } else {
+                    let running = std::mem::replace(&mut sel, g.lanes);
+                    self.park(pc, running);
+                    pc = g.pc;
+                }
+            }
+
+            let instr = p.instrs[pc];
+            self.counts.dispatches += 1;
+            self.counts.instrs += sel.len() as u64;
+            pc = match instr {
+                Instr::Jump { to } => to as usize,
+                // a loop condition usually holds, or fails, for every lane
+                // at once: count before splitting
+                Instr::JumpUnlessCmpK { op, a, to, k } if sel.len() == n => {
+                    let xs = &self.nums[a as usize * n..][..n];
+                    let held = hoist!(op, holds, [VmCmp::Eq, VmCmp::Ne, VmCmp::Lt, VmCmp::Le, VmCmp::Gt, VmCmp::Ge], f => {
+                        xs.iter().filter(|&&x| f(x, k)).count()
+                    });
+                    match held {
+                        0 => to as usize,
+                        h if h == n => pc + 1,
+                        _ => self.split(instr, pc, to, &mut sel, &mut taken),
+                    }
+                }
+                Instr::JumpIf { to, .. }
+                | Instr::JumpIfNot { to, .. }
+                | Instr::JumpUnlessCmp { to, .. }
+                | Instr::JumpUnlessCmpK { to, .. }
+                | Instr::SkipIfPrefiltered { to, .. }
+                | Instr::LoopNext { exit: to, .. } => {
+                    self.split(instr, pc, to, &mut sel, &mut taken)
+                }
+                _ => {
+                    self.issue(cx, buf, instr, &mut sel);
+                    pc + 1
+                }
+            };
+        }
+        sel.clear();
+        self.spare.push(sel);
+        self.spare.push(taken);
+        self.flush(p, n, buf);
+    }
+
+    /// Split the running group `sel` by each lane's decision on the
+    /// branch `instr`: lanes that fall through stay, lanes that jump to
+    /// `to` are parked there. Returns where the running group continues.
+    fn split(
+        &mut self,
+        instr: Instr,
+        pc: usize,
+        to: u32,
+        sel: &mut Vec<Lane>,
+        taken: &mut Vec<Lane>,
+    ) -> usize {
+        taken.clear();
+        sel.retain(|&l| {
+            let jumps = self.jumps(instr, l as usize);
+            if jumps {
+                taken.push(l);
+            }
+            !jumps
+        });
+        if taken.is_empty() {
+            pc + 1
+        } else if sel.is_empty() {
+            std::mem::swap(sel, taken);
+            to as usize
+        } else {
+            let fresh = self.spare.pop().unwrap_or_default();
+            self.park(to as usize, std::mem::replace(taken, fresh));
+            pc + 1
+        }
+    }
+
+    /// Whether lane `l` takes the conditional branch `instr` (advancing
+    /// its loop frame on `LoopNext`).
+    fn jumps(&mut self, instr: Instr, l: usize) -> bool {
+        let n = self.other.len();
+        let at = |r: Reg| r as usize * n + l;
+        match instr {
+            Instr::JumpIf { cond, .. } => self.bools[at(cond)],
+            Instr::JumpIfNot { cond, .. } => !self.bools[at(cond)],
+            Instr::JumpUnlessCmp { op, a, b, .. } => !op.holds(self.nums[at(a)], self.nums[at(b)]),
+            Instr::JumpUnlessCmpK { op, a, k, .. } => !op.holds(self.nums[at(a)], k),
+            Instr::SkipIfPrefiltered { slot, .. } => self.loops[at(slot as Reg)].prefiltered,
+            Instr::LoopNext { slot, .. } => {
+                let frame = &mut self.loops[at(slot as Reg)];
+                let next = frame.cands.get(frame.idx).copied();
+                frame.idx += usize::from(next.is_some());
+                self.other[l] = next.or(frame.saved_other);
+                next.is_none()
+            }
+            _ => unreachable!("not a conditional branch: {instr:?}"),
+        }
+    }
+
+    /// Issue a straight-line instruction to the lanes of `sel`: the hot
+    /// arithmetic as one loop over contiguous register columns when every
+    /// lane is active, each lane's own [`Vm::step`] otherwise. Lanes that
+    /// fail leave `sel`.
+    fn issue(&mut self, cx: &Chunk, buf: &mut EffectBuffer, instr: Instr, sel: &mut Vec<Lane>) {
+        let n = cx.ids.len();
+        if sel.len() == n {
+            let col = |r: Reg| r as usize * n..(r as usize + 1) * n;
+            match instr {
+                Instr::LoadNum { dst, val } => {
+                    self.nums[col(dst)].fill(val);
+                    return;
+                }
+                Instr::ArithK { op, rev, dst, a, k } => {
+                    arith_kernel(&mut self.nums, n, op, rev, dst, a, std::iter::repeat(k));
+                    return;
+                }
+                Instr::Arith { op, dst, a, b } => {
+                    self.tmp.clear();
+                    self.tmp.extend_from_slice(&self.nums[col(b)]);
+                    let rhs = self.tmp.iter().copied();
+                    arith_kernel(&mut self.nums, n, op, false, dst, a, rhs);
+                    return;
+                }
+                Instr::ConsumeFuel if self.fuel.iter().fold(true, |ok, &f| ok & (f > 0)) => {
+                    self.fuel.iter_mut().for_each(|f| *f -= 1);
+                    return;
+                }
+                _ => {}
+            }
+        }
+        let mut failed = false;
+        for &l in sel.iter() {
+            if let Err(e) = self.step(cx, buf, instr, l as usize) {
+                self.errs[l as usize] = Some(e);
+                failed = true;
+            }
+        }
+        if failed {
+            sel.retain(|&l| self.errs[l as usize].is_none());
+        }
+    }
+
+    /// One straight-line instruction for lane `l`: the scalar semantics,
+    /// exactly as a per-entity run retires it.
+    fn step(
+        &mut self,
+        cx: &Chunk,
+        buf: &mut EffectBuffer,
+        instr: Instr,
+        l: usize,
+    ) -> Result<(), RuntimeError> {
+        let Chunk { p, world, ids, opts } = *cx;
+        let n = ids.len();
+        let at = |r: Reg| r as usize * n + l;
+        let self_id = ids[l];
+        let subject = |s| subj_id(self_id, self.other[l], s);
+        match instr {
+            Instr::LoadNum { dst, val } => self.nums[at(dst)] = val,
+            Instr::LoadBool { dst, val } => self.bools[at(dst)] = val,
+            Instr::LoadStr { dst, pool } => {
+                let s = &mut self.strs[at(dst)];
+                s.clear();
+                s.push_str(&p.pool[pool as usize]);
+            }
+            Instr::CopyNum { dst, src } => self.nums[at(dst)] = self.nums[at(src)],
+            Instr::CopyBool { dst, src } => self.bools[at(dst)] = self.bools[at(src)],
+
+            // a dead subject reads as missing
+            Instr::ReadNum { dst, col, subj } => {
+                let id = subject(subj)?;
+                let c = world.column_by_id(col).filter(|_| world.is_live(id));
+                let v = c.and_then(|c| c.get_number(id.index() as usize));
+                self.nums[at(dst)] = v.unwrap_or(0.0);
+            }
+            Instr::ReadBool { dst, col, subj } => {
+                let id = subject(subj)?;
+                let c = world.column_by_id(col).filter(|_| world.is_live(id));
+                let v = c.and_then(|c| c.get_bool(id.index() as usize));
+                self.bools[at(dst)] = v.unwrap_or(false);
+            }
+            Instr::ReadStr { dst, col, subj } => {
+                let val = world.get_str_by_id(subject(subj)?, col).unwrap_or("");
+                let s = &mut self.strs[at(dst)];
+                s.clear();
+                s.push_str(val);
+            }
+            Instr::ReadAxis { dst, subj, y } => {
+                let pp = pos_of(world, subject(subj)?)?;
+                self.nums[at(dst)] = (if y { pp.y } else { pp.x }) as f64;
+            }
+
+            Instr::Arith { op, dst, a, b } => {
+                self.nums[at(dst)] = op.apply(self.nums[at(a)], self.nums[at(b)]);
+            }
+            Instr::ArithK { op, rev, dst, a, k } => {
+                let x = self.nums[at(a)];
+                self.nums[at(dst)] = if rev { op.apply(k, x) } else { op.apply(x, k) };
+            }
+            Instr::Neg { dst, src } => self.nums[at(dst)] = -self.nums[at(src)],
+            Instr::Not { dst, src } => self.bools[at(dst)] = !self.bools[at(src)],
+            Instr::MinNum { dst, a, b } => {
+                self.nums[at(dst)] = self.nums[at(a)].min(self.nums[at(b)]);
+            }
+            Instr::MaxNum { dst, a, b } => {
+                self.nums[at(dst)] = self.nums[at(a)].max(self.nums[at(b)]);
+            }
+            Instr::AbsNum { dst, src } => self.nums[at(dst)] = self.nums[at(src)].abs(),
+            Instr::ClampNum { dst, x, lo, hi } => {
+                let (v, lo, hi) = (self.nums[at(x)], self.nums[at(lo)], self.nums[at(hi)]);
+                self.nums[at(dst)] = v.clamp(lo.min(hi), hi.max(lo));
+            }
+            Instr::CmpNum { op, dst, a, b } => {
+                self.bools[at(dst)] = op.holds(self.nums[at(a)], self.nums[at(b)]);
+            }
+            Instr::CmpBool { op, dst, a, b } => {
+                let ord = self.bools[at(a)].cmp(&self.bools[at(b)]);
+                self.bools[at(dst)] = cmp_ord(op, ord);
+            }
+            Instr::CmpStr { op, dst, a, b } => {
+                let ord = self.strs[at(a)].cmp(&self.strs[at(b)]);
+                self.bools[at(dst)] = cmp_ord(op, ord);
+            }
+            Instr::Dist { dst } => {
+                // interpreter error order: other bound, self positioned,
+                // other positioned
+                let o = subject(Subject::Other)?;
+                let sp = pos_of(world, self_id)?;
+                self.nums[at(dst)] = sp.dist(pos_of(world, o)?) as f64;
+            }
+            Instr::NearestDist { dst, radius } => {
+                let r = self.nums[at(radius)];
+                let center = pos_of(world, self_id)?;
+                neighbors(world, self_id, r, opts.use_index, &mut self.scratch)?;
+                let mut best = r;
+                for &cand in &self.scratch {
+                    if let Some(pp) = world.pos(cand) {
+                        best = best.min(pp.dist(center) as f64);
+                    }
+                }
+                self.nums[at(dst)] = best;
+            }
+
+            Instr::ConsumeFuel => {
+                let fuel = &mut self.fuel[l];
+                if *fuel == 0 {
+                    return Err(RuntimeError::LoopFuelExhausted {
+                        limit: opts.loop_fuel,
+                    });
+                }
+                *fuel -= 1;
+            }
+            Instr::CheckOther => {
+                subject(Subject::Other)?;
+            }
+
+            Instr::LoopBegin { slot, radius, query } => {
+                let r = self.nums[at(radius)];
+                let frame = &mut self.loops[at(slot as Reg)];
+                frame.idx = 0;
+                frame.saved_other = self.other[l];
+                if query != NO_QUERY && opts.use_index {
+                    let center = pos_of(world, self_id)?;
+                    let q = &p.queries[query as usize];
+                    frame.cands = Query::select()
+                        .within(center, r.max(0.0) as f32)
+                        .filter(q.comp.clone(), q.op, Value::Float(q.lit))
+                        .excluding(self_id)
+                        .run(world);
+                    frame.prefiltered = true;
+                } else {
+                    frame.prefiltered = false;
+                    neighbors(world, self_id, r, opts.use_index, &mut frame.cands)?;
+                }
+                self.counts.probes += 1;
+                self.counts.probe_rows += frame.cands.len() as u64;
+            }
+            Instr::AggFinish { kind, dst, count, sum, min, max } => {
+                let cnt = self.nums[at(count)];
+                self.nums[at(dst)] = match kind {
+                    AggKind::Count => cnt,
+                    AggKind::Sum => self.nums[at(sum)],
+                    _ if cnt == 0.0 => 0.0,
+                    AggKind::Min => self.nums[at(min)],
+                    AggKind::Max => self.nums[at(max)],
+                    AggKind::Avg => self.nums[at(sum)] / cnt,
+                };
+            }
+
+            Instr::SetF32 { subj, name, src } => {
+                let v = Value::Float(self.nums[at(src)] as f32);
+                self.staged.push((l as Lane, subject(subj)?, Some(name), Effect::Set(v)));
+            }
+            Instr::SetI64 { subj, name, src } => {
+                let v = Value::Int(self.nums[at(src)].round() as i64);
+                self.staged.push((l as Lane, subject(subj)?, Some(name), Effect::Set(v)));
+            }
+            Instr::SetBool { subj, name, src } => {
+                let v = Value::Bool(self.bools[at(src)]);
+                self.staged.push((l as Lane, subject(subj)?, Some(name), Effect::Set(v)));
+            }
+            Instr::SetStr { subj, name, src } => {
+                let v = Value::Str(self.strs[at(src)].clone());
+                self.staged.push((l as Lane, subject(subj)?, Some(name), Effect::Set(v)));
+            }
+            Instr::AddNum { subj, name, src, negate } => {
+                let v = self.nums[at(src)];
+                let v = if negate { -v } else { v };
+                self.staged.push((l as Lane, subject(subj)?, Some(name), Effect::Add(v)));
+            }
+            Instr::MoveBy { dx, dy } => {
+                let v = Effect::AddVec2(self.nums[at(dx)] as f32, self.nums[at(dy)] as f32);
+                self.staged.push((l as Lane, self_id, None, v));
+            }
+            Instr::Despawn => buf.despawn(self_id),
+            Instr::Emit { pool } => self.events.push((l as Lane, p.pool[pool as usize].clone())),
+
+            Instr::Jump { .. }
+            | Instr::JumpIf { .. }
+            | Instr::JumpIfNot { .. }
+            | Instr::JumpUnlessCmp { .. }
+            | Instr::JumpUnlessCmpK { .. }
+            | Instr::LoopNext { .. }
+            | Instr::SkipIfPrefiltered { .. } => unreachable!("branches split the group"),
+        }
+        Ok(())
+    }
+
+    /// Push the chunk's staged effects into `buf` lane by lane, each
+    /// lane's in issue order: a counting sort over the `n` lanes.
+    fn flush(&mut self, p: &Program, n: usize, buf: &mut EffectBuffer) {
+        self.offsets.clear();
+        self.offsets.resize(n + 1, 0);
+        for &(l, ..) in &self.staged {
+            self.offsets[l as usize + 1] += 1;
+        }
+        for l in 0..n {
+            self.offsets[l + 1] += self.offsets[l];
+        }
+        self.order.clear();
+        self.order.resize(self.staged.len(), 0);
+        for (i, &(l, ..)) in self.staged.iter().enumerate() {
+            let at = &mut self.offsets[l as usize];
+            self.order[*at as usize] = i as u32;
+            *at += 1;
+        }
+        for &i in &self.order {
+            let (_, id, name, effect) = &mut self.staged[i as usize];
+            let name = name.map_or(POS, |i| &p.pool[i as usize]);
+            buf.push(*id, name, std::mem::replace(effect, Effect::Add(0.0)));
+        }
+        self.staged.clear();
     }
 }

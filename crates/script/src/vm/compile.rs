@@ -1,35 +1,115 @@
 //! AST → bytecode lowering for the GSL VM.
 //!
-//! Mirrors the closure compiler's compilable subset and error surface
-//! exactly (same [`CompileError`] variants and messages), but emits a
-//! dense instruction stream into typed register files instead of boxed
-//! closures. Registers are allocated with a mark/release stack: each
-//! expression's temporaries are reclaimed as soon as its value is
-//! consumed, so register-file sizes stay small even for deep scripts
-//! while named locals keep their registers for their whole scope.
+//! Lowers the compilable subset of GSL to a dense instruction stream over
+//! typed registers; what falls outside it (string-valued locals, register
+//! or loop-depth overflow) is a [`CompileError`], and the engine runs that
+//! script through the interpreter instead. Registers are allocated with a
+//! mark/release stack: each expression's temporaries are reclaimed as
+//! soon as its value is consumed, so register files stay small even for
+//! deep scripts while named locals keep their registers for their whole
+//! scope.
 //!
 //! Everything name-shaped is resolved here, once per (script, schema):
 //! component references become interned [`ComponentId`]s, effect-write
 //! names and string literals land in the program's constant pool, and
 //! sargable aggregate filters become pre-built [`SargQuery`] handles.
-//! The dispatch loop never sees a string it has to hash.
+//! Execution never sees a string it has to hash.
 
 use std::collections::BTreeMap;
+use std::fmt;
 
-use gamedb_content::ValueType;
-use gamedb_core::{ComponentId, World};
+use gamedb_content::{CmpOp, Value, ValueType};
+use gamedb_core::{compare, ComponentId, World, POS};
 
 use super::{Instr, Program, Reg, SargQuery, VmArith, VmCmp, NO_QUERY};
 use crate::ast::{AssignOp, BinOp, BuiltinFn, Expr, Script, Stmt, Subject};
-use crate::compile::{sargable_filter, CompileError};
 use crate::interp::ScriptLibrary;
 use crate::types::Ty;
+
+/// Why a script could not be compiled (it still runs interpreted).
+#[derive(Debug, Clone, PartialEq)]
+pub enum CompileError {
+    /// The script (or a callee) uses a feature outside the compilable
+    /// subset.
+    Unsupported(String),
+    /// `call` target missing from the library.
+    UnknownScript(String),
+    /// `call` chain exceeded the inlining depth (recursion in full-level
+    /// scripts).
+    InlineDepthExceeded(String),
+    /// A semantic error compilation surfaced (compile after type checking
+    /// to avoid these).
+    Semantic(String),
+}
+
+impl fmt::Display for CompileError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            CompileError::Unsupported(m) => write!(f, "not compilable: {m}"),
+            CompileError::UnknownScript(s) => write!(f, "call to unknown script '{s}'"),
+            CompileError::InlineDepthExceeded(s) => {
+                write!(f, "call chain too deep to inline at '{s}' (recursive?)")
+            }
+            CompileError::Semantic(m) => write!(f, "semantic error: {m}"),
+        }
+    }
+}
+
+impl std::error::Error for CompileError {}
+
+/// A filter the query planner can serve from a secondary index:
+/// `other.<component> <cmp> <literal>`. Extracted from the filter AST at
+/// compile time so aggregate candidate sets can route through
+/// [`gamedb_core::Query::run`] — which pushes the predicate into an
+/// attribute index when the world has one, exactly the paper's "scripting
+/// as queries" promise.
+///
+/// Push-down must be observation-equivalent to the interpreted filter,
+/// which reads missing numeric components as `0.0`, while `Query`
+/// excludes entities lacking the component (SQL-ish NULL semantics). The
+/// two agree exactly when `0 <cmp> literal` is false — so that is a
+/// condition of extraction, as is the literal surviving the f64→f32
+/// round-trip unchanged.
+fn sargable_filter(filter: &Expr) -> Option<(String, CmpOp, f32)> {
+    let Expr::Bin { op, lhs, rhs } = filter else {
+        return None;
+    };
+    let cmp = match op {
+        BinOp::Eq => CmpOp::Eq,
+        // `!=` stays on the inline filter: compare() fails NaN under Ne
+        // while raw f64 `!=` passes it, and an index never serves Ne
+        // anyway, so pushing it down risks divergence for zero gain.
+        BinOp::Lt => CmpOp::Lt,
+        BinOp::Le => CmpOp::Le,
+        BinOp::Gt => CmpOp::Gt,
+        BinOp::Ge => CmpOp::Ge,
+        _ => return None,
+    };
+    let (Expr::Comp(Subject::Other, name), Expr::Num(lit)) = (lhs.as_ref(), rhs.as_ref()) else {
+        return None;
+    };
+    // x/y are virtual position reads, not real columns.
+    if name == "x" || name == "y" || name == POS {
+        return None;
+    }
+    let lit32 = *lit as f32;
+    if (lit32 as f64) != *lit {
+        return None;
+    }
+    if compare(&Value::Float(0.0), cmp, &Value::Float(lit32)) {
+        // Missing components would pass the interpreted filter (0 cmp lit
+        // holds) but fail the query predicate: not equivalent, keep the
+        // inline filter.
+        return None;
+    }
+    Some((name.clone(), cmp, lit32))
+}
 
 const MAX_INLINE_DEPTH: usize = 16;
 /// Per-type register-file ceiling — far above any real script; hitting
 /// it routes the script to the interpreter instead of panicking.
 const MAX_REGS: u16 = 4096;
-const MAX_LOOPS: u8 = 64;
+const MAX_LOOPS: u16 = 64;
 
 #[derive(Clone, Copy)]
 enum VReg {
@@ -37,14 +117,42 @@ enum VReg {
     Bool(Reg),
 }
 
-/// Register-allocation checkpoint: temporaries above these watermarks
-/// are dead once the expression that allocated them is consumed.
-#[derive(Clone, Copy)]
-struct Mark {
-    num: u16,
-    bool_: u16,
-    str_: u16,
+/// One register file's (or the loop-slot table's) allocation stack:
+/// the next free index and its high watermark.
+struct Bank {
+    next: u16,
+    max: u16,
+    limit: u16,
+    what: &'static str,
 }
+
+impl Bank {
+    fn new(limit: u16, what: &'static str) -> Self {
+        Bank {
+            next: 0,
+            max: 0,
+            limit,
+            what,
+        }
+    }
+
+    fn alloc(&mut self) -> Result<Reg, CompileError> {
+        if self.next >= self.limit {
+            let what = self.what;
+            return Err(CompileError::Unsupported(format!(
+                "{what} exhausted (script too large)"
+            )));
+        }
+        self.next += 1;
+        self.max = self.max.max(self.next);
+        Ok(self.next - 1)
+    }
+}
+
+/// Register-allocation checkpoint (num, bool, str): temporaries above
+/// these watermarks are dead once the expression that allocated them is
+/// consumed.
+type Mark = (u16, u16, u16);
 
 struct Compiler<'a> {
     lib: &'a ScriptLibrary,
@@ -54,14 +162,10 @@ struct Compiler<'a> {
     pool: Vec<String>,
     queries: Vec<SargQuery>,
     comps: Vec<(ComponentId, String)>,
-    next_num: u16,
-    max_num: u16,
-    next_bool: u16,
-    max_bool: u16,
-    next_str: u16,
-    max_str: u16,
-    next_loop: u8,
-    max_loop: u8,
+    nums: Bank,
+    bools: Bank,
+    strs: Bank,
+    loops: Bank,
     inline_depth: usize,
 }
 
@@ -80,70 +184,14 @@ fn vm_cmp(op: BinOp) -> VmCmp {
 impl<'a> Compiler<'a> {
     // ---- register + pool bookkeeping ----
 
-    fn alloc_num(&mut self) -> Result<Reg, CompileError> {
-        if self.next_num >= MAX_REGS {
-            return Err(CompileError::Unsupported(
-                "num register file exhausted (script too large)".into(),
-            ));
-        }
-        let r = self.next_num;
-        self.next_num += 1;
-        self.max_num = self.max_num.max(self.next_num);
-        Ok(r)
-    }
-
-    fn alloc_bool(&mut self) -> Result<Reg, CompileError> {
-        if self.next_bool >= MAX_REGS {
-            return Err(CompileError::Unsupported(
-                "bool register file exhausted (script too large)".into(),
-            ));
-        }
-        let r = self.next_bool;
-        self.next_bool += 1;
-        self.max_bool = self.max_bool.max(self.next_bool);
-        Ok(r)
-    }
-
-    fn alloc_str(&mut self) -> Result<Reg, CompileError> {
-        if self.next_str >= MAX_REGS {
-            return Err(CompileError::Unsupported(
-                "str register file exhausted (script too large)".into(),
-            ));
-        }
-        let r = self.next_str;
-        self.next_str += 1;
-        self.max_str = self.max_str.max(self.next_str);
-        Ok(r)
-    }
-
-    fn alloc_loop(&mut self) -> Result<u8, CompileError> {
-        if self.next_loop >= MAX_LOOPS {
-            return Err(CompileError::Unsupported(
-                "loop nesting too deep for the VM".into(),
-            ));
-        }
-        let s = self.next_loop;
-        self.next_loop += 1;
-        self.max_loop = self.max_loop.max(self.next_loop);
-        Ok(s)
-    }
-
-    fn free_loop(&mut self) {
-        self.next_loop -= 1;
-    }
-
     fn marks(&self) -> Mark {
-        Mark {
-            num: self.next_num,
-            bool_: self.next_bool,
-            str_: self.next_str,
-        }
+        (self.nums.next, self.bools.next, self.strs.next)
     }
 
-    fn release(&mut self, m: Mark) {
-        self.next_num = m.num;
-        self.next_bool = m.bool_;
-        self.next_str = m.str_;
+    fn release(&mut self, (num, bool_, str_): Mark) {
+        self.nums.next = num;
+        self.bools.next = bool_;
+        self.strs.next = str_;
     }
 
     fn emit(&mut self, i: Instr) -> usize {
@@ -187,6 +235,11 @@ impl<'a> Compiler<'a> {
         self.scopes.iter().rev().find_map(|s| s.get(name).copied())
     }
 
+    fn local(&self, name: &str) -> Result<VReg, CompileError> {
+        self.lookup(name)
+            .ok_or_else(|| CompileError::Semantic(format!("undeclared variable '{name}'")))
+    }
+
     /// Resolve a component name to its interned id + type, recording it
     /// in the program's validation table.
     fn comp(&mut self, name: &str) -> Result<(ComponentId, ValueType), CompileError> {
@@ -211,21 +264,15 @@ impl<'a> Compiler<'a> {
             .ok_or_else(|| CompileError::Semantic(format!("unknown component '{comp}'")))
     }
 
-    /// Expression type in the compiled subset (same table as the closure
-    /// compiler's).
+    /// Expression type in the compiled subset.
     fn ty_of(&self, e: &Expr) -> Result<Ty, CompileError> {
         Ok(match e {
             Expr::Num(_) => Ty::Num,
             Expr::Bool(_) => Ty::Bool,
             Expr::Str(_) => Ty::Str,
-            Expr::Var(name) => match self.lookup(name) {
-                Some(VReg::Num(_)) => Ty::Num,
-                Some(VReg::Bool(_)) => Ty::Bool,
-                None => {
-                    return Err(CompileError::Semantic(format!(
-                        "undeclared variable '{name}'"
-                    )))
-                }
+            Expr::Var(name) => match self.local(name)? {
+                VReg::Num(_) => Ty::Num,
+                VReg::Bool(_) => Ty::Bool,
             },
             Expr::Comp(_, comp) => match self.comp_ty(comp)? {
                 ValueType::Float | ValueType::Int => Ty::Num,
@@ -237,21 +284,11 @@ impl<'a> Compiler<'a> {
                     )))
                 }
             },
-            Expr::Unary { not, .. } => {
-                if *not {
-                    Ty::Bool
-                } else {
-                    Ty::Num
-                }
-            }
-            Expr::Bin { op, .. } => {
-                if op.is_cmp() || op.is_logic() {
-                    Ty::Bool
-                } else {
-                    Ty::Num
-                }
-            }
-            Expr::DistToOther
+            Expr::Unary { not: true, .. } => Ty::Bool,
+            Expr::Bin { op, .. } if op.is_cmp() || op.is_logic() => Ty::Bool,
+            Expr::Unary { .. }
+            | Expr::Bin { .. }
+            | Expr::DistToOther
             | Expr::Builtin { .. }
             | Expr::Agg { .. }
             | Expr::NearestDist { .. } => Ty::Num,
@@ -265,51 +302,45 @@ impl<'a> Compiler<'a> {
     /// with [`Compiler::marks`]/[`Compiler::release`].
     fn num_src(&mut self, e: &Expr) -> Result<Reg, CompileError> {
         if let Expr::Var(name) = e {
-            return match self.lookup(name) {
-                Some(VReg::Num(r)) => Ok(r),
-                Some(VReg::Bool(_)) => Err(CompileError::Semantic(format!(
+            return match self.local(name)? {
+                VReg::Num(r) => Ok(r),
+                VReg::Bool(_) => Err(CompileError::Semantic(format!(
                     "variable '{name}' is bool, expected num"
-                ))),
-                None => Err(CompileError::Semantic(format!(
-                    "undeclared variable '{name}'"
                 ))),
             };
         }
-        let t = self.alloc_num()?;
+        let t = self.nums.alloc()?;
         self.num_into(e, t)?;
         Ok(t)
     }
 
     fn bool_src(&mut self, e: &Expr) -> Result<Reg, CompileError> {
         if let Expr::Var(name) = e {
-            return match self.lookup(name) {
-                Some(VReg::Bool(r)) => Ok(r),
-                Some(VReg::Num(_)) => Err(CompileError::Semantic(format!(
+            return match self.local(name)? {
+                VReg::Bool(r) => Ok(r),
+                VReg::Num(_) => Err(CompileError::Semantic(format!(
                     "variable '{name}' is num, expected bool"
-                ))),
-                None => Err(CompileError::Semantic(format!(
-                    "undeclared variable '{name}'"
                 ))),
             };
         }
-        let t = self.alloc_bool()?;
+        let t = self.bools.alloc()?;
         self.bool_into(e, t)?;
         Ok(t)
     }
 
     /// String source register. Only literals and str components compile
-    /// (all comparisons need), matching the closure compiler's subset.
+    /// (all comparisons need).
     fn str_src(&mut self, e: &Expr) -> Result<Reg, CompileError> {
         match e {
             Expr::Str(s) => {
                 let pool = self.pool_idx(s)?;
-                let t = self.alloc_str()?;
+                let t = self.strs.alloc()?;
                 self.emit(Instr::LoadStr { dst: t, pool });
                 Ok(t)
             }
             Expr::Comp(subject, comp) if self.comp_ty(comp)? == ValueType::Str => {
                 let (col, _) = self.comp(comp)?;
-                let t = self.alloc_str()?;
+                let t = self.strs.alloc()?;
                 self.emit(Instr::ReadStr {
                     dst: t,
                     col,
@@ -339,10 +370,11 @@ impl<'a> Compiler<'a> {
                 }
             }
             Expr::Comp(subject, comp) => {
+                let subj = *subject;
                 if comp == "x" || comp == "y" {
                     self.emit(Instr::ReadAxis {
                         dst,
-                        subj: *subject,
+                        subj,
                         y: comp == "y",
                     });
                     return Ok(());
@@ -350,11 +382,7 @@ impl<'a> Compiler<'a> {
                 let (col, ty) = self.comp(comp)?;
                 match ty {
                     ValueType::Float | ValueType::Int => {
-                        self.emit(Instr::ReadNum {
-                            dst,
-                            col,
-                            subj: *subject,
-                        });
+                        self.emit(Instr::ReadNum { dst, col, subj });
                     }
                     other => {
                         return Err(CompileError::Semantic(format!(
@@ -416,25 +444,18 @@ impl<'a> Compiler<'a> {
                 for (i, a) in args.iter().enumerate() {
                     regs[i] = self.num_src(a)?;
                 }
-                match name {
-                    BuiltinFn::Min => self.emit(Instr::MinNum {
+                let [a, b, c] = regs;
+                self.emit(match name {
+                    BuiltinFn::Min => Instr::MinNum { dst, a, b },
+                    BuiltinFn::Max => Instr::MaxNum { dst, a, b },
+                    BuiltinFn::Abs => Instr::AbsNum { dst, src: a },
+                    BuiltinFn::Clamp => Instr::ClampNum {
                         dst,
-                        a: regs[0],
-                        b: regs[1],
-                    }),
-                    BuiltinFn::Max => self.emit(Instr::MaxNum {
-                        dst,
-                        a: regs[0],
-                        b: regs[1],
-                    }),
-                    BuiltinFn::Abs => self.emit(Instr::AbsNum { dst, src: regs[0] }),
-                    BuiltinFn::Clamp => self.emit(Instr::ClampNum {
-                        dst,
-                        x: regs[0],
-                        lo: regs[1],
-                        hi: regs[2],
-                    }),
-                };
+                        x: a,
+                        lo: b,
+                        hi: c,
+                    },
+                });
                 self.release(m);
             }
             Expr::Agg {
@@ -579,7 +600,7 @@ impl<'a> Compiler<'a> {
 
     /// Aggregate lowering: accumulator registers + a candidate loop,
     /// with the sargable filter routed through a pre-built query handle
-    /// when extraction succeeds (same conditions as the closure path).
+    /// when [`sargable_filter`] extracts one.
     fn agg(
         &mut self,
         kind: crate::ast::AggKind,
@@ -590,20 +611,13 @@ impl<'a> Compiler<'a> {
     ) -> Result<(), CompileError> {
         let m = self.marks();
         let r = self.num_src(radius)?;
-        let cnt = self.alloc_num()?;
-        let sum = self.alloc_num()?;
-        let minr = self.alloc_num()?;
-        let maxr = self.alloc_num()?;
-        self.emit(Instr::LoadNum { dst: cnt, val: 0.0 });
-        self.emit(Instr::LoadNum { dst: sum, val: 0.0 });
-        self.emit(Instr::LoadNum {
-            dst: minr,
-            val: f64::INFINITY,
-        });
-        self.emit(Instr::LoadNum {
-            dst: maxr,
-            val: f64::NEG_INFINITY,
-        });
+        let mut acc = |val| -> Result<Reg, CompileError> {
+            let dst = self.nums.alloc()?;
+            self.emit(Instr::LoadNum { dst, val });
+            Ok(dst)
+        };
+        let (cnt, sum) = (acc(0.0)?, acc(0.0)?);
+        let (minr, maxr) = (acc(f64::INFINITY)?, acc(f64::NEG_INFINITY)?);
 
         let query = match filter.and_then(sargable_filter) {
             Some((comp, op, lit)) => {
@@ -619,58 +633,51 @@ impl<'a> Compiler<'a> {
             None => NO_QUERY,
         };
 
-        let slot = self.alloc_loop()?;
-        self.emit(Instr::LoopBegin {
-            slot,
-            radius: r,
-            query,
-        });
-        let head = self.here();
-        let next_at = self.emit(Instr::LoopNext { slot, exit: 0 });
-        if let Some(f) = filter {
-            // when the query prefiltered the candidates, the inline
-            // re-check is skipped at runtime — but it is still compiled,
-            // because `use_index: false` falls back to the naive path
-            let skip_at = (query != NO_QUERY)
-                .then(|| self.emit(Instr::SkipIfPrefiltered { slot, to: 0 }));
-            let rejected = self.jump_unless(f)?;
-            self.patch(rejected, head);
-            if let Some(at) = skip_at {
-                let here = self.here();
-                self.patch(at, here);
+        self.neighbour_loop(r, query, |c, slot, head| {
+            if let Some(f) = filter {
+                // when the query prefiltered the candidates, the inline
+                // re-check is skipped at runtime — but it is still
+                // compiled, because `use_index: false` falls back to the
+                // naive path
+                let skip_at =
+                    (query != NO_QUERY).then(|| c.emit(Instr::SkipIfPrefiltered { slot, to: 0 }));
+                let rejected = c.jump_unless(f)?;
+                c.patch(rejected, head);
+                if let Some(at) = skip_at {
+                    let here = c.here();
+                    c.patch(at, here);
+                }
             }
-        }
-        self.emit(Instr::ArithK {
-            op: VmArith::Add,
-            rev: false,
-            dst: cnt,
-            a: cnt,
-            k: 1.0,
-        });
-        if let Some(a) = arg {
-            let am = self.marks();
-            let v = self.num_src(a)?;
-            self.emit(Instr::Arith {
+            c.emit(Instr::ArithK {
                 op: VmArith::Add,
-                dst: sum,
-                a: sum,
-                b: v,
+                rev: false,
+                dst: cnt,
+                a: cnt,
+                k: 1.0,
             });
-            self.emit(Instr::MinNum {
-                dst: minr,
-                a: minr,
-                b: v,
-            });
-            self.emit(Instr::MaxNum {
-                dst: maxr,
-                a: maxr,
-                b: v,
-            });
-            self.release(am);
-        }
-        self.emit(Instr::Jump { to: head });
-        let exit = self.here();
-        self.patch(next_at, exit);
+            if let Some(a) = arg {
+                let am = c.marks();
+                let v = c.num_src(a)?;
+                c.emit(Instr::Arith {
+                    op: VmArith::Add,
+                    dst: sum,
+                    a: sum,
+                    b: v,
+                });
+                c.emit(Instr::MinNum {
+                    dst: minr,
+                    a: minr,
+                    b: v,
+                });
+                c.emit(Instr::MaxNum {
+                    dst: maxr,
+                    a: maxr,
+                    b: v,
+                });
+                c.release(am);
+            }
+            Ok(())
+        })?;
         self.emit(Instr::AggFinish {
             kind,
             dst,
@@ -679,8 +686,33 @@ impl<'a> Compiler<'a> {
             min: minr,
             max: maxr,
         });
-        self.free_loop();
         self.release(m);
+        Ok(())
+    }
+
+    /// A neighbour loop over the candidates within num\[radius\] (through
+    /// query `query`, if not [`NO_QUERY`]): `body` lowers the per-candidate
+    /// code, given the loop's frame slot and its head (the `LoopNext`
+    /// that binds `other` to the next candidate).
+    fn neighbour_loop(
+        &mut self,
+        radius: Reg,
+        query: u16,
+        body: impl FnOnce(&mut Self, u8, u32) -> Result<(), CompileError>,
+    ) -> Result<(), CompileError> {
+        let slot = self.loops.alloc()? as u8;
+        self.emit(Instr::LoopBegin {
+            slot,
+            radius,
+            query,
+        });
+        let head = self.here();
+        let next_at = self.emit(Instr::LoopNext { slot, exit: 0 });
+        body(self, slot, head)?;
+        self.emit(Instr::Jump { to: head });
+        let exit = self.here();
+        self.patch(next_at, exit);
+        self.loops.next -= 1;
         Ok(())
     }
 
@@ -700,34 +732,23 @@ impl<'a> Compiler<'a> {
             Stmt::Let { name, value } => {
                 // the variable enters scope only after its initializer
                 // compiles, so `let x = x + 1;` reads the outer `x`
-                match self.ty_of(value)? {
-                    Ty::Num => {
-                        let dst = self.alloc_num()?;
-                        let m = self.marks();
-                        self.num_into(value, dst)?;
-                        self.release(m);
-                        self.scopes
-                            .last_mut()
-                            .expect("scope stack never empty")
-                            .insert(name.clone(), VReg::Num(dst));
-                    }
-                    Ty::Bool => {
-                        let dst = self.alloc_bool()?;
-                        let m = self.marks();
-                        self.bool_into(value, dst)?;
-                        self.release(m);
-                        self.scopes
-                            .last_mut()
-                            .expect("scope stack never empty")
-                            .insert(name.clone(), VReg::Bool(dst));
-                    }
+                let var = match self.ty_of(value)? {
+                    Ty::Num => VReg::Num(self.nums.alloc()?),
+                    Ty::Bool => VReg::Bool(self.bools.alloc()?),
                     Ty::Str => {
                         return Err(CompileError::Unsupported(
-                            "string-valued locals do not compile (interpreter handles them)"
-                                .into(),
+                            "string-valued locals do not compile (interpreter handles them)".into(),
                         ))
                     }
+                };
+                let m = self.marks();
+                match var {
+                    VReg::Num(dst) => self.num_into(value, dst)?,
+                    VReg::Bool(dst) => self.bool_into(value, dst)?,
                 }
+                self.release(m);
+                let scope = self.scopes.last_mut().expect("scope stack never empty");
+                scope.insert(name.clone(), var);
             }
             Stmt::AssignVar { name, value } => match self.lookup(name) {
                 Some(VReg::Num(r)) => {
@@ -740,7 +761,7 @@ impl<'a> Compiler<'a> {
                     // logic op runs (`b = c || b`), so evaluate into a
                     // fresh temp and copy
                     let m = self.marks();
-                    let t = self.alloc_bool()?;
+                    let t = self.bools.alloc()?;
                     self.bool_into(value, t)?;
                     self.emit(Instr::CopyBool { dst: r, src: t });
                     self.release(m);
@@ -774,50 +795,45 @@ impl<'a> Compiler<'a> {
                     self.emit(Instr::CheckOther);
                 }
                 let subj = *subject;
-                match op {
-                    AssignOp::Set => match cty {
-                        ValueType::Float => {
-                            let m = self.marks();
-                            let src = self.num_src(value)?;
-                            self.emit(Instr::SetF32 { subj, name, src });
-                            self.release(m);
-                        }
-                        ValueType::Int => {
-                            let m = self.marks();
-                            let src = self.num_src(value)?;
-                            self.emit(Instr::SetI64 { subj, name, src });
-                            self.release(m);
-                        }
-                        ValueType::Bool => {
-                            let m = self.marks();
-                            let src = self.bool_src(value)?;
-                            self.emit(Instr::SetBool { subj, name, src });
-                            self.release(m);
-                        }
-                        ValueType::Str => {
-                            let m = self.marks();
-                            let src = self.str_src(value)?;
-                            self.emit(Instr::SetStr { subj, name, src });
-                            self.release(m);
-                        }
-                        ValueType::Vec2 => {
-                            return Err(CompileError::Semantic(
-                                "vec2 components are written with move()".into(),
-                            ))
-                        }
+                let m = self.marks();
+                let write = match (op, cty) {
+                    (AssignOp::Set, ValueType::Float) => Instr::SetF32 {
+                        subj,
+                        name,
+                        src: self.num_src(value)?,
                     },
-                    AssignOp::Add | AssignOp::Sub => {
-                        let m = self.marks();
+                    (AssignOp::Set, ValueType::Int) => Instr::SetI64 {
+                        subj,
+                        name,
+                        src: self.num_src(value)?,
+                    },
+                    (AssignOp::Set, ValueType::Bool) => Instr::SetBool {
+                        subj,
+                        name,
+                        src: self.bool_src(value)?,
+                    },
+                    (AssignOp::Set, ValueType::Str) => Instr::SetStr {
+                        subj,
+                        name,
+                        src: self.str_src(value)?,
+                    },
+                    (AssignOp::Set, ValueType::Vec2) => {
+                        return Err(CompileError::Semantic(
+                            "vec2 components are written with move()".into(),
+                        ))
+                    }
+                    (AssignOp::Add | AssignOp::Sub, _) => {
                         let src = self.num_src(value)?;
-                        self.emit(Instr::AddNum {
+                        Instr::AddNum {
                             subj,
                             name,
                             src,
                             negate: *op == AssignOp::Sub,
-                        });
-                        self.release(m);
+                        }
                     }
-                }
+                };
+                self.emit(write);
+                self.release(m);
             }
             Stmt::If {
                 cond,
@@ -841,20 +857,11 @@ impl<'a> Compiler<'a> {
             Stmt::Foreach { radius, body } => {
                 let m = self.marks();
                 let r = self.num_src(radius)?;
-                let slot = self.alloc_loop()?;
-                self.emit(Instr::LoopBegin {
-                    slot,
-                    radius: r,
-                    query: NO_QUERY,
-                });
-                self.release(m);
-                let head = self.here();
-                let next_at = self.emit(Instr::LoopNext { slot, exit: 0 });
-                self.block(body)?;
-                self.emit(Instr::Jump { to: head });
-                let exit = self.here();
-                self.patch(next_at, exit);
-                self.free_loop();
+                self.neighbour_loop(r, NO_QUERY, |c, _, _| {
+                    // the radius is read once, by `LoopBegin`
+                    c.release(m);
+                    c.block(body)
+                })?;
             }
             Stmt::While { cond, body } => {
                 let head = self.here();
@@ -902,8 +909,7 @@ impl<'a> Compiler<'a> {
 }
 
 /// Lower a script from a library to a [`Program`] against a world
-/// schema. Fails with the same [`CompileError`]s (and messages) as the
-/// closure compiler, so engine fallback behavior is mode-independent.
+/// schema. A [`CompileError`] sends the script to the interpreter.
 pub fn compile_program(
     lib: &ScriptLibrary,
     name: &str,
@@ -924,14 +930,10 @@ pub fn compile_program(
         pool: Vec::new(),
         queries: Vec::new(),
         comps: Vec::new(),
-        next_num: 0,
-        max_num: 0,
-        next_bool: 0,
-        max_bool: 0,
-        next_str: 0,
-        max_str: 0,
-        next_loop: 0,
-        max_loop: 0,
+        nums: Bank::new(MAX_REGS, "num register file"),
+        bools: Bank::new(MAX_REGS, "bool register file"),
+        strs: Bank::new(MAX_REGS, "str register file"),
+        loops: Bank::new(MAX_LOOPS, "loop nesting"),
         inline_depth: 0,
     };
     c.block(&script.body)?;
@@ -940,10 +942,10 @@ pub fn compile_program(
         instrs: c.instrs,
         pool: c.pool,
         queries: c.queries,
-        num_regs: c.max_num,
-        bool_regs: c.max_bool,
-        str_regs: c.max_str,
-        loop_slots: c.max_loop,
+        num_regs: c.nums.max,
+        bool_regs: c.bools.max,
+        str_regs: c.strs.max,
+        loop_slots: c.loops.max as u8,
         comps: c.comps,
     })
 }
@@ -1016,7 +1018,7 @@ mod tests {
             b2.apply(&mut w2).unwrap();
             assert_eq!(w1.rows(), w2.rows(), "rows: {src}");
         }
-        assert!(vm.take_instr_count() > 0, "instruction counter sees runs");
+        assert!(vm.take_counts().instrs > 0, "instruction counter sees runs");
     }
 
     fn assert_vm_equivalent(src: &str) {
@@ -1331,6 +1333,30 @@ mod tests {
         other.define_component("armor", ValueType::Float).unwrap();
         other.define_component("hp", ValueType::Float).unwrap();
         assert!(!p.validate_schema(&other));
+    }
+
+    #[test]
+    fn sargable_extraction_rules() {
+        let get = |src: &str| {
+            let script = parse_script("s", &format!("self.hp = count(5; {src});")).unwrap();
+            let Stmt::AssignComp { value, .. } = &script.body[0] else {
+                panic!("expected assign");
+            };
+            let Expr::Agg { filter, .. } = value else {
+                panic!("expected aggregate");
+            };
+            sargable_filter(filter.as_deref().unwrap())
+        };
+        // 0 > 40 is false: missing-as-zero and missing-excluded agree
+        assert_eq!(get("other.hp > 40"), Some(("hp".into(), CmpOp::Gt, 40.0)));
+        assert_eq!(get("other.gold >= 3"), Some(("gold".into(), CmpOp::Ge, 3.0)));
+        // 0 < 40 is true: a missing hp would flip between the two paths
+        assert_eq!(get("other.hp < 40"), None);
+        // != diverges on NaN (compare() fails Ne, raw f64 != passes it)
+        assert_eq!(get("other.hp != 40"), None);
+        // non-literal rhs, self fields, and virtual coords stay inline
+        assert_eq!(get("other.hp > self.hp"), None);
+        assert_eq!(get("other.x > 4"), None);
     }
 
     #[test]

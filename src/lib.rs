@@ -7,7 +7,8 @@
 //! * [`content`] — data-driven design: GDML markup, entity templates,
 //!   triggers, UI specs, expansion-pack patches.
 //! * [`script`] — GSL: the designer scripting language with a restricted
-//!   level, an AST optimizer, and a set-at-a-time compiler.
+//!   level, an AST optimizer, a tree-walking interpreter, and a bytecode
+//!   VM that runs each script set-at-a-time over its bound entities.
 //! * [`spatial`] — grid / BSP / quadtree / octree indices and annotated
 //!   navigation meshes.
 //! * [`core`] — the world database: columnar components, declarative

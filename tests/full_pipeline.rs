@@ -158,7 +158,8 @@ fn parallel_and_sequential_shards_agree() {
 fn compiled_scripts_agree_with_interpreter_over_ticks() {
     let (mut w1, _, lib) = build_shard();
     let (mut w2, _, _) = build_shard();
-    let compiled = gamedb::script::compile(&lib, "skirmish", &w1).unwrap();
+    let program = gamedb::script::compile_program(&lib, "skirmish", &w2).unwrap();
+    let mut vm = gamedb::script::Vm::new();
     for _ in 0..10 {
         let mut b1 = EffectBuffer::new();
         for id in w1.entity_vec() {
@@ -166,10 +167,11 @@ fn compiled_scripts_agree_with_interpreter_over_ticks() {
         }
         b1.apply(&mut w1).unwrap();
 
+        // the whole shard as one set-at-a-time run
         let mut b2 = EffectBuffer::new();
-        for id in w2.entity_vec() {
-            compiled.run(&w2, id, &mut b2, true).unwrap();
-        }
+        let mut events = Vec::new();
+        vm.run_set(&program, &w2, &w2.entity_vec(), &mut b2, ExecOptions::default(), &mut events)
+            .unwrap();
         b2.apply(&mut w2).unwrap();
     }
     assert_eq!(w1.rows(), w2.rows());
