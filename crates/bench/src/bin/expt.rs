@@ -20,8 +20,8 @@ use gamedb_content::{Value, ValueType};
 use gamedb_core::{Access, EffectBuffer, EntityId, Plan, TableStats, TickExecutor, World};
 use gamedb_core::Query;
 use gamedb_persist::{
-    Backend, BlobStore, CheckpointPolicy, GameStore, Migration, SchemaVersion, SnapshotMode,
-    StructuredStore,
+    Backend, BlobStore, CheckpointClock, CheckpointPolicy, Migration, SchemaVersion,
+    StructuredStore, WalStore,
 };
 use gamedb_script::{
     check_script, compile_program, parse_script, run_script, ExecMode, ExecOptions, Level,
@@ -928,7 +928,10 @@ fn e9(full: bool) {
             let (world, _) = combat_world(200, 200.0, trial as u64);
             let backend =
                 Backend::open(gamedb_persist::temp_dir(&format!("e9-{trial}"))).unwrap();
-            let mut store = GameStore::new(world, backend, policy).unwrap();
+            // write-behind: every policy point is a full checkpoint
+            let mut store = WalStore::new(world, backend, 1).unwrap();
+            let base_bytes = store.backend().bytes_written;
+            let mut clock = CheckpointClock::new(policy);
             let crash_at = rng.gen_range(600.0..3600.0);
             let mut big_events_before_crash = 0usize;
             let mut t = 0.0f64;
@@ -941,15 +944,18 @@ fn e9(full: bool) {
                 } else {
                     0.02
                 };
-                store.observe(1.0, imp).unwrap();
+                if clock.observe(1.0, imp) {
+                    store.checkpoint().unwrap();
+                }
                 t += 1.0;
             }
             tot_cps += store.stats.checkpoints;
-            tot_bytes += store.stats.bytes_written;
-            let (recovered, report) = store.crash_and_recover().unwrap();
+            tot_bytes += store.backend().bytes_written - base_bytes;
+            let report = clock.exposure();
+            store.crash_and_recover().unwrap();
             tot_lost_secs += report.lost_game_seconds;
             tot_lost_imp += report.lost_importance;
-            let cp_time = recovered.last_checkpoint_at();
+            let cp_time = clock.last_checkpoint_at();
             let mut big_events_recovered = 0usize;
             let mut tt = 0.0;
             while tt < cp_time {
@@ -990,7 +996,7 @@ fn e9(full: bool) {
         let (world, ids) = combat_world(100, 100.0, 5);
         let backend =
             Backend::open(gamedb_persist::temp_dir(&format!("e9-wal-{group}"))).unwrap();
-        let mut store = gamedb_persist::WalStore::new(world, backend, group).unwrap();
+        let mut store = WalStore::new(world, backend, group).unwrap();
         let mut rng = StdRng::seed_from_u64(7);
         let total_mutations = 2003usize; // not a multiple of any group: some records stay unflushed
         for k in 0..total_mutations {
@@ -1016,7 +1022,9 @@ fn e9(full: bool) {
     }
     t2.print();
 
-    // Incremental checkpoints: ship only the rows that changed.
+    // Incremental checkpoints: a policy point commits the frame of every
+    // op since the last one; every `full_every`-th point is a snapshot
+    // that compacts the frames behind it.
     println!("\nincremental checkpoints: write volume vs churn (2000 entities, 30 checkpoints)");
     let mut t3 = Table::new(&[
         "mode",
@@ -1027,40 +1035,39 @@ fn e9(full: bool) {
     ]);
     for &churn in &[10usize, 200, 2000] {
         let mut results: Vec<(String, u64, bool)> = Vec::new();
-        for mode in [
-            SnapshotMode::Full,
-            SnapshotMode::Incremental { full_every: 10 },
-            SnapshotMode::Incremental { full_every: 1000 },
-        ] {
+        for full_every in [1u64, 10, 1000] {
+            let label = match full_every {
+                1 => "full".to_string(),
+                n => format!("incr(full every {n})"),
+            };
             let (world, ids) = combat_world(2000, 500.0, 3);
             let backend = Backend::open(gamedb_persist::temp_dir(&format!(
-                "e9-incr-{churn}-{}",
-                mode.label().replace([' ', '('], "-")
+                "e9-incr-{churn}-{full_every}"
             )))
             .unwrap();
-            let mut store = GameStore::with_mode(
-                world,
-                backend,
-                CheckpointPolicy::Periodic { period: 1.0 },
-                mode,
-            )
-            .unwrap();
+            let mut store = WalStore::new(world, backend, 1).unwrap();
+            let base_bytes = store.backend().bytes_written;
             let mut rng = StdRng::seed_from_u64(11);
-            for _ in 0..30 {
+            for point in 1..=30u64 {
                 for _ in 0..churn {
                     let id = ids[rng.gen_range(0..ids.len())];
                     store
-                        .world
+                        .world_mut()
                         .set_f32(id, "hp", rng.gen::<f32>() * 100.0)
                         .unwrap();
                 }
-                store.observe(1.5, 0.0).unwrap();
+                if point % full_every == 0 {
+                    store.checkpoint().unwrap();
+                    store.compact_log().unwrap();
+                } else {
+                    store.commit().unwrap();
+                }
             }
-            let expected = store.world.rows();
-            let bytes = store.stats.bytes_written;
+            let expected = store.world().rows();
+            let bytes = store.backend().bytes_written - base_bytes;
             let (recovered, _) = store.crash_and_recover().unwrap();
-            let ok = recovered.world.rows() == expected;
-            results.push((mode.label(), bytes, ok));
+            let ok = recovered.world().rows() == expected;
+            results.push((label, bytes, ok));
         }
         let full_bytes = results[0].1;
         for (label, bytes, ok) in results {
@@ -1082,7 +1089,7 @@ fn e9(full: bool) {
         let (world, ids) = combat_world(100, 100.0, 5);
         let backend =
             Backend::open(gamedb_persist::temp_dir(&format!("e9-compact-{muts}"))).unwrap();
-        let mut store = gamedb_persist::WalStore::new(world, backend, 100).unwrap();
+        let mut store = WalStore::new(world, backend, 100).unwrap();
         let mut rng = StdRng::seed_from_u64(7);
         for k in 0..muts {
             let id = ids[rng.gen_range(0..ids.len())];
@@ -1104,9 +1111,10 @@ fn e9(full: bool) {
     println!(
         "expected shape: synchronous logging (group 1) loses zero records \
          at maximal flush cost; group commit trades bounded loss (< group \
-         size) for fewer flushes; incremental checkpoints cut write volume \
-         by the churn ratio (and converge to full-snapshot cost at 100% \
-         churn); compaction truncates the dead log prefix."
+         size) for fewer flushes; incremental points write one frame of \
+         the ops since the last point, so their volume follows the ops \
+         made, not the world size (a full point also commits that frame \
+         before its snapshot); compaction truncates the dead log prefix."
     );
 }
 

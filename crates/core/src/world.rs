@@ -1333,35 +1333,6 @@ impl World {
         Ok(())
     }
 
-    /// Make the world's derived state exactly match a catalog: indexes
-    /// and views absent from it are dropped, then missing ones are
-    /// imported. This is the recovery primitive for *incremental*
-    /// restore paths (snapshot + delta chain), where the base image may
-    /// carry derived state that was dropped before the later durable
-    /// point the catalog describes. [`World::import_catalog`] alone is
-    /// additive and would leak those.
-    pub fn reconcile_catalog(&mut self, cat: &WorldCatalog) -> Result<(), CoreError> {
-        let current: Vec<(String, IndexKind)> = self
-            .indexed_components()
-            .map(|(n, k)| (n.to_string(), k))
-            .collect();
-        for entry in &current {
-            if !cat.indexes.contains(entry) {
-                self.drop_index(&entry.0);
-            }
-        }
-        for id in self.view_ids() {
-            let keep = cat
-                .views
-                .iter()
-                .any(|(slot, p)| *slot == id.slot && Some(p) == self.view_plan(id));
-            if !keep {
-                self.drop_view(id);
-            }
-        }
-        self.import_catalog(cat)
-    }
-
     /// Begin a bulk load of a row image (snapshot restore): a fresh
     /// world with `schema` defined in listed order — so every interned
     /// id lands where the image's writer had it; the predefined `pos`

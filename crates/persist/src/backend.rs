@@ -77,7 +77,6 @@ pub struct Backend {
 #[derive(Debug)]
 enum PendingWrite {
     Snapshot { seq: u64, data: Bytes },
-    Delta { seq: u64, data: Bytes },
     LogAppend { data: Vec<u8> },
     LogReplace { data: Vec<u8> },
 }
@@ -120,11 +119,6 @@ impl Backend {
     /// Queue a snapshot write (durable only after [`Backend::flush`]).
     pub fn put_snapshot(&mut self, seq: u64, data: Bytes) {
         self.unflushed.push(PendingWrite::Snapshot { seq, data });
-    }
-
-    /// Queue a delta (incremental snapshot) write.
-    pub fn put_delta(&mut self, seq: u64, data: Bytes) {
-        self.unflushed.push(PendingWrite::Delta { seq, data });
     }
 
     /// Queue an event-log append.
@@ -203,16 +197,6 @@ impl Backend {
                     self.bytes_written += data.len() as u64;
                     self.snapshots_written += 1;
                 }
-                PendingWrite::Delta { seq, data } => {
-                    self.flush_log_run(&mut run)?;
-                    let tmp = self.dir.join(format!("delta-{seq}.tmp"));
-                    let fin = self.dir.join(format!("delta-{seq}.db"));
-                    let mut f = fs::File::create(&tmp)?;
-                    f.write_all(&data)?;
-                    f.sync_all()?;
-                    fs::rename(&tmp, &fin)?;
-                    self.bytes_written += data.len() as u64;
-                }
                 PendingWrite::LogReplace { data } => {
                     self.flush_log_run(&mut run)?;
                     let tmp = self.dir.join("events.log.tmp");
@@ -258,12 +242,13 @@ impl Backend {
         Ok(fs::read(self.dir.join(format!("snapshot-{seq}.db")))?)
     }
 
-    fn seqs_with_prefix(&self, prefix: &str) -> Result<Vec<u64>, BackendError> {
+    /// Sequence numbers of durably installed snapshots, ascending.
+    pub fn snapshot_seqs(&self) -> Result<Vec<u64>, BackendError> {
         let mut seqs = Vec::new();
         for entry in fs::read_dir(&self.dir)? {
             let name = entry?.file_name();
             let name = name.to_string_lossy();
-            if let Some(rest) = name.strip_prefix(prefix) {
+            if let Some(rest) = name.strip_prefix("snapshot-") {
                 if let Some(num) = rest.strip_suffix(".db") {
                     if let Ok(seq) = num.parse::<u64>() {
                         seqs.push(seq);
@@ -273,11 +258,6 @@ impl Backend {
         }
         seqs.sort_unstable();
         Ok(seqs)
-    }
-
-    /// Sequence numbers of durably installed snapshots, ascending.
-    pub fn snapshot_seqs(&self) -> Result<Vec<u64>, BackendError> {
-        self.seqs_with_prefix("snapshot-")
     }
 
     /// Every snapshot on disk as `(seq, bytes)`, newest first, each file
@@ -290,29 +270,6 @@ impl Backend {
         Ok(seqs.into_iter().rev().map(|seq| (seq, self.read_snapshot(seq))))
     }
 
-    /// Sequence numbers of durably installed deltas, ascending.
-    pub fn delta_seqs(&self) -> Result<Vec<u64>, BackendError> {
-        self.seqs_with_prefix("delta-")
-    }
-
-    /// Read one durable delta.
-    pub fn read_delta(&self, seq: u64) -> Result<Vec<u8>, BackendError> {
-        Ok(fs::read(self.dir.join(format!("delta-{seq}.db")))?)
-    }
-
-    /// Delete durable deltas with sequence <= `upto` (they are subsumed
-    /// once a newer full snapshot lands).
-    pub fn prune_deltas_upto(&mut self, upto: u64) -> Result<usize, BackendError> {
-        let mut removed = 0;
-        for seq in self.delta_seqs()? {
-            if seq <= upto {
-                fs::remove_file(self.dir.join(format!("delta-{seq}.db")))?;
-                removed += 1;
-            }
-        }
-        Ok(removed)
-    }
-
     /// Durable size of the event log in bytes.
     pub fn log_len(&self) -> Result<u64, BackendError> {
         match fs::metadata(self.dir.join("events.log")) {
@@ -320,16 +277,6 @@ impl Backend {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(0),
             Err(e) => Err(e.into()),
         }
-    }
-
-    /// Load the latest durable snapshot.
-    pub fn latest_snapshot(&self) -> Result<(u64, Vec<u8>), BackendError> {
-        let seq = *self
-            .snapshot_seqs()?
-            .last()
-            .ok_or(BackendError::NoSnapshot)?;
-        let data = fs::read(self.dir.join(format!("snapshot-{seq}.db")))?;
-        Ok((seq, data))
     }
 
     /// Delete durable snapshots older than the newest `keep` (retention).
@@ -376,9 +323,9 @@ mod tests {
         b.put_snapshot(1, Bytes::from_static(b"alpha"));
         b.put_snapshot(2, Bytes::from_static(b"beta"));
         b.flush().unwrap();
-        let (seq, data) = b.latest_snapshot().unwrap();
+        let (seq, data) = b.snapshots_newest_first().unwrap().next().unwrap();
         assert_eq!(seq, 2);
-        assert_eq!(data, b"beta");
+        assert_eq!(data.unwrap(), b"beta");
         assert_eq!(b.snapshots_written, 2);
         assert_eq!(b.snapshot_seqs().unwrap(), vec![1, 2]);
     }
@@ -390,18 +337,15 @@ mod tests {
         b.flush().unwrap();
         b.put_snapshot(2, Bytes::from_static(b"second"));
         b.crash();
-        let (seq, data) = b.latest_snapshot().unwrap();
+        let (seq, data) = b.snapshots_newest_first().unwrap().next().unwrap();
         assert_eq!(seq, 1);
-        assert_eq!(data, b"first");
+        assert_eq!(data.unwrap(), b"first");
     }
 
     #[test]
     fn empty_backend_has_no_snapshot() {
         let b = Backend::open(temp_dir("backend3")).unwrap();
-        assert!(matches!(
-            b.latest_snapshot(),
-            Err(BackendError::NoSnapshot)
-        ));
+        assert!(b.snapshots_newest_first().unwrap().next().is_none());
     }
 
     #[test]

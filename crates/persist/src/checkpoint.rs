@@ -1,4 +1,4 @@
-//! Checkpoint policies and the write-behind game store.
+//! Checkpoint policies: when the write-behind store writes.
 //!
 //! "Most games have an in-memory database layer that processes all
 //! actions, and only writes to the database periodically. In some games,
@@ -6,17 +6,23 @@
 //! to checkpoint intelligently, writing to the database when important
 //! events are completed, and not just at regular intervals."
 //!
-//! [`GameStore`] is that in-memory layer; [`CheckpointPolicy`] chooses
-//! when a snapshot goes to the durable backend: on a fixed period, when
-//! accumulated event importance crosses a threshold (the "intelligent"
-//! policy), or a hybrid of both.
-
-use bytes::Bytes;
-use gamedb_core::World;
-
-use crate::backend::{Backend, BackendError};
-use crate::delta::{self, RowHashes};
-use crate::snapshot;
+//! [`CheckpointPolicy`] chooses the *policy points*: on a fixed period,
+//! when accumulated event importance crosses a threshold (the
+//! "intelligent" policy), or a hybrid of both. [`CheckpointClock`]
+//! tracks game time and importance against a policy and says when a
+//! point is due; it holds no world and no backend.
+//!
+//! The in-memory layer is a sync [`WalStore`](crate::WalStore) with
+//! `group_commit = 1` whose caller commits only at policy points, so
+//! every mutation in between sits in the change stream and a crash loses
+//! it. At a point the caller picks what to write:
+//!
+//! * an *incremental* point is [`WalStore::commit`](crate::WalStore::commit):
+//!   one WAL frame holding every op since the last point, flushed;
+//! * a *full* point is [`WalStore::checkpoint`](crate::WalStore::checkpoint):
+//!   a snapshot and its mark;
+//! * [`WalStore::compact_log`](crate::WalStore::compact_log) after a full
+//!   point drops the frames the snapshot subsumes.
 
 /// A game event's persistence importance, as scored by the game: routine
 /// movement ~0, boss kills and rare loot high.
@@ -36,27 +42,6 @@ pub enum CheckpointPolicy {
     Hybrid { period: f64, threshold: Importance },
 }
 
-/// Full snapshots every time, or a delta chain with periodic full
-/// snapshots (the incremental mode every large MMO ends up with).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SnapshotMode {
-    /// Every checkpoint is a complete world snapshot.
-    Full,
-    /// Deltas between full snapshots; every `full_every`-th checkpoint is
-    /// full and prunes the delta chain behind it.
-    Incremental { full_every: u64 },
-}
-
-impl SnapshotMode {
-    /// Short label for reports.
-    pub fn label(&self) -> String {
-        match self {
-            SnapshotMode::Full => "full".into(),
-            SnapshotMode::Incremental { full_every } => format!("incr(full every {full_every})"),
-        }
-    }
-}
-
 impl CheckpointPolicy {
     /// Short label for reports.
     pub fn label(&self) -> String {
@@ -70,79 +55,27 @@ impl CheckpointPolicy {
     }
 }
 
-/// Statistics from a store's lifetime.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct StoreStats {
-    /// Checkpoints written.
-    pub checkpoints: u64,
-    /// Bytes shipped to the backend.
-    pub bytes_written: u64,
-    /// Events observed.
-    pub events: u64,
-    /// Total importance observed.
-    pub importance_observed: f64,
-}
-
-/// The in-memory database layer with write-behind checkpointing.
-pub struct GameStore {
-    /// The live world (all reads and writes hit memory).
-    pub world: World,
-    backend: Backend,
+/// Game time and importance measured against a [`CheckpointPolicy`]
+/// since the last policy point.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CheckpointClock {
     policy: CheckpointPolicy,
-    mode: SnapshotMode,
-    /// row-hash baseline from the last checkpoint (incremental mode)
-    hashes: RowHashes,
     /// game-time seconds
     now: f64,
     last_checkpoint_at: f64,
-    importance_since_cp: Importance,
-    next_seq: u64,
-    /// stats
-    pub stats: StoreStats,
+    importance_since: Importance,
 }
 
-impl GameStore {
-    /// Wrap a world with a backend and a policy. Writes an initial
-    /// checkpoint so recovery always has a base.
-    pub fn new(
-        world: World,
-        backend: Backend,
-        policy: CheckpointPolicy,
-    ) -> Result<Self, BackendError> {
-        Self::with_mode(world, backend, policy, SnapshotMode::Full)
-    }
-
-    /// Wrap a world, choosing full or incremental checkpoints.
-    pub fn with_mode(
-        world: World,
-        mut backend: Backend,
-        policy: CheckpointPolicy,
-        mode: SnapshotMode,
-    ) -> Result<Self, BackendError> {
-        let data = snapshot::encode(&world);
-        backend.put_snapshot(0, data);
-        backend.flush()?;
-        let hashes = match mode {
-            SnapshotMode::Full => RowHashes::new(),
-            SnapshotMode::Incremental { .. } => delta::row_hashes(&world),
-        };
-        Ok(GameStore {
-            world,
-            backend,
+impl CheckpointClock {
+    /// A clock at game time 0, anchored there (the store's base snapshot
+    /// is the first policy point).
+    pub fn new(policy: CheckpointPolicy) -> Self {
+        CheckpointClock {
             policy,
-            mode,
-            hashes,
             now: 0.0,
             last_checkpoint_at: 0.0,
-            importance_since_cp: 0.0,
-            next_seq: 1,
-            stats: StoreStats::default(),
-        })
-    }
-
-    /// The snapshot mode in force.
-    pub fn mode(&self) -> SnapshotMode {
-        self.mode
+            importance_since: 0.0,
+        }
     }
 
     /// Current game time (seconds).
@@ -150,139 +83,50 @@ impl GameStore {
         self.now
     }
 
-    /// Game time of the last durable checkpoint.
+    /// Game time of the last policy point.
     pub fn last_checkpoint_at(&self) -> f64 {
         self.last_checkpoint_at
     }
 
-    /// The policy in force.
-    pub fn policy(&self) -> CheckpointPolicy {
-        self.policy
-    }
-
-    /// Backend access (benchmarks read write volumes).
-    pub fn backend(&self) -> &Backend {
-        &self.backend
-    }
-
-    /// Advance game time and report an event of the given importance;
-    /// checkpoints when the policy says so. Returns `true` if a
-    /// checkpoint was written.
-    pub fn observe(&mut self, dt: f64, importance: Importance) -> Result<bool, BackendError> {
+    /// Advance game time and report an event of the given importance.
+    /// Returns `true` when the policy says a point is due, and re-anchors
+    /// there: the caller must then commit or checkpoint its store.
+    pub fn observe(&mut self, dt: f64, importance: Importance) -> bool {
         self.now += dt;
-        self.stats.events += 1;
-        self.stats.importance_observed += importance;
-        self.importance_since_cp += importance;
+        self.importance_since += importance;
+        let elapsed = self.now - self.last_checkpoint_at;
         let fire = match self.policy {
-            CheckpointPolicy::Periodic { period } => {
-                self.now - self.last_checkpoint_at >= period
-            }
-            CheckpointPolicy::EventDriven { threshold } => {
-                self.importance_since_cp >= threshold
-            }
+            CheckpointPolicy::Periodic { period } => elapsed >= period,
+            CheckpointPolicy::EventDriven { threshold } => self.importance_since >= threshold,
             CheckpointPolicy::Hybrid { period, threshold } => {
-                self.now - self.last_checkpoint_at >= period
-                    || self.importance_since_cp >= threshold
+                elapsed >= period || self.importance_since >= threshold
             }
         };
         if fire {
-            self.checkpoint()?;
+            self.last_checkpoint_at = self.now;
+            self.importance_since = 0.0;
         }
-        Ok(fire)
+        fire
     }
 
-    /// Force a checkpoint now (server shutdown path). In incremental
-    /// mode, writes a delta unless this sequence is due a full snapshot
-    /// (which also prunes the delta chain it subsumes).
-    pub fn checkpoint(&mut self) -> Result<(), BackendError> {
-        let full_due = match self.mode {
-            SnapshotMode::Full => true,
-            SnapshotMode::Incremental { full_every } => {
-                self.next_seq.is_multiple_of(full_every.max(1))
-            }
-        };
-        let len = if full_due {
-            let data: Bytes = snapshot::encode(&self.world);
-            let len = data.len() as u64;
-            self.backend.put_snapshot(self.next_seq, data);
-            self.backend.flush()?;
-            self.backend.prune_deltas_upto(self.next_seq)?;
-            if matches!(self.mode, SnapshotMode::Incremental { .. }) {
-                self.hashes = delta::row_hashes(&self.world);
-            }
-            len
-        } else {
-            let (data, fresh) = delta::encode_delta(&self.world, &self.hashes);
-            let len = data.len() as u64;
-            self.backend.put_delta(self.next_seq, data);
-            self.backend.flush()?;
-            self.hashes = fresh;
-            len
-        };
-        self.next_seq += 1;
-        self.last_checkpoint_at = self.now;
-        self.importance_since_cp = 0.0;
-        self.stats.checkpoints += 1;
-        self.stats.bytes_written += len;
-        Ok(())
-    }
-
-    /// Simulate a server crash followed by recovery from the backend.
-    /// The world rolls back to the latest durable checkpoint — rows *and*
-    /// catalog: secondary indexes rebuild, standing views re-materialize
-    /// at their original slots (pre-crash view handles keep resolving),
-    /// and the lineage and tick counter are restored. Returns the
-    /// recovered store.
-    pub fn crash_and_recover(mut self) -> Result<(GameStore, RecoveryReport), BackendError> {
-        self.backend.crash();
-        let (seq, data) = self.backend.latest_snapshot()?;
-        let (mut world, _tick) = snapshot::decode(&data)
-            .map_err(|e| BackendError::Io(std::io::Error::other(e.to_string())))?;
-        // incremental mode: replay the delta chain after the snapshot
-        let mut recovered_seq = seq;
-        for dseq in self.backend.delta_seqs()? {
-            if dseq > seq {
-                let ddata = self.backend.read_delta(dseq)?;
-                delta::apply_delta(&mut world, &ddata)
-                    .map_err(|e| BackendError::Io(std::io::Error::other(e.to_string())))?;
-                recovered_seq = dseq;
-            }
-        }
-        // delta replay flowed through the restored views' delta stream:
-        // fold it, then re-anchor changelogs at the recovery point so
-        // subscribers are not handed pre-crash churn a second time
-        world.refresh_views();
-        world.reset_view_changelogs();
-        let report = RecoveryReport {
-            recovered_seq,
+    /// What a crash right now would cost the players.
+    pub fn exposure(&self) -> RecoveryReport {
+        RecoveryReport {
             lost_game_seconds: self.now - self.last_checkpoint_at,
-            lost_importance: self.importance_since_cp,
-        };
-        let hashes = match self.mode {
-            SnapshotMode::Full => RowHashes::new(),
-            SnapshotMode::Incremental { .. } => delta::row_hashes(&world),
-        };
-        let store = GameStore {
-            world,
-            backend: self.backend,
-            policy: self.policy,
-            mode: self.mode,
-            hashes,
-            now: self.last_checkpoint_at,
-            last_checkpoint_at: self.last_checkpoint_at,
-            importance_since_cp: 0.0,
-            next_seq: self.next_seq,
-            stats: self.stats,
-        };
-        Ok((store, report))
+            lost_importance: self.importance_since,
+        }
+    }
+
+    /// After a crash: game time rolls back to the last policy point.
+    pub fn rewind(&mut self) {
+        self.now = self.last_checkpoint_at;
+        self.importance_since = 0.0;
     }
 }
 
 /// What a crash cost the players.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RecoveryReport {
-    /// Snapshot sequence recovered from.
-    pub recovered_seq: u64,
     /// Game seconds of progress rolled back.
     pub lost_game_seconds: f64,
     /// Importance (boss kills, rare loot…) rolled back — what the paper
@@ -294,75 +138,109 @@ pub struct RecoveryReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::temp_dir;
+    use crate::backend::{temp_dir, Backend};
+    use crate::wal::{decode_log, WalRecord};
+    use crate::WalStore;
     use gamedb_content::ValueType;
+    use gamedb_core::World;
     use gamedb_spatial::Vec2;
 
-    fn store(policy: CheckpointPolicy, label: &str) -> GameStore {
+    /// A write-behind store: sync, flushed per commit, committed only at
+    /// policy points.
+    fn write_behind(w: World, label: &str) -> WalStore {
+        WalStore::new(w, Backend::open(temp_dir(label)).unwrap(), 1).unwrap()
+    }
+
+    fn store(label: &str) -> WalStore {
         let mut w = World::new();
         w.define_component("hp", ValueType::Float).unwrap();
         let e = w.spawn_at(Vec2::ZERO);
         w.set_f32(e, "hp", 100.0).unwrap();
-        let backend = Backend::open(temp_dir(label)).unwrap();
-        GameStore::new(w, backend, policy).unwrap()
+        write_behind(w, label)
+    }
+
+    fn hp_world(n: usize) -> (World, Vec<gamedb_core::EntityId>) {
+        let mut w = World::new();
+        w.define_component("hp", ValueType::Float).unwrap();
+        let ids = (0..n)
+            .map(|i| {
+                let e = w.spawn_at(Vec2::new(i as f32, 0.0));
+                w.set_f32(e, "hp", 100.0).unwrap();
+                e
+            })
+            .collect();
+        (w, ids)
+    }
+
+    /// One step of game time; an incremental point (commit) when the
+    /// policy fires.
+    fn step(s: &mut WalStore, clock: &mut CheckpointClock, dt: f64, imp: Importance) -> bool {
+        let fired = clock.observe(dt, imp);
+        if fired {
+            s.commit().unwrap();
+        }
+        fired
     }
 
     #[test]
     fn periodic_checkpoints_fire_on_schedule() {
-        let mut s = store(CheckpointPolicy::Periodic { period: 10.0 }, "cp1");
-        assert!(!s.observe(4.0, 0.0).unwrap());
-        assert!(!s.observe(4.0, 100.0).unwrap(), "importance ignored");
-        assert!(s.observe(4.0, 0.0).unwrap(), "12s elapsed >= 10s");
-        assert_eq!(s.stats.checkpoints, 1);
-        assert!(!s.observe(9.0, 0.0).unwrap());
-        assert!(s.observe(1.5, 0.0).unwrap());
+        let mut c = CheckpointClock::new(CheckpointPolicy::Periodic { period: 10.0 });
+        assert!(!c.observe(4.0, 0.0));
+        assert!(!c.observe(4.0, 100.0), "importance ignored");
+        assert!(c.observe(4.0, 0.0), "12s elapsed >= 10s");
+        assert_eq!(c.last_checkpoint_at(), 12.0);
+        assert!(!c.observe(9.0, 0.0));
+        assert!(c.observe(1.5, 0.0));
     }
 
     #[test]
     fn event_driven_fires_on_importance() {
-        let mut s = store(CheckpointPolicy::EventDriven { threshold: 10.0 }, "cp2");
-        assert!(!s.observe(1000.0, 1.0).unwrap(), "time ignored");
-        assert!(!s.observe(1.0, 5.0).unwrap());
-        assert!(s.observe(1.0, 4.0).unwrap(), "accumulated 10");
+        let mut c = CheckpointClock::new(CheckpointPolicy::EventDriven { threshold: 10.0 });
+        assert!(!c.observe(1000.0, 1.0), "time ignored");
+        assert!(!c.observe(1.0, 5.0));
+        assert!(c.observe(1.0, 4.0), "accumulated 10");
         // importance resets after checkpoint
-        assert!(!s.observe(1.0, 9.9).unwrap());
-        assert!(s.observe(1.0, 50.0).unwrap(), "boss kill flushes at once");
+        assert!(!c.observe(1.0, 9.9));
+        assert!(c.observe(1.0, 50.0), "boss kill flushes at once");
     }
 
     #[test]
     fn hybrid_fires_on_either() {
-        let mut s = store(
-            CheckpointPolicy::Hybrid {
-                period: 10.0,
-                threshold: 5.0,
-            },
-            "cp3",
-        );
-        assert!(s.observe(1.0, 6.0).unwrap(), "importance path");
-        assert!(s.observe(11.0, 0.0).unwrap(), "period path");
+        let mut c = CheckpointClock::new(CheckpointPolicy::Hybrid {
+            period: 10.0,
+            threshold: 5.0,
+        });
+        assert!(c.observe(1.0, 6.0), "importance path");
+        assert!(c.observe(11.0, 0.0), "period path");
     }
 
     #[test]
     fn crash_rolls_back_to_checkpoint() {
-        let mut s = store(CheckpointPolicy::Periodic { period: 5.0 }, "cp4");
-        let e = s.world.entities().next().unwrap();
-        s.world.set_f32(e, "hp", 50.0).unwrap();
-        s.observe(6.0, 1.0).unwrap(); // fires: hp=50 durable
-        s.world.set_f32(e, "hp", 7.0).unwrap();
-        s.observe(2.0, 3.0).unwrap(); // no checkpoint
-        let (recovered, report) = s.crash_and_recover().unwrap();
-        assert_eq!(recovered.world.get_f32(e, "hp"), Some(50.0));
+        let mut s = store("cp4");
+        let mut clock = CheckpointClock::new(CheckpointPolicy::Periodic { period: 5.0 });
+        let e = s.world().entities().next().unwrap();
+        s.world_mut().set_f32(e, "hp", 50.0).unwrap();
+        assert!(step(&mut s, &mut clock, 6.0, 1.0), "hp=50 durable");
+        s.world_mut().set_f32(e, "hp", 7.0).unwrap();
+        assert!(!step(&mut s, &mut clock, 2.0, 3.0));
+        let report = clock.exposure();
+        let (recovered, _) = s.crash_and_recover().unwrap();
+        clock.rewind();
+        assert_eq!(recovered.world().get_f32(e, "hp"), Some(50.0));
         assert!((report.lost_game_seconds - 2.0).abs() < 1e-9);
         assert!((report.lost_importance - 3.0).abs() < 1e-9);
+        assert_eq!(clock.now(), 6.0, "game time rolls back with the world");
+        assert_eq!(clock.exposure().lost_importance, 0.0);
     }
 
     #[test]
     fn recovery_without_any_checkpoint_uses_initial() {
-        let s = store(CheckpointPolicy::Periodic { period: 1e9 }, "cp5");
-        let e = s.world.entities().next().unwrap();
-        let (recovered, report) = s.crash_and_recover().unwrap();
-        assert_eq!(recovered.world.get_f32(e, "hp"), Some(100.0));
-        assert_eq!(report.recovered_seq, 0);
+        let mut s = store("cp5");
+        let e = s.world().entities().next().unwrap();
+        s.world_mut().set_f32(e, "hp", 1.0).unwrap();
+        let (recovered, replayed) = s.crash_and_recover().unwrap();
+        assert_eq!(recovered.world().get_f32(e, "hp"), Some(100.0));
+        assert_eq!(replayed, 0, "the base snapshot alone");
     }
 
     #[test]
@@ -370,13 +248,21 @@ mod tests {
         // identical event streams; crash at the end; compare lost
         // importance — the E9 claim in miniature
         let run = |policy, label: &str| {
-            let mut s = store(policy, label);
+            let mut s = store(label);
+            let mut clock = CheckpointClock::new(policy);
+            let e = s.world().entities().next().unwrap();
+            let mut durable_hp = 100.0;
             // routine play with one huge event in the middle
             for i in 0..50 {
                 let imp = if i == 25 { 100.0 } else { 0.1 };
-                s.observe(1.0, imp).unwrap();
+                s.world_mut().set_f32(e, "hp", i as f32).unwrap();
+                if step(&mut s, &mut clock, 1.0, imp) {
+                    durable_hp = i as f32;
+                }
             }
-            let (_, report) = s.crash_and_recover().unwrap();
+            let report = clock.exposure();
+            let (recovered, _) = s.crash_and_recover().unwrap();
+            assert_eq!(recovered.world().get_f32(e, "hp"), Some(durable_hp));
             report.lost_importance
         };
         let periodic = run(CheckpointPolicy::Periodic { period: 60.0 }, "cp6a");
@@ -391,98 +277,68 @@ mod tests {
 
     #[test]
     fn incremental_recovery_replays_delta_chain() {
-        let mut w = World::new();
-        w.define_component("hp", ValueType::Float).unwrap();
-        let ids: Vec<_> = (0..20)
-            .map(|i| {
-                let e = w.spawn_at(Vec2::new(i as f32, 0.0));
-                w.set_f32(e, "hp", 100.0).unwrap();
-                e
-            })
-            .collect();
-        let backend = Backend::open(temp_dir("cp-incr")).unwrap();
-        let mut s = GameStore::with_mode(
-            w,
-            backend,
-            CheckpointPolicy::Periodic { period: 1.0 },
-            SnapshotMode::Incremental { full_every: 100 },
-        )
-        .unwrap();
-        // three checkpoints, all deltas (full_every=100)
+        let (w, ids) = hp_world(20);
+        let mut s = write_behind(w, "cp-incr");
+        let mut clock = CheckpointClock::new(CheckpointPolicy::Periodic { period: 1.0 });
+        // three incremental points: one frame each
         for (round, &id) in ids.iter().enumerate().take(3) {
-            s.world.set_f32(id, "hp", round as f32).unwrap();
-            s.observe(1.5, 0.0).unwrap();
+            s.world_mut().set_f32(id, "hp", round as f32).unwrap();
+            assert!(step(&mut s, &mut clock, 1.5, 0.0));
         }
-        assert_eq!(s.backend().delta_seqs().unwrap().len(), 3);
-        // mutate after the last checkpoint: this part is lost
-        s.world.set_f32(ids[10], "hp", 1.0).unwrap();
-        let (recovered, report) = s.crash_and_recover().unwrap();
-        assert_eq!(report.recovered_seq, 3);
-        assert_eq!(recovered.world.get_f32(ids[0], "hp"), Some(0.0));
-        assert_eq!(recovered.world.get_f32(ids[1], "hp"), Some(1.0));
-        assert_eq!(recovered.world.get_f32(ids[2], "hp"), Some(2.0));
-        assert_eq!(recovered.world.get_f32(ids[10], "hp"), Some(100.0), "lost");
+        // mutate after the last point: this part is lost
+        s.world_mut().set_f32(ids[10], "hp", 1.0).unwrap();
+        let (recovered, replayed) = s.crash_and_recover().unwrap();
+        assert_eq!(replayed, 3, "one frame per point");
+        let w = recovered.world();
+        assert_eq!(w.get_f32(ids[0], "hp"), Some(0.0));
+        assert_eq!(w.get_f32(ids[1], "hp"), Some(1.0));
+        assert_eq!(w.get_f32(ids[2], "hp"), Some(2.0));
+        assert_eq!(w.get_f32(ids[10], "hp"), Some(100.0), "lost");
     }
 
     #[test]
     fn full_checkpoint_prunes_delta_chain() {
-        let mut w = World::new();
-        w.define_component("hp", ValueType::Float).unwrap();
-        let e = w.spawn_at(Vec2::ZERO);
-        w.set_f32(e, "hp", 10.0).unwrap();
-        let backend = Backend::open(temp_dir("cp-prune")).unwrap();
-        let mut s = GameStore::with_mode(
-            w,
-            backend,
-            CheckpointPolicy::Periodic { period: 1.0 },
-            SnapshotMode::Incremental { full_every: 3 },
-        )
-        .unwrap();
-        // seq 1, 2 are deltas; seq 3 is full and prunes them
+        let mut s = store("cp-prune");
+        let e = s.world().entities().next().unwrap();
+        // points 1 and 2 are frames; point 3 is full and prunes them
         for i in 0..3 {
-            s.world.set_f32(e, "hp", i as f32).unwrap();
-            s.observe(1.5, 0.0).unwrap();
+            s.world_mut().set_f32(e, "hp", i as f32).unwrap();
+            if i < 2 {
+                s.commit().unwrap();
+            } else {
+                s.checkpoint().unwrap();
+                s.compact_log().unwrap();
+            }
         }
-        assert!(s.backend().delta_seqs().unwrap().is_empty());
-        assert_eq!(s.backend().snapshot_seqs().unwrap(), vec![0, 3]);
-        let (recovered, report) = s.crash_and_recover().unwrap();
-        assert_eq!(report.recovered_seq, 3);
-        assert_eq!(recovered.world.get_f32(e, "hp"), Some(2.0));
+        let (records, _) = decode_log(&s.backend().read_log().unwrap());
+        assert_eq!(records, vec![WalRecord::CheckpointMark { seq: 1 }]);
+        assert_eq!(s.backend().snapshot_seqs().unwrap(), vec![0, 1]);
+        let (recovered, replayed) = s.crash_and_recover().unwrap();
+        assert_eq!(replayed, 0);
+        assert_eq!(recovered.world().get_f32(e, "hp"), Some(2.0));
     }
 
     #[test]
     fn incremental_writes_far_fewer_bytes_on_low_churn() {
-        // 500 entities, one changes per checkpoint: deltas should be tiny
-        let build = || {
-            let mut w = World::new();
-            w.define_component("hp", ValueType::Float).unwrap();
-            let ids: Vec<_> = (0..500)
-                .map(|i| {
-                    let e = w.spawn_at(Vec2::new(i as f32, 0.0));
-                    w.set_f32(e, "hp", 100.0).unwrap();
-                    e
-                })
-                .collect();
-            (w, ids)
-        };
-        let run = |mode, label: &str| {
-            let (w, ids) = build();
-            let backend = Backend::open(temp_dir(label)).unwrap();
-            let mut s = GameStore::with_mode(
-                w,
-                backend,
-                CheckpointPolicy::Periodic { period: 1.0 },
-                mode,
-            )
-            .unwrap();
+        // 500 entities, one changes per point: frames should be tiny
+        // next to snapshots
+        let run = |full: bool, label: &str| {
+            let (w, ids) = hp_world(500);
+            let mut s = write_behind(w, label);
+            let base = s.backend().bytes_written;
             for &id in ids.iter().take(10) {
-                s.world.set_f32(id, "hp", 1.0).unwrap();
-                s.observe(1.5, 0.0).unwrap();
+                s.world_mut().set_f32(id, "hp", 1.0).unwrap();
+                if full {
+                    s.checkpoint().unwrap();
+                } else {
+                    s.commit().unwrap();
+                }
             }
-            s.stats.bytes_written
+            let bytes = s.backend().bytes_written;
+            bytes - base
         };
-        let full = run(SnapshotMode::Full, "cp-bytes-full");
-        let incr = run(SnapshotMode::Incremental { full_every: 1000 }, "cp-bytes-incr");
+        let full = run(true, "cp-bytes-full");
+        let incr = run(false, "cp-bytes-incr");
         assert!(
             incr * 10 < full,
             "incremental {incr} bytes vs full {full} bytes"
@@ -493,43 +349,28 @@ mod tests {
     fn recovery_restores_catalog_through_delta_chain() {
         use gamedb_content::{CmpOp, Value};
         use gamedb_core::{IndexKind, Query};
-        let mut w = World::new();
-        w.define_component("hp", ValueType::Float).unwrap();
-        let ids: Vec<_> = (0..10)
-            .map(|i| {
-                let e = w.spawn_at(Vec2::new(i as f32, 0.0));
-                w.set_f32(e, "hp", 100.0).unwrap();
-                e
-            })
-            .collect();
+        let (mut w, ids) = hp_world(10);
         w.create_index("hp", IndexKind::Sorted).unwrap();
         let wounded =
             w.register_view(Query::select().filter("hp", CmpOp::Lt, Value::Float(50.0)));
-        let backend = Backend::open(temp_dir("cp-catalog")).unwrap();
-        let mut s = GameStore::with_mode(
-            w,
-            backend,
-            CheckpointPolicy::Periodic { period: 1.0 },
-            SnapshotMode::Incremental { full_every: 100 },
-        )
-        .unwrap();
-        // two delta checkpoints; the second leaves ids[1] wounded
-        s.world.set_f32(ids[0], "hp", 80.0).unwrap();
-        s.observe(1.5, 0.0).unwrap();
-        s.world.set_f32(ids[1], "hp", 10.0).unwrap();
-        s.observe(1.5, 0.0).unwrap();
-        // post-checkpoint damage is lost in the crash
-        s.world.set_f32(ids[2], "hp", 5.0).unwrap();
+        let mut s = write_behind(w, "cp-catalog");
+        // two incremental points; the second leaves ids[1] wounded
+        s.world_mut().set_f32(ids[0], "hp", 80.0).unwrap();
+        s.commit().unwrap();
+        s.world_mut().set_f32(ids[1], "hp", 10.0).unwrap();
+        s.commit().unwrap();
+        // post-point damage is lost in the crash
+        s.world_mut().set_f32(ids[2], "hp", 5.0).unwrap();
 
-        let (recovered, report) = s.crash_and_recover().unwrap();
-        assert_eq!(report.recovered_seq, 2);
-        let w = &recovered.world;
+        let (recovered, replayed) = s.crash_and_recover().unwrap();
+        assert_eq!(replayed, 2);
+        let w = recovered.world();
         assert_eq!(
             w.indexed_components().collect::<Vec<_>>(),
             vec![("hp", IndexKind::Sorted)]
         );
-        // the pre-crash handle reads the recovered view; delta-chain
-        // replay flowed through view maintenance
+        // the pre-crash handle reads the recovered view; frame replay
+        // flowed through view maintenance
         assert!(w.has_view(wounded));
         assert_eq!(w.view_rows(wounded), &[ids[1]]);
         assert!(
@@ -551,34 +392,26 @@ mod tests {
         // this index exists at the base snapshot, then is dropped later
         w.create_index("hp", IndexKind::Hash).unwrap();
         let doomed = w.register_view(Query::select());
-        let backend = Backend::open(temp_dir("cp-catalog-delta")).unwrap();
-        let mut s = GameStore::with_mode(
-            w,
-            backend,
-            CheckpointPolicy::Periodic { period: 1.0 },
-            SnapshotMode::Incremental { full_every: 100 },
-        )
-        .unwrap();
-        // catalog churn strictly after the base snapshot, before a
-        // durable *delta* checkpoint: drop the old derived state,
-        // register new, advance the tick
-        s.world.drop_index("hp");
-        s.world.drop_view(doomed);
-        s.world.create_index("hp", IndexKind::Sorted).unwrap();
-        let wounded = s
-            .world
-            .register_view(Query::select().filter("hp", CmpOp::Lt, Value::Float(50.0)));
-        s.world.advance_tick_to(9);
-        s.observe(1.5, 0.0).unwrap(); // delta checkpoint seq 1
+        let mut s = write_behind(w, "cp-catalog-delta");
+        // catalog churn strictly after the base snapshot, before an
+        // incremental point: drop the old derived state, register new,
+        // advance the tick
+        let w = s.world_mut();
+        w.drop_index("hp");
+        w.drop_view(doomed);
+        w.create_index("hp", IndexKind::Sorted).unwrap();
+        let wounded = w.register_view(Query::select().filter("hp", CmpOp::Lt, Value::Float(50.0)));
+        w.advance_tick_to(9);
+        s.commit().unwrap();
 
-        let (recovered, report) = s.crash_and_recover().unwrap();
-        assert_eq!(report.recovered_seq, 1);
-        let w = &recovered.world;
+        let (recovered, replayed) = s.crash_and_recover().unwrap();
+        assert_eq!(replayed, 1, "one frame");
+        let w = recovered.world();
         assert_eq!(w.tick(), 9, "tick advances past the base snapshot");
         assert_eq!(
             w.indexed_components().collect::<Vec<_>>(),
             vec![("hp", IndexKind::Sorted)],
-            "post-snapshot index lifecycle recovers from the delta"
+            "post-snapshot index lifecycle recovers from the frame"
         );
         assert!(!w.has_view(doomed), "view dropped after the base stays dropped");
         assert!(w.has_view(wounded), "view registered after the base survives");
@@ -590,25 +423,36 @@ mod tests {
         let mut w = World::new();
         w.define_component("hp", ValueType::Float).unwrap();
         w.advance_tick_to(42);
-        let backend = Backend::open(temp_dir("cp-tick")).unwrap();
-        let mut s =
-            GameStore::new(w, backend, CheckpointPolicy::Periodic { period: 5.0 }).unwrap();
-        s.world.advance_tick_to(45);
-        s.observe(6.0, 0.0).unwrap(); // checkpoint at tick 45
-        s.world.advance_tick_to(50); // lost in the crash
+        let mut s = write_behind(w, "cp-tick");
+        let mut clock = CheckpointClock::new(CheckpointPolicy::Periodic { period: 5.0 });
+        s.world_mut().advance_tick_to(45);
+        assert!(step(&mut s, &mut clock, 6.0, 0.0)); // point at tick 45
+        s.world_mut().advance_tick_to(50); // lost in the crash
         let (recovered, _) = s.crash_and_recover().unwrap();
-        assert_eq!(recovered.world.tick(), 45, "tick rolls back to the checkpoint");
+        assert_eq!(recovered.world().tick(), 45, "tick rolls back to the checkpoint");
     }
 
     #[test]
     fn stats_accumulate() {
-        let mut s = store(CheckpointPolicy::Periodic { period: 2.0 }, "cp7");
-        for _ in 0..10 {
-            s.observe(1.0, 0.5).unwrap();
+        // every point commits a frame; every other one is also full
+        let mut s = store("cp7");
+        let mut clock = CheckpointClock::new(CheckpointPolicy::Periodic { period: 2.0 });
+        let e = s.world().entities().next().unwrap();
+        let mut points = 0;
+        for i in 0..10 {
+            s.world_mut().set_f32(e, "hp", i as f32).unwrap();
+            if clock.observe(1.0, 0.5) {
+                points += 1;
+                if points % 2 == 0 {
+                    s.checkpoint().unwrap();
+                } else {
+                    s.commit().unwrap();
+                }
+            }
         }
-        assert_eq!(s.stats.events, 10);
-        assert!((s.stats.importance_observed - 5.0).abs() < 1e-9);
-        assert!(s.stats.checkpoints >= 4);
-        assert!(s.stats.bytes_written > 0);
+        assert_eq!(points, 5);
+        assert_eq!(s.stats.records, 5, "one frame per point");
+        assert_eq!(s.stats.checkpoints, 2);
+        assert!(s.backend().bytes_written > 0);
     }
 }

@@ -12,29 +12,33 @@
 //! * [`snapshot`] — checksummed binary world snapshots.
 //! * [`backend`] — the stand-in "commercial database": atomic snapshot
 //!   installation, append-only log, crash injection ([`Backend`]).
-//! * [`checkpoint`] — [`GameStore`] + [`CheckpointPolicy`] +
-//!   [`RecoveryReport`].
-//! * [`delta`] — incremental checkpoints: content-hashed dirty rows,
-//!   snapshot + delta-chain recovery ([`encode_delta`]).
+//! * [`wal`] / [`walstore`] — the one durability store: a change-stream
+//!   tap redo-logged into WAL frames, snapshots with checkpoint marks,
+//!   sync or async commit ([`WalStore`]).
+//! * [`checkpoint`] — [`CheckpointPolicy`] + [`CheckpointClock`]: when a
+//!   write-behind caller commits or checkpoints its store, and what a
+//!   crash costs ([`RecoveryReport`]).
 //! * [`schema`] — [`StructuredStore`] vs [`BlobStore`] migrations.
-//! * [`wal`] / [`walstore`] — redo logging between checkpoints: the
-//!   zero-loss recovery mode ([`WalStore`] with group commit).
+//!
+//! Write-behind is a sync store flushed per commit whose caller commits
+//! only at policy points; mutations in between are lost by a crash.
 //!
 //! ```no_run
-//! use gamedb_persist::{Backend, CheckpointPolicy, GameStore};
+//! use gamedb_persist::{Backend, CheckpointClock, CheckpointPolicy, WalStore};
 //! use gamedb_core::World;
 //!
 //! let backend = Backend::open("/tmp/gamedb-demo").unwrap();
-//! let mut store = GameStore::new(
-//!     World::new(),
-//!     backend,
-//!     CheckpointPolicy::Hybrid { period: 600.0, threshold: 50.0 },
-//! ).unwrap();
+//! let mut store = WalStore::new(World::new(), backend, 1).unwrap();
+//! let mut clock = CheckpointClock::new(CheckpointPolicy::Hybrid { period: 600.0, threshold: 50.0 });
 //! // game loop: report events with importance; boss kills flush early
-//! store.observe(1.0, 0.1).unwrap();
-//! store.observe(1.0, 100.0).unwrap(); // boss kill -> checkpoint now
-//! let (recovered, report) = store.crash_and_recover().unwrap();
-//! assert_eq!(report.lost_importance, 0.0);
+//! for importance in [0.1, 100.0] {
+//!     if clock.observe(1.0, importance) {
+//!         store.commit().unwrap(); // or store.checkpoint() for a full point
+//!     }
+//! }
+//! assert_eq!(clock.exposure().lost_importance, 0.0);
+//! let (recovered, _replayed) = store.crash_and_recover().unwrap();
+//! clock.rewind();
 //! # let _ = recovered;
 //! ```
 
@@ -43,7 +47,6 @@ pub mod checkpoint;
 #[cfg(test)]
 mod compat;
 pub mod crashpoint;
-pub mod delta;
 pub(crate) mod metrics;
 pub mod schema;
 pub mod snapshot;
@@ -51,13 +54,10 @@ pub mod wal;
 pub mod walstore;
 
 pub use backend::{temp_dir, Backend, BackendError, FaultKind};
-pub use checkpoint::{
-    CheckpointPolicy, GameStore, Importance, RecoveryReport, SnapshotMode, StoreStats,
-};
+pub use checkpoint::{CheckpointClock, CheckpointPolicy, Importance, RecoveryReport};
 pub use crashpoint::{
     assert_equivalent, run_live_torn, run_live_torn_async, run_sweep, SweepConfig, SweepReport,
 };
-pub use delta::{apply_delta, encode_delta, row_hashes, RowHashes};
 pub use schema::{
     BlobStore, Migration, MigrationError, MigrationStats, SchemaVersion, StructuredStore,
 };

@@ -467,9 +467,7 @@ pub(crate) fn get_plan(buf: &mut impl Buf) -> Result<ViewPlan, SnapshotError> {
 }
 
 /// Encode a world catalog (without lineage/tick, which the snapshot
-/// header already carries). Shared with the delta format, which
-/// carries the catalog wholesale per checkpoint — definitions are tiny
-/// next to rows, and "diffing" them would buy complexity, not bytes.
+/// header already carries).
 pub(crate) fn put_catalog(buf: &mut BytesMut, cat: &WorldCatalog) {
     buf.put_u32_le(cat.indexes.len() as u32);
     for (component, kind) in &cat.indexes {
@@ -486,7 +484,7 @@ pub(crate) fn put_catalog(buf: &mut BytesMut, cat: &WorldCatalog) {
     }
 }
 
-pub(crate) fn get_catalog(
+fn get_catalog(
     buf: &mut impl Buf,
     lineage: u64,
     tick: u64,
@@ -644,12 +642,12 @@ fn row_bytes(col: &Column) -> usize {
 }
 
 /// Smallest encoding of a string: its length prefix.
-pub(crate) const MIN_STR: usize = 4;
+const MIN_STR: usize = 4;
 
 /// A count read from disk, checked against what the rest of the buffer
 /// could possibly hold at `min_size` bytes per item — a forged count is
 /// a truncation, found before anything is allocated for it.
-pub(crate) fn bounded(
+fn bounded(
     count: usize,
     buf: &impl Buf,
     min_size: usize,

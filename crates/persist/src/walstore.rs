@@ -20,6 +20,8 @@
 //!   logged ops may sit in the OS buffer before a durable flush. 1 =
 //!   synchronous logging (lose nothing committed, pay a flush per
 //!   commit); N = group commit (lose at most the unflushed ops).
+//!   Write-behind is sync mode with a caller that commits only at
+//!   checkpoint-policy points ([`crate::checkpoint`]).
 //! * **Async** ([`WalStore::new_async`]): [`WalStore::commit`] is
 //!   *enqueue-and-return*. The pending segment is handed over a bounded
 //!   channel to a background **writer thread** that encodes the frame,

@@ -13,8 +13,8 @@
 use gamedb::content::{Value, ValueType};
 use gamedb::core::World;
 use gamedb::persist::{
-    temp_dir, Backend, BlobStore, CheckpointPolicy, GameStore, Migration, SchemaVersion,
-    StructuredStore,
+    temp_dir, Backend, BlobStore, CheckpointClock, CheckpointPolicy, Migration, SchemaVersion,
+    StructuredStore, WalStore,
 };
 use gamedb::spatial::Vec2;
 use std::time::Instant;
@@ -38,29 +38,26 @@ fn main() {
     println!("== day 1: normal operation ==");
     let world = populated_world(n);
     let backend = Backend::open(temp_dir("live-migration")).unwrap();
-    let mut store = GameStore::new(
-        world,
-        backend,
-        CheckpointPolicy::EventDriven { threshold: 25.0 },
-    )
-    .unwrap();
+    let mut store = WalStore::new(world, backend, 1).unwrap();
+    let mut clock = CheckpointClock::new(CheckpointPolicy::EventDriven { threshold: 25.0 });
 
     // an hour of play with a boss kill at minute 40
     for minute in 1..=60 {
         let importance = if minute == 40 { 30.0 } else { 0.3 };
-        let wrote = store.observe(60.0, importance).unwrap();
-        if wrote {
+        if clock.observe(60.0, importance) {
+            store.checkpoint().unwrap();
             println!("minute {minute}: checkpoint (importance threshold crossed)");
         }
     }
 
     println!("\n== the server node dies ==");
-    let (recovered, report) = store.crash_and_recover().unwrap();
+    let report = clock.exposure();
+    let (recovered, _) = store.crash_and_recover().unwrap();
     println!(
-        "recovered from snapshot #{}; lost {:.0} game-seconds, {:.1} importance",
-        report.recovered_seq, report.lost_game_seconds, report.lost_importance
+        "recovered from {} checkpoint(s); lost {:.0} game-seconds, {:.1} importance",
+        recovered.stats.checkpoints, report.lost_game_seconds, report.lost_importance
     );
-    assert_eq!(recovered.world.len(), n);
+    assert_eq!(recovered.world().len(), n);
 
     println!("\n== patch day: the expansion adds 'mana' and renames 'gold' ==");
     let migrations = [
@@ -76,7 +73,7 @@ fn main() {
     ];
 
     // Path A: structured migration on the recovered world.
-    let mut structured = StructuredStore::new(recovered.world);
+    let mut structured = StructuredStore::new(recovered.world().clone());
     let t = Instant::now();
     for m in &migrations {
         let stats = structured.migrate(m).unwrap();

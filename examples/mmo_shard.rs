@@ -6,8 +6,9 @@
 //!   2. the causality-bubble executor partitions the world by motion
 //!      prediction and applies the batch without locks;
 //!   3. the replicator ships weakly-consistent updates to a client;
-//!   4. the write-behind store decides whether this tick's events are
-//!      important enough to checkpoint into the durable backend.
+//!   4. the checkpoint clock decides whether this tick's events are
+//!      important enough to commit the write-behind store's pending
+//!      changes into the durable backend.
 //!
 //! At a random point the server crashes, recovers from the backend, and
 //! reports what the players lost.
@@ -16,7 +17,7 @@
 //! cargo run --release --example mmo_shard
 //! ```
 
-use gamedb::persist::{temp_dir, Backend, CheckpointPolicy, GameStore};
+use gamedb::persist::{temp_dir, Backend, CheckpointClock, CheckpointPolicy, WalStore};
 use gamedb::sync::{
     BubbleConfig, BubbleExecutor, ConsistencyLevel, Executor, Replica, Replicator, Workload,
     WorkloadConfig,
@@ -53,37 +54,38 @@ fn main() {
     });
     let mut client = Replica::default();
 
-    // Write-behind persistence: periodic backstop + importance threshold.
+    // Write-behind persistence: a store committed only at policy points
+    // (periodic backstop + importance threshold); mutations in between
+    // live in memory and die with a crash.
     let backend = Backend::open(temp_dir("mmo-shard")).expect("backend opens");
     let world = std::mem::replace(&mut wl.world, gamedb::core::World::new());
-    let mut store = GameStore::new(
-        world,
-        backend,
-        CheckpointPolicy::Hybrid {
-            period: 30.0,
-            threshold: 40.0,
-        },
-    )
-    .expect("store initializes");
+    let mut store = WalStore::new(world, backend, 1).expect("store initializes");
+    let mut clock = CheckpointClock::new(CheckpointPolicy::Hybrid {
+        period: 30.0,
+        threshold: 40.0,
+    });
 
     let crash_tick = 47;
     for tick in 1..=crash_tick {
         // generate against the live world
-        std::mem::swap(&mut wl.world, &mut store.world);
+        std::mem::swap(&mut wl.world, store.world_mut());
         let batch = wl.next_batch();
-        std::mem::swap(&mut wl.world, &mut store.world);
+        std::mem::swap(&mut wl.world, store.world_mut());
 
-        let stats = executor.execute(&mut store.world, &batch);
+        let stats = executor.execute(store.world_mut(), &batch);
 
         // importance: deaths are important events, trades mildly so
-        let deaths = batch.len().saturating_sub(store.world.len()); // rough proxy
+        let deaths = batch.len().saturating_sub(store.world().len()); // rough proxy
         let importance = deaths as f64 * 10.0 + batch.len() as f64 * 0.01;
-        let checkpointed = store.observe(1.0, importance).expect("backend writes");
+        let checkpointed = clock.observe(1.0, importance);
+        if checkpointed {
+            store.commit().expect("backend writes");
+        }
 
-        replicator.sync(&store.world, &mut client);
+        replicator.sync(store.world(), &mut client);
 
         if tick % 10 == 0 || checkpointed {
-            let div = Replicator::divergence(&store.world, &client);
+            let div = Replicator::divergence(store.world(), &client);
             println!(
                 "tick {tick:>3}: {} actions, {} bubbles (crit path {}), \
                  client pos err {:.2}, {}",
@@ -101,16 +103,18 @@ fn main() {
     }
 
     println!("\n*** power failure at tick {crash_tick} ***");
-    let (recovered, report) = store.crash_and_recover().expect("recovery");
+    let report = clock.exposure();
+    let (recovered, replayed) = store.crash_and_recover().expect("recovery");
+    clock.rewind();
     println!(
-        "recovered from snapshot #{} — players lost {:.0} game-seconds \
-         and {:.1} importance units of progress",
-        report.recovered_seq, report.lost_game_seconds, report.lost_importance
+        "recovered by replaying {replayed} committed frames — players lost {:.0} \
+         game-seconds and {:.1} importance units of progress",
+        report.lost_game_seconds, report.lost_importance
     );
     println!(
-        "world after recovery: {} entities, {} checkpoints written, {} bytes durable",
-        recovered.world.len(),
-        recovered.stats.checkpoints,
+        "world after recovery: {} entities, {} commits written, {} bytes durable",
+        recovered.world().len(),
+        recovered.stats.records,
         recovered.backend().bytes_written
     );
     println!(

@@ -1,11 +1,12 @@
 //! Cross-crate property tests for the consistency layer:
 //! * every executor produces the same final state on commutative batches;
 //! * causality bubbles never separate entities that are within
-//!   interaction range (the partitioning safety invariant);
-//! * recovery always restores a prefix-consistent durable state.
+//!   interaction range (the partitioning safety invariant).
+//!
+//! Recovery to the last durable policy point is held by
+//! `write_behind_recovers_the_last_policy_point` in `gamedb-persist`.
 
 use gamedb::core::EntityId;
-use gamedb::persist::{temp_dir, Backend, CheckpointPolicy, GameStore};
 use gamedb::spatial::Vec2;
 use gamedb::sync::{
     arena_world, partition, Action, BubbleConfig, BubbleExecutor, Executor, LockingExecutor,
@@ -97,48 +98,6 @@ proptest! {
         // and the partition covers every entity exactly once
         let total: usize = part.bubbles.iter().map(Vec::len).sum();
         prop_assert_eq!(total, ids.len());
-    }
-
-    /// Recovery restores exactly the state at the last checkpoint: running
-    /// the same deterministic mutation sequence up to that point
-    /// reproduces the recovered world.
-    #[test]
-    fn recovery_is_prefix_consistent(
-        n in 2usize..20,
-        total_steps in 1usize..40,
-        period in 1usize..10,
-    ) {
-        let build = || arena_world(n, |i| Vec2::new(i as f32 * 2.0, 0.0));
-        let (world, ids) = build();
-        let backend = Backend::open(temp_dir("prefix")).unwrap();
-        let mut store = GameStore::new(
-            world,
-            backend,
-            CheckpointPolicy::Periodic { period: period as f64 },
-        ).unwrap();
-        // deterministic mutation: step k moves entity k%n and damages it
-        for step in 0..total_steps {
-            let e = ids[step % n];
-            let p = store.world.pos(e).unwrap();
-            store.world.set_pos(e, p + Vec2::new(1.0, 0.0)).unwrap();
-            let hp = store.world.get_f32(e, "hp").unwrap();
-            store.world.set_f32(e, "hp", hp - 1.0).unwrap();
-            store.observe(1.0, 0.0).unwrap();
-        }
-        let cp_at = store.last_checkpoint_at() as usize;
-        let (recovered, report) = store.crash_and_recover().unwrap();
-        prop_assert!(report.lost_game_seconds < period as f64 + 1e-6);
-
-        // replay the prefix on a fresh world
-        let (mut replay, ids2) = build();
-        for step in 0..cp_at {
-            let e = ids2[step % n];
-            let p = replay.pos(e).unwrap();
-            replay.set_pos(e, p + Vec2::new(1.0, 0.0)).unwrap();
-            let hp = replay.get_f32(e, "hp").unwrap();
-            replay.set_f32(e, "hp", hp - 1.0).unwrap();
-        }
-        prop_assert_eq!(recovered.world.rows(), replay.rows());
     }
 }
 

@@ -5,7 +5,7 @@
 
 use gamedb::content::{apply_all, CmpOp, ContentBundle, ContentPatch, Value};
 use gamedb::core::{plan, Query, TableStats, World};
-use gamedb::persist::{Backend, CheckpointPolicy, GameStore, SnapshotMode};
+use gamedb::persist::{Backend, CheckpointClock, CheckpointPolicy, WalStore};
 use gamedb::spatial::Vec2;
 use gamedb::sync::{
     arena_world, collapse_moves, AssignPolicy, Auditor, BubbleConfig, BubbleExecutor, Executor,
@@ -118,46 +118,48 @@ fn sharded_tick_loop_stays_audit_clean() {
 
 /// Run a bubble-executed workload over an incrementally-checkpointed
 /// store, crash, recover, and verify the world equals the last durable
-/// state — snapshot plus delta chain.
+/// state — snapshot plus the frames committed after it.
 #[test]
 fn incremental_checkpoint_recovers_mmo_world() {
     let (world, ids) = arena_world(128, |i| {
         Vec2::new((i % 16) as f32 * 8.0, (i / 16) as f32 * 8.0)
     });
     let backend = Backend::open(gamedb::persist::temp_dir("ext-incr")).unwrap();
-    let mut store = GameStore::with_mode(
-        world,
-        backend,
-        CheckpointPolicy::Periodic { period: 2.0 },
-        SnapshotMode::Incremental { full_every: 4 },
-    )
-    .unwrap();
+    let mut store = WalStore::new(world, backend, 1).unwrap();
+    let mut clock = CheckpointClock::new(CheckpointPolicy::Periodic { period: 2.0 });
 
     let exec = BubbleExecutor::default();
-    let mut last_durable_rows = store.world.rows();
-    // 11 checkpoints: fulls at seq 4 and 8, so deltas 9..11 survive for
-    // the recovery path to replay
+    let mut last_durable_rows = store.world().rows();
+    // 11 points: full at 4 and 8 (each compacting the frames behind it),
+    // so frames 9..11 survive for the recovery path to replay
     for tick in 0..11 {
         let batch = vec![
             gamedb::sync::Action::Attack { attacker: ids[tick], target: ids[tick + 1] },
             gamedb::sync::Action::Trade { from: ids[tick + 2], to: ids[tick + 3], amount: 7 },
         ];
-        exec.execute(&mut store.world, &batch);
-        let wrote = store.observe(2.5, 0.1).unwrap();
-        assert!(wrote, "period 2.0 < dt 2.5: every tick checkpoints");
-        last_durable_rows = store.world.rows();
+        exec.execute(store.world_mut(), &batch);
+        assert!(clock.observe(2.5, 0.1), "period 2.0 < dt 2.5: every tick is a point");
+        if (tick + 1) % 4 == 0 {
+            store.checkpoint().unwrap();
+            store.compact_log().unwrap();
+        } else {
+            store.commit().unwrap();
+        }
+        last_durable_rows = store.world().rows();
     }
     // post-checkpoint mutation is lost by design
-    store.world.set_f32(ids[0], "hp", 0.5).unwrap();
+    store.world_mut().set_f32(ids[0], "hp", 0.5).unwrap();
 
-    let (recovered, report) = store.crash_and_recover().unwrap();
-    assert_eq!(recovered.world.rows(), last_durable_rows);
-    // the crash happened right after a checkpoint: no game time lost,
-    // only the unobserved post-checkpoint write
+    let report = clock.exposure();
+    let (recovered, replayed) = store.crash_and_recover().unwrap();
+    assert_eq!(recovered.world().rows(), last_durable_rows);
+    // the crash happened right after a point: no game time lost, only
+    // the unobserved post-checkpoint write
     assert_eq!(report.lost_game_seconds, 0.0);
-    assert_ne!(recovered.world.get_f32(ids[0], "hp"), Some(0.5));
-    // deltas were actually used: full snapshots only every 4th seq
-    assert!(!recovered.backend().delta_seqs().unwrap().is_empty());
+    assert_ne!(recovered.world().get_f32(ids[0], "hp"), Some(0.5));
+    // frames were actually used: full snapshots only every 4th point
+    assert_eq!(replayed, 3, "frames 9..11 after the snapshot at 8");
+    assert_eq!(recovered.backend().snapshot_seqs().unwrap(), vec![0, 1, 2]);
 }
 
 /// The optimizer pipeline end to end: a designer script with a foreach

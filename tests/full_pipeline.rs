@@ -3,7 +3,7 @@
 
 use gamedb::content::{Action as TriggerAction, ContentBundle, GameEvent, Value};
 use gamedb::core::{EffectBuffer, EntityId, TickExecutor, World};
-use gamedb::persist::{temp_dir, Backend, CheckpointPolicy, GameStore};
+use gamedb::persist::{temp_dir, Backend, CheckpointClock, CheckpointPolicy, WalStore};
 use gamedb::script::{check_library, parse_script, run_script, ExecOptions, Level, ScriptLibrary};
 use gamedb::spatial::Vec2;
 
@@ -69,12 +69,8 @@ fn content_to_ticks_to_recovery() {
     let mut triggers = bundle.triggers.clone();
 
     let backend = Backend::open(temp_dir("pipeline")).unwrap();
-    let mut store = GameStore::new(
-        world,
-        backend,
-        CheckpointPolicy::Periodic { period: 5.0 },
-    )
-    .unwrap();
+    let mut store = WalStore::new(world, backend, 1).unwrap();
+    let mut clock = CheckpointClock::new(CheckpointPolicy::Periodic { period: 5.0 });
 
     let mut rescue_events = 0usize;
     // 33 ticks: the last periodic(5) checkpoint lands at t=30, so three
@@ -84,21 +80,21 @@ fn content_to_ticks_to_recovery() {
         let lib_ref = &lib;
         let hp_before: Vec<(EntityId, f64)> = ids
             .iter()
-            .filter(|&&e| store.world.is_live(e))
-            .map(|&e| (e, store.world.get_number(e, "hp").unwrap_or(0.0)))
+            .filter(|&&e| store.world().is_live(e))
+            .map(|&e| (e, store.world().get_number(e, "hp").unwrap_or(0.0)))
             .collect();
         let system = move |id: EntityId, w: &World, buf: &mut EffectBuffer| {
             run_script(lib_ref, "skirmish", w, id, buf, ExecOptions::default()).unwrap();
         };
         TickExecutor::sequential()
-            .run_tick(&mut store.world, &[&system])
+            .run_tick(store.world_mut(), &[&system])
             .unwrap();
         // feed stat changes into the trigger set
         for (e, old) in hp_before {
-            if !store.world.is_live(e) {
+            if !store.world().is_live(e) {
                 continue;
             }
-            let new = store.world.get_number(e, "hp").unwrap_or(0.0);
+            let new = store.world().get_number(e, "hp").unwrap_or(0.0);
             if new != old {
                 let fired = triggers.fire(
                     &GameEvent::StatChanged {
@@ -106,7 +102,7 @@ fn content_to_ticks_to_recovery() {
                         old,
                         new,
                     },
-                    &store.world.view(e),
+                    &store.world().view(e),
                 );
                 for (id, action) in fired {
                     assert_eq!(id, "near_death");
@@ -115,7 +111,9 @@ fn content_to_ticks_to_recovery() {
                 }
             }
         }
-        store.observe(1.0, 0.5).unwrap();
+        if clock.observe(1.0, 0.5) {
+            store.checkpoint().unwrap();
+        }
     }
     assert!(
         rescue_events > 0,
@@ -124,15 +122,16 @@ fn content_to_ticks_to_recovery() {
     assert!(store.stats.checkpoints >= 5, "periodic(5s) over 33s");
 
     // crash: world rolls back to a durable state with all entities intact
-    let pre_crash_rows = store.world.rows();
-    let (recovered, report) = store.crash_and_recover().unwrap();
+    let pre_crash_rows = store.world().rows();
+    let report = clock.exposure();
+    let (recovered, _) = store.crash_and_recover().unwrap();
     assert!(report.lost_game_seconds <= 5.0 + 1e-6);
-    assert_eq!(recovered.world.len(), 40);
+    assert_eq!(recovered.world().len(), 40);
     // recovered state is a previous state, not the live one
-    assert_ne!(recovered.world.rows(), pre_crash_rows);
+    assert_ne!(recovered.world().rows(), pre_crash_rows);
     // spatial queries still work after recovery
     let mut near = Vec::new();
-    recovered.world.within(Vec2::new(0.0, 0.0), 5.0, &mut near);
+    recovered.world().within(Vec2::new(0.0, 0.0), 5.0, &mut near);
     assert!(!near.is_empty());
 }
 
