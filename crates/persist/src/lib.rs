@@ -67,3 +67,113 @@ pub use walstore::{
     recover_from_parts, CommitSeq, FlushPolicy, Recovered, RecoveryStats, StoreError, WalStats,
     WalStore, WalWatermark,
 };
+
+/// Incremental ("delta") points: a [`WalStore::commit`] between policy
+/// points is one WAL frame of every op since the last point, replayed
+/// over the newest snapshot on recovery.
+#[cfg(test)]
+mod delta {
+    mod tests {
+        use crate::{temp_dir, Backend, WalStore};
+        use gamedb_content::{Value, ValueType};
+        use gamedb_core::{EntityId, World};
+        use gamedb_spatial::Vec2;
+
+        fn world(n: usize) -> (World, Vec<EntityId>) {
+            let mut w = World::new();
+            w.define_component("hp", ValueType::Float).unwrap();
+            w.define_component("gold", ValueType::Int).unwrap();
+            let mut ids = Vec::new();
+            for i in 0..n {
+                let e = w.spawn_at(Vec2::new(i as f32, 0.0));
+                w.set_f32(e, "hp", 100.0).unwrap();
+                w.set(e, "gold", Value::Int(10 * i as i64)).unwrap();
+                ids.push(e);
+            }
+            (w, ids)
+        }
+
+        /// A write-behind store: sync, flushed per commit.
+        fn store(w: World, label: &str) -> WalStore {
+            WalStore::new(w, Backend::open(temp_dir(label)).unwrap(), 1).unwrap()
+        }
+
+        /// Crash the store and hold the recovered rows and live set to
+        /// `durable`; returns the recovered store and the frames replayed.
+        fn recover(s: WalStore, durable: &World) -> (WalStore, usize) {
+            let (recovered, replayed) = s.crash_and_recover().unwrap();
+            let w = recovered.world();
+            assert_eq!(w.rows(), durable.rows());
+            assert_eq!(
+                w.entities().collect::<Vec<_>>(),
+                durable.entities().collect::<Vec<_>>()
+            );
+            (recovered, replayed)
+        }
+
+        #[test]
+        fn unchanged_world_produces_empty_delta() {
+            let (w, _) = world(20);
+            let mut s = store(w, "incr-idle");
+            let bytes = s.backend().bytes_written;
+            assert_eq!(s.commit().unwrap(), 0, "nothing pending");
+            assert_eq!(s.backend().bytes_written, bytes, "an idle point writes nothing");
+            let durable = s.world().clone();
+            let (_, replayed) = recover(s, &durable);
+            assert_eq!(replayed, 0, "the base snapshot alone");
+        }
+
+        #[test]
+        fn changed_rows_round_trip() {
+            let (w, ids) = world(20);
+            let mut s = store(w, "incr-rows");
+            s.world_mut().set_f32(ids[3], "hp", 55.0).unwrap();
+            s.world_mut().set_pos(ids[7], Vec2::new(99.0, 99.0)).unwrap();
+            s.commit().unwrap();
+            let durable = s.world().clone();
+            let (_, replayed) = recover(s, &durable);
+            assert_eq!(replayed, 1, "one frame");
+        }
+
+        #[test]
+        fn spawn_and_despawn_round_trip() {
+            let (w, ids) = world(10);
+            let mut s = store(w, "incr-spawn");
+            s.world_mut().despawn(ids[2]);
+            let newbie = s.world_mut().spawn_at(Vec2::new(50.0, 50.0));
+            s.world_mut().set_f32(newbie, "hp", 1.0).unwrap();
+            s.commit().unwrap();
+            let durable = s.world().clone();
+            let (recovered, _) = recover(s, &durable);
+            assert!(!recovered.world().is_live(ids[2]));
+            assert!(recovered.world().is_live(newbie));
+        }
+
+        #[test]
+        fn cleared_component_round_trips() {
+            let (w, ids) = world(5);
+            let mut s = store(w, "incr-clear");
+            s.world_mut().remove_component(ids[1], "gold").unwrap();
+            s.commit().unwrap();
+            let durable = s.world().clone();
+            let (recovered, _) = recover(s, &durable);
+            assert_eq!(recovered.world().get(ids[1], "gold"), None);
+        }
+
+        #[test]
+        fn chained_deltas_compose() {
+            let (w, ids) = world(10);
+            let mut s = store(w, "incr-chain");
+            for (step, &id) in ids.iter().enumerate().take(5) {
+                s.world_mut().set_f32(id, "hp", step as f32).unwrap();
+                if step == 2 {
+                    s.world_mut().despawn(ids[9]);
+                }
+                s.commit().unwrap();
+            }
+            let durable = s.world().clone();
+            let (_, replayed) = recover(s, &durable);
+            assert_eq!(replayed, 5, "one frame per point");
+        }
+    }
+}

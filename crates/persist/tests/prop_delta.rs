@@ -1,11 +1,12 @@
-//! Property tests for incremental checkpoints: under any random sequence
-//! of world mutations (set / spawn / despawn / clear), a chain of deltas
-//! applied over the base world reproduces the live world exactly, and
-//! snapshot-then-delta recovery equals direct recovery.
+//! Property tests for incremental points on the one store: under any
+//! random sequence of world mutations (set / move / spawn / despawn /
+//! clear), a chain of `WalStore::commit` frames replayed over the base
+//! snapshot reproduces the live world exactly, and an idle point writes
+//! nothing and changes nothing.
 
 use gamedb_content::{Value, ValueType};
 use gamedb_core::{EntityId, World};
-use gamedb_persist::{apply_delta, encode_delta, row_hashes};
+use gamedb_persist::{temp_dir, Backend, WalStore};
 use gamedb_spatial::Vec2;
 use proptest::prelude::*;
 
@@ -31,7 +32,8 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
-fn base_world() -> (World, Vec<EntityId>) {
+/// A write-behind store (sync, flushed per commit) over 16 entities.
+fn base_store(label: &str) -> (WalStore, Vec<EntityId>) {
     let mut w = World::new();
     w.define_component("hp", ValueType::Float).unwrap();
     w.define_component("gold", ValueType::Int).unwrap();
@@ -43,30 +45,26 @@ fn base_world() -> (World, Vec<EntityId>) {
             e
         })
         .collect();
-    (w, ids)
+    let store = WalStore::new(w, Backend::open(temp_dir(label)).unwrap(), 1).unwrap();
+    (store, ids)
 }
 
 fn apply_op(world: &mut World, live: &mut Vec<EntityId>, op: &Op) {
+    let pick = |i: usize| live.get(i % live.len().max(1)).copied();
     match *op {
         Op::SetHp(i, v) => {
-            if let Some(&e) = live.get(i % live.len().max(1)) {
-                if world.is_live(e) {
-                    world.set_f32(e, "hp", v).unwrap();
-                }
+            if let Some(e) = pick(i) {
+                world.set_f32(e, "hp", v).unwrap();
             }
         }
         Op::SetGold(i, v) => {
-            if let Some(&e) = live.get(i % live.len().max(1)) {
-                if world.is_live(e) {
-                    world.set(e, "gold", Value::Int(v)).unwrap();
-                }
+            if let Some(e) = pick(i) {
+                world.set(e, "gold", Value::Int(v)).unwrap();
             }
         }
         Op::Move(i, x, y) => {
-            if let Some(&e) = live.get(i % live.len().max(1)) {
-                if world.is_live(e) {
-                    world.set_pos(e, Vec2::new(x, y)).unwrap();
-                }
+            if let Some(e) = pick(i) {
+                world.set_pos(e, Vec2::new(x, y)).unwrap();
             }
         }
         Op::Despawn(i) => {
@@ -81,8 +79,8 @@ fn apply_op(world: &mut World, live: &mut Vec<EntityId>, op: &Op) {
             live.push(e);
         }
         Op::ClearGold(i) => {
-            if let Some(&e) = live.get(i % live.len().max(1)) {
-                if world.is_live(e) && world.get(e, "gold").is_some() {
+            if let Some(e) = pick(i) {
+                if world.get(e, "gold").is_some() {
                     world.remove_component(e, "gold").unwrap();
                 }
             }
@@ -90,52 +88,55 @@ fn apply_op(world: &mut World, live: &mut Vec<EntityId>, op: &Op) {
     }
 }
 
+/// Crash the store and hold the recovered rows and live set to `durable`.
+fn recover(store: WalStore, durable: &World) -> Result<WalStore, TestCaseError> {
+    let (recovered, _) = store.crash_and_recover().unwrap();
+    let w = recovered.world();
+    prop_assert_eq!(w.rows(), durable.rows());
+    prop_assert_eq!(
+        w.entities().collect::<Vec<_>>(),
+        durable.entities().collect::<Vec<_>>()
+    );
+    Ok(recovered)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// A chain of deltas (one per mutation burst) replayed over the base
-    /// world reproduces the final world bit-for-bit.
+    /// A chain of frames (one commit per mutation burst) replayed over
+    /// the base snapshot reproduces the world after every burst; the
+    /// chain keeps growing across recoveries.
     #[test]
     fn delta_chain_reproduces_any_history(
         bursts in proptest::collection::vec(
             proptest::collection::vec(op_strategy(), 1..12), 1..8),
     ) {
-        let (mut world, mut live) = base_world();
-        let mut recovered = world.clone();
-        let mut hashes = row_hashes(&world);
+        let (mut store, mut live) = base_store("prop-incr-chain");
         for burst in &bursts {
             for op in burst {
-                apply_op(&mut world, &mut live, op);
+                apply_op(store.world_mut(), &mut live, op);
             }
-            let (delta, fresh) = encode_delta(&world, &hashes);
-            hashes = fresh;
-            apply_delta(&mut recovered, &delta).unwrap();
-            prop_assert_eq!(recovered.rows(), world.rows());
+            store.commit().unwrap();
+            let durable = store.world().clone();
+            store = recover(store, &durable)?;
         }
-        // live sets agree too (rows() covers values; check identity)
-        let a: Vec<EntityId> = world.entities().collect();
-        let b: Vec<EntityId> = recovered.entities().collect();
-        prop_assert_eq!(a, b);
     }
 
-    /// An empty mutation burst yields a delta that changes nothing and is
-    /// small (bounded by the schema header plus the constant catalog
-    /// trailer — this world has no indexes or views, so the catalog is
-    /// its fixed-size empty encoding).
+    /// An idle point after any warm-up writes no bytes, and recovery
+    /// still lands on the last committed world.
     #[test]
     fn idle_deltas_are_tiny_and_inert(
         warmup in proptest::collection::vec(op_strategy(), 0..20),
     ) {
-        let (mut world, mut live) = base_world();
+        let (mut store, mut live) = base_store("prop-incr-idle");
         for op in &warmup {
-            apply_op(&mut world, &mut live, op);
+            apply_op(store.world_mut(), &mut live, op);
         }
-        let hashes = row_hashes(&world);
-        let (delta, fresh) = encode_delta(&world, &hashes);
-        prop_assert_eq!(&hashes, &fresh);
-        prop_assert!(delta.len() < 96, "idle delta was {} bytes", delta.len());
-        let mut copy = world.clone();
-        apply_delta(&mut copy, &delta).unwrap();
-        prop_assert_eq!(copy.rows(), world.rows());
+        store.commit().unwrap();
+        let bytes = store.backend().bytes_written;
+        prop_assert_eq!(store.commit().unwrap(), 0);
+        prop_assert_eq!(store.backend().bytes_written, bytes, "idle point wrote");
+        let durable = store.world().clone();
+        recover(store, &durable)?;
     }
 }

@@ -1,12 +1,11 @@
 //! Cross-crate property tests for the consistency layer:
 //! * every executor produces the same final state on commutative batches;
 //! * causality bubbles never separate entities that are within
-//!   interaction range (the partitioning safety invariant).
-//!
-//! Recovery to the last durable policy point is held by
-//! `write_behind_recovers_the_last_policy_point` in `gamedb-persist`.
+//!   interaction range (the partitioning safety invariant);
+//! * recovery always restores a prefix-consistent durable state.
 
 use gamedb::core::EntityId;
+use gamedb::persist::{temp_dir, Backend, CheckpointClock, CheckpointPolicy, WalStore};
 use gamedb::spatial::Vec2;
 use gamedb::sync::{
     arena_world, partition, Action, BubbleConfig, BubbleExecutor, Executor, LockingExecutor,
@@ -98,6 +97,50 @@ proptest! {
         // and the partition covers every entity exactly once
         let total: usize = part.bubbles.iter().map(Vec::len).sum();
         prop_assert_eq!(total, ids.len());
+    }
+
+    /// Recovery restores exactly the state at the last policy point:
+    /// running the same deterministic mutation sequence up to that point
+    /// reproduces the recovered world.
+    #[test]
+    fn recovery_is_prefix_consistent(
+        n in 2usize..20,
+        total_steps in 1usize..40,
+        period in 1usize..10,
+    ) {
+        let build = || arena_world(n, |i| Vec2::new(i as f32 * 2.0, 0.0));
+        let (world, ids) = build();
+        let backend = Backend::open(temp_dir("prefix")).unwrap();
+        let mut store = WalStore::new(world, backend, 1).unwrap();
+        let mut clock = CheckpointClock::new(CheckpointPolicy::Periodic { period: period as f64 });
+        // deterministic mutation: step k moves entity k%n and damages it;
+        // a write-behind caller commits only when the clock fires
+        for step in 0..total_steps {
+            let e = ids[step % n];
+            let w = store.world_mut();
+            let p = w.pos(e).unwrap();
+            w.set_pos(e, p + Vec2::new(1.0, 0.0)).unwrap();
+            let hp = w.get_f32(e, "hp").unwrap();
+            w.set_f32(e, "hp", hp - 1.0).unwrap();
+            if clock.observe(1.0, 0.0) {
+                store.commit().unwrap();
+            }
+        }
+        let cp_at = clock.last_checkpoint_at() as usize;
+        let report = clock.exposure();
+        let (recovered, _) = store.crash_and_recover().unwrap();
+        prop_assert!(report.lost_game_seconds < period as f64 + 1e-6);
+
+        // replay the prefix on a fresh world
+        let (mut replay, ids2) = build();
+        for step in 0..cp_at {
+            let e = ids2[step % n];
+            let p = replay.pos(e).unwrap();
+            replay.set_pos(e, p + Vec2::new(1.0, 0.0)).unwrap();
+            let hp = replay.get_f32(e, "hp").unwrap();
+            replay.set_f32(e, "hp", hp - 1.0).unwrap();
+        }
+        prop_assert_eq!(recovered.world().rows(), replay.rows());
     }
 }
 
