@@ -6,7 +6,10 @@
 //! range probe, and (d) a two-sided range whose bounds both reach one
 //! probe — plus the planner's own choice. The indexed paths must
 //! beat the scan by ≥10×; the bench prints the measured speedups so the
-//! claim is checked on every run, not asserted once and forgotten.
+//! claim is checked on every run, not asserted once and forgotten. A
+//! fifth case, `scan_kernel`, holds the planned full scan of a column
+//! no index covers — the block filter kernels — to ≥3× over the
+//! by-name `run_scan` of the same query.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gamedb_bench::combat_world;
@@ -34,6 +37,8 @@ fn bench_secondary_index(c: &mut Criterion) {
     let two_sided_query = Query::select()
         .filter("hp", CmpOp::Ge, Value::Float(500.0))
         .filter("hp", CmpOp::Lt, Value::Float(505.0));
+    // `dmg` stays unindexed: its query is a full scan either way
+    let kernel_query = Query::select().filter("dmg", CmpOp::Gt, Value::Float(4.0));
     let expected_eq = N / CLASSES;
     assert_eq!(eq_query.run_scan(&world).len(), expected_eq);
     assert_eq!(range_query.run_scan(&world).len(), N / 1000 * 5);
@@ -65,6 +70,7 @@ fn bench_secondary_index(c: &mut Criterion) {
         two_sided_query.run(&world),
         two_sided_query.run_scan(&world)
     );
+    assert_eq!(kernel_query.run(&world), kernel_query.run_scan(&world));
     let stats = TableStats::from_catalog(&world);
     println!("planned eq:    {}", plan(&eq_query, &stats).explain());
     println!("planned range: {}", plan(&range_query, &stats).explain());
@@ -95,6 +101,12 @@ fn bench_secondary_index(c: &mut Criterion) {
             &two_sided_query,
             |b, q| b.iter(|| q.run(&world).len()),
         );
+        group.bench_with_input(BenchmarkId::new("scan_kernel_by_name", N), &kernel_query, |b, q| {
+            b.iter(|| q.run_scan(&world).len())
+        });
+        group.bench_with_input(BenchmarkId::new("scan_kernel", N), &kernel_query, |b, q| {
+            b.iter(|| q.run(&world).len())
+        });
         group.finish();
     }
 
@@ -110,7 +122,9 @@ fn bench_secondary_index(c: &mut Criterion) {
     let two_sided_speedup = ns("two_sided_scan") / ns("two_sided_sorted_index");
     println!("eq    speedup: {eq_speedup:.1}x (scan vs hash index, {expected_eq} of {N} rows)");
     println!("range speedup: {range_speedup:.1}x (scan vs sorted index)");
+    let kernel_speedup = ns("scan_kernel_by_name") / ns("scan_kernel/");
     println!("two-sided speedup: {two_sided_speedup:.1}x (scan vs one probe with both bounds)");
+    println!("scan kernel speedup: {kernel_speedup:.1}x (run_scan vs the planned scan, no index)");
     assert!(
         eq_speedup >= 10.0,
         "acceptance: equality index must be >=10x over the scan, got {eq_speedup:.1}x"
@@ -122,6 +136,10 @@ fn bench_secondary_index(c: &mut Criterion) {
     assert!(
         two_sided_speedup >= 10.0,
         "acceptance: a two-sided range must be >=10x over the scan, got {two_sided_speedup:.1}x"
+    );
+    assert!(
+        kernel_speedup >= 3.0,
+        "acceptance: the block-filtered scan must be >=3x over run_scan, got {kernel_speedup:.1}x"
     );
 }
 

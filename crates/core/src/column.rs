@@ -235,13 +235,13 @@ impl Column {
         }
     }
 
-    /// Raw float slice for vectorized scans; `None` for non-float columns.
-    /// Callers must consult [`Column::has`] for presence.
-    pub fn f32_slice(&self) -> Option<&[f32]> {
-        match &self.data {
-            ColumnData::F32(v) => Some(v),
-            _ => None,
-        }
+    /// The typed storage, slot-indexed and as long as
+    /// [`Column::presence`] — what the block filter kernels and the
+    /// aggregate folds read a block of slots from. A slot's value counts
+    /// only where its presence bit is set.
+    #[inline]
+    pub fn data(&self) -> &ColumnData {
+        &self.data
     }
 
     /// Presence bitmap (slot-indexed).
@@ -330,10 +330,9 @@ mod tests {
         let mut c = Column::new(ValueType::Float);
         c.set_f32(0, 1.0);
         c.set_f32(2, 3.0);
-        let s = c.f32_slice().unwrap();
-        assert_eq!(s, &[1.0, 0.0, 3.0]);
+        assert_eq!(c.data(), &ColumnData::F32(vec![1.0, 0.0, 3.0]));
         assert_eq!(c.presence(), &[true, false, true]);
-        assert!(Column::new(ValueType::Int).f32_slice().is_none());
+        assert_eq!(Column::new(ValueType::Int).data(), &ColumnData::I64(Vec::new()));
     }
 
     #[test]

@@ -85,10 +85,10 @@ use gamedb_spatial::Vec2;
 
 use crate::column::Column;
 use crate::entity::EntityId;
-use crate::index::{KeyRef, KeyTable, OrdF64, NO_KEY};
+use crate::index::{radix_sort, KeyRef, KeyTable, OrdF64, NO_KEY};
 use crate::intern::ComponentId;
 use crate::metrics::CoreMetrics;
-use crate::query::{AggFn, Pred, Query};
+use crate::query::{AggFn, Pred, Query, RowFilter};
 use crate::view::{Changelog, FoldCtx, ViewStats};
 use crate::world::{CoreError, World, POS_ID};
 
@@ -228,7 +228,8 @@ impl ViewPlan {
         Ok(match compile(self)? {
             OpState::Rows(s) => PlanOutput::Rows(s.source.evaluate(world)),
             OpState::Group(s) => {
-                let members = s.source.evaluate(world);
+                let mut members = Vec::new();
+                s.source.visit(world, &mut |sel| members.extend_from_slice(sel));
                 let agg = s.table.agg;
                 let mut out = Vec::new();
                 GroupTable::fold_run(agg, world, &s.source.src, &members, |key, g, _| {
@@ -720,16 +721,19 @@ impl SourceState {
         cands.sort_unstable();
         cands.dedup();
 
-        // Columns resolve once per batch; per candidate the membership
-        // test and the field reads are positional.
-        let matcher = self.src.query.matcher(world);
+        // Membership is decided for the whole candidate list at once, a
+        // block at a time, by the filter plans run; per candidate the
+        // field reads are positional, through columns resolved once.
+        let slots = world.slots();
+        let mut members = Vec::new();
+        RowFilter::of(world, &self.src.query)
+            .select(&cands, &mut |sel| members.extend(sel.iter().map(|&s| slots.id_at(s))));
+        let mut next = members.iter().peekable();
         let cols = Cols::new(&self.src, world);
-        let mut passed = 0usize;
         let mut deltas = Vec::new();
         for &c in &cands {
             let slot = c.index() as usize;
-            let now = matcher(c);
-            passed += usize::from(now);
+            let now = next.next_if_eq(&&c).is_some();
             let held = self.rows.held(slot);
             if held == Some(c) {
                 if !now {
@@ -758,20 +762,31 @@ impl SourceState {
         }
         FoldOut {
             cands: cands.len(),
-            passed,
+            passed: members.len(),
             deltas,
         }
     }
 
-    /// The source's current members, ascending by id, evaluated through
-    /// the planner ([`Query::run`]: index probe when one applies) — a
-    /// pinned scan tests its one entity instead.
-    fn evaluate(&self, world: &World) -> Vec<EntityId> {
+    /// Hand the source's current members to `sink` a block of ascending
+    /// slots at a time, evaluated through the planner (the plan
+    /// [`Query::run`] executes: index probe when one applies) — a pinned
+    /// scan tests its one entity instead.
+    fn visit(&self, world: &World, sink: &mut dyn FnMut(&[u32])) {
+        let query = &self.src.query;
         match self.src.only {
-            Some(o) if self.src.query.matches(world, o) => vec![o],
-            Some(_) => Vec::new(),
-            None => self.src.query.run(world),
+            Some(o) => RowFilter::of(world, query).select(&[o], sink),
+            None => {
+                query.plan_for(world).execute(world, sink);
+            }
         }
+    }
+
+    /// The source's current members, ascending by id ([`SourceState::visit`]).
+    fn evaluate(&self, world: &World) -> Vec<EntityId> {
+        let slots = world.slots();
+        let mut ids = Vec::new();
+        self.visit(world, &mut |sel| ids.extend(sel.iter().map(|&s| slots.id_at(s))));
+        ids
     }
 
     /// Seed the members from the live world (registration / recovery) —
@@ -1141,11 +1156,12 @@ struct GroupAgg {
 }
 
 impl GroupAgg {
-    fn add(&mut self, kind: AggKind, id: EntityId, val: AggInput) {
+    /// Fold in one row; its id is read only by min/max.
+    fn add(&mut self, kind: AggKind, id: impl FnOnce() -> EntityId, val: AggInput) {
         self.rows += 1;
         match val {
             Some((o, _)) if kind.ordered() => {
-                self.vals.insert((o, id));
+                self.vals.insert((o, id()));
             }
             Some((_, v)) => {
                 self.n += 1;
@@ -1191,8 +1207,16 @@ fn key_repr(k: KeyRef<'_>) -> Value {
     }
 }
 
-/// One member of a sorted run: its group key, aggregate input and id.
-type RunRow<'w> = (Option<KeyRef<'w>>, AggInput, EntityId);
+/// One member of a sorted run: its group key's prefix, its slot,
+/// whether the prefix spells out the whole key (so rows tied on the
+/// prefix are tied on the key), and its aggregate input (NaN: none).
+#[derive(Debug, Clone, Copy)]
+struct RunRow {
+    prefix: u64,
+    slot: u32,
+    exact: bool,
+    val: f64,
+}
 
 /// The group table: running state per group id — the group key's id in
 /// the operator's [`KeyTable`], 0 for the global group — seeded from a
@@ -1212,43 +1236,72 @@ struct GroupTable {
 impl GroupTable {
     /// The sorted-run builder — the one way a group table is seeded
     /// ([`GroupState::init`]) and a group plan evaluated. `members`
-    /// (ascending ids) are read by slot into a `(key, value, id)` run,
-    /// with the key borrowed from its column; a stable sort by key keeps
-    /// id order within each group, so every group folds its rows in the
-    /// order per-row inserts would (sums are bit-identical). `each`
-    /// receives each group's key, state and run, in key order. Rows
-    /// without a group key (missing, or NaN) belong to no group.
+    /// (ascending live slots) are read into a run of [`RunRow`]s, and
+    /// the run is put in key order by a stable radix sort on the key's
+    /// order-preserving prefix ([`KeyRef::prefix`]). Full keys are
+    /// compared only inside a stretch whose prefixes tie and which holds
+    /// a key the prefix does not spell out — strings sharing their first
+    /// eight bytes, or a short string and itself plus trailing `\0`s —
+    /// by a stable sort. Id order within a group survives both, so every
+    /// group folds its rows in the order per-row inserts would (sums are
+    /// bit-identical). `each` receives each group's key, state and run,
+    /// in key order. Rows without a group key (missing, or NaN) belong to
+    /// no group; without a key column every member is in the one global
+    /// group.
     fn fold_run<'w>(
         agg: AggKind,
         world: &'w World,
         src: &Source,
-        members: &[EntityId],
-        mut each: impl FnMut(Option<KeyRef<'w>>, GroupAgg, &[RunRow<'w>]),
+        members: &[u32],
+        mut each: impl FnMut(Option<KeyRef<'w>>, GroupAgg, &[RunRow]),
     ) {
-        let key_col = src.key_col.as_ref().map(|c| world.column(c));
         let val_col = src.val_col.as_ref().and_then(|c| world.column(c));
-        let mut run: Vec<RunRow<'w>> = Vec::with_capacity(members.len());
-        for &id in members {
-            let slot = id.index() as usize;
-            let key = match key_col {
-                None => None,
-                Some(col) => match col.and_then(|c| KeyRef::at(c, slot)) {
-                    Some(k) => Some(k),
-                    None => continue,
-                },
-            };
-            let val = val_col
-                .and_then(|c| c.get_number(slot))
-                .and_then(|v| OrdF64::new(v).map(|o| (o, v)));
-            run.push((key, val, id));
-        }
-        run.sort_by(|a, b| a.0.cmp(&b.0));
-        for group in run.chunk_by(|a, b| a.0 == b.0) {
+        let slots = world.slots();
+        let fold = |run: &[RunRow]| {
             let mut g = GroupAgg::default();
-            for &(_, val, id) in group {
-                g.add(agg, id, val);
+            for r in run {
+                g.add(agg, || slots.id_at(r.slot), OrdF64::new(r.val).map(|o| (o, r.val)));
             }
-            each(group[0].0, g, group);
+            g
+        };
+        let key_col = match &src.key_col {
+            Some(c) => match world.column(c) {
+                Some(col) => Some(col),
+                None => return,
+            },
+            None => None,
+        };
+        let key = |slot: u32| key_col.and_then(|c| KeyRef::at(c, slot as usize));
+        // a column at a time: the keys, then the values of the keyed rows
+        let mut run: Vec<RunRow> = Vec::with_capacity(members.len());
+        for &slot in members {
+            let (prefix, exact) = match (key_col, key(slot)) {
+                (None, _) => (0, true),
+                (Some(_), None) => continue,
+                (Some(_), Some(k)) => (k.prefix(), k.prefix_is_key()),
+            };
+            run.push(RunRow {
+                prefix,
+                slot,
+                exact,
+                val: f64::NAN,
+            });
+        }
+        if let Some(col) = val_col {
+            for r in &mut run {
+                r.val = col.get_number(r.slot as usize).unwrap_or(f64::NAN);
+            }
+        }
+        radix_sort::<_, 8>(&mut run, |r| r.prefix);
+        for tie in run.chunk_by_mut(|a, b| a.prefix == b.prefix) {
+            if tie.iter().all(|r| r.exact) {
+                each(key(tie[0].slot), fold(tie), tie);
+                continue;
+            }
+            tie.sort_by(|a, b| key(a.slot).cmp(&key(b.slot)));
+            for group in tie.chunk_by(|a, b| key(a.slot) == key(b.slot)) {
+                each(key(group[0].slot), fold(group), group);
+            }
         }
     }
 
@@ -1268,7 +1321,7 @@ impl GroupTable {
 
     fn insert(&mut self, g: u32, id: EntityId, val: AggInput) {
         let agg = self.agg;
-        self.touch(g).add(agg, id, val);
+        self.touch(g).add(agg, || id, val);
     }
 
     /// Retract a row by its remembered fields — exactly what
@@ -1417,7 +1470,7 @@ impl GroupState {
     /// Seed from the sorted run: each group's key is interned once, for
     /// all its rows, and the output is built in the run's key order.
     fn init(&mut self, world: &World) {
-        let members = self.source.init(world, None);
+        let members: Vec<u32> = self.source.init(world, None).iter().map(|id| id.index()).collect();
         let agg = self.table.agg;
         let (keys, groups) = (&mut self.keys, &mut self.table.groups);
         let (out, out_ids) = (&mut self.out, &mut self.out_ids);
@@ -1425,8 +1478,8 @@ impl GroupState {
         GroupTable::fold_run(agg, world, &self.source.src, &members, |key, g, run| {
             let id = key.map_or(0, |k| keys.intern(k, run.len() as u32));
             if let Some(v) = slot_keys.as_mut() {
-                for &(_, _, e) in run {
-                    v[e.index() as usize] = id;
+                for r in run {
+                    v[r.slot as usize] = id;
                 }
             }
             out.push(GroupRow {

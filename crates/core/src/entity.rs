@@ -125,6 +125,19 @@ impl EntityAllocator {
             .map(|(i, (&gen, _))| EntityId::new(i as u32, gen))
     }
 
+    /// The id of the entity living at `slot`, which the caller knows is
+    /// live — how a block of selected slots turns back into ids.
+    #[inline]
+    pub(crate) fn id_at(&self, slot: u32) -> EntityId {
+        EntityId::new(slot, self.gens[slot as usize])
+    }
+
+    /// Liveness by slot — what a block scan reads its live rows from.
+    #[inline]
+    pub(crate) fn alive(&self) -> &[bool] {
+        &self.alive
+    }
+
     /// Current id at `slot` if live (used when rebuilding from snapshots).
     pub fn live_at_slot(&self, slot: u32) -> Option<EntityId> {
         let i = slot as usize;

@@ -215,7 +215,7 @@ impl<'a> KeyRef<'a> {
     /// The first eight bytes of the key's order as one integer: `a < b`
     /// implies `a.prefix() <= b.prefix()`, and only two strings sharing
     /// their first eight bytes can tie on distinct keys.
-    fn prefix(self) -> u64 {
+    pub(crate) fn prefix(self) -> u64 {
         match self {
             KeyRef::Num(n) => n.0,
             KeyRef::Bool(b) => b as u64,
@@ -226,6 +226,17 @@ impl<'a> KeyRef<'a> {
                 u64::from_be_bytes(head)
             }
             KeyRef::Vec2([x, y]) => (x as u64) << 32 | y as u64,
+        }
+    }
+
+    /// True when [`KeyRef::prefix`] spells out the whole key, so two
+    /// such keys with one prefix are one key: every non-string key, and a
+    /// string of at most eight bytes not ending in `\0` (the padding
+    /// cannot tell `"a"` from `"a\0"`).
+    pub(crate) fn prefix_is_key(self) -> bool {
+        match self {
+            KeyRef::Str(s) => s.len() <= 8 && s.as_bytes().last() != Some(&0),
+            _ => true,
         }
     }
 
@@ -716,7 +727,7 @@ fn sort_by_slot(ids: &mut [EntityId]) {
 /// input order. One read counts every byte's digits; a byte on which all
 /// items agree (the high bytes of small slots, the low mantissa bytes of
 /// whole numbers) moves nothing, and its pass is skipped.
-fn radix_sort<T: Copy, const BYTES: usize>(items: &mut [T], key: impl Fn(&T) -> u64) {
+pub(crate) fn radix_sort<T: Copy, const BYTES: usize>(items: &mut [T], key: impl Fn(&T) -> u64) {
     let digit = |k: u64, byte: usize| (k >> (8 * byte)) as u8 as usize;
     let mut counts = [[0usize; 256]; BYTES];
     for item in items.iter() {
@@ -726,6 +737,9 @@ fn radix_sort<T: Copy, const BYTES: usize>(items: &mut [T], key: impl Fn(&T) -> 
         }
     }
     let n = items.len();
+    if counts.iter().all(|at| at.contains(&n)) {
+        return;
+    }
     let mut scratch = items.to_vec();
     let (mut src, mut dst): (&mut [T], &mut [T]) = (items, &mut scratch);
     let mut in_scratch = false;

@@ -19,10 +19,12 @@
 //!   so `gold >= a AND gold < b` is one probe of the window — and the
 //!   rest run as residual filters.
 //!
-//! Execution reads by slot: every access path yields candidates in
-//! ascending id order, and the residual filters are resolved once per
-//! execution against their columns (`query::RowFilter`), so a
-//! plan neither re-sorts its output nor looks a column up by name per
+//! Execution reads by slot, a block at a time: every access path yields
+//! candidates in ascending id order — the scan as blocks of live slots,
+//! a probe as its sorted id list — and the residual filters, resolved
+//! once per execution against their columns (`query::RowFilter`), narrow
+//! each block of up to 1,024 slots with one typed loop per predicate, so
+//! a plan neither re-sorts its output nor looks a column up by name per
 //! row. [`Plan::explain_analyze`] adds the actual candidate and row
 //! counts to the `EXPLAIN` line, and every execution reports them to
 //! `planner.candidates` / `planner.rows`.
@@ -413,8 +415,9 @@ impl Plan {
     /// Execute, returning matches in deterministic (id) order — always
     /// the same result set as [`Query::run`] on the same query.
     pub fn run(&self, world: &World) -> Vec<EntityId> {
+        let slots = world.slots();
         let mut out = Vec::new();
-        self.execute(world, &mut |id| out.push(id));
+        self.execute(world, &mut |sel| out.extend(sel.iter().map(|&s| slots.id_at(s))));
         debug_assert!(out.is_sorted_by(|a, b| a < b), "access paths yield ascending ids");
         out
     }
@@ -426,19 +429,20 @@ impl Plan {
         self.execute(world, &mut |_| {}).1
     }
 
-    /// Hand every match to `sink`, in ascending id order — the
-    /// execution [`Plan::run`], [`Plan::count`] and `aggregate` share —
-    /// and report it to `planner.candidates` / `planner.rows`. Returns
+    /// Hand every match to `sink` a block at a time — each block's
+    /// passing slots, ascending, blocks in slot order — the execution
+    /// [`Plan::run`], [`Plan::count`] and `aggregate` share, and report
+    /// it to `planner.candidates` / `planner.rows`. Returns
     /// `(candidates, rows)`.
     pub(crate) fn execute(
         &self,
         world: &World,
-        sink: &mut dyn FnMut(EntityId),
+        sink: &mut dyn FnMut(&[u32]),
     ) -> (usize, usize) {
         let mut rows = 0usize;
-        let candidates = self.visit_matches(world, &mut |id| {
-            rows += 1;
-            sink(id)
+        let candidates = self.visit_blocks(world, &mut |sel| {
+            rows += sel.len();
+            sink(sel)
         });
         if let Some(m) = world.core_metrics() {
             m.plan_candidates.add(candidates as u64);
@@ -450,24 +454,16 @@ impl Plan {
     /// The one candidate iteration every execution runs: access-path
     /// dispatch, then the residual test ([`RowFilter`]: excluded id,
     /// `within` distance, predicates resolved once against their
-    /// columns), with probe-failure degradation. Every access path
-    /// yields each candidate once and in ascending id order (slot order
-    /// for the scan, sorted spatial and index probes), so matches reach
+    /// columns) a block at a time, with probe-failure degradation. The
+    /// scan feeds the filter its live slots block by block; a probe
+    /// feeds it the sorted id list it produced. Either way candidates
+    /// arrive once each and in ascending id order, so matches reach
     /// `sink` in id order with no re-sort. Returns the candidate count.
-    fn visit_matches(&self, world: &World, sink: &mut dyn FnMut(EntityId)) -> usize {
+    fn visit_blocks(&self, world: &World, sink: &mut dyn FnMut(&[u32])) -> usize {
         let filter = RowFilter::new(world, &self.preds, self.residual_within, self.exclude);
         let mut cands = Vec::new();
         match &self.access {
-            Access::FullScan => {
-                let mut n = 0;
-                for id in world.entities() {
-                    n += 1;
-                    if filter.keep(id) {
-                        sink(id);
-                    }
-                }
-                return n;
-            }
+            Access::FullScan => return filter.scan(sink),
             Access::SpatialIndex { center, radius } => world.within(*center, *radius, &mut cands),
             Access::AttributeIndex {
                 component,
@@ -482,15 +478,11 @@ impl Plan {
                     // Index vanished between planning and execution
                     // (dropped, or a stale plan): degrade to the scan the
                     // probe replaced — same rows, just slower.
-                    return self.degraded_scan(component, *op, value).visit_matches(world, sink);
+                    return self.degraded_scan(component, *op, value).visit_blocks(world, sink);
                 }
             }
         }
-        for &id in &cands {
-            if filter.keep(id) {
-                sink(id);
-            }
-        }
+        filter.select(&cands, sink);
         cands.len()
     }
 

@@ -13,7 +13,7 @@ use std::cmp::Ordering;
 use gamedb_content::{CmpOp, Value, ValueType};
 use gamedb_spatial::Vec2;
 
-use crate::column::Column;
+use crate::column::{Column, ColumnData};
 use crate::entity::EntityId;
 use crate::planner::{Plan, TableStats};
 use crate::world::{CoreError, World, POS_ID};
@@ -87,13 +87,18 @@ fn vec2_holds(op: CmpOp, [ax, ay]: [f32; 2], [bx, by]: [f32; 2]) -> bool {
     }
 }
 
+/// Slots per block: the unit the filter kernels refine and the folds fed
+/// by them consume. A block's selection is at most 4 KiB of slots.
+const BLOCK: usize = 1024;
+
 /// A [`Pred`] resolved once against its column: the literal is coerced
 /// into the column's comparison domain up front (a number to `f64`, a
-/// string borrowed as `&str`), so testing a row is one typed read by
-/// slot and one native comparison — no name lookup, no [`Value`]. It
-/// decides exactly what [`compare`] decides on the stored value: numeric
-/// coercion, NaN false under every operator, strings and booleans
-/// ordered, vectors equal-or-not, mixed types and missing values false.
+/// string borrowed as `&str`), and [`ColPred::refine`] picks one loop
+/// per (column type × operator) over the typed slice — no name lookup,
+/// no [`Value`], no per-row dispatch. It decides exactly what
+/// [`compare`] decides on the stored value: numeric coercion, NaN false
+/// under every operator, strings and booleans ordered, vectors
+/// equal-or-not, mixed types and missing values false.
 enum ColPred<'w> {
     Num(&'w Column, CmpOp, f64),
     Str(&'w Column, CmpOp, &'w str),
@@ -120,30 +125,179 @@ impl<'w> ColPred<'w> {
         }
     }
 
-    #[inline]
-    fn test(&self, slot: usize) -> bool {
+    /// Narrow `rows` to those whose stored value passes, into `sel`.
+    fn refine(&self, rows: Rows<'_>, sel: &mut Vec<u32>) {
         match *self {
-            ColPred::Num(col, op, y) => {
-                col.get_number(slot).is_some_and(|x| holds(op, x.partial_cmp(&y)))
-            }
-            ColPred::Str(col, op, y) => {
-                col.get_str(slot).is_some_and(|x| holds(op, Some(x.cmp(y))))
-            }
-            ColPred::Bool(col, op, y) => {
-                col.get_bool(slot).is_some_and(|x| holds(op, Some(x.cmp(&y))))
-            }
-            ColPred::Vec2(col, op, y) => col.get_v2(slot).is_some_and(|x| vec2_holds(op, x, y)),
-            ColPred::Never => false,
+            ColPred::Num(col, op, y) => match col.data() {
+                ColumnData::F32(v) => num_kernel(rows, sel, col.presence(), v, op, y),
+                ColumnData::I64(v) => num_kernel(rows, sel, col.presence(), v, op, y),
+                _ => sel.clear(),
+            },
+            ColPred::Str(col, op, y) => match col.data() {
+                ColumnData::Str(v) => {
+                    ord_kernel(rows, sel, col.presence(), v, op, y, String::as_str)
+                }
+                _ => sel.clear(),
+            },
+            ColPred::Bool(col, op, y) => match col.data() {
+                ColumnData::Bool(v) => ord_kernel(rows, sel, col.presence(), v, op, &y, |b| b),
+                _ => sel.clear(),
+            },
+            ColPred::Vec2(col, op, [bx, by]) => match (col.data(), op) {
+                (ColumnData::V2(v), CmpOp::Eq) => {
+                    retain(rows, sel, col.presence(), v, |&[x, y]| x == bx && y == by)
+                }
+                (ColumnData::V2(v), CmpOp::Ne) => {
+                    retain(rows, sel, col.presence(), v, |&[x, y]| x != bx || y != by)
+                }
+                _ => sel.clear(),
+            },
+            ColPred::Never => sel.clear(),
         }
     }
 }
 
-/// The per-row test every query loop runs — [`crate::planner::Plan`]'s
-/// candidates and [`Query::matcher`]'s view-fold candidates alike: the
-/// excluded id, an optional disk, and the predicates in order, each
-/// resolved once against its column ([`ColPred`]). Rows must be live;
-/// the by-name [`Query::matches`] stays as the oracle.
+/// The rows a filter pass narrows.
+#[derive(Clone, Copy)]
+enum Rows<'a> {
+    /// The selection built by the passes before: ascending live slots.
+    Sel,
+    /// A scan block not yet selected: the slots from `.0` on, live where
+    /// `.1` says so — the first pass reads the block straight.
+    Block(u32, &'a [bool]),
+}
+
+/// Narrow `rows` into `sel` (ascending slots) to those where the column
+/// holds a value and `keep` holds for it: the compaction every kernel
+/// runs, instantiated once per (column type × operator). A scan block
+/// is tested 64 rows at a time — liveness, presence and `keep` into one
+/// bit mask — and costs one step per passing row after; a selection is
+/// gathered by slot. Slots past the column's end hold nothing.
+#[inline(always)]
+fn retain<T>(
+    rows: Rows<'_>,
+    sel: &mut Vec<u32>,
+    present: &[bool],
+    data: &[T],
+    keep: impl Fn(&T) -> bool,
+) {
+    match rows {
+        Rows::Block(lo, alive) => {
+            sel.clear();
+            let start = lo as usize;
+            let end = (start + alive.len()).min(present.len());
+            let Some(n) = end.checked_sub(start) else { return };
+            let rows = alive[..n]
+                .chunks(64)
+                .zip(present[start..end].chunks(64))
+                .zip(data[start..end].chunks(64));
+            for (base, ((a, p), x)) in (lo..).step_by(64).zip(rows) {
+                let mut mask = 0u64;
+                for (bit, ((&a, &p), x)) in a.iter().zip(p).zip(x).enumerate() {
+                    mask |= u64::from(a & p & keep(x)) << bit;
+                }
+                push_mask(sel, base, mask);
+            }
+        }
+        Rows::Sel => {
+            sel.truncate(sel.partition_point(|&s| (s as usize) < present.len()));
+            let mut n = 0;
+            for i in 0..sel.len() {
+                let s = sel[i];
+                sel[n] = s;
+                n += usize::from(present[s as usize] & keep(&data[s as usize]));
+            }
+            sel.truncate(n);
+        }
+    }
+}
+
+/// Append the slot `base + i` for every bit `i` set in `mask`.
+#[inline(always)]
+fn push_mask(sel: &mut Vec<u32>, base: u32, mut mask: u64) {
+    while mask != 0 {
+        sel.push(base + mask.trailing_zeros());
+        mask &= mask - 1;
+    }
+}
+
+/// A numeric column against an `f64` literal, under `compare`'s
+/// coercion: every stored number widens to `f64`, and an unordered pair
+/// (a NaN side) fails every operator — `Ne` is `<` or `>`, not `!=`.
+#[inline(always)]
+fn num_kernel<T: Copy + AsF64>(
+    rows: Rows<'_>,
+    sel: &mut Vec<u32>,
+    present: &[bool],
+    v: &[T],
+    op: CmpOp,
+    y: f64,
+) {
+    match op {
+        CmpOp::Eq => retain(rows, sel, present, v, |x| x.widen() == y),
+        // not `!=`, which a NaN passes
+        #[allow(clippy::double_comparisons)]
+        CmpOp::Ne => retain(rows, sel, present, v, |x| {
+            let x = x.widen();
+            x < y || x > y
+        }),
+        CmpOp::Lt => retain(rows, sel, present, v, |x| x.widen() < y),
+        CmpOp::Le => retain(rows, sel, present, v, |x| x.widen() <= y),
+        CmpOp::Gt => retain(rows, sel, present, v, |x| x.widen() > y),
+        CmpOp::Ge => retain(rows, sel, present, v, |x| x.widen() >= y),
+    }
+}
+
+/// A totally ordered column (strings, booleans) against its literal.
+#[inline(always)]
+fn ord_kernel<T, K: Ord + ?Sized>(
+    rows: Rows<'_>,
+    sel: &mut Vec<u32>,
+    present: &[bool],
+    v: &[T],
+    op: CmpOp,
+    y: &K,
+    key: impl Fn(&T) -> &K,
+) {
+    match op {
+        CmpOp::Eq => retain(rows, sel, present, v, |x| key(x) == y),
+        CmpOp::Ne => retain(rows, sel, present, v, |x| key(x) != y),
+        CmpOp::Lt => retain(rows, sel, present, v, |x| key(x) < y),
+        CmpOp::Le => retain(rows, sel, present, v, |x| key(x) <= y),
+        CmpOp::Gt => retain(rows, sel, present, v, |x| key(x) > y),
+        CmpOp::Ge => retain(rows, sel, present, v, |x| key(x) >= y),
+    }
+}
+
+/// The widening every numeric comparison and aggregate input goes
+/// through ([`Value::as_number`]'s).
+trait AsF64 {
+    fn widen(self) -> f64;
+}
+
+impl AsF64 for f32 {
+    #[inline(always)]
+    fn widen(self) -> f64 {
+        self as f64
+    }
+}
+
+impl AsF64 for i64 {
+    #[inline(always)]
+    fn widen(self) -> f64 {
+        self as f64
+    }
+}
+
+/// The residual test every query runs, a block of slots at a time —
+/// [`crate::planner::Plan`]'s candidates and a view fold's candidates
+/// alike: the excluded id, an optional disk (a negative radius is the
+/// empty disk), and the predicates in order, each resolved once against
+/// its column ([`ColPred`]). Every pass narrows one selection of
+/// ascending live slots, so rows leave in slot order. The by-name
+/// [`Query::matches`] stays as the oracle.
 pub(crate) struct RowFilter<'w> {
+    world: &'w World,
     exclude: Option<EntityId>,
     within: Option<(Vec2, f32, &'w Column)>,
     preds: Vec<ColPred<'w>>,
@@ -158,26 +312,84 @@ impl<'w> RowFilter<'w> {
     ) -> RowFilter<'w> {
         let pos = world.column_by_id(POS_ID).expect("pos column always exists");
         RowFilter {
+            world,
             exclude,
             within: within.map(|(center, radius)| (center, radius, pos)),
             preds: preds.iter().map(|p| ColPred::resolve(p, world)).collect(),
         }
     }
 
-    /// True when live row `id` passes.
-    #[inline]
-    pub(crate) fn keep(&self, id: EntityId) -> bool {
-        if Some(id) == self.exclude {
-            return false;
-        }
-        let slot = id.index() as usize;
-        if let Some((center, radius, pos)) = self.within {
-            match pos.get_v2(slot) {
-                Some([x, y]) if Vec2::new(x, y).dist2(center) <= radius * radius => {}
-                _ => return false,
+    /// The filter of `query` as it stands.
+    pub(crate) fn of(world: &'w World, query: &'w Query) -> RowFilter<'w> {
+        RowFilter::new(world, &query.preds, query.within, query.exclude)
+    }
+
+    /// Narrow `rows` to those that pass, into `sel` (ascending slots):
+    /// one pass for the excluded id, one for the disk, one per predicate.
+    fn refine(&self, mut rows: Rows<'_>, sel: &mut Vec<u32>) {
+        if let Rows::Block(lo, alive) = rows {
+            if self.exclude.is_some() || (self.within.is_none() && self.preds.is_empty()) {
+                // no kernel to read the block straight: select its live slots
+                sel.clear();
+                for (base, a) in (lo..).step_by(64).zip(alive.chunks(64)) {
+                    let mask = a.iter().enumerate().fold(0u64, |m, (bit, &a)| m | u64::from(a) << bit);
+                    push_mask(sel, base, mask);
+                }
+                rows = Rows::Sel;
             }
         }
-        self.preds.iter().all(|p| p.test(slot))
+        if let Some(ex) = self.exclude.filter(|&ex| self.world.is_live(ex)) {
+            if let Ok(i) = sel.binary_search(&ex.index()) {
+                sel.remove(i);
+            }
+        }
+        if let Some((center, radius, pos)) = self.within {
+            match pos.data() {
+                ColumnData::V2(v) if radius >= 0.0 => {
+                    let r2 = radius * radius;
+                    let inside = |&[x, y]: &[f32; 2]| Vec2::new(x, y).dist2(center) <= r2;
+                    retain(rows, sel, pos.presence(), v, inside)
+                }
+                _ => sel.clear(),
+            }
+            rows = Rows::Sel;
+        }
+        for p in &self.preds {
+            if matches!(rows, Rows::Sel) && sel.is_empty() {
+                return;
+            }
+            p.refine(rows, sel);
+            rows = Rows::Sel;
+        }
+    }
+
+    /// Every live row, a block of slots at a time: `sink` receives each
+    /// block's passing slots, ascending. Returns the live rows scanned.
+    pub(crate) fn scan(&self, sink: &mut dyn FnMut(&[u32])) -> usize {
+        let alive = self.world.slots().alive();
+        let mut sel = Vec::with_capacity(BLOCK.min(alive.len()));
+        for (lo, block) in (0u32..).step_by(BLOCK).zip(alive.chunks(BLOCK)) {
+            self.refine(Rows::Block(lo, block), &mut sel);
+            if !sel.is_empty() {
+                sink(&sel);
+            }
+        }
+        self.world.len()
+    }
+
+    /// The live members of `ids` (ascending, as every access path and a
+    /// view fold produce them), a block of ids at a time: `sink`
+    /// receives each block's passing slots, ascending.
+    pub(crate) fn select(&self, ids: &[EntityId], sink: &mut dyn FnMut(&[u32])) {
+        let mut sel = Vec::with_capacity(BLOCK.min(ids.len()));
+        for block in ids.chunks(BLOCK) {
+            sel.clear();
+            sel.extend(block.iter().filter(|&&id| self.world.is_live(id)).map(|id| id.index()));
+            self.refine(Rows::Sel, &mut sel);
+            if !sel.is_empty() {
+                sink(&sel);
+            }
+        }
     }
 }
 
@@ -238,29 +450,20 @@ impl Query {
     }
 
     /// Membership test for one entity: live, not excluded, inside the
-    /// spatial restriction, passing every predicate. The per-row unit of
-    /// [`Query::run_scan`].
+    /// spatial restriction (a negative radius is the empty disk), passing
+    /// every predicate. The per-row unit of [`Query::run_scan`], the
+    /// oracle the block filter is held to.
     pub fn matches(&self, world: &World, id: EntityId) -> bool {
         if !world.is_live(id) || Some(id) == self.exclude {
             return false;
         }
         if let Some((center, radius)) = self.within {
             match world.pos(id) {
-                Some(p) if p.dist2(center) <= radius * radius => {}
+                Some(p) if radius >= 0.0 && p.dist2(center) <= radius * radius => {}
                 _ => return false,
             }
         }
         self.preds.iter().all(|p| p.eval(world, id))
-    }
-
-    /// [`Query::matches`] with every referenced column resolved once up
-    /// front, for callers that test many entities against one world
-    /// state (incremental view maintenance evaluates this per delta
-    /// candidate). Same decisions as `matches` on every entity, through
-    /// the typed evaluator plans run.
-    pub fn matcher<'a>(&'a self, world: &'a World) -> impl Fn(EntityId) -> bool + 'a {
-        let filter = RowFilter::new(world, &self.preds, self.within, self.exclude);
-        move |id: EntityId| world.is_live(id) && filter.keep(id)
     }
 
     /// True when some predicate could be answered by a secondary index
@@ -402,68 +605,108 @@ impl AggResult {
 /// the whole fold or win an argmin by comparing false against
 /// everything). `Sum`/`Count` of an empty set are 0; `Min`/`Max`/`Avg`
 /// over no (non-NaN) values return `AggResult::Number(0.0)`, and
-/// argmin/argmax return `AggResult::Entity(None)`. Callers that must
+/// argmin/argmax return `AggResult::Entity(None)`. `Min`/`Max` and
+/// argmin/argmax break ties toward the first row in id order (of `0.0`
+/// and `-0.0`, whichever comes first). Callers that must
 /// distinguish empty sets should check `Count` first (as the compiled
 /// scripts do). The differential view engine ([`crate::dvm`]) maintains
 /// these same semantics incrementally.
 pub fn aggregate(world: &World, query: &Query, f: &AggFn) -> AggResult {
-    // The plan's members arrive in ascending id order; the column
-    // resolves once and each input is a typed read by slot. NaN is a
-    // NULL, never an aggregate input.
-    let fold = |c: &str, step: &mut dyn FnMut(EntityId, f64)| {
-        let col = world.column(c);
-        query.plan_for(world).execute(world, &mut |id| {
-            let v = col.and_then(|col| col.get_number(id.index() as usize));
-            if let Some(v) = v.filter(|v| !v.is_nan()) {
-                step(id, v);
-            }
-        });
+    let (AggFn::Sum(c)
+    | AggFn::Min(c)
+    | AggFn::Max(c)
+    | AggFn::Avg(c)
+    | AggFn::ArgMin(c)
+    | AggFn::ArgMax(c)) = f
+    else {
+        return AggResult::Number(query.count(world) as f64);
+    };
+    // The plan hands its members over a block of ascending slots at a
+    // time; the value column's typed slice is folded over each block, so
+    // the inputs arrive in the order a row-at-a-time fold saw them (sums
+    // are bit-identical). NaN is a NULL, never an aggregate input.
+    let col = world.column(c);
+    let plan = query.plan_for(world);
+    let fold = |step: &mut dyn FnMut(&[u32])| {
+        plan.execute(world, step);
     };
     match f {
-        AggFn::Count => AggResult::Number(query.count(world) as f64),
-        AggFn::Sum(c) => {
+        AggFn::Sum(_) | AggFn::Avg(_) => {
             let mut sum = 0.0;
-            fold(c, &mut |_, v| sum += v);
-            AggResult::Number(sum)
+            let mut n = 0usize;
+            fold(&mut |sel| {
+                fold_numbers(col, sel, |_, v| {
+                    sum += v;
+                    n += 1;
+                })
+            });
+            AggResult::Number(match f {
+                AggFn::Sum(_) => sum,
+                _ if n == 0 => 0.0,
+                _ => sum / n as f64,
+            })
         }
-        AggFn::Min(c) | AggFn::Max(c) => {
+        AggFn::Min(_) | AggFn::Max(_) => {
             let is_min = matches!(f, AggFn::Min(_));
             let mut best: Option<f64> = None;
-            fold(c, &mut |_, v| {
-                best = Some(match best {
-                    None => v,
-                    Some(b) if is_min => b.min(v),
-                    Some(b) => b.max(v),
-                });
+            fold(&mut |sel| {
+                fold_numbers(col, sel, |_, v| {
+                    // strict, so a tie keeps the first value: `0.0` and
+                    // `-0.0` are one number, and the one met first wins
+                    if best.is_none_or(|b| if is_min { v < b } else { v > b }) {
+                        best = Some(v);
+                    }
+                })
             });
             AggResult::Number(best.unwrap_or(0.0))
         }
-        AggFn::Avg(c) => {
-            let mut sum = 0.0;
-            let mut n = 0usize;
-            fold(c, &mut |_, v| {
-                sum += v;
-                n += 1;
-            });
-            AggResult::Number(if n == 0 { 0.0 } else { sum / n as f64 })
-        }
-        AggFn::ArgMin(c) | AggFn::ArgMax(c) => {
+        AggFn::ArgMin(_) | AggFn::ArgMax(_) => {
             let is_min = matches!(f, AggFn::ArgMin(_));
-            let mut best: Option<(f64, EntityId)> = None;
-            fold(c, &mut |id, v| {
-                let better = match best {
-                    None => true,
-                    // ties break toward the smaller id (members arrive
-                    // id-ordered, so strict comparison keeps the first)
-                    Some((bv, _)) if is_min => v < bv,
-                    Some((bv, _)) => v > bv,
-                };
-                if better {
-                    best = Some((v, id));
-                }
+            let mut best: Option<(f64, u32)> = None;
+            fold(&mut |sel| {
+                fold_numbers(col, sel, |slot, v| {
+                    let better = match best {
+                        None => true,
+                        // ties break toward the smaller id (members
+                        // arrive slot-ordered, so strict comparison keeps
+                        // the first)
+                        Some((bv, _)) if is_min => v < bv,
+                        Some((bv, _)) => v > bv,
+                    };
+                    if better {
+                        best = Some((v, slot));
+                    }
+                })
             });
-            AggResult::Entity(best.map(|(_, id)| id))
+            AggResult::Entity(best.map(|(_, slot)| world.slots().id_at(slot)))
         }
+        AggFn::Count => unreachable!("answered above"),
+    }
+}
+
+/// Hand `step` each non-NaN number `col` holds at the slots of `sel`
+/// (ascending), in slot order, read from the column's typed slice.
+#[inline(always)]
+fn fold_numbers(col: Option<&Column>, sel: &[u32], step: impl FnMut(u32, f64)) {
+    fn each<T: Copy + AsF64>(
+        present: &[bool],
+        v: &[T],
+        sel: &[u32],
+        mut step: impl FnMut(u32, f64),
+    ) {
+        let sel = &sel[..sel.partition_point(|&s| (s as usize) < present.len())];
+        for &s in sel {
+            let x = v[s as usize].widen();
+            if present[s as usize] && !x.is_nan() {
+                step(s, x);
+            }
+        }
+    }
+    let Some(col) = col else { return };
+    match col.data() {
+        ColumnData::F32(v) => each(col.presence(), v, sel, step),
+        ColumnData::I64(v) => each(col.presence(), v, sel, step),
+        _ => {}
     }
 }
 
@@ -756,6 +999,53 @@ mod tests {
             .filter("team", CmpOp::Eq, Value::Str("blue".into()));
         assert_eq!(q.run(&w), q.run_scan(&w));
         assert_eq!(q.run_scan(&w), vec![ids[1]]);
+    }
+
+    #[test]
+    fn negative_radius_matches_nothing_on_every_plan() {
+        use crate::index::IndexKind;
+        use crate::planner::{plan, Access, Plan, TableStats};
+        // 50 entities on a line; the disk of radius -3 around the origin
+        // is empty, whichever way the plan reaches its rows
+        let mut w = World::new();
+        w.define_component("hp", ValueType::Float).unwrap();
+        for i in 0..50 {
+            let e = w.spawn_at(Vec2::new(i as f32, 0.0));
+            w.set_f32(e, "hp", i as f32).unwrap();
+        }
+        let disk = Query::select().within(Vec2::ZERO, -3.0);
+        assert!(disk.run_scan(&w).is_empty(), "the oracle");
+        // the seed plan: the spatial probe
+        assert!(matches!(Plan::seed(&disk).access, Access::SpatialIndex { .. }));
+        assert!(disk.run(&w).is_empty());
+        assert_eq!(disk.count(&w), 0);
+        let mut out = Vec::new();
+        w.within(Vec2::ZERO, -3.0, &mut out);
+        assert!(out.is_empty());
+        // the full scan with the disk as a residual
+        let scan = Plan {
+            access: Access::FullScan,
+            residual_within: disk.spatial(),
+            ..Plan::seed(&disk)
+        };
+        assert!(scan.run(&w).is_empty());
+        // an attribute probe with the disk as a residual
+        w.create_index("hp", IndexKind::Sorted).unwrap();
+        let probed = disk.clone().filter("hp", CmpOp::Lt, Value::Float(5.0));
+        let p = plan(&probed, &TableStats::from_catalog(&w));
+        assert!(matches!(p.access, Access::AttributeIndex { .. }), "{}", p.explain());
+        assert_eq!(p.residual_within, disk.spatial());
+        assert!(p.run(&w).is_empty());
+        assert!(probed.run(&w).is_empty());
+        assert_eq!(aggregate(&w, &probed, &AggFn::Count).as_number(), Some(0.0));
+        // a registered view: seeded empty, and no write lets a row in
+        let view = w.register_view(disk.clone());
+        assert!(w.view_rows(view).is_empty());
+        let near = w.spawn_at(Vec2::new(1.0, 0.0));
+        w.set_f32(near, "hp", 1.0).unwrap();
+        w.refresh_views();
+        assert!(w.view_rows(view).is_empty());
+        assert_eq!(w.view_rows(view), disk.run_scan(&w).as_slice());
     }
 
     #[test]

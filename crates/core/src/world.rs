@@ -696,6 +696,12 @@ impl World {
         self.alloc.iter_live()
     }
 
+    /// The slot table, for the read path's block scans.
+    #[inline]
+    pub(crate) fn slots(&self) -> &EntityAllocator {
+        &self.alloc
+    }
+
     /// Collect live entities into a vector (for chunked parallel ticks).
     pub fn entity_vec(&self) -> Vec<EntityId> {
         self.entities().collect()
@@ -945,8 +951,11 @@ impl World {
     }
 
     /// Append every entity within the closed disk to `out`, in id order
-    /// (deterministic for scripts).
+    /// (deterministic for scripts). A negative radius is the empty disk.
     pub fn within(&self, center: Vec2, radius: f32, out: &mut Vec<EntityId>) {
+        if radius < 0.0 {
+            return;
+        }
         let start = out.len();
         self.spatial
             .for_each_in_range(center, radius, |bits| out.push(EntityId::from_bits(bits)));

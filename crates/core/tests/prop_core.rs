@@ -1767,3 +1767,364 @@ proptest! {
         prop_assert_eq!(probe.run(&real), probe.run_scan(&real));
     }
 }
+
+/// A float for the kernel columns: small halves, NaN, both zeros and
+/// both infinities.
+fn kernel_float() -> impl Strategy<Value = f32> {
+    prop_oneof![
+        (-4i32..4).prop_map(|x| x as f32 * 0.5),
+        Just(f32::NAN),
+        Just(-0.0f32),
+        Just(0.0f32),
+        Just(f32::INFINITY),
+        Just(f32::NEG_INFINITY),
+    ]
+}
+
+/// An int for the kernel columns: small ones and ones beyond 2^53, where
+/// widening to `f64` rounds.
+fn kernel_int() -> impl Strategy<Value = i64> {
+    prop_oneof![
+        -3i64..3,
+        Just(1i64 << 53),
+        Just((1i64 << 53) + 1),
+        Just(-(1i64 << 53) - 1),
+        Just(i64::MAX),
+        Just(i64::MIN),
+    ]
+}
+
+const KERNEL_STRS: [&str; 5] = ["", "a", "a\0", "ab", "b"];
+const KERNEL_COLS: [&str; 5] = ["f", "i", "s", "b", "v"];
+
+/// One kernel row: a value or none per column (`f` float, `i` int, `s`
+/// str, `b` bool, `v` vec2).
+type KernelRow = (Option<f32>, Option<i64>, Option<u8>, Option<bool>, Option<(f32, f32)>);
+
+fn kernel_row() -> impl Strategy<Value = KernelRow> {
+    (
+        proptest::option::of(kernel_float()),
+        proptest::option::of(kernel_int()),
+        proptest::option::of(0u8..5),
+        proptest::option::of(any::<bool>()),
+        proptest::option::of((kernel_float(), kernel_float())),
+    )
+}
+
+fn set_kernel_row(w: &mut World, e: EntityId, row: &KernelRow) {
+    let (f, i, s, b, v) = *row;
+    let values = [
+        f.map(Value::Float),
+        i.map(Value::Int),
+        s.map(|s| Value::Str(KERNEL_STRS[s as usize].into())),
+        b.map(Value::Bool),
+        v.map(|(x, y)| Value::Vec2(x, y)),
+    ];
+    for (col, value) in KERNEL_COLS.iter().zip(values) {
+        match value {
+            Some(value) => w.set(e, col, value).unwrap(),
+            None => {
+                w.remove_component(e, col).unwrap();
+            }
+        }
+    }
+}
+
+/// The literal of a kernel query on column `col`: of the column's own
+/// type when `same`, else of another type (a comparison that never holds).
+fn kernel_literal(col: usize, same: bool, (f, i, s, b): (f32, i64, u8, bool)) -> Value {
+    let str_lit = || Value::Str(KERNEL_STRS[s as usize % KERNEL_STRS.len()].into());
+    match (col, same) {
+        // numbers meet floats and ints alike, ints beyond 2^53 included
+        (0 | 1, true) if b => Value::Float(f),
+        (0 | 1, true) => Value::Int(i),
+        (2, true) => str_lit(),
+        (3, true) => Value::Bool(b),
+        (4, true) => Value::Vec2(f, i as f32),
+        (0 | 1 | 3 | 4, false) => str_lit(),
+        _ => Value::Float(f),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::default())]
+
+    /// The block filter kernels decide what the by-name oracle decides.
+    /// Columns of all five types hold NaN, `±0.0`, `±inf`, missing
+    /// values, and ints beyond 2^53 compared against float literals;
+    /// queries take every `CmpOp` against a literal of the column's type
+    /// or another, an excluded id, and a `within` whose radius may be
+    /// negative. Worlds span one to three 1,024-slot blocks with slot
+    /// gaps from despawns (some reused), and carry an index on some
+    /// column, so the scan's blocks and the probes' id lists both reach
+    /// the kernels. `Plan::run`, `count`, every `AggFn` (bit for bit) and
+    /// a registered view's membership — seeded, then folded over a batch
+    /// of writes — equal folds over `run_scan` / `matches`.
+    #[test]
+    fn filter_kernels_equal_the_by_name_oracle(
+        rows in proptest::collection::vec(kernel_row(), 900..2300),
+        gap_every in 2usize..40,
+        gap_run in (0usize..2300, 0usize..1100),
+        respawns in 0usize..30,
+        index in 0u8..4,
+        queries in proptest::collection::vec(
+            (
+                (0usize..5, 0u8..6, any::<bool>()),
+                (kernel_float(), kernel_int(), 0u8..5, any::<bool>()),
+                proptest::option::of(0usize..2300),
+                proptest::option::of((-10.0f32..60.0, -5.0f32..30.0, -5.0f32..40.0)),
+            ),
+            6..7,
+        ),
+        churn in proptest::collection::vec((0usize..2300, kernel_row()), 1..60),
+    ) {
+        let mut w = World::new();
+        for (col, ty) in KERNEL_COLS.iter().zip([
+            ValueType::Float,
+            ValueType::Int,
+            ValueType::Str,
+            ValueType::Bool,
+            ValueType::Vec2,
+        ]) {
+            w.define_component(col, ty).unwrap();
+        }
+        match index {
+            1 => w.create_index("i", IndexKind::Sorted).unwrap(),
+            2 => w.create_index("s", IndexKind::Hash).unwrap(),
+            3 => w.create_index("f", IndexKind::Sorted).unwrap(),
+            _ => {}
+        }
+        let place = |i: usize| Vec2::new((i % 64) as f32, (i / 64) as f32);
+        let mut ids = Vec::new();
+        for (i, row) in rows.iter().enumerate() {
+            let e = w.spawn_at(place(i));
+            set_kernel_row(&mut w, e, row);
+            ids.push(e);
+        }
+        // gaps: every `gap_every`-th row, and one contiguous run
+        let (run_at, run_len) = gap_run;
+        for (i, &e) in ids.iter().enumerate() {
+            if i % gap_every == 0 || (run_at..run_at + run_len).contains(&i) {
+                w.despawn(e);
+            }
+        }
+        for (i, row) in rows.iter().take(respawns).enumerate() {
+            let e = w.spawn_at(place(i + 7));
+            set_kernel_row(&mut w, e, row);
+            ids.push(e);
+        }
+        let opname = [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge];
+        let queries: Vec<Query> = queries
+            .iter()
+            .map(|&((col, op, same), lit, exclude, within)| {
+                let mut q = Query::select().filter(
+                    KERNEL_COLS[col],
+                    opname[op as usize],
+                    kernel_literal(col, same, lit),
+                );
+                if let Some(x) = exclude {
+                    q = q.excluding(ids[x % ids.len()]);
+                }
+                if let Some((cx, cy, r)) = within {
+                    q = q.within(Vec2::new(cx, cy), r);
+                }
+                q
+            })
+            .collect();
+        let views: Vec<_> = queries.iter().map(|q| w.register_view(q.clone())).collect();
+        for q in &queries {
+            let scan = q.run_scan(&w);
+            prop_assert_eq!(q.run(&w), scan.clone(), "{:?}", q);
+            prop_assert_eq!(q.count(&w), scan.len());
+            for c in ["f", "i"] {
+                for f in [
+                    AggFn::Count,
+                    AggFn::Sum(c.into()),
+                    AggFn::Min(c.into()),
+                    AggFn::Max(c.into()),
+                    AggFn::Avg(c.into()),
+                    AggFn::ArgMin(c.into()),
+                    AggFn::ArgMax(c.into()),
+                ] {
+                    let got = gamedb_core::aggregate(&w, q, &f);
+                    let want = match &f {
+                        // a tie keeps the first value, so the sign of a zero
+                        // extreme is the first zero's in id order
+                        AggFn::Min(c) | AggFn::Max(c) => {
+                            let is_min = matches!(f, AggFn::Min(_));
+                            let vals = scan.iter().filter_map(|&e| w.get_number(e, c));
+                            AggResult::Number(
+                                vals.filter(|v| !v.is_nan())
+                                    .reduce(|b, v| if (is_min && v < b) || (!is_min && v > b) { v } else { b })
+                                    .unwrap_or(0.0),
+                            )
+                        }
+                        _ => aggregate_oracle(&w, &scan, &f),
+                    };
+                    prop_assert!(same_bits(&got, &want), "{:?} over {:?}: {:?} vs {:?}", f, q, got, want);
+                }
+            }
+        }
+        for (q, &v) in queries.iter().zip(&views) {
+            prop_assert_eq!(w.view_rows(v).to_vec(), q.run_scan(&w), "seeded {:?}", q);
+        }
+        // one batch of writes, despawns and spawns, folded by the views
+        for &(at, ref row) in &churn {
+            let e = ids[at % ids.len()];
+            match at % 5 {
+                0 => {
+                    w.despawn(e);
+                }
+                1 => {
+                    let fresh = w.spawn_at(place(at));
+                    set_kernel_row(&mut w, fresh, row);
+                    ids.push(fresh);
+                }
+                _ if w.is_live(e) => set_kernel_row(&mut w, e, row),
+                _ => {}
+            }
+        }
+        w.refresh_views();
+        for (q, &v) in queries.iter().zip(&views) {
+            prop_assert_eq!(w.view_rows(v).to_vec(), q.run_scan(&w), "folded {:?}", q);
+        }
+    }
+}
+
+/// A group key as a `BTreeMap` orders it: numbers by value (`-0.0` is
+/// `0.0`), booleans, strings by bytes, vectors by their bit patterns
+/// (`-0.0` folded onto `0.0`); NaN has none.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+enum RunKey {
+    Num(u64),
+    Bool(bool),
+    Str(String),
+    Vec2([u32; 2]),
+}
+
+fn run_key(v: &Value) -> Option<RunKey> {
+    let unzero = |x: f32| if x == 0.0 { 0.0f32 } else { x };
+    Some(match v {
+        Value::Str(s) => RunKey::Str(s.clone()),
+        Value::Bool(b) => RunKey::Bool(*b),
+        Value::Vec2(x, y) if x.is_nan() || y.is_nan() => return None,
+        Value::Vec2(x, y) => RunKey::Vec2([unzero(*x).to_bits(), unzero(*y).to_bits()]),
+        v => {
+            let x = v.as_number().filter(|x| !x.is_nan())?;
+            let bits = if x == 0.0 { 0.0f64 } else { x }.to_bits();
+            RunKey::Num(if bits >> 63 == 0 { bits | 1 << 63 } else { !bits })
+        }
+    })
+}
+
+const RUN_STRS: [&str; 8] = ["guild_000_a", "guild_000_b", "guild_000", "", "\0", "a", "a\0", "zz"];
+
+proptest! {
+    #![proptest_config(ProptestConfig::default())]
+
+    /// Group runs ordered by the eight-byte key prefix, with full keys
+    /// compared only inside prefix ties, group exactly as a full-key sort
+    /// would: string keys sharing eight bytes (`guild_000_a` /
+    /// `guild_000_b`), `""` and `"\0"`, a key and itself plus a trailing
+    /// `\0`; float keys `-0.0`, `0.0`, `±inf` and NaN; bool and vec2
+    /// keys. For every key column and group aggregate, the groups, their
+    /// order and their values (bit for bit — the sums are over fractional
+    /// floats, so they hold id order within a group) equal a `BTreeMap`
+    /// fold over `run_scan`, both from `ViewPlan::evaluate` and from a
+    /// view seeded at registration.
+    #[test]
+    fn group_run_prefix_sort_equals_key_sort(
+        rows in proptest::collection::vec(
+            (
+                proptest::option::of(0u8..8),
+                proptest::option::of(0u8..7),
+                proptest::option::of(any::<bool>()),
+                proptest::option::of((0u8..7, 0u8..7)),
+                wide_float(),
+            ),
+            50..1500,
+        ),
+        bound in -1.0e6f32..1.0e6,
+    ) {
+        use gamedb_core::PlanOutput;
+        let nums = [-0.0f32, 0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN, 1.5, -2.0];
+        let mut w = World::new();
+        for (col, ty) in [
+            ("gs", ValueType::Str),
+            ("gn", ValueType::Float),
+            ("gb", ValueType::Bool),
+            ("gv", ValueType::Vec2),
+            ("val", ValueType::Float),
+        ] {
+            w.define_component(col, ty).unwrap();
+        }
+        for (i, &(s, n, b, v, val)) in rows.iter().enumerate() {
+            let e = w.spawn_at(Vec2::new(i as f32, 0.0));
+            if let Some(s) = s {
+                w.set(e, "gs", Value::Str(RUN_STRS[s as usize].into())).unwrap();
+            }
+            if let Some(n) = n {
+                w.set(e, "gn", Value::Float(nums[n as usize])).unwrap();
+            }
+            if let Some(b) = b {
+                w.set(e, "gb", Value::Bool(b)).unwrap();
+            }
+            if let Some((x, y)) = v {
+                w.set(e, "gv", Value::Vec2(nums[x as usize], nums[y as usize])).unwrap();
+            }
+            w.set_f32(e, "val", val).unwrap();
+        }
+        let unzero = |v: f64| if v == 0.0 { 0.0 } else { v };
+        for q in [
+            Query::select(),
+            Query::select().filter("val", CmpOp::Lt, Value::Float(bound)),
+        ] {
+            for col in ["gs", "gn", "gb", "gv"] {
+                for agg in [
+                    AggFn::Count,
+                    AggFn::Sum("val".into()),
+                    AggFn::Avg("val".into()),
+                    AggFn::Min("val".into()),
+                    AggFn::Max("val".into()),
+                ] {
+                    let mut groups: std::collections::BTreeMap<RunKey, (usize, Vec<f64>)> =
+                        Default::default();
+                    for e in q.run_scan(&w) {
+                        let Some(key) = w.get(e, col).as_ref().and_then(run_key) else { continue };
+                        let g = groups.entry(key).or_default();
+                        g.0 += 1;
+                        g.1.extend(w.get_number(e, "val").filter(|v| !v.is_nan()));
+                    }
+                    let want: Vec<(RunKey, u64)> = groups
+                        .into_iter()
+                        .map(|(k, (rows, vals))| {
+                            let sum = vals.iter().fold(0.0, |s, v| s + v);
+                            let value = match agg {
+                                AggFn::Count => rows as f64,
+                                AggFn::Sum(_) => sum,
+                                AggFn::Avg(_) if vals.is_empty() => 0.0,
+                                AggFn::Avg(_) => sum / vals.len() as f64,
+                                AggFn::Min(_) => vals.iter().copied().map(unzero).reduce(f64::min).unwrap_or(0.0),
+                                _ => vals.iter().copied().map(unzero).reduce(f64::max).unwrap_or(0.0),
+                            };
+                            (k, value.to_bits())
+                        })
+                        .collect();
+                    let plan = q.clone().into_grouped_plan(col, agg.clone()).unwrap();
+                    let PlanOutput::Groups(evaluated) = plan.evaluate(&w).unwrap() else {
+                        return Err(TestCaseError::fail("a group plan evaluates to groups"));
+                    };
+                    let view = w.register_view_plan(plan).unwrap();
+                    for (how, rows) in [("evaluate", evaluated), ("view", w.view_groups(view).to_vec())] {
+                        let got: Vec<(RunKey, u64)> = rows
+                            .iter()
+                            .map(|g| (g.key.as_ref().and_then(run_key).expect("a keyed group"), g.value.to_bits()))
+                            .collect();
+                        prop_assert_eq!(&got, &want, "{} {:?} by {} over {:?}", how, agg, col, q);
+                    }
+                    w.drop_view(view);
+                }
+            }
+        }
+    }
+}
