@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use gamedb_spatial::{Annotation, CostProfile, NavMesh, Vec2};
 
-/// The same dungeon as expt e4: three halls, lava band, cover alcoves.
+/// A three-hall dungeon with a lava band and cover alcoves.
 fn dungeon() -> NavMesh {
     let (w, h) = (48usize, 32usize);
     let wall = |x: usize, y: usize| -> bool {

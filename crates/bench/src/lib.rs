@@ -1,93 +1,14 @@
 //! # gamedb-bench
 //!
-//! Shared infrastructure for the experiment harness (`expt` binary) and
-//! the Criterion benches: table printing, timing, and the standard world
-//! builders every experiment uses. The experiments themselves (E1–E14,
-//! indexed in DESIGN.md) live in `src/bin/expt.rs`.
-
-use std::time::Instant;
+//! Shared world builders for the Criterion benches. Which test, example
+//! or bench holds each of the paper's claims is tabled in
+//! `docs/ARCHITECTURE.md` ("Where each paper claim is checked").
 
 use gamedb_content::{Value, ValueType};
 use gamedb_core::{EntityId, World};
 use gamedb_spatial::Vec2;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// Time a closure, returning (result, milliseconds).
-pub fn time_ms<T>(f: impl FnOnce() -> T) -> (T, f64) {
-    let start = Instant::now();
-    let out = f();
-    (out, start.elapsed().as_secs_f64() * 1e3)
-}
-
-/// Run a closure `reps` times and return the mean milliseconds.
-pub fn mean_ms(reps: usize, mut f: impl FnMut()) -> f64 {
-    let start = Instant::now();
-    for _ in 0..reps {
-        f();
-    }
-    start.elapsed().as_secs_f64() * 1e3 / reps.max(1) as f64
-}
-
-/// A fixed-width text table that prints like the paper's tables.
-pub struct Table {
-    headers: Vec<String>,
-    rows: Vec<Vec<String>>,
-}
-
-impl Table {
-    pub fn new(headers: &[&str]) -> Self {
-        Table {
-            headers: headers.iter().map(|s| s.to_string()).collect(),
-            rows: Vec::new(),
-        }
-    }
-
-    pub fn row(&mut self, cells: &[String]) {
-        assert_eq!(cells.len(), self.headers.len(), "row arity mismatch");
-        self.rows.push(cells.to_vec());
-    }
-
-    /// Render with aligned columns.
-    pub fn render(&self) -> String {
-        let mut widths: Vec<usize> = self.headers.iter().map(String::len).collect();
-        for row in &self.rows {
-            for (i, c) in row.iter().enumerate() {
-                widths[i] = widths[i].max(c.len());
-            }
-        }
-        let mut out = String::new();
-        let fmt_row = |cells: &[String], widths: &[usize], out: &mut String| {
-            for (i, c) in cells.iter().enumerate() {
-                out.push_str(&format!("{:>w$}  ", c, w = widths[i]));
-            }
-            out.push('\n');
-        };
-        fmt_row(&self.headers, &widths, &mut out);
-        let total: usize = widths.iter().sum::<usize>() + widths.len() * 2;
-        out.push_str(&"-".repeat(total));
-        out.push('\n');
-        for row in &self.rows {
-            fmt_row(row, &widths, &mut out);
-        }
-        out
-    }
-
-    pub fn print(&self) {
-        print!("{}", self.render());
-    }
-}
-
-/// Format a float with precision adapted to magnitude.
-pub fn f3(v: f64) -> String {
-    if v.abs() >= 100.0 {
-        format!("{v:.1}")
-    } else if v.abs() >= 1.0 {
-        format!("{v:.2}")
-    } else {
-        format!("{v:.4}")
-    }
-}
 
 /// Uniform random world with the standard combat components: hp, dmg,
 /// team. Density is controlled by `map_size`.
@@ -124,55 +45,9 @@ pub fn constant_density_world(n: usize, density: f32, seed: u64) -> (World, Vec<
     combat_world(n, map, seed)
 }
 
-/// Clustered world: entities concentrated in `clusters` blobs (the regime
-/// where tree indices beat the uniform grid).
-pub fn clustered_world(
-    n: usize,
-    clusters: usize,
-    map_size: f32,
-    spread: f32,
-    seed: u64,
-) -> (World, Vec<EntityId>) {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let centers: Vec<Vec2> = (0..clusters.max(1))
-        .map(|_| {
-            Vec2::new(
-                rng.gen::<f32>() * map_size,
-                rng.gen::<f32>() * map_size,
-            )
-        })
-        .collect();
-    let mut w = World::new();
-    w.define_component("hp", ValueType::Float).unwrap();
-    w.define_component("dmg", ValueType::Float).unwrap();
-    let mut ids = Vec::with_capacity(n);
-    for i in 0..n {
-        let c = centers[i % centers.len()];
-        let dx = (rng.gen::<f32>() + rng.gen::<f32>() - 1.0) * spread;
-        let dy = (rng.gen::<f32>() + rng.gen::<f32>() - 1.0) * spread;
-        let e = w.spawn_at(c + Vec2::new(dx, dy));
-        w.set_f32(e, "hp", 100.0).unwrap();
-        w.set_f32(e, "dmg", 1.0).unwrap();
-        ids.push(e);
-    }
-    (w, ids)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn table_renders_aligned() {
-        let mut t = Table::new(&["n", "time"]);
-        t.row(&["100".into(), "1.5".into()]);
-        t.row(&["10000".into(), "123.4".into()]);
-        let s = t.render();
-        let lines: Vec<&str> = s.lines().collect();
-        assert_eq!(lines.len(), 4);
-        assert!(lines[0].contains('n'));
-        assert!(lines[1].starts_with('-'));
-    }
 
     #[test]
     fn builders_produce_requested_sizes() {
@@ -181,8 +56,6 @@ mod tests {
         assert_eq!(ids.len(), 100);
         let (w2, _) = constant_density_world(400, 1.0, 1);
         assert_eq!(w2.len(), 400);
-        let (w3, _) = clustered_world(100, 4, 1000.0, 10.0, 1);
-        assert_eq!(w3.len(), 100);
     }
 
     #[test]
@@ -190,16 +63,5 @@ mod tests {
         let (w1, _) = combat_world(50, 100.0, 9);
         let (w2, _) = combat_world(50, 100.0, 9);
         assert_eq!(w1.rows(), w2.rows());
-    }
-
-    #[test]
-    fn timing_helpers() {
-        let (v, ms) = time_ms(|| 21 * 2);
-        assert_eq!(v, 42);
-        assert!(ms >= 0.0);
-        let m = mean_ms(3, || {
-            std::hint::black_box(1 + 1);
-        });
-        assert!(m >= 0.0);
     }
 }

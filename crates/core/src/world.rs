@@ -1866,6 +1866,44 @@ mod tests {
     }
 
     #[test]
+    fn nan_positions_and_centres_never_panic() {
+        let nan = v(f32::NAN, 0.0);
+        let mut w = World::new();
+        let a = w.spawn_at(v(0.0, 0.0));
+        let b = w.spawn_at(v(1.0, 0.0));
+        let c = w.spawn_at(v(5.0, 0.0));
+        let mut out = vec![];
+        // a NaN centre matches nothing
+        w.knn(nan, 3, &mut out);
+        w.within(nan, 100.0, &mut out);
+        assert!(out.is_empty());
+        assert_eq!(w.nearest_other(nan, a), None);
+
+        // a NaN stored position is never returned; the finite ones keep
+        // their order
+        w.set_pos(b, v(f32::NAN, f32::NAN)).unwrap();
+        w.knn(v(0.0, 0.0), 3, &mut out);
+        assert_eq!(out, vec![a, c]);
+        out.clear();
+        w.within(v(0.0, 0.0), f32::INFINITY, &mut out);
+        assert_eq!(out, vec![a, c]);
+        assert_eq!(w.nearest_other(v(0.0, 0.0), a), Some(c));
+        assert_eq!(w.nearest_other(v(1.0, 0.0), c), Some(a));
+
+        // both at once
+        out.clear();
+        w.knn(nan, 3, &mut out);
+        w.within(nan, f32::INFINITY, &mut out);
+        assert!(out.is_empty());
+        assert_eq!(w.nearest_other(w.pos(b).unwrap(), b), None);
+
+        // a finite move brings it back
+        w.set_pos(b, v(1.0, 0.0)).unwrap();
+        w.knn(v(0.0, 0.0), 3, &mut out);
+        assert_eq!(out, vec![a, b, c]);
+    }
+
+    #[test]
     fn template_spawn() {
         use gamedb_content::{gdml, TemplateLibrary};
         let lib = TemplateLibrary::from_gdml(

@@ -1,8 +1,8 @@
-//! Basic 2-D and 3-D geometry used by every spatial index.
+//! Basic 2-D geometry used by the spatial index and the navmesh.
 //!
-//! Game worlds in this crate are modelled as continuous Euclidean spaces.
-//! The 2-D types ([`Vec2`], [`Aabb`]) serve top-down worlds (the common MMO
-//! case the paper discusses), while [`Vec3`] / [`Aabb3`] serve the octree.
+//! Game worlds in this crate are modelled as continuous Euclidean spaces:
+//! [`Vec2`] and [`Aabb`] serve top-down worlds (the common MMO case the
+//! paper discusses).
 
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
@@ -169,72 +169,6 @@ impl fmt::Display for Vec2 {
     }
 }
 
-/// A 3-D vector / point with `f32` coordinates (used by the octree).
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct Vec3 {
-    pub x: f32,
-    pub y: f32,
-    pub z: f32,
-}
-
-impl Vec3 {
-    pub const ZERO: Vec3 = Vec3 {
-        x: 0.0,
-        y: 0.0,
-        z: 0.0,
-    };
-
-    #[inline]
-    pub const fn new(x: f32, y: f32, z: f32) -> Self {
-        Vec3 { x, y, z }
-    }
-
-    /// Squared Euclidean distance to `other`.
-    #[inline]
-    pub fn dist2(self, other: Vec3) -> f32 {
-        let dx = self.x - other.x;
-        let dy = self.y - other.y;
-        let dz = self.z - other.z;
-        dx * dx + dy * dy + dz * dz
-    }
-
-    /// Euclidean distance to `other`.
-    #[inline]
-    pub fn dist(self, other: Vec3) -> f32 {
-        self.dist2(other).sqrt()
-    }
-
-    /// Embed a 2-D point in the `z = 0` plane.
-    #[inline]
-    pub fn from_vec2(v: Vec2) -> Vec3 {
-        Vec3::new(v.x, v.y, 0.0)
-    }
-}
-
-impl Add for Vec3 {
-    type Output = Vec3;
-    #[inline]
-    fn add(self, rhs: Vec3) -> Vec3 {
-        Vec3::new(self.x + rhs.x, self.y + rhs.y, self.z + rhs.z)
-    }
-}
-
-impl Sub for Vec3 {
-    type Output = Vec3;
-    #[inline]
-    fn sub(self, rhs: Vec3) -> Vec3 {
-        Vec3::new(self.x - rhs.x, self.y - rhs.y, self.z - rhs.z)
-    }
-}
-
-impl Mul<f32> for Vec3 {
-    type Output = Vec3;
-    #[inline]
-    fn mul(self, rhs: f32) -> Vec3 {
-        Vec3::new(self.x * rhs, self.y * rhs, self.z * rhs)
-    }
-}
-
 /// A 2-D axis-aligned bounding box, stored as inclusive min / max corners.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Aabb {
@@ -344,84 +278,6 @@ impl Aabb {
             min: self.min - d,
             max: self.max + d,
         }
-    }
-}
-
-/// A 3-D axis-aligned bounding box.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Aabb3 {
-    pub min: Vec3,
-    pub max: Vec3,
-}
-
-impl Aabb3 {
-    #[inline]
-    pub fn new(min: Vec3, max: Vec3) -> Self {
-        Aabb3 {
-            min: Vec3::new(min.x.min(max.x), min.y.min(max.y), min.z.min(max.z)),
-            max: Vec3::new(min.x.max(max.x), min.y.max(max.y), min.z.max(max.z)),
-        }
-    }
-
-    /// A cube spanning `[0,0,0] .. [s,s,s]`.
-    #[inline]
-    pub fn cube(s: f32) -> Self {
-        Aabb3::new(Vec3::ZERO, Vec3::new(s, s, s))
-    }
-
-    #[inline]
-    pub fn center(&self) -> Vec3 {
-        Vec3::new(
-            (self.min.x + self.max.x) * 0.5,
-            (self.min.y + self.max.y) * 0.5,
-            (self.min.z + self.max.z) * 0.5,
-        )
-    }
-
-    #[inline]
-    pub fn contains(&self, p: Vec3) -> bool {
-        p.x >= self.min.x
-            && p.x <= self.max.x
-            && p.y >= self.min.y
-            && p.y <= self.max.y
-            && p.z >= self.min.z
-            && p.z <= self.max.z
-    }
-
-    /// Squared distance from `p` to the nearest point of the box.
-    #[inline]
-    pub fn dist2_to_point(&self, p: Vec3) -> f32 {
-        let cx = p.x.clamp(self.min.x, self.max.x);
-        let cy = p.y.clamp(self.min.y, self.max.y);
-        let cz = p.z.clamp(self.min.z, self.max.z);
-        Vec3::new(cx, cy, cz).dist2(p)
-    }
-
-    /// True when the box intersects the closed ball `(center, radius)`.
-    #[inline]
-    pub fn intersects_sphere(&self, center: Vec3, radius: f32) -> bool {
-        self.dist2_to_point(center) <= radius * radius
-    }
-
-    /// The `i`-th (0..8) octant of the box, splitting at the center.
-    pub fn octant(&self, i: usize) -> Aabb3 {
-        let c = self.center();
-        let (x0, x1) = if i & 1 == 0 {
-            (self.min.x, c.x)
-        } else {
-            (c.x, self.max.x)
-        };
-        let (y0, y1) = if i & 2 == 0 {
-            (self.min.y, c.y)
-        } else {
-            (c.y, self.max.y)
-        };
-        let (z0, z1) = if i & 4 == 0 {
-            (self.min.z, c.z)
-        } else {
-            (c.z, self.max.z)
-        };
-        Aabb3::new(Vec3::new(x0, y0, z0), Vec3::new(x1, y1, z1))
     }
 }
 
@@ -549,32 +405,6 @@ mod tests {
         let i = a.inflate(1.0);
         assert_eq!(i.min, Vec2::new(-1.0, -1.0));
         assert_eq!(i.max, Vec2::new(2.0, 2.0));
-    }
-
-    #[test]
-    fn aabb3_octants_partition() {
-        let b = Aabb3::cube(8.0);
-        // Every octant must be inside the parent, and centers must differ.
-        let mut centers = vec![];
-        for i in 0..8 {
-            let o = b.octant(i);
-            assert!(b.contains(o.min));
-            assert!(b.contains(o.max));
-            centers.push(o.center());
-        }
-        for i in 0..8 {
-            for j in (i + 1)..8 {
-                assert!(centers[i].dist2(centers[j]) > 0.0);
-            }
-        }
-    }
-
-    #[test]
-    fn aabb3_sphere_test() {
-        let b = Aabb3::cube(4.0);
-        assert!(b.intersects_sphere(Vec3::new(2.0, 2.0, 2.0), 0.1));
-        assert!(b.intersects_sphere(Vec3::new(6.0, 2.0, 2.0), 2.0));
-        assert!(!b.intersects_sphere(Vec3::new(6.0, 2.0, 2.0), 1.9));
     }
 
     #[test]

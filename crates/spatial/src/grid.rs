@@ -2,8 +2,8 @@
 //!
 //! The workhorse index for open-world games with roughly uniform entity
 //! density: O(1) updates and range queries that touch only the cells
-//! overlapping the query disk. Degrades when entities cluster into few
-//! cells — exactly the regime where the tree indices win (experiment E3).
+//! overlapping the query disk. It degrades when entities cluster into few
+//! cells, the regime the paper's BSP trees and octrees are built for.
 //!
 //! Cells hold `(id, position)` pairs, so a query tests candidates
 //! straight from the cell slice; the id → position map serves only
@@ -70,7 +70,7 @@ impl UniformGrid {
         self.cell_size
     }
 
-    /// Number of non-empty cells (diagnostic; used by E3's density report).
+    /// Number of non-empty cells (diagnostic).
     pub fn occupied_cells(&self) -> usize {
         self.cells.len()
     }
@@ -91,7 +91,9 @@ impl UniformGrid {
     }
 
     /// Cell of a point. The float → int casts saturate, so far-away and
-    /// infinite coordinates land on the outermost keys.
+    /// infinite coordinates land on the outermost keys, and a NaN one
+    /// casts to 0: a NaN position sits in a cell like any other but no
+    /// distance or box test ever matches it.
     #[inline]
     fn key_for(&self, p: Vec2) -> CellKey {
         CellKey {
@@ -186,7 +188,6 @@ impl UniformGrid {
 
 impl SpatialIndex for UniformGrid {
     fn insert(&mut self, id: ItemId, pos: Vec2) {
-        debug_assert!(pos.is_finite(), "non-finite position for item {id}");
         let key = self.key_for(pos);
         if let Some(old) = self.positions.insert(id, pos) {
             let old_key = self.key_for(old);
@@ -265,7 +266,7 @@ impl SpatialIndex for UniformGrid {
             }
             ring += 1;
         }
-        finish_knn(center, k, &mut cands, out);
+        finish_knn(k, &mut cands, out);
     }
 
     fn len(&self) -> usize {

@@ -2,10 +2,10 @@
 //!
 //! The paper observes that "game developers often rely on indices to speed
 //! up computations that involve relationships between pairs of objects",
-//! naming BSP trees and octrees. Every index in this crate implements this
-//! one trait so that the query engine (and the E3 experiment) can swap them
-//! freely. [`BruteForce`] is the O(n) oracle: correct by construction and
-//! used as the baseline both in benchmarks and in property tests.
+//! naming BSP trees and octrees. This crate keeps one general index,
+//! [`crate::UniformGrid`], and one oracle, [`BruteForce`]: O(n) per query,
+//! correct by construction, and the reference the property tests hold the
+//! grid to.
 
 use crate::geom::{Aabb, Vec2};
 
@@ -66,15 +66,12 @@ pub trait SpatialIndex {
 
 /// Sort knn candidates by (distance, id) and truncate to `k`.
 ///
-/// Shared by implementations that collect a superset of candidates.
-pub(crate) fn finish_knn(
-    center: Vec2,
-    k: usize,
-    candidates: &mut [(f32, ItemId)],
-    out: &mut Vec<ItemId>,
-) {
-    let _ = center;
-    candidates.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1)));
+/// Shared by implementations that collect a superset of candidates. A
+/// NaN distance — a NaN centre or a NaN stored position — matches
+/// nothing, as it matches no disk in [`SpatialIndex::query_range`].
+pub(crate) fn finish_knn(k: usize, candidates: &mut Vec<(f32, ItemId)>, out: &mut Vec<ItemId>) {
+    candidates.retain(|&(d, _)| !d.is_nan());
+    candidates.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
     out.extend(candidates.iter().take(k).map(|&(_, id)| id));
 }
 
@@ -150,7 +147,7 @@ impl SpatialIndex for BruteForce {
             .iter()
             .map(|&(id, p)| (p.dist2(center), id))
             .collect();
-        finish_knn(center, k, &mut cands, out);
+        finish_knn(k, &mut cands, out);
     }
 
     fn len(&self) -> usize {

@@ -8,19 +8,19 @@
 //!
 //! ## Contents
 //!
-//! * [`geom`] — vectors and bounding boxes (2-D and 3-D).
+//! * [`geom`] — 2-D vectors and bounding boxes.
 //! * [`index`] — the [`SpatialIndex`] trait plus the brute-force oracle.
-//! * [`grid`] — uniform grid / spatial hash ([`UniformGrid`]).
+//! * [`grid`] — uniform grid / spatial hash ([`UniformGrid`]), the one
+//!   index the engine's world answers spatial queries through.
 //! * [`hash`] — the multiply-rotate [`IdHasher`] for derived integer keys
 //!   (grid cells here; entity and column ids in the sync layer).
-//! * [`bsp`] — dynamic BSP (kd) tree ([`BspTree`]).
-//! * [`quadtree`] — region quadtree ([`Quadtree`]).
-//! * [`octree`] — 3-D octree over [`geom::Vec3`] points ([`Octree`]).
 //! * [`navmesh`] — annotated navigation meshes with A* ([`NavMesh`]).
 //! * [`pathfind`] — generic A* ([`pathfind::astar`]).
 //!
-//! All point indices implement [`SpatialIndex`], so engines (and the E3
-//! index-comparison experiment) can swap implementations freely:
+//! The paper's BSP trees and octrees are one answer to the pair-query
+//! problem; this crate keeps one general index and one oracle. Both
+//! implement [`SpatialIndex`], and the property suite holds the grid to
+//! [`BruteForce`] on random operation sequences:
 //!
 //! ```
 //! use gamedb_spatial::{SpatialIndex, UniformGrid, Vec2};
@@ -33,21 +33,15 @@
 //! assert_eq!(near, vec![1]);
 //! ```
 
-pub mod bsp;
 pub mod geom;
 pub mod grid;
 pub mod hash;
 pub mod index;
 pub mod navmesh;
-pub mod octree;
 pub mod pathfind;
-pub mod quadtree;
 
-pub use bsp::BspTree;
-pub use geom::{Aabb, Aabb3, Vec2, Vec3};
+pub use geom::{Aabb, Vec2};
 pub use grid::UniformGrid;
 pub use hash::{BuildIdHasher, IdHasher};
 pub use index::{BruteForce, ItemId, SpatialIndex};
 pub use navmesh::{Annotation, CostProfile, NavMesh, NavMeshError, NavPath, Polygon};
-pub use octree::Octree;
-pub use quadtree::Quadtree;

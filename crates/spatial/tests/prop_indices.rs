@@ -1,7 +1,7 @@
-//! Property tests: every spatial index must agree with the brute-force
+//! Property tests: the uniform grid must agree with the brute-force
 //! oracle on arbitrary operation sequences and queries.
 
-use gamedb_spatial::{Aabb, BruteForce, BspTree, Quadtree, SpatialIndex, UniformGrid, Vec2};
+use gamedb_spatial::{Aabb, BruteForce, SpatialIndex, UniformGrid, Vec2};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -57,8 +57,8 @@ fn knn<I: SpatialIndex>(idx: &I, c: Vec2, k: usize) -> Vec<u64> {
 }
 
 /// `$span` bounds the generated coordinates: ±150 runs items across
-/// many cells (and out of the quadtree's bounds); a span inside one cell
-/// makes every `Update` a same-cell move.
+/// many cells; a span inside one cell makes every `Update` a same-cell
+/// move.
 macro_rules! index_equivalence_suite {
     ($modname:ident, $make:expr) => {
         index_equivalence_suite!($modname, $make, 150.0);
@@ -146,12 +146,6 @@ index_equivalence_suite!(grid_small_cells_vs_oracle, UniformGrid::new(3.0));
 // every item in the four cells around the origin: a quarter of the moves
 // stay in their cell, where the grid rewrites the position held inline
 index_equivalence_suite!(grid_same_cell_moves_vs_oracle, UniformGrid::new(16.0), 8.0);
-index_equivalence_suite!(bsp_vs_oracle, BspTree::new(4));
-index_equivalence_suite!(quadtree_vs_oracle, Quadtree::new(
-    Aabb::new(Vec2::new(-100.0, -100.0), Vec2::new(100.0, 100.0)),
-    4,
-    8
-));
 
 /// A query far larger than the populated area must cost one pass over
 /// the grid, not one probe per cell of the query box: radius 1e9 spans

@@ -66,4 +66,4 @@ pub use replication::{
 pub use router::{node_oracle, HandoffReport, ShardRouter};
 pub use shard::{step_flock, AssignPolicy, NodeId, ShardAssignment, ShardManager, ShardStats};
 pub use view::{OverlayView, StateView};
-pub use workload::{fleet_world, step_fleet, ActionMix, Workload, WorkloadConfig};
+pub use workload::{ActionMix, Workload, WorkloadConfig};

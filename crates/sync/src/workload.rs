@@ -4,11 +4,8 @@
 //! paper's techniques were built against (see DESIGN.md §Substitutions).
 //! Tunable knobs capture the phenomena those workloads stress:
 //! `hotspot_fraction` reproduces the "everyone piles into one fight"
-//! contention spike; the action mix reproduces the conflict profile; and
-//! the fleet movement model reproduces the EVE solar-system scenario that
-//! motivates causality bubbles.
+//! contention spike, and the action mix reproduces the conflict profile.
 
-use gamedb_content::{Value, ValueType};
 use gamedb_core::{EntityId, World};
 use gamedb_spatial::Vec2;
 use rand::rngs::StdRng;
@@ -181,53 +178,6 @@ impl Workload {
     }
 }
 
-/// Build the EVE-style fleet world: `fleets` fleets of `ships` ships
-/// each, spread across a `map_size` system, each fleet moving coherently
-/// with speed `fleet_speed` (per-ship jitter on top). Ships carry a `vel`
-/// component so causality-bubble partitioning can integrate motion.
-pub fn fleet_world(
-    fleets: usize,
-    ships: usize,
-    map_size: f32,
-    fleet_speed: f32,
-    seed: u64,
-) -> (World, Vec<EntityId>) {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let (mut world, ids) = arena_world(fleets * ships, |_| Vec2::ZERO);
-    world.define_component("vel", ValueType::Vec2).unwrap();
-    let mut fleet_centers = Vec::new();
-    let mut fleet_vels = Vec::new();
-    for _ in 0..fleets {
-        fleet_centers.push(Vec2::new(
-            rng.gen::<f32>() * map_size,
-            rng.gen::<f32>() * map_size,
-        ));
-        let angle = rng.gen::<f32>() * std::f32::consts::TAU;
-        fleet_vels.push(Vec2::new(angle.cos(), angle.sin()) * fleet_speed);
-    }
-    for (i, &e) in ids.iter().enumerate() {
-        let f = i / ships;
-        let jitter = Vec2::new(rng.gen::<f32>() - 0.5, rng.gen::<f32>() - 0.5) * 20.0;
-        world.set_pos(e, fleet_centers[f] + jitter).unwrap();
-        let vj = Vec2::new(rng.gen::<f32>() - 0.5, rng.gen::<f32>() - 0.5) * 0.5;
-        let v = fleet_vels[f] + vj;
-        world.set(e, "vel", Value::Vec2(v.x, v.y)).unwrap();
-    }
-    (world, ids)
-}
-
-/// Advance every ship by its velocity for `dt` (the fleet simulation
-/// step between bubble re-partitions).
-pub fn step_fleet(world: &mut World, ids: &[EntityId], dt: f32) {
-    for &e in ids {
-        if let (Some(p), Some(Value::Vec2(vx, vy))) = (world.pos(e), world.get(e, "vel")) {
-            world
-                .set_pos(e, p + Vec2::new(vx, vy) * dt)
-                .expect("live ship");
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -317,20 +267,5 @@ mod tests {
         let mut w = Workload::new(cfg);
         // nobody within range: batch is empty rather than self-attacks
         assert!(w.next_batch().is_empty());
-    }
-
-    #[test]
-    fn fleet_world_moves_coherently() {
-        let (mut w, ids) = fleet_world(3, 10, 10_000.0, 5.0, 7);
-        assert_eq!(ids.len(), 30);
-        let before: Vec<Vec2> = ids.iter().map(|&e| w.pos(e).unwrap()).collect();
-        step_fleet(&mut w, &ids, 1.0);
-        let mut moved = 0;
-        for (i, &e) in ids.iter().enumerate() {
-            if w.pos(e).unwrap().dist(before[i]) > 1.0 {
-                moved += 1;
-            }
-        }
-        assert_eq!(moved, 30, "all ships move");
     }
 }

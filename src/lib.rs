@@ -9,8 +9,8 @@
 //! * [`script`] — GSL: the designer scripting language with a restricted
 //!   level, an AST optimizer, a tree-walking interpreter, and a bytecode
 //!   VM that runs each script set-at-a-time over its bound entities.
-//! * [`spatial`] — grid / BSP / quadtree / octree indices and annotated
-//!   navigation meshes.
+//! * [`spatial`] — the uniform-grid index (with its brute-force oracle)
+//!   and annotated navigation meshes.
 //! * [`core`] — the world database: columnar components, declarative
 //!   queries + aggregates, a cost-based planner, state–effect ticks.
 //! * [`sync`] — MMO consistency: action transactions, 2PL / OCC /
