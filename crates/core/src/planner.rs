@@ -37,8 +37,9 @@
 //! the decision like `EXPLAIN`.
 //!
 //! Experiment E14 sweeps the query radius and shows the planner tracking
-//! the better of the two spatial paths across the crossover; the
-//! `secondary_index` bench does the same for attribute probes.
+//! the better of the two spatial paths across the crossover;
+//! `explain_analyze_golden_per_access_path` holds each attribute probe
+//! to at most a tenth of the scan's candidates.
 
 use std::collections::HashSet;
 use std::fmt;
@@ -1136,7 +1137,7 @@ mod tests {
 
     #[test]
     fn explain_analyze_golden_per_access_path() {
-        let (mut w, _) = stats_world();
+        let (mut w, ids) = stats_world();
         w.create_index("hp", IndexKind::Sorted).unwrap();
         let explain = |q: &Query| plan(q, &TableStats::from_catalog(&w)).explain_analyze(&w);
         let scan = Query::select().filter("level", CmpOp::Le, Value::Int(2));
@@ -1170,6 +1171,51 @@ mod tests {
             "AttrIndex(hp Lt Float(20.0) AND Ge Float(10.0)) -> Filter(team Ne Str(\"red\"), sel=0.900) \
              | est_candidates=10.1 est_rows=9.1 est_cost=32.2 | actual candidates=10 rows=9"
         );
+
+        // each probe, and a 0.5% hash-equality class (one of 200 over 200
+        // rows), hands its filter at most a tenth of the scan's candidates
+        // and returns the scan's rows
+        w.define_component("class", ValueType::Str).unwrap();
+        for i in 0..200 {
+            let e = if i < ids.len() { ids[i] } else { w.spawn() };
+            w.set(e, "class", Value::Str(format!("class-{i:03}"))).unwrap();
+        }
+        w.create_index("class", IndexKind::Hash).unwrap();
+        let class = Query::select().filter("class", CmpOp::Eq, Value::Str("class-007".into()));
+        let below = Query::select().filter("hp", CmpOp::Lt, Value::Float(5.0));
+        for q in [&eq, &below, &range, &class] {
+            let p = plan(q, &TableStats::from_catalog(&w));
+            assert!(matches!(p.access, Access::AttributeIndex { .. }), "{}", p.explain());
+            assert_eq!(p.second_bound.is_some(), q == &range, "{}", p.explain());
+            let (probed, _) = p.execute(&w, &mut |_| {});
+            let (scanned, _) = Plan::seed(q).execute(&w, &mut |_| {});
+            assert!(10 * probed <= scanned, "{probed} vs {scanned}: {}", p.explain());
+            assert_eq!(p.run(&w), q.run_scan(&w));
+        }
+    }
+
+    /// The planned scan of an unindexed column runs a block at a time:
+    /// its sink sees at most one call per 1,024 live slots, never one
+    /// per row.
+    #[test]
+    fn unindexed_scan_feeds_the_sink_whole_blocks() {
+        let mut w = World::new();
+        w.define_component("dmg", ValueType::Float).unwrap();
+        for i in 0..5_000 {
+            let e = w.spawn();
+            w.set_f32(e, "dmg", 1.0 + (i % 5) as f32).unwrap();
+        }
+        let q = Query::select().filter("dmg", CmpOp::Gt, Value::Float(4.0));
+        let p = plan(&q, &TableStats::from_catalog(&w));
+        assert_eq!(p.access, Access::FullScan);
+        let (mut blocks, mut rows) = (0, 0);
+        p.execute(&w, &mut |sel| {
+            blocks += 1;
+            rows += sel.len();
+        });
+        assert!(blocks <= w.len().div_ceil(1024), "{blocks} blocks");
+        assert_eq!(rows, 1_000);
+        assert_eq!(p.run(&w), q.run_scan(&w));
     }
 
     #[test]

@@ -502,8 +502,7 @@ impl Query {
 
     /// Reference evaluation: a full scan that never consults the spatial
     /// or secondary indexes. Same result set as [`Query::run`] by
-    /// definition of correctness — benches use it as the baseline and
-    /// property tests as the oracle.
+    /// definition of correctness — the property tests' oracle.
     pub fn run_scan(&self, world: &World) -> Vec<EntityId> {
         let mut out = Vec::new();
         for id in world.entities() {

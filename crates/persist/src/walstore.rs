@@ -207,11 +207,14 @@ impl FlushPolicy {
 
     /// Build a policy: flush every `n_ops` ops or every
     /// `max_delay_ticks` writer-clock ticks (1 tick = 1 ms), whichever
-    /// fires first.
+    /// fires first. The delay is at least one tick and saturates at
+    /// `u32::MAX` ticks (~49 days): a huge delay means "effectively
+    /// never", not a wrapped-around short one.
     pub fn flush_every(n_ops: usize, max_delay_ticks: u64) -> FlushPolicy {
+        let ticks = u32::try_from(max_delay_ticks.max(1)).unwrap_or(u32::MAX);
         FlushPolicy {
             every_ops: n_ops.max(1),
-            max_delay: Self::TICK * (max_delay_ticks.max(1) as u32),
+            max_delay: Self::TICK * ticks,
         }
     }
 }
@@ -1346,6 +1349,32 @@ mod tests {
         assert_eq!(recovered.world().get_f32(e, "hp"), Some(9.0));
     }
 
+    /// Commit cost follows frames, not writes: K single-write commits
+    /// append and flush K times, one K-write batch once, and batches of
+    /// `s` writes ⌈K/s⌉ times.
+    #[test]
+    fn frames_and_flushes_count_commits_not_writes() {
+        const K: usize = 64;
+        let mut s = fresh(1, "wal-frames-per-commit");
+        let ids: Vec<_> = (0..K).map(|_| s.world_mut().spawn()).collect();
+        s.commit().unwrap();
+        for width in [1, 4, 16, K] {
+            let before = s.stats;
+            for chunk in ids.chunks(width) {
+                let mut batch = WriteBatch::new();
+                for &e in chunk {
+                    batch.set(e, "hp", Value::Float(width as f32));
+                }
+                s.world_mut().apply_batch(batch).unwrap();
+                s.commit().unwrap();
+            }
+            let frames = K.div_ceil(width) as u64;
+            assert_eq!(s.stats.records - before.records, frames, "width {width}");
+            assert_eq!(s.stats.flushes - before.flushes, frames, "width {width}");
+            assert_eq!(s.stats.ops - before.ops, K as u64);
+        }
+    }
+
     /// The durability hole the pipeline closes: an effect batch applied
     /// straight to `world_mut()` — the path the old mirrored API could
     /// not see — survives crash and recovery bit-identically.
@@ -1763,10 +1792,21 @@ mod tests {
         }
         assert_eq!(s.last_enqueued(), CommitSeq(21));
         assert!(s.last_durable() <= s.last_enqueued());
+        assert_eq!(s.stats.flushes, 0, "the caller's thread never flushes");
         s.wait_durable(s.last_enqueued()).unwrap();
         assert_eq!(s.last_durable(), CommitSeq(21));
         assert_eq!(s.unacked(), 0);
         assert!(s.writer_flushes() >= 1);
+    }
+
+    #[test]
+    fn flush_every_saturates_huge_delays() {
+        let never = FlushPolicy::TICK * u32::MAX;
+        for ticks in [u64::from(u32::MAX), 1 << 32, (1 << 32) + 5, u64::MAX] {
+            assert_eq!(FlushPolicy::flush_every(64, ticks).max_delay, never, "{ticks}");
+        }
+        assert_eq!(FlushPolicy::flush_every(64, 0).max_delay, FlushPolicy::TICK);
+        assert_eq!(FlushPolicy::flush_every(64, 1000).max_delay, Duration::from_secs(1));
     }
 
     /// The headline contract: `wait_durable(last_enqueued())` then

@@ -31,7 +31,7 @@ use std::collections::HashSet;
 
 use crate::ast::{AggKind, AssignOp, BinOp, BuiltinFn, Expr, Script, Stmt, Subject};
 
-/// What the optimizer did, for reports and ablation benches.
+/// What the optimizer did, for reports.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OptStats {
     /// Expressions replaced by simpler ones (folds + identities).

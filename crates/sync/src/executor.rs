@@ -15,8 +15,9 @@
 //!
 //! Waves matter because a wave is exactly the unit a server can fan out
 //! over cores or shards: fewer waves = shorter critical path. `ExecStats`
-//! reports both wall time and the schedule shape so experiment E6 can
-//! print the paper's comparison.
+//! reports both wall time and the schedule shape (rounds, largest group,
+//! critical path); the unit tests here and in `bubbles` pin the shapes
+//! the paper's comparison rests on.
 
 use std::collections::HashSet;
 use std::time::Instant;
@@ -100,7 +101,7 @@ impl Executor for SerialExecutor {
 pub struct LockingExecutor;
 
 impl LockingExecutor {
-    /// Build the wave schedule (exposed for tests and the bench harness).
+    /// Build the wave schedule (exposed for tests).
     pub fn schedule(actions: &[Action]) -> Vec<Vec<usize>> {
         let mut waves: Vec<(HashSet<EntityId>, Vec<usize>)> = Vec::new();
         for (i, a) in actions.iter().enumerate() {

@@ -17,8 +17,8 @@
 //! 2. **Zero unpinned-tap evictions** — replicator taps ack fast enough
 //!    that the retention window never has to cut one loose.
 //! 3. **Delta bytes < full-walk bytes** — the streamed segments beat
-//!    the full-walk baseline over the same interest bubbles, while
-//!    producing byte-identical replicas.
+//!    the full-walk baseline over the same interest bubbles, shipping
+//!    no more rows, while producing byte-identical replicas.
 //! 4. **Handoff bytes < full-row shipping** — cross-shard entity
 //!    handoff streamed as delta segments over per-node links undercuts
 //!    the by-value baseline, while every node's segment-built state is
@@ -337,9 +337,12 @@ fn instrumented_cluster_scenario() {
         delta_bytes < walk_bytes,
         "delta stream ({delta_bytes} B) must undercut full walks ({walk_bytes} B)"
     );
-    // ... while converging to the identical replica state
+    // ... shipping no more rows, while converging to the identical
+    // replica state
     for (i, (s, m)) in stream_replicas.iter().zip(&mirror_replicas).enumerate() {
         assert_eq!(s.rows, m.rows, "stream and mirror replicas diverged for client {i}");
+        let (delta_rows, walk_rows) = (streams[i].rows_sent, mirrors[i].rows_sent);
+        assert!(delta_rows <= walk_rows, "client {i}: {delta_rows} rows vs {walk_rows}");
     }
 
     // -- gate 4: handoff segments beat full-row shipping ----------------

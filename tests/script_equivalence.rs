@@ -7,6 +7,7 @@
 
 use gamedb::content::{Value, ValueType};
 use gamedb::core::{EffectBuffer, EntityId, World};
+use gamedb::metrics::MetricsRegistry;
 use gamedb::script::vm::LANES;
 use gamedb::script::{
     check_script, compile_program, parse_script, run_script, EngineTickStats, ExecMode,
@@ -14,6 +15,7 @@ use gamedb::script::{
 };
 use gamedb::spatial::Vec2;
 use proptest::prelude::*;
+use rand::{rngs::StdRng, Rng, SeedableRng};
 
 /// Generate a random restricted-level script from composable fragments.
 /// Fragments only use components the test world defines, so every
@@ -478,4 +480,53 @@ fn set_at_a_time_error_is_the_lowest_failing_entity_across_chunks() {
     assert_eq!(w_i.rows(), w_v.rows());
     assert_eq!((s_v.vm_runs, s_v.interp_runs), (N - 3, 0));
     assert_eq!(s_i.scripts_run, s_v.scripts_run);
+}
+
+/// The E1 combat script (one `count` aggregate, a 24-iteration `while`,
+/// two effects) over 4 096 entities at the `script_tick` workload's
+/// density: the VM retires a seed-exact instruction count (~217 per
+/// entity), each dispatch drives at least half a chunk of lanes, and the
+/// tick's effect ops and rows equal the per-entity interpreter's.
+#[test]
+fn combat_tick_counts_exact_instrs_over_wide_dispatches() {
+    const N: usize = 4_096;
+    const COMBAT: &str = "let threat = count(2; other.team != self.team);\n\
+                          let pressure = threat * 0.1 + self.dmg * 0.01;\n\
+                          let regen = 0.05;\n\
+                          let decay = 0;\n\
+                          let i = 0;\n\
+                          while i < 24 {\n\
+                            decay = decay * 0.5 + pressure * 0.125;\n\
+                            regen = regen * 0.97;\n\
+                            i = i + 1;\n\
+                          }\n\
+                          self.hp -= clamp(decay, 0, 5);\n\
+                          self.hp += regen;";
+    let map = (N as f32 / 0.05).sqrt();
+    let mut rng = StdRng::seed_from_u64(7);
+    let positions: Vec<_> = (0..N)
+        .map(|_| (rng.gen::<f32>() * map, rng.gen::<f32>() * map))
+        .collect();
+    let mut world = test_world(&positions);
+    let registry = MetricsRegistry::new();
+    let [mut interp, mut vm] = [ExecMode::Interp, ExecMode::Vm]
+        .map(|mode| ScriptEngine::new(Level::Full).with_mode(mode));
+    vm.attach_metrics(&registry);
+    for engine in [&mut interp, &mut vm] {
+        engine.ensure_binding_component(&mut world);
+        engine.load("combat", COMBAT, &world).unwrap();
+    }
+    for id in world.entity_vec() {
+        vm.bind(&mut world, id, "combat").unwrap();
+    }
+    let (ops_i, result_i, rows_i) = tick_outcome(&mut interp, &world);
+    let (ops_v, result_v, rows_v) = tick_outcome(&mut vm, &world);
+    assert_eq!((ops_i.len(), &ops_i, &rows_i), (2 * N, &ops_v, &rows_v));
+    assert_eq!(result_v.unwrap().vm_runs, result_i.unwrap().interp_runs);
+    let snap = registry.snapshot();
+    let instrs = snap.counter("script.vm_instrs");
+    let dispatches = snap.counter("script.vm_dispatches");
+    // 213 per entity with no neighbour in range, ~6 more per candidate
+    assert_eq!(instrs, 887_104, "{:.1} per entity", instrs as f64 / N as f64);
+    assert!(instrs >= 512 * dispatches, "{instrs} instrs over {dispatches} dispatches");
 }
