@@ -50,9 +50,6 @@ pub use patch::{
     apply_all, ArtifactKind, ContentPatch, PatchConflict, PatchError, PatchReport,
 };
 pub use template::{ComponentDef, EntityTemplate, ResolvedTemplate, TemplateError, TemplateLibrary};
-pub use trigger::{
-    Action, CmpOp, ComponentView, Condition, EventKind, GameEvent, Region, Trigger, TriggerError,
-    TriggerSet,
-};
+pub use trigger::{Action, CmpOp, Condition, EventKind, Region, Trigger, TriggerError, TriggerSet};
 pub use ui::{Anchor, AnchorPoint, Rect, UiError, UiSpec, Widget, WidgetKind};
 pub use value::{Value, ValueParseError, ValueType};

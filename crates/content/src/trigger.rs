@@ -4,28 +4,17 @@
 //! really software but lives in data files. A trigger binds an *event*
 //! (entering an area, a timer, a stat crossing a threshold, a named custom
 //! event) to guarded *actions* (set a component, spawn a template, emit a
-//! follow-up event, run a script). The engine evaluates triggers against
-//! entity state through the [`ComponentView`] trait, keeping this crate
-//! free of engine dependencies.
+//! follow-up event, run a script). This crate parses, validates and
+//! patches triggers and stays free of engine dependencies; the umbrella
+//! crate's `TriggerRunner` fires them on a live world, reading crossings
+//! from the world's change stream and compiling each guard to one of the
+//! engine's query predicates.
 
-use std::collections::HashMap;
 use std::fmt;
+use std::str::FromStr;
 
 use crate::gdml::{Element, GdmlError};
 use crate::value::{Value, ValueType};
-
-/// Read-only view of one entity's components, implemented by the engine.
-pub trait ComponentView {
-    /// Value of `component`, or `None` when the entity lacks it.
-    fn get(&self, component: &str) -> Option<Value>;
-}
-
-/// A map-backed view, handy in tests and tools.
-impl ComponentView for HashMap<String, Value> {
-    fn get(&self, component: &str) -> Option<Value> {
-        HashMap::get(self, component).cloned()
-    }
-}
 
 /// A rectangular world region (axis-aligned).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -82,22 +71,6 @@ impl CmpOp {
             _ => None,
         }
     }
-
-    fn eval_ord(self, ord: std::cmp::Ordering) -> bool {
-        use std::cmp::Ordering::*;
-        matches!(
-            (self, ord),
-            (CmpOp::Eq, Equal)
-                | (CmpOp::Ne, Less)
-                | (CmpOp::Ne, Greater)
-                | (CmpOp::Lt, Less)
-                | (CmpOp::Le, Less)
-                | (CmpOp::Le, Equal)
-                | (CmpOp::Gt, Greater)
-                | (CmpOp::Ge, Greater)
-                | (CmpOp::Ge, Equal)
-        )
-    }
 }
 
 /// A guard: `component op literal`.
@@ -105,34 +78,9 @@ impl CmpOp {
 pub struct Condition {
     pub component: String,
     pub op: CmpOp,
-    /// Literal text; compared numerically when the component is numeric,
-    /// as a string otherwise (booleans compare via "true"/"false").
+    /// Literal text, parsed by the column's type when the guard is
+    /// compiled against a world.
     pub literal: String,
-}
-
-impl Condition {
-    /// Evaluate against a component view. Missing components fail the
-    /// guard (designers rely on this to scope triggers to entity kinds).
-    pub fn eval(&self, view: &dyn ComponentView) -> bool {
-        let Some(v) = view.get(&self.component) else {
-            return false;
-        };
-        match v.as_number() {
-            Some(n) => match self.literal.trim().parse::<f64>() {
-                Ok(lit) => self.op.eval_ord(n.partial_cmp(&lit).unwrap_or(std::cmp::Ordering::Less)),
-                Err(_) => false,
-            },
-            None => {
-                let text = match &v {
-                    Value::Bool(b) => b.to_string(),
-                    Value::Str(s) => s.clone(),
-                    Value::Vec2(x, y) => format!("{x},{y}"),
-                    _ => unreachable!("numeric handled above"),
-                };
-                self.op.eval_ord(text.as_str().cmp(self.literal.as_str()))
-            }
-        }
-    }
 }
 
 /// An action a fired trigger requests from the engine.
@@ -167,55 +115,25 @@ impl Trigger {
             return Err(TriggerError::WrongElement(el.name.clone()));
         }
         let id = el.require_attr("id")?.to_string();
-        let mk_region = |el: &Element| -> Result<Region, TriggerError> {
-            let get = |k: &str| -> Result<f32, TriggerError> {
-                let raw = el.require_attr(k)?;
-                raw.parse::<f32>().map_err(|_| TriggerError::BadNumber {
-                    trigger: id.clone(),
-                    attr: k.to_string(),
-                    text: raw.to_string(),
-                })
-            };
+        let region = || -> Result<Region, TriggerError> {
             Ok(Region {
-                x: get("x")?,
-                y: get("y")?,
-                w: get("w")?,
-                h: get("h")?,
+                x: number(el, &id, "x", false)?,
+                y: number(el, &id, "y", false)?,
+                w: number(el, &id, "w", true)?,
+                h: number(el, &id, "h", true)?,
             })
         };
         let kind = el.require_attr("event")?;
         let event = match kind {
-            "enter_area" => EventKind::EnterArea(mk_region(el)?),
-            "exit_area" => EventKind::ExitArea(mk_region(el)?),
-            "timer" => {
-                let raw = el.require_attr("period")?;
-                let period = raw.parse::<f32>().map_err(|_| TriggerError::BadNumber {
-                    trigger: id.clone(),
-                    attr: "period".into(),
-                    text: raw.to_string(),
-                })?;
-                if period <= 0.0 {
-                    return Err(TriggerError::BadNumber {
-                        trigger: id,
-                        attr: "period".into(),
-                        text: raw.to_string(),
-                    });
-                }
-                EventKind::Timer { period }
-            }
-            "stat_below" => {
-                let component = el.require_attr("component")?.to_string();
-                let raw = el.require_attr("threshold")?;
-                let threshold = raw.parse::<f64>().map_err(|_| TriggerError::BadNumber {
-                    trigger: id.clone(),
-                    attr: "threshold".into(),
-                    text: raw.to_string(),
-                })?;
-                EventKind::StatBelow {
-                    component,
-                    threshold,
-                }
-            }
+            "enter_area" => EventKind::EnterArea(region()?),
+            "exit_area" => EventKind::ExitArea(region()?),
+            "timer" => EventKind::Timer {
+                period: number(el, &id, "period", true)?,
+            },
+            "stat_below" => EventKind::StatBelow {
+                component: el.require_attr("component")?.to_string(),
+                threshold: number(el, &id, "threshold", false)?,
+            },
             "custom" => EventKind::Custom(el.require_attr("name")?.to_string()),
             other => {
                 return Err(TriggerError::UnknownEvent {
@@ -251,21 +169,11 @@ impl Trigger {
                 "emit" => Action::Emit {
                     event: a.require_attr("event")?.to_string(),
                 },
-                "spawn" => {
-                    let parse_coord = |k: &str| -> Result<f32, TriggerError> {
-                        let raw = a.require_attr(k)?;
-                        raw.parse::<f32>().map_err(|_| TriggerError::BadNumber {
-                            trigger: id.clone(),
-                            attr: k.to_string(),
-                            text: raw.to_string(),
-                        })
-                    };
-                    Action::Spawn {
-                        template: a.require_attr("template")?.to_string(),
-                        x: parse_coord("x")?,
-                        y: parse_coord("y")?,
-                    }
-                }
+                "spawn" => Action::Spawn {
+                    template: a.require_attr("template")?.to_string(),
+                    x: number(a, &id, "x", false)?,
+                    y: number(a, &id, "y", false)?,
+                },
                 "run_script" => Action::RunScript {
                     script: a.require_attr("script")?.to_string(),
                 },
@@ -289,47 +197,24 @@ impl Trigger {
             once,
         })
     }
+}
 
-    fn conditions_hold(&self, view: &dyn ComponentView) -> bool {
-        self.conditions.iter().all(|c| c.eval(view))
-    }
-
-    /// Whether a runtime event is the kind this trigger listens for
-    /// (timers are driven by [`TriggerSet::tick`] instead).
-    fn matches_event(&self, event: &GameEvent) -> bool {
-        match (&self.event, event) {
-            (
-                EventKind::EnterArea(r),
-                GameEvent::Moved {
-                    from_x,
-                    from_y,
-                    to_x,
-                    to_y,
-                },
-            ) => !r.contains(*from_x, *from_y) && r.contains(*to_x, *to_y),
-            (
-                EventKind::ExitArea(r),
-                GameEvent::Moved {
-                    from_x,
-                    from_y,
-                    to_x,
-                    to_y,
-                },
-            ) => r.contains(*from_x, *from_y) && !r.contains(*to_x, *to_y),
-            (
-                EventKind::StatBelow {
-                    component,
-                    threshold,
-                },
-                GameEvent::StatChanged {
-                    component: ev_comp,
-                    old,
-                    new,
-                },
-            ) => component == ev_comp && *old >= *threshold && *new < *threshold,
-            (EventKind::Custom(name), GameEvent::Custom(ev_name)) => name == ev_name,
-            _ => false,
-        }
+/// Attribute `attr` of `el` as a finite number, and a positive one when
+/// `positive` is set. Designer files are outside input: a NaN or infinite
+/// period, threshold, region or spawn point, or an empty region, gives a
+/// trigger that never fires or spawns nowhere, so it is refused here.
+fn number<T>(el: &Element, trigger: &str, attr: &str, positive: bool) -> Result<T, TriggerError>
+where
+    T: FromStr + Into<f64> + Copy,
+{
+    let raw = el.require_attr(attr)?;
+    match raw.parse::<T>() {
+        Ok(n) if n.into().is_finite() && (!positive || n.into() > 0.0) => Ok(n),
+        _ => Err(TriggerError::BadNumber {
+            trigger: trigger.to_string(),
+            attr: attr.to_string(),
+            text: raw.to_string(),
+        }),
     }
 }
 
@@ -377,34 +262,11 @@ impl From<GdmlError> for TriggerError {
     }
 }
 
-/// A runtime event the engine feeds into [`TriggerSet::fire`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum GameEvent {
-    /// An entity moved from `(from_x, from_y)` to `(to_x, to_y)`.
-    Moved {
-        from_x: f32,
-        from_y: f32,
-        to_x: f32,
-        to_y: f32,
-    },
-    /// A watched stat changed from `old` to `new`.
-    StatChanged {
-        component: String,
-        old: f64,
-        new: f64,
-    },
-    /// A named custom event.
-    Custom(String),
-}
-
-/// A set of triggers with per-trigger timer and once-only bookkeeping.
+/// The triggers of one content bundle, in definition order, with unique
+/// ids.
 #[derive(Debug, Clone, Default)]
 pub struct TriggerSet {
     triggers: Vec<Trigger>,
-    /// accumulated time since last fire, parallel to `triggers`
-    timer_accum: Vec<f32>,
-    /// whether a once-trigger has fired, parallel to `triggers`
-    spent: Vec<bool>,
 }
 
 impl TriggerSet {
@@ -429,8 +291,6 @@ impl TriggerSet {
             return Err(TriggerError::DuplicateId(t.id));
         }
         self.triggers.push(t);
-        self.timer_accum.push(0.0);
-        self.spent.push(false);
         Ok(())
     }
 
@@ -453,100 +313,6 @@ impl TriggerSet {
     pub fn iter(&self) -> impl Iterator<Item = &Trigger> {
         self.triggers.iter()
     }
-
-    /// Feed an event for one entity; returns the actions of every trigger
-    /// that fires, tagged with the trigger id.
-    pub fn fire(
-        &mut self,
-        event: &GameEvent,
-        view: &dyn ComponentView,
-    ) -> Vec<(String, Action)> {
-        let mut fired = Vec::new();
-        for i in 0..self.triggers.len() {
-            self.fire_at(i, event, view, &mut fired);
-        }
-        fired
-    }
-
-    /// Feed an event to one trigger only, by id — the entry point for
-    /// engine-side drivers that already know which trigger an event
-    /// belongs to (e.g. the continuous-query threshold watcher, which
-    /// maintains one standing view per `stat_below` trigger and must not
-    /// fan a synthesized crossing out to sibling triggers with different
-    /// thresholds). Unknown ids fire nothing.
-    pub fn fire_id(
-        &mut self,
-        id: &str,
-        event: &GameEvent,
-        view: &dyn ComponentView,
-    ) -> Vec<(String, Action)> {
-        let mut fired = Vec::new();
-        if let Some(i) = self.triggers.iter().position(|t| t.id == id) {
-            self.fire_at(i, event, view, &mut fired);
-        }
-        fired
-    }
-
-    fn fire_at(
-        &mut self,
-        i: usize,
-        event: &GameEvent,
-        view: &dyn ComponentView,
-        fired: &mut Vec<(String, Action)>,
-    ) {
-        if self.spent[i] {
-            return;
-        }
-        let t = &self.triggers[i];
-        if t.matches_event(event) && t.conditions_hold(view) {
-            for a in &t.actions {
-                fired.push((t.id.clone(), a.clone()));
-            }
-            if t.once {
-                self.spent[i] = true;
-            }
-        }
-    }
-
-    /// Advance game time by `dt` seconds; returns actions of timer
-    /// triggers that elapsed (a trigger can fire multiple times if `dt`
-    /// spans several periods). Guards are evaluated against `view` (the
-    /// "world" entity for global timers).
-    pub fn tick(&mut self, dt: f32, view: &dyn ComponentView) -> Vec<(String, Action)> {
-        let mut fired = Vec::new();
-        for (i, t) in self.triggers.iter().enumerate() {
-            let EventKind::Timer { period } = t.event else {
-                continue;
-            };
-            if self.spent[i] {
-                continue;
-            }
-            self.timer_accum[i] += dt;
-            while self.timer_accum[i] >= period {
-                self.timer_accum[i] -= period;
-                if t.conditions_hold(view) {
-                    for a in &t.actions {
-                        fired.push((t.id.clone(), a.clone()));
-                    }
-                    if t.once {
-                        self.spent[i] = true;
-                        break;
-                    }
-                }
-            }
-        }
-        fired
-    }
-
-    /// Reset once-only and timer state (new play session).
-    pub fn reset(&mut self) {
-        for s in &mut self.spent {
-            *s = false;
-        }
-        for a in &mut self.timer_accum {
-            *a = 0.0;
-        }
-    }
 }
 
 /// Parse a typed value for a [`Action::Set`] literal once the engine knows
@@ -559,262 +325,6 @@ pub fn parse_set_literal(ty: ValueType, literal: &str) -> Option<Value> {
 mod tests {
     use super::*;
     use crate::gdml;
-
-    fn view(pairs: &[(&str, Value)]) -> HashMap<String, Value> {
-        pairs
-            .iter()
-            .map(|(k, v)| (k.to_string(), v.clone()))
-            .collect()
-    }
-
-    fn set_from(src: &str) -> TriggerSet {
-        TriggerSet::from_gdml(&gdml::parse(src).unwrap()).unwrap()
-    }
-
-    const DOOR: &str = r#"
-      <triggers>
-        <trigger id="boss_door" event="enter_area" x="10" y="10" w="5" h="5">
-          <when component="level" op="ge" value="10"/>
-          <action kind="set" component="door_open" value="true"/>
-          <action kind="emit" event="boss_intro"/>
-        </trigger>
-      </triggers>"#;
-
-    #[test]
-    fn enter_area_fires_on_crossing() {
-        let mut set = set_from(DOOR);
-        let v = view(&[("level", Value::Int(12))]);
-        // moving inside->inside does not fire
-        let none = set.fire(
-            &GameEvent::Moved {
-                from_x: 11.0,
-                from_y: 11.0,
-                to_x: 12.0,
-                to_y: 12.0,
-            },
-            &v,
-        );
-        assert!(none.is_empty());
-        // crossing the boundary fires both actions
-        let fired = set.fire(
-            &GameEvent::Moved {
-                from_x: 0.0,
-                from_y: 0.0,
-                to_x: 12.0,
-                to_y: 12.0,
-            },
-            &v,
-        );
-        assert_eq!(fired.len(), 2);
-        assert_eq!(fired[0].0, "boss_door");
-        assert!(matches!(fired[0].1, Action::Set { .. }));
-        assert!(matches!(fired[1].1, Action::Emit { .. }));
-    }
-
-    #[test]
-    fn guard_blocks_low_level() {
-        let mut set = set_from(DOOR);
-        let v = view(&[("level", Value::Int(3))]);
-        let fired = set.fire(
-            &GameEvent::Moved {
-                from_x: 0.0,
-                from_y: 0.0,
-                to_x: 12.0,
-                to_y: 12.0,
-            },
-            &v,
-        );
-        assert!(fired.is_empty());
-    }
-
-    #[test]
-    fn missing_component_fails_guard() {
-        let mut set = set_from(DOOR);
-        let v = view(&[]);
-        let fired = set.fire(
-            &GameEvent::Moved {
-                from_x: 0.0,
-                from_y: 0.0,
-                to_x: 12.0,
-                to_y: 12.0,
-            },
-            &v,
-        );
-        assert!(fired.is_empty());
-    }
-
-    #[test]
-    fn exit_area_fires_on_leaving() {
-        let mut set = set_from(
-            r#"<triggers>
-                 <trigger id="leave" event="exit_area" x="0" y="0" w="10" h="10">
-                   <action kind="emit" event="left_zone"/>
-                 </trigger>
-               </triggers>"#,
-        );
-        let v = view(&[]);
-        let fired = set.fire(
-            &GameEvent::Moved {
-                from_x: 5.0,
-                from_y: 5.0,
-                to_x: 50.0,
-                to_y: 5.0,
-            },
-            &v,
-        );
-        assert_eq!(fired.len(), 1);
-    }
-
-    #[test]
-    fn stat_below_fires_on_downward_crossing_only() {
-        let mut set = set_from(
-            r#"<triggers>
-                 <trigger id="low_hp" event="stat_below" component="hp" threshold="20">
-                   <action kind="run_script" script="flee"/>
-                 </trigger>
-               </triggers>"#,
-        );
-        let v = view(&[]);
-        // crossing down fires
-        assert_eq!(
-            set.fire(
-                &GameEvent::StatChanged {
-                    component: "hp".into(),
-                    old: 25.0,
-                    new: 15.0
-                },
-                &v
-            )
-            .len(),
-            1
-        );
-        // already below: no re-fire
-        assert!(set
-            .fire(
-                &GameEvent::StatChanged {
-                    component: "hp".into(),
-                    old: 15.0,
-                    new: 10.0
-                },
-                &v
-            )
-            .is_empty());
-        // different stat: no fire
-        assert!(set
-            .fire(
-                &GameEvent::StatChanged {
-                    component: "mana".into(),
-                    old: 25.0,
-                    new: 15.0
-                },
-                &v
-            )
-            .is_empty());
-    }
-
-    #[test]
-    fn fire_id_scopes_to_one_trigger() {
-        let mut set = set_from(
-            r#"<triggers>
-                 <trigger id="low" event="stat_below" component="hp" threshold="20">
-                   <action kind="emit" event="flee"/>
-                 </trigger>
-                 <trigger id="critical" event="stat_below" component="hp" threshold="5" once="true">
-                   <action kind="emit" event="last_stand"/>
-                 </trigger>
-               </triggers>"#,
-        );
-        let v = view(&[]);
-        // a crossing event that satisfies both thresholds fires only the
-        // addressed trigger
-        let ev = GameEvent::StatChanged {
-            component: "hp".into(),
-            old: 30.0,
-            new: 2.0,
-        };
-        let fired = set.fire_id("critical", &ev, &v);
-        assert_eq!(fired.len(), 1);
-        assert_eq!(fired[0].0, "critical");
-        // once-semantics hold through fire_id
-        assert!(set.fire_id("critical", &ev, &v).is_empty());
-        // unknown ids fire nothing
-        assert!(set.fire_id("nope", &ev, &v).is_empty());
-        // the other trigger is untouched and still live
-        assert_eq!(set.fire_id("low", &ev, &v).len(), 1);
-    }
-
-    #[test]
-    fn custom_events_match_by_name() {
-        let mut set = set_from(
-            r#"<triggers>
-                 <trigger id="chain" event="custom" name="boss_intro">
-                   <action kind="spawn" template="boss" x="12" y="12"/>
-                 </trigger>
-               </triggers>"#,
-        );
-        let v = view(&[]);
-        assert!(set.fire(&GameEvent::Custom("other".into()), &v).is_empty());
-        let fired = set.fire(&GameEvent::Custom("boss_intro".into()), &v);
-        assert_eq!(fired.len(), 1);
-        assert!(
-            matches!(&fired[0].1, Action::Spawn { template, .. } if template == "boss")
-        );
-    }
-
-    #[test]
-    fn timers_fire_per_period_and_catch_up() {
-        let mut set = set_from(
-            r#"<triggers>
-                 <trigger id="regen" event="timer" period="5">
-                   <action kind="emit" event="heal_pulse"/>
-                 </trigger>
-               </triggers>"#,
-        );
-        let v = view(&[]);
-        assert!(set.tick(4.0, &v).is_empty());
-        assert_eq!(set.tick(1.0, &v).len(), 1);
-        // a long frame spanning 3 periods fires 3 times
-        assert_eq!(set.tick(15.0, &v).len(), 3);
-    }
-
-    #[test]
-    fn once_triggers_fire_once() {
-        let mut set = set_from(
-            r#"<triggers>
-                 <trigger id="chest" event="custom" name="open_chest" once="true">
-                   <action kind="emit" event="loot"/>
-                 </trigger>
-               </triggers>"#,
-        );
-        let v = view(&[]);
-        assert_eq!(set.fire(&GameEvent::Custom("open_chest".into()), &v).len(), 1);
-        assert!(set.fire(&GameEvent::Custom("open_chest".into()), &v).is_empty());
-        set.reset();
-        assert_eq!(set.fire(&GameEvent::Custom("open_chest".into()), &v).len(), 1);
-    }
-
-    #[test]
-    fn string_and_bool_guards() {
-        let mut set = set_from(
-            r#"<triggers>
-                 <trigger id="vip" event="custom" name="enter">
-                   <when component="class" op="eq" value="paladin"/>
-                   <when component="alive" op="eq" value="true"/>
-                   <action kind="emit" event="fanfare"/>
-                 </trigger>
-               </triggers>"#,
-        );
-        let yes = view(&[
-            ("class", Value::Str("paladin".into())),
-            ("alive", Value::Bool(true)),
-        ]);
-        let no = view(&[
-            ("class", Value::Str("rogue".into())),
-            ("alive", Value::Bool(true)),
-        ]);
-        assert_eq!(set.fire(&GameEvent::Custom("enter".into()), &yes).len(), 1);
-        assert!(set.fire(&GameEvent::Custom("enter".into()), &no).is_empty());
-    }
 
     #[test]
     fn parse_errors() {
@@ -868,6 +378,32 @@ mod tests {
             TriggerSet::from_gdml(&bad_op).unwrap_err(),
             TriggerError::UnknownOp { .. }
         ));
+
+        // every number a trigger parses is finite, a region is non-empty:
+        // (event attributes, action attributes, the attribute refused)
+        let area = r#"event="enter_area" x="0" y="0" w="5" h="5""#;
+        let emit = r#"kind="emit" event="e""#;
+        for (event, action, attr) in [
+            (r#"event="timer" period="NaN""#, emit, "period"),
+            (r#"event="timer" period="inf""#, emit, "period"),
+            (r#"event="stat_below" component="hp" threshold="NaN""#, emit, "threshold"),
+            (r#"event="exit_area" x="NaN" y="0" w="5" h="5""#, emit, "x"),
+            (r#"event="enter_area" x="0" y="-inf" w="5" h="5""#, emit, "y"),
+            (r#"event="enter_area" x="0" y="0" w="-5" h="NaN""#, emit, "w"),
+            (r#"event="enter_area" x="0" y="0" w="5" h="NaN""#, emit, "h"),
+            (r#"event="enter_area" x="0" y="0" w="5" h="0""#, emit, "h"),
+            (area, r#"kind="spawn" template="imp" x="NaN" y="inf""#, "x"),
+            (area, r#"kind="spawn" template="imp" x="1" y="inf""#, "y"),
+        ] {
+            let src = format!(
+                r#"<triggers><trigger id="x" {event}><action {action}/></trigger></triggers>"#
+            );
+            let err = TriggerSet::from_gdml(&gdml::parse(&src).unwrap()).unwrap_err();
+            assert!(
+                matches!(&err, TriggerError::BadNumber { attr: a, .. } if a == attr),
+                "{src}: {err:?}"
+            );
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use gamedb_content::{ComponentView, ResolvedTemplate, Value, ValueType};
+use gamedb_content::{ResolvedTemplate, Value, ValueType};
 use gamedb_metrics::MetricsRegistry;
 use gamedb_spatial::{SpatialIndex, UniformGrid, Vec2};
 
@@ -1481,12 +1481,6 @@ impl World {
         self.record_catalog(ChangeOp::TickTo { tick: self.tick });
     }
 
-    /// Adapter implementing [`ComponentView`] for one entity, for trigger
-    /// guard evaluation.
-    pub fn view(&self, id: EntityId) -> WorldEntityView<'_> {
-        WorldEntityView { world: self, id }
-    }
-
     /// Iterate one entity's `(component, value)` rows in name order —
     /// the per-entity slice of [`World::rows`], so view-driven consumers
     /// (replication) can ship members without walking the whole world.
@@ -1731,18 +1725,6 @@ pub struct WorldCatalog {
     pub view_slots: u32,
     /// `(slot, operator tree)` per live view, slot-ordered.
     pub views: Vec<(u32, ViewPlan)>,
-}
-
-/// [`ComponentView`] over one world entity.
-pub struct WorldEntityView<'a> {
-    world: &'a World,
-    id: EntityId,
-}
-
-impl ComponentView for WorldEntityView<'_> {
-    fn get(&self, component: &str) -> Option<Value> {
-        self.world.get(self.id, component)
-    }
 }
 
 #[cfg(test)]
@@ -2372,16 +2354,5 @@ mod tests {
         // detaching the evicted tap frees its slot for reuse
         assert!(w.detach_tap(leaked));
         assert!(!w.tap_evicted(leaked));
-    }
-
-    #[test]
-    fn component_view_adapter() {
-        use gamedb_content::ComponentView as _;
-        let mut w = world_with_hp();
-        let e = w.spawn_at(v(0.0, 0.0));
-        w.set_f32(e, "hp", 42.0).unwrap();
-        let view = w.view(e);
-        assert_eq!(view.get("hp"), Some(Value::Float(42.0)));
-        assert_eq!(view.get("mana"), None);
     }
 }

@@ -1,7 +1,8 @@
 //! Quickstart: the whole pipeline in one file.
 //!
 //! Designer-authored GDML content → templates → a world database →
-//! a designer script (restricted level) → ticks → declarative queries.
+//! a designer script (restricted level) → ticks → designer triggers →
+//! declarative queries.
 //!
 //! ```text
 //! cargo run --example quickstart
@@ -11,8 +12,9 @@ use gamedb::content::{CmpOp, ContentBundle, Value};
 use gamedb::core::{aggregate, AggFn, EffectBuffer, Query, World};
 use gamedb::script::{check_library, parse_script, run_script, ExecOptions, Level, ScriptLibrary};
 use gamedb::spatial::Vec2;
+use gamedb::TriggerRunner;
 
-/// Everything a designer ships: entity templates, a trigger, a HUD.
+/// Everything a designer ships: entity templates, triggers, a HUD.
 const CONTENT: &str = r#"
 <content>
   <templates>
@@ -34,6 +36,10 @@ const CONTENT: &str = r#"
   <triggers>
     <trigger id="ogre_dying" event="stat_below" component="hp" threshold="50">
       <action kind="emit" event="ogre_enrage"/>
+    </trigger>
+    <trigger id="goblin_bloodied" event="stat_below" component="hp" threshold="30">
+      <when component="loot" op="eq" value="copper"/>
+      <action kind="emit" event="goblin_retreat"/>
     </trigger>
   </triggers>
   <ui>
@@ -91,7 +97,12 @@ fn main() {
     println!("script 'brawl' accepted at the restricted language level");
 
     // 4. Run ten ticks: each entity runs its script against the
-    //    tick-start state; effects apply atomically.
+    //    tick-start state; effects apply atomically. After each tick the
+    //    trigger runner reads what the tick wrote and fires each stat
+    //    trigger for the entities whose hp crossed below its threshold
+    //    (goblins spawn at 40, already below `ogre_dying`'s 50: that is
+    //    no crossing).
+    let mut triggers = TriggerRunner::new(&mut world, &bundle.triggers);
     for tick in 1..=10 {
         let mut buf = EffectBuffer::new();
         let mut events = Vec::new();
@@ -103,6 +114,9 @@ fn main() {
         buf.apply(&mut world).unwrap();
         if !events.is_empty() {
             println!("tick {tick}: events {events:?}");
+        }
+        for (entity, trigger, action) in triggers.pump(&mut world) {
+            println!("tick {tick}: trigger {trigger} fired on {entity:?}: {action:?}");
         }
     }
 

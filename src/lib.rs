@@ -24,9 +24,9 @@
 //!   [`metrics::MetricsRegistry`] is attached (`World::attach_metrics`,
 //!   `WalStore::attach_metrics`, …), with mergeable snapshots and text
 //!   / JSON export.
-//! * [`continuous`] — cross-crate continuous-query wiring: designer
-//!   `stat_below` triggers driven by standing-view changelogs instead of
-//!   per-entity polling ([`ThresholdWatcher`]).
+//! * [`continuous`] — designer triggers on a live world: crossings read
+//!   from the change stream, guards compiled to core predicates
+//!   ([`TriggerRunner`]).
 //!
 //! See the repository's `README.md` for the architecture diagram,
 //! `DESIGN.md` for the system inventory, and `EXPERIMENTS.md` for the
@@ -42,8 +42,10 @@
 //! ```
 
 pub mod continuous;
+#[cfg(test)]
+mod trigger;
 
-pub use continuous::ThresholdWatcher;
+pub use continuous::TriggerRunner;
 pub use gamedb_content as content;
 pub use gamedb_core as core;
 pub use gamedb_metrics as metrics;

@@ -1,11 +1,12 @@
 //! End-to-end integration: designer content → world → restricted scripts
 //! → parallel ticks → triggers → checkpoint → crash → recovery.
 
-use gamedb::content::{Action as TriggerAction, ContentBundle, GameEvent, Value};
+use gamedb::content::{Action as TriggerAction, ContentBundle, Value};
 use gamedb::core::{EffectBuffer, EntityId, TickExecutor, World};
 use gamedb::persist::{temp_dir, Backend, CheckpointClock, CheckpointPolicy, WalStore};
 use gamedb::script::{check_library, parse_script, run_script, ExecOptions, Level, ScriptLibrary};
 use gamedb::spatial::Vec2;
+use gamedb::TriggerRunner;
 
 const CONTENT: &str = r#"
 <content>
@@ -20,6 +21,13 @@ const CONTENT: &str = r#"
   <triggers>
     <trigger id="near_death" event="stat_below" component="hp" threshold="20">
       <action kind="emit" event="rescue_me"/>
+    </trigger>
+    <trigger id="enter_camp" event="enter_area" x="100" y="0" w="10" h="10">
+      <when component="team" op="eq" value="red"/>
+      <action kind="emit" event="camp_alarm"/>
+    </trigger>
+    <trigger id="leave_camp" event="exit_area" x="100" y="0" w="10" h="10">
+      <action kind="emit" event="camp_clear"/>
     </trigger>
   </triggers>
 </content>"#;
@@ -64,12 +72,12 @@ fn build_shard() -> (World, Vec<EntityId>, ScriptLibrary) {
 
 #[test]
 fn content_to_ticks_to_recovery() {
-    let (world, ids, lib) = build_shard();
+    let (world, _, lib) = build_shard();
     let bundle = ContentBundle::from_gdml_str(CONTENT).unwrap();
-    let mut triggers = bundle.triggers.clone();
 
     let backend = Backend::open(temp_dir("pipeline")).unwrap();
     let mut store = WalStore::new(world, backend, 1).unwrap();
+    let mut runner = TriggerRunner::new(store.world_mut(), &bundle.triggers);
     let mut clock = CheckpointClock::new(CheckpointPolicy::Periodic { period: 5.0 });
 
     let mut rescue_events = 0usize;
@@ -78,38 +86,17 @@ fn content_to_ticks_to_recovery() {
     for _ in 0..33 {
         // run scripts as a tick system
         let lib_ref = &lib;
-        let hp_before: Vec<(EntityId, f64)> = ids
-            .iter()
-            .filter(|&&e| store.world().is_live(e))
-            .map(|&e| (e, store.world().get_number(e, "hp").unwrap_or(0.0)))
-            .collect();
         let system = move |id: EntityId, w: &World, buf: &mut EffectBuffer| {
             run_script(lib_ref, "skirmish", w, id, buf, ExecOptions::default()).unwrap();
         };
         TickExecutor::sequential()
             .run_tick(store.world_mut(), &[&system])
             .unwrap();
-        // feed stat changes into the trigger set
-        for (e, old) in hp_before {
-            if !store.world().is_live(e) {
-                continue;
-            }
-            let new = store.world().get_number(e, "hp").unwrap_or(0.0);
-            if new != old {
-                let fired = triggers.fire(
-                    &GameEvent::StatChanged {
-                        component: "hp".into(),
-                        old,
-                        new,
-                    },
-                    &store.world().view(e),
-                );
-                for (id, action) in fired {
-                    assert_eq!(id, "near_death");
-                    assert!(matches!(action, TriggerAction::Emit { .. }));
-                    rescue_events += 1;
-                }
-            }
+        // crossings are read from the writes the tick made
+        for (_, id, action) in runner.pump(store.world_mut()) {
+            assert_eq!(id, "near_death");
+            assert!(matches!(action, TriggerAction::Emit { .. }));
+            rescue_events += 1;
         }
         if clock.observe(1.0, 0.5) {
             store.checkpoint().unwrap();
@@ -133,6 +120,46 @@ fn content_to_ticks_to_recovery() {
     let mut near = Vec::new();
     recovered.world().within(Vec2::new(0.0, 0.0), 5.0, &mut near);
     assert!(!near.is_empty());
+}
+
+/// Area triggers fire from real moves: `set_pos` writes on the store's
+/// world reach the runner through the change stream.
+#[test]
+fn area_triggers_fire_from_set_pos_writes() {
+    let (world, ids, _) = build_shard();
+    let bundle = ContentBundle::from_gdml_str(CONTENT).unwrap();
+    let backend = Backend::open(temp_dir("pipeline-area")).unwrap();
+    let mut store = WalStore::new(world, backend, 1).unwrap();
+    let mut runner = TriggerRunner::new(store.world_mut(), &bundle.triggers);
+    let mut walk = |store: &mut WalStore, who: &[EntityId], to: Vec2| {
+        for &e in who {
+            store.world_mut().set_pos(e, to).unwrap();
+        }
+        store.commit().unwrap();
+        let fired = runner.pump(store.world_mut());
+        fired
+            .into_iter()
+            .map(|(e, id, _)| (e, id))
+            .collect::<Vec<_>>()
+    };
+
+    // a red and a blue fighter walk into the camp: the team guard lets
+    // only the red one raise the alarm
+    let (red, blue) = (ids[0], ids[1]);
+    assert_eq!(
+        walk(&mut store, &[red, blue], Vec2::new(105.0, 5.0)),
+        vec![(red, "enter_camp".to_string())]
+    );
+    // moving inside the camp crosses nothing
+    assert!(walk(&mut store, &[red], Vec2::new(109.0, 9.0)).is_empty());
+    // both walk out: one exit each, in entity order
+    assert_eq!(
+        walk(&mut store, &[blue, red], Vec2::new(50.0, 5.0)),
+        vec![
+            (red, "leave_camp".to_string()),
+            (blue, "leave_camp".to_string())
+        ]
+    );
 }
 
 #[test]

@@ -1,16 +1,17 @@
 //! Cross-crate recovery pipeline: after a crash, the persistence layer
 //! hands back a world whose catalog — secondary indexes and standing
-//! views — survived, and every subscriber class (designer-trigger
-//! watcher, exploit auditor, aggro candidate view, interest-bubble
-//! replicator) re-attaches to its recovered view instead of registering
-//! a duplicate or silently losing its subscription.
+//! views — survived, and every view subscriber (exploit auditor, aggro
+//! candidate view, interest-bubble replicator) re-attaches to its
+//! recovered view instead of registering a duplicate or silently losing
+//! its subscription. Designer triggers hold no view: a runner started on
+//! the recovered world counts crossings from there.
 
 use gamedb::content::{gdml, CmpOp, TriggerSet, Value, ValueType};
 use gamedb::core::{IndexKind, Query, World};
 use gamedb::persist::{decode, encode, temp_dir, Backend, WalStore};
 use gamedb::spatial::Vec2;
 use gamedb::sync::{Auditor, CandidateView, ConsistencyLevel, Interest, Replica, Replicator};
-use gamedb::ThresholdWatcher;
+use gamedb::TriggerRunner;
 
 fn triggers() -> TriggerSet {
     TriggerSet::from_gdml(
@@ -26,23 +27,19 @@ fn triggers() -> TriggerSet {
     .unwrap()
 }
 
-/// The watcher's standing views survive WAL recovery; a re-attached
-/// watcher neither double-fires pre-crash crossings nor misses new ones,
-/// and the recovered tick counter keeps crossing bookkeeping coherent.
+/// A runner started on the recovered world neither double-fires
+/// pre-crash crossings nor misses new ones, and the recovered tick counter
+/// keeps crossing bookkeeping coherent.
 #[test]
 fn threshold_watcher_survives_crash_without_refiring() {
     let mut world = World::new();
     world.define_component("hp", ValueType::Float).unwrap();
-    let mut trig = triggers();
     let backend = Backend::open(temp_dir("recovery-watcher")).unwrap();
     let mut store = WalStore::new(world, backend, 1).unwrap();
-
-    // route the watcher's view THROUGH the store so it is committed to
-    // the log; the watcher then adopts it (identical query)
+    // the `hp < 20` view an older, view-based trigger watcher committed
     let watch_query = Query::select().filter("hp", CmpOp::Lt, Value::Float(20.0));
-    store.ensure_view(watch_query.clone()).unwrap();
-    let watcher = ThresholdWatcher::reattach(store.world_mut(), &trig);
-    assert_eq!(watcher.len(), 1);
+    store.ensure_view(watch_query).unwrap();
+    let mut runner = TriggerRunner::new(store.world_mut(), &triggers());
 
     let a = store.world_mut().spawn_at(Vec2::ZERO);
     let b = store.world_mut().spawn_at(Vec2::new(5.0, 0.0));
@@ -53,24 +50,22 @@ fn threshold_watcher_survives_crash_without_refiring() {
     let t = store.world().tick();
     store.world_mut().advance_tick_to(t + 1);
     store.commit().unwrap();
-    let fired = watcher.pump(store.world_mut(), &mut trig);
+    let fired = runner.pump(store.world_mut());
     assert_eq!(fired.len(), 1, "pre-crash crossing fires once");
 
     let tick_before = store.world().tick();
     let (mut store, _) = store.crash_and_recover().unwrap();
     assert_eq!(store.world().tick(), tick_before, "tick recovers exactly");
 
-    // a fresh process re-attaches: same view, already-below rows are
-    // materialization, not crossings — nothing re-fires
-    let mut trig2 = triggers();
-    let watcher2 = ThresholdWatcher::reattach(store.world_mut(), &trig2);
-    assert_eq!(watcher2.len(), 1);
+    // a fresh process starts a fresh runner: already-below rows are not
+    // crossings, so nothing re-fires
+    let mut runner = TriggerRunner::new(store.world_mut(), &triggers());
     assert_eq!(
         store.world().view_ids().len(),
         1,
-        "re-attach must not register a duplicate view"
+        "the old view stays in the recovered catalog, and the runner adds none"
     );
-    let refired = watcher2.pump(store.world_mut(), &mut trig2);
+    let refired = runner.pump(store.world_mut());
     assert!(refired.is_empty(), "recovered crossings must not double-fire");
 
     // but a genuinely new crossing after recovery fires exactly once
@@ -78,7 +73,7 @@ fn threshold_watcher_survives_crash_without_refiring() {
     let t = store.world().tick();
     store.world_mut().advance_tick_to(t + 1);
     store.commit().unwrap();
-    let fired = watcher2.pump(store.world_mut(), &mut trig2);
+    let fired = runner.pump(store.world_mut());
     assert_eq!(fired.len(), 1, "post-recovery crossings fire normally");
     assert_eq!(fired[0].0, b);
 }
