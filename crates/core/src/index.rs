@@ -9,15 +9,21 @@
 //! and consulted by the planner as a third access path next to full scans
 //! and spatial probes.
 //!
-//! Two physical structures are offered, mirroring the classic hash/B-tree
-//! split:
+//! Both physical structures share one keyed core, the key table the view
+//! engine's operators intern their keys in ([`KeyTable`]): each distinct
+//! key is a dense `u32` id, its posting list a vector indexed by that id,
+//! and each indexed slot remembers its key id and its place in that list.
+//! A write to an indexed column costs one hash lookup (the new key; the
+//! old one is remembered) and an O(1) move between two posting lists, and
+//! a key that is already known allocates nothing.
 //!
-//! * [`IndexKind::Hash`] — `HashMap` buckets; supports equality probes
-//!   only, O(1) per lookup. The right choice for high-cardinality
+//! * [`IndexKind::Hash`] — the key table alone; equality probes only,
+//!   O(1) per lookup. The right choice for high-cardinality
 //!   identity-like components (`owner`, `guild`, `class`).
-//! * [`IndexKind::Sorted`] — `BTreeMap` buckets; supports equality *and*
-//!   range probes (`<`, `<=`, `>`, `>=`), O(log n + k). The right choice
-//!   for numeric gameplay attributes (`hp`, `level`, `threat`).
+//! * [`IndexKind::Sorted`] — the key table plus its live key ids in key
+//!   order, touched only when a key is born or dies; equality *and* range
+//!   probes (`<`, `<=`, `>`, `>=`), O(log n + k). The right choice for
+//!   numeric gameplay attributes (`hp`, `level`, `threat`).
 //!
 //! ## Key encoding and probe/scan equivalence
 //!
@@ -45,35 +51,43 @@
 //! Every mutation of an indexed component keeps postings exact (see
 //! `docs/ARCHITECTURE.md` for the full invariant list):
 //!
-//! 1. [`crate::World::set`] removes the old key (if any) and inserts the
-//!    new one after the type check passes.
-//! 2. [`crate::World::remove_component`] removes the entity's posting.
-//! 3. [`crate::World::despawn`] removes the entity from every index
-//!    before clearing its columns.
-//! 4. Effects, template spawns, WAL/delta redo, and script writes all
-//!    funnel through those three entry points, so no other code path can
+//! 1. Every write path makes one call, [`SecondaryIndex::replace`], with
+//!    the key the slot gets, read as a [`KeyRef`] from the written value
+//!    before the column changes: [`crate::World::set`] and the column
+//!    groups of [`crate::World::apply_batch`] pass it, and
+//!    [`crate::World::remove_component`] and [`crate::World::despawn`]
+//!    pass none.
+//! 2. Effects, template spawns, WAL/delta redo, and script writes all
+//!    funnel through those entry points, so no other code path can
 //!    desynchronize an index.
-//! 5. Postings are sorted by [`EntityId`], so probes return deterministic
-//!    id-ordered candidate sets without re-sorting equality lookups. A
-//!    range probe concatenates one posting list per key and orders the
-//!    result with an LSD radix sort on the slot index (linear time); an
-//!    index holds each live slot at most once, so slot order is id order
-//!    and there is nothing to de-duplicate.
-//! 6. An index comes into being over existing rows in one pass
+//! 3. A key id is freed the moment its posting list empties and reused
+//!    by the next new key, so [`SecondaryIndex::ndv`] is the live key
+//!    count and key churn cannot grow the index.
+//! 4. A posting list is in no particular order — a slot leaves one by a
+//!    swap with its last entry — and a probe sorts what it returns by
+//!    slot index, so probes return deterministic id-ordered candidate
+//!    sets: a list already in order (as `SecondaryIndex::build` leaves
+//!    every list) is only checked, any other is put in order by an LSD
+//!    radix sort (linear time). An index holds each live slot at most
+//!    once, so slot order is id order and there is nothing to
+//!    de-duplicate.
+//! 5. An index comes into being over existing rows at once
 //!    (`SecondaryIndex::build` — live `create_index` and snapshot
 //!    recovery alike, which loads rows *before* any index exists): ids
-//!    are read in ascending order, so hash postings are appended and a
-//!    sorted index is bulk-built from one sorted run (for a numeric
-//!    column, `(key bits, id)` integers in a stable radix sort by key,
-//!    which keeps each key's ids in arrival order). The result is the
-//!    structure per-row inserts would have built
+//!    are read in ascending order and each row's key is looked up once,
+//!    then every posting list is allocated at its final size and filled
+//!    in id order, and a sorted index orders its key ids once, from a
+//!    radix-sorted run of their prefixes. Probes of the result answer
+//!    exactly what per-row inserts would have built
 //!    (`bulk_load_equals_row_by_row_restore` in `tests/prop_core.rs`).
 
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, HashMap};
-use std::ops::Bound;
+use std::collections::{BTreeSet, HashMap};
+use std::hash::{Hash, Hasher};
+use std::ops::{Bound, RangeBounds};
 
 use gamedb_content::{CmpOp, Value, ValueType};
+use gamedb_spatial::BuildIdHasher;
 
 use crate::column::Column;
 use crate::entity::EntityId;
@@ -81,9 +95,9 @@ use crate::entity::EntityId;
 /// Physical structure of a secondary index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IndexKind {
-    /// Hash buckets: equality probes only, O(1).
+    /// Hash lookup: equality probes only, O(1).
     Hash,
-    /// Ordered buckets: equality and range probes, O(log n + k).
+    /// Ordered keys: equality and range probes, O(log n + k).
     Sorted,
 }
 
@@ -130,37 +144,6 @@ pub enum IndexKey {
 }
 
 impl IndexKey {
-    /// Encode `value` as a key for a column of type `column_ty`.
-    ///
-    /// `None` means "this value can never satisfy an equality or range
-    /// predicate against this column" — NaN, or a type that `compare`
-    /// treats as an always-false mixed comparison.
-    pub fn encode(column_ty: ValueType, value: &Value) -> Option<IndexKey> {
-        match column_ty {
-            ValueType::Float | ValueType::Int => {
-                value.as_number().and_then(OrdF64::new).map(IndexKey::Num)
-            }
-            ValueType::Bool => match value {
-                Value::Bool(b) => Some(IndexKey::Bool(*b)),
-                _ => None,
-            },
-            ValueType::Str => match value {
-                Value::Str(s) => Some(IndexKey::Str(s.clone())),
-                _ => None,
-            },
-            ValueType::Vec2 => match value {
-                Value::Vec2(x, y) => IndexKey::vec2(*x, *y),
-                _ => None,
-            },
-        }
-    }
-
-    /// Vector key: equality only, so the bit pattern — `-0.0` folded
-    /// onto `0.0`, no key for a NaN component.
-    pub(crate) fn vec2(x: f32, y: f32) -> Option<IndexKey> {
-        vec2_bits(x, y).map(IndexKey::Vec2)
-    }
-
     /// The key borrowed: same variant, same order, the string not copied.
     pub(crate) fn as_ref(&self) -> KeyRef<'_> {
         match self {
@@ -182,10 +165,10 @@ fn vec2_bits(x: f32, y: f32) -> Option<[u32; 2]> {
     Some([norm(x).to_bits(), norm(y).to_bits()])
 }
 
-/// An [`IndexKey`] read from a column slot without copying its string:
-/// the variants and the order of `IndexKey`, so a run of these sorts
-/// exactly as the owned keys would, and only a key that is kept (one per
-/// distinct value) pays for an allocation.
+/// An [`IndexKey`] read from a column slot or a value without copying its
+/// string: the variants and the order of `IndexKey`, so a run of these
+/// sorts exactly as the owned keys would, and only a key that is kept
+/// (one per distinct value) pays for an allocation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) enum KeyRef<'a> {
     Num(OrdF64),
@@ -195,9 +178,26 @@ pub(crate) enum KeyRef<'a> {
 }
 
 impl<'a> KeyRef<'a> {
-    /// The key [`IndexKey::encode`] gives the value stored at `slot` of
-    /// `col`, read through the typed accessors — no [`Value`] is built.
-    /// `None` when the slot is empty or holds a NaN.
+    /// The key `value` has against a column of type `column_ty`.
+    ///
+    /// `None` means "this value can never satisfy an equality or range
+    /// predicate against this column" — NaN, or a type that `compare`
+    /// treats as an always-false mixed comparison.
+    pub(crate) fn of(column_ty: ValueType, value: &'a Value) -> Option<KeyRef<'a>> {
+        match (column_ty, value) {
+            (ValueType::Float | ValueType::Int, v) => {
+                v.as_number().and_then(OrdF64::new).map(KeyRef::Num)
+            }
+            (ValueType::Bool, Value::Bool(b)) => Some(KeyRef::Bool(*b)),
+            (ValueType::Str, Value::Str(s)) => Some(KeyRef::Str(s)),
+            (ValueType::Vec2, Value::Vec2(x, y)) => vec2_bits(*x, *y).map(KeyRef::Vec2),
+            _ => None,
+        }
+    }
+
+    /// The key [`KeyRef::of`] gives the value stored at `slot` of `col`,
+    /// read through the typed accessors — no [`Value`] is built. `None`
+    /// when the slot is empty or holds a NaN.
     pub(crate) fn at(col: &'a Column, slot: usize) -> Option<KeyRef<'a>> {
         match col.ty() {
             ValueType::Float | ValueType::Int => {
@@ -251,58 +251,60 @@ impl<'a> KeyRef<'a> {
     }
 }
 
-/// A lookup key whose string buffer is reused from one lookup to the
-/// next: finding the bucket of a string key that is already in the map
-/// allocates nothing, and only a first sighting clones the key into it.
-/// Bulk builds look up one key per row.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct KeyBuf(Option<IndexKey>);
+/// A key other than a string as one integer — its [`KeyRef::prefix`],
+/// which spells such a key out whole — and its variant, so a `Bool` and
+/// a `Vec2` of equal bits stay two keys.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Scalar(u64, u8);
 
-impl KeyBuf {
-    /// Load `key` — a string into the reused buffer — and return it as
-    /// the owned key type maps look up.
-    pub(crate) fn load(&mut self, key: KeyRef<'_>) -> &IndexKey {
-        match (key, &mut self.0) {
-            (KeyRef::Str(s), Some(IndexKey::Str(buf))) => {
-                buf.clear();
-                buf.push_str(s);
-            }
-            (key, held) => *held = Some(key.to_key()),
-        }
-        self.0.as_ref().expect("just loaded")
+impl Scalar {
+    fn of(key: KeyRef<'_>) -> Scalar {
+        let variant = match key {
+            KeyRef::Num(_) => 0,
+            KeyRef::Bool(_) => 1,
+            KeyRef::Vec2(_) => 2,
+            KeyRef::Str(_) => unreachable!("string keys have their own map"),
+        };
+        Scalar(key.prefix(), variant)
     }
 }
 
-/// Append `id` to the posting list of `key`. Callers feed ids in
-/// ascending order per key, so lists stay sorted without a search.
-fn append_posting(map: &mut HashMap<IndexKey, Vec<EntityId>>, key: &IndexKey, id: EntityId) {
-    match map.get_mut(key) {
-        Some(posting) => posting.push(id),
-        None => {
-            map.insert(key.clone(), vec![id]);
-        }
+impl Hash for Scalar {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        // A whole number's `OrdF64` bits have their low 40 bits zero, and
+        // a multiply-rotate hash of such a word leaves zero both the low
+        // bits a table indexes by and the high bits it keeps as control
+        // bytes: fold the high half in before the hasher multiplies.
+        state.write_u64(self.0 ^ (self.0 >> 32));
     }
 }
 
-/// Interns the keys one view operator holds as dense `u32` ids, so its
-/// group table and join postings are vectors indexed by id and a row
-/// remembers its key in four bytes. Each id counts the rows holding it;
-/// an id whose count falls to zero is freed by [`KeyTable::sweep`] — at
-/// the end of a refresh, so ids stay stable while one is folded — and
-/// reused by the next new key, so key churn cannot grow the table.
+/// Interns keys as dense `u32` ids, so a view operator's group table and
+/// join postings and a secondary index's posting lists are vectors
+/// indexed by id, and a row remembers its key in four bytes. A view
+/// counts the rows holding each id ([`KeyTable::intern`]) and frees the
+/// ids no row holds at the end of a refresh ([`KeyTable::sweep`]), so ids
+/// stay stable while one is folded; an index counts them in its posting
+/// lists and frees an id as soon as its list empties
+/// ([`KeyTable::retire`]). A freed id is reused by the next new key, so
+/// key churn cannot grow the table.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct KeyTable {
-    ids: HashMap<IndexKey, u32>,
+    /// Id of each key but a string. These are integers the engine
+    /// derives, so the multiply-rotate `IdHasher` hashes them.
+    scalars: HashMap<Scalar, u32, BuildIdHasher>,
+    /// Id of each string key. Strings can be player-chosen bytes, so they
+    /// keep std's randomly keyed hasher; a lookup borrows the `&str`.
+    strings: HashMap<Box<str>, u32>,
     /// Key of each id; `None` for a free id.
     keys: Vec<Option<IndexKey>>,
     /// Order-preserving prefix of each id's key ([`KeyRef::prefix`]).
     prefixes: Vec<u64>,
-    /// Rows holding each id.
+    /// Rows holding each id (a view's count; zero in an index).
     rows: Vec<u32>,
     free: Vec<u32>,
     /// Ids whose count reached zero since the last sweep.
     dead: Vec<u32>,
-    buf: KeyBuf,
 }
 
 impl KeyTable {
@@ -324,11 +326,20 @@ impl KeyTable {
             .then_with(|| self.get(a).cmp(&self.get(b)))
     }
 
-    /// The id of `key`, counting `rows` more rows on it. A known key is
-    /// found through the reused lookup buffer, so it allocates nothing.
-    pub(crate) fn intern(&mut self, key: KeyRef<'_>, rows: u32) -> u32 {
-        if let Some(&id) = self.ids.get(self.buf.load(key)) {
-            self.rows[id as usize] += rows;
+    /// The id of `key`, if it is interned.
+    fn find(&self, key: KeyRef<'_>) -> Option<u32> {
+        match key {
+            KeyRef::Str(s) => self.strings.get(s),
+            key => self.scalars.get(&Scalar::of(key)),
+        }
+        .copied()
+    }
+
+    /// The id of `key`, interned with no rows counted if it is new. A
+    /// known key is found without building an owned key, so it
+    /// allocates nothing.
+    pub(crate) fn id(&mut self, key: KeyRef<'_>) -> u32 {
+        if let Some(id) = self.find(key) {
             return id;
         }
         let id = self.free.pop().unwrap_or(self.keys.len() as u32);
@@ -339,51 +350,67 @@ impl KeyTable {
         }
         self.keys[id as usize] = Some(key.to_key());
         self.prefixes[id as usize] = key.prefix();
-        self.rows[id as usize] = rows;
-        self.ids.insert(key.to_key(), id);
+        self.rows[id as usize] = 0;
+        match key {
+            KeyRef::Str(s) => self.strings.insert(s.into(), id),
+            key => self.scalars.insert(Scalar::of(key), id),
+        };
+        id
+    }
+
+    /// The id of `key`, counting `rows` more rows on it.
+    pub(crate) fn intern(&mut self, key: KeyRef<'_>, rows: u32) -> u32 {
+        let id = self.id(key);
+        self.rows[id as usize] += rows;
         id
     }
 
     /// The id a row holding `held` ([`NO_KEY`]: none) holds once its key
     /// is `now`: `held` itself when the key is unchanged — compared with
     /// the interned key, not hashed — else `now` interned, `held`
-    /// released.
+    /// released (and swept once no row holds it).
     pub(crate) fn rekey(&mut self, held: u32, now: Option<KeyRef<'_>>) -> u32 {
         match now {
             Some(k) if self.get(held) == Some(k) => held,
             now => {
-                if held != NO_KEY {
-                    self.release(held);
+                if held != NO_KEY && self.release(held) {
+                    self.dead.push(held);
                 }
                 now.map_or(NO_KEY, |k| self.intern(k, 1))
             }
         }
     }
 
-    /// One row stopped holding `id`.
-    fn release(&mut self, id: u32) {
+    /// One row stopped holding `id`; true when no row holds it now.
+    fn release(&mut self, id: u32) -> bool {
         let rows = &mut self.rows[id as usize];
         *rows -= 1;
-        if *rows == 0 {
-            self.dead.push(id);
-        }
+        *rows == 0
     }
 
     /// Free every id no row holds any more.
     pub(crate) fn sweep(&mut self) {
         while let Some(id) = self.dead.pop() {
             if self.rows[id as usize] == 0 {
-                if let Some(key) = self.keys[id as usize].take() {
-                    self.ids.remove(&key);
-                    self.free.push(id);
-                }
+                self.retire(id);
             }
+        }
+    }
+
+    /// Free `id`, which no row holds, for the next new key.
+    fn retire(&mut self, id: u32) {
+        if let Some(key) = self.keys[id as usize].take() {
+            match key {
+                IndexKey::Str(s) => self.strings.remove(s.as_str()),
+                key => self.scalars.remove(&Scalar::of(key.as_ref())),
+            };
+            self.free.push(id);
         }
     }
 
     /// Keys currently interned.
     pub(crate) fn len(&self) -> usize {
-        self.ids.len()
+        self.scalars.len() + self.strings.len()
     }
 }
 
@@ -405,17 +432,35 @@ pub fn supports(kind: IndexKind, ty: ValueType, op: CmpOp) -> bool {
     }
 }
 
-#[derive(Debug, Clone)]
-enum Buckets {
-    Hash(HashMap<IndexKey, Vec<EntityId>>),
-    Sorted(BTreeMap<IndexKey, Vec<EntityId>>),
+/// Where one slot sits in an index: its key id ([`NO_KEY`]: not indexed)
+/// and its position in that key's posting list.
+#[derive(Debug, Clone, Copy)]
+struct Held {
+    key: u32,
+    at: u32,
 }
+
+const UNHELD: Held = Held { key: NO_KEY, at: 0 };
 
 /// A secondary index over one component column.
 #[derive(Debug, Clone)]
 pub struct SecondaryIndex {
+    kind: IndexKind,
     ty: ValueType,
-    buckets: Buckets,
+    /// The live keys; an id is retired the moment its posting empties.
+    /// A key's row count is its posting's length, so the table's own
+    /// counts stay zero.
+    keys: KeyTable,
+    /// Entities holding each key id, in no particular order (a probe
+    /// sorts what it returns); empty for a free id.
+    postings: Vec<Vec<EntityId>>,
+    /// Each slot's key id and posting position, so a write leaves its old
+    /// posting without hashing the old key or searching the list.
+    held: Vec<Held>,
+    /// [`IndexKind::Sorted`] only: `(prefix, key id)` of every live key.
+    /// Prefix order is key order except among strings sharing their
+    /// first eight bytes, which a range probe settles by comparing keys.
+    order: BTreeSet<(u64, u32)>,
     entries: usize,
 }
 
@@ -423,88 +468,60 @@ impl SecondaryIndex {
     /// Empty index for a column of type `ty`.
     pub fn new(kind: IndexKind, ty: ValueType) -> Self {
         SecondaryIndex {
+            kind,
             ty,
-            buckets: match kind {
-                IndexKind::Hash => Buckets::Hash(HashMap::new()),
-                IndexKind::Sorted => Buckets::Sorted(BTreeMap::new()),
-            },
+            keys: KeyTable::default(),
+            postings: Vec::new(),
+            held: Vec::new(),
+            order: BTreeSet::new(),
             entries: 0,
         }
     }
 
-    /// Build the index over `col` in one pass. `ids` are the live
-    /// entities in ascending order, so hash postings are appended, never
-    /// searched; a sorted index collects its `(key, id)` pairs, sorts
-    /// them once and bulk-builds the tree from the sorted run — on a
-    /// numeric column the pairs are plain integers (the [`OrdF64`] bits
-    /// and the id) and the sort is a stable radix sort by key. The
-    /// result is what inserting every row one at a time would build.
+    /// Build the index over `col`. `ids` are the live entities in
+    /// ascending order: each row's key is looked up once, every posting
+    /// list is then allocated at its final size and filled in id order,
+    /// and a sorted index orders its key ids once, at the end. Probes of
+    /// the result answer exactly what inserting every row one at a time
+    /// would have built.
     pub(crate) fn build(
         kind: IndexKind,
         col: &Column,
         ids: impl Iterator<Item = EntityId>,
     ) -> SecondaryIndex {
-        let mut entries = 0;
-        let buckets = match kind {
-            IndexKind::Hash => {
-                let mut map = HashMap::new();
-                let mut key = KeyBuf::default();
-                for id in ids {
-                    if let Some(k) = KeyRef::at(col, id.index() as usize) {
-                        append_posting(&mut map, key.load(k), id);
-                        entries += 1;
-                    }
+        let mut idx = SecondaryIndex::new(kind, col.ty());
+        let mut rows: Vec<(EntityId, u32)> = Vec::new();
+        let mut sizes: Vec<usize> = Vec::new();
+        for id in ids {
+            if let Some(key) = KeyRef::at(col, id.index() as usize) {
+                let kid = idx.keys.id(key);
+                if kid as usize == sizes.len() {
+                    sizes.push(0);
                 }
-                Buckets::Hash(map)
+                sizes[kid as usize] += 1;
+                rows.push((id, kid));
             }
-            IndexKind::Sorted if matches!(col.ty(), ValueType::Float | ValueType::Int) => {
-                // plain integers: the key's order bits and the id, put in
-                // key order by a stable radix sort, so equal keys keep
-                // the ascending order the ids arrived in
-                let mut run: Vec<(u64, EntityId)> = ids
-                    .filter_map(|id| {
-                        let key = col.get_number(id.index() as usize).and_then(OrdF64::new)?;
-                        Some((key.0, id))
-                    })
-                    .collect();
-                entries = run.len();
-                radix_sort::<_, 8>(&mut run, |&(key, _)| key);
-                let postings = run.chunk_by(|a, b| a.0 == b.0).map(|same| {
-                    let ids = same.iter().map(|&(_, id)| id).collect();
-                    (IndexKey::Num(OrdF64(same[0].0)), ids)
-                });
-                Buckets::Sorted(postings.collect())
-            }
-            IndexKind::Sorted => {
-                let mut run: Vec<(KeyRef, EntityId)> = ids
-                    .filter_map(|id| KeyRef::at(col, id.index() as usize).map(|k| (k, id)))
-                    .collect();
-                entries = run.len();
-                run.sort_unstable();
-                let mut postings: Vec<(IndexKey, Vec<EntityId>)> = Vec::new();
-                for (key, id) in run {
-                    match postings.last_mut() {
-                        Some((last, posting)) if last.as_ref() == key => posting.push(id),
-                        _ => postings.push((key.to_key(), vec![id])),
-                    }
-                }
-                // `BTreeMap::from_iter` builds bottom-up from a sorted run
-                Buckets::Sorted(postings.into_iter().collect())
-            }
-        };
-        SecondaryIndex {
-            ty: col.ty(),
-            buckets,
-            entries,
         }
+        idx.postings = sizes.into_iter().map(Vec::with_capacity).collect();
+        idx.held = vec![UNHELD; col.presence().len()];
+        for (id, kid) in rows {
+            idx.post(kid, id);
+        }
+        if kind == IndexKind::Sorted {
+            // no key has been retired yet, so every id is live; a sorted
+            // run builds the tree bottom-up
+            let mut order: Vec<(u64, u32)> = (0..idx.postings.len() as u32)
+                .map(|kid| (idx.keys.prefixes[kid as usize], kid))
+                .collect();
+            radix_sort::<_, 8>(&mut order, |&(prefix, _)| prefix);
+            idx.order = order.into_iter().collect();
+        }
+        idx
     }
 
     /// The physical structure.
     pub fn kind(&self) -> IndexKind {
-        match self.buckets {
-            Buckets::Hash(_) => IndexKind::Hash,
-            Buckets::Sorted(_) => IndexKind::Sorted,
-        }
+        self.kind
     }
 
     /// Indexed entities (= postings).
@@ -520,80 +537,77 @@ impl SecondaryIndex {
     /// Number of distinct keys — an *exact* NDV, which the planner's
     /// selectivity model gets for free instead of scanning.
     pub fn ndv(&self) -> usize {
-        match &self.buckets {
-            Buckets::Hash(m) => m.len(),
-            Buckets::Sorted(m) => m.len(),
-        }
+        self.keys.len()
     }
 
     /// Exact numeric (min, max) over indexed keys, for sorted numeric
     /// indexes — again free for the planner.
     pub fn numeric_bounds(&self) -> Option<(f64, f64)> {
-        let Buckets::Sorted(m) = &self.buckets else {
-            return None;
-        };
-        match (m.keys().next(), m.keys().next_back()) {
-            (Some(IndexKey::Num(lo)), Some(IndexKey::Num(hi))) => Some((lo.get(), hi.get())),
+        let (&(_, lo), &(_, hi)) = (self.order.first()?, self.order.last()?);
+        match (self.keys.get(lo)?, self.keys.get(hi)?) {
+            (KeyRef::Num(lo), KeyRef::Num(hi)) => Some((lo.get(), hi.get())),
             _ => None,
         }
     }
 
     /// True when this index can serve `op` (on this column's type).
     pub fn supports(&self, op: CmpOp) -> bool {
-        supports(self.kind(), self.ty, op)
+        supports(self.kind, self.ty, op)
     }
 
-    /// Insert `(value, id)`. No-op for unkeyable values (NaN).
-    pub fn insert(&mut self, value: &Value, id: EntityId) {
-        let Some(key) = IndexKey::encode(self.ty, value) else {
+    /// Index `id` under `key` — `None` when the row gets no key (the
+    /// value is removed, the entity despawned, or the value is NaN). The
+    /// one maintenance call of every write path: the slot's old key id
+    /// is remembered, so only the new key is looked up.
+    pub(crate) fn replace(&mut self, id: EntityId, key: Option<KeyRef<'_>>) {
+        let slot = id.index() as usize;
+        let held = self.held.get(slot).map_or(NO_KEY, |h| h.key);
+        let kid = key.map_or(NO_KEY, |key| self.keys.id(key));
+        if kid == held {
             return;
-        };
-        let posting = match &mut self.buckets {
-            Buckets::Hash(m) => m.entry(key).or_default(),
-            Buckets::Sorted(m) => m.entry(key).or_default(),
-        };
-        if let Err(at) = posting.binary_search(&id) {
-            posting.insert(at, id);
-            self.entries += 1;
+        }
+        if held != NO_KEY {
+            self.unpost(held, slot);
+        }
+        if kid != NO_KEY && self.post(kid, id) && self.kind == IndexKind::Sorted {
+            self.order.insert((self.keys.prefixes[kid as usize], kid));
         }
     }
 
-    /// Remove `(value, id)`; drops emptied buckets so NDV stays exact.
-    pub fn remove(&mut self, value: &Value, id: EntityId) {
-        let Some(key) = IndexKey::encode(self.ty, value) else {
-            return;
+    /// Append `id` to the posting list of key id `kid`; true when the
+    /// list was empty (the key is new).
+    fn post(&mut self, kid: u32, id: EntityId) -> bool {
+        if kid as usize == self.postings.len() {
+            self.postings.push(Vec::new());
+        }
+        let posting = &mut self.postings[kid as usize];
+        let slot = id.index() as usize;
+        if slot >= self.held.len() {
+            self.held.resize(slot + 1, UNHELD);
+        }
+        self.held[slot] = Held {
+            key: kid,
+            at: posting.len() as u32,
         };
-        let emptied = match &mut self.buckets {
-            Buckets::Hash(m) => match m.get_mut(&key) {
-                Some(p) => {
-                    if let Ok(at) = p.binary_search(&id) {
-                        p.remove(at);
-                        self.entries -= 1;
-                    }
-                    p.is_empty()
-                }
-                None => false,
-            },
-            Buckets::Sorted(m) => match m.get_mut(&key) {
-                Some(p) => {
-                    if let Ok(at) = p.binary_search(&id) {
-                        p.remove(at);
-                        self.entries -= 1;
-                    }
-                    p.is_empty()
-                }
-                None => false,
-            },
-        };
-        if emptied {
-            match &mut self.buckets {
-                Buckets::Hash(m) => {
-                    m.remove(&key);
-                }
-                Buckets::Sorted(m) => {
-                    m.remove(&key);
-                }
-            }
+        posting.push(id);
+        self.entries += 1;
+        posting.len() == 1
+    }
+
+    /// Take `slot` out of the posting list of key id `kid`, retiring the
+    /// key if that empties it.
+    fn unpost(&mut self, kid: u32, slot: usize) {
+        let at = self.held[slot].at as usize;
+        self.held[slot] = UNHELD;
+        let posting = &mut self.postings[kid as usize];
+        posting.swap_remove(at);
+        if let Some(moved) = posting.get(at) {
+            self.held[moved.index() as usize].at = at as u32;
+        }
+        self.entries -= 1;
+        if posting.is_empty() {
+            self.order.remove(&(self.keys.prefixes[kid as usize], kid));
+            self.keys.retire(kid);
         }
     }
 
@@ -602,12 +616,9 @@ impl SecondaryIndex {
     /// `TableStats`); this is for tooling and for a future skew-aware
     /// cost model.
     pub fn eq_count(&self, value: &Value) -> usize {
-        IndexKey::encode(self.ty, value)
-            .map(|key| match &self.buckets {
-                Buckets::Hash(m) => m.get(&key).map_or(0, Vec::len),
-                Buckets::Sorted(m) => m.get(&key).map_or(0, Vec::len),
-            })
-            .unwrap_or(0)
+        KeyRef::of(self.ty, value)
+            .and_then(|key| self.keys.find(key))
+            .map_or(0, |kid| self.postings[kid as usize].len())
     }
 
     /// Append every entity whose value satisfies `value_stored op value`
@@ -627,49 +638,57 @@ impl SecondaryIndex {
         if !self.supports(op) || also.is_some_and(|(op2, _)| !self.supports(op2)) {
             return false;
         }
-        let Some(key) = IndexKey::encode(self.ty, value) else {
+        let Some(key) = KeyRef::of(self.ty, value) else {
             return true;
         };
         let (mut lo, mut hi) = bounds(op, key);
         if let Some((op2, value2)) = also {
-            let Some(key2) = IndexKey::encode(self.ty, value2) else {
+            let Some(key2) = KeyRef::of(self.ty, value2) else {
                 return true;
             };
             let (lo2, hi2) = bounds(op2, key2);
             lo = tighter(lo, lo2, Ordering::Greater);
             hi = tighter(hi, hi2, Ordering::Less);
         }
-        if holds_nothing(&lo, &hi) {
-            return true;
-        }
-        match (&self.buckets, (&lo, &hi)) {
-            // a point: one posting list, already id-sorted
-            (Buckets::Hash(m), (Bound::Included(k), Bound::Included(_))) => {
-                if let Some(p) = m.get(k) {
-                    out.extend_from_slice(p);
+        let before = out.len();
+        match (lo, hi) {
+            // a point: one posting list
+            (Bound::Included(a), Bound::Included(b)) if a == b => {
+                if let Some(kid) = self.keys.find(a) {
+                    out.extend_from_slice(&self.postings[kid as usize]);
                 }
             }
-            (Buckets::Sorted(m), _) => {
-                let before = out.len();
-                let mut lists = 0;
-                for posting in m.range((lo, hi)).map(|(_, p)| p) {
-                    out.extend_from_slice(posting);
-                    lists += 1;
+            // a range: the live keys whose prefixes lie between the
+            // bounds' prefixes, each held to the bounds whole
+            _ => {
+                let prefix = |bound: Bound<KeyRef<'_>>, unbounded: u64| match bound {
+                    Bound::Included(k) | Bound::Excluded(k) => k.prefix(),
+                    Bound::Unbounded => unbounded,
+                };
+                let (from, to) = (prefix(lo, 0), prefix(hi, u64::MAX));
+                if from > to {
+                    return true;
                 }
-                if lists > 1 {
-                    sort_by_slot(&mut out[before..]);
+                for &(prefix, kid) in self.order.range((from, 0)..=(to, u32::MAX)) {
+                    // a prefix strictly between the bounds' prefixes is a
+                    // key strictly between the bounds
+                    let inside = (from < prefix && prefix < to)
+                        || (lo, hi).contains(&self.keys.get(kid).expect("ordered key ids are live"));
+                    if inside {
+                        out.extend_from_slice(&self.postings[kid as usize]);
+                    }
                 }
             }
-            (Buckets::Hash(_), _) => unreachable!("supports() rejected ranges on hash"),
         }
+        sort_by_slot(&mut out[before..]);
         true
     }
 }
 
 /// The key range `stored op key` selects.
-fn bounds(op: CmpOp, key: IndexKey) -> (Bound<IndexKey>, Bound<IndexKey>) {
+fn bounds(op: CmpOp, key: KeyRef<'_>) -> (Bound<KeyRef<'_>>, Bound<KeyRef<'_>>) {
     match op {
-        CmpOp::Eq => (Bound::Included(key.clone()), Bound::Included(key)),
+        CmpOp::Eq => (Bound::Included(key), Bound::Included(key)),
         CmpOp::Lt => (Bound::Unbounded, Bound::Excluded(key)),
         CmpOp::Le => (Bound::Unbounded, Bound::Included(key)),
         CmpOp::Gt => (Bound::Excluded(key), Bound::Unbounded),
@@ -681,7 +700,7 @@ fn bounds(op: CmpOp, key: IndexKey) -> (Bound<IndexKey>, Bound<IndexKey>) {
 /// The narrower of two lower bounds (`keep = Greater`: the larger key
 /// wins) or of two upper bounds (`keep = Less`); on equal keys the
 /// exclusive bound is the narrower.
-fn tighter(a: Bound<IndexKey>, b: Bound<IndexKey>, keep: Ordering) -> Bound<IndexKey> {
+fn tighter<'a>(a: Bound<KeyRef<'a>>, b: Bound<KeyRef<'a>>, keep: Ordering) -> Bound<KeyRef<'a>> {
     let ord = match (&a, &b) {
         (Bound::Unbounded, _) => return b,
         (_, Bound::Unbounded) => return a,
@@ -697,29 +716,14 @@ fn tighter(a: Bound<IndexKey>, b: Bound<IndexKey>, keep: Ordering) -> Bound<Inde
     }
 }
 
-/// True when no key lies in `(lo, hi)` — the ranges `BTreeMap::range`
-/// panics on (start above end, or one key with an exclusive side).
-fn holds_nothing(lo: &Bound<IndexKey>, hi: &Bound<IndexKey>) -> bool {
-    match (lo, hi) {
-        (Bound::Included(a) | Bound::Excluded(a), Bound::Included(b) | Bound::Excluded(b)) => {
-            match a.cmp(b) {
-                Ordering::Less => false,
-                Ordering::Equal => {
-                    !matches!((lo, hi), (Bound::Included(_), Bound::Included(_)))
-                }
-                Ordering::Greater => true,
-            }
-        }
-        _ => false,
-    }
-}
-
 /// Sort `ids` ascending by slot index ([`radix_sort`]) — linear in
-/// `ids.len()`, where the comparison sort it replaced paid a log factor.
-/// The ids occupy distinct slots (an index holds each live slot at most
-/// once), so slot order is id order.
+/// `ids.len()`, and only checked when already in order (a posting list
+/// built from ascending ids). The ids occupy distinct slots (an index
+/// holds each live slot at most once), so slot order is id order.
 fn sort_by_slot(ids: &mut [EntityId]) {
-    radix_sort::<_, 4>(ids, |e| e.index() as u64);
+    if !ids.is_sorted() {
+        radix_sort::<_, 4>(ids, |e| e.index() as u64);
+    }
 }
 
 /// Stable LSD radix sort of `items` by the low `BYTES` bytes of `key`,
@@ -773,6 +777,14 @@ mod tests {
         EntityId::from_bits(n as u64)
     }
 
+    fn put(idx: &mut SecondaryIndex, v: &Value, e: EntityId) {
+        idx.replace(e, KeyRef::of(idx.ty, v));
+    }
+
+    fn take(idx: &mut SecondaryIndex, e: EntityId) {
+        idx.replace(e, None);
+    }
+
     #[test]
     fn ordf64_total_order_matches_float_order() {
         let vals = [-1e30, -2.5, -0.0, 0.0, 1e-9, 2.5, 1e30];
@@ -793,9 +805,9 @@ mod tests {
     #[test]
     fn hash_index_eq_probe() {
         let mut idx = SecondaryIndex::new(IndexKind::Hash, ValueType::Str);
-        idx.insert(&Value::Str("red".into()), id(1));
-        idx.insert(&Value::Str("blue".into()), id(2));
-        idx.insert(&Value::Str("red".into()), id(3));
+        put(&mut idx, &Value::Str("red".into()), id(1));
+        put(&mut idx, &Value::Str("blue".into()), id(2));
+        put(&mut idx, &Value::Str("red".into()), id(3));
         assert_eq!(idx.len(), 3);
         assert_eq!(idx.ndv(), 2);
         let mut out = vec![];
@@ -811,7 +823,7 @@ mod tests {
     fn sorted_index_range_probes() {
         let mut idx = SecondaryIndex::new(IndexKind::Sorted, ValueType::Float);
         for (i, hp) in [10.0f32, 20.0, 20.0, 30.0].iter().enumerate() {
-            idx.insert(&Value::Float(*hp), id(i as u32));
+            put(&mut idx, &Value::Float(*hp), id(i as u32));
         }
         let mut out = vec![];
         idx.probe(CmpOp::Lt, &Value::Float(20.0), None, &mut out);
@@ -836,7 +848,7 @@ mod tests {
         let mut idx = SecondaryIndex::new(IndexKind::Sorted, ValueType::Int);
         let slots: Vec<u32> = (0..3000u32).map(|i| (i * 7919) % 70_000).collect();
         for (i, &s) in slots.iter().enumerate() {
-            idx.insert(&Value::Int((i % 37) as i64), id(s));
+            put(&mut idx, &Value::Int((i % 37) as i64), id(s));
         }
         let mut out = vec![id(u32::MAX)];
         let upper = Value::Int(30);
@@ -855,25 +867,25 @@ mod tests {
     #[test]
     fn remove_and_empty_buckets() {
         let mut idx = SecondaryIndex::new(IndexKind::Sorted, ValueType::Int);
-        idx.insert(&Value::Int(5), id(1));
-        idx.insert(&Value::Int(5), id(2));
-        idx.remove(&Value::Int(5), id(1));
+        put(&mut idx, &Value::Int(5), id(1));
+        put(&mut idx, &Value::Int(5), id(2));
+        take(&mut idx, id(1));
         assert_eq!(idx.len(), 1);
         assert_eq!(idx.ndv(), 1);
-        idx.remove(&Value::Int(5), id(2));
+        take(&mut idx, id(2));
         assert_eq!(idx.len(), 0);
         assert_eq!(idx.ndv(), 0, "emptied bucket must be dropped");
         // removing something absent is a no-op
-        idx.remove(&Value::Int(5), id(2));
+        take(&mut idx, id(2));
         assert_eq!(idx.len(), 0);
     }
 
     #[test]
     fn nan_never_stored_nan_probe_empty() {
         let mut idx = SecondaryIndex::new(IndexKind::Sorted, ValueType::Float);
-        idx.insert(&Value::Float(f32::NAN), id(1));
+        put(&mut idx, &Value::Float(f32::NAN), id(1));
         assert_eq!(idx.len(), 0);
-        idx.insert(&Value::Float(1.0), id(2));
+        put(&mut idx, &Value::Float(1.0), id(2));
         let mut out = vec![];
         assert!(idx.probe(CmpOp::Lt, &Value::Float(f32::NAN), None, &mut out));
         assert!(out.is_empty());
@@ -882,7 +894,7 @@ mod tests {
     #[test]
     fn mixed_type_probe_is_empty() {
         let mut idx = SecondaryIndex::new(IndexKind::Hash, ValueType::Float);
-        idx.insert(&Value::Float(5.0), id(1));
+        put(&mut idx, &Value::Float(5.0), id(1));
         let mut out = vec![];
         assert!(idx.probe(CmpOp::Eq, &Value::Str("5".into()), None, &mut out));
         assert!(out.is_empty(), "compare() calls mixed comparisons false");
@@ -891,16 +903,28 @@ mod tests {
     #[test]
     fn negative_zero_folds_onto_zero() {
         let mut idx = SecondaryIndex::new(IndexKind::Hash, ValueType::Float);
-        idx.insert(&Value::Float(-0.0), id(1));
+        put(&mut idx, &Value::Float(-0.0), id(1));
         let mut out = vec![];
         idx.probe(CmpOp::Eq, &Value::Float(0.0), None, &mut out);
         assert_eq!(out, vec![id(1)]);
     }
 
     #[test]
+    fn key_table_keeps_variants_of_equal_bits_apart() {
+        // a join may key a bool column against a vec2 one: `false` and
+        // (0, 0) share their bits, not their key
+        let mut keys = KeyTable::default();
+        let (f, origin) = (keys.id(KeyRef::Bool(false)), keys.id(KeyRef::Vec2([0, 0])));
+        assert_ne!(f, origin);
+        assert_eq!(keys.id(KeyRef::Bool(false)), f);
+        assert_eq!(keys.get(origin), Some(KeyRef::Vec2([0, 0])));
+        assert_eq!(keys.len(), 2);
+    }
+
+    #[test]
     fn vec2_equality_only() {
         let mut idx = SecondaryIndex::new(IndexKind::Sorted, ValueType::Vec2);
-        idx.insert(&Value::Vec2(1.0, 2.0), id(1));
+        put(&mut idx, &Value::Vec2(1.0, 2.0), id(1));
         let mut out = vec![];
         assert!(idx.probe(CmpOp::Eq, &Value::Vec2(1.0, 2.0), None, &mut out));
         assert_eq!(out, vec![id(1)]);

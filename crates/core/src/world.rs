@@ -25,7 +25,7 @@ use crate::metrics::CoreMetrics;
 use crate::column::Column;
 use crate::dvm::{PlanView, ViewPlan};
 use crate::entity::{EntityAllocator, EntityId};
-use crate::index::{IndexKind, SecondaryIndex};
+use crate::index::{IndexKind, KeyRef, SecondaryIndex};
 use crate::intern::{ComponentId, ComponentInterner};
 use crate::query::Query;
 use crate::view::{Changelog, ViewId, ViewRegistry, ViewStats};
@@ -360,25 +360,6 @@ impl World {
         }
     }
 
-    fn index_replace(
-        &mut self,
-        component: ComponentId,
-        id: EntityId,
-        old: Option<&Value>,
-        new: &Value,
-    ) {
-        if let Some(idx) = self
-            .indexes
-            .get_mut(component.index())
-            .and_then(Option::as_mut)
-        {
-            if let Some(old) = old {
-                idx.remove(old, id);
-            }
-            idx.insert(new, id);
-        }
-    }
-
     // ---- the change stream ----
     //
     // Every mutation below funnels through one commit discipline: do the
@@ -660,12 +641,9 @@ impl World {
             };
             self.record(ChangeOp::Despawned { id, row });
         }
-        // Indexes are evicted while column values are still readable.
         for (i, col) in self.columns.iter_mut().enumerate() {
             if let Some(Some(idx)) = self.indexes.get_mut(i) {
-                if let Some(v) = col.get(slot) {
-                    idx.remove(&v, id);
-                }
+                idx.replace(id, None);
             }
             col.remove(slot);
         }
@@ -756,45 +734,56 @@ impl World {
         cid: ComponentId,
         value: Value,
     ) -> Result<(), CoreError> {
+        self.check_set(id, cid, &value)?;
+        self.write_checked(id, cid, value);
+        Ok(())
+    }
+
+    /// The error [`World::set_by_id`] would return for this write, found
+    /// without writing.
+    fn check_set(&self, id: EntityId, cid: ComponentId, value: &Value) -> Result<(), CoreError> {
         self.check_live(id)?;
-        if cid == POS_ID {
-            let Value::Vec2(x, y) = value else {
-                return Err(CoreError::TypeMismatch {
-                    component: POS.to_string(),
-                    expected: ValueType::Vec2,
-                    got: value.value_type(),
-                });
-            };
-            return self.set_pos(id, Vec2::new(x, y));
-        }
-        let ci = self.column_index(cid)?;
-        let indexed = self.index_of(cid).is_some();
-        let recording = self.recording();
-        let col = &mut self.columns[ci];
-        let slot = id.index() as usize;
-        // Fetch the outgoing value only when an index must forget it or
-        // the change stream must carry it.
-        let old = if indexed || recording { col.get(slot) } else { None };
-        col.set(slot, &value)
-            .map_err(|expected| CoreError::TypeMismatch {
+        let expected = self.columns[self.column_index(cid)?].ty();
+        if value.value_type() != expected {
+            return Err(CoreError::TypeMismatch {
                 component: self.interner.name(cid).unwrap_or_default().to_string(),
                 expected,
                 got: value.value_type(),
-            })?;
-        if indexed {
-            self.index_replace(cid, id, old.as_ref(), &value);
+            });
         }
-        if recording {
+        Ok(())
+    }
+
+    /// Write a value [`World::check_set`] passed — the one place a value
+    /// reaches a column, so every write keeps the column's secondary
+    /// index (one [`SecondaryIndex::replace`]), the spatial grid for
+    /// `pos`, and the change stream in step. The value moves into the
+    /// column and is copied only for a change record.
+    fn write_checked(&mut self, id: EntityId, cid: ComponentId, value: Value) {
+        let recording = self.recording();
+        let slot = id.index() as usize;
+        let col = &mut self.columns[cid.index()];
+        if let Some(Some(idx)) = self.indexes.get_mut(cid.index()) {
+            idx.replace(id, KeyRef::of(col.ty(), &value));
+        }
+        if let (POS_ID, &Value::Vec2(x, y)) = (cid, &value) {
+            let pos = Vec2::new(x, y);
+            self.spatial.update(id.to_bits(), pos);
+            grow_bounds(&mut self.bounds, pos);
+        }
+        let old = if recording { col.get(slot) } else { None };
+        let new = recording.then(|| value.clone());
+        col.put(slot, value).expect("the write was type-checked");
+        if let Some(new) = new {
             // the record carries the interned id — no name clone on the
             // hot write path
             self.record(ChangeOp::Set {
                 id,
                 component: cid,
                 old,
-                new: value,
+                new,
             });
         }
-        Ok(())
     }
 
     /// Component value, or `None` when the entity is dead, the component
@@ -825,9 +814,7 @@ impl World {
         }
         let slot = id.index() as usize;
         if let Some(Some(idx)) = self.indexes.get_mut(cid.index()) {
-            if let Some(old) = self.columns[cid.index()].get(slot) {
-                idx.remove(&old, id);
-            }
+            idx.replace(id, None);
         }
         let recording = self.recording();
         let col = &mut self.columns[cid.index()];
@@ -914,21 +901,7 @@ impl World {
     /// Move an entity (keeps the spatial index in sync).
     pub fn set_pos(&mut self, id: EntityId, pos: Vec2) -> Result<(), CoreError> {
         self.check_live(id)?;
-        let recording = self.recording();
-        let col = &mut self.columns[POS_ID.index()];
-        let old = if recording { col.get(id.index() as usize) } else { None };
-        col.set(id.index() as usize, &Value::Vec2(pos.x, pos.y))
-            .expect("pos column is vec2");
-        if recording {
-            self.record(ChangeOp::Set {
-                id,
-                component: POS_ID,
-                old,
-                new: Value::Vec2(pos.x, pos.y),
-            });
-        }
-        self.spatial.update(id.to_bits(), pos);
-        grow_bounds(&mut self.bounds, pos);
+        self.write_checked(id, POS_ID, Value::Vec2(pos.x, pos.y));
         Ok(())
     }
 
@@ -1517,17 +1490,18 @@ impl World {
     /// methods (type checks, index maintenance, change-stream records),
     /// but maximal runs of value writes are regrouped by component —
     /// per-slot order preserved, so the final state and the recorded
-    /// old→new chains are identical to op-by-op application — and the
-    /// column + index for each group are resolved once instead of once
-    /// per write. With a durability tap attached, the whole batch lands
-    /// as **one** pending stream segment: one group-commit WAL frame.
+    /// old→new chains are identical to op-by-op application. The batch
+    /// is consumed: each value moves into its column. With a durability
+    /// tap attached, the whole batch lands as **one** pending stream
+    /// segment: one group-commit WAL frame.
     ///
     /// This is how the tick executor's merged effect buffers commit
     /// (see [`crate::effect::EffectBuffer::apply`]).
     ///
     /// Returns the number of ops applied. On error the batch stops at
-    /// the offending op (already-applied ops stay applied — batches are
-    /// atomic only with respect to durability framing, not rollback).
+    /// the offending op: every op before it in batch order is applied,
+    /// none after it (batches are atomic only with respect to durability
+    /// framing, not rollback).
     pub fn apply_batch(&mut self, batch: WriteBatch) -> Result<usize, CoreError> {
         let WriteBatch { names, mut ops } = batch;
         let is_write = |o: &QueuedOp| matches!(o, QueuedOp::Set { .. } | QueuedOp::SetPos { .. });
@@ -1540,7 +1514,7 @@ impl World {
                 i = j;
                 continue;
             }
-            match &ops[i] {
+            match &mut ops[i] {
                 QueuedOp::Remove { id, component } => {
                     self.remove_component(*id, names.name(*component))?;
                 }
@@ -1549,12 +1523,12 @@ impl World {
                 }
                 QueuedOp::Spawn { components, pos } => {
                     let id = self.spawn_at(*pos);
-                    for (component, value) in components {
-                        if self.component_type(component).is_none() {
+                    for (component, value) in std::mem::take(components) {
+                        if self.component_type(&component).is_none() {
                             // auto-define like template spawning does
-                            let _ = self.define_component(component, value.value_type());
+                            let _ = self.define_component(&component, value.value_type());
                         }
-                        self.set(id, component, value.clone())?;
+                        self.set(id, &component, value)?;
                     }
                 }
                 QueuedOp::Set { .. } | QueuedOp::SetPos { .. } => unreachable!("handled above"),
@@ -1571,16 +1545,44 @@ impl World {
     /// Apply a run of value writes, regrouped by **interned column id**.
     /// The batch's names resolve to ids once per run — a spawn earlier
     /// in the batch may have defined one — so an op finds its column by
-    /// table index, not by hashing its name. The sort is stable, so
-    /// multiple writes to one `(entity, component)` slot keep their
-    /// order; cross-slot writes commute (no observer runs between the
-    /// ops of a batch, and replay applies records in stream order).
+    /// table index, not by hashing its name. Liveness, schema and types
+    /// cannot change inside a run, so the run is checked first, in batch
+    /// order, and only the ops before the first failing one are applied
+    /// before its error returns. The sort is stable, so multiple writes
+    /// to one `(entity, component)` slot keep their order; cross-slot
+    /// writes commute (no observer runs between the ops of a batch, and
+    /// replay applies records in stream order).
     fn apply_write_run(&mut self, names: &NameTable, run: &mut [QueuedOp]) -> Result<(), CoreError> {
-        // unknown names sort last and error when their group applies
         let ids: Vec<u32> = names
             .iter()
             .map(|n| self.interner.get(n).map_or(u32::MAX, ComponentId::as_u32))
             .collect();
+        let mut failed = None;
+        for (at, op) in run.iter().enumerate() {
+            let checked = match op {
+                QueuedOp::Set {
+                    id,
+                    component,
+                    value,
+                } => match ids[*component as usize] {
+                    // a dead entity outranks an unknown name, as in `set`
+                    u32::MAX => self.check_live(*id).and(Err(CoreError::UnknownComponent(
+                        names.name(*component).to_string(),
+                    ))),
+                    cid => self.check_set(*id, ComponentId::from_u32(cid), value),
+                },
+                QueuedOp::SetPos { id, .. } => self.check_live(*id),
+                _ => unreachable!("write runs hold only value writes"),
+            };
+            if let Err(e) = checked {
+                failed = Some((at, e));
+                break;
+            }
+        }
+        let run = match &failed {
+            Some((at, _)) => &mut run[..*at],
+            None => run,
+        };
         // compute keys once, then stably co-sort `run` and `keys` by
         // applying the sorting permutation in place (index-chasing form
         // — `order[i]` may point at a slot already emptied by an earlier
@@ -1591,8 +1593,7 @@ impl World {
             .iter()
             .map(|op| match op {
                 QueuedOp::Set { component, .. } => ids[*component as usize],
-                QueuedOp::SetPos { .. } => POS_ID.as_u32(),
-                _ => unreachable!("write runs hold only value writes"),
+                _ => POS_ID.as_u32(),
             })
             .collect();
         let mut order: Vec<u32> = (0..run.len() as u32).collect();
@@ -1607,90 +1608,18 @@ impl World {
             order[i] = j as u32;
         }
         debug_assert!(keys.is_sorted());
-        let mut i = 0;
-        while i < run.len() {
-            let j = i + keys[i..].iter().take_while(|&&k| k == keys[i]).count();
-            if keys[i] == POS_ID.as_u32() {
-                // position writes maintain the spatial index per op
-                for op in &run[i..j] {
-                    match op {
-                        QueuedOp::SetPos { id, pos } => self.set_pos(*id, *pos)?,
-                        QueuedOp::Set { id, value, .. } => self.set(*id, POS, value.clone())?,
-                        _ => unreachable!(),
-                    }
+        for (op, &cid) in run.iter_mut().zip(&keys) {
+            let (id, value) = match op {
+                QueuedOp::Set { id, value, .. } => {
+                    // the batch is consumed: the value moves out of the op
+                    (*id, std::mem::replace(value, Value::Bool(false)))
                 }
-            } else if keys[i] == u32::MAX {
-                let QueuedOp::Set { component, .. } = &run[i] else {
-                    unreachable!("write runs hold only value writes");
-                };
-                return Err(CoreError::UnknownComponent(names.name(*component).to_string()));
-            } else {
-                self.apply_column_group(&run[i..j], ComponentId::from_u32(keys[i]))?;
-            }
-            i = j;
-        }
-        Ok(())
-    }
-
-    /// Apply a group of `Set` ops that all target one (non-`pos`)
-    /// component: the column and its secondary index are resolved once
-    /// for the whole group — the amortization the per-call path pays on
-    /// every write.
-    fn apply_column_group(&mut self, group: &[QueuedOp], cid: ComponentId) -> Result<(), CoreError> {
-        let recording = self.recording();
-        let tick = self.tick;
-        let World {
-            alloc,
-            columns,
-            interner,
-            indexes,
-            changes,
-            ..
-        } = self;
-        let col = &mut columns[cid.index()];
-        let mut idx = indexes.get_mut(cid.index()).and_then(Option::as_mut);
-        let has_idx = idx.is_some();
-        for op in group {
-            let QueuedOp::Set { id, value, .. } = op else {
-                unreachable!("column groups hold only Set ops");
+                QueuedOp::SetPos { id, pos } => (*id, Value::Vec2(pos.x, pos.y)),
+                _ => unreachable!("write runs hold only value writes"),
             };
-            if !alloc.is_live(*id) {
-                return Err(CoreError::DeadEntity(*id));
-            }
-            let slot = id.index() as usize;
-            let old = if has_idx || recording {
-                col.get(slot)
-            } else {
-                None
-            };
-            col.set(slot, value)
-                .map_err(|expected| CoreError::TypeMismatch {
-                    component: interner
-                        .name(cid)
-                        .expect("group ids come from the interner")
-                        .to_string(),
-                    expected,
-                    got: value.value_type(),
-                })?;
-            if let Some(ix) = idx.as_mut() {
-                if let Some(old) = &old {
-                    ix.remove(old, *id);
-                }
-                ix.insert(value, *id);
-            }
-            if recording {
-                changes.record(
-                    tick,
-                    ChangeOp::Set {
-                        id: *id,
-                        component: cid,
-                        old,
-                        new: value.clone(),
-                    },
-                );
-            }
+            self.write_checked(id, ComponentId::from_u32(cid), value);
         }
-        Ok(())
+        failed.map_or(Ok(()), |(_, e)| Err(e))
     }
 }
 
@@ -2230,6 +2159,78 @@ mod tests {
         assert_eq!(w.get_f32(e, "c"), Some(3.0));
         assert_eq!(w.get_f32(f, "a"), Some(4.0));
         assert_eq!(w.get_f32(f, "c"), Some(6.0));
+    }
+
+    #[test]
+    fn apply_batch_error_applies_exactly_the_prefix() {
+        // `gold` writes before and after the failing op, in both column
+        // definition orders: the regrouping must not decide which land
+        for hp_first in [true, false] {
+            let fresh = || {
+                let mut w = World::new();
+                let columns = [("hp", ValueType::Float), ("gold", ValueType::Int)];
+                let order = if hp_first { [0, 1] } else { [1, 0] };
+                for i in order {
+                    w.define_component(columns[i].0, columns[i].1).unwrap();
+                }
+                w.create_index("gold", IndexKind::Sorted).unwrap();
+                let (e1, e2, gone) = (w.spawn(), w.spawn(), w.spawn());
+                w.despawn(gone);
+                let tap = w.attach_tap();
+                (w, tap, e1, e2, gone)
+            };
+            let (_, _, e1, e2, gone) = fresh();
+            let bad = |case: usize, b: &mut WriteBatch| match case {
+                0 => b.set(e1, "hp", Value::Str("x".into())),
+                1 => b.set(gone, "gold", Value::Int(2)),
+                2 => b.set_pos(gone, v(1.0, 1.0)),
+                3 => b.set(e1, "mana", Value::Int(2)),
+                // a dead entity outranks an unknown name
+                _ => b.set(gone, "mana", Value::Int(2)),
+            };
+            let errors = [
+                CoreError::TypeMismatch {
+                    component: "hp".into(),
+                    expected: ValueType::Float,
+                    got: ValueType::Str,
+                },
+                CoreError::DeadEntity(gone),
+                CoreError::DeadEntity(gone),
+                CoreError::UnknownComponent("mana".into()),
+                CoreError::DeadEntity(gone),
+            ];
+            for (case, err) in errors.iter().enumerate() {
+                let (mut w, tap, ..) = fresh();
+                let mut batch = WriteBatch::new();
+                batch.set(e1, "gold", Value::Int(1));
+                bad(case, &mut batch);
+                batch.set(e2, "gold", Value::Int(3));
+                assert_eq!(
+                    w.apply_batch(batch).as_ref(),
+                    Err(err),
+                    "hp first: {hp_first}"
+                );
+                assert_eq!(
+                    w.get(e1, "gold"),
+                    Some(Value::Int(1)),
+                    "the write before lands"
+                );
+                assert_eq!(w.get(e2, "gold"), None, "the write after does not");
+                // state and records are those of the prefix alone
+                let (mut want, want_tap, ..) = fresh();
+                let mut prefix = WriteBatch::new();
+                prefix.set(e1, "gold", Value::Int(1));
+                want.apply_batch(prefix).unwrap();
+                assert_eq!(w.rows(), want.rows());
+                assert_eq!(w.tap_pending(tap), want.tap_pending(want_tap));
+                let probe = |w: &World| {
+                    let mut out = Vec::new();
+                    w.index_probe("gold", CmpOp::Ge, &Value::Int(0), &mut out);
+                    out
+                };
+                assert_eq!(probe(&w), vec![e1]);
+            }
+        }
     }
 
     #[test]

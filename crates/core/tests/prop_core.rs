@@ -1656,7 +1656,9 @@ fn naive_fold(world: &World, name: &str, cur: Option<Value>, effect: &Effect) ->
 /// `EffectBuffer::apply` the slow way: sort `(entity, name, order key)`
 /// tuples by comparing the strings, fold them one at a time through
 /// `World::get`, then write each slot's final value through `World::set`
-/// — pos first and then column by column, as one batch commit does.
+/// — pos first and then column by column, as one batch commit does, and
+/// only the slots before the first write that fails in batch order
+/// (entity, then name), whose error the batch returns.
 fn naive_apply(
     world: &mut World,
     mut ops: Vec<(EntityId, &'static str, Effect)>,
@@ -1679,9 +1681,23 @@ fn naive_apply(
         slots.push((*id, name, naive_fold(world, name, cur, effect)?));
         applied += 1;
     }
+    let failed = slots
+        .iter()
+        .position(|(_, name, value)| world.component_type(name) != Some(value.value_type()));
+    let error = failed.map(|at| {
+        let (id, name, value) = slots[at].clone();
+        world
+            .clone()
+            .set(id, name, value)
+            .expect_err("this write fails")
+    });
+    slots.truncate(failed.unwrap_or(slots.len()));
     slots.sort_by_key(|(_, name, _)| world.component_id(name).map_or(u32::MAX, |c| c.as_u32()));
     for (id, name, value) in slots {
         world.set(id, name, value)?;
+    }
+    if let Some(e) = error {
+        return Err(e);
     }
     despawns.sort_unstable();
     despawns.dedup();
@@ -2125,6 +2141,199 @@ proptest! {
                     w.drop_view(view);
                 }
             }
+        }
+    }
+}
+
+/// One op of a generated write batch against the `hp` / `gold` / `team`
+/// table; `u16` payloads pick a live entity.
+#[derive(Debug, Clone)]
+enum BatchOp {
+    Hp(u16, f32),
+    Gold(u16, i64),
+    Team(u16, u8),
+    /// Two writes to one slot in one batch.
+    Twice(u16, f32, f32),
+    Spawn(f32, i64, u8),
+    Despawn(u16),
+    RemoveHp(u16),
+    RemoveTeam(u16),
+}
+
+/// A float from a few keys, so keys empty and are born again (key id
+/// reuse), plus NaN, both zeros and a fraction.
+fn churn_float() -> impl Strategy<Value = f32> {
+    prop_oneof![
+        (0i32..6).prop_map(|x| x as f32),
+        Just(f32::NAN),
+        Just(-0.0f32),
+        Just(0.0f32),
+        Just(2.5f32),
+    ]
+}
+
+/// An int from a few keys, plus ints beyond 2^53 that collide as `f64`
+/// keys (2^53 and 2^53 + 1) and the smallest int.
+fn churn_int() -> impl Strategy<Value = i64> {
+    prop_oneof![
+        -3i64..4,
+        (0i64..4).prop_map(|d| (1i64 << 53) + d),
+        Just(i64::MIN),
+    ]
+}
+
+/// Team names: three sharing their first eight bytes, the empty string,
+/// and a string and itself plus a trailing NUL.
+const CHURN_TEAMS: [&str; 6] = ["guild_000_a", "guild_000_b", "guild_000", "", "a", "a\0"];
+
+fn batch_op_strategy() -> impl Strategy<Value = BatchOp> {
+    prop_oneof![
+        (0u16..512, churn_float()).prop_map(|(i, x)| BatchOp::Hp(i, x)),
+        (0u16..512, churn_int()).prop_map(|(i, g)| BatchOp::Gold(i, g)),
+        (0u16..512, 0u8..6).prop_map(|(i, t)| BatchOp::Team(i, t)),
+        (0u16..512, churn_float(), churn_float()).prop_map(|(i, a, b)| BatchOp::Twice(i, a, b)),
+        (churn_float(), churn_int(), 0u8..6).prop_map(|(h, g, t)| BatchOp::Spawn(h, g, t)),
+        (0u16..512).prop_map(BatchOp::Despawn),
+        (0u16..512).prop_map(BatchOp::RemoveHp),
+        (0u16..512).prop_map(BatchOp::RemoveTeam),
+    ]
+}
+
+fn team(t: u8) -> Value {
+    Value::Str(CHURN_TEAMS[t as usize].into())
+}
+
+fn queue_batch_op(b: &mut gamedb_core::WriteBatch, live: &[EntityId], op: &BatchOp) {
+    if live.is_empty() && !matches!(op, BatchOp::Spawn(..)) {
+        return;
+    }
+    let at = |i: u16| live[i as usize % live.len()];
+    match *op {
+        BatchOp::Hp(i, x) => b.set(at(i), "hp", Value::Float(x)),
+        BatchOp::Gold(i, g) => b.set(at(i), "gold", Value::Int(g)),
+        BatchOp::Team(i, t) => b.set(at(i), "team", team(t)),
+        BatchOp::Twice(i, x, y) => {
+            b.set(at(i), "hp", Value::Float(x));
+            b.set(at(i), "hp", Value::Float(y));
+        }
+        BatchOp::Spawn(h, g, t) => b.spawn(
+            vec![
+                ("hp".into(), Value::Float(h)),
+                ("gold".into(), Value::Int(g)),
+                ("team".into(), team(t)),
+            ],
+            Vec2::new(0.0, 0.0),
+        ),
+        BatchOp::Despawn(i) => b.despawn(at(i)),
+        BatchOp::RemoveHp(i) => b.remove(at(i), "hp"),
+        BatchOp::RemoveTeam(i) => b.remove(at(i), "team"),
+    }
+}
+
+/// Every index of `w` against a fresh `create_index` over the same
+/// column: equal size, NDV and numeric bounds, and for every stored
+/// value equal `Eq` probes (one posting list) and, where the index
+/// serves them, `Lt` / `Ge` probes — each also equal to `run_scan`.
+fn index_equals_rebuild(w: &World) -> Result<(), TestCaseError> {
+    let indexed: Vec<(String, IndexKind)> = w
+        .indexed_components()
+        .map(|(c, k)| (c.to_string(), k))
+        .collect();
+    for (c, kind) in &indexed {
+        let mut fresh = w.clone();
+        fresh.drop_index(c);
+        fresh.create_index(c, *kind).unwrap();
+        let (a, b) = (w.index_on(c).unwrap(), fresh.index_on(c).unwrap());
+        prop_assert_eq!(
+            (a.len(), a.ndv(), a.numeric_bounds()),
+            (b.len(), b.ndv(), b.numeric_bounds()),
+            "index {}",
+            c
+        );
+        let mut values: Vec<Value> = Vec::new();
+        for v in w.entities().filter_map(|e| w.get(e, c)) {
+            if !values.contains(&v) {
+                values.push(v);
+            }
+        }
+        for v in &values {
+            for op in [CmpOp::Eq, CmpOp::Lt, CmpOp::Ge] {
+                if !a.supports(op) {
+                    continue;
+                }
+                let (mut got, mut rebuilt) = (Vec::new(), Vec::new());
+                prop_assert!(w.index_probe(c, op, v, &mut got));
+                prop_assert!(fresh.index_probe(c, op, v, &mut rebuilt));
+                prop_assert_eq!(&got, &rebuilt, "{} {:?} {:?}", c, op, v);
+                let scan = Query::select().filter(c, op, v.clone()).run_scan(w);
+                prop_assert_eq!(&got, &scan, "{} {:?} {:?} vs scan", c, op, v);
+            }
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::default())]
+
+    /// The batch write path (`apply_batch`: column groups, spawns,
+    /// despawns, removals) keeps every index exactly what a fresh
+    /// `create_index` over the same column builds, batch after batch:
+    /// writes to `hp` (sorted), `gold` and `team` (either kind) with NaN,
+    /// ±0, ints beyond 2^53 colliding as `f64`, strings sharing eight
+    /// bytes, repeated writes to one slot, and keys emptied and born
+    /// again, over indexes built before or after the base rows.
+    #[test]
+    fn batched_index_equals_rebuilt_index(
+        base in proptest::collection::vec(
+            (churn_float(), proptest::option::of(churn_int()), proptest::option::of(0u8..6)),
+            1..200,
+        ),
+        batches in proptest::collection::vec(
+            proptest::collection::vec(batch_op_strategy(), 1..60),
+            1..8,
+        ),
+        hash_gold in any::<bool>(),
+        hash_team in any::<bool>(),
+        index_first in any::<bool>(),
+    ) {
+        let mut w = World::new();
+        w.define_component("hp", ValueType::Float).unwrap();
+        w.define_component("gold", ValueType::Int).unwrap();
+        w.define_component("team", ValueType::Str).unwrap();
+        let kind = |hash: bool| if hash { IndexKind::Hash } else { IndexKind::Sorted };
+        let indexes = [("hp", IndexKind::Sorted), ("gold", kind(hash_gold)), ("team", kind(hash_team))];
+        if index_first {
+            for (c, k) in indexes {
+                w.create_index(c, k).unwrap();
+            }
+        }
+        for (i, &(hp, gold, t)) in base.iter().enumerate() {
+            let e = w.spawn_at(Vec2::new(i as f32, 0.0));
+            w.set_f32(e, "hp", hp).unwrap();
+            if let Some(g) = gold {
+                w.set(e, "gold", Value::Int(g)).unwrap();
+            }
+            if let Some(t) = t {
+                w.set(e, "team", team(t)).unwrap();
+            }
+        }
+        if !index_first {
+            for (c, k) in indexes {
+                w.create_index(c, k).unwrap();
+            }
+        }
+        index_equals_rebuild(&w)?;
+        for ops in &batches {
+            let live = w.entity_vec();
+            let mut batch = gamedb_core::WriteBatch::new();
+            for op in ops {
+                queue_batch_op(&mut batch, &live, op);
+            }
+            // a write to an entity an earlier op of the batch despawned
+            // stops the batch there; the indexes are exact either way
+            let _ = w.apply_batch(batch);
+            index_equals_rebuild(&w)?;
         }
     }
 }
