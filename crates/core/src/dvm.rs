@@ -57,11 +57,16 @@
 //! deltas probe the post-batch left state — accumulating pair weights
 //! that cancel to the net entered/exited sets. Group aggregates fold
 //! each ±row into its group's running state and flag the group touched;
-//! the touched groups then patch the materialized output in key order,
-//! so a refresh costs O(candidates + touched groups), never O(groups).
+//! the touched groups then patch the materialized output in key order.
 //! Membership itself is always re-evaluated against the *post-batch*
 //! world (never trusted from the log), so duplicate or stale deltas
 //! cannot corrupt a view.
+//!
+//! Every step between merges sorted runs (Z-sets as DBSP keeps them)
+//! into buffers the operator keeps: besides a membership test per
+//! candidate, a refresh costs O(batch) for the candidates, one sort of
+//! a join's pair weights, O(log |out|) per output delta or touched row,
+//! and one pass over an output whose membership moved.
 //!
 //! ## Equivalence and determinism
 //!
@@ -77,7 +82,7 @@
 //! aggregate inputs are skipped entirely (SQL NULL semantics, shared
 //! with [`crate::query::aggregate`]), and a NaN join key joins nothing.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
 use std::time::Instant;
 
 use gamedb_content::Value;
@@ -89,7 +94,7 @@ use crate::index::{radix_sort, KeyRef, KeyTable, OrdF64, NO_KEY};
 use crate::intern::ComponentId;
 use crate::metrics::CoreMetrics;
 use crate::query::{AggFn, Pred, Query, RowFilter};
-use crate::view::{Changelog, FoldCtx, ViewStats};
+use crate::view::{apply_diff, gallop, intersect, union, Changelog, FoldCtx, ViewStats};
 use crate::world::{CoreError, World, POS_ID};
 
 /// Decode safety bound on operator-chain depth (catalog records are
@@ -347,6 +352,17 @@ struct Source {
     needs_pos: bool,
 }
 
+impl Source {
+    /// True when deltas of component `comp` can change this source's
+    /// membership *or* remembered fields.
+    fn tracks(&self, world: &World, comp: ComponentId) -> bool {
+        let named = |c: &String| world.component_id(c) == Some(comp);
+        self.query.predicates().iter().any(|p| named(&p.component))
+            || [&self.key_col, &self.val_col].into_iter().flatten().any(named)
+            || (comp == POS_ID && (self.query.spatial().is_some() || self.needs_pos))
+    }
+}
+
 /// Fuse the chain rooted at `node` down to its scan. The consumer's
 /// columns must survive every projection on the path, as must the
 /// column of any filter sitting above that projection.
@@ -454,6 +470,9 @@ fn compile(plan: &ViewPlan) -> Result<OpState, CoreError> {
                 l_idx: idx.clone(),
                 r_idx: idx,
                 pairs: Vec::new(),
+                hits: Vec::new(),
+                weights: Vec::new(),
+                spare: Vec::new(),
                 log: PairChangelog::default(),
             }))
         }
@@ -484,13 +503,17 @@ fn compile(plan: &ViewPlan) -> Result<OpState, CoreError> {
                     retracts: 0,
                 },
                 out: Vec::new(),
-                out_ids: Vec::new(),
+                out_keys: Vec::new(),
+                order: Vec::new(),
+                edits: Vec::new(),
+                spare: (Vec::new(), Vec::new()),
                 log: GroupChangelog::default(),
             }))
         }
         chain => Ok(OpState::Rows(RowsState {
             source: SourceState::new(compile_source(chain, None, None, false)?),
             out: Vec::new(),
+            spare: Vec::new(),
             log: Changelog::default(),
         })),
     }
@@ -658,11 +681,13 @@ impl SlotRows {
     }
 }
 
-/// A fused source with its remembered members.
+/// A fused source with its remembered members, and its candidate buffers.
 #[derive(Debug, Clone)]
 struct SourceState {
     src: Source,
     rows: SlotRows,
+    cands: Vec<EntityId>,
+    spare: Vec<EntityId>,
 }
 
 impl SourceState {
@@ -670,56 +695,29 @@ impl SourceState {
         SourceState {
             rows: SlotRows::new(&src),
             src,
+            cands: Vec::new(),
+            spare: Vec::new(),
         }
-    }
-
-    /// Interned ids of the components whose deltas can change this
-    /// source's membership *or* remembered fields (sorted, deduped).
-    fn tracked_ids(&self, world: &World) -> Vec<ComponentId> {
-        let mut ids: Vec<ComponentId> = self
-            .src
-            .query
-            .predicates()
-            .iter()
-            .filter_map(|p| world.component_id(&p.component))
-            .chain(
-                [&self.src.key_col, &self.src.val_col]
-                    .into_iter()
-                    .flatten()
-                    .filter_map(|c| world.component_id(c)),
-            )
-            .collect();
-        if self.src.query.spatial().is_some() || self.src.needs_pos {
-            ids.push(POS_ID);
-        }
-        ids.sort_unstable();
-        ids.dedup();
-        ids
     }
 
     /// Fold one change-stream segment into the source: candidates are
-    /// the structural deltas plus component deltas on tracked columns;
+    /// the structural deltas unioned with each tracked column's deltas;
     /// each candidate's membership and fields are re-read from the
     /// post-batch world and diffed against the remembered ones.
     fn fold(&mut self, world: &World, ctx: &FoldCtx<'_>, keys: &mut KeyTable) -> FoldOut {
-        let tracked = self.tracked_ids(world);
-        let mut cands: Vec<EntityId> = ctx.structural.to_vec();
-        let mut i = 0;
-        while i < ctx.comp_deltas.len() {
-            let comp = ctx.comp_deltas[i].0;
-            let start = i;
-            while i < ctx.comp_deltas.len() && ctx.comp_deltas[i].0 == comp {
-                i += 1;
-            }
-            if tracked.binary_search(&comp).is_ok() {
-                cands.extend(ctx.comp_deltas[start..i].iter().map(|&(_, e)| e));
+        let (cands, spare) = (&mut self.cands, &mut self.spare);
+        cands.clear();
+        cands.extend_from_slice(ctx.structural);
+        for run in ctx.comp_deltas.chunk_by(|a, b| a.0 == b.0) {
+            if self.src.tracks(world, run[0].0) {
+                spare.clear();
+                union(cands, run.iter().map(|&(_, e)| e), spare);
+                std::mem::swap(cands, spare);
             }
         }
         if let Some(o) = self.src.only {
             cands.retain(|&c| c == o);
         }
-        cands.sort_unstable();
-        cands.dedup();
 
         // Membership is decided for the whole candidate list at once, a
         // block at a time, by the filter plans run; per candidate the
@@ -727,11 +725,11 @@ impl SourceState {
         let slots = world.slots();
         let mut members = Vec::new();
         RowFilter::of(world, &self.src.query)
-            .select(&cands, &mut |sel| members.extend(sel.iter().map(|&s| slots.id_at(s))));
+            .select(cands, &mut |sel| members.extend(sel.iter().map(|&s| slots.id_at(s))));
         let mut next = members.iter().peekable();
         let cols = Cols::new(&self.src, world);
         let mut deltas = Vec::new();
-        for &c in &cands {
+        for &c in cands.iter() {
             let slot = c.index() as usize;
             let now = next.next_if_eq(&&c).is_some();
             let held = self.rows.held(slot);
@@ -819,6 +817,8 @@ struct RowsState {
     source: SourceState,
     /// Materialized output, ascending by id.
     out: Vec<EntityId>,
+    /// The buffer the next `out` is merged into, and scratch between.
+    spare: Vec<EntityId>,
     log: Changelog,
 }
 
@@ -830,41 +830,39 @@ impl RowsState {
         metrics: Option<&CoreMetrics>,
     ) -> Refreshed {
         let fold = self.source.fold(world, ctx, &mut KeyTable::default());
-        let mut entered = Vec::new();
-        let mut exited = Vec::new();
+        let log = &mut self.log;
+        let logged = [log.entered.len(), log.exited.len(), log.changed.len()];
         for d in &fold.deltas {
             match (&d.old, &d.new) {
-                (None, Some(_)) => entered.push(d.id),
-                (Some(_), None) => exited.push(d.id),
+                (None, Some(_)) => log.entered.push(d.id),
+                (Some(_), None) => log.exited.push(d.id),
                 _ => {}
             }
         }
+        let (entered, exited) = (&log.entered[logged[0]..], &log.exited[logged[1]..]);
         if !entered.is_empty() || !exited.is_empty() {
-            self.out = crate::view::apply_diff(&self.out, &entered, &exited);
+            self.spare.clear();
+            apply_diff(&self.out, entered, exited, &mut self.spare);
+            std::mem::swap(&mut self.out, &mut self.spare);
         }
         // `changed`: touched rows that are (still) members and did not
-        // just enter — `touched` is sorted, so the output is too.
-        let changed: Vec<EntityId> = ctx
-            .touched
-            .iter()
-            .copied()
-            .filter(|t| self.out.binary_search(t).is_ok() && entered.binary_search(t).is_err())
-            .collect();
+        // just enter — every entered row is a touched member.
+        self.spare.clear();
+        intersect(ctx.touched, &self.out, &mut self.spare);
+        apply_diff(&self.spare, &[], entered, &mut log.changed);
         if let Some(m) = metrics {
             m.op_scan.note(fold.cands, fold.deltas.len());
             if !self.source.src.query.predicates().is_empty() {
                 m.op_filter.note(fold.cands, fold.passed);
             }
         }
-        let done = Refreshed {
+        Refreshed {
             cands: fold.cands,
             entered: entered.len(),
             exited: exited.len(),
-            changed: changed.len(),
+            changed: log.changed.len() - logged[2],
             keys: 0,
-        };
-        self.log.absorb_batch(entered, exited, changed, false);
-        done
+        }
     }
 
     /// Move the scan's `within` disk and re-evaluate through the planner
@@ -873,15 +871,20 @@ impl RowsState {
     fn retarget(&mut self, world: &World, center: Vec2, radius: f32) {
         self.source.src.query.retarget_within(center, radius);
         let rows = self.source.evaluate(world);
-        let (entered, exited) = crate::view::diff_sorted(&self.out, &rows);
-        for id in &exited {
+        let (log, kept) = (&mut self.log, &mut self.spare);
+        let logged = [log.entered.len(), log.exited.len()];
+        kept.clear();
+        intersect(&self.out, &rows, kept);
+        apply_diff(&rows, &[], kept, &mut log.entered);
+        apply_diff(&self.out, &[], kept, &mut log.exited);
+        for id in &log.exited[logged[1]..] {
             self.source.rows.ids[id.index() as usize] = None;
         }
-        for &id in &entered {
+        for &id in &log.entered[logged[0]..] {
             self.source.rows.put(id.index() as usize, id, Fields::NONE);
         }
         self.out = rows;
-        self.log.absorb_batch(entered, exited, Vec::new(), true);
+        log.rescans += 1;
     }
 }
 
@@ -1002,33 +1005,34 @@ struct JoinState {
     /// Materialized pairs, ascending by `(left, right)`. Self-pairs are
     /// excluded.
     pairs: Vec<(EntityId, EntityId)>,
+    /// Scratch: probe hits, ±1 pair weights, the next `pairs`.
+    hits: Vec<EntityId>,
+    weights: Vec<((EntityId, EntityId), i32)>,
+    spare: Vec<(EntityId, EntityId)>,
     log: PairChangelog,
 }
 
 impl JoinState {
     /// Bilinear delta rule, applied sequentially: left deltas probe the
     /// pre-batch right state, right deltas probe the post-batch left
-    /// state; pair weights accumulate in ±1 steps and cancel to the net
-    /// entered/exited sets.
+    /// state. One sort and a sum per pair net the ±1 pair weights to the
+    /// entered/exited sets, which are merged into the pairs.
     fn refresh(
         &mut self,
         world: &World,
         ctx: &FoldCtx<'_>,
         metrics: Option<&CoreMetrics>,
     ) -> Refreshed {
-        // Deterministic iteration order for the weight map: pairs ascend.
-        let mut weights: BTreeMap<(EntityId, EntityId), i64> = BTreeMap::new();
-        let mut hits = Vec::new();
+        let (hits, weights) = (&mut self.hits, &mut self.weights);
+        weights.clear();
 
         // ΔL ⋈ R_old — the right source has not folded yet.
         let l_fold = self.left.fold(world, ctx, &mut self.keys);
         for d in &l_fold.deltas {
             for (f, w) in [(d.old, -1), (d.new, 1)] {
                 let Some(f) = f else { continue };
-                self.r_idx.probe(&self.right.rows, &f, &mut hits);
-                for &r in &hits {
-                    *weights.entry((d.id, r)).or_default() += w;
-                }
+                self.r_idx.probe(&self.right.rows, &f, hits);
+                weights.extend(hits.iter().filter(|&&r| r != d.id).map(|&r| ((d.id, r), w)));
             }
             self.l_idx.apply(d);
         }
@@ -1038,36 +1042,28 @@ impl JoinState {
         for d in &r_fold.deltas {
             for (f, w) in [(d.old, -1), (d.new, 1)] {
                 let Some(f) = f else { continue };
-                self.l_idx.probe(&self.left.rows, &f, &mut hits);
-                for &l in &hits {
-                    *weights.entry((l, d.id)).or_default() += w;
-                }
+                self.l_idx.probe(&self.left.rows, &f, hits);
+                weights.extend(hits.iter().filter(|&&l| l != d.id).map(|&l| ((l, d.id), w)));
             }
             self.r_idx.apply(d);
         }
         self.keys.sweep();
 
-        let mut entered = Vec::new();
-        let mut exited = Vec::new();
-        for ((l, r), w) in weights {
-            if l == r {
-                continue;
-            }
-            match w.cmp(&0) {
-                std::cmp::Ordering::Greater => {
-                    if let Err(pos) = self.pairs.binary_search(&(l, r)) {
-                        self.pairs.insert(pos, (l, r));
-                        entered.push((l, r));
-                    }
-                }
-                std::cmp::Ordering::Less => {
-                    if let Ok(pos) = self.pairs.binary_search(&(l, r)) {
-                        self.pairs.remove(pos);
-                        exited.push((l, r));
-                    }
-                }
+        weights.sort_unstable_by_key(|&(pair, _)| pair);
+        let log = &mut self.log;
+        let logged = [log.entered.len(), log.exited.len()];
+        for run in weights.chunk_by(|a, b| a.0 == b.0) {
+            match run.iter().map(|&(_, w)| w).sum::<i32>().cmp(&0) {
+                std::cmp::Ordering::Greater => log.entered.push(run[0].0),
+                std::cmp::Ordering::Less => log.exited.push(run[0].0),
                 std::cmp::Ordering::Equal => {}
             }
+        }
+        let (entered, exited) = (&log.entered[logged[0]..], &log.exited[logged[1]..]);
+        if !entered.is_empty() || !exited.is_empty() {
+            self.spare.clear();
+            apply_diff(&self.pairs, entered, exited, &mut self.spare);
+            std::mem::swap(&mut self.pairs, &mut self.spare);
         }
         let done = Refreshed {
             cands: l_fold.cands + r_fold.cands,
@@ -1081,8 +1077,6 @@ impl JoinState {
             m.op_scan.note(rows_in, rows_in);
             m.op_join.note(rows_in, done.entered + done.exited);
         }
-        self.log.entered.extend(entered);
-        self.log.exited.extend(exited);
         done
     }
 
@@ -1360,16 +1354,47 @@ impl GroupTable {
     }
 }
 
+/// Rebuild `v` in `spare` in one pass, then swap them: `(at, Some(row))`
+/// inserts `row` before old position `at`, `(at, None)` hands the row at
+/// `at` to `gone`; edits ascend by `at`.
+fn splice<T>(
+    v: &mut Vec<T>,
+    spare: &mut Vec<T>,
+    edits: impl Iterator<Item = (usize, Option<T>)>,
+    mut gone: impl FnMut(T),
+) {
+    spare.clear();
+    let mut old = v.drain(..);
+    let mut next = 0;
+    for (at, row) in edits {
+        spare.extend(old.by_ref().take(at - next));
+        next = at;
+        match row {
+            Some(row) => spare.push(row),
+            None => {
+                gone(old.next().expect("an exited row is a row"));
+                next += 1;
+            }
+        }
+    }
+    spare.extend(old);
+    std::mem::swap(v, spare);
+}
+
 #[derive(Debug, Clone)]
 struct GroupState {
     source: SourceState,
     /// Group keys, interned: a group's id indexes the group table.
     keys: KeyTable,
     table: GroupTable,
-    /// Materialized output, ascending by group key; `out_ids` holds each
-    /// row's group id, so a touched group finds its row by binary search.
+    /// Materialized output, ascending by group key, and each row's key
+    /// prefix and group id (full keys are compared on prefix ties only).
     out: Vec<GroupRow>,
-    out_ids: Vec<u32>,
+    out_keys: Vec<(u64, u32)>,
+    /// Scratch: touched groups by key, edits by position, next outputs.
+    order: Vec<(u64, u32)>,
+    edits: Vec<(usize, Option<(u64, u32)>)>,
+    spare: (Vec<GroupRow>, Vec<(u64, u32)>),
     log: GroupChangelog,
 }
 
@@ -1386,45 +1411,50 @@ impl GroupState {
 
     /// Patch the output row of every touched group, in key order, and
     /// log it: a group still holding rows whose value moved (bit for bit)
-    /// is `changed`, one left without rows `exited`, a new one `entered`.
-    /// Returns those three counts.
+    /// is `changed`, in place; one left without rows `exited`, a new one
+    /// `entered`, both applied in one merge. Returns those three counts.
     fn patch(&mut self) -> [usize; 3] {
         let logged = |log: &GroupChangelog| [log.entered.len(), log.exited.len(), log.changed.len()];
         let before = logged(&self.log);
-        let mut touched = std::mem::take(&mut self.table.touched);
         let keys = &self.keys;
-        touched.sort_unstable_by(|&a, &b| keys.order(a, b));
-        for &g in &touched {
+        self.order.clear();
+        let keyed = |g: u32| (keys.get(g).map_or(0, KeyRef::prefix), g);
+        self.order.extend(self.table.touched.drain(..).map(keyed));
+        radix_sort::<_, 8>(&mut self.order, |&(p, _)| p);
+        for tie in self.order.chunk_by_mut(|a, b| a.0 == b.0) {
+            tie.sort_unstable_by(|a, b| keys.order(a.1, b.1));
+        }
+        self.edits.clear();
+        let mut at = 0;
+        for &(p, g) in &self.order {
             let group = &mut self.table.groups[g as usize];
             group.touched = false;
-            let key = keys.get(g);
+            let below = |&(q, o): &(u64, u32)| q < p || (q == p && keys.order(o, g).is_lt());
+            at += gallop(&self.out_keys[at..], below);
             let value = group.value(self.table.agg);
-            let at = self.out_ids.binary_search_by(|&o| keys.order(o, g));
-            match (at, group.rows > 0) {
-                (Ok(i), true) => {
-                    if self.out[i].value.to_bits() != value.to_bits() {
-                        self.out[i].value = value;
-                        self.log.changed.push(self.out[i].clone());
+            match (self.out_keys.get(at).is_some_and(|&(_, o)| o == g), group.rows > 0) {
+                (true, true) => {
+                    if self.out[at].value.to_bits() != value.to_bits() {
+                        self.out[at].value = value;
+                        self.log.changed.push(self.out[at].clone());
                     }
                 }
-                (Ok(i), false) => {
-                    self.out_ids.remove(i);
-                    self.log.exited.push(self.out.remove(i));
+                (true, false) => self.edits.push((at, None)),
+                (false, true) => {
+                    let key = keys.get(g).map(key_repr);
+                    self.log.entered.push(GroupRow { key, value });
+                    self.edits.push((at, Some((p, g))));
                 }
-                (Err(i), true) => {
-                    let row = GroupRow {
-                        key: key.map(key_repr),
-                        value,
-                    };
-                    self.out_ids.insert(i, g);
-                    self.out.insert(i, row.clone());
-                    self.log.entered.push(row);
-                }
-                (Err(_), false) => {}
+                (false, false) => {}
             }
         }
-        touched.clear();
-        self.table.touched = touched;
+        if !self.edits.is_empty() {
+            let mut entered = self.log.entered[before[0]..].iter().cloned();
+            let mut row = || entered.next().expect("one row per entered group");
+            let rows = self.edits.iter().map(|&(at, e)| (at, e.map(|_| row())));
+            splice(&mut self.out, &mut self.spare.0, rows, |row| self.log.exited.push(row));
+            splice(&mut self.out_keys, &mut self.spare.1, self.edits.iter().copied(), drop);
+        }
         let after = logged(&self.log);
         [0, 1, 2].map(|i| after[i] - before[i])
     }
@@ -1473,7 +1503,7 @@ impl GroupState {
         let members: Vec<u32> = self.source.init(world, None).iter().map(|id| id.index()).collect();
         let agg = self.table.agg;
         let (keys, groups) = (&mut self.keys, &mut self.table.groups);
-        let (out, out_ids) = (&mut self.out, &mut self.out_ids);
+        let (out, out_keys) = (&mut self.out, &mut self.out_keys);
         let slot_keys = &mut self.source.rows.keys;
         GroupTable::fold_run(agg, world, &self.source.src, &members, |key, g, run| {
             let id = key.map_or(0, |k| keys.intern(k, run.len() as u32));
@@ -1486,7 +1516,7 @@ impl GroupState {
                 key: key.map(key_repr),
                 value: g.value(agg),
             });
-            out_ids.push(id);
+            out_keys.push((key.map_or(0, KeyRef::prefix), id));
             // a fresh table hands out ids in the run's order: 0, 1, 2, …
             debug_assert_eq!(groups.len(), id as usize);
             groups.push(g);
@@ -1574,6 +1604,11 @@ impl PlanView {
             per_slot.candidates.add(done.cands as u64);
             per_slot.delta_rows.add(delta_rows);
             per_slot.keys.set(done.keys as i64);
+            per_slot.log_len.set(match &self.state {
+                OpState::Rows(s) => s.log.entered.len() + s.log.exited.len() + s.log.changed.len(),
+                OpState::Join(s) => s.log.entered.len() + s.log.exited.len(),
+                OpState::Group(s) => s.log.entered.len() + s.log.exited.len() + s.log.changed.len(),
+            } as i64);
         }
     }
 

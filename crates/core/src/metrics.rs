@@ -132,6 +132,9 @@ pub(crate) struct ViewSlotMetrics {
     /// `view.s{slot}.keys`: keys the view's operator holds interned
     /// after its last refresh (0 for views without a key column).
     pub keys: Gauge,
+    /// `view.s{slot}.log_len`: entries the view's changelog holds since
+    /// it was last taken, after its last refresh.
+    pub log_len: Gauge,
 }
 
 impl CoreMetrics {
@@ -207,6 +210,7 @@ impl CoreMetrics {
                     .registry
                     .histogram(&format!("view.s{slot}.fold_us"), LATENCY_US_BUCKETS),
                 keys: self.registry.gauge(&format!("view.s{slot}.keys")),
+                log_len: self.registry.gauge(&format!("view.s{slot}.log_len")),
             })
             .clone()
     }

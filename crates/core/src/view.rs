@@ -44,8 +44,10 @@
 //!   duplicate-free; successive batches append in refresh order. Two
 //!   worlds with identical write histories produce identical changelogs.
 //! * **Always incremental** — a refresh costs one membership evaluation
-//!   per candidate, whatever the batch size. The only re-evaluation is
-//!   the one a [`crate::world::World::retarget_view`] asks for.
+//!   per candidate, whatever the batch size, plus merges of sorted runs
+//!   (one pass over an output whose membership moved; [`crate::dvm`],
+//!   "Delta rules"). The only re-evaluation is the one a
+//!   [`crate::world::World::retarget_view`] asks for.
 //!
 //! The equivalence contract — materialized rows ≡ `Query::run_scan` after
 //! every refresh, under arbitrary interleavings of writes, removals,
@@ -55,6 +57,8 @@
 use crate::change::{Change, ChangeOp};
 use crate::dvm::{PlanView, ViewPlan};
 use crate::entity::EntityId;
+use crate::index::radix_sort;
+use crate::intern::ComponentId;
 use crate::metrics::CoreMetrics;
 use crate::world::World;
 
@@ -103,21 +107,6 @@ impl Changelog {
     pub fn is_empty(&self) -> bool {
         self.entered.is_empty() && self.exited.is_empty() && self.changed.is_empty()
     }
-
-    pub(crate) fn absorb_batch(
-        &mut self,
-        entered: Vec<EntityId>,
-        exited: Vec<EntityId>,
-        changed: Vec<EntityId>,
-        rescanned: bool,
-    ) {
-        self.entered.extend(entered);
-        self.exited.extend(exited);
-        self.changed.extend(changed);
-        if rescanned {
-            self.rescans += 1;
-        }
-    }
 }
 
 /// Maintenance counters for one view.
@@ -145,66 +134,79 @@ pub struct ViewStats {
 pub(crate) struct FoldCtx<'a> {
     pub(crate) touched: &'a [EntityId],
     pub(crate) structural: &'a [EntityId],
-    pub(crate) comp_deltas: &'a [(crate::intern::ComponentId, EntityId)],
+    pub(crate) comp_deltas: &'a [(ComponentId, EntityId)],
     pub(crate) batch_len: usize,
 }
 
-/// Apply a sorted membership diff to a sorted row set: `entered` holds
-/// ids absent from `old`, `exited` ids present in it; all three inputs
-/// are ascending. O(|old| + |entered|).
-pub(crate) fn apply_diff(
-    old: &[EntityId],
-    entered: &[EntityId],
-    exited: &[EntityId],
-) -> Vec<EntityId> {
-    let mut out = Vec::with_capacity(old.len() + entered.len() - exited.len());
-    let (mut e, mut x) = (0usize, 0usize);
-    for &id in old {
-        while e < entered.len() && entered[e] < id {
-            out.push(entered[e]);
-            e += 1;
-        }
-        if x < exited.len() && exited[x] == id {
-            x += 1;
-            continue;
-        }
-        out.push(id);
+/// How many leading elements of `run` satisfy `below` (which holds on a
+/// prefix): probes at doubling distances, then binary-searches the last
+/// step — O(log n) for an answer n elements in.
+pub(crate) fn gallop<T>(run: &[T], below: impl Fn(&T) -> bool) -> usize {
+    let (mut lo, mut step) = (0, 1);
+    while lo + step <= run.len() && below(&run[lo + step - 1]) {
+        lo += step;
+        step *= 2;
     }
-    out.extend_from_slice(&entered[e..]);
-    out
+    let hi = (lo + step - 1).min(run.len());
+    lo + run[lo..hi].partition_point(&below)
 }
 
-/// Diff two sorted row sets into `(entered, exited)`.
-pub(crate) fn diff_sorted(old: &[EntityId], new: &[EntityId]) -> (Vec<EntityId>, Vec<EntityId>) {
-    let mut entered = Vec::new();
-    let mut exited = Vec::new();
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < old.len() || j < new.len() {
-        match (old.get(i), new.get(j)) {
-            (Some(&o), Some(&n)) if o == n => {
-                i += 1;
-                j += 1;
-            }
-            (Some(&o), Some(&n)) if o < n => {
-                exited.push(o);
-                i += 1;
-            }
-            (Some(_), Some(&n)) => {
-                entered.push(n);
-                j += 1;
-            }
-            (Some(&o), None) => {
-                exited.push(o);
-                i += 1;
-            }
-            (None, Some(&n)) => {
-                entered.push(n);
-                j += 1;
-            }
-            (None, None) => unreachable!("loop condition"),
+/// Append the union of two ascending, duplicate-free runs to `out`.
+pub(crate) fn union<T: Ord + Copy>(mut a: &[T], b: impl IntoIterator<Item = T>, out: &mut Vec<T>) {
+    for y in b {
+        let n = gallop(a, |x| *x < y);
+        out.extend_from_slice(&a[..n]);
+        a = a[n..].strip_prefix(&[y]).unwrap_or(&a[n..]);
+        out.push(y);
+    }
+    out.extend_from_slice(a);
+}
+
+/// Append the intersection of two ascending runs to `out`. Each side
+/// gallops to the other's head: O(short · log(long / short)).
+pub(crate) fn intersect<T: Ord + Copy>(mut a: &[T], mut b: &[T], out: &mut Vec<T>) {
+    while let (Some(&x), Some(&y)) = (a.first(), b.first()) {
+        if x == y {
+            out.push(x);
+            (a, b) = (&a[1..], &b[1..]);
+        } else if x < y {
+            a = &a[gallop(a, |v| *v < y)..];
+        } else {
+            b = &b[gallop(b, |v| *v < x)..];
         }
     }
-    (entered, exited)
+}
+
+/// Append `old` with a membership diff applied to `out`: `entered` holds
+/// elements absent from `old`, `exited` elements present in it; all
+/// three ascend. O(d · log |old|) for d edits, plus the copy.
+pub(crate) fn apply_diff<T: Ord + Copy>(
+    mut old: &[T],
+    entered: &[T],
+    exited: &[T],
+    out: &mut Vec<T>,
+) {
+    let mut entered = entered.iter().copied().peekable();
+    for &gone in exited {
+        let n = gallop(old, |v| *v < gone);
+        debug_assert!(old.get(n) == Some(&gone), "an exited element is in the run");
+        union(&old[..n], std::iter::from_fn(|| entered.next_if(|&e| e < gone)), out);
+        old = &old[n + usize::from(old.get(n) == Some(&gone))..];
+    }
+    union(old, entered, out);
+}
+
+/// Sort entity-keyed items into `(key, id)` order and drop duplicates:
+/// radix passes by generation, then key and slot, unless they ascend.
+fn sort_run<T: Ord + Copy>(items: &mut Vec<T>, split: impl Fn(&T) -> (u32, EntityId)) {
+    if !items.is_sorted() {
+        radix_sort::<_, 4>(items, |t| split(t).1.generation() as u64);
+        radix_sort::<_, 8>(items, |t| {
+            let (key, id) = split(t);
+            (key as u64) << 32 | id.index() as u64
+        });
+    }
+    items.dedup();
 }
 
 /// The set of standing views a world maintains. Owned by
@@ -216,6 +218,10 @@ pub(crate) struct ViewRegistry {
     /// stay stable.
     slots: Vec<Option<PlanView>>,
     active: usize,
+    /// The last batch's [`FoldCtx`] runs, kept for their capacity.
+    touched: Vec<EntityId>,
+    structural: Vec<EntityId>,
+    comp_deltas: Vec<(ComponentId, EntityId)>,
 }
 
 impl ViewRegistry {
@@ -332,10 +338,11 @@ impl ViewRegistry {
         if changes.is_empty() || self.active == 0 {
             return;
         }
-        let mut touched: Vec<EntityId> = Vec::with_capacity(changes.len());
-        let mut structural: Vec<EntityId> = Vec::new();
-        let mut comp_deltas: Vec<(crate::intern::ComponentId, EntityId)> =
-            Vec::with_capacity(changes.len());
+        let (touched, structural) = (&mut self.touched, &mut self.structural);
+        let comp_deltas = &mut self.comp_deltas;
+        touched.clear();
+        structural.clear();
+        comp_deltas.clear();
         let mut row_ops = 0usize;
         for c in changes {
             match &c.op {
@@ -356,16 +363,13 @@ impl ViewRegistry {
         if row_ops == 0 {
             return;
         }
-        touched.sort_unstable();
-        touched.dedup();
-        structural.sort_unstable();
-        structural.dedup();
-        comp_deltas.sort_unstable();
-        comp_deltas.dedup();
+        sort_run(touched, |&id| (0, id));
+        sort_run(structural, |&id| (0, id));
+        sort_run(comp_deltas, |&(c, id)| (c.0, id));
         let ctx = FoldCtx {
-            touched: &touched,
-            structural: &structural,
-            comp_deltas: &comp_deltas,
+            touched,
+            structural,
+            comp_deltas,
             batch_len: row_ops,
         };
         for (slot, entry) in self.slots.iter_mut().enumerate() {
@@ -385,6 +389,8 @@ mod tests {
     use crate::query::Query;
     use gamedb_content::{CmpOp, Value, ValueType};
     use gamedb_spatial::Vec2;
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     fn world_with(components: &[(&str, ValueType)]) -> World {
         let mut w = World::new();
@@ -731,5 +737,85 @@ mod tests {
         let q = wounded_query();
         let v = w.register_view(q.clone());
         assert_eq!(w.view_query(v), &q);
+    }
+
+    #[test]
+    fn log_len_gauge_counts_entries_until_taken() {
+        let registry = gamedb_metrics::MetricsRegistry::new();
+        let mut w = world_with(&[("hp", ValueType::Float)]);
+        w.attach_metrics(&registry);
+        let v = w.register_view(wounded_query());
+        let log_len = || registry.snapshot().gauge(&format!("view.s{}.log_len", v.slot()));
+        let a = w.spawn_at(Vec2::ZERO);
+        w.set_f32(a, "hp", 10.0).unwrap();
+        w.refresh_views();
+        assert_eq!(log_len(), 1, "a entered");
+        w.set_f32(a, "hp", 11.0).unwrap();
+        w.refresh_views();
+        assert_eq!(log_len(), 2, "undrained: entered, then changed");
+        w.take_view_changelog(v);
+        w.set_f32(a, "hp", 90.0).unwrap();
+        w.refresh_views();
+        assert_eq!(log_len(), 1, "taken, then a exited");
+    }
+
+    /// The ascending, duplicate-free run of `xs`.
+    fn run<T: Ord + Copy>(xs: impl IntoIterator<Item = T>) -> Vec<T> {
+        xs.into_iter().collect::<BTreeSet<_>>().into_iter().collect()
+    }
+
+    /// `union`, `intersect` and `apply_diff` over two runs, either way
+    /// round, equal their `BTreeSet` operations.
+    fn set_ops_agree<T: Ord + Copy + std::fmt::Debug>(a: &[T], b: &[T]) -> Result<(), TestCaseError> {
+        let (sa, sb): (BTreeSet<T>, BTreeSet<T>) =
+            (a.iter().copied().collect(), b.iter().copied().collect());
+        let both: Vec<T> = sa.intersection(&sb).copied().collect();
+        let (a_only, b_only): (Vec<T>, Vec<T>) =
+            (sa.difference(&sb).copied().collect(), sb.difference(&sa).copied().collect());
+        let merged = |f: &dyn Fn(&mut Vec<T>)| {
+            let mut out = Vec::new();
+            f(&mut out);
+            out
+        };
+        for (x, y) in [(a, b), (b, a)] {
+            let all: Vec<T> = sa.union(&sb).copied().collect();
+            prop_assert_eq!(merged(&|o| union(x, y.iter().copied(), o)), all);
+            prop_assert_eq!(merged(&|o| intersect(x, y, o)), both.clone());
+        }
+        // a → b: b's own elements enter, a's own leave; then a → a ∖ b
+        prop_assert_eq!(merged(&|o| apply_diff(a, &b_only, &a_only, o)), b.to_vec());
+        prop_assert_eq!(merged(&|o| apply_diff(a, &[], &both, o)), a_only);
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::default())]
+
+        /// The sorted-run helpers every view refresh merges with, held
+        /// to `BTreeSet` set operations: overlapping runs, an empty run,
+        /// disjoint runs (one wholly below the other, and interleaved),
+        /// one element against 100,000 (present, absent, before the
+        /// first and past the last — the gallops' long strides), and
+        /// runs of `(EntityId, EntityId)` pairs, the join's output.
+        #[test]
+        fn sorted_run_helpers_equal_set_ops(
+            xs in proptest::collection::vec(0u32..400, 0..120),
+            ys in proptest::collection::vec(0u32..400, 0..120),
+            lone in 0u32..200_001,
+            ps in proptest::collection::vec((0u32..6, 0u32..3, 0u32..6, 0u32..2), 0..60),
+            qs in proptest::collection::vec((0u32..6, 0u32..3, 0u32..6, 0u32..2), 0..60),
+        ) {
+            let (a, b) = (run(xs.iter().copied()), run(ys.iter().copied()));
+            set_ops_agree(&a, &b)?;
+            set_ops_agree(&a, &[])?;
+            set_ops_agree(&a, &run(ys.iter().map(|y| y + 400)))?;
+            set_ops_agree(&run(xs.iter().map(|x| 2 * x)), &run(ys.iter().map(|y| 2 * y + 1)))?;
+            let evens: Vec<u32> = (0..100_000).map(|i| 2 * i).collect();
+            set_ops_agree(&[lone], &evens)?;
+            let pairs = |v: &[(u32, u32, u32, u32)]| {
+                run(v.iter().map(|&(l, lg, r, rg)| (EntityId::new(l, lg), EntityId::new(r, rg))))
+            };
+            set_ops_agree(&pairs(&ps), &pairs(&qs))?;
+        }
     }
 }
