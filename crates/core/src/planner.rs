@@ -21,13 +21,14 @@
 //!
 //! Execution reads by slot, a block at a time: every access path yields
 //! candidates in ascending id order — the scan as blocks of live slots,
-//! a probe as its sorted id list — and the residual filters, resolved
-//! once per execution against their columns (`query::RowFilter`), narrow
-//! each block of up to 1,024 slots with one typed loop per predicate, so
-//! a plan neither re-sorts its output nor looks a column up by name per
-//! row. [`Plan::explain_analyze`] adds the actual candidate and row
-//! counts to the `EXPLAIN` line, and every execution reports them to
-//! `planner.candidates` / `planner.rows`.
+//! an attribute probe as blocks of slots (`SecondaryIndex::probe`), a
+//! spatial probe as its sorted id list — and the residual filters,
+//! resolved once per execution against their columns
+//! (`query::RowFilter`), narrow each block of up to 1,024 slots with one
+//! typed loop per predicate, so a plan neither re-sorts its output nor
+//! looks a column up by name per row. [`Plan::explain_analyze`] adds the
+//! actual candidate and row counts to the `EXPLAIN` line, and every
+//! execution reports them to `planner.candidates` / `planner.rows`.
 //!
 //! Index-backed columns report *exact* NDV and numeric bounds
 //! (maintained incrementally by the index itself), so
@@ -456,10 +457,11 @@ impl Plan {
     /// dispatch, then the residual test ([`RowFilter`]: excluded id,
     /// `within` distance, predicates resolved once against their
     /// columns) a block at a time, with probe-failure degradation. The
-    /// scan feeds the filter its live slots block by block; a probe
-    /// feeds it the sorted id list it produced. Either way candidates
-    /// arrive once each and in ascending id order, so matches reach
-    /// `sink` in id order with no re-sort. Returns the candidate count.
+    /// scan and an attribute probe feed the filter slots block by block;
+    /// a spatial probe feeds it the sorted id list it produced. Either way
+    /// candidates arrive once each and in ascending id order, so matches
+    /// reach `sink` in id order with no re-sort. Returns the candidate
+    /// count.
     fn visit_blocks(&self, world: &World, sink: &mut dyn FnMut(&[u32])) -> usize {
         let filter = RowFilter::new(world, &self.preds, self.residual_within, self.exclude);
         let mut cands = Vec::new();
@@ -472,15 +474,15 @@ impl Plan {
                 value,
             } => {
                 let second = self.second_bound.as_ref().map(|(op, v)| (*op, v));
-                let probed = world
-                    .index_on(component)
-                    .is_some_and(|idx| idx.probe(*op, value, second, &mut cands));
-                if !probed {
-                    // Index vanished between planning and execution
-                    // (dropped, or a stale plan): degrade to the scan the
-                    // probe replaced — same rows, just slower.
-                    return self.degraded_scan(component, *op, value).visit_blocks(world, sink);
-                }
+                let probed = world.index_on(component).and_then(|idx| {
+                    idx.probe(*op, value, second, &mut |sel| filter.select_slots(sel, sink))
+                });
+                // Index vanished between planning and execution (dropped,
+                // or a stale plan): degrade to the scan the probe replaced
+                // — same rows, just slower.
+                return probed.unwrap_or_else(|| {
+                    self.degraded_scan(component, *op, value).visit_blocks(world, sink)
+                });
             }
         }
         filter.select(&cands, sink);
@@ -1130,7 +1132,7 @@ mod tests {
         let idx = w.index_on("gold").unwrap();
         for ((op, a), (op2, b)) in [((Ge, 10), (Lt, 5)), ((Gt, 5), (Lt, 5)), ((Ge, 5), (Lt, 5))] {
             let mut out = Vec::new();
-            assert!(idx.probe(op, &int(a), Some((op2, &int(b))), &mut out));
+            assert!(idx.probe(op, &int(a), Some((op2, &int(b))), &mut |s| out.extend_from_slice(s)).is_some());
             assert!(out.is_empty(), "{op:?} {a} AND {op2:?} {b}");
         }
     }

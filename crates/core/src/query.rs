@@ -89,7 +89,7 @@ fn vec2_holds(op: CmpOp, [ax, ay]: [f32; 2], [bx, by]: [f32; 2]) -> bool {
 
 /// Slots per block: the unit the filter kernels refine and the folds fed
 /// by them consume. A block's selection is at most 4 KiB of slots.
-const BLOCK: usize = 1024;
+pub(crate) const BLOCK: usize = 1024;
 
 /// A [`Pred`] resolved once against its column: the literal is coerced
 /// into the column's comparison domain up front (a number to `f64`, a
@@ -214,7 +214,7 @@ fn retain<T>(
 
 /// Append the slot `base + i` for every bit `i` set in `mask`.
 #[inline(always)]
-fn push_mask(sel: &mut Vec<u32>, base: u32, mut mask: u64) {
+pub(crate) fn push_mask(sel: &mut Vec<u32>, base: u32, mut mask: u64) {
     while mask != 0 {
         sel.push(base + mask.trailing_zeros());
         mask &= mask - 1;
@@ -385,10 +385,15 @@ impl<'w> RowFilter<'w> {
         for block in ids.chunks(BLOCK) {
             sel.clear();
             sel.extend(block.iter().filter(|&&id| self.world.is_live(id)).map(|id| id.index()));
-            self.refine(Rows::Sel, &mut sel);
-            if !sel.is_empty() {
-                sink(&sel);
-            }
+            self.select_slots(&mut sel, sink);
+        }
+    }
+
+    /// Narrow `sel` (ascending live slots, from a probe) in place; pass it on.
+    pub(crate) fn select_slots(&self, sel: &mut Vec<u32>, sink: &mut dyn FnMut(&[u32])) {
+        self.refine(Rows::Sel, sel);
+        if !sel.is_empty() {
+            sink(sel);
         }
     }
 }

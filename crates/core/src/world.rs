@@ -354,10 +354,11 @@ impl World {
         value: &Value,
         out: &mut Vec<EntityId>,
     ) -> bool {
-        match self.index_on(component) {
-            Some(idx) => idx.probe(op, value, None, out),
-            None => false,
-        }
+        let slots = &self.alloc;
+        self.index_on(component).is_some_and(|idx| {
+            idx.probe(op, value, None, &mut |sel| out.extend(sel.iter().map(|&s| slots.id_at(s))))
+                .is_some()
+        })
     }
 
     // ---- the change stream ----

@@ -2451,3 +2451,166 @@ proptest! {
         }
     }
 }
+
+/// One splitmix64 step: the row values of a world too large to draw a
+/// row at a time.
+fn mix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// Give `e` its row: `hp` a fraction (NaN in one row of 97), `gold` one
+/// of 300 ints (missing in one row of 13), `team` skewed — `t0` holds
+/// about half the rows, `t1` a quarter, on down to a handful in `t12`.
+fn dense_row(w: &mut World, e: EntityId, state: &mut u64) {
+    let r = mix(state);
+    let hp = if r.is_multiple_of(97) { f32::NAN } else { (r % 100_000) as f32 / 8.0 };
+    w.set_f32(e, "hp", hp).unwrap();
+    if !r.is_multiple_of(13) {
+        w.set(e, "gold", Value::Int(((r >> 20) % 300) as i64)).unwrap();
+    }
+    let t = (r >> 40).trailing_zeros().min(12);
+    w.set(e, "team", Value::Str(format!("t{t}"))).unwrap();
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::default())]
+
+    /// An attribute probe orders its candidates by a bitmap of the
+    /// index's slot span when they are dense and by a radix sort when
+    /// they are sparse (`SecondaryIndex::probe`); both must hand
+    /// over exactly the rows a scan keeps. The world holds 4,097–4,159
+    /// slots after despawn/respawn churn: respawned slots carry
+    /// generation 1, freed slots sit between live ones, and the last
+    /// slot — alone in a partial bitmap word — is live and keyed. Probes
+    /// are sorted float and int ranges (one- and two-sided) and
+    /// hash-string equalities sized from one row to every row, alone
+    /// and under a residual. Each must give `Query::run`, `count` and
+    /// `aggregate` (Sum bit-identical, Min, ArgMin) equal to scan-based
+    /// folds, `World::index_probe` the scan's ids, and an index plan
+    /// exactly its postings' total as `planner.candidates`.
+    #[test]
+    fn dense_and_sparse_probes_equal_scan(
+        seed in any::<u64>(),
+        tail in 1usize..64,
+        frees in 1usize..1500,
+        refills in 1usize..1500,
+        indexes_first in any::<bool>(),
+        cuts in proptest::collection::vec((0.0f64..1.0, 0.0f64..1.0), 4),
+    ) {
+        use gamedb_core::{plan, Access, TableStats};
+        let mut w = World::new();
+        w.define_component("hp", ValueType::Float).unwrap();
+        w.define_component("gold", ValueType::Int).unwrap();
+        w.define_component("team", ValueType::Str).unwrap();
+        let indexes = [("hp", IndexKind::Sorted), ("gold", IndexKind::Sorted), ("team", IndexKind::Hash)];
+        if indexes_first {
+            for (c, k) in indexes {
+                w.create_index(c, k).unwrap();
+            }
+        }
+        let mut state = seed;
+        let slots = 4096 + tail;
+        let mut ids = Vec::with_capacity(slots);
+        for _ in 0..slots {
+            let e = w.spawn();
+            dense_row(&mut w, e, &mut state);
+            ids.push(e);
+        }
+        // free slots anywhere but the last, then refill some of them:
+        // the free list hands them back, one generation on
+        let mut freed = 0;
+        for _ in 0..frees {
+            let e = ids[(mix(&mut state) % (slots as u64 - 1)) as usize];
+            if w.is_live(e) {
+                w.despawn(e);
+                freed += 1;
+            }
+        }
+        for _ in 0..refills.min(freed) {
+            let e = w.spawn();
+            prop_assert!(e.generation() > 0 && (e.index() as usize) < slots);
+            dense_row(&mut w, e, &mut state);
+            ids[e.index() as usize] = e;
+        }
+        if !indexes_first {
+            for (c, k) in indexes {
+                w.create_index(c, k).unwrap();
+            }
+        }
+        prop_assert!(w.is_live(ids[slots - 1]));
+        let registry = gamedb_metrics::MetricsRegistry::new();
+        w.attach_metrics(&registry);
+
+        let mut hps: Vec<f32> = w
+            .entities()
+            .filter_map(|e| w.get_number(e, "hp"))
+            .filter(|v| !v.is_nan())
+            .map(|v| v as f32)
+            .collect();
+        hps.sort_by(f32::total_cmp);
+        let at = |f: f64| hps[((f * hps.len() as f64) as usize).min(hps.len() - 1)];
+        let hp = |op, v: f32| ("hp", op, Value::Float(v));
+        let gold = |op, f: f64| ("gold", op, Value::Int((f * 301.0) as i64));
+        let team = |f: f64| ("team", CmpOp::Eq, Value::Str(format!("t{}", (f * 13.0) as u32)));
+        // single predicates, one row to every row
+        let mut preds = vec![hp(CmpOp::Ge, hps[0]), hp(CmpOp::Eq, at(0.5)), team(0.0)];
+        for &(a, b) in &cuts {
+            preds.extend([hp(CmpOp::Lt, at(a)), hp(CmpOp::Ge, at(b)), gold(CmpOp::Le, a), team(b)]);
+        }
+        let mut queries: Vec<Query> = preds
+            .iter()
+            .map(|(c, op, v)| Query::select().filter(*c, *op, v.clone()))
+            .collect();
+        for &(a, b) in &cuts {
+            queries.push(
+                Query::select()
+                    .filter("hp", CmpOp::Ge, Value::Float(at(a.min(b))))
+                    .filter("hp", CmpOp::Le, Value::Float(at(a.max(b)))),
+            );
+            queries.push(
+                Query::select()
+                    .filter("gold", CmpOp::Gt, Value::Int((a.min(b) * 301.0) as i64))
+                    .filter("gold", CmpOp::Lt, Value::Int((a.max(b) * 301.0) as i64)),
+            );
+            let (c, op, v) = team(a);
+            queries.push(Query::select().filter(c, op, v).filter("hp", CmpOp::Lt, Value::Float(at(b))));
+        }
+
+        for (c, op, v) in &preds {
+            let mut got = Vec::new();
+            prop_assert!(w.index_probe(c, *op, v, &mut got));
+            let scan = Query::select().filter(*c, *op, v.clone()).run_scan(&w);
+            prop_assert_eq!(got, scan, "index_probe {} {:?} {:?}", c, op, v);
+        }
+        for q in &queries {
+            let scan = q.run_scan(&w);
+            prop_assert_eq!(q.run(&w), scan.clone(), "query: {:?}", q);
+            prop_assert_eq!(q.count(&w), scan.len());
+            for f in [AggFn::Sum("gold".into()), AggFn::Min("hp".into()), AggFn::ArgMin("hp".into())] {
+                let got = gamedb_core::aggregate(&w, q, &f);
+                let want = aggregate_oracle(&w, &scan, &f);
+                prop_assert!(same_bits(&got, &want), "{:?} over {:?}: {:?} vs {:?}", f, q, got, want);
+            }
+            // an index plan draws exactly its postings as candidates
+            let p = plan(q, &TableStats::for_query(&w, q));
+            let postings = match &p.access {
+                Access::AttributeIndex { component, op, value } => {
+                    let mut probed = Query::select().filter(component.as_str(), *op, value.clone());
+                    if let Some((op2, value2)) = &p.second_bound {
+                        probed = probed.filter(component.as_str(), *op2, value2.clone());
+                    }
+                    probed.run_scan(&w).len()
+                }
+                _ => w.len(),
+            };
+            let before = registry.snapshot().counter("planner.candidates");
+            prop_assert_eq!(p.count(&w), scan.len());
+            let drawn = registry.snapshot().counter("planner.candidates") - before;
+            prop_assert_eq!(drawn, postings as u64, "{}", p.explain());
+        }
+    }
+}

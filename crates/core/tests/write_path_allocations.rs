@@ -1,3 +1,6 @@
+//! Allocation floors of the indexed read and write paths, counted by a
+//! counting global allocator.
+//!
 //! The indexed write path allocates per batch, not per write: after a
 //! warm-up that moves the same ids back and forth, one `apply_batch` of
 //! 2,000 writes to existing keys allocates exactly as many times as one
@@ -8,32 +11,38 @@
 //! the batch's value moves into its column uncopied; this fails the
 //! moment any of them allocates per write.
 //!
-//! The counting allocator is process-global, so this binary holds this
-//! one test alone, and it counts only the allocations of the thread that
-//! opened a window.
+//! A dense index probe never materialises its candidate list: an
+//! `aggregate` planned onto a sorted index allocates as often, and as
+//! many bytes, at 10 % selectivity as at 70 %.
+//!
+//! The allocator is process-global, so it counts only on a thread that
+//! opened a window, into that thread's own counters: tests running side
+//! by side do not see each other's allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
 
-use gamedb_content::{Value, ValueType};
-use gamedb_core::{EntityId, IndexKind, World, WriteBatch};
+use gamedb_content::{CmpOp, Value, ValueType};
+use gamedb_core::{aggregate, plan, Access, AggFn, EntityId, IndexKind, Query, TableStats, World, WriteBatch};
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
 thread_local! {
     static COUNTING: Cell<bool> = const { Cell::new(false) };
+    /// Allocations and bytes allocated inside this thread's windows.
+    static ALLOCS: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
 }
 
 // SAFETY: every call forwards unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the counter and the const-initialised,
-// drop-free thread-local never allocate.
+// `GlobalAlloc` contract; the const-initialised, drop-free thread-locals
+// never allocate.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         if COUNTING.with(Cell::get) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
+            ALLOCS.with(|a| {
+                let (n, bytes) = a.get();
+                a.set((n + 1, bytes + layout.size() as u64));
+            });
         }
         // SAFETY: the caller's `layout` guarantees pass through as is.
         unsafe { System.alloc(layout) }
@@ -47,13 +56,14 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Allocations `f` makes on this thread.
-fn allocs_during(f: impl FnOnce()) -> u64 {
-    let before = ALLOCS.load(Ordering::Relaxed);
+/// Allocations `f` makes on this thread, and the bytes they asked for.
+fn allocs_during(f: impl FnOnce()) -> (u64, u64) {
+    let (n, bytes) = ALLOCS.with(Cell::get);
     COUNTING.with(|c| c.set(true));
     f();
     COUNTING.with(|c| c.set(false));
-    ALLOCS.load(Ordering::Relaxed) - before
+    let (n2, bytes2) = ALLOCS.with(Cell::get);
+    (n2 - n, bytes2 - bytes)
 }
 
 const N: usize = 4_000;
@@ -112,9 +122,12 @@ fn indexed_batch_writes_allocate_per_batch_not_per_write() {
         let mut counts = Vec::new();
         for n in [MOVED, 100] {
             let there = batch(&ids, column, n, 1);
-            counts.push(allocs_during(|| {
-                w.apply_batch(there).unwrap();
-            }));
+            counts.push(
+                allocs_during(|| {
+                    w.apply_batch(there).unwrap();
+                })
+                .0,
+            );
             w.apply_batch(batch(&ids, column, n, 0)).unwrap();
         }
         println!(
@@ -130,4 +143,36 @@ fn indexed_batch_writes_allocate_per_batch_not_per_write() {
     for (i, &e) in ids.iter().enumerate() {
         assert_eq!(w.get(e, "team"), Some(value("team", i % KEYS)));
     }
+}
+
+#[test]
+fn dense_probe_aggregate_allocates_alike_at_any_selectivity() {
+    // hp runs 0..100 over the rows, so `hp < x` keeps x % of them
+    let mut w = World::new();
+    w.define_component("hp", ValueType::Float).unwrap();
+    w.define_component("gold", ValueType::Int).unwrap();
+    for i in 0..N {
+        let e = w.spawn();
+        w.set(e, "hp", Value::Float((i * 37 % 100) as f32)).unwrap();
+        w.set(e, "gold", Value::Int(i as i64)).unwrap();
+    }
+    w.create_index("hp", IndexKind::Sorted).unwrap();
+    let sum = AggFn::Sum("gold".into());
+    let below = |x: f32| Query::select().filter("hp", CmpOp::Lt, Value::Float(x));
+    let mut seen = Vec::new();
+    for x in [10.0, 70.0] {
+        let q = below(x);
+        let p = plan(&q, &TableStats::for_query(&w, &q));
+        assert!(matches!(p.access, Access::AttributeIndex { .. }), "{}", p.explain());
+        // warm-up: whatever is built once per process is built
+        aggregate(&w, &q, &sum);
+        let mut got = 0.0;
+        let allocs = allocs_during(|| got = aggregate(&w, &q, &sum).as_number().unwrap());
+        let rows = (0..N).filter(|i| ((i * 37 % 100) as f32) < x);
+        assert_eq!(got, rows.map(|i| i as f64).sum::<f64>());
+        println!("hp < {x}: {} allocations, {} bytes", allocs.0, allocs.1);
+        seen.push(allocs);
+    }
+    assert!(seen[0].0 > 0, "the counter sees the probe");
+    assert_eq!(seen[0], seen[1], "(allocations, bytes) at 10 % vs 70 %");
 }

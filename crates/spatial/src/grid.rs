@@ -17,7 +17,7 @@ use std::hash::{Hash, Hasher};
 
 use crate::geom::{Aabb, Vec2};
 use crate::hash::BuildIdHasher;
-use crate::index::{finish_knn, ItemId, SpatialIndex};
+use crate::index::{ItemId, SpatialIndex};
 
 /// Key of a grid cell. Positions are divided by the cell size and floored,
 /// so the grid is unbounded and supports negative coordinates.
@@ -160,6 +160,24 @@ impl UniformGrid {
         }
     }
 
+    /// A distance below which nothing lies outside the shells
+    /// `0..=ring` around `center`'s cell. Proof: with `X = fl(x ·
+    /// inv_cell)` the product `key_for` floors, an unvisited item `p`
+    /// lies ring + 1 keys or more past the centre's key `s` on some axis,
+    /// say above (below mirrors): `X_p ≥ s + ring + 1 > X_c + ring` (a
+    /// saturated key keeps both sides). Each of `inv_cell` and the product
+    /// rounds by a factor within `1 ± ε/2`, so undoing them costs under
+    /// `1.01 ε · (ring · cell_size + 2|c|)` of `p − c`. The slack is four
+    /// times that, covering the bound's own roundings; rounding being
+    /// monotone, each unvisited item's computed `dist2` is then at least
+    /// the bound's square. An infinite centre gives 0; a NaN one makes
+    /// every distance NaN, which never counts.
+    fn shell_bound(&self, center: Vec2, ring: i64) -> f32 {
+        let reach = ring as f32 * self.cell_size;
+        let slack = (reach + 2.0 * center.x.abs().max(center.y.abs())) * 4.0 * f32::EPSILON;
+        (reach - slack).max(0.0)
+    }
+
     /// Visit each occupied cell on the square shell at Chebyshev
     /// distance `ring` from `start`.
     fn for_cells_in_ring(&self, start: CellKey, ring: i64, mut f: impl FnMut(&[(ItemId, Vec2)])) {
@@ -255,12 +273,9 @@ impl SpatialIndex for UniformGrid {
                 break;
             }
             self.for_cells_in_ring(start, ring, |v| collect(&mut cands, v));
-            // Distance below which everything in visited shells is complete:
-            // points in unvisited shells are at least `ring * cell_size`
-            // minus the offset of center within its cell away.
-            let safe = (ring as f32 - 1.0).max(0.0) * self.cell_size;
-            let safe2 = safe * safe;
-            let complete = cands.iter().filter(|&&(d, _)| d <= safe2).count();
+            // a candidate below the bound beats every unvisited item
+            let safe = self.shell_bound(center, ring);
+            let complete = cands.iter().filter(|&&(d, _)| d < safe * safe).count();
             if complete >= k || cands.len() >= self.positions.len() {
                 break;
             }
@@ -277,6 +292,23 @@ impl SpatialIndex for UniformGrid {
         self.cells.clear();
         self.positions.clear();
     }
+}
+
+/// The `k` nearest of the ring walk's `candidates` by (distance, id),
+/// closest first: one selection, then a sort of those `k` only. A NaN
+/// distance (a NaN centre or stored position) matches nothing, as in
+/// [`SpatialIndex::query_range`].
+fn finish_knn(k: usize, candidates: &mut Vec<(f32, ItemId)>, out: &mut Vec<ItemId>) {
+    candidates.retain(|&(d, _)| !d.is_nan());
+    let k = k.min(candidates.len());
+    if k == 0 {
+        return;
+    }
+    let by_distance = |a: &(f32, ItemId), b: &(f32, ItemId)| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1));
+    candidates.select_nth_unstable_by(k - 1, by_distance);
+    let nearest = &mut candidates[..k];
+    nearest.sort_unstable_by(by_distance);
+    out.extend(nearest.iter().map(|&(_, id)| id));
 }
 
 #[cfg(test)]

@@ -64,17 +64,6 @@ pub trait SpatialIndex {
     }
 }
 
-/// Sort knn candidates by (distance, id) and truncate to `k`.
-///
-/// Shared by implementations that collect a superset of candidates. A
-/// NaN distance — a NaN centre or a NaN stored position — matches
-/// nothing, as it matches no disk in [`SpatialIndex::query_range`].
-pub(crate) fn finish_knn(k: usize, candidates: &mut Vec<(f32, ItemId)>, out: &mut Vec<ItemId>) {
-    candidates.retain(|&(d, _)| !d.is_nan());
-    candidates.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-    out.extend(candidates.iter().take(k).map(|&(_, id)| id));
-}
-
 /// O(n)-per-query reference index: a flat vector of `(id, pos)` pairs.
 ///
 /// This is both the correctness oracle for property tests and the
@@ -141,13 +130,16 @@ impl SpatialIndex for BruteForce {
         );
     }
 
+    /// A full sort of every non-NaN `(distance, id)`, sharing no code with the grid.
     fn query_knn(&self, center: Vec2, k: usize, out: &mut Vec<ItemId>) {
         let mut cands: Vec<(f32, ItemId)> = self
             .items
             .iter()
             .map(|&(id, p)| (p.dist2(center), id))
+            .filter(|&(d, _)| !d.is_nan())
             .collect();
-        finish_knn(k, &mut cands, out);
+        cands.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        out.extend(cands.iter().take(k).map(|&(_, id)| id));
     }
 
     fn len(&self) -> usize {

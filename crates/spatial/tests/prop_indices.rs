@@ -147,6 +147,82 @@ index_equivalence_suite!(grid_small_cells_vs_oracle, UniformGrid::new(3.0));
 // stay in their cell, where the grid rewrites the position held inline
 index_equivalence_suite!(grid_same_cell_moves_vs_oracle, UniformGrid::new(16.0), 8.0);
 
+/// knn where ties and `key_for`'s rounding decide the answer, on cells
+/// of 3.0 (an inexact inverse): items on integer coordinates — many at
+/// one distance, so the id tiebreak picks — some nudged one ulp off,
+/// centres on cell corners (nudged too), around the origin and around
+/// ±1e6, where a float's ulp is 1/16. `k` runs up to and past the item
+/// count, so the selection also ends at the last candidate.
+mod grid_knn_ties {
+    use super::*;
+
+    const CELL: f32 = 3.0;
+
+    /// `x` moved `ulps` representable floats up (down when negative).
+    fn nudge(x: f32, ulps: i32) -> f32 {
+        (0..ulps.abs()).fold(x, |x, _| if ulps > 0 { x.next_up() } else { x.next_down() })
+    }
+
+    /// A cell corner: the origin or one near ±1e6.
+    fn anchor() -> impl Strategy<Value = f32> {
+        prop_oneof![Just(0.0f32), Just(999_999.0f32), Just(-999_999.0f32)]
+    }
+
+    /// Grid and oracle holding the same items; ids run opposite to
+    /// insertion order.
+    fn worlds(items: &[Vec2]) -> (UniformGrid, BruteForce) {
+        let (mut grid, mut oracle) = (UniformGrid::new(CELL), BruteForce::new());
+        for (i, &p) in items.iter().enumerate() {
+            let id = (items.len() - i) as u64;
+            grid.insert(id, p);
+            oracle.insert(id, p);
+        }
+        (grid, oracle)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn knn_ties_match_oracle(
+            a in anchor(),
+            items in proptest::collection::vec((-12i32..=12, -12i32..=12, -1i32..=1), 0..=64),
+            cx in -3i32..=3, cy in -3i32..=3, cn in -1i32..=1,
+            k in 0usize..=40,
+        ) {
+            let items: Vec<Vec2> = items
+                .iter()
+                .map(|&(x, y, n)| Vec2::new(nudge(a + x as f32, n), a + y as f32))
+                .collect();
+            let (grid, oracle) = worlds(&items);
+            let c = Vec2::new(nudge(a + CELL * cx as f32, cn), a + CELL * cy as f32);
+            prop_assert_eq!(knn(&grid, c, k), knn(&oracle, c, k));
+        }
+    }
+
+    /// `key_for` rounds 15 − ulp into cell 5 though it lies in cell 4, so
+    /// an item there sits just inside 12 (= 4 cells) of a centre at
+    /// 3 − ulp and is still unvisited after the fourth shell; a second
+    /// item at exactly its distance, in a visited cell, must not win the
+    /// tie it loses on id. Far-away fillers give the grid enough occupied
+    /// cells that the walk reaches that shell before its budget runs out.
+    #[test]
+    fn rounding_across_a_cell_edge_keeps_the_nearest() {
+        let c = Vec2::new(3.0f32.next_down(), 0.5);
+        // the visited item first: it gets the larger id
+        let mut items = vec![
+            Vec2::new(c.x, 12.5f32.next_down()),
+            Vec2::new(15.0f32.next_down(), 0.5),
+        ];
+        assert_eq!(items[0].dist2(c), items[1].dist2(c), "the two tie");
+        items.extend((0..90).map(|i| Vec2::new(1_000.0 + CELL * i as f32, 1_000.0)));
+        let (grid, oracle) = worlds(&items);
+        for k in [1, 2, 3] {
+            assert_eq!(knn(&grid, c, k), knn(&oracle, c, k), "k {k}");
+        }
+    }
+}
+
 /// A query far larger than the populated area must cost one pass over
 /// the grid, not one probe per cell of the query box: radius 1e9 spans
 /// 1.5e16 cells of a 16-unit grid, and an infinite one saturates both
