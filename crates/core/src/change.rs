@@ -376,6 +376,11 @@ impl ChangeStream {
         self.records.len()
     }
 
+    /// The retention limit, if one is set.
+    pub fn retention(&self) -> Option<usize> {
+        self.retention
+    }
+
     /// Set the retention limit (see
     /// [`crate::world::World::set_tap_retention`]).
     pub fn set_retention(&mut self, limit: Option<usize>) {

@@ -82,6 +82,7 @@
 //! aggregate inputs are skipped entirely (SQL NULL semantics, shared
 //! with [`crate::query::aggregate`]), and a NaN join key joins nothing.
 
+use std::any::Any;
 use std::collections::{BTreeSet, HashMap};
 use std::time::Instant;
 
@@ -94,7 +95,7 @@ use crate::index::{radix_sort, KeyRef, KeyTable, OrdF64, NO_KEY};
 use crate::intern::ComponentId;
 use crate::metrics::CoreMetrics;
 use crate::query::{AggFn, Pred, Query, RowFilter};
-use crate::view::{apply_diff, gallop, intersect, union, Changelog, FoldCtx, ViewStats};
+use crate::view::{apply_diff, gallop, intersect, union, Deltas, FoldCtx, ViewDelta, ViewStats};
 use crate::world::{CoreError, World, POS_ID};
 
 /// Decode safety bound on operator-chain depth (catalog records are
@@ -298,40 +299,6 @@ impl PlanOutput {
     }
 }
 
-/// Membership changes a join view accumulated since its changelog was
-/// last taken. Both vectors are sorted by `(left, right)` within each
-/// refresh batch.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct PairChangelog {
-    pub entered: Vec<(EntityId, EntityId)>,
-    pub exited: Vec<(EntityId, EntityId)>,
-}
-
-impl PairChangelog {
-    /// True when no pairs entered or exited.
-    pub fn is_empty(&self) -> bool {
-        self.entered.is_empty() && self.exited.is_empty()
-    }
-}
-
-/// Group-level changes a group-aggregate view accumulated since its
-/// changelog was last taken: groups that appeared, disappeared (with
-/// their last value), or changed value (with the new value). Sorted by
-/// group key within each refresh batch.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct GroupChangelog {
-    pub entered: Vec<GroupRow>,
-    pub exited: Vec<GroupRow>,
-    pub changed: Vec<GroupRow>,
-}
-
-impl GroupChangelog {
-    /// True when no group appeared, disappeared, or changed value.
-    pub fn is_empty(&self) -> bool {
-        self.entered.is_empty() && self.exited.is_empty() && self.changed.is_empty()
-    }
-}
-
 // ---------------------------------------------------------------------
 // Compilation: plan → fused sources + operator kind
 // ---------------------------------------------------------------------
@@ -473,7 +440,7 @@ fn compile(plan: &ViewPlan) -> Result<OpState, CoreError> {
                 hits: Vec::new(),
                 weights: Vec::new(),
                 spare: Vec::new(),
-                log: PairChangelog::default(),
+                deltas: Deltas::default(),
             }))
         }
         PlanNode::GroupAggregate {
@@ -507,14 +474,14 @@ fn compile(plan: &ViewPlan) -> Result<OpState, CoreError> {
                 order: Vec::new(),
                 edits: Vec::new(),
                 spare: (Vec::new(), Vec::new()),
-                log: GroupChangelog::default(),
+                deltas: Deltas::default(),
             }))
         }
         chain => Ok(OpState::Rows(RowsState {
             source: SourceState::new(compile_source(chain, None, None, false)?),
             out: Vec::new(),
             spare: Vec::new(),
-            log: Changelog::default(),
+            deltas: Deltas::default(),
         })),
     }
 }
@@ -575,9 +542,9 @@ struct FoldOut {
 }
 
 /// What one refresh of a view did, for the maintenance counters every
-/// view kind shares: candidate rows inspected, changelog entries
-/// delivered (rows, pairs or groups — whatever the view materializes),
-/// and the keys its operator holds.
+/// view kind shares: candidate rows inspected, delta entries produced
+/// (rows, pairs or groups — whatever the view materializes), and the
+/// keys its operator holds.
 struct Refreshed {
     cands: usize,
     entered: usize,
@@ -819,7 +786,7 @@ struct RowsState {
     out: Vec<EntityId>,
     /// The buffer the next `out` is merged into, and scratch between.
     spare: Vec<EntityId>,
-    log: Changelog,
+    deltas: Deltas<EntityId>,
 }
 
 impl RowsState {
@@ -830,26 +797,25 @@ impl RowsState {
         metrics: Option<&CoreMetrics>,
     ) -> Refreshed {
         let fold = self.source.fold(world, ctx, &mut KeyTable::default());
-        let log = &mut self.log;
-        let logged = [log.entered.len(), log.exited.len(), log.changed.len()];
-        for d in &fold.deltas {
-            match (&d.old, &d.new) {
-                (None, Some(_)) => log.entered.push(d.id),
-                (Some(_), None) => log.exited.push(d.id),
+        let d = &mut self.deltas.batch;
+        d.clear();
+        for row in &fold.deltas {
+            match (&row.old, &row.new) {
+                (None, Some(_)) => d.entered.push(row.id),
+                (Some(_), None) => d.exited.push(row.id),
                 _ => {}
             }
         }
-        let (entered, exited) = (&log.entered[logged[0]..], &log.exited[logged[1]..]);
-        if !entered.is_empty() || !exited.is_empty() {
+        if !d.is_empty() {
             self.spare.clear();
-            apply_diff(&self.out, entered, exited, &mut self.spare);
+            apply_diff(&self.out, &d.entered, &d.exited, &mut self.spare);
             std::mem::swap(&mut self.out, &mut self.spare);
         }
         // `changed`: touched rows that are (still) members and did not
         // just enter — every entered row is a touched member.
         self.spare.clear();
         intersect(ctx.touched, &self.out, &mut self.spare);
-        apply_diff(&self.spare, &[], entered, &mut log.changed);
+        apply_diff(&self.spare, &[], &d.entered, &mut d.changed);
         if let Some(m) = metrics {
             m.op_scan.note(fold.cands, fold.deltas.len());
             if !self.source.src.query.predicates().is_empty() {
@@ -858,33 +824,31 @@ impl RowsState {
         }
         Refreshed {
             cands: fold.cands,
-            entered: entered.len(),
-            exited: exited.len(),
-            changed: log.changed.len() - logged[2],
+            entered: d.entered.len(),
+            exited: d.exited.len(),
+            changed: d.changed.len(),
             keys: 0,
         }
     }
 
     /// Move the scan's `within` disk and re-evaluate through the planner
-    /// once; the membership diff lands in the changelog as `entered` /
-    /// `exited`, flagged as a rescan.
+    /// once; the membership diff is the batch's `entered` / `exited`.
     fn retarget(&mut self, world: &World, center: Vec2, radius: f32) {
         self.source.src.query.retarget_within(center, radius);
         let rows = self.source.evaluate(world);
-        let (log, kept) = (&mut self.log, &mut self.spare);
-        let logged = [log.entered.len(), log.exited.len()];
+        let (d, kept) = (&mut self.deltas.batch, &mut self.spare);
+        d.clear();
         kept.clear();
         intersect(&self.out, &rows, kept);
-        apply_diff(&rows, &[], kept, &mut log.entered);
-        apply_diff(&self.out, &[], kept, &mut log.exited);
-        for id in &log.exited[logged[1]..] {
+        apply_diff(&rows, &[], kept, &mut d.entered);
+        apply_diff(&self.out, &[], kept, &mut d.exited);
+        for id in &d.exited {
             self.source.rows.ids[id.index() as usize] = None;
         }
-        for &id in &log.entered[logged[0]..] {
+        for &id in &d.entered {
             self.source.rows.put(id.index() as usize, id, Fields::NONE);
         }
         self.out = rows;
-        log.rescans += 1;
     }
 }
 
@@ -1009,7 +973,7 @@ struct JoinState {
     hits: Vec<EntityId>,
     weights: Vec<((EntityId, EntityId), i32)>,
     spare: Vec<(EntityId, EntityId)>,
-    log: PairChangelog,
+    deltas: Deltas<(EntityId, EntityId)>,
 }
 
 impl JoinState {
@@ -1050,25 +1014,24 @@ impl JoinState {
         self.keys.sweep();
 
         weights.sort_unstable_by_key(|&(pair, _)| pair);
-        let log = &mut self.log;
-        let logged = [log.entered.len(), log.exited.len()];
+        let d = &mut self.deltas.batch;
+        d.clear();
         for run in weights.chunk_by(|a, b| a.0 == b.0) {
             match run.iter().map(|&(_, w)| w).sum::<i32>().cmp(&0) {
-                std::cmp::Ordering::Greater => log.entered.push(run[0].0),
-                std::cmp::Ordering::Less => log.exited.push(run[0].0),
+                std::cmp::Ordering::Greater => d.entered.push(run[0].0),
+                std::cmp::Ordering::Less => d.exited.push(run[0].0),
                 std::cmp::Ordering::Equal => {}
             }
         }
-        let (entered, exited) = (&log.entered[logged[0]..], &log.exited[logged[1]..]);
-        if !entered.is_empty() || !exited.is_empty() {
+        if !d.is_empty() {
             self.spare.clear();
-            apply_diff(&self.pairs, entered, exited, &mut self.spare);
+            apply_diff(&self.pairs, &d.entered, &d.exited, &mut self.spare);
             std::mem::swap(&mut self.pairs, &mut self.spare);
         }
         let done = Refreshed {
             cands: l_fold.cands + r_fold.cands,
-            entered: entered.len(),
-            exited: exited.len(),
+            entered: d.entered.len(),
+            exited: d.exited.len(),
             changed: 0,
             keys: self.keys.len(),
         };
@@ -1395,7 +1358,7 @@ struct GroupState {
     order: Vec<(u64, u32)>,
     edits: Vec<(usize, Option<(u64, u32)>)>,
     spare: (Vec<GroupRow>, Vec<(u64, u32)>),
-    log: GroupChangelog,
+    deltas: Deltas<GroupRow>,
 }
 
 impl GroupState {
@@ -1409,13 +1372,16 @@ impl GroupState {
         }
     }
 
-    /// Patch the output row of every touched group, in key order, and
-    /// log it: a group still holding rows whose value moved (bit for bit)
-    /// is `changed`, in place; one left without rows `exited`, a new one
-    /// `entered`, both applied in one merge. Returns those three counts.
+    /// Patch the output row of every touched group, in key order, into
+    /// the batch: a group still holding rows whose value moved (bit for
+    /// bit) is `changed`, in place; one left without rows `exited`, a new
+    /// one `entered`, both applied in one merge. A changed row is copied
+    /// into the batch only for a subscriber. Returns the three counts.
     fn patch(&mut self) -> [usize; 3] {
-        let logged = |log: &GroupChangelog| [log.entered.len(), log.exited.len(), log.changed.len()];
-        let before = logged(&self.log);
+        let copy_changed = self.deltas.subscribed();
+        let mut changed = 0;
+        let d = &mut self.deltas.batch;
+        d.clear();
         let keys = &self.keys;
         self.order.clear();
         let keyed = |g: u32| (keys.get(g).map_or(0, KeyRef::prefix), g);
@@ -1436,27 +1402,29 @@ impl GroupState {
                 (true, true) => {
                     if self.out[at].value.to_bits() != value.to_bits() {
                         self.out[at].value = value;
-                        self.log.changed.push(self.out[at].clone());
+                        changed += 1;
+                        if copy_changed {
+                            d.changed.push(self.out[at].clone());
+                        }
                     }
                 }
                 (true, false) => self.edits.push((at, None)),
                 (false, true) => {
                     let key = keys.get(g).map(key_repr);
-                    self.log.entered.push(GroupRow { key, value });
+                    d.entered.push(GroupRow { key, value });
                     self.edits.push((at, Some((p, g))));
                 }
                 (false, false) => {}
             }
         }
         if !self.edits.is_empty() {
-            let mut entered = self.log.entered[before[0]..].iter().cloned();
+            let mut entered = d.entered.iter().cloned();
             let mut row = || entered.next().expect("one row per entered group");
             let rows = self.edits.iter().map(|&(at, e)| (at, e.map(|_| row())));
-            splice(&mut self.out, &mut self.spare.0, rows, |row| self.log.exited.push(row));
+            splice(&mut self.out, &mut self.spare.0, rows, |row| d.exited.push(row));
             splice(&mut self.out_keys, &mut self.spare.1, self.edits.iter().copied(), drop);
         }
-        let after = logged(&self.log);
-        [0, 1, 2].map(|i| after[i] - before[i])
+        [d.entered.len(), d.exited.len(), changed]
     }
 
     fn refresh(
@@ -1548,7 +1516,7 @@ pub(crate) struct PlanView {
 
 impl PlanView {
     /// Compile, validate, and materialize a plan against the current
-    /// world. Initial rows are state, not changelog events.
+    /// world. Initial rows are state, not delta events.
     pub(crate) fn new(plan: ViewPlan, world: &World) -> Result<PlanView, CoreError> {
         let mut state = compile(&plan)?;
         match &mut state {
@@ -1571,20 +1539,21 @@ impl PlanView {
         self.stats
     }
 
-    /// Fold one change-stream segment into the operator tree; with
-    /// metrics attached the fold is timed (`view.s{slot}.fold_us`).
+    /// Fold one change-stream segment into the operator tree and publish
+    /// the batch; with metrics attached the fold is timed.
     pub(crate) fn refresh(
         &mut self,
         world: &World,
         ctx: &FoldCtx<'_>,
         slot: usize,
         metrics: Option<&CoreMetrics>,
+        retention: Option<usize>,
     ) {
         let started = metrics.map(|_| Instant::now());
-        let done = match &mut self.state {
-            OpState::Rows(s) => s.refresh(world, ctx, metrics),
-            OpState::Join(s) => s.refresh(world, ctx, metrics),
-            OpState::Group(s) => s.refresh(world, ctx, metrics),
+        let (done, held) = match &mut self.state {
+            OpState::Rows(s) => (s.refresh(world, ctx, metrics), s.deltas.publish(retention)),
+            OpState::Join(s) => (s.refresh(world, ctx, metrics), s.deltas.publish(retention)),
+            OpState::Group(s) => (s.refresh(world, ctx, metrics), s.deltas.publish(retention)),
         };
         let delta_rows = (done.entered + done.exited + done.changed) as u64;
         self.stats.refreshes += 1;
@@ -1604,11 +1573,7 @@ impl PlanView {
             per_slot.candidates.add(done.cands as u64);
             per_slot.delta_rows.add(delta_rows);
             per_slot.keys.set(done.keys as i64);
-            per_slot.log_len.set(match &self.state {
-                OpState::Rows(s) => s.log.entered.len() + s.log.exited.len() + s.log.changed.len(),
-                OpState::Join(s) => s.log.entered.len() + s.log.exited.len(),
-                OpState::Group(s) => s.log.entered.len() + s.log.exited.len() + s.log.changed.len(),
-            } as i64);
+            per_slot.log_len.set(held as i64);
         }
     }
 
@@ -1624,6 +1589,7 @@ impl PlanView {
         slot: usize,
         center: Vec2,
         radius: f32,
+        retention: Option<usize>,
     ) -> Result<(), CoreError> {
         let OpState::Rows(s) = &mut self.state else {
             return Err(CoreError::PlanInvalid(
@@ -1641,6 +1607,7 @@ impl PlanView {
             }
         }
         s.retarget(world, center, radius);
+        let held = s.deltas.publish(retention);
         self.stats.refreshes += 1;
         self.stats.rescans += 1;
         if let Some(m) = world.core_metrics() {
@@ -1649,6 +1616,7 @@ impl PlanView {
             let per_slot = m.view_slot(slot);
             per_slot.refreshes.inc();
             per_slot.rescans.inc();
+            per_slot.log_len.set(held as i64);
         }
         Ok(())
     }
@@ -1698,41 +1666,24 @@ impl PlanView {
         }
     }
 
-    pub(crate) fn rows_log(&self) -> Option<&Changelog> {
-        match &self.state {
-            OpState::Rows(s) => Some(&s.log),
-            _ => None,
+    /// Record deltas for a consumer from the next refresh on.
+    pub(crate) fn subscribe(&mut self) {
+        match &mut self.state {
+            OpState::Rows(s) => s.deltas.subscribe(),
+            OpState::Join(s) => s.deltas.subscribe(),
+            OpState::Group(s) => s.deltas.subscribe(),
         }
     }
 
-    pub(crate) fn take_rows_log(&mut self) -> Option<Changelog> {
-        match &mut self.state {
-            OpState::Rows(s) => Some(std::mem::take(&mut s.log)),
-            _ => None,
-        }
-    }
-
-    pub(crate) fn take_pair_log(&mut self) -> Option<PairChangelog> {
-        match &mut self.state {
-            OpState::Join(s) => Some(std::mem::take(&mut s.log)),
-            _ => None,
-        }
-    }
-
-    pub(crate) fn take_group_log(&mut self) -> Option<GroupChangelog> {
-        match &mut self.state {
-            OpState::Group(s) => Some(std::mem::take(&mut s.log)),
-            _ => None,
-        }
-    }
-
-    /// Drop accumulated changelogs (recovery re-anchors subscribers).
-    pub(crate) fn clear_logs(&mut self) {
-        match &mut self.state {
-            OpState::Rows(s) => s.log = Changelog::default(),
-            OpState::Join(s) => s.log = PairChangelog::default(),
-            OpState::Group(s) => s.log = GroupChangelog::default(),
-        }
+    /// The subscriber's untaken deltas (`Some(None)` when unsubscribed);
+    /// `None` when the view's rows are not `R`s.
+    pub(crate) fn take_delta<R: Clone + 'static>(&mut self) -> Option<Option<ViewDelta<R>>> {
+        let deltas: &mut dyn Any = match &mut self.state {
+            OpState::Rows(s) => &mut s.deltas,
+            OpState::Join(s) => &mut s.deltas,
+            OpState::Group(s) => &mut s.deltas,
+        };
+        deltas.downcast_mut::<Deltas<R>>().map(Deltas::take)
     }
 
     /// The incremental output as a [`PlanOutput`] — what the oracle
@@ -1767,6 +1718,11 @@ mod tests {
         assert_eq!(w.view_output(v), plan.evaluate(w).unwrap(), "maintained ≠ recomputed");
     }
 
+    /// Take a subscribed view's deltas.
+    fn take<R: Clone + 'static>(w: &mut World, v: ViewId) -> ViewDelta<R> {
+        w.take_view_delta(v).expect("subscribed")
+    }
+
     fn team(w: &mut World, e: EntityId, t: &str) {
         w.set(e, "team", Value::Str(t.into())).unwrap();
     }
@@ -1778,6 +1734,7 @@ mod tests {
         w.set_f32(a, "hp", 10.0).unwrap();
         let q = Query::select().filter("hp", CmpOp::Lt, Value::Float(50.0));
         let v = w.register_view_plan(ViewPlan::scan(q.clone())).unwrap();
+        w.subscribe_view(v);
         assert_eq!(w.view_rows(v), &[a]);
         let b = w.spawn_at(Vec2::ZERO);
         w.set_f32(b, "hp", 20.0).unwrap();
@@ -1785,7 +1742,7 @@ mod tests {
         w.refresh_views();
         assert_eq!(w.view_rows(v), &[b]);
         assert_eq!(w.view_rows(v), q.run(&w));
-        let log = w.take_view_changelog(v);
+        let log = take::<EntityId>(&mut w, v);
         assert_eq!(log.entered, vec![b]);
         assert_eq!(log.exited, vec![a]);
         assert_oracle(&w, v);
@@ -1875,12 +1832,13 @@ mod tests {
                 },
             ))
             .unwrap();
+        w.subscribe_view(v);
         assert_eq!(w.view_pairs(v), &[(a, b)]);
         // b gets wounded: joins its red teammate a
         w.set_f32(b, "hp", 20.0).unwrap();
         w.refresh_views();
         assert_eq!(w.view_pairs(v), &[(a, b), (b, a)]);
-        let log = w.take_view_pair_changelog(v);
+        let log = take::<(EntityId, EntityId)>(&mut w, v);
         assert_eq!(log.entered, vec![(b, a)]);
         assert!(log.exited.is_empty());
         assert_oracle(&w, v);
@@ -1896,7 +1854,7 @@ mod tests {
         w.despawn(a);
         w.refresh_views();
         assert_eq!(w.view_pairs(v), &[(b, c), (c, b)]);
-        let log = w.take_view_pair_changelog(v);
+        let log = take::<(EntityId, EntityId)>(&mut w, v);
         assert_eq!(log.exited, vec![(a, b), (a, c), (b, a), (c, a)]);
         assert_oracle(&w, v);
     }
@@ -1940,6 +1898,7 @@ mod tests {
                 JoinOn::Within { radius: 5.0 },
             ))
             .unwrap();
+        w.subscribe_view(v);
         // symmetric, self-pairs excluded
         assert_eq!(w.view_pairs(v), &[(a, b), (b, a)]);
         w.set_pos(c, Vec2::new(1.0, 1.0)).unwrap();
@@ -1952,7 +1911,7 @@ mod tests {
         w.set_pos(b, Vec2::new(50.0, 0.0)).unwrap();
         w.refresh_views();
         assert_eq!(w.view_pairs(v), &[(a, c), (c, a)]);
-        let log = w.take_view_pair_changelog(v);
+        let log = take::<(EntityId, EntityId)>(&mut w, v);
         assert_eq!(log.exited, vec![(a, b), (b, a), (b, c), (c, b)]);
         assert_oracle(&w, v);
     }
@@ -2000,13 +1959,14 @@ mod tests {
                 AggFn::Count,
             ))
             .unwrap();
+        w.subscribe_view(v);
         assert_eq!(w.view_group_value(v, Some(&Value::Str("red".into()))), Some(2.0));
         assert_eq!(w.view_group_value(v, Some(&Value::Str("blue".into()))), Some(1.0));
         // last blue row leaves: the group disappears
         w.despawn(c);
         w.refresh_views();
         assert_eq!(w.view_group_value(v, Some(&Value::Str("blue".into()))), None);
-        let log = w.take_view_group_changelog(v);
+        let log = take::<GroupRow>(&mut w, v);
         assert_eq!(
             log.exited,
             vec![GroupRow {
@@ -2018,7 +1978,7 @@ mod tests {
         // b switches teams: red shrinks, blue reappears
         team(&mut w, b, "blue");
         w.refresh_views();
-        let log = w.take_view_group_changelog(v);
+        let log = take::<GroupRow>(&mut w, v);
         assert_eq!(
             log.entered,
             vec![GroupRow {
@@ -2144,6 +2104,7 @@ mod tests {
                 AggFn::Count,
             ))
             .unwrap();
+        w.subscribe_view(v);
         assert!(w.view_groups(v).is_empty());
         assert_eq!(w.view_group_value(v, None), None);
         let a = w.spawn_at(Vec2::ZERO);
@@ -2153,7 +2114,7 @@ mod tests {
         w.set_f32(a, "hp", 90.0).unwrap();
         w.refresh_views();
         assert!(w.view_groups(v).is_empty());
-        let log = w.take_view_group_changelog(v);
+        let log = take::<GroupRow>(&mut w, v);
         assert_eq!(log.exited, vec![GroupRow { key: None, value: 1.0 }]);
         assert_oracle(&w, v);
     }
@@ -2173,12 +2134,13 @@ mod tests {
                 AggFn::Sum("gold".into()),
             ))
             .unwrap();
+        w.subscribe_view(v);
         // a trade: debit and credit in one batch
         w.set(a, "gold", Value::Int(80)).unwrap();
         w.set(b, "gold", Value::Int(120)).unwrap();
         w.refresh_views();
         assert_eq!(w.view_group_value(v, None), Some(200.0));
-        assert!(w.take_view_group_changelog(v).is_empty(), "the sum did not move");
+        assert!(take::<GroupRow>(&mut w, v).is_empty(), "the sum did not move");
         assert_eq!(w.view_stats(v).delta_rows, 0);
         let snap = registry.snapshot();
         assert_eq!(snap.counter("view.op_group.rows_in"), 2, "both writes reached the aggregate");
@@ -2206,10 +2168,11 @@ mod tests {
                 AggFn::Sum("hp".into()),
             ))
             .unwrap();
+        w.subscribe_view(v);
         assert!(w.view_group_value(v, Some(&Value::Str("a".into()))).unwrap().is_nan());
         w.set_f32(b, "hp", 2.0).unwrap();
         w.refresh_views();
-        let log = w.take_view_group_changelog(v);
+        let log = take::<GroupRow>(&mut w, v);
         assert_eq!(
             log.changed,
             vec![GroupRow {
@@ -2222,7 +2185,7 @@ mod tests {
         w.set_f32(a1, "hp", f32::INFINITY).unwrap();
         w.set(a1, "gold", Value::Int(1)).unwrap();
         w.refresh_views();
-        assert!(w.take_view_group_changelog(v).is_empty());
+        assert!(take::<GroupRow>(&mut w, v).is_empty());
     }
 
     #[test]

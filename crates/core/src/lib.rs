@@ -30,7 +30,7 @@
 //!   ([`WriteBatch`], [`World::apply_batch`]).
 //! * [`view`](mod@view) — continuous queries: standing views maintained
 //!   incrementally by folding the change stream — handles, slots and
-//!   changelogs ([`World::register_view`], [`Changelog`]).
+//!   deltas by subscription ([`World::register_view`], [`ViewDelta`]).
 //! * [`dvm`](mod@dvm) — differential view maintenance, the engine
 //!   behind every view: operator trees (filter / project / join /
 //!   group-by) maintained by per-operator delta rules ([`ViewPlan`],
@@ -80,7 +80,7 @@ pub use change::{
     BatchOp, Change, ChangeOp, DurabilityWatermark, TapId, TapStats, WatermarkSnapshot, WriteBatch,
 };
 pub use column::{Column, ColumnData};
-pub use dvm::{GroupChangelog, GroupRow, JoinOn, PairChangelog, PlanNode, PlanOutput, ViewPlan};
+pub use dvm::{GroupRow, JoinOn, PlanNode, PlanOutput, ViewPlan};
 pub use effect::{Effect, EffectBuffer, EffectMark, EffectOps, SpawnRequest};
 pub use entity::{EntityAllocator, EntityId};
 pub use exec::{System, TickExecutor, TickStats};
@@ -88,5 +88,5 @@ pub use index::{IndexKey, IndexKind, SecondaryIndex};
 pub use intern::ComponentId;
 pub use planner::{plan, Access, ColumnStats, Plan, TableStats};
 pub use query::{aggregate, compare, AggFn, AggResult, Pred, Query};
-pub use view::{Changelog, ViewId, ViewStats};
+pub use view::{ViewDelta, ViewId, ViewStats};
 pub use world::{BulkLoader, CoreError, RowLoader, World, WorldCatalog, POS, POS_ID};

@@ -55,8 +55,8 @@ pub(crate) struct CoreMetrics {
     /// `view.refresh_candidates`: candidate rows evaluated per refresh
     /// (the refresh cost, in the planner's row-visit units).
     pub view_candidates: Histogram,
-    /// `view.entered` / `view.exited` / `view.changed`: changelog sizes
-    /// (rows, pairs and groups alike).
+    /// `view.entered` / `view.exited` / `view.changed`: delta sizes
+    /// (rows, pairs and groups alike), subscribed or not.
     pub view_entered: Counter,
     pub view_exited: Counter,
     pub view_changed: Counter,
@@ -132,8 +132,8 @@ pub(crate) struct ViewSlotMetrics {
     /// `view.s{slot}.keys`: keys the view's operator holds interned
     /// after its last refresh (0 for views without a key column).
     pub keys: Gauge,
-    /// `view.s{slot}.log_len`: entries the view's changelog holds since
-    /// it was last taken, after its last refresh.
+    /// `view.s{slot}.log_len`: entries held for the view's subscriber
+    /// since its last take, after its last refresh; 0 when unsubscribed.
     pub log_len: Gauge,
 }
 

@@ -14,16 +14,19 @@
 //! commits a typed [`crate::change::Change`] record
 //! (`entity, component, old → new`) to the world's change stream, and
 //! [`crate::world::World::refresh_views`] (called automatically at tick
-//! end) folds the pending segment into each view's materialized output,
-//! producing a per-tick [`Changelog`] of `entered` / `exited` /
-//! `changed` rows. Views are one consumer of that stream among several —
-//! durability and replication tap the very same records (see
-//! [`crate::change`]).
+//! end) folds the pending segment into each view's materialized output.
+//! Views are one consumer of that stream among several — durability and
+//! replication tap the very same records (see [`crate::change`]).
+//!
+//! A view's output changes as a stream of [`ViewDelta`]s, recorded only
+//! while a consumer is subscribed
+//! ([`crate::world::World::subscribe_view`]): a view nobody reads keeps
+//! nothing but its rows. Subscriptions are runtime state, like taps.
 //!
 //! There is one view engine: every slot of the `ViewRegistry` holds an
 //! operator-tree view ([`crate::dvm`]). This module owns what is common
-//! to all of them — handles, slots, the per-batch fold context, the row
-//! changelog — and `dvm` owns the operators.
+//! to all of them — handles, slots, the per-batch fold context, the
+//! delta type and its subscriber log — and `dvm` owns the operators.
 //!
 //! ## Maintenance invariants
 //!
@@ -39,10 +42,10 @@
 //!   entity, so stale or duplicate deltas can never corrupt a view; the
 //!   log's old values exist for relevance filtering and observability,
 //!   not as the source of truth.
-//! * **Changelog ordering determinism** — within one refresh batch,
-//!   `entered`, `exited`, and `changed` are each sorted by entity id and
+//! * **Delta ordering determinism** — within one refresh batch,
+//!   `entered`, `exited`, and `changed` are each sorted by row key and
 //!   duplicate-free; successive batches append in refresh order. Two
-//!   worlds with identical write histories produce identical changelogs.
+//!   worlds with identical write histories deliver identical deltas.
 //! * **Always incremental** — a refresh costs one membership evaluation
 //!   per candidate, whatever the batch size, plus merges of sorted runs
 //!   (one pass over an output whose membership moved; [`crate::dvm`],
@@ -54,12 +57,13 @@
 //! despawns, template spawns, and ticks — is enforced by the property
 //! tests in `tests/prop_core.rs`.
 
-use crate::change::{Change, ChangeOp};
+use std::sync::Arc;
+
+use crate::change::{ChangeOp, ChangeStream};
 use crate::dvm::{PlanView, ViewPlan};
 use crate::entity::EntityId;
 use crate::index::radix_sort;
 use crate::intern::ComponentId;
-use crate::metrics::CoreMetrics;
 use crate::world::World;
 
 /// Handle to a registered standing view. Ids are scoped to the world
@@ -83,29 +87,100 @@ impl ViewId {
     }
 }
 
-/// Membership changes a view accumulated since its changelog was last
-/// taken — the per-tick changelog when consumed once per tick.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Changelog {
-    /// Rows that joined the view (predicate became true / entity spawned
-    /// into it). Sorted by id within each refresh batch.
-    pub entered: Vec<EntityId>,
+/// Changes to a view's output, of its row type `R`: [`EntityId`],
+/// `(left, right)` for a join (never `changed`), or
+/// [`crate::dvm::GroupRow`] (an exited group with its last value, a
+/// changed one with its new value). Within one refresh batch each list
+/// ascends by row key without duplicates; batches append in order.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ViewDelta<R> {
+    /// Rows that joined the view (predicate became true, entity spawned
+    /// into it, pair formed, group appeared).
+    pub entered: Vec<R>,
     /// Rows that left the view (predicate became false, component
     /// removed, entity despawned or excluded by a retarget).
-    pub exited: Vec<EntityId>,
-    /// Rows that stayed in the view but had at least one component delta
-    /// this batch (any component — subscribers shipping state want every
-    /// touched member, not only predicate columns).
-    pub changed: Vec<EntityId>,
-    /// How many of the contributing batches were re-evaluations caused
-    /// by a retarget rather than incremental folds.
-    pub rescans: usize,
+    pub exited: Vec<R>,
+    /// Rows that stayed but changed: a member with any component delta
+    /// (subscribers shipping state want every touched member, not only
+    /// predicate columns), or a group whose value moved.
+    pub changed: Vec<R>,
 }
 
-impl Changelog {
+impl<R> Default for ViewDelta<R> {
+    fn default() -> Self {
+        ViewDelta {
+            entered: Vec::new(),
+            exited: Vec::new(),
+            changed: Vec::new(),
+        }
+    }
+}
+
+impl<R> ViewDelta<R> {
     /// True when nothing entered, exited, or changed.
     pub fn is_empty(&self) -> bool {
-        self.entered.is_empty() && self.exited.is_empty() && self.changed.is_empty()
+        self.len() == 0
+    }
+
+    /// Entries held: `entered + exited + changed`.
+    pub fn len(&self) -> usize {
+        self.entered.len() + self.exited.len() + self.changed.len()
+    }
+
+    pub(crate) fn clear(&mut self) {
+        self.entered.clear();
+        self.exited.clear();
+        self.changed.clear();
+    }
+}
+
+/// An operator's deltas: the batch its last refresh produced — scratch,
+/// cleared by every refresh — and, while a consumer is subscribed, the
+/// log of batches it has not taken yet.
+#[derive(Debug, Clone)]
+pub(crate) struct Deltas<R> {
+    pub(crate) batch: ViewDelta<R>,
+    log: Option<ViewDelta<R>>,
+}
+
+impl<R> Default for Deltas<R> {
+    fn default() -> Self {
+        Deltas {
+            batch: ViewDelta::default(),
+            log: None,
+        }
+    }
+}
+
+impl<R: Clone> Deltas<R> {
+    pub(crate) fn subscribed(&self) -> bool {
+        self.log.is_some()
+    }
+
+    /// Start logging; a live subscription keeps its untaken entries.
+    pub(crate) fn subscribe(&mut self) {
+        self.log.get_or_insert_with(ViewDelta::default);
+    }
+
+    /// What accumulated since the last take; `None` when unsubscribed.
+    pub(crate) fn take(&mut self) -> Option<ViewDelta<R>> {
+        self.log.as_mut().map(std::mem::take)
+    }
+
+    /// Append the batch to the subscriber's log. A log holding more than
+    /// `limit` entries is freed and the subscription ends. Returns the
+    /// entries held.
+    pub(crate) fn publish(&mut self, limit: Option<usize>) -> usize {
+        let Some(log) = &mut self.log else { return 0 };
+        log.entered.extend_from_slice(&self.batch.entered);
+        log.exited.extend_from_slice(&self.batch.exited);
+        log.changed.extend_from_slice(&self.batch.changed);
+        let held = log.len();
+        if limit.is_some_and(|n| held > n) {
+            self.log = None;
+            return 0;
+        }
+        held
     }
 }
 
@@ -119,7 +194,7 @@ pub struct ViewStats {
     pub rescans: u64,
     /// Deltas inspected across all batches (relevant or not).
     pub deltas_seen: u64,
-    /// Changelog entries this view delivered across all batches —
+    /// Delta entries this view produced across all batches —
     /// `entered + exited + changed`, of rows, pairs or groups — the
     /// per-view delta-batch size the metrics catalog surfaces as
     /// `view.s{slot}.delta_rows`.
@@ -283,15 +358,6 @@ impl ViewRegistry {
         self.slots.get(slot as usize).and_then(|s| s.as_ref())
     }
 
-    /// Drop every accumulated changelog — recovery re-anchors subscribers
-    /// to the recovered materialization instead of replaying pre-crash
-    /// history at them.
-    pub(crate) fn clear_changelogs(&mut self) {
-        for view in self.slots.iter_mut().flatten() {
-            view.clear_logs();
-        }
-    }
-
     pub(crate) fn drop_view(&mut self, id: ViewId) -> bool {
         match self.slots.get_mut(id.slot as usize) {
             Some(slot @ Some(_)) => {
@@ -320,21 +386,17 @@ impl ViewRegistry {
             .unwrap_or_else(|| panic!("view {id:?} is not registered"))
     }
 
-    /// Fold one pending change-stream segment into every view. Only row
-    /// ops participate (catalog and tick records pass through untouched
-    /// — they exist for the stream's other taps). `world` is the
-    /// post-segment state (the registry is temporarily moved out of the
-    /// world while this runs, which is invisible here: refresh only
-    /// reads columns, indexes, and the spatial grid). `metrics` is
-    /// threaded in explicitly because the change stream — where the
-    /// handle lives — is *also* moved out of the world during the fold,
-    /// so `world.core_metrics()` would read `None` here.
-    pub(crate) fn apply(
-        &mut self,
-        world: &World,
-        changes: &[Change],
-        metrics: Option<&CoreMetrics>,
-    ) {
+    /// Fold the stream's pending segment into every view. Only row ops
+    /// participate (catalog and tick records pass through untouched —
+    /// they exist for the stream's other taps). `world` is the
+    /// post-segment state (the registry and the stream are temporarily
+    /// moved out of the world while this runs, which is invisible here:
+    /// refresh only reads columns, indexes, and the spatial grid). The
+    /// stream also carries the metrics handle and the retention limit a
+    /// subscriber's log obeys.
+    pub(crate) fn apply(&mut self, world: &World, stream: &ChangeStream) {
+        let changes = stream.pending_views();
+        let (metrics, retention) = (stream.metrics().map(Arc::as_ref), stream.retention());
         if changes.is_empty() || self.active == 0 {
             return;
         }
@@ -374,7 +436,7 @@ impl ViewRegistry {
         };
         for (slot, entry) in self.slots.iter_mut().enumerate() {
             if let Some(view) = entry {
-                view.refresh(world, &ctx, slot, metrics);
+                view.refresh(world, &ctx, slot, metrics, retention);
             }
         }
     }
@@ -404,6 +466,18 @@ mod tests {
         Query::select().filter("hp", CmpOp::Lt, Value::Float(50.0))
     }
 
+    /// Register a rows view and subscribe to its deltas.
+    fn subscribed(w: &mut World, q: Query) -> ViewId {
+        let v = w.register_view(q);
+        w.subscribe_view(v);
+        v
+    }
+
+    /// Take a subscribed rows view's deltas.
+    fn take(w: &mut World, v: ViewId) -> ViewDelta<EntityId> {
+        w.take_view_delta(v).expect("subscribed")
+    }
+
     #[test]
     fn register_materializes_existing_rows() {
         let mut w = world_with(&[("hp", ValueType::Float)]);
@@ -411,11 +485,11 @@ mod tests {
         let b = w.spawn_at(Vec2::ZERO);
         w.set_f32(a, "hp", 10.0).unwrap();
         w.set_f32(b, "hp", 90.0).unwrap();
-        let v = w.register_view(wounded_query());
+        let v = subscribed(&mut w, wounded_query());
         assert_eq!(w.view_rows(v), &[a]);
         assert!(w.view_contains(v, a));
         assert!(!w.view_contains(v, b));
-        assert!(w.view_changelog(v).is_empty(), "initial rows are not events");
+        assert!(take(&mut w, v).is_empty(), "initial rows are not events");
     }
 
     #[test]
@@ -425,7 +499,7 @@ mod tests {
         let b = w.spawn_at(Vec2::ZERO);
         w.set_f32(a, "hp", 80.0).unwrap();
         w.set_f32(b, "hp", 80.0).unwrap();
-        let v = w.register_view(wounded_query());
+        let v = subscribed(&mut w, wounded_query());
         assert!(w.view_rows(v).is_empty());
 
         w.set_f32(a, "hp", 20.0).unwrap(); // enters
@@ -434,13 +508,13 @@ mod tests {
         w.refresh_views();
         assert_eq!(w.pending_deltas(), 0);
         assert_eq!(w.view_rows(v), &[a]);
-        let log = w.take_view_changelog(v);
+        let log = take(&mut w, v);
         assert_eq!(log.entered, vec![a]);
         assert!(log.exited.is_empty());
 
         w.set_f32(a, "hp", 60.0).unwrap(); // exits
         w.refresh_views();
-        let log = w.take_view_changelog(v);
+        let log = take(&mut w, v);
         assert_eq!(log.exited, vec![a]);
         assert!(w.view_rows(v).is_empty());
     }
@@ -450,18 +524,18 @@ mod tests {
         let mut w = world_with(&[("hp", ValueType::Float), ("gold", ValueType::Int)]);
         let a = w.spawn_at(Vec2::ZERO);
         w.set_f32(a, "hp", 10.0).unwrap();
-        let v = w.register_view(wounded_query());
+        let v = subscribed(&mut w, wounded_query());
         // a non-predicate component write on a member → changed, not a
         // membership event
         w.set(a, "gold", Value::Int(5)).unwrap();
         w.refresh_views();
-        let log = w.take_view_changelog(v);
+        let log = take(&mut w, v);
         assert!(log.entered.is_empty() && log.exited.is_empty());
         assert_eq!(log.changed, vec![a]);
         // a predicate write that keeps membership → changed as well
         w.set_f32(a, "hp", 11.0).unwrap();
         w.refresh_views();
-        assert_eq!(w.take_view_changelog(v).changed, vec![a]);
+        assert_eq!(take(&mut w, v).changed, vec![a]);
     }
 
     #[test]
@@ -469,20 +543,20 @@ mod tests {
         let mut w = world_with(&[("hp", ValueType::Float)]);
         let a = w.spawn_at(Vec2::ZERO);
         w.set_f32(a, "hp", 10.0).unwrap();
-        let v = w.register_view(wounded_query());
+        let v = subscribed(&mut w, wounded_query());
 
         w.remove_component(a, "hp").unwrap();
         w.refresh_views();
-        assert_eq!(w.take_view_changelog(v).exited, vec![a]);
+        assert_eq!(take(&mut w, v).exited, vec![a]);
 
         let b = w.spawn_at(Vec2::ZERO);
         w.set_f32(b, "hp", 1.0).unwrap();
         w.refresh_views();
-        assert_eq!(w.take_view_changelog(v).entered, vec![b]);
+        assert_eq!(take(&mut w, v).entered, vec![b]);
 
         w.despawn(b);
         w.refresh_views();
-        assert_eq!(w.take_view_changelog(v).exited, vec![b]);
+        assert_eq!(take(&mut w, v).exited, vec![b]);
         assert!(w.view_rows(v).is_empty());
     }
 
@@ -491,11 +565,11 @@ mod tests {
         let mut w = world_with(&[("hp", ValueType::Float)]);
         let a = w.spawn_at(Vec2::ZERO);
         w.set_f32(a, "hp", 80.0).unwrap();
-        let v = w.register_view(wounded_query());
+        let v = subscribed(&mut w, wounded_query());
         w.set_f32(a, "hp", 10.0).unwrap();
         w.set_f32(a, "hp", 90.0).unwrap();
         w.refresh_views();
-        let log = w.take_view_changelog(v);
+        let log = take(&mut w, v);
         assert!(log.entered.is_empty(), "net membership did not change");
         assert!(log.exited.is_empty());
         assert!(w.view_rows(v).is_empty());
@@ -506,12 +580,12 @@ mod tests {
         let mut w = World::new();
         let a = w.spawn_at(Vec2::new(0.0, 0.0));
         let b = w.spawn_at(Vec2::new(100.0, 0.0));
-        let v = w.register_view(Query::select().within(Vec2::ZERO, 10.0));
+        let v = subscribed(&mut w, Query::select().within(Vec2::ZERO, 10.0));
         assert_eq!(w.view_rows(v), &[a]);
         w.set_pos(b, Vec2::new(5.0, 0.0)).unwrap();
         w.set_pos(a, Vec2::new(50.0, 0.0)).unwrap();
         w.refresh_views();
-        let log = w.take_view_changelog(v);
+        let log = take(&mut w, v);
         assert_eq!(log.entered, vec![b]);
         assert_eq!(log.exited, vec![a]);
         assert_eq!(w.view_rows(v), &[b]);
@@ -522,13 +596,13 @@ mod tests {
         let mut w = World::new();
         let a = w.spawn_at(Vec2::new(0.0, 0.0));
         let b = w.spawn_at(Vec2::new(100.0, 0.0));
-        let v = w.register_view(Query::select().within(Vec2::ZERO, 10.0));
+        let v = subscribed(&mut w, Query::select().within(Vec2::ZERO, 10.0));
         assert_eq!(w.view_rows(v), &[a]);
         w.retarget_view(v, Vec2::new(100.0, 0.0), 10.0).unwrap();
-        let log = w.take_view_changelog(v);
+        let log = take(&mut w, v);
         assert_eq!(log.entered, vec![b]);
         assert_eq!(log.exited, vec![a]);
-        assert_eq!(log.rescans, 1);
+        assert_eq!(w.view_stats(v).rescans, 1);
         assert_eq!(w.view_rows(v), &[b]);
     }
 
@@ -537,14 +611,14 @@ mod tests {
         let mut w = world_with(&[("hp", ValueType::Float)]);
         let a = w.spawn_at(Vec2::ZERO);
         w.set_f32(a, "hp", 60.0).unwrap();
-        let v = w.register_view(wounded_query());
+        let v = subscribed(&mut w, wounded_query());
         let drain: &crate::exec::System<'_> = &|id, _w, buf: &mut EffectBuffer| {
             buf.push(id, "hp", Effect::Add(-20.0));
         };
         TickExecutor::sequential().run_tick(&mut w, &[drain]).unwrap();
         // effect applied at tick end, view refreshed by the tick bump
         assert_eq!(w.pending_deltas(), 0);
-        assert_eq!(w.take_view_changelog(v).entered, vec![a]);
+        assert_eq!(take(&mut w, v).entered, vec![a]);
 
         // spawns queued through effects land in the view the same tick
         let spawner: &crate::exec::System<'_> = &|_id, _w, buf: &mut EffectBuffer| {
@@ -554,7 +628,7 @@ mod tests {
             });
         };
         TickExecutor::sequential().run_tick(&mut w, &[spawner]).unwrap();
-        let log = w.take_view_changelog(v);
+        let log = take(&mut w, v);
         assert_eq!(log.entered.len(), 1);
         assert_eq!(w.view_rows(v).len(), 2);
     }
@@ -570,7 +644,7 @@ mod tests {
                 e
             })
             .collect();
-        let v = w.register_view(wounded_query());
+        let v = subscribed(&mut w, wounded_query());
         // every entity written in one batch: 500 candidates, folded
         for &e in &ids {
             w.set_f32(e, "hp", if e.index() % 100 == 0 { 10.0 } else { 99.0 }).unwrap();
@@ -579,9 +653,7 @@ mod tests {
         let stats = w.view_stats(v);
         assert_eq!(stats.rescans, 0, "a fold never re-evaluates, whatever the batch size");
         assert_eq!(stats.delta_rows, 5, "entered + exited + changed");
-        let log = w.take_view_changelog(v);
-        assert_eq!(log.rescans, 0);
-        assert_eq!(log.entered.len(), 5);
+        assert_eq!(take(&mut w, v).entered.len(), 5);
         assert_eq!(w.view_rows(v).to_vec(), wounded_query().run_scan(&w));
     }
 
@@ -655,10 +727,10 @@ mod tests {
         let mut w = world_with(&[("hp", ValueType::Float), ("gold", ValueType::Int)]);
         let a = w.spawn_at(Vec2::ZERO);
         w.set_f32(a, "hp", 90.0).unwrap();
-        let v = w.register_view(wounded_query());
+        let v = subscribed(&mut w, wounded_query());
         w.set(a, "gold", Value::Int(1)).unwrap();
         w.refresh_views();
-        let log = w.take_view_changelog(v);
+        let log = take(&mut w, v);
         assert!(log.is_empty(), "non-member touched by irrelevant write: no events");
         let _ = v;
     }
@@ -685,28 +757,31 @@ mod tests {
         let mut w = world_with(&[("hp", ValueType::Float)]);
         let a = w.spawn_at(Vec2::ZERO);
         w.set_f32(a, "hp", 1.0).unwrap();
-        let v = w.register_view(wounded_query());
+        let v = subscribed(&mut w, wounded_query());
         assert_eq!(w.view_rows(v), &[a]);
         w.despawn(a);
         let b = w.spawn(); // reuses a's slot, bumped generation
         assert_eq!(b.index(), a.index());
         w.refresh_views();
-        let log = w.take_view_changelog(v);
+        let log = take(&mut w, v);
         assert_eq!(log.exited, vec![a]);
         assert!(w.view_rows(v).is_empty(), "new tenant has no hp");
     }
 
+    /// There is no peek: a subscriber's batches wait, appended in
+    /// refresh order, until a take consumes them.
     #[test]
     fn changelog_peek_does_not_consume() {
         let mut w = world_with(&[("hp", ValueType::Float)]);
-        let v = w.register_view(wounded_query());
+        let v = subscribed(&mut w, wounded_query());
         let a = w.spawn_at(Vec2::ZERO);
         w.set_f32(a, "hp", 1.0).unwrap();
         w.refresh_views();
-        assert_eq!(w.view_changelog(v).entered, vec![a]);
-        assert_eq!(w.view_changelog(v).entered, vec![a], "peek is repeatable");
-        assert_eq!(w.take_view_changelog(v).entered, vec![a]);
-        assert!(w.view_changelog(v).is_empty(), "take clears the log");
+        w.set_f32(a, "hp", 2.0).unwrap();
+        w.refresh_views();
+        let log = take(&mut w, v);
+        assert_eq!((log.entered, log.changed), (vec![a], vec![a]), "both batches wait");
+        assert!(take(&mut w, v).is_empty(), "take clears the log");
     }
 
     #[test]
@@ -749,14 +824,54 @@ mod tests {
         let a = w.spawn_at(Vec2::ZERO);
         w.set_f32(a, "hp", 10.0).unwrap();
         w.refresh_views();
-        assert_eq!(log_len(), 1, "a entered");
+        assert_eq!(log_len(), 0, "unsubscribed: nothing held");
+        w.subscribe_view(v);
+        w.set_f32(a, "hp", 9.0).unwrap();
+        w.refresh_views();
+        assert_eq!(log_len(), 1, "a changed");
         w.set_f32(a, "hp", 11.0).unwrap();
         w.refresh_views();
-        assert_eq!(log_len(), 2, "undrained: entered, then changed");
-        w.take_view_changelog(v);
+        assert_eq!(log_len(), 2, "undrained: changed twice");
+        take(&mut w, v);
         w.set_f32(a, "hp", 90.0).unwrap();
         w.refresh_views();
         assert_eq!(log_len(), 1, "taken, then a exited");
+    }
+
+    /// A subscriber that stops taking is dropped once its untaken
+    /// entries outgrow the tap retention limit: the log is freed, the
+    /// next take says so, and the view's rows are untouched.
+    #[test]
+    fn stalled_subscriber_is_dropped_past_the_retention_limit() {
+        let registry = gamedb_metrics::MetricsRegistry::new();
+        let mut w = world_with(&[("hp", ValueType::Float)]);
+        w.attach_metrics(&registry);
+        let ids: Vec<EntityId> = (0..12).map(|_| w.spawn_at(Vec2::ZERO)).collect();
+        let v = subscribed(&mut w, wounded_query());
+        w.set_tap_retention(Some(10));
+        let log_len = || registry.snapshot().gauge(&format!("view.s{}.log_len", v.slot()));
+        // each batch moves four rows into the view or out of it
+        let batch = |w: &mut World, round: usize| {
+            for &e in &ids[4 * (round % 3)..][..4] {
+                w.set_f32(e, "hp", if round < 3 { 10.0 } else { 90.0 }).unwrap();
+            }
+            w.refresh_views();
+        };
+        batch(&mut w, 0);
+        assert_eq!(take(&mut w, v).entered, ids[..4], "a taking subscriber stays");
+        batch(&mut w, 1);
+        batch(&mut w, 2);
+        assert_eq!(log_len(), 8, "two batches wait within the limit");
+        batch(&mut w, 3);
+        assert_eq!(log_len(), 0, "twelve entries outgrew ten: the log is freed");
+        assert_eq!(w.take_view_delta::<EntityId>(v), None, "the subscriber is told");
+        let plan = w.view_plan(v).unwrap().clone();
+        assert_eq!(w.view_output(v), plan.evaluate(&w).unwrap());
+        assert_eq!(w.view_rows(v), &ids[4..]);
+        // subscribing again starts from now
+        w.subscribe_view(v);
+        batch(&mut w, 4);
+        assert_eq!(take(&mut w, v).exited, ids[4..8]);
     }
 
     /// The ascending, duplicate-free run of `xs`.

@@ -28,7 +28,7 @@ use crate::entity::{EntityAllocator, EntityId};
 use crate::index::{IndexKind, KeyRef, SecondaryIndex};
 use crate::intern::{ComponentId, ComponentInterner};
 use crate::query::Query;
-use crate::view::{Changelog, ViewId, ViewRegistry, ViewStats};
+use crate::view::{ViewDelta, ViewId, ViewRegistry, ViewStats};
 use gamedb_content::CmpOp;
 
 mod bulk;
@@ -521,7 +521,8 @@ impl World {
     /// current state after re-attaching. `None` (the default) retains
     /// forever. Pinned taps ([`World::attach_tap_pinned`]) are exempt:
     /// a durability tap is never evicted, the window simply outgrows
-    /// the limit until its owner drains it.
+    /// the limit until its owner drains it. The same limit bounds a
+    /// view subscriber's untaken entries ([`World::subscribe_view`]).
     pub fn set_tap_retention(&mut self, limit: Option<usize>) {
         self.changes.set_retention(limit);
     }
@@ -997,7 +998,7 @@ impl World {
     /// ([`Query::into_plan`]). The result set is materialized now and
     /// maintained incrementally from the world's delta stream from here
     /// on (see [`crate::view`] for the maintenance invariants). Returns a
-    /// handle for [`World::view_rows`] / [`World::take_view_changelog`].
+    /// handle for [`World::view_rows`] / [`World::subscribe_view`].
     ///
     /// While at least one view is registered, every write path records a
     /// compact delta; [`World::refresh_views`] (called automatically at
@@ -1102,20 +1103,26 @@ impl World {
             .unwrap_or_else(|| panic!("view {id:?} does not materialize entity rows"))
     }
 
-    /// Peek at the changes accumulated since the changelog was last
-    /// taken (does not consume).
-    pub fn view_changelog(&self, id: ViewId) -> &Changelog {
-        self.plan_view(id)
-            .rows_log()
-            .unwrap_or_else(|| panic!("view {id:?} does not produce a row changelog"))
+    /// Subscribe to a view's deltas: from the next refresh on, the view
+    /// keeps each batch until [`World::take_view_delta`] takes it (a
+    /// live subscription keeps what it has not taken). Its rows now plus
+    /// the deltas taken later are its whole history. A subscriber
+    /// holding more untaken entries than the tap retention limit is
+    /// dropped; a recovered world's views come back unsubscribed.
+    pub fn subscribe_view(&mut self, id: ViewId) {
+        self.plan_view_mut(id).subscribe();
     }
 
-    /// Consume a view's accumulated changelog — the per-tick changelog
-    /// when called once per tick.
-    pub fn take_view_changelog(&mut self, id: ViewId) -> Changelog {
-        self.plan_view_mut(id)
-            .take_rows_log()
-            .unwrap_or_else(|| panic!("view {id:?} does not produce a row changelog"))
+    /// Take what a subscribed view accumulated since the last take. `R`
+    /// is its row type: [`EntityId`] for a rows view, `(EntityId,
+    /// EntityId)` for a join, [`crate::dvm::GroupRow`] for a grouped
+    /// aggregate; any other panics. `None` when unsubscribed — never
+    /// subscribed, dropped by the retention limit, or recovered — and
+    /// the consumer then resyncs from the rows and subscribes again.
+    pub fn take_view_delta<R: Clone + 'static>(&mut self, id: ViewId) -> Option<ViewDelta<R>> {
+        self.plan_view_mut(id).take_delta().unwrap_or_else(|| {
+            panic!("view {id:?} does not produce {} rows", std::any::type_name::<R>())
+        })
     }
 
     /// Maintenance counters of a view.
@@ -1183,20 +1190,6 @@ impl World {
         self.plan_view(id).output()
     }
 
-    /// Consume a join view's accumulated pair changelog.
-    pub fn take_view_pair_changelog(&mut self, id: ViewId) -> crate::dvm::PairChangelog {
-        self.plan_view_mut(id)
-            .take_pair_log()
-            .unwrap_or_else(|| panic!("view {id:?} does not produce a pair changelog"))
-    }
-
-    /// Consume a group view's accumulated group changelog.
-    pub fn take_view_group_changelog(&mut self, id: ViewId) -> crate::dvm::GroupChangelog {
-        self.plan_view_mut(id)
-            .take_group_log()
-            .unwrap_or_else(|| panic!("view {id:?} does not produce a group changelog"))
-    }
-
     /// Row-op changes recorded since the last refresh. Views are stale
     /// while this is nonzero (subscribers reading between refreshes
     /// should fall back to a live query, as the sync auditor does).
@@ -1226,7 +1219,7 @@ impl World {
         // the round-trip — taps that have not consumed it yet keep it.
         let stream = std::mem::take(&mut self.changes);
         let mut views = std::mem::take(&mut self.views);
-        views.apply(self, stream.pending_views(), stream.metrics().map(Arc::as_ref));
+        views.apply(self, &stream);
         self.views = views;
         self.changes = stream;
         self.changes.mark_views_folded();
@@ -1235,8 +1228,8 @@ impl World {
     /// Move a rows view's `within` restriction (interest bubbles and
     /// aggro ranges follow their focus entity). Pending changes are
     /// folded first, then the view's plan takes the new disk, the view
-    /// re-evaluates under it once, and the membership diff lands in its
-    /// changelog as `entered` / `exited`. Join and group-aggregate views
+    /// re-evaluates under it once, and the membership diff is a delta
+    /// batch of `entered` / `exited`. Join and group-aggregate views
     /// do not retarget: they return [`CoreError::PlanInvalid`], and
     /// nothing is moved or recorded.
     ///
@@ -1247,9 +1240,8 @@ impl World {
         self.refresh_views();
         // Move the registry out so the re-evaluation can read `self`.
         let mut views = std::mem::take(&mut self.views);
-        let moved = views
-            .get_mut(id)
-            .retarget(self, id.slot as usize, center, radius);
+        let retention = self.changes.retention();
+        let moved = views.get_mut(id).retarget(self, id.slot as usize, center, radius, retention);
         self.views = views;
         moved?;
         self.record_catalog(ChangeOp::RetargetView {
@@ -1388,7 +1380,7 @@ impl World {
     }
 
     /// Re-register a view at an exact slot (recovery replay). The view
-    /// materializes from current state with empty changelogs. A live
+    /// materializes from current state, unsubscribed. A live
     /// slot holding the same plan is accepted unchanged (idempotent
     /// redo); any other occupant is a conflict.
     pub fn import_view_at_slot(&mut self, slot: u32, plan: ViewPlan) -> Result<ViewId, CoreError> {
@@ -1405,16 +1397,6 @@ impl World {
         debug_assert!(installed, "slot checked dead above");
         self.record_catalog(ChangeOp::RegisterPlanView { slot, plan });
         Ok(self.view_id(slot))
-    }
-
-    /// Drop every view's accumulated changelog. Recovery calls this
-    /// last: replaying the WAL tail re-runs pre-crash writes through the
-    /// view machinery, and those churn entries must not be re-delivered
-    /// to subscribers that already consumed them before the crash —
-    /// post-recovery changelogs start empty, anchored at the recovery
-    /// tick.
-    pub fn reset_view_changelogs(&mut self) {
-        self.views.clear_changelogs();
     }
 
     // ---- tick counter ----
@@ -1436,9 +1418,8 @@ impl World {
     /// Redo-side tick restore: move the counter to `tick` **without**
     /// folding pending changes into the views. Replaying a log tail
     /// applies one of these per pre-crash tick; folding at each would
-    /// refresh every view once per record into changelogs recovery
-    /// discards anyway, so the tail folds once, at the end
-    /// ([`World::refresh_views`]). Never moves backward.
+    /// refresh every view once per record, so the tail folds once, at
+    /// the end ([`World::refresh_views`]). Never moves backward.
     pub fn restore_tick(&mut self, tick: u64) {
         if tick > self.tick {
             self.tick = tick;
@@ -1447,8 +1428,8 @@ impl World {
     }
 
     /// Advance the tick counter (the executor calls this). Standing
-    /// views refresh here, so each completed tick publishes its
-    /// changelog batch before the next tick's systems run.
+    /// views refresh here, so each completed tick publishes its delta
+    /// batch before the next tick's systems run.
     pub(crate) fn bump_tick(&mut self) {
         self.refresh_views();
         self.tick += 1;
@@ -2044,18 +2025,23 @@ mod tests {
         assert_eq!(w.find_view(&plan), None);
     }
 
+    /// A view's deltas are cleared by losing the subscription — here to
+    /// the retention limit — and its rows never are.
     #[test]
     fn reset_view_changelogs_clears_without_losing_rows() {
         use gamedb_content::CmpOp;
         let mut w = world_with_hp();
         let id = w.register_view(Query::select().filter("hp", CmpOp::Lt, Value::Float(50.0)));
-        let a = w.spawn_at(v(0.0, 0.0));
-        w.set_f32(a, "hp", 1.0).unwrap();
+        w.subscribe_view(id);
+        w.set_tap_retention(Some(1));
+        let [a, b] = [1.0, 2.0].map(|hp| {
+            let e = w.spawn_at(v(0.0, 0.0));
+            w.set_f32(e, "hp", hp).unwrap();
+            e
+        });
         w.refresh_views();
-        assert!(!w.view_changelog(id).is_empty());
-        w.reset_view_changelogs();
-        assert!(w.view_changelog(id).is_empty());
-        assert_eq!(w.view_rows(id), &[a]);
+        assert_eq!(w.take_view_delta::<EntityId>(id), None, "two entries outgrew a limit of one");
+        assert_eq!(w.view_rows(id), &[a, b]);
     }
 
     #[test]

@@ -581,7 +581,7 @@ proptest! {
         join_r in 0.5f32..60.0,
         index_hp in any::<bool>(),
     ) {
-        use gamedb_core::{AggFn, JoinOn, PlanNode, ViewId, ViewPlan};
+        use gamedb_core::{AggFn, GroupRow, JoinOn, PlanNode, ViewId, ViewPlan};
         use std::collections::{BTreeMap, BTreeSet};
         /// Index of the spatial rows view — the one retargets move.
         const SPATIAL: usize = 2;
@@ -643,6 +643,9 @@ proptest! {
 
         let pair_views = [equi, spatial, cross];
         let group_views = [count, weakest, strongest, tier_sums];
+        for &v in row_views.iter().chain(&pair_views).chain(&group_views) {
+            w.subscribe_view(v);
+        }
         let mut row_shadows: Vec<BTreeSet<EntityId>> = row_views
             .iter()
             .map(|&v| w.view_rows(v).iter().copied().collect())
@@ -676,7 +679,7 @@ proptest! {
                 prop_assert_eq!(w.view_query(v), q, "the stored plan follows retargets");
                 let forced = w.view_plan(v).unwrap().evaluate(w).unwrap();
                 prop_assert_eq!(w.view_output(v), forced, "rows view {:?}", v);
-                let log = w.take_view_changelog(v);
+                let log = w.take_view_delta::<EntityId>(v).expect("subscribed");
                 for e in &log.exited {
                     shadow.remove(e);
                 }
@@ -692,7 +695,7 @@ proptest! {
             for (&v, shadow) in pair_views.iter().zip(pair_shadows.iter_mut()) {
                 let forced = w.view_plan(v).unwrap().evaluate(w).unwrap();
                 prop_assert_eq!(w.view_output(v), forced, "pair view {:?}", v);
-                let log = w.take_view_pair_changelog(v);
+                let log = w.take_view_delta::<(EntityId, EntityId)>(v).expect("subscribed");
                 for p in &log.exited {
                     prop_assert!(shadow.remove(p), "exit without enter for {p:?}");
                 }
@@ -708,7 +711,7 @@ proptest! {
             for (&v, shadow) in group_views.iter().zip(group_shadows.iter_mut()) {
                 let forced = w.view_plan(v).unwrap().evaluate(w).unwrap();
                 prop_assert_eq!(w.view_output(v), forced, "group view {:?}", v);
-                let log = w.take_view_group_changelog(v);
+                let log = w.take_view_delta::<GroupRow>(v).expect("subscribed");
                 for rows in [&log.entered, &log.exited, &log.changed] {
                     let keys: Vec<_> = rows.iter().map(|g| g.key.as_ref().and_then(group_key)).collect();
                     prop_assert!(
@@ -818,6 +821,7 @@ proptest! {
                     let old = row_views[i];
                     prop_assert!(w.drop_view(old));
                     row_views[i] = w.register_view(queries[i].clone());
+                    w.subscribe_view(row_views[i]);
                     prop_assert!(!w.has_view(old));
                     prop_assert_ne!(row_views[i], old);
                     row_shadows[i] = w.view_rows(row_views[i]).iter().copied().collect();
@@ -919,6 +923,9 @@ proptest! {
             PlanNode::scan(Query::select()),
             JoinOn::Eq { left: "team".into(), right: "team".into() },
         )).unwrap();
+        for &v in views.iter().chain([&join]) {
+            w.subscribe_view(v);
+        }
         for batch in &batches {
             let before: Vec<BTreeSet<EntityId>> =
                 queries.iter().map(|q| q.run_scan(&w).into_iter().collect()).collect();
@@ -972,11 +979,11 @@ proptest! {
                     .into_iter()
                     .filter(|e| touched.contains(e) && before.contains(e))
                     .collect();
-                let log = w.take_view_changelog(v);
+                let log = w.take_view_delta::<EntityId>(v).expect("subscribed");
                 prop_assert!(log.changed.windows(2).all(|p| p[0] < p[1]), "changed ascends: {:?}", q);
                 prop_assert_eq!(log.changed, expect, "changed of {:?}", q);
             }
-            let pairs = w.take_view_pair_changelog(join);
+            let pairs = w.take_view_delta::<(EntityId, EntityId)>(join).expect("subscribed");
             for run in [&pairs.entered, &pairs.exited] {
                 prop_assert!(run.windows(2).all(|p| p[0] < p[1]), "a batch's pairs ascend: {:?}", run);
             }
@@ -1391,7 +1398,11 @@ proptest! {
             // pre-restore handles resolve, rows carried over exactly
             prop_assert!(rw.has_view(v));
             prop_assert_eq!(rw.view_rows(v), w.view_rows(v), "at restore: {:?}", q);
-            prop_assert!(rw.view_changelog(v).is_empty(), "changelogs re-anchor");
+            // changelogs re-anchor: restored views come back
+            // unsubscribed, and a new subscriber starts from now
+            prop_assert!(rw.take_view_delta::<EntityId>(v).is_none(), "restored unsubscribed");
+            rw.subscribe_view(v);
+            prop_assert!(rw.take_view_delta::<EntityId>(v).unwrap().is_empty());
         }
 
         // resuming entity bookkeeping: the live list must be rebuilt

@@ -15,6 +15,10 @@
 //! `aggregate` planned onto a sorted index allocates as often, and as
 //! many bytes, at 10 % selectivity as at 70 %.
 //!
+//! A view nobody subscribed to logs nothing: under steady churn, four
+//! unsubscribed views hold no delta entries and every tick allocates
+//! exactly as often as the first tick of its shape.
+//!
 //! The allocator is process-global, so it counts only on a thread that
 //! opened a window, into that thread's own counters: tests running side
 //! by side do not see each other's allocations.
@@ -23,7 +27,11 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use gamedb_content::{CmpOp, Value, ValueType};
-use gamedb_core::{aggregate, plan, Access, AggFn, EntityId, IndexKind, Query, TableStats, World, WriteBatch};
+use gamedb_core::{
+    aggregate, plan, Access, AggFn, EntityId, GroupRow, IndexKind, JoinOn, PlanNode, Query,
+    TableStats, ViewPlan, World, WriteBatch,
+};
+use gamedb_spatial::Vec2;
 
 struct CountingAlloc;
 
@@ -175,4 +183,97 @@ fn dense_probe_aggregate_allocates_alike_at_any_selectivity() {
     }
     assert!(seen[0].0 > 0, "the counter sees the probe");
     assert_eq!(seen[0], seen[1], "(allocations, bytes) at 10 % vs 70 %");
+}
+
+/// The position entity `i` toggles to: one step right of its home on
+/// odd shifts, so a column of entities crosses the disk's edge.
+fn churn_pos(i: usize, shift: usize) -> Vec2 {
+    Vec2::new((i % 64 + shift) as f32, (i / 64) as f32)
+}
+
+/// One churn tick: every moved entity's hp, gold and position go to
+/// their `shift` values, then the tick folds into the views.
+fn churn_tick(w: &mut World, ids: &[EntityId], shift: usize) {
+    let mut b = WriteBatch::new();
+    for (i, &e) in ids[..MOVED].iter().enumerate() {
+        let k = (i + shift) % KEYS;
+        b.set(e, "hp", Value::Float(k as f32 * 20.0));
+        b.set(e, "gold", Value::Int(k as i64 * 1_000));
+        b.set_pos(e, churn_pos(i, shift));
+    }
+    w.apply_batch(b).unwrap();
+    let t = w.tick();
+    w.advance_tick_to(t + 1);
+}
+
+#[test]
+fn unsubscribed_views_log_nothing_and_allocate_alike_every_tick() {
+    // the benchmark's write-churn view shapes at small scale
+    let registry = gamedb_metrics::MetricsRegistry::new();
+    let mut w = World::new();
+    w.define_component("hp", ValueType::Float).unwrap();
+    w.define_component("gold", ValueType::Int).unwrap();
+    w.define_component("team", ValueType::Str).unwrap();
+    let ids: Vec<EntityId> = (0..N)
+        .map(|i| {
+            let e = w.spawn_at(churn_pos(i, 0));
+            w.set(e, "hp", Value::Float((i % KEYS) as f32 * 20.0)).unwrap();
+            w.set(e, "gold", Value::Int((i % KEYS) as i64 * 1_000)).unwrap();
+            w.set(e, "team", value("team", i % KEYS)).unwrap();
+            e
+        })
+        .collect();
+    w.attach_metrics(&registry);
+    let hp = |op, x: f32| Query::select().filter("hp", op, Value::Float(x));
+    let views = [
+        w.register_view(hp(CmpOp::Lt, 25.0)),
+        w.register_view(
+            Query::select()
+                .within(Vec2::new(32.0, 32.0), 8.0)
+                .filter("hp", CmpOp::Ge, Value::Float(500.0)),
+        ),
+        w.register_view_plan(ViewPlan::join(
+            PlanNode::scan(hp(CmpOp::Lt, 10.0)),
+            PlanNode::scan(Query::select()),
+            JoinOn::Eq {
+                left: "team".into(),
+                right: "team".into(),
+            },
+        ))
+        .unwrap(),
+        w.register_view_plan(
+            Query::select().into_grouped_plan("team", AggFn::Sum("gold".into())).unwrap(),
+        )
+        .unwrap(),
+    ];
+    // warm-up: every buffer has held its largest batch
+    for shift in [1, 0, 1, 0] {
+        churn_tick(&mut w, &ids, shift);
+    }
+    let counts: Vec<u64> = (0..50)
+        .map(|t| allocs_during(|| churn_tick(&mut w, &ids, (t + 1) % 2)).0)
+        .collect();
+    println!("allocations per tick: {:?}", &counts[..4]);
+    let snap = registry.snapshot();
+    for v in views {
+        let stats = w.view_stats(v);
+        assert!(stats.delta_rows > 0, "view {} saw deltas", v.slot());
+        let held = snap.gauge(&format!("view.s{}.log_len", v.slot()));
+        assert_eq!(held, 0, "view {} holds nothing for nobody", v.slot());
+    }
+    assert!(counts[0] > 0, "the counter sees the tick");
+    for (t, &n) in counts.iter().enumerate() {
+        assert_eq!(n, counts[t % 2], "tick {t} allocates as the first tick of its shape");
+    }
+
+    // a subscriber takes exactly the deltas produced since it subscribed
+    let sums = views[3];
+    let before = w.view_stats(sums).delta_rows;
+    w.subscribe_view(sums);
+    for t in 0..10 {
+        churn_tick(&mut w, &ids, (t + 1) % 2);
+    }
+    let log = w.take_view_delta::<GroupRow>(sums).expect("subscribed");
+    assert!(!log.changed.is_empty(), "the sums moved");
+    assert_eq!(log.len() as u64, w.view_stats(sums).delta_rows - before);
 }

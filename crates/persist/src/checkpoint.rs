@@ -353,6 +353,7 @@ mod tests {
         w.create_index("hp", IndexKind::Sorted).unwrap();
         let wounded =
             w.register_view(Query::select().filter("hp", CmpOp::Lt, Value::Float(50.0)));
+        w.subscribe_view(wounded);
         let mut s = write_behind(w, "cp-catalog");
         // two incremental points; the second leaves ids[1] wounded
         s.world_mut().set_f32(ids[0], "hp", 80.0).unwrap();
@@ -362,8 +363,14 @@ mod tests {
         // post-point damage is lost in the crash
         s.world_mut().set_f32(ids[2], "hp", 5.0).unwrap();
 
-        let (recovered, replayed) = s.crash_and_recover().unwrap();
+        let (mut recovered, replayed) = s.crash_and_recover().unwrap();
         assert_eq!(replayed, 2);
+        // changelogs re-anchor at the recovery point: the view comes
+        // back unsubscribed, and a new subscriber starts from now
+        let w = recovered.world_mut();
+        assert_eq!(w.take_view_delta::<gamedb_core::EntityId>(wounded), None);
+        w.subscribe_view(wounded);
+        assert!(w.take_view_delta::<gamedb_core::EntityId>(wounded).unwrap().is_empty());
         let w = recovered.world();
         assert_eq!(
             w.indexed_components().collect::<Vec<_>>(),
@@ -373,10 +380,6 @@ mod tests {
         // flowed through view maintenance
         assert!(w.has_view(wounded));
         assert_eq!(w.view_rows(wounded), &[ids[1]]);
-        assert!(
-            w.view_changelog(wounded).is_empty(),
-            "changelogs re-anchor at the recovery point"
-        );
         let q = Query::select().filter("hp", CmpOp::Lt, Value::Float(90.0));
         assert_eq!(q.run(w), q.run_scan(w), "rebuilt index answers exactly");
     }

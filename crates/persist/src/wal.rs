@@ -158,8 +158,8 @@ pub enum WalRecord {
     /// Move a spatial view's disk (interest bubbles following a focus).
     RetargetView { slot: u32, x: f32, y: f32, radius: f32 },
     /// Advance the tick counter to an absolute value, so recovered
-    /// worlds agree with the oracle on *when* they are — threshold
-    /// watchers and per-tick changelogs key off this.
+    /// worlds agree with the oracle on *when* they are — every change
+    /// record after recovery is stamped with it.
     TickTo { tick: u64 },
     /// Bring an entity to life with an exact id and **no** position (the
     /// redo of `World::spawn`; positioned spawns arrive as a `Restore`

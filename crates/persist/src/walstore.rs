@@ -114,10 +114,11 @@ pub struct Recovered {
 ///    [`replay_log_tail`]); catalog records rebuild indexes and views
 ///    along the way. Only the tail is decoded, and a replayed `TickTo`
 ///    moves the counter without refreshing the views.
-/// 3. Fold the whole tail into the views **once** and reset every
-///    changelog, so subscribers re-anchor at the recovery tick instead
-///    of receiving pre-crash churn twice. (A fold per replayed tick
-///    built exactly the changelogs this step throws away.)
+/// 3. Fold the whole tail into the views **once**. The views come back
+///    unsubscribed — subscriptions are runtime state, like taps — so
+///    the fold logs no deltas, and a consumer that subscribes again
+///    re-anchors at the recovery tick instead of receiving pre-crash
+///    churn twice.
 pub fn recover_from_parts<S: AsRef<[u8]>>(
     snapshots: impl IntoIterator<Item = (u64, Result<S, BackendError>)>,
     log: &[u8],
@@ -144,7 +145,6 @@ pub fn recover_from_parts<S: AsRef<[u8]>>(
         let started = Instant::now();
         let replayed = replay_log_tail(&mut world, log, snapshot_seq)?;
         world.refresh_views();
-        world.reset_view_changelogs();
         stats.replay = started.elapsed();
         stats.records_decoded = replayed as u64;
         return Ok(Recovered {
@@ -949,13 +949,14 @@ impl WalStore {
         Ok(n)
     }
 
-    /// The subscriber attach point: adopt the live view already
-    /// maintaining `query` (first boot registered it, or recovery
-    /// re-materialized it), or register — and commit — a fresh one.
-    /// Subscribers that take a query (threshold watchers, auditors,
-    /// interest bubbles) route their registration through this so the
-    /// subscription itself is durable without registering duplicates
-    /// after a restart.
+    /// The view attach point: adopt the live view already maintaining
+    /// `query` (first boot registered it, or recovery re-materialized
+    /// it), or register — and commit — a fresh one. Consumers that take
+    /// a query (auditors, interest bubbles) route their registration
+    /// through this so the *view* is durable without registering
+    /// duplicates after a restart; a consumer that reads the view's
+    /// deltas subscribes to it itself ([`World::subscribe_view`]) —
+    /// subscriptions are not durable.
     pub fn ensure_view(&mut self, query: Query) -> Result<ViewId, StoreError> {
         let plan = query.into_plan();
         match self.world.find_view(&plan) {
@@ -1074,8 +1075,9 @@ impl WalStore {
     /// is spawned for the recovered store. The recovered world carries
     /// its indexes, its standing views at their original slots
     /// (pre-crash [`ViewId`] handles keep resolving), its lineage, and
-    /// its tick counter; view changelogs restart empty at the recovery
-    /// tick, a fresh pinned durability tap is attached, and commit
+    /// its tick counter; its views come back unsubscribed (a consumer
+    /// that subscribes again takes deltas from the recovery tick on), a
+    /// fresh pinned durability tap is attached, and commit
     /// sequences restart at 0. Returns the recovered store and the
     /// number of records replayed.
     pub fn crash_and_recover(mut self) -> Result<(WalStore, usize), StoreError> {
@@ -1192,7 +1194,7 @@ mod tests {
     use super::*;
     use crate::backend::temp_dir;
     use gamedb_content::{CmpOp, Value, ValueType};
-    use gamedb_core::{Effect, EffectBuffer, IndexKind, TickExecutor, WriteBatch};
+    use gamedb_core::{Effect, EffectBuffer, EntityId, IndexKind, TickExecutor, WriteBatch};
     use gamedb_spatial::Vec2;
 
     fn fresh(group_commit: usize, label: &str) -> WalStore {
@@ -1513,6 +1515,8 @@ mod tests {
         let near = s
             .world_mut()
             .register_view(Query::select().within(Vec2::ZERO, 10.0));
+        s.world_mut().subscribe_view(wounded);
+        s.world_mut().subscribe_view(near);
         s.world_mut()
             .retarget_view(near, Vec2::new(50.0, 0.0), 10.0)
             .unwrap();
@@ -1523,7 +1527,15 @@ mod tests {
         s.world_mut().advance_tick_to(t + 1);
         s.commit().unwrap();
 
-        let (recovered, _) = s.crash_and_recover().unwrap();
+        let (mut recovered, _) = s.crash_and_recover().unwrap();
+        // changelogs re-anchor at the recovery tick: the views come back
+        // unsubscribed, and a new subscriber takes nothing from before
+        for v in [wounded, near] {
+            let w = recovered.world_mut();
+            assert_eq!(w.take_view_delta::<EntityId>(v), None, "recovered unsubscribed");
+            w.subscribe_view(v);
+            assert!(w.take_view_delta::<EntityId>(v).unwrap().is_empty());
+        }
         let w = recovered.world();
         assert_eq!(w.tick(), 2, "tick counter recovers");
         // pre-crash handles resolve against the recovered world
@@ -1532,10 +1544,6 @@ mod tests {
         assert_eq!(w.view_rows(wounded), w.view_query(wounded).run_scan(w));
         assert!(w.view_rows(wounded).is_empty(), "a lost its hp component");
         assert_eq!(w.view_rows(near), &[b], "retarget survived");
-        assert!(
-            w.view_changelog(wounded).is_empty() && w.view_changelog(near).is_empty(),
-            "changelogs re-anchor at the recovery tick"
-        );
         // the rebuilt index answers probes exactly
         let mut out = vec![];
         assert!(w.index_probe("hp", CmpOp::Ge, &Value::Float(0.0), &mut out));
@@ -1670,6 +1678,7 @@ mod tests {
         let bubble = s
             .world_mut()
             .register_view(Query::select().within(Vec2::new(5.0, 0.0), 4.0));
+        s.world_mut().subscribe_view(bubble);
         s.checkpoint().unwrap();
 
         let tick = |s: &mut WalStore, round: usize| {
@@ -1738,8 +1747,14 @@ mod tests {
         oracle.refresh_views();
         assert_eq!(folds, 5, "the tail holds five ticks");
 
-        let (recovered, replayed) = s.crash_and_recover().unwrap();
+        let (mut recovered, replayed) = s.crash_and_recover().unwrap();
         assert_eq!(replayed, records.len() - mark - 1);
+        // changelogs re-anchor: the replay logged nothing for the
+        // pre-crash subscriber, and a new one starts from now
+        let w = recovered.world_mut();
+        assert_eq!(w.take_view_delta::<EntityId>(bubble), None);
+        w.subscribe_view(bubble);
+        assert!(w.take_view_delta::<EntityId>(bubble).unwrap().is_empty());
         let w = recovered.world();
         crate::crashpoint::assert_equivalent(w, &oracle).unwrap();
         assert!(!w.has_view(doomed));
@@ -1752,7 +1767,6 @@ mod tests {
             1,
             "three ticks were replayed after the join registered; they folded once"
         );
-        assert!(w.view_changelog(bubble).is_empty(), "changelogs re-anchor");
     }
 
     #[test]

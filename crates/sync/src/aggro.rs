@@ -11,7 +11,7 @@
 
 use std::collections::HashMap;
 
-use gamedb_core::{Changelog, EntityId, JoinOn, PlanNode, Query, ViewId, ViewPlan, World};
+use gamedb_core::{EntityId, JoinOn, PlanNode, Query, ViewDelta, ViewId, ViewPlan, World};
 
 /// Combat roles with their threat multipliers. Tanks generate extra
 /// threat by design — the game *wants* the boss hitting the tank.
@@ -124,8 +124,8 @@ impl AggroTable {
 /// position deltas, so a moving mob stays on the incremental path: no
 /// retarget, no rescan-diff, ever.
 ///
-/// [`CandidateView::sync`] folds pending deltas and consumes the
-/// join's pair changelog — exiting candidates (death, despawn,
+/// [`CandidateView::sync`] folds pending deltas and takes the join's
+/// pair deltas — exiting candidates (death, despawn,
 /// zone-out, or the mob walking away) are evicted from the mob's
 /// threat table, the bookkeeping [`AggroTable::remove`]'s docs ask
 /// callers to do by hand.
@@ -147,11 +147,13 @@ impl CandidateView {
         )
     }
 
-    /// Register the standing join view for the mob. Returns `None` when
-    /// the mob has no position (a position-less mob has no aggro disk).
+    /// Register the standing join view for the mob and subscribe to its
+    /// deltas. Returns `None` when the mob has no position (a
+    /// position-less mob has no aggro disk).
     pub fn register(world: &mut World, mob: EntityId, radius: f32) -> Option<Self> {
         world.pos(mob)?;
         let view = world.register_view_plan(Self::plan(mob, radius)).ok()?;
+        world.subscribe_view(view);
         Some(CandidateView { mob, radius, view })
     }
 
@@ -162,7 +164,9 @@ impl CandidateView {
     /// [`CandidateView::register`] builds. No retarget step remains:
     /// the join re-derives membership from the mob's current position
     /// on its first refresh. Falls back to registering a fresh view
-    /// when none survives. Returns `None` when the mob has no position.
+    /// when none survives. Subscribes either way: a recovered view
+    /// comes back unsubscribed. Returns `None` when the mob has no
+    /// position.
     pub fn reattach(world: &mut World, mob: EntityId, radius: f32) -> Option<Self> {
         world.pos(mob)?;
         let plan = Self::plan(mob, radius);
@@ -170,6 +174,7 @@ impl CandidateView {
             Some(v) => v,
             None => world.register_view_plan(plan).ok()?,
         };
+        world.subscribe_view(view);
         Some(CandidateView { mob, radius, view })
     }
 
@@ -191,18 +196,37 @@ impl CandidateView {
     /// Per-tick maintenance: refresh, prune threat for every candidate
     /// that left the radius (or the world). The spatial join follows
     /// the mob's own position deltas, so moving and stationary mobs
-    /// alike stay incremental. Returns the membership changelog
-    /// (synthesized from the join's pair deltas — the mob is the left
-    /// of every pair) so callers can react to entries (e.g. open
-    /// combat on `entered`).
-    pub fn sync(&mut self, world: &mut World, table: &mut AggroTable) -> Changelog {
+    /// alike stay incremental. Returns the candidates' delta (the
+    /// right side of the join's pair deltas — the mob is the left of
+    /// every pair) so callers can react to entries (e.g. open combat on
+    /// `entered`). When the retention limit dropped the subscription,
+    /// the table is pruned to the current candidates instead, the
+    /// pruned attackers are returned as `exited`, and the view is
+    /// subscribed again.
+    pub fn sync(&mut self, world: &mut World, table: &mut AggroTable) -> ViewDelta<EntityId> {
         world.refresh_views();
-        let pairs = world.take_view_pair_changelog(self.view);
-        let log = Changelog {
-            entered: pairs.entered.into_iter().map(|(_, r)| r).collect(),
-            exited: pairs.exited.into_iter().map(|(_, r)| r).collect(),
-            changed: Vec::new(),
-            rescans: 0,
+        let right = |pairs: Vec<(EntityId, EntityId)>| pairs.into_iter().map(|(_, r)| r).collect();
+        let log = match world.take_view_delta(self.view) {
+            Some(pairs) => ViewDelta {
+                entered: right(pairs.entered),
+                exited: right(pairs.exited),
+                changed: Vec::new(),
+            },
+            None => {
+                world.subscribe_view(self.view);
+                let candidates = self.candidates(world);
+                let mut exited: Vec<EntityId> = table
+                    .threat
+                    .keys()
+                    .copied()
+                    .filter(|who| candidates.binary_search(who).is_err())
+                    .collect();
+                exited.sort_unstable();
+                ViewDelta {
+                    exited,
+                    ..ViewDelta::default()
+                }
+            }
         };
         for &gone in &log.exited {
             table.remove(gone);
@@ -445,6 +469,31 @@ mod tests {
             "stationary syncs must stay incremental"
         );
         cv.release(&mut w);
+    }
+
+    /// A candidate view whose subscription the retention limit dropped
+    /// prunes the threat table to the current candidates, reports the
+    /// pruned attackers, and subscribes again.
+    #[test]
+    fn candidate_view_resyncs_after_losing_its_subscription() {
+        // players at x = 0, 2, 4, 6: the mob is the first
+        let (mut w, ids) = arena_world(4, |i| Vec2::new(i as f32 * 2.0, 0.0));
+        let mut cv = CandidateView::register(&mut w, ids[0], 5.0).unwrap();
+        let mut table = AggroTable::new();
+        for &p in &ids[1..] {
+            table.add_threat(p, Role::Dps, 10.0);
+        }
+        // ids[3] stood outside the radius from the start
+        w.set_tap_retention(Some(0));
+        w.set_pos(ids[1], Vec2::new(50.0, 0.0)).unwrap();
+        let log = cv.sync(&mut w, &mut table);
+        assert_eq!(log.exited, vec![ids[1], ids[3]], "pruned to the candidates");
+        assert_eq!(table.len(), 1);
+        w.set_tap_retention(None);
+        w.set_pos(ids[2], Vec2::new(50.0, 0.0)).unwrap();
+        let log = cv.sync(&mut w, &mut table);
+        assert_eq!(log.exited, vec![ids[2]], "subscribed again");
+        assert!(table.is_empty());
     }
 
     #[test]

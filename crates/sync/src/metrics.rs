@@ -31,8 +31,9 @@ pub(crate) struct ReplMetrics {
     pub full_walks: Counter,
     /// `repl.full_walk_bytes`: wire bytes across all full walks.
     pub full_walk_bytes: Counter,
-    /// `repl.resyncs`: tap evictions that forced a live resync — a
-    /// consumer stalled past the retention window.
+    /// `repl.resyncs`: tap evictions or dropped view subscriptions that
+    /// forced a live resync — a consumer stalled past the retention
+    /// window.
     pub resyncs: Counter,
     /// `repl.gated_ticks`: Strict-level syncs refused because the
     /// durability watermark had not drained.

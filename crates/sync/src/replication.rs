@@ -469,13 +469,18 @@ impl Replicator {
     /// Turn incremental replication on: turns the interest bubble into
     /// a standing view (finite interest only; the world maintains the
     /// set of entities within `radius + margin` of the focus
-    /// incrementally) **and** attaches a change-stream tap, so
-    /// [`Replicator::sync_stream`] can ship exactly the rows each
-    /// stream segment touched instead of re-walking bubble members.
+    /// incrementally) and subscribes to its deltas — the view registered
+    /// here or the one [`Replicator::reattach_view`] adopted — **and**
+    /// attaches a change-stream tap, so [`Replicator::sync_stream`] can
+    /// ship exactly the rows each stream segment touched instead of
+    /// re-walking bubble members.
     pub fn attach_stream(&mut self, world: &mut World) {
         if self.interest_view.is_none() && self.interest.radius.is_finite() {
             self.interest_view = Some(world.register_view(self.interest_query()));
             self.view_anchor = self.anchor();
+        }
+        if let Some(view) = self.interest_view {
+            world.subscribe_view(view);
         }
         if self.stream_tap.is_none() {
             self.stream_tap = Some(world.attach_tap());
@@ -574,13 +579,13 @@ impl Replicator {
     /// hysteresis band is covered) or has no position (global state, or
     /// dead). Everything else is discarded before it touches the dirty
     /// set: no shipped state depends on it, because an entity that
-    /// later comes into the bubble is named by the view changelog's
+    /// later comes into the bubble is named by the view delta's
     /// `entered` and, not being `known`, ships its whole row from live
     /// state. Without a view (unbounded interest) every record is kept.
     ///
     /// **Event-driven drops.** An entity the replica holds stops being
     /// shippable only by dying (`Despawned` record), by leaving the
-    /// view (changelog `exited` — it moved, or the bubble did), or by
+    /// view (delta `exited` — it moved, or the bubble did), or by
     /// gaining its first position outside the bubble (a `Set pos` with
     /// no old value: it was never a view member, so nothing exits).
     /// Each of those events makes it a candidate, and every visited
@@ -598,20 +603,7 @@ impl Replicator {
             return;
         };
         if world.tap_evicted(tap) {
-            // the retention policy dropped this consumer (the sync loop
-            // stalled past the window): the stream is no longer a
-            // complete delta source, so resynchronize from live state
-            // and re-attach fresh
-            world.detach_tap(tap);
-            self.stream_tap = None;
-            self.named.clear(); // re-ship defines: the replica may be fresh
-            self.stream_primed = false; // the next stream sync starts over
-            if let Some(m) = &self.metrics {
-                m.resyncs.inc();
-            }
-            self.sync(world, replica);
-            self.stream_tap = Some(world.attach_tap());
-            return;
+            return self.resync(world, replica, tap);
         }
         // fold pending changes into the interest view, re-anchoring it
         // if the focus moved
@@ -664,9 +656,11 @@ impl Replicator {
         world.ack_tap(tap);
         if let Some(view) = view {
             // membership the bubble gained or lost without the entity
-            // itself being written (the focus moved): the view
-            // changelog names it
-            let log = world.take_view_changelog(view);
+            // itself being written (the focus moved): the view delta
+            // names it
+            let Some(log) = world.take_view_delta::<EntityId>(view) else {
+                return self.resync(world, replica, tap);
+            };
             self.dirty.extend(log.entered);
             self.dirty.extend(log.exited);
             if retargeted {
@@ -716,6 +710,25 @@ impl Replicator {
         if settled {
             self.dirty.clear();
             self.pending_comps.clear();
+        }
+    }
+
+    /// The retention policy dropped this consumer — its tap, or its view
+    /// subscription (the sync loop stalled past the window) — so the
+    /// stream is no longer a complete delta source: resynchronize from
+    /// live state, then re-attach the tap and re-subscribe the view.
+    fn resync(&mut self, world: &mut World, replica: &mut Replica, tap: TapId) {
+        world.detach_tap(tap);
+        self.stream_tap = None;
+        self.named.clear(); // re-ship defines: the replica may be fresh
+        self.stream_primed = false; // the next stream sync starts over
+        if let Some(m) = &self.metrics {
+            m.resyncs.inc();
+        }
+        self.sync(world, replica);
+        self.stream_tap = Some(world.attach_tap());
+        if let Some(view) = self.interest_view.filter(|&v| world.has_view(v)) {
+            world.subscribe_view(view);
         }
     }
 
@@ -1369,6 +1382,41 @@ mod tests {
             client.rows.keys().all(|(id, _)| *id != ids[3]),
             "a row the resync shipped outlived its entity"
         );
+    }
+
+    /// A focus jump that brings more rows in and out of the bubble than
+    /// the retention limit allows drops the interest view's subscription
+    /// while the tap, one record behind, stays: the sync resyncs from
+    /// live state, subscribes again, and the replica ends exact.
+    #[test]
+    fn dropped_view_subscription_resyncs_from_live_state() {
+        let registry = MetricsRegistry::new();
+        let resyncs = || registry.snapshot().counter("repl.resyncs");
+        let interest = Interest {
+            center: (0.0, 0.0),
+            radius: 10.0,
+            margin: 2.0,
+        };
+        let (mut w, ids) = moving_world(40);
+        let mut rep = Replicator::with_interest(ConsistencyLevel::Strict, interest);
+        rep.attach_metrics(&registry);
+        rep.attach_stream(&mut w);
+        let mut client = Replica::default();
+        rep.sync_stream(&mut w, &mut client);
+        w.set_tap_retention(Some(4));
+        rep.interest.center = (60.0, 0.0);
+        rep.sync_stream(&mut w, &mut client);
+        assert!(!w.tap_evicted(rep.stream_tap().unwrap()));
+        assert_eq!(resyncs(), 1, "the view's deltas were incomplete");
+        let d = Replicator::divergence_within(&w, &client, rep.interest);
+        assert_eq!((d.mean_pos_error, d.persistent_mismatches), (0.0, 0));
+        // subscribed again: the next tick streams
+        w.set_tap_retention(None);
+        drift(&mut w, &ids, 0.5);
+        rep.sync_stream(&mut w, &mut client);
+        assert_eq!(resyncs(), 1);
+        let d = Replicator::divergence_within(&w, &client, rep.interest);
+        assert_eq!((d.mean_pos_error, d.persistent_mismatches), (0.0, 0));
     }
 
     /// ISSUE-13: a client evicted before any segment reached it holds
