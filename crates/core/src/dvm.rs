@@ -224,6 +224,27 @@ impl ViewPlan {
         compile(self).map(|_| ())
     }
 
+    /// Move a rows plan's `within` restriction: its scan leaf takes the
+    /// new disk. Join and group plans do not retarget
+    /// ([`CoreError::PlanInvalid`]; nothing moves).
+    pub fn retarget(&mut self, center: Vec2, radius: f32) -> Result<(), CoreError> {
+        let mut node = &mut self.root;
+        loop {
+            match node {
+                PlanNode::Scan { query, .. } => {
+                    query.retarget_within(center, radius);
+                    return Ok(());
+                }
+                PlanNode::Filter { input, .. } | PlanNode::Project { input, .. } => node = input,
+                PlanNode::Join { .. } | PlanNode::GroupAggregate { .. } => {
+                    return Err(CoreError::PlanInvalid(
+                        "only rows views retarget; join and group views follow their deltas",
+                    ))
+                }
+            }
+        }
+    }
+
     /// Forced recompute from a cold start — the equivalence oracle every
     /// incrementally maintained instance of this plan is held equal to.
     /// Nothing is materialized that the answer does not need: a rows
@@ -941,7 +962,11 @@ impl SideIndex {
                 let at = Vec2::new(p[0], p[1]);
                 for dx in -1..=1i64 {
                     for dy in -1..=1i64 {
-                        for &id in map.get(&(cx + dx, cy + dy)).into_iter().flatten() {
+                        // an infinite position's cell is saturated: none lies past it
+                        let (Some(x), Some(y)) = (cx.checked_add(dx), cy.checked_add(dy)) else {
+                            continue;
+                        };
+                        for &id in map.get(&(x, y)).into_iter().flatten() {
                             let close = rows
                                 .fields(id.index() as usize)
                                 .pos
@@ -1591,21 +1616,10 @@ impl PlanView {
         radius: f32,
         retention: Option<usize>,
     ) -> Result<(), CoreError> {
+        self.plan.retarget(center, radius)?;
         let OpState::Rows(s) = &mut self.state else {
-            return Err(CoreError::PlanInvalid(
-                "only rows views retarget; join and group views follow their deltas",
-            ));
+            unreachable!("a plan that retargets is a scan chain, a rows view")
         };
-        let mut leaf = &mut self.plan.root;
-        loop {
-            match leaf {
-                PlanNode::Scan { query, .. } => break query.retarget_within(center, radius),
-                PlanNode::Filter { input, .. } | PlanNode::Project { input, .. } => leaf = input,
-                PlanNode::Join { .. } | PlanNode::GroupAggregate { .. } => {
-                    unreachable!("a rows view's plan is a scan chain")
-                }
-            }
-        }
         s.retarget(world, center, radius);
         let held = s.deltas.publish(retention);
         self.stats.refreshes += 1;

@@ -281,23 +281,46 @@ impl World {
 
     /// [`World::create_index`] addressed by interned id.
     fn create_index_by_id(&mut self, cid: ComponentId, kind: IndexKind) -> Result<(), CoreError> {
-        let name = || self.interner.name(cid).unwrap_or_default().to_string();
-        if cid == POS_ID {
-            return Err(CoreError::ReservedComponent(name()));
+        let idx = self.build_index(cid, kind)?;
+        let idx = idx.ok_or_else(|| CoreError::DuplicateIndex(self.name_of(cid)))?;
+        self.install_index(cid, idx);
+        Ok(())
+    }
+
+    /// The index `kind` on `cid` built from its column in one pass, or
+    /// `None` when an identical one is in place; one of another kind is
+    /// an error, as is one on `pos`. Reads only, so it runs as a job.
+    fn build_index(
+        &self,
+        cid: ComponentId,
+        kind: IndexKind,
+    ) -> Result<Option<SecondaryIndex>, CoreError> {
+        match self.index_of(cid) {
+            Some(idx) if idx.kind() == kind => Ok(None),
+            Some(_) => Err(CoreError::DuplicateIndex(self.name_of(cid))),
+            None if cid == POS_ID => Err(CoreError::ReservedComponent(self.name_of(cid))),
+            None => Ok(Some(SecondaryIndex::build(
+                kind,
+                &self.columns[cid.index()],
+                self.alloc.iter_live(),
+            ))),
         }
-        if self.index_of(cid).is_some() {
-            return Err(CoreError::DuplicateIndex(name()));
-        }
-        let idx = SecondaryIndex::build(kind, &self.columns[cid.index()], self.alloc.iter_live());
+    }
+
+    fn install_index(&mut self, cid: ComponentId, idx: SecondaryIndex) {
         if self.indexes.len() <= cid.index() {
             self.indexes.resize_with(cid.index() + 1, || None);
         }
+        let kind = idx.kind();
         self.indexes[cid.index()] = Some(idx);
         self.record_catalog(ChangeOp::CreateIndex {
             component: cid,
             kind,
         });
-        Ok(())
+    }
+
+    fn name_of(&self, cid: ComponentId) -> String {
+        self.interner.name(cid).unwrap_or_default().to_string()
     }
 
     /// Drop the index on a component; returns whether one existed.
@@ -1288,24 +1311,85 @@ impl World {
         }
     }
 
-    /// Rebuild derived state from a catalog: indexes are created and
-    /// backfilled from current rows, dropped view slots are burned, live
-    /// views are re-materialized at their original slots, and lineage +
-    /// tick are restored. Idempotent: re-importing over matching state
-    /// is a no-op, so duplicated redo records are harmless.
+    /// Build derived state from a catalog over the current rows, each
+    /// structure once: the spatial grid and every missing index, then
+    /// (views plan through those) every missing view at its slot,
+    /// unsubscribed; dropped slots stay burned, lineage and tick are
+    /// restored. A stage's structures are jobs on
+    /// `min(available_parallelism, jobs)` threads, installed in catalog
+    /// order up to the first failure, whose error returns. An index or
+    /// view already in place is kept; a conflicting one is an error.
     pub fn import_catalog(&mut self, cat: &WorldCatalog) -> Result<(), CoreError> {
-        // adopt the lineage first: the views registered below issue
+        let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+        self.import_catalog_on(cat, workers).map(|_| ())
+    }
+
+    /// [`World::import_catalog`] on exactly `workers` threads, returning
+    /// the wall time of its two stages (grid + indexes, views). Each
+    /// structure is a function of the rows and the catalog alone, so the
+    /// worker count changes neither the result nor the error; recovery's
+    /// tests pin it to show that.
+    #[doc(hidden)]
+    pub fn import_catalog_on(
+        &mut self,
+        cat: &WorldCatalog,
+        workers: usize,
+    ) -> Result<[std::time::Duration; 2], CoreError> {
+        // one per structure: the variants' sizes do not matter
+        #[allow(clippy::large_enum_variant)]
+        enum Derived {
+            Grid(UniformGrid),
+            Index(ComponentId, Option<SecondaryIndex>),
+        }
+        // adopt the lineage first: the views installed below issue
         // their handles under it, so pre-crash handles keep resolving
         self.world_id = cat.lineage;
-        for (component, kind) in &cat.indexes {
-            self.ensure_index(component, *kind)?;
+        let started = std::time::Instant::now();
+        let world = &*self;
+        let built = bulk::run_jobs(workers, 1 + cat.indexes.len(), |job| match job.checked_sub(1) {
+            None => Ok(Derived::Grid(world.build_grid())),
+            Some(i) => {
+                let (component, kind) = &cat.indexes[i];
+                let cid = world.resolve(component)?;
+                Ok(Derived::Index(cid, world.build_index(cid, *kind)?))
+            }
+        });
+        for built in built {
+            match built? {
+                Derived::Grid(grid) => self.spatial = grid,
+                Derived::Index(cid, Some(idx)) => self.install_index(cid, idx),
+                Derived::Index(_, None) => {}
+            }
         }
+        let indexed = started.elapsed();
+        let started = std::time::Instant::now();
         self.views.reserve_slots(cat.view_slots);
-        for (slot, plan) in &cat.views {
-            self.import_view_at_slot(*slot, plan.clone())?;
+        self.refresh_views();
+        let world = &*self;
+        let built = bulk::run_jobs(workers, cat.views.len(), |job| {
+            let (slot, plan) = &cat.views[job];
+            world.build_view(*slot, plan)
+        });
+        for ((slot, _), built) in cat.views.iter().zip(built) {
+            if let Some(view) = built? {
+                self.install_view(*slot, view);
+            }
         }
         self.restore_tick(cat.tick);
-        Ok(())
+        Ok([indexed, started.elapsed()])
+    }
+
+    /// The spatial grid over every live position, in one id-ordered pass.
+    fn build_grid(&self) -> UniformGrid {
+        let pos = &self.columns[POS_ID.index()];
+        let mut grid = UniformGrid::new(self.spatial.cell_size());
+        grid.reserve(pos.present_count());
+        for id in self.alloc.iter_live() {
+            if let Some([x, y]) = pos.get_v2(id.index() as usize) {
+                grid.insert(id.to_bits(), Vec2::new(x, y));
+            }
+        }
+        grid
     }
 
     /// Begin a bulk load of a row image (snapshot restore): a fresh
@@ -1315,8 +1399,8 @@ impl World {
     /// restored with their generations in one allocator pass. Rows then
     /// go straight into their columns through the returned
     /// [`BulkLoader`]; nothing is indexed, folded or recorded per row.
-    /// Derived state is built over the finished rows by
-    /// [`World::import_catalog`], each index and view in one pass.
+    /// Derived state — the spatial grid too — is built over the finished
+    /// rows by [`World::import_catalog`], each structure in one pass.
     pub fn bulk_load(
         schema: &[(String, ValueType)],
         entities: &[EntityId],
@@ -1338,34 +1422,6 @@ impl World {
         Ok(BulkLoader { world, ids })
     }
 
-    /// [`World::create_index`] that tolerates an identical existing
-    /// index (idempotent redo). Returns whether an index was created;
-    /// a kind mismatch is still an error.
-    pub fn ensure_index(&mut self, component: &str, kind: IndexKind) -> Result<bool, CoreError> {
-        let cid = self.resolve(component)?;
-        self.ensure_index_by_id(cid, kind)
-    }
-
-    /// [`World::ensure_index`] addressed by interned id.
-    pub fn ensure_index_by_id(
-        &mut self,
-        cid: ComponentId,
-        kind: IndexKind,
-    ) -> Result<bool, CoreError> {
-        self.column_index(cid)?;
-        if let Some(idx) = self.index_of(cid) {
-            return if idx.kind() == kind {
-                Ok(false)
-            } else {
-                Err(CoreError::DuplicateIndex(
-                    self.interner.name(cid).unwrap_or_default().to_string(),
-                ))
-            };
-        }
-        self.create_index_by_id(cid, kind)?;
-        Ok(true)
-    }
-
     /// Handles of every live view, slot-ordered.
     pub fn view_ids(&self) -> Vec<ViewId> {
         self.views
@@ -1384,19 +1440,29 @@ impl World {
     /// slot holding the same plan is accepted unchanged (idempotent
     /// redo); any other occupant is a conflict.
     pub fn import_view_at_slot(&mut self, slot: u32, plan: ViewPlan) -> Result<ViewId, CoreError> {
-        if let Some(existing) = self.views.at_slot(slot) {
-            return if *existing.plan() == plan {
-                Ok(self.view_id(slot))
-            } else {
-                Err(CoreError::ViewSlotConflict(slot))
-            };
-        }
         self.refresh_views();
-        let view = PlanView::new(plan.clone(), self)?;
-        let installed = self.views.install_at_slot(slot, view);
-        debug_assert!(installed, "slot checked dead above");
-        self.record_catalog(ChangeOp::RegisterPlanView { slot, plan });
+        if let Some(view) = self.build_view(slot, &plan)? {
+            self.install_view(slot, view);
+        }
         Ok(self.view_id(slot))
+    }
+
+    /// The view `plan` materialized for `slot`, or `None` when the slot
+    /// holds that plan already; any other occupant is a conflict. Reads
+    /// only, so it runs as a job.
+    fn build_view(&self, slot: u32, plan: &ViewPlan) -> Result<Option<PlanView>, CoreError> {
+        match self.views.at_slot(slot) {
+            Some(existing) if existing.plan() == plan => Ok(None),
+            Some(_) => Err(CoreError::ViewSlotConflict(slot)),
+            None => PlanView::new(plan.clone(), self).map(Some),
+        }
+    }
+
+    fn install_view(&mut self, slot: u32, view: PlanView) {
+        let plan = view.plan().clone();
+        let installed = self.views.install_at_slot(slot, view);
+        debug_assert!(installed, "slot checked dead when the view was built");
+        self.record_catalog(ChangeOp::RegisterPlanView { slot, plan });
     }
 
     // ---- tick counter ----
@@ -1416,10 +1482,9 @@ impl World {
     }
 
     /// Redo-side tick restore: move the counter to `tick` **without**
-    /// folding pending changes into the views. Replaying a log tail
-    /// applies one of these per pre-crash tick; folding at each would
-    /// refresh every view once per record, so the tail folds once, at
-    /// the end ([`World::refresh_views`]). Never moves backward.
+    /// folding pending changes into the views (a catalog import ends
+    /// with one; a live replay of a log tail applies one per pre-crash
+    /// tick and folds when it is done). Never moves backward.
     pub fn restore_tick(&mut self, tick: u64) {
         if tick > self.tick {
             self.tick = tick;
@@ -1622,7 +1687,7 @@ fn grow_bounds(bounds: &mut Option<(Vec2, Vec2)>, pos: Vec2) {
 /// persistence layer serializes this next to the rows so a recovered
 /// world is the *same database*, access paths and subscriptions
 /// included, not just the same facts.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct WorldCatalog {
     /// Lineage id ([`World::lineage`]) the recovered world adopts so
     /// pre-crash [`ViewId`] handles stay valid.
@@ -2110,12 +2175,15 @@ mod tests {
         ));
         row.put(hp, Value::Float(7.0)).unwrap();
         row.put(pos, Value::Vec2(2.0, 3.0)).unwrap();
-        let w = load.finish();
+        let mut w = load.finish();
         assert_eq!(w.get_f32(a, "hp"), Some(7.0));
+        assert_eq!(w.approx_bounds(), Some((v(2.0, 3.0), v(2.0, 3.0))));
+        // the grid is derived state: the catalog import builds it
+        let cat = w.export_catalog();
+        w.import_catalog(&cat).unwrap();
         let mut near = vec![];
         w.within(v(2.0, 3.0), 0.5, &mut near);
-        assert_eq!(near, vec![a], "positions reach the grid when the load finishes");
-        assert_eq!(w.approx_bounds(), Some((v(2.0, 3.0), v(2.0, 3.0))));
+        assert_eq!(near, vec![a], "positions reach the grid when the catalog is imported");
     }
 
     /// The batch regroup sorts by interned id via an in-place

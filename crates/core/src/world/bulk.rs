@@ -1,8 +1,11 @@
-//! The row side of a bulk load: values go straight into their columns,
-//! positions reach the spatial grid in one pass at the end.
+//! A bulk load: values go straight into their columns, and the derived
+//! state — spatial grid, secondary indexes, views — is built once over
+//! the finished rows, as independent jobs ([`run_jobs`]).
+
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use gamedb_content::Value;
-use gamedb_spatial::{SpatialIndex, Vec2};
+use gamedb_spatial::Vec2;
 
 use super::{grow_bounds, CoreError, World, POS_ID};
 use crate::entity::EntityId;
@@ -36,34 +39,65 @@ impl BulkLoader {
         })
     }
 
-    /// Finish the load: every position enters the spatial grid in one
-    /// id-ordered pass (the order, and so the cell lists and the bounds,
-    /// a row-at-a-time restore would have produced).
+    /// Finish the load, the bounds grown over every position in id order
+    /// (as a row-at-a-time restore grows them). Nothing derived exists
+    /// yet, the spatial grid included: [`World::import_catalog`] builds it.
     pub fn finish(self) -> World {
         let mut world = self.world;
         let World {
             alloc,
             columns,
-            spatial,
             bounds,
             ..
         } = &mut world;
         let pos = &columns[POS_ID.index()];
-        spatial.reserve(pos.present_count());
         for id in alloc.iter_live() {
             if let Some([x, y]) = pos.get_v2(id.index() as usize) {
-                let p = Vec2::new(x, y);
-                spatial.insert(id.to_bits(), p);
-                grow_bounds(bounds, p);
+                grow_bounds(bounds, Vec2::new(x, y));
             }
         }
         world
     }
 }
 
+/// Run jobs `0..jobs` on `min(workers, jobs)` threads, the calling
+/// thread among them (one worker starts none), and return their results
+/// in job order whatever order they finished in. A job's panic is
+/// re-raised here.
+pub(super) fn run_jobs<T: Send>(
+    workers: usize,
+    jobs: usize,
+    job: impl Fn(usize) -> T + Sync,
+) -> Vec<T> {
+    let workers = workers.min(jobs);
+    if workers <= 1 {
+        return (0..jobs).map(job).collect();
+    }
+    let next = AtomicUsize::new(0);
+    let work = || {
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= jobs {
+                return done;
+            }
+            done.push((i, job(i)));
+        }
+    };
+    let mut done = std::thread::scope(|s| {
+        let helpers: Vec<_> = (1..workers).map(|_| s.spawn(work)).collect();
+        let mut done = work();
+        for h in helpers {
+            done.extend(h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
+        }
+        done
+    });
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, t)| t).collect()
+}
+
 /// One live entity's row during a bulk load: each value goes straight
-/// into its column slot, type-checked against the column. A `pos` value
-/// reaches the spatial grid when the load finishes.
+/// into its column slot, type-checked against the column.
 #[derive(Debug)]
 pub struct RowLoader<'a> {
     world: &'a mut World,

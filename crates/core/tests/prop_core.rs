@@ -1505,7 +1505,9 @@ fn replay_change(w: &mut World, op: &gamedb_core::ChangeOp) {
         }
         ChangeOp::CreateIndex { component, kind } => {
             let name = w.component_name(*component).unwrap().to_string();
-            w.ensure_index(&name, *kind).unwrap();
+            if w.index_on(&name).map(|idx| idx.kind()) != Some(*kind) {
+                w.create_index(&name, *kind).unwrap();
+            }
         }
         ChangeOp::DropIndex { component } => {
             let name = w.component_name(*component).unwrap().to_string();

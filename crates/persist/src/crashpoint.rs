@@ -32,7 +32,7 @@
 //! durable at crash offset `o` iff `o` is at or past the first byte of
 //! its mark record — including the window where the snapshot exists but
 //! its mark was torn away, which is exactly the window the
-//! mark-anchored replay rule ([`crate::wal::replay_log_tail`])
+//! mark-anchored replay rule (`wal::decode_tail`)
 //! protects.
 
 use gamedb_content::{CmpOp, Value, ValueType};

@@ -62,7 +62,7 @@ pub use schema::{
     BlobStore, Migration, MigrationError, MigrationStats, SchemaVersion, StructuredStore,
 };
 pub use snapshot::{checksum, decode, encode, SnapshotError};
-pub use wal::{decode_log, replay_log_tail, varint_len, CompRef, WalRecord};
+pub use wal::{decode_log, varint_len, CompRef, WalRecord};
 pub use walstore::{
     recover_from_parts, CommitSeq, FlushPolicy, Recovered, RecoveryStats, StoreError, WalStats,
     WalStore, WalWatermark,

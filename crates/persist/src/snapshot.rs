@@ -658,26 +658,34 @@ fn bounded(
     Ok(count)
 }
 
-/// Deserialize a world — rows *and* catalog — as a bulk load, in this
-/// order: every row goes straight into its column
-/// ([`World::bulk_load`]; the row section is the same in every format
-/// version, so this is the one loader), then each secondary index is
-/// built from its column in one pass, then each standing view is seeded
-/// at its original slot with an empty changelog, and the lineage and
-/// tick counter are restored into the world (the returned tick equals
-/// `world.tick()`). The input is sliced, never copied.
+/// Deserialize a world — rows *and* catalog — as a bulk load: every row
+/// goes straight into its column ([`World::bulk_load`]; the row section
+/// is the same in every format version, so this is the one loader), then
+/// [`World::import_catalog`] builds the spatial grid, each secondary
+/// index and each standing view (at its original slot, unsubscribed)
+/// once over those rows and restores the lineage and tick counter (the
+/// returned tick equals `world.tick()`). The input is sliced, never
+/// copied.
 pub fn decode(data: &[u8]) -> Result<(World, u64), SnapshotError> {
-    let world = decode_phased(data, &mut RecoveryStats::default())?;
+    let (mut world, catalog) = decode_phased(data, &mut RecoveryStats::default())?;
+    world.import_catalog(&catalog).map_err(corrupt)?;
     let tick = world.tick();
     Ok((world, tick))
 }
 
-/// [`decode`], reporting where the time went: the decode, load-rows,
-/// index and view phases and the row count of `phases` are set.
-pub(crate) fn decode_phased(data: &[u8], phases: &mut RecoveryStats) -> Result<World, SnapshotError> {
-    fn corrupt(e: gamedb_core::CoreError) -> SnapshotError {
-        SnapshotError::Corrupt(e.to_string())
-    }
+fn corrupt(e: gamedb_core::CoreError) -> SnapshotError {
+    SnapshotError::Corrupt(e.to_string())
+}
+
+/// The rows of a snapshot and its catalog, nothing derived built yet —
+/// what recovery redoes the log tail onto before deriving once. The
+/// checksum is checked before anything is sized by the snapshot's
+/// contents. Sets the decode and load-rows phases and the row count of
+/// `phases`.
+pub(crate) fn decode_phased(
+    data: &[u8],
+    phases: &mut RecoveryStats,
+) -> Result<(World, WorldCatalog), SnapshotError> {
     let started = Instant::now();
     let mut buf = data;
     if buf.remaining() < FRAME {
@@ -752,24 +760,14 @@ pub(crate) fn decode_phased(data: &[u8], phases: &mut RecoveryStats) -> Result<W
             rows += 1;
         }
     }
-    let mut world = loader.finish();
+    let world = loader.finish();
     phases.load_rows = started.elapsed();
     phases.rows_loaded = rows;
 
     let started = Instant::now();
     let catalog = get_catalog(&mut buf, lineage, tick, magic == MAGIC)?;
     phases.decode += started.elapsed();
-    // indexes first and on their own, so the phase split can tell them
-    // from the views; the import below finds them in place
-    let started = Instant::now();
-    for (component, kind) in &catalog.indexes {
-        world.ensure_index(component, *kind).map_err(corrupt)?;
-    }
-    phases.indexes = started.elapsed();
-    let started = Instant::now();
-    world.import_catalog(&catalog).map_err(corrupt)?;
-    phases.views = started.elapsed();
-    Ok(world)
+    Ok((world, catalog))
 }
 
 #[cfg(test)]

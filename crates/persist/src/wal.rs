@@ -14,7 +14,7 @@
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use gamedb_content::{Value, ValueType};
 use gamedb_core::{
-    Change, ChangeOp, ComponentId, CoreError, EntityId, IndexKind, ViewPlan, World,
+    Change, ChangeOp, ComponentId, CoreError, EntityId, IndexKind, ViewPlan, World, WorldCatalog,
 };
 use gamedb_spatial::Vec2;
 
@@ -521,15 +521,23 @@ impl WalRecord {
         })
     }
 
-    /// Apply a redo record to a world. **Redo is idempotent**: applying
-    /// a record whose effect is already present (a spawn of a live
-    /// entity with the exact same id, a duplicate index/view creation
-    /// with an identical definition, a stale despawn) is a clean no-op.
-    /// An at-least-once log append — the checksum-valid duplicated tail
-    /// a retried write leaves behind — therefore recovers to the same
-    /// world as an exactly-once log. Genuine conflicts (same slot,
-    /// different definition) still error.
-    pub fn apply(&self, world: &mut World) -> Result<(), CoreError> {
+    /// Redo a record during recovery, before any derived state exists:
+    /// row records go through the world's write methods (with no grid,
+    /// index or view to maintain), catalog records edit `catalog`, from
+    /// which the derived state is then built once
+    /// ([`World::import_catalog`]). **Redo is idempotent**: a record
+    /// whose effect is already present (a spawn of a live entity with the
+    /// exact same id, a duplicate identical index or view, a stale
+    /// despawn or drop) is a clean no-op. An at-least-once log append —
+    /// the checksum-valid duplicated tail a retried write leaves behind —
+    /// therefore recovers to the same world as an exactly-once log.
+    /// Genuine conflicts (same slot, different definition) still error,
+    /// with the error the live world's own method returns.
+    pub(crate) fn redo(
+        &self,
+        world: &mut World,
+        catalog: &mut WorldCatalog,
+    ) -> Result<(), CoreError> {
         match self {
             WalRecord::Set {
                 entity,
@@ -574,48 +582,61 @@ impl WalRecord {
                     _ => Ok(()),
                 }
             }
-            WalRecord::CreateIndex { component, kind } => {
-                let component = component.resolve(world)?;
-                world.ensure_index_by_id(component, *kind).map(|_| ())
-            }
-            WalRecord::DropIndex { component } => {
-                if let Ok(component) = component.resolve(world) {
-                    world.drop_index_by_id(component);
-                }
-                Ok(())
-            }
-            WalRecord::RegisterPlanView { slot, plan } => {
-                world.import_view_at_slot(*slot, plan.clone()).map(|_| ())
-            }
-            // a dead slot means the drop already won: a clean no-op
-            WalRecord::DropView { slot } => {
-                if let Some(view) = world.view_id_at(*slot) {
-                    world.drop_view(view);
-                }
-                Ok(())
-            }
-            // a dead slot means the drop already won; a join or group
-            // view at the slot is a log no live world wrote: an error
-            WalRecord::RetargetView { slot, x, y, radius } => match world.view_id_at(*slot) {
-                Some(view) => world.retarget_view(view, Vec2::new(*x, *y), *radius),
-                None => Ok(()),
-            },
-            // no view fold per replayed tick: the whole tail folds once,
-            // when recovery ends (`recover_from_parts`)
-            WalRecord::TickTo { tick } => {
-                world.restore_tick(*tick);
-                Ok(())
-            }
             WalRecord::Restore { entity } => {
                 if !world.is_live(*entity) {
                     world.restore_entity(*entity)?;
                 }
                 Ok(())
             }
-            WalRecord::Batch { ops } => {
-                for op in ops {
-                    op.apply(world)?;
+            WalRecord::Batch { ops } => ops.iter().try_for_each(|op| op.redo(world, catalog)),
+            WalRecord::CreateIndex { component, kind } => {
+                let cid = component.resolve(world)?;
+                let name = world.component_name(cid).unwrap_or_default().to_string();
+                let at = catalog.indexes.binary_search_by(|(n, _)| n.as_str().cmp(&name));
+                match at {
+                    Ok(at) if catalog.indexes[at].1 == *kind => Ok(()),
+                    Ok(_) => Err(CoreError::DuplicateIndex(name)),
+                    Err(_) if cid == gamedb_core::POS_ID => Err(CoreError::ReservedComponent(name)),
+                    Err(at) => {
+                        catalog.indexes.insert(at, (name, *kind));
+                        Ok(())
+                    }
                 }
+            }
+            WalRecord::DropIndex { component } => {
+                let component = component.resolve(world).ok();
+                if let Some(name) = component.and_then(|c| world.component_name(c)) {
+                    catalog.indexes.retain(|(n, _)| n != name);
+                }
+                Ok(())
+            }
+            WalRecord::RegisterPlanView { slot, plan } => {
+                match catalog.views.binary_search_by_key(slot, |(s, _)| *s) {
+                    Ok(at) if catalog.views[at].1 == *plan => Ok(()),
+                    Ok(_) => Err(CoreError::ViewSlotConflict(*slot)),
+                    Err(at) => {
+                        plan.validate()?;
+                        catalog.views.insert(at, (*slot, plan.clone()));
+                        catalog.view_slots = catalog.view_slots.max(slot.saturating_add(1));
+                        Ok(())
+                    }
+                }
+            }
+            // a dead slot means the drop already won: a clean no-op
+            WalRecord::DropView { slot } => {
+                catalog.views.retain(|(s, _)| s != slot);
+                Ok(())
+            }
+            // a dead slot means the drop already won; a join or group
+            // view at the slot is a log no live world wrote: an error
+            WalRecord::RetargetView { slot, x, y, radius } => {
+                match catalog.views.iter_mut().find(|(s, _)| s == slot) {
+                    Some((_, plan)) => plan.retarget(Vec2::new(*x, *y), *radius),
+                    None => Ok(()),
+                }
+            }
+            WalRecord::TickTo { tick } => {
+                catalog.tick = catalog.tick.max(*tick);
                 Ok(())
             }
         }
@@ -725,46 +746,36 @@ fn mark_seq(payload: &[u8]) -> Option<u64> {
     }
 }
 
-/// Replay a log tail onto a recovered snapshot world: only records after
-/// the last `CheckpointMark { seq }` matching `snapshot_seq` are applied
-/// (earlier records are already reflected in the snapshot), and only
-/// those are decoded — every frame is still walked and checksummed, but
-/// what recovery pays to decode does not grow with the history a log
-/// retains.
+/// The tail of a log after snapshot `snapshot_seq`'s checkpoint mark,
+/// decoded: earlier records are already reflected in the snapshot, and
+/// only the tail is decoded — every frame is still walked and
+/// checksummed, but what recovery pays to decode does not grow with the
+/// history a log retains.
 ///
-/// **No matching mark ⇒ nothing replays.** Log appends are ordered, so a
-/// record written after snapshot `seq` can only exist in the durable log
-/// if the mark for `seq` made it there first; a missing mark means the
-/// crash tore the log at (or before) the mark itself, and every
-/// surviving record predates the snapshot. Replaying the whole log in
-/// that situation re-applies history the snapshot already contains,
+/// **No matching mark ⇒ no tail.** Log appends are ordered, so a record
+/// written after snapshot `seq` can only exist in the durable log if the
+/// mark for `seq` made it there first; a missing mark means the crash
+/// tore the log at (or before) the mark itself, and every surviving
+/// record predates the snapshot. Replaying the whole log in that
+/// situation re-applies history the snapshot already contains,
 /// resurrecting despawned generations and un-dropping views. The
 /// crash-point sweep in [`crate::crashpoint`] exercises exactly this
 /// window.
 ///
 /// A tail frame that does not decode ends the log there, like a torn
-/// one. Returns the number of records decoded and applied.
-pub fn replay_log_tail(
-    world: &mut World,
-    log: &[u8],
-    snapshot_seq: u64,
-) -> Result<usize, CoreError> {
+/// one.
+pub(crate) fn decode_tail(log: &[u8], snapshot_seq: u64) -> Vec<WalRecord> {
     let frames: Vec<&[u8]> = frames(log).collect();
     let Some(mark) = frames
         .iter()
         .rposition(|p| mark_seq(p) == Some(snapshot_seq))
     else {
-        return Ok(0);
+        return Vec::new();
     };
-    let mut applied = 0;
-    for payload in &frames[mark + 1..] {
-        let Ok(record) = WalRecord::decode_payload(Bytes::copy_from_slice(payload)) else {
-            break;
-        };
-        record.apply(world)?;
-        applied += 1;
-    }
-    Ok(applied)
+    frames[mark + 1..]
+        .iter()
+        .map_while(|p| WalRecord::decode_payload(Bytes::copy_from_slice(p)).ok())
+        .collect()
 }
 
 #[cfg(test)]
@@ -772,6 +783,63 @@ mod tests {
     use super::*;
     use gamedb_content::ValueType;
     use gamedb_core::Query;
+
+    impl WalRecord {
+        /// The live-replay oracle recovery's redo is held to: a record
+        /// applied straight onto a world whose derived state exists, a
+        /// catalog record through the world's own catalog method (which
+        /// builds, drops or moves its index or view on the spot). A
+        /// replayed `TickTo` moves the counter without folding.
+        pub(crate) fn apply(&self, world: &mut World) -> Result<(), CoreError> {
+            match self {
+                WalRecord::CreateIndex { component, kind } => {
+                    let cid = component.resolve(world)?;
+                    let name = world.component_name(cid).unwrap_or_default().to_string();
+                    match world.index_on(&name) {
+                        Some(idx) if idx.kind() == *kind => Ok(()),
+                        _ => world.create_index(&name, *kind),
+                    }
+                }
+                WalRecord::DropIndex { component } => {
+                    if let Ok(component) = component.resolve(world) {
+                        world.drop_index_by_id(component);
+                    }
+                    Ok(())
+                }
+                WalRecord::RegisterPlanView { slot, plan } => {
+                    world.import_view_at_slot(*slot, plan.clone()).map(|_| ())
+                }
+                WalRecord::DropView { slot } => {
+                    if let Some(view) = world.view_id_at(*slot) {
+                        world.drop_view(view);
+                    }
+                    Ok(())
+                }
+                WalRecord::RetargetView { slot, x, y, radius } => match world.view_id_at(*slot) {
+                    Some(view) => world.retarget_view(view, Vec2::new(*x, *y), *radius),
+                    None => Ok(()),
+                },
+                WalRecord::TickTo { tick } => {
+                    world.restore_tick(*tick);
+                    Ok(())
+                }
+                WalRecord::Batch { ops } => ops.iter().try_for_each(|op| op.apply(world)),
+                row => row.redo(world, &mut WorldCatalog::default()),
+            }
+        }
+    }
+
+    /// The oracle's tail replay: [`decode_tail`], each record applied
+    /// live. Returns the number of records applied.
+    pub(crate) fn replay_log_tail(
+        world: &mut World,
+        log: &[u8],
+        snapshot_seq: u64,
+    ) -> Result<usize, CoreError> {
+        let tail = decode_tail(log, snapshot_seq);
+        tail.iter().try_for_each(|r| r.apply(world))?;
+        Ok(tail.len())
+    }
 
     fn sample_records() -> Vec<WalRecord> {
         use gamedb_content::CmpOp;

@@ -57,7 +57,7 @@ use gamedb_metrics::MetricsRegistry;
 use crate::backend::{Backend, BackendError};
 use crate::metrics::WalMetrics;
 use crate::snapshot;
-use crate::wal::{decode_log, replay_log_tail, WalRecord};
+use crate::wal::{decode_log, decode_tail, WalRecord};
 
 /// What one recovery read, decoded and spent. [`WalStore`] reports it
 /// as the `recover.*` metrics (catalog in ARCHITECTURE.md
@@ -75,13 +75,15 @@ pub struct RecoveryStats {
     pub read: Duration,
     /// Snapshot checksum, header, schema, entity list, catalog parse.
     pub decode: Duration,
-    /// Row section into columns, positions into the spatial grid.
+    /// Row section into columns.
     pub load_rows: Duration,
-    /// Secondary indexes, each built from its column in one pass.
+    /// Wall time of the derive stage that builds the spatial grid and
+    /// every secondary index, each from its column in one pass.
     pub indexes: Duration,
-    /// Standing views, each seeded from id-ordered column reads.
+    /// Wall time of the derive stage that seeds every standing view.
     pub views: Duration,
-    /// Log frame walk, tail replay, and the one view fold that ends it.
+    /// Waiting for the tail decode (it runs beside the snapshot's
+    /// checksum and rows), plus the redo of the tail.
     pub replay: Duration,
 }
 
@@ -99,43 +101,65 @@ pub struct Recovered {
 /// Recover a world from raw durable parts: `(seq, bytes)` snapshots
 /// **newest first** and the raw event log. This is the one recovery
 /// algorithm — [`WalStore::crash_and_recover`] and the crash-point
-/// sweep ([`crate::crashpoint`]) both run it — and it is a bulk load,
-/// rows → indexes → views → replay → one fold:
+/// sweep ([`crate::crashpoint`]) both run it — and it derives its state
+/// once, in three steps:
 ///
-/// 1. Take the newest snapshot and decode it ([`snapshot::decode`]):
-///    rows into columns, then each index and each view in one pass over
-///    them. The iterator is pulled **lazily** — an older snapshot is
-///    read only when a newer one fails to decode — so recovery reads
-///    one snapshot however many a backend retains.
-/// 2. Walk the log frame by frame, stopping cleanly at the first torn or
-///    corrupt frame (a torn batch frame drops the whole batch — batch
-///    commits are atomic), and replay the tail after that snapshot's
-///    checkpoint mark — nothing when the mark is absent (see
-///    [`replay_log_tail`]); catalog records rebuild indexes and views
-///    along the way. Only the tail is decoded, and a replayed `TickTo`
-///    moves the counter without refreshing the views.
-/// 3. Fold the whole tail into the views **once**. The views come back
-///    unsubscribed — subscriptions are runtime state, like taps — so
-///    the fold logs no deltas, and a consumer that subscribes again
-///    re-anchors at the recovery tick instead of receiving pre-crash
-///    churn twice.
+/// 1. **Decode.** The newest snapshot decodes to rows plus its catalog
+///    (`snapshot::decode_phased`); no grid, index or view is built.
+///    Meanwhile a second thread walks the log frame by frame, stopping
+///    cleanly at the first torn or corrupt frame (a torn batch frame
+///    drops the whole batch — batch commits are atomic), and decodes
+///    the tail after that snapshot's checkpoint mark — nothing when the
+///    mark is absent (`wal::decode_tail`). The snapshot
+///    iterator is pulled **lazily**: an older snapshot is read, and the
+///    tail decoded from *its* mark, only when a newer one fails to
+///    decode, so recovery reads one snapshot however many a backend
+///    retains.
+/// 2. **Redo the tail** onto the rows and the catalog
+///    (`WalRecord::redo`): row records through the world's write
+///    methods, catalog records as edits of the catalog value. Nothing
+///    derived exists yet, so nothing is maintained or folded.
+/// 3. **Derive once** ([`World::import_catalog`]): the grid and each
+///    index, then each view, as independent jobs on
+///    `min(available_parallelism, jobs)` threads. Each structure is a
+///    function of the final rows and catalog alone, so the schedule
+///    does not change the result. The views come back unsubscribed —
+///    subscriptions are runtime state, like taps — so a consumer that
+///    subscribes again re-anchors at the recovery tick instead of
+///    receiving pre-crash churn twice.
 pub fn recover_from_parts<S: AsRef<[u8]>>(
+    snapshots: impl IntoIterator<Item = (u64, Result<S, BackendError>)>,
+    log: &[u8],
+) -> Result<Recovered, StoreError> {
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+    recover_on(workers, snapshots, log)
+}
+
+/// [`recover_from_parts`] on exactly `workers` threads.
+pub(crate) fn recover_on<S: AsRef<[u8]>>(
+    workers: usize,
     snapshots: impl IntoIterator<Item = (u64, Result<S, BackendError>)>,
     log: &[u8],
 ) -> Result<Recovered, StoreError> {
     let mut stats = RecoveryStats::default();
     let mut last_err = StoreError::Backend(BackendError::NoSnapshot);
-    let mut snapshots = snapshots.into_iter();
-    loop {
+    for (snapshot_seq, data) in snapshots {
         let started = Instant::now();
-        let Some((snapshot_seq, data)) = snapshots.next() else {
-            return Err(last_err);
-        };
         let data = data?;
         stats.read += started.elapsed();
         stats.snapshots_read += 1;
-        let mut world = match snapshot::decode_phased(data.as_ref(), &mut stats) {
-            Ok(world) => world,
+        let (decoded, tail, waited) = std::thread::scope(|s| {
+            let tail = (workers > 1).then(|| s.spawn(|| decode_tail(log, snapshot_seq)));
+            let decoded = snapshot::decode_phased(data.as_ref(), &mut stats);
+            let started = Instant::now();
+            let tail = match tail {
+                Some(h) => h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)),
+                None => decode_tail(log, snapshot_seq),
+            };
+            (decoded, tail, started.elapsed())
+        });
+        let (mut world, mut catalog) = match decoded {
+            Ok(decoded) => decoded,
             Err(e) => {
                 last_err =
                     StoreError::Backend(BackendError::Io(std::io::Error::other(e.to_string())));
@@ -143,17 +167,20 @@ pub fn recover_from_parts<S: AsRef<[u8]>>(
             }
         };
         let started = Instant::now();
-        let replayed = replay_log_tail(&mut world, log, snapshot_seq)?;
-        world.refresh_views();
-        stats.replay = started.elapsed();
-        stats.records_decoded = replayed as u64;
+        for record in &tail {
+            record.redo(&mut world, &mut catalog)?;
+        }
+        stats.replay = waited + started.elapsed();
+        stats.records_decoded = tail.len() as u64;
+        [stats.indexes, stats.views] = world.import_catalog_on(&catalog, workers)?;
         return Ok(Recovered {
             world,
             snapshot_seq,
-            replayed,
+            replayed: tail.len(),
             stats,
         });
     }
+    Err(last_err)
 }
 
 /// In-memory `(seq, bytes)` parts, ascending by `seq` as a backend lists
@@ -1598,7 +1625,9 @@ mod tests {
     #[test]
     fn recovery_tolerates_a_corrupt_latest_snapshot() {
         use std::io::Write;
+        let registry = MetricsRegistry::new();
         let mut s = fresh(1, "wal-snap-fallback");
+        s.attach_metrics(&registry);
         let e = s.world_mut().spawn_at(Vec2::ZERO);
         s.world_mut().set(e, "hp", Value::Float(3.0)).unwrap();
         s.checkpoint().unwrap();
@@ -1610,8 +1639,20 @@ mod tests {
         let mut f = std::fs::File::create(&path).unwrap();
         f.write_all(b"scribble").unwrap();
         drop(f);
-        let (recovered, _) = s.crash_and_recover().unwrap();
+        // the tail after each mark: the fallback's must be decoded from
+        // its own mark 0, not from the mark of the snapshot that failed
+        let (records, _) = decode_log(&s.backend().read_log().unwrap());
+        let after = |seq| {
+            let mark = WalRecord::CheckpointMark { seq };
+            records.len() - 1 - records.iter().position(|r| *r == mark).unwrap()
+        };
+        assert!(after(0) > after(1) + 1);
+        let (recovered, replayed) = s.crash_and_recover().unwrap();
         assert_eq!(recovered.world().get_f32(e, "hp"), Some(9.0));
+        assert_eq!(replayed, after(0), "the tail of snapshot 0's mark");
+        let counts = registry.snapshot();
+        assert_eq!(counts.counter("recover.snapshots_read"), 2);
+        assert_eq!(counts.counter("recover.records_decoded"), after(0) as u64);
     }
 
     /// Snapshots are never pruned and the log keeps every frame, so a
@@ -1653,9 +1694,12 @@ mod tests {
 
     /// Catalog records inside the replayed tail — a view registered, one
     /// retargeted, one dropped, ticks on every side of each — recover
-    /// with `TickTo` moving the counter only and one fold at the end.
-    /// The oracle replays the same tail with a fold at every `TickTo`,
-    /// as recovery used to: same rows, catalog, and view outputs.
+    /// with `TickTo` moving the counter only, and no fold at all: the
+    /// tail is redone into rows and catalog, then every view is seeded
+    /// once. (Recovery once folded the tail once at the end, and before
+    /// that at every `TickTo`.) The oracle replays the same tail live
+    /// with a fold at every `TickTo`: same rows, catalog, and view
+    /// outputs.
     #[test]
     fn one_fold_at_the_end_equals_a_fold_per_replayed_tick() {
         use gamedb_core::{AggFn, JoinOn, PlanNode, ViewPlan};
@@ -1762,11 +1806,13 @@ mod tests {
             assert_eq!(w.view_output(v), oracle.view_output(v));
             assert_eq!(w.view_output(v), w.view_plan(v).unwrap().evaluate(w).unwrap());
         }
-        assert_eq!(
-            w.view_stats(join).refreshes,
-            1,
-            "three ticks were replayed after the join registered; they folded once"
-        );
+        for v in [bubble, wealth, join] {
+            assert_eq!(
+                w.view_stats(v).refreshes,
+                0,
+                "the tail was redone before the views were seeded: nothing folded"
+            );
+        }
     }
 
     #[test]
@@ -2037,5 +2083,370 @@ mod tests {
         s.wait_durable(CommitSeq(u64::MAX)).unwrap();
         assert_eq!(s.last_durable(), CommitSeq(1));
         let _ = e;
+    }
+
+    // ---- recovery's redo-then-derive vs the live-replay oracle ----
+
+    /// Values a redo must carry bit for bit: NaN, both zeros, both
+    /// infinities, `Int`s past 2^53, empty strings.
+    const FLOATS: [f32; 6] = [f32::NAN, -0.0, 0.0, f32::INFINITY, f32::NEG_INFINITY, 2.5];
+    const INTS: [i64; 4] = [(1 << 53) + 1, -(1 << 60) - 3, i64::MAX, 7];
+    const NAMES: [&str; 3] = ["", "red", "blue"];
+
+    fn special(rng: &mut rand::rngs::StdRng, ty: ValueType) -> Value {
+        use rand::Rng;
+        let f = |rng: &mut rand::rngs::StdRng| FLOATS[rng.gen_range(0..FLOATS.len())];
+        match ty {
+            ValueType::Float => Value::Float(f(rng)),
+            ValueType::Int => Value::Int(INTS[rng.gen_range(0..INTS.len())]),
+            ValueType::Bool => Value::Bool(rng.gen_bool(0.5)),
+            ValueType::Str => Value::Str(NAMES[rng.gen_range(0..NAMES.len())].into()),
+            ValueType::Vec2 if rng.gen_bool(0.3) => Value::Vec2(f(rng), f(rng)),
+            ValueType::Vec2 => {
+                Value::Vec2(rng.gen_range(-12.0f32..12.0), rng.gen_range(-12.0f32..12.0))
+            }
+        }
+    }
+
+    /// Plans over the image's columns: rows, spatial, both joins, groups.
+    fn plans() -> Vec<gamedb_core::ViewPlan> {
+        use gamedb_core::{AggFn, JoinOn, PlanNode, ViewPlan};
+        let alive = Query::select().filter("alive", CmpOp::Eq, Value::Bool(true));
+        vec![
+            Query::select().filter("hp", CmpOp::Lt, Value::Float(1.0)).into_plan(),
+            Query::select().within(Vec2::new(0.0, 0.0), 8.0).into_plan(),
+            ViewPlan::join(
+                PlanNode::scan(alive.clone()),
+                PlanNode::scan(Query::select()),
+                JoinOn::Eq {
+                    left: "name".into(),
+                    right: "name".into(),
+                },
+            ),
+            ViewPlan::join(
+                PlanNode::scan(alive),
+                PlanNode::scan(Query::select()),
+                JoinOn::Within { radius: 3.0 },
+            ),
+            Query::select().into_grouped_plan("name", AggFn::Sum("hp".into())).unwrap(),
+            Query::select().into_grouped_plan("alive", AggFn::Max("gold".into())).unwrap(),
+            Query::select().into_aggregate_plan(AggFn::Avg("hp".into())).unwrap(),
+        ]
+    }
+
+    /// A seeded image (snapshot seq 1: both index kinds, every plan, a
+    /// burned view slot, id holes) and a log: its mark, then a tail of
+    /// every record kind, committed as single-op and batch frames, and
+    /// sometimes its last frame appended twice.
+    fn image_and_tail(seed: u64, image: usize, steps: usize) -> (Vec<u8>, Vec<u8>) {
+        use gamedb_core::{ViewId, POS};
+        use rand::{Rng, SeedableRng};
+        let rng = &mut rand::rngs::StdRng::seed_from_u64(seed);
+        let mut w = World::new();
+        let mut columns = vec![(POS.to_string(), ValueType::Vec2)];
+        for (name, ty) in [
+            ("hp", ValueType::Float),
+            ("gold", ValueType::Int),
+            ("alive", ValueType::Bool),
+            ("name", ValueType::Str),
+        ] {
+            w.define_component(name, ty).unwrap();
+            columns.push((name.to_string(), ty));
+        }
+        w.create_index("gold", IndexKind::Sorted).unwrap();
+        w.create_index("name", IndexKind::Hash).unwrap();
+        let mut live = Vec::new();
+        let write = |w: &mut World, rng: &mut rand::rngs::StdRng, e, columns: &[(String, ValueType)]| {
+            let (name, ty) = &columns[rng.gen_range(0..columns.len())];
+            let value = special(rng, *ty);
+            w.set(e, name, value).unwrap();
+        };
+        for _ in 0..image {
+            let e = w.spawn();
+            for _ in 0..4 {
+                write(&mut w, rng, e, &columns);
+            }
+            live.push(e);
+        }
+        for _ in 0..image / 8 {
+            w.despawn(live.swap_remove(rng.gen_range(0..live.len())));
+        }
+        let burned = w.register_view(Query::select());
+        let mut views: Vec<ViewId> =
+            plans().into_iter().map(|p| w.register_view_plan(p).unwrap()).collect();
+        w.drop_view(burned);
+        w.advance_tick_to(3);
+        let snapshot = snapshot::encode(&w).to_vec();
+
+        let tap = w.attach_tap_pinned();
+        // what a `WalStore` commit frames: the pending segment as one op
+        // or one batch
+        let commit = |w: &mut World, frames: &mut Vec<Vec<u8>>| {
+            let mut ops: Vec<WalRecord> =
+                w.tap_pending(tap).iter().map(WalRecord::from_change).collect();
+            w.ack_tap(tap);
+            match ops.len() {
+                0 => {}
+                1 => frames.push(ops.remove(0).encode().to_vec()),
+                _ => frames.push(WalRecord::Batch { ops }.encode().to_vec()),
+            }
+        };
+        let mut frames: Vec<Vec<u8>> = Vec::new();
+        let mut extra = 0;
+        for _ in 0..steps {
+            let pick = |rng: &mut rand::rngs::StdRng, live: &[EntityId]| {
+                (!live.is_empty()).then(|| live[rng.gen_range(0..live.len())])
+            };
+            match rng.gen_range(0..15) {
+                0..=2 => {
+                    if let Some(e) = pick(rng, &live) {
+                        write(&mut w, rng, e, &columns);
+                    }
+                }
+                3 => {
+                    if let Some(e) = pick(rng, &live) {
+                        let (name, _) = &columns[rng.gen_range(0..columns.len())];
+                        w.remove_component(e, name).unwrap();
+                    }
+                }
+                4 => {
+                    if !live.is_empty() {
+                        w.despawn(live.swap_remove(rng.gen_range(0..live.len())));
+                    }
+                }
+                // a freed slot is reused at its next generation
+                5 => live.push(match special(rng, ValueType::Vec2) {
+                    Value::Vec2(x, y) if rng.gen_bool(0.7) => w.spawn_at(Vec2::new(x, y)),
+                    _ => w.spawn(),
+                }),
+                6 => {
+                    let ty = [ValueType::Float, ValueType::Int, ValueType::Str][rng.gen_range(0..3)];
+                    let name = format!("extra{extra}");
+                    extra += 1;
+                    w.define_component(&name, ty).unwrap();
+                    columns.push((name, ty));
+                }
+                7 => {
+                    let (name, _) = &columns[rng.gen_range(0..columns.len())];
+                    let kind = [IndexKind::Hash, IndexKind::Sorted][rng.gen_range(0..2)];
+                    let _ = w.create_index(name, kind);
+                }
+                8 => {
+                    let (name, _) = &columns[rng.gen_range(0..columns.len())];
+                    w.drop_index(name);
+                }
+                9 => {
+                    let plan = plans().swap_remove(rng.gen_range(0..plans().len()));
+                    views.push(w.register_view_plan(plan).unwrap());
+                }
+                10 => {
+                    // joins and groups refuse and log nothing; now and
+                    // then the log says otherwise, and both recoveries
+                    // must fail on it alike
+                    if let Some(&v) = views.get(rng.gen_range(0..views.len().max(1))) {
+                        let Value::Vec2(x, y) = special(rng, ValueType::Vec2) else { unreachable!() };
+                        let radius = rng.gen_range(0.0f32..9.0);
+                        let refused = w.retarget_view(v, Vec2::new(x, y), radius).is_err();
+                        if refused && rng.gen_bool(0.1) {
+                            commit(&mut w, &mut frames);
+                            let slot = v.slot();
+                            frames.push(WalRecord::RetargetView { slot, x, y, radius }.encode().to_vec());
+                        }
+                    }
+                }
+                11 => {
+                    if !views.is_empty() {
+                        w.drop_view(views.swap_remove(rng.gen_range(0..views.len())));
+                    }
+                }
+                12 => {
+                    let next = w.tick() + rng.gen_range(1..3);
+                    w.advance_tick_to(next);
+                }
+                // a stale `TickTo` the counter must not follow back
+                13 => {
+                    commit(&mut w, &mut frames);
+                    let tick = w.tick().saturating_sub(rng.gen_range(1..3));
+                    frames.push(WalRecord::TickTo { tick }.encode().to_vec());
+                }
+                // legacy records: a positioned `Spawn` of a live id, a
+                // write addressed by name
+                _ => {
+                    if let Some(e) = pick(rng, &live) {
+                        let Value::Vec2(x, y) = special(rng, ValueType::Vec2) else { unreachable!() };
+                        let hp = special(rng, ValueType::Float);
+                        let records = [
+                            WalRecord::Spawn { entity: e, x, y },
+                            WalRecord::Set {
+                                entity: e,
+                                component: "hp".into(),
+                                value: hp.clone(),
+                            },
+                        ];
+                        commit(&mut w, &mut frames);
+                        frames.extend(records.iter().map(|r| r.encode().to_vec()));
+                        w.set_pos(e, Vec2::new(x, y)).unwrap();
+                        w.set(e, "hp", hp).unwrap();
+                        w.ack_tap(tap);
+                    }
+                }
+            }
+            if rng.gen_bool(0.6) {
+                commit(&mut w, &mut frames);
+            }
+        }
+        if rng.gen_bool(0.5) {
+            if let Some(last) = frames.last().cloned() {
+                frames.push(last);
+            }
+        }
+        let mut log = WalRecord::CheckpointMark { seq: 1 }.encode().to_vec();
+        log.extend(frames.concat());
+        (snapshot, log)
+    }
+
+    /// `recovered` and `oracle` are the same database, and `recovered`
+    /// agrees with the oracles of each derived structure: every view
+    /// with `ViewPlan::evaluate`, every index probe with a scan, the
+    /// grid with `BruteForce` over the `pos` column.
+    fn same_database(recovered: &World, oracle: &World) -> Result<(), TestCaseError> {
+        use gamedb_spatial::{BruteForce, SpatialIndex};
+        let (r, o) = (recovered, oracle);
+        let shown = |w: &World| format!("{:?} {:?}", w.rows(), w.export_catalog());
+        prop_assert_eq!(shown(r), shown(o));
+        prop_assert_eq!(r.tick(), o.tick());
+        prop_assert_eq!(&snapshot::encode(r)[..], &snapshot::encode(o)[..]);
+        for v in r.view_ids() {
+            let plan = r.view_plan(v).unwrap();
+            let out = format!("{:?}", r.view_output(v));
+            prop_assert_eq!(&out, &format!("{:?}", plan.evaluate(r).unwrap()));
+            prop_assert_eq!(&out, &format!("{:?}", plan.evaluate(o).unwrap()));
+        }
+        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(5);
+        for (component, _) in r.export_catalog().indexes {
+            let ty = r.component_type(&component).unwrap();
+            for _ in 0..6 {
+                let value = special(&mut rng, ty);
+                for op in [CmpOp::Eq, CmpOp::Lt, CmpOp::Ge] {
+                    let mut got = Vec::new();
+                    if r.index_probe(&component, op, &value, &mut got) {
+                        let scan = Query::select().filter(component.clone(), op, value.clone());
+                        prop_assert_eq!(got, scan.run_scan(r), "{} {:?} {:?}", component, op, value);
+                    }
+                }
+            }
+        }
+        let mut brute = BruteForce::new();
+        for e in r.entities() {
+            if let Some(p) = r.pos(e) {
+                brute.insert(e.to_bits(), p);
+            }
+        }
+        for center in [(0.0, 0.0), (3.0, -2.0), (f32::INFINITY, 0.0), (f32::NAN, 1.0)] {
+            let center = Vec2::new(center.0, center.1);
+            let (mut near, mut want) = (Vec::new(), Vec::new());
+            r.within(center, 6.0, &mut near);
+            brute.query_range(center, 6.0, &mut want);
+            let mut want: Vec<EntityId> = want.into_iter().map(EntityId::from_bits).collect();
+            want.sort_unstable();
+            prop_assert_eq!(near, want);
+            let (mut near, mut want) = (Vec::new(), Vec::new());
+            r.knn(center, 4, &mut near);
+            brute.query_knn(center, 4, &mut want);
+            prop_assert_eq!(near.iter().map(|e| e.to_bits()).collect::<Vec<_>>(), want);
+        }
+        let (mut r, mut o) = (r.clone(), o.clone());
+        for _ in 0..3 {
+            prop_assert_eq!(r.spawn(), o.spawn());
+        }
+        Ok(())
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::default())]
+
+        /// Recovery redoes the tail into rows and catalog and derives
+        /// once; the oracle decodes the snapshot with its derived state,
+        /// applies each tail record to the live world and folds. Over
+        /// seeded images and tails of every record kind (slot reuse,
+        /// `Define`, index and view lifecycle, retargets, ticks, legacy
+        /// records, a duplicated tail) the two are the same database,
+        /// or fail with the same error.
+        #[test]
+        fn redo_then_derive_equals_live_replay(
+            seed in any::<u64>(),
+            image in 0usize..48,
+            steps in 0usize..64,
+        ) {
+            let (snapshot, log) = image_and_tail(seed, image, steps);
+            let workers = 1 + (seed % 3) as usize;
+            let recovered = recover_on(workers, newest_first(&[(1u64, &snapshot)]), &log);
+            let (mut oracle, _) = snapshot::decode(&snapshot).unwrap();
+            let replayed = decode_tail(&log, 1).iter().try_for_each(|r| r.apply(&mut oracle));
+            oracle.refresh_views();
+            match (recovered, replayed) {
+                (Ok(r), Ok(())) => same_database(&r.world, &oracle)?,
+                (Err(StoreError::Core(got)), Err(want)) => prop_assert_eq!(got, want),
+                (got, want) => prop_assert!(false, "recovery {:?}, oracle {:?}", got.err(), want),
+            }
+        }
+    }
+
+    /// The derive pool's schedule changes neither the result nor the
+    /// error: one worker and three recover the same bytes, and a
+    /// catalog whose jobs fail returns the first failing job's error in
+    /// catalog order on both.
+    #[test]
+    fn derive_schedule_changes_neither_result_nor_error() {
+        use gamedb_core::{AggFn, JoinOn, PlanNode, ViewPlan};
+        let mut recovered = 0;
+        for seed in 0..8 {
+            let (snap, log) = image_and_tail(seed, 40, 60);
+            let parts = [(1u64, &snap)];
+            let encoded = |workers| {
+                recover_on(workers, newest_first(&parts), &log)
+                    .map(|r| snapshot::encode(&r.world))
+                    .map_err(|e| format!("{e:?}"))
+            };
+            let one = encoded(1);
+            assert_eq!(one, encoded(3), "seed {seed}");
+            recovered += one.is_ok() as usize;
+        }
+        assert!(recovered >= 4, "most seeds recover: {recovered} of 8");
+        let (snap, _) = image_and_tail(0, 40, 0);
+
+        let rows = || snapshot::decode_phased(&snap, &mut RecoveryStats::default()).unwrap();
+        let (_, mut cat) = rows();
+        cat.indexes = vec![
+            ("ghost_a".into(), IndexKind::Sorted),
+            ("ghost_b".into(), IndexKind::Hash),
+            ("hp".into(), IndexKind::Sorted),
+        ];
+        for workers in [1, 3] {
+            let (mut w, _) = rows();
+            let err = w.import_catalog_on(&cat, workers).unwrap_err();
+            assert_eq!(err, CoreError::UnknownComponent("ghost_a".into()), "{workers} workers");
+        }
+        cat.indexes.clear();
+        let bad_join = ViewPlan::join(
+            PlanNode::scan(Query::select()),
+            PlanNode::scan(Query::select()),
+            JoinOn::Within { radius: 0.0 },
+        );
+        let bad_group =
+            ViewPlan::group_by(PlanNode::scan(Query::select()), "hp", AggFn::ArgMin("hp".into()));
+        cat.views.extend([(40, bad_join), (41, bad_group)]);
+        cat.view_slots = 42;
+        for workers in [1, 3] {
+            let (mut w, _) = rows();
+            let err = w.import_catalog_on(&cat, workers).unwrap_err();
+            assert_eq!(
+                err,
+                CoreError::PlanInvalid("spatial join radius must be finite and positive"),
+                "{workers} workers"
+            );
+        }
     }
 }

@@ -5,18 +5,21 @@
 //! without one. Every hook is a relaxed atomic bump behind a handle
 //! resolved at attach time; this fails the moment one allocates.
 //!
-//! The counting allocator is process-global, so this binary holds this
-//! one test alone, and it counts only the allocations of the thread that
-//! opened a window.
+//! The snapshot checksum gates everything sized by a snapshot's
+//! contents: a forged image fails its checksum having allocated nothing.
+//!
+//! The counting allocator is process-global, so it counts only the
+//! allocations of the thread that opened a window, and the tests here
+//! may run side by side.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use gamedb_content::{CmpOp, Value, ValueType};
-use gamedb_core::{IndexKind, Query, World, WriteBatch};
+use gamedb_core::{EntityId, IndexKind, Query, World, WriteBatch};
 use gamedb_metrics::MetricsRegistry;
-use gamedb_persist::{temp_dir, Backend, WalStore};
+use gamedb_persist::{decode, encode, temp_dir, Backend, SnapshotError, WalStore};
 use gamedb_spatial::Vec2;
 
 struct CountingAlloc;
@@ -106,4 +109,34 @@ fn metrics_hooks_allocate_nothing_per_tick() {
     assert!(snap.counter("change.batches") > 0);
     assert!(snap.counter("wal.commits") > 0);
     assert!(snap.counter("view.refreshes") > 0);
+}
+
+/// An image whose entity list names slot `u32::MAX − 1` under a wrong
+/// checksum: were the rows loaded before the checksum held, restoring
+/// the allocator would size a slot table by that slot. The checksum is
+/// checked first, so the decode fails as a mismatch having allocated
+/// nothing at all.
+#[test]
+fn checksum_holds_before_anything_is_sized_by_the_snapshot() {
+    let mut w = World::new();
+    w.define_component("hp", ValueType::Float).unwrap();
+    for i in 0..3 {
+        w.spawn_at(Vec2::new(i as f32, 0.0));
+    }
+    let mut forged = encode(&w).to_vec();
+    // body: n_schema | (len, name, type tag) per entry | n_entities | ids
+    let mut at = 24 + 4;
+    for _ in 0..w.component_count() {
+        at += 4 + u32::from_le_bytes(forged[at..at + 4].try_into().unwrap()) as usize + 1;
+    }
+    assert_eq!(u32::from_le_bytes(forged[at..at + 4].try_into().unwrap()), 3);
+    let far = EntityId::from_bits(u64::from(u32::MAX - 1));
+    forged[at + 4..at + 12].copy_from_slice(&far.to_bits().to_le_bytes());
+    let mut result = None;
+    let allocs = allocs_during(|| result = Some(decode(&forged).map(|_| ())));
+    assert!(
+        matches!(result, Some(Err(SnapshotError::ChecksumMismatch { .. }))),
+        "{result:?}"
+    );
+    assert_eq!(allocs, 0, "nothing is allocated before the checksum holds");
 }

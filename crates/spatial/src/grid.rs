@@ -44,7 +44,9 @@ pub struct UniformGrid {
     cell_size: f32,
     inv_cell: f32,
     cells: HashMap<CellKey, Cell, BuildIdHasher>,
-    positions: HashMap<ItemId, Vec2>,
+    /// Entity ids are keys the program derives, and the map is never
+    /// iterated, so the hasher can move no order.
+    positions: HashMap<ItemId, Vec2, BuildIdHasher>,
 }
 
 impl UniformGrid {
@@ -61,7 +63,7 @@ impl UniformGrid {
             cell_size,
             inv_cell: 1.0 / cell_size,
             cells: HashMap::default(),
-            positions: HashMap::new(),
+            positions: HashMap::default(),
         }
     }
 
