@@ -248,9 +248,9 @@ impl ViewPlan {
     /// Forced recompute from a cold start — the equivalence oracle every
     /// incrementally maintained instance of this plan is held equal to.
     /// Nothing is materialized that the answer does not need: a rows
-    /// root returns its source's members, a group root folds them from
-    /// a sorted run read by slot ([`GroupTable::fold_run`]); only a join
-    /// builds its operator state.
+    /// root returns its source's members, a group root folds them by
+    /// group number ([`GroupTable::fold`]); only a join builds its
+    /// operator state.
     pub fn evaluate(&self, world: &World) -> Result<PlanOutput, CoreError> {
         Ok(match compile(self)? {
             OpState::Rows(s) => PlanOutput::Rows(s.source.evaluate(world)),
@@ -258,14 +258,12 @@ impl ViewPlan {
                 let mut members = Vec::new();
                 s.source.visit(world, &mut |sel| members.extend_from_slice(sel));
                 let agg = s.table.agg;
-                let mut out = Vec::new();
-                GroupTable::fold_run(agg, world, &s.source.src, &members, |key, g, _| {
-                    out.push(GroupRow {
-                        key: key.map(key_repr),
-                        value: g.value(agg),
-                    })
+                let fold = GroupTable::fold(agg, world, &s.source.src, &members);
+                let rows = fold.groups.iter().enumerate().map(|(g, group)| GroupRow {
+                    key: fold.keys.get(g).map(key_repr),
+                    value: group.value(agg),
                 });
-                PlanOutput::Groups(out)
+                PlanOutput::Groups(rows.collect())
             }
             OpState::Join(mut s) => {
                 s.init(world);
@@ -716,6 +714,25 @@ impl SourceState {
             .select(cands, &mut |sel| members.extend(sel.iter().map(|&s| slots.id_at(s))));
         let mut next = members.iter().peekable();
         let cols = Cols::new(&self.src, world);
+        // A member keeps its key unless it was spawned or despawned, or
+        // its key column written, in this batch: any other member keeps
+        // its remembered key id, and its key is not read. Both runs
+        // ascend, as the candidates do.
+        let key_writes = match self.src.key_col.as_ref().and_then(|c| world.component_id(c)) {
+            Some(cid) => {
+                let d = ctx.comp_deltas;
+                let lo = d.partition_point(|&(c, _)| c < cid);
+                &d[lo..lo + d[lo..].partition_point(|&(c, _)| c == cid)]
+            }
+            None => &[],
+        };
+        let mut respawned = ctx.structural.iter().copied().peekable();
+        let mut rekeyed = key_writes.iter().map(|&(_, e)| e).peekable();
+        let mut moved = |c: EntityId| {
+            while respawned.next_if(|&e| e < c).is_some() {}
+            while rekeyed.next_if(|&e| e < c).is_some() {}
+            respawned.next_if_eq(&c).is_some() | rekeyed.next_if_eq(&c).is_some()
+        };
         let mut deltas = Vec::new();
         for &c in cands.iter() {
             let slot = c.index() as usize;
@@ -728,7 +745,8 @@ impl SourceState {
                     continue;
                 }
                 let old = self.rows.fields(slot);
-                let new = cols.read(slot, keys.rekey(old.key, cols.key(slot)));
+                let key = if moved(c) { keys.rekey(old.key, cols.key(slot)) } else { old.key };
+                let new = cols.read(slot, key);
                 if !new.same(&old) {
                     self.rows.put(slot, c, new);
                     deltas.push(RowDelta { id: c, old: Some(old), new: Some(new) });
@@ -1189,21 +1207,58 @@ fn key_repr(k: KeyRef<'_>) -> Value {
     }
 }
 
-/// One member of a sorted run: its group key's prefix, its slot,
-/// whether the prefix spells out the whole key (so rows tied on the
-/// prefix are tied on the key), and its aggregate input (NaN: none).
+/// One keyed member of a sorted run: its group key's prefix, its
+/// position in the member list, and whether the prefix spells out the
+/// whole key (so rows tied on the prefix are tied on the key).
 #[derive(Debug, Clone, Copy)]
 struct RunRow {
     prefix: u64,
-    slot: u32,
+    at: u32,
     exact: bool,
-    val: f64,
+}
+
+/// Where the key of each group of a fold comes from; group `g` is the
+/// `g`-th in key order.
+enum GroupKeys<'w> {
+    /// No key column: every member is in the one global group (none when
+    /// there are no members). A key column not defined has no groups.
+    Global(usize),
+    /// An indexed column: group `g` is the index's key id `ids[g].1`.
+    Index(&'w KeyTable, Vec<(u64, u32)>),
+    /// An unindexed column: group `g`'s key is the one at slot `at[g]`.
+    Column(&'w Column, Vec<u32>),
+}
+
+impl<'w> GroupKeys<'w> {
+    fn len(&self) -> usize {
+        match self {
+            GroupKeys::Global(n) => *n,
+            GroupKeys::Index(_, ids) => ids.len(),
+            GroupKeys::Column(_, at) => at.len(),
+        }
+    }
+
+    /// The key of group `g`; `None` for the global group.
+    fn get(&self, g: usize) -> Option<KeyRef<'w>> {
+        match *self {
+            GroupKeys::Global(_) => None,
+            GroupKeys::Index(table, ref ids) => table.get(ids[g].1),
+            GroupKeys::Column(col, ref at) => KeyRef::at(col, at[g] as usize),
+        }
+    }
+}
+
+/// A group fold: each member's group number ([`NO_KEY`]: none), groups
+/// numbered in key order, and each group's key and state by number.
+struct GroupFold<'w> {
+    of: Vec<u32>,
+    keys: GroupKeys<'w>,
+    groups: Vec<GroupAgg>,
 }
 
 /// The group table: running state per group id — the group key's id in
-/// the operator's [`KeyTable`], 0 for the global group — seeded from a
-/// sorted run ([`GroupTable::fold_run`]) and folded one ±row at a time
-/// after.
+/// the operator's [`KeyTable`], 0 for the global group — seeded by one
+/// fold ([`GroupTable::fold`]) and folded one ±row at a time after.
 #[derive(Debug, Clone)]
 struct GroupTable {
     agg: AggKind,
@@ -1216,75 +1271,100 @@ struct GroupTable {
 }
 
 impl GroupTable {
-    /// The sorted-run builder — the one way a group table is seeded
-    /// ([`GroupState::init`]) and a group plan evaluated. `members`
-    /// (ascending live slots) are read into a run of [`RunRow`]s, and
-    /// the run is put in key order by a stable radix sort on the key's
-    /// order-preserving prefix ([`KeyRef::prefix`]). Full keys are
-    /// compared only inside a stretch whose prefixes tie and which holds
-    /// a key the prefix does not spell out — strings sharing their first
-    /// eight bytes, or a short string and itself plus trailing `\0`s —
-    /// by a stable sort. Id order within a group survives both, so every
+    /// The one group fold — how a group plan is evaluated and a group
+    /// table seeded ([`GroupState::init`]). `members` (ascending live
+    /// slots) are numbered by group ([`GroupTable::number`]) and folded
+    /// into a dense accumulator by group number, in slot order, so every
     /// group folds its rows in the order per-row inserts would (sums are
-    /// bit-identical). `each` receives each group's key, state and run,
-    /// in key order. Rows without a group key (missing, or NaN) belong to
-    /// no group; without a key column every member is in the one global
-    /// group.
-    fn fold_run<'w>(
-        agg: AggKind,
-        world: &'w World,
-        src: &Source,
-        members: &[u32],
-        mut each: impl FnMut(Option<KeyRef<'w>>, GroupAgg, &[RunRow]),
-    ) {
+    /// bit-identical). Rows without a group key (missing, or NaN) belong
+    /// to no group; without a key column every member is in the one
+    /// global group.
+    fn fold<'w>(agg: AggKind, world: &'w World, src: &Source, members: &[u32]) -> GroupFold<'w> {
+        let (of, keys) = GroupTable::number(world, src, members);
         let val_col = src.val_col.as_ref().and_then(|c| world.column(c));
         let slots = world.slots();
-        let fold = |run: &[RunRow]| {
-            let mut g = GroupAgg::default();
-            for r in run {
-                g.add(agg, || slots.id_at(r.slot), OrdF64::new(r.val).map(|o| (o, r.val)));
+        let mut groups: Vec<GroupAgg> = (0..keys.len()).map(|_| GroupAgg::default()).collect();
+        for (&slot, &g) in members.iter().zip(&of) {
+            if g != NO_KEY {
+                let val = val_col.and_then(|c| c.get_number(slot as usize)).unwrap_or(f64::NAN);
+                let val = OrdF64::new(val).map(|o| (o, val));
+                groups[g as usize].add(agg, || slots.id_at(slot), val);
             }
-            g
-        };
-        let key_col = match &src.key_col {
-            Some(c) => match world.column(c) {
-                Some(col) => Some(col),
-                None => return,
-            },
-            None => None,
-        };
-        let key = |slot: u32| key_col.and_then(|c| KeyRef::at(c, slot as usize));
-        // a column at a time: the keys, then the values of the keyed rows
-        let mut run: Vec<RunRow> = Vec::with_capacity(members.len());
-        for &slot in members {
-            let (prefix, exact) = match (key_col, key(slot)) {
-                (None, _) => (0, true),
-                (Some(_), None) => continue,
-                (Some(_), Some(k)) => (k.prefix(), k.prefix_is_key()),
-            };
-            run.push(RunRow {
-                prefix,
-                slot,
-                exact,
-                val: f64::NAN,
-            });
         }
-        if let Some(col) = val_col {
-            for r in &mut run {
-                r.val = col.get_number(r.slot as usize).unwrap_or(f64::NAN);
+        GroupFold { of, keys, groups }
+    }
+
+    /// Number the groups of `members` in key order: each member's group
+    /// number ([`NO_KEY`]: no key, as for every member when the key
+    /// column is not defined) and the groups' keys.
+    ///
+    /// An indexed column's key ids are read from the index
+    /// ([`SecondaryIndex::key_id`]): no column read, no hash and no
+    /// string touched per row, and only the distinct ids are put in key
+    /// order ([`KeyTable::sort`]). An unindexed column's keyed members
+    /// are put in key order by a stable radix sort on the key's
+    /// order-preserving prefix ([`KeyRef::prefix`]); full keys are
+    /// compared only inside a stretch whose prefixes tie and which holds
+    /// a key the prefix does not spell out — strings sharing their first
+    /// eight bytes, or a short string and itself plus trailing `\0`s.
+    ///
+    /// [`SecondaryIndex::key_id`]: crate::index::SecondaryIndex::key_id
+    fn number<'w>(world: &'w World, src: &Source, members: &[u32]) -> (Vec<u32>, GroupKeys<'w>) {
+        let Some(key_col) = &src.key_col else {
+            let global = GroupKeys::Global(usize::from(!members.is_empty()));
+            return (vec![0; members.len()], global);
+        };
+        if let Some(idx) = world.index_on(key_col) {
+            let table = idx.keys();
+            let mut of: Vec<u32> = members.iter().map(|&s| idx.key_id(s as usize)).collect();
+            // each key id's group number; first a mark that it is in use
+            let mut number = vec![NO_KEY; table.id_bound()];
+            let mut ids = Vec::with_capacity(members.len().min(table.id_bound()));
+            for &k in &of {
+                if k != NO_KEY && number[k as usize] == NO_KEY {
+                    number[k as usize] = 0;
+                    ids.push((table.prefix(k), k));
+                }
+            }
+            table.sort(&mut ids);
+            for (g, &(_, k)) in (0u32..).zip(&ids) {
+                number[k as usize] = g;
+            }
+            for k in of.iter_mut().filter(|k| **k != NO_KEY) {
+                *k = number[*k as usize];
+            }
+            return (of, GroupKeys::Index(table, ids));
+        }
+        let Some(col) = world.column(key_col) else {
+            return (vec![NO_KEY; members.len()], GroupKeys::Global(0));
+        };
+        let key = |at: u32| KeyRef::at(col, members[at as usize] as usize);
+        let mut run: Vec<RunRow> = Vec::with_capacity(members.len());
+        for at in 0..members.len() as u32 {
+            if let Some(k) = key(at) {
+                run.push(RunRow {
+                    prefix: k.prefix(),
+                    at,
+                    exact: k.prefix_is_key(),
+                });
             }
         }
         radix_sort::<_, 8>(&mut run, |r| r.prefix);
+        let mut of = vec![NO_KEY; members.len()];
+        let mut first = Vec::new();
         for tie in run.chunk_by_mut(|a, b| a.prefix == b.prefix) {
-            if tie.iter().all(|r| r.exact) {
-                each(key(tie[0].slot), fold(tie), tie);
-                continue;
+            let exact = tie.iter().all(|r| r.exact);
+            if !exact {
+                tie.sort_by(|a, b| key(a.at).cmp(&key(b.at)));
             }
-            tie.sort_by(|a, b| key(a.slot).cmp(&key(b.slot)));
-            for group in tie.chunk_by(|a, b| key(a.slot) == key(b.slot)) {
-                each(key(group[0].slot), fold(group), group);
+            for group in tie.chunk_by(|a, b| exact || key(a.at) == key(b.at)) {
+                for r in group {
+                    of[r.at as usize] = first.len() as u32;
+                }
+                first.push(members[group[0].at as usize]);
             }
         }
+        (of, GroupKeys::Column(col, first))
     }
 
     /// The state of group `g`, flagged touched.
@@ -1409,12 +1489,8 @@ impl GroupState {
         d.clear();
         let keys = &self.keys;
         self.order.clear();
-        let keyed = |g: u32| (keys.get(g).map_or(0, KeyRef::prefix), g);
-        self.order.extend(self.table.touched.drain(..).map(keyed));
-        radix_sort::<_, 8>(&mut self.order, |&(p, _)| p);
-        for tie in self.order.chunk_by_mut(|a, b| a.0 == b.0) {
-            tie.sort_unstable_by(|a, b| keys.order(a.1, b.1));
-        }
+        self.order.extend(self.table.touched.drain(..).map(|g| (keys.prefix(g), g)));
+        keys.sort(&mut self.order);
         self.edits.clear();
         let mut at = 0;
         for &(p, g) in &self.order {
@@ -1490,30 +1566,31 @@ impl GroupState {
         done
     }
 
-    /// Seed from the sorted run: each group's key is interned once, for
-    /// all its rows, and the output is built in the run's key order.
+    /// Seed from one fold ([`GroupTable::fold`]): each group's key is
+    /// interned once, for all its rows, and the output is built in key
+    /// order.
     fn init(&mut self, world: &World) {
         let members: Vec<u32> = self.source.init(world, None).iter().map(|id| id.index()).collect();
         let agg = self.table.agg;
-        let (keys, groups) = (&mut self.keys, &mut self.table.groups);
-        let (out, out_keys) = (&mut self.out, &mut self.out_keys);
-        let slot_keys = &mut self.source.rows.keys;
-        GroupTable::fold_run(agg, world, &self.source.src, &members, |key, g, run| {
-            let id = key.map_or(0, |k| keys.intern(k, run.len() as u32));
-            if let Some(v) = slot_keys.as_mut() {
-                for r in run {
-                    v[r.slot as usize] = id;
-                }
-            }
-            out.push(GroupRow {
+        let fold = GroupTable::fold(agg, world, &self.source.src, &members);
+        let keys = &mut self.keys;
+        for (g, group) in fold.groups.iter().enumerate() {
+            let key = fold.keys.get(g);
+            let id = key.map_or(0, |k| keys.intern(k, group.rows as u32));
+            // a fresh table hands out ids in key order: 0, 1, 2, …
+            debug_assert_eq!(id as usize, g);
+            self.out.push(GroupRow {
                 key: key.map(key_repr),
-                value: g.value(agg),
+                value: group.value(agg),
             });
-            out_keys.push((key.map_or(0, KeyRef::prefix), id));
-            // a fresh table hands out ids in the run's order: 0, 1, 2, …
-            debug_assert_eq!(groups.len(), id as usize);
-            groups.push(g);
-        });
+            self.out_keys.push((keys.prefix(id), id));
+        }
+        if let Some(v) = self.source.rows.keys.as_mut() {
+            for (&slot, &g) in members.iter().zip(&fold.of) {
+                v[slot as usize] = g;
+            }
+        }
+        self.table.groups = fold.groups;
     }
 }
 
@@ -2307,6 +2384,93 @@ mod tests {
                 assert_eq!(w.view_stats(v).rescans, 0);
                 assert_oracle(&w, v);
             }
+        }
+    }
+
+    /// A refresh re-reads a member's key only when the member was spawned
+    /// or despawned, or its key column written, in the batch; every other
+    /// candidate keeps its remembered key id. One batch mixes value-only
+    /// writes, key writes (to a new key, to another live key, to the same
+    /// key), a removed key, a despawn whose slot a spawn reuses and a
+    /// restore one generation below the tenant it replaces. Two group
+    /// views and an equi-join on the key equal a recompute after every
+    /// refresh, with a subscriber and without one.
+    #[test]
+    fn group_view_rekeys_only_rows_whose_key_moved() {
+        for subscribed in [false, true] {
+            let mut w = world();
+            let ids: Vec<EntityId> = (0..12)
+                .map(|i| {
+                    let e = w.spawn_at(Vec2::ZERO);
+                    team(&mut w, e, ["red", "blue", "green"][i % 3]);
+                    w.set(e, "gold", Value::Int(i as i64)).unwrap();
+                    w.set_f32(e, "hp", i as f32).unwrap();
+                    e
+                })
+                .collect();
+            let all = || PlanNode::scan(Query::select());
+            let by_team = JoinOn::Eq { left: "team".into(), right: "team".into() };
+            let views = [
+                ViewPlan::group_by(all(), "team", AggFn::Sum("gold".into())),
+                ViewPlan::group_by(all(), "team", AggFn::Max("hp".into())),
+                ViewPlan::join(all(), all(), by_team),
+            ]
+            .map(|plan| w.register_view_plan(plan).unwrap());
+            if subscribed {
+                views.iter().for_each(|&v| w.subscribe_view(v));
+            }
+            let check = |w: &mut World| {
+                w.refresh_views();
+                for &v in &views {
+                    assert_oracle(w, v);
+                }
+                if subscribed {
+                    for &v in &views[..2] {
+                        let d = take::<GroupRow>(w, v);
+                        let out = w.view_groups(v);
+                        assert!(d.entered.iter().chain(&d.changed).all(|r| out.contains(r)));
+                        assert!(d.exited.iter().all(|r| out.iter().all(|o| o.key != r.key)));
+                    }
+                    take::<(EntityId, EntityId)>(w, views[2]);
+                }
+            };
+            // give slot 8 a second generation, so a restore can go below it
+            w.despawn(ids[8]);
+            let tenant = w.spawn_at(Vec2::ZERO);
+            assert_eq!(tenant.index(), ids[8].index(), "the slot is reused");
+            team(&mut w, tenant, "red");
+            w.set(tenant, "gold", Value::Int(80)).unwrap();
+            check(&mut w);
+
+            w.set(ids[0], "gold", Value::Int(100)).unwrap();
+            w.set(ids[1], "gold", Value::Int(-5)).unwrap();
+            w.set_f32(ids[2], "hp", 50.0).unwrap();
+            team(&mut w, ids[3], "blue");
+            team(&mut w, ids[4], "violet");
+            team(&mut w, ids[5], "green");
+            w.set(ids[5], "gold", Value::Int(7)).unwrap();
+            w.remove_component(ids[6], "team").unwrap();
+            w.set(ids[6], "gold", Value::Int(60)).unwrap();
+            w.despawn(ids[7]);
+            let reuse = w.spawn_at(Vec2::ZERO);
+            assert_eq!(reuse.index(), ids[7].index(), "the slot is reused");
+            team(&mut w, reuse, "blue");
+            w.set(reuse, "gold", Value::Int(70)).unwrap();
+            w.despawn(tenant);
+            let below = EntityId::from_bits(
+                u64::from(tenant.index()) | u64::from(tenant.generation() - 1) << 32,
+            );
+            w.restore_entity(below).unwrap();
+            team(&mut w, below, "green");
+            w.set(below, "gold", Value::Int(90)).unwrap();
+            check(&mut w);
+
+            // value-only writes after key moves: the new keys are kept
+            for &e in &ids[..7] {
+                w.set(e, "gold", Value::Int(3)).unwrap();
+            }
+            w.set(below, "gold", Value::Int(4)).unwrap();
+            check(&mut w);
         }
     }
 

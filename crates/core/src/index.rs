@@ -320,6 +320,18 @@ impl KeyTable {
         self.keys.get(id as usize)?.as_ref().map(IndexKey::as_ref)
     }
 
+    /// The cached [`KeyRef::prefix`] of `id`'s key; 0 for an id the
+    /// table never handed out (a group view's global group).
+    pub(crate) fn prefix(&self, id: u32) -> u64 {
+        self.prefixes.get(id as usize).copied().unwrap_or(0)
+    }
+
+    /// One past the largest id handed out: the length of a vector indexed
+    /// by this table's ids.
+    pub(crate) fn id_bound(&self) -> usize {
+        self.keys.len()
+    }
+
     /// How the keys of `a` and `b` — of one type, as one column's keys
     /// are — order: by their cached prefixes, and by the keys themselves
     /// only when those tie.
@@ -331,6 +343,18 @@ impl KeyTable {
         prefix(a)
             .cmp(&prefix(b))
             .then_with(|| self.get(a).cmp(&self.get(b)))
+    }
+
+    /// Put distinct `(prefix, id)` pairs, each id's cached prefix with
+    /// it, in key order: a radix sort on the prefixes, then the keys
+    /// compared inside each prefix tie ([`KeyTable::order`]).
+    pub(crate) fn sort(&self, ids: &mut [(u64, u32)]) {
+        radix_sort::<_, 8>(ids, |&(prefix, _)| prefix);
+        for tie in ids.chunk_by_mut(|a, b| a.0 == b.0) {
+            if tie.len() > 1 {
+                tie.sort_unstable_by(|a, b| self.order(a.1, b.1));
+            }
+        }
     }
 
     /// The id of `key`, if it is interned.
@@ -568,7 +592,7 @@ impl SecondaryIndex {
     /// is remembered, so only the new key is looked up.
     pub(crate) fn replace(&mut self, id: EntityId, key: Option<KeyRef<'_>>) {
         let slot = id.index() as usize;
-        let held = self.held.get(slot).map_or(NO_KEY, |h| h.key);
+        let held = self.key_id(slot);
         let kid = key.map_or(NO_KEY, |key| self.keys.id(key));
         if kid == held {
             return;
@@ -616,6 +640,17 @@ impl SecondaryIndex {
             self.order.remove(&(self.keys.prefixes[kid as usize], kid));
             self.keys.retire(kid);
         }
+    }
+
+    /// The key id live `slot` is indexed under ([`NO_KEY`]: none) — the
+    /// key its column holds, read without touching the column.
+    pub(crate) fn key_id(&self, slot: usize) -> u32 {
+        self.held.get(slot).map_or(NO_KEY, |h| h.key)
+    }
+
+    /// The live keys, by the ids [`SecondaryIndex::key_id`] returns.
+    pub(crate) fn keys(&self) -> &KeyTable {
+        &self.keys
     }
 
     /// Exact posting count for an equality probe. The planner currently

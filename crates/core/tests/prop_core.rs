@@ -2165,16 +2165,24 @@ const RUN_STRS: [&str; 8] = ["guild_000_a", "guild_000_b", "guild_000", "", "\0"
 proptest! {
     #![proptest_config(ProptestConfig::default())]
 
-    /// Group runs ordered by the eight-byte key prefix, with full keys
-    /// compared only inside prefix ties, group exactly as a full-key sort
-    /// would: string keys sharing eight bytes (`guild_000_a` /
-    /// `guild_000_b`), `""` and `"\0"`, a key and itself plus a trailing
-    /// `\0`; float keys `-0.0`, `0.0`, `±inf` and NaN; bool and vec2
-    /// keys. For every key column and group aggregate, the groups, their
-    /// order and their values (bit for bit — the sums are over fractional
-    /// floats, so they hold id order within a group) equal a `BTreeMap`
-    /// fold over `run_scan`, both from `ViewPlan::evaluate` and from a
-    /// view seeded at registration.
+    /// Group folds equal a full-key sort, whichever way the group
+    /// numbers come: from the prefix-radix run of an unindexed column, or
+    /// from a hash or sorted index's key ids put in key order. String keys
+    /// share eight bytes (`guild_000_a` / `guild_000_b`), `""` and `"\0"`,
+    /// a key and itself plus a trailing `\0`; float keys `-0.0`, `0.0`,
+    /// `±inf` and NaN; int keys 2^53 and 2^53 + 1, one group as `compare`
+    /// has them; bool and vec2 keys. For every key column and group
+    /// aggregate, the groups, their order and their values (bit for bit —
+    /// the sums are over fractional floats, so they hold id order within
+    /// a group) equal a `BTreeMap` fold over `run_scan`: from
+    /// `ViewPlan::evaluate`, from a view seeded on the spot, and from a
+    /// view registered before any index and maintained since (after
+    /// churn, a maintained sum or average is held to the keys and their
+    /// order only: subtracting what it added rounds unlike a fresh
+    /// fold). Checked once built, after a churn batch (value-only
+    /// writes, a key moved to another live key, one key emptied so its
+    /// index id retires, a new key on another row that takes the freed
+    /// id), and after every index is dropped and created again.
     #[test]
     fn group_run_prefix_sort_equals_key_sort(
         rows in proptest::collection::vec(
@@ -2183,91 +2191,181 @@ proptest! {
                 proptest::option::of(0u8..7),
                 proptest::option::of(any::<bool>()),
                 proptest::option::of((0u8..7, 0u8..7)),
+                proptest::option::of(0u8..6),
                 wide_float(),
             ),
             50..1500,
         ),
         bound in -1.0e6f32..1.0e6,
     ) {
-        use gamedb_core::PlanOutput;
+        use gamedb_core::{PlanOutput, ViewId};
+        use std::collections::BTreeMap;
         let nums = [-0.0f32, 0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN, 1.5, -2.0];
-        let mut w = World::new();
-        for (col, ty) in [
-            ("gs", ValueType::Str),
-            ("gn", ValueType::Float),
-            ("gb", ValueType::Bool),
-            ("gv", ValueType::Vec2),
-            ("val", ValueType::Float),
-        ] {
-            w.define_component(col, ty).unwrap();
-        }
-        for (i, &(s, n, b, v, val)) in rows.iter().enumerate() {
-            let e = w.spawn_at(Vec2::new(i as f32, 0.0));
-            if let Some(s) = s {
-                w.set(e, "gs", Value::Str(RUN_STRS[s as usize].into())).unwrap();
-            }
-            if let Some(n) = n {
-                w.set(e, "gn", Value::Float(nums[n as usize])).unwrap();
-            }
-            if let Some(b) = b {
-                w.set(e, "gb", Value::Bool(b)).unwrap();
-            }
-            if let Some((x, y)) = v {
-                w.set(e, "gv", Value::Vec2(nums[x as usize], nums[y as usize])).unwrap();
-            }
-            w.set_f32(e, "val", val).unwrap();
-        }
-        let unzero = |v: f64| if v == 0.0 { 0.0 } else { v };
-        for q in [
+        let ints = [1i64 << 53, (1 << 53) + 1, 0, -7, 3, i64::MIN];
+        let cols = ["gs", "gn", "gb", "gv", "gi"];
+        let queries = [
             Query::select(),
             Query::select().filter("val", CmpOp::Lt, Value::Float(bound)),
-        ] {
-            for col in ["gs", "gn", "gb", "gv"] {
-                for agg in [
-                    AggFn::Count,
-                    AggFn::Sum("val".into()),
-                    AggFn::Avg("val".into()),
-                    AggFn::Min("val".into()),
-                    AggFn::Max("val".into()),
-                ] {
-                    let mut groups: std::collections::BTreeMap<RunKey, (usize, Vec<f64>)> =
-                        Default::default();
-                    for e in q.run_scan(&w) {
+        ];
+        let aggs = [
+            AggFn::Count,
+            AggFn::Sum("val".into()),
+            AggFn::Avg("val".into()),
+            AggFn::Min("val".into()),
+            AggFn::Max("val".into()),
+        ];
+        let unzero = |v: f64| if v == 0.0 { 0.0 } else { v };
+        let check = |w: &mut World, views: &[ViewId], stage: &str, kind: Option<IndexKind>| {
+            let mut kept = views.iter();
+            for q in &queries {
+                for col in cols {
+                    let mut groups: BTreeMap<RunKey, (usize, Vec<f64>)> = BTreeMap::new();
+                    for e in q.run_scan(w) {
                         let Some(key) = w.get(e, col).as_ref().and_then(run_key) else { continue };
                         let g = groups.entry(key).or_default();
                         g.0 += 1;
                         g.1.extend(w.get_number(e, "val").filter(|v| !v.is_nan()));
                     }
-                    let want: Vec<(RunKey, u64)> = groups
-                        .into_iter()
-                        .map(|(k, (rows, vals))| {
-                            let sum = vals.iter().fold(0.0, |s, v| s + v);
-                            let value = match agg {
-                                AggFn::Count => rows as f64,
-                                AggFn::Sum(_) => sum,
-                                AggFn::Avg(_) if vals.is_empty() => 0.0,
-                                AggFn::Avg(_) => sum / vals.len() as f64,
-                                AggFn::Min(_) => vals.iter().copied().map(unzero).reduce(f64::min).unwrap_or(0.0),
-                                _ => vals.iter().copied().map(unzero).reduce(f64::max).unwrap_or(0.0),
-                            };
-                            (k, value.to_bits())
-                        })
-                        .collect();
-                    let plan = q.clone().into_grouped_plan(col, agg.clone()).unwrap();
-                    let PlanOutput::Groups(evaluated) = plan.evaluate(&w).unwrap() else {
-                        return Err(TestCaseError::fail("a group plan evaluates to groups"));
-                    };
-                    let view = w.register_view_plan(plan).unwrap();
-                    for (how, rows) in [("evaluate", evaluated), ("view", w.view_groups(view).to_vec())] {
-                        let got: Vec<(RunKey, u64)> = rows
+                    for agg in &aggs {
+                        let want: Vec<(RunKey, u64)> = groups
                             .iter()
-                            .map(|g| (g.key.as_ref().and_then(run_key).expect("a keyed group"), g.value.to_bits()))
+                            .map(|(k, (rows, vals))| {
+                                let sum = vals.iter().fold(0.0, |s, v| s + v);
+                                let value = match agg {
+                                    AggFn::Count => *rows as f64,
+                                    AggFn::Sum(_) => sum,
+                                    AggFn::Avg(_) if vals.is_empty() => 0.0,
+                                    AggFn::Avg(_) => sum / vals.len() as f64,
+                                    AggFn::Min(_) => vals.iter().copied().map(unzero).reduce(f64::min).unwrap_or(0.0),
+                                    _ => vals.iter().copied().map(unzero).reduce(f64::max).unwrap_or(0.0),
+                                };
+                                (k.clone(), value.to_bits())
+                            })
                             .collect();
-                        prop_assert_eq!(&got, &want, "{} {:?} by {} over {:?}", how, agg, col, q);
+                        let plan = q.clone().into_grouped_plan(col, agg.clone()).unwrap();
+                        let PlanOutput::Groups(evaluated) = plan.evaluate(w).unwrap() else {
+                            return Err(TestCaseError::fail("a group plan evaluates to groups"));
+                        };
+                        let fresh = w.register_view_plan(plan).unwrap();
+                        let seeded = w.view_groups(fresh).to_vec();
+                        w.drop_view(fresh);
+                        let maintained = w.view_groups(*kept.next().unwrap()).to_vec();
+                        // a maintained sum subtracts what it added, so after churn
+                        // only its keys and their order are a fresh fold's
+                        let drifts = stage != "built" && matches!(agg, AggFn::Sum(_) | AggFn::Avg(_));
+                        for (how, rows) in [("evaluate", evaluated), ("seeded", seeded), ("maintained", maintained)] {
+                            let exact = how != "maintained" || !drifts;
+                            let got: Vec<(RunKey, u64)> = rows
+                                .iter()
+                                .zip(&want)
+                                .map(|(g, w)| {
+                                    let key = g.key.as_ref().and_then(run_key).expect("a keyed group");
+                                    (key, if exact { g.value.to_bits() } else { w.1 })
+                                })
+                                .collect();
+                            prop_assert_eq!(rows.len(), want.len(), "{} {} {:?} by {} over {:?}, {:?} index", stage, how, agg, col, q, kind);
+                            prop_assert_eq!(&got, &want, "{} {} {:?} by {} over {:?}, {:?} index", stage, how, agg, col, q, kind);
+                        }
                     }
-                    w.drop_view(view);
                 }
             }
+            Ok(())
+        };
+        for kind in [None, Some(IndexKind::Hash), Some(IndexKind::Sorted)] {
+            let mut w = World::new();
+            for (col, ty) in [
+                ("gs", ValueType::Str),
+                ("gn", ValueType::Float),
+                ("gb", ValueType::Bool),
+                ("gv", ValueType::Vec2),
+                ("gi", ValueType::Int),
+                ("val", ValueType::Float),
+            ] {
+                w.define_component(col, ty).unwrap();
+            }
+            let mut ids = Vec::new();
+            for (i, &(s, n, b, v, int, val)) in rows.iter().enumerate() {
+                let e = w.spawn_at(Vec2::new(i as f32, 0.0));
+                if let Some(s) = s {
+                    w.set(e, "gs", Value::Str(RUN_STRS[s as usize].into())).unwrap();
+                }
+                if let Some(n) = n {
+                    w.set(e, "gn", Value::Float(nums[n as usize])).unwrap();
+                }
+                if let Some(b) = b {
+                    w.set(e, "gb", Value::Bool(b)).unwrap();
+                }
+                if let Some((x, y)) = v {
+                    w.set(e, "gv", Value::Vec2(nums[x as usize], nums[y as usize])).unwrap();
+                }
+                if let Some(int) = int {
+                    w.set(e, "gi", Value::Int(ints[int as usize])).unwrap();
+                }
+                w.set_f32(e, "val", val).unwrap();
+                ids.push(e);
+            }
+            let mut views = Vec::new();
+            for q in &queries {
+                for col in cols {
+                    for agg in &aggs {
+                        let plan = q.clone().into_grouped_plan(col, agg.clone()).unwrap();
+                        views.push(w.register_view_plan(plan).unwrap());
+                    }
+                }
+            }
+            let index = |w: &mut World| {
+                if let Some(kind) = kind {
+                    for col in cols {
+                        w.create_index(col, kind).unwrap();
+                    }
+                }
+            };
+            index(&mut w);
+            check(&mut w, &views, "built", kind)?;
+
+            for (i, &e) in ids.iter().enumerate().step_by(7) {
+                w.set_f32(e, "val", (i % 5) as f32 * 0.25).unwrap();
+            }
+            let (first, last) = (ids[0], ids[ids.len() - 1]);
+            let fresh = [
+                Value::Str("guild_000_c".into()),
+                Value::Float(7.25),
+                Value::Bool(false),
+                Value::Vec2(9.0, -1.0),
+                Value::Int(12),
+            ];
+            for (col, fresh) in cols.into_iter().zip(fresh) {
+                // a row moves to the key of the row after it
+                if let Some(v) = w.get(ids[1], col) {
+                    w.set(first, col, v).unwrap();
+                }
+                // the key of the row before the last empties ...
+                let mut emptied = None;
+                if let Some(key) = w.get(ids[ids.len() - 2], col) {
+                    let target = run_key(&key);
+                    for &e in &ids {
+                        if w.get(e, col).as_ref().and_then(run_key) == target {
+                            w.remove_component(e, col).unwrap();
+                        }
+                    }
+                    emptied = Some(key);
+                }
+                // ... and a new key (a bool column has none new) takes its id
+                let fresh = match (col, emptied) {
+                    ("gb", Some(key)) => key,
+                    _ => fresh,
+                };
+                w.set(last, col, fresh).unwrap();
+            }
+            w.refresh_views();
+            check(&mut w, &views, "churned", kind)?;
+
+            for col in cols {
+                w.drop_index(col);
+            }
+            index(&mut w);
+            w.refresh_views();
+            check(&mut w, &views, "re-indexed", kind)?;
         }
     }
 }

@@ -15,6 +15,11 @@
 //! `aggregate` planned onto a sorted index allocates as often, and as
 //! many bytes, at 10 % selectivity as at 70 %.
 //!
+//! A group query on an indexed key column reads the index's key ids: at
+//! a fixed row count it allocates as often at 10 groups as at 10,000
+//! with an int key, and exactly once more per output row (the row's key
+//! `String`) with a string key.
+//!
 //! A view nobody subscribed to logs nothing: under steady churn, four
 //! unsubscribed views hold no delta entries and every tick allocates
 //! exactly as often as the first tick of its shape.
@@ -276,4 +281,50 @@ fn unsubscribed_views_log_nothing_and_allocate_alike_every_tick() {
     let log = w.take_view_delta::<GroupRow>(sums).expect("subscribed");
     assert!(!log.changed.is_empty(), "the sums moved");
     assert_eq!(log.len() as u64, w.view_stats(sums).delta_rows - before);
+}
+
+#[test]
+fn group_query_allocates_per_output_key_not_per_row() {
+    // One shape, 20,000 rows, in 10 or in 10,000 groups of uneven size
+    // (every third row is in group 0, the rest spread evenly), keyed by
+    // an indexed int or string column. The group numbers come from the
+    // index's key ids, so only the output may allocate per group: a
+    // string key's `GroupRow` key, one `String` each.
+    const ROWS: usize = 20_000;
+    let allocs = |groups: usize, ty: ValueType| {
+        let mut w = World::new();
+        w.define_component("k", ty).unwrap();
+        w.define_component("v", ValueType::Float).unwrap();
+        for i in 0..ROWS {
+            let e = w.spawn();
+            let g = if i % 3 == 0 { 0 } else { i % groups };
+            let key = match ty {
+                ValueType::Int => Value::Int(g as i64 * 7),
+                // past eight bytes: at 10,000 groups a thousand share
+                // each prefix, so the keys themselves are compared
+                _ => Value::Str(format!("{:03}_guild_{g:05}", g % 10)),
+            };
+            w.set(e, "k", key).unwrap();
+            w.set(e, "v", Value::Float((i % 13) as f32 * 0.5)).unwrap();
+        }
+        w.create_index("k", IndexKind::Hash).unwrap();
+        let plan = Query::select().into_grouped_plan("k", AggFn::Sum("v".into())).unwrap();
+        // warm-up: whatever is built once per process is built
+        plan.evaluate(&w).unwrap();
+        let mut out = None;
+        let (n, _) = allocs_during(|| out = Some(plan.evaluate(&w).unwrap()));
+        let out = out.unwrap();
+        let out = out.as_groups().unwrap();
+        assert_eq!(out.len(), groups, "every group has rows");
+        let sum: f64 = out.iter().map(|g| g.value).sum();
+        assert_eq!(sum, (0..ROWS).map(|i| (i % 13) as f64 * 0.5).sum::<f64>());
+        println!("{ty:?} keys, {groups} groups: {n} allocations");
+        n
+    };
+    let int = [allocs(10, ValueType::Int), allocs(10_000, ValueType::Int)];
+    let str = [allocs(10, ValueType::Str), allocs(10_000, ValueType::Str)];
+    assert!(int[0] > 0, "the counter sees the query");
+    assert_eq!(int[0], int[1], "int keys: allocations at 10 vs 10,000 groups");
+    assert_eq!(str[0], int[0] + 10, "string keys, 10 groups: one more per output row");
+    assert_eq!(str[1], int[1] + 10_000, "string keys, 10,000 groups: one more per output row");
 }
