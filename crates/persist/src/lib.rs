@@ -23,6 +23,12 @@
 //! Write-behind is a sync store flushed per commit whose caller commits
 //! only at policy points; mutations in between are lost by a crash.
 //!
+//! The crate decodes exactly what it encodes: one snapshot version and
+//! one WAL frame tag per record kind, with components named by interned
+//! id. A snapshot of another version is refused with
+//! [`SnapshotError::BadMagic`]; a log frame whose checksum holds but
+//! which does not decode fails recovery.
+//!
 //! ```no_run
 //! use gamedb_persist::{Backend, CheckpointClock, CheckpointPolicy, WalStore};
 //! use gamedb_core::World;
@@ -44,8 +50,6 @@
 
 pub mod backend;
 pub mod checkpoint;
-#[cfg(test)]
-mod compat;
 pub mod crashpoint;
 pub(crate) mod metrics;
 pub mod schema;
@@ -62,7 +66,7 @@ pub use schema::{
     BlobStore, Migration, MigrationError, MigrationStats, SchemaVersion, StructuredStore,
 };
 pub use snapshot::{checksum, decode, encode, SnapshotError};
-pub use wal::{decode_log, varint_len, CompRef, WalRecord};
+pub use wal::{decode_log, varint_len, WalRecord};
 pub use walstore::{
     recover_from_parts, CommitSeq, FlushPolicy, Recovered, RecoveryStats, StoreError, WalStats,
     WalStore, WalWatermark,

@@ -4,6 +4,10 @@
 //! durable backend — the paper's "only writes to the database
 //! periodically". The format is length-prefixed and checksummed so a torn
 //! write (crash mid-checkpoint) is detected rather than half-loaded.
+//!
+//! There is one format version, and the decoder reads exactly what
+//! [`encode`] writes: a file of any other version is refused with
+//! [`SnapshotError::BadMagic`].
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use gamedb_content::{CmpOp, Value, ValueType};
@@ -17,22 +21,15 @@ use std::time::Instant;
 
 use crate::walstore::RecoveryStats;
 
-/// Format magic + version. v2 appended the catalog (secondary indexes,
-/// standing views, lineage) to the row image — recovery that restores
-/// facts without the definitions deriving from them is not recovery.
-/// v3 writes the schema section in **interned id order** instead of
-/// name order: decoding defines columns in listed order, so the
+/// Format magic + version (v4). The body is the schema in **interned
+/// id order** (decoding defines columns in listed order, so the
 /// recovered world's [`gamedb_core::ComponentId`] table matches the
-/// snapshotted world's exactly and interned WAL-tail records decode to
-/// the same columns they were recorded against. v4 appends a section of
-/// operator-tree view plans to the catalog, after the v2 section of bare
-/// standing queries. Since the view engines merged every view is a plan
-/// and the query section is written empty; v2–v4 files that fill it
-/// still decode, each query as the one-leaf plan it always meant, at
-/// the same slot.
+/// snapshotted world's and WAL-tail records decode to the columns they
+/// were recorded against), the row image, and the catalog — indexes,
+/// view slots, an always-empty 4-byte count left from the bare-query
+/// section older versions filled, and the views as operator-tree plans.
+/// Earlier versions are not read.
 const MAGIC: u32 = 0x6744_4204; // "gDB" v4
-const MAGIC_V3: u32 = 0x6744_4203;
-const MAGIC_V2: u32 = 0x6744_4202;
 
 /// Errors decoding a snapshot.
 #[derive(Debug, Clone, PartialEq)]
@@ -70,7 +67,8 @@ pub fn checksum(data: &[u8]) -> u32 {
     h
 }
 
-fn type_tag(ty: ValueType) -> u8 {
+/// The value-type tag table, shared by snapshots and WAL frames.
+pub(crate) fn type_tag(ty: ValueType) -> u8 {
     match ty {
         ValueType::Float => 0,
         ValueType::Int => 1,
@@ -80,7 +78,7 @@ fn type_tag(ty: ValueType) -> u8 {
     }
 }
 
-fn tag_type(tag: u8) -> Result<ValueType, SnapshotError> {
+pub(crate) fn tag_type(tag: u8) -> Result<ValueType, SnapshotError> {
     Ok(match tag {
         0 => ValueType::Float,
         1 => ValueType::Int,
@@ -89,16 +87,6 @@ fn tag_type(tag: u8) -> Result<ValueType, SnapshotError> {
         4 => ValueType::Vec2,
         t => return Err(SnapshotError::BadTypeTag(t)),
     })
-}
-
-/// Public wrapper over the private type tag (delta encoding shares it).
-pub(crate) fn type_tag_pub(ty: ValueType) -> u8 {
-    type_tag(ty)
-}
-
-/// Public wrapper over the private tag decoder.
-pub(crate) fn tag_type_pub(tag: u8) -> Result<ValueType, SnapshotError> {
-    tag_type(tag)
 }
 
 pub(crate) fn put_str(buf: &mut BytesMut, s: &str) {
@@ -208,7 +196,7 @@ pub(crate) fn tag_kind(tag: u8) -> Result<IndexKind, SnapshotError> {
 
 /// Encode a standing query: predicates, spatial restriction, exclusion
 /// — the body of a plan's scan leaf.
-pub(crate) fn put_query(buf: &mut BytesMut, q: &Query) {
+fn put_query(buf: &mut BytesMut, q: &Query) {
     buf.put_u32_le(q.predicates().len() as u32);
     for p in q.predicates() {
         put_str(buf, &p.component);
@@ -235,7 +223,7 @@ pub(crate) fn put_query(buf: &mut BytesMut, q: &Query) {
 }
 
 /// Inverse of [`put_query`].
-pub(crate) fn get_query(buf: &mut impl Buf) -> Result<Query, SnapshotError> {
+fn get_query(buf: &mut impl Buf) -> Result<Query, SnapshotError> {
     macro_rules! need {
         ($n:expr) => {
             if buf.remaining() < $n {
@@ -468,14 +456,14 @@ pub(crate) fn get_plan(buf: &mut impl Buf) -> Result<ViewPlan, SnapshotError> {
 
 /// Encode a world catalog (without lineage/tick, which the snapshot
 /// header already carries).
-pub(crate) fn put_catalog(buf: &mut BytesMut, cat: &WorldCatalog) {
+fn put_catalog(buf: &mut BytesMut, cat: &WorldCatalog) {
     buf.put_u32_le(cat.indexes.len() as u32);
     for (component, kind) in &cat.indexes {
         put_str(buf, component);
         buf.put_u8(kind_tag(*kind));
     }
     buf.put_u32_le(cat.view_slots);
-    // the bare-query section: empty, every view is in the plan section
+    // the bare-query count: always empty, every view is a plan
     buf.put_u32_le(0);
     buf.put_u32_le(cat.views.len() as u32);
     for (slot, plan) in &cat.views {
@@ -484,12 +472,7 @@ pub(crate) fn put_catalog(buf: &mut BytesMut, cat: &WorldCatalog) {
     }
 }
 
-fn get_catalog(
-    buf: &mut impl Buf,
-    lineage: u64,
-    tick: u64,
-    with_plans: bool,
-) -> Result<WorldCatalog, SnapshotError> {
+fn get_catalog(buf: &mut impl Buf, lineage: u64, tick: u64) -> Result<WorldCatalog, SnapshotError> {
     macro_rules! need {
         ($n:expr) => {
             if buf.remaining() < $n {
@@ -505,23 +488,17 @@ fn get_catalog(
         need!(1);
         indexes.push((name, tag_kind(buf.get_u8())?));
     }
-    need!(8);
+    need!(12);
     let view_slots = buf.get_u32_le();
-    let n_queries = buf.get_u32_le() as usize;
+    if buf.get_u32_le() != 0 {
+        return Err(SnapshotError::Corrupt("bare-query section is not empty".into()));
+    }
+    let n_plans = buf.get_u32_le() as usize;
     let mut views = Vec::new();
-    for _ in 0..n_queries {
+    for _ in 0..n_plans {
         need!(4);
         let slot = buf.get_u32_le();
-        views.push((slot, get_query(buf)?.into_plan()));
-    }
-    if with_plans {
-        need!(4);
-        let n_plans = buf.get_u32_le() as usize;
-        for _ in 0..n_plans {
-            need!(4);
-            let slot = buf.get_u32_le();
-            views.push((slot, get_plan(buf)?));
-        }
+        views.push((slot, get_plan(buf)?));
     }
     // one slot-ordered list, as `World::export_catalog` hands out
     views.sort_by_key(|(slot, _)| *slot);
@@ -659,8 +636,7 @@ fn bounded(
 }
 
 /// Deserialize a world — rows *and* catalog — as a bulk load: every row
-/// goes straight into its column ([`World::bulk_load`]; the row section
-/// is the same in every format version, so this is the one loader), then
+/// goes straight into its column ([`World::bulk_load`]), then
 /// [`World::import_catalog`] builds the spatial grid, each secondary
 /// index and each standing view (at its original slot, unsubscribed)
 /// once over those rows and restores the lineage and tick counter (the
@@ -692,7 +668,7 @@ pub(crate) fn decode_phased(
         return Err(SnapshotError::Truncated);
     }
     let magic = buf.get_u32_le();
-    if magic != MAGIC && magic != MAGIC_V3 && magic != MAGIC_V2 {
+    if magic != MAGIC {
         return Err(SnapshotError::BadMagic(magic));
     }
     let tick = buf.get_u64_le();
@@ -765,7 +741,7 @@ pub(crate) fn decode_phased(
     phases.rows_loaded = rows;
 
     let started = Instant::now();
-    let catalog = get_catalog(&mut buf, lineage, tick, magic == MAGIC)?;
+    let catalog = get_catalog(&mut buf, lineage, tick)?;
     phases.decode += started.elapsed();
     Ok((world, catalog))
 }
@@ -1060,6 +1036,27 @@ mod tests {
         let sum = checksum(&forged[BODY..end]);
         forged[end..].copy_from_slice(&sum.to_le_bytes());
         assert_eq!(decode(&forged).unwrap_err(), SnapshotError::Truncated);
+    }
+
+    /// One version is read: an older magic is refused, and so is a v4
+    /// catalog whose bare-query count (written 0 since every view is a
+    /// plan) is not 0, even under a valid checksum.
+    #[test]
+    fn older_versions_and_bare_queries_are_refused() {
+        let mut bytes = encode(&World::new()).to_vec();
+        for old in [0x6744_4202u32, 0x6744_4203] {
+            let mut v = bytes.clone();
+            v[..4].copy_from_slice(&old.to_le_bytes());
+            assert_eq!(decode(&v).unwrap_err(), SnapshotError::BadMagic(old));
+        }
+        // an empty world's body: schema (12 bytes), entity count, index
+        // count, view slots, then the bare-query count
+        bytes[24 + 24] = 1;
+        let end = bytes.len() - 4;
+        let sum = checksum(&bytes[24..end]);
+        bytes[end..].copy_from_slice(&sum.to_le_bytes());
+        let refused = SnapshotError::Corrupt("bare-query section is not empty".into());
+        assert_eq!(decode(&bytes).unwrap_err(), refused);
     }
 
     #[test]

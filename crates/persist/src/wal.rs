@@ -9,7 +9,11 @@
 //!
 //! Records are length-prefixed and checksummed; a torn tail (crash mid-
 //! append) is detected and cleanly ignored, so recovery is always to a
-//! record boundary.
+//! record boundary. There is one frame tag per record kind, and the
+//! decoder reads exactly what the encoder writes: components by interned
+//! id, views as plans, batches one level deep. A frame whose checksum
+//! holds but which does not decode is refused — it fails recovery
+//! instead of ending the log like a torn one.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use gamedb_content::{Value, ValueType};
@@ -19,59 +23,27 @@ use gamedb_core::{
 use gamedb_spatial::Vec2;
 
 use crate::snapshot::{
-    checksum, get_plan, get_query, get_str, get_value, kind_tag, put_plan, put_str,
-    put_value, tag_kind, tag_type_pub, type_tag_pub, SnapshotError,
+    checksum, get_plan, get_str, get_value, kind_tag, put_plan, put_str, put_value, tag_kind,
+    tag_type, type_tag, SnapshotError,
 };
 
-/// How a WAL record names a component: by interned id (the current
-/// framing — a 1-byte varint for the first 128 columns) or by name (the
-/// pre-interning framing, kept decodable so old logs replay
-/// bit-identically). Encoding preserves the form, so re-framing a
-/// legacy log (compaction) never silently upgrades records whose
-/// interner table is not durable.
-#[derive(Debug, Clone, PartialEq)]
-pub enum CompRef {
-    /// Interned column id; resolved against the recovering world's
-    /// interner (snapshot table + preceding [`WalRecord::Define`]s).
-    Id(ComponentId),
-    /// Legacy string-named record.
-    Name(String),
-}
-
-impl From<&str> for CompRef {
-    fn from(s: &str) -> Self {
-        CompRef::Name(s.to_string())
+/// `id` as the recovering world's interner knows it (snapshot table plus
+/// the preceding [`WalRecord::Define`]s). The id comes from disk, so one
+/// the table does not list is an error, never a column index.
+fn known(world: &World, id: ComponentId) -> Result<ComponentId, CoreError> {
+    match world.component_name(id) {
+        Some(_) => Ok(id),
+        None => Err(CoreError::UnknownComponent(format!("{id}"))),
     }
 }
 
-impl From<String> for CompRef {
-    fn from(s: String) -> Self {
-        CompRef::Name(s)
-    }
-}
-
-impl From<ComponentId> for CompRef {
-    fn from(id: ComponentId) -> Self {
-        CompRef::Id(id)
-    }
-}
-
-impl CompRef {
-    /// Resolve to an interned id against `world`. Legacy refs are looked
-    /// up by name; interned refs require the world's table to know the
-    /// id (a `Define` record or the snapshot schema always precedes use).
-    fn resolve(&self, world: &World) -> Result<ComponentId, CoreError> {
-        match self {
-            CompRef::Name(n) => world
-                .component_id(n)
-                .ok_or_else(|| CoreError::UnknownComponent(n.clone())),
-            CompRef::Id(id) => match world.component_name(*id) {
-                Some(_) => Ok(*id),
-                None => Err(CoreError::UnknownComponent(format!("{id}"))),
-            },
-        }
-    }
-}
+/// How far past the live count a redone [`WalRecord::Restore`] may open
+/// slots. The slot index comes from disk and the allocator grows to it
+/// one slot at a time (~9 bytes each), so a forged index near `u32::MAX`
+/// would cost tens of gigabytes before anything failed. A log whose
+/// writer held more than this many free slots above its live entities
+/// is refused with it.
+const MAX_RESTORE_GAP: usize = 1 << 24;
 
 /// LEB128 varint for component ids: 1 byte for the first 128 columns.
 pub(crate) fn put_varint(buf: &mut BytesMut, mut v: u32) {
@@ -124,31 +96,32 @@ pub enum WalRecord {
     /// Set a component (also used for position updates).
     Set {
         entity: EntityId,
-        component: CompRef,
+        component: ComponentId,
         value: Value,
     },
-    /// Spawn an entity at a position with a specific id.
-    Spawn { entity: EntityId, x: f32, y: f32 },
     /// Despawn an entity.
     Despawn { entity: EntityId },
     /// Marks a completed checkpoint: records before this point are
     /// superseded by snapshot `seq`.
     CheckpointMark { seq: u64 },
     /// Remove a component from an entity.
-    RemoveComponent { entity: EntityId, component: CompRef },
+    RemoveComponent {
+        entity: EntityId,
+        component: ComponentId,
+    },
     /// Define a component column at an exact interned id — the durable
     /// half of the interner for components defined after the last
     /// snapshot (the snapshot schema, written in id order, carries the
-    /// rest). Always precedes the first interned record naming the id.
+    /// rest). Always precedes the first record naming the id.
     Define {
         component: ComponentId,
         name: String,
         ty: ValueType,
     },
     /// Create a secondary index on a component.
-    CreateIndex { component: CompRef, kind: IndexKind },
+    CreateIndex { component: ComponentId, kind: IndexKind },
     /// Drop the secondary index on a component.
-    DropIndex { component: CompRef },
+    DropIndex { component: ComponentId },
     /// Register a standing view at an exact slot. Replay re-materializes
     /// it from post-replay row state; the slot is recorded so pre-crash
     /// [`gamedb_core::ViewId`] handles keep resolving after recovery.
@@ -169,56 +142,26 @@ pub enum WalRecord {
     /// One group-committed batch: every op of one change-stream segment
     /// in one frame. The frame checksum covers the whole batch, so a
     /// torn or corrupt batch loses *all* of its ops — batch commits are
-    /// atomic at the durability layer.
+    /// atomic at the durability layer. A batch holds no batch.
     Batch { ops: Vec<WalRecord> },
 }
 
-const TAG_SET: u8 = 1;
-const TAG_SPAWN: u8 = 2;
+// Tags 1, 2 and 5–8 (string-named records, a positioned spawn, a
+// bare-query view) are retired, not reused: a frame carrying one does
+// not decode.
 const TAG_DESPAWN: u8 = 3;
 const TAG_MARK: u8 = 4;
-const TAG_REMOVE: u8 = 5;
-const TAG_CREATE_INDEX: u8 = 6;
-const TAG_DROP_INDEX: u8 = 7;
-// a bare standing query: written by logs that predate the single view
-// engine, decoded as the one-leaf plan it always meant
-const TAG_REGISTER_VIEW: u8 = 8;
 const TAG_DROP_VIEW: u8 = 9;
 const TAG_RETARGET_VIEW: u8 = 10;
 const TAG_TICK: u8 = 11;
 const TAG_BATCH: u8 = 12;
 const TAG_RESTORE: u8 = 13;
-// interned framing (ISSUE-5): component ids as varints instead of
-// length-prefixed names; tags 1/5/6/7 remain decodable for old logs
 const TAG_DEFINE: u8 = 14;
-const TAG_SET_ID: u8 = 15;
-const TAG_REMOVE_ID: u8 = 16;
-const TAG_CREATE_INDEX_ID: u8 = 17;
-const TAG_DROP_INDEX_ID: u8 = 18;
-const TAG_REGISTER_PLAN_VIEW: u8 = 19;
-
-// value-type tags reuse the snapshot module's ordering
-fn value_tag(v: &Value) -> u8 {
-    match v {
-        Value::Float(_) => 0,
-        Value::Int(_) => 1,
-        Value::Bool(_) => 2,
-        Value::Str(_) => 3,
-        Value::Vec2(..) => 4,
-    }
-}
-
-fn tag_value_type(tag: u8) -> Result<gamedb_content::ValueType, SnapshotError> {
-    use gamedb_content::ValueType::*;
-    Ok(match tag {
-        0 => Float,
-        1 => Int,
-        2 => Bool,
-        3 => Str,
-        4 => Vec2,
-        t => return Err(SnapshotError::BadTypeTag(t)),
-    })
-}
+const TAG_SET: u8 = 15;
+const TAG_REMOVE: u8 = 16;
+const TAG_CREATE_INDEX: u8 = 17;
+const TAG_DROP_INDEX: u8 = 18;
+const TAG_REGISTER_VIEW: u8 = 19;
 
 impl WalRecord {
     /// Encode as a framed record: `len | payload | checksum(payload)`.
@@ -240,23 +183,13 @@ impl WalRecord {
                 entity,
                 component,
                 value,
-            } => match component {
-                CompRef::Id(id) => {
-                    payload.put_u8(TAG_SET_ID);
-                    payload.put_u64_le(entity.to_bits());
-                    put_varint(payload, id.as_u32());
-                    payload.put_u8(value_tag(value));
-                    put_value(payload, value);
-                }
-                CompRef::Name(name) => {
-                    payload.put_u8(TAG_SET);
-                    payload.put_u64_le(entity.to_bits());
-                    payload.put_u32_le(name.len() as u32);
-                    payload.put_slice(name.as_bytes());
-                    payload.put_u8(value_tag(value));
-                    put_value(payload, value);
-                }
-            },
+            } => {
+                payload.put_u8(TAG_SET);
+                payload.put_u64_le(entity.to_bits());
+                put_varint(payload, component.as_u32());
+                payload.put_u8(type_tag(value.value_type()));
+                put_value(payload, value);
+            }
             WalRecord::Define {
                 component,
                 name,
@@ -265,13 +198,7 @@ impl WalRecord {
                 payload.put_u8(TAG_DEFINE);
                 put_varint(payload, component.as_u32());
                 put_str(payload, name);
-                payload.put_u8(type_tag_pub(*ty));
-            }
-            WalRecord::Spawn { entity, x, y } => {
-                payload.put_u8(TAG_SPAWN);
-                payload.put_u64_le(entity.to_bits());
-                payload.put_f32_le(*x);
-                payload.put_f32_le(*y);
+                payload.put_u8(type_tag(*ty));
             }
             WalRecord::Despawn { entity } => {
                 payload.put_u8(TAG_DESPAWN);
@@ -281,42 +208,22 @@ impl WalRecord {
                 payload.put_u8(TAG_MARK);
                 payload.put_u64_le(*seq);
             }
-            WalRecord::RemoveComponent { entity, component } => match component {
-                CompRef::Id(id) => {
-                    payload.put_u8(TAG_REMOVE_ID);
-                    payload.put_u64_le(entity.to_bits());
-                    put_varint(payload, id.as_u32());
-                }
-                CompRef::Name(name) => {
-                    payload.put_u8(TAG_REMOVE);
-                    payload.put_u64_le(entity.to_bits());
-                    put_str(payload, name);
-                }
-            },
-            WalRecord::CreateIndex { component, kind } => match component {
-                CompRef::Id(id) => {
-                    payload.put_u8(TAG_CREATE_INDEX_ID);
-                    payload.put_u8(kind_tag(*kind));
-                    put_varint(payload, id.as_u32());
-                }
-                CompRef::Name(name) => {
-                    payload.put_u8(TAG_CREATE_INDEX);
-                    payload.put_u8(kind_tag(*kind));
-                    put_str(payload, name);
-                }
-            },
-            WalRecord::DropIndex { component } => match component {
-                CompRef::Id(id) => {
-                    payload.put_u8(TAG_DROP_INDEX_ID);
-                    put_varint(payload, id.as_u32());
-                }
-                CompRef::Name(name) => {
-                    payload.put_u8(TAG_DROP_INDEX);
-                    put_str(payload, name);
-                }
-            },
+            WalRecord::RemoveComponent { entity, component } => {
+                payload.put_u8(TAG_REMOVE);
+                payload.put_u64_le(entity.to_bits());
+                put_varint(payload, component.as_u32());
+            }
+            WalRecord::CreateIndex { component, kind } => {
+                payload.put_u8(TAG_CREATE_INDEX);
+                payload.put_u8(kind_tag(*kind));
+                put_varint(payload, component.as_u32());
+            }
+            WalRecord::DropIndex { component } => {
+                payload.put_u8(TAG_DROP_INDEX);
+                put_varint(payload, component.as_u32());
+            }
             WalRecord::RegisterPlanView { slot, plan } => {
-                payload.put_u8(TAG_REGISTER_PLAN_VIEW);
+                payload.put_u8(TAG_REGISTER_VIEW);
                 payload.put_u32_le(*slot);
                 put_plan(payload, plan);
             }
@@ -343,6 +250,7 @@ impl WalRecord {
                 payload.put_u8(TAG_BATCH);
                 payload.put_u32_le(ops.len() as u32);
                 for op in ops {
+                    debug_assert!(!matches!(op, WalRecord::Batch { .. }), "a batch holds no batch");
                     let mut inner = BytesMut::new();
                     op.put_payload(&mut inner);
                     payload.put_u32_le(inner.len() as u32);
@@ -366,31 +274,15 @@ impl WalRecord {
         }
         Ok(match tag {
             TAG_SET => {
-                need!(8 + 4);
-                let entity = EntityId::from_bits(p.get_u64_le());
-                let len = p.get_u32_le() as usize;
-                need!(len + 1);
-                let name_bytes = p.copy_to_bytes(len);
-                let component = String::from_utf8(name_bytes.to_vec())
-                    .map_err(|_| SnapshotError::Corrupt("non-utf8 component".into()))?;
-                let vt = tag_value_type(p.get_u8())?;
-                let value = get_value(&mut p, vt)?;
-                WalRecord::Set {
-                    entity,
-                    component: CompRef::Name(component),
-                    value,
-                }
-            }
-            TAG_SET_ID => {
                 need!(8);
                 let entity = EntityId::from_bits(p.get_u64_le());
                 let component = ComponentId::from_u32(get_varint(&mut p)?);
                 need!(1);
-                let vt = tag_value_type(p.get_u8())?;
+                let vt = tag_type(p.get_u8())?;
                 let value = get_value(&mut p, vt)?;
                 WalRecord::Set {
                     entity,
-                    component: CompRef::Id(component),
+                    component,
                     value,
                 }
             }
@@ -398,19 +290,12 @@ impl WalRecord {
                 let component = ComponentId::from_u32(get_varint(&mut p)?);
                 let name = get_str(&mut p)?;
                 need!(1);
-                let ty = tag_type_pub(p.get_u8())?;
+                let ty = tag_type(p.get_u8())?;
                 WalRecord::Define {
                     component,
                     name,
                     ty,
                 }
-            }
-            TAG_SPAWN => {
-                need!(16);
-                let entity = EntityId::from_bits(p.get_u64_le());
-                let x = p.get_f32_le();
-                let y = p.get_f32_le();
-                WalRecord::Spawn { entity, x, y }
             }
             TAG_DESPAWN => {
                 need!(8);
@@ -429,48 +314,21 @@ impl WalRecord {
                 let entity = EntityId::from_bits(p.get_u64_le());
                 WalRecord::RemoveComponent {
                     entity,
-                    component: CompRef::Name(get_str(&mut p)?),
-                }
-            }
-            TAG_REMOVE_ID => {
-                need!(8);
-                let entity = EntityId::from_bits(p.get_u64_le());
-                WalRecord::RemoveComponent {
-                    entity,
-                    component: CompRef::Id(ComponentId::from_u32(get_varint(&mut p)?)),
+                    component: ComponentId::from_u32(get_varint(&mut p)?),
                 }
             }
             TAG_CREATE_INDEX => {
                 need!(1);
                 let kind = tag_kind(p.get_u8())?;
                 WalRecord::CreateIndex {
-                    component: CompRef::Name(get_str(&mut p)?),
-                    kind,
-                }
-            }
-            TAG_CREATE_INDEX_ID => {
-                need!(1);
-                let kind = tag_kind(p.get_u8())?;
-                WalRecord::CreateIndex {
-                    component: CompRef::Id(ComponentId::from_u32(get_varint(&mut p)?)),
+                    component: ComponentId::from_u32(get_varint(&mut p)?),
                     kind,
                 }
             }
             TAG_DROP_INDEX => WalRecord::DropIndex {
-                component: CompRef::Name(get_str(&mut p)?),
-            },
-            TAG_DROP_INDEX_ID => WalRecord::DropIndex {
-                component: CompRef::Id(ComponentId::from_u32(get_varint(&mut p)?)),
+                component: ComponentId::from_u32(get_varint(&mut p)?),
             },
             TAG_REGISTER_VIEW => {
-                need!(4);
-                let slot = p.get_u32_le();
-                WalRecord::RegisterPlanView {
-                    slot,
-                    plan: get_query(&mut p)?.into_plan(),
-                }
-            }
-            TAG_REGISTER_PLAN_VIEW => {
                 need!(4);
                 let slot = p.get_u32_le();
                 WalRecord::RegisterPlanView {
@@ -513,6 +371,11 @@ impl WalRecord {
                     let len = p.get_u32_le() as usize;
                     need!(len);
                     let inner = p.copy_to_bytes(len);
+                    // no writer nests batches; decoding one would recurse
+                    // once per level of a hostile frame
+                    if inner.first() == Some(&TAG_BATCH) {
+                        return Err(SnapshotError::Corrupt("batch inside a batch".into()));
+                    }
                     ops.push(WalRecord::decode_payload(inner)?);
                 }
                 WalRecord::Batch { ops }
@@ -526,8 +389,8 @@ impl WalRecord {
     /// index or view to maintain), catalog records edit `catalog`, from
     /// which the derived state is then built once
     /// ([`World::import_catalog`]). **Redo is idempotent**: a record
-    /// whose effect is already present (a spawn of a live entity with the
-    /// exact same id, a duplicate identical index or view, a stale
+    /// whose effect is already present (a restore of a live entity with
+    /// the exact same id, a duplicate identical index or view, a stale
     /// despawn or drop) is a clean no-op. An at-least-once log append —
     /// the checksum-valid duplicated tail a retried write leaves behind —
     /// therefore recovers to the same world as an exactly-once log.
@@ -543,30 +406,12 @@ impl WalRecord {
                 entity,
                 component,
                 value,
-            } => {
-                // legacy string-named records auto-define missing
-                // columns (pre-interning logs carried no Define
-                // records); interned records resolve against the table
-                // the snapshot + preceding Defines restored
-                if let CompRef::Name(name) = component {
-                    if world.component_type(name).is_none() && name != gamedb_core::POS {
-                        world.define_component(name, value.value_type())?;
-                    }
-                }
-                let component = component.resolve(world)?;
-                world.set_by_id(*entity, component, value.clone())
-            }
+            } => world.set_by_id(*entity, known(world, *component)?, value.clone()),
             WalRecord::Define {
                 component,
                 name,
                 ty,
             } => world.ensure_component_at(*component, name, *ty).map(|_| ()),
-            WalRecord::Spawn { entity, x, y } => {
-                if !world.is_live(*entity) {
-                    world.restore_entity(*entity)?;
-                }
-                world.set_pos(*entity, Vec2::new(*x, *y))
-            }
             WalRecord::Despawn { entity } => {
                 world.despawn(*entity);
                 Ok(())
@@ -575,22 +420,23 @@ impl WalRecord {
             WalRecord::RemoveComponent { entity, component } => {
                 // a column the replay never (re)defined holds nothing to
                 // remove; a stale entity id means the despawn already won
-                match component.resolve(world) {
+                match known(world, *component) {
                     Ok(component) if world.is_live(*entity) => {
                         world.remove_component_by_id(*entity, component).map(|_| ())
                     }
                     _ => Ok(()),
                 }
             }
-            WalRecord::Restore { entity } => {
-                if !world.is_live(*entity) {
-                    world.restore_entity(*entity)?;
-                }
-                Ok(())
+            WalRecord::Restore { entity } if world.is_live(*entity) => Ok(()),
+            WalRecord::Restore { entity }
+                if entity.index() as usize >= world.len() + MAX_RESTORE_GAP =>
+            {
+                Err(CoreError::DeadEntity(*entity))
             }
+            WalRecord::Restore { entity } => world.restore_entity(*entity),
             WalRecord::Batch { ops } => ops.iter().try_for_each(|op| op.redo(world, catalog)),
             WalRecord::CreateIndex { component, kind } => {
-                let cid = component.resolve(world)?;
+                let cid = known(world, *component)?;
                 let name = world.component_name(cid).unwrap_or_default().to_string();
                 let at = catalog.indexes.binary_search_by(|(n, _)| n.as_str().cmp(&name));
                 match at {
@@ -604,8 +450,7 @@ impl WalRecord {
                 }
             }
             WalRecord::DropIndex { component } => {
-                let component = component.resolve(world).ok();
-                if let Some(name) = component.and_then(|c| world.component_name(c)) {
+                if let Some(name) = world.component_name(*component) {
                     catalog.indexes.retain(|(n, _)| n != name);
                 }
                 Ok(())
@@ -655,12 +500,12 @@ impl WalRecord {
                 ..
             } => WalRecord::Set {
                 entity: *id,
-                component: CompRef::Id(*component),
+                component: *component,
                 value: new.clone(),
             },
             ChangeOp::Removed { id, component, .. } => WalRecord::RemoveComponent {
                 entity: *id,
-                component: CompRef::Id(*component),
+                component: *component,
             },
             ChangeOp::Spawned { id } => WalRecord::Restore { entity: *id },
             // the WAL needs only the redo image: the row the stream
@@ -676,11 +521,11 @@ impl WalRecord {
                 ty: *ty,
             },
             ChangeOp::CreateIndex { component, kind } => WalRecord::CreateIndex {
-                component: CompRef::Id(*component),
+                component: *component,
                 kind: *kind,
             },
             ChangeOp::DropIndex { component } => WalRecord::DropIndex {
-                component: CompRef::Id(*component),
+                component: *component,
             },
             ChangeOp::RegisterPlanView { slot, plan } => WalRecord::RegisterPlanView {
                 slot: *slot,
@@ -698,9 +543,10 @@ impl WalRecord {
     }
 }
 
-/// Walk a log buffer frame by frame, yielding each frame's payload once
-/// its length and checksum hold; a torn or corrupt frame ends the log.
-fn frames(data: &[u8]) -> impl Iterator<Item = &[u8]> {
+/// Walk a log buffer frame by frame, yielding each frame's offset and
+/// payload once its length and checksum hold; a torn or corrupt frame
+/// ends the log.
+pub(crate) fn frames(data: &[u8]) -> impl Iterator<Item = (usize, &[u8])> {
     let mut pos = 0usize;
     std::iter::from_fn(move || {
         let rest = &data[pos..];
@@ -716,23 +562,25 @@ fn frames(data: &[u8]) -> impl Iterator<Item = &[u8]> {
         if checksum(payload) != stored {
             return None; // corrupt tail
         }
+        let at = pos;
         pos += 8 + len;
-        Some(payload)
+        Some((at, payload))
     })
 }
 
-/// Decode a log buffer into records, stopping cleanly at a torn tail.
+/// Decode a log buffer into records, stopping cleanly at a torn tail or
+/// at the first frame that does not decode.
 ///
 /// Returns the records and the number of bytes of valid log consumed.
 pub fn decode_log(data: &[u8]) -> (Vec<WalRecord>, usize) {
     let mut records = Vec::new();
     let mut consumed = 0usize;
-    for payload in frames(data) {
+    for (at, payload) in frames(data) {
         match WalRecord::decode_payload(Bytes::copy_from_slice(payload)) {
             Ok(r) => records.push(r),
             Err(_) => break,
         }
-        consumed += 8 + payload.len();
+        consumed = at + 8 + payload.len();
     }
     (records, consumed)
 }
@@ -762,27 +610,43 @@ fn mark_seq(payload: &[u8]) -> Option<u64> {
 /// crash-point sweep in [`crate::crashpoint`] exercises exactly this
 /// window.
 ///
-/// A tail frame that does not decode ends the log there, like a torn
-/// one.
-pub(crate) fn decode_tail(log: &[u8], snapshot_seq: u64) -> Vec<WalRecord> {
-    let frames: Vec<&[u8]> = frames(log).collect();
+/// A tail frame whose checksum holds but which does not decode is an
+/// error: no crash writes one, and ending the log there would recover a
+/// silently truncated world.
+pub(crate) fn decode_tail(log: &[u8], snapshot_seq: u64) -> Result<Vec<WalRecord>, SnapshotError> {
+    let frames: Vec<&[u8]> = frames(log).map(|(_, payload)| payload).collect();
     let Some(mark) = frames
         .iter()
         .rposition(|p| mark_seq(p) == Some(snapshot_seq))
     else {
-        return Vec::new();
+        return Ok(Vec::new());
     };
     frames[mark + 1..]
         .iter()
-        .map_while(|p| WalRecord::decode_payload(Bytes::copy_from_slice(p)).ok())
+        .map(|p| WalRecord::decode_payload(Bytes::copy_from_slice(p)))
         .collect()
 }
 
+/// What compaction keeps of a log: the bytes from snapshot
+/// `snapshot_seq`'s checkpoint mark frame (recovery anchors on it; the
+/// whole log when the mark is absent) through the last whole frame,
+/// copied as they are.
+pub(crate) fn compacted(log: &[u8], snapshot_seq: u64) -> &[u8] {
+    let (mut start, mut end) = (0, 0);
+    for (at, payload) in frames(log) {
+        if mark_seq(payload) == Some(snapshot_seq) {
+            start = at;
+        }
+        end = at + 8 + payload.len();
+    }
+    &log[start..end]
+}
+
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use gamedb_content::ValueType;
-    use gamedb_core::Query;
+    use gamedb_core::{Query, POS_ID};
 
     impl WalRecord {
         /// The live-replay oracle recovery's redo is held to: a record
@@ -793,7 +657,7 @@ mod tests {
         pub(crate) fn apply(&self, world: &mut World) -> Result<(), CoreError> {
             match self {
                 WalRecord::CreateIndex { component, kind } => {
-                    let cid = component.resolve(world)?;
+                    let cid = known(world, *component)?;
                     let name = world.component_name(cid).unwrap_or_default().to_string();
                     match world.index_on(&name) {
                         Some(idx) if idx.kind() == *kind => Ok(()),
@@ -801,7 +665,7 @@ mod tests {
                     }
                 }
                 WalRecord::DropIndex { component } => {
-                    if let Ok(component) = component.resolve(world) {
+                    if let Ok(component) = known(world, *component) {
                         world.drop_index_by_id(component);
                     }
                     Ok(())
@@ -836,34 +700,57 @@ mod tests {
         log: &[u8],
         snapshot_seq: u64,
     ) -> Result<usize, CoreError> {
-        let tail = decode_tail(log, snapshot_seq);
+        let tail = decode_tail(log, snapshot_seq).expect("a decodable tail");
         tail.iter().try_for_each(|r| r.apply(world))?;
         Ok(tail.len())
+    }
+
+    /// Every tag a frame carries.
+    pub(crate) const FRAME_TAGS: [u8; 13] = [3, 4, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19];
+
+    /// `len | payload | checksum(payload)` around hand-written bytes.
+    pub(crate) fn frame(payload: &[u8]) -> Vec<u8> {
+        let mut framed = (payload.len() as u32).to_le_bytes().to_vec();
+        framed.extend_from_slice(payload);
+        framed.extend_from_slice(&checksum(payload).to_le_bytes());
+        framed
+    }
+
+    /// A checksum-valid frame of `depth` batches, each the one member of
+    /// the next, around a `TickTo`. Every level's length is known in
+    /// advance (9 header bytes per level), so it is built in one pass.
+    pub(crate) fn nested_batch_frame(depth: usize) -> Vec<u8> {
+        let inner = [TAG_TICK, 1, 0, 0, 0, 0, 0, 0, 0];
+        let mut payload = Vec::with_capacity(9 * depth + inner.len());
+        for level in (0..depth).rev() {
+            payload.push(TAG_BATCH);
+            payload.extend_from_slice(&1u32.to_le_bytes());
+            payload.extend_from_slice(&((9 * level + inner.len()) as u32).to_le_bytes());
+        }
+        payload.extend_from_slice(&inner);
+        frame(&payload)
+    }
+
+    fn set(entity: EntityId, component: ComponentId, value: Value) -> WalRecord {
+        WalRecord::Set { entity, component, value }
+    }
+
+    fn define(id: u32, name: &str, ty: ValueType) -> WalRecord {
+        WalRecord::Define { component: ComponentId::from_u32(id), name: name.into(), ty }
     }
 
     fn sample_records() -> Vec<WalRecord> {
         use gamedb_content::CmpOp;
         let e = EntityId::from_bits(5 | (2u64 << 32));
+        let (hp, name) = (ComponentId::from_u32(1), ComponentId::from_u32(2));
         vec![
-            WalRecord::Spawn {
-                entity: e,
-                x: 1.5,
-                y: -2.0,
-            },
-            WalRecord::Set {
-                entity: e,
-                component: "hp".into(),
-                value: Value::Float(77.5),
-            },
-            WalRecord::Set {
-                entity: e,
-                component: "name".into(),
-                value: Value::Str("grünbart".into()),
-            },
-            WalRecord::CreateIndex {
-                component: "hp".into(),
-                kind: IndexKind::Sorted,
-            },
+            define(1, "hp", ValueType::Float),
+            define(2, "name", ValueType::Str),
+            WalRecord::Restore { entity: e },
+            set(e, POS_ID, Value::Vec2(1.5, -2.0)),
+            set(e, hp, Value::Float(77.5)),
+            set(e, name, Value::Str("grünbart".into())),
+            WalRecord::CreateIndex { component: hp, kind: IndexKind::Sorted },
             WalRecord::RegisterPlanView {
                 slot: 0,
                 plan: Query::select()
@@ -872,37 +759,19 @@ mod tests {
                     .excluding(e)
                     .into_plan(),
             },
-            WalRecord::RetargetView {
-                slot: 0,
-                x: -3.0,
-                y: 4.0,
-                radius: 2.5,
-            },
+            WalRecord::RetargetView { slot: 0, x: -3.0, y: 4.0, radius: 2.5 },
             WalRecord::TickTo { tick: 17 },
-            WalRecord::RemoveComponent {
-                entity: e,
-                component: "name".into(),
-            },
+            WalRecord::RemoveComponent { entity: e, component: name },
             WalRecord::DropView { slot: 0 },
-            WalRecord::DropIndex {
-                component: "hp".into(),
-            },
+            WalRecord::DropIndex { component: hp },
             WalRecord::CheckpointMark { seq: 3 },
             WalRecord::Despawn { entity: e },
             // the batch framing group commit writes: one frame, many ops
             WalRecord::Batch {
                 ops: vec![
                     WalRecord::Restore { entity: e },
-                    WalRecord::Set {
-                        entity: e,
-                        component: "hp".into(),
-                        value: Value::Float(12.25),
-                    },
-                    WalRecord::Set {
-                        entity: e,
-                        component: "pos".into(),
-                        value: Value::Vec2(4.0, -8.0),
-                    },
+                    set(e, hp, Value::Float(12.25)),
+                    set(e, POS_ID, Value::Vec2(4.0, -8.0)),
                     WalRecord::TickTo { tick: 18 },
                 ],
             },
@@ -919,6 +788,103 @@ mod tests {
         let (decoded, consumed) = decode_log(&log);
         assert_eq!(decoded, sample_records());
         assert_eq!(consumed, log.len());
+    }
+
+    /// Every frame tag the encoder writes, from bytes written by hand:
+    /// each decodes to its record and encodes back to the same bytes, so
+    /// a log written before this test keeps opening byte for byte. The
+    /// `Set` rows cover the five value-type tags and a two-byte varint.
+    #[test]
+    fn every_frame_tag_decodes_from_pinned_bytes() {
+        use gamedb_content::CmpOp;
+        const E: [u8; 8] = [5, 0, 0, 0, 2, 0, 0, 0];
+        let e = EntityId::from_bits(5 | (2u64 << 32));
+        let id = ComponentId::from_u32;
+        let with_e = |tag: u8, rest: &[u8]| [&[tag][..], &E, rest].concat();
+        let watch = Query::select().filter("hp", CmpOp::Lt, Value::Float(50.0)).into_plan();
+        let pinned: Vec<(WalRecord, Vec<u8>)> = vec![
+            (WalRecord::Despawn { entity: e }, with_e(3, &[])),
+            (WalRecord::CheckpointMark { seq: 3 }, vec![4, 3, 0, 0, 0, 0, 0, 0, 0]),
+            (WalRecord::DropView { slot: 7 }, vec![9, 7, 0, 0, 0]),
+            (
+                WalRecord::RetargetView { slot: 1, x: -3.0, y: 4.0, radius: 2.5 },
+                vec![10, 1, 0, 0, 0, 0, 0, 0x40, 0xC0, 0, 0, 0x80, 0x40, 0, 0, 0x20, 0x40],
+            ),
+            (WalRecord::TickTo { tick: 17 }, vec![11, 17, 0, 0, 0, 0, 0, 0, 0]),
+            (
+                WalRecord::Batch {
+                    ops: vec![WalRecord::Restore { entity: e }, WalRecord::TickTo { tick: 18 }],
+                },
+                // count, then each member's length and payload
+                [&[12, 2, 0, 0, 0, 9, 0, 0, 0, 13][..], &E, &[9, 0, 0, 0, 11, 18, 0, 0, 0, 0, 0, 0, 0]]
+                    .concat(),
+            ),
+            (WalRecord::Restore { entity: e }, with_e(13, &[])),
+            (define(1, "hp", ValueType::Float), vec![14, 1, 2, 0, 0, 0, b'h', b'p', 0]),
+            (set(e, id(1), Value::Float(77.5)), with_e(15, &[1, 0, 0, 0, 0x9B, 0x42])),
+            (set(e, id(2), Value::Int(-2)), with_e(15, &[2, 1, 0xFE, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF])),
+            (set(e, id(3), Value::Bool(true)), with_e(15, &[3, 2, 1])),
+            (set(e, id(300), Value::Str("ü".into())), with_e(15, &[0xAC, 0x02, 3, 2, 0, 0, 0, 0xC3, 0xBC])),
+            (set(e, POS_ID, Value::Vec2(1.5, -2.0)), with_e(15, &[0, 4, 0, 0, 0xC0, 0x3F, 0, 0, 0, 0xC0])),
+            (WalRecord::RemoveComponent { entity: e, component: id(2) }, with_e(16, &[2])),
+            (WalRecord::CreateIndex { component: id(1), kind: IndexKind::Sorted }, vec![17, 1, 1]),
+            (WalRecord::DropIndex { component: id(1) }, vec![18, 1]),
+            (
+                WalRecord::RegisterPlanView { slot: 0, plan: watch },
+                // slot, a scan leaf with one predicate `hp < 50.0`, no
+                // disk, no exclusion, no pinned entity
+                vec![19, 0, 0, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, b'h', b'p', 2, 0, 0, 0, 0x48, 0x42, 0, 0, 0],
+            ),
+        ];
+        let mut tags: Vec<u8> = pinned.iter().map(|(_, payload)| payload[0]).collect();
+        tags.dedup();
+        assert_eq!(tags, FRAME_TAGS);
+        for (record, payload) in &pinned {
+            let bytes = frame(payload);
+            assert_eq!(decode_log(&bytes), (vec![record.clone()], bytes.len()), "{record:?}");
+            assert_eq!(&record.encode()[..], &bytes[..], "{record:?}");
+        }
+        // one frame pinned whole: length, payload and FNV-1a checksum
+        assert_eq!(
+            &WalRecord::TickTo { tick: 17 }.encode()[..],
+            [9, 0, 0, 0, 11, 17, 0, 0, 0, 0, 0, 0, 0, 0xBB, 0x9B, 0xEB, 0x27]
+        );
+    }
+
+    /// A tick of change-stream `hp` writes frames each write in 23 bytes:
+    /// 4 of length, 1 of tag, 8 of entity, 1 of varint column id, 1 of
+    /// value tag, 4 of `f32` and 4 of checksum.
+    #[test]
+    fn interned_frames_shrink_encoded_records() {
+        let mut w = World::new();
+        w.define_component("hp", ValueType::Float).unwrap();
+        let tap = w.attach_tap();
+        for i in 0..512 {
+            let e = w.spawn();
+            w.set_f32(e, "hp", (i % 100) as f32).unwrap();
+        }
+        let sets: Vec<usize> = (w.tap_pending(tap).iter().map(WalRecord::from_change))
+            .filter(|r| matches!(r, WalRecord::Set { .. }))
+            .map(|r| r.encode().len())
+            .collect();
+        assert_eq!((sets.len(), sets.iter().sum::<usize>()), (512, 512 * 23));
+    }
+
+    /// No writer nests a batch in a batch, and decoding one used to
+    /// recurse once per level: 200,000 levels overflowed the stack. The
+    /// member is refused, so decode and recovery return.
+    #[test]
+    fn nested_batch_frame_is_refused_not_overflowed() {
+        let nested = nested_batch_frame(200_000);
+        assert_eq!(decode_log(&nested), (vec![], 0));
+        let mut log = WalRecord::CheckpointMark { seq: 0 }.encode().to_vec();
+        log.extend_from_slice(&nested);
+        let refused = SnapshotError::Corrupt("batch inside a batch".into());
+        assert_eq!(decode_tail(&log, 0), Err(refused));
+        let snapshot = crate::snapshot::encode(&World::new());
+        let parts = [(0u64, &snapshot[..])];
+        let recovered = crate::walstore::recover_from_parts(crate::walstore::newest_first(&parts), &log);
+        assert!(recovered.is_err());
     }
 
     #[test]
@@ -953,46 +919,30 @@ mod tests {
     fn apply_redo_records() {
         let mut w = World::new();
         w.define_component("hp", ValueType::Float).unwrap();
+        let hp = w.component_id("hp").unwrap();
         let e = EntityId::from_bits(0);
-        WalRecord::Spawn {
-            entity: e,
-            x: 3.0,
-            y: 4.0,
-        }
-        .apply(&mut w)
-        .unwrap();
-        WalRecord::Set {
-            entity: e,
-            component: "hp".into(),
-            value: Value::Float(10.0),
-        }
-        .apply(&mut w)
-        .unwrap();
+        WalRecord::Restore { entity: e }.apply(&mut w).unwrap();
+        set(e, POS_ID, Value::Vec2(3.0, 4.0)).apply(&mut w).unwrap();
+        set(e, hp, Value::Float(10.0)).apply(&mut w).unwrap();
         assert_eq!(w.pos(e), Some(Vec2::new(3.0, 4.0)));
         assert_eq!(w.get_f32(e, "hp"), Some(10.0));
         WalRecord::Despawn { entity: e }.apply(&mut w).unwrap();
         assert!(!w.is_live(e));
     }
 
+    /// A restore's slot index is input from disk: one far past the live
+    /// count is refused before the allocator grows to it, one within
+    /// reach lands.
     #[test]
-    fn apply_defines_missing_components() {
+    fn forged_restore_slot_fails_before_it_allocates() {
         let mut w = World::new();
-        let e = EntityId::from_bits(0);
-        WalRecord::Spawn {
-            entity: e,
-            x: 0.0,
-            y: 0.0,
-        }
-        .apply(&mut w)
-        .unwrap();
-        WalRecord::Set {
-            entity: e,
-            component: "brand_new".into(),
-            value: Value::Int(9),
-        }
-        .apply(&mut w)
-        .unwrap();
-        assert_eq!(w.get_i64(e, "brand_new"), Some(9));
+        let far = EntityId::from_bits(u32::MAX as u64);
+        let refused = WalRecord::Restore { entity: far }.apply(&mut w);
+        assert_eq!(refused, Err(CoreError::DeadEntity(far)));
+        assert!(w.is_empty());
+        let near = EntityId::from_bits(1000);
+        WalRecord::Restore { entity: near }.apply(&mut w).unwrap();
+        assert!(w.is_live(near));
     }
 
     /// Interned records replay by id alone: each lands on its column and
@@ -1008,27 +958,11 @@ mod tests {
         let mut by_name = w.clone();
         let (tap, name_tap) = (w.attach_tap(), by_name.attach_tap());
         for record in [
-            WalRecord::Set {
-                entity: e,
-                component: hp.into(),
-                value: Value::Float(5.0),
-            },
-            WalRecord::CreateIndex {
-                component: hp.into(),
-                kind: IndexKind::Sorted,
-            },
-            WalRecord::Set {
-                entity: e,
-                component: gamedb_core::POS_ID.into(),
-                value: Value::Vec2(1.0, 2.0),
-            },
-            WalRecord::RemoveComponent {
-                entity: e,
-                component: hp.into(),
-            },
-            WalRecord::DropIndex {
-                component: hp.into(),
-            },
+            set(e, hp, Value::Float(5.0)),
+            WalRecord::CreateIndex { component: hp, kind: IndexKind::Sorted },
+            set(e, POS_ID, Value::Vec2(1.0, 2.0)),
+            WalRecord::RemoveComponent { entity: e, component: hp },
+            WalRecord::DropIndex { component: hp },
         ] {
             record.apply(&mut w).unwrap();
         }
@@ -1041,27 +975,12 @@ mod tests {
         assert_eq!(w.rows(), by_name.rows());
 
         let ghost = ComponentId::from_u32(9);
-        let set = WalRecord::Set {
-            entity: e,
-            component: ghost.into(),
-            value: Value::Float(1.0),
-        };
+        let set = set(e, ghost, Value::Float(1.0));
         assert!(matches!(set.apply(&mut w), Err(CoreError::UnknownComponent(_))));
-        let index = WalRecord::CreateIndex {
-            component: ghost.into(),
-            kind: IndexKind::Hash,
-        };
+        let index = WalRecord::CreateIndex { component: ghost, kind: IndexKind::Hash };
         assert!(matches!(index.apply(&mut w), Err(CoreError::UnknownComponent(_))));
-        let remove = WalRecord::RemoveComponent {
-            entity: e,
-            component: ghost.into(),
-        };
-        remove.apply(&mut w).unwrap();
-        WalRecord::DropIndex {
-            component: ghost.into(),
-        }
-        .apply(&mut w)
-        .unwrap();
+        WalRecord::RemoveComponent { entity: e, component: ghost }.apply(&mut w).unwrap();
+        WalRecord::DropIndex { component: ghost }.apply(&mut w).unwrap();
     }
 
     fn log_of(records: &[WalRecord]) -> Vec<u8> {
@@ -1072,23 +991,16 @@ mod tests {
     fn replay_skips_records_before_checkpoint_mark() {
         let mut w = World::new();
         w.define_component("hp", ValueType::Float).unwrap();
+        let hp = w.component_id("hp").unwrap();
         let e = w.spawn_at(Vec2::ZERO);
         w.set_f32(e, "hp", 50.0).unwrap(); // state as of snapshot 3
 
         let records = vec![
             // pre-checkpoint history that must NOT replay
-            WalRecord::Set {
-                entity: e,
-                component: "hp".into(),
-                value: Value::Float(1.0),
-            },
+            set(e, hp, Value::Float(1.0)),
             WalRecord::CheckpointMark { seq: 3 },
             // the tail to redo
-            WalRecord::Set {
-                entity: e,
-                component: "hp".into(),
-                value: Value::Float(42.0),
-            },
+            set(e, hp, Value::Float(42.0)),
         ];
         let applied = replay_log_tail(&mut w, &log_of(&records), 3).unwrap();
         assert_eq!(applied, 1);
@@ -1102,20 +1014,13 @@ mod tests {
         // would re-apply history the snapshot already contains
         let mut w = World::new();
         w.define_component("hp", ValueType::Float).unwrap();
+        let hp = w.component_id("hp").unwrap();
         let e = w.spawn_at(Vec2::ZERO);
         w.set_f32(e, "hp", 50.0).unwrap(); // state as of snapshot 2
         let records = vec![
-            WalRecord::Set {
-                entity: e,
-                component: "hp".into(),
-                value: Value::Float(1.0),
-            },
+            set(e, hp, Value::Float(1.0)),
             WalRecord::CheckpointMark { seq: 1 },
-            WalRecord::Set {
-                entity: e,
-                component: "hp".into(),
-                value: Value::Float(2.0),
-            },
+            set(e, hp, Value::Float(2.0)),
         ];
         let applied = replay_log_tail(&mut w, &log_of(&records), 2).unwrap();
         assert_eq!(applied, 0, "no mark for seq 2: nothing may replay");
@@ -1123,34 +1028,28 @@ mod tests {
     }
 
     /// Only the tail is decoded: a frame whose checksum holds but whose
-    /// payload no decoder knows ends the log where replay meets it —
-    /// after the mark — and is never looked at before the mark, where
-    /// nothing is decoded at all.
+    /// payload no decoder knows is never looked at before the mark,
+    /// where nothing is decoded at all, and fails recovery after it —
+    /// a log that ended there would recover a silently truncated world.
     #[test]
     fn replay_decodes_the_tail_only() {
         let mut w = World::new();
         w.define_component("hp", ValueType::Float).unwrap();
+        let hp = w.component_id("hp").unwrap();
         let e = w.spawn_at(Vec2::ZERO);
-        let set = |hp: f32| WalRecord::Set {
-            entity: e,
-            component: "hp".into(),
-            value: Value::Float(hp),
-        };
-        let unknown = {
-            let payload = [0xEEu8, 1, 2, 3];
-            let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
-            frame.extend_from_slice(&payload);
-            frame.extend_from_slice(&checksum(&payload).to_le_bytes());
-            frame
-        };
+        let hp_to = |v: f32| set(e, hp, Value::Float(v));
+        let unknown = frame(&[0xEE, 1, 2, 3]);
         let mut log = unknown.clone();
-        log.extend(log_of(&[set(1.0), WalRecord::CheckpointMark { seq: 5 }, set(2.0)]));
-        log.extend(&unknown);
-        log.extend(log_of(&[set(3.0)]));
+        log.extend(log_of(&[hp_to(1.0), WalRecord::CheckpointMark { seq: 5 }, hp_to(2.0)]));
 
         assert_eq!(decode_log(&log).0, vec![], "a full decode stops at frame one");
         assert_eq!(replay_log_tail(&mut w, &log, 5).unwrap(), 1);
-        assert_eq!(w.get_f32(e, "hp"), Some(2.0), "the log ends at the unknown tail frame");
+        assert_eq!(w.get_f32(e, "hp"), Some(2.0));
+
+        log.extend(&unknown);
+        log.extend(log_of(&[hp_to(3.0)]));
+        let unknown_tag = SnapshotError::Corrupt("unknown wal tag 238".into());
+        assert_eq!(decode_tail(&log, 5), Err(unknown_tag), "an undecodable frame fails recovery");
     }
 
     #[test]
@@ -1158,21 +1057,13 @@ mod tests {
         use gamedb_content::CmpOp;
         let mut w = World::new();
         let e = EntityId::from_bits(0);
+        let hp = ComponentId::from_u32(1);
         let records = vec![
-            WalRecord::Spawn {
-                entity: e,
-                x: 0.0,
-                y: 0.0,
-            },
-            WalRecord::Set {
-                entity: e,
-                component: "hp".into(),
-                value: Value::Float(5.0),
-            },
-            WalRecord::CreateIndex {
-                component: "hp".into(),
-                kind: IndexKind::Sorted,
-            },
+            define(1, "hp", ValueType::Float),
+            WalRecord::Restore { entity: e },
+            set(e, POS_ID, Value::Vec2(0.0, 0.0)),
+            set(e, hp, Value::Float(5.0)),
+            WalRecord::CreateIndex { component: hp, kind: IndexKind::Sorted },
             WalRecord::RegisterPlanView {
                 slot: 0,
                 plan: Query::select()
@@ -1191,13 +1082,7 @@ mod tests {
         assert!(w.index_probe("hp", CmpOp::Lt, &Value::Float(10.0), &mut out));
         assert_eq!(out, vec![e]);
         // the restored view keeps tracking post-replay writes
-        WalRecord::Set {
-            entity: e,
-            component: "hp".into(),
-            value: Value::Float(50.0),
-        }
-        .apply(&mut w)
-        .unwrap();
+        set(e, hp, Value::Float(50.0)).apply(&mut w).unwrap();
         w.refresh_views();
         assert!(w.view_rows(v).is_empty());
     }
@@ -1228,11 +1113,7 @@ mod tests {
                     y: 5.0,
                     radius: 2.0,
                 },
-                WalRecord::Set {
-                    entity: e,
-                    component: "hp".into(),
-                    value: Value::Float(3.0),
-                },
+                set(e, w.component_id("hp").unwrap(), Value::Float(3.0)),
             ]);
             let err = replay_log_tail(&mut w, &log, 1);
             assert!(matches!(err, Err(CoreError::PlanInvalid(_))), "{err:?}");
