@@ -48,6 +48,16 @@ impl ColumnData {
             ColumnData::V2(v) => v.len(),
         }
     }
+
+    fn value_type(&self) -> ValueType {
+        match self {
+            ColumnData::F32(_) => ValueType::Float,
+            ColumnData::I64(_) => ValueType::Int,
+            ColumnData::Bool(_) => ValueType::Bool,
+            ColumnData::Str(_) => ValueType::Str,
+            ColumnData::V2(_) => ValueType::Vec2,
+        }
+    }
 }
 
 /// One component column: typed data plus a presence bitmap.
@@ -68,6 +78,22 @@ impl Column {
             data: ColumnData::new(ty),
             present_count: 0,
         }
+    }
+
+    /// A column built whole from slot-indexed parts, typed by `data`:
+    /// `present[slot]` says whether `data[slot]` is a value (a bulk load
+    /// builds each column this way instead of writing it value by
+    /// value). `None` when the two differ in length.
+    pub fn from_parts(present: Vec<bool>, data: ColumnData) -> Option<Column> {
+        if present.len() != data.len() {
+            return None;
+        }
+        Some(Column {
+            ty: data.value_type(),
+            present_count: present.iter().filter(|&&p| p).count(),
+            present,
+            data,
+        })
     }
 
     /// The component type.
@@ -323,6 +349,22 @@ mod tests {
         let mut v = Column::new(ValueType::Vec2);
         v.set(0, &Value::Vec2(3.0, 4.0)).unwrap();
         assert_eq!(v.get_v2(0), Some([3.0, 4.0]));
+    }
+
+    #[test]
+    fn from_parts_equals_value_by_value() {
+        let mut c = Column::new(ValueType::Int);
+        c.set(1, &Value::Int(10)).unwrap();
+        c.set(3, &Value::Int(-4)).unwrap();
+        let parts = Column::from_parts(
+            vec![false, true, false, true],
+            ColumnData::I64(vec![0, 10, 0, -4]),
+        );
+        assert_eq!(parts, Some(c));
+        assert_eq!(
+            Column::from_parts(vec![true], ColumnData::Bool(vec![])),
+            None
+        );
     }
 
     #[test]

@@ -89,4 +89,4 @@ pub use intern::ComponentId;
 pub use planner::{plan, Access, ColumnStats, Plan, TableStats};
 pub use query::{aggregate, compare, AggFn, AggResult, Pred, Query};
 pub use view::{ViewDelta, ViewId, ViewStats};
-pub use world::{BulkLoader, CoreError, RowLoader, World, WorldCatalog, POS, POS_ID};
+pub use world::{BulkLoader, CoreError, World, WorldCatalog, POS, POS_ID};

@@ -290,8 +290,9 @@ fn sort_run<T: Ord + Copy>(items: &mut Vec<T>, split: impl Fn(&T) -> (u32, Entit
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ViewRegistry {
     /// Slot per ever-registered view; dropped views leave `None` so ids
-    /// stay stable.
-    slots: Vec<Option<PlanView>>,
+    /// stay stable. Boxed, so a dead slot costs one word: recovery
+    /// reserves as many slots as a catalog read from disk names.
+    slots: Vec<Option<Box<PlanView>>>,
     active: usize,
     /// The last batch's [`FoldCtx`] runs, kept for their capacity.
     touched: Vec<EntityId>,
@@ -309,7 +310,7 @@ impl ViewRegistry {
 
     /// Install a view at the next fresh slot.
     pub(crate) fn register(&mut self, view: PlanView) -> u32 {
-        self.slots.push(Some(view));
+        self.slots.push(Some(Box::new(view)));
         self.active += 1;
         self.slots.len() as u32 - 1
     }
@@ -334,8 +335,8 @@ impl ViewRegistry {
     /// reserves every slot the pre-crash world ever issued before
     /// re-registering the live ones.
     pub(crate) fn reserve_slots(&mut self, slots: u32) {
-        while self.slots.len() < slots as usize {
-            self.slots.push(None);
+        if self.slots.len() < slots as usize {
+            self.slots.resize_with(slots as usize, || None);
         }
     }
 
@@ -348,14 +349,14 @@ impl ViewRegistry {
         if entry.is_some() {
             return false;
         }
-        *entry = Some(view);
+        *entry = Some(Box::new(view));
         self.active += 1;
         true
     }
 
     /// The view at a slot, if the slot is live.
     pub(crate) fn at_slot(&self, slot: u32) -> Option<&PlanView> {
-        self.slots.get(slot as usize).and_then(|s| s.as_ref())
+        self.slots.get(slot as usize).and_then(|s| s.as_deref())
     }
 
     pub(crate) fn drop_view(&mut self, id: ViewId) -> bool {
@@ -382,7 +383,7 @@ impl ViewRegistry {
     pub(crate) fn get_mut(&mut self, id: ViewId) -> &mut PlanView {
         self.slots
             .get_mut(id.slot as usize)
-            .and_then(|s| s.as_mut())
+            .and_then(|s| s.as_deref_mut())
             .unwrap_or_else(|| panic!("view {id:?} is not registered"))
     }
 

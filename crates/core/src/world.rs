@@ -32,7 +32,7 @@ use crate::view::{ViewDelta, ViewId, ViewRegistry, ViewStats};
 use gamedb_content::CmpOp;
 
 mod bulk;
-pub use bulk::{BulkLoader, RowLoader};
+pub use bulk::BulkLoader;
 
 /// Name of the reserved position component.
 pub const POS: &str = "pos";
@@ -1396,9 +1396,9 @@ impl World {
     /// world with `schema` defined in listed order — so every interned
     /// id lands where the image's writer had it; the predefined `pos`
     /// may appear anywhere in the list — holding exactly `entities`,
-    /// restored with their generations in one allocator pass. Rows then
-    /// go straight into their columns through the returned
-    /// [`BulkLoader`]; nothing is indexed, folded or recorded per row.
+    /// restored with their generations in one allocator pass. Each
+    /// column then goes in whole through the returned [`BulkLoader`];
+    /// nothing is indexed, folded or recorded per row.
     /// Derived state — the spatial grid too — is built over the finished
     /// rows by [`World::import_catalog`], each structure in one pass.
     pub fn bulk_load(
@@ -2160,21 +2160,28 @@ mod tests {
         ));
 
         let mut load = World::bulk_load(&schema, &[a]).unwrap();
-        // `pos` keeps its reserved id wherever the schema lists it
-        let (hp, pos) = (load.component_ids()[0], load.component_ids()[1]);
-        assert_eq!(pos, POS_ID);
-        assert_eq!(load.row(b).unwrap_err(), CoreError::DeadEntity(b));
-        let mut row = load.row(a).unwrap();
+        // slot 3 holds `a`; a column must have its entry's type and
+        // hold values at live slots only
+        use crate::column::{Column, ColumnData};
+        let at_a = |data| Column::from_parts(vec![false, false, false, true], data).unwrap();
         assert!(matches!(
-            row.put(hp, Value::Int(1)),
+            load.install_column(0, at_a(ColumnData::I64(vec![0, 0, 0, 1]))),
             Err(CoreError::TypeMismatch { .. })
         ));
         assert!(matches!(
-            row.put(ComponentId::from_u32(9), Value::Float(1.0)),
+            load.install_column(2, at_a(ColumnData::F32(vec![0.0; 4]))),
             Err(CoreError::UnknownComponent(_))
         ));
-        row.put(hp, Value::Float(7.0)).unwrap();
-        row.put(pos, Value::Vec2(2.0, 3.0)).unwrap();
+        let dead = Column::from_parts(vec![true, false], ColumnData::F32(vec![1.0, 0.0])).unwrap();
+        assert_eq!(
+            load.install_column(0, dead).unwrap_err(),
+            CoreError::DeadEntity(EntityId::from_bits(0))
+        );
+        load.install_column(0, at_a(ColumnData::F32(vec![0.0, 0.0, 0.0, 7.0])))
+            .unwrap();
+        // `pos` keeps its reserved id wherever the schema lists it
+        load.install_column(1, at_a(ColumnData::V2(vec![[0.0; 2], [0.0; 2], [0.0; 2], [2.0, 3.0]])))
+            .unwrap();
         let mut w = load.finish();
         assert_eq!(w.get_f32(a, "hp"), Some(7.0));
         assert_eq!(w.approx_bounds(), Some((v(2.0, 3.0), v(2.0, 3.0))));

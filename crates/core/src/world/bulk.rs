@@ -1,19 +1,20 @@
-//! A bulk load: values go straight into their columns, and the derived
-//! state — spatial grid, secondary indexes, views — is built once over
-//! the finished rows, as independent jobs ([`run_jobs`]).
+//! A bulk load: each column goes in whole, and the derived state —
+//! spatial grid, secondary indexes, views — is built once over the
+//! finished rows, as independent jobs ([`run_jobs`]).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use gamedb_content::Value;
 use gamedb_spatial::Vec2;
 
 use super::{grow_bounds, CoreError, World, POS_ID};
+use crate::column::Column;
 use crate::entity::EntityId;
 use crate::intern::ComponentId;
 
 /// A world part-way through [`World::bulk_load`]: schema and entities
-/// are in place, rows are being written ([`BulkLoader::row`]).
-/// [`BulkLoader::finish`] hands the world over.
+/// are in place, columns are being installed
+/// ([`BulkLoader::install_column`]). [`BulkLoader::finish`] hands the
+/// world over.
 #[derive(Debug)]
 pub struct BulkLoader {
     pub(super) world: World,
@@ -22,21 +23,32 @@ pub struct BulkLoader {
 }
 
 impl BulkLoader {
-    /// Interned id of each schema entry, in the order the schema listed
-    /// them — resolve a row's schema index here once, not by name per
-    /// row.
-    pub fn component_ids(&self) -> &[ComponentId] {
-        &self.ids
-    }
-
-    /// Begin writing the row of `id`, one of the loaded entities: it is
-    /// checked live here, once, not once per value.
-    pub fn row(&mut self, id: EntityId) -> Result<RowLoader<'_>, CoreError> {
-        self.world.check_live(id)?;
-        Ok(RowLoader {
-            world: &mut self.world,
-            slot: id.index() as usize,
-        })
+    /// Install the whole column of schema entry `entry` (the column
+    /// [`World::bulk_load`] defined empty), built by the caller with
+    /// [`Column::from_parts`]. It must have the entry's type and hold
+    /// values only at live slots: one type check and one pass over its
+    /// presence, not a check per value.
+    pub fn install_column(&mut self, entry: usize, column: Column) -> Result<(), CoreError> {
+        let Some(&id) = self.ids.get(entry) else {
+            return Err(CoreError::UnknownComponent(format!("schema entry {entry}")));
+        };
+        let world = &mut self.world;
+        let expected = world.columns[id.index()].ty();
+        if column.ty() != expected {
+            return Err(CoreError::TypeMismatch {
+                component: world.interner.name(id).unwrap_or_default().to_string(),
+                expected,
+                got: column.ty(),
+            });
+        }
+        let alive = world.alloc.alive();
+        let dead = (column.presence().iter().enumerate())
+            .find(|&(slot, &present)| present && !alive.get(slot).copied().unwrap_or(false));
+        if let Some((slot, _)) = dead {
+            return Err(CoreError::DeadEntity(EntityId::new(slot as u32, 0)));
+        }
+        world.columns[id.index()] = column;
+        Ok(())
     }
 
     /// Finish the load, the bounds grown over every position in id order
@@ -94,34 +106,4 @@ pub(super) fn run_jobs<T: Send>(
     });
     done.sort_unstable_by_key(|&(i, _)| i);
     done.into_iter().map(|(_, t)| t).collect()
-}
-
-/// One live entity's row during a bulk load: each value goes straight
-/// into its column slot, type-checked against the column.
-#[derive(Debug)]
-pub struct RowLoader<'a> {
-    world: &'a mut World,
-    slot: usize,
-}
-
-impl RowLoader<'_> {
-    /// Write one value into its column (a string moves in, uncopied).
-    #[inline]
-    pub fn put(&mut self, component: ComponentId, value: Value) -> Result<(), CoreError> {
-        let world = &mut *self.world;
-        let Some(col) = world.columns.get_mut(component.index()) else {
-            return Err(CoreError::UnknownComponent(format!("{component}")));
-        };
-        let got = value.value_type();
-        col.put(self.slot, value)
-            .map_err(|expected| CoreError::TypeMismatch {
-                component: world
-                    .interner
-                    .name(component)
-                    .unwrap_or_default()
-                    .to_string(),
-                expected,
-                got,
-            })
-    }
 }

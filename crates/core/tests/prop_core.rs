@@ -992,20 +992,29 @@ proptest! {
 }
 /// Rebuild a world from its public recovery surface, the way the
 /// persistence layer does after a crash: the row image bulk-loaded
-/// (schema in id order, entities with their generations, every value
-/// straight into its column), then the catalog import (each index built
-/// from its column, each view seeded at its original slot, lineage +
-/// tick adopted).
+/// (schema in id order, entities with their generations, each column
+/// built from the rows and installed whole), then the catalog import
+/// (each index built from its column, each view seeded at its original
+/// slot, lineage + tick adopted).
 fn restore_via_catalog(w: &World) -> World {
     let schema: Vec<(String, ValueType)> = w
         .schema_by_id()
         .map(|(_, name, ty)| (name.to_string(), ty))
         .collect();
     let mut load = World::bulk_load(&schema, &w.entity_vec()).unwrap();
+    let mut columns: Vec<gamedb_core::Column> = schema
+        .iter()
+        .map(|&(_, ty)| gamedb_core::Column::new(ty))
+        .collect();
     for (e, comp, val) in w.rows() {
         // the schema was listed in id order, so the ids are `w`'s
         let c = w.component_id(&comp).unwrap();
-        load.row(e).unwrap().put(c, val).unwrap();
+        columns[c.as_u32() as usize]
+            .set(e.index() as usize, &val)
+            .unwrap();
+    }
+    for (entry, column) in columns.into_iter().enumerate() {
+        load.install_column(entry, column).unwrap();
     }
     let mut r = load.finish();
     r.import_catalog(&w.export_catalog()).unwrap();

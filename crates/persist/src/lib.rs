@@ -25,9 +25,10 @@
 //!
 //! The crate decodes exactly what it encodes: one snapshot version and
 //! one WAL frame tag per record kind, with components named by interned
-//! id. A snapshot of another version is refused with
-//! [`SnapshotError::BadMagic`]; a log frame whose checksum holds but
-//! which does not decode fails recovery.
+//! id, both under one word-at-a-time [`checksum`]. A snapshot of
+//! another version is refused with [`SnapshotError::BadMagic`]; a log
+//! frame whose checksum holds but which does not decode fails recovery.
+//! Recovery names the part it refused ([`StoreError::Decode`]).
 //!
 //! ```no_run
 //! use gamedb_persist::{Backend, CheckpointClock, CheckpointPolicy, WalStore};
@@ -68,8 +69,8 @@ pub use schema::{
 pub use snapshot::{checksum, decode, encode, SnapshotError};
 pub use wal::{decode_log, varint_len, WalRecord};
 pub use walstore::{
-    recover_from_parts, CommitSeq, FlushPolicy, Recovered, RecoveryStats, StoreError, WalStats,
-    WalStore, WalWatermark,
+    recover_from_parts, CommitSeq, DurablePart, FlushPolicy, Recovered, RecoveryStats, StoreError,
+    WalStats, WalStore, WalWatermark,
 };
 
 /// Incremental ("delta") points: a [`WalStore::commit`] between policy

@@ -12,7 +12,7 @@
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use gamedb_content::{CmpOp, Value, ValueType};
 use gamedb_core::{
-    AggFn, Column, ComponentId, EntityId, IndexKind, JoinOn, PlanNode, Pred, Query, ViewPlan, World,
+    AggFn, Column, ColumnData, EntityId, IndexKind, JoinOn, PlanNode, Pred, Query, ViewPlan, World,
     WorldCatalog,
 };
 use gamedb_spatial::Vec2;
@@ -21,17 +21,30 @@ use std::time::Instant;
 
 use crate::walstore::RecoveryStats;
 
-/// Format magic + version (v4). The body is the schema in **interned
-/// id order** (decoding defines columns in listed order, so the
-/// recovered world's [`gamedb_core::ComponentId`] table matches the
-/// snapshotted world's and WAL-tail records decode to the columns they
-/// were recorded against), the row image, and the catalog — indexes,
-/// view slots, an always-empty 4-byte count left from the bare-query
-/// section older versions filled, and the views as operator-tree plans.
-/// Earlier versions are not read.
-const MAGIC: u32 = 0x6744_4204; // "gDB" v4
+/// Format magic + version (v5). The frame is a header (magic, tick,
+/// lineage, body length), the body, and a [`checksum`] over header and
+/// body. The body is the schema in **interned id order** (decoding
+/// defines columns in listed order, so the recovered world's
+/// [`gamedb_core::ComponentId`] table matches the snapshotted world's
+/// and WAL-tail records decode to the columns they were recorded
+/// against), the entity list, the rows **column by column** — per
+/// schema entry a presence bitmap over the entity list, then the
+/// present values packed in list order — and the catalog: indexes, view
+/// slots, an always-empty 4-byte count left from the bare-query section
+/// v2/v3 filled, and the views as operator-tree plans. Earlier versions
+/// are not read.
+const MAGIC: u32 = 0x6744_4205; // "gDB" v5
 
-/// Errors decoding a snapshot.
+/// How far past the live count a slot read from disk may reach: the
+/// snapshot's highest entity slot and view slot count, and a redone
+/// restore or view registration. Each sizes a table one entry per slot
+/// before anything else fails, so a forged one near `u32::MAX` would
+/// cost gigabytes; a writer that held more than this many free slots
+/// above its live entities (or views) is refused with it.
+pub(crate) const MAX_RESTORE_GAP: usize = 1 << 24;
+
+/// Errors decoding a snapshot or a log frame (the part is named by
+/// whoever decodes it: `StoreError::Decode` in recovery).
 #[derive(Debug, Clone, PartialEq)]
 pub enum SnapshotError {
     BadMagic(u32),
@@ -45,26 +58,66 @@ impl fmt::Display for SnapshotError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SnapshotError::BadMagic(m) => write!(f, "bad magic 0x{m:08x}"),
-            SnapshotError::Truncated => write!(f, "snapshot truncated"),
+            SnapshotError::Truncated => write!(f, "truncated"),
             SnapshotError::ChecksumMismatch { expected, got } => {
                 write!(f, "checksum mismatch: expected {expected:#x}, got {got:#x}")
             }
             SnapshotError::BadTypeTag(t) => write!(f, "unknown type tag {t}"),
-            SnapshotError::Corrupt(m) => write!(f, "corrupt snapshot: {m}"),
+            SnapshotError::Corrupt(m) => write!(f, "corrupt: {m}"),
         }
     }
 }
 
 impl std::error::Error for SnapshotError {}
 
-/// FNV-1a over the payload — cheap, deterministic corruption detection.
+/// xxHash32's multipliers: odd, so multiplying by one is a bijection.
+const P1: u32 = 0x9E37_79B1;
+const P2: u32 = 0x85EB_CA77;
+const P3: u32 = 0xC2B2_AE3D;
+const P4: u32 = 0x27D4_EB2F;
+
+/// Independent lanes of [`checksum`]: one 32-byte block per step.
+const LANES: usize = 8;
+
+/// The one checksum of snapshots and WAL frames. Eight 32-bit lanes
+/// each take every eighth little-endian word of the input's 32-byte
+/// blocks; the lanes, the length and the tail words (the last one
+/// zero-padded) then fold into one word, which is avalanched. Every
+/// step is a bijection of the state for a fixed word and of the word
+/// for a fixed state (add the word times an odd constant, rotate,
+/// multiply by an odd constant), the fold adds each lane rotated, and
+/// the avalanche is a bijection too. So two inputs of one length that
+/// differ only within one aligned 4-byte word — every single-bit flip,
+/// every single-byte change — never share a checksum. The lanes are
+/// independent, so a block's eight words are in flight at once.
 pub fn checksum(data: &[u8]) -> u32 {
-    let mut h: u32 = 0x811c9dc5;
-    for &b in data {
-        h ^= b as u32;
-        h = h.wrapping_mul(0x01000193);
+    let word = |w: &[u8]| u32::from_le_bytes(w.try_into().expect("4 bytes"));
+    let mut lanes: [u32; LANES] = std::array::from_fn(|i| P1.wrapping_mul(i as u32 + 1));
+    let mut blocks = data.chunks_exact(4 * LANES);
+    for block in &mut blocks {
+        for (lane, w) in lanes.iter_mut().zip(block.chunks_exact(4)) {
+            *lane = lane
+                .wrapping_add(word(w).wrapping_mul(P2))
+                .rotate_left(13)
+                .wrapping_mul(P1);
+        }
     }
-    h
+    let mut h = (lanes.iter().enumerate()).fold(data.len() as u32, |h, (i, lane)| {
+        h.wrapping_add(lane.rotate_left(4 * i as u32 + 1))
+    });
+    for w in blocks.remainder().chunks(4) {
+        let mut padded = [0u8; 4];
+        padded[..w.len()].copy_from_slice(w);
+        h = h
+            .wrapping_add(word(&padded).wrapping_mul(P3))
+            .rotate_left(17)
+            .wrapping_mul(P4);
+    }
+    h ^= h >> 15;
+    h = h.wrapping_mul(P2);
+    h ^= h >> 13;
+    h = h.wrapping_mul(P3);
+    h ^ (h >> 16)
 }
 
 /// The value-type tag table, shared by snapshots and WAL frames.
@@ -498,10 +551,22 @@ fn get_catalog(buf: &mut impl Buf, lineage: u64, tick: u64) -> Result<WorldCatal
     for _ in 0..n_plans {
         need!(4);
         let slot = buf.get_u32_le();
+        if slot >= view_slots {
+            return Err(SnapshotError::Corrupt(format!(
+                "view slot {slot} of {view_slots}"
+            )));
+        }
         views.push((slot, get_plan(buf)?));
     }
+    check_view_slots(view_slots, views.len())?;
     // one slot-ordered list, as `World::export_catalog` hands out
     views.sort_by_key(|(slot, _)| *slot);
+    if let Some(w) = views.windows(2).find(|w| w[0].0 == w[1].0) {
+        return Err(SnapshotError::Corrupt(format!(
+            "view slot {} twice",
+            w[0].0
+        )));
+    }
     Ok(WorldCatalog {
         lineage,
         tick,
@@ -511,7 +576,8 @@ fn get_catalog(buf: &mut impl Buf, lineage: u64, tick: u64) -> Result<WorldCatal
     })
 }
 
-/// Serialize a world: header, schema, entities, rows, checksum.
+/// Serialize a world: header, schema, entities, rows, catalog,
+/// checksum.
 ///
 /// The schema section lists components in **interned id order** (`pos`
 /// first, then definition order) — this *is* the durable interner
@@ -519,15 +585,14 @@ fn get_catalog(buf: &mut impl Buf, lineage: u64, tick: u64) -> Result<WorldCatal
 /// lineage ever recorded (WAL tails, replication segments) resolves
 /// identically after recovery.
 ///
-/// Rows are read by slot: each schema entry's column is resolved once,
-/// and every value is written from its typed accessor — no name lookup,
-/// no [`Value`] per row.
+/// Rows are written column by column ([`put_column`]): each schema
+/// entry's column is resolved once and read by slot through its typed
+/// storage — no name lookup, no [`Value`] per row.
 pub fn encode(world: &World) -> Bytes {
     let schema: Vec<(&str, &Column)> = world
         .schema_by_id()
         .map(|(id, name, _)| (name, world.column_by_id(id).expect("schema ids are dense")))
         .collect();
-    let entities = world.len();
     // the buffer is sized exactly, so it never regrows and freezing it
     // copies nothing: the catalog is encoded ahead, the rest counted
     let mut catalog = BytesMut::new();
@@ -536,8 +601,11 @@ pub fn encode(world: &World) -> Bytes {
         + 4
         + schema.iter().map(|(name, _)| MIN_STR + name.len() + 1).sum::<usize>()
         + 4
-        + 12 * entities
-        + schema.iter().map(|(_, col)| row_bytes(col)).sum::<usize>()
+        + 8 * world.len()
+        + schema
+            .iter()
+            .map(|(_, col)| column_bytes(col, world.len()))
+            .sum::<usize>()
         + catalog.len()
         + 4;
     let mut out = BytesMut::with_capacity(size);
@@ -552,44 +620,22 @@ pub fn encode(world: &World) -> Bytes {
         put_str(&mut out, name);
         out.put_u8(type_tag(col.ty()));
     }
-    // entities
-    out.put_u32_le(entities as u32);
+    // entities, in slot order
+    out.put_u32_le(world.len() as u32);
     for e in world.entities() {
         out.put_u64_le(e.to_bits());
     }
-    // rows: per entity, count + (schema index, value); the count is
-    // patched in after the entity's values
-    for e in world.entities() {
-        let slot = e.index() as usize;
-        let count_at = out.len();
-        out.put_u32_le(0);
-        let mut count = 0u32;
-        for (i, (_, col)) in schema.iter().enumerate() {
-            if !col.has(slot) {
-                continue;
-            }
-            out.put_u32_le(i as u32);
-            match col.ty() {
-                ValueType::Float => out.put_f32_le(col.get_f32(slot).expect("present")),
-                ValueType::Int => out.put_i64_le(col.get_i64(slot).expect("present")),
-                ValueType::Bool => out.put_u8(col.get_bool(slot).expect("present") as u8),
-                ValueType::Str => put_str(&mut out, col.get_str(slot).expect("present")),
-                ValueType::Vec2 => {
-                    let [x, y] = col.get_v2(slot).expect("present");
-                    out.put_f32_le(x);
-                    out.put_f32_le(y);
-                }
-            }
-            count += 1;
-        }
-        out[count_at..count_at + 4].copy_from_slice(&count.to_le_bytes());
+    // rows, column by column
+    for (_, col) in &schema {
+        let slots = world.entities().map(|e| e.index() as usize);
+        put_column(&mut out, col, world.len(), slots);
     }
     // catalog: index definitions + standing views
     out.put_slice(&catalog);
-    // frame: the body's length, then its checksum
+    // frame: the body's length, then the checksum of header and body
     let len = (out.len() - FRAME) as u32;
     out[FRAME - 4..FRAME].copy_from_slice(&len.to_le_bytes());
-    let cksum = checksum(&out[FRAME..]);
+    let cksum = checksum(&out);
     out.put_u32_le(cksum);
     debug_assert_eq!(out.len(), size, "the snapshot was sized exactly");
     out.freeze()
@@ -599,27 +645,137 @@ pub fn encode(world: &World) -> Bytes {
 /// body length.
 const FRAME: usize = 24;
 
-/// Bytes the row section spends on `col`: a schema index and an encoded
-/// value per present slot.
-fn row_bytes(col: &Column) -> usize {
-    let value = match col.ty() {
-        ValueType::Float => 4,
-        ValueType::Int | ValueType::Vec2 => 8,
-        ValueType::Bool => 1,
-        ValueType::Str => MIN_STR,
-    };
-    let text: usize = match col.ty() {
-        ValueType::Str => (0..col.presence().len())
-            .filter_map(|slot| col.get_str(slot))
-            .map(str::len)
-            .sum(),
-        _ => 0,
-    };
-    col.present_count() * (4 + value) + text
-}
-
 /// Smallest encoding of a string: its length prefix.
 const MIN_STR: usize = 4;
+
+/// Bytes [`put_column`] spends on `col` over `n` listed entities: the
+/// presence bitmap, then each present value.
+fn column_bytes(col: &Column, n: usize) -> usize {
+    let present = col.present_count();
+    let values = match col.data() {
+        ColumnData::F32(_) => 4 * present,
+        ColumnData::I64(_) | ColumnData::V2(_) => 8 * present,
+        ColumnData::Bool(_) => present,
+        ColumnData::Str(v) => (v.iter().zip(col.presence()))
+            .filter(|(_, &p)| p)
+            .map(|(s, _)| MIN_STR + s.len())
+            .sum(),
+    };
+    n.div_ceil(8) + values
+}
+
+/// One column of the row section over the `n` listed entities, whose
+/// slots `slots` yields in list order: a presence bitmap (bit `i % 8` of
+/// byte `i / 8` set when the `i`-th listed entity has a value; the bits
+/// past the list clear), then the present values packed in list order
+/// — one type dispatch per column, one pass over the list.
+fn put_column(out: &mut BytesMut, col: &Column, n: usize, slots: impl Iterator<Item = usize>) {
+    /// Set the bit of each listed entity with a value and `put` the
+    /// value.
+    fn pack(
+        out: &mut BytesMut,
+        present: &[bool],
+        n: usize,
+        slots: impl Iterator<Item = usize>,
+        mut put: impl FnMut(&mut BytesMut, usize),
+    ) {
+        let bitmap = out.len();
+        out.resize(bitmap + n.div_ceil(8), 0);
+        for (i, slot) in slots.enumerate() {
+            if present.get(slot) == Some(&true) {
+                out[bitmap + i / 8] |= 1 << (i % 8);
+                put(out, slot);
+            }
+        }
+    }
+    let present = col.presence();
+    match col.data() {
+        ColumnData::F32(v) => pack(out, present, n, slots, |out, slot| out.put_f32_le(v[slot])),
+        ColumnData::I64(v) => pack(out, present, n, slots, |out, slot| out.put_i64_le(v[slot])),
+        ColumnData::Bool(v) => pack(out, present, n, slots, |out, slot| {
+            out.put_u8(v[slot] as u8)
+        }),
+        ColumnData::Str(v) => pack(out, present, n, slots, |out, slot| put_str(out, &v[slot])),
+        ColumnData::V2(v) => pack(out, present, n, slots, |out, slot| {
+            let [x, y] = v[slot];
+            out.put_f32_le(x);
+            out.put_f32_le(y);
+        }),
+    }
+}
+
+/// Positions of the set bits of a presence bitmap, ascending.
+fn set_bits(bitmap: &[u8]) -> impl Iterator<Item = usize> + '_ {
+    bitmap
+        .iter()
+        .enumerate()
+        .filter(|(_, &bits)| bits != 0)
+        .flat_map(|(at, &bits)| {
+            (0..8)
+                .filter(move |i| bits >> i & 1 != 0)
+                .map(move |i| 8 * at + i)
+        })
+}
+
+/// The next `n` bytes of `buf`, sliced.
+fn take<'a>(buf: &mut &'a [u8], n: usize) -> Result<&'a [u8], SnapshotError> {
+    if buf.len() < n {
+        return Err(SnapshotError::Truncated);
+    }
+    let (head, rest) = buf.split_at(n);
+    *buf = rest;
+    Ok(head)
+}
+
+/// Inverse of [`put_column`] for the column of type `ty` over the
+/// entities at `slots` (each slot listed once): the column whole,
+/// slot-indexed as the live world keeps it — as long as its highest
+/// present slot — with each fixed-width value read straight into its
+/// typed storage, no [`Value`] between.
+fn get_column(buf: &mut &[u8], ty: ValueType, slots: &[usize]) -> Result<Column, SnapshotError> {
+    let n = slots.len();
+    let bitmap = take(buf, n.div_ceil(8))?;
+    if !n.is_multiple_of(8) && bitmap[n / 8] >> (n % 8) != 0 {
+        return Err(SnapshotError::Corrupt(
+            "presence bit past the entity list".into(),
+        ));
+    }
+    // the slot of each present value, in list order
+    let at = || set_bits(bitmap).map(|i| slots[i]);
+    let len = at().max().map_or(0, |slot| slot + 1);
+    let mut present = vec![false; len];
+    at().for_each(|slot| present[slot] = true);
+    /// `len` default slots, a `W`-byte value read from `buf` into each
+    /// slot of `at` in turn.
+    fn scatter<T: Clone + Default, const W: usize>(
+        buf: &mut &[u8],
+        at: impl Iterator<Item = usize>,
+        len: usize,
+        read: impl Fn([u8; W]) -> T,
+    ) -> Result<Vec<T>, SnapshotError> {
+        let mut out = vec![T::default(); len];
+        for slot in at {
+            out[slot] = read(take(buf, W)?.try_into().expect("W bytes"));
+        }
+        Ok(out)
+    }
+    let data = match ty {
+        ValueType::Float => ColumnData::F32(scatter(buf, at(), len, f32::from_le_bytes)?),
+        ValueType::Int => ColumnData::I64(scatter(buf, at(), len, i64::from_le_bytes)?),
+        ValueType::Bool => ColumnData::Bool(scatter(buf, at(), len, |[b]: [u8; 1]| b != 0)?),
+        ValueType::Vec2 => ColumnData::V2(scatter(buf, at(), len, |v: [u8; 8]| {
+            [0, 4].map(|x| f32::from_le_bytes(v[x..x + 4].try_into().expect("4 bytes")))
+        })?),
+        ValueType::Str => {
+            let mut v = vec![String::new(); len];
+            for slot in at() {
+                v[slot] = get_str(buf)?;
+            }
+            ColumnData::Str(v)
+        }
+    };
+    Ok(Column::from_parts(present, data).expect("both parts are `len` slots"))
+}
 
 /// A count read from disk, checked against what the rest of the buffer
 /// could possibly hold at `min_size` bytes per item — a forged count is
@@ -635,8 +791,19 @@ fn bounded(
     Ok(count)
 }
 
-/// Deserialize a world — rows *and* catalog — as a bulk load: every row
-/// goes straight into its column ([`World::bulk_load`]), then
+/// A catalog read from disk reserves `view_slots` slots for `views`
+/// live views: no more than [`MAX_RESTORE_GAP`] of them dead.
+pub(crate) fn check_view_slots(view_slots: u32, views: usize) -> Result<(), SnapshotError> {
+    if view_slots as usize > views + MAX_RESTORE_GAP {
+        return Err(SnapshotError::Corrupt(format!(
+            "{view_slots} view slots for {views} views"
+        )));
+    }
+    Ok(())
+}
+
+/// Deserialize a world — rows *and* catalog — as a bulk load: each
+/// column goes in whole ([`World::bulk_load`]), then
 /// [`World::import_catalog`] builds the spatial grid, each secondary
 /// index and each standing view (at its original slot, unsubscribed)
 /// once over those rows and restores the lineage and tick counter (the
@@ -674,17 +841,23 @@ pub(crate) fn decode_phased(
     let tick = buf.get_u64_le();
     let lineage = buf.get_u64_le();
     let len = buf.get_u32_le() as usize;
-    if buf.remaining() < 4 || buf.remaining() - 4 < len {
-        return Err(SnapshotError::Truncated);
+    // exactly header, body and checksum: a flipped length bit is a
+    // truncation or trailing bytes, never a checksum read elsewhere
+    match buf.remaining().checked_sub(4) {
+        Some(body) if body == len => {}
+        Some(body) if body > len => {
+            return Err(SnapshotError::Corrupt("bytes past the checksum".into()))
+        }
+        _ => return Err(SnapshotError::Truncated),
     }
-    let (body, mut trailer) = buf.split_at(len);
+    let (framed, mut trailer) = data.split_at(FRAME + len);
     let expected = trailer.get_u32_le();
-    let got = checksum(body);
+    let got = checksum(framed);
     if expected != got {
         return Err(SnapshotError::ChecksumMismatch { expected, got });
     }
 
-    let mut buf = body;
+    let mut buf = &framed[FRAME..];
     macro_rules! need {
         ($n:expr) => {
             if buf.remaining() < $n {
@@ -704,37 +877,34 @@ pub(crate) fn decode_phased(
     // entities: 8 bytes each
     need!(4);
     let n_entities = buf.get_u32_le() as usize;
-    let mut entities = Vec::with_capacity(bounded(n_entities, &buf, 8)?);
-    for _ in 0..n_entities {
-        entities.push(EntityId::from_bits(buf.get_u64_le()));
+    let n_entities = bounded(n_entities, &buf, 8)?;
+    let ids = take(&mut buf, 8 * n_entities)?;
+    let entities: Vec<EntityId> = (ids.chunks_exact(8))
+        .map(|id| EntityId::from_bits(u64::from_le_bytes(id.try_into().expect("8 bytes"))))
+        .collect();
+    // the allocator is sized by the highest listed slot
+    let span = entities
+        .iter()
+        .map(|e| e.index() as usize + 1)
+        .max()
+        .unwrap_or(0);
+    if span.saturating_sub(entities.len()) > MAX_RESTORE_GAP {
+        return Err(SnapshotError::Corrupt(format!(
+            "entity slot {} past the restore gap",
+            span - 1
+        )));
     }
     phases.decode = started.elapsed();
 
-    // rows: each schema entry resolves to its column once, then every
-    // value goes straight from the buffer into its column slot
+    // rows: each column built whole and installed at its schema entry
     let started = Instant::now();
     let mut loader = World::bulk_load(&schema, &entities).map_err(corrupt)?;
-    let columns: Vec<(ComponentId, ValueType)> = loader
-        .component_ids()
-        .iter()
-        .zip(&schema)
-        .map(|(&id, (_, ty))| (id, *ty))
-        .collect();
+    let slots: Vec<usize> = entities.iter().map(|e| e.index() as usize).collect();
     let mut rows = 0u64;
-    for &e in &entities {
-        let mut row = loader.row(e).map_err(corrupt)?;
-        need!(4);
-        let n_rows = buf.get_u32_le();
-        for _ in 0..n_rows {
-            need!(4);
-            let idx = buf.get_u32_le() as usize;
-            let &(component, ty) = columns
-                .get(idx)
-                .ok_or_else(|| SnapshotError::Corrupt(format!("schema index {idx}")))?;
-            row.put(component, get_value(&mut buf, ty)?)
-                .map_err(corrupt)?;
-            rows += 1;
-        }
+    for (entry, &(_, ty)) in schema.iter().enumerate() {
+        let column = get_column(&mut buf, ty, &slots)?;
+        rows += column.present_count() as u64;
+        loader.install_column(entry, column).map_err(corrupt)?;
     }
     let world = loader.finish();
     phases.load_rows = started.elapsed();
@@ -742,45 +912,66 @@ pub(crate) fn decode_phased(
 
     let started = Instant::now();
     let catalog = get_catalog(&mut buf, lineage, tick)?;
+    if !buf.is_empty() {
+        return Err(SnapshotError::Corrupt("bytes past the catalog".into()));
+    }
     phases.decode += started.elapsed();
     Ok((world, catalog))
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use gamedb_spatial::Vec2;
     use proptest::prelude::*;
 
-    /// The row-walk encoder [`encode`] replaced, rebuilt from
-    /// [`World::rows`]: every value passes through a [`Value`], and each
-    /// entity's rows are put back into schema (interned id) order. The
-    /// oracle `encode` must equal byte for byte.
-    fn encode_by_row_walk(world: &World) -> Vec<u8> {
+    /// Recompute the checksum of an edited snapshot, so that its
+    /// decoder, not the checksum, meets the edit.
+    pub(crate) fn reseal(bytes: &mut [u8]) {
+        if let Some(end) = bytes.len().checked_sub(4) {
+            let sum = checksum(&bytes[..end]);
+            bytes[end..].copy_from_slice(&sum.to_le_bytes());
+        }
+    }
+
+    /// The row section rebuilt column by column from [`World::rows`]:
+    /// each schema entry's bitmap and values are looked up by name per
+    /// listed entity, and every value passes through a [`Value`] and
+    /// [`put_value`]. The oracle `encode` must equal byte for byte.
+    fn encode_by_column_walk(world: &World) -> Vec<u8> {
         let schema: Vec<(&str, ValueType)> = world.schema_by_id().map(|(_, n, t)| (n, t)).collect();
+        let entities: Vec<EntityId> = world.entities().collect();
+        let rows: std::collections::HashMap<(EntityId, String), Value> = world
+            .rows()
+            .into_iter()
+            .map(|(e, name, value)| ((e, name), value))
+            .collect();
         let mut body = BytesMut::new();
         body.put_u32_le(schema.len() as u32);
         for (name, ty) in &schema {
             put_str(&mut body, name);
             body.put_u8(type_tag(*ty));
         }
-        let entities: Vec<EntityId> = world.entities().collect();
         body.put_u32_le(entities.len() as u32);
         for e in &entities {
             body.put_u64_le(e.to_bits());
         }
-        let mut rows = world.rows().into_iter().peekable();
-        for &e in &entities {
-            let mut row = Vec::new();
-            while let Some((_, name, value)) = rows.next_if(|(id, ..)| *id == e) {
-                let i = schema.iter().position(|(n, _)| *n == name).unwrap();
-                row.push((i, value));
+        for (name, _) in &schema {
+            let column: Vec<Option<&Value>> = entities
+                .iter()
+                .map(|&e| rows.get(&(e, name.to_string())))
+                .collect();
+            for eight in column.chunks(8) {
+                body.put_u8(
+                    eight
+                        .iter()
+                        .enumerate()
+                        .map(|(i, v)| (v.is_some() as u8) << i)
+                        .sum(),
+                );
             }
-            row.sort_by_key(|(i, _)| *i);
-            body.put_u32_le(row.len() as u32);
-            for (i, value) in row {
-                body.put_u32_le(i as u32);
-                put_value(&mut body, &value);
+            for value in column.into_iter().flatten() {
+                put_value(&mut body, value);
             }
         }
         put_catalog(&mut body, &world.export_catalog());
@@ -790,7 +981,8 @@ mod tests {
         out.put_u64_le(world.lineage());
         out.put_u32_le(body.len() as u32);
         out.put_slice(&body);
-        out.put_u32_le(checksum(&body));
+        let sum = checksum(&out);
+        out.put_u32_le(sum);
         out.to_vec()
     }
 
@@ -851,13 +1043,14 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::default())]
 
-        /// [`encode`] reads columns by slot; the row walk it replaced read
-        /// them by name through a `Value`. Over worlds with all five
-        /// column types, NaN / ±0.0 / infinities, missing values,
-        /// unpositioned entities, id holes with bumped generations and a
-        /// catalog, the two write the same bytes.
+        /// [`encode`] reads each column's typed storage by slot; the
+        /// column walk reads the rows by name through a `Value`. Over
+        /// worlds with all five column types, NaN / ±0.0 / infinities,
+        /// missing values, unpositioned entities, id holes with bumped
+        /// generations and a catalog, the two write the same bytes, and
+        /// they decode to the same rows.
         #[test]
-        fn snapshot_encode_is_byte_identical_to_row_walk(
+        fn snapshot_encode_is_byte_identical_to_column_walk(
             ops in proptest::collection::vec(image_op(), 0..80),
             indexed in any::<bool>(),
         ) {
@@ -905,7 +1098,7 @@ mod tests {
             }
             w.refresh_views();
             let bytes = encode(&w);
-            prop_assert_eq!(&bytes[..], &encode_by_row_walk(&w)[..]);
+            prop_assert_eq!(&bytes[..], &encode_by_column_walk(&w)[..]);
             let (back, _) = decode(&bytes).unwrap();
             prop_assert_eq!(format!("{:?}", back.rows()), format!("{:?}", w.rows()));
         }
@@ -1000,18 +1193,24 @@ mod tests {
     /// A count read from disk is bounded by what the buffer could hold
     /// before anything is sized by it: a forged count under a recomputed
     /// (valid) checksum is a truncation, not a multi-gigabyte allocation.
+    /// A slot read from disk — the highest listed entity slot, the view
+    /// slot count — is bounded by the live count plus
+    /// [`MAX_RESTORE_GAP`]: a forged one is corrupt.
     #[test]
     fn forged_counts_fail_before_they_allocate() {
         // an empty world's body, by offset: n_schema(=1) | len(3) "pos"
-        // tag | n_entities(=0) | n_indexes(=0) | ...
+        // tag | n_entities(=0) | n_indexes(=0) | view_slots(=0) | ...
         const BODY: usize = 24;
         let bytes = encode(&World::new()).to_vec();
-        for (what, at) in [("schema", 0), ("entity", 12), ("index", 16)] {
+        for (what, at) in [
+            ("schema", 0),
+            ("entity", 12),
+            ("index", 16),
+            ("view slot", 20),
+        ] {
             let mut forged = bytes.clone();
             forged[BODY + at..BODY + at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-            let end = forged.len() - 4;
-            let sum = checksum(&forged[BODY..end]);
-            forged[end..].copy_from_slice(&sum.to_le_bytes());
+            reseal(&mut forged);
             let err = decode(&forged).unwrap_err();
             assert!(
                 matches!(err, SnapshotError::Truncated | SnapshotError::Corrupt(_)),
@@ -1020,31 +1219,52 @@ mod tests {
         }
         // and on a populated image, where the entity list is real
         let w = sample_world();
-        let mut forged = encode(&w).to_vec();
+        let image = encode(&w).to_vec();
         let mut at = BODY + 4;
         for _ in 0..w.component_count() {
-            let len = u32::from_le_bytes(forged[at..at + 4].try_into().unwrap()) as usize;
+            let len = u32::from_le_bytes(image[at..at + 4].try_into().unwrap()) as usize;
             at += 4 + len + 1;
         }
         assert_eq!(
-            u32::from_le_bytes(forged[at..at + 4].try_into().unwrap()) as usize,
+            u32::from_le_bytes(image[at..at + 4].try_into().unwrap()) as usize,
             w.len(),
             "the entity count sits after the schema"
         );
+        let mut forged = image.clone();
         forged[at..at + 4].copy_from_slice(&(u32::MAX - 1).to_le_bytes());
-        let end = forged.len() - 4;
-        let sum = checksum(&forged[BODY..end]);
-        forged[end..].copy_from_slice(&sum.to_le_bytes());
+        reseal(&mut forged);
         assert_eq!(decode(&forged).unwrap_err(), SnapshotError::Truncated);
+        // a forged id: its slot would size the entity allocator
+        let mut forged = image.clone();
+        let far = EntityId::from_bits(u64::from(u32::MAX - 1));
+        forged[at + 4..at + 12].copy_from_slice(&far.to_bits().to_le_bytes());
+        reseal(&mut forged);
+        let refused =
+            SnapshotError::Corrupt(format!("entity slot {} past the restore gap", u32::MAX - 1));
+        assert_eq!(decode(&forged).unwrap_err(), refused);
+        // a forged view-slot count: it would size the view table
+        let mut forged = image;
+        let catalog = forged.len() - 4 - encode_catalog(&w).len();
+        forged[catalog + 4..catalog + 8].copy_from_slice(&(u32::MAX - 1).to_le_bytes());
+        reseal(&mut forged);
+        let refused = SnapshotError::Corrupt(format!("{} view slots for 0 views", u32::MAX - 1));
+        assert_eq!(decode(&forged).unwrap_err(), refused);
     }
 
-    /// One version is read: an older magic is refused, and so is a v4
+    /// The catalog section `encode` writes for `w`.
+    fn encode_catalog(w: &World) -> BytesMut {
+        let mut catalog = BytesMut::new();
+        put_catalog(&mut catalog, &w.export_catalog());
+        catalog
+    }
+
+    /// One version is read: an older magic is refused, and so is a
     /// catalog whose bare-query count (written 0 since every view is a
     /// plan) is not 0, even under a valid checksum.
     #[test]
     fn older_versions_and_bare_queries_are_refused() {
         let mut bytes = encode(&World::new()).to_vec();
-        for old in [0x6744_4202u32, 0x6744_4203] {
+        for old in [0x6744_4202u32, 0x6744_4203, 0x6744_4204] {
             let mut v = bytes.clone();
             v[..4].copy_from_slice(&old.to_le_bytes());
             assert_eq!(decode(&v).unwrap_err(), SnapshotError::BadMagic(old));
@@ -1052,11 +1272,126 @@ mod tests {
         // an empty world's body: schema (12 bytes), entity count, index
         // count, view slots, then the bare-query count
         bytes[24 + 24] = 1;
-        let end = bytes.len() - 4;
-        let sum = checksum(&bytes[24..end]);
-        bytes[end..].copy_from_slice(&sum.to_le_bytes());
+        reseal(&mut bytes);
         let refused = SnapshotError::Corrupt("bare-query section is not empty".into());
         assert_eq!(decode(&bytes).unwrap_err(), refused);
+    }
+
+    /// A v5 image written by hand, section by section: two live
+    /// entities around a hole (slot 0 at generation 1, slot 2), all
+    /// five column types with values missing, an index and a view after
+    /// a burned slot. The v5 frame puts the header under the checksum.
+    fn pinned_v5() -> Vec<u8> {
+        let header: &[u8] = &[
+            0x05, 0x42, 0x44, 0x67, // magic "gDB" v5
+            9, 0, 0, 0, 0, 0, 0, 0, // tick
+            3, 0, 0, 0, 0, 0, 0, 0, // lineage
+            156, 0, 0, 0, // body length
+        ];
+        let schema: &[u8] = &[
+            5, 0, 0, 0, // entries, in interned id order: name, type tag
+            3, 0, 0, 0, b'p', b'o', b's', 4, 2, 0, 0, 0, b'h', b'p', 0, 4, 0, 0, 0, b'g', b'o',
+            b'l', b'd', 1, 5, 0, 0, 0, b'a', b'l', b'i', b'v', b'e', 2, 4, 0, 0, 0, b'n', b'a',
+            b'm', b'e', 3,
+        ];
+        let entities: &[u8] = &[
+            2, 0, 0, 0, // count, then ids in slot order
+            0, 0, 0, 0, 1, 0, 0, 0, // slot 0, generation 1
+            2, 0, 0, 0, 0, 0, 0, 0, // slot 2
+        ];
+        let columns: &[u8] = &[
+            // per column: presence over the list, then the values
+            0b01, 0, 0, 0xC0, 0x3F, 0, 0, 0, 0xC0, // pos: (1.5, -2.0), one unpositioned
+            0b11, 0, 0, 0x9B, 0x42, 0, 0, 0x44, 0x41, // hp: 77.5, 12.25
+            0b10, 0xFE, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, // gold: -2
+            0b01, 1, // alive: true
+            0b11, 2, 0, 0, 0, 0xC3, 0xBC, 0, 0, 0, 0, // name: "ü", ""
+        ];
+        let catalog: &[u8] = &[
+            1, 0, 0, 0, 4, 0, 0, 0, b'g', b'o', b'l', b'd', 1, // a sorted index on gold
+            2, 0, 0, 0, // view slots
+            0, 0, 0, 0, // the empty bare-query count
+            // one view at slot 1: a scan leaf with one predicate
+            // `hp < 50.0`, no disk, no exclusion, no pinned entity
+            1, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, b'h', b'p', 2, 0, 0, 0, 0x48, 0x42,
+            0, 0, 0,
+        ];
+        let checksum: &[u8] = &[0xB1, 0x51, 0xC9, 0x02]; // over header and body
+        [header, schema, entities, columns, catalog, checksum].concat()
+    }
+
+    /// The pinned v5 image decodes to the world it was written from and
+    /// encodes back to the same bytes.
+    #[test]
+    fn v5_snapshot_decodes_from_pinned_bytes() {
+        let pinned = pinned_v5();
+        let (w, tick) = decode(&pinned).unwrap();
+        let (a, b) = (EntityId::from_bits(1 << 32), EntityId::from_bits(2));
+        assert_eq!((tick, w.lineage()), (9, 3));
+        assert_eq!(w.entities().collect::<Vec<_>>(), [a, b]);
+        let row = |e, name: &str, value| (e, name.to_string(), value);
+        assert_eq!(
+            w.rows(),
+            [
+                row(a, "alive", Value::Bool(true)),
+                row(a, "hp", Value::Float(77.5)),
+                row(a, "name", Value::Str("ü".into())),
+                row(a, "pos", Value::Vec2(1.5, -2.0)),
+                row(b, "gold", Value::Int(-2)),
+                row(b, "hp", Value::Float(12.25)),
+                row(b, "name", Value::Str(String::new())),
+            ]
+        );
+        let catalog = w.export_catalog();
+        assert_eq!(catalog.indexes, [("gold".to_string(), IndexKind::Sorted)]);
+        assert_eq!(catalog.view_slots, 2);
+        let view = w.view_id_at(1).unwrap();
+        assert_eq!(w.view_rows(view), [b]);
+        assert_eq!(w.view_id_at(0), None, "slot 0 stays burned");
+        assert_eq!(&encode(&w)[..], &pinned[..]);
+    }
+
+    /// Every single-bit flip of a v5 image and of a WAL frame is
+    /// rejected: the checksum covers the snapshot's header and body, a
+    /// flipped length is a truncation or trailing bytes, and a flip in
+    /// the checksum is a mismatch.
+    #[test]
+    fn every_single_bit_flip_is_rejected() {
+        use crate::wal::{decode_log, WalRecord};
+        let image = pinned_v5();
+        assert!(decode(&image).is_ok());
+        for at in 0..image.len() {
+            for bit in 0..8 {
+                let mut flipped = image.clone();
+                flipped[at] ^= 1 << bit;
+                assert!(decode(&flipped).is_err(), "snapshot byte {at} bit {bit}");
+            }
+        }
+        let e = EntityId::from_bits(5 | (2u64 << 32));
+        let frame = WalRecord::Batch {
+            ops: vec![
+                WalRecord::Restore { entity: e },
+                WalRecord::Set {
+                    entity: e,
+                    component: gamedb_core::POS_ID,
+                    value: Value::Vec2(4.0, -8.0),
+                },
+                WalRecord::TickTo { tick: 18 },
+            ],
+        }
+        .encode();
+        assert_eq!(decode_log(&frame).0.len(), 1);
+        for at in 0..frame.len() {
+            for bit in 0..8 {
+                let mut flipped = frame.to_vec();
+                flipped[at] ^= 1 << bit;
+                assert_eq!(
+                    decode_log(&flipped),
+                    (vec![], 0),
+                    "frame byte {at} bit {bit}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -24,7 +24,7 @@ use gamedb_spatial::Vec2;
 
 use crate::snapshot::{
     checksum, get_plan, get_str, get_value, kind_tag, put_plan, put_str, put_value, tag_kind,
-    tag_type, type_tag, SnapshotError,
+    tag_type, type_tag, SnapshotError, MAX_RESTORE_GAP,
 };
 
 /// `id` as the recovering world's interner knows it (snapshot table plus
@@ -36,14 +36,6 @@ fn known(world: &World, id: ComponentId) -> Result<ComponentId, CoreError> {
         None => Err(CoreError::UnknownComponent(format!("{id}"))),
     }
 }
-
-/// How far past the live count a redone [`WalRecord::Restore`] may open
-/// slots. The slot index comes from disk and the allocator grows to it
-/// one slot at a time (~9 bytes each), so a forged index near `u32::MAX`
-/// would cost tens of gigabytes before anything failed. A log whose
-/// writer held more than this many free slots above its live entities
-/// is refused with it.
-const MAX_RESTORE_GAP: usize = 1 << 24;
 
 /// LEB128 varint for component ids: 1 byte for the first 128 columns.
 pub(crate) fn put_varint(buf: &mut BytesMut, mut v: u32) {
@@ -844,10 +836,10 @@ pub(crate) mod tests {
             assert_eq!(decode_log(&bytes), (vec![record.clone()], bytes.len()), "{record:?}");
             assert_eq!(&record.encode()[..], &bytes[..], "{record:?}");
         }
-        // one frame pinned whole: length, payload and FNV-1a checksum
+        // one frame pinned whole: length, payload and checksum
         assert_eq!(
             &WalRecord::TickTo { tick: 17 }.encode()[..],
-            [9, 0, 0, 0, 11, 17, 0, 0, 0, 0, 0, 0, 0, 0xBB, 0x9B, 0xEB, 0x27]
+            [9, 0, 0, 0, 11, 17, 0, 0, 0, 0, 0, 0, 0, 0x05, 0x2B, 0x96, 0x94]
         );
     }
 

@@ -56,7 +56,7 @@ use gamedb_metrics::MetricsRegistry;
 
 use crate::backend::{Backend, BackendError};
 use crate::metrics::WalMetrics;
-use crate::snapshot;
+use crate::snapshot::{self, SnapshotError};
 use crate::wal::{compacted, decode_tail, WalRecord};
 
 /// What one recovery read, decoded and spent. [`WalStore`] reports it
@@ -161,21 +161,27 @@ pub(crate) fn recover_on<S: AsRef<[u8]>>(
         });
         let (mut world, mut catalog) = match decoded {
             Ok(decoded) => decoded,
-            Err(e) => {
-                last_err =
-                    StoreError::Backend(BackendError::Io(std::io::Error::other(e.to_string())));
+            Err(error) => {
+                last_err = StoreError::Decode {
+                    part: DurablePart::Snapshot,
+                    error,
+                };
                 continue;
             }
         };
         // a later mark's tail is a suffix of an earlier one's: no older
         // snapshot gets past an undecodable frame
-        let tail = tail.map_err(|e| {
-            StoreError::Backend(BackendError::Io(std::io::Error::other(format!("wal tail: {e}"))))
-        })?;
+        let refused = |error| StoreError::Decode {
+            part: DurablePart::Log,
+            error,
+        };
+        let tail = tail.map_err(refused)?;
         let started = Instant::now();
         for record in &tail {
             record.redo(&mut world, &mut catalog)?;
         }
+        // the view table is sized by the slots the redone tail names
+        snapshot::check_view_slots(catalog.view_slots, catalog.views.len()).map_err(refused)?;
         stats.replay = waited + started.elapsed();
         stats.records_decoded = tail.len() as u64;
         [stats.indexes, stats.views] = world.import_catalog_on(&catalog, workers)?;
@@ -1168,11 +1174,25 @@ impl DurabilityWatermark for WalStore {
     }
 }
 
+/// The durable part a recovery refused to decode.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DurablePart {
+    Snapshot,
+    Log,
+}
+
 /// Errors from the WAL store.
 #[derive(Debug)]
 pub enum StoreError {
     Core(CoreError),
     Backend(BackendError),
+    /// Recovery refused the snapshot (the newest one that could be read;
+    /// every older one failed too) or a log tail frame whose checksum
+    /// holds: the bytes do not decode to what this version writes.
+    Decode {
+        part: DurablePart,
+        error: SnapshotError,
+    },
     /// The world's tap-retention policy evicted the durability tap:
     /// mutations were dropped unlogged, so commits can no longer claim
     /// durability. Unreachable since the durability tap became pinned
@@ -1189,6 +1209,13 @@ impl std::fmt::Display for StoreError {
         match self {
             StoreError::Core(e) => write!(f, "world: {e}"),
             StoreError::Backend(e) => write!(f, "backend: {e}"),
+            StoreError::Decode { part, error } => {
+                let part = match part {
+                    DurablePart::Snapshot => "snapshot",
+                    DurablePart::Log => "log",
+                };
+                write!(f, "{part} refused: {error}")
+            }
             StoreError::DurabilityTapEvicted => write!(
                 f,
                 "durability tap evicted by the tap-retention policy: \
@@ -1657,6 +1684,69 @@ mod tests {
         let counts = registry.snapshot();
         assert_eq!(counts.counter("recover.snapshots_read"), 2);
         assert_eq!(counts.counter("recover.records_decoded"), after(0) as u64);
+    }
+
+    /// Files the previous format version wrote — a v4 snapshot of two
+    /// entities and its log (a checkpoint mark and one write), both
+    /// under FNV-1a — are refused, and recovery names the part: the
+    /// snapshot, as another version. Nothing opens as a shorter
+    /// history, and the log's frames fail this version's checksum, so
+    /// they read as a torn log, never as records.
+    #[test]
+    fn previous_version_snapshot_and_log_are_refused_by_part() {
+        const V4_SNAPSHOT: [u8; 119] = [
+            4, 66, 68, 103, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 91, 0, 0, 0, 2, 0, 0,
+            0, 3, 0, 0, 0, 112, 111, 115, 4, 2, 0, 0, 0, 104, 112, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+            0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 128, 63, 0, 0, 0, 64, 1, 0,
+            0, 0, 0, 0, 240, 64, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 64, 64, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+            0, 0, 0, 0, 0, 0, 0, 241, 247, 200, 62,
+        ];
+        const V4_LOG: [u8; 40] = [
+            9, 0, 0, 0, 4, 1, 0, 0, 0, 0, 0, 0, 0, 18, 31, 97, 230, 15, 0, 0, 0, 15, 1, 0, 0, 0, 0,
+            0, 0, 0, 1, 0, 0, 0, 16, 65, 49, 125, 90, 115,
+        ];
+        let refused = recover_from_parts(newest_first(&[(1u64, &V4_SNAPSHOT[..])]), &V4_LOG);
+        assert!(
+            matches!(
+                refused,
+                Err(StoreError::Decode {
+                    part: DurablePart::Snapshot,
+                    error: SnapshotError::BadMagic(0x6744_4204),
+                })
+            ),
+            "{:?}",
+            refused.err()
+        );
+        assert_eq!(decode_log(&V4_LOG), (vec![], 0));
+    }
+
+    /// A redone view registration sizes the view table by its slot: one
+    /// far past the live views is refused as a corrupt log before the
+    /// table grows; one within reach lands at its slot.
+    #[test]
+    fn forged_view_slot_in_the_log_fails_before_it_allocates() {
+        let snapshot = snapshot::encode(&World::new());
+        let log_with = |slot| {
+            let mut log = WalRecord::CheckpointMark { seq: 1 }.encode().to_vec();
+            let plan = Query::select().into_plan();
+            log.extend_from_slice(&WalRecord::RegisterPlanView { slot, plan }.encode());
+            log
+        };
+        let parts = [(1u64, &snapshot[..])];
+        let err = recover_from_parts(newest_first(&parts), &log_with(u32::MAX - 1)).unwrap_err();
+        assert_eq!(err.to_string(), "log refused: corrupt: 4294967295 view slots for 1 views");
+        assert!(
+            matches!(
+                err,
+                StoreError::Decode {
+                    part: DurablePart::Log,
+                    error: SnapshotError::Corrupt(_)
+                }
+            ),
+            "{err}"
+        );
+        let recovered = recover_from_parts(newest_first(&parts), &log_with(1000)).unwrap();
+        assert!(recovered.world.view_id_at(1000).is_some());
     }
 
     /// Snapshots are never pruned and the log keeps every frame, so a
@@ -2421,7 +2511,9 @@ mod tests {
         #![proptest_config(ProptestConfig::default())]
 
         /// Hostile bytes for the one on-disk vocabulary: an
-        /// `image_and_tail` snapshot or log with one [`hostile_edit`].
+        /// `image_and_tail` snapshot or log with one [`hostile_edit`];
+        /// half the snapshot edits are re-sealed under a valid checksum,
+        /// so the column decoder and the catalog import meet them.
         /// Decoding the snapshot, decoding the log and recovering from
         /// both each return, `Ok` or `Err`, without a panic, and the
         /// log decode never consumes more than there is.
@@ -2435,6 +2527,10 @@ mod tests {
                 hostile_edit(rng, &mut log, true);
             } else {
                 hostile_edit(rng, &mut snap, false);
+                // half the time past the checksum, into the decoder
+                if rng.gen_bool(0.5) {
+                    crate::snapshot::tests::reseal(&mut snap);
+                }
             }
             let _ = snapshot::decode(&snap);
             let (_, consumed) = decode_log(&log);

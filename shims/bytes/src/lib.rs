@@ -274,6 +274,11 @@ impl BytesMut {
         self.data.extend_from_slice(src);
     }
 
+    /// Grow or shrink to `new_len` bytes, new bytes set to `value`.
+    pub fn resize(&mut self, new_len: usize, value: u8) {
+        self.data.resize(new_len, value);
+    }
+
     pub fn freeze(self) -> Bytes {
         Bytes::from(self.data)
     }

@@ -105,9 +105,13 @@ fn run(label: &str, registry: Option<&MetricsRegistry>) -> (Vec<u8>, Replica, u6
     // The frame header embeds the world's *lineage* id (bytes 12..20),
     // drawn from a process-global counter at `World::new` — it differs
     // between any two worlds built in one process, metrics or not.
-    // Mask it; everything else (schema, rows, catalog, body checksum)
-    // must still match bit for bit.
+    // Mask it and re-seal the checksum (it covers the header);
+    // everything else (schema, rows, catalog) must still match bit for
+    // bit.
     bytes[12..20].fill(0);
+    let end = bytes.len() - 4;
+    let sum = gamedb_persist::checksum(&bytes[..end]);
+    bytes[end..].copy_from_slice(&sum.to_le_bytes());
     (bytes, replica, store.last_enqueued().0, audited)
 }
 
