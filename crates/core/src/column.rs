@@ -5,8 +5,14 @@
 //! (`f32`, `i64`, …) plus a presence bitmap — the layout that makes
 //! set-at-a-time script evaluation (experiment E1) and aggregate scans
 //! cache-friendly, mirroring how analytical databases lay out attributes.
+//! A string column is dictionary-encoded ([`StrColumn`]): a `u32` code
+//! per slot and each distinct live string stored once, so strings exist
+//! only at the edge — a write interns, a read decodes — and everything
+//! between (filters, index builds, view seeds, snapshots) moves codes.
 
 use gamedb_content::{Value, ValueType};
+
+use crate::index::{KeyRef, KeyTable};
 
 /// Native storage for one component type.
 #[derive(Debug, Clone, PartialEq)]
@@ -14,8 +20,127 @@ pub enum ColumnData {
     F32(Vec<f32>),
     I64(Vec<i64>),
     Bool(Vec<bool>),
-    Str(Vec<String>),
+    Str(StrColumn),
     V2(Vec<[f32; 2]>),
+}
+
+/// The code of a slot that holds no string.
+pub const NO_CODE: u32 = u32::MAX;
+
+/// A dictionary-encoded string column: one `u32` code per slot
+/// ([`NO_CODE`] where the slot holds no value) and one dictionary, the
+/// key table indexes and views intern their keys in, that stores each
+/// distinct live string once and counts the slots holding it. A code is
+/// freed the moment no slot holds it and reused by the next new string,
+/// so churn cannot grow the dictionary past the live strings.
+#[derive(Debug, Clone, Default)]
+pub struct StrColumn {
+    codes: Vec<u32>,
+    /// Boxed: the world's column table holds a pointer per string
+    /// column, not a key table inline in every column's slot.
+    dict: Box<KeyTable>,
+}
+
+impl StrColumn {
+    /// A column built whole from a dictionary and slot-indexed codes
+    /// (a bulk load): `dictionary[c]` is the string of code `c`, and
+    /// `codes[slot]` is [`NO_CODE`] or a code below `dictionary.len()`.
+    /// Each string is copied once. `None` when a string is listed twice,
+    /// a code is past the dictionary, or an entry no slot holds.
+    pub fn from_parts(dictionary: &[&str], codes: Vec<u32>) -> Option<StrColumn> {
+        let mut dict = Box::<KeyTable>::default();
+        for (code, s) in (0u32..).zip(dictionary) {
+            if dict.id(KeyRef::Str(s)) != code {
+                return None;
+            }
+        }
+        let mut rows = vec![0u32; dictionary.len()];
+        for &code in codes.iter().filter(|&&c| c != NO_CODE) {
+            *rows.get_mut(code as usize)? += 1;
+        }
+        for (code, &n) in (0u32..).zip(&rows) {
+            if n == 0 {
+                return None;
+            }
+            dict.hold(code, n);
+        }
+        Some(StrColumn { codes, dict })
+    }
+
+    /// The code at every slot, [`NO_CODE`] where there is no value.
+    #[inline]
+    pub fn codes(&self) -> &[u32] {
+        &self.codes
+    }
+
+    /// The code at `slot`; `None` when it holds no value.
+    #[inline]
+    pub fn code(&self, slot: usize) -> Option<u32> {
+        self.codes.get(slot).copied().filter(|&c| c != NO_CODE)
+    }
+
+    /// The string of a live `code`.
+    #[inline]
+    pub fn decode(&self, code: u32) -> Option<&str> {
+        self.dict.get_str(code)
+    }
+
+    /// The code of `s`, if a slot holds it.
+    pub fn code_of(&self, s: &str) -> Option<u32> {
+        self.dict.find(KeyRef::Str(s))
+    }
+
+    /// Distinct strings the dictionary holds (each held by some slot).
+    pub fn distinct(&self) -> usize {
+        self.dict.len()
+    }
+
+    /// One past the largest code handed out: the length of a vector
+    /// indexed by code.
+    pub fn code_bound(&self) -> usize {
+        self.dict.id_bound()
+    }
+
+    /// The dictionary's strings, by ascending code.
+    pub fn strings(&self) -> impl Iterator<Item = &str> {
+        (0..self.code_bound() as u32).filter_map(|c| self.decode(c))
+    }
+
+    fn len(&self) -> usize {
+        self.codes.len()
+    }
+
+    /// Store `s` at `slot` (within the column): a string the slot already
+    /// holds changes nothing, any other releases the slot's old code and
+    /// interns `s` — one allocation only for a string no slot holds.
+    fn put(&mut self, slot: usize, s: &str) {
+        let held = self.codes[slot];
+        if held != NO_CODE {
+            if self.dict.get_str(held) == Some(s) {
+                return;
+            }
+            self.dict.unhold(held);
+        }
+        self.codes[slot] = self.dict.intern(KeyRef::Str(s), 1);
+    }
+
+    /// Empty `slot`, freeing its code when no other slot holds it.
+    fn clear(&mut self, slot: usize) {
+        let held = std::mem::replace(&mut self.codes[slot], NO_CODE);
+        if held != NO_CODE {
+            self.dict.unhold(held);
+        }
+    }
+}
+
+/// Two string columns are equal when every slot holds the same string
+/// (or none), whatever codes the two dictionaries gave them.
+impl PartialEq for StrColumn {
+    fn eq(&self, other: &StrColumn) -> bool {
+        self.len() == other.len()
+            && (self.codes.iter().zip(&other.codes))
+                .all(|(&a, &b)| self.decode(a) == other.decode(b))
+    }
 }
 
 impl ColumnData {
@@ -24,7 +149,7 @@ impl ColumnData {
             ValueType::Float => ColumnData::F32(Vec::new()),
             ValueType::Int => ColumnData::I64(Vec::new()),
             ValueType::Bool => ColumnData::Bool(Vec::new()),
-            ValueType::Str => ColumnData::Str(Vec::new()),
+            ValueType::Str => ColumnData::Str(StrColumn::default()),
             ValueType::Vec2 => ColumnData::V2(Vec::new()),
         }
     }
@@ -34,7 +159,7 @@ impl ColumnData {
             ColumnData::F32(v) => v.resize(len, 0.0),
             ColumnData::I64(v) => v.resize(len, 0),
             ColumnData::Bool(v) => v.resize(len, false),
-            ColumnData::Str(v) => v.resize(len, String::new()),
+            ColumnData::Str(v) => v.codes.resize(len, NO_CODE),
             ColumnData::V2(v) => v.resize(len, [0.0, 0.0]),
         }
     }
@@ -83,10 +208,16 @@ impl Column {
     /// A column built whole from slot-indexed parts, typed by `data`:
     /// `present[slot]` says whether `data[slot]` is a value (a bulk load
     /// builds each column this way instead of writing it value by
-    /// value). `None` when the two differ in length.
+    /// value). `None` when the two differ in length, or a string
+    /// column's codes are not [`NO_CODE`] exactly where no value is.
     pub fn from_parts(present: Vec<bool>, data: ColumnData) -> Option<Column> {
         if present.len() != data.len() {
             return None;
+        }
+        if let ColumnData::Str(s) = &data {
+            if (present.iter().zip(s.codes())).any(|(&p, &c)| p != (c != NO_CODE)) {
+                return None;
+            }
         }
         Some(Column {
             ty: data.value_type(),
@@ -139,9 +270,9 @@ impl Column {
         if self.has(slot) {
             self.present[slot] = false;
             self.present_count -= 1;
-            // reset storage so stale strings don't linger
+            // reset storage so a string's code is freed with its last slot
             match &mut self.data {
-                ColumnData::Str(v) => v[slot].clear(),
+                ColumnData::Str(v) => v.clear(slot),
                 ColumnData::F32(v) => v[slot] = 0.0,
                 ColumnData::I64(v) => v[slot] = 0,
                 ColumnData::Bool(v) => v[slot] = false,
@@ -158,8 +289,8 @@ impl Column {
         self.put(slot, value.clone())
     }
 
-    /// [`Column::set`] taking the value: a string moves into the column
-    /// instead of being copied (bulk loads hand over what they decoded).
+    /// [`Column::set`] taking the value: a string already in the column's
+    /// dictionary is not copied.
     #[inline]
     pub fn put(&mut self, slot: usize, value: Value) -> Result<(), ValueType> {
         if value.value_type() != self.ty {
@@ -169,7 +300,7 @@ impl Column {
             (ColumnData::F32(v), Value::Float(x)) => v[slot] = x,
             (ColumnData::I64(v), Value::Int(x)) => v[slot] = x,
             (ColumnData::Bool(v), Value::Bool(x)) => v[slot] = x,
-            (ColumnData::Str(v), Value::Str(x)) => v[slot] = x,
+            (ColumnData::Str(v), Value::Str(x)) => v.put(slot, &x),
             (ColumnData::V2(v), Value::Vec2(x, y)) => v[slot] = [x, y],
             _ => unreachable!("type checked above"),
         }
@@ -185,7 +316,7 @@ impl Column {
             ColumnData::F32(v) => Value::Float(v[slot]),
             ColumnData::I64(v) => Value::Int(v[slot]),
             ColumnData::Bool(v) => Value::Bool(v[slot]),
-            ColumnData::Str(v) => Value::Str(v[slot].clone()),
+            ColumnData::Str(v) => Value::Str(v.decode(v.codes[slot])?.to_string()),
             ColumnData::V2(v) => Value::Vec2(v[slot][0], v[slot][1]),
         })
     }
@@ -232,12 +363,13 @@ impl Column {
         }
     }
 
-    /// `&str` view at `slot` — the zero-allocation read hot dispatch
-    /// loops (script-binding lookup, VM string compares) rely on.
+    /// `&str` view at `slot`, decoded through the dictionary — the
+    /// zero-allocation read hot dispatch loops (script-binding lookup,
+    /// VM string compares) rely on.
     #[inline]
     pub fn get_str(&self, slot: usize) -> Option<&str> {
         match &self.data {
-            ColumnData::Str(v) if self.has(slot) => Some(v[slot].as_str()),
+            ColumnData::Str(v) => v.decode(v.code(slot)?),
             _ => None,
         }
     }

@@ -91,7 +91,7 @@ use gamedb_spatial::Vec2;
 
 use crate::column::Column;
 use crate::entity::EntityId;
-use crate::index::{radix_sort, KeyRef, KeyTable, OrdF64, NO_KEY};
+use crate::index::{radix_sort, CodeMemo, KeyRef, KeyTable, OrdF64, NO_KEY};
 use crate::intern::ComponentId;
 use crate::metrics::CoreMetrics;
 use crate::query::{AggFn, Pred, Query, RowFilter};
@@ -796,18 +796,26 @@ impl SourceState {
     /// Seed the members from the live world (registration / recovery) —
     /// initial rows are state, not events. Members are read in
     /// ascending id order through columns resolved once; with `keys`
-    /// each row's key is interned as it is read (a group seed passes
-    /// none and takes its ids per group from the sorted run). Returns
-    /// the member ids, ascending.
+    /// each row's key is interned as it is read, a string key once per
+    /// distinct dictionary code ([`CodeMemo`]); a group seed passes none
+    /// and takes its ids per group from the sorted run. Returns the
+    /// member ids, ascending.
     fn init(&mut self, world: &World, mut keys: Option<&mut KeyTable>) -> Vec<EntityId> {
         let ids = self.evaluate(world);
         let cols = Cols::new(&self.src, world);
         if let Some(last) = ids.last() {
             self.rows.grow(last.index() as usize + 1);
         }
+        let mut memo = cols.key.filter(|_| keys.is_some()).map(CodeMemo::new);
         for &id in &ids {
             let slot = id.index() as usize;
-            let key = keys.as_deref_mut().map_or(NO_KEY, |t| t.rekey(NO_KEY, cols.key(slot)));
+            let key = match (keys.as_deref_mut(), memo.as_mut()) {
+                (Some(t), Some(m)) => m.id(t, slot).map_or(NO_KEY, |k| {
+                    t.hold(k, 1);
+                    k
+                }),
+                _ => NO_KEY,
+            };
             self.rows.put(slot, id, cols.read(slot, key));
         }
         ids

@@ -80,7 +80,8 @@
 //! 5. An index comes into being over existing rows at once
 //!    (`SecondaryIndex::build` — live `create_index` and snapshot
 //!    recovery alike, which loads rows *before* any index exists): ids
-//!    are read in ascending order and each row's key is looked up once,
+//!    are read in ascending order and each row's key is looked up once
+//!    (a string column's once per distinct dictionary code, [`CodeMemo`]),
 //!    then every posting list is allocated at its final size and filled
 //!    in id order, and a sorted index orders its key ids once, from a
 //!    radix-sorted run of their prefixes. Probes of the result answer
@@ -91,11 +92,12 @@ use std::cmp::Ordering;
 use std::collections::{BTreeSet, HashMap};
 use std::hash::{Hash, Hasher};
 use std::ops::{Bound, RangeBounds};
+use std::sync::Arc;
 
 use gamedb_content::{CmpOp, Value, ValueType};
 use gamedb_spatial::BuildIdHasher;
 
-use crate::column::Column;
+use crate::column::{Column, ColumnData};
 use crate::entity::EntityId;
 use crate::query::{push_mask, BLOCK};
 
@@ -141,12 +143,14 @@ impl OrdF64 {
 /// Index key in the comparison domain of [`crate::query::compare`].
 ///
 /// A single index only ever holds one variant (columns are typed), so the
-/// cross-variant `Ord` is never exercised within one index.
+/// cross-variant `Ord` is never exercised within one index. A string key
+/// is one shared allocation: the [`KeyTable`] holding it keys its map by
+/// the same `Arc`.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum IndexKey {
     Num(OrdF64),
     Bool(bool),
-    Str(String),
+    Str(Arc<str>),
     Vec2([u32; 2]),
 }
 
@@ -247,12 +251,12 @@ impl<'a> KeyRef<'a> {
         }
     }
 
-    /// The owned key.
+    /// The owned key: a string is copied into one new allocation.
     pub(crate) fn to_key(self) -> IndexKey {
         match self {
             KeyRef::Num(n) => IndexKey::Num(n),
             KeyRef::Bool(b) => IndexKey::Bool(b),
-            KeyRef::Str(s) => IndexKey::Str(s.to_string()),
+            KeyRef::Str(s) => IndexKey::Str(Arc::from(s)),
             KeyRef::Vec2(v) => IndexKey::Vec2(v),
         }
     }
@@ -293,7 +297,9 @@ impl Hash for Scalar {
 /// ids no row holds at the end of a refresh ([`KeyTable::sweep`]), so ids
 /// stay stable while one is folded; an index counts them in its posting
 /// lists and frees an id as soon as its list empties
-/// ([`KeyTable::retire`]). A freed id is reused by the next new key, so
+/// ([`KeyTable::retire`]); a string column's dictionary counts the slots
+/// holding each id and frees it when the last one lets go
+/// ([`KeyTable::unhold`]). A freed id is reused by the next new key, so
 /// key churn cannot grow the table.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct KeyTable {
@@ -301,8 +307,9 @@ pub(crate) struct KeyTable {
     /// derives, so the multiply-rotate `IdHasher` hashes them.
     scalars: HashMap<Scalar, u32, BuildIdHasher>,
     /// Id of each string key. Strings can be player-chosen bytes, so they
-    /// keep std's randomly keyed hasher; a lookup borrows the `&str`.
-    strings: HashMap<Box<str>, u32>,
+    /// keep std's randomly keyed hasher; a lookup borrows the `&str`. The
+    /// map shares each string's allocation with its entry in `keys`.
+    strings: HashMap<Arc<str>, u32>,
     /// Key of each id; `None` for a free id.
     keys: Vec<Option<IndexKey>>,
     /// Order-preserving prefix of each id's key ([`KeyRef::prefix`]).
@@ -318,6 +325,16 @@ impl KeyTable {
     /// The key of `id`; `None` for a free id or [`NO_KEY`].
     pub(crate) fn get(&self, id: u32) -> Option<KeyRef<'_>> {
         self.keys.get(id as usize)?.as_ref().map(IndexKey::as_ref)
+    }
+
+    /// The string key of `id`; `None` for a free id, [`NO_KEY`] or a key
+    /// of another type.
+    #[inline]
+    pub(crate) fn get_str(&self, id: u32) -> Option<&str> {
+        match self.keys.get(id as usize)? {
+            Some(IndexKey::Str(s)) => Some(s),
+            _ => None,
+        }
     }
 
     /// The cached [`KeyRef::prefix`] of `id`'s key; 0 for an id the
@@ -358,7 +375,7 @@ impl KeyTable {
     }
 
     /// The id of `key`, if it is interned.
-    fn find(&self, key: KeyRef<'_>) -> Option<u32> {
+    pub(crate) fn find(&self, key: KeyRef<'_>) -> Option<u32> {
         match key {
             KeyRef::Str(s) => self.strings.get(s),
             key => self.scalars.get(&Scalar::of(key)),
@@ -368,7 +385,8 @@ impl KeyTable {
 
     /// The id of `key`, interned with no rows counted if it is new. A
     /// known key is found without building an owned key, so it
-    /// allocates nothing.
+    /// allocates nothing; a new string key allocates once, shared by
+    /// the map and the key list.
     pub(crate) fn id(&mut self, key: KeyRef<'_>) -> u32 {
         if let Some(id) = self.find(key) {
             return id;
@@ -379,20 +397,21 @@ impl KeyTable {
             self.prefixes.push(0);
             self.rows.push(0);
         }
-        self.keys[id as usize] = Some(key.to_key());
         self.prefixes[id as usize] = key.prefix();
         self.rows[id as usize] = 0;
-        match key {
-            KeyRef::Str(s) => self.strings.insert(s.into(), id),
-            key => self.scalars.insert(Scalar::of(key), id),
+        let key = key.to_key();
+        match &key {
+            IndexKey::Str(s) => self.strings.insert(Arc::clone(s), id),
+            key => self.scalars.insert(Scalar::of(key.as_ref()), id),
         };
+        self.keys[id as usize] = Some(key);
         id
     }
 
     /// The id of `key`, counting `rows` more rows on it.
     pub(crate) fn intern(&mut self, key: KeyRef<'_>, rows: u32) -> u32 {
         let id = self.id(key);
-        self.rows[id as usize] += rows;
+        self.hold(id, rows);
         id
     }
 
@@ -412,11 +431,25 @@ impl KeyTable {
         }
     }
 
+    /// Count `rows` more rows on the interned `id`.
+    #[inline]
+    pub(crate) fn hold(&mut self, id: u32, rows: u32) {
+        self.rows[id as usize] += rows;
+    }
+
     /// One row stopped holding `id`; true when no row holds it now.
     fn release(&mut self, id: u32) -> bool {
         let rows = &mut self.rows[id as usize];
         *rows -= 1;
         *rows == 0
+    }
+
+    /// One row stopped holding `id`, which is freed at once when that
+    /// was the last row (a dictionary keeps no dead entry to sweep).
+    pub(crate) fn unhold(&mut self, id: u32) {
+        if self.release(id) {
+            self.retire(id);
+        }
     }
 
     /// Free every id no row holds any more.
@@ -432,7 +465,7 @@ impl KeyTable {
     fn retire(&mut self, id: u32) {
         if let Some(key) = self.keys[id as usize].take() {
             match key {
-                IndexKey::Str(s) => self.strings.remove(s.as_str()),
+                IndexKey::Str(s) => self.strings.remove(&*s),
                 key => self.scalars.remove(&Scalar::of(key.as_ref())),
             };
             self.free.push(id);
@@ -447,6 +480,45 @@ impl KeyTable {
 
 /// The key id of a row without a key (the column absent, or NaN).
 pub(crate) const NO_KEY: u32 = u32::MAX;
+
+/// Key ids of one column's values, for a reader that interns every row
+/// of it in one pass (an index build, a view seed). A string column's
+/// rows carry dictionary codes, so each distinct code is looked up in
+/// the key table once and every later row holding it is one vector read;
+/// any other column's key is looked up per row. The table must not
+/// retire ids while the memo is in use.
+pub(crate) struct CodeMemo<'c> {
+    col: &'c Column,
+    /// Key id of each dictionary code met so far; [`NO_KEY`]: not yet.
+    ids: Vec<u32>,
+}
+
+impl<'c> CodeMemo<'c> {
+    pub(crate) fn new(col: &'c Column) -> CodeMemo<'c> {
+        let ids = match col.data() {
+            ColumnData::Str(s) => vec![NO_KEY; s.code_bound()],
+            _ => Vec::new(),
+        };
+        CodeMemo { col, ids }
+    }
+
+    /// The id in `keys` of the key [`KeyRef::at`] reads at `slot`,
+    /// interned with no rows counted if it is new; `None` for no key.
+    #[inline]
+    pub(crate) fn id(&mut self, keys: &mut KeyTable, slot: usize) -> Option<u32> {
+        match self.col.data() {
+            ColumnData::Str(s) => {
+                let code = s.code(slot)?;
+                let memo = &mut self.ids[code as usize];
+                if *memo == NO_KEY {
+                    *memo = keys.id(KeyRef::Str(s.decode(code)?));
+                }
+                Some(*memo)
+            }
+            _ => KeyRef::at(self.col, slot).map(|key| keys.id(key)),
+        }
+    }
+}
 
 /// The support matrix shared by executor ([`SecondaryIndex::supports`])
 /// and planner (`planner::plan`) — one source of truth, so the planner
@@ -510,7 +582,8 @@ impl SecondaryIndex {
     }
 
     /// Build the index over `col`. `ids` are the live entities in
-    /// ascending order: each row's key is looked up once, every posting
+    /// ascending order: each row's key is looked up once (a string
+    /// column's once per distinct dictionary code), every posting
     /// list is then allocated at its final size and filled in id order,
     /// and a sorted index orders its key ids once, at the end. Probes of
     /// the result answer exactly what inserting every row one at a time
@@ -523,9 +596,9 @@ impl SecondaryIndex {
         let mut idx = SecondaryIndex::new(kind, col.ty());
         let mut rows: Vec<(EntityId, u32)> = Vec::new();
         let mut sizes: Vec<usize> = Vec::new();
+        let mut memo = CodeMemo::new(col);
         for id in ids {
-            if let Some(key) = KeyRef::at(col, id.index() as usize) {
-                let kid = idx.keys.id(key);
+            if let Some(kid) = memo.id(&mut idx.keys, id.index() as usize) {
                 if kid as usize == sizes.len() {
                     sizes.push(0);
                 }

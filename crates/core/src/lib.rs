@@ -79,7 +79,7 @@ pub mod world;
 pub use change::{
     BatchOp, Change, ChangeOp, DurabilityWatermark, TapId, TapStats, WatermarkSnapshot, WriteBatch,
 };
-pub use column::{Column, ColumnData};
+pub use column::{Column, ColumnData, StrColumn, NO_CODE};
 pub use dvm::{GroupRow, JoinOn, PlanNode, PlanOutput, ViewPlan};
 pub use effect::{Effect, EffectBuffer, EffectMark, EffectOps, SpawnRequest};
 pub use entity::{EntityAllocator, EntityId};

@@ -11,6 +11,7 @@
 //! bit-identical with and without metrics (enforced by
 //! `tests/metrics_transparency.rs` at the workspace root).
 
+use std::collections::BTreeMap;
 use std::sync::Mutex;
 
 use gamedb_metrics::{
@@ -77,8 +78,9 @@ pub(crate) struct CoreMetrics {
     /// group's current extreme (recomputed from the ordered multiset).
     pub op_group_retracts: Counter,
     /// `view.s{slot}.*`: per-view refresh/rescan/candidate/delta-row
-    /// counters, fold time and key-table size.
-    view_slots: Mutex<Vec<Option<ViewSlotMetrics>>>,
+    /// counters, fold time and key-table size, keyed by the slots that
+    /// refreshed (a view imported at a far slot holds one entry).
+    view_slots: Mutex<BTreeMap<usize, ViewSlotMetrics>>,
     // -- planner --
     /// `planner.plans`: cost-based plan selections executed.
     pub plans: Counter,
@@ -159,7 +161,7 @@ impl CoreMetrics {
             op_join: OpMetrics::new(registry, "join"),
             op_group: OpMetrics::new(registry, "group"),
             op_group_retracts: registry.counter("view.op_group.retract_recomputes"),
-            view_slots: Mutex::new(Vec::new()),
+            view_slots: Mutex::new(BTreeMap::new()),
             plans: registry.counter("planner.plans"),
             plan_full_scan: registry.counter("planner.full_scan"),
             plan_spatial: registry.counter("planner.spatial_index"),
@@ -197,11 +199,9 @@ impl CoreMetrics {
     /// Handles for one view slot (created on first refresh).
     pub fn view_slot(&self, slot: usize) -> ViewSlotMetrics {
         let mut slots = self.view_slots.lock().expect("view slot metrics poisoned");
-        if slots.len() <= slot {
-            slots.resize(slot + 1, None);
-        }
-        slots[slot]
-            .get_or_insert_with(|| ViewSlotMetrics {
+        slots
+            .entry(slot)
+            .or_insert_with(|| ViewSlotMetrics {
                 refreshes: self.registry.counter(&format!("view.s{slot}.refreshes")),
                 rescans: self.registry.counter(&format!("view.s{slot}.rescans")),
                 candidates: self.registry.counter(&format!("view.s{slot}.candidates")),
@@ -213,5 +213,14 @@ impl CoreMetrics {
                 log_len: self.registry.gauge(&format!("view.s{slot}.log_len")),
             })
             .clone()
+    }
+
+    /// View slots holding metric handles.
+    #[cfg(test)]
+    pub fn view_slots_held(&self) -> usize {
+        self.view_slots
+            .lock()
+            .expect("view slot metrics poisoned")
+            .len()
     }
 }

@@ -13,7 +13,7 @@ use std::cmp::Ordering;
 use gamedb_content::{CmpOp, Value, ValueType};
 use gamedb_spatial::Vec2;
 
-use crate::column::{Column, ColumnData};
+use crate::column::{Column, ColumnData, StrColumn};
 use crate::entity::EntityId;
 use crate::planner::{Plan, TableStats};
 use crate::world::{CoreError, World, POS_ID};
@@ -134,13 +134,11 @@ impl<'w> ColPred<'w> {
                 _ => sel.clear(),
             },
             ColPred::Str(col, op, y) => match col.data() {
-                ColumnData::Str(v) => {
-                    ord_kernel(rows, sel, col.presence(), v, op, y, String::as_str)
-                }
+                ColumnData::Str(v) => str_kernel(rows, sel, col.presence(), v, op, y),
                 _ => sel.clear(),
             },
             ColPred::Bool(col, op, y) => match col.data() {
-                ColumnData::Bool(v) => ord_kernel(rows, sel, col.presence(), v, op, &y, |b| b),
+                ColumnData::Bool(v) => ord_kernel(rows, sel, col.presence(), v, op, &y),
                 _ => sel.clear(),
             },
             ColPred::Vec2(col, op, [bx, by]) => match (col.data(), op) {
@@ -248,24 +246,50 @@ fn num_kernel<T: Copy + AsF64>(
     }
 }
 
-/// A totally ordered column (strings, booleans) against its literal.
+/// A totally ordered column (booleans) against its literal.
 #[inline(always)]
-fn ord_kernel<T, K: Ord + ?Sized>(
+fn ord_kernel<T: Ord>(
     rows: Rows<'_>,
     sel: &mut Vec<u32>,
     present: &[bool],
     v: &[T],
     op: CmpOp,
-    y: &K,
-    key: impl Fn(&T) -> &K,
+    y: &T,
 ) {
     match op {
-        CmpOp::Eq => retain(rows, sel, present, v, |x| key(x) == y),
-        CmpOp::Ne => retain(rows, sel, present, v, |x| key(x) != y),
-        CmpOp::Lt => retain(rows, sel, present, v, |x| key(x) < y),
-        CmpOp::Le => retain(rows, sel, present, v, |x| key(x) <= y),
-        CmpOp::Gt => retain(rows, sel, present, v, |x| key(x) > y),
-        CmpOp::Ge => retain(rows, sel, present, v, |x| key(x) >= y),
+        CmpOp::Eq => retain(rows, sel, present, v, |x| x == y),
+        CmpOp::Ne => retain(rows, sel, present, v, |x| x != y),
+        CmpOp::Lt => retain(rows, sel, present, v, |x| x < y),
+        CmpOp::Le => retain(rows, sel, present, v, |x| x <= y),
+        CmpOp::Gt => retain(rows, sel, present, v, |x| x > y),
+        CmpOp::Ge => retain(rows, sel, present, v, |x| x >= y),
+    }
+}
+
+/// A dictionary-encoded string column against its literal: an equality
+/// looks the literal's code up once and compares codes, an ordering
+/// decodes each row's code.
+#[inline(always)]
+fn str_kernel(
+    rows: Rows<'_>,
+    sel: &mut Vec<u32>,
+    present: &[bool],
+    col: &StrColumn,
+    op: CmpOp,
+    y: &str,
+) {
+    let codes = col.codes();
+    let s = |&code: &u32| col.decode(code).unwrap_or_default();
+    match (op, col.code_of(y)) {
+        // no slot holds the literal
+        (CmpOp::Eq, None) => sel.clear(),
+        (CmpOp::Ne, None) => retain(rows, sel, present, codes, |_| true),
+        (CmpOp::Eq, Some(c)) => retain(rows, sel, present, codes, |&x| x == c),
+        (CmpOp::Ne, Some(c)) => retain(rows, sel, present, codes, |&x| x != c),
+        (CmpOp::Lt, _) => retain(rows, sel, present, codes, |x| s(x) < y),
+        (CmpOp::Le, _) => retain(rows, sel, present, codes, |x| s(x) <= y),
+        (CmpOp::Gt, _) => retain(rows, sel, present, codes, |x| s(x) > y),
+        (CmpOp::Ge, _) => retain(rows, sel, present, codes, |x| s(x) >= y),
     }
 }
 

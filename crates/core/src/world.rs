@@ -1379,17 +1379,15 @@ impl World {
         Ok([indexed, started.elapsed()])
     }
 
-    /// The spatial grid over every live position, in one id-ordered pass.
+    /// The spatial grid over every live position, built whole from one
+    /// id-ordered pass ([`UniformGrid::from_items`]).
     fn build_grid(&self) -> UniformGrid {
         let pos = &self.columns[POS_ID.index()];
-        let mut grid = UniformGrid::new(self.spatial.cell_size());
-        grid.reserve(pos.present_count());
-        for id in self.alloc.iter_live() {
-            if let Some([x, y]) = pos.get_v2(id.index() as usize) {
-                grid.insert(id.to_bits(), Vec2::new(x, y));
-            }
-        }
-        grid
+        let items = (self.alloc.iter_live()).filter_map(|id| {
+            let [x, y] = pos.get_v2(id.index() as usize)?;
+            Some((id.to_bits(), Vec2::new(x, y)))
+        });
+        UniformGrid::from_items(self.spatial.cell_size(), items)
     }
 
     /// Begin a bulk load of a row image (snapshot restore): a fresh
@@ -1901,6 +1899,23 @@ mod tests {
         let before = w.len();
         assert!(w.spawn_from_template(&bad, v(0.0, 0.0)).is_err());
         assert_eq!(w.len(), before, "failed spawn must not leave an entity");
+    }
+
+    /// Per-view metric handles are keyed by slot: a view imported at
+    /// slot 1,000,000 and refreshed with metrics attached holds one
+    /// entry, not a table sized by its slot number.
+    #[test]
+    fn far_view_slot_holds_one_metrics_entry() {
+        let registry = MetricsRegistry::new();
+        let mut w = world_with_hp();
+        w.attach_metrics(&registry);
+        let plan = Query::select().into_plan();
+        w.import_view_at_slot(1_000_000, plan).unwrap();
+        let e = w.spawn_at(v(1.0, 1.0));
+        w.set_f32(e, "hp", 5.0).unwrap();
+        w.refresh_views();
+        assert_eq!(w.core_metrics().unwrap().view_slots_held(), 1);
+        assert_eq!(registry.snapshot().counter("view.s1000000.refreshes"), 1);
     }
 
     #[test]

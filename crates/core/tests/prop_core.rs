@@ -2734,3 +2734,118 @@ proptest! {
         }
     }
 }
+
+/// Strings a dictionary must keep apart: the empty string, three sharing
+/// their first eight bytes, `"a"` and `"a\0"`, and non-ASCII ones.
+const ORACLE_STRS: [&str; 8] = [
+    "",
+    "guild_000_a",
+    "guild_000_b",
+    "guild_000",
+    "a",
+    "a\0",
+    "ü",
+    "日本語",
+];
+
+/// The string column `name` of `w` against its oracle, one `Option` per
+/// slot: `get`, `get_str` and presence per slot, the present count,
+/// `World::rows`, and a dictionary holding exactly the distinct strings
+/// the live slots hold.
+fn str_column_agrees(w: &World, oracle: &[Option<String>]) -> Result<(), TestCaseError> {
+    let col = w.column("name").unwrap();
+    for e in w.entities() {
+        let want = oracle[e.index() as usize].as_deref();
+        prop_assert_eq!(w.get(e, "name"), want.map(|s| Value::Str(s.into())));
+    }
+    for (slot, want) in oracle.iter().enumerate() {
+        prop_assert_eq!(col.get_str(slot), want.as_deref(), "slot {}", slot);
+        prop_assert_eq!(col.has(slot), want.is_some(), "slot {}", slot);
+    }
+    prop_assert_eq!(col.present_count(), oracle.iter().flatten().count());
+    let rows: Vec<(EntityId, Value)> = (w.rows().into_iter())
+        .filter(|(_, name, _)| name == "name")
+        .map(|(e, _, v)| (e, v))
+        .collect();
+    let want: Vec<(EntityId, Value)> = (w.entities())
+        .filter_map(|e| Some((e, Value::Str(oracle[e.index() as usize].clone()?))))
+        .collect();
+    prop_assert_eq!(rows, want);
+    let distinct: std::collections::BTreeSet<&String> = oracle.iter().flatten().collect();
+    match col.data() {
+        gamedb_core::ColumnData::Str(s) => {
+            prop_assert_eq!(s.distinct(), distinct.len(), "the live strings");
+            let mut held: Vec<&str> = s.strings().collect();
+            held.sort_unstable();
+            prop_assert!(distinct.iter().map(|s| s.as_str()).eq(held));
+        }
+        other => prop_assert!(false, "name is a string column: {:?}", other),
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::default())]
+
+    /// A dictionary-encoded string column equals a `Vec<Option<String>>`
+    /// oracle by slot under seeded steps: spawns with and without the
+    /// string, writes of a new or an already held string, a slot
+    /// overwritten with the string it holds, removals, despawns and
+    /// respawns into freed slots, over strings that share eight bytes,
+    /// `""`, `"a"` vs `"a\0"` and non-ASCII ones. After every step it
+    /// agrees in `get`, `get_str`, presence and `World::rows`, and its
+    /// dictionary holds exactly the distinct live strings — a string is
+    /// freed with its last slot.
+    #[test]
+    fn str_column_equals_string_oracle(seed in any::<u64>(), steps in 1usize..160) {
+        let mut state = seed;
+        let mut w = World::new();
+        w.define_component("name", ValueType::Str).unwrap();
+        w.define_component("hp", ValueType::Float).unwrap();
+        let mut live: Vec<EntityId> = Vec::new();
+        let mut oracle: Vec<Option<String>> = Vec::new();
+        for _ in 0..steps {
+            let r = mix(&mut state);
+            let s = ORACLE_STRS[(r >> 8) as usize % ORACLE_STRS.len()];
+            let pick = (r >> 32) as usize;
+            match (r % 8, live.is_empty()) {
+                (0 | 1, _) | (_, true) => {
+                    let e = w.spawn();
+                    let slot = e.index() as usize;
+                    if oracle.len() <= slot {
+                        oracle.resize(slot + 1, None);
+                    }
+                    if (r >> 16) & 3 != 0 {
+                        w.set(e, "name", Value::Str(s.into())).unwrap();
+                        oracle[slot] = Some(s.into());
+                    }
+                    w.set_f32(e, "hp", (r >> 40) as f32).unwrap();
+                    live.push(e);
+                }
+                (2..=4, false) => {
+                    let e = live[pick % live.len()];
+                    w.set(e, "name", Value::Str(s.into())).unwrap();
+                    oracle[e.index() as usize] = Some(s.into());
+                }
+                (5, false) => {
+                    // the string the slot holds, written again
+                    let e = live[pick % live.len()];
+                    if let Some(held) = oracle[e.index() as usize].clone() {
+                        w.set(e, "name", Value::Str(held)).unwrap();
+                    }
+                }
+                (6, false) => {
+                    let e = live[pick % live.len()];
+                    let had = w.remove_component(e, "name").unwrap();
+                    prop_assert_eq!(had, oracle[e.index() as usize].take().is_some());
+                }
+                _ => {
+                    let e = live.swap_remove(pick % live.len());
+                    prop_assert!(w.despawn(e));
+                    oracle[e.index() as usize] = None;
+                }
+            }
+            str_column_agrees(&w, &oracle)?;
+        }
+    }
+}

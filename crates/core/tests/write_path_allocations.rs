@@ -11,6 +11,10 @@
 //! the batch's value moves into its column uncopied; this fails the
 //! moment any of them allocates per write.
 //!
+//! A new string is stored once per key table it enters: a write of a
+//! string no slot holds allocates once for the column's dictionary and
+//! once more for a hash index on the column, never twice for one table.
+//!
 //! A dense index probe never materialises its candidate list: an
 //! `aggregate` planned onto a sorted index allocates as often, and as
 //! many bytes, at 10 % selectivity as at 70 %.
@@ -155,6 +159,45 @@ fn indexed_batch_writes_allocate_per_batch_not_per_write() {
     }
     for (i, &e) in ids.iter().enumerate() {
         assert_eq!(w.get(e, "team"), Some(value("team", i % KEYS)));
+    }
+}
+
+/// A string no slot holds is stored once per key table it enters: once
+/// both tables have room (keys born, then all retired, so ids are free
+/// and the maps keep their capacity), a write of a new string to a
+/// string column allocates exactly once — its dictionary entry, shared
+/// by the dictionary's map and key list — and with a hash index on the
+/// column exactly twice, the index's key the second.
+#[test]
+fn a_new_string_key_allocates_once_per_key_table() {
+    const ROWS: usize = 200;
+    for indexed in [false, true] {
+        let mut w = World::new();
+        w.define_component("team", ValueType::Str).unwrap();
+        if indexed {
+            w.create_index("team", IndexKind::Hash).unwrap();
+        }
+        let ids: Vec<EntityId> = (0..ROWS).map(|_| w.spawn()).collect();
+        for (i, &e) in ids.iter().enumerate() {
+            w.set(e, "team", Value::Str(format!("warm-{i}"))).unwrap();
+        }
+        for &e in &ids {
+            w.set(e, "team", Value::Str("shared".into())).unwrap();
+        }
+        let fresh: Vec<Value> = (0..ROWS / 2)
+            .map(|i| Value::Str(format!("new-{i}")))
+            .collect();
+        let (allocs, _) = allocs_during(|| {
+            for (&e, v) in ids.iter().zip(fresh) {
+                w.set(e, "team", v).unwrap();
+            }
+        });
+        let tables = 1 + indexed as u64;
+        println!("indexed {indexed}: {allocs} allocations for the new strings");
+        assert_eq!(allocs, tables * (ROWS / 2) as u64, "indexed: {indexed}");
+        assert_eq!(w.get(ids[7], "team"), Some(Value::Str("new-7".into())));
+        let shared = Some(Value::Str("shared".into()));
+        assert_eq!(w.get(ids[ROWS - 1], "team"), shared);
     }
 }
 

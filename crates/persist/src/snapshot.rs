@@ -12,8 +12,8 @@
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use gamedb_content::{CmpOp, Value, ValueType};
 use gamedb_core::{
-    AggFn, Column, ColumnData, EntityId, IndexKind, JoinOn, PlanNode, Pred, Query, ViewPlan, World,
-    WorldCatalog,
+    AggFn, Column, ColumnData, EntityId, IndexKind, JoinOn, PlanNode, Pred, Query, StrColumn,
+    ViewPlan, World, WorldCatalog, NO_CODE,
 };
 use gamedb_spatial::Vec2;
 use std::fmt;
@@ -21,7 +21,7 @@ use std::time::Instant;
 
 use crate::walstore::RecoveryStats;
 
-/// Format magic + version (v5). The frame is a header (magic, tick,
+/// Format magic + version (v6). The frame is a header (magic, tick,
 /// lineage, body length), the body, and a [`checksum`] over header and
 /// body. The body is the schema in **interned id order** (decoding
 /// defines columns in listed order, so the recovered world's
@@ -29,11 +29,12 @@ use crate::walstore::RecoveryStats;
 /// and WAL-tail records decode to the columns they were recorded
 /// against), the entity list, the rows **column by column** — per
 /// schema entry a presence bitmap over the entity list, then the
-/// present values packed in list order — and the catalog: indexes, view
-/// slots, an always-empty 4-byte count left from the bare-query section
-/// v2/v3 filled, and the views as operator-tree plans. Earlier versions
+/// present values packed in list order, a string column's as its
+/// dictionary (each distinct string once, in order of first use over
+/// the list) and one `u32` code per value — and the catalog: indexes,
+/// view slots and the views as operator-tree plans. Earlier versions
 /// are not read.
-const MAGIC: u32 = 0x6744_4205; // "gDB" v5
+const MAGIC: u32 = 0x6744_4206; // "gDB" v6
 
 /// How far past the live count a slot read from disk may reach: the
 /// snapshot's highest entity slot and view slot count, and a redone
@@ -516,8 +517,6 @@ fn put_catalog(buf: &mut BytesMut, cat: &WorldCatalog) {
         buf.put_u8(kind_tag(*kind));
     }
     buf.put_u32_le(cat.view_slots);
-    // the bare-query count: always empty, every view is a plan
-    buf.put_u32_le(0);
     buf.put_u32_le(cat.views.len() as u32);
     for (slot, plan) in &cat.views {
         buf.put_u32_le(*slot);
@@ -541,11 +540,8 @@ fn get_catalog(buf: &mut impl Buf, lineage: u64, tick: u64) -> Result<WorldCatal
         need!(1);
         indexes.push((name, tag_kind(buf.get_u8())?));
     }
-    need!(12);
+    need!(8);
     let view_slots = buf.get_u32_le();
-    if buf.get_u32_le() != 0 {
-        return Err(SnapshotError::Corrupt("bare-query section is not empty".into()));
-    }
     let n_plans = buf.get_u32_le() as usize;
     let mut views = Vec::new();
     for _ in 0..n_plans {
@@ -627,7 +623,7 @@ pub fn encode(world: &World) -> Bytes {
     }
     // rows, column by column
     for (_, col) in &schema {
-        let slots = world.entities().map(|e| e.index() as usize);
+        let slots = || world.entities().map(|e| e.index() as usize);
         put_column(&mut out, col, world.len(), slots);
     }
     // catalog: index definitions + standing views
@@ -649,58 +645,102 @@ const FRAME: usize = 24;
 const MIN_STR: usize = 4;
 
 /// Bytes [`put_column`] spends on `col` over `n` listed entities: the
-/// presence bitmap, then each present value.
+/// presence bitmap, then each present value — for a string column, the
+/// dictionary (every string in it is held by a listed entity) and a
+/// code per value.
 fn column_bytes(col: &Column, n: usize) -> usize {
     let present = col.present_count();
     let values = match col.data() {
         ColumnData::F32(_) => 4 * present,
         ColumnData::I64(_) | ColumnData::V2(_) => 8 * present,
         ColumnData::Bool(_) => present,
-        ColumnData::Str(v) => (v.iter().zip(col.presence()))
-            .filter(|(_, &p)| p)
-            .map(|(s, _)| MIN_STR + s.len())
-            .sum(),
+        ColumnData::Str(v) => {
+            4 + v.strings().map(|s| MIN_STR + s.len()).sum::<usize>() + 4 * present
+        }
     };
     n.div_ceil(8) + values
 }
 
 /// One column of the row section over the `n` listed entities, whose
-/// slots `slots` yields in list order: a presence bitmap (bit `i % 8` of
-/// byte `i / 8` set when the `i`-th listed entity has a value; the bits
-/// past the list clear), then the present values packed in list order
-/// — one type dispatch per column, one pass over the list.
-fn put_column(out: &mut BytesMut, col: &Column, n: usize, slots: impl Iterator<Item = usize>) {
-    /// Set the bit of each listed entity with a value and `put` the
-    /// value.
-    fn pack(
-        out: &mut BytesMut,
-        present: &[bool],
-        n: usize,
-        slots: impl Iterator<Item = usize>,
-        mut put: impl FnMut(&mut BytesMut, usize),
-    ) {
-        let bitmap = out.len();
-        out.resize(bitmap + n.div_ceil(8), 0);
-        for (i, slot) in slots.enumerate() {
-            if present.get(slot) == Some(&true) {
-                out[bitmap + i / 8] |= 1 << (i % 8);
-                put(out, slot);
-            }
-        }
-    }
+/// slots each call of `slots` yields in list order: a presence bitmap
+/// (bit `i % 8` of byte `i / 8` set when the `i`-th listed entity has a
+/// value; the bits past the list clear), then the present values packed
+/// in list order — one type dispatch per column, one pass over the list
+/// (two for a string column, [`put_str_column`]).
+fn put_column<I: Iterator<Item = usize>>(
+    out: &mut BytesMut,
+    col: &Column,
+    n: usize,
+    slots: impl Fn() -> I,
+) {
     let present = col.presence();
     match col.data() {
-        ColumnData::F32(v) => pack(out, present, n, slots, |out, slot| out.put_f32_le(v[slot])),
-        ColumnData::I64(v) => pack(out, present, n, slots, |out, slot| out.put_i64_le(v[slot])),
-        ColumnData::Bool(v) => pack(out, present, n, slots, |out, slot| {
+        ColumnData::F32(v) => pack(out, present, n, slots(), |out, slot| {
+            out.put_f32_le(v[slot])
+        }),
+        ColumnData::I64(v) => pack(out, present, n, slots(), |out, slot| {
+            out.put_i64_le(v[slot])
+        }),
+        ColumnData::Bool(v) => pack(out, present, n, slots(), |out, slot| {
             out.put_u8(v[slot] as u8)
         }),
-        ColumnData::Str(v) => pack(out, present, n, slots, |out, slot| put_str(out, &v[slot])),
-        ColumnData::V2(v) => pack(out, present, n, slots, |out, slot| {
+        ColumnData::Str(v) => put_str_column(out, present, v, n, slots),
+        ColumnData::V2(v) => pack(out, present, n, slots(), |out, slot| {
             let [x, y] = v[slot];
             out.put_f32_le(x);
             out.put_f32_le(y);
         }),
+    }
+}
+
+/// Write the presence bitmap of the `n` listed entities at `slots`, and
+/// `put` each present value after it.
+fn pack(
+    out: &mut BytesMut,
+    present: &[bool],
+    n: usize,
+    slots: impl Iterator<Item = usize>,
+    mut put: impl FnMut(&mut BytesMut, usize),
+) {
+    let bitmap = out.len();
+    out.resize(bitmap + n.div_ceil(8), 0);
+    for (i, slot) in slots.enumerate() {
+        if present.get(slot) == Some(&true) {
+            out[bitmap + i / 8] |= 1 << (i % 8);
+            put(out, slot);
+        }
+    }
+}
+
+/// A string column's part of [`put_column`]: the bitmap, then the
+/// dictionary — its entry count, then each distinct string once,
+/// numbered in order of first use over the list — then one `u32` code
+/// per present value, in that numbering. The first pass numbers the
+/// codes as it writes the bitmap; the second writes the codes.
+fn put_str_column<I: Iterator<Item = usize>>(
+    out: &mut BytesMut,
+    present: &[bool],
+    v: &StrColumn,
+    n: usize,
+    slots: impl Fn() -> I,
+) {
+    let codes = v.codes();
+    let mut number = vec![NO_CODE; v.code_bound()];
+    let mut first_use = Vec::with_capacity(v.distinct());
+    pack(out, present, n, slots(), |_, slot| {
+        let code = codes[slot];
+        if number[code as usize] == NO_CODE {
+            number[code as usize] = first_use.len() as u32;
+            first_use.push(code);
+        }
+    });
+    out.put_u32_le(first_use.len() as u32);
+    for &code in &first_use {
+        let s = v.decode(code).expect("a held code is in the dictionary");
+        put_str(out, s);
+    }
+    for slot in slots().filter(|&slot| present.get(slot) == Some(&true)) {
+        out.put_u32_le(number[codes[slot] as usize]);
     }
 }
 
@@ -725,6 +765,19 @@ fn take<'a>(buf: &mut &'a [u8], n: usize) -> Result<&'a [u8], SnapshotError> {
     let (head, rest) = buf.split_at(n);
     *buf = rest;
     Ok(head)
+}
+
+/// The next little-endian `u32` of `buf`.
+fn take_u32(buf: &mut &[u8]) -> Result<u32, SnapshotError> {
+    let word = take(buf, 4)?.try_into().expect("4 bytes");
+    Ok(u32::from_le_bytes(word))
+}
+
+/// The next length-prefixed string of `buf`, borrowed.
+fn take_str<'a>(buf: &mut &'a [u8]) -> Result<&'a str, SnapshotError> {
+    let len = take_u32(buf)? as usize;
+    std::str::from_utf8(take(buf, len)?)
+        .map_err(|_| SnapshotError::Corrupt("non-utf8 string".into()))
 }
 
 /// Inverse of [`put_column`] for the column of type `ty` over the
@@ -767,14 +820,62 @@ fn get_column(buf: &mut &[u8], ty: ValueType, slots: &[usize]) -> Result<Column,
             [0, 4].map(|x| f32::from_le_bytes(v[x..x + 4].try_into().expect("4 bytes")))
         })?),
         ValueType::Str => {
-            let mut v = vec![String::new(); len];
-            for slot in at() {
-                v[slot] = get_str(buf)?;
-            }
-            ColumnData::Str(v)
+            let values = bitmap.iter().map(|bits| bits.count_ones() as usize).sum();
+            ColumnData::Str(get_str_column(buf, at(), values, len)?)
         }
     };
     Ok(Column::from_parts(present, data).expect("both parts are `len` slots"))
+}
+
+/// Inverse of [`put_str_column`] past the bitmap, for `values` values
+/// at the slots `at` yields, over `len` slots. The entry count is held
+/// to the value count and to the bytes left before the dictionary is
+/// sized, the codes to the dictionary and to first-use order as they are
+/// read, and an entry listed twice or used by no value is refused; each
+/// distinct string is copied once.
+fn get_str_column(
+    buf: &mut &[u8],
+    at: impl Iterator<Item = usize>,
+    values: usize,
+    len: usize,
+) -> Result<StrColumn, SnapshotError> {
+    let entries = take_u32(buf)? as usize;
+    if entries > values {
+        return Err(SnapshotError::Corrupt(format!(
+            "{entries} dictionary entries for {values} values"
+        )));
+    }
+    let mut dictionary = Vec::with_capacity(bounded(entries, &*buf, MIN_STR)?);
+    for _ in 0..entries {
+        dictionary.push(take_str(buf)?);
+    }
+    let raw = take(buf, 4 * values)?;
+    let mut codes = vec![NO_CODE; len];
+    // the next code to be used for the first time
+    let mut fresh = 0u32;
+    for (slot, code) in at.zip(raw.chunks_exact(4)) {
+        let code = u32::from_le_bytes(code.try_into().expect("4 bytes"));
+        if code as usize >= entries {
+            return Err(SnapshotError::Corrupt(format!(
+                "dictionary code {code} past {entries} entries"
+            )));
+        }
+        if code > fresh {
+            return Err(SnapshotError::Corrupt(format!(
+                "dictionary code {code} used before code {fresh}"
+            )));
+        }
+        fresh += (code == fresh) as u32;
+        codes[slot] = code;
+    }
+    if fresh as usize != entries {
+        return Err(SnapshotError::Corrupt(format!(
+            "{} dictionary entries no value uses",
+            entries - fresh as usize
+        )));
+    }
+    StrColumn::from_parts(&dictionary, codes)
+        .ok_or_else(|| SnapshotError::Corrupt("a dictionary entry listed twice".into()))
 }
 
 /// A count read from disk, checked against what the rest of the buffer
@@ -937,7 +1038,8 @@ pub(crate) mod tests {
     /// The row section rebuilt column by column from [`World::rows`]:
     /// each schema entry's bitmap and values are looked up by name per
     /// listed entity, and every value passes through a [`Value`] and
-    /// [`put_value`]. The oracle `encode` must equal byte for byte.
+    /// [`put_value`] — a string column's through a dictionary built in
+    /// list order. The oracle `encode` must equal byte for byte.
     fn encode_by_column_walk(world: &World) -> Vec<u8> {
         let schema: Vec<(&str, ValueType)> = world.schema_by_id().map(|(_, n, t)| (n, t)).collect();
         let entities: Vec<EntityId> = world.entities().collect();
@@ -956,7 +1058,7 @@ pub(crate) mod tests {
         for e in &entities {
             body.put_u64_le(e.to_bits());
         }
-        for (name, _) in &schema {
+        for (name, ty) in &schema {
             let column: Vec<Option<&Value>> = entities
                 .iter()
                 .map(|&e| rows.get(&(e, name.to_string())))
@@ -970,8 +1072,30 @@ pub(crate) mod tests {
                         .sum(),
                 );
             }
+            if *ty != ValueType::Str {
+                for value in column.into_iter().flatten() {
+                    put_value(&mut body, value);
+                }
+                continue;
+            }
+            let mut dictionary: Vec<&Value> = Vec::new();
+            let mut codes = Vec::new();
             for value in column.into_iter().flatten() {
+                let code = dictionary
+                    .iter()
+                    .position(|&d| d == value)
+                    .unwrap_or_else(|| {
+                        dictionary.push(value);
+                        dictionary.len() - 1
+                    });
+                codes.push(code as u32);
+            }
+            body.put_u32_le(dictionary.len() as u32);
+            for value in dictionary {
                 put_value(&mut body, value);
+            }
+            for code in codes {
+                body.put_u32_le(code);
             }
         }
         put_catalog(&mut body, &world.export_catalog());
@@ -1195,7 +1319,11 @@ pub(crate) mod tests {
     /// (valid) checksum is a truncation, not a multi-gigabyte allocation.
     /// A slot read from disk — the highest listed entity slot, the view
     /// slot count — is bounded by the live count plus
-    /// [`MAX_RESTORE_GAP`]: a forged one is corrupt.
+    /// [`MAX_RESTORE_GAP`]: a forged one is corrupt. A string column's
+    /// dictionary is held to its values: a code past it, an entry listed
+    /// twice, entries out of first-use order and an entry count past the
+    /// value count are each corrupt, the count refused before it sizes
+    /// the dictionary.
     #[test]
     fn forged_counts_fail_before_they_allocate() {
         // an empty world's body, by offset: n_schema(=1) | len(3) "pos"
@@ -1243,12 +1371,149 @@ pub(crate) mod tests {
             SnapshotError::Corrupt(format!("entity slot {} past the restore gap", u32::MAX - 1));
         assert_eq!(decode(&forged).unwrap_err(), refused);
         // a forged view-slot count: it would size the view table
-        let mut forged = image;
+        let mut forged = image.clone();
         let catalog = forged.len() - 4 - encode_catalog(&w).len();
         forged[catalog + 4..catalog + 8].copy_from_slice(&(u32::MAX - 1).to_le_bytes());
         reseal(&mut forged);
         let refused = SnapshotError::Corrupt(format!("{} view slots for 0 views", u32::MAX - 1));
         assert_eq!(decode(&forged).unwrap_err(), refused);
+        // the string column's dictionary: 16 names, one per live entity
+        let [names] = &dictionaries(&image)[..] else {
+            panic!("one string column")
+        };
+        assert_eq!((names.entries.len(), names.values), (16, 16));
+        let corrupt = |m: &str| SnapshotError::Corrupt(m.into());
+        for (how, refused) in [
+            (Forgery::CodePast, "dictionary code 16 past 16 entries"),
+            (Forgery::Duplicate, "a dictionary entry listed twice"),
+            (Forgery::OutOfOrder, "dictionary code 1 used before code 0"),
+            (Forgery::CountPastValues, "17 dictionary entries for 16 values"),
+        ] {
+            let forged = forge_dictionary(&image, names, how).unwrap();
+            assert_eq!(decode(&forged).unwrap_err(), corrupt(refused), "{how:?}");
+        }
+        // an entry count near `u32::MAX` sizes nothing
+        let mut forged = image.clone();
+        forged[names.count..names.count + 4].copy_from_slice(&(u32::MAX - 1).to_le_bytes());
+        reseal(&mut forged);
+        let refused = format!("{} dictionary entries for 16 values", u32::MAX - 1);
+        assert_eq!(decode(&forged).unwrap_err(), corrupt(&refused));
+    }
+
+    /// Where a string column's dictionary sits in an image [`encode`]
+    /// wrote: the offsets of its entry count and of its first code, each
+    /// entry's span (length prefix included), and the column's values.
+    #[derive(Debug)]
+    pub(crate) struct DictAt {
+        pub count: usize,
+        pub entries: Vec<std::ops::Range<usize>>,
+        pub codes: usize,
+        pub values: usize,
+    }
+
+    /// The dictionary of every string column of `image`, in schema order.
+    pub(crate) fn dictionaries(image: &[u8]) -> Vec<DictAt> {
+        let word = |at: usize| u32::from_le_bytes(image[at..at + 4].try_into().unwrap()) as usize;
+        let mut at = FRAME + 4;
+        let types: Vec<ValueType> = (0..word(FRAME))
+            .map(|_| {
+                at += 4 + word(at) + 1;
+                tag_type(image[at - 1]).unwrap()
+            })
+            .collect();
+        let n = word(at);
+        at += 4 + 8 * n;
+        let mut found = Vec::new();
+        for ty in types {
+            let bitmap = &image[at..at + n.div_ceil(8)];
+            let values: usize = bitmap.iter().map(|b| b.count_ones() as usize).sum();
+            at += bitmap.len();
+            at += match ty {
+                ValueType::Float => 4 * values,
+                ValueType::Int | ValueType::Vec2 => 8 * values,
+                ValueType::Bool => values,
+                ValueType::Str => {
+                    let count = at;
+                    at += 4;
+                    let entries = (0..word(count))
+                        .map(|_| {
+                            let start = at;
+                            at += 4 + word(at);
+                            start..at
+                        })
+                        .collect();
+                    let codes = at;
+                    found.push(DictAt {
+                        count,
+                        entries,
+                        codes,
+                        values,
+                    });
+                    4 * values
+                }
+            };
+        }
+        found
+    }
+
+    /// A forged dictionary: each is refused under a valid frame.
+    #[derive(Debug, Clone, Copy)]
+    pub(crate) enum Forgery {
+        /// A code one past the dictionary.
+        CodePast,
+        /// The second entry a copy of the first.
+        Duplicate,
+        /// The first two entries swapped, codes and all: the same rows,
+        /// out of first-use order.
+        OutOfOrder,
+        /// One more entry counted than there are values.
+        CountPastValues,
+    }
+
+    impl Forgery {
+        pub(crate) const ALL: [Forgery; 4] = [
+            Forgery::CodePast,
+            Forgery::Duplicate,
+            Forgery::OutOfOrder,
+            Forgery::CountPastValues,
+        ];
+    }
+
+    /// `image` with `dict` forged `how`, under a re-sealed frame (body
+    /// length and checksum); `None` when the dictionary is too small for
+    /// the forgery (two entries to duplicate or swap, a value to recode).
+    pub(crate) fn forge_dictionary(image: &[u8], dict: &DictAt, how: Forgery) -> Option<Vec<u8>> {
+        let mut forged = image.to_vec();
+        let (first, second) = (dict.entries.first(), dict.entries.get(1));
+        let put = |forged: &mut Vec<u8>, at: usize, v: usize| {
+            forged[at..at + 4].copy_from_slice(&(v as u32).to_le_bytes());
+        };
+        match how {
+            Forgery::CodePast if dict.values > 0 => {
+                put(&mut forged, dict.codes, dict.entries.len())
+            }
+            Forgery::Duplicate => {
+                let (e0, e1) = (first?.clone(), second?.clone());
+                forged.splice(e1, image[e0].iter().copied());
+            }
+            Forgery::OutOfOrder => {
+                let (e0, e1) = (first?.clone(), second?.clone());
+                let swapped = [&image[e1.clone()], &image[e0.clone()]].concat();
+                forged.splice(e0.start..e1.end, swapped);
+                for at in (dict.codes..dict.codes + 4 * dict.values).step_by(4) {
+                    let code = u32::from_le_bytes(forged[at..at + 4].try_into().unwrap());
+                    if code < 2 {
+                        put(&mut forged, at, 1 - code as usize);
+                    }
+                }
+            }
+            Forgery::CountPastValues => put(&mut forged, dict.count, dict.values + 1),
+            Forgery::CodePast => return None,
+        }
+        let body = forged.len() - FRAME - 4;
+        put(&mut forged, FRAME - 4, body);
+        reseal(&mut forged);
+        Some(forged)
     }
 
     /// The catalog section `encode` writes for `w`.
@@ -1258,35 +1523,28 @@ pub(crate) mod tests {
         catalog
     }
 
-    /// One version is read: an older magic is refused, and so is a
-    /// catalog whose bare-query count (written 0 since every view is a
-    /// plan) is not 0, even under a valid checksum.
+    /// One version is read: every older magic is refused.
     #[test]
-    fn older_versions_and_bare_queries_are_refused() {
-        let mut bytes = encode(&World::new()).to_vec();
-        for old in [0x6744_4202u32, 0x6744_4203, 0x6744_4204] {
+    fn older_versions_are_refused() {
+        let bytes = encode(&World::new()).to_vec();
+        for old in [0x6744_4202u32, 0x6744_4203, 0x6744_4204, 0x6744_4205] {
             let mut v = bytes.clone();
             v[..4].copy_from_slice(&old.to_le_bytes());
             assert_eq!(decode(&v).unwrap_err(), SnapshotError::BadMagic(old));
         }
-        // an empty world's body: schema (12 bytes), entity count, index
-        // count, view slots, then the bare-query count
-        bytes[24 + 24] = 1;
-        reseal(&mut bytes);
-        let refused = SnapshotError::Corrupt("bare-query section is not empty".into());
-        assert_eq!(decode(&bytes).unwrap_err(), refused);
     }
 
-    /// A v5 image written by hand, section by section: two live
-    /// entities around a hole (slot 0 at generation 1, slot 2), all
-    /// five column types with values missing, an index and a view after
-    /// a burned slot. The v5 frame puts the header under the checksum.
-    fn pinned_v5() -> Vec<u8> {
+    /// A v6 image written by hand, section by section: three live
+    /// entities around a hole (slot 0 at generation 1, slots 2 and 3),
+    /// all five column types with values missing, a string column whose
+    /// dictionary holds "ü" once for two entities, an index and a view
+    /// after a burned slot. The frame puts the header under the checksum.
+    fn pinned_v6() -> Vec<u8> {
         let header: &[u8] = &[
-            0x05, 0x42, 0x44, 0x67, // magic "gDB" v5
+            0x06, 0x42, 0x44, 0x67, // magic "gDB" v6
             9, 0, 0, 0, 0, 0, 0, 0, // tick
             3, 0, 0, 0, 0, 0, 0, 0, // lineage
-            156, 0, 0, 0, // body length
+            176, 0, 0, 0, // body length
         ];
         let schema: &[u8] = &[
             5, 0, 0, 0, // entries, in interned id order: name, type tag
@@ -1295,40 +1553,48 @@ pub(crate) mod tests {
             b'm', b'e', 3,
         ];
         let entities: &[u8] = &[
-            2, 0, 0, 0, // count, then ids in slot order
+            3, 0, 0, 0, // count, then ids in slot order
             0, 0, 0, 0, 1, 0, 0, 0, // slot 0, generation 1
             2, 0, 0, 0, 0, 0, 0, 0, // slot 2
+            3, 0, 0, 0, 0, 0, 0, 0, // slot 3
         ];
         let columns: &[u8] = &[
             // per column: presence over the list, then the values
-            0b01, 0, 0, 0xC0, 0x3F, 0, 0, 0, 0xC0, // pos: (1.5, -2.0), one unpositioned
-            0b11, 0, 0, 0x9B, 0x42, 0, 0, 0x44, 0x41, // hp: 77.5, 12.25
-            0b10, 0xFE, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, // gold: -2
-            0b01, 1, // alive: true
-            0b11, 2, 0, 0, 0, 0xC3, 0xBC, 0, 0, 0, 0, // name: "ü", ""
+            0b001, 0, 0, 0xC0, 0x3F, 0, 0, 0, 0xC0, // pos: (1.5, -2.0), two unpositioned
+            0b011, 0, 0, 0x9B, 0x42, 0, 0, 0x44, 0x41, // hp: 77.5, 12.25
+            0b010, 0xFE, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, // gold: -2
+            0b001, 1, // alive: true
+            // name: the dictionary ("ü", "") in first-use order, then
+            // the codes of "ü", "", "ü"
+            0b111, 2, 0, 0, 0, 2, 0, 0, 0, 0xC3, 0xBC, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0,
+            0,
         ];
         let catalog: &[u8] = &[
             1, 0, 0, 0, 4, 0, 0, 0, b'g', b'o', b'l', b'd', 1, // a sorted index on gold
             2, 0, 0, 0, // view slots
-            0, 0, 0, 0, // the empty bare-query count
             // one view at slot 1: a scan leaf with one predicate
             // `hp < 50.0`, no disk, no exclusion, no pinned entity
             1, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, b'h', b'p', 2, 0, 0, 0, 0x48, 0x42,
             0, 0, 0,
         ];
-        let checksum: &[u8] = &[0xB1, 0x51, 0xC9, 0x02]; // over header and body
+        let checksum: &[u8] = &[0x25, 0xFA, 0x3C, 0x3E]; // over header and body
         [header, schema, entities, columns, catalog, checksum].concat()
     }
 
-    /// The pinned v5 image decodes to the world it was written from and
-    /// encodes back to the same bytes.
+    /// The pinned v6 image decodes to the world it was written from,
+    /// its string column holding two distinct strings for three values,
+    /// and encodes back to the same bytes.
     #[test]
-    fn v5_snapshot_decodes_from_pinned_bytes() {
-        let pinned = pinned_v5();
+    fn v6_snapshot_decodes_from_pinned_bytes() {
+        let pinned = pinned_v6();
         let (w, tick) = decode(&pinned).unwrap();
-        let (a, b) = (EntityId::from_bits(1 << 32), EntityId::from_bits(2));
+        let (a, b, c) = (
+            EntityId::from_bits(1 << 32),
+            EntityId::from_bits(2),
+            EntityId::from_bits(3),
+        );
         assert_eq!((tick, w.lineage()), (9, 3));
-        assert_eq!(w.entities().collect::<Vec<_>>(), [a, b]);
+        assert_eq!(w.entities().collect::<Vec<_>>(), [a, b, c]);
         let row = |e, name: &str, value| (e, name.to_string(), value);
         assert_eq!(
             w.rows(),
@@ -1340,8 +1606,13 @@ pub(crate) mod tests {
                 row(b, "gold", Value::Int(-2)),
                 row(b, "hp", Value::Float(12.25)),
                 row(b, "name", Value::Str(String::new())),
+                row(c, "name", Value::Str("ü".into())),
             ]
         );
+        match w.column("name").map(Column::data) {
+            Some(ColumnData::Str(names)) => assert_eq!(names.distinct(), 2),
+            other => panic!("name is a string column: {other:?}"),
+        }
         let catalog = w.export_catalog();
         assert_eq!(catalog.indexes, [("gold".to_string(), IndexKind::Sorted)]);
         assert_eq!(catalog.view_slots, 2);
@@ -1351,14 +1622,14 @@ pub(crate) mod tests {
         assert_eq!(&encode(&w)[..], &pinned[..]);
     }
 
-    /// Every single-bit flip of a v5 image and of a WAL frame is
+    /// Every single-bit flip of a v6 image and of a WAL frame is
     /// rejected: the checksum covers the snapshot's header and body, a
     /// flipped length is a truncation or trailing bytes, and a flip in
     /// the checksum is a mismatch.
     #[test]
     fn every_single_bit_flip_is_rejected() {
         use crate::wal::{decode_log, WalRecord};
-        let image = pinned_v5();
+        let image = pinned_v6();
         assert!(decode(&image).is_ok());
         for at in 0..image.len() {
             for bit in 0..8 {

@@ -1686,37 +1686,47 @@ mod tests {
         assert_eq!(counts.counter("recover.records_decoded"), after(0) as u64);
     }
 
-    /// Files the previous format version wrote — a v4 snapshot of two
-    /// entities and its log (a checkpoint mark and one write), both
-    /// under FNV-1a — are refused, and recovery names the part: the
-    /// snapshot, as another version. Nothing opens as a shorter
-    /// history, and the log's frames fail this version's checksum, so
-    /// they read as a torn log, never as records.
+    /// Files the previous format version wrote — the v5 snapshot of two
+    /// entities with a position, an `hp` and a `team` string each (one
+    /// value per string), and its log: checkpoint marks 0 and 1 and one
+    /// write. Recovery refuses the snapshot as another version and names
+    /// that part; nothing opens as a shorter history. The log frames did
+    /// not change in v6, so the same log decodes whole, and a v4 log
+    /// (frames under FNV-1a) still reads as a torn log, never as records.
     #[test]
     fn previous_version_snapshot_and_log_are_refused_by_part() {
-        const V4_SNAPSHOT: [u8; 119] = [
-            4, 66, 68, 103, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 91, 0, 0, 0, 2, 0, 0,
-            0, 3, 0, 0, 0, 112, 111, 115, 4, 2, 0, 0, 0, 104, 112, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0,
-            0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 128, 63, 0, 0, 0, 64, 1, 0,
-            0, 0, 0, 0, 240, 64, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 64, 64, 0, 0, 0, 0, 0, 0, 0, 0, 0,
-            0, 0, 0, 0, 0, 0, 0, 241, 247, 200, 62,
+        const V5_SNAPSHOT: [u8; 133] = [
+            5, 66, 68, 103, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 105, 0, 0, 0, 3, 0, 0,
+            0, 3, 0, 0, 0, 112, 111, 115, 4, 2, 0, 0, 0, 104, 112, 0, 4, 0, 0, 0, 116, 101, 97,
+            109, 3, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 128, 63,
+            0, 0, 0, 64, 0, 0, 64, 64, 0, 0, 0, 0, 3, 0, 0, 240, 64, 0, 0, 64, 64, 3, 3, 0, 0, 0,
+            114, 101, 100, 3, 0, 0, 0, 114, 101, 100, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+            0, 4, 201, 61, 5,
+        ];
+        const V5_LOG: [u8; 57] = [
+            9, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0, 0, 174, 181, 227, 119, 9, 0, 0, 0, 4, 1, 0, 0, 0,
+            0, 0, 0, 0, 113, 238, 47, 162, 15, 0, 0, 0, 15, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0,
+            128, 63, 170, 190, 130, 183,
         ];
         const V4_LOG: [u8; 40] = [
             9, 0, 0, 0, 4, 1, 0, 0, 0, 0, 0, 0, 0, 18, 31, 97, 230, 15, 0, 0, 0, 15, 1, 0, 0, 0, 0,
             0, 0, 0, 1, 0, 0, 0, 16, 65, 49, 125, 90, 115,
         ];
-        let refused = recover_from_parts(newest_first(&[(1u64, &V4_SNAPSHOT[..])]), &V4_LOG);
+        let refused = recover_from_parts(newest_first(&[(1u64, &V5_SNAPSHOT[..])]), &V5_LOG);
         assert!(
             matches!(
                 refused,
                 Err(StoreError::Decode {
                     part: DurablePart::Snapshot,
-                    error: SnapshotError::BadMagic(0x6744_4204),
+                    error: SnapshotError::BadMagic(0x6744_4205),
                 })
             ),
             "{:?}",
             refused.err()
         );
+        let (records, consumed) = decode_log(&V5_LOG);
+        assert_eq!((records.len(), consumed), (3, V5_LOG.len()));
+        assert_eq!(records[1], WalRecord::CheckpointMark { seq: 1 });
         assert_eq!(decode_log(&V4_LOG), (vec![], 0));
     }
 
@@ -2516,13 +2526,24 @@ mod tests {
         /// so the column decoder and the catalog import meet them.
         /// Decoding the snapshot, decoding the log and recovering from
         /// both each return, `Ok` or `Err`, without a panic, and the
-        /// log decode never consumes more than there is.
+        /// log decode never consumes more than there is. The string
+        /// column's dictionary, forged under a valid frame (a code past
+        /// it, a duplicate or out-of-order entry, an entry count past the
+        /// value count), is refused by decode and by recovery.
         #[test]
         fn hostile_snapshot_and_log_bytes_never_panic(seed in any::<u64>()) {
+            use crate::snapshot::tests::{dictionaries, forge_dictionary, Forgery};
             use rand::{Rng, SeedableRng};
             let rng = &mut rand::rngs::StdRng::seed_from_u64(seed);
             let (image, steps) = (rng.gen_range(0..24), rng.gen_range(0..32));
             let (mut snap, mut log) = image_and_tail(seed, image, steps);
+            let how = Forgery::ALL[rng.gen_range(0..Forgery::ALL.len())];
+            let forged = (dictionaries(&snap).first()).and_then(|d| forge_dictionary(&snap, d, how));
+            if let Some(forged) = &forged {
+                prop_assert!(snapshot::decode(forged).is_err(), "{:?} decoded", how);
+                let recovered = recover_from_parts(newest_first(&[(1u64, forged)]), &log);
+                prop_assert!(recovered.is_err(), "{:?} recovered", how);
+            }
             if rng.gen_bool(0.5) {
                 hostile_edit(rng, &mut log, true);
             } else {

@@ -86,10 +86,42 @@ impl UniformGrid {
         }
     }
 
-    /// Size the position map for `additional` more items — a restored
-    /// world fills the grid in one pass and knows how many it holds.
-    pub fn reserve(&mut self, additional: usize) {
-        self.positions.reserve(additional);
+    /// A grid holding `items`, whose ids are distinct, built whole (a
+    /// restored world's): each item's cell is found once, every cell is
+    /// allocated once, and each cell lists its items in `items` order —
+    /// the grid inserting them one by one would build. A cell's capacity
+    /// is the one those inserts would have grown it to (its size rounded
+    /// up to a power of two, at least four), so the moves after a build
+    /// reallocate no more often than after the inserts.
+    pub fn from_items(cell_size: f32, items: impl IntoIterator<Item = (ItemId, Vec2)>) -> Self {
+        let mut grid = UniformGrid::new(cell_size);
+        let items: Vec<(ItemId, Vec2)> = items.into_iter().collect();
+        // a dense number per occupied cell, in order of first use
+        let mut numbers: HashMap<CellKey, u32, BuildIdHasher> = HashMap::default();
+        let mut keys = Vec::new();
+        let mut sizes: Vec<usize> = Vec::new();
+        let cell_of: Vec<u32> = (items.iter())
+            .map(|&(_, pos)| {
+                let key = grid.key_for(pos);
+                let n = *numbers.entry(key).or_insert_with(|| {
+                    keys.push(key);
+                    sizes.push(0);
+                    sizes.len() as u32 - 1
+                });
+                sizes[n as usize] += 1;
+                n
+            })
+            .collect();
+        let mut cells: Vec<Cell> = (sizes.into_iter())
+            .map(|n| Vec::with_capacity(n.next_power_of_two().max(4)))
+            .collect();
+        for (&n, &item) in cell_of.iter().zip(&items) {
+            cells[n as usize].push(item);
+        }
+        grid.cells = keys.into_iter().zip(cells).collect();
+        grid.positions = items.into_iter().collect();
+        debug_assert_eq!(grid.positions.len(), cell_of.len(), "item ids are distinct");
+        grid
     }
 
     /// Cell of a point. The float → int casts saturate, so far-away and
@@ -316,6 +348,67 @@ fn finish_knn(k: usize, candidates: &mut Vec<(f32, ItemId)>, out: &mut Vec<ItemI
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// A coordinate for a bulk-built grid: mostly finite, some NaN and
+    /// infinities, which land on the origin's or an outermost cell.
+    fn odd_coord() -> impl Strategy<Value = f32> {
+        let finite = || (-150.0f32..150.0).prop_map(|v| (v * 8.0).round() / 8.0);
+        prop_oneof![
+            finite(),
+            finite(),
+            finite(),
+            finite(),
+            Just(f32::NAN),
+            Just(f32::INFINITY),
+            Just(f32::NEG_INFINITY),
+        ]
+    }
+
+    /// A grid's layout by bits, so a NaN position equals itself: each
+    /// occupied cell's items in cell order, and each item's position.
+    type Layout = (
+        Vec<(i32, i32, Vec<(ItemId, [u32; 2])>)>,
+        Vec<(ItemId, [u32; 2])>,
+    );
+
+    fn layout(g: &UniformGrid) -> Layout {
+        let bits = |p: Vec2| [p.x.to_bits(), p.y.to_bits()];
+        let mut cells: Vec<_> = (g.cells.iter())
+            .map(|(k, v)| (k.cx, k.cy, v.iter().map(|&(id, p)| (id, bits(p))).collect()))
+            .collect();
+        cells.sort_unstable();
+        let mut positions: Vec<_> = g.positions.iter().map(|(&id, &p)| (id, bits(p))).collect();
+        positions.sort_unstable();
+        (cells, positions)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `UniformGrid::from_items` builds the grid inserting the same
+        /// items in the same order builds: the same occupied cells, each
+        /// listing the same items in the same order, and the same
+        /// positions — over distinct ids in any order, clustered and
+        /// scattered positions and NaN / ±∞ coordinates.
+        #[test]
+        fn grid_from_items_equals_inserts(
+            points in proptest::collection::vec((odd_coord(), odd_coord()), 0..200),
+            salt in any::<u64>(),
+            cell in prop_oneof![Just(3.0f32), Just(16.0f32)],
+        ) {
+            // distinct ids, in no particular order
+            let items: Vec<(ItemId, Vec2)> = (points.iter().enumerate())
+                .map(|(i, &(x, y))| ((i as u64).wrapping_mul(0x9E37_79B9) ^ salt, Vec2::new(x, y)))
+                .collect();
+            let built = UniformGrid::from_items(cell, items.iter().copied());
+            let mut inserted = UniformGrid::new(cell);
+            for &(id, p) in &items {
+                inserted.insert(id, p);
+            }
+            prop_assert_eq!(layout(&built), layout(&inserted));
+        }
+    }
 
     fn v(x: f32, y: f32) -> Vec2 {
         Vec2::new(x, y)
