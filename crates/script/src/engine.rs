@@ -1,20 +1,18 @@
 //! The script engine: the one-stop API a game embeds.
 //!
 //! [`ScriptEngine`] owns the script library, enforces a language level at
-//! load time, lowers what it can to bytecode (falling back to the
-//! interpreter for scripts outside the compilable subset), binds scripts
-//! to entities via a component, and drives whole-world ticks — the piece
-//! that turns the lower-level modules into the "custom scripting language
-//! runtime" a studio would actually ship.
+//! load time, lowers every loaded script to bytecode (refusing at load a
+//! script the VM cannot hold), binds scripts to entities via a component,
+//! and drives whole-world ticks — the piece that turns the lower-level
+//! modules into the "custom scripting language runtime" a studio would
+//! actually ship.
 //!
-//! Execution is mode-switched by [`ExecMode`]: the register VM is the
-//! default hot path; the tree-walking interpreter stays available as the
-//! differential-testing oracle (and runs any script the VM compiler
-//! rejects). Binding is name-free in either mode: `bind` pre-resolves the
-//! script to a prepared slot, and the tick revives that slot from a
-//! per-entity cache without hashing the script name. A VM-mode tick then
-//! groups the bound entities by prepared program, in id order, and runs
-//! each group set-at-a-time ([`Vm::run_set`]).
+//! The register VM is the only executor; the tree-walking interpreter is
+//! the oracle the tests hold it to. Binding is name-free: `bind`
+//! pre-resolves the script to a prepared program, and the tick revives
+//! that program from a per-entity cache without hashing the script name.
+//! A tick then groups the bound entities by program, in id order, and
+//! runs each group set-at-a-time ([`Vm::run_set`]).
 
 use std::collections::HashMap;
 use std::time::Instant;
@@ -23,33 +21,23 @@ use gamedb_content::{Value, ValueType};
 use gamedb_core::{EffectBuffer, EntityId, World};
 use gamedb_metrics::MetricsRegistry;
 
-use crate::ast::Script;
-use crate::interp::{run_script_ref, ExecOptions, RuntimeError, ScriptLibrary};
+use crate::interp::{ExecOptions, RuntimeError, ScriptLibrary};
 use crate::metrics::ScriptMetrics;
 use crate::parser::{parse_script, ParseError};
 use crate::types::{check_library, Level, TypeError};
-use crate::vm::{compile_program, Program, Vm, VmCounts};
+use crate::vm::{compile_program, CompileError, Program, Vm, VmCounts};
 
 /// Component that names the script an entity runs each tick.
 pub const SCRIPT_COMPONENT: &str = "script";
-
-/// How the engine executes scripts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecMode {
-    /// Tree-walking interpreter — the semantic oracle the VM is
-    /// differentially tested against.
-    Interp,
-    /// Register-based bytecode VM (scripts the VM compiler rejects still
-    /// run interpreted).
-    #[default]
-    Vm,
-}
 
 /// Errors loading scripts into the engine.
 #[derive(Debug)]
 pub enum EngineError {
     Parse(ParseError),
     Check(Vec<TypeError>),
+    /// A script of the library, with this load, does not lower to
+    /// bytecode (it is past one of the VM's fixed limits).
+    Compile { script: String, error: CompileError },
 }
 
 impl std::fmt::Display for EngineError {
@@ -59,6 +47,7 @@ impl std::fmt::Display for EngineError {
             EngineError::Check(errs) => {
                 write!(f, "{} type error(s); first: {}", errs.len(), errs[0])
             }
+            EngineError::Compile { script, error } => write!(f, "compile '{script}': {error}"),
         }
     }
 }
@@ -70,22 +59,8 @@ impl std::error::Error for EngineError {}
 pub struct EngineTickStats {
     /// Entities that ran a script.
     pub scripts_run: usize,
-    /// Executions dispatched through the bytecode VM.
-    pub vm_runs: usize,
-    /// Executions that tree-walked (interpreter mode or VM fallback).
-    pub interp_runs: usize,
     /// Events emitted by scripts, in deterministic (entity, order) order.
     pub events: Vec<(EntityId, String)>,
-}
-
-/// A script resolved once at bind time: the post-optimizer AST (for the
-/// interpreter) plus its bytecode lowering when the VM compiler accepts
-/// it. Per-entity dispatch indexes into these — no name hashing on the
-/// tick path.
-struct Prepared {
-    name: String,
-    script: Script,
-    program: Option<Program>,
 }
 
 /// Sentinel for an empty per-entity cache slot.
@@ -97,16 +72,15 @@ pub struct ScriptEngine {
     level: Level,
     opts: ExecOptions,
     optimize: bool,
-    mode: ExecMode,
-    /// Prepared bindings, invalidated on load (schema drift is handled
-    /// by per-tick revalidation instead).
-    programs: Vec<Prepared>,
+    /// One program per loaded script, lowered at load and re-lowered
+    /// when a world's schema or the call depth no longer matches it.
+    programs: Vec<Program>,
     by_name: HashMap<String, u32>,
     /// `entity slot → (entity bits, program index)`: the per-binding
     /// cache that makes tick dispatch hash-free.
     slot_cache: Vec<(u64, u32)>,
-    /// Per prepared program, the entities bound to it this tick, in id
-    /// order (capacity kept across ticks).
+    /// Per program, the entities bound to it this tick, in id order
+    /// (capacity kept across ticks).
     groups: Vec<Vec<EntityId>>,
     vm: Vm,
     /// The VM's work during the last [`ScriptEngine::run_tick`].
@@ -123,7 +97,6 @@ impl ScriptEngine {
             level,
             opts: ExecOptions::default(),
             optimize: false,
-            mode: ExecMode::default(),
             programs: Vec::new(),
             by_name: HashMap::new(),
             slot_cache: Vec::new(),
@@ -134,10 +107,9 @@ impl ScriptEngine {
         }
     }
 
-    /// Attach a metrics registry: scripted ticks, per-entity runs,
-    /// dispatch-mode counts, VM instruction/compile totals, and
-    /// effect-batch sizes are reported into `registry` from here on.
-    /// Purely observational.
+    /// Attach a metrics registry: scripted ticks, per-entity runs, VM
+    /// instruction/compile totals, and effect-batch sizes are reported
+    /// into `registry` from here on. Purely observational.
     pub fn attach_metrics(&mut self, registry: &MetricsRegistry) {
         self.metrics = Some(ScriptMetrics::new(registry));
     }
@@ -148,22 +120,12 @@ impl ScriptEngine {
         self.metrics = None;
     }
 
-    /// Override interpreter options (index usage, fuel).
+    /// Override execution options (index usage, fuel, call depth).
+    /// Programs lowered for another call depth are re-lowered when next
+    /// bound or run.
     pub fn with_options(mut self, opts: ExecOptions) -> Self {
         self.opts = opts;
         self
-    }
-
-    /// Select the execution engine (default: [`ExecMode::Vm`]).
-    pub fn with_mode(mut self, mode: ExecMode) -> Self {
-        self.mode = mode;
-        self.invalidate_prepared();
-        self
-    }
-
-    /// The active execution mode.
-    pub fn mode(&self) -> ExecMode {
-        self.mode
     }
 
     /// Run the AST optimizer on every loaded script (constant folding,
@@ -180,6 +142,11 @@ impl ScriptEngine {
         self.level
     }
 
+    /// The loaded scripts, as stored (after the optimizer, if enabled).
+    pub fn library(&self) -> &ScriptLibrary {
+        &self.lib
+    }
+
     /// Number of loaded scripts.
     pub fn len(&self) -> usize {
         self.lib.len()
@@ -190,14 +157,10 @@ impl ScriptEngine {
         self.lib.is_empty()
     }
 
-    fn invalidate_prepared(&mut self) {
-        self.programs.clear();
-        self.by_name.clear();
-        self.slot_cache.clear();
-    }
-
     /// Parse, type-check (at the engine's level, against the world
-    /// schema), and load a script. All-or-nothing per script.
+    /// schema), and load a script, lowering the whole library again —
+    /// a script may now call the new one. All-or-nothing: on any error
+    /// the library is left as it was.
     pub fn load(&mut self, name: &str, source: &str, world: &World) -> Result<(), EngineError> {
         let script = parse_script(name, source).map_err(EngineError::Parse)?;
         // check the new script together with the existing library so call
@@ -214,9 +177,26 @@ impl ScriptEngine {
         } else {
             script
         };
-        self.lib.insert(script);
-        // a new script may be called by prepared ones: re-prepare lazily
-        self.invalidate_prepared();
+        let mut lib = self.lib.clone();
+        lib.insert(script);
+        let programs = lib
+            .iter()
+            .map(|s| {
+                self.lower(&lib, &s.name, world)
+                    .map_err(|error| EngineError::Compile {
+                        script: s.name.clone(),
+                        error,
+                    })
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        self.by_name = programs
+            .iter()
+            .enumerate()
+            .map(|(i, p)| (p.name().to_string(), i as u32))
+            .collect();
+        self.programs = programs;
+        self.slot_cache.clear();
+        self.lib = lib;
         Ok(())
     }
 
@@ -229,62 +209,55 @@ impl ScriptEngine {
         }
     }
 
-    /// Bind `entity` to run `script` each tick. Preparation (bytecode
-    /// lowering, name resolution) happens here, so the tick path only
-    /// revives a cached slot.
+    /// Bind `entity` to run `script` each tick. The script's program is
+    /// made to fit `world` here (a schema it does not fit fails with
+    /// [`RuntimeError::TypeError`]), so the tick path only revives a
+    /// cached slot.
     pub fn bind(
         &mut self,
         world: &mut World,
         entity: EntityId,
         script: &str,
     ) -> Result<(), RuntimeError> {
-        if self.lib.get(script).is_none() {
-            return Err(RuntimeError::UnknownScript(script.to_string()));
-        }
+        let idx = self.prepare(script, world)?;
         world
             .set(entity, SCRIPT_COMPONENT, Value::Str(script.to_string()))
             .map_err(|e| RuntimeError::TypeError(e.to_string()))?;
-        let idx = self.prepare_idx(script, world)?;
         self.cache_store(entity, idx);
         Ok(())
     }
 
-    /// Resolve a script name to a prepared-slot index, lowering to
-    /// bytecode on first sight (VM mode only).
-    fn prepare_idx(&mut self, name: &str, world: &World) -> Result<u32, RuntimeError> {
-        if let Some(&i) = self.by_name.get(name) {
-            return Ok(i);
-        }
-        let script = self
-            .lib
+    /// Resolve a script name to its program's index, the program fitted
+    /// to `world`.
+    fn prepare(&mut self, name: &str, world: &World) -> Result<u32, RuntimeError> {
+        let idx = *self
+            .by_name
             .get(name)
-            .ok_or_else(|| RuntimeError::UnknownScript(name.to_string()))?
-            .clone();
-        let program = if self.mode == ExecMode::Vm {
-            self.lower(name, world)
-        } else {
-            None
-        };
-        let idx = self.programs.len() as u32;
-        self.programs.push(Prepared {
-            name: name.to_string(),
-            script,
-            program,
-        });
-        self.by_name.insert(name.to_string(), idx);
+            .ok_or_else(|| RuntimeError::UnknownScript(name.to_string()))?;
+        self.revalidate(idx as usize, world)?;
         Ok(idx)
     }
 
-    fn lower(&self, name: &str, world: &World) -> Option<Program> {
-        match compile_program(&self.lib, name, world) {
-            Ok(p) => {
-                if let Some(m) = &self.metrics {
-                    m.vm_compiles.inc();
-                }
-                Some(p)
-            }
-            Err(_) => None, // outside the compilable subset: interpret
+    fn lower(&self, lib: &ScriptLibrary, name: &str, world: &World) -> Result<Program, CompileError> {
+        let p = compile_program(lib, name, world, self.opts)?;
+        if let Some(m) = &self.metrics {
+            m.vm_compiles.inc();
         }
+        Ok(p)
+    }
+
+    /// Re-lower program `idx` if its baked-in column ids or types no
+    /// longer match the world (cross-world reuse), or it was lowered for
+    /// another call depth. Cheap: a name and type check per component.
+    /// A world the script does not fit fails with the compile message.
+    fn revalidate(&mut self, idx: usize, world: &World) -> Result<(), RuntimeError> {
+        let p = &self.programs[idx];
+        if !p.validate_schema(world) || p.call_depth() != self.opts.max_call_depth {
+            self.programs[idx] = self
+                .lower(&self.lib, p.name(), world)
+                .map_err(|e| RuntimeError::TypeError(e.to_string()))?;
+        }
+        Ok(())
     }
 
     fn cache_store(&mut self, entity: EntityId, idx: u32) {
@@ -303,25 +276,11 @@ impl ScriptEngine {
         // rebinding writes the component without going through `bind`
         // (e.g. snapshot restore): verify the cached slot still names
         // the bound script — a memcmp, not a hash
-        let prep = self.programs.get(idx as usize)?;
-        (prep.name == name).then_some(idx)
+        let p = self.programs.get(idx as usize)?;
+        (p.name() == name).then_some(idx)
     }
 
-    /// Recompile prepared program `idx` if its baked-in column ids no
-    /// longer match the world (cross-world reuse), or retry it if it never
-    /// lowered (schema growth may unlock it). Cheap: a name check per
-    /// component.
-    fn revalidate(&mut self, idx: usize, world: &World) {
-        let prep = &self.programs[idx];
-        if self.mode == ExecMode::Vm
-            && prep.program.as_ref().is_none_or(|p| !p.validate_schema(world))
-        {
-            let name = prep.name.clone();
-            self.programs[idx].program = self.lower(&name, world);
-        }
-    }
-
-    /// Run one script for one entity (bytecode when possible).
+    /// Run one script for one entity.
     pub fn run_one(
         &mut self,
         world: &World,
@@ -329,14 +288,8 @@ impl ScriptEngine {
         script: &str,
         buf: &mut EffectBuffer,
     ) -> Result<Vec<String>, RuntimeError> {
-        let idx = self.prepare_idx(script, world)? as usize;
-        self.revalidate(idx, world);
-        let prep = &self.programs[idx];
-        match (&prep.program, self.mode) {
-            (Some(p), ExecMode::Vm) => self.vm.run(p, world, entity, buf, self.opts),
-            _ => run_script_ref(&self.lib, &prep.script, world, entity, buf, self.opts)
-                .map(|o| o.events),
-        }
+        let idx = self.prepare(script, world)? as usize;
+        self.vm.run(&self.programs[idx], world, entity, buf, self.opts)
     }
 
     /// Run one tick: every entity bound via the `script` component runs
@@ -358,8 +311,6 @@ impl ScriptEngine {
             let c = self.counts;
             m.ticks.inc();
             m.scripts_run.add(stats.scripts_run as u64);
-            m.vm_runs.add(stats.vm_runs as u64);
-            m.interp_runs.add(stats.interp_runs as u64);
             m.vm_instrs.add(c.instrs);
             m.vm_dispatches.add(c.dispatches);
             m.probes.add(c.probes);
@@ -375,24 +326,20 @@ impl ScriptEngine {
 
     /// The run phase of [`ScriptEngine::tick`]: every bound entity runs
     /// its script against `world`, and the effects land in `buf`;
-    /// nothing is applied. In [`ExecMode::Vm`] the bound entities are
-    /// grouped by prepared program, in id order, and each group runs
-    /// set-at-a-time; scripts the VM does not lower, and every script
-    /// in [`ExecMode::Interp`], are interpreted entity by entity.
+    /// nothing is applied. The bound entities are grouped by program, in
+    /// id order, and each group runs set-at-a-time.
     ///
     /// The outcome is a per-entity loop's in every respect but one: the
     /// order in which different entities' effects land in `buf`, which
     /// `EffectBuffer::apply` canonicalises. Events come back in (entity,
     /// order) order, and the error is the first failing entity's, in id
-    /// order.
+    /// order — a program that does not fit `world` fails at its group's
+    /// first entity.
     pub fn run_tick(
         &mut self,
         world: &World,
         buf: &mut EffectBuffer,
     ) -> Result<EngineTickStats, RuntimeError> {
-        for idx in 0..self.programs.len() {
-            self.revalidate(idx, world);
-        }
         let result = self.run_bound(world, buf);
         // drained on both paths: an aborted tick's instructions and
         // probes must not be reported under the next tick
@@ -412,7 +359,6 @@ impl ScriptEngine {
         for g in &mut self.groups {
             g.clear();
         }
-        let mut events = Vec::new();
         // (entity, error) of the first failure in id order; entities
         // after it cannot change the outcome, so the walk stops there
         let mut failure: Option<(EntityId, RuntimeError)> = None;
@@ -425,48 +371,41 @@ impl ScriptEngine {
             }
             let idx = match self.cache_get(entity, name) {
                 Some(i) => i,
-                None => match self.prepare_idx(name, world) {
-                    Ok(i) => {
+                None => match self.by_name.get(name) {
+                    Some(&i) => {
                         self.cache_store(entity, i);
                         i
                     }
-                    Err(e) => {
-                        failure = Some((entity, e));
+                    None => {
+                        failure = Some((entity, RuntimeError::UnknownScript(name.to_string())));
                         break;
                     }
                 },
             } as usize;
-            let prep = &self.programs[idx];
-            if prep.program.is_some() && self.mode == ExecMode::Vm {
-                if self.groups.len() <= idx {
-                    self.groups.resize_with(idx + 1, Vec::new);
-                }
-                self.groups[idx].push(entity);
-                continue;
+            if self.groups.len() <= idx {
+                self.groups.resize_with(idx + 1, Vec::new);
             }
-            match run_script_ref(&self.lib, &prep.script, world, entity, buf, self.opts) {
-                Ok(out) => {
-                    stats.interp_runs += 1;
-                    events.extend(out.events.into_iter().map(|e| (entity, e)));
-                }
-                Err(e) => {
-                    failure = Some((entity, e));
-                    break;
-                }
-            }
+            self.groups[idx].push(entity);
         }
-        for (idx, ids) in self.groups.iter().enumerate().filter(|(_, g)| !g.is_empty()) {
-            let p = self.programs[idx]
-                .program
-                .as_ref()
-                .expect("only lowered programs have groups");
-            let mut group_events = Vec::new();
-            let result = self.vm.run_set(p, world, ids, buf, self.opts, &mut group_events);
-            events.extend(group_events.into_iter().map(|(i, e)| (ids[i], e)));
-            stats.vm_runs += ids.len();
-            if let Err((i, e)) = result {
-                if failure.as_ref().is_none_or(|(f, _)| ids[i].index() < f.index()) {
-                    failure = Some((ids[i], e));
+        let mut events = Vec::new();
+        for idx in 0..self.groups.len() {
+            let Some(&first) = self.groups[idx].first() else {
+                continue;
+            };
+            let result = match self.revalidate(idx, world) {
+                Err(e) => Err((first, e)),
+                Ok(()) => {
+                    let (p, ids) = (&self.programs[idx], &self.groups[idx]);
+                    let mut group_events = Vec::new();
+                    let result = self.vm.run_set(p, world, ids, buf, self.opts, &mut group_events);
+                    events.extend(group_events.into_iter().map(|(i, e)| (ids[i], e)));
+                    stats.scripts_run += ids.len();
+                    result.map_err(|(i, e)| (ids[i], e))
+                }
+            };
+            if let Err((id, e)) = result {
+                if failure.as_ref().is_none_or(|(f, _)| id.index() < f.index()) {
+                    failure = Some((id, e));
                 }
             }
         }
@@ -475,7 +414,6 @@ impl ScriptEngine {
         }
         // stable: each entity's events keep their order
         events.sort_by_key(|(id, _): &(EntityId, String)| id.index());
-        stats.scripts_run = stats.vm_runs + stats.interp_runs;
         stats.events = events;
         Ok(stats)
     }
@@ -551,8 +489,6 @@ mod tests {
 
         let stats = e.tick(&mut w).unwrap();
         assert_eq!(stats.scripts_run, 2);
-        assert_eq!(stats.vm_runs, 2, "both scripts compile; default mode is the VM");
-        assert_eq!(stats.interp_runs, 0);
         assert_eq!(w.get_f32(a, "hp"), Some(15.0));
         assert_eq!(w.get_f32(b, "hp"), Some(9.0));
         assert_eq!(w.get_f32(c, "hp"), Some(10.0));
@@ -569,97 +505,45 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn interpreter_fallback_for_uncompilable_scripts() {
-        let mut w = world();
-        let mut e = ScriptEngine::new(Level::Full);
-        e.ensure_binding_component(&mut w);
-        // string local => interpreter-only
-        e.load("fallback", r#"let t = self.team; if t == "red" { self.hp += 1; }"#, &w)
-            .unwrap();
-        let id = w.spawn_at(Vec2::ZERO);
-        w.set_f32(id, "hp", 1.0).unwrap();
-        w.set(id, "team", Value::Str("red".into())).unwrap();
-        e.bind(&mut w, id, "fallback").unwrap();
-        let stats = e.tick(&mut w).unwrap();
-        assert_eq!(stats.scripts_run, 1);
-        assert_eq!(stats.vm_runs, 0, "fell back to the interpreter");
-        assert_eq!(stats.interp_runs, 1);
-        assert_eq!(w.get_f32(id, "hp"), Some(2.0));
-    }
-
-    #[test]
-    fn interp_mode_runs_everything_tree_walked() {
-        let mut w = world();
-        let mut e = ScriptEngine::new(Level::Restricted).with_mode(ExecMode::Interp);
-        assert_eq!(e.mode(), ExecMode::Interp);
-        e.ensure_binding_component(&mut w);
-        e.load("regen", "self.hp += 5;", &w).unwrap();
-        let a = w.spawn_at(Vec2::ZERO);
-        w.set_f32(a, "hp", 10.0).unwrap();
-        e.bind(&mut w, a, "regen").unwrap();
-        let stats = e.tick(&mut w).unwrap();
-        assert_eq!(stats.vm_runs, 0);
-        assert_eq!(stats.interp_runs, 1);
-        assert_eq!(w.get_f32(a, "hp"), Some(15.0));
-    }
-
+    /// The VM's two ways of running a script — a set-at-a-time tick and
+    /// one entity at a time through `run_one` — land on the same state
+    /// and events.
     #[test]
     fn both_modes_agree_on_world_state() {
-        for mode in [ExecMode::Interp, ExecMode::Vm] {
-            let mut w = world();
-            let mut e = ScriptEngine::new(Level::Restricted)
-                .with_optimizer()
-                .with_mode(mode);
-            e.ensure_binding_component(&mut w);
-            e.load(
-                "swarm",
-                "let crowd = count(4; other.hp > 1); self.hp += crowd; emit \"t\";",
-                &w,
-            )
-            .unwrap();
-            let mut ids = Vec::new();
-            for i in 0..12 {
-                let p = w.spawn_at(Vec2::new((i % 4) as f32 * 2.0, (i / 4) as f32 * 2.0));
-                w.set_f32(p, "hp", 5.0).unwrap();
-                e.bind(&mut w, p, "swarm").unwrap();
-                ids.push(p);
-            }
-            let stats = e.tick(&mut w).unwrap();
-            assert_eq!(stats.scripts_run, 12);
-            // both modes land on identical state
-            let expected: Vec<f32> = ids.iter().map(|&p| w.get_f32(p, "hp").unwrap()).collect();
-            assert_eq!(expected.len(), 12);
-            if mode == ExecMode::Vm {
-                assert_eq!(stats.vm_runs, 12);
-            } else {
-                assert_eq!(stats.interp_runs, 12);
-            }
+        let mut w = world();
+        let mut e = ScriptEngine::new(Level::Restricted).with_optimizer();
+        e.ensure_binding_component(&mut w);
+        e.load(
+            "swarm",
+            "let crowd = count(4; other.hp > 1); self.hp += crowd; emit \"t\";",
+            &w,
+        )
+        .unwrap();
+        let mut ids = Vec::new();
+        for i in 0..12 {
+            let p = w.spawn_at(Vec2::new((i % 4) as f32 * 2.0, (i / 4) as f32 * 2.0));
+            w.set_f32(p, "hp", 5.0).unwrap();
+            e.bind(&mut w, p, "swarm").unwrap();
+            ids.push(p);
         }
-    }
+        let mut one_by_one = w.clone();
+        let mut buf = EffectBuffer::new();
+        let mut events = Vec::new();
+        for &id in &ids {
+            let ev = e.run_one(&one_by_one, id, "swarm", &mut buf).unwrap();
+            events.extend(ev.into_iter().map(|ev| (id, ev)));
+        }
+        buf.apply(&mut one_by_one).unwrap();
 
-    #[test]
-    fn run_one_dispatches_by_mode() {
-        for mode in [ExecMode::Interp, ExecMode::Vm] {
-            let mut w = world();
-            let mut e = ScriptEngine::new(Level::Restricted).with_mode(mode);
-            e.ensure_binding_component(&mut w);
-            e.load("regen", "self.hp += 5; emit \"healed\";", &w).unwrap();
-            let id = w.spawn_at(Vec2::ZERO);
-            w.set_f32(id, "hp", 1.0).unwrap();
-            let mut buf = EffectBuffer::new();
-            let events = e.run_one(&w, id, "regen", &mut buf).unwrap();
-            assert_eq!(events, vec!["healed".to_string()]);
-            buf.apply(&mut w).unwrap();
-            assert_eq!(w.get_f32(id, "hp"), Some(6.0));
-        }
+        let stats = e.tick(&mut w).unwrap();
+        assert_eq!(stats.scripts_run, 12);
+        assert_eq!(stats.events, events);
+        assert_eq!(w.rows(), one_by_one.rows());
+        assert_ne!(w.get_f32(ids[0], "hp"), Some(5.0), "the scripts wrote");
     }
 
     #[test]
     fn schema_growth_revalidates_programs() {
-        // bind against a schema that lacks the component the script
-        // needs → interpreter fallback; defining it later upgrades the
-        // binding to bytecode on the next tick
         let mut w = World::new();
         w.define_component("hp", ValueType::Float).unwrap();
         let mut e = ScriptEngine::new(Level::Restricted);
@@ -669,7 +553,7 @@ mod tests {
         w.set_f32(id, "hp", 0.0).unwrap();
         e.bind(&mut w, id, "regen").unwrap();
         let stats = e.tick(&mut w).unwrap();
-        assert_eq!(stats.vm_runs, 1, "compiles against the initial schema");
+        assert_eq!(stats.scripts_run, 1, "compiles against the initial schema");
 
         // a fresh engine prepared against world A keeps working (and
         // recompiles) against a world with a different schema layout
@@ -681,8 +565,80 @@ mod tests {
         w2.set_f32(id2, "hp", 1.0).unwrap();
         e.bind(&mut w2, id2, "regen").unwrap();
         let stats = e.tick(&mut w2).unwrap();
-        assert_eq!(stats.vm_runs, 1, "revalidation recompiled for w2");
+        assert_eq!(stats.scripts_run, 1, "revalidation recompiled for w2");
         assert_eq!(w2.get_f32(id2, "hp"), Some(6.0));
+    }
+
+    /// A world that types a script's component differently, or lacks
+    /// it, fails the script at prepare — at `bind`, and at the tick for
+    /// a binding written without `bind` — with the compile message.
+    #[test]
+    fn schema_drift_fails_at_prepare() {
+        let w = world();
+        let mut e = ScriptEngine::new(Level::Full);
+        e.load("s", "if self.hp > 3 { self.hp += 1; }", &w).unwrap();
+
+        let mut retyped = World::new();
+        retyped.define_component("hp", ValueType::Str).unwrap();
+        assert_eq!(retyped.component_id("hp"), w.component_id("hp"));
+        e.ensure_binding_component(&mut retyped);
+        let id = retyped.spawn_at(Vec2::ZERO);
+        let err = e.bind(&mut retyped, id, "s").unwrap_err();
+        assert!(matches!(&err, RuntimeError::TypeError(m) if m.contains("semantic")), "{err}");
+        assert_eq!(retyped.get(id, SCRIPT_COMPONENT), None, "a failed bind binds nothing");
+
+        let mut lacking = World::new();
+        lacking.define_component("armor", ValueType::Float).unwrap();
+        e.ensure_binding_component(&mut lacking);
+        let id = lacking.spawn_at(Vec2::ZERO);
+        lacking.set(id, SCRIPT_COMPONENT, Value::Str("s".into())).unwrap();
+        let err = e.tick(&mut lacking).unwrap_err();
+        assert!(matches!(&err, RuntimeError::TypeError(m) if m.contains("'hp'")), "{err}");
+    }
+
+    /// Fan-out recursion passes the instruction budget: refused at load,
+    /// the library unchanged.
+    #[test]
+    fn fan_out_recursion_is_refused_at_load() {
+        let w = world();
+        let mut e = ScriptEngine::new(Level::Full);
+        e.load("ok", "self.hp += 1;", &w).unwrap();
+        let err = e
+            .load("r", "if self.hp > 1 { call r; } else { call r; }", &w)
+            .unwrap_err();
+        assert!(
+            matches!(&err, EngineError::Compile { script, error: CompileError::TooLarge(_) } if script == "r"),
+            "{err}"
+        );
+        assert_eq!(e.len(), 1);
+        assert!(e.library().get("r").is_none());
+        // a plain recursion lowers: the call past the depth fails at run
+        e.load("r", "call r;", &w).unwrap();
+        assert_eq!(e.len(), 2);
+    }
+
+    /// Reloading a callee so that a caller which inlines it passes the
+    /// budget is refused, and the old callee keeps running.
+    #[test]
+    fn a_reload_that_overgrows_a_caller_is_refused() {
+        let mut w = world();
+        let mut e = ScriptEngine::new(Level::Restricted);
+        e.ensure_binding_component(&mut w);
+        e.load("h", "self.hp += 1;", &w).unwrap();
+        e.load("main", &"call h; ".repeat(64), &w).unwrap();
+        let id = w.spawn_at(Vec2::ZERO);
+        e.bind(&mut w, id, "main").unwrap();
+
+        // 600 writes of 2 instructions each: h fits, 64 copies do not
+        let big = "self.hp += 1; ".repeat(600);
+        let err = e.load("h", &big, &w).unwrap_err();
+        assert!(
+            matches!(&err, EngineError::Compile { script, error: CompileError::TooLarge(_) } if script == "main"),
+            "{err}"
+        );
+        assert_eq!(e.len(), 2);
+        e.tick(&mut w).unwrap();
+        assert_eq!(w.get_f32(id, "hp"), Some(64.0), "the old h still runs");
     }
 
     /// A radius far beyond the map must cost one pass over the spatial

@@ -1,4 +1,5 @@
-//! Tree-walking interpreter for GSL.
+//! Tree-walking interpreter for GSL: the executable semantics the
+//! bytecode VM ([`crate::vm`]) is tested against, not an engine executor.
 //!
 //! The interpreter runs one script for one entity against the immutable
 //! tick-start world, emitting effects into an [`EffectBuffer`] — the
@@ -85,7 +86,8 @@ impl fmt::Display for RuntimeError {
 
 impl std::error::Error for RuntimeError {}
 
-/// Interpreter knobs.
+/// Execution knobs, the interpreter's and the VM's alike (the VM bakes
+/// `max_call_depth` into a program when it lowers it).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExecOptions {
     /// Use the world's spatial index for `within` (true) or scan every
@@ -579,20 +581,6 @@ pub fn run_script(
     let script = lib
         .get(name)
         .ok_or_else(|| RuntimeError::UnknownScript(name.to_string()))?;
-    run_script_ref(lib, script, world, self_id, buf, opts)
-}
-
-/// [`run_script`] for an already-resolved script (the engine's prepared
-/// bindings skip the by-name lookup on the per-entity path). The library
-/// is still needed for `call` targets.
-pub(crate) fn run_script_ref(
-    lib: &ScriptLibrary,
-    script: &Script,
-    world: &World,
-    self_id: EntityId,
-    buf: &mut EffectBuffer,
-    opts: ExecOptions,
-) -> Result<RunOutput, RuntimeError> {
     let mut interp = Interp {
         lib,
         world,

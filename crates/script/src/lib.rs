@@ -5,25 +5,25 @@
 //! (SIGMOD 2009): designers author entity behaviour in data files; the
 //! engine type-checks it, optionally *restricts* it (no iteration, no
 //! recursion — the measure the paper reports studios taking to stop
-//! accidentally-quadratic scripts), and executes it either by tree-walking
-//! interpretation or as bytecode run set-at-a-time over up to 1,024
-//! entities at once, its neighborhood operations served by the spatial
-//! index.
+//! accidentally-quadratic scripts), and executes it as bytecode run
+//! set-at-a-time over up to 1,024 entities at once, its neighborhood
+//! operations served by the spatial index.
 //!
 //! ## Contents
 //!
 //! * [`token`] / [`parser`] / [`ast`] — lexer, recursive-descent parser,
 //!   AST with pretty-printer.
 //! * [`types`] — type checker and the Full/Restricted language levels.
-//! * [`interp`] — tree-walking interpreter emitting state–effect writes.
+//! * [`interp`] — tree-walking interpreter emitting state–effect writes:
+//!   the oracle the VM is tested against, not an engine executor.
 //! * [`optimize`](mod@optimize) — AST optimizer: constant folding, dead code
 //!   elimination, and foreach-to-aggregate rewriting.
 //! * [`vm`] — register-based bytecode VM: [`vm::compile_program`] lowers
 //!   the optimized AST to a dense instruction stream with pre-resolved
 //!   column ids and pre-built query handles; [`vm::Vm`] runs it
-//!   set-at-a-time over register columns, one lane per entity. The
-//!   engine's default execution mode ([`engine::ExecMode::Vm`]); the
-//!   interpreter stays on as the differential-testing oracle.
+//!   set-at-a-time over register columns, one lane per entity. Every
+//!   script the type checker accepts lowers (recursion included), and
+//!   [`engine::ScriptEngine`] runs every script on it.
 //!
 //! ## A complete example
 //!
@@ -68,7 +68,7 @@ pub mod types;
 pub mod vm;
 
 pub use ast::{AggKind, AssignOp, BinOp, BuiltinFn, Expr, Script, Stmt, Subject};
-pub use engine::{EngineError, EngineTickStats, ExecMode, ScriptEngine, SCRIPT_COMPONENT};
+pub use engine::{EngineError, EngineTickStats, ScriptEngine, SCRIPT_COMPONENT};
 pub use vm::{compile_program, CompileError, Program, Vm};
 pub use interp::{run_script, ExecOptions, RunOutput, RuntimeError, SVal, ScriptLibrary};
 pub use optimize::{optimize, OptStats};

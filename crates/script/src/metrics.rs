@@ -15,12 +15,6 @@ pub(crate) struct ScriptMetrics {
     pub scripts_run: Counter,
     /// `script.events`: events emitted by scripts.
     pub events: Counter,
-    /// `script.vm_runs`: per-entity executions dispatched through the
-    /// bytecode VM.
-    pub vm_runs: Counter,
-    /// `script.interp_runs`: per-entity executions that tree-walked
-    /// (interpreter mode, or VM-mode fallback for uncompilable scripts).
-    pub interp_runs: Counter,
     /// `script.vm_instrs`: bytecode instructions retired by the VM, one
     /// per instruction per lane (entity) it ran for.
     pub vm_instrs: Counter,
@@ -28,8 +22,8 @@ pub(crate) struct ScriptMetrics {
     /// group of lanes; `vm_instrs ÷ vm_dispatches` is the mean active
     /// lanes per dispatch.
     pub vm_dispatches: Counter,
-    /// `script.vm_compiles`: scripts lowered to bytecode (per binding
-    /// preparation, including schema-change recompiles).
+    /// `script.vm_compiles`: scripts lowered to bytecode (every script
+    /// of the library on each load, plus schema-change recompiles).
     pub vm_compiles: Counter,
     /// `script.probes`: neighbour loops (`foreach`, aggregates) the VM
     /// began.
@@ -53,8 +47,6 @@ impl ScriptMetrics {
             ticks: registry.counter("script.ticks"),
             scripts_run: registry.counter("script.scripts_run"),
             events: registry.counter("script.events"),
-            vm_runs: registry.counter("script.vm_runs"),
-            interp_runs: registry.counter("script.interp_runs"),
             vm_instrs: registry.counter("script.vm_instrs"),
             vm_dispatches: registry.counter("script.vm_dispatches"),
             vm_compiles: registry.counter("script.vm_compiles"),

@@ -1,4 +1,5 @@
-//! Register-based bytecode VM for GSL, executed set-at-a-time.
+//! Register-based bytecode VM for GSL, executed set-at-a-time — the
+//! only executor a [`crate::engine::ScriptEngine`] runs scripts on.
 //!
 //! The tree-walking interpreter ([`crate::interp`]) re-touches names,
 //! boxes every value in an [`crate::interp::SVal`], and linear-scans the
@@ -14,7 +15,10 @@
 //!   [`ComponentId`]s, so execution goes straight to the column store
 //!   with no name hashing;
 //! * **pre-built query handles** — sargable aggregate filters become
-//!   [`Query`] push-downs baked into the loop-setup instruction.
+//!   [`Query`] push-downs baked into the loop-setup instruction;
+//! * **inlined calls** — `call` chains are unrolled to the call depth the
+//!   program was lowered for ([`Program::call_depth`]); a call past it is
+//!   an [`Instr::Fail`] raising the interpreter's `CallDepthExceeded`.
 //!
 //! [`Vm::run_set`] executes one program over up to [`LANES`] entities at
 //! once, MonetDB/X100-style: the paper's set-at-a-time scripts over a
@@ -38,12 +42,11 @@
 //! [`ExecOptions::loop_fuel`]). Across entities one thing may differ: the
 //! order in which different entities' effects land in the
 //! [`EffectBuffer`], which [`EffectBuffer::apply`] canonicalises. The
-//! interpreter stays on as the differential-testing oracle behind
-//! `ExecMode::Interp`.
+//! interpreter stays on only as the oracle the tests hold the VM to.
 
 use std::fmt;
 
-use gamedb_content::{CmpOp, Value};
+use gamedb_content::{CmpOp, Value, ValueType};
 use gamedb_core::{ComponentId, Effect, EffectBuffer, EntityId, Query, World, POS};
 use gamedb_spatial::Vec2;
 
@@ -170,6 +173,7 @@ pub enum Instr {
     LoadStr { dst: Reg, pool: u16 },
     CopyNum { dst: Reg, src: Reg },
     CopyBool { dst: Reg, src: Reg },
+    CopyStr { dst: Reg, src: Reg },
 
     /// num\[dst\] ← numeric column (missing reads as 0.0)
     ReadNum { dst: Reg, col: ComponentId, subj: Subject },
@@ -217,6 +221,9 @@ pub enum Instr {
     /// Error unless `other` is bound — emitted where the interpreter
     /// resolves a subject before evaluating the value expression.
     CheckOther,
+    /// Stop the lane with the program's `fails[err]` — a `call` past the
+    /// depth the program was lowered for.
+    Fail { err: u16 },
 
     /// Fill loop frame `slot` with neighbor candidates within
     /// num\[radius\] of self (excluding self), saving the current
@@ -265,9 +272,15 @@ pub struct Program {
     bool_regs: u16,
     str_regs: u16,
     loop_slots: u8,
-    /// Every `(id, name)` this program pre-resolved — the validation
-    /// table [`Program::validate_schema`] checks a world against.
-    comps: Vec<(ComponentId, String)>,
+    /// The errors [`Instr::Fail`] raises, by index.
+    fails: Vec<RuntimeError>,
+    /// The `call` nesting the program was unrolled to
+    /// ([`ExecOptions::max_call_depth`] at compile time).
+    call_depth: usize,
+    /// Every `(id, name, type)` this program pre-resolved — the
+    /// validation table [`Program::validate_schema`] checks a world
+    /// against.
+    comps: Vec<(ComponentId, String, ValueType)>,
 }
 
 impl fmt::Debug for Program {
@@ -315,14 +328,22 @@ impl Program {
         self.str_regs
     }
 
+    /// The `call` nesting this program was unrolled to: it runs as the
+    /// interpreter does under that [`ExecOptions::max_call_depth`],
+    /// whatever the options it is run with.
+    pub fn call_depth(&self) -> usize {
+        self.call_depth
+    }
+
     /// True when every column id this program baked in still names the
-    /// same component in `world`. Ids are stable within a world lineage,
-    /// so this only fails when a program is reused across worlds — the
-    /// engine recompiles on mismatch.
+    /// same component, of the same type, in `world`. Ids are stable
+    /// within a world lineage, so this only fails when a program is
+    /// reused across worlds — the engine recompiles on mismatch.
     pub fn validate_schema(&self, world: &World) -> bool {
-        self.comps
-            .iter()
-            .all(|(id, name)| world.component_name(*id) == Some(name.as_str()))
+        self.comps.iter().all(|(id, name, ty)| {
+            world.component_name(*id) == Some(name.as_str())
+                && world.column_by_id(*id).map(|c| c.ty()) == Some(*ty)
+        })
     }
 }
 
@@ -800,6 +821,7 @@ impl Vm {
             }
             Instr::CopyNum { dst, src } => self.nums[at(dst)] = self.nums[at(src)],
             Instr::CopyBool { dst, src } => self.bools[at(dst)] = self.bools[at(src)],
+            Instr::CopyStr { dst, src } => self.strs[at(dst)] = self.strs[at(src)].clone(),
 
             // a dead subject reads as missing
             Instr::ReadNum { dst, col, subj } => {
@@ -888,6 +910,7 @@ impl Vm {
             Instr::CheckOther => {
                 subject(Subject::Other)?;
             }
+            Instr::Fail { err } => return Err(p.fails[err as usize].clone()),
 
             Instr::LoopBegin { slot, radius, query } => {
                 let r = self.nums[at(radius)];

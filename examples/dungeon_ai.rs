@@ -10,8 +10,8 @@
 //! ```
 
 use gamedb::content::ValueType;
-use gamedb::core::{EffectBuffer, World};
-use gamedb::script::{parse_script, run_script, ExecOptions, ScriptLibrary};
+use gamedb::core::World;
+use gamedb::script::{Level, ScriptEngine};
 use gamedb::spatial::{Annotation, CostProfile, NavMesh, Vec2};
 
 /// 24x16 dungeon: a wall with two doors, a lava pool, two alcoves.
@@ -81,8 +81,10 @@ fn main() {
         .set(guard, "state", gamedb::content::Value::Str("patrol".into()))
         .unwrap();
 
-    let mut lib = ScriptLibrary::new();
-    lib.insert(parse_script("guard_brain", GUARD_BRAIN).unwrap());
+    let mut brains = ScriptEngine::new(Level::Restricted);
+    brains.ensure_binding_component(&mut world);
+    brains.load("guard_brain", GUARD_BRAIN, &world).unwrap();
+    brains.bind(&mut world, guard, "guard_brain").unwrap();
 
     // Step toward a waypoint without walking into a wall: if the raw step
     // leaves the mesh, snap to the waypoint itself (which is on-mesh).
@@ -119,12 +121,9 @@ fn main() {
             println!("tick {tick:>2}: a raider appears at {p}");
         }
 
-        // think
-        let mut buf = EffectBuffer::new();
-        let out = run_script(&lib, "guard_brain", &world, guard, &mut buf, ExecOptions::default())
-            .unwrap();
-        buf.apply(&mut world).unwrap();
-        for ev in &out.events {
+        // think: one scripted tick runs every bound brain
+        let thought = brains.tick(&mut world).unwrap();
+        for (_, ev) in &thought.events {
             println!("tick {tick:>2}: event {ev:?}");
         }
 

@@ -148,9 +148,8 @@ fn main() {
     for tick in 1..=3 {
         let stats = gateway.engine.tick(&mut world).unwrap();
         println!(
-            "   tick {tick}: {} scripts ran ({} compiled), fountain glow = {:.1}",
+            "   tick {tick}: {} scripts ran, fountain glow = {:.1}",
             stats.scripts_run,
-            stats.vm_runs,
             world.get_f32(fountain, "glow").unwrap(),
         );
     }

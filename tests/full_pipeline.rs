@@ -184,7 +184,8 @@ fn parallel_and_sequential_shards_agree() {
 fn compiled_scripts_agree_with_interpreter_over_ticks() {
     let (mut w1, _, lib) = build_shard();
     let (mut w2, _, _) = build_shard();
-    let program = gamedb::script::compile_program(&lib, "skirmish", &w2).unwrap();
+    let program = gamedb::script::compile_program(&lib, "skirmish", &w2, ExecOptions::default())
+        .unwrap();
     let mut vm = gamedb::script::Vm::new();
     for _ in 0..10 {
         let mut b1 = EffectBuffer::new();

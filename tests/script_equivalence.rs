@@ -2,16 +2,16 @@
 //! bytecode VM produces exactly the effects of the interpreter (the
 //! oracle), entity by entity and set-at-a-time across a whole tick;
 //! index-backed neighbor enumeration agrees with the naive scan; and the
-//! engine lands on identical world state in both [`ExecMode`]s across
-//! random world churn.
+//! engine's tick lands on the state of an interpreted tick
+//! ([`oracle_tick`]) across random world churn and call cycles.
 
 use gamedb::content::{Value, ValueType};
 use gamedb::core::{EffectBuffer, EntityId, World};
 use gamedb::metrics::MetricsRegistry;
 use gamedb::script::vm::LANES;
 use gamedb::script::{
-    check_script, compile_program, parse_script, run_script, EngineTickStats, ExecMode,
-    ExecOptions, Level, RuntimeError, ScriptEngine, ScriptLibrary, Vm, SCRIPT_COMPONENT,
+    check_script, compile_program, parse_script, run_script, EngineTickStats, ExecOptions, Level,
+    RuntimeError, ScriptEngine, ScriptLibrary, Vm, SCRIPT_COMPONENT,
 };
 use gamedb::spatial::Vec2;
 use proptest::prelude::*;
@@ -46,6 +46,11 @@ fn script_strategy() -> impl Strategy<Value = String> {
             Just(format!("if count(4) > 1 {{ move({e} * 0.01, 0 - 0.5); }}")),
             Just(format!(
                 "if self.team == \"red\" {{ self.hp += {e} * 0.1; }}"
+            )),
+            // a string local, read, reassigned and read again
+            Just(format!(
+                "let VAR = self.team; if VAR == \"red\" {{ self.hp += {e} * 0.1; }} \
+                 VAR = \"blue\"; if VAR == self.team {{ self.dmg += 1; }}"
             )),
         ]
     });
@@ -114,31 +119,68 @@ fn tick_script_strategy() -> impl Strategy<Value = String> {
         })
 }
 
-/// A script the VM does not lower (a string-valued local): its entities
-/// are interpreted even in [`ExecMode::Vm`].
-const FALLBACK: &str =
-    "let label = self.team;\nif label == \"red\" { emit \"taunted\"; }\nself.dmg += 1;";
-
-/// What one tick of `engine` on a clone of `world` shows: the effect ops
-/// it queued as a sorted multiset (despawns included; empty when the
-/// tick failed, as the buffer is then dropped), the tick's result and
-/// the rows it leaves.
+/// What one tick on a clone of `world` shows: the effect ops it queued
+/// as a sorted multiset (despawns included; empty when the tick failed,
+/// as the buffer is then dropped), the tick's result and the rows it
+/// leaves.
 type TickOutcome = (
     Vec<String>,
     Result<EngineTickStats, RuntimeError>,
     Vec<(EntityId, String, Value)>,
 );
 
+fn sorted_ops(buf: &EffectBuffer) -> Vec<String> {
+    let mut ops: Vec<_> = buf.ops().map(|(id, c, e)| format!("{id:?} {c} {e:?}")).collect();
+    ops.extend(buf.despawned().iter().map(|id| format!("despawn {id:?}")));
+    ops.sort();
+    ops
+}
+
 fn tick_outcome(engine: &mut ScriptEngine, world: &World) -> TickOutcome {
     let mut buf = EffectBuffer::new();
-    let mut ops = Vec::new();
-    if engine.run_tick(world, &mut buf).is_ok() {
-        ops.extend(buf.ops().map(|(id, c, e)| format!("{id:?} {c} {e:?}")));
-        ops.extend(buf.despawned().iter().map(|id| format!("despawn {id:?}")));
-        ops.sort();
-    }
+    let ops = match engine.run_tick(world, &mut buf) {
+        Ok(_) => sorted_ops(&buf),
+        Err(_) => Vec::new(),
+    };
     let mut after = world.clone();
     let result = engine.tick(&mut after);
+    (ops, result, after.rows())
+}
+
+/// The whole-tick oracle `ScriptEngine::tick` is held to: `run_script`
+/// for every bound entity in id order, stopping at the first error, then
+/// one apply. Returns the queued effect ops with the tick's result.
+fn oracle_tick(
+    lib: &ScriptLibrary,
+    world: &mut World,
+    opts: ExecOptions,
+) -> (Vec<String>, Result<EngineTickStats, RuntimeError>) {
+    let mut buf = EffectBuffer::new();
+    let mut stats = EngineTickStats::default();
+    for id in world.entity_vec() {
+        let Some(Value::Str(name)) = world.get(id, SCRIPT_COMPONENT) else {
+            continue;
+        };
+        if name.is_empty() {
+            continue;
+        }
+        match run_script(lib, &name, world, id, &mut buf, opts) {
+            Ok(out) => {
+                stats.scripts_run += 1;
+                stats.events.extend(out.events.into_iter().map(|e| (id, e)));
+            }
+            Err(e) => return (Vec::new(), Err(e)),
+        }
+    }
+    let ops = sorted_ops(&buf);
+    let applied = buf.apply(world).map_err(|e| RuntimeError::TypeError(e.to_string()));
+    (ops, applied.map(|_| stats))
+}
+
+/// [`tick_outcome`] for the oracle.
+fn oracle_outcome(lib: &ScriptLibrary, world: &World, opts: ExecOptions) -> TickOutcome {
+    let mut after = world.clone();
+    let (ops, result) = oracle_tick(lib, &mut after, opts);
     (ops, result, after.rows())
 }
 
@@ -160,7 +202,7 @@ proptest! {
 
         let mut lib = ScriptLibrary::new();
         lib.insert(script);
-        let program = compile_program(&lib, "s", &world).unwrap();
+        let program = compile_program(&lib, "s", &world, ExecOptions::default()).unwrap();
         let mut vm = Vm::new();
 
         for id in world.entity_vec() {
@@ -246,9 +288,9 @@ proptest! {
 
         let mut lib = ScriptLibrary::new();
         lib.insert(parse_script("s", &src).unwrap());
-        let program = compile_program(&lib, "s", &world).unwrap();
-        let mut vm = Vm::new();
         let opts = ExecOptions { loop_fuel, ..Default::default() };
+        let program = compile_program(&lib, "s", &world, opts).unwrap();
+        let mut vm = Vm::new();
 
         for id in world.entity_vec() {
             let mut b_i = EffectBuffer::new();
@@ -280,14 +322,13 @@ proptest! {
         }
     }
 
-    /// The set-at-a-time tick against the per-entity interpreter: two or
-    /// three programs bound in interleaved id order (one of them the
-    /// string-local script the VM does not lower), divergent `if`s and
-    /// loops of per-entity trip counts, despawned entities and
-    /// unpositioned ghosts, fuel of 4, 64 and 100k. A VM-mode tick must
-    /// equal an interpreter-mode tick on a clone in the applied rows, the
-    /// multiset of queued effect ops, the stats (events in order, run
-    /// counts) and the returned `RuntimeError`.
+    /// The set-at-a-time tick against the per-entity interpreter: one or
+    /// two programs bound in interleaved id order, divergent `if`s and
+    /// loops of per-entity trip counts, string locals, despawned entities
+    /// and unpositioned ghosts, fuel of 4, 64 and 100k. An engine tick
+    /// must equal the oracle's on a clone in the applied rows, the
+    /// multiset of queued effect ops, the stats (events in order, scripts
+    /// run) and the returned `RuntimeError`.
     #[test]
     fn set_at_a_time_tick_equals_interp(
         srcs in proptest::collection::vec(tick_script_strategy(), 1..3),
@@ -310,112 +351,142 @@ proptest! {
         }
 
         let opts = ExecOptions { loop_fuel, ..Default::default() };
-        let mut engines = [ExecMode::Interp, ExecMode::Vm]
-            .map(|mode| ScriptEngine::new(Level::Full).with_mode(mode).with_options(opts));
-        let mut names: Vec<String> = (0..srcs.len()).map(|i| format!("p{i}")).collect();
-        names.push("fallback".into());
-        for engine in &mut engines {
-            engine.ensure_binding_component(&mut world);
-            for (name, src) in names.iter().zip(srcs.iter().map(String::as_str).chain([FALLBACK])) {
-                engine.load(name, src, &world).unwrap();
-            }
+        let mut engine = ScriptEngine::new(Level::Full).with_options(opts);
+        engine.ensure_binding_component(&mut world);
+        let names: Vec<String> = (0..srcs.len()).map(|i| format!("p{i}")).collect();
+        for (name, src) in names.iter().zip(&srcs) {
+            engine.load(name, src, &world).unwrap();
         }
-        // interleaved, every fourth entity left unbound; the
-        // interpreter-mode engine resolves the bindings by name
-        let mut fallback_bound = 0;
+        // interleaved, every fourth entity left unbound
         for (i, id) in world.entity_vec().into_iter().enumerate() {
-            if i % 4 == 3 {
-                continue;
+            if i % 4 != 3 {
+                engine.bind(&mut world, id, &names[i % names.len()]).unwrap();
             }
-            let name = &names[i % names.len()];
-            fallback_bound += usize::from(name == "fallback");
-            engines[1].bind(&mut world, id, name).unwrap();
         }
 
-        let [interp, vm] = &mut engines;
-        let (ops_i, result_i, rows_i) = tick_outcome(interp, &world);
-        let (ops_v, result_v, rows_v) = tick_outcome(vm, &world);
+        let (ops_i, result_i, rows_i) = oracle_outcome(engine.library(), &world, opts);
+        let (ops_v, result_v, rows_v) = tick_outcome(&mut engine, &world);
         let script = srcs.join("\n---\n");
         prop_assert_eq!(ops_i, ops_v, "scripts:\n{}", script);
         prop_assert_eq!(rows_i, rows_v, "scripts:\n{}", script);
-        match (result_i, result_v) {
-            (Ok(s_i), Ok(s_v)) => {
-                prop_assert_eq!(&s_i.events, &s_v.events, "scripts:\n{}", script);
-                prop_assert_eq!(s_i.scripts_run, s_v.scripts_run);
-                prop_assert_eq!((s_i.vm_runs, s_i.interp_runs), (0, s_i.scripts_run));
-                prop_assert_eq!(s_v.interp_runs, fallback_bound);
-                prop_assert_eq!(s_v.vm_runs, s_v.scripts_run - fallback_bound);
-            }
-            (Err(e_i), Err(e_v)) => prop_assert_eq!(e_i, e_v, "scripts:\n{}", script),
-            (i, v) => {
-                return Err(TestCaseError::fail(format!(
-                    "outcome mismatch: interp={i:?} vm={v:?}\nscripts:\n{script}"
-                )));
-            }
-        }
+        prop_assert_eq!(result_i, result_v, "scripts:\n{}", script);
     }
 }
 
-/// Run a multi-tick engine scenario in both [`ExecMode`]s from cloned
-/// worlds; they must land on identical state, and the stats must show
-/// the dispatch actually took the mode's path.
+/// A multi-tick engine scenario against the oracle from a cloned world:
+/// both must land on identical state every tick.
 #[test]
-fn engine_modes_agree_across_ticks() {
-    let scenario = |mode: ExecMode| {
-        let mut world = test_world(&[
-            (0.0, 0.0),
-            (1.0, 1.0),
-            (2.5, 0.5),
-            (4.0, 3.0),
-            (6.0, 6.0),
-            (-3.0, 2.0),
-        ]);
-        let mut engine = ScriptEngine::new(Level::Full).with_mode(mode);
-        engine.ensure_binding_component(&mut world);
-        engine
-            .load(
-                "skirmish",
-                "let threat = count(5; other.team != self.team);\n\
-                 self.hp -= threat * 0.5;\n\
-                 if self.hp < 20 { move(0 - 0.5, 0.25); }\n\
-                 if self.hp < 1 { despawn; }",
-                &world,
-            )
-            .unwrap();
-        // string-valued locals don't lower to bytecode: exercises the
-        // VM-mode interpreter fallback
-        engine
-            .load(
-                "taunt",
-                "let label = self.team;\nif label == \"red\" { emit \"taunted\"; }\nself.dmg += 1;",
-                &world,
-            )
-            .unwrap();
-        let ids = world.entity_vec();
-        for (i, id) in ids.iter().enumerate() {
-            let script = if i % 3 == 2 { "taunt" } else { "skirmish" };
-            engine.bind(&mut world, *id, script).unwrap();
-        }
-        let mut vm_runs = 0;
-        let mut interp_runs = 0;
-        for _ in 0..8 {
-            let stats = engine.tick(&mut world).unwrap();
-            vm_runs += stats.vm_runs;
-            interp_runs += stats.interp_runs;
-        }
-        (world.rows(), vm_runs, interp_runs)
-    };
+fn engine_equals_oracle_across_ticks() {
+    let mut world = test_world(&[
+        (0.0, 0.0),
+        (1.0, 1.0),
+        (2.5, 0.5),
+        (4.0, 3.0),
+        (6.0, 6.0),
+        (-3.0, 2.0),
+    ]);
+    let mut engine = ScriptEngine::new(Level::Full);
+    engine.ensure_binding_component(&mut world);
+    engine
+        .load(
+            "skirmish",
+            "let threat = count(5; other.team != self.team);\n\
+             self.hp -= threat * 0.5;\n\
+             if self.hp < 20 { move(0 - 0.5, 0.25); }\n\
+             if self.hp < 1 { despawn; }",
+            &world,
+        )
+        .unwrap();
+    engine
+        .load(
+            "taunt",
+            "let label = self.team;\nif label == \"red\" { emit \"taunted\"; }\nself.dmg += 1;",
+            &world,
+        )
+        .unwrap();
+    for (i, id) in world.entity_vec().into_iter().enumerate() {
+        let script = if i % 3 == 2 { "taunt" } else { "skirmish" };
+        engine.bind(&mut world, id, script).unwrap();
+    }
+    let mut oracle = world.clone();
+    let mut events = 0;
+    for tick in 0..8 {
+        let stats = engine.tick(&mut world).unwrap();
+        let (_, expected) = oracle_tick(engine.library(), &mut oracle, ExecOptions::default());
+        assert_eq!(Ok(&stats), expected.as_ref(), "tick {tick}");
+        assert_eq!(world.rows(), oracle.rows(), "tick {tick}");
+        events += stats.events.len();
+    }
+    assert!(events > 0, "the string-local script ran");
+}
 
-    let (rows_i, vm_i, interp_i) = scenario(ExecMode::Interp);
-    let (rows_v, vm_v, interp_v) = scenario(ExecMode::Vm);
-    assert_eq!(rows_i, rows_v, "engine modes diverged on world state");
-    assert_eq!(vm_i, 0, "interp mode must not dispatch through the VM");
-    assert!(interp_i > 0);
-    assert!(vm_v > 0, "vm mode should dispatch compilable scripts to the VM");
-    assert!(
-        interp_v > 0,
-        "string-local script should fall back to the interpreter in vm mode"
-    );
+/// Recursion runs on the VM as in the interpreter: a recursive call in a
+/// branch no entity takes costs nothing; a reached self- or mutual
+/// recursion fails with `CallDepthExceeded` at the configured depth, the
+/// lowest failing entity's; and a `while` per level runs out of fuel
+/// first when the fuel is the tighter limit.
+#[test]
+fn call_cycles_equal_the_oracle() {
+    let positions: Vec<_> = (0..40).map(|i| ((i % 8) as f32 * 2.0, (i / 8) as f32 * 2.0)).collect();
+    let world = test_world(&positions);
+    let fuel64 = ExecOptions { loop_fuel: 64, ..Default::default() };
+    let depth3 = ExecOptions { max_call_depth: 3, ..Default::default() };
+    // (scripts loaded in order, options, the error the tick returns)
+    type Case = (&'static [(&'static str, &'static str)], ExecOptions, Option<RuntimeError>);
+    let cases: [Case; 6] = [
+        (
+            &[("main", "if self.hp > 1000 { call main; } self.hp += 1; emit \"ok\";")],
+            ExecOptions::default(),
+            None,
+        ),
+        (
+            &[("main", "self.hp += 1; if self.dmg > 2 { call main; }")],
+            ExecOptions::default(),
+            Some(RuntimeError::CallDepthExceeded { script: "main".into(), limit: 16 }),
+        ),
+        (
+            &[("main", "self.hp += 1; if self.dmg > 2 { call main; }")],
+            depth3,
+            Some(RuntimeError::CallDepthExceeded { script: "main".into(), limit: 3 }),
+        ),
+        // `main` is loaded twice: `b` must exist before `main` can call it
+        (
+            &[("main", ""), ("b", "emit \"b\"; call main;"), ("main", "self.dmg += 1; call b;")],
+            ExecOptions::default(),
+            Some(RuntimeError::CallDepthExceeded { script: "b".into(), limit: 16 }),
+        ),
+        (
+            &[("main", ""), ("b", "emit \"b\"; call main;"), ("main", "self.dmg += 1; call b;")],
+            depth3,
+            Some(RuntimeError::CallDepthExceeded { script: "main".into(), limit: 3 }),
+        ),
+        (
+            &[("main", "let n = 0; while n < 10 { n = n + 1; } self.hp += n; call main;")],
+            fuel64,
+            Some(RuntimeError::LoopFuelExhausted { limit: 64 }),
+        ),
+    ];
+    for (scripts, opts, expected) in cases {
+        let mut w = world.clone();
+        let mut engine = ScriptEngine::new(Level::Full).with_options(opts);
+        engine.ensure_binding_component(&mut w);
+        engine.load("plain", "self.hp += 0.5;", &w).unwrap();
+        for (name, src) in scripts {
+            engine.load(name, src, &w).unwrap();
+        }
+        // every third entity runs a plain script, so the failing entity
+        // is not always the first
+        for (i, id) in w.entity_vec().into_iter().enumerate() {
+            let name = if i % 3 == 0 { "plain" } else { "main" };
+            engine.bind(&mut w, id, name).unwrap();
+        }
+        let (ops_i, result_i, rows_i) = oracle_outcome(engine.library(), &w, opts);
+        let (ops_v, result_v, rows_v) = tick_outcome(&mut engine, &w);
+        let case = format!("{scripts:?} at {opts:?}");
+        assert_eq!((ops_i, rows_i), (ops_v, rows_v), "{case}");
+        assert_eq!(result_i, result_v, "{case}");
+        assert_eq!(result_v.err(), expected, "{case}");
+    }
 }
 
 /// One program over 2 100 entities spans three chunks of [`LANES`].
@@ -423,8 +494,9 @@ fn engine_modes_agree_across_ticks() {
 /// fails first in time (an unpositioned ghost at the first instruction)
 /// and the lower one later (fuel, inside the loop). The tick returns the
 /// lowest failing id's error, as the per-entity interpreter does; with
-/// the failures unbound, both modes agree on every row, with fuel per
-/// entity (each runs a handful of iterations; a chunk runs thousands).
+/// the failures unbound, engine and oracle agree on every row, with fuel
+/// per entity (each runs a handful of iterations; a chunk runs
+/// thousands).
 #[test]
 fn set_at_a_time_error_is_the_lowest_failing_entity_across_chunks() {
     const N: usize = 2_100;
@@ -447,27 +519,24 @@ fn set_at_a_time_error_is_the_lowest_failing_entity_across_chunks() {
         ids.push(e);
     }
     let opts = ExecOptions { loop_fuel: FUEL, ..Default::default() };
-    let mut engines = [ExecMode::Interp, ExecMode::Vm]
-        .map(|mode| ScriptEngine::new(Level::Full).with_mode(mode).with_options(opts));
-    for engine in &mut engines {
-        engine.ensure_binding_component(&mut world);
-        engine
-            .load(
-                "drill",
-                "self.hp += count(4);\nlet i = 0;\nwhile i < self.dmg { i = i + 1; }\nself.dmg = i;",
-                &world,
-            )
-            .unwrap();
-    }
+    let mut engine = ScriptEngine::new(Level::Full).with_options(opts);
+    engine.ensure_binding_component(&mut world);
+    engine
+        .load(
+            "drill",
+            "self.hp += count(4);\nlet i = 0;\nwhile i < self.dmg { i = i + 1; }\nself.dmg = i;",
+            &world,
+        )
+        .unwrap();
     for &id in &ids {
-        engines[1].bind(&mut world, id, "drill").unwrap();
+        engine.bind(&mut world, id, "drill").unwrap();
     }
 
-    let [interp, vm] = &mut engines;
-    let expected = RuntimeError::LoopFuelExhausted { limit: FUEL };
-    for engine in [&mut *interp, &mut *vm] {
-        let mut w = world.clone();
-        assert_eq!(engine.tick(&mut w), Err(expected.clone()), "{:?}", engine.mode());
+    let expected = Err(RuntimeError::LoopFuelExhausted { limit: FUEL });
+    let (mut w_i, mut w_v) = (world.clone(), world.clone());
+    assert_eq!(oracle_tick(engine.library(), &mut w_i, opts).1, expected);
+    assert_eq!(engine.tick(&mut w_v), expected);
+    for w in [&w_i, &w_v] {
         assert_eq!(w.rows(), world.rows(), "a failed tick applies nothing");
     }
 
@@ -475,10 +544,10 @@ fn set_at_a_time_error_is_the_lowest_failing_entity_across_chunks() {
         world.set(ids[i], SCRIPT_COMPONENT, Value::Str(String::new())).unwrap();
     }
     let (mut w_i, mut w_v) = (world.clone(), world.clone());
-    let s_i = interp.tick(&mut w_i).unwrap();
-    let s_v = vm.tick(&mut w_v).unwrap();
+    let s_i = oracle_tick(engine.library(), &mut w_i, opts).1.unwrap();
+    let s_v = engine.tick(&mut w_v).unwrap();
     assert_eq!(w_i.rows(), w_v.rows());
-    assert_eq!((s_v.vm_runs, s_v.interp_runs), (N - 3, 0));
+    assert_eq!(s_v.scripts_run, N - 3);
     assert_eq!(s_i.scripts_run, s_v.scripts_run);
 }
 
@@ -509,20 +578,17 @@ fn combat_tick_counts_exact_instrs_over_wide_dispatches() {
         .collect();
     let mut world = test_world(&positions);
     let registry = MetricsRegistry::new();
-    let [mut interp, mut vm] = [ExecMode::Interp, ExecMode::Vm]
-        .map(|mode| ScriptEngine::new(Level::Full).with_mode(mode));
+    let mut vm = ScriptEngine::new(Level::Full);
     vm.attach_metrics(&registry);
-    for engine in [&mut interp, &mut vm] {
-        engine.ensure_binding_component(&mut world);
-        engine.load("combat", COMBAT, &world).unwrap();
-    }
+    vm.ensure_binding_component(&mut world);
+    vm.load("combat", COMBAT, &world).unwrap();
     for id in world.entity_vec() {
         vm.bind(&mut world, id, "combat").unwrap();
     }
-    let (ops_i, result_i, rows_i) = tick_outcome(&mut interp, &world);
+    let (ops_i, result_i, rows_i) = oracle_outcome(vm.library(), &world, ExecOptions::default());
     let (ops_v, result_v, rows_v) = tick_outcome(&mut vm, &world);
     assert_eq!((ops_i.len(), &ops_i, &rows_i), (2 * N, &ops_v, &rows_v));
-    assert_eq!(result_v.unwrap().vm_runs, result_i.unwrap().interp_runs);
+    assert_eq!(result_v.unwrap().scripts_run, result_i.unwrap().scripts_run);
     let snap = registry.snapshot();
     let instrs = snap.counter("script.vm_instrs");
     let dispatches = snap.counter("script.vm_dispatches");
