@@ -8,8 +8,9 @@
 //! effects. Entities are partitioned into chunks and fanned out over
 //! scoped threads (the GPU-batch analogue on CPU cores); per-chunk effect
 //! buffers are merged in chunk order and applied once — so the result is
-//! bit-identical regardless of thread count (see the determinism property
-//! test, and experiment E5 for the speedup curve).
+//! bit-identical regardless of thread count (experiment E5: the
+//! determinism tests `parallel_matches_sequential_exactly` and
+//! `prop_core::parallel_tick_deterministic`).
 
 use crate::effect::EffectBuffer;
 use crate::entity::EntityId;

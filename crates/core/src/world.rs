@@ -42,6 +42,9 @@ pub const POS: &str = "pos";
 /// the change stream can compare against a constant.
 pub const POS_ID: ComponentId = ComponentId::POS;
 
+/// Cell size of the position grid, in world units.
+const GRID_CELL: f32 = 16.0;
+
 /// Errors from world operations.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CoreError {
@@ -133,13 +136,8 @@ impl Default for World {
 }
 
 impl World {
-    /// Create a world with the default spatial cell size (16 world units).
+    /// Create an empty world.
     pub fn new() -> Self {
-        Self::with_cell_size(16.0)
-    }
-
-    /// Create a world whose position index uses the given grid cell size.
-    pub fn with_cell_size(cell: f32) -> Self {
         use std::sync::atomic::{AtomicU64, Ordering};
         static WORLD_IDS: AtomicU64 = AtomicU64::new(1);
         let mut interner = ComponentInterner::default();
@@ -149,7 +147,7 @@ impl World {
             alloc: EntityAllocator::new(),
             columns: vec![Column::new(ValueType::Vec2)],
             interner,
-            spatial: UniformGrid::new(cell),
+            spatial: UniformGrid::new(GRID_CELL),
             indexes: Vec::new(),
             views: ViewRegistry::default(),
             changes: ChangeStream::default(),
@@ -967,13 +965,6 @@ impl World {
         out.extend(bits.into_iter().map(EntityId::from_bits));
     }
 
-    /// Nearest positioned entity to `center` other than `exclude`.
-    pub fn nearest_other(&self, center: Vec2, exclude: EntityId) -> Option<EntityId> {
-        self.spatial
-            .nearest_excluding(center, exclude.to_bits())
-            .map(EntityId::from_bits)
-    }
-
     /// All pairs `(a, b)` with `a < b` whose positions are within
     /// `radius`, via the spatial index — the index join the paper
     /// contrasts with designers' accidental O(n²) loops.
@@ -1214,8 +1205,8 @@ impl World {
     }
 
     /// Row-op changes recorded since the last refresh. Views are stale
-    /// while this is nonzero (subscribers reading between refreshes
-    /// should fall back to a live query, as the sync auditor does).
+    /// while this is nonzero (subscribers refresh before they read, as
+    /// the sync auditor does).
     pub fn pending_deltas(&self) -> usize {
         self.changes
             .pending_views()
@@ -1497,20 +1488,6 @@ impl World {
         self.refresh_views();
         self.tick += 1;
         self.record_catalog(ChangeOp::TickTo { tick: self.tick });
-    }
-
-    /// Iterate one entity's `(component, value)` rows in name order —
-    /// the per-entity slice of [`World::rows`], so view-driven consumers
-    /// (replication) can ship members without walking the whole world.
-    pub fn components_of(&self, id: EntityId) -> impl Iterator<Item = (&str, Value)> + '_ {
-        let live = self.is_live(id);
-        let slot = id.index() as usize;
-        self.interner.iter_by_name().filter_map(move |(name, cid)| {
-            if !live {
-                return None;
-            }
-            self.columns[cid.index()].get(slot).map(|v| (name, v))
-        })
     }
 
     /// Dump all `(entity, component, value)` rows in deterministic order —
@@ -1809,7 +1786,7 @@ mod tests {
     }
 
     #[test]
-    fn knn_and_nearest_other() {
+    fn knn_returns_the_nearest_first() {
         let mut w = World::new();
         let a = w.spawn_at(v(0.0, 0.0));
         let b = w.spawn_at(v(1.0, 0.0));
@@ -1817,8 +1794,9 @@ mod tests {
         let mut out = vec![];
         w.knn(v(0.0, 0.0), 2, &mut out);
         assert_eq!(out, vec![a, b]);
-        assert_eq!(w.nearest_other(v(0.0, 0.0), a), Some(b));
-        assert_eq!(w.nearest_other(v(5.0, 0.0), c), Some(b));
+        out.clear();
+        w.knn(v(5.0, 0.0), 2, &mut out);
+        assert_eq!(out, vec![c, b]);
     }
 
     #[test]
@@ -1833,7 +1811,6 @@ mod tests {
         w.knn(nan, 3, &mut out);
         w.within(nan, 100.0, &mut out);
         assert!(out.is_empty());
-        assert_eq!(w.nearest_other(nan, a), None);
 
         // a NaN stored position is never returned; the finite ones keep
         // their order
@@ -1843,15 +1820,17 @@ mod tests {
         out.clear();
         w.within(v(0.0, 0.0), f32::INFINITY, &mut out);
         assert_eq!(out, vec![a, c]);
-        assert_eq!(w.nearest_other(v(0.0, 0.0), a), Some(c));
-        assert_eq!(w.nearest_other(v(1.0, 0.0), c), Some(a));
+        out.clear();
+        w.knn(v(1.0, 0.0), 3, &mut out);
+        assert_eq!(out, vec![a, c]);
 
         // both at once
         out.clear();
         w.knn(nan, 3, &mut out);
         w.within(nan, f32::INFINITY, &mut out);
         assert!(out.is_empty());
-        assert_eq!(w.nearest_other(w.pos(b).unwrap(), b), None);
+        w.knn(w.pos(b).unwrap(), 3, &mut out);
+        assert!(out.is_empty());
 
         // a finite move brings it back
         w.set_pos(b, v(1.0, 0.0)).unwrap();

@@ -54,14 +54,6 @@ pub trait SpatialIndex {
 
     /// Remove everything.
     fn clear(&mut self);
-
-    /// The id of the nearest item to `center` other than `exclude`
-    /// (games constantly ask "nearest enemy that is not me").
-    fn nearest_excluding(&self, center: Vec2, exclude: ItemId) -> Option<ItemId> {
-        let mut out = Vec::with_capacity(2);
-        self.query_knn(center, 2, &mut out);
-        out.into_iter().find(|&id| id != exclude).or(None)
-    }
 }
 
 /// O(n)-per-query reference index: a flat vector of `(id, pos)` pairs.
@@ -208,15 +200,6 @@ mod tests {
         let mut out = vec![];
         idx.query_knn(Vec2::ZERO, 10, &mut out);
         assert_eq!(out, vec![1]);
-    }
-
-    #[test]
-    fn nearest_excluding_self() {
-        let mut idx = BruteForce::new();
-        idx.insert(1, v(0.0, 0.0));
-        idx.insert(2, v(1.0, 0.0));
-        idx.insert(3, v(2.0, 0.0));
-        assert_eq!(idx.nearest_excluding(v(0.0, 0.0), 1), Some(2));
     }
 
     #[test]

@@ -58,7 +58,7 @@ pub use bubbles::{
 pub use cluster::{ClusterCost, ClusterExecutor, ClusterStats};
 pub use executor::{ExecStats, Executor, LockingExecutor, OptimisticExecutor, SerialExecutor};
 pub use invariant::{
-    collapse_moves, inject_speed_hacks, wealth, AuditReport, Auditor, Baseline, RacyExecutor,
+    collapse_moves, inject_speed_hacks, wealth, AuditReport, Auditor, RacyExecutor,
 };
 pub use replication::{
     ConsistencyLevel, DeltaSegment, Divergence, Interest, Replica, Replicator,

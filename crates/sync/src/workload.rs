@@ -1,7 +1,7 @@
 //! Synthetic MMO workload generation.
 //!
 //! Substitute for the production traces of WoW / EVE / Everquest that the
-//! paper's techniques were built against (see DESIGN.md §Substitutions).
+//! paper's techniques were built against, which are not public.
 //! Tunable knobs capture the phenomena those workloads stress:
 //! `hotspot_fraction` reproduces the "everyone piles into one fight"
 //! contention spike, and the action mix reproduces the conflict profile.

@@ -8,17 +8,19 @@
 //! * the maintained bubble partition and the placement built from it
 //!   equal their from-scratch evaluations tick for tick under churn;
 //! * the overlay executors read through agrees with what
-//!   `EffectBuffer::apply` writes (CI step `replication-oracle`).
+//!   `EffectBuffer::apply` writes (CI step `replication-oracle`);
+//! * the auditor reports, tick for tick, what a scan of the whole world
+//!   reports (CI step `auditor`).
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
-use gamedb_content::{Value, ValueType};
-use gamedb_core::{Effect, EffectBuffer, EntityId, World};
+use gamedb_content::{CmpOp, Value, ValueType};
+use gamedb_core::{Effect, EffectBuffer, EntityId, IndexKind, Query, World};
 use gamedb_spatial::Vec2;
 use gamedb_sync::{
-    arena_world, partition, Action, AssignPolicy, Auditor, BubbleConfig, BubbleExecutor,
-    Executor, LockingExecutor, OptimisticExecutor, OverlayView, SerialExecutor, ShardManager,
-    StateView,
+    arena_world, partition, Action, AssignPolicy, AuditReport, Auditor, BubbleConfig,
+    BubbleExecutor, Executor, LockingExecutor, OptimisticExecutor, OverlayView, RacyExecutor,
+    SerialExecutor, ShardManager, StateView,
 };
 use proptest::prelude::*;
 
@@ -67,10 +69,9 @@ proptest! {
                 Vec2::new(positions[i].0, positions[i].1)
             });
             let batch = gamedb_sync::collapse_moves(to_actions(&raw, &ids));
-            let mut auditor = Auditor::new(2.0);
-            let before = auditor.snapshot(&w);
+            let mut auditor = Auditor::attach(&mut w, 2.0);
             exec.execute(&mut w, &batch);
-            let report = auditor.audit(&before, &w);
+            let report = auditor.audit(&mut w);
             prop_assert!(
                 report.clean(),
                 "{} violated invariants: {report:?}",
@@ -345,4 +346,293 @@ proptest! {
             prop_assert!(differ.is_empty(), "after step {}, (overlay, applied): {:?}", t, differ);
         }
     }
+}
+
+// ---- the auditor against the scanning oracle (CI step `auditor`) ----
+
+/// The scanning auditor, kept as the oracle: total wealth by
+/// [`gamedb_sync::wealth`], overdrafts by a `gold < 0` query, speed by a
+/// map of every position at the previous audit.
+struct ScanOracle {
+    max_step: f32,
+    wealth: i64,
+    positions: HashMap<EntityId, Vec2>,
+}
+
+impl ScanOracle {
+    fn new(world: &World, max_step: f32) -> Self {
+        ScanOracle {
+            max_step,
+            wealth: gamedb_sync::wealth(world),
+            positions: positions(world),
+        }
+    }
+
+    fn audit(&mut self, world: &World) -> AuditReport {
+        let wealth = gamedb_sync::wealth(world);
+        let positions = positions(world);
+        let report = AuditReport {
+            wealth_drift: wealth - self.wealth,
+            overdrafts: Query::select()
+                .filter("gold", CmpOp::Lt, Value::Int(0))
+                .count(world),
+            speed_violations: positions
+                .iter()
+                .filter(|&(e, now)| {
+                    self.positions
+                        .get(e)
+                        .is_some_and(|then| now.dist(*then) > self.max_step + 1e-3)
+                })
+                .count(),
+        };
+        self.wealth = wealth;
+        self.positions = positions;
+        report
+    }
+}
+
+fn positions(world: &World) -> HashMap<EntityId, Vec2> {
+    world
+        .entities()
+        .filter_map(|e| world.pos(e).map(|p| (e, p)))
+        .collect()
+}
+
+/// One write of an audited tick. Players and items are addressed by
+/// their index (modulo the count) in spawn order; a step on a dead or
+/// missing entity does nothing.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    /// Queued as an action for the tick's executor.
+    Trade(usize, usize, i64),
+    /// Queued as an action: player, item.
+    Pickup(usize, usize),
+    Despawn(usize),
+    RemoveGold(usize),
+    SetGold(usize, i64),
+    SpawnPlayer(i64),
+    SpawnItem(i64),
+    /// One hop of `(dx, dy)`; several in one tick chain.
+    Move(usize, f32, f32),
+    RemovePos(usize),
+}
+
+/// A tick: whether its actions run through `RacyExecutor` (else
+/// `SerialExecutor`), then its steps.
+type Tick = (bool, Vec<Step>);
+
+/// Run `ticks` on a line of `players` (3 apart) with an auditor and the
+/// oracle attached, and return each tick's two reports, auditor first.
+fn audit_both(
+    players: usize,
+    max_step: f32,
+    indexed: bool,
+    retention: usize,
+    ticks: &[Tick],
+) -> Vec<(AuditReport, AuditReport)> {
+    let (mut w, mut ids) = arena_world(players, |i| Vec2::new(i as f32 * 3.0, 0.0));
+    if indexed {
+        w.create_index("gold", IndexKind::Sorted).unwrap();
+    }
+    w.set_tap_retention(Some(retention));
+    let mut items: Vec<EntityId> = Vec::new();
+    let mut auditor = Auditor::attach(&mut w, max_step);
+    let mut oracle = ScanOracle::new(&w, max_step);
+    let mut reports = Vec::new();
+    for (racy, steps) in ticks {
+        let mut batch = Vec::new();
+        for &step in steps {
+            let player = |i: usize| ids[i % ids.len()];
+            match step {
+                Step::Trade(a, b, amount) => {
+                    batch.push(Action::Trade { from: player(a), to: player(b), amount })
+                }
+                Step::Pickup(a, i) if !items.is_empty() => batch.push(Action::Pickup {
+                    player: player(a),
+                    item: items[i % items.len()],
+                }),
+                Step::Pickup(..) => {}
+                Step::Despawn(a) => {
+                    w.despawn(player(a));
+                }
+                Step::RemoveGold(a) if w.is_live(player(a)) => {
+                    w.remove_component(player(a), "gold").unwrap();
+                }
+                Step::SetGold(a, g) if w.is_live(player(a)) => {
+                    w.set(player(a), "gold", Value::Int(g)).unwrap();
+                }
+                Step::SpawnPlayer(g) => {
+                    let e = w.spawn_at(Vec2::new(ids.len() as f32 * 3.0, 0.0));
+                    w.set(e, "gold", Value::Int(g)).unwrap();
+                    ids.push(e);
+                }
+                Step::SpawnItem(v) => {
+                    let e = w.spawn_at(Vec2::ZERO);
+                    w.set(e, "value", Value::Int(v)).unwrap();
+                    items.push(e);
+                }
+                Step::Move(a, dx, dy) => {
+                    // a removed position comes back where the line put it
+                    let e = player(a);
+                    if w.is_live(e) {
+                        let p = w.pos(e).unwrap_or(Vec2::new((a % ids.len()) as f32 * 3.0, 0.0));
+                        w.set_pos(e, Vec2::new(p.x + dx, p.y + dy)).unwrap();
+                    }
+                }
+                Step::RemovePos(a) if w.is_live(player(a)) => {
+                    w.remove_component(player(a), "pos").unwrap();
+                }
+                Step::RemoveGold(_) | Step::SetGold(..) | Step::RemovePos(_) => {}
+            }
+        }
+        if *racy {
+            RacyExecutor.execute(&mut w, &batch);
+        } else {
+            SerialExecutor.execute(&mut w, &batch);
+        }
+        reports.push((auditor.audit(&mut w), oracle.audit(&w)));
+    }
+    auditor.release(&mut w);
+    reports
+}
+
+/// A generated step: a legal hop is at most 2.0 (the limit is 2.5); a
+/// teleport is two or three legal hops that leave the limit behind, or
+/// go out and come back.
+fn step_strategy() -> impl Strategy<Value = Vec<Step>> {
+    (0u8..10, 0usize..40, 0usize..40, -60i64..160).prop_map(|(kind, a, b, x)| match kind {
+        0 | 1 => vec![Step::Trade(a, b, x.abs() + 1)],
+        2 => vec![Step::Pickup(a, b)],
+        3 => vec![Step::Despawn(a)],
+        4 => vec![Step::RemoveGold(a)],
+        5 => vec![Step::SpawnPlayer(x)],
+        6 => vec![Step::SpawnItem(x.abs())],
+        7 => vec![Step::SetGold(a, x)],
+        8 => vec![Step::Move(a, (x % 5) as f32 * 0.5, (b % 5) as f32 * 0.4 - 0.8)],
+        _ => {
+            let hops = 2 + b % 2;
+            let back = x % 2 == 0;
+            let mut steps: Vec<Step> = (0..hops)
+                .map(|h| {
+                    let dx = if back && h % 2 == 1 { -2.0 } else { 2.0 };
+                    Step::Move(a, dx, 0.0)
+                })
+                .collect();
+            if b % 5 == 0 {
+                // through a removed position: the position before the
+                // removal stays the baseline
+                steps.insert(0, Step::RemovePos(a));
+            }
+            steps
+        }
+    })
+}
+
+proptest! {
+    // 64 cases by default; CI's `auditor` step runs 512 through
+    // PROPTEST_CASES
+    #![proptest_config(ProptestConfig::default())]
+
+    /// Every tick, the auditor (one pinned tap, one `gold < 0` view)
+    /// reports exactly what the scanning oracle reports: trades through
+    /// the racy loop (dupes) and the serial one, pickups, despawns of
+    /// gold holders, gold removals and overdrafts, spawns with gold,
+    /// legal moves and multi-hop teleports, with or without a sorted
+    /// `gold` index, under a tap retention of 4–16 records that a tick
+    /// usually outgrows.
+    #[test]
+    fn auditor_equals_scan_oracle(
+        ticks in proptest::collection::vec(
+            (any::<bool>(), proptest::collection::vec(step_strategy(), 0..12)),
+            1..10,
+        ),
+        players in 3usize..20,
+        indexed in any::<bool>(),
+        retention in 4usize..17,
+    ) {
+        let ticks: Vec<Tick> = ticks
+            .into_iter()
+            .map(|(racy, steps)| (racy, steps.into_iter().flatten().collect()))
+            .collect();
+        for (tick, (audited, scanned)) in
+            audit_both(players, 2.5, indexed, retention, &ticks).into_iter().enumerate()
+        {
+            prop_assert_eq!(audited, scanned, "tick {}", tick);
+        }
+    }
+}
+
+/// Hand-written scripts (the cases the deleted per-mechanism tests
+/// pinned), each run with and without a `gold` index: they must audit
+/// like the oracle, and between them exercise every invariant.
+#[test]
+fn fixed_scripts_audit_like_the_scan_oracle() {
+    use Step::*;
+    let serial = |ticks: Vec<Vec<Step>>| -> Vec<Tick> {
+        ticks.into_iter().map(|steps| (false, steps)).collect()
+    };
+    let hop = |i, dx| Move(i, dx, 0.0);
+    let scripts: Vec<(usize, f32, Vec<Tick>)> = vec![
+        // movement: legal moves, a blatant hack, a teleport in two hops
+        // that are each legal, then two violations at once
+        (12, 2.5, serial(vec![
+            vec![hop(0, 1.0), hop(1, 2.0)],
+            vec![hop(2, 50.0)],
+            vec![hop(3, 2.0), hop(3, 2.0)],
+            vec![hop(4, -1.0), hop(5, 2.4)],
+            vec![],
+            vec![hop(0, 3.0), hop(1, -9.0), hop(2, 0.5)],
+        ])),
+        // wealth: a conserving trade, a dupe, a minted item, a pickup,
+        // a gold-carrying death (the `Despawned` row image), a removal
+        (6, 100.0, serial(vec![
+            vec![SetGold(0, 40), SetGold(1, 160)],
+            vec![SetGold(2, 200)],
+            vec![SpawnItem(500)],
+            vec![Pickup(0, 0), SetGold(3, 90)],
+            vec![Despawn(4)],
+            vec![RemoveGold(5)],
+            vec![],
+            vec![SetGold(0, 0), SpawnItem(7), Despawn(1)],
+        ])),
+        // an overdraft and a black hole beside a minted item and a death
+        (6, 100.0, serial(vec![
+            vec![SetGold(0, 40), SetGold(1, 160)],
+            vec![SetGold(2, 200)],
+            vec![SetGold(3, -30), SpawnItem(77), Despawn(5)],
+            vec![],
+            vec![SetGold(0, 0), SetGold(4, 500)],
+        ])),
+        // moves and gold in one stream: a hack on tick 2, a dupe on 3
+        (4, 2.0, serial(vec![
+            vec![hop(0, 1.0)],
+            vec![hop(0, 1.0)],
+            vec![hop(0, 50.0)],
+            vec![hop(0, 1.0), SetGold(1, 999)],
+        ])),
+        // overdrafts appear, recover, survive a despawn and swap
+        (4, 3.0, serial(vec![
+            vec![SetGold(0, -40)],
+            vec![SetGold(1, -5), SetGold(2, 10)],
+            vec![SetGold(0, 25)],
+            vec![Despawn(2)],
+            vec![SetGold(1, 0), SetGold(3, -1)],
+        ])),
+        // the racy loop's dupe, tick after tick
+        (3, 3.0, vec![(true, vec![Trade(0, 1, 60), Trade(0, 2, 60)]); 3]),
+    ];
+    let mut seen = AuditReport::default();
+    for (script, (players, max_step, ticks)) in scripts.iter().enumerate() {
+        for indexed in [false, true] {
+            for (tick, (audited, scanned)) in
+                audit_both(*players, *max_step, indexed, 4, ticks).into_iter().enumerate()
+            {
+                assert_eq!(audited, scanned, "script {script}, tick {tick}, indexed {indexed}");
+                seen.wealth_drift += audited.wealth_drift.abs();
+                seen.overdrafts += audited.overdrafts;
+                seen.speed_violations += audited.speed_violations;
+            }
+        }
+    }
+    assert!(seen.wealth_drift > 0 && seen.overdrafts > 0 && seen.speed_violations > 0);
 }

@@ -28,9 +28,10 @@
 //!   from the change stream, guards compiled to core predicates
 //!   ([`TriggerRunner`]).
 //!
-//! See the repository's `README.md` for the architecture diagram,
-//! `DESIGN.md` for the system inventory, and `EXPERIMENTS.md` for the
-//! paper-claim-vs-measured record (experiments E1–E14).
+//! See the repository's `README.md` for the architecture diagram, and
+//! `docs/ARCHITECTURE.md` for the system inventory and, under "Where
+//! each paper claim is checked", the test or example that holds each
+//! of the paper's claims E1–E14.
 //!
 //! ```
 //! use gamedb::core::World;

@@ -102,15 +102,15 @@ fn sharded_tick_loop_stays_audit_clean() {
             max_overload: 1.5,
         },
     );
-    let mut auditor = Auditor::new(2.0);
+    let mut auditor = Auditor::attach(&mut wl.world, 2.0);
     for _ in 0..15 {
         let batch = collapse_moves(wl.next_batch());
         shards.tick(&wl.world, &batch);
-        let before = auditor.snapshot(&wl.world);
         exec.execute(&mut wl.world, &batch);
-        let report = auditor.audit(&before, &wl.world);
+        let report = auditor.audit(&mut wl.world);
         assert!(report.clean(), "tick violated invariants: {report:?}");
     }
+    auditor.release(&mut wl.world);
     let s = shards.stats();
     assert_eq!(s.ticks, 15);
     assert!(s.mean_imbalance >= 1.0);

@@ -79,28 +79,27 @@ fn threshold_watcher_survives_crash_without_refiring() {
 }
 
 /// The auditor's `gold < 0` view survives a snapshot round-trip and a
-/// fresh auditor adopts it rather than registering a second one.
+/// restarted auditor adopts it rather than registering a second one.
 #[test]
 fn auditor_reattaches_to_recovered_overdraft_view() {
     let mut w = World::new();
     w.define_component("gold", ValueType::Int).unwrap();
     let e = w.spawn_at(Vec2::ZERO);
     w.set(e, "gold", Value::Int(-5)).unwrap();
-    let mut auditor = Auditor::new(10.0);
-    auditor.subscribe_overdrafts(&mut w);
+    let auditor = Auditor::attach(&mut w, 10.0);
     assert_eq!(w.view_ids().len(), 1);
 
     let (mut recovered, _) = decode(&encode(&w)).unwrap();
-    let mut auditor2 = Auditor::new(10.0);
-    auditor2.subscribe_overdrafts(&mut recovered);
+    auditor.release(&mut w);
+    let mut restarted = Auditor::attach(&mut recovered, 10.0);
     assert_eq!(
         recovered.view_ids().len(),
         1,
         "the recovered view is adopted, not duplicated"
     );
-    let before = auditor2.snapshot(&recovered);
-    let report = auditor2.audit_tick(&before, &mut recovered);
+    let report = restarted.audit(&mut recovered);
     assert_eq!(report.overdrafts, 1, "overdraft visible through the view");
+    restarted.release(&mut recovered);
 }
 
 /// A mob's aggro candidate view survives recovery; `reattach` finds it
