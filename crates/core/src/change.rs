@@ -523,20 +523,17 @@ impl ChangeStream {
     /// Move the tap's cursor forward to `seq` (clamped to the head of
     /// the stream). Cursors only move forward: acking below the
     /// current cursor is a no-op. Partial acks let a consumer that
-    /// shipped only a prefix of its pending window (a per-link router
-    /// whose segment for one node cut off mid-stream) release exactly
+    /// handled only a prefix of its pending window release exactly
     /// what it consumed.
     pub fn ack_to(&mut self, tap: TapId, seq: u64) {
         if let Some(TapSlot::Active { cursor, .. }) = self.taps.get_mut(tap.0 as usize) {
-            let target = seq.min(self.next);
-            if target > *cursor {
-                let drained = target - *cursor;
-                *cursor = target;
-                if let Some(m) = &self.metrics {
-                    m.note_tap_drain(tap.0 as usize, drained);
-                }
-                self.gc();
+            let target = seq.clamp(*cursor, self.next);
+            let drained = target - *cursor;
+            *cursor = target;
+            if let Some(m) = &self.metrics {
+                m.note_tap_drain(tap.0 as usize, drained);
             }
+            self.gc();
         }
     }
 
@@ -561,14 +558,7 @@ impl ChangeStream {
     /// Move the tap's cursor past everything recorded so far. Cursors
     /// only move forward: a tap never sees a record twice.
     pub fn ack(&mut self, tap: TapId) {
-        if let Some(TapSlot::Active { cursor, .. }) = self.taps.get_mut(tap.0 as usize) {
-            let drained = self.next - *cursor;
-            *cursor = self.next;
-            if let Some(m) = &self.metrics {
-                m.note_tap_drain(tap.0 as usize, drained);
-            }
-            self.gc();
-        }
+        self.ack_to(tap, self.next);
     }
 
     /// Drop every retained record (only sound with no consumers left).

@@ -8,7 +8,8 @@
 //! A string column is dictionary-encoded ([`StrColumn`]): a `u32` code
 //! per slot and each distinct live string stored once, so strings exist
 //! only at the edge — a write interns, a read decodes — and everything
-//! between (filters, index builds, view seeds, snapshots) moves codes.
+//! between (filters, snapshots, view seeds, and the secondary index and
+//! one-shot group fold that key by the codes themselves) moves codes.
 
 use gamedb_content::{Value, ValueType};
 
@@ -28,11 +29,13 @@ pub enum ColumnData {
 pub const NO_CODE: u32 = u32::MAX;
 
 /// A dictionary-encoded string column: one `u32` code per slot
-/// ([`NO_CODE`] where the slot holds no value) and one dictionary, the
-/// key table indexes and views intern their keys in, that stores each
-/// distinct live string once and counts the slots holding it. A code is
-/// freed the moment no slot holds it and reused by the next new string,
-/// so churn cannot grow the dictionary past the live strings.
+/// ([`NO_CODE`] where the slot holds no value) and one dictionary (a
+/// [`KeyTable`]) that stores each distinct live string once and counts
+/// the slots holding it. A code is freed the moment no slot holds it and
+/// reused by the next new string, so churn cannot grow the dictionary
+/// past the live strings. The code is the string's only key id outside
+/// a view: a secondary index on the column keys its postings by it, and
+/// a one-shot group fold numbers its groups by it.
 #[derive(Debug, Clone, Default)]
 pub struct StrColumn {
     codes: Vec<u32>,
@@ -101,6 +104,11 @@ impl StrColumn {
         self.dict.id_bound()
     }
 
+    /// The dictionary: each live code's string and cached prefix.
+    pub(crate) fn dict(&self) -> &KeyTable {
+        &self.dict
+    }
+
     /// The dictionary's strings, by ascending code.
     pub fn strings(&self) -> impl Iterator<Item = &str> {
         (0..self.code_bound() as u32).filter_map(|c| self.decode(c))
@@ -111,17 +119,20 @@ impl StrColumn {
     }
 
     /// Store `s` at `slot` (within the column): a string the slot already
-    /// holds changes nothing, any other releases the slot's old code and
-    /// interns `s` — one allocation only for a string no slot holds.
+    /// holds changes nothing, any other is interned and only then the
+    /// slot's old code released — one allocation only for a string no
+    /// slot holds. Interning first means a changed string never gets its
+    /// old code back, so a reader keyed by code (a secondary index) sees
+    /// the change as a new code.
     fn put(&mut self, slot: usize, s: &str) {
         let held = self.codes[slot];
-        if held != NO_CODE {
-            if self.dict.get_str(held) == Some(s) {
-                return;
-            }
-            self.dict.unhold(held);
+        if held != NO_CODE && self.dict.get_str(held) == Some(s) {
+            return;
         }
         self.codes[slot] = self.dict.intern(KeyRef::Str(s), 1);
+        if held != NO_CODE {
+            self.dict.unhold(held);
+        }
     }
 
     /// Empty `slot`, freeing its code when no other slot holds it.

@@ -89,9 +89,9 @@ use std::time::Instant;
 use gamedb_content::Value;
 use gamedb_spatial::Vec2;
 
-use crate::column::Column;
+use crate::column::{Column, ColumnData};
 use crate::entity::EntityId;
-use crate::index::{radix_sort, CodeMemo, KeyRef, KeyTable, OrdF64, NO_KEY};
+use crate::index::{radix_sort, KeyRef, KeyTable, OrdF64, NO_KEY};
 use crate::intern::ComponentId;
 use crate::metrics::CoreMetrics;
 use crate::query::{AggFn, Pred, Query, RowFilter};
@@ -822,6 +822,43 @@ impl SourceState {
     }
 }
 
+/// Key ids of one column's values in a view's key table, for a view seed
+/// that interns every row: a string column's once per distinct code
+/// (later rows holding it are one vector read), any other's per row.
+/// The table must not retire ids while the memo is in use.
+struct CodeMemo<'c> {
+    col: &'c Column,
+    /// Key id of each dictionary code met so far; [`NO_KEY`]: not yet.
+    ids: Vec<u32>,
+}
+
+impl<'c> CodeMemo<'c> {
+    fn new(col: &'c Column) -> CodeMemo<'c> {
+        let ids = match col.data() {
+            ColumnData::Str(s) => vec![NO_KEY; s.code_bound()],
+            _ => Vec::new(),
+        };
+        CodeMemo { col, ids }
+    }
+
+    /// The id in `keys` of the key [`KeyRef::at`] reads at `slot`,
+    /// interned with no rows counted if it is new; `None` for no key.
+    #[inline]
+    fn id(&mut self, keys: &mut KeyTable, slot: usize) -> Option<u32> {
+        match self.col.data() {
+            ColumnData::Str(s) => {
+                let code = s.code(slot)?;
+                let memo = &mut self.ids[code as usize];
+                if *memo == NO_KEY {
+                    *memo = keys.id(KeyRef::Str(s.decode(code)?));
+                }
+                Some(*memo)
+            }
+            _ => KeyRef::at(self.col, slot).map(|key| keys.id(key)),
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // Rows operator (fused scan/filter/project chain at the root)
 // ---------------------------------------------------------------------
@@ -1215,25 +1252,17 @@ fn key_repr(k: KeyRef<'_>) -> Value {
     }
 }
 
-/// One keyed member of a sorted run: its group key's prefix, its
-/// position in the member list, and whether the prefix spells out the
-/// whole key (so rows tied on the prefix are tied on the key).
-#[derive(Debug, Clone, Copy)]
-struct RunRow {
-    prefix: u64,
-    at: u32,
-    exact: bool,
-}
-
 /// Where the key of each group of a fold comes from; group `g` is the
 /// `g`-th in key order.
 enum GroupKeys<'w> {
     /// No key column: every member is in the one global group (none when
     /// there are no members). A key column not defined has no groups.
     Global(usize),
-    /// An indexed column: group `g` is the index's key id `ids[g].1`.
-    Index(&'w KeyTable, Vec<(u64, u32)>),
-    /// An unindexed column: group `g`'s key is the one at slot `at[g]`.
+    /// A string or an indexed column: group `g` is key id `ids[g].1` of
+    /// the table (the column's dictionary, or the index's keys).
+    Ids(&'w KeyTable, Vec<(u64, u32)>),
+    /// An unindexed column of scalars: group `g`'s key is the one at
+    /// slot `at[g]`.
     Column(&'w Column, Vec<u32>),
 }
 
@@ -1241,7 +1270,7 @@ impl<'w> GroupKeys<'w> {
     fn len(&self) -> usize {
         match self {
             GroupKeys::Global(n) => *n,
-            GroupKeys::Index(_, ids) => ids.len(),
+            GroupKeys::Ids(_, ids) => ids.len(),
             GroupKeys::Column(_, at) => at.len(),
         }
     }
@@ -1250,7 +1279,7 @@ impl<'w> GroupKeys<'w> {
     fn get(&self, g: usize) -> Option<KeyRef<'w>> {
         match *self {
             GroupKeys::Global(_) => None,
-            GroupKeys::Index(table, ref ids) => table.get(ids[g].1),
+            GroupKeys::Ids(table, ref ids) => table.get(ids[g].1),
             GroupKeys::Column(col, ref at) => KeyRef::at(col, at[g] as usize),
         }
     }
@@ -1306,25 +1335,30 @@ impl GroupTable {
     /// number ([`NO_KEY`]: no key, as for every member when the key
     /// column is not defined) and the groups' keys.
     ///
-    /// An indexed column's key ids are read from the index
-    /// ([`SecondaryIndex::key_id`]): no column read, no hash and no
-    /// string touched per row, and only the distinct ids are put in key
-    /// order ([`KeyTable::sort`]). An unindexed column's keyed members
-    /// are put in key order by a stable radix sort on the key's
-    /// order-preserving prefix ([`KeyRef::prefix`]); full keys are
-    /// compared only inside a stretch whose prefixes tie and which holds
-    /// a key the prefix does not spell out — strings sharing their first
-    /// eight bytes, or a short string and itself plus trailing `\0`s.
-    ///
-    /// [`SecondaryIndex::key_id`]: crate::index::SecondaryIndex::key_id
+    /// A string column's members carry their dictionary codes, and an
+    /// indexed column's the index's key ids (`SecondaryIndex::key_id`):
+    /// no hash and no string touched per row, and only the distinct ids
+    /// are put in key order ([`KeyTable::sort`]). Any other column's keys
+    /// are scalars, each spelled out whole by its order-preserving prefix
+    /// ([`KeyRef::prefix`]): a stable radix sort on it puts the keyed
+    /// members in key order, and a run of one prefix is one group.
     fn number<'w>(world: &'w World, src: &Source, members: &[u32]) -> (Vec<u32>, GroupKeys<'w>) {
         let Some(key_col) = &src.key_col else {
             let global = GroupKeys::Global(usize::from(!members.is_empty()));
             return (vec![0; members.len()], global);
         };
-        if let Some(idx) = world.index_on(key_col) {
-            let table = idx.keys();
-            let mut of: Vec<u32> = members.iter().map(|&s| idx.key_id(s as usize)).collect();
+        let Some(col) = world.column(key_col) else {
+            return (vec![NO_KEY; members.len()], GroupKeys::Global(0));
+        };
+        let key_ids: Option<(&KeyTable, Vec<u32>)> = match (col.data(), world.index_on(key_col)) {
+            (ColumnData::Str(s), _) => {
+                let code = |&m: &u32| s.code(m as usize).unwrap_or(NO_KEY);
+                Some((s.dict(), members.iter().map(code).collect()))
+            }
+            (_, Some(idx)) => Some((idx.keys(col), members.iter().map(|&m| idx.key_id(m as usize)).collect())),
+            _ => None,
+        };
+        if let Some((table, mut of)) = key_ids {
             // each key id's group number; first a mark that it is in use
             let mut number = vec![NO_KEY; table.id_bound()];
             let mut ids = Vec::with_capacity(members.len().min(table.id_bound()));
@@ -1341,36 +1375,20 @@ impl GroupTable {
             for k in of.iter_mut().filter(|k| **k != NO_KEY) {
                 *k = number[*k as usize];
             }
-            return (of, GroupKeys::Index(table, ids));
+            return (of, GroupKeys::Ids(table, ids));
         }
-        let Some(col) = world.column(key_col) else {
-            return (vec![NO_KEY; members.len()], GroupKeys::Global(0));
-        };
-        let key = |at: u32| KeyRef::at(col, members[at as usize] as usize);
-        let mut run: Vec<RunRow> = Vec::with_capacity(members.len());
-        for at in 0..members.len() as u32 {
-            if let Some(k) = key(at) {
-                run.push(RunRow {
-                    prefix: k.prefix(),
-                    at,
-                    exact: k.prefix_is_key(),
-                });
-            }
-        }
-        radix_sort::<_, 8>(&mut run, |r| r.prefix);
+        // (prefix, position in `members`) of each keyed member
+        let mut run: Vec<(u64, u32)> = (members.iter().zip(0u32..))
+            .filter_map(|(&m, at)| Some((KeyRef::at(col, m as usize)?.prefix(), at)))
+            .collect();
+        radix_sort::<_, 8>(&mut run, |&(prefix, _)| prefix);
         let mut of = vec![NO_KEY; members.len()];
         let mut first = Vec::new();
-        for tie in run.chunk_by_mut(|a, b| a.prefix == b.prefix) {
-            let exact = tie.iter().all(|r| r.exact);
-            if !exact {
-                tie.sort_by(|a, b| key(a.at).cmp(&key(b.at)));
+        for group in run.chunk_by(|a, b| a.0 == b.0) {
+            for &(_, at) in group {
+                of[at as usize] = first.len() as u32;
             }
-            for group in tie.chunk_by(|a, b| exact || key(a.at) == key(b.at)) {
-                for r in group {
-                    of[r.at as usize] = first.len() as u32;
-                }
-                first.push(members[group[0].at as usize]);
-            }
+            first.push(members[group[0].1 as usize]);
         }
         (of, GroupKeys::Column(col, first))
     }

@@ -474,8 +474,8 @@ impl Plan {
                 value,
             } => {
                 let second = self.second_bound.as_ref().map(|(op, v)| (*op, v));
-                let probed = world.index_on(component).and_then(|idx| {
-                    idx.probe(*op, value, second, &mut |sel| filter.select_slots(sel, sink))
+                let probed = world.indexed(component).and_then(|(idx, col)| {
+                    idx.probe(col, *op, value, second, &mut |sel| filter.select_slots(sel, sink))
                 });
                 // Index vanished between planning and execution (dropped,
                 // or a stale plan): degrade to the scan the probe replaced
@@ -1129,10 +1129,10 @@ mod tests {
         assert_eq!(point.run(&w), eq.run(&w));
         // straight at the index: served, nothing — `BTreeMap::range`
         // would panic on the first and third
-        let idx = w.index_on("gold").unwrap();
+        let (idx, col) = w.indexed("gold").unwrap();
         for ((op, a), (op2, b)) in [((Ge, 10), (Lt, 5)), ((Gt, 5), (Lt, 5)), ((Ge, 5), (Lt, 5))] {
             let mut out = Vec::new();
-            assert!(idx.probe(op, &int(a), Some((op2, &int(b))), &mut |s| out.extend_from_slice(s)).is_some());
+            assert!(idx.probe(col, op, &int(a), Some((op2, &int(b))), &mut |s| out.extend_from_slice(s)).is_some());
             assert!(out.is_empty(), "{op:?} {a} AND {op2:?} {b}");
         }
     }

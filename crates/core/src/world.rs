@@ -25,7 +25,7 @@ use crate::metrics::CoreMetrics;
 use crate::column::Column;
 use crate::dvm::{PlanView, ViewPlan};
 use crate::entity::{EntityAllocator, EntityId};
-use crate::index::{IndexKind, KeyRef, SecondaryIndex};
+use crate::index::{IndexKind, SecondaryIndex};
 use crate::intern::{ComponentId, ComponentInterner};
 use crate::query::Query;
 use crate::view::{ViewDelta, ViewId, ViewRegistry, ViewStats};
@@ -352,6 +352,13 @@ impl World {
         self.index_of(self.interner.get(component)?)
     }
 
+    /// The index on a component and the column it indexes, which a
+    /// probe reads its keys through.
+    pub(crate) fn indexed(&self, component: &str) -> Option<(&SecondaryIndex, &Column)> {
+        let cid = self.interner.get(component)?;
+        Some((self.index_of(cid)?, &self.columns[cid.index()]))
+    }
+
     /// Iterate `(component, kind)` over existing indexes, in name order.
     pub fn indexed_components(&self) -> impl Iterator<Item = (&str, IndexKind)> {
         self.interner
@@ -376,8 +383,8 @@ impl World {
         out: &mut Vec<EntityId>,
     ) -> bool {
         let slots = &self.alloc;
-        self.index_on(component).is_some_and(|idx| {
-            idx.probe(op, value, None, &mut |sel| out.extend(sel.iter().map(|&s| slots.id_at(s))))
+        self.indexed(component).is_some_and(|(idx, col)| {
+            idx.probe(col, op, value, None, &mut |sel| out.extend(sel.iter().map(|&s| slots.id_at(s))))
                 .is_some()
         })
     }
@@ -514,17 +521,6 @@ impl World {
     /// warm standby measures its replay tail against.
     pub fn tap_cursor(&self, tap: TapId) -> Option<u64> {
         self.changes.tap_cursor(tap)
-    }
-
-    /// Advance `tap`'s cursor forward to `seq` (clamped to the stream
-    /// head; acking backwards is a no-op). The partial form of
-    /// [`World::ack_tap`], for consumers that shipped only a prefix of
-    /// their pending window.
-    pub fn ack_tap_to(&mut self, tap: TapId, seq: u64) {
-        if !self.views.is_active() {
-            self.changes.mark_views_folded();
-        }
-        self.changes.ack_to(tap, seq);
     }
 
     /// Total records ever committed to the change stream (the seq the
@@ -665,10 +661,10 @@ impl World {
             self.record(ChangeOp::Despawned { id, row });
         }
         for (i, col) in self.columns.iter_mut().enumerate() {
-            if let Some(Some(idx)) = self.indexes.get_mut(i) {
-                idx.replace(id, None);
-            }
             col.remove(slot);
+            if let Some(Some(idx)) = self.indexes.get_mut(i) {
+                idx.replace(id, col);
+            }
         }
         self.spatial.remove(id.to_bits());
         true
@@ -786,9 +782,6 @@ impl World {
         let recording = self.recording();
         let slot = id.index() as usize;
         let col = &mut self.columns[cid.index()];
-        if let Some(Some(idx)) = self.indexes.get_mut(cid.index()) {
-            idx.replace(id, KeyRef::of(col.ty(), &value));
-        }
         if let (POS_ID, &Value::Vec2(x, y)) = (cid, &value) {
             let pos = Vec2::new(x, y);
             self.spatial.update(id.to_bits(), pos);
@@ -797,6 +790,9 @@ impl World {
         let old = if recording { col.get(slot) } else { None };
         let new = recording.then(|| value.clone());
         col.put(slot, value).expect("the write was type-checked");
+        if let Some(Some(idx)) = self.indexes.get_mut(cid.index()) {
+            idx.replace(id, col);
+        }
         if let Some(new) = new {
             // the record carries the interned id — no name clone on the
             // hot write path
@@ -836,13 +832,13 @@ impl World {
             self.spatial.remove(id.to_bits());
         }
         let slot = id.index() as usize;
-        if let Some(Some(idx)) = self.indexes.get_mut(cid.index()) {
-            idx.replace(id, None);
-        }
         let recording = self.recording();
         let col = &mut self.columns[cid.index()];
         let old = if recording { col.get(slot) } else { None };
         let removed = col.remove(slot);
+        if let Some(Some(idx)) = self.indexes.get_mut(cid.index()) {
+            idx.replace(id, col);
+        }
         if let Some(old) = old {
             // recording, and there was a value to remove
             self.record(ChangeOp::Removed {

@@ -8,10 +8,12 @@
 //! their databases to reduce server load"; the partitioning only pays
 //! off if the handoff itself rides the same change-stream machinery.
 //!
-//! The [`ShardRouter`] closes that gap. It holds one change-stream tap
-//! per node on the primary world (a **link**, exactly like a client's
-//! `sync_stream` tap) and, each tick, diffs consecutive
-//! [`ShardAssignment`]s into per-node handoff sets:
+//! The [`ShardRouter`] closes that gap. It holds one **link** per node,
+//! all fed from one change-stream tap on the primary world (exactly like
+//! a client's `sync_stream` tap): every tick ships every link up to the
+//! same sequence, so the links' cursors would all be equal, and one tap
+//! serves them. Each tick it diffs consecutive [`ShardAssignment`]s into
+//! per-node handoff sets:
 //!
 //! * **gained** entities (owned now, not before) ship their full row
 //!   image as segment puts;
@@ -22,10 +24,10 @@
 //!
 //! Component names ship **once per link** ([`DeltaSegment::defines`]):
 //! steady-state handoff rows cost a 1-byte varint where by-value
-//! row framing pays `4 + len(name)` bytes. Every segment is stamped
-//! with the change-stream sequence it snapshots (`World::tap_cursor`),
-//! and the tap is acked only up to that stamp (`World::ack_tap_to`) so
-//! records landing after the snapshot are never lost.
+//! row framing pays `4 + len(name)` bytes. Every tick's segments are
+//! stamped with the change-stream sequence they snapshot (the stream
+//! head, `World::change_seq`), and the tap is acked to exactly that
+//! stamp: the world is not written between the two.
 //!
 //! Each node may keep a **warm standby** fed from the same link: the
 //! standby buffers the node's segments and applies them lazily under a
@@ -68,9 +70,9 @@ pub struct HandoffReport {
     pub dropped: Vec<Vec<EntityId>>,
     /// Wire bytes of each node's segment(s) this tick.
     pub segment_bytes: Vec<usize>,
-    /// Change-stream sequence each node's segment snapshots — the
+    /// Change-stream sequence this tick's segments snapshot — the
     /// anchor a crash-recovery rebuild resumes from.
-    pub snapshot_seq: Vec<u64>,
+    pub snapshot_seq: u64,
 }
 
 impl HandoffReport {
@@ -91,8 +93,8 @@ impl HandoffReport {
 #[derive(Debug)]
 pub struct ShardRouter {
     nodes: usize,
-    /// One change-stream tap per node link.
-    taps: Vec<TapId>,
+    /// The change-stream tap every node link reads.
+    tap: TapId,
     /// Per-link name tables: component ids whose names this link has
     /// been sent (the server-side mirror of the node's accumulated
     /// table, exactly as `Replicator::named` is per client).
@@ -117,15 +119,14 @@ pub struct ShardRouter {
 }
 
 impl ShardRouter {
-    /// Attach a router to the primary world: one tap per node starts
-    /// recording immediately, so the first [`ShardRouter::tick`] ships
-    /// each node its initial full state and later ticks ship deltas.
+    /// Attach a router to the primary world: its tap starts recording
+    /// immediately, so the first [`ShardRouter::tick`] ships each node
+    /// its initial full state and later ticks ship deltas.
     pub fn new(world: &mut World, nodes: usize) -> Self {
         assert!(nodes > 0, "need at least one node link");
-        let taps = (0..nodes).map(|_| world.attach_tap()).collect();
         ShardRouter {
             nodes,
-            taps,
+            tap: world.attach_tap(),
             named: vec![HashSet::default(); nodes],
             states: vec![Replica::default(); nodes],
             standbys: vec![None; nodes],
@@ -193,17 +194,16 @@ impl ShardRouter {
         Some(replayed)
     }
 
-    /// Release the per-node taps. Call when the router is retired: an
-    /// abandoned tap would pin the world's change-stream window.
-    pub fn detach(&mut self, world: &mut World) {
-        for tap in self.taps.drain(..) {
-            world.detach_tap(tap);
-        }
+    /// Retire the router and release its tap: an abandoned tap would pin
+    /// the world's change-stream window. Taking the router means its tap
+    /// is released once, never after the slot is reused.
+    pub fn detach(self, world: &mut World) {
+        world.detach_tap(self.tap);
     }
 
     /// Ship one tick: diff `assignment` against the previous placement
-    /// into per-node handoff sets, drain the links' taps for the delta
-    /// on retained entities, and apply the resulting segment to each
+    /// into per-node handoff sets, drain the tap for the delta on
+    /// retained entities, and apply the resulting segment to each
     /// node's state (and its standby's queue). Call after the world has
     /// been mutated for the tick, with the placement computed for it.
     pub fn tick(&mut self, world: &mut World, assignment: &ShardAssignment) -> HandoffReport {
@@ -218,33 +218,35 @@ impl ShardRouter {
             gained: vec![Vec::new(); nodes],
             dropped: vec![Vec::new(); nodes],
             segment_bytes: vec![0; nodes],
-            snapshot_seq: vec![0; nodes],
+            snapshot_seq: world.change_seq(),
         };
 
-        // A link that stalled past the world's tap-retention window
-        // was evicted: the stream is no longer a complete delta source,
-        // so clear the node and re-ship its state whole (below, as if
-        // it had owned nothing).
-        let resynced: Vec<bool> = self.taps.iter().map(|&tap| world.tap_evicted(tap)).collect();
-        for n in (0..nodes).filter(|&n| resynced[n]) {
-            world.detach_tap(self.taps[n]);
-            self.taps[n] = world.attach_tap();
-            let mut stale: Vec<EntityId> = self.states[n]
-                .rows
-                .keys()
-                .map(|(e, _)| *e)
-                .chain(prev.iter().filter(|&(_, owner)| owner == n).map(|(e, _)| e))
-                .collect();
-            stale.sort_unstable();
-            stale.dedup();
-            if !stale.is_empty() {
-                let clear = DeltaSegment { drops: stale, ..Default::default() };
-                report.segment_bytes[n] += clear.wire_bytes();
-                self.note_baseline(clear.drops.len() * 8);
-                self.ship(n, clear);
-            }
-            if let Some(m) = &self.metrics {
-                m.resyncs.inc();
+        // A router that stalled past the world's tap-retention window
+        // had its tap evicted: the stream is no longer a complete delta
+        // source, so clear every node and re-ship its state whole
+        // (below, as if it had owned nothing).
+        let resynced = world.tap_evicted(self.tap);
+        if resynced {
+            world.detach_tap(self.tap);
+            self.tap = world.attach_tap();
+            for n in 0..nodes {
+                let mut stale: Vec<EntityId> = self.states[n]
+                    .rows
+                    .keys()
+                    .map(|(e, _)| *e)
+                    .chain(prev.iter().filter(|&(_, owner)| owner == n).map(|(e, _)| e))
+                    .collect();
+                stale.sort_unstable();
+                stale.dedup();
+                if !stale.is_empty() {
+                    let clear = DeltaSegment { drops: stale, ..Default::default() };
+                    report.segment_bytes[n] += clear.wire_bytes();
+                    self.note_baseline(clear.drops.len() * 8);
+                    self.ship(n, clear);
+                }
+                if let Some(m) = &self.metrics {
+                    m.resyncs.inc();
+                }
             }
         }
 
@@ -253,7 +255,7 @@ impl ShardRouter {
         let slots = assignment.slots().max(prev.slots());
         for slot in 0..slots {
             // a resynced node was cleared wholesale above: it owns nothing
-            let was = prev.at(slot).filter(|&(_, n)| !resynced[n]);
+            let was = prev.at(slot).filter(|_| !resynced);
             let now = assignment.at(slot);
             if was == now {
                 continue; // retained (or vacant both ticks)
@@ -269,39 +271,24 @@ impl ShardRouter {
         }
 
         // Route each pending change record to the node that retained
-        // its entity. Every link's pending window is a suffix of the
-        // longest one, so one scan serves all links; per retained
-        // entity this yields exactly the columns whose values moved
-        // since the link's last shipment.
-        let head = world.change_seq();
-        let cursors: Vec<u64> = self
-            .taps
-            .iter()
-            .map(|&tap| world.tap_cursor(tap).unwrap_or(head))
-            .collect();
+        // its entity: per retained entity, exactly the columns whose
+        // values moved since the last shipment. A re-attached tap has
+        // nothing pending, and its nodes were cleared above.
         let mut touched: Vec<Vec<(EntityId, ComponentId)>> = vec![Vec::new(); nodes];
-        if let Some(longest) = (0..nodes).min_by_key(|&n| cursors[n]) {
-            for change in world.tap_pending(self.taps[longest]) {
-                let (ChangeOp::Set { id, component, .. } | ChangeOp::Removed { id, component, .. }) =
-                    &change.op
-                else {
-                    continue;
-                };
-                // gained ships whole; lost drops
-                let Some(n) = assignment.node_of(*id).filter(|&n| !resynced[n]) else {
-                    continue;
-                };
-                if prev.node_of(*id) == Some(n) && change.seq >= cursors[n] {
-                    touched[n].push((*id, *component));
-                }
+        for change in world.tap_pending(self.tap) {
+            let (ChangeOp::Set { id, component, .. } | ChangeOp::Removed { id, component, .. }) =
+                &change.op
+            else {
+                continue;
+            };
+            // gained ships whole; lost drops
+            if let Some(n) = assignment.node_of(*id).filter(|&n| prev.node_of(*id) == Some(n)) {
+                touched[n].push((*id, *component));
             }
         }
-        // Stamp each segment with the sequence it snapshots and ack
-        // only up to it: records landing later stay pending.
-        for n in 0..nodes {
-            world.ack_tap_to(self.taps[n], head);
-            report.snapshot_seq[n] = head;
-        }
+        // the stamp is the stream head, and nothing is written until the
+        // segments are built: everything pending is shipped
+        world.ack_tap(self.tap);
 
         let world: &World = world;
         let columns = columns_by_name(world);
@@ -533,7 +520,8 @@ mod tests {
     }
 
     /// One node's slice of a [`HandoffReport`]: gained and dropped
-    /// entities as `(slot, generation)`, segment bytes, snapshot seq.
+    /// entities as `(slot, generation)`, segment bytes, and the tick's
+    /// snapshot seq.
     type GoldenLink = (&'static [(u32, u32)], &'static [(u32, u32)], usize, u64);
 
     /// The first 12 ticks of `migrating_setup` under `churn`, recorded
@@ -655,7 +643,7 @@ mod tests {
                 assert_eq!(ids(&report.gained[n]), gained, "tick {t} node {n} gained");
                 assert_eq!(ids(&report.dropped[n]), dropped, "tick {t} node {n} dropped");
                 assert_eq!(report.segment_bytes[n], bytes, "tick {t} node {n} bytes");
-                assert_eq!(report.snapshot_seq[n], seq, "tick {t} node {n} snapshot");
+                assert_eq!(report.snapshot_seq, seq, "tick {t} node {n} snapshot");
             }
         }
         let mut digest = 0xcbf29ce484222325u64; // FNV-1a over the report fields
@@ -668,7 +656,7 @@ mod tests {
                 mix(report.gained[n].len() as u64);
                 mix(report.dropped[n].len() as u64);
                 mix(report.segment_bytes[n] as u64);
-                mix(report.snapshot_seq[n]);
+                mix(report.snapshot_seq);
             }
         }
         assert_eq!(digest, 0xc325b1e6be84fe37, "100-tick handoff stream");
@@ -758,7 +746,7 @@ mod tests {
         for t in 0..30 {
             churn(&mut w, &ids, t);
         }
-        assert!(w.tap_evicted(router.taps[0]), "stall must evict the link");
+        assert!(w.tap_evicted(router.tap), "stall must evict the links");
         let a = mgr.tick(&w, &[]);
         router.tick(&mut w, &a);
         for n in 0..NODES {
@@ -789,14 +777,12 @@ mod tests {
         churn(&mut w, &ids, 0);
         let a = mgr.tick(&w, &[]);
         let second = router.tick(&mut w, &a);
-        for n in 0..NODES {
-            assert!(second.snapshot_seq[n] > first.snapshot_seq[n]);
-            assert_eq!(
-                w.tap_cursor(router.taps[n]),
-                Some(second.snapshot_seq[n]),
-                "tap acked exactly to the stamped snapshot"
-            );
-        }
+        assert!(second.snapshot_seq > first.snapshot_seq);
+        assert_eq!(
+            w.tap_cursor(router.tap),
+            Some(second.snapshot_seq),
+            "tap acked exactly to the stamped snapshot"
+        );
         router.detach(&mut w);
     }
 }
