@@ -29,11 +29,12 @@
 //!   (cell edge = radius, 9-cell probe). Self-pairs (`l == r`) are
 //!   excluded.
 //! * [`PlanNode::GroupAggregate`] — group rows by an optional column and
-//!   fold [`AggFn`] over each group. `count`/`sum`/`avg` maintain O(1)
-//!   running state; `min`/`max` keep a per-group ordered multiset so a
-//!   retraction of the current extreme **retracts-and-recomputes** from
-//!   the next element instead of rescanning the base table (counted in
-//!   `view.op_group.retract_recomputes`).
+//!   fold [`AggFn`] over each group through `crate::agg`, the one
+//!   accumulator behind every core aggregate (a zero extreme reads
+//!   `+0.0`; exact sums will replace its `Sum` there, in one place):
+//!   O(1) running state, plus a per-group ordered multiset for `min`/`max`
+//!   so retracting the extreme **retracts-and-recomputes** from the next
+//!   element (counted in `view.op_group.retract_recomputes`).
 //!
 //! ## State by slot
 //!
@@ -75,12 +76,9 @@
 //! here, `operator_views_track_scan_oracle_under_churn` in
 //! `tests/prop_core.rs`, and the persist crash-point sweep). Outputs are
 //! deterministically ordered: row views by entity id, pair views by
-//! `(left, right)`, group views by group key. Incremental `sum`/`avg`
-//! maintain a running `f64` — exact for integer-valued columns (the
-//! leaderboard case), subject to the usual float re-association drift
-//! otherwise; `min`/`max`/`count` are exact for every column type. NaN
-//! aggregate inputs are skipped entirely (SQL NULL semantics, shared
-//! with [`crate::query::aggregate`]), and a NaN join key joins nothing.
+//! `(left, right)`, group views by group key. Aggregates keep
+//! `crate::agg`'s rules (NaN skipped; `sum`/`avg` a running `f64`, exact
+//! for integer-valued columns), and a NaN join key joins nothing.
 
 use std::any::Any;
 use std::collections::{BTreeSet, HashMap};
@@ -89,9 +87,10 @@ use std::time::Instant;
 use gamedb_content::Value;
 use gamedb_spatial::Vec2;
 
+use crate::agg::{Acc, AggKind, Maintained};
 use crate::column::{Column, ColumnData};
 use crate::entity::EntityId;
-use crate::index::{radix_sort, KeyRef, KeyTable, OrdF64, NO_KEY};
+use crate::index::{radix_sort, KeyRef, KeyTable, NO_KEY};
 use crate::intern::ComponentId;
 use crate::metrics::CoreMetrics;
 use crate::query::{AggFn, Pred, Query, RowFilter};
@@ -257,11 +256,12 @@ impl ViewPlan {
             OpState::Group(s) => {
                 let mut members = Vec::new();
                 s.source.visit(world, &mut |sel| members.extend_from_slice(sel));
-                let agg = s.table.agg;
-                let fold = GroupTable::fold(agg, world, &s.source.src, &members);
-                let rows = fold.groups.iter().enumerate().map(|(g, group)| GroupRow {
+                let kind = s.table.kind;
+                let insert = |acc: &mut Acc, slot, v| acc.insert(kind, slot, v);
+                let fold = GroupTable::fold(world, &s.source.src, &members, insert);
+                let rows = fold.groups.iter().enumerate().map(|(g, acc)| GroupRow {
                     key: fold.keys.get(g).map(key_repr),
-                    value: group.value(agg),
+                    value: acc.read(kind),
                 });
                 PlanOutput::Groups(rows.collect())
             }
@@ -467,23 +467,17 @@ fn compile(plan: &ViewPlan) -> Result<OpState, CoreError> {
             group_by,
             agg,
         } => {
-            let (kind, val_col) = match agg {
-                AggFn::Count => (AggKind::Count, None),
-                AggFn::Sum(c) => (AggKind::Sum, Some(c)),
-                AggFn::Min(c) => (AggKind::Min, Some(c)),
-                AggFn::Max(c) => (AggKind::Max, Some(c)),
-                AggFn::Avg(c) => (AggKind::Avg, Some(c)),
-                AggFn::ArgMin(_) | AggFn::ArgMax(_) => {
-                    return Err(CoreError::PlanInvalid(
-                        "argmin/argmax aggregates are not supported in group-aggregate views",
-                    ));
-                }
-            };
+            if let AggFn::ArgMin(_) | AggFn::ArgMax(_) = agg {
+                return Err(CoreError::PlanInvalid(
+                    "argmin/argmax aggregates are not supported in group-aggregate views",
+                ));
+            }
+            let (kind, val_col) = AggKind::of(agg);
             Ok(OpState::Group(GroupState {
                 source: SourceState::new(compile_source(input, group_by.as_ref(), val_col, false)?),
                 keys: KeyTable::default(),
                 table: GroupTable {
-                    agg: kind,
+                    kind,
                     groups: Vec::new(),
                     touched: Vec::new(),
                     retracts: 0,
@@ -533,10 +527,6 @@ impl Fields {
     fn same(&self, o: &Fields) -> bool {
         let bits = |p: Option<[f32; 2]>| p.map(|p| p.map(f32::to_bits));
         self.key == o.key && self.val.to_bits() == o.val.to_bits() && bits(self.pos) == bits(o.pos)
-    }
-
-    fn agg_input(&self) -> AggInput {
-        OrdF64::new(self.val).map(|o| (o, self.val))
     }
 }
 
@@ -1163,74 +1153,11 @@ impl JoinState {
 // Group-aggregate operator
 // ---------------------------------------------------------------------
 
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum AggKind {
-    Count,
-    Sum,
-    Min,
-    Max,
-    Avg,
-}
-
-impl AggKind {
-    /// Min and max need every value to find the next extreme after a
-    /// retraction; the others are maintained from a count and a sum
-    /// (the counting algorithm).
-    fn ordered(self) -> bool {
-        matches!(self, AggKind::Min | AggKind::Max)
-    }
-}
-
-/// One row's aggregate input, as a multiset key and as a number; `None`
-/// when the value is absent or NaN.
-type AggInput = Option<(OrdF64, f64)>;
-
-/// Running state of one group. `rows` counts member rows (Count's
-/// answer); `n` and `sum` count and add the non-NaN aggregate values
-/// (NaN inputs are skipped, SQL NULL style) — sum's and avg's whole
-/// state. Only min/max keep `vals`, the values as an ordered multiset
-/// keyed `(value, entity)`, and read its ends. `touched` marks a group
-/// on the current refresh's touched list.
+/// A group's maintained state, and whether it is on the touched list.
 #[derive(Debug, Clone, Default)]
 struct GroupAgg {
-    rows: usize,
-    n: usize,
-    sum: f64,
-    vals: BTreeSet<(OrdF64, EntityId)>,
+    acc: Maintained,
     touched: bool,
-}
-
-impl GroupAgg {
-    /// Fold in one row; its id is read only by min/max.
-    fn add(&mut self, kind: AggKind, id: impl FnOnce() -> EntityId, val: AggInput) {
-        self.rows += 1;
-        match val {
-            Some((o, _)) if kind.ordered() => {
-                self.vals.insert((o, id()));
-            }
-            Some((_, v)) => {
-                self.n += 1;
-                self.sum += v;
-            }
-            None => {}
-        }
-    }
-
-    fn value(&self, kind: AggKind) -> f64 {
-        match kind {
-            AggKind::Count => self.rows as f64,
-            AggKind::Sum => self.sum,
-            AggKind::Min => self.vals.first().map_or(0.0, |(v, _)| v.get()),
-            AggKind::Max => self.vals.last().map_or(0.0, |(v, _)| v.get()),
-            AggKind::Avg => {
-                if self.n == 0 {
-                    0.0
-                } else {
-                    self.sum / self.n as f64
-                }
-            }
-        }
-    }
 }
 
 /// Normalized group-key value for output rows: derived from the
@@ -1287,10 +1214,10 @@ impl<'w> GroupKeys<'w> {
 
 /// A group fold: each member's group number ([`NO_KEY`]: none), groups
 /// numbered in key order, and each group's key and state by number.
-struct GroupFold<'w> {
+struct GroupFold<'w, S> {
     of: Vec<u32>,
     keys: GroupKeys<'w>,
-    groups: Vec<GroupAgg>,
+    groups: Vec<S>,
 }
 
 /// The group table: running state per group id — the group key's id in
@@ -1298,7 +1225,7 @@ struct GroupFold<'w> {
 /// fold ([`GroupTable::fold`]) and folded one ±row at a time after.
 #[derive(Debug, Clone)]
 struct GroupTable {
-    agg: AggKind,
+    kind: AggKind,
     groups: Vec<GroupAgg>,
     /// Groups this refresh's deltas touched, each once.
     touched: Vec<u32>,
@@ -1308,24 +1235,26 @@ struct GroupTable {
 }
 
 impl GroupTable {
-    /// The one group fold — how a group plan is evaluated and a group
-    /// table seeded ([`GroupState::init`]). `members` (ascending live
-    /// slots) are numbered by group ([`GroupTable::number`]) and folded
-    /// into a dense accumulator by group number, in slot order, so every
-    /// group folds its rows in the order per-row inserts would (sums are
-    /// bit-identical). Rows without a group key (missing, or NaN) belong
-    /// to no group; without a key column every member is in the one
-    /// global group.
-    fn fold<'w>(agg: AggKind, world: &'w World, src: &Source, members: &[u32]) -> GroupFold<'w> {
+    /// The one group fold — a group plan's evaluate (into [`Acc`]s) and
+    /// a table's seed ([`GroupState::init`]) alike: `members` (ascending
+    /// live slots) are numbered by group ([`GroupTable::number`]) and each
+    /// one's slot and value (NaN: none) handed to `insert` into its group,
+    /// in slot order, as per-row inserts would (sums are bit-identical).
+    /// Rows without a group key (missing, or NaN) belong to no group;
+    /// without a key column every member is in the one global group.
+    fn fold<'w, S: Default>(
+        world: &'w World,
+        src: &Source,
+        members: &[u32],
+        mut insert: impl FnMut(&mut S, u32, f64),
+    ) -> GroupFold<'w, S> {
         let (of, keys) = GroupTable::number(world, src, members);
         let val_col = src.val_col.as_ref().and_then(|c| world.column(c));
-        let slots = world.slots();
-        let mut groups: Vec<GroupAgg> = (0..keys.len()).map(|_| GroupAgg::default()).collect();
+        let mut groups: Vec<S> = (0..keys.len()).map(|_| S::default()).collect();
         for (&slot, &g) in members.iter().zip(&of) {
             if g != NO_KEY {
                 let val = val_col.and_then(|c| c.get_number(slot as usize)).unwrap_or(f64::NAN);
-                let val = OrdF64::new(val).map(|o| (o, val));
-                groups[g as usize].add(agg, || slots.id_at(slot), val);
+                insert(&mut groups[g as usize], slot, val);
             }
         }
         GroupFold { of, keys, groups }
@@ -1406,46 +1335,6 @@ impl GroupTable {
         }
         group
     }
-
-    fn insert(&mut self, g: u32, id: EntityId, val: AggInput) {
-        let agg = self.agg;
-        self.touch(g).add(agg, || id, val);
-    }
-
-    /// Retract a row by its remembered fields — exactly what
-    /// [`GroupTable::insert`] folded in, which is what lets sum and avg
-    /// subtract without keeping the values. A group left without rows
-    /// starts over from empty state.
-    fn retract(&mut self, g: u32, id: EntityId, val: AggInput) {
-        let agg = self.agg;
-        let group = self.touch(g);
-        group.rows -= 1;
-        let mut recomputed = false;
-        match val {
-            Some((o, _)) if agg.ordered() => {
-                let entry = (o, id);
-                let was_extreme = match agg {
-                    AggKind::Min => group.vals.first() == Some(&entry),
-                    _ => group.vals.last() == Some(&entry),
-                };
-                // The new extreme is the multiset's next element — an
-                // O(log n) recompute, never a base-table rescan.
-                recomputed = group.vals.remove(&entry) && was_extreme;
-            }
-            Some((_, v)) => {
-                group.n -= 1;
-                group.sum -= v;
-            }
-            None => {}
-        }
-        if group.rows == 0 {
-            *group = GroupAgg {
-                touched: true,
-                ..GroupAgg::default()
-            };
-        }
-        self.retracts += u64::from(recomputed);
-    }
 }
 
 /// Rebuild `v` in `spare` in one pass, then swap them: `(at, Some(row))`
@@ -1524,8 +1413,8 @@ impl GroupState {
             group.touched = false;
             let below = |&(q, o): &(u64, u32)| q < p || (q == p && keys.order(o, g).is_lt());
             at += gallop(&self.out_keys[at..], below);
-            let value = group.value(self.table.agg);
-            match (self.out_keys.get(at).is_some_and(|&(_, o)| o == g), group.rows > 0) {
+            let value = group.acc.read(self.table.kind);
+            match (self.out_keys.get(at).is_some_and(|&(_, o)| o == g), group.acc.rows() > 0) {
                 (true, true) => {
                     if self.out[at].value.to_bits() != value.to_bits() {
                         self.out[at].value = value;
@@ -1561,16 +1450,18 @@ impl GroupState {
         metrics: Option<&CoreMetrics>,
     ) -> Refreshed {
         let fold = self.source.fold(world, ctx, &mut self.keys);
-        let retracts_before = self.table.retracts;
+        let (retracts_before, kind) = (self.table.retracts, self.table.kind);
+        // retract by the remembered fields: exactly what was inserted
         for d in &fold.deltas {
             if let Some(o) = d.old {
                 if let Some(g) = self.group_of(&o) {
-                    self.table.retract(g, d.id, o.agg_input());
+                    let recomputed = self.table.touch(g).acc.retract(kind, d.id, o.val);
+                    self.table.retracts += u64::from(recomputed);
                 }
             }
             if let Some(n) = d.new {
                 if let Some(g) = self.group_of(&n) {
-                    self.table.insert(g, d.id, n.agg_input());
+                    self.table.touch(g).acc.insert(kind, d.id.index(), n.val, || d.id);
                 }
             }
         }
@@ -1597,17 +1488,18 @@ impl GroupState {
     /// order.
     fn init(&mut self, world: &World) {
         let members: Vec<u32> = self.source.init(world, None).iter().map(|id| id.index()).collect();
-        let agg = self.table.agg;
-        let fold = GroupTable::fold(agg, world, &self.source.src, &members);
+        let (kind, slots) = (self.table.kind, world.slots());
+        let insert = |g: &mut GroupAgg, slot, v| g.acc.insert(kind, slot, v, || slots.id_at(slot));
+        let fold = GroupTable::fold(world, &self.source.src, &members, insert);
         let keys = &mut self.keys;
         for (g, group) in fold.groups.iter().enumerate() {
             let key = fold.keys.get(g);
-            let id = key.map_or(0, |k| keys.intern(k, group.rows as u32));
+            let id = key.map_or(0, |k| keys.intern(k, group.acc.rows()));
             // a fresh table hands out ids in key order: 0, 1, 2, …
             debug_assert_eq!(id as usize, g);
             self.out.push(GroupRow {
                 key: key.map(key_repr),
-                value: group.value(agg),
+                value: group.acc.read(kind),
             });
             self.out_keys.push((keys.prefix(id), id));
         }

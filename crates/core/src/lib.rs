@@ -13,7 +13,11 @@
 //! * [`world`] — the [`World`]: rows = entities, columns = components,
 //!   with a spatial index over the reserved `pos` column.
 //! * [`query`] — declarative selection + aggregates ([`Query`],
-//!   [`AggFn`]).
+//!   [`AggFn`]). Every core aggregate — [`aggregate`], a group plan's
+//!   [`ViewPlan::evaluate`], a group view's seed and its maintenance —
+//!   folds through one crate-private accumulator (`agg`): NaN skipped,
+//!   a zero extreme read as `+0.0`, and the one `Sum` that exact sums
+//!   will replace.
 //! * [`index`](mod@index) — secondary attribute indexes
 //!   ([`SecondaryIndex`], [`IndexKind`]), registered via
 //!   [`World::create_index`].
@@ -62,6 +66,7 @@
 //! assert_eq!(wounded, vec![hero]);
 //! ```
 
+pub(crate) mod agg;
 pub mod change;
 pub mod column;
 pub mod dvm;

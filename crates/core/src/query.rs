@@ -13,6 +13,7 @@ use std::cmp::Ordering;
 use gamedb_content::{CmpOp, Value, ValueType};
 use gamedb_spatial::Vec2;
 
+use crate::agg::{Acc, AggKind};
 use crate::column::{Column, ColumnData, StrColumn};
 use crate::entity::EntityId;
 use crate::planner::{Plan, TableStats};
@@ -633,87 +634,40 @@ impl AggResult {
 /// the whole fold or win an argmin by comparing false against
 /// everything). `Sum`/`Count` of an empty set are 0; `Min`/`Max`/`Avg`
 /// over no (non-NaN) values return `AggResult::Number(0.0)`, and
-/// argmin/argmax return `AggResult::Entity(None)`. `Min`/`Max` and
-/// argmin/argmax break ties toward the first row in id order (of `0.0`
-/// and `-0.0`, whichever comes first). Callers that must
-/// distinguish empty sets should check `Count` first (as the compiled
-/// scripts do). The differential view engine ([`crate::dvm`]) maintains
-/// these same semantics incrementally.
+/// argmin/argmax return `AggResult::Entity(None)`. A zero `Min`/`Max`
+/// reads `+0.0` (the key domain's rule: `-0.0` and `0.0` are one key),
+/// and argmin/argmax break ties toward the first row in id order.
+/// Callers that must distinguish empty sets should check `Count` first
+/// (as the compiled scripts do). The state folded is the one the
+/// differential view engine ([`crate::dvm`]) maintains, so the global
+/// plan's [`crate::dvm::ViewPlan::evaluate`] reads the same bits.
 pub fn aggregate(world: &World, query: &Query, f: &AggFn) -> AggResult {
-    let (AggFn::Sum(c)
-    | AggFn::Min(c)
-    | AggFn::Max(c)
-    | AggFn::Avg(c)
-    | AggFn::ArgMin(c)
-    | AggFn::ArgMax(c)) = f
-    else {
+    let (kind, col) = AggKind::of(f);
+    let Some(col) = col else {
         return AggResult::Number(query.count(world) as f64);
     };
-    // The plan hands its members over a block of ascending slots at a
-    // time; the value column's typed slice is folded over each block, so
-    // the inputs arrive in the order a row-at-a-time fold saw them (sums
-    // are bit-identical). NaN is a NULL, never an aggregate input.
-    let col = world.column(c);
-    let plan = query.plan_for(world);
-    let fold = |step: &mut dyn FnMut(&[u32])| {
-        plan.execute(world, step);
-    };
+    // The plan hands over ascending slots a block at a time, folded from
+    // the column's typed slice in the order a row-at-a-time fold saw them
+    // (sums are bit-identical). One arm per kind inlines `insert` with its
+    // kind constant: the kind is matched once a block, not once a value.
+    let col = world.column(col);
+    let mut acc = Acc::default();
+    query.plan_for(world).execute(world, &mut |sel| match kind {
+        AggKind::Min => fold_numbers(col, sel, |slot, v| acc.insert(AggKind::Min, slot, v)),
+        AggKind::Max => fold_numbers(col, sel, |slot, v| acc.insert(AggKind::Max, slot, v)),
+        // sum and avg fold alike; count has no column
+        _ => fold_numbers(col, sel, |slot, v| acc.insert(AggKind::Sum, slot, v)),
+    });
     match f {
-        AggFn::Sum(_) | AggFn::Avg(_) => {
-            let mut sum = 0.0;
-            let mut n = 0usize;
-            fold(&mut |sel| {
-                fold_numbers(col, sel, |_, v| {
-                    sum += v;
-                    n += 1;
-                })
-            });
-            AggResult::Number(match f {
-                AggFn::Sum(_) => sum,
-                _ if n == 0 => 0.0,
-                _ => sum / n as f64,
-            })
-        }
-        AggFn::Min(_) | AggFn::Max(_) => {
-            let is_min = matches!(f, AggFn::Min(_));
-            let mut best: Option<f64> = None;
-            fold(&mut |sel| {
-                fold_numbers(col, sel, |_, v| {
-                    // strict, so a tie keeps the first value: `0.0` and
-                    // `-0.0` are one number, and the one met first wins
-                    if best.is_none_or(|b| if is_min { v < b } else { v > b }) {
-                        best = Some(v);
-                    }
-                })
-            });
-            AggResult::Number(best.unwrap_or(0.0))
-        }
         AggFn::ArgMin(_) | AggFn::ArgMax(_) => {
-            let is_min = matches!(f, AggFn::ArgMin(_));
-            let mut best: Option<(f64, u32)> = None;
-            fold(&mut |sel| {
-                fold_numbers(col, sel, |slot, v| {
-                    let better = match best {
-                        None => true,
-                        // ties break toward the smaller id (members
-                        // arrive slot-ordered, so strict comparison keeps
-                        // the first)
-                        Some((bv, _)) if is_min => v < bv,
-                        Some((bv, _)) => v > bv,
-                    };
-                    if better {
-                        best = Some((v, slot));
-                    }
-                })
-            });
-            AggResult::Entity(best.map(|(_, slot)| world.slots().id_at(slot)))
+            AggResult::Entity(acc.arg().map(|slot| world.slots().id_at(slot)))
         }
-        AggFn::Count => unreachable!("answered above"),
+        _ => AggResult::Number(acc.read(kind)),
     }
 }
 
-/// Hand `step` each non-NaN number `col` holds at the slots of `sel`
-/// (ascending), in slot order, read from the column's typed slice.
+/// Hand `step` each number `col` holds at the slots of `sel` (ascending),
+/// in slot order, read from the column's typed slice.
 #[inline(always)]
 fn fold_numbers(col: Option<&Column>, sel: &[u32], step: impl FnMut(u32, f64)) {
     fn each<T: Copy + AsF64>(
@@ -724,9 +678,8 @@ fn fold_numbers(col: Option<&Column>, sel: &[u32], step: impl FnMut(u32, f64)) {
     ) {
         let sel = &sel[..sel.partition_point(|&s| (s as usize) < present.len())];
         for &s in sel {
-            let x = v[s as usize].widen();
-            if present[s as usize] && !x.is_nan() {
-                step(s, x);
+            if present[s as usize] {
+                step(s, v[s as usize].widen());
             }
         }
     }

@@ -239,7 +239,8 @@ fn wide_float() -> impl Strategy<Value = f32> {
 }
 
 /// `aggregate`'s contract spelled out over the scan oracle's rows, in id
-/// order: NaN and missing values skipped, ties to the first id.
+/// order: NaN and missing values skipped, a zero extreme `+0.0`, ties to
+/// the first id.
 fn aggregate_oracle(w: &World, rows: &[EntityId], f: &AggFn) -> AggResult {
     let (AggFn::Sum(c)
     | AggFn::Min(c)
@@ -264,8 +265,10 @@ fn aggregate_oracle(w: &World, rows: &[EntityId], f: &AggFn) -> AggResult {
         }
         AggResult::Entity(best.map(|(e, _)| e))
     };
+    // a zero extreme reads `+0.0`, as in `grouped_oracle`
+    let unzero = |v: f64| if v == 0.0 { 0.0 } else { v };
     let extreme = |pick: fn(f64, f64) -> f64| {
-        AggResult::Number(vals.iter().map(|v| v.1).reduce(pick).unwrap_or(0.0))
+        AggResult::Number(vals.iter().map(|v| unzero(v.1)).reduce(pick).unwrap_or(0.0))
     };
     match f {
         AggFn::Sum(_) => AggResult::Number(sum),
@@ -352,7 +355,8 @@ proptest! {
     /// NaN, `±0.0`, missing `gold` and `team`). That covers two-bound
     /// ranges with random — possibly inverted — bounds under all four
     /// operator pairs in both authored orders; `aggregate` under every
-    /// `AggFn`, bit-for-bit equal to a fold over `run_scan`; and grouped
+    /// `AggFn`, bit-for-bit equal to a fold over `run_scan`, and the
+    /// global plan's `ViewPlan::evaluate` equal to it; and grouped
     /// `ViewPlan::evaluate` (count / sum / avg / min / max by string,
     /// int and float keys, NaN and missing keys) equal to a `BTreeMap`
     /// fold over `run_scan`.
@@ -467,6 +471,20 @@ proptest! {
                 prop_assert!(
                     same_bits(&got, &want),
                     "{:?} over {:?}: {:?} vs {:?}", f, q, got, want
+                );
+                // argmin and argmax are one-shot only
+                let Some(got) = got.as_number() else { continue };
+                // the global plan's one-shot evaluate folds to the same bits;
+                // an empty selection has no group, where `aggregate` reads 0
+                let plan = q.clone().into_aggregate_plan(f.clone()).unwrap();
+                let PlanOutput::Groups(rows) = plan.evaluate(&w).unwrap() else {
+                    return Err(TestCaseError::fail("an aggregate plan evaluates to groups"));
+                };
+                prop_assert_eq!(rows.len(), usize::from(!scan.is_empty()));
+                let value = rows.first().map_or(0.0, |g| g.value);
+                prop_assert_eq!(
+                    value.to_bits(), got.to_bits(),
+                    "{:?} over {:?}: evaluate {} vs aggregate {}", f, q, value, got
                 );
             }
             for col in ["team", "gold", "hp"] {
@@ -2099,20 +2117,7 @@ proptest! {
                     AggFn::ArgMax(c.into()),
                 ] {
                     let got = gamedb_core::aggregate(&w, q, &f);
-                    let want = match &f {
-                        // a tie keeps the first value, so the sign of a zero
-                        // extreme is the first zero's in id order
-                        AggFn::Min(c) | AggFn::Max(c) => {
-                            let is_min = matches!(f, AggFn::Min(_));
-                            let vals = scan.iter().filter_map(|&e| w.get_number(e, c));
-                            AggResult::Number(
-                                vals.filter(|v| !v.is_nan())
-                                    .reduce(|b, v| if (is_min && v < b) || (!is_min && v > b) { v } else { b })
-                                    .unwrap_or(0.0),
-                            )
-                        }
-                        _ => aggregate_oracle(&w, &scan, &f),
-                    };
+                    let want = aggregate_oracle(&w, &scan, &f);
                     prop_assert!(same_bits(&got, &want), "{:?} over {:?}: {:?} vs {:?}", f, q, got, want);
                 }
             }

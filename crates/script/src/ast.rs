@@ -79,6 +79,11 @@ impl fmt::Display for BinOp {
 }
 
 /// Aggregate kinds over the neighbor set.
+///
+/// These are neighbour folds, not core's aggregates: every neighbour's
+/// value is folded as it is, so a NaN makes `sum`/`avgof` NaN (core's
+/// `aggregate` skips NaN as a NULL). The foreach→`sum` rewrite relies on
+/// that, since a `+=` per neighbour poisons the same way.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AggKind {
     Count,

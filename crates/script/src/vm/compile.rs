@@ -1099,6 +1099,42 @@ mod tests {
         assert_vm_equivalent("self.hp = sum(6; count(3));");
     }
 
+    /// A script aggregate folds its neighbours as they are: a NaN
+    /// neighbour poisons `sum` as it poisons a `+=` per neighbour, which
+    /// keeps the foreach→`sum` rewrite sound. (Core's `aggregate` skips
+    /// NaN instead; scripts must not adopt that.)
+    #[test]
+    fn nan_neighbour_poisons_foreach_and_its_sum_rewrite() {
+        let mut w = World::new();
+        w.define_component("hp", ValueType::Float).unwrap();
+        w.define_component("c", ValueType::Float).unwrap();
+        let me = w.spawn_at(Vec2::new(0.0, 0.0));
+        w.set_f32(me, "c", 0.0).unwrap();
+        for (x, hp) in [(1.0, 2.0), (2.0, f32::NAN)] {
+            let e = w.spawn_at(Vec2::new(x, 0.0));
+            w.set_f32(e, "hp", hp).unwrap();
+        }
+        let plain = parse_script("s", "foreach within (5) { self.c += other.hp; }").unwrap();
+        let (rewritten, stats) = crate::optimize::optimize(&plain);
+        assert_eq!(stats.foreach_rewrites, 1);
+        let opts = ExecOptions::default();
+        for script in [plain, rewritten] {
+            let src = crate::ast::to_source(&script.body);
+            let mut l = ScriptLibrary::new();
+            l.insert(script);
+            let p = compile_program(&l, "s", &w, opts).unwrap();
+            let (mut b_interp, mut b_vm) = (EffectBuffer::new(), EffectBuffer::new());
+            run_script(&l, "s", &w, me, &mut b_interp, opts).unwrap();
+            Vm::new().run(&p, &w, me, &mut b_vm, opts).unwrap();
+            for b in [b_interp, b_vm] {
+                let mut after = w.clone();
+                b.apply(&mut after).unwrap();
+                let c = after.get_f32(me, "c").unwrap();
+                assert!(c.is_nan(), "{src}: c = {c}");
+            }
+        }
+    }
+
     #[test]
     fn aggregate_pushdown_equivalence_with_indexes() {
         use gamedb_core::IndexKind;
